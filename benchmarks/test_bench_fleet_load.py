@@ -12,16 +12,18 @@ byte-identical, and measures a smaller fleet through the socket front
 door for the networked rate.
 
 The JSON is stamped with ``kernel`` / ``rng_family`` / ``sessions`` /
-``schedule_digest`` so ``check_fleet_load_regression.py`` refuses to
-compare runs with mismatched configurations, and carries a
-``calibration_decisions_per_s`` (raw ``decide_now`` rate on this
-machine) used to normalise cross-machine comparisons.
+``schedule_digest`` so runs with mismatched configurations are never
+compared, and carries a ``calibration_decisions_per_s`` (raw
+``decide_now`` rate on this machine) for cross-machine reading.
+Regressions are judged by ``benchmarks/ledger/compare.py``.
 
 Knobs (environment variables):
 
 * ``FLEET_BENCH_SESSIONS`` — fleet size for the in-process run
-  (default 100000).
-* ``FLEET_BENCH_SHARD`` — sessions per simulator shard (default 8192).
+  (default 4096, the tier-1 / CI size; the committed baseline in
+  ``benchmarks/results`` ran 100000).
+* ``FLEET_BENCH_SHARD`` — sessions per simulator shard (default 1024;
+  the 100k baseline used 8192).
 * ``FLEET_BENCH_SOCKET_SESSIONS`` — fleet size for the socket run
   (default 512; 0 skips the socket section).
 * ``FLEET_BENCH_CLIENTS`` — socket client connections (default 4).
@@ -53,19 +55,14 @@ from repro.loadgen import (
 )
 from repro.qbn.autoencoder import build_observation_qbn
 from repro.qbn.quantize import code_key
-from repro.serving import (
-    CompiledFSMBackend,
-    CompiledFSMPolicy,
-    PolicyClient,
-    PolicyNetServer,
-    PolicyServer,
-)
+from repro.engine import CompiledFSMBackend, CompiledFSMPolicy
+from repro.serving import PolicyClient, PolicyNetServer, PolicyServer
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
 
-SESSIONS = int(os.environ.get("FLEET_BENCH_SESSIONS", "100000"))
-SHARD = int(os.environ.get("FLEET_BENCH_SHARD", "8192"))
+SESSIONS = int(os.environ.get("FLEET_BENCH_SESSIONS", "4096"))
+SHARD = int(os.environ.get("FLEET_BENCH_SHARD", "1024"))
 SOCKET_SESSIONS = int(os.environ.get("FLEET_BENCH_SOCKET_SESSIONS", "512"))
 CLIENTS = int(os.environ.get("FLEET_BENCH_CLIENTS", "4"))
 SEED = 42

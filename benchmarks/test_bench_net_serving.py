@@ -42,13 +42,8 @@ from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.fsm.extraction import ExtractionConfig, FSMExtractor
 from repro.qbn.autoencoder import build_hidden_qbn, build_observation_qbn
 from repro.qbn.dataset import TransitionDataset
-from repro.serving import (
-    CompiledFSMBackend,
-    CompiledFSMPolicy,
-    PolicyClient,
-    PolicyNetServer,
-    PolicyServer,
-)
+from repro.engine import CompiledFSMBackend, CompiledFSMPolicy
+from repro.serving import PolicyClient, PolicyNetServer, PolicyServer
 from repro.storage.simulator import StorageSystemConfig
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
 from repro.workloads.sampler import RealTraceSampler

@@ -48,12 +48,8 @@ from repro.loadgen import (
     LoadPhase,
     SocketTransport,
 )
-from repro.serving import (
-    CompiledFSMBackend,
-    PolicyClient,
-    PolicyNetServer,
-    PolicyServer,
-)
+from repro.engine import CompiledFSMBackend
+from repro.serving import PolicyClient, PolicyNetServer, PolicyServer
 
 
 def demo_schedule(sessions: int, shard_size: int) -> FleetSchedule:

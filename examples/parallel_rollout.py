@@ -5,8 +5,8 @@ Run with::
     PYTHONPATH=src python examples/parallel_rollout.py --workers 2 --episodes 8
 
 Collects the same seeded episode set twice — once in a single lockstep
-batch, once sharded across worker processes — verifies the trajectories
-are bit-identical, and prints per-path wall-clock times.
+batch, once sharded across a pool of worker processes — verifies the
+trajectories are bit-identical, and prints per-path wall-clock times.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import time
 
 import numpy as np
 
-from repro.drl.parallel import ParallelRolloutCollector
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import BatchedRolloutCollector, derive_episode_streams
+from repro.drl.worker_pool import PersistentWorkerPool
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.storage.simulator import StorageSystemConfig
 from repro.workloads.generator import StandardWorkloadGenerator
@@ -32,14 +32,9 @@ def main() -> None:
     parser.add_argument("--duration", type=int, default=32)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--persistent", action="store_true",
-        help="back the sharded collection with a persistent worker pool "
-             "(resident simulator state + weight-delta broadcasts)",
-    )
-    parser.add_argument(
         "--epochs", type=int, default=1,
-        help="number of collection epochs (persistent pools amortise "
-             "their spawn cost across epochs)",
+        help="number of collection epochs (the pool amortises its spawn "
+             "cost across epochs)",
     )
     parser.add_argument(
         "--kernel", choices=("numpy", "native"), default="numpy",
@@ -75,14 +70,12 @@ def main() -> None:
     batched_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    with ParallelRolloutCollector(
-        system, num_workers=args.workers, persistent=args.persistent
-    ) as collector:
+    with PersistentWorkerPool(system, num_workers=args.workers) as pool:
         for _ in range(max(0, args.epochs - 1)):
-            collector.collect(
+            pool.collect(
                 policy, traces, base_seed=base_seed, rng_family=args.rng_family
             )
-        parallel = collector.collect(
+        parallel = pool.collect(
             policy, traces, base_seed=base_seed, rng_family=args.rng_family
         )
     parallel_s = (time.perf_counter() - start) / max(1, args.epochs)
@@ -99,8 +92,7 @@ def main() -> None:
           f"(kernel={args.kernel}, rng_family={args.rng_family})")
     print(f"lockstep batch (1 process):   {batched_s:.2f}s "
           f"({steps / batched_s:.0f} steps/s)")
-    mode = "persistent pool" if args.persistent else "fork per epoch"
-    print(f"sharded ({args.workers} workers, {mode}): {parallel_s:.2f}s/epoch "
+    print(f"worker pool ({args.workers} workers): {parallel_s:.2f}s/epoch "
           f"({steps / parallel_s:.0f} steps/s)")
     print("trajectories bit-identical: True")
 

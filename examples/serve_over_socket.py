@@ -41,11 +41,9 @@ from repro.env.reward import RewardConfig
 from repro.fsm.machine import FiniteStateMachine
 from repro.qbn.autoencoder import build_observation_qbn
 from repro.qbn.quantize import code_key
+from repro.engine import CompiledFSMBackend, CompiledFSMPolicy, GRUPolicyBackend
 from repro.serving import (
     ArtifactRegistry,
-    CompiledFSMBackend,
-    CompiledFSMPolicy,
-    GRUPolicyBackend,
     PolicyClient,
     PolicyNetServer,
     PolicyServer,

@@ -22,16 +22,16 @@ import numpy as np
 
 from repro.drl.policy import RecurrentPolicyValueNet
 from repro.drl.rollout import BatchedRolloutCollector
-from repro.engine import AgentBatchBackend, EvaluationEngine
+from repro.engine import (
+    AgentBatchBackend,
+    CompiledFSMBackend,
+    EvaluationEngine,
+    GRUPolicyBackend,
+)
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.pipeline.experiments import small_pipeline_config
 from repro.pipeline.learning_aided import LearningAidedPipeline
-from repro.serving import (
-    CompiledFSMBackend,
-    GRUPolicyBackend,
-    PolicyServer,
-    ShadowEvaluator,
-)
+from repro.serving import PolicyServer, ShadowEvaluator
 from repro.storage.migration import MigrationAction
 
 

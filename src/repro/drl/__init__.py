@@ -23,8 +23,7 @@ from repro.drl.rollout import (
     Transition,
     derive_episode_streams,
 )
-from repro.drl.parallel import ParallelRolloutCollector, shard_indices
-from repro.drl.worker_pool import PersistentWorkerPool
+from repro.drl.worker_pool import PersistentWorkerPool, shard_indices
 from repro.drl.a2c import A2CConfig, A2CTrainer, EpochRecord, TrainingHistory
 from repro.drl.curriculum import CurriculumConfig, CurriculumTrainer
 from repro.drl.exploration import EpsilonSchedule
@@ -41,7 +40,7 @@ __all__ = [
     "TrajectoryBatch",
     "RolloutCollector",
     "BatchedRolloutCollector",
-    "ParallelRolloutCollector",
+    "PersistentWorkerPool",
     "shard_indices",
     "derive_episode_streams",
     "A2CConfig",

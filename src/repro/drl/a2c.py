@@ -23,12 +23,8 @@ from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.drl.exploration import EpsilonSchedule
 from repro.drl.policy import RecurrentPolicyValueNet
-from repro.drl.rollout import (
-    BatchedRolloutCollector,
-    RolloutCollector,
-    Trajectory,
-    TrajectoryBatch,
-)
+from repro.drl.rollout import BatchedRolloutCollector, Trajectory, TrajectoryBatch
+from repro.drl.worker_pool import PersistentWorkerPool
 from repro.env.environment import StorageAllocationEnv
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ConfigurationError, TrainingError
@@ -50,27 +46,13 @@ class A2CConfig:
     episodes_per_epoch: int = 1
     normalize_advantages: bool = True
     n_step: int = 0
-    # Collect the epoch's episodes in lockstep on the vectorized
-    # environment (one batched GRU forward per interval) instead of one
-    # episode at a time.
-    use_batched_rollouts: bool = True
-    # One padded/masked gradient update over the whole episode batch
-    # instead of one update per trajectory; with episodes_per_epoch=1
-    # (the default) the two are mathematically identical.
-    batched_updates: bool = True
     # Shard each epoch's episode collection across this many worker
-    # processes (ParallelRolloutCollector).  1 keeps collection
-    # in-process; any value produces bit-identical trajectories because
-    # per-episode rng streams depend only on the drawn base seed and the
-    # episode index, never on the worker layout.
+    # processes (PersistentWorkerPool).  1 keeps collection in-process;
+    # any value produces bit-identical trajectories because per-episode
+    # rng streams depend only on the drawn base seed and the episode
+    # index, never on the worker layout.  Close the trainer (context
+    # manager or .close()) to shut the workers down.
     rollout_workers: int = 1
-    # Back the parallel collector with a persistent worker pool: worker
-    # processes live across epochs with resident simulator state and
-    # policy weights, receiving only weight-delta + episode-shard
-    # messages per epoch (amortises the per-epoch fork/pickle cost).
-    # Results stay bit-identical to every other collection mode.  Close
-    # the trainer (context manager or .close()) to shut the pool down.
-    persistent_pool: bool = False
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -89,16 +71,6 @@ class A2CConfig:
             raise ConfigurationError("n_step must be non-negative (0 = Monte-Carlo)")
         if self.rollout_workers <= 0:
             raise ConfigurationError("rollout_workers must be positive")
-        if self.rollout_workers > 1 and not self.use_batched_rollouts:
-            raise ConfigurationError(
-                "rollout_workers > 1 requires use_batched_rollouts (the parallel "
-                "collector shards the batched lockstep path)"
-            )
-        if self.persistent_pool and self.rollout_workers <= 1:
-            raise ConfigurationError(
-                "persistent_pool=True requires rollout_workers > 1 (a pool of "
-                "one in-process worker has nothing to keep resident)"
-            )
 
 
 @dataclass(frozen=True)
@@ -184,78 +156,52 @@ class A2CTrainer:
             start=self.config.epsilon, end=self.config.epsilon, decay_epochs=0
         )
         self._rng = new_rng(rng)
-        self.collector = RolloutCollector(env, rng=self._rng)
-        # The vectorized twin of ``env`` used for lockstep collection.
+        workers = self.config.rollout_workers
+        if workers > 1 and vector_env is not None:
+            raise ConfigurationError(
+                "rollout_workers > 1 cannot honour an explicit vector_env: "
+                "worker processes rebuild default vector environments from "
+                "the training env's system/reward configs; drop vector_env "
+                "or set rollout_workers=1"
+            )
         # A custom cache model cannot be inferred (each slot needs its
         # own instance), so demand an explicit vector_env rather than
-        # silently training on different cache dynamics.  Parallel
-        # workers always rebuild default vector environments, so they
-        # are subject to the same constraint even with an explicit
-        # vector_env.
-        needs_default_cache_model = (
-            vector_env is None and self.config.use_batched_rollouts
-        ) or self.config.rollout_workers > 1
-        if needs_default_cache_model:
+        # silently training on different cache dynamics.
+        if vector_env is None:
             default_model = env.system_config.build_cache_model()
             if env.simulator.cache_model.signature() != default_model.signature():
-                if self.config.rollout_workers > 1:
-                    raise ConfigurationError(
-                        "rollout_workers > 1 rebuilds default vector environments "
-                        "in worker processes and cannot replicate a custom cache "
-                        "model; set rollout_workers=1"
-                    )
                 raise ConfigurationError(
-                    "the environment uses a custom cache model; pass "
-                    "vector_env=VectorStorageAllocationEnv(..., "
-                    "cache_model_factory=...) explicitly, or set "
-                    "use_batched_rollouts=False"
+                    "the environment uses a custom cache model, which neither "
+                    "the default vector twin nor rollout worker processes "
+                    "replicate; pass vector_env=VectorStorageAllocationEnv(..., "
+                    "cache_model_factory=...) explicitly with rollout_workers=1"
                 )
-        if self.config.rollout_workers > 1:
-            if vector_env is not None:
-                raise ConfigurationError(
-                    "rollout_workers > 1 cannot honour an explicit vector_env: "
-                    "worker processes rebuild default vector environments from "
-                    "the training env's system/reward configs; drop vector_env "
-                    "or set rollout_workers=1"
-                )
-            from repro.drl.parallel import ParallelRolloutCollector
-
+        if workers > 1:
             # Collection always goes through the workers, so the
             # in-process vector twin is never built.
             self.vector_env = None
             self.batched_collector: Optional[BatchedRolloutCollector] = None
-            self.parallel_collector: Optional[ParallelRolloutCollector] = (
-                ParallelRolloutCollector(
-                    env.system_config,
-                    env.reward_config,
-                    num_workers=self.config.rollout_workers,
-                    persistent=self.config.persistent_pool,
-                )
+            self.worker_pool: Optional[PersistentWorkerPool] = PersistentWorkerPool(
+                env.system_config, env.reward_config, num_workers=workers
             )
-        elif self.config.use_batched_rollouts or vector_env is not None:
+        else:
             self.vector_env = vector_env or VectorStorageAllocationEnv(
                 env.system_config, env.reward_config
             )
             self.batched_collector = BatchedRolloutCollector(
                 self.vector_env, rng=self._rng
             )
-            self.parallel_collector = None
-        else:
-            # Sequential-only configuration: do not expose a vector twin
-            # that was never validated against env's cache model.
-            self.vector_env = None
-            self.batched_collector = None
-            self.parallel_collector = None
+            self.worker_pool = None
         self.optimizer = Adam(self.policy.parameters(), lr=self.config.learning_rate)
         self._global_epoch = 0
 
     # ------------------------------------------------------------------
-    # Lifecycle (persistent rollout pools)
+    # Lifecycle (rollout worker pool)
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release collection resources (shuts down a persistent pool)."""
-        if self.parallel_collector is not None:
-            self.parallel_collector.close()
+        """Release collection resources (shuts down the worker pool)."""
+        if self.worker_pool is not None:
+            self.worker_pool.close()
 
     def __enter__(self) -> "A2CTrainer":
         return self
@@ -299,43 +245,23 @@ class A2CTrainer:
         return history
 
     def _train_one_epoch(self, trace: WorkloadTrace, epsilon: float) -> Dict[str, float]:
-        episodes = self.config.episodes_per_epoch
-        if self.parallel_collector is not None:
+        traces = [trace] * self.config.episodes_per_epoch
+        if self.worker_pool is not None:
             # Draw the base seed exactly like collect_batch would so the
             # sharded collection is bit-identical to the in-process
             # batched path under the same trainer rng state.
             base_seed = int(self._rng.integers(np.iinfo(np.int64).max))
-            trajectories = self.parallel_collector.collect(
-                self.policy,
-                [trace] * episodes,
-                base_seed=base_seed,
-                epsilon=epsilon,
-                greedy=False,
+            trajectories = self.worker_pool.collect(
+                self.policy, traces, base_seed=base_seed, epsilon=epsilon, greedy=False
             )
-        elif self.config.use_batched_rollouts:
+        else:
             trajectories = self.batched_collector.collect_batch(
-                self.policy, [trace] * episodes, epsilon=epsilon, greedy=False
+                self.policy, traces, epsilon=epsilon, greedy=False
             )
-        else:
-            trajectories = [
-                self.collector.collect(self.policy, trace, epsilon=epsilon, greedy=False)
-                for _ in range(episodes)
-            ]
-        if self.config.batched_updates:
-            losses = [self._update_from_batch(trajectories)]
-        else:
-            losses = [self._update_from_trajectory(trajectory) for trajectory in trajectories]
-
-        def mean(key: str) -> float:
-            return float(np.mean([loss[key] for loss in losses]))
-
         return {
             "makespan": float(np.mean([t.makespan for t in trajectories])),
             "total_reward": float(np.mean([t.total_reward for t in trajectories])),
-            "policy_loss": mean("policy_loss"),
-            "value_loss": mean("value_loss"),
-            "entropy": mean("entropy"),
-            "grad_norm": mean("grad_norm"),
+            **self._update_from_batch(trajectories),
         }
 
     # ------------------------------------------------------------------

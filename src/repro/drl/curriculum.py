@@ -63,8 +63,8 @@ class CurriculumTrainer:
         vector_env: Optional[VectorStorageAllocationEnv] = None,
     ) -> None:
         """``vector_env`` is forwarded to the underlying A2C trainers —
-        required when ``env`` uses a custom cache model and batched
-        rollouts are enabled (build it with a ``cache_model_factory``)."""
+        required when ``env`` uses a custom cache model (build it with a
+        ``cache_model_factory``)."""
         self.env = env
         self.policy_config = policy_config or PolicyConfig()
         self.a2c_config = a2c_config or A2CConfig()
@@ -100,19 +100,19 @@ class CurriculumTrainer:
             raise TrainingError("curriculum fine-tuning requested but no real traces given")
 
         policy = policy or RecurrentPolicyValueNet(self.policy_config, rng=self._rng)
-        trainer = self._new_trainer(policy)
         history = TrainingHistory()
-        if config.standard_epochs > 0:
-            trainer.train(
-                list(standard_traces),
-                config.standard_epochs,
-                phase=PHASE_STANDARD,
-                history=history,
-            )
-        if config.real_epochs > 0:
-            trainer.train(
-                list(real_traces), config.real_epochs, phase=PHASE_REAL, history=history
-            )
+        with self._new_trainer(policy) as trainer:
+            if config.standard_epochs > 0:
+                trainer.train(
+                    list(standard_traces),
+                    config.standard_epochs,
+                    phase=PHASE_STANDARD,
+                    history=history,
+                )
+            if config.real_epochs > 0:
+                trainer.train(
+                    list(real_traces), config.real_epochs, phase=PHASE_REAL, history=history
+                )
         return policy, history
 
     def train_from_scratch(
@@ -125,6 +125,6 @@ class CurriculumTrainer:
         if not real_traces:
             raise TrainingError("from-scratch training needs real traces")
         policy = policy or RecurrentPolicyValueNet(self.policy_config, rng=self._rng)
-        trainer = self._new_trainer(policy)
-        history = trainer.train(list(real_traces), epochs, phase=PHASE_SCRATCH)
+        with self._new_trainer(policy) as trainer:
+            history = trainer.train(list(real_traces), epochs, phase=PHASE_SCRATCH)
         return policy, history

@@ -1,8 +1,7 @@
-"""Persistent worker pools: long-lived rollout workers with resident state.
+"""Multi-process rollout collection: a pool of long-lived workers.
 
-:class:`PersistentWorkerPool` replaces the per-epoch fork/pickle of
-:class:`~repro.drl.parallel.ParallelRolloutCollector`'s ``Pool.map`` path
-with worker processes that live across epochs:
+:class:`PersistentWorkerPool` is the one multi-process rollout path.  It
+shards an episode set over worker processes that live across epochs:
 
 * each worker builds its simulator/environment stack **once** at spawn
   (from the pickled system/reward configs) and keeps it resident;
@@ -15,16 +14,18 @@ with worker processes that live across epochs:
   surfaces as a prompt :class:`~repro.errors.TrainingError` naming the
   worker — never a hang, never a partial merge.
 
-The determinism contract is identical to the fork-per-epoch collector:
-episode ``i`` of a collection always consumes streams
-``derive_episode_streams(base_seed, N)[i]``, so the merged trajectory
-list is bit-identical to sequential, lockstep-batched, fork-per-epoch
-and persistent-pool collection for any worker count.
+The determinism contract: episode ``i`` of a collection always consumes
+streams ``derive_episode_streams(base_seed, N)[i]`` regardless of which
+worker runs it, so the merged trajectory list is bit-identical to
+sequential and lockstep-batched collection for any worker count —
+sharding only changes wall-clock, never semantics.
 
 Lifecycle: the pool is context-managed (``with PersistentWorkerPool(...)
 as pool: ...``) or closed explicitly; ``close()`` is idempotent and
 tolerates already-dead workers.  After a worker crash the pool is marked
-broken and every subsequent ``collect`` raises cleanly.
+broken and every subsequent ``collect`` raises cleanly.  Inside a
+daemonic process (a ``SweepRunner`` job), which may not have children,
+``collect`` runs the same shards in-process instead.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ import numpy as np
 
 from repro import telemetry
 
-# parallel.py only imports this module lazily (inside _persistent_pool),
-# so this top-level import is cycle-free.
-from repro.drl.parallel import shard_indices
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import (
     BatchedRolloutCollector,
@@ -58,6 +56,61 @@ from repro.utils.rng import PhiloxStreams
 _RESULT_POLL_INTERVAL_S = 0.05
 #: Seconds a worker gets to exit voluntarily before being terminated.
 _SHUTDOWN_GRACE_S = 5.0
+
+
+def shard_indices(count: int, num_shards: int) -> List[List[int]]:
+    """Split ``range(count)`` into at most ``num_shards`` contiguous slices.
+
+    Shards are balanced to within one episode, ordered, and never empty,
+    so concatenating the shards reproduces the original episode order.
+    """
+    if count <= 0:
+        raise TrainingError(f"count must be positive, got {count}")
+    if num_shards <= 0:
+        raise TrainingError(f"num_shards must be positive, got {num_shards}")
+    num_shards = min(num_shards, count)
+    base, extra = divmod(count, num_shards)
+    shards: List[List[int]] = []
+    start = 0
+    for shard in range(num_shards):
+        size = base + (1 if shard < extra else 0)
+        shards.append(list(range(start, start + size)))
+        start += size
+    return shards
+
+
+def _collect_shard(
+    collector: BatchedRolloutCollector,
+    policy: RecurrentPolicyValueNet,
+    indices: Sequence[int],
+    traces: Sequence[WorkloadTrace],
+    base_seed: int,
+    total: int,
+    epsilon: float,
+    greedy: bool,
+    rng_family: str,
+) -> List[Trajectory]:
+    """Episodes ``indices`` of a ``total``-episode collection, in lockstep.
+
+    Streams are selected by global episode id, so a shard's draws are
+    identical to the same lanes of the full batch.
+    """
+    episode_rngs, action_rngs = derive_episode_streams(base_seed, total, rng_family)
+    indices = list(indices)
+    if isinstance(episode_rngs, PhiloxStreams):
+        episode_shard = episode_rngs.select(indices)
+        action_shard = action_rngs.select(indices)
+    else:
+        episode_shard = [episode_rngs[i] for i in indices]
+        action_shard = [action_rngs[i] for i in indices]
+    return collector.collect_batch(
+        policy,
+        list(traces),
+        epsilon=epsilon,
+        greedy=greedy,
+        episode_rngs=episode_shard,
+        action_rngs=action_shard,
+    )
 
 
 def _drain_worker_telemetry() -> Optional[Dict[str, object]]:
@@ -92,9 +145,9 @@ def _worker_main(
       resident policy on first receipt and overwrite exactly the changed
       parameters (full arrays, so the update is bit-exact; applied via
       ``Parameter.assign`` so resident packed-weight caches invalidate);
-    * ``("collect", shard_id, indices, traces, base_seed, total,
-      epsilon, greedy, version, rng_family)`` — run the shard's episodes
-      in lockstep and reply ``(shard_id, trajectories, None, telemetry)``
+    * ``("collect", shard_id, version, shard_args)`` — run
+      ``_collect_shard(collector, policy, *shard_args)``
+      and reply ``(shard_id, trajectories, None, telemetry)``
       (or ``(shard_id, None, traceback_str, None)`` on failure), where
       ``telemetry`` is this worker's metrics/span delta for the shard;
     * ``("shutdown",)`` — exit the loop.
@@ -121,10 +174,7 @@ def _worker_main(
                 result_queue.put((None, None, traceback.format_exc(), None))
             continue
         if kind == "collect":
-            (
-                _, shard_id, indices, traces, base_seed, total,
-                epsilon, greedy, version, rng_family,
-            ) = message
+            _, shard_id, version, shard_args = message
             try:
                 if policy is None:
                     raise TrainingError(
@@ -135,23 +185,7 @@ def _worker_main(
                         f"worker {worker_id} has weights v{weights_version} but the "
                         f"shard expects v{version}"
                     )
-                episode_rngs, action_rngs = derive_episode_streams(
-                    base_seed, total, rng_family
-                )
-                if isinstance(episode_rngs, PhiloxStreams):
-                    episode_shard = episode_rngs.select(list(indices))
-                    action_shard = action_rngs.select(list(indices))
-                else:
-                    episode_shard = [episode_rngs[i] for i in indices]
-                    action_shard = [action_rngs[i] for i in indices]
-                trajectories = collector.collect_batch(
-                    policy,
-                    list(traces),
-                    epsilon=epsilon,
-                    greedy=greedy,
-                    episode_rngs=episode_shard,
-                    action_rngs=action_shard,
-                )
+                trajectories = _collect_shard(collector, policy, *shard_args)
                 result_queue.put(
                     (shard_id, trajectories, None, _drain_worker_telemetry())
                 )
@@ -161,8 +195,6 @@ def _worker_main(
         result_queue.put(
             (None, None, f"worker {worker_id} got an unknown message kind {kind!r}", None)
         )
-
-
 
 
 class PersistentWorkerPool:
@@ -217,19 +249,8 @@ class PersistentWorkerPool:
         return self._closed
 
     def _ensure_started(self) -> None:
-        if self._closed:
-            raise TrainingError("persistent worker pool has been closed")
-        if self._broken is not None:
-            raise TrainingError(
-                f"persistent worker pool is broken: {self._broken}"
-            )
         if self._processes:
             return
-        if multiprocessing.current_process().daemon:
-            raise TrainingError(
-                "a daemonic process cannot spawn a persistent worker pool; "
-                "use ParallelRolloutCollector's in-process fallback instead"
-            )
         self._context = multiprocessing.get_context(self.start_method)
         self._result_queue = self._context.Queue()
         for worker_id in range(self.num_workers):
@@ -335,33 +356,57 @@ class PersistentWorkerPool:
     ) -> List[Trajectory]:
         """Collect one trajectory per trace across the resident workers.
 
-        Bit-identical to ``ParallelRolloutCollector.collect`` (and hence
-        to the sequential and lockstep-batched collectors) with the same
-        ``base_seed``.  An empty trace list is a no-op that touches no
-        worker (a zero-episode epoch must not desync weight versions —
-        the broadcast still happens lazily on the next non-empty epoch).
+        The result is ordered like ``traces`` and bit-identical to::
+
+            episode_rngs, action_rngs = derive_episode_streams(base_seed, len(traces))
+            BatchedRolloutCollector(...).collect_batch(
+                policy, traces, episode_rngs=episode_rngs, action_rngs=action_rngs)
+
+        An empty trace list is a no-op that touches no worker (a
+        zero-episode epoch must not desync weight versions — the
+        broadcast still happens lazily on the next non-empty epoch), and
+        fewer episodes than workers shrinks the shard count — shards are
+        never empty.
         """
+        if self._closed:
+            raise TrainingError("persistent worker pool has been closed")
+        if self._broken is not None:
+            raise TrainingError(f"persistent worker pool is broken: {self._broken}")
         traces = list(traces)
         if not traces:
             return []
+        total = len(traces)
+        shards = shard_indices(total, self.num_workers)
+        shard_args = [
+            (
+                tuple(indices),
+                tuple(traces[i] for i in indices),
+                int(base_seed),
+                total,
+                float(epsilon),
+                bool(greedy),
+                str(rng_family),
+            )
+            for indices in shards
+        ]
+        if multiprocessing.current_process().daemon:
+            # A daemonic process (e.g. a SweepRunner job) cannot have
+            # children: run the same shards here.  Identical results —
+            # the worker layout never touches the rng streams — and
+            # telemetry lands in this process's registry directly.
+            collector = BatchedRolloutCollector(
+                VectorStorageAllocationEnv(self.system_config, self.reward_config)
+            )
+            return [
+                trajectory
+                for args in shard_args
+                for trajectory in _collect_shard(collector, policy, *args)
+            ]
         self._ensure_started()
         self._broadcast_weights(policy)
-        shards = shard_indices(len(traces), self.num_workers)
-        total = len(traces)
-        for shard_id, indices in enumerate(shards):
+        for shard_id, args in enumerate(shard_args):
             self._task_queues[shard_id].put(
-                (
-                    "collect",
-                    shard_id,
-                    tuple(indices),
-                    tuple(traces[i] for i in indices),
-                    int(base_seed),
-                    total,
-                    float(epsilon),
-                    bool(greedy),
-                    self._weights_version,
-                    str(rng_family),
-                )
+                ("collect", shard_id, self._weights_version, args)
             )
         outcomes = self._await_results(len(shards))
         merged: List[Optional[Trajectory]] = [None] * total
@@ -372,18 +417,18 @@ class PersistentWorkerPool:
                 if shard_id is None:
                     self._mark_broken("worker-level failure")
                     raise TrainingError(
-                        f"persistent-pool worker failed outside a shard:\n{error}"
+                        f"rollout worker failed outside a shard:\n{error}"
                     )
                 self._mark_broken(f"shard {shard_id} failed")
                 raise TrainingError(
-                    f"persistent-pool shard {shard_id} "
+                    f"rollout shard {shard_id} "
                     f"(episodes {list(shards[shard_id])}) failed:\n{error}"
                 )
             indices = shards[shard_id]
             if trajectories is None or len(trajectories) != len(indices):
                 self._mark_broken(f"shard {shard_id} returned a bad payload")
                 raise TrainingError(
-                    f"persistent-pool shard {shard_id} returned "
+                    f"rollout shard {shard_id} returned "
                     f"{0 if trajectories is None else len(trajectories)} trajectories "
                     f"for {len(indices)} episodes"
                 )
@@ -447,5 +492,5 @@ class PersistentWorkerPool:
         return self._weights_version
 
     def worker_pids(self) -> List[int]:
-        self._ensure_started()
+        """Pids of the live workers (empty before the first ``collect``)."""
         return [int(process.pid) for process in self._processes]

@@ -26,7 +26,6 @@ from repro.engine.backends import (
     CompiledFSMBackend,
     DecisionBackend,
     GRUPolicyBackend,
-    HeuristicAgentBackend,
     resolve_rollout_backend,
 )
 from repro.engine.compiled_fsm import CompiledDecision, CompiledFSMPolicy
@@ -46,7 +45,6 @@ __all__ = [
     "EvaluationEngine",
     "EvaluationResult",
     "GRUPolicyBackend",
-    "HeuristicAgentBackend",
     "SessionTable",
     "backend_for_agent",
     "resolve_rollout_backend",

@@ -16,9 +16,7 @@ Standard backends:
   ``act_batch`` (greedy), hidden rows resident in the session table;
 * :class:`AgentBatchBackend` — lifts any scalar
   :class:`~repro.agents.base.Agent` into the protocol (one replica per
-  session);
-* :class:`HeuristicAgentBackend` — the serving-flavoured subclass of
-  :class:`AgentBatchBackend` (``heuristic(...)`` naming for A/B stats).
+  session).
 """
 
 from __future__ import annotations
@@ -251,20 +249,6 @@ class AgentBatchBackend:
             observation = self.encoder.split_raw(raw[i])
             actions[i] = int(self._agents[int(slot)].act(observation))
         return actions
-
-
-class HeuristicAgentBackend(AgentBatchBackend):
-    """Serving-flavoured :class:`AgentBatchBackend` (``heuristic(...)`` name).
-
-    Kept as its own class so serving stats and swap audit records keep
-    their historical backend labels.
-    """
-
-    def __init__(
-        self, agent_factory: Callable[[], Agent], encoder: ObservationEncoder
-    ) -> None:
-        super().__init__(agent_factory, encoder)
-        self.name = f"heuristic({self.name})"
 
 
 def resolve_rollout_backend(

@@ -43,7 +43,7 @@ def nearest_prototype_rows(
 
     The one nearest-prototype resolution shared by the scalar
     :class:`NearestObservationMatcher` and the batched serving fast path
-    (:class:`repro.serving.compiled_fsm.CompiledFSMPolicy`), so both
+    (:class:`repro.engine.compiled_fsm.CompiledFSMPolicy`), so both
     layers fall back to *identical* prototypes for unseen observations.
     Row ``i`` of the result is bit-identical to resolving ``vectors[i]``
     alone: the euclidean branch reduces the (fixed-length) feature axis

@@ -40,8 +40,9 @@ from repro.errors import ConfigurationError, ReproError, ServingError, StaleSess
 from repro.loadgen.report import LoadReport
 from repro.loadgen.schedule import FleetSchedule
 from repro.serving.netserver import PolicyClient
-from repro.serving.server import LatencyHistogram, PolicyServer
+from repro.serving.server import PolicyServer
 from repro.storage.simulator import StorageSystemConfig
+from repro.telemetry import LatencyHistogram
 from repro.utils.rng import PhiloxStreams, _stable_hash
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
 from repro.workloads.tenant_mix import ZipfianTenantMix

@@ -16,8 +16,6 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.agents.base import Agent
-from repro.drl.policy import RecurrentPolicyValueNet
-from repro.engine.backends import GRUPolicyBackend
 from repro.engine.evaluation import EvaluationEngine, EvaluationResult, backend_for_agent
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
@@ -31,7 +29,6 @@ __all__ = [
     "compare_agents",
     "comparison_table",
     "evaluate_agent",
-    "evaluate_policy_batched",
     "relative_reduction",
 ]
 
@@ -73,46 +70,19 @@ def evaluate_agent(
     return result
 
 
-def evaluate_policy_batched(
-    policy: RecurrentPolicyValueNet,
-    traces: Sequence[WorkloadTrace],
-    system_config: Optional[StorageSystemConfig] = None,
-    reward_config: Optional[RewardConfig] = None,
-    episode_seed: int = 0,
-    agent_name: str = "gru_drl",
-) -> EvaluationResult:
-    """Evaluate a recurrent policy over all traces in one lockstep batch.
-
-    Produces the same per-trace makespans as running
-    :func:`evaluate_agent` with a greedy
-    :class:`~repro.drl.agent.DRLPolicyAgent` (each slot's environment is
-    seeded ``episode_seed + index``, exactly like the sequential
-    harness), but the whole evaluation set shares one batched GRU forward
-    pass per interval.
-    """
-    engine = EvaluationEngine(system_config, reward_config)
-    return engine.evaluate(
-        GRUPolicyBackend(policy),
-        traces,
-        episode_seed=episode_seed,
-        agent_name=agent_name,
-    )
-
-
 def compare_agents(
     agents: Sequence[Agent],
     traces: Sequence[WorkloadTrace],
     system_config: Optional[StorageSystemConfig] = None,
     reward_config: Optional[RewardConfig] = None,
     episode_seed: int = 0,
-    batched: bool = True,
 ) -> Dict[str, EvaluationResult]:
     """Evaluate several agents on the same traces with matched random seeds.
 
-    With ``batched`` (the default), every agent the engine can replay
-    faithfully is routed through one lockstep batch per agent — greedy
-    DRL agents as batched GRU forwards, routable extracted FSMs on their
-    compiled dense tables, heuristics as per-slot replicas (see
+    Every agent the engine can replay faithfully is routed through one
+    lockstep batch per agent — greedy DRL agents as batched GRU
+    forwards, routable extracted FSMs on their compiled dense tables,
+    heuristics as per-slot replicas (see
     :func:`~repro.engine.evaluation.backend_for_agent`).  Agents the
     lockstep lift cannot reproduce bit for bit (exploring DRL agents,
     shared-rng agents) fall back to the sequential reference harness;
@@ -121,10 +91,10 @@ def compare_agents(
     # One engine — and therefore one default encoder and one vector env
     # — serves every routed agent in this comparison; per-agent routing
     # only builds the backend.
-    engine = EvaluationEngine(system_config, reward_config) if batched else None
+    engine = EvaluationEngine(system_config, reward_config)
     results: Dict[str, EvaluationResult] = {}
     for agent in agents:
-        backend = backend_for_agent(agent, engine.encoder) if engine is not None else None
+        backend = backend_for_agent(agent, engine.encoder)
         if backend is not None:
             results[agent.name] = engine.evaluate(
                 backend,

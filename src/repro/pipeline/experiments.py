@@ -232,7 +232,6 @@ def run_figure4(
         system_config=config.system,
         reward_config=config.reward,
         episode_seed=seed,
-        batched=True,
     )
     return Figure4Result(results=comparison, pipeline_result=result)
 

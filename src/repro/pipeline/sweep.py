@@ -344,8 +344,8 @@ def _run_training_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     policy = RecurrentPolicyValueNet(
         PolicyConfig(hidden_size=int(plain.get("hidden_size", 16))), rng=seed
     )
-    trainer = A2CTrainer(policy, env, config=a2c_config, rng=seed)
-    history = trainer.train(traces, epochs=int(plain.get("epochs", 3)))
+    with A2CTrainer(policy, env, config=a2c_config, rng=seed) as trainer:
+        history = trainer.train(traces, epochs=int(plain.get("epochs", 3)))
     makespans = history.makespans()
     rewards = [record.total_reward for record in history.records]
     return {

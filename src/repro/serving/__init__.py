@@ -1,61 +1,37 @@
-"""Online policy serving: compiled decision tables, micro-batching, shadowing.
+"""Online policy serving: micro-batching, shadowing, artifacts, sockets.
 
 The layer that turns trained artifacts (GRU policy, extracted FSM,
 observation QBN) into a high-throughput decision service.  The decision
-engine itself — the :class:`DecisionBackend` protocol, the compiled FSM
-tables and the session table — now lives in :mod:`repro.engine` (it is
-shared with training rollouts and batched evaluation); this package
-re-exports those names so historical ``from repro.serving import ...``
-imports keep working.
+engine itself — the ``DecisionBackend`` protocol, the compiled FSM
+tables and the session table — lives in :mod:`repro.engine` (it is
+shared with training rollouts and batched evaluation); import those
+names from there.
 
 * :mod:`repro.serving.server` — the micro-batching request broker in
-  front of one :class:`DecisionBackend`;
+  front of one ``DecisionBackend``;
 * :mod:`repro.serving.shadow` — run a second backend in shadow mode and
   stream serving-time fidelity counters (plus the threshold alarm that
   can drive an automatic rollback);
 * :mod:`repro.serving.artifacts` — versioned artifact registry with the
   blue/green swap audit trail;
 * :mod:`repro.serving.netserver` — the asyncio network front door
-  (unix-socket / TCP, length-prefixed JSON or msgpack frames) and its
-  pipelining client.
+  (unix-socket / TCP, length-prefixed JSON frames) and its pipelining
+  client.
 """
 
-from repro.engine.backends import (
-    AgentBatchBackend,
-    CompiledFSMBackend,
-    DecisionBackend,
-    GRUPolicyBackend,
-    HeuristicAgentBackend,
-)
-from repro.engine.compiled_fsm import CompiledDecision, CompiledFSMPolicy
-from repro.engine.sessions import SessionTable
 from repro.serving.artifacts import ArtifactRecord, ArtifactRegistry
 from repro.serving.netserver import PolicyClient, PolicyNetServer
-from repro.serving.server import (
-    DecisionTicket,
-    LatencyHistogram,
-    PolicyServer,
-    ServerStats,
-)
+from repro.serving.server import DecisionTicket, PolicyServer, ServerStats
 from repro.serving.shadow import FidelityAlarm, ShadowEvaluator
 
 __all__ = [
-    "AgentBatchBackend",
     "ArtifactRecord",
     "ArtifactRegistry",
-    "CompiledDecision",
-    "CompiledFSMPolicy",
-    "CompiledFSMBackend",
-    "DecisionBackend",
     "DecisionTicket",
     "FidelityAlarm",
-    "GRUPolicyBackend",
-    "HeuristicAgentBackend",
-    "LatencyHistogram",
     "PolicyClient",
     "PolicyNetServer",
     "PolicyServer",
     "ServerStats",
-    "SessionTable",
     "ShadowEvaluator",
 ]

@@ -2,9 +2,9 @@
 
 An :class:`ArtifactRegistry` holds every backend version a serving
 process may run — compiled-FSM bundles (the ``.npz`` + encoder-stamp
-format :class:`~repro.serving.compiled_fsm.CompiledFSMPolicy` already
+format :class:`~repro.engine.compiled_fsm.CompiledFSMPolicy` already
 saves), GRU policy checkpoints, or pre-built
-:class:`~repro.serving.server.DecisionBackend` objects — keyed by a
+:class:`~repro.engine.backends.DecisionBackend` objects — keyed by a
 version string.  The registry is what makes a hot-swap an *operation*
 rather than a restart: the network front door asks it for a version,
 :meth:`swap` drains and swaps the live :class:`PolicyServer`, and every

@@ -10,10 +10,8 @@ Wire format
 -----------
 Length-prefixed frames: a 5-byte header ``!BI`` (1 codec byte, 4-byte
 big-endian payload length) followed by the payload.  Codec ``0`` is
-JSON (UTF-8) and is always available; codec ``1`` is msgpack and is
-used only when the ``msgpack`` package is importable (the server
-answers each frame in the codec it arrived in, so mixed clients work).
-Payloads are single dicts with an ``op`` field; requests may carry an
+JSON (UTF-8), the only codec; a frame with any other codec byte is a
+protocol error.  Payloads are single dicts with an ``op`` field; requests may carry an
 ``id`` which is echoed verbatim in the reply, letting clients pipeline
 requests and match responses out of order.
 
@@ -69,59 +67,40 @@ from repro.serving.server import DecisionTicket, PolicyServer
 from repro.serving.shadow import FidelityAlarm
 from repro import telemetry
 
-try:  # optional dependency — JSON is the always-available codec
-    import msgpack  # type: ignore
-except ImportError:  # pragma: no cover - exercised where msgpack is absent
-    msgpack = None
-
 CODEC_JSON = 0
-CODEC_MSGPACK = 1
 _HEADER = struct.Struct("!BI")
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 
-def encode_frame(payload: Dict[str, object], codec: int = CODEC_JSON) -> bytes:
+def encode_frame(payload: Dict[str, object]) -> bytes:
     """Serialise one message dict into a length-prefixed frame."""
-    if codec == CODEC_JSON:
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    elif codec == CODEC_MSGPACK:
-        if msgpack is None:
-            raise ConfigurationError(
-                "msgpack codec requested but the msgpack package is not installed"
-            )
-        body = msgpack.packb(payload, use_bin_type=True)
-    else:
-        raise ConfigurationError(f"unknown frame codec {codec}")
+    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ConfigurationError(f"frame too large: {len(body)} bytes")
-    return _HEADER.pack(codec, len(body)) + body
+    return _HEADER.pack(CODEC_JSON, len(body)) + body
 
 
 def decode_body(codec: int, body: bytes) -> Dict[str, object]:
-    """Deserialise one frame body."""
-    if codec == CODEC_JSON:
-        payload = json.loads(body.decode("utf-8"))
-    elif codec == CODEC_MSGPACK:
-        if msgpack is None:
-            raise ConfigurationError(
-                "peer sent a msgpack frame but the msgpack package is not installed"
-            )
-        payload = msgpack.unpackb(body, raw=False)
-    else:
+    """Deserialise one frame body; anything malformed is a ``ConfigurationError``."""
+    if codec != CODEC_JSON:
         raise ConfigurationError(f"unknown frame codec {codec}")
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigurationError(f"malformed frame body: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigurationError("frame payload must be a mapping")
     return payload
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Tuple[int, Dict[str, object]]:
-    """Read one frame; raises ``IncompleteReadError`` on EOF."""
+async def read_frame(reader: asyncio.StreamReader) -> Dict[str, object]:
+    """Read one frame's payload; raises ``IncompleteReadError`` on EOF."""
     header = await reader.readexactly(_HEADER.size)
     codec, length = _HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ConfigurationError(f"frame too large: {length} bytes")
     body = await reader.readexactly(length)
-    return codec, decode_body(codec, body)
+    return decode_body(codec, body)
 
 
 class _Connection:
@@ -135,7 +114,7 @@ class _Connection:
         self.closed = False
         self.broken = False
 
-    def send(self, payload: Dict[str, object], codec: int) -> bool:
+    def send(self, payload: Dict[str, object]) -> bool:
         """Write one reply frame; ``False`` if the connection can't take it.
 
         A transport that raises (peer reset the connection, writer
@@ -147,7 +126,7 @@ class _Connection:
         if self.closed or self.broken or self.writer.is_closing():
             return False
         try:
-            self.writer.write(encode_frame(payload, codec))
+            self.writer.write(encode_frame(payload))
         except (OSError, RuntimeError):
             self.broken = True
             return False
@@ -157,19 +136,17 @@ class _Connection:
 class _Waiter:
     """One parked ``decide`` reply, settled when its ticket resolves."""
 
-    __slots__ = ("ticket", "connection", "codec", "request_id", "arrived")
+    __slots__ = ("ticket", "connection", "request_id", "arrived")
 
     def __init__(
         self,
         ticket: DecisionTicket,
         connection: _Connection,
-        codec: int,
         request_id: object,
         arrived: float,
     ) -> None:
         self.ticket = ticket
         self.connection = connection
-        self.codec = codec
         self.request_id = request_id
         self.arrived = arrived
 
@@ -484,7 +461,7 @@ class PolicyNetServer:
                     reply["id"] = waiter.request_id
             latency.record(now - waiter.arrived)
             waiter.connection.inflight -= 1
-            if not waiter.connection.send(reply, waiter.codec):
+            if not waiter.connection.send(reply):
                 # Closed or broken peer: its reply is dropped (counted),
                 # everyone else's in this batch still settles.
                 self.replies_dropped += 1
@@ -506,14 +483,14 @@ class PolicyNetServer:
         try:
             while not self._draining:
                 try:
-                    codec, request = await read_frame(reader)
+                    request = await read_frame(reader)
                 except (asyncio.IncompleteReadError, ConnectionResetError):
                     break
                 except ConfigurationError:
                     self.protocol_errors += 1
                     break
                 self.requests_total += 1
-                self._dispatch(connection, codec, request)
+                self._dispatch(connection, request)
                 if writer.transport.get_write_buffer_size() > 1 << 20:
                     await writer.drain()
         finally:
@@ -522,7 +499,6 @@ class PolicyNetServer:
     def _send_error(
         self,
         connection: _Connection,
-        codec: int,
         code: str,
         message: str,
         request_id: object,
@@ -531,7 +507,7 @@ class PolicyNetServer:
         counter = self._m_errors.get(code)
         if counter is not None:
             counter.inc()
-        connection.send(_error_reply(code, message, request_id), codec)
+        connection.send(_error_reply(code, message, request_id))
 
     def _op_metrics(self) -> Dict[str, object]:
         """Both expositions of the shared registry, liveness gauges fresh.
@@ -567,7 +543,7 @@ class PolicyNetServer:
         }
 
     def _dispatch(
-        self, connection: _Connection, codec: int, request: Dict[str, object]
+        self, connection: _Connection, request: Dict[str, object]
     ) -> None:
         request_id = request.get("id")
         op = request.get("op")
@@ -575,10 +551,10 @@ class PolicyNetServer:
         (counter if counter is not None else self._m_requests["other"]).inc()
         try:
             if op == "decide":
-                self._op_decide(connection, codec, request, request_id)
+                self._op_decide(connection, request, request_id)
             elif op == "metrics":
                 exposition = self._op_metrics()
-                self._reply(connection, codec, request_id, metrics=exposition)
+                self._reply(connection, request_id, metrics=exposition)
             elif op == "open":
                 count = int(request.get("count", 1))
                 slots = self.server.open_sessions(count)
@@ -587,20 +563,19 @@ class PolicyNetServer:
                     [int(slot), int(generation)]
                     for slot, generation in zip(slots, generations)
                 ]
-                self._reply(connection, codec, request_id, handles=handles)
+                self._reply(connection, request_id, handles=handles)
             elif op == "close":
                 slots, generations = self._parse_handles(request)
                 self.server.close_sessions(slots, expected_generation=generations)
                 self._settle()  # close may have flushed pending requests
-                self._reply(connection, codec, request_id, closed=len(slots))
+                self._reply(connection, request_id, closed=len(slots))
             elif op == "stats":
-                self._reply(connection, codec, request_id, stats=self.summary())
+                self._reply(connection, request_id, stats=self.summary())
             elif op == "versions":
                 if self.registry is None:
                     raise ConfigurationError("no artifact registry attached")
                 self._reply(
                     connection,
-                    codec,
                     request_id,
                     active=self.active_version,
                     versions=self.registry.describe(),
@@ -608,47 +583,40 @@ class PolicyNetServer:
             elif op == "swap":
                 version = str(request["version"])
                 entry = self.swap(version, reason=str(request.get("reason", "manual")))
-                self._reply(connection, codec, request_id, swap=entry)
+                self._reply(connection, request_id, swap=entry)
             elif op == "audit":
                 if self.registry is None:
                     raise ConfigurationError("no artifact registry attached")
-                self._reply(
-                    connection, codec, request_id, audit=self.registry.audit_trail
-                )
+                self._reply(connection, request_id, audit=self.registry.audit_trail)
             elif op == "ping":
-                self._reply(connection, codec, request_id, pong=True)
+                self._reply(connection, request_id, pong=True)
             else:
                 self._send_error(
-                    connection, codec, "BAD_REQUEST", f"unknown op {op!r}", request_id
+                    connection, "BAD_REQUEST", f"unknown op {op!r}", request_id
                 )
         except StaleSessionError as exc:
-            self._send_error(connection, codec, "STALE_SESSION", str(exc), request_id)
+            self._send_error(connection, "STALE_SESSION", str(exc), request_id)
         except ReproError as exc:
-            self._send_error(connection, codec, "BAD_REQUEST", str(exc), request_id)
+            self._send_error(connection, "BAD_REQUEST", str(exc), request_id)
         except (KeyError, TypeError, ValueError) as exc:
             self.protocol_errors += 1
             self._send_error(
-                connection, codec, "BAD_REQUEST",
-                f"malformed request: {exc}", request_id,
+                connection, "BAD_REQUEST", f"malformed request: {exc}", request_id
             )
 
     def _op_decide(
         self,
         connection: _Connection,
-        codec: int,
         request: Dict[str, object],
         request_id: object,
     ) -> None:
         if self._draining:
-            self._send_error(
-                connection, codec, "DRAINING", "server is draining", request_id
-            )
+            self._send_error(connection, "DRAINING", "server is draining", request_id)
             return
         if connection.inflight >= self.max_inflight:
             self.busy_rejections += 1
             self._send_error(
                 connection,
-                codec,
                 "BUSY",
                 f"connection has {connection.inflight} requests in flight "
                 f"(limit {self.max_inflight})",
@@ -668,9 +636,7 @@ class PolicyNetServer:
             # below); this request itself was never enqueued.
             self._settle()
             raise
-        self._waiters.append(
-            _Waiter(ticket, connection, codec, request_id, arrived)
-        )
+        self._waiters.append(_Waiter(ticket, connection, request_id, arrived))
         connection.inflight += 1
         # The submit may have size-triggered (or same-session-triggered)
         # a synchronous flush; settle immediately so replies are not
@@ -682,12 +648,12 @@ class PolicyNetServer:
     # Helpers
     # ------------------------------------------------------------------
     def _reply(
-        self, connection: _Connection, codec: int, request_id: object, **fields: object
+        self, connection: _Connection, request_id: object, **fields: object
     ) -> None:
         payload: Dict[str, object] = {"ok": True, **fields}
         if request_id is not None:
             payload["id"] = request_id
-        connection.send(payload, codec)
+        connection.send(payload)
 
     @staticmethod
     def _parse_handle(handle: object) -> Tuple[int, int]:
@@ -744,11 +710,9 @@ class PolicyClient:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        codec: int = CODEC_JSON,
     ) -> None:
         self._reader = reader
         self._writer = writer
-        self.codec = codec
         self._ids = itertools.count(1)
         self._futures: Dict[object, asyncio.Future] = {}
         self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
@@ -757,16 +721,14 @@ class PolicyClient:
     # Connection management
     # ------------------------------------------------------------------
     @classmethod
-    async def connect_unix(cls, path: str, codec: int = CODEC_JSON) -> "PolicyClient":
+    async def connect_unix(cls, path: str) -> "PolicyClient":
         reader, writer = await asyncio.open_unix_connection(path)
-        return cls(reader, writer, codec)
+        return cls(reader, writer)
 
     @classmethod
-    async def connect_tcp(
-        cls, host: str, port: int, codec: int = CODEC_JSON
-    ) -> "PolicyClient":
+    async def connect_tcp(cls, host: str, port: int) -> "PolicyClient":
         reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, codec)
+        return cls(reader, writer)
 
     async def close(self) -> None:
         self._reader_task.cancel()
@@ -796,7 +758,7 @@ class PolicyClient:
     async def _read_loop(self) -> None:
         try:
             while True:
-                _codec, reply = await read_frame(self._reader)
+                reply = await read_frame(self._reader)
                 future = self._futures.pop(reply.get("id"), None)
                 if future is not None and not future.done():
                     future.set_result(reply)
@@ -812,7 +774,7 @@ class PolicyClient:
         payload = {**payload, "id": request_id}
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._futures[request_id] = future
-        self._writer.write(encode_frame(payload, self.codec))
+        self._writer.write(encode_frame(payload))
         await self._writer.drain()
         return await future
 

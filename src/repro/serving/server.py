@@ -10,18 +10,10 @@ hundreds of concurrent sessions.
 
 Backends implement the :class:`~repro.engine.backends.DecisionBackend`
 protocol, which lives in :mod:`repro.engine` (the same contract drives
-training rollouts and batched evaluation); this module re-exports the
-standard backends so historical ``from repro.serving.server import
-GRUPolicyBackend`` imports keep working:
-
-* :class:`CompiledFSMBackend` — the O(1) table-gather fast path;
-* :class:`GRUPolicyBackend` — the full recurrent policy via
-  ``act_batch`` (greedy), hidden rows resident in the session table;
-* :class:`HeuristicAgentBackend` — any scalar :class:`~repro.agents.base.Agent`
-  (one instance per session), the compatibility path for baselines.
-
-The same protocol is what :class:`~repro.serving.shadow.ShadowEvaluator`
-implements to run a second backend in shadow mode behind the primary.
+training rollouts and batched evaluation) together with the standard
+backends.  The same protocol is what
+:class:`~repro.serving.shadow.ShadowEvaluator` implements to run a
+second backend in shadow mode behind the primary.
 """
 
 from __future__ import annotations
@@ -31,37 +23,15 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.engine.backends import (
-    AgentBatchBackend,
-    CompiledFSMBackend,
-    DecisionBackend,
-    GRUPolicyBackend,
-    HeuristicAgentBackend,
-)
-from repro.engine.sessions import GenerationLike, SessionTable
+from repro.engine.backends import DecisionBackend
+from repro.engine.sessions import GenerationLike
 from repro.env.observation import OBSERVATION_DIM, ObservationEncoder
 from repro.errors import ConfigurationError, ServingError
 from repro.storage.migration import MigrationAction
 from repro import telemetry
-
-# ``LatencyHistogram`` was born in this module (PR 7) and moved to the
-# telemetry package when the unified metrics registry landed; this
-# re-export keeps historical ``from repro.serving.server import
-# LatencyHistogram`` imports working (same pattern as the PR 8 engine
-# move), pinned by tests/test_telemetry.py.
 from repro.telemetry import LatencyHistogram, MetricsRegistry, Tracer
 
-__all__ = [
-    "AgentBatchBackend",
-    "CompiledFSMBackend",
-    "DecisionBackend",
-    "DecisionTicket",
-    "GRUPolicyBackend",
-    "HeuristicAgentBackend",
-    "LatencyHistogram",
-    "PolicyServer",
-    "ServerStats",
-]
+__all__ = ["DecisionTicket", "PolicyServer", "ServerStats"]
 
 
 class DecisionTicket:

@@ -9,7 +9,7 @@ with its own resident session state, and streams agreement/divergence
 counters online — per action pair, so operators can see not only *how
 often* the fast path diverges but *which* decisions it trades.
 
-It implements the same :class:`~repro.serving.server.DecisionBackend`
+It implements the same :class:`~repro.engine.backends.DecisionBackend`
 protocol as the backends it wraps, so shadowing is one constructor call
 around an existing server setup and adds one backend invocation of
 latency per batch.

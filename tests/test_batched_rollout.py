@@ -21,11 +21,12 @@ from repro.drl.rollout import (
     Transition,
     derive_episode_streams,
 )
+from repro.engine import EvaluationEngine, GRUPolicyBackend
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import TrainingError
-from repro.pipeline.evaluation import evaluate_agent, evaluate_policy_batched
+from repro.pipeline.evaluation import evaluate_agent
 from repro.qbn.dataset import TransitionDataset
 
 
@@ -347,14 +348,8 @@ class TestBatchedTraining:
         trajectory = collector.collect(
             reference_policy, short_trace, greedy=True, episode_seed=0
         )
-        reference_trainer = A2CTrainer(
-            reference_policy, env,
-            A2CConfig(use_batched_rollouts=False, batched_updates=False), rng=0,
-        )
-        batched_trainer = A2CTrainer(
-            batched_policy, env,
-            A2CConfig(use_batched_rollouts=True, batched_updates=True), rng=0,
-        )
+        reference_trainer = A2CTrainer(reference_policy, env, A2CConfig(), rng=0)
+        batched_trainer = A2CTrainer(batched_policy, env, A2CConfig(), rng=0)
         reference_losses = reference_trainer._update_from_trajectory(trajectory)
         batched_losses = batched_trainer._update_from_batch([trajectory])
         for key, value in reference_losses.items():
@@ -385,9 +380,9 @@ class TestBatchedEvaluation:
             agent, real_traces, system_config=system_config,
             reward_config=reward_config, episode_seed=3,
         )
-        batched = evaluate_policy_batched(
-            tiny_policy, real_traces, system_config=system_config,
-            reward_config=reward_config, episode_seed=3,
+        batched = EvaluationEngine(system_config, reward_config).evaluate(
+            GRUPolicyBackend(tiny_policy), real_traces, episode_seed=3,
+            agent_name=agent.name,
         )
         assert batched.agent_name == agent.name
         assert batched.trace_names == reference.trace_names

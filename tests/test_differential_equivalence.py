@@ -9,10 +9,8 @@ stream positions* of both the environment and the action streams:
 
 * scalar   — :class:`RolloutCollector`, one episode at a time;
 * vector   — :class:`BatchedRolloutCollector`, all episodes in lockstep;
-* parallel — :class:`ParallelRolloutCollector`, episodes sharded across
-  worker processes (subset of configs; process spawns are not free);
-* pool     — :class:`ParallelRolloutCollector` backed by the persistent
-  worker pool, reusing one pool across several configs/epochs.
+* pool     — :class:`PersistentWorkerPool`, episodes sharded across two
+  worker processes.
 
 Every configuration is derived from a single seed, so a failure prints
 the config index and can be replayed in isolation with
@@ -27,7 +25,6 @@ from typing import List, Optional
 import numpy as np
 import pytest
 
-from repro.drl.parallel import ParallelRolloutCollector
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.worker_pool import PersistentWorkerPool
 from repro.drl.rollout import (
@@ -46,10 +43,6 @@ from repro.storage.simulator import StorageSystemConfig
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
 
 NUM_CONFIGS = 50
-# Process-based modes only run on a subset of configs: spawning worker
-# processes ~50 times would dominate the suite's wall-clock without
-# exercising anything new (worker layout never touches the rng streams).
-PARALLEL_CONFIG_STRIDE = 7
 
 
 @dataclass
@@ -243,25 +236,12 @@ def _assert_case_equivalent(case: FuzzCase, reference, positions, candidate, nam
             )
 
 
-def collect_parallel(case: FuzzCase):
-    """Fork-per-epoch sharded collection (2 workers)."""
-    collector = ParallelRolloutCollector(
-        case.system_config, case.reward_config, num_workers=2
-    )
-    trajectories = collector.collect(
-        case.policy,
-        case.traces,
-        base_seed=case.base_seed,
-        epsilon=case.epsilon,
-        greedy=case.greedy,
-    )
-    # Streams are consumed inside the worker processes; rng positions are
-    # asserted through the scalar/vector modes.
-    return trajectories, None
+def collect_pool(case: FuzzCase, rng_family: str = "legacy"):
+    """Worker-pool collection (2 workers).
 
-
-def collect_pool(case: FuzzCase):
-    """Persistent-pool collection (2 resident workers)."""
+    Streams are consumed inside the worker processes; rng positions are
+    asserted through the scalar/vector modes.
+    """
     with PersistentWorkerPool(
         case.system_config, case.reward_config, num_workers=2
     ) as pool:
@@ -271,6 +251,7 @@ def collect_pool(case: FuzzCase):
             base_seed=case.base_seed,
             epsilon=case.epsilon,
             greedy=case.greedy,
+            rng_family=rng_family,
         )
     return trajectories, None
 
@@ -286,26 +267,19 @@ def test_scalar_vs_vector_bit_identical(index):
 
 @pytest.mark.parametrize("index", range(NUM_CONFIGS))
 def test_vector_vs_parallel_vs_pool_bit_identical(index):
-    """Process-sharded modes against the lockstep reference, all configs.
+    """The process-sharded mode against the lockstep reference, all configs.
 
-    The parallel modes shard across 2 workers; any worker-layout leak
-    into the rng streams, the merge order, or the weight broadcast shows
-    up as a bitwise mismatch on some of the 50 random configs.
+    The pool shards across 2 workers; any worker-layout leak into the
+    rng streams, the merge order, or the weight broadcast shows up as a
+    bitwise mismatch on some of the 50 random configs.
     """
     case = make_case(index)
     reference, _ = collect_vector(case)
-    if index % PARALLEL_CONFIG_STRIDE == 0:
-        # Fork-per-epoch path on a subset (it shares all collection code
-        # with the pool below except process lifecycle, and 50 process
-        # pools would dominate the suite's wall-clock).
-        _assert_case_equivalent(
-            case, reference, None, collect_parallel(case), "parallel"
-        )
     _assert_case_equivalent(case, reference, None, collect_pool(case), "pool")
 
 
 # ----------------------------------------------------------------------
-# Philox (counter-based) stream family: same four collection modes
+# Philox (counter-based) stream family: same three collection modes
 # ----------------------------------------------------------------------
 # The philox family draws *different* episodes than legacy (goldens are
 # pinned per family in test_golden_traces.py); what this harness pins is
@@ -314,7 +288,6 @@ def test_vector_vs_parallel_vs_pool_bit_identical(index):
 # exactly, across worker layouts — and that both stream cursors end in
 # the same position.
 PHILOX_NUM_CONFIGS = 25
-PHILOX_PARALLEL_STRIDE = 7
 
 
 def collect_scalar_philox(case: FuzzCase):
@@ -387,31 +360,7 @@ def test_philox_scalar_vs_vector_bit_identical(index):
 def test_philox_vector_vs_parallel_vs_pool_bit_identical(index):
     case = make_case(index)
     reference = collect_vector_philox(case)
-    if index % PHILOX_PARALLEL_STRIDE == 0:
-        collector = ParallelRolloutCollector(
-            case.system_config, case.reward_config, num_workers=2
-        )
-        parallel = collector.collect(
-            case.policy,
-            case.traces,
-            base_seed=case.base_seed,
-            epsilon=case.epsilon,
-            greedy=case.greedy,
-            rng_family="philox",
-        )
-        _assert_philox_equivalent(case, reference, (parallel, None), "parallel")
-    with PersistentWorkerPool(
-        case.system_config, case.reward_config, num_workers=2
-    ) as pool:
-        pooled = pool.collect(
-            case.policy,
-            case.traces,
-            base_seed=case.base_seed,
-            epsilon=case.epsilon,
-            greedy=case.greedy,
-            rng_family="philox",
-        )
-    _assert_philox_equivalent(case, reference, (pooled, None), "pool")
+    _assert_philox_equivalent(case, reference, collect_pool(case, "philox"), "pool")
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,7 @@ to the sequential reference harness
 same total rewards (exact float equality), same trace order — for every
 backend kind: per-slot heuristic replicas, the interpreted FSM agent,
 the compiled FSM tables and the greedy GRU.  Plus the routing rules of
-:func:`repro.engine.evaluation.backend_for_agent` and the
-``repro.serving`` re-export shims.
+:func:`repro.engine.evaluation.backend_for_agent`.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.engine as engine_pkg
-import repro.serving as serving_pkg
 from repro.agents.default import DefaultPolicy
 from repro.agents.greedy import GreedyUtilizationPolicy
 from repro.agents.handcrafted import HandcraftedFSMPolicy
@@ -61,7 +58,7 @@ class TestEngineBitIdentity:
             ProportionalAllocationPolicy(system_config),
             HandcraftedFSMPolicy(),
         ]
-        routed = compare_agents(agents, suite_traces, episode_seed=5, batched=True)
+        routed = compare_agents(agents, suite_traces, episode_seed=5)
         for agent in agents:
             reference = evaluate_agent(agent, suite_traces, episode_seed=5)
             assert_results_identical(routed[agent.name], reference)
@@ -70,7 +67,7 @@ class TestEngineBitIdentity:
         self, suite_traces, system_config, tiny_policy
     ):
         agent = DRLPolicyAgent(tiny_policy, ObservationEncoder(system_config))
-        routed = compare_agents([agent], suite_traces, episode_seed=9, batched=True)
+        routed = compare_agents([agent], suite_traces, episode_seed=9)
         reference = evaluate_agent(agent, suite_traces, episode_seed=9)
         assert_results_identical(routed[agent.name], reference)
 
@@ -103,10 +100,10 @@ class TestEngineBitIdentity:
 
     def test_unbatched_compare_agents_matches_batched(self, suite_traces):
         agents = [DefaultPolicy(), GreedyUtilizationPolicy()]
-        batched = compare_agents(agents, suite_traces, episode_seed=1, batched=True)
-        sequential = compare_agents(agents, suite_traces, episode_seed=1, batched=False)
+        batched = compare_agents(agents, suite_traces, episode_seed=1)
         for agent in agents:
-            assert_results_identical(batched[agent.name], sequential[agent.name])
+            sequential = evaluate_agent(agent, suite_traces, episode_seed=1)
+            assert_results_identical(batched[agent.name], sequential)
 
 
 class TestBackendRouting:
@@ -192,32 +189,3 @@ class TestPipelineFidelityStage:
                 episode_seed=7,
             )
             assert_results_identical(comparison[agent.name], reference)
-
-
-class TestServingShim:
-    """``from repro.serving import ...`` must keep working after the move."""
-
-    def test_package_reexports_are_engine_objects(self):
-        assert serving_pkg.DecisionBackend is engine_pkg.DecisionBackend
-        assert serving_pkg.CompiledFSMBackend is engine_pkg.CompiledFSMBackend
-        assert serving_pkg.GRUPolicyBackend is engine_pkg.GRUPolicyBackend
-        assert serving_pkg.HeuristicAgentBackend is engine_pkg.HeuristicAgentBackend
-        assert serving_pkg.CompiledFSMPolicy is engine_pkg.CompiledFSMPolicy
-        assert serving_pkg.SessionTable is engine_pkg.SessionTable
-
-    def test_module_level_shims(self):
-        from repro.serving.compiled_fsm import CompiledDecision, CompiledFSMPolicy
-        from repro.serving.server import DecisionBackend, GRUPolicyBackend
-        from repro.serving.sessions import SessionTable
-
-        assert CompiledFSMPolicy is engine_pkg.CompiledFSMPolicy
-        assert CompiledDecision is engine_pkg.CompiledDecision
-        assert DecisionBackend is engine_pkg.DecisionBackend
-        assert GRUPolicyBackend is engine_pkg.GRUPolicyBackend
-        assert SessionTable is engine_pkg.SessionTable
-
-    def test_heuristic_backend_is_replica_adapter(self, system_config):
-        encoder = ObservationEncoder(system_config)
-        backend = serving_pkg.HeuristicAgentBackend(DefaultPolicy, encoder)
-        assert isinstance(backend, AgentBatchBackend)
-        assert backend.name == "heuristic(default)"

@@ -24,13 +24,8 @@ from repro.loadgen import (
 )
 from repro.qbn.autoencoder import build_observation_qbn
 from repro.qbn.quantize import code_key
-from repro.serving import (
-    CompiledFSMBackend,
-    CompiledFSMPolicy,
-    PolicyClient,
-    PolicyNetServer,
-    PolicyServer,
-)
+from repro.engine import CompiledFSMBackend, CompiledFSMPolicy
+from repro.serving import PolicyClient, PolicyNetServer, PolicyServer
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
 from repro.workloads import ZipfianTenantMix

@@ -22,18 +22,16 @@ from repro.errors import ConfigurationError, ServingError, StaleSessionError
 from repro.fsm.machine import FiniteStateMachine
 from repro.qbn.autoencoder import build_observation_qbn
 from repro.qbn.quantize import code_key
+from repro.engine import CompiledFSMBackend, CompiledFSMPolicy, GRUPolicyBackend
 from repro.serving import (
     ArtifactRegistry,
-    CompiledFSMBackend,
-    CompiledFSMPolicy,
     FidelityAlarm,
-    GRUPolicyBackend,
     PolicyClient,
     PolicyNetServer,
     PolicyServer,
     ShadowEvaluator,
 )
-from repro.serving.netserver import CODEC_JSON, decode_body, encode_frame, msgpack
+from repro.serving.netserver import CODEC_JSON, decode_body, encode_frame
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
@@ -119,23 +117,24 @@ class _socket_dir:
 class TestFraming:
     def test_json_roundtrip(self):
         payload = {"op": "decide", "id": 7, "observation": [1.0, 2.5]}
-        frame = encode_frame(payload, CODEC_JSON)
+        frame = encode_frame(payload)
         codec, length = frame[0], int.from_bytes(frame[1:5], "big")
         assert codec == CODEC_JSON and length == len(frame) - 5
         assert decode_body(codec, frame[5:]) == payload
 
-    def test_msgpack_roundtrip_or_gated(self):
-        payload = {"op": "ping", "id": 1}
-        if msgpack is None:
-            with pytest.raises(ConfigurationError, match="msgpack"):
-                encode_frame(payload, 1)
-        else:
-            frame = encode_frame(payload, 1)
-            assert decode_body(1, frame[5:]) == payload
-
     def test_unknown_codec_rejected(self):
+        body = encode_frame({"op": "ping"})[5:]
+        for codec in (1, 9):
+            with pytest.raises(ConfigurationError, match="codec"):
+                decode_body(codec, body)
+
+    @pytest.mark.parametrize(
+        "body", [b"{bad", b"\xff\xfe{}", b"[1, 2]"],
+        ids=["bad-json", "bad-utf8", "not-a-mapping"],
+    )
+    def test_malformed_body_is_a_configuration_error(self, body):
         with pytest.raises(ConfigurationError):
-            encode_frame({"op": "ping"}, 9)
+            decode_body(CODEC_JSON, body)
 
 
 # ----------------------------------------------------------------------
@@ -459,6 +458,42 @@ class TestNetServer:
                     assert reply["error"] == "BAD_REQUEST"  # no registry attached
                     # The connection survived all of it.
                     assert await client.ping()
+                await netserver.drain()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            b"\x00" + (4).to_bytes(4, "big") + b"{bad",
+            b"\x01" + (2).to_bytes(4, "big") + b"{}",
+        ],
+        ids=["garbage-json", "codec-1"],
+    )
+    def test_malformed_frame_closes_only_that_connection(
+        self, compiled_policy, serving_env, frame
+    ):
+        """An undecodable frame is a counted protocol error that costs
+        the sender its connection — and nobody else theirs."""
+
+        async def scenario():
+            server = PolicyServer(
+                CompiledFSMBackend(compiled_policy), serving_env.observation_encoder
+            )
+            netserver = PolicyNetServer(server, flush_interval=0.001)
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                async with await PolicyClient.connect_unix(socket_path) as bystander:
+                    assert await bystander.ping()
+                    reader, writer = await asyncio.open_unix_connection(socket_path)
+                    writer.write(frame)
+                    await writer.drain()
+                    # The server hangs up on the offender (EOF, no reply).
+                    assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+                    writer.close()
+                    await writer.wait_closed()
+                    assert netserver.protocol_errors == 1
+                    assert await bystander.ping()
                 await netserver.drain()
 
         asyncio.run(scenario())

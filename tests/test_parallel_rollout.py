@@ -1,23 +1,28 @@
-"""Seeded equivalence of the multi-process sharded collector.
+"""Seeded equivalence of multi-process rollout collection.
 
 The contract under test: episode ``i`` of a collection always consumes
 rng streams ``derive_episode_streams(base_seed, N)[i]``, so the merged
-result of :class:`ParallelRolloutCollector` is bit-identical to the
+result of :class:`PersistentWorkerPool` is bit-identical to the
 sequential reference collector and to one lockstep batch — regardless of
-worker count or shard layout.
+worker count, shard layout, rng family, or whether the shards ran in
+worker processes or (inside a daemonic process) in-process.  Pool
+lifecycle and failure injection live in ``test_worker_pool.py``.
 """
+
+import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro.drl.a2c import A2CConfig, A2CTrainer
-from repro.drl.parallel import ParallelRolloutCollector, shard_indices
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import (
     BatchedRolloutCollector,
     RolloutCollector,
     derive_episode_streams,
 )
+from repro.drl.worker_pool import PersistentWorkerPool, shard_indices
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
@@ -46,6 +51,52 @@ def _assert_identical(reference, sharded):
     np.testing.assert_array_equal(
         reference.value_estimates(), sharded.value_estimates()
     )
+
+
+def _pooled(system_config, reward_config, num_workers, policy, traces, **collect_args):
+    with PersistentWorkerPool(
+        system_config, reward_config, num_workers=num_workers
+    ) as pool:
+        return pool.collect(policy, traces, **collect_args)
+
+
+def _sequential_reference(
+    system_config, reward_config, policy, traces, base_seed,
+    epsilon=0.0, greedy=False, rng_family="legacy",
+):
+    """One episode at a time on ``derive_episode_streams(base_seed, N)``."""
+    collector = RolloutCollector(
+        StorageAllocationEnv(system_config, reward_config=reward_config)
+    )
+    episode_rngs, action_rngs = derive_episode_streams(
+        base_seed, len(traces), rng_family
+    )
+    if rng_family == "philox":
+        episode_rngs = [episode_rngs.lane(i) for i in range(len(traces))]
+        action_rngs = [action_rngs.lane(i) for i in range(len(traces))]
+    return [
+        collector.collect(
+            policy, trace, epsilon=epsilon, greedy=greedy,
+            episode_seed=episode_rngs[i], action_rng=action_rngs[i],
+        )
+        for i, trace in enumerate(traces)
+    ]
+
+
+def _collect_in_daemon(result_queue, system_config, reward_config, policy, traces):
+    """Daemonic-process entry point: both rng families through a 2-worker pool."""
+    try:
+        result_queue.put(
+            {
+                family: _pooled(
+                    system_config, reward_config, 2, policy, traces,
+                    base_seed=41, epsilon=0.1, rng_family=family,
+                )
+                for family in ("legacy", "philox")
+            }
+        )
+    except Exception as exc:  # surfaced by the parent's assertion
+        result_queue.put(exc)
 
 
 class TestShardIndices:
@@ -79,50 +130,66 @@ class TestParallelEquivalence:
         self, system_config, reward_config, real_traces, tiny_policy, epsilon, greedy
     ):
         """The acceptance-criterion test: 2 workers == sequential, bit for bit."""
-        base_seed = 1234
-        parallel = ParallelRolloutCollector(
-            system_config, reward_config, num_workers=2
-        ).collect(
-            tiny_policy, real_traces, base_seed=base_seed, epsilon=epsilon, greedy=greedy
+        parallel = _pooled(
+            system_config, reward_config, 2, tiny_policy, real_traces,
+            base_seed=1234, epsilon=epsilon, greedy=greedy,
         )
-        sequential = RolloutCollector(
-            StorageAllocationEnv(system_config, reward_config=reward_config)
+        reference = _sequential_reference(
+            system_config, reward_config, tiny_policy, real_traces, 1234,
+            epsilon=epsilon, greedy=greedy,
         )
-        episode_rngs, action_rngs = derive_episode_streams(base_seed, len(real_traces))
-        for i, trace in enumerate(real_traces):
-            reference = sequential.collect(
-                tiny_policy,
-                trace,
-                epsilon=epsilon,
-                greedy=greedy,
-                episode_seed=episode_rngs[i],
-                action_rng=action_rngs[i],
-            )
-            _assert_identical(reference, parallel[i])
+        for expected, actual in zip(reference, parallel):
+            _assert_identical(expected, actual)
 
     @pytest.mark.parametrize("num_workers", [1, 2, 3])
     def test_worker_count_never_changes_results(
         self, system_config, reward_config, real_traces, tiny_policy, num_workers
     ):
-        base_seed = 77
-        episode_rngs, action_rngs = derive_episode_streams(base_seed, len(real_traces))
-        batched = BatchedRolloutCollector(
-            VectorStorageAllocationEnv(system_config, reward_config)
-        ).collect_batch(
-            tiny_policy, real_traces, greedy=True,
-            episode_rngs=episode_rngs, action_rngs=action_rngs,
+        """1, 2 and 3 workers against the sequential reference, both families."""
+        for rng_family in ("legacy", "philox"):
+            reference = _sequential_reference(
+                system_config, reward_config, tiny_policy, real_traces, 77,
+                epsilon=0.1, rng_family=rng_family,
+            )
+            parallel = _pooled(
+                system_config, reward_config, num_workers, tiny_policy, real_traces,
+                base_seed=77, epsilon=0.1, rng_family=rng_family,
+            )
+            assert len(parallel) == len(reference)
+            for expected, actual in zip(reference, parallel):
+                _assert_identical(expected, actual)
+
+    def test_daemonic_process_falls_back_in_process(
+        self, system_config, reward_config, real_traces, tiny_policy
+    ):
+        """A daemonic process may not have children: the pool runs the
+        same shards in-process there, bit-identical for both families."""
+        context = multiprocessing.get_context()
+        result_queue = context.Queue()
+        process = context.Process(
+            target=_collect_in_daemon,
+            args=(result_queue, system_config, reward_config, tiny_policy, real_traces),
+            daemon=True,
         )
-        parallel = ParallelRolloutCollector(
-            system_config, reward_config, num_workers=num_workers
-        ).collect(tiny_policy, real_traces, base_seed=base_seed, greedy=True)
-        assert len(parallel) == len(batched)
-        for reference, sharded in zip(batched, parallel):
-            _assert_identical(reference, sharded)
+        process.start()
+        collected = result_queue.get(timeout=60)
+        process.join(timeout=10)
+        assert not process.is_alive()
+        assert isinstance(collected, dict), collected
+        for rng_family, trajectories in collected.items():
+            reference = _sequential_reference(
+                system_config, reward_config, tiny_policy, real_traces, 41,
+                epsilon=0.1, rng_family=rng_family,
+            )
+            assert len(trajectories) == len(reference)
+            for expected, actual in zip(reference, trajectories):
+                _assert_identical(expected, actual)
 
     def test_empty_traces_collects_nothing(self, system_config, tiny_policy):
         """Zero episodes is a no-op, not an error: no shards are created."""
-        collector = ParallelRolloutCollector(system_config, num_workers=2)
-        assert collector.collect(tiny_policy, [], base_seed=0) == []
+        with PersistentWorkerPool(system_config, num_workers=2) as pool:
+            assert pool.collect(tiny_policy, [], base_seed=0) == []
+            assert not pool.started
 
     def test_fewer_episodes_than_workers_matches_batched(
         self, system_config, real_traces, tiny_policy
@@ -138,23 +205,23 @@ class TestParallelEquivalence:
         ).collect_batch(
             tiny_policy, traces, episode_rngs=episode_rngs, action_rngs=action_rngs
         )
-        collector = ParallelRolloutCollector(
-            system_config, reward_config, num_workers=8
+        sharded = _pooled(
+            system_config, reward_config, 8, tiny_policy, traces, base_seed=17
         )
-        sharded = collector.collect(tiny_policy, traces, base_seed=17)
         assert len(sharded) == len(reference)
         for expected, actual in zip(reference, sharded):
             _assert_identical(expected, actual)
 
     def test_single_episode_many_workers(self, system_config, real_traces, tiny_policy):
-        collector = ParallelRolloutCollector(system_config, num_workers=4)
-        trajectories = collector.collect(tiny_policy, list(real_traces)[:1], base_seed=3)
+        trajectories = _pooled(
+            system_config, None, 4, tiny_policy, list(real_traces)[:1], base_seed=3
+        )
         assert len(trajectories) == 1
         assert len(trajectories[0]) > 0
 
     def test_invalid_worker_count_rejected(self, system_config):
         with pytest.raises(TrainingError):
-            ParallelRolloutCollector(system_config, num_workers=0)
+            PersistentWorkerPool(system_config, num_workers=0)
 
     def test_worker_failure_is_attributed_to_its_shard(
         self, system_config, real_traces
@@ -163,9 +230,8 @@ class TestParallelEquivalence:
         bad_policy = RecurrentPolicyValueNet(
             PolicyConfig(observation_dim=5, hidden_size=8), rng=0
         )
-        collector = ParallelRolloutCollector(system_config, num_workers=2)
-        with pytest.raises(TrainingError, match=r"rollout shard \d"):
-            collector.collect(bad_policy, real_traces, base_seed=0)
+        with pytest.raises(TrainingError, match=r"rollout shard \d \(episodes \["):
+            _pooled(system_config, None, 2, bad_policy, real_traces, base_seed=0)
 
 
 class TestChunkedCollectionDeterminism:
@@ -199,27 +265,26 @@ class TestParallelTraining:
         for workers in (1, 2):
             env = StorageAllocationEnv(system_config, reward_config=reward_config)
             policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=3)
-            trainer = A2CTrainer(
+            with A2CTrainer(
                 policy, env,
                 A2CConfig(episodes_per_epoch=3, n_step=4, rollout_workers=workers),
                 rng=0,
-            )
-            histories.append(trainer.train(real_traces[:2], epochs=2))
+            ) as trainer:
+                histories.append(trainer.train(real_traces[:2], epochs=2))
             policies.append(policy)
         reference, parallel = policies
         for name, value in reference.state_dict().items():
             np.testing.assert_array_equal(value, parallel.state_dict()[name], err_msg=name)
+        assert len(histories[0]) == len(histories[1]) == 2
         for ref_record, par_record in zip(histories[0].records, histories[1].records):
-            assert ref_record.trace_name == par_record.trace_name
-            assert ref_record.makespan == par_record.makespan
-            assert ref_record.total_reward == par_record.total_reward
-            assert ref_record.policy_loss == par_record.policy_loss
+            # Record for record, wall time aside.
+            assert dataclasses.replace(ref_record, wall_time_s=0.0) == (
+                dataclasses.replace(par_record, wall_time_s=0.0)
+            )
 
     def test_rollout_workers_validation(self):
         with pytest.raises(ConfigurationError):
             A2CConfig(rollout_workers=0)
-        with pytest.raises(ConfigurationError):
-            A2CConfig(rollout_workers=2, use_batched_rollouts=False)
 
     def test_explicit_vector_env_rejected_with_workers(
         self, system_config, reward_config

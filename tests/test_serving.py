@@ -13,16 +13,15 @@ from repro.errors import ConfigurationError, ServingError, StaleSessionError
 from repro.fsm.machine import FiniteStateMachine
 from repro.qbn.autoencoder import build_observation_qbn
 from repro.qbn.quantize import code_key
-from repro.serving import (
+from repro.engine import (
+    AgentBatchBackend,
     CompiledFSMBackend,
     CompiledFSMPolicy,
     GRUPolicyBackend,
-    HeuristicAgentBackend,
-    LatencyHistogram,
-    PolicyServer,
     SessionTable,
-    ShadowEvaluator,
 )
+from repro.serving import PolicyServer, ShadowEvaluator
+from repro.telemetry import LatencyHistogram
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
@@ -349,7 +348,7 @@ class TestPolicyServer:
         self, serving_env, observation_stream
     ):
         encoder = serving_env.observation_encoder
-        backend = HeuristicAgentBackend(GreedyUtilizationPolicy, encoder)
+        backend = AgentBatchBackend(GreedyUtilizationPolicy, encoder)
         server = PolicyServer(backend, encoder)
         ids = server.open_sessions(4)
         server.decide_now(ids, np.tile(observation_stream[0], (4, 1)))
@@ -383,7 +382,7 @@ class TestPolicyServer:
     def test_heuristic_backend_matches_scalar_agent(self, serving_env, observation_stream):
         encoder = serving_env.observation_encoder
         server = PolicyServer(
-            HeuristicAgentBackend(GreedyUtilizationPolicy, encoder), encoder
+            AgentBatchBackend(GreedyUtilizationPolicy, encoder), encoder
         )
         ids = server.open_sessions(2)
         reference = GreedyUtilizationPolicy()

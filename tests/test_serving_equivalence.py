@@ -26,7 +26,8 @@ from repro.fsm.machine import FiniteStateMachine
 from repro.fsm.serialize import load_fsm, save_fsm
 from repro.qbn.autoencoder import QuantizedBottleneckNetwork, build_observation_qbn
 from repro.qbn.quantize import code_key
-from repro.serving import CompiledFSMBackend, CompiledFSMPolicy, PolicyServer
+from repro.engine import CompiledFSMBackend, CompiledFSMPolicy
+from repro.serving import PolicyServer
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator

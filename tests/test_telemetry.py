@@ -2,8 +2,8 @@
 
 Covers the registry semantics (get-or-create instruments, labels,
 snapshot/merge/pickle, Prometheus text), the bounded span ring, the
-process-default switchboard (``configure``), the ``LatencyHistogram``
-promotion shim, and the serving integration: instruments moving under
+process-default switchboard (``configure``), the promoted
+``LatencyHistogram``, and the serving integration: instruments moving under
 broker traffic and the ``metrics`` socket op of a live netserver —
 including the flush-loop health fields that used to be drop-only.
 """
@@ -18,8 +18,11 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.drl.a2c import A2CConfig, A2CTrainer
+from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import BatchedRolloutCollector
 from repro.drl.worker_pool import PersistentWorkerPool
+from repro.env.environment import StorageAllocationEnv
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ServingError
 from repro.telemetry import (
@@ -182,18 +185,9 @@ class TestSnapshotMergeAndExposition:
 
 
 # ----------------------------------------------------------------------
-# LatencyHistogram (promoted) + shim
+# LatencyHistogram (promoted)
 # ----------------------------------------------------------------------
 class TestLatencyHistogramPromotion:
-    def test_serving_reexport_is_the_telemetry_class(self):
-        # The shim pins backward compatibility for every pre-PR-10
-        # import site (loadgen, benchmarks, user code).
-        from repro.serving import LatencyHistogram as from_pkg
-        from repro.serving.server import LatencyHistogram as from_server
-
-        assert from_server is LatencyHistogram
-        assert from_pkg is LatencyHistogram
-
     def test_default_bucketing_unchanged(self):
         hist = LatencyHistogram()
         assert hist._bucketing() == (64, 1e-6, 1.5)
@@ -352,6 +346,22 @@ class TestComponentIntegration:
         ]
         assert worker_spans
         assert all("worker" in r["attributes"] for r in worker_spans)
+
+    def test_training_with_rollout_workers_folds_worker_counters(
+        self, fresh_defaults, system_config, reward_config, real_traces
+    ):
+        """The trainer's multi-process path ships worker telemetry home:
+        the parent never steps an environment itself, yet its registry
+        ends up with the workers' rollout counters."""
+        env = StorageAllocationEnv(system_config, reward_config=reward_config)
+        policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=3)
+        with A2CTrainer(
+            policy, env, A2CConfig(episodes_per_epoch=3, rollout_workers=2), rng=0
+        ) as trainer:
+            trainer.train(real_traces[:2], epochs=2)
+        snapshot = telemetry.registry().snapshot()
+        assert snapshot.value("rollout_episodes_total") == 6
+        assert snapshot.value("rollout_steps_total") > 0
 
 
 @pytest.fixture

@@ -135,7 +135,8 @@ def _fleet_deterministic_json():
     from repro.loadgen import FleetDriver, FleetSchedule, InProcessTransport, LoadPhase
     from repro.qbn.autoencoder import build_observation_qbn
     from repro.qbn.quantize import code_key
-    from repro.serving import CompiledFSMBackend, CompiledFSMPolicy, PolicyServer
+    from repro.engine import CompiledFSMBackend, CompiledFSMPolicy
+    from repro.serving import PolicyServer
     from repro.storage.migration import NUM_ACTIONS, MigrationAction
     from repro.storage.simulator import StorageSystemConfig
     from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator

@@ -1,22 +1,27 @@
-"""Persistent worker pool: equivalence, lifecycle and failure injection.
+"""Persistent worker pool: reuse, lifecycle and failure injection.
 
-The pool's contract has three parts, and each gets direct coverage:
+Seeded equivalence against the sequential reference (worker counts, rng
+families, the daemonic in-process fallback) lives in
+``test_parallel_rollout.py`` and, across ~50 random configs, in
+``test_differential_equivalence.py``; this file covers what is specific
+to long-lived workers:
 
-* **equivalence** — pooled collection is bit-identical to the lockstep
-  batched collector (and the fuzz harness in
-  ``test_differential_equivalence.py`` extends this across ~50 random
-  configs);
+* **reuse** — one pool across epochs with weight updates in between
+  stays bit-identical to the lockstep batched collector;
 * **lifecycle** — pools are reusable across epochs with weight deltas
   broadcast only when weights changed, survive zero-episode epochs,
   close idempotently, and refuse work after close;
 * **failure injection** — a worker killed mid-epoch (SIGKILL, no chance
   to flush results) surfaces as a prompt :class:`TrainingError` naming
   the dead worker, never a hang and never a partial merge, and the pool
-  refuses further work instead of silently misbehaving.
+  refuses further work instead of silently misbehaving;
+* **ownership** — trainers that build a pool shut it down before they
+  return.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -25,20 +30,28 @@ import time
 import numpy as np
 import pytest
 
-from repro.drl.a2c import A2CConfig, A2CTrainer
-from repro.drl.parallel import ParallelRolloutCollector
+from repro.drl.a2c import A2CConfig
+from repro.drl.curriculum import CurriculumConfig, CurriculumTrainer
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import BatchedRolloutCollector, derive_episode_streams
 from repro.drl.worker_pool import PersistentWorkerPool
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
-from repro.errors import ConfigurationError, TrainingError
+from repro.errors import TrainingError
+from repro.pipeline.sweep import SweepRunner, SweepSpec
 
 
 @pytest.fixture
 def reward_config():
     return RewardConfig(mode="per_step_penalty")
+
+
+def _live_pool_workers():
+    return [
+        child for child in multiprocessing.active_children()
+        if child.name.startswith("rollout-pool-worker-")
+    ]
 
 
 def _assert_identical(reference, other):
@@ -152,12 +165,13 @@ class TestPoolLifecycle:
     def test_collector_context_manager_closes_pool(
         self, system_config, reward_config, real_traces, tiny_policy
     ):
-        with ParallelRolloutCollector(
-            system_config, reward_config, num_workers=2, persistent=True
-        ) as collector:
-            collector.collect(tiny_policy, real_traces[:2], base_seed=3, greedy=True)
-            assert collector._pool is not None
-        assert collector._pool is None
+        with PersistentWorkerPool(
+            system_config, reward_config, num_workers=2
+        ) as pool:
+            pool.collect(tiny_policy, real_traces[:2], base_seed=3, greedy=True)
+            assert len(pool.worker_pids()) == len(_live_pool_workers()) == 2
+        assert pool.closed
+        assert pool.worker_pids() == [] and _live_pool_workers() == []
 
 
 class TestFailureInjection:
@@ -228,43 +242,48 @@ class TestFailureInjection:
         try:
             with pytest.raises(TrainingError, match=r"shard \d"):
                 pool.collect(bad_policy, real_traces, base_seed=0, greedy=True)
+            with pytest.raises(TrainingError, match="broken"):
+                pool.collect(bad_policy, real_traces, base_seed=1, greedy=True)
         finally:
             pool.close()
 
 
 class TestTrainerIntegration:
-    def test_persistent_pool_training_bit_identical(
-        self, system_config, reward_config, real_traces
+    def test_curriculum_trainer_leaves_no_worker_alive(
+        self, system_config, reward_config, real_traces, monkeypatch
     ):
-        """A2C with persistent_pool=True reproduces the fork-per-epoch
-        parallel run (and hence the in-process batched run) bit for bit."""
-        histories = []
-        policies = []
-        for persistent in (False, True):
-            env = StorageAllocationEnv(system_config, reward_config=reward_config)
-            policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=3)
-            with A2CTrainer(
-                policy, env,
-                A2CConfig(
-                    episodes_per_epoch=3, n_step=4, rollout_workers=2,
-                    persistent_pool=persistent,
-                ),
-                rng=0,
-            ) as trainer:
-                histories.append(trainer.train(real_traces[:2], epochs=2))
-            policies.append(policy)
-        reference, pooled = policies
-        for name, value in reference.state_dict().items():
-            np.testing.assert_array_equal(
-                value, pooled.state_dict()[name], err_msg=name
-            )
-        for ref_record, pool_record in zip(
-            histories[0].records, histories[1].records
-        ):
-            assert ref_record.makespan == pool_record.makespan
-            assert ref_record.total_reward == pool_record.total_reward
-            assert ref_record.policy_loss == pool_record.policy_loss
+        """The curriculum builds its A2C trainer internally, so it must
+        also close it: no pool worker outlives the call — without help
+        from the pool's finalizer, which only runs when the garbage
+        collector gets to it."""
+        monkeypatch.delattr(PersistentWorkerPool, "__del__")
+        env = StorageAllocationEnv(system_config, reward_config=reward_config)
+        trainer = CurriculumTrainer(
+            env,
+            PolicyConfig(hidden_size=8),
+            A2CConfig(episodes_per_epoch=2, rollout_workers=2),
+            rng=0,
+        )
+        _, history = trainer.train_with_curriculum(
+            real_traces[:1], real_traces[1:2],
+            CurriculumConfig(standard_epochs=1, real_epochs=1),
+        )
+        assert len(history) == 2
+        assert _live_pool_workers() == []
+        _, history = trainer.train_from_scratch(real_traces[:1], epochs=1)
+        assert len(history) == 1
+        assert _live_pool_workers() == []
 
-    def test_persistent_pool_requires_workers(self):
-        with pytest.raises(ConfigurationError, match="persistent_pool"):
-            A2CConfig(persistent_pool=True)
+    def test_sweep_training_job_leaves_no_worker_alive(self, monkeypatch):
+        """Same ownership rule for the sweep's in-process training job."""
+        monkeypatch.delattr(PersistentWorkerPool, "__del__")
+        spec = SweepSpec(
+            name="owned-pool",
+            kind="training",
+            base={"epochs": 1, "num_traces": 2, "duration": 10, "hidden_size": 8,
+                  "a2c.episodes_per_epoch": 2, "a2c.rollout_workers": 2},
+            seeds=[0],
+        )
+        result = SweepRunner(spec, num_workers=1).run()
+        assert [record["status"] for record in result.records] == ["ok"]
+        assert _live_pool_workers() == []
