@@ -7,7 +7,7 @@ mean-squared error and categorical entropy.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -84,8 +84,17 @@ def entropy(probabilities: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor
 _GEMM_MIN_COLS = 7
 
 
-def matmul_rows_np(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def matmul_rows_np(
+    x: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Row-batched ``x @ w`` whose rows do not depend on the batch size.
+
+    This is the one place that knows which BLAS route is row-stable;
+    every numpy inference forward (GRU gates, policy logits, the
+    compiled FSM's encoder) calls it instead of inlining the decision.
+    ``out`` is an optional (M, N) float64 buffer the product is written
+    into and returned (hot paths reuse theirs across calls); float64
+    operands pass through without a copy.
 
     BLAS picks different kernels (gemv, small-matrix paths, blocked gemm)
     depending on the operand shapes, and those kernels accumulate in
@@ -111,10 +120,14 @@ def matmul_rows_np(x: np.ndarray, w: np.ndarray) -> np.ndarray:
             f"matmul_rows_np expects 2-d operands, got shapes {x.shape} / {w.shape}"
         )
     if w.shape[1] < _GEMM_MIN_COLS:
-        return np.einsum("ij,jk->ik", x, w)
+        return np.einsum("ij,jk->ik", x, w, out=out)
     if x.shape[0] >= 2:
-        return x @ w
-    return (np.concatenate([x, x], axis=0) @ w)[: x.shape[0]]
+        return np.matmul(x, w, out=out)
+    padded = (np.concatenate([x, x], axis=0) @ w)[: x.shape[0]]
+    if out is None:
+        return padded
+    out[...] = padded
+    return out
 
 
 def log_softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.autograd import functional as F
-from repro.autograd.functional import _GEMM_MIN_COLS, log_softmax_np, matmul_rows_np
+from repro.autograd.functional import log_softmax_np, matmul_rows_np
 from repro.autograd.tensor import Tensor, no_grad
 from repro.env.observation import OBSERVATION_DIM
 from repro.errors import ConfigurationError, ShapeError
@@ -218,12 +218,7 @@ class RecurrentPolicyValueNet(Module):
                 return logits, values, next_hiddens
         _kernel_telemetry()[2].inc()
         next_hiddens = self.gru.forward_np(observations, hiddens)
-        if observations.shape[0] >= 2 and self.config.num_actions >= _GEMM_MIN_COLS:
-            # Exactly what matmul_rows_np resolves to for this shape,
-            # minus its per-call validation (hot rollout path).
-            logits = next_hiddens @ self.policy_head.weight.data + self.policy_head.bias.data
-        else:
-            logits = matmul_rows_np(next_hiddens, self.policy_head.weight.data) + self.policy_head.bias.data
+        logits = matmul_rows_np(next_hiddens, self.policy_head.weight.data) + self.policy_head.bias.data
         values = (
             np.einsum("ij,jk->ik", next_hiddens, self.value_head.weight.data)
             + self.value_head.bias.data

@@ -34,7 +34,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.autograd.functional import _GEMM_MIN_COLS, matmul_rows_np
+from repro.autograd.functional import matmul_rows_np
 from repro.env.observation import ObservationEncoder
 from repro.errors import ConfigurationError, ExtractionError, SerializationError
 from repro.fsm.generalize import nearest_prototype_rows
@@ -437,32 +437,20 @@ class CompiledFSMPolicy:
                 f"observations, got shape {normalized.shape}"
             )
         batch = normalized.shape[0]
-        if (
-            batch >= 2
-            and self._w1.shape[1] >= _GEMM_MIN_COLS
-            and self._w2.shape[1] >= _GEMM_MIN_COLS
-        ):
-            # Buffered in-place variant of the expression below: gemm for
-            # M >= 2 and wide outputs is exactly what matmul_rows_np
-            # resolves to, and the bias add / tanh round identically in
-            # place — only the allocations are gone (hot serving path).
-            buffers = self._buffers
-            if buffers is None or buffers[0] != batch:
-                buffers = (
-                    batch,
-                    np.empty((batch, self._w1.shape[1])),
-                    np.empty((batch, self._w2.shape[1])),
-                )
-                self._buffers = buffers
-            hidden, pre_latent = buffers[1], buffers[2]
-            np.matmul(normalized, self._w1, out=hidden)
-            hidden += self._b1
-            np.tanh(hidden, out=hidden)
-            np.matmul(hidden, self._w2, out=pre_latent)
-            pre_latent += self._b2
-        else:
-            hidden = np.tanh(matmul_rows_np(normalized, self._w1) + self._b1)
-            pre_latent = matmul_rows_np(hidden, self._w2) + self._b2
+        buffers = self._buffers
+        if buffers is None or buffers[0] != batch:
+            buffers = (
+                batch,
+                np.empty((batch, self._w1.shape[1])),
+                np.empty((batch, self._w2.shape[1])),
+            )
+            self._buffers = buffers
+        hidden, pre_latent = buffers[1], buffers[2]
+        matmul_rows_np(normalized, self._w1, out=hidden)
+        hidden += self._b1
+        np.tanh(hidden, out=hidden)
+        matmul_rows_np(hidden, self._w2, out=pre_latent)
+        pre_latent += self._b2
         return pre_latent
 
     def resolve_observations(self, normalized: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":

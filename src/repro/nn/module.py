@@ -14,13 +14,13 @@ class Parameter(Tensor):
     """A tensor that is always trainable and discoverable by :class:`Module`.
 
     Parameters additionally carry a monotonically increasing ``version``
-    so inference-side caches (packed weight layouts for the numpy and
-    native GRU kernels) can detect weight updates without comparing
-    array contents.  ``data`` is a property whose setter bumps the
-    version: the optimizers' in-place ``param.data -= update`` resolves
-    to a read, an in-place op and a set-back, so it fires the setter;
-    code that writes *through* the array (``param.data[...] = value``)
-    must use :meth:`assign` instead.
+    so the native GRU kernel's packed weight copies can detect weight
+    updates without comparing array contents (the numpy inference
+    forwards read ``data`` at call time and cache nothing).  ``data`` is
+    a property whose setter bumps the version: the optimizers' in-place
+    ``param.data -= update`` resolves to a read, an in-place op and a
+    set-back, so it fires the setter; code that writes *through* the
+    array (``param.data[...] = value``) must use :meth:`assign` instead.
     """
 
     # Shadows the ``data`` slot descriptor inherited from Tensor: the

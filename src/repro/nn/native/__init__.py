@@ -247,10 +247,10 @@ class NativeGRUKernel:
     lazily without any explicit invalidation hook.
 
     Repacking writes *in place* into packed arrays allocated once: the
-    per-batch workspaces below cache raw ctypes pointers into them
-    (pointer extraction measured ~2us per array per call, which at 13
-    arrays rivalled the kernel itself), and in-place repacks keep every
-    cached pointer valid.
+    workspace below caches raw ctypes pointers into them (pointer
+    extraction measured ~2us per array per call, which at 13 arrays
+    rivalled the kernel itself), and in-place repacks keep every cached
+    pointer valid.
     """
 
     def __init__(self, cell) -> None:
@@ -266,7 +266,7 @@ class NativeGRUKernel:
         self._wh = np.zeros((hidden, self._padded))
         self._bias = np.zeros(self._padded)
         self._versions: Optional[Tuple[int, ...]] = None
-        self._workspaces: dict = {}
+        self._live_workspace: Optional[_GRUWorkspace] = None
         self._repack()
 
     def _parameter_versions(self) -> Tuple[int, ...]:
@@ -297,10 +297,13 @@ class NativeGRUKernel:
             self._repack()
 
     def _workspace(self, batch: int) -> "_GRUWorkspace":
-        workspace = self._workspaces.get(batch)
-        if workspace is None:
-            workspace = _GRUWorkspace(self, batch)
-            self._workspaces[batch] = workspace
+        # One live workspace, replaced when the batch size changes (the
+        # policy of GRUCell's numpy gate buffers): a server behind a
+        # timed flush sees arbitrary batch sizes and must not keep a
+        # buffer set for each.
+        workspace = self._live_workspace
+        if workspace is None or workspace.x.shape[0] != batch:
+            workspace = self._live_workspace = _GRUWorkspace(self, batch)
         return workspace
 
     def forward(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -335,9 +338,10 @@ class NativeGRUPolicyKernel:
     Packs the policy head and value head into one ``(A+1, H)`` row block
     behind the GRU gate weights; one call returns logits, log-probs,
     normalised probabilities, values and the next hidden state for the
-    whole batch.  Inputs are staged into per-batch-size workspaces with
-    prebuilt argument lists; outputs are copied out fresh (they escape
-    into trajectories and session tables).
+    whole batch.  Inputs are staged into the live workspace (one, rebuilt
+    when the batch size changes) with a prebuilt argument list; outputs
+    are copied out fresh (they escape into trajectories and session
+    tables).
     """
 
     def __init__(self, policy) -> None:
@@ -353,7 +357,7 @@ class NativeGRUPolicyKernel:
         self._whead = np.zeros((num_actions + 1, hidden))
         self._bhead = np.zeros(num_actions + 1)
         self._versions: Optional[Tuple[int, ...]] = None
-        self._workspaces: dict = {}
+        self._live_workspace: Optional[_PolicyWorkspace] = None
         self._repack_heads()
 
     def _head_versions(self) -> Tuple[int, ...]:
@@ -373,10 +377,9 @@ class NativeGRUPolicyKernel:
         self._versions = self._head_versions()
 
     def _workspace(self, batch: int) -> "_PolicyWorkspace":
-        workspace = self._workspaces.get(batch)
-        if workspace is None:
-            workspace = _PolicyWorkspace(self, batch)
-            self._workspaces[batch] = workspace
+        workspace = self._live_workspace
+        if workspace is None or workspace.x.shape[0] != batch:
+            workspace = self._live_workspace = _PolicyWorkspace(self, batch)
         return workspace
 
     def forward(

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.functional import _GEMM_MIN_COLS, matmul_rows_np
+from repro.autograd.functional import matmul_rows_np
 from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
 from repro.nn import init
@@ -31,7 +31,10 @@ class GRUCell(Module):
     :meth:`forward_np`: ``"numpy"`` (default, bit-compatible with the
     pinned golden traces) or ``"native"`` (the fused C micro-kernel —
     allclose-level agreement, compiled at first use, silently falling
-    back to numpy when no compiler is available).
+    back to numpy when no compiler is available).  The numpy
+    implementation is one gate stack for every batch size and width:
+    its only shape dispatch is :func:`matmul_rows_np`, it caches no
+    weights, and its only state is the reused gate buffers.
     """
 
     def __init__(
@@ -54,7 +57,6 @@ class GRUCell(Module):
         self.kernel = kernel
         self._native = None
         self._native_failed = False
-        self._np_packed = None
 
         def input_weight() -> Parameter:
             return Parameter(init.xavier_uniform((input_size, hidden_size), rng))
@@ -119,30 +121,50 @@ class GRUCell(Module):
                 return native.forward(
                     np.asarray(x, dtype=np.float64), np.asarray(h, dtype=np.float64)
                 )
-        if x.shape[0] >= 2 and self.hidden_size >= _GEMM_MIN_COLS:
-            packed = self._packed_np_weights()
-            if packed.use_packed_for(self, x.shape[0]):
-                # Two wide gemms instead of six narrow ones, same
-                # elementwise gate ops in the same order — bitwise equal
-                # to the buffered path wherever the probe confirmed the
-                # concatenated-gemm column blocks match the separate
-                # gemms for this batch size on this BLAS build (and
-                # measurably faster, per the one-off timing race).
-                return self._forward_np_packed(x, h, packed)
-            # Buffered in-place variant of the expression below: same
-            # operations on the same operands in the same order (gemm for
-            # M >= 2 and N >= _GEMM_MIN_COLS is exactly what
-            # matmul_rows_np resolves to), with the gate intermediates
-            # reused across calls.  Only the returned hidden state is
-            # freshly allocated — it escapes to callers.
-            return self._forward_np_buffered(x, h, packed)
-        pre_r = matmul_rows_np(x, self.w_xr.data) + matmul_rows_np(h, self.w_hr.data) + self.b_r.data
-        pre_z = matmul_rows_np(x, self.w_xz.data) + matmul_rows_np(h, self.w_hz.data) + self.b_z.data
-        reset = 1.0 / (1.0 + np.exp(-pre_r))
-        update = 1.0 / (1.0 + np.exp(-pre_z))
-        pre_n = matmul_rows_np(x, self.w_xn.data) + reset * matmul_rows_np(h, self.w_hn.data) + self.b_n.data
-        candidate = np.tanh(pre_n)
-        return (1.0 - update) * candidate + update * h
+        # The one numpy gate stack: the formulas of the module docstring,
+        # evaluated in place on gate buffers reused across calls.  Only
+        # the returned hidden state is freshly allocated — it escapes to
+        # callers.  Parameters are read at call time, so a rebound or
+        # stepped weight is seen by the next call.
+        batch = x.shape[0]
+        buffers = getattr(self, "_np_gate_buffers", None)
+        if buffers is None or buffers[0].shape[0] != batch:
+            buffers = tuple(
+                np.empty((batch, self.hidden_size)) for _ in range(4)
+            )
+            self._np_gate_buffers = buffers
+        gate, carry, blend, scratch = buffers
+
+        # reset gate -> `gate`
+        matmul_rows_np(x, self.w_xr.data, out=gate)
+        matmul_rows_np(h, self.w_hr.data, out=scratch)
+        gate += scratch
+        gate += self.b_r.data
+        np.negative(gate, out=gate)
+        np.exp(gate, out=gate)
+        gate += 1.0
+        np.divide(1.0, gate, out=gate)
+        # candidate pre-activation -> `scratch` (needs the reset gate)
+        matmul_rows_np(h, self.w_hn.data, out=carry)
+        carry *= gate
+        matmul_rows_np(x, self.w_xn.data, out=scratch)
+        scratch += carry
+        scratch += self.b_n.data
+        np.tanh(scratch, out=scratch)
+        # update gate -> `gate` (reset no longer needed)
+        matmul_rows_np(x, self.w_xz.data, out=gate)
+        matmul_rows_np(h, self.w_hz.data, out=carry)
+        gate += carry
+        gate += self.b_z.data
+        np.negative(gate, out=gate)
+        np.exp(gate, out=gate)
+        gate += 1.0
+        np.divide(1.0, gate, out=gate)
+        # blend: (1 - z) * n + z * h, freshly allocated result
+        np.subtract(1.0, gate, out=blend)
+        blend *= scratch
+        gate *= h
+        return blend + gate
 
     def __getstate__(self):
         # ctypes handles and shape-keyed buffers don't cross process
@@ -150,9 +172,7 @@ class GRUCell(Module):
         state = self.__dict__.copy()
         state["_native"] = None
         state["_native_failed"] = False
-        state["_np_packed"] = None
         state.pop("_np_gate_buffers", None)
-        state.pop("_np_packed_buffers", None)
         return state
 
     def _native_kernel(self):
@@ -168,236 +188,6 @@ class GRUCell(Module):
             return None
         self._native = native.NativeGRUKernel(self)
         return self._native
-
-    def _packed_np_weights(self) -> "_PackedGateWeights":
-        """Pre-packed [r | z | n] gate weights, revalidated by version.
-
-        Weight-delta broadcasts in the persistent worker pool (and
-        optimizer steps, and ``load_state_dict``) bump the parameters'
-        versions, so the packed copies rebuild lazily on the next call.
-        """
-        packed = self._np_packed
-        versions = (
-            self.w_xr.version, self.w_hr.version,
-            self.w_xz.version, self.w_hz.version,
-            self.w_xn.version, self.w_hn.version,
-        )
-        if packed is None or packed.versions != versions:
-            packed = _PackedGateWeights(self, versions)
-            self._np_packed = packed
-        return packed
-
-    def _forward_np_packed(
-        self, x: np.ndarray, h: np.ndarray, packed: "_PackedGateWeights"
-    ) -> np.ndarray:
-        """Gate stack over the packed gemms (bit-equal where probed stable)."""
-        hidden = self.hidden_size
-        batch = x.shape[0]
-        buffers = getattr(self, "_np_packed_buffers", None)
-        if buffers is None or buffers[0].shape[0] != batch:
-            buffers = (
-                np.empty((batch, 3 * hidden)),
-                np.empty((batch, 3 * hidden)),
-                np.empty((batch, hidden)),
-                np.empty((batch, hidden)),
-                np.empty((batch, hidden)),
-                np.empty((batch, hidden)),
-            )
-            self._np_packed_buffers = buffers
-        xa, ha, gate, carry, blend, scratch = buffers
-        np.matmul(x, packed.wx, out=xa)
-        np.matmul(h, packed.wh, out=ha)
-        r, z, n = slice(0, hidden), slice(hidden, 2 * hidden), slice(2 * hidden, None)
-        # reset gate -> `gate` (same elementwise sequence as the buffered path)
-        np.add(xa[:, r], ha[:, r], out=gate)
-        gate += self.b_r.data
-        np.negative(gate, out=gate)
-        np.exp(gate, out=gate)
-        gate += 1.0
-        np.divide(1.0, gate, out=gate)
-        # candidate pre-activation -> `scratch` (needs the reset gate)
-        np.multiply(ha[:, n], gate, out=carry)
-        np.add(xa[:, n], carry, out=scratch)
-        scratch += self.b_n.data
-        np.tanh(scratch, out=scratch)
-        # update gate -> `gate` (reset no longer needed)
-        np.add(xa[:, z], ha[:, z], out=gate)
-        gate += self.b_z.data
-        np.negative(gate, out=gate)
-        np.exp(gate, out=gate)
-        gate += 1.0
-        np.divide(1.0, gate, out=gate)
-        # blend: (1 - z) * n + z * h, freshly allocated result
-        np.subtract(1.0, gate, out=blend)
-        blend *= scratch
-        gate *= h
-        return blend + gate
-
-    def _forward_np_buffered(
-        self, x: np.ndarray, h: np.ndarray, refs: "Optional[_PackedGateWeights]" = None
-    ) -> np.ndarray:
-        """Hot-path GRU step: identical arithmetic, reused gate buffers."""
-        batch = x.shape[0]
-        buffers = getattr(self, "_np_gate_buffers", None)
-        if buffers is None or buffers[0].shape[0] != batch:
-            buffers = tuple(
-                np.empty((batch, self.hidden_size)) for _ in range(4)
-            )
-            self._np_gate_buffers = buffers
-        gate, carry, blend, scratch = buffers
-        if refs is None:
-            refs = self._packed_np_weights()
-        w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, w_hn, b_n = refs.refs
-
-        # reset gate -> `gate`
-        np.matmul(x, w_xr, out=gate)
-        np.matmul(h, w_hr, out=scratch)
-        gate += scratch
-        gate += b_r
-        np.negative(gate, out=gate)
-        np.exp(gate, out=gate)
-        gate += 1.0
-        np.divide(1.0, gate, out=gate)
-        # candidate pre-activation -> `carry` (needs the reset gate)
-        np.matmul(h, w_hn, out=carry)
-        carry *= gate
-        np.matmul(x, w_xn, out=scratch)
-        scratch += carry
-        scratch += b_n
-        np.tanh(scratch, out=scratch)
-        # update gate -> `gate` (reset no longer needed)
-        np.matmul(x, w_xz, out=gate)
-        np.matmul(h, w_hz, out=carry)
-        gate += carry
-        gate += b_z
-        np.negative(gate, out=gate)
-        np.exp(gate, out=gate)
-        gate += 1.0
-        np.divide(1.0, gate, out=gate)
-        # blend: (1 - z) * n + z * h, freshly allocated result
-        np.subtract(1.0, gate, out=blend)
-        blend *= scratch
-        gate *= h
-        return blend + gate
-
-
-# Shared across cells: whether the packed two-gemm path beats the
-# buffered six-gemm path for a given (input, hidden, batch) shape class.
-# Keyed by shape only — both contenders are bitwise identical whenever
-# the stability probe passes, so the pick affects speed, never results.
-_PACKED_RACE_RESULTS: dict = {}
-
-
-class _PackedGateWeights:
-    """Cached gate-weight views for the pure-numpy inference path.
-
-    Holds two things, both revalidated against parameter versions by
-    :meth:`GRUCell._packed_np_weights`:
-
-    * ``refs`` — direct references to the nine parameter arrays, so the
-      hot loop skips nine property lookups per step;
-    * ``wx``/``wh`` — column-concatenated [r | z | n] copies feeding the
-      packed two-gemm path.
-
-    The packed path is only eligible where a concatenated gemm's column
-    blocks are *bitwise* equal to the separate gemms (the repo's
-    bit-identity contract).  Probing this box showed that holds for some
-    (batch, width) combinations and not others (e.g. H=12 differs while
-    8/16/128 match), and the BLAS kernel chosen depends on shape, not
-    data — so a one-off probe with synthetic operands per batch size
-    decides eligibility, and a one-off timing race then picks whichever
-    eligible implementation is actually faster for the shape (wide gemms
-    lose to six narrow ones on some BLAS builds).
-    """
-
-    def __init__(self, cell: GRUCell, versions: tuple) -> None:
-        hidden = cell.hidden_size
-        self.versions = versions
-        self.refs = (
-            cell.w_xr.data, cell.w_hr.data, cell.b_r.data,
-            cell.w_xz.data, cell.w_hz.data, cell.b_z.data,
-            cell.w_xn.data, cell.w_hn.data, cell.b_n.data,
-        )
-        self.wx = np.empty((cell.input_size, 3 * hidden))
-        self.wh = np.empty((hidden, 3 * hidden))
-        for packed, r, z, n in (
-            (self.wx, cell.w_xr, cell.w_xz, cell.w_xn),
-            (self.wh, cell.w_hr, cell.w_hz, cell.w_hn),
-        ):
-            packed[:, 0:hidden] = r.data
-            packed[:, hidden:2 * hidden] = z.data
-            packed[:, 2 * hidden:3 * hidden] = n.data
-        self._input_size = cell.input_size
-        self._hidden_size = hidden
-        self._stable_by_batch: dict = {}
-
-    def use_packed_for(self, cell: GRUCell, batch: int) -> bool:
-        if not self.stable_for(batch):
-            return False
-        # Race outcomes are a perf heuristic (both contenders are
-        # bitwise identical once stable_for passed), so the key buckets
-        # the batch size by power of two: a rollout batch draining from
-        # B=16 to B=1 pays a handful of races, not one per size.
-        key = (self._input_size, self._hidden_size, (batch - 1).bit_length())
-        wins = _PACKED_RACE_RESULTS.get(key)
-        if wins is None:
-            wins = self._race(cell, batch)
-            _PACKED_RACE_RESULTS[key] = wins
-        return wins
-
-    def stable_for(self, batch: int) -> bool:
-        stable = self._stable_by_batch.get(batch)
-        if stable is None:
-            stable = self._probe(batch)
-            self._stable_by_batch[batch] = stable
-        return stable
-
-    def _probe(self, batch: int) -> bool:
-        """Bitwise-compare packed vs separate gemms on synthetic operands.
-
-        Gemm kernels run the same fma schedule for a given shape
-        regardless of operand values (selection is by shape/stride), so
-        one synthetic probe decides the whole (batch, width) class.
-        """
-        hidden = self._hidden_size
-        rng = np.random.default_rng(0xC0FFEE)
-        x = rng.standard_normal((batch, self._input_size))
-        h = rng.standard_normal((batch, hidden))
-        for operand, packed in ((x, self.wx), (h, self.wh)):
-            wide = operand @ packed
-            for block in range(3):
-                narrow = operand @ np.ascontiguousarray(
-                    packed[:, block * hidden:(block + 1) * hidden]
-                )
-                if not np.array_equal(
-                    wide[:, block * hidden:(block + 1) * hidden], narrow
-                ):
-                    return False
-        return True
-
-    def _race(self, cell: GRUCell, batch: int) -> bool:
-        """Time both bit-identical implementations once; packed must win
-        by a clear margin (ties keep the long-standing buffered path)."""
-        import time
-
-        rng = np.random.default_rng(0xBEEF)
-        x = rng.standard_normal((batch, self._input_size))
-        h = rng.standard_normal((batch, self._hidden_size))
-        calls = max(2, min(16, 2048 // max(1, batch * self._hidden_size // 16)))
-        best = {"buffered": float("inf"), "packed": float("inf")}
-        contenders = (
-            ("buffered", lambda: cell._forward_np_buffered(x, h, self)),
-            ("packed", lambda: cell._forward_np_packed(x, h, self)),
-        )
-        for name, fn in contenders:
-            fn()  # warm buffers
-        for _ in range(2):
-            for name, fn in contenders:
-                start = time.perf_counter()
-                for _ in range(calls):
-                    fn()
-                best[name] = min(best[name], time.perf_counter() - start)
-        return best["packed"] < 0.95 * best["buffered"]
 
 
 class GRU(Module):

@@ -70,6 +70,10 @@ from repro import telemetry
 CODEC_JSON = 0
 _HEADER = struct.Struct("!BI")
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+# Largest ``open`` one request may ask for: the wire is not trusted with
+# the session table's allocation size, and this is the largest open
+# whose handles reply still fits one frame.
+MAX_OPEN_PER_REQUEST = 1 << 20
 
 
 def encode_frame(payload: Dict[str, object]) -> bytes:
@@ -557,6 +561,11 @@ class PolicyNetServer:
                 self._reply(connection, request_id, metrics=exposition)
             elif op == "open":
                 count = int(request.get("count", 1))
+                if count > MAX_OPEN_PER_REQUEST:
+                    raise ServingError(
+                        f"open count {count} exceeds the per-request limit "
+                        f"{MAX_OPEN_PER_REQUEST}"
+                    )
                 slots = self.server.open_sessions(count)
                 generations = self.server.table.generation[slots]
                 handles = [

@@ -239,11 +239,8 @@ class PolicyServer:
             raise ConfigurationError(
                 f"raw observation must have shape ({OBSERVATION_DIM},), got {raw.shape}"
             )
-        slot = int(
-            self.table.checked_slots(
-                session_id, expected_generation=expected_generation
-            )[0]
-        )
+        slots, _ = self._checked_wave(session_id, raw[None], expected_generation)
+        slot = int(slots[0])
         if slot in self._pending_set:
             self.flush()
         ticket = DecisionTicket(slot)
@@ -271,20 +268,7 @@ class PolicyServer:
         that dominates fleet-scale callers submitting thousands of
         sessions per step.  Rows must name distinct sessions.
         """
-        slots = self.table.checked_slots(
-            session_ids, unique=True, expected_generation=expected_generation
-        )
-        raw = np.asarray(raw_matrix, dtype=float)
-        if raw.ndim != 2 or raw.shape[0] != slots.shape[0]:
-            raise ConfigurationError(
-                f"raw matrix must have one row per session, got {raw.shape} "
-                f"for {slots.shape[0]} sessions"
-            )
-        if raw.shape[1] != OBSERVATION_DIM:
-            raise ConfigurationError(
-                f"raw matrix must have {OBSERVATION_DIM} columns "
-                f"(one observation per row), got {raw.shape[1]}"
-            )
+        slots, raw = self._checked_wave(session_ids, raw_matrix, expected_generation)
         tickets: List[DecisionTicket] = []
         pending_set = self._pending_set
         for slot, row in zip(slots.tolist(), raw):
@@ -379,9 +363,26 @@ class PolicyServer:
         expected_generation: Optional[GenerationLike] = None,
     ) -> np.ndarray:
         """Serve one already-assembled batch (row i answers session i)."""
-        # ``unique=True`` is the O(batch) duplicate check — the previous
-        # ``np.bincount(slots).max()`` scanned the whole table capacity
-        # per call, which dominated small batches on big tables.
+        slots, raw = self._checked_wave(session_ids, raw_matrix, expected_generation)
+        return self._decide(slots, raw)
+
+    # ------------------------------------------------------------------
+    # Shared core
+    # ------------------------------------------------------------------
+    def _checked_wave(
+        self,
+        session_ids,
+        raw_matrix: np.ndarray,
+        expected_generation: Optional[GenerationLike],
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Validate one wave of requests; returns ``(slots, raw)``.
+
+        Slots must be open, distinct and of the expected generation
+        (``unique=True`` is an O(batch) check — it never scans the table
+        capacity), and ``raw`` must hold one ``OBSERVATION_DIM`` row per
+        slot.  Every entry point validates here and differs only in what
+        it does with the wave: queue it or serve it.
+        """
         slots = self.table.checked_slots(
             session_ids, unique=True, expected_generation=expected_generation
         )
@@ -396,11 +397,8 @@ class PolicyServer:
                 f"raw matrix must have {OBSERVATION_DIM} columns "
                 f"(one observation per row), got {raw.shape[1]}"
             )
-        return self._decide(slots, raw)
+        return slots, raw
 
-    # ------------------------------------------------------------------
-    # Shared core
-    # ------------------------------------------------------------------
     def _decide(self, slots: np.ndarray, raw: np.ndarray) -> np.ndarray:
         buffer = self._normalize_buffer
         if buffer is None or buffer.shape != raw.shape:

@@ -126,3 +126,40 @@ class TestEntropy:
     def test_gradient(self):
         logits = _param(np.random.default_rng(6).random((2, 5)))
         check_gradients(lambda: F.entropy(F.softmax(logits)), {"logits": logits})
+
+
+class TestMatmulRowsNp:
+    """The one helper that knows which BLAS route is row-stable."""
+
+    # (M, N) per route: einsum (N < 7), gemm (M >= 2), pad-to-two (M = 1).
+    ROUTES = [(5, 3), (5, 16), (1, 16)]
+
+    @pytest.mark.parametrize("rows, cols", ROUTES)
+    def test_out_buffer_is_returned_and_bitwise_equal(self, rows, cols):
+        rng = np.random.default_rng(rows * 100 + cols)
+        x = rng.standard_normal((rows, 11))
+        w = rng.standard_normal((11, cols))
+        fresh = F.matmul_rows_np(x, w)
+        buf = np.full((rows, cols), np.nan)
+        assert F.matmul_rows_np(x, w, out=buf) is buf
+        np.testing.assert_array_equal(buf, fresh)
+
+    @pytest.mark.parametrize("cols", [3, 16])
+    def test_row_is_independent_of_batch_size(self, cols):
+        rng = np.random.default_rng(cols)
+        x = rng.standard_normal((9, 11))
+        w = rng.standard_normal((11, cols))
+        full = F.matmul_rows_np(x, w)
+        for rows in (1, 2, 5):
+            buf = np.empty((rows, cols))
+            np.testing.assert_array_equal(F.matmul_rows_np(x[:rows], w), full[:rows])
+            np.testing.assert_array_equal(F.matmul_rows_np(x[:rows], w, out=buf), full[:rows])
+
+    def test_converts_other_dtypes_and_rejects_1d(self):
+        x = np.ones((1, 8))
+        w = np.ones((8, 8))
+        np.testing.assert_array_equal(
+            F.matmul_rows_np(x.astype(np.float32), w), F.matmul_rows_np(x, w)
+        )
+        with pytest.raises(ShapeError):
+            F.matmul_rows_np(x[0], w, out=np.empty((1, 8)))

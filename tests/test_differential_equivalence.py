@@ -19,12 +19,15 @@ the config index and can be replayed in isolation with
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 import pytest
 
+from repro.autograd.functional import matmul_rows_np
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.worker_pool import PersistentWorkerPool
 from repro.drl.rollout import (
@@ -367,9 +370,9 @@ def test_philox_vector_vs_parallel_vs_pool_bit_identical(index):
 # Fused native kernel vs pure-numpy forward
 # ----------------------------------------------------------------------
 # The native kernel's contract is allclose-level agreement (fused
-# fast-math transcendentals reassociate), not bit identity; the packed
-# pure-numpy path's contract IS bit identity whenever its stability
-# probe passes — both pinned here over randomized shapes including B=1.
+# fast-math transcendentals reassociate), not bit identity; the single
+# pure-numpy forward's contract IS bit identity with its written-out
+# definition — both pinned here over randomized shapes including B=1.
 
 native_only = pytest.mark.skipif(
     not native_available(), reason=f"native kernel unavailable: {native_unavailable_reason()}"
@@ -434,6 +437,38 @@ def test_native_policy_kernel_matches_numpy(config_index):
 
 
 @native_only
+def test_native_kernels_hold_one_workspace_across_batch_sizes():
+    """Staging buffers follow the batch size instead of accumulating.
+
+    Behind a timed flush the micro-batch size is arbitrary; a workspace
+    kept per distinct size grows to ``max_batch_size`` buffer sets.
+    """
+    rng = np.random.default_rng(80_500)
+    reference = RecurrentPolicyValueNet(PolicyConfig(hidden_size=16), rng=3)
+    native = RecurrentPolicyValueNet(PolicyConfig(hidden_size=16, kernel="native"), rng=3)
+    policy_refs, gru_refs = [], []
+    for batch in (3, 7, 5):
+        observations = rng.standard_normal((batch, reference.config.observation_dim))
+        hiddens = rng.standard_normal((batch, 16))
+        for got, want in zip(
+            native.forward_np(observations, hiddens),
+            reference.forward_np(observations, hiddens),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(
+            native.gru.forward_np(observations, hiddens),
+            reference.gru.forward_np(observations, hiddens),
+            rtol=1e-10, atol=1e-12,
+        )
+        policy_refs.append(weakref.ref(native._native_kernel()._live_workspace))
+        gru_refs.append(weakref.ref(native.gru._native_kernel()._live_workspace))
+    gc.collect()
+    for refs in (policy_refs, gru_refs):
+        assert [ref() is not None for ref in refs] == [False, False, True]
+        assert refs[-1]().x.shape[0] == 5
+
+
+@native_only
 @pytest.mark.parametrize("config_index", range(8))
 def test_native_philox_idle_sampler_bit_identical(config_index):
     """The fused C idle sampler vs the pure-numpy reference, bitwise.
@@ -480,31 +515,45 @@ def test_native_philox_idle_sampler_bit_identical(config_index):
 
 @pytest.mark.parametrize("config_index", range(10))
 def test_packed_numpy_path_is_bitwise_when_probe_stable(config_index):
-    """The BLAS-stable width contract behind the packed fast path.
+    """The single numpy GRU forward against its written-out definition.
 
-    Whenever the synthetic stability probe declares a (shape, batch)
-    class gemm-stable, the column-packed forward must be *bitwise*
-    identical to the buffered reference — that is the precondition that
-    makes the packed path eligible at all.
+    (The id predates the removal of the packed two-gemm twin and its
+    stability probe; it is kept so the floor list tracks one name.)
+    ``GRUCell.forward_np`` — one in-place gate stack whose only shape
+    dispatch is ``matmul_rows_np`` — must be *bitwise* equal to the GRU
+    formulas written as a plain expression over ``matmul_rows_np``, and
+    to row-by-row B = 1 calls: in-place evaluation, buffer reuse and
+    batch size change no bit on any of the helper's three routes.
     """
     rng = np.random.default_rng(79_000 + config_index)
     input_size = int(rng.integers(7, 40))
-    # Gemm-eligible widths only (>= _GEMM_MIN_COLS): narrower cells
-    # dispatch to the einsum path, which never packs.  The pool spans
-    # probe-stable widths (8/16/128) and known-unstable ones (12/17).
+    # Gemm widths that once split the packed probe (8/16/128 stable,
+    # 12/17 not), plus one einsum-route cell (H < 7) and one pad-to-two
+    # batch (B = 1) pinned on fixed ids.
     hidden = int(rng.choice([8, 12, 16, 17, 128]))
     batch = int(rng.choice([2, 4, 16]))
+    if config_index == 0:
+        hidden = 5
+    elif config_index == 1:
+        batch = 1
     cell = GRUCell(input_size, hidden, rng=int(rng.integers(1 << 31)))
-    packed = cell._packed_np_weights()
+    for bias in (cell.b_r, cell.b_z, cell.b_n):
+        bias.data = rng.standard_normal(hidden)
     x = rng.standard_normal((batch, input_size))
     h = rng.standard_normal((batch, hidden))
-    buffered = cell._forward_np_buffered(x, h, packed)
-    if packed.stable_for(batch):
-        np.testing.assert_array_equal(cell._forward_np_packed(x, h, packed), buffered)
-    # Regardless of probe outcome, the dispatching forward_np must be
-    # bitwise identical to the buffered reference (unstable or race-lost
-    # shapes must fall back).
-    np.testing.assert_array_equal(cell.forward_np(x, h), buffered)
+
+    mm = matmul_rows_np
+    reset = 1.0 / (1.0 + np.exp(-(mm(x, cell.w_xr.data) + mm(h, cell.w_hr.data) + cell.b_r.data)))
+    update = 1.0 / (1.0 + np.exp(-(mm(x, cell.w_xz.data) + mm(h, cell.w_hz.data) + cell.b_z.data)))
+    candidate = np.tanh(mm(x, cell.w_xn.data) + reset * mm(h, cell.w_hn.data) + cell.b_n.data)
+    expected = (1.0 - update) * candidate + update * h
+
+    result = cell.forward_np(x, h)
+    np.testing.assert_array_equal(result, expected)
+    rows = np.concatenate(
+        [cell.forward_np(x[i:i + 1], h[i:i + 1]) for i in range(batch)]
+    )
+    np.testing.assert_array_equal(rows, result)
 
 
 def test_case_generator_covers_the_interesting_axes():

@@ -31,7 +31,12 @@ from repro.serving import (
     PolicyServer,
     ShadowEvaluator,
 )
-from repro.serving.netserver import CODEC_JSON, decode_body, encode_frame
+from repro.serving.netserver import (
+    CODEC_JSON,
+    MAX_OPEN_PER_REQUEST,
+    decode_body,
+    encode_frame,
+)
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
@@ -457,6 +462,30 @@ class TestNetServer:
                     reply = await client.request({"op": "swap", "version": "v1"})
                     assert reply["error"] == "BAD_REQUEST"  # no registry attached
                     # The connection survived all of it.
+                    assert await client.ping()
+                await netserver.drain()
+
+        asyncio.run(scenario())
+
+    def test_open_count_is_bounded_per_request(self, compiled_policy, serving_env):
+        """One frame cannot size the session table: an oversized ``open``
+        is refused before the table is touched, and the connection lives."""
+
+        async def scenario():
+            server = PolicyServer(
+                CompiledFSMBackend(compiled_policy), serving_env.observation_encoder
+            )
+            netserver = PolicyNetServer(server, flush_interval=0.001)
+            capacity = server.table.capacity
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                async with await PolicyClient.connect_unix(socket_path) as client:
+                    reply = await client.request(
+                        {"op": "open", "count": MAX_OPEN_PER_REQUEST + 1}
+                    )
+                    assert reply["error"] == "BAD_REQUEST"
+                    assert server.table.capacity == capacity
+                    assert server.table.num_active == 0
                     assert await client.ping()
                 await netserver.drain()
 

@@ -108,3 +108,23 @@ class TestGRUSequence:
         _, from_custom = gru(seq, h0)
         _, from_zero = gru(seq)
         assert not np.allclose(from_custom.numpy(), from_zero.numpy())
+
+
+def test_forward_np_sees_rebound_bias_at_every_batch_size():
+    """Rebinding a bias changes the next inference step at every B.
+
+    ``forward_np`` reads ``.data`` at call time: a weight cache keyed on
+    anything less than all nine parameters would serve a stale bias to
+    some batch sizes while the autograd forward sees the new one.
+    """
+    cell = GRUCell(4, 16, rng=0)
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((5, 4))
+    h = rng.standard_normal((5, 16))
+    before = {b: cell.forward_np(x[:b], h[:b]) for b in (1, 2, 5)}
+    cell.b_r.data = rng.standard_normal(16)
+    expected = cell(Tensor(x), Tensor(h)).numpy()
+    for batch, stale in before.items():
+        after = cell.forward_np(x[:batch], h[:batch])
+        assert not np.array_equal(after, stale), f"B={batch} kept the old bias"
+        np.testing.assert_allclose(after, expected[:batch], rtol=0, atol=1e-12)

@@ -226,6 +226,23 @@ class TestCompiledArtifact:
         assert np.array_equal(a.next_states, b.next_states)
         assert np.array_equal(a.fallback_mask, b.fallback_mask)
 
+    def test_single_row_batch_equals_row_of_wider_batch(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        """B = 1 and B = 3 share one encoder pass: same codes, same decision."""
+        normalized = serving_env.observation_encoder.normalize_batch(observation_stream)
+        states = np.full(3, compiled_policy.start_state, dtype=np.int64)
+        for i in range(len(normalized) - 2):
+            wide_codes = compiled_policy.encode_codes(normalized[i:i + 3]).copy()
+            np.testing.assert_array_equal(
+                compiled_policy.encode_codes(normalized[i:i + 1]), wide_codes[:1]
+            )
+            wide = compiled_policy.act_batch(normalized[i:i + 3], states)
+            single = compiled_policy.act_batch(normalized[i:i + 1], states[:1])
+            assert single.actions[0] == wide.actions[0]
+            assert single.next_states[0] == wide.next_states[0]
+            assert single.fallback_mask[0] == wide.fallback_mask[0]
+
     def test_encoder_compatibility_stamp(self, compiled_policy, serving_env):
         assert compiled_policy.matches_encoder(serving_env.observation_encoder)
         from repro.env.observation import ObservationEncoder
