@@ -3,10 +3,15 @@
 Drives a fixed number of concurrent sessions through the asyncio
 :class:`PolicyNetServer` over a unix socket with real framed
 :class:`PolicyClient` connections, and reports end-to-end decisions per
-second plus the per-request latency percentiles (p50/p95/p99) from the
+second plus the per-row latency percentiles (p50/p95/p99) from the
 server-side :class:`LatencyHistogram` — the cost of the socket hop, the
 framing, and the time-and-size-triggered micro-batching loop on top of
 the in-process broker the other serving benchmark measures.
+
+The same volume is driven twice, each time against a fresh server: a
+*per-request* round (one ``n = 1`` decide frame per session per step,
+all in flight together) and a *block* round (``decide_many``: one frame
+per client per step carrying all of that client's sessions).
 
 Also serves one round through an in-process :class:`PolicyServer` on
 the same artifact and records the socket/in-process throughput ratio,
@@ -82,25 +87,39 @@ def _build_compiled():
     return compiled, encoder, np.asarray(dataset.raw_observations, dtype=float)
 
 
-async def _measure_round(clients, handles, raw_pool, step_offset):
+async def _measure_round(clients, handles, raw_pool, step_offset, block):
     """One round: every session decides STEPS times; returns elapsed seconds."""
     per_client = len(handles[0])
+    columns = [np.array(client_handles) for client_handles in handles]
     start = time.perf_counter()
     for step in range(STEPS):
-        await asyncio.gather(*[
-            client.decide(
-                handle,
-                raw_pool[
-                    (c * per_client + s) * 13 + (step_offset + step) * 7
-                ],
-            )
-            for c, client in enumerate(clients)
-            for s, handle in enumerate(handles[c])
-        ])
+        if block:
+            await asyncio.gather(*[
+                client.decide_many(
+                    columns[c][:, 0],
+                    columns[c][:, 1],
+                    raw_pool[
+                        (c * per_client + np.arange(per_client)) * 13
+                        + (step_offset + step) * 7
+                    ],
+                )
+                for c, client in enumerate(clients)
+            ])
+        else:
+            await asyncio.gather(*[
+                client.decide(
+                    handle,
+                    raw_pool[
+                        (c * per_client + s) * 13 + (step_offset + step) * 7
+                    ],
+                )
+                for c, client in enumerate(clients)
+                for s, handle in enumerate(handles[c])
+            ])
     return time.perf_counter() - start
 
 
-async def _drive(compiled, encoder, raw_pool):
+async def _drive(compiled, encoder, raw_pool, block):
     server = PolicyServer(
         CompiledFSMBackend(compiled),
         encoder,
@@ -120,11 +139,11 @@ async def _drive(compiled, encoder, raw_pool):
     raw_pool = raw_pool[np.arange(total * 13 + (ROUNDS + 2) * STEPS * 7 + 1)
                         % len(raw_pool)]
 
-    await _measure_round(clients, handles, raw_pool, 0)  # warm-up
+    await _measure_round(clients, handles, raw_pool, 0, block)  # warm-up
     rates = []
     for round_index in range(ROUNDS):
         elapsed = await _measure_round(
-            clients, handles, raw_pool, (round_index + 1) * STEPS
+            clients, handles, raw_pool, (round_index + 1) * STEPS, block
         )
         rates.append(total * STEPS / elapsed)
 
@@ -139,7 +158,10 @@ async def _drive(compiled, encoder, raw_pool):
 def test_bench_net_serving(tmp_path):
     compiled, encoder, raw_pool = _build_compiled()
 
-    socket_rates, stats = asyncio.run(_drive(compiled, encoder, raw_pool))
+    socket_rates, stats = asyncio.run(_drive(compiled, encoder, raw_pool, block=False))
+    block_rates, block_stats = asyncio.run(
+        _drive(compiled, encoder, raw_pool, block=True)
+    )
 
     # In-process reference on the same artifact: one decide_now batch per
     # step, same request volume, no socket / framing / event loop.
@@ -164,8 +186,10 @@ def test_bench_net_serving(tmp_path):
         )
 
     best_socket = max(socket_rates)
+    best_block = max(block_rates)
     best_inprocess = max(inprocess_rates)
     latency = stats["latency"]
+    block_latency = block_stats["latency"]
     summary = {
         "benchmark": "net_serving",
         "sessions": SESSIONS,
@@ -183,6 +207,14 @@ def test_bench_net_serving(tmp_path):
         "latency_max_ms": latency["max_ms"],
         "batches": stats["batches"],
         "mean_batch_size": stats["mean_batch_size"],
+        "block_decisions_per_s": round(best_block, 1),
+        "block_overhead_factor": round(best_inprocess / best_block, 2),
+        "block_rates": [round(r, 1) for r in block_rates],
+        "block_rows_per_frame": SESSIONS // CLIENTS,
+        "block_latency_p50_ms": block_latency["p50_ms"],
+        "block_latency_p95_ms": block_latency["p95_ms"],
+        "block_batches": block_stats["batches"],
+        "block_mean_batch_size": block_stats["mean_batch_size"],
     }
     print()
     print(json.dumps(summary, indent=2))
@@ -195,6 +227,8 @@ def test_bench_net_serving(tmp_path):
             json.dumps(summary, indent=2) + "\n"
         )
 
-    assert stats["decisions"] == SESSIONS * STEPS * (ROUNDS + 1)
-    assert stats["failed"] == 0
+    for served in (stats, block_stats):
+        assert served["decisions"] == SESSIONS * STEPS * (ROUNDS + 1)
+        assert served["failed"] == 0
+        assert served["latency"]["count"] == served["decisions"]
     assert latency["p99_ms"] > 0

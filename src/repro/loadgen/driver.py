@@ -110,10 +110,10 @@ class SocketTransport:
     """The same waves over :class:`PolicyClient` connections.
 
     Session ``i`` of a wave always goes through connection ``i % N``
-    (affinity), and each wave is issued in windows of
-    ``per_connection_window`` requests per connection so a
+    (affinity), and each wave is issued in windows of one decide block
+    per connection, at most ``per_connection_window`` rows each, so a
     deterministic run never trips the server's ``BUSY`` back-pressure.
-    Admin traffic (open/close/stats) rides connection 0.
+    Admin traffic (open/close/stats) and stale probes ride connection 0.
     """
 
     name = "socket"
@@ -146,21 +146,27 @@ class SocketTransport:
         hist: LatencyHistogram,
     ) -> np.ndarray:
         n = int(slots.shape[0])
+        k = len(self.clients)
         actions = np.zeros(n, dtype=np.int64)
 
-        async def one(index: int) -> None:
-            client = self.clients[index % len(self.clients)]
+        async def block(client: PolicyClient, rows: slice) -> None:
             start = time.perf_counter()
-            action = await client.decide(
-                (int(slots[index]), int(gens[index])), raw[index]
-            )
-            hist.record(time.perf_counter() - start)
-            actions[index] = action
+            decided = await client.decide_many(slots[rows], gens[rows], raw[rows])
+            # Every row of the block shares the block's round trip.
+            hist.record_many(np.full(decided.shape[0], time.perf_counter() - start))
+            actions[rows] = decided
 
-        chunk = self.window * len(self.clients)
+        chunk = self.window * k
         for begin in range(0, n, chunk):
             stop = min(begin + chunk, n)
-            await asyncio.gather(*(one(i) for i in range(begin, stop)))
+            # Row i rides connection i % k; a connection whose first row
+            # falls beyond the window's end sends nothing this window.
+            await asyncio.gather(
+                *(
+                    block(self.clients[i % k], slice(i, stop, k))
+                    for i in range(begin, min(begin + k, stop))
+                )
+            )
         return actions
 
     async def stale_probe(self, slot: int, gen: int, raw_row: np.ndarray) -> str:

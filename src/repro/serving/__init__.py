@@ -15,8 +15,8 @@ names from there.
 * :mod:`repro.serving.artifacts` — versioned artifact registry with the
   blue/green swap audit trail;
 * :mod:`repro.serving.netserver` — the asyncio network front door
-  (unix-socket / TCP, length-prefixed JSON frames) and its pipelining
-  client.
+  (unix-socket / TCP, length-prefixed frames: JSON control ops, one
+  binary columnar decide block) and its pipelining client.
 """
 
 from repro.serving.artifacts import ArtifactRecord, ArtifactRegistry

@@ -9,27 +9,48 @@ sessions and stream decision requests at it.
 Wire format
 -----------
 Length-prefixed frames: a 5-byte header ``!BI`` (1 codec byte, 4-byte
-big-endian payload length) followed by the payload.  Codec ``0`` is
-JSON (UTF-8), the only codec; a frame with any other codec byte is a
-protocol error.  Payloads are single dicts with an ``op`` field; requests may carry an
-``id`` which is echoed verbatim in the reply, letting clients pipeline
-requests and match responses out of order.
+big-endian body length, at most ``MAX_FRAME_BYTES``) followed by the
+body.  There are two codecs and any other codec byte is a protocol
+error that costs the sender its connection.
+
+====== ============================ ==========================================
+codec  body                         used for
+====== ============================ ==========================================
+``0``  one UTF-8 JSON dict          control ops (``open``, ``close``,
+                                    ``stats``, ``metrics``, ``versions``,
+                                    ``swap``, ``audit``, ``ping``) and every
+                                    error reply; ``id`` is echoed verbatim
+``1``  ``<QI`` (request id, ``n``)  the one decide op, little-endian columns:
+       then ``n``-row columns       request ``slots int64[n]``, ``generations
+                                    int64[n]``, ``observations float64[n, 35]``
+                                    (``12 + 296 n`` bytes); reply ``actions
+                                    int64[n]`` (``12 + 8 n`` bytes)
+====== ============================ ==========================================
+
+A decide frame is one *block*: ``n >= 1`` rows naming distinct sessions.
+The single-session decide is the ``n = 1`` block.  Errors are JSON
+frames carrying the block's request id and apply to the whole block:
+``BAD_REQUEST``, ``STALE_SESSION``, ``BUSY`` and ``DRAINING`` mean no
+row was queued (the block is validated before any row enters the
+queue, exactly as :meth:`PolicyServer.submit_many` validates a wave);
+``BACKEND_ERROR`` means at least one row's decision failed.
 
 Batching
 --------
-``decide`` requests do **not** answer inline.  Each one becomes a
+Decide blocks do **not** answer inline.  Each row becomes a
 :class:`~repro.serving.server.DecisionTicket` in the broker's queue and
-the connection handler parks the reply; the queue flushes either when
-it reaches the broker's ``max_batch_size`` (size trigger, synchronous)
-or when the server's flush loop ticks (time trigger,
+the connection handler parks one reply per block; the queue flushes
+either when it reaches the broker's ``max_batch_size`` (size trigger,
+synchronous) or when the server's flush loop ticks (time trigger,
 ``flush_interval`` seconds).  One backend call answers every parked
-request of the batch, and per-request arrival→reply latency is recorded
-into the :class:`~repro.serving.server.ServerStats` SLO histogram.
+row of the batch, a block is answered once its last row resolved, and
+the block's arrival→reply latency is recorded once per row into the
+:class:`~repro.serving.server.ServerStats` SLO histogram.
 
-Back-pressure is per connection: more than ``max_inflight`` unanswered
-``decide`` requests on one connection get an immediate ``BUSY`` error
-reply instead of a queue slot, so one flooding client cannot grow the
-queue unboundedly for everyone else.
+Back-pressure is per connection and counted in rows: a block that would
+put more than ``max_inflight`` unanswered rows on one connection gets
+an immediate ``BUSY`` error reply instead of queue slots, so one
+flooding client cannot grow the queue unboundedly for everyone else.
 
 Session handles are ``(slot, generation)`` pairs.  Every request that
 names a session carries both, and the server validates the generation
@@ -61,6 +82,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.env.observation import OBSERVATION_DIM
 from repro.errors import ConfigurationError, ReproError, ServingError, StaleSessionError
 from repro.serving.artifacts import ArtifactRegistry
 from repro.serving.server import DecisionTicket, PolicyServer
@@ -68,24 +90,76 @@ from repro.serving.shadow import FidelityAlarm
 from repro import telemetry
 
 CODEC_JSON = 0
+CODEC_DECIDE = 1
 _HEADER = struct.Struct("!BI")
+_BLOCK = struct.Struct("<QI")  # request id, rows
+# One decide request row: slot, generation, observation; one reply row: action.
+DECIDE_ROW_BYTES = 8 * (2 + OBSERVATION_DIM)
+_ACTION_ROW_BYTES = 8
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 # Largest ``open`` one request may ask for: the wire is not trusted with
 # the session table's allocation size, and this is the largest open
 # whose handles reply still fits one frame.
 MAX_OPEN_PER_REQUEST = 1 << 20
+_CONTROL_OPS = ("open", "close", "stats", "metrics", "versions", "swap", "audit", "ping")
+
+
+def _frame(codec: int, body: bytes) -> bytes:
+    if len(body) > MAX_FRAME_BYTES:
+        raise ConfigurationError(f"frame too large: {len(body)} bytes")
+    return _HEADER.pack(codec, len(body)) + body
 
 
 def encode_frame(payload: Dict[str, object]) -> bytes:
-    """Serialise one message dict into a length-prefixed frame."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise ConfigurationError(f"frame too large: {len(body)} bytes")
-    return _HEADER.pack(CODEC_JSON, len(body)) + body
+    """Serialise one message dict into a length-prefixed JSON frame."""
+    return _frame(CODEC_JSON, json.dumps(payload, separators=(",", ":")).encode("utf-8"))
 
 
-def decode_body(codec: int, body: bytes) -> Dict[str, object]:
-    """Deserialise one frame body; anything malformed is a ``ConfigurationError``."""
+def encode_block(request_id: int, *columns: np.ndarray) -> bytes:
+    """One decide frame: ``(slots, generations, observations)`` or ``(actions,)``.
+
+    Every column holds one entry per row, already in its wire dtype
+    (int64, or float64 for the observation matrix).
+    """
+    rows = int(columns[0].shape[0])
+    body = _BLOCK.pack(request_id, rows) + b"".join(
+        column.tobytes() for column in columns
+    )
+    return _frame(CODEC_DECIDE, body)
+
+
+def _decode_block(body: bytes, reply: bool) -> tuple:
+    if len(body) < _BLOCK.size:
+        raise ConfigurationError(f"truncated decide block: {len(body)} bytes")
+    request_id, rows = _BLOCK.unpack_from(body)
+    row_bytes = _ACTION_ROW_BYTES if reply else DECIDE_ROW_BYTES
+    if rows == 0 or len(body) != _BLOCK.size + rows * row_bytes:
+        raise ConfigurationError(
+            f"decide block of {rows} rows must be {_BLOCK.size} + {row_bytes} * rows "
+            f"bytes with rows >= 1, got {len(body)}"
+        )
+    if reply:
+        return request_id, np.frombuffer(body, dtype="<i8", offset=_BLOCK.size)
+    handles = np.frombuffer(body, dtype="<i8", count=2 * rows, offset=_BLOCK.size)
+    observations = np.frombuffer(body, dtype="<f8", offset=_BLOCK.size + 16 * rows)
+    return (
+        request_id,
+        handles[:rows],
+        handles[rows:],
+        observations.reshape(rows, OBSERVATION_DIM),
+    )
+
+
+def decode_body(codec: int, body: bytes, reply: bool = False):
+    """Deserialise one frame body; anything malformed is a ``ConfigurationError``.
+
+    Codec 0 gives the message dict.  Codec 1 gives the block's read-only
+    column views — ``(request id, slots, generations, observations)``,
+    or ``(request id, actions)`` when ``reply`` says which way the frame
+    travelled (the two directions share the codec byte).
+    """
+    if codec == CODEC_DECIDE:
+        return _decode_block(body, reply)
     if codec != CODEC_JSON:
         raise ConfigurationError(f"unknown frame codec {codec}")
     try:
@@ -97,14 +171,29 @@ def decode_body(codec: int, body: bytes) -> Dict[str, object]:
     return payload
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Dict[str, object]:
-    """Read one frame's payload; raises ``IncompleteReadError`` on EOF."""
-    header = await reader.readexactly(_HEADER.size)
+async def read_frame(reader: asyncio.StreamReader, reply: bool = False) -> tuple:
+    """Read one frame as ``(codec, payload)``.
+
+    EOF between frames raises ``IncompleteReadError`` (the peer hung
+    up); EOF inside a frame is a ``ConfigurationError`` like every other
+    malformed frame.
+    """
+    try:
+        header = await reader.readexactly(_HEADER.size)
+    except asyncio.IncompleteReadError as exc:
+        if exc.partial:
+            raise ConfigurationError("truncated frame header") from exc
+        raise
     codec, length = _HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ConfigurationError(f"frame too large: {length} bytes")
-    body = await reader.readexactly(length)
-    return decode_body(codec, body)
+    try:
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise ConfigurationError(
+            f"truncated frame body: {len(exc.partial)} of {length} bytes"
+        ) from exc
+    return codec, decode_body(codec, body, reply)
 
 
 class _Connection:
@@ -114,11 +203,11 @@ class _Connection:
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        self.inflight = 0
+        self.inflight = 0  # unanswered decide rows
         self.closed = False
         self.broken = False
 
-    def send(self, payload: Dict[str, object]) -> bool:
+    def send(self, frame: bytes) -> bool:
         """Write one reply frame; ``False`` if the connection can't take it.
 
         A transport that raises (peer reset the connection, writer
@@ -130,26 +219,26 @@ class _Connection:
         if self.closed or self.broken or self.writer.is_closing():
             return False
         try:
-            self.writer.write(encode_frame(payload))
+            self.writer.write(frame)
         except (OSError, RuntimeError):
             self.broken = True
             return False
         return True
 
 
-class _Waiter:
-    """One parked ``decide`` reply, settled when its ticket resolves."""
+class _Block:
+    """One parked decide reply, settled when its last ticket resolves."""
 
-    __slots__ = ("ticket", "connection", "request_id", "arrived")
+    __slots__ = ("tickets", "connection", "request_id", "arrived")
 
     def __init__(
         self,
-        ticket: DecisionTicket,
+        tickets: List[DecisionTicket],
         connection: _Connection,
-        request_id: object,
+        request_id: int,
         arrived: float,
     ) -> None:
-        self.ticket = ticket
+        self.tickets = tickets
         self.connection = connection
         self.request_id = request_id
         self.arrived = arrived
@@ -177,8 +266,8 @@ class PolicyNetServer:
         Time trigger of the batching loop — the longest a queued request
         waits before a flush when the size trigger never fires.
     max_inflight:
-        Per-connection bound on unanswered ``decide`` requests; above
-        it the server answers ``BUSY`` immediately (back-pressure).
+        Per-connection bound on unanswered decide rows; a block that
+        would exceed it is answered ``BUSY`` immediately (back-pressure).
     alarm / alarm_swap_to:
         A :class:`FidelityAlarm` checked every flush tick; when it
         trips, the server automatically hot-swaps to artifact version
@@ -209,7 +298,7 @@ class PolicyNetServer:
         self.max_inflight = int(max_inflight)
         self.alarm = alarm
         self.alarm_swap_to = alarm_swap_to
-        self._waiters: List[_Waiter] = []
+        self._parked: List[_Block] = []
         self._connections: List[_Connection] = []
         self._listeners: List[asyncio.AbstractServer] = []
         self._flush_task: Optional[asyncio.Task] = None
@@ -232,11 +321,11 @@ class PolicyNetServer:
             op: self.metrics.counter(
                 "netserver_requests_total", "Frames dispatched, by op", op=op
             )
-            for op in (
-                "decide", "open", "close", "stats", "metrics",
-                "versions", "swap", "audit", "ping", "other",
-            )
+            for op in ("decide", *_CONTROL_OPS, "other")
         }
+        self._m_decide_rows = self.metrics.counter(
+            "netserver_decide_rows_total", "Rows carried by decide frames"
+        )
         self._m_errors: Dict[str, object] = {
             code: self.metrics.counter(
                 "netserver_error_replies_total",
@@ -327,15 +416,15 @@ class PolicyNetServer:
         # failing the tickets from out here would leave them in the
         # broker's pending set, and ``pending`` would read nonzero
         # after a "clean" drain.
-        if self._waiters:
+        if self._parked:
             drained = ServingError("server drained before decision")
             self.server.cancel_pending(drained)
-            for waiter in self._waiters:
-                if not waiter.ticket.done:
+            for block in self._parked:
+                for ticket in block.tickets:
                     # Backstop for a ticket the broker no longer tracks
                     # (cannot normally happen — cancel/flush resolve or
-                    # fail every queued ticket).
-                    waiter.ticket.fail(drained)
+                    # fail every queued ticket); a no-op on a done one.
+                    ticket.fail(drained)
             self._settle()
         if self._flush_task is not None:
             self._flush_task.cancel()
@@ -365,7 +454,7 @@ class PolicyNetServer:
             "active_sessions": self.server.table.num_active,
             "peak_sessions": self.server.table.peak_active,
             "pending": self.server.pending,
-            "parked_replies": len(self._waiters),
+            "parked_replies": len(self._parked),
             "connections_total": self.connections_total,
             "connections_open": len(self._connections),
             "requests_total": self.requests_total,
@@ -441,36 +530,43 @@ class PolicyNetServer:
                 self.last_flush_error = f"{type(exc).__name__}: {exc}"
 
     def _settle(self) -> None:
-        """Write replies for every parked request whose ticket resolved."""
-        if not self._waiters:
+        """Write the reply of every parked block whose tickets all resolved.
+
+        A block's tickets enter the broker queue in order and every
+        flush or cancel takes the whole queue, so the last ticket is
+        done exactly when all of them are.
+        """
+        if not self._parked:
             return
-        unresolved: List[_Waiter] = []
+        unresolved: List[_Block] = []
         now = time.perf_counter()
         latency = self.server.stats().latency
-        for waiter in self._waiters:
-            ticket = waiter.ticket
-            if not ticket.done:
-                unresolved.append(waiter)
+        for block in self._parked:
+            tickets = block.tickets
+            if not tickets[-1].done:
+                unresolved.append(block)
                 continue
-            if ticket.failed:
-                reply = _error_reply(
+            latency.record_many(np.full(len(tickets), now - block.arrived))
+            block.connection.inflight -= len(tickets)
+            actions = [ticket.action for ticket in tickets]
+            if None in actions:
+                failed = tickets[actions.index(None)]
+                sent = self._send_error(
+                    block.connection,
                     "BACKEND_ERROR",
-                    f"decision failed: {ticket._error}",
-                    waiter.request_id,
+                    f"decision failed: {failed._error}",
+                    block.request_id,
                 )
-                self._m_errors["BACKEND_ERROR"].inc()
             else:
-                reply = {"ok": True, "action": int(ticket.result())}
-                if waiter.request_id is not None:
-                    reply["id"] = waiter.request_id
-            latency.record(now - waiter.arrived)
-            waiter.connection.inflight -= 1
-            if not waiter.connection.send(reply):
+                sent = block.connection.send(
+                    encode_block(block.request_id, np.array(actions, dtype=np.int64))
+                )
+            if not sent:
                 # Closed or broken peer: its reply is dropped (counted),
                 # everyone else's in this batch still settles.
                 self.replies_dropped += 1
                 self._m_replies_dropped.inc()
-        self._waiters = unresolved
+        self._parked = unresolved
         self._m_parked.set(len(unresolved))
 
     # ------------------------------------------------------------------
@@ -487,14 +583,17 @@ class PolicyNetServer:
         try:
             while not self._draining:
                 try:
-                    request = await read_frame(reader)
+                    codec, request = await read_frame(reader)
                 except (asyncio.IncompleteReadError, ConnectionResetError):
                     break
                 except ConfigurationError:
                     self.protocol_errors += 1
                     break
                 self.requests_total += 1
-                self._dispatch(connection, request)
+                if codec == CODEC_DECIDE:
+                    self._decide_block(connection, *request)
+                else:
+                    self._dispatch(connection, request)
                 if writer.transport.get_write_buffer_size() > 1 << 20:
                     await writer.drain()
         finally:
@@ -506,12 +605,12 @@ class PolicyNetServer:
         code: str,
         message: str,
         request_id: object,
-    ) -> None:
-        """Send one structured error reply, counted by code."""
+    ) -> bool:
+        """Send one structured error reply, counted by code; ``False`` if dropped."""
         counter = self._m_errors.get(code)
         if counter is not None:
             counter.inc()
-        connection.send(_error_reply(code, message, request_id))
+        return connection.send(encode_frame(_error_reply(code, message, request_id)))
 
     def _op_metrics(self) -> Dict[str, object]:
         """Both expositions of the shared registry, liveness gauges fresh.
@@ -523,7 +622,7 @@ class PolicyNetServer:
         """
         self.metrics.gauge(
             "netserver_parked_replies"
-        ).set(len(self._waiters))
+        ).set(len(self._parked))
         self.metrics.gauge(
             "netserver_connections_open"
         ).set(len(self._connections))
@@ -551,12 +650,9 @@ class PolicyNetServer:
     ) -> None:
         request_id = request.get("id")
         op = request.get("op")
-        counter = self._m_requests.get(op if isinstance(op, str) else "other")
-        (counter if counter is not None else self._m_requests["other"]).inc()
+        self._m_requests[op if op in _CONTROL_OPS else "other"].inc()
         try:
-            if op == "decide":
-                self._op_decide(connection, request, request_id)
-            elif op == "metrics":
+            if op == "metrics":
                 exposition = self._op_metrics()
                 self._reply(connection, request_id, metrics=exposition)
             elif op == "open":
@@ -613,44 +709,57 @@ class PolicyNetServer:
                 connection, "BAD_REQUEST", f"malformed request: {exc}", request_id
             )
 
-    def _op_decide(
+    def _decide_block(
         self,
         connection: _Connection,
-        request: Dict[str, object],
-        request_id: object,
+        request_id: int,
+        slots: np.ndarray,
+        generations: np.ndarray,
+        observations: np.ndarray,
     ) -> None:
+        """Queue one decide block and park its reply (the only decide path)."""
+        rows = int(slots.shape[0])
+        self._m_requests["decide"].inc()
+        self._m_decide_rows.inc(rows)
         if self._draining:
             self._send_error(connection, "DRAINING", "server is draining", request_id)
             return
-        if connection.inflight >= self.max_inflight:
-            self.busy_rejections += 1
+        if connection.inflight + rows > self.max_inflight:
+            self.busy_rejections += rows
             self._send_error(
                 connection,
                 "BUSY",
-                f"connection has {connection.inflight} requests in flight "
-                f"(limit {self.max_inflight})",
+                f"block of {rows} rows with {connection.inflight} rows in flight "
+                f"exceeds the connection limit {self.max_inflight}",
                 request_id,
             )
             return
-        slot, generation = self._parse_handle(request["handle"])
-        raw = np.asarray(request["observation"], dtype=float)
         arrived = time.perf_counter()
+        batches = self.server.stats().batches
         try:
-            ticket = self.server.submit(slot, raw, expected_generation=generation)
-        except (StaleSessionError, ConfigurationError):
-            raise
-        except ReproError:
-            # A size-triggered auto-flush hit a backend fault.  The
-            # *queued* tickets were failed (their parked replies settle
-            # below); this request itself was never enqueued.
+            tickets = self.server.submit_many(
+                slots, observations, expected_generation=generations
+            )
+        except StaleSessionError as exc:
+            self._send_error(connection, "STALE_SESSION", str(exc), request_id)
+            return
+        except ConfigurationError as exc:
+            self._send_error(connection, "BAD_REQUEST", str(exc), request_id)
+            return
+        except ReproError as exc:
+            # A size-triggered auto-flush hit a backend fault.  It took
+            # every queued ticket with it — this block's rows so far and
+            # other blocks', whose parked replies settle here — and the
+            # rest of this block was never enqueued.
             self._settle()
-            raise
-        self._waiters.append(_Waiter(ticket, connection, request_id, arrived))
-        connection.inflight += 1
+            self._send_error(connection, "BACKEND_ERROR", str(exc), request_id)
+            return
+        self._parked.append(_Block(tickets, connection, request_id, arrived))
+        connection.inflight += rows
         # The submit may have size-triggered (or same-session-triggered)
-        # a synchronous flush; settle immediately so replies are not
+        # a synchronous flush; settle immediately so its replies are not
         # deferred a full timer tick.
-        if ticket.done or self.server.pending == 0:
+        if self.server.stats().batches != batches:
             self._settle()
 
     # ------------------------------------------------------------------
@@ -662,7 +771,7 @@ class PolicyNetServer:
         payload: Dict[str, object] = {"ok": True, **fields}
         if request_id is not None:
             payload["id"] = request_id
-        connection.send(payload)
+        connection.send(encode_frame(payload))
 
     @staticmethod
     def _parse_handle(handle: object) -> Tuple[int, int]:
@@ -710,9 +819,10 @@ class PolicyClient:
     """Asyncio client for :class:`PolicyNetServer` (pipelining, id-matched).
 
     Every request carries an auto-assigned ``id``; a background reader
-    task matches replies to futures, so any number of :meth:`decide`
-    calls can be in flight concurrently on one connection (subject to
-    the server's ``BUSY`` back-pressure).
+    task matches replies to futures, so any number of requests can be in
+    flight concurrently on one connection (decide rows subject to the
+    server's ``BUSY`` back-pressure).  Once the server has closed the
+    connection every call raises :class:`ServingError` at once.
     """
 
     def __init__(
@@ -724,6 +834,7 @@ class PolicyClient:
         self._writer = writer
         self._ids = itertools.count(1)
         self._futures: Dict[object, asyncio.Future] = {}
+        self._closed: Optional[str] = None  # why no reply can arrive any more
         self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
 
     # ------------------------------------------------------------------
@@ -750,7 +861,8 @@ class PolicyClient:
             await self._writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
             pass
-        self._fail_pending(ServingError("client closed"))
+        self._closed = "client closed"
+        self._fail_pending(ServingError(self._closed))
 
     async def __aenter__(self) -> "PolicyClient":
         return self
@@ -767,74 +879,125 @@ class PolicyClient:
     async def _read_loop(self) -> None:
         try:
             while True:
-                reply = await read_frame(self._reader)
-                future = self._futures.pop(reply.get("id"), None)
+                codec, reply = await read_frame(self._reader, reply=True)
+                request_id = reply[0] if codec == CODEC_DECIDE else reply.get("id")
+                future = self._futures.pop(request_id, None)
                 if future is not None and not future.done():
                     future.set_result(reply)
         except (asyncio.IncompleteReadError, ConnectionResetError, ConfigurationError):
-            self._fail_pending(ServingError("connection closed by server"))
+            self._closed = "connection closed by server"
+            self._fail_pending(ServingError(self._closed))
 
     # ------------------------------------------------------------------
     # Raw request / typed helpers
     # ------------------------------------------------------------------
-    async def request(self, payload: Dict[str, object]) -> Dict[str, object]:
-        """Send one request and await its id-matched reply (no raising)."""
-        request_id = next(self._ids)
-        payload = {**payload, "id": request_id}
+    async def _roundtrip(self, request_id: int, frame: bytes):
+        """Write one frame and await the reply carrying ``request_id``."""
+        if self._closed is not None:
+            raise ServingError(self._closed)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._futures[request_id] = future
-        self._writer.write(encode_frame(payload))
-        await self._writer.drain()
+        try:
+            self._writer.write(frame)
+            await self._writer.drain()
+        except OSError as exc:
+            # Unless the read loop got there first and failed the future
+            # (awaited below), nobody will ever resolve it.
+            if self._futures.pop(request_id, None) is not None:
+                raise ServingError("connection closed by server") from exc
         return await future
 
-    async def _checked(self, payload: Dict[str, object]) -> Dict[str, object]:
+    async def request(self, payload: Dict[str, object]) -> Dict[str, object]:
+        """Send one control request and await its id-matched reply.
+
+        Error replies are returned, not raised; only a dead connection
+        raises (:class:`ServingError`).
+        """
+        request_id = next(self._ids)
+        return await self._roundtrip(
+            request_id, encode_frame({**payload, "id": request_id})
+        )
+
+    @staticmethod
+    def _error(reply: Dict[str, object]) -> ServingError:
+        code = reply.get("error", "ERROR")
+        if code == "STALE_SESSION":
+            return StaleSessionError(str(reply.get("message")))
+        return ServingError(f"{code}: {reply.get('message')}")
+
+    async def _control(self, payload: Dict[str, object]) -> Dict[str, object]:
         reply = await self.request(payload)
         if not reply.get("ok"):
-            code = reply.get("error", "ERROR")
-            if code == "STALE_SESSION":
-                raise StaleSessionError(str(reply.get("message")))
-            raise ServingError(f"{code}: {reply.get('message')}")
+            raise self._error(reply)
         return reply
 
+    async def decide_many(
+        self, slots: np.ndarray, generations: np.ndarray, observations: np.ndarray
+    ) -> np.ndarray:
+        """One decide block: row ``i`` answers session ``(slots[i], generations[i])``.
+
+        The block is served or refused as a whole; a refusal raises
+        :class:`StaleSessionError` or :class:`ServingError`.  The
+        returned int64 action vector is a read-only view of the reply.
+        """
+        slots = np.asarray(slots, dtype="<i8")
+        generations = np.asarray(generations, dtype="<i8")
+        observations = np.asarray(observations, dtype="<f8")
+        if (
+            slots.ndim != 1
+            or slots.size == 0
+            or generations.shape != slots.shape
+            or observations.shape != (slots.size, OBSERVATION_DIM)
+        ):
+            raise ConfigurationError(
+                f"a decide block is n >= 1 slots, n generations and an "
+                f"(n, {OBSERVATION_DIM}) observation matrix, got {slots.shape}, "
+                f"{generations.shape}, {observations.shape}"
+            )
+        request_id = next(self._ids)
+        reply = await self._roundtrip(
+            request_id, encode_block(request_id, slots, generations, observations)
+        )
+        if isinstance(reply, dict):  # errors travel as JSON frames
+            raise self._error(reply)
+        return reply[1]
+
     async def open(self, count: int = 1) -> List[Tuple[int, int]]:
-        reply = await self._checked({"op": "open", "count": count})
+        reply = await self._control({"op": "open", "count": count})
         return [(int(s), int(g)) for s, g in reply["handles"]]
 
     async def decide(
         self, handle: Sequence[int], observation: Sequence[float]
     ) -> int:
-        reply = await self._checked(
-            {
-                "op": "decide",
-                "handle": [int(handle[0]), int(handle[1])],
-                "observation": [float(v) for v in observation],
-            }
+        """The ``n = 1`` call of :meth:`decide_many`."""
+        actions = await self.decide_many(
+            [handle[0]], [handle[1]], np.asarray(observation, dtype="<f8")[None]
         )
-        return int(reply["action"])
+        return int(actions[0])
 
     async def close_sessions(self, handles: Sequence[Sequence[int]]) -> int:
-        reply = await self._checked(
+        reply = await self._control(
             {"op": "close", "handles": [[int(h[0]), int(h[1])] for h in handles]}
         )
         return int(reply["closed"])
 
     async def stats(self) -> Dict[str, object]:
-        return (await self._checked({"op": "stats"}))["stats"]
+        return (await self._control({"op": "stats"}))["stats"]
 
     async def metrics(self) -> Dict[str, object]:
         """Scrape the server's telemetry: Prometheus text + JSON snapshot."""
-        return (await self._checked({"op": "metrics"}))["metrics"]
+        return (await self._control({"op": "metrics"}))["metrics"]
 
     async def versions(self) -> Dict[str, object]:
-        reply = await self._checked({"op": "versions"})
+        reply = await self._control({"op": "versions"})
         return {"active": reply["active"], "versions": reply["versions"]}
 
     async def swap(self, version: str, reason: str = "manual") -> Dict[str, object]:
         request = {"op": "swap", "version": version, "reason": reason}
-        return (await self._checked(request))["swap"]
+        return (await self._control(request))["swap"]
 
     async def audit(self) -> List[Dict[str, object]]:
-        return (await self._checked({"op": "audit"}))["audit"]
+        return (await self._control({"op": "audit"}))["audit"]
 
     async def ping(self) -> bool:
-        return bool((await self._checked({"op": "ping"})).get("pong"))
+        return bool((await self._control({"op": "ping"})).get("pong"))

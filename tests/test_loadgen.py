@@ -182,6 +182,37 @@ class TestFleetSchedule:
         assert schedule.num_shards() == 3
 
 
+def _socket_run(schedule, compiled_policy, serving_env, clients, window, base_seed):
+    """One fleet run over ``clients`` unix-socket connections; (report, drain summary)."""
+
+    async def run():
+        netserver = PolicyNetServer(
+            _make_server(compiled_policy, serving_env),
+            flush_interval=0.001,
+            max_inflight=64,
+        )
+        socket_root = tempfile.mkdtemp(prefix="rfleet", dir="/tmp")
+        socket_path = os.path.join(socket_root, "s.sock")
+        try:
+            await netserver.start(unix_path=socket_path)
+            connections = [
+                await PolicyClient.connect_unix(socket_path) for _ in range(clients)
+            ]
+            driver = FleetDriver(
+                schedule,
+                SocketTransport(connections, per_connection_window=window),
+                base_seed=base_seed,
+            )
+            report = await driver.run_async()
+            for connection in connections:
+                await connection.close()
+            return report, await netserver.drain()
+        finally:
+            shutil.rmtree(socket_root, ignore_errors=True)
+
+    return asyncio.run(run())
+
+
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
@@ -261,39 +292,44 @@ class TestFleetDriver:
         inproc = FleetDriver(
             schedule, InProcessTransport(server), base_seed=11
         ).run()
-
-        async def socket_run():
-            sock_server = _make_server(compiled_policy, serving_env)
-            netserver = PolicyNetServer(
-                sock_server, flush_interval=0.001, max_inflight=64
-            )
-            socket_root = tempfile.mkdtemp(prefix="rfleet", dir="/tmp")
-            socket_path = os.path.join(socket_root, "s.sock")
-            try:
-                await netserver.start(unix_path=socket_path)
-                clients = [
-                    await PolicyClient.connect_unix(socket_path) for _ in range(3)
-                ]
-                driver = FleetDriver(
-                    schedule,
-                    SocketTransport(clients, per_connection_window=16),
-                    base_seed=11,
-                )
-                report = await driver.run_async()
-                for client in clients:
-                    await client.close()
-                summary = await netserver.drain()
-                return report, summary
-            finally:
-                shutil.rmtree(socket_root, ignore_errors=True)
-
-        socket_report, summary = asyncio.run(socket_run())
+        socket_report, summary = _socket_run(
+            schedule, compiled_policy, serving_env, clients=3, window=16, base_seed=11
+        )
         assert socket_report.deterministic_json() == inproc.deterministic_json()
         assert socket_report.digest == inproc.digest
         # The deterministic run never trips back-pressure or drops replies.
         assert summary["busy_rejections"] == 0
         assert summary["replies_dropped"] == 0
         assert summary["flush_loop_errors"] == 0
+
+    @pytest.mark.parametrize("window", [1, 7, 64])
+    @pytest.mark.parametrize("clients", [1, 2, 3])
+    def test_socket_matches_inprocess_over_the_partition_space(
+        self, compiled_policy, serving_env, clients, window
+    ):
+        """However a wave is cut into blocks, the run is the same run.
+
+        Waves of 16 rows (and odd-sized flash-crowd waves) over 1-3
+        connections cover waves not divisible by the connection count,
+        windows smaller than a wave, and last windows in which a
+        connection gets no row at all.
+        """
+        schedule = _small_schedule()
+        inproc = FleetDriver(
+            schedule,
+            InProcessTransport(_make_server(compiled_policy, serving_env)),
+            base_seed=13,
+        ).run()
+        socket_report, summary = _socket_run(
+            schedule, compiled_policy, serving_env, clients, window, base_seed=13
+        )
+        assert socket_report.deterministic_json() == inproc.deterministic_json()
+        assert summary["busy_rejections"] == 0
+        assert summary["pending"] == 0 and summary["parked_replies"] == 0
+        decisions = inproc.deterministic_dict()
+        assert summary["latency"]["count"] == (
+            decisions["decisions_total"] + decisions["probe_decisions_total"]
+        )
 
     def test_recycle_restarts_finished_shards(self, compiled_policy, serving_env):
         server = _make_server(compiled_policy, serving_env)

@@ -8,11 +8,14 @@ short-named temp dir, or TCP loopback) with the real framing client;
 from __future__ import annotations
 
 import asyncio
+import json
 import os
+import struct
 import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
@@ -32,10 +35,15 @@ from repro.serving import (
     ShadowEvaluator,
 )
 from repro.serving.netserver import (
+    CODEC_DECIDE,
     CODEC_JSON,
+    DECIDE_ROW_BYTES,
+    MAX_FRAME_BYTES,
     MAX_OPEN_PER_REQUEST,
     decode_body,
+    encode_block,
     encode_frame,
+    read_frame,
 )
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
@@ -121,7 +129,7 @@ class _socket_dir:
 # ----------------------------------------------------------------------
 class TestFraming:
     def test_json_roundtrip(self):
-        payload = {"op": "decide", "id": 7, "observation": [1.0, 2.5]}
+        payload = {"op": "close", "id": 7, "handles": [[1, 0], [2, 5]]}
         frame = encode_frame(payload)
         codec, length = frame[0], int.from_bytes(frame[1:5], "big")
         assert codec == CODEC_JSON and length == len(frame) - 5
@@ -129,7 +137,7 @@ class TestFraming:
 
     def test_unknown_codec_rejected(self):
         body = encode_frame({"op": "ping"})[5:]
-        for codec in (1, 9):
+        for codec in (2, 9):
             with pytest.raises(ConfigurationError, match="codec"):
                 decode_body(codec, body)
 
@@ -140,6 +148,175 @@ class TestFraming:
     def test_malformed_body_is_a_configuration_error(self, body):
         with pytest.raises(ConfigurationError):
             decode_body(CODEC_JSON, body)
+
+    def test_block_layout_and_roundtrip(self):
+        """Codec 1: ``<QI`` then whole columns, 296 bytes a request row."""
+        slots = np.array([5, 3, 9], dtype=np.int64)
+        generations = np.array([0, 2, 1], dtype=np.int64)
+        observations = np.arange(3 * 35, dtype=float).reshape(3, 35) / 7.0
+        frame = encode_block(41, slots, generations, observations)
+        assert DECIDE_ROW_BYTES == 296
+        assert frame[0] == CODEC_DECIDE
+        assert int.from_bytes(frame[1:5], "big") == len(frame) - 5 == 12 + 296 * 3
+        assert struct.unpack_from("<QI", frame, 5) == (41, 3)
+        request_id, *columns = decode_body(CODEC_DECIDE, frame[5:])
+        assert request_id == 41
+        for got, sent in zip(columns, (slots, generations, observations)):
+            assert got.dtype == sent.dtype and np.array_equal(got, sent)
+        # Strided columns (one connection's share of a wave) encode the same.
+        wide = np.repeat(observations, 2, axis=0)
+        assert encode_block(41, slots, generations, wide[::2]) == frame
+        reply = encode_block(41, np.array([2, 0, 1], dtype=np.int64))
+        assert len(reply) == 5 + 12 + 8 * 3
+        request_id, actions = decode_body(CODEC_DECIDE, reply[5:], reply=True)
+        assert request_id == 41 and actions.tolist() == [2, 0, 1]
+        # The direction decides the row width: a reply is no request.
+        with pytest.raises(ConfigurationError, match="rows"):
+            decode_body(CODEC_DECIDE, reply[5:])
+
+
+# ----------------------------------------------------------------------
+# Frame fuzzer (both frame kinds, both directions)
+# ----------------------------------------------------------------------
+def _read(data: bytes, reply: bool = False):
+    """``read_frame`` over a stream holding exactly ``data`` then EOF."""
+
+    async def go():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await read_frame(reader, reply)
+
+    return asyncio.run(go())
+
+
+def _header(codec: int, length: int) -> bytes:
+    return struct.pack("!BI", codec, length)
+
+
+@st.composite
+def _valid_frames(draw):
+    """A well-formed request frame of either codec."""
+    if draw(st.booleans()):
+        return encode_frame({"op": "ping", "id": draw(st.integers(0, 2**31))})
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return encode_block(
+        draw(st.integers(0, 2**32 - 1)),
+        rng.integers(0, 1 << 40, size=rows),
+        rng.integers(0, 1 << 20, size=rows),
+        rng.normal(size=(rows, 35)),
+    )
+
+
+@st.composite
+def _malformed_frames(draw):
+    """Bytes that are a protocol error in either direction, however continued."""
+    kind = draw(st.sampled_from([
+        "truncated-header", "truncated-body", "length-mismatch", "zero-rows",
+        "oversize-header", "rows-beyond-max-frame", "unknown-codec",
+        "json-under-codec-1", "block-under-codec-0",
+    ]))
+    valid = draw(_valid_frames())
+    request_id = draw(st.integers(0, 2**32 - 1))
+    if kind == "truncated-header":
+        return valid[: draw(st.integers(1, 4))]
+    if kind == "truncated-body":
+        return valid[: draw(st.integers(5, len(valid) - 1))]
+    if kind == "length-mismatch":
+        rows = draw(st.integers(1, 5))
+        length = draw(
+            st.integers(0, 296 * 6).filter(lambda n: n not in (8 * rows, 296 * rows))
+        )
+        body = struct.pack("<QI", request_id, rows) + bytes(length)
+        return _header(CODEC_DECIDE, len(body)) + body
+    if kind == "zero-rows":
+        body = struct.pack("<QI", request_id, 0) + bytes(draw(st.sampled_from([0, 8, 296])))
+        return _header(CODEC_DECIDE, len(body)) + body
+    if kind == "oversize-header":
+        length = draw(st.integers(MAX_FRAME_BYTES + 1, 2**32 - 1))
+        return _header(draw(st.sampled_from([0, 1])), length) + valid[5:]
+    if kind == "rows-beyond-max-frame":
+        rows = draw(st.integers(MAX_FRAME_BYTES // 296 + 1, 2**32 - 1))
+        head = struct.pack("<QI", request_id, rows)
+        honest = min(12 + 296 * rows, 2**32 - 1)
+        return _header(CODEC_DECIDE, draw(st.sampled_from([honest, 12]))) + head
+    if kind == "unknown-codec":
+        body = draw(st.binary(max_size=40))
+        return _header(draw(st.integers(2, 255)), len(body)) + body
+    if kind == "json-under-codec-1":
+        body = json.dumps({"op": "ping", "id": request_id}).encode()
+        return _header(CODEC_DECIDE, len(body)) + body
+    block = encode_block(request_id, np.arange(2), np.zeros(2, int), np.ones((2, 35)))
+    return _header(CODEC_JSON, len(block) - 5) + block[5:]
+
+
+class TestFrameFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(frame=_malformed_frames(), reply=st.booleans())
+    def test_malformed_frame_is_a_configuration_error(self, frame, reply):
+        with pytest.raises(ConfigurationError):
+            _read(frame, reply)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.binary(max_size=64), reply=st.booleans())
+    def test_random_bytes_decode_or_raise_configuration_error(self, data, reply):
+        """Nothing but ``ConfigurationError`` escapes, bar EOF between frames."""
+        try:
+            codec, payload = _read(data, reply)
+        except ConfigurationError:
+            return
+        except asyncio.IncompleteReadError:
+            assert data == b""
+            return
+        assert isinstance(payload, dict if codec == CODEC_JSON else tuple)
+
+    @settings(max_examples=50, deadline=None)
+    @given(frame=_valid_frames())
+    def test_valid_frame_reads_back(self, frame):
+        codec, payload = _read(frame)
+        assert codec == frame[0]
+        if codec == CODEC_DECIDE:
+            assert encode_block(*payload) == frame
+        else:
+            assert encode_frame(payload) == frame
+
+    @settings(max_examples=8, deadline=None)
+    @given(frames=st.lists(_malformed_frames(), min_size=1, max_size=6))
+    def test_live_server_drops_only_the_offender(
+        self, compiled_policy, serving_env, observation_stream, frames
+    ):
+        """Each malformed frame is one counted protocol error and one closed
+        connection; nothing is queued and a bystander keeps deciding."""
+
+        async def scenario():
+            server = PolicyServer(
+                CompiledFSMBackend(compiled_policy), serving_env.observation_encoder
+            )
+            netserver = PolicyNetServer(server, flush_interval=0.001)
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                async with await PolicyClient.connect_unix(socket_path) as bystander:
+                    handles = np.array(await bystander.open(3))
+                    for count, frame in enumerate(frames, start=1):
+                        reader, writer = await asyncio.open_unix_connection(socket_path)
+                        writer.write(frame)
+                        writer.write_eof()  # a truncated frame ends here
+                        assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+                        writer.close()
+                        await writer.wait_closed()
+                        assert netserver.protocol_errors == count
+                        assert server.pending == 0
+                        assert [c.inflight for c in netserver._connections] == [0]
+                        actions = await bystander.decide_many(
+                            handles[:, 0], handles[:, 1], observation_stream[:3]
+                        )
+                        assert actions.shape == (3,)
+                summary = await netserver.drain()
+                assert summary["connections_total"] == len(frames) + 1
+                assert summary["pending"] == 0 and summary["parked_replies"] == 0
+
+        asyncio.run(scenario())
 
 
 # ----------------------------------------------------------------------
@@ -242,26 +419,21 @@ class TestNetServer:
                 client = await PolicyClient.connect_unix(socket_path)
                 handles = await client.open(8)
                 tasks = [
-                    asyncio.create_task(
-                        client.request(
-                            {
-                                "op": "decide",
-                                "handle": list(handle),
-                                "observation": observation_stream[i].tolist(),
-                            }
-                        )
-                    )
+                    asyncio.create_task(client.decide(handle, observation_stream[i]))
                     for i, handle in enumerate(handles)
                 ]
                 # Give the server time to park the first 3 and reject the rest.
                 await asyncio.sleep(0.1)
                 assert netserver.busy_rejections == 5
                 summary = await netserver.drain()
-                replies = await asyncio.gather(*tasks)
-                accepted = [r for r in replies if r.get("ok")]
-                busy = [r for r in replies if r.get("error") == "BUSY"]
+                replies = await asyncio.gather(*tasks, return_exceptions=True)
+                accepted = [r for r in replies if isinstance(r, int)]
+                busy = [
+                    r for r in replies
+                    if isinstance(r, ServingError) and str(r).startswith("BUSY")
+                ]
                 assert len(accepted) == 3 and len(busy) == 5
-                assert all(0 <= r["action"] < NUM_ACTIONS for r in accepted)
+                assert all(0 <= action < NUM_ACTIONS for action in accepted)
                 assert summary["busy_rejections"] == 5
                 assert summary["parked_replies"] == 0
                 await client.close()
@@ -454,11 +626,15 @@ class TestNetServer:
                 async with await PolicyClient.connect_unix(socket_path) as client:
                     reply = await client.request({"op": "frobnicate"})
                     assert reply["error"] == "BAD_REQUEST"
+                    with pytest.raises(ServingError, match="BAD_REQUEST"):
+                        await client.decide((99, 0), observation_stream[0])
+                    # Decide is a codec-1 block; the JSON spelling is gone.
                     reply = await client.request(
-                        {"op": "decide", "handle": [99, 0],
+                        {"op": "decide", "handle": [0, 0],
                          "observation": observation_stream[0].tolist()}
                     )
                     assert reply["error"] == "BAD_REQUEST"
+                    assert "unknown op" in reply["message"]
                     reply = await client.request({"op": "swap", "version": "v1"})
                     assert reply["error"] == "BAD_REQUEST"  # no registry attached
                     # The connection survived all of it.
@@ -524,6 +700,234 @@ class TestNetServer:
                     assert netserver.protocol_errors == 1
                     assert await bystander.ping()
                 await netserver.drain()
+
+        asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Decide blocks: one frame, n rows, served or refused as a whole
+# ----------------------------------------------------------------------
+class TestDecideBlocks:
+    @staticmethod
+    def _server(compiled_policy, serving_env, **kwargs):
+        return PolicyServer(
+            CompiledFSMBackend(compiled_policy),
+            serving_env.observation_encoder,
+            max_batch_size=1024,
+            **kwargs,
+        )
+
+    def test_oversized_block_gets_one_busy_and_queues_nothing(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        async def scenario():
+            server = self._server(compiled_policy, serving_env)
+            netserver = PolicyNetServer(server, flush_interval=0.001, max_inflight=4)
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                async with await PolicyClient.connect_unix(socket_path) as client:
+                    handles = np.array(await client.open(5))
+                    busy_replies = netserver._m_errors["BUSY"].value
+                    with pytest.raises(ServingError, match="BUSY"):
+                        await client.decide_many(
+                            handles[:, 0], handles[:, 1], observation_stream[:5]
+                        )
+                    assert server.pending == 0
+                    assert netserver._connections[0].inflight == 0
+                    # Back-pressure counts rows; the refusal is one reply.
+                    assert netserver.busy_rejections == 5
+                    assert netserver._m_errors["BUSY"].value == busy_replies + 1
+                    actions = await client.decide_many(
+                        handles[:4, 0], handles[:4, 1], observation_stream[:4]
+                    )
+                    reference = self._server(compiled_policy, serving_env)
+                    assert np.array_equal(
+                        actions,
+                        reference.decide_now(
+                            reference.open_sessions(4), observation_stream[:4]
+                        ),
+                    )
+                    assert server.stats().latency.total == 4
+                await netserver.drain()
+
+        asyncio.run(scenario())
+
+    def test_one_stale_row_refuses_the_whole_block(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        async def scenario():
+            server = self._server(compiled_policy, serving_env)
+            netserver = PolicyNetServer(server, flush_interval=0.001)
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                async with await PolicyClient.connect_unix(socket_path) as client:
+                    handles = await client.open(3)
+                    stale = handles[1]
+                    await client.close_sessions([stale])
+                    (fresh,) = await client.open(1)
+                    assert fresh[0] == stale[0]
+                    block = np.array([handles[0], stale, handles[2]])
+                    steps = server.table.steps.copy()
+                    with pytest.raises(StaleSessionError):
+                        await client.decide_many(
+                            block[:, 0], block[:, 1], observation_stream[:3]
+                        )
+                    assert server.pending == 0
+                    assert np.array_equal(server.table.steps, steps)
+                    assert server.stats().decisions == 0
+                    # Duplicate sessions in one block are refused the same way.
+                    with pytest.raises(ServingError, match="BAD_REQUEST.*duplicate"):
+                        await client.decide_many(
+                            block[[0, 0], 0], block[[0, 0], 1], observation_stream[:2]
+                        )
+                    assert server.pending == 0
+                    assert await client.ping()
+                await netserver.drain()
+
+        asyncio.run(scenario())
+
+    def test_block_resolved_across_two_flushes_settles_once(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        """A block naming a session that is already queued forces a flush
+        mid-block: its head resolves with that flush, its tail with the
+        next one, and it is answered once, after the tail."""
+
+        async def scenario():
+            server = self._server(compiled_policy, serving_env)
+            reference = self._server(compiled_policy, serving_env)
+            # Only forced flushes and the drain flush ever run.
+            netserver = PolicyNetServer(server, flush_interval=30.0)
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                first = await PolicyClient.connect_unix(socket_path)
+                second = await PolicyClient.connect_unix(socket_path)
+                handles = np.array(await first.open(4))
+                reference_ids = reference.open_sessions(4)
+                single = asyncio.create_task(
+                    first.decide_many(
+                        handles[2:3, 0], handles[2:3, 1], observation_stream[9:10]
+                    )
+                )
+                await asyncio.sleep(0.05)
+                assert server.pending == 1
+                block = asyncio.create_task(
+                    second.decide_many(
+                        handles[:, 0], handles[:, 1], observation_stream[:4]
+                    )
+                )
+                # The early flush answers the single-row block at once...
+                assert (await asyncio.wait_for(single, 2.0)).tolist() == (
+                    reference.decide_now(
+                        reference_ids[2:3], observation_stream[9:10]
+                    ).tolist()
+                )
+                # ...and leaves the four-row block half resolved, still parked.
+                assert server.stats().batches == 1
+                assert server.stats().decisions == 3
+                assert server.pending == 2
+                assert len(netserver._parked) == 1 and not block.done()
+                assert netserver._connections[1].inflight == 4
+                assert server.stats().latency.total == 1
+                summary = await netserver.drain()
+                assert (await asyncio.wait_for(block, 2.0)).tolist() == (
+                    reference.decide_now(
+                        reference_ids, observation_stream[:4]
+                    ).tolist()
+                )
+                assert summary["batches"] == 2 and summary["decisions"] == 5
+                assert summary["latency"]["count"] == 5
+                assert summary["parked_replies"] == 0 and summary["pending"] == 0
+                assert summary["replies_dropped"] == 0
+                await first.close()
+                await second.close()
+
+        asyncio.run(scenario())
+
+    def test_drain_answers_a_parked_block(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        async def scenario():
+            server = self._server(compiled_policy, serving_env)
+            netserver = PolicyNetServer(server, flush_interval=30.0)
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                client = await PolicyClient.connect_unix(socket_path)
+                handles = np.array(await client.open(3))
+                block = asyncio.create_task(
+                    client.decide_many(
+                        handles[:, 0], handles[:, 1], observation_stream[:3]
+                    )
+                )
+                await asyncio.sleep(0.05)
+                assert server.pending == 3 and len(netserver._parked) == 1
+                summary = await netserver.drain()
+                actions = await asyncio.wait_for(block, 2.0)
+                assert actions.shape == (3,)
+                assert all(0 <= action < NUM_ACTIONS for action in actions)
+                assert summary["parked_replies"] == 0 and summary["pending"] == 0
+                assert summary["failed"] == 0
+                await client.close()
+
+        asyncio.run(scenario())
+
+    def test_client_refuses_a_misshapen_block_locally(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        async def scenario():
+            netserver = PolicyNetServer(
+                self._server(compiled_policy, serving_env), flush_interval=0.001
+            )
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                async with await PolicyClient.connect_unix(socket_path) as client:
+                    (handle,) = await client.open(1)
+                    for slots, gens, obs in (
+                        ([], [], np.zeros((0, 35))),
+                        ([handle[0]], [handle[1]], np.zeros((1, 3))),
+                        ([handle[0]], [handle[1], 0], np.zeros((1, 35))),
+                    ):
+                        with pytest.raises(ConfigurationError, match="decide block"):
+                            await client.decide_many(slots, gens, obs)
+                    with pytest.raises(ConfigurationError, match="decide block"):
+                        await client.decide(handle, observation_stream[0][:5])
+                    # Nothing malformed reached the wire.
+                    assert netserver.protocol_errors == 0
+                    assert await client.ping()
+                await netserver.drain()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("transport", ["unix", "tcp"])
+    def test_request_on_a_dead_connection_raises_at_once(
+        self, compiled_policy, serving_env, observation_stream, transport
+    ):
+        """After the server hung up, no call may park a future nobody
+        will resolve (TCP: the write still succeeds) or leak a raw
+        ``ConnectionResetError`` (unix)."""
+
+        async def scenario():
+            netserver = PolicyNetServer(
+                self._server(compiled_policy, serving_env), flush_interval=0.001
+            )
+            with _socket_dir() as socket_path:
+                if transport == "unix":
+                    await netserver.start(unix_path=socket_path)
+                    client = await PolicyClient.connect_unix(socket_path)
+                else:
+                    endpoints = await netserver.start(host="127.0.0.1")
+                    client = await PolicyClient.connect_tcp(*endpoints["tcp"])
+                (handle,) = await client.open(1)
+                await netserver.drain()
+                for _ in range(2):
+                    with pytest.raises(ServingError, match="connection closed"):
+                        await asyncio.wait_for(client.ping(), 2.0)
+                    with pytest.raises(ServingError, match="connection closed"):
+                        await asyncio.wait_for(
+                            client.decide(handle, observation_stream[0]), 2.0
+                        )
+                assert client._futures == {}
+                await client.close()
 
         asyncio.run(scenario())
 
@@ -697,7 +1101,7 @@ class TestServingHardening:
                 assert netserver.replies_dropped == 1
                 assert doomed_connection.broken
                 assert doomed_connection.inflight == 0
-                assert len(netserver._waiters) == 0
+                assert len(netserver._parked) == 0
                 assert netserver.flush_loop_errors == 0
                 lost.cancel()
                 with pytest.raises(asyncio.CancelledError):
@@ -852,6 +1256,17 @@ class TestMetricsOp:
                 # Flush health rides along even when all is well.
                 assert second["flush_loop_errors"] == 0
                 assert second["last_flush_error"] is None
+                # Frames and rows are separate series: six n = 1 frames so
+                # far, then one three-row block.
+                assert "netserver_decide_rows_total 6" in prom
+                block = np.array(handles)
+                await client.decide_many(
+                    block[:, 0], block[:, 1], observation_stream[6:9]
+                )
+                third = await client.metrics()
+                assert value(third, "netserver_requests_total", op="decide") == 7
+                assert value(third, "netserver_decide_rows_total") == 9
+                assert value(third, "serving_decisions_total") == 9
                 await client.close()
                 await netserver.drain()
 
