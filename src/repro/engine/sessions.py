@@ -139,7 +139,7 @@ class SessionTable:
         would push slot 3 onto the free list twice and hand it out to
         two different sessions later.
         """
-        slots = self._check_slots(
+        slots = self.checked_slots(
             slots, unique=True, expected_generation=expected_generation
         )
         self.active[slots] = False
@@ -173,15 +173,22 @@ class SessionTable:
 
     def record_steps(self, slots: SlotLike) -> None:
         """Count one served decision against each of ``slots``."""
-        slots = self._check_slots(slots)
+        slots = self.checked_slots(slots)
         self.steps[slots] += 1
 
-    def _check_slots(
+    def checked_slots(
         self,
         slots: SlotLike,
         unique: bool = False,
         expected_generation: Optional[GenerationLike] = None,
     ) -> np.ndarray:
+        """Validate ``slots`` refer to open sessions and return them as an array.
+
+        ``unique=True`` additionally rejects duplicate slots (a sort of the
+        batch, never a scan of the table); ``expected_generation`` (scalar
+        or per-slot array) rejects stale handles whose slot was recycled
+        since they were issued.
+        """
         slots = np.atleast_1d(np.asarray(slots, dtype=np.int64))
         if slots.size == 0:
             return slots
@@ -195,14 +202,12 @@ class SessionTable:
                 f"sessions {inactive.tolist()} are not open (closed slot reused?)"
             )
         if unique and slots.size > 1:
-            # O(batch) duplicate detection — never scans the table.
-            seen = set()
-            duplicates = [
-                s for s in slots.tolist() if s in seen or seen.add(s)
-            ]
-            if duplicates:
+            ordered = np.sort(slots)
+            repeated = ordered[1:] == ordered[:-1]
+            if repeated.any():
+                duplicates = np.unique(ordered[1:][repeated]).tolist()
                 raise ConfigurationError(
-                    f"duplicate session slots in one call: {sorted(set(duplicates))}"
+                    f"duplicate session slots in one call: {duplicates}"
                 )
         if expected_generation is not None:
             expected = np.broadcast_to(
@@ -216,22 +221,6 @@ class SessionTable:
                     "session) since the handle was issued"
                 )
         return slots
-
-    def checked_slots(
-        self,
-        slots: SlotLike,
-        unique: bool = False,
-        expected_generation: Optional[GenerationLike] = None,
-    ) -> np.ndarray:
-        """Validate ``slots`` refer to open sessions and return them as an array.
-
-        ``unique=True`` additionally rejects duplicate slots (O(batch));
-        ``expected_generation`` (scalar or per-slot array) rejects stale
-        handles whose slot was recycled since they were issued.
-        """
-        return self._check_slots(
-            slots, unique=unique, expected_generation=expected_generation
-        )
 
     def __len__(self) -> int:
         return self._num_active

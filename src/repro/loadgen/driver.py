@@ -76,15 +76,22 @@ class InProcessTransport:
         hist: LatencyHistogram,
     ) -> np.ndarray:
         start = time.perf_counter()
-        tickets = self.server.submit_many(slots, raw, expected_generation=gens)
-        self.server.flush()
+        try:
+            wave = self.server.submit_many(slots, raw, expected_generation=gens)
+            self.server.flush()
+        except ReproError:
+            raise
+        except Exception as exc:
+            # A backend fault (the broker already failed the queued rows):
+            # report it as the socket transport's BACKEND_ERROR reads.
+            raise ServingError(
+                f"decision wave of {slots.shape[0]} rows failed: {exc}"
+            ) from exc
         elapsed = time.perf_counter() - start
         # Every request of the wave shares the wave's wall time — the
         # in-process analogue of arrival→reply latency.
-        hist.record_many(np.full(len(tickets), elapsed))
-        return np.fromiter(
-            (ticket.action for ticket in tickets), dtype=np.int64, count=len(tickets)
-        )
+        hist.record_many(np.full(len(wave), elapsed))
+        return wave.actions
 
     async def stale_probe(self, slot: int, gen: int, raw_row: np.ndarray) -> str:
         try:

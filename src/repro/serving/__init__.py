@@ -8,7 +8,8 @@ shared with training rollouts and batched evaluation); import those
 names from there.
 
 * :mod:`repro.serving.server` — the micro-batching request broker in
-  front of one ``DecisionBackend``;
+  front of one ``DecisionBackend``: a columnar queue of
+  ``DecisionWave`` records, one per ``submit_many`` call;
 * :mod:`repro.serving.shadow` — run a second backend in shadow mode and
   stream serving-time fidelity counters (plus the threshold alarm that
   can drive an automatic rollback);
@@ -21,13 +22,14 @@ names from there.
 
 from repro.serving.artifacts import ArtifactRecord, ArtifactRegistry
 from repro.serving.netserver import PolicyClient, PolicyNetServer
-from repro.serving.server import DecisionTicket, PolicyServer, ServerStats
+from repro.serving.server import DecisionTicket, DecisionWave, PolicyServer, ServerStats
 from repro.serving.shadow import FidelityAlarm, ShadowEvaluator
 
 __all__ = [
     "ArtifactRecord",
     "ArtifactRegistry",
     "DecisionTicket",
+    "DecisionWave",
     "FidelityAlarm",
     "PolicyClient",
     "PolicyNetServer",

@@ -37,9 +37,9 @@ queue, exactly as :meth:`PolicyServer.submit_many` validates a wave);
 
 Batching
 --------
-Decide blocks do **not** answer inline.  Each row becomes a
-:class:`~repro.serving.server.DecisionTicket` in the broker's queue and
-the connection handler parks one reply per block; the queue flushes
+Decide blocks do **not** answer inline.  Each block becomes one
+:class:`~repro.serving.server.DecisionWave` in the broker's queue and
+the connection handler parks the block's reply on it; the queue flushes
 either when it reaches the broker's ``max_batch_size`` (size trigger,
 synchronous) or when the server's flush loop ticks (time trigger,
 ``flush_interval`` seconds).  One backend call answers every parked
@@ -68,7 +68,7 @@ artifact version — session handles survive, state migrates or resets
 per the backend-compatibility check, and the registry's audit trail
 records what happened.  Graceful drain (:meth:`PolicyNetServer.drain`)
 stops accepting, flushes and resolves everything still queued, then
-closes every connection — no ticket is ever left unresolved.
+closes every connection — no request is ever left unresolved.
 """
 
 from __future__ import annotations
@@ -78,14 +78,14 @@ import itertools
 import json
 import struct
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.env.observation import OBSERVATION_DIM
 from repro.errors import ConfigurationError, ReproError, ServingError, StaleSessionError
 from repro.serving.artifacts import ArtifactRegistry
-from repro.serving.server import DecisionTicket, PolicyServer
+from repro.serving.server import DecisionWave, PolicyServer
 from repro.serving.shadow import FidelityAlarm
 from repro import telemetry
 
@@ -226,22 +226,13 @@ class _Connection:
         return True
 
 
-class _Block:
-    """One parked decide reply, settled when its last ticket resolves."""
+class _Block(NamedTuple):
+    """One parked decide reply, settled when its wave is done."""
 
-    __slots__ = ("tickets", "connection", "request_id", "arrived")
-
-    def __init__(
-        self,
-        tickets: List[DecisionTicket],
-        connection: _Connection,
-        request_id: int,
-        arrived: float,
-    ) -> None:
-        self.tickets = tickets
-        self.connection = connection
-        self.request_id = request_id
-        self.arrived = arrived
+    wave: DecisionWave
+    connection: _Connection
+    request_id: int
+    arrived: float
 
 
 def _error_reply(code: str, message: str, request_id: object) -> Dict[str, object]:
@@ -352,7 +343,7 @@ class PolicyNetServer:
             "Flush-loop ticks that hit an unexpected fault",
         )
         self._m_parked = self.metrics.gauge(
-            "netserver_parked_replies", "Replies parked on pending tickets"
+            "netserver_parked_replies", "Replies parked on pending waves"
         )
 
     # ------------------------------------------------------------------
@@ -397,11 +388,11 @@ class PolicyNetServer:
         for listener in self._listeners:
             await listener.wait_closed()
         self._listeners = []
-        # Flush whatever is queued; a backend fault fails those tickets,
+        # Flush whatever is queued; a backend fault fails those rows,
         # which _settle turns into explicit error replies.  A wedged
         # backend raising outside the ReproError hierarchy must not
         # abort the drain half-done (listeners closed, connections
-        # stranded) — flush already failed the detached tickets, so
+        # stranded) — flush already failed the detached rows, so
         # record the fault and keep going.
         try:
             self.server.flush()
@@ -413,18 +404,17 @@ class PolicyNetServer:
             self.last_flush_error = f"{type(exc).__name__}: {exc}"
         self._settle()
         # Anything still unresolved is cancelled *in the broker* —
-        # failing the tickets from out here would leave them in the
-        # broker's pending set, and ``pending`` would read nonzero
-        # after a "clean" drain.
+        # failing the waves from out here would leave their rows in the
+        # broker's queue, and ``pending`` would read nonzero after a
+        # "clean" drain.
         if self._parked:
             drained = ServingError("server drained before decision")
             self.server.cancel_pending(drained)
             for block in self._parked:
-                for ticket in block.tickets:
-                    # Backstop for a ticket the broker no longer tracks
-                    # (cannot normally happen — cancel/flush resolve or
-                    # fail every queued ticket); a no-op on a done one.
-                    ticket.fail(drained)
+                # Backstop for a wave the broker no longer tracks
+                # (cannot normally happen — cancel/flush resolve or
+                # fail every queued row); a no-op on a done one.
+                block.wave.fail(drained)
             self._settle()
         if self._flush_task is not None:
             self._flush_task.cancel()
@@ -480,7 +470,7 @@ class PolicyNetServer:
         entry = self.registry.swap(
             self.server, version, from_version=self.active_version, reason=reason
         )
-        # The drain-flush inside swap_backend resolved queued tickets;
+        # The drain-flush inside swap_backend resolved queued waves;
         # settle their parked replies before new-backend traffic lands.
         self._settle()
         self.active_version = version
@@ -515,7 +505,7 @@ class PolicyNetServer:
                     try:
                         self.server.flush()
                     except ReproError:
-                        pass  # tickets were failed; replies settle below
+                        pass  # the rows were failed; replies settle below
                 self._settle()
                 self._check_alarm()
             except asyncio.CancelledError:
@@ -530,11 +520,10 @@ class PolicyNetServer:
                 self.last_flush_error = f"{type(exc).__name__}: {exc}"
 
     def _settle(self) -> None:
-        """Write the reply of every parked block whose tickets all resolved.
+        """Write the reply of every parked block whose wave is done.
 
-        A block's tickets enter the broker queue in order and every
-        flush or cancel takes the whole queue, so the last ticket is
-        done exactly when all of them are.
+        A block served by several flushes settles once, when the last
+        of its rows resolved (or the first of them failed).
         """
         if not self._parked:
             return
@@ -542,24 +531,22 @@ class PolicyNetServer:
         now = time.perf_counter()
         latency = self.server.stats().latency
         for block in self._parked:
-            tickets = block.tickets
-            if not tickets[-1].done:
+            wave = block.wave
+            if not wave.done:
                 unresolved.append(block)
                 continue
-            latency.record_many(np.full(len(tickets), now - block.arrived))
-            block.connection.inflight -= len(tickets)
-            actions = [ticket.action for ticket in tickets]
-            if None in actions:
-                failed = tickets[actions.index(None)]
+            latency.record_many(np.full(len(wave), now - block.arrived))
+            block.connection.inflight -= len(wave)
+            if wave.error is not None:
                 sent = self._send_error(
                     block.connection,
                     "BACKEND_ERROR",
-                    f"decision failed: {failed._error}",
+                    f"decision failed: {wave.error}",
                     block.request_id,
                 )
             else:
                 sent = block.connection.send(
-                    encode_block(block.request_id, np.array(actions, dtype=np.int64))
+                    encode_block(block.request_id, wave.actions)
                 )
             if not sent:
                 # Closed or broken peer: its reply is dropped (counted),
@@ -737,7 +724,7 @@ class PolicyNetServer:
         arrived = time.perf_counter()
         batches = self.server.stats().batches
         try:
-            tickets = self.server.submit_many(
+            wave = self.server.submit_many(
                 slots, observations, expected_generation=generations
             )
         except StaleSessionError as exc:
@@ -748,13 +735,13 @@ class PolicyNetServer:
             return
         except ReproError as exc:
             # A size-triggered auto-flush hit a backend fault.  It took
-            # every queued ticket with it — this block's rows so far and
+            # every queued row with it — this block's rows so far and
             # other blocks', whose parked replies settle here — and the
             # rest of this block was never enqueued.
             self._settle()
             self._send_error(connection, "BACKEND_ERROR", str(exc), request_id)
             return
-        self._parked.append(_Block(tickets, connection, request_id, arrived))
+        self._parked.append(_Block(wave, connection, request_id, arrived))
         connection.inflight += rows
         # The submit may have size-triggered (or same-session-triggered)
         # a synchronous flush; settle immediately so its replies are not

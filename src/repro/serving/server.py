@@ -8,6 +8,12 @@ backend call, which is what lets the batched decision kernels (compiled
 FSM gathers, ``policy.act_batch``) amortise their fixed Python cost over
 hundreds of concurrent sessions.
 
+The queue is columnar: a ``submit_many`` call parks one
+:class:`DecisionWave` (slot vector, a view of the caller's observation
+block, an action vector that ``flush`` fills in place) and the queue is
+a short list of ``(wave, begin, stop)`` row ranges plus a slot-indexed
+pending mask, so no broker step costs Python work per row.
+
 Backends implement the :class:`~repro.engine.backends.DecisionBackend`
 protocol, which lives in :mod:`repro.engine` (the same contract drives
 training rollouts and batched evaluation) together with the standard
@@ -19,7 +25,7 @@ second backend in shadow mode behind the primary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -31,53 +37,77 @@ from repro.storage.migration import MigrationAction
 from repro import telemetry
 from repro.telemetry import LatencyHistogram, MetricsRegistry, Tracer
 
-__all__ = ["DecisionTicket", "PolicyServer", "ServerStats"]
+__all__ = ["DecisionTicket", "DecisionWave", "PolicyServer", "ServerStats"]
 
 
-class DecisionTicket:
-    """Handle for one queued request; resolves (or fails) at the next flush."""
+class DecisionWave:
+    """One ``submit_many`` call's requests and, row by row, their answers.
 
-    __slots__ = ("session_id", "_action", "_error")
+    Rows are served front to back, possibly by several flushes:
+    ``actions[:resolved]`` hold decisions, and once ``error`` is set
+    every row from ``resolved`` on is terminally failed (backend fault,
+    cancel).  ``raw`` is the caller's block, not a copy — it must stay
+    untouched until the wave is ``done``.
+    """
 
-    def __init__(self, session_id: int) -> None:
-        self.session_id = int(session_id)
-        self._action: Optional[int] = None
-        self._error: Optional[BaseException] = None
+    __slots__ = ("slots", "raw", "actions", "resolved", "error")
+
+    def __init__(self, slots: np.ndarray, raw: np.ndarray) -> None:
+        self.slots = slots
+        self.raw = raw
+        self.actions = np.full(slots.shape[0], -1, dtype=np.int64)
+        self.resolved = 0
+        self.error: Optional[BaseException] = None
+
+    def __len__(self) -> int:
+        return self.slots.shape[0]
 
     @property
     def done(self) -> bool:
-        """The ticket reached a terminal state (decision *or* failure)."""
-        return self._action is not None or self._error is not None
+        """Every row reached a terminal state (decision *or* failure)."""
+        return self.resolved == self.slots.shape[0] or self.error is not None
+
+    def fail(self, error: BaseException) -> None:
+        """Terminally fail every row that has no decision yet."""
+        if not self.done:
+            self.error = error
+
+
+_Segment = Tuple[DecisionWave, int, int]  # rows [begin, stop) of a parked wave
+
+
+class DecisionTicket(NamedTuple):
+    """Handle for one queued request: row ``0 <= row < len(wave)`` of ``wave``."""
+
+    wave: DecisionWave
+    row: int
+
+    @property
+    def done(self) -> bool:
+        """The request reached a terminal state (decision *or* failure)."""
+        return self.row < self.wave.resolved or self.wave.error is not None
 
     @property
     def failed(self) -> bool:
-        return self._error is not None
+        return self.row >= self.wave.resolved and self.wave.error is not None
 
     @property
     def action(self) -> Optional[int]:
-        """The decided action index, or ``None`` (pending / failed).
-
-        The allocation-free read the fleet load harness uses to collect
-        a whole batch of resolved tickets without wrapping each decision
-        in a :class:`MigrationAction` (see :meth:`result`).
-        """
-        return self._action
-
-    def fail(self, error: BaseException) -> None:
-        """Mark the ticket terminally failed (backend fault, drain abort)."""
-        if self._action is None and self._error is None:
-            self._error = error
+        """The decided action index, or ``None`` (pending / failed)."""
+        if self.row < self.wave.resolved:
+            return int(self.wave.actions[self.row])
+        return None
 
     def result(self) -> MigrationAction:
-        if self._error is not None:
-            raise ServingError(
-                f"decision request failed: {self._error}"
-            ) from self._error
-        if self._action is None:
-            raise ConfigurationError(
-                "decision not available yet — flush() the server first"
-            )
-        return MigrationAction(self._action)
+        action = self.action
+        if action is not None:
+            return MigrationAction(action)
+        error = self.wave.error
+        if error is not None:
+            raise ServingError(f"decision request failed: {error}") from error
+        raise ConfigurationError(
+            "decision not available yet — flush() the server first"
+        )
 
 
 @dataclass
@@ -119,10 +149,11 @@ class PolicyServer:
 
     Two usage styles share the same batched core:
 
-    * **queued** — ``submit()`` per request returns a
-      :class:`DecisionTicket`; the queue auto-flushes when it reaches
+    * **queued** — ``submit_many()`` parks one :class:`DecisionWave`
+      per call (``submit()`` is its one-row case and returns a
+      :class:`DecisionTicket`); the queue auto-flushes when it reaches
       ``max_batch_size`` (or on explicit ``flush()``), at which point
-      every queued ticket resolves from one backend call;
+      every queued row resolves from one backend call;
     * **direct** — ``decide_now(session_ids, raw_matrix)`` for callers
       that already hold a whole batch (benchmarks, bulk evaluation).
 
@@ -149,10 +180,11 @@ class PolicyServer:
         self.encoder = encoder
         self.max_batch_size = int(max_batch_size)
         self.table = backend.session_table(initial_capacity)
-        self._pending_slots: List[int] = []
-        self._pending_raw: List[np.ndarray] = []
-        self._pending_tickets: List[DecisionTicket] = []
-        self._pending_set: set = set()
+        # The queue: row ranges of parked waves in arrival order, their
+        # total row count, and which slots have a row among them.
+        self._segments: List[_Segment] = []
+        self._queued = 0
+        self._pending_mask = np.zeros(self.table.capacity, dtype=bool)
         self._stats = ServerStats()
         # Single-entry normalisation buffer: replaced (not accumulated)
         # when the micro-batch size changes, so steady-state serving is
@@ -170,10 +202,10 @@ class PolicyServer:
             "serving_batches_total", "Backend micro-batch calls"
         )
         self._m_failed = self.metrics.counter(
-            "serving_failed_total", "Tickets failed (backend faults + cancels)"
+            "serving_failed_total", "Requests failed (backend faults + cancels)"
         )
         self._m_cancelled = self.metrics.counter(
-            "serving_cancelled_total", "Tickets cancelled before a decision"
+            "serving_cancelled_total", "Requests cancelled before a decision"
         )
         self._m_swaps = self.metrics.counter(
             "serving_swaps_total", "Blue/green backend swaps"
@@ -216,8 +248,7 @@ class PolicyServer:
         slots = self.table.checked_slots(
             session_ids, unique=True, expected_generation=expected_generation
         )
-        still_pending = [s for s in slots.tolist() if s in self._pending_set]
-        if still_pending:
+        if self._queued and self._mask()[slots].any():
             self.flush()
         end_sessions = getattr(self.backend, "end_sessions", None)
         if end_sessions is not None:
@@ -233,106 +264,123 @@ class PolicyServer:
         raw_observation: np.ndarray,
         expected_generation: Optional[int] = None,
     ) -> DecisionTicket:
-        """Queue one request; auto-flush when the micro-batch fills."""
+        """Queue one request (the one-row wave); auto-flush when the batch fills."""
         raw = np.asarray(raw_observation, dtype=float)
         if raw.shape != (OBSERVATION_DIM,):
             raise ConfigurationError(
                 f"raw observation must have shape ({OBSERVATION_DIM},), got {raw.shape}"
             )
-        slots, _ = self._checked_wave(session_id, raw[None], expected_generation)
-        slot = int(slots[0])
-        if slot in self._pending_set:
-            self.flush()
-        ticket = DecisionTicket(slot)
-        self._pending_slots.append(slot)
-        self._pending_raw.append(raw)
-        self._pending_tickets.append(ticket)
-        self._pending_set.add(slot)
-        if len(self._pending_slots) >= self.max_batch_size:
-            self.flush()
-        return ticket
+        return DecisionTicket(
+            self.submit_many(session_id, raw[None], expected_generation), 0
+        )
 
     def submit_many(
         self,
         session_ids,
         raw_matrix: np.ndarray,
         expected_generation: Optional[GenerationLike] = None,
-    ) -> List[DecisionTicket]:
-        """Queue one request per row with a single validation pass.
+    ) -> DecisionWave:
+        """Queue one request per row; returns the wave the answers land in.
 
-        Semantically equivalent to calling :meth:`submit` row by row
-        (the queue still auto-flushes every time it reaches
-        ``max_batch_size``, so micro-batch composition is identical),
-        but slot validation, generation checks and the duplicate test
-        run once over the whole matrix — the per-request Python cost
-        that dominates fleet-scale callers submitting thousands of
-        sessions per step.  Rows must name distinct sessions.
+        Micro-batch composition is that of queueing the rows one by one:
+        the queue is flushed before a row whose session already has a
+        row queued, and whenever it reaches ``max_batch_size``.  Rows of
+        one wave name distinct sessions, so only rows queued *before* it
+        can collide with it, and only until the first flush: the split
+        points are found per flush, not per row.  A backend fault in such
+        a flush propagates and the rest of the wave is never queued.
         """
         slots, raw = self._checked_wave(session_ids, raw_matrix, expected_generation)
-        tickets: List[DecisionTicket] = []
-        pending_set = self._pending_set
-        for slot, row in zip(slots.tolist(), raw):
-            if slot in pending_set:
+        # Own the slot vector: it keys the pending mask until the last
+        # row is flushed, whatever the caller does with theirs meanwhile.
+        wave = DecisionWave(slots.copy(), raw)
+        slots = wave.slots
+        rows = slots.shape[0]
+        mask = self._mask()
+        collision = -1  # first row whose session is already queued
+        if self._queued:
+            collides = mask[slots]
+            if collides.any():
+                collision = int(collides.argmax())
+        begin = 0
+        while begin < rows:
+            stop = min(rows, begin + max(1, self.max_batch_size - self._queued))
+            if begin <= collision < stop:
+                stop = collision
+            if stop > begin:
+                self._segments.append((wave, begin, stop))
+                self._queued += stop - begin
+                mask[slots[begin:stop]] = True
+            if stop == collision or self._queued >= self.max_batch_size:
                 self.flush()
-                pending_set = self._pending_set
-            ticket = DecisionTicket(slot)
-            self._pending_slots.append(slot)
-            self._pending_raw.append(row)
-            self._pending_tickets.append(ticket)
-            pending_set.add(slot)
-            tickets.append(ticket)
-            if len(self._pending_slots) >= self.max_batch_size:
-                self.flush()
-                pending_set = self._pending_set
-        return tickets
+                collision = -1
+            begin = stop
+        return wave
+
+    def _mask(self) -> np.ndarray:
+        """The pending mask, grown to the table's current capacity."""
+        grown = self.table.capacity - self._pending_mask.shape[0]
+        if grown > 0:
+            self._pending_mask = np.append(self._pending_mask, np.zeros(grown, bool))
+        return self._pending_mask
+
+    def _detach_queue(self) -> Tuple[List[_Segment], int]:
+        """Empty the queue; returns its segments and their row count."""
+        segments, depth = self._segments, self._queued
+        self._segments = []
+        self._queued = 0
+        for wave, begin, stop in segments:
+            self._pending_mask[wave.slots[begin:stop]] = False
+        return segments, depth
+
+    def _fail_detached(
+        self, segments: List[_Segment], depth: int, error: BaseException
+    ) -> None:
+        for wave, _begin, _stop in segments:
+            wave.fail(error)
+        self._stats.failed += depth
+        self._m_failed.inc(depth)
 
     def cancel_pending(self, error: Optional[BaseException] = None) -> int:
-        """Fail every queued ticket without calling the backend.
+        """Fail every queued row without calling the backend.
 
         The broker-side abort path: drain/shutdown flows that decide not
         to serve the queued micro-batch must route through here so the
-        queue, the per-session single-in-flight set and the failure
-        counters stay consistent — failing tickets from outside (e.g.
-        ``ticket.fail`` on a parked network reply) would leave them in
-        the pending set and ``pending`` would read nonzero after a
-        "clean" drain.  Returns the number of cancelled requests.
+        queue, the per-session single-in-flight mask and the failure
+        counters stay consistent — failing a wave from outside (e.g.
+        ``wave.fail`` on a parked network reply) would leave its rows
+        queued and ``pending`` would read nonzero after a "clean" drain.
+        Rows an earlier flush already answered keep their decisions.
+        Returns the number of cancelled requests.
         """
-        if not self._pending_slots:
-            return 0
-        tickets = self._pending_tickets
-        self._pending_slots = []
-        self._pending_raw = []
-        self._pending_tickets = []
-        self._pending_set = set()
+        segments, depth = self._detach_queue()
         if error is None:
             error = ServingError("request cancelled before a decision was made")
-        for ticket in tickets:
-            ticket.fail(error)
-        self._stats.failed += len(tickets)
-        self._m_failed.inc(len(tickets))
-        self._m_cancelled.inc(len(tickets))
-        return len(tickets)
+        self._fail_detached(segments, depth, error)
+        self._m_cancelled.inc(depth)
+        return depth
 
     def flush(self) -> int:
         """Serve every queued request in one backend call; returns the count.
 
-        A backend fault cannot strand tickets: the queue is detached
-        first, and if the backend raises, every detached ticket is
-        failed explicitly (``ticket.failed``/``result()`` raises
+        One wave filling the batch reaches the backend as slices of its
+        own columns; only several coalesced waves are concatenated.
+        A backend fault cannot strand requests: the queue is detached
+        first, and if the backend raises, every detached row is failed
+        explicitly (``wave.error``, ``result()`` raises
         :class:`~repro.errors.ServingError`) before the exception
         propagates — the server itself stays consistent and keeps
         serving subsequent batches.
         """
-        if not self._pending_slots:
+        segments, depth = self._detach_queue()
+        if not depth:
             return 0
-        slots = np.array(self._pending_slots, dtype=np.int64)
-        raw = np.stack(self._pending_raw)
-        tickets = self._pending_tickets
-        self._pending_slots = []
-        self._pending_raw = []
-        self._pending_tickets = []
-        self._pending_set = set()
-        depth = int(slots.shape[0])
+        if len(segments) == 1:
+            wave, begin, stop = segments[0]
+            slots, raw = wave.slots[begin:stop], wave.raw[begin:stop]
+        else:
+            slots = np.concatenate([w.slots[b:s] for w, b, s in segments])
+            raw = np.concatenate([w.raw[b:s] for w, b, s in segments])
         self._m_queue_depth.set(depth)
         self._m_queue_peak.set(depth)
         try:
@@ -340,18 +388,18 @@ class PolicyServer:
                 actions = self._decide(slots, raw)
                 flush_span.set("backend", self.backend.name)
         except Exception as exc:
-            for ticket in tickets:
-                ticket.fail(exc)
-            self._stats.failed += len(tickets)
-            self._m_failed.inc(len(tickets))
+            self._fail_detached(segments, depth, exc)
             raise
-        for ticket, action in zip(tickets, actions.tolist()):
-            ticket._action = int(action)
-        return int(actions.shape[0])
+        served = 0
+        for wave, begin, stop in segments:
+            wave.actions[begin:stop] = actions[served : served + stop - begin]
+            wave.resolved = stop
+            served += stop - begin
+        return depth
 
     @property
     def pending(self) -> int:
-        return len(self._pending_slots)
+        return self._queued
 
     # ------------------------------------------------------------------
     # Direct path
@@ -378,7 +426,7 @@ class PolicyServer:
         """Validate one wave of requests; returns ``(slots, raw)``.
 
         Slots must be open, distinct and of the expected generation
-        (``unique=True`` is an O(batch) check — it never scans the table
+        (``unique=True`` sorts the batch — it never scans the table
         capacity), and ``raw`` must hold one ``OBSERVATION_DIM`` row per
         slot.  Every entry point validates here and differs only in what
         it does with the wave: queue it or serve it.
@@ -430,7 +478,7 @@ class PolicyServer:
         """Replace the live backend, preserving every open session handle.
 
         The blue/green core: the pending micro-batch is drained through
-        the *old* backend first (no ticket is lost or answered by a
+        the *old* backend first (no request is lost or answered by a
         half-installed engine), then the new backend gets a session
         table with the old table's slot allocation adopted verbatim —
         slots, generations and step counters all keep their meaning, so

@@ -13,7 +13,7 @@ import pytest
 
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ServingError
 from repro.fsm.machine import FiniteStateMachine
 from repro.loadgen import (
     FleetDriver,
@@ -346,3 +346,40 @@ class TestFleetDriver:
         ).run()
         assert report.recycles >= 2
         assert report.deterministic_dict()["decisions_total"] == 32 * 10
+
+    @pytest.mark.parametrize("max_batch_size", [16, 128])
+    def test_backend_fault_surfaces_as_a_serving_error(
+        self, compiled_policy, serving_env, max_batch_size
+    ):
+        """A failed wave raises at the wave, chained to the backend's fault.
+
+        ``max_batch_size=16`` is the shard size, so the fault strikes the
+        auto-flush inside ``submit_many``; at 128 it strikes the
+        transport's own ``flush``.  Either way no ``-1`` placeholder
+        action reaches a simulator and no row stays queued.
+        """
+
+        class _FailsSecondWave(CompiledFSMBackend):
+            calls = 0
+
+            def decide(self, table, slots, raw, normalized):
+                self.calls += 1
+                if self.calls == 2:
+                    raise RuntimeError("injected backend fault")
+                return super().decide(table, slots, raw, normalized)
+
+        server = PolicyServer(
+            _FailsSecondWave(compiled_policy),
+            serving_env.observation_encoder,
+            initial_capacity=64,
+            max_batch_size=max_batch_size,
+        )
+        schedule = _small_schedule(
+            sessions=32, shard_size=16, phases=[LoadPhase(name="steady", steps=2)]
+        )
+        driver = FleetDriver(schedule, InProcessTransport(server), base_seed=5)
+        with pytest.raises(ServingError, match="16 rows failed") as raised:
+            driver.run()
+        assert isinstance(raised.value.__cause__, RuntimeError)
+        assert server.pending == 0
+        assert server.stats().failed == 16 and server.stats().decisions == 16

@@ -1189,11 +1189,16 @@ class TestServingHardening:
                 summary = await netserver.drain()
                 assert summary["pending"] == 0
                 assert summary["parked_replies"] == 0
-                assert server._pending_set == set()
                 for task in tasks:
                     with pytest.raises(ServingError, match="drained"):
                         await task
                 assert server.stats().failed == 2
+                # No single-in-flight mark outlived the cancel: the same
+                # sessions queue again without a same-session flush.
+                del server.flush
+                slots = [slot for slot, _generation in handles]
+                server.submit_many(slots, observation_stream[:2])
+                assert server.pending == 2 and server.stats().batches == 0
                 await client.close()
 
         asyncio.run(scenario())

@@ -20,7 +20,7 @@ from repro.engine import (
     GRUPolicyBackend,
     SessionTable,
 )
-from repro.serving import PolicyServer, ShadowEvaluator
+from repro.serving import DecisionTicket, PolicyServer, ShadowEvaluator
 from repro.telemetry import LatencyHistogram
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
@@ -453,14 +453,15 @@ class TestPolicyServerLifecycleBugs:
             with pytest.raises(ServingError, match="injected"):
                 ticket.result()
         # Server state is consistent: nothing pending, and the same
-        # sessions can submit again immediately (no stale _pending_set).
+        # sessions queue again without a same-session flush (no stale
+        # single-in-flight marks).
         assert server.pending == 0
-        assert server._pending_set == set()
         assert server.stats().failed == 3
         retry = [
             server.submit(int(session), observation_stream[i])
             for i, session in enumerate(ids)
         ]
+        assert server.pending == 3 and server.stats().batches == 0
         assert server.flush() == 3
         assert all(t.done and not t.failed for t in retry)
         assert isinstance(retry[0].result(), MigrationAction)
@@ -549,9 +550,8 @@ class TestSubmitManyAndCancel:
                 for i, session in enumerate(r_ids)
             ]
             rowwise.flush()
-            assert [t.action for t in many] == [
-                int(t.result()) for t in singles
-            ]
+            assert many.done and many.error is None
+            assert many.actions.tolist() == [int(t.result()) for t in singles]
 
     def test_submit_many_autoflushes_at_batch_size(
         self, compiled_policy, serving_env, observation_stream
@@ -563,13 +563,66 @@ class TestSubmitManyAndCancel:
             initial_capacity=16,
         )
         ids = server.open_sessions(10)
-        tickets = server.submit_many(ids, observation_stream[:10])
+        wave = server.submit_many(ids, observation_stream[:10])
         # Two full micro-batches flushed on the way; 2 requests remain.
         assert server.pending == 2
-        assert sum(t.done for t in tickets) == 8
+        assert not wave.done and wave.resolved == 8
+        tickets = [DecisionTicket(wave, row) for row in range(len(wave))]
+        assert [t.done for t in tickets] == [True] * 8 + [False] * 2
+        assert tickets[9].action is None
         server.flush()
-        assert all(t.done for t in tickets)
+        assert wave.done and wave.resolved == 10
+        assert [t.action for t in tickets] == wave.actions.tolist()
         assert server.stats().batches == 3
+
+    def test_cancel_pending_fails_the_unserved_tail_only(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        server = PolicyServer(
+            CompiledFSMBackend(compiled_policy),
+            serving_env.observation_encoder,
+            max_batch_size=4,
+            initial_capacity=16,
+        )
+        ids = server.open_sessions(10)
+        wave = server.submit_many(ids, observation_stream[:10])
+        served = wave.actions[:8].copy()
+        assert server.cancel_pending() == 2
+        assert wave.done and wave.error is not None and wave.resolved == 8
+        assert wave.actions[:8].tolist() == served.tolist()
+        tickets = [DecisionTicket(wave, row) for row in range(len(wave))]
+        assert [t.failed for t in tickets] == [False] * 8 + [True] * 2
+        assert isinstance(tickets[0].result(), MigrationAction)
+        with pytest.raises(ServingError, match="cancelled"):
+            tickets[8].result()
+        assert server.stats().failed == 2 and server.stats().decisions == 8
+
+    def test_wave_shares_the_callers_block_and_flush_does_not_copy_it(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        class _Recording(CompiledFSMBackend):
+            def decide(self, table, slots, raw, normalized):
+                self.seen_raw = raw
+                return super().decide(table, slots, raw, normalized)
+
+        backend = _Recording(compiled_policy)
+        server = PolicyServer(
+            backend, serving_env.observation_encoder, max_batch_size=4
+        )
+        ids = server.open_sessions(6)
+        block = observation_stream[:6].copy()
+        wave = server.submit_many(ids, block)
+        assert np.shares_memory(wave.raw, block)
+        # The full-batch segment reached the backend as a slice of the block.
+        assert np.shares_memory(backend.seen_raw, block)
+        assert backend.seen_raw.shape[0] == 4
+        # Two waves coalescing into one batch have to be concatenated.
+        more = server.open_sessions(1)
+        server.submit_many(more, observation_stream[6:7])
+        server.flush()
+        assert backend.seen_raw.shape[0] == 3
+        assert not np.shares_memory(backend.seen_raw, block)
+        assert wave.done and wave.resolved == 6
 
     def test_submit_many_validates_shapes_and_duplicates(
         self, compiled_policy, serving_env, observation_stream
@@ -612,20 +665,21 @@ class TestSubmitManyAndCancel:
             max_batch_size=64,
         )
         ids = server.open_sessions(3)
-        tickets = server.submit_many(ids, observation_stream[:3])
+        wave = server.submit_many(ids, observation_stream[:3])
         assert server.pending == 3
         assert server.cancel_pending() == 3
         assert server.pending == 0
-        assert server._pending_set == set()
-        assert all(t.done and t.failed for t in tickets)
-        for ticket in tickets:
+        assert wave.done and wave.error is not None and wave.resolved == 0
+        for row in range(3):
             with pytest.raises(ServingError, match="cancelled"):
-                ticket.result()
+                DecisionTicket(wave, row).result()
         assert server.stats().failed == 3
-        # The same sessions serve again immediately (no stale state).
+        # The same sessions queue again without a same-session flush
+        # (no stale single-in-flight marks) and serve.
         retry = server.submit_many(ids, observation_stream[:3])
+        assert server.pending == 3 and server.stats().batches == 0
         assert server.flush() == 3
-        assert all(t.done and not t.failed for t in retry)
+        assert retry.done and retry.error is None
         # Cancelling an empty queue is a no-op.
         assert server.cancel_pending() == 0
         assert server.stats().failed == 3
