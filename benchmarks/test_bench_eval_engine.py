@@ -25,11 +25,8 @@ Knobs (environment variables):
 * ``EVAL_BENCH_MIN_SPEEDUP`` — hard assertion floor for compiled-engine
   vs sequential-interpreted throughput (default 2.0; the headline number
   lives in the JSON, shared CI workers are too noisy for it).
-* ``EVAL_BENCH_KERNEL`` — inference kernel for the GRU policy (``numpy``
-  default, ``native`` for the fused C micro-kernel); stamped into the
-  JSON so regression checks refuse cross-kernel comparisons.
-* ``EVAL_BENCH_RNG_FAMILY`` — stamped alongside the kernel (evaluation
-  itself is greedy/deterministic, the stamp keeps the perf trajectory
+* ``EVAL_BENCH_RNG_FAMILY`` — stamped into the JSON (evaluation itself
+  is greedy/deterministic, the stamp keeps the perf trajectory
   comparable with the rollout benchmarks).
 * ``BENCH_OUTPUT_DIR`` — also write the JSON summary to
   ``$BENCH_OUTPUT_DIR/BENCH_eval_engine.json`` for artifact upload / the
@@ -66,7 +63,6 @@ from repro.workloads.sampler import RealTraceSampler
 DURATION = int(os.environ.get("EVAL_BENCH_DURATION", "48"))
 ROUNDS = int(os.environ.get("EVAL_BENCH_ROUNDS", "3"))
 MIN_ASSERTED_SPEEDUP = float(os.environ.get("EVAL_BENCH_MIN_SPEEDUP", "2.0"))
-KERNEL = os.environ.get("EVAL_BENCH_KERNEL", "numpy")
 RNG_FAMILY = os.environ.get("EVAL_BENCH_RNG_FAMILY", "legacy")
 HIDDEN_SIZE = 128
 
@@ -89,9 +85,7 @@ def test_bench_eval_engine(tmp_path):
     suite = generator.generate_suite(duration=DURATION)
     eval_traces = list(suite.values())
     rollout_traces = RealTraceSampler(suite, rng=1).sample_many(4)
-    policy = RecurrentPolicyValueNet(
-        PolicyConfig(hidden_size=HIDDEN_SIZE, kernel=KERNEL), rng=5
-    )
+    policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=HIDDEN_SIZE), rng=5)
 
     # Same artifact chain as the serving benchmark: greedy batched
     # rollouts -> transition dataset -> QBNs -> extracted FSM.
@@ -147,7 +141,7 @@ def test_bench_eval_engine(tmp_path):
         "benchmark": "eval_engine",
         "backend": "compiled_fsm",
         "baseline_backend": "sequential_interpreted",
-        "kernel": KERNEL,
+        "kernel": "numpy",
         "rng_family": RNG_FAMILY,
         "traces": len(eval_traces),
         "duration": DURATION,
@@ -172,10 +166,7 @@ def test_bench_eval_engine(tmp_path):
     if output_dir:
         target = Path(output_dir)
         target.mkdir(parents=True, exist_ok=True)
-        suffix = (
-            "" if (KERNEL, RNG_FAMILY) == ("numpy", "legacy")
-            else f"_{KERNEL}_{RNG_FAMILY}"
-        )
+        suffix = "" if RNG_FAMILY == "legacy" else f"_{RNG_FAMILY}"
         (target / f"BENCH_eval_engine{suffix}.json").write_text(
             json.dumps(summary, indent=2) + "\n"
         )

@@ -16,20 +16,15 @@ Knobs (environment variables):
   persistent-worker-pool collector sharding the same batch across N
   resident workers (only meaningful on multi-core hosts; the pool's
   merge is bit-identical to the single-process batched collection).
-* ``ROLLOUT_BENCH_KERNEL`` — inference kernel for the *batched* path
-  (``numpy`` default, ``native`` for the fused C micro-kernel); the
-  sequential reference always runs the default config so it stays a
-  pure hardware calibration.
 * ``ROLLOUT_BENCH_RNG_FAMILY`` — rng stream family for the batched path
   (``legacy`` default, ``philox`` for the counter-based vectorized
   streams).
 * ``BENCH_OUTPUT_DIR`` — when set, the JSON summary is also written to
   ``$BENCH_OUTPUT_DIR/BENCH_rollout_throughput.json`` so CI can upload
   it as an artifact and the repo can accumulate perf evidence under
-  ``benchmarks/results/``.  Non-default kernel/rng-family runs write a
-  config-suffixed filename instead, so differently-configured artifacts
-  can never be diffed against the default baseline by accident (the
-  regression checker also refuses mismatched stamps).
+  ``benchmarks/results/``.  Non-default rng-family runs write a
+  family-suffixed filename instead, so differently-configured artifacts
+  can never be diffed against the default baseline by accident.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ from repro.workloads.sampler import RealTraceSampler
 BATCH_SIZE = int(os.environ.get("ROLLOUT_BENCH_BATCH", "16"))
 ROUNDS = int(os.environ.get("ROLLOUT_BENCH_ROUNDS", "5"))
 POOL_WORKERS = int(os.environ.get("ROLLOUT_BENCH_POOL_WORKERS", "0"))
-KERNEL = os.environ.get("ROLLOUT_BENCH_KERNEL", "numpy")
 RNG_FAMILY = os.environ.get("ROLLOUT_BENCH_RNG_FAMILY", "legacy")
 # Hard floor: batched collection slower than sequential is a real
 # regression even on a loaded machine.  Shared CI runners are too noisy
@@ -74,15 +68,6 @@ def test_bench_rollout_throughput(tmp_path):
     traces = RealTraceSampler(suite, rng=1).sample_many(BATCH_SIZE)
     reward_config = RewardConfig(mode="per_step_penalty")
     policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=128), rng=5)
-    # The batched path runs the configured kernel; the sequential
-    # reference keeps the default config so it stays a pure hardware
-    # calibration for cross-machine normalisation.
-    batched_policy = policy
-    if KERNEL != "numpy":
-        batched_policy = RecurrentPolicyValueNet(
-            PolicyConfig(hidden_size=128, kernel=KERNEL), rng=5
-        )
-        batched_policy.load_state_dict(policy.state_dict())
 
     sequential = RolloutCollector(
         StorageAllocationEnv(system_config, reward_config=reward_config), rng=0
@@ -92,11 +77,9 @@ def test_bench_rollout_throughput(tmp_path):
     )
 
     # Warm-up: first calls pay one-time costs (interval caches, BLAS
-    # init, kernel compilation).
+    # init, the Philox sampler's load and self-check).
     sequential.collect_many(policy, traces[:4], greedy=False)
-    batched.collect_many(
-        batched_policy, traces[:4], greedy=False, rng_family=RNG_FAMILY
-    )
+    batched.collect_many(policy, traces[:4], greedy=False, rng_family=RNG_FAMILY)
 
     sequential_rates = []
     batched_rates = []
@@ -109,7 +92,7 @@ def test_bench_rollout_throughput(tmp_path):
         batched_rates.append(
             _steps_per_second(
                 lambda t: batched.collect_many(
-                    batched_policy, t, greedy=False, rng_family=RNG_FAMILY
+                    policy, t, greedy=False, rng_family=RNG_FAMILY
                 ),
                 traces,
             )
@@ -140,7 +123,7 @@ def test_bench_rollout_throughput(tmp_path):
         "batch_size": BATCH_SIZE,
         "hidden_size": 128,
         "rounds": ROUNDS,
-        "kernel": KERNEL,
+        "kernel": "numpy",
         "rng_family": RNG_FAMILY,
         "sequential_steps_per_s": round(best_sequential, 1),
         "batched_steps_per_s": round(best_batched, 1),
@@ -159,10 +142,7 @@ def test_bench_rollout_throughput(tmp_path):
     if output_dir:
         target = Path(output_dir)
         target.mkdir(parents=True, exist_ok=True)
-        suffix = (
-            "" if (KERNEL, RNG_FAMILY) == ("numpy", "legacy")
-            else f"_{KERNEL}_{RNG_FAMILY}"
-        )
+        suffix = "" if RNG_FAMILY == "legacy" else f"_{RNG_FAMILY}"
         (target / f"BENCH_rollout_throughput{suffix}.json").write_text(
             json.dumps(summary, indent=2) + "\n"
         )

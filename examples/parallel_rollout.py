@@ -37,12 +37,6 @@ def main() -> None:
              "cost across epochs)",
     )
     parser.add_argument(
-        "--kernel", choices=("numpy", "native"), default="numpy",
-        help="GRU inference kernel (native = fused C micro-kernel, "
-             "compiled on first use; falls back to numpy without a "
-             "compiler)",
-    )
-    parser.add_argument(
         "--rng-family", choices=("legacy", "philox"), default="legacy",
         help="episode rng stream family (philox = counter-based, "
              "vectorized across the batch; a different stream family, "
@@ -55,9 +49,7 @@ def main() -> None:
     standard = generator.generate_suite(duration=args.duration, rng=args.seed + 1)
     sampler = RealTraceSampler(standard, rng=args.seed + 2)
     traces = sampler.sample_many(args.episodes, rng=args.seed + 3)
-    policy = RecurrentPolicyValueNet(
-        PolicyConfig(hidden_size=32, kernel=args.kernel), rng=args.seed
-    )
+    policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=32), rng=args.seed)
     base_seed = 1234
 
     start = time.perf_counter()
@@ -89,7 +81,7 @@ def main() -> None:
 
     steps = sum(len(t) for t in batched)
     print(f"{len(traces)} episodes, {steps} environment steps "
-          f"(kernel={args.kernel}, rng_family={args.rng_family})")
+          f"(rng_family={args.rng_family})")
     print(f"lockstep batch (1 process):   {batched_s:.2f}s "
           f"({steps / batched_s:.0f} steps/s)")
     print(f"worker pool ({args.workers} workers): {parallel_s:.2f}s/epoch "

@@ -15,12 +15,10 @@ comparison and the serving-time fidelity counters at the end.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import time
 
 import numpy as np
 
-from repro.drl.policy import RecurrentPolicyValueNet
 from repro.drl.rollout import BatchedRolloutCollector
 from repro.engine import (
     AgentBatchBackend,
@@ -44,12 +42,6 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--artifact", type=str, default=None,
                         help="also save the compiled artifact to this path")
-    parser.add_argument(
-        "--kernel", choices=("numpy", "native"), default="numpy",
-        help="GRU inference kernel for the shadow backend and the "
-             "rollout demo (native = fused C micro-kernel; falls back "
-             "to numpy without a compiler)",
-    )
     parser.add_argument(
         "--rng-family", choices=("legacy", "philox"), default="legacy",
         help="rng stream family for the rollout-through-the-backend "
@@ -81,17 +73,10 @@ def main() -> None:
         compiled.save(args.artifact)
         print(f"     artifact saved to {args.artifact}")
 
-    serving_policy = result.policy
-    if args.kernel != serving_policy.config.kernel:
-        serving_policy = RecurrentPolicyValueNet(
-            dataclasses.replace(serving_policy.config, kernel=args.kernel)
-        )
-        serving_policy.load_state_dict(result.policy.state_dict())
-    gru_backend = GRUPolicyBackend(serving_policy)
+    gru_backend = GRUPolicyBackend(result.policy)
 
     print(f"3/4  serving {args.sessions} concurrent sessions, "
-          f"{args.rounds} rounds (GRU in shadow mode, "
-          f"kernel={args.kernel})...")
+          f"{args.rounds} rounds (GRU in shadow mode)...")
     shadow = ShadowEvaluator(CompiledFSMBackend(compiled), gru_backend)
     server = PolicyServer(
         shadow, env.observation_encoder, initial_capacity=args.sessions
@@ -127,9 +112,9 @@ def main() -> None:
     # The serving backend doubles as the rollout inference engine: the
     # batched collector drives the exact same GRUPolicyBackend it would
     # serve with, so rollout collection and online serving share one
-    # code path (and one kernel).
+    # code path.
     print(f"\n4/4  batched rollout through the serving backend "
-          f"(kernel={args.kernel}, rng_family={args.rng_family})...")
+          f"(rng_family={args.rng_family})...")
     collector = BatchedRolloutCollector(
         VectorStorageAllocationEnv(config.system, config.reward)
     )

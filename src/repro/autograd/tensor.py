@@ -16,7 +16,7 @@ Design notes
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -278,9 +278,6 @@ class Tensor:
 
         return Tensor._make(data, (self, other_t), backward)
 
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other).__truediv__(self)
-
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise AutogradError("tensor exponents are not supported; use exp/log")
@@ -345,21 +342,6 @@ class Tensor:
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return self.matmul(other)
 
-    def transpose(self) -> "Tensor":
-        if self.ndim != 2:
-            raise ShapeError(f"transpose() supports 2-d tensors, got shape {self.shape}")
-        data = self.data.T
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.T)
-
-        return Tensor._make(data, (self,), backward)
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
@@ -382,22 +364,6 @@ class Tensor:
         else:
             denom = self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / denom)
-
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = np.asarray(grad)
-            expanded = self.data.max(axis=axis, keepdims=True)
-            mask = (self.data == expanded).astype(np.float64)
-            mask = mask / mask.sum(axis=axis, keepdims=True)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(mask * g)
-
-        return Tensor._make(data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -500,25 +466,6 @@ class Tensor:
     # Combination helpers (static)
     # ------------------------------------------------------------------
     @staticmethod
-    def concat(tensors: Sequence["Tensor"], axis: int = -1) -> "Tensor":
-        tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-        if not tensors:
-            raise ShapeError("concat() requires at least one tensor")
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.data.shape[axis] for t in tensors]
-
-        def backward(grad: np.ndarray) -> None:
-            offset = 0
-            for tensor, size in zip(tensors, sizes):
-                if tensor.requires_grad:
-                    slicer = [slice(None)] * grad.ndim
-                    slicer[axis if axis >= 0 else grad.ndim + axis] = slice(offset, offset + size)
-                    tensor._accumulate(grad[tuple(slicer)])
-                offset += size
-
-        return Tensor._make(data, tuple(tensors), backward)
-
-    @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
         if not tensors:
@@ -531,16 +478,3 @@ class Tensor:
                     tensor._accumulate(np.take(grad, i, axis=axis))
 
         return Tensor._make(data, tuple(tensors), backward)
-
-    @staticmethod
-    def zeros(shape: Union[int, Tuple[int, ...]], requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape: Union[int, Tuple[int, ...]], requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def parameters_like(tensors: Iterable[Tensor]) -> List[np.ndarray]:
-    """Return zero arrays shaped like each tensor (optimizer state helper)."""
-    return [np.zeros_like(t.data) for t in tensors]

@@ -8,11 +8,10 @@ scalar state-value estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import ClassVar, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro import telemetry
 from repro.autograd import functional as F
 from repro.autograd.functional import log_softmax_np, matmul_rows_np
 from repro.autograd.tensor import Tensor, no_grad
@@ -25,20 +24,15 @@ from repro.utils.rng import PhiloxStreams, SeedLike, new_rng
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Hyper-parameters of the recurrent policy/value network.
-
-    ``kernel`` selects the inference implementation: ``"numpy"``
-    (default, bit-compatible with the pinned golden traces) or
-    ``"native"`` (the fused C micro-kernel — one pass over the GRU gate
-    stack and both heads; allclose-level agreement with the numpy path,
-    compiled at first use with a silent numpy fallback when no compiler
-    is available).
-    """
+    """Hyper-parameters of the recurrent policy/value network."""
 
     observation_dim: int = OBSERVATION_DIM
     hidden_size: int = 128
     num_actions: int = NUM_ACTIONS
-    kernel: str = "numpy"
+    # Not a field: the one inference implementation, named because the
+    # frozen ledger stamps ``PolicyConfig().kernel`` into its environment
+    # block (benchmarks/ledger/run.py, ``stamp()``).  Goes with that stamp.
+    kernel: ClassVar[str] = "numpy"
 
     def __post_init__(self) -> None:
         if self.observation_dim <= 0:
@@ -47,10 +41,6 @@ class PolicyConfig:
             raise ConfigurationError("hidden_size must be positive")
         if self.num_actions <= 1:
             raise ConfigurationError("num_actions must be at least 2")
-        if self.kernel not in ("numpy", "native"):
-            raise ConfigurationError(
-                f"kernel must be 'numpy' or 'native', got {self.kernel!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -102,33 +92,6 @@ class BatchedPolicyStepOutput:
         return int(self.actions.shape[0])
 
 
-#: (registry, native counter, numpy counter, fallback gauge) — cached per
-#: default registry so unpickled policies in worker processes resolve the
-#: worker's own instruments, not detached copies of the parent's.
-_kernel_instruments = None
-
-
-def _kernel_telemetry():
-    global _kernel_instruments
-    registry = telemetry.registry()
-    if _kernel_instruments is None or _kernel_instruments[0] is not registry:
-        _kernel_instruments = (
-            registry,
-            registry.counter(
-                "nn_kernel_dispatch_total",
-                help="Inference forward passes by kernel implementation",
-                kernel="native",
-            ),
-            registry.counter("nn_kernel_dispatch_total", kernel="numpy"),
-            registry.gauge(
-                "nn_native_fallback",
-                help="1 when a kernel='native' policy fell back to numpy",
-                aggregation="max",
-            ),
-        )
-    return _kernel_instruments
-
-
 class RecurrentPolicyValueNet(Module):
     """GRU backbone with a policy head and a value head."""
 
@@ -136,39 +99,9 @@ class RecurrentPolicyValueNet(Module):
         super().__init__()
         self.config = config or PolicyConfig()
         rng = new_rng(rng)
-        self.gru = GRUCell(
-            self.config.observation_dim,
-            self.config.hidden_size,
-            rng=rng,
-            kernel=self.config.kernel,
-        )
+        self.gru = GRUCell(self.config.observation_dim, self.config.hidden_size, rng=rng)
         self.policy_head = Linear(self.config.hidden_size, self.config.num_actions, rng=rng)
         self.value_head = Linear(self.config.hidden_size, 1, rng=rng)
-        self._native = None
-        self._native_failed = False
-
-    def __getstate__(self):
-        # The ctypes-backed kernel wrapper cannot be pickled; it rebuilds
-        # lazily on first use after unpickling (e.g. in worker shards).
-        state = self.__dict__.copy()
-        state["_native"] = None
-        state["_native_failed"] = False
-        return state
-
-    def _native_kernel(self):
-        """The fused GRU+heads kernel, or ``None`` (graceful fallback)."""
-        if self._native is not None:
-            return self._native
-        if self._native_failed:
-            return None
-        from repro.nn import native
-
-        if not native.native_available():
-            self._native_failed = True
-            _kernel_telemetry()[3].set(1.0)
-            return None
-        self._native = native.NativeGRUPolicyKernel(self)
-        return self._native
 
     # ------------------------------------------------------------------
     # Differentiable interface (used by the A2C trainer)
@@ -210,13 +143,6 @@ class RecurrentPolicyValueNet(Module):
                 f"forward_np expects ({observations.shape[0]}, {self.config.hidden_size}) "
                 f"hiddens, got shape {hiddens.shape}"
             )
-        if self.config.kernel == "native":
-            native = self._native_kernel()
-            if native is not None:
-                _kernel_telemetry()[1].inc()
-                logits, _, _, values, next_hiddens = native.forward(observations, hiddens)
-                return logits, values, next_hiddens
-        _kernel_telemetry()[2].inc()
         next_hiddens = self.gru.forward_np(observations, hiddens)
         logits = matmul_rows_np(next_hiddens, self.policy_head.weight.data) + self.policy_head.bias.data
         values = (
@@ -338,19 +264,10 @@ class RecurrentPolicyValueNet(Module):
                 hidden_states=np.array(hiddens),
             )
 
-        native = self._native_kernel() if self.config.kernel == "native" else None
-        if native is not None:
-            # Fused C path: gate stack, heads, log-softmax and the
-            # normalised probabilities in one call over packed weights.
-            _kernel_telemetry()[1].inc()
-            _, sub_log_probs, sub_probs, sub_values, sub_next = native.forward(
-                sub_observations, sub_hiddens
-            )
-        else:
-            sub_logits, sub_values, sub_next = self.forward_np(sub_observations, sub_hiddens)
-            sub_log_probs = log_softmax_np(sub_logits, axis=-1)
-            sub_probs = np.exp(sub_log_probs)
-            sub_probs /= sub_probs.sum(axis=-1, keepdims=True)
+        sub_logits, sub_values, sub_next = self.forward_np(sub_observations, sub_hiddens)
+        sub_log_probs = log_softmax_np(sub_logits, axis=-1)
+        sub_probs = np.exp(sub_log_probs)
+        sub_probs /= sub_probs.sum(axis=-1, keepdims=True)
         # One batched cumulative sum serves every row's inverse-CDF draw
         # (a row of the axis-1 cumsum is identical to cumsum of the row).
         cdfs = None if greedy else np.cumsum(sub_probs, axis=-1)

@@ -143,8 +143,7 @@ def _worker_main(
 
     * ``("weights", version, policy_config, changed_state)`` — create the
       resident policy on first receipt and overwrite exactly the changed
-      parameters (full arrays, so the update is bit-exact; applied via
-      ``Parameter.assign`` so resident packed-weight caches invalidate);
+      parameters in place (full arrays, so the update is bit-exact);
     * ``("collect", shard_id, version, shard_args)`` — run
       ``_collect_shard(collector, policy, *shard_args)``
       and reply ``(shard_id, trajectories, None, telemetry)``
@@ -168,7 +167,7 @@ def _worker_main(
                     policy = RecurrentPolicyValueNet(policy_config)
                 own = dict(policy.named_parameters())
                 for name, value in changed_state.items():
-                    own[name].assign(value)
+                    own[name].data[...] = value
                 weights_version = version
             except Exception:  # pragma: no cover - defensive
                 result_queue.put((None, None, traceback.format_exc(), None))

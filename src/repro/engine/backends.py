@@ -5,8 +5,8 @@ This is the repo's single inference contract: training rollouts
 batched evaluation (:class:`~repro.engine.evaluation.EvaluationEngine`)
 and the serving layer (:class:`~repro.serving.server.PolicyServer`, the
 asyncio front door) all drive their hot loops through the same small
-protocol, so the compiled-FSM tables, the fused GRU kernel and the
-scalar heuristics are interchangeable across all three consumers.
+protocol, so the compiled-FSM tables, the GRU policy and the scalar
+heuristics are interchangeable across all three consumers.
 
 Standard backends:
 
@@ -169,8 +169,8 @@ class GRUPolicyBackend:
         """Training-mode batched step (the rollout collectors' hot call).
 
         Thin delegation to ``policy.act_batch`` — the point is that the
-        same backend object (same policy instance, same fused kernel)
-        serves both the decision consumers' :meth:`decide` and the
+        same backend object (same policy instance, same forward) serves
+        both the decision consumers' :meth:`decide` and the
         trajectory collectors.
         """
         return self.policy.act_batch(

@@ -4,7 +4,7 @@
 decision-engine contract: it runs one episode per trace on a
 :class:`~repro.env.vector_env.VectorStorageAllocationEnv`, asking a
 backend for one micro-batch of actions per interval — so compiled-FSM
-tables, the (fused-kernel) GRU and scalar heuristic agents are all
+tables, the GRU policy and scalar heuristic agents are all
 evaluated through the identical loop, and FSM-in-the-loop evaluation
 runs at compiled-table speed.
 

@@ -11,40 +11,7 @@ from repro.errors import SerializationError
 
 
 class Parameter(Tensor):
-    """A tensor that is always trainable and discoverable by :class:`Module`.
-
-    Parameters additionally carry a monotonically increasing ``version``
-    so the native GRU kernel's packed weight copies can detect weight
-    updates without comparing array contents (the numpy inference
-    forwards read ``data`` at call time and cache nothing).  ``data`` is
-    a property whose setter bumps the version: the optimizers' in-place
-    ``param.data -= update`` resolves to a read, an in-place op and a
-    set-back, so it fires the setter; code that writes *through* the
-    array (``param.data[...] = value``) must use :meth:`assign` instead.
-    """
-
-    # Shadows the ``data`` slot descriptor inherited from Tensor: the
-    # backing array lives in the instance ``__dict__`` (subclassing a
-    # slotted class without declaring ``__slots__`` re-enables it), and
-    # Tensor.__init__'s ``self.data = ...`` routes through the setter.
-    @property
-    def data(self) -> np.ndarray:
-        return self._data
-
-    @data.setter
-    def data(self, value) -> None:
-        self._data = np.asarray(value, dtype=np.float64)
-        self._version = getattr(self, "_version", -1) + 1
-
-    @property
-    def version(self) -> int:
-        """Bumped on every rebinding of ``data`` and every :meth:`assign`."""
-        return self._version
-
-    def assign(self, value) -> None:
-        """In-place overwrite of the backing array that bumps ``version``."""
-        self._data[...] = value
-        self._version += 1
+    """A tensor that is always trainable and discoverable by :class:`Module`."""
 
     def __init__(self, data, name: str | None = None) -> None:
         super().__init__(data, requires_grad=True, name=name)
@@ -132,7 +99,7 @@ class Module:
                 raise SerializationError(
                     f"shape mismatch for {name}: expected {param.data.shape}, got {value.shape}"
                 )
-            param.assign(value)
+            param.data[...] = value
 
     def copy_from(self, other: "Module") -> None:
         """Copy parameter values from a module with identical structure."""

@@ -27,36 +27,21 @@ from repro.utils.rng import SeedLike, new_rng
 class GRUCell(Module):
     """Single-step gated recurrent unit.
 
-    ``kernel`` selects the inference implementation of
-    :meth:`forward_np`: ``"numpy"`` (default, bit-compatible with the
-    pinned golden traces) or ``"native"`` (the fused C micro-kernel —
-    allclose-level agreement, compiled at first use, silently falling
-    back to numpy when no compiler is available).  The numpy
-    implementation is one gate stack for every batch size and width:
-    its only shape dispatch is :func:`matmul_rows_np`, it caches no
-    weights, and its only state is the reused gate buffers.
+    :meth:`forward_np`, the inference step, is one numpy gate stack for
+    every batch size and width: its only shape dispatch is
+    :func:`matmul_rows_np`, it caches no weights, and its only state is
+    the reused gate buffers.
     """
 
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        rng: SeedLike = None,
-        kernel: str = "numpy",
-    ) -> None:
+    def __init__(self, input_size: int, hidden_size: int, rng: SeedLike = None) -> None:
         super().__init__()
         if input_size <= 0 or hidden_size <= 0:
             raise ShapeError(
                 f"GRUCell requires positive sizes, got input={input_size}, hidden={hidden_size}"
             )
-        if kernel not in ("numpy", "native"):
-            raise ShapeError(f"unknown GRU kernel {kernel!r}")
         rng = new_rng(rng)
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.kernel = kernel
-        self._native = None
-        self._native_failed = False
 
         def input_weight() -> Parameter:
             return Parameter(init.xavier_uniform((input_size, hidden_size), rng))
@@ -115,12 +100,6 @@ class GRUCell(Module):
             raise ShapeError(
                 f"forward_np expects (B, D) input and (B, H) hidden, got {x.shape} / {h.shape}"
             )
-        if self.kernel == "native":
-            native = self._native_kernel()
-            if native is not None:
-                return native.forward(
-                    np.asarray(x, dtype=np.float64), np.asarray(h, dtype=np.float64)
-                )
         # The one numpy gate stack: the formulas of the module docstring,
         # evaluated in place on gate buffers reused across calls.  Only
         # the returned hidden state is freshly allocated — it escapes to
@@ -167,27 +146,11 @@ class GRUCell(Module):
         return blend + gate
 
     def __getstate__(self):
-        # ctypes handles and shape-keyed buffers don't cross process
-        # boundaries; they rebuild lazily on first use after unpickling.
+        # The shape-keyed gate buffers are scratch: they rebuild on first
+        # use after unpickling instead of crossing process boundaries.
         state = self.__dict__.copy()
-        state["_native"] = None
-        state["_native_failed"] = False
         state.pop("_np_gate_buffers", None)
         return state
-
-    def _native_kernel(self):
-        """The fused C kernel for this cell, or ``None`` (graceful fallback)."""
-        if self._native is not None:
-            return self._native
-        if self._native_failed:
-            return None
-        from repro.nn import native
-
-        if not native.native_available():
-            self._native_failed = True
-            return None
-        self._native = native.NativeGRUKernel(self)
-        return self._native
 
 
 class GRU(Module):

@@ -1,0 +1,216 @@
+"""Compile-at-first-use loader for the fused Philox idle sampler.
+
+``_philox_kernel.c`` lives next to this module and is compiled into a
+per-user cache directory the first time the sampler is requested, or
+ahead of time by ``python -m repro.utils.philox_native`` (the CI build
+hook; prints the shared-object path, exits non-zero when no compiler can
+produce it).  Its only caller is :mod:`repro.utils.rng`, which runs a
+bit-identity self-check against the numpy reference before trusting it
+and reports the outcome through ``idle_sampler_status()``.  No compiler,
+a failed compile or ``REPRO_DISABLE_NATIVE=1`` leave the numpy path in
+charge, which draws the same values — the sampler is an acceleration,
+never a correctness dependency.
+
+Deployment settings: ``REPRO_DISABLE_NATIVE=1`` turns the sampler off,
+``REPRO_KERNEL_CACHE`` relocates the shared-object cache, ``CC`` names
+the compiler tried first.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
+from pathlib import Path
+from typing import Optional, Tuple
+
+import numpy as np
+
+_SOURCE = Path(__file__).with_name("_philox_kernel.c")
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+_UINT64_P = ctypes.POINTER(ctypes.c_uint64)
+_INT64_P = ctypes.POINTER(ctypes.c_int64)
+
+# Flag sets tried in order; the first compile that succeeds wins.  The
+# sampler's contract is BIT-IDENTITY with the numpy streams (golden
+# traces are pinned on them), so its translation unit must not see any
+# unsafe-math flag and disables FP contraction — an FMA changes
+# roundings.  The contract-free fallback set exists for compilers without
+# -ffp-contract; rng's load-time self-check rejects any build that
+# deviates, so a reordering compiler degrades to numpy, never to wrong
+# streams.  ("-shared" is listed because the cache tag hashes the set; the
+# object-file step drops it.)
+_FLAG_SETS = (
+    ["-O2", "-ffp-contract=off", "-fPIC", "-shared"],
+    ["-O2", "-fPIC", "-shared"],
+)
+
+
+def _cache_dir() -> Path:
+    override = os.environ.get("REPRO_KERNEL_CACHE")
+    if override:
+        return Path(override)
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    return Path(base) / "repro-kernels"
+
+
+def build() -> Path:
+    """Compile the sampler unless cached; returns the shared-object path.
+
+    Raises ``RuntimeError`` naming every attempt when no compiler
+    produced it.
+    """
+    # Compile and link are SEPARATE steps on purpose: passing any
+    # unsafe-math flag to the *link* makes GCC pull in crtfastmath.o,
+    # whose load-time constructor flips the process-wide FTZ/DAZ bits —
+    # dlopen'ing the kernel would silently change denormal arithmetic in
+    # every numpy op afterwards.  Optimization flags only ever apply to
+    # the object-file step; the link step is flag-free.
+    cache = _cache_dir()
+    text = _SOURCE.read_bytes()
+    compilers = [c for c in (os.environ.get("CC"), "cc", "gcc", "clang") if c]
+    errors = []
+    for compiler in compilers:
+        for flags in _FLAG_SETS:
+            compile_flags = [f for f in flags if f != "-shared"]
+            tag = hashlib.sha256(
+                text + repr((compiler, flags, "split-link")).encode()
+            ).hexdigest()[:16]
+            target = cache / f"philox_kernel_{tag}.so"
+            if target.exists():
+                return target
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp_obj = tempfile.mkstemp(suffix=".o", dir=cache)
+            os.close(fd)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            steps = (
+                [compiler, *compile_flags, "-c", "-o", tmp_obj, str(_SOURCE)],
+                [compiler, "-shared", "-o", tmp, tmp_obj, "-lm"],
+            )
+            failed = None
+            for cmd in steps:
+                try:
+                    proc = subprocess.run(
+                        cmd, capture_output=True, text=True, timeout=120
+                    )
+                except (OSError, subprocess.TimeoutExpired) as exc:
+                    failed = f"{compiler}: {exc}"
+                    break
+                if proc.returncode != 0:
+                    failed = f"{' '.join(cmd)}: {proc.stderr.strip()[:500]}"
+                    break
+            os.unlink(tmp_obj)
+            if failed is not None:
+                errors.append(failed)
+                os.unlink(tmp)
+                continue
+            os.replace(tmp, target)  # atomic: concurrent builders agree
+            return target
+    raise RuntimeError(
+        "no compiler produced the philox_kernel; tried:\n" + "\n".join(errors)
+    )
+
+
+class NativePhiloxIdleKernel:
+    """ctypes wrapper for the fused Philox idle sampler.
+
+    Construction compiles (or finds cached) and loads the library; it
+    raises ``RuntimeError`` when ``REPRO_DISABLE_NATIVE=1`` or no
+    compiler produced it, ``OSError`` when the object cannot be loaded.
+    Stateless between calls apart from one grow-only staging workspace;
+    the keystream key travels with each call, so one wrapper serves every
+    :class:`~repro.utils.rng.PhiloxStreams` instance in the process.
+    Returned arrays are workspace views, valid until the next call —
+    callers copy (or scatter) before returning.
+    """
+
+    def __init__(self) -> None:
+        if os.environ.get("REPRO_DISABLE_NATIVE") == "1":
+            raise RuntimeError("REPRO_DISABLE_NATIVE=1")
+        lib = ctypes.CDLL(str(build()))
+        # ctypes defaults integer args to c_int — explicit signatures are
+        # load-bearing (c_long mismatches segfault, they don't error).
+        lib.repro_philox_idle.restype = ctypes.c_long
+        lib.repro_philox_idle.argtypes = [
+            _UINT64_P, _UINT64_P, _UINT64_P,  # episodes, cursors, ndraws
+            _INT64_P, _DOUBLE_P, _DOUBLE_P,   # counts, lam, term
+            _INT64_P, _DOUBLE_P,              # idle, uscratch
+            ctypes.c_uint64, ctypes.c_uint64, ctypes.c_long, ctypes.c_long,
+        ]
+        self._lib = lib
+        self._workspace: Optional[_PhiloxIdleWorkspace] = None
+
+    def sample(
+        self,
+        episodes: np.ndarray,
+        cursors: np.ndarray,
+        counts: np.ndarray,
+        lam: np.ndarray,
+        term: np.ndarray,
+        key0: int,
+        key1: int,
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Returns ``(idle_draws, ndraws, fired)`` for the given lanes.
+
+        ``episodes``/``cursors`` are per-lane uint64 vectors; ``counts``
+        (int64), ``lam`` and ``term = exp(-lam)`` are ``(n, levels)``
+        cell matrices.  ``idle_draws`` holds the clamped Poisson draws
+        (zero where the cell didn't fire), ``ndraws`` the uniforms each
+        lane consumed.
+        """
+        n, levels = counts.shape
+        workspace = self._workspace
+        # Grow-only: a fleet shard's lane count changes with every wave,
+        # and a workspace per distinct count would live as long as the
+        # process.  The row-major ``[:n]`` prefixes are exactly the
+        # contiguous (n, levels) blocks the entry point indexes.
+        if workspace is None or workspace.levels != levels or workspace.capacity < n:
+            workspace = self._workspace = _PhiloxIdleWorkspace(n, levels)
+        np.copyto(workspace.episodes[:n], episodes)
+        np.copyto(workspace.cursors[:n], cursors)
+        np.copyto(workspace.counts[:n], counts)
+        np.copyto(workspace.lam[:n], lam)
+        np.copyto(workspace.term[:n], term)
+        fired = self._lib.repro_philox_idle(*workspace.args, key0, key1, n, levels)
+        return workspace.idle[:n], workspace.ndraws[:n], int(fired)
+
+
+class _PhiloxIdleWorkspace:
+    """Staging/output buffers + cached pointers for up to ``capacity`` lanes.
+
+    Pointer extraction (~1-2us per array per call) rivals the sampler
+    itself at rollout batch sizes, so inputs are staged into fixed
+    buffers whose ctypes pointers are built once; only the two key words
+    and the lane count travel per call.
+    """
+
+    def __init__(self, capacity: int, levels: int) -> None:
+        self.capacity = capacity
+        self.levels = levels
+        self.episodes = np.empty(capacity, dtype=np.uint64)
+        self.cursors = np.empty(capacity, dtype=np.uint64)
+        self.counts = np.empty((capacity, levels), dtype=np.int64)
+        self.lam = np.empty((capacity, levels))
+        self.term = np.empty((capacity, levels))
+        self.idle = np.empty((capacity, levels), dtype=np.int64)
+        self.ndraws = np.empty(capacity, dtype=np.uint64)
+        self.uscratch = np.empty((capacity, levels))
+        self.args = (
+            self.episodes.ctypes.data_as(_UINT64_P),
+            self.cursors.ctypes.data_as(_UINT64_P),
+            self.ndraws.ctypes.data_as(_UINT64_P),
+            self.counts.ctypes.data_as(_INT64_P),
+            self.lam.ctypes.data_as(_DOUBLE_P),
+            self.term.ctypes.data_as(_DOUBLE_P),
+            self.idle.ctypes.data_as(_INT64_P),
+            self.uscratch.ctypes.data_as(_DOUBLE_P),
+        )
+
+
+if __name__ == "__main__":
+    print(build())

@@ -9,6 +9,7 @@ are reproducible from a single integer seed.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -257,7 +258,8 @@ def _philox_idle_reference(
 
 
 _idle_kernel = None
-_idle_kernel_state = "unchecked"  # "unchecked" | "ready" | "disabled"
+#: ``None`` until the first probe, then ``"ready"`` or ``"disabled: <reason>"``.
+_idle_status: Optional[str] = None
 
 
 def _philox_idle_self_check(kernel) -> bool:
@@ -267,8 +269,8 @@ def _philox_idle_self_check(kernel) -> bool:
     core skips, shallow and ~100-iteration inversions — through the C
     entry point and the numpy reference.  Any mismatch (integer draws,
     consumed-cursor counts, or fired totals) disables the native sampler
-    for the process, so an exotic compiler or platform silently degrades
-    to the numpy path instead of breaking pinned streams.
+    for the process, so an exotic compiler or platform degrades to the
+    numpy path instead of breaking pinned streams.
     """
     probe = PhiloxStreams(12345, np.arange(8, dtype=np.uint64) * 3, "selfcheck")
     episodes = probe._episodes
@@ -280,48 +282,56 @@ def _philox_idle_self_check(kernel) -> bool:
         ],
         dtype=np.int64,
     )
-    try:
-        for idle_rate in (0.02, 0.37, 0.817):
-            lam = idle_rate * counts
-            term = np.exp(-lam)
-            idle_c, ndraws_c, fired_c = kernel.sample(
-                episodes, cursors, counts, lam, term, probe._key0, probe._key1
-            )
-            idle_ref, ndraws_ref, fired_ref = _philox_idle_reference(
-                episodes, cursors, counts, lam, term, probe._round_keys
-            )
-            if (
-                fired_c != fired_ref
-                or not np.array_equal(idle_c, idle_ref)
-                or not np.array_equal(ndraws_c, ndraws_ref)
-            ):
-                return False
-    except Exception:
-        return False
+    for idle_rate in (0.02, 0.37, 0.817):
+        lam = idle_rate * counts
+        term = np.exp(-lam)
+        idle_c, ndraws_c, fired_c = kernel.sample(
+            episodes, cursors, counts, lam, term, probe._key0, probe._key1
+        )
+        idle_ref, ndraws_ref, fired_ref = _philox_idle_reference(
+            episodes, cursors, counts, lam, term, probe._round_keys
+        )
+        if (
+            fired_c != fired_ref
+            or not np.array_equal(idle_c, idle_ref)
+            or not np.array_equal(ndraws_c, ndraws_ref)
+        ):
+            return False
     return True
 
 
 def _native_idle_kernel():
-    """The self-checked native idle sampler, or ``None`` (numpy path)."""
-    global _idle_kernel, _idle_kernel_state
-    if _idle_kernel_state == "ready":
-        return _idle_kernel
-    if _idle_kernel_state == "disabled":
-        return None
-    _idle_kernel_state = "disabled"
-    try:
-        from repro.nn.native import NativePhiloxIdleKernel, load_philox_kernel
+    """The self-checked native idle sampler, or ``None`` (numpy path).
 
-        if load_philox_kernel() is None:
-            return None
-        kernel = NativePhiloxIdleKernel()
-    except Exception:
-        return None
-    if not _philox_idle_self_check(kernel):
-        return None
-    _idle_kernel = kernel
-    _idle_kernel_state = "ready"
-    return kernel
+    Probed once per process; :func:`idle_sampler_status` says how it went.
+    """
+    global _idle_kernel, _idle_status
+    if _idle_status is None:
+        # Imported here, not at module top: ``python -m
+        # repro.utils.philox_native`` (the build hook) imports this
+        # package first, and runpy warns when its target is already loaded.
+        from repro.utils.philox_native import NativePhiloxIdleKernel
+
+        try:
+            kernel = NativePhiloxIdleKernel()
+            if _philox_idle_self_check(kernel):
+                _idle_kernel, _idle_status = kernel, "ready"
+            else:
+                _idle_status = "disabled: self-check mismatch against the numpy reference"
+        except (OSError, RuntimeError, ctypes.ArgumentError) as exc:
+            _idle_status = f"disabled: {exc}"
+    return _idle_kernel
+
+
+def idle_sampler_status() -> str:
+    """``"ready"`` or ``"disabled: <reason>"`` for the native idle sampler.
+
+    The reason is what loading raised (``REPRO_DISABLE_NATIVE=1``, no
+    compiler, an unloadable object) or a self-check mismatch.  Either way
+    the draws are the same; only ``philox`` idle sampling runs slower.
+    """
+    _native_idle_kernel()
+    return _idle_status
 
 
 class PhiloxStreams:

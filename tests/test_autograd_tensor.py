@@ -53,10 +53,6 @@ class TestTensorBasics:
         with pytest.raises(AutogradError):
             out.backward()
 
-    def test_zeros_ones(self):
-        assert np.all(Tensor.zeros((2, 2)).data == 0)
-        assert np.all(Tensor.ones(3).data == 1)
-
 
 class TestNoGrad:
     def test_no_grad_disables_graph(self):
@@ -127,10 +123,6 @@ class TestArithmeticGradients:
         # Gradient of the broadcast operand is reduced to its shape.
         assert b.grad.shape == (2,)
 
-    def test_rtruediv(self):
-        a = _param([2.0, 4.0])
-        check_gradients(lambda: (1.0 / a).sum(), {"a": a})
-
     def test_tensor_exponent_rejected(self):
         a = _param([2.0])
         with pytest.raises(AutogradError):
@@ -153,14 +145,6 @@ class TestMatmulGradients:
         b = _param([0.5, -1.0, 2.0])
         check_gradients(lambda: (a @ b), {"a": a, "b": b})
 
-    def test_transpose(self):
-        a = _param(np.random.default_rng(4).random((2, 3)))
-        check_gradients(lambda: (a.T @ a).sum(), {"a": a})
-
-    def test_transpose_requires_2d(self):
-        with pytest.raises(ShapeError):
-            Tensor(np.zeros(3)).transpose()
-
 
 class TestReductionGradients:
     def test_sum_all(self):
@@ -176,11 +160,6 @@ class TestReductionGradients:
         a = _param(np.arange(8.0).reshape(2, 4))
         check_gradients(lambda: a.mean(), {"a": a})
         check_gradients(lambda: a.mean(axis=1).sum(), {"a": a})
-
-    def test_max(self):
-        a = _param([[1.0, 5.0, 2.0], [7.0, 0.0, 3.0]])
-        check_gradients(lambda: a.max(), {"a": a})
-        check_gradients(lambda: a.max(axis=1).sum(), {"a": a})
 
 
 class TestShapeOps:
@@ -198,17 +177,9 @@ class TestShapeOps:
         cols = np.array([1, 2, 0])
         check_gradients(lambda: a[rows, cols].sum(), {"a": a})
 
-    def test_concat_gradient(self):
-        a, b = _param([1.0, 2.0]), _param([3.0, 4.0, 5.0])
-        check_gradients(lambda: Tensor.concat([a, b], axis=0).sum(), {"a": a, "b": b})
-
     def test_stack_gradient(self):
         a, b = _param([1.0, 2.0]), _param([3.0, 4.0])
         check_gradients(lambda: (Tensor.stack([a, b], axis=0) * 2).sum(), {"a": a, "b": b})
-
-    def test_concat_empty_raises(self):
-        with pytest.raises(ShapeError):
-            Tensor.concat([])
 
 
 class TestNonlinearityGradients:

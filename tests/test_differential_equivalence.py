@@ -39,11 +39,12 @@ from repro.drl.rollout import (
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
-from repro.nn.native import native_available, native_unavailable_reason
 from repro.nn.rnn import GRUCell
 from repro.storage.iorequest import NUM_IO_TYPES
 from repro.storage.simulator import StorageSystemConfig
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
+from repro.utils.philox_native import NativePhiloxIdleKernel
+from repro.utils.rng import PhiloxStreams, _philox_idle_reference, idle_sampler_status
 
 NUM_CONFIGS = 50
 
@@ -367,105 +368,16 @@ def test_philox_vector_vs_parallel_vs_pool_bit_identical(index):
 
 
 # ----------------------------------------------------------------------
-# Fused native kernel vs pure-numpy forward
+# Native Philox idle sampler and the single numpy GRU forward
 # ----------------------------------------------------------------------
-# The native kernel's contract is allclose-level agreement (fused
-# fast-math transcendentals reassociate), not bit identity; the single
-# pure-numpy forward's contract IS bit identity with its written-out
-# definition — both pinned here over randomized shapes including B=1.
+# Both contracts are bit identity: the C sampler against the numpy
+# reference it accelerates, the in-place numpy forward against its
+# written-out definition — pinned here over randomized shapes incl. B=1.
 
 native_only = pytest.mark.skipif(
-    not native_available(), reason=f"native kernel unavailable: {native_unavailable_reason()}"
+    idle_sampler_status() != "ready",
+    reason=f"native philox sampler {idle_sampler_status()}",
 )
-
-
-@native_only
-@pytest.mark.parametrize("config_index", range(12))
-def test_native_gru_kernel_matches_numpy(config_index):
-    rng = np.random.default_rng(77_000 + config_index)
-    input_size = int(rng.integers(1, 48))
-    hidden = int(rng.choice([1, 3, 4, 6, 8, 12, 16, 17, 32, 128]))
-    batch = int(rng.choice([1, 2, 5, 16]))
-    seed = int(rng.integers(1 << 31))
-    reference = GRUCell(input_size, hidden, rng=seed)
-    native = GRUCell(input_size, hidden, rng=seed, kernel="native")
-    for _ in range(3):
-        x = rng.standard_normal((batch, input_size))
-        h = rng.standard_normal((batch, hidden))
-        np.testing.assert_allclose(
-            native.forward_np(x, h),
-            reference.forward_np(x, h),
-            rtol=1e-12,
-            atol=1e-12,
-        )
-    # Weight mutation through the optimizer idiom must repack.
-    for parameter in native.parameters():
-        parameter.data -= 0.01 * np.ones_like(parameter.data)
-    for parameter in reference.parameters():
-        parameter.data -= 0.01 * np.ones_like(parameter.data)
-    x = rng.standard_normal((batch, input_size))
-    h = rng.standard_normal((batch, hidden))
-    np.testing.assert_allclose(
-        native.forward_np(x, h), reference.forward_np(x, h), rtol=1e-12, atol=1e-12
-    )
-
-
-@native_only
-@pytest.mark.parametrize("config_index", range(6))
-def test_native_policy_kernel_matches_numpy(config_index):
-    rng = np.random.default_rng(78_000 + config_index)
-    hidden = int(rng.choice([4, 12, 16, 128]))
-    batch = int(rng.choice([1, 3, 16]))
-    seed = int(rng.integers(1 << 31))
-    reference = RecurrentPolicyValueNet(PolicyConfig(hidden_size=hidden), rng=seed)
-    native = RecurrentPolicyValueNet(
-        PolicyConfig(hidden_size=hidden, kernel="native"), rng=seed
-    )
-    native.load_state_dict(reference.state_dict())
-    observations = rng.standard_normal((batch, reference.config.observation_dim))
-    hiddens = rng.standard_normal((batch, hidden))
-    ref_out = reference.act_batch(observations, hiddens, greedy=True)
-    nat_out = native.act_batch(observations, hiddens, greedy=True)
-    np.testing.assert_array_equal(ref_out.actions, nat_out.actions)
-    np.testing.assert_allclose(ref_out.values, nat_out.values, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(
-        ref_out.hidden_states, nat_out.hidden_states, rtol=1e-10, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        ref_out.log_probs, nat_out.log_probs, rtol=1e-10, atol=1e-12
-    )
-
-
-@native_only
-def test_native_kernels_hold_one_workspace_across_batch_sizes():
-    """Staging buffers follow the batch size instead of accumulating.
-
-    Behind a timed flush the micro-batch size is arbitrary; a workspace
-    kept per distinct size grows to ``max_batch_size`` buffer sets.
-    """
-    rng = np.random.default_rng(80_500)
-    reference = RecurrentPolicyValueNet(PolicyConfig(hidden_size=16), rng=3)
-    native = RecurrentPolicyValueNet(PolicyConfig(hidden_size=16, kernel="native"), rng=3)
-    policy_refs, gru_refs = [], []
-    for batch in (3, 7, 5):
-        observations = rng.standard_normal((batch, reference.config.observation_dim))
-        hiddens = rng.standard_normal((batch, 16))
-        for got, want in zip(
-            native.forward_np(observations, hiddens),
-            reference.forward_np(observations, hiddens),
-        ):
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(
-            native.gru.forward_np(observations, hiddens),
-            reference.gru.forward_np(observations, hiddens),
-            rtol=1e-10, atol=1e-12,
-        )
-        policy_refs.append(weakref.ref(native._native_kernel()._live_workspace))
-        gru_refs.append(weakref.ref(native.gru._native_kernel()._live_workspace))
-    gc.collect()
-    for refs in (policy_refs, gru_refs):
-        assert [ref() is not None for ref in refs] == [False, False, True]
-        assert refs[-1]().x.shape[0] == 5
 
 
 @native_only
@@ -473,24 +385,14 @@ def test_native_kernels_hold_one_workspace_across_batch_sizes():
 def test_native_philox_idle_sampler_bit_identical(config_index):
     """The fused C idle sampler vs the pure-numpy reference, bitwise.
 
-    Unlike the GRU kernel (allclose budget), the Philox sampler's
-    contract is exact: golden traces are pinned on the numpy streams and
-    native availability must not change a single draw or cursor.  The
+    Golden traces are pinned on the numpy streams, so native
+    availability must not change a single draw or cursor.  The
     end-to-end guard is the scalar-vs-vector philox suite above (scalar
     draws via numpy lanes, vector via the C path when available); this
     pins the entry point directly across count/rate extremes the rollout
     configs may not reach — zero/one-core skips, deep inversions, large
     episode ids and cursors.
     """
-    from repro.utils.rng import (
-        PhiloxStreams,
-        _native_idle_kernel,
-        _philox_idle_reference,
-    )
-
-    kernel = _native_idle_kernel()
-    if kernel is None:
-        pytest.skip("native philox sampler unavailable or self-check failed")
     rng = np.random.default_rng(81_000 + config_index)
     lanes = int(rng.integers(1, 24))
     levels = int(rng.integers(1, 5))
@@ -511,6 +413,42 @@ def test_native_philox_idle_sampler_bit_identical(config_index):
     np.testing.assert_array_equal(draws, expected[0])
     assert fired == expected[2]
     np.testing.assert_array_equal(streams._cursors, cursors_before + expected[1])
+
+
+@native_only
+def test_native_philox_sampler_holds_one_grow_only_workspace():
+    """Staging buffers are bounded by the largest lane count, not by how
+    many distinct counts were seen.
+
+    A fleet shard presents a different lane count on most waves; a
+    workspace kept per count lives as long as the process.  Smaller
+    calls run in the ``[:n]`` prefix of the one workspace and still
+    match the numpy reference bit for bit.
+    """
+    kernel = NativePhiloxIdleKernel()  # fresh: the process-wide one has history
+    streams = PhiloxStreams(7, 9, "idle-workspace")
+    rng = np.random.default_rng(82_000)
+    workspaces = []
+    for lanes in (5, 9, 3, 9):
+        counts = rng.integers(0, 40, (lanes, 3)).astype(np.int64)
+        lam = 0.4 * counts
+        term = np.exp(-lam)
+        episodes, cursors = streams._episodes[:lanes], streams._cursors[:lanes]
+        expected = _philox_idle_reference(
+            episodes, cursors, counts, lam, term, streams._round_keys
+        )
+        draws, ndraws, fired = kernel.sample(
+            episodes, cursors, counts, lam, term, streams._key0, streams._key1
+        )
+        np.testing.assert_array_equal(draws, expected[0])
+        np.testing.assert_array_equal(ndraws, expected[1])
+        assert fired == expected[2]
+        workspaces.append(weakref.ref(kernel._workspace))
+        del draws, ndraws
+    gc.collect()
+    assert [ref() is not None for ref in workspaces] == [False, True, True, True]
+    assert len({id(ref()) for ref in workspaces[1:]}) == 1
+    assert kernel._workspace.capacity == 9
 
 
 @pytest.mark.parametrize("config_index", range(10))

@@ -10,8 +10,13 @@ or the name goes on ``KNOWN_GONE`` below with the PR that removed it.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from repro.drl.policy import PolicyConfig
 
 LEDGER_TRACE = Path(__file__).resolve().parents[1] / "benchmarks" / "ledger" / "ledger_trace.py"
 
@@ -37,3 +42,17 @@ def test_every_patch_target_resolves():
         else:
             assert callable(getattr(raw, "__func__", raw)), target
     assert unresolved == KNOWN_GONE
+
+
+def test_frozen_stamp_still_resolves_the_kernel_name():
+    """``run.py``'s ``stamp()`` reads ``PolicyConfig().kernel``.
+
+    The name survives as a constant for that one frozen reader; it is no
+    longer something a caller can set.
+    """
+    assert PolicyConfig().kernel == "numpy"
+    assert [f.name for f in dataclasses.fields(PolicyConfig)] == [
+        "observation_dim", "hidden_size", "num_actions",
+    ]
+    with pytest.raises(TypeError):
+        PolicyConfig(kernel="native")

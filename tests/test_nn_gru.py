@@ -128,3 +128,16 @@ def test_forward_np_sees_rebound_bias_at_every_batch_size():
         after = cell.forward_np(x[:batch], h[:batch])
         assert not np.array_equal(after, stale), f"B={batch} kept the old bias"
         np.testing.assert_allclose(after, expected[:batch], rtol=0, atol=1e-12)
+
+    # The same through the in-place writers: ``load_state_dict`` writes
+    # ``param.data[...]`` and there is no version counter to bump — a
+    # Parameter is a plain Tensor and the forward reads it at call time.
+    assert not hasattr(cell.b_r, "version") and not hasattr(cell.b_r, "assign")
+    donor = GRUCell(4, 16, rng=9)
+    arrays = {name: param.data for name, param in cell.named_parameters()}
+    cell.load_state_dict(donor.state_dict())
+    assert all(param.data is arrays[name] for name, param in cell.named_parameters())
+    for batch in before:
+        np.testing.assert_array_equal(
+            cell.forward_np(x[:batch], h[:batch]), donor.forward_np(x[:batch], h[:batch])
+        )

@@ -318,11 +318,6 @@ class TestComponentIntegration:
         assert snapshot.value("rollout_batches_total") == 1
         assert snapshot.value("rollout_episodes_total") == 2
         assert snapshot.value("rollout_steps_total") > 0
-        kernel_total = sum(
-            series["value"]
-            for series in snapshot.data["nn_kernel_dispatch_total"]["series"].values()
-        )
-        assert kernel_total > 0
         spans = [
             r for r in telemetry.tracer().records()
             if r["name"] == "rollout.collect_batch"

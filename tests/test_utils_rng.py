@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngFactory, new_rng, spawn_rngs
+from repro.utils import philox_native, rng as rng_module
+from repro.utils.rng import RngFactory, idle_sampler_status, new_rng, spawn_rngs
 
 
 class TestNewRng:
@@ -80,3 +81,34 @@ class TestRngFactory:
 
     def test_seed_property(self):
         assert RngFactory(17).seed == 17
+
+
+class TestIdleSamplerStatus:
+    @pytest.fixture
+    def unprobed(self, monkeypatch):
+        """The sampler is probed once per process; give the test its own probe."""
+        monkeypatch.setattr(rng_module, "_idle_kernel", None)
+        monkeypatch.setattr(rng_module, "_idle_status", None)
+
+    def test_disabled_by_the_environment_names_the_variable(self, unprobed, monkeypatch):
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+        assert idle_sampler_status() == "disabled: REPRO_DISABLE_NATIVE=1"
+        assert rng_module._native_idle_kernel() is None
+
+    def test_ready_after_build_when_a_compiler_exists(self, unprobed, monkeypatch):
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+        try:
+            philox_native.build()
+        except RuntimeError as exc:
+            pytest.skip(f"no compiler on this box: {exc}")
+        assert idle_sampler_status() == "ready"
+        assert rng_module._native_idle_kernel() is not None
+
+    def test_failed_load_is_recorded_with_its_reason(self, unprobed, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))  # nothing cached
+        monkeypatch.delenv("CC", raising=False)
+        monkeypatch.setenv("PATH", "")                           # no compiler found
+        status = idle_sampler_status()
+        assert status.startswith("disabled: no compiler produced the philox_kernel")
+        assert rng_module._native_idle_kernel() is None

@@ -112,9 +112,25 @@ class TestPoolEquivalenceAndReuse:
             # Unchanged weights: no new broadcast.
             pool.collect(tiny_policy, real_traces[:2], base_seed=1, greedy=True)
             assert pool.weights_version == version_after_first
+            stale = pool.collect(tiny_policy, real_traces[:2], base_seed=2, greedy=True)
             tiny_policy.gru.b_r.data += 0.5
-            pool.collect(tiny_policy, real_traces[:2], base_seed=2, greedy=True)
+            pooled = pool.collect(tiny_policy, real_traces[:2], base_seed=2, greedy=True)
             assert pool.weights_version == version_after_first + 1
+            # The one-parameter delta, written in place in the workers,
+            # reaches their next forward: same values as a local
+            # collection with the new bias, not the pre-delta ones.
+            episode_rngs, action_rngs = derive_episode_streams(2, 2)
+            reference = BatchedRolloutCollector(
+                VectorStorageAllocationEnv(system_config, reward_config)
+            ).collect_batch(
+                tiny_policy, real_traces[:2], greedy=True,
+                episode_rngs=episode_rngs, action_rngs=action_rngs,
+            )
+            for ref, got, old in zip(reference, pooled, stale):
+                _assert_identical(ref, got)
+                assert not np.array_equal(
+                    got.hidden_states_after(), old.hidden_states_after()
+                )
 
     def test_zero_episode_epoch_is_a_noop(
         self, system_config, reward_config, tiny_policy, real_traces
