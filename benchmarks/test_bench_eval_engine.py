@@ -25,9 +25,6 @@ Knobs (environment variables):
 * ``EVAL_BENCH_MIN_SPEEDUP`` — hard assertion floor for compiled-engine
   vs sequential-interpreted throughput (default 2.0; the headline number
   lives in the JSON, shared CI workers are too noisy for it).
-* ``EVAL_BENCH_RNG_FAMILY`` — stamped into the JSON (evaluation itself
-  is greedy/deterministic, the stamp keeps the perf trajectory
-  comparable with the rollout benchmarks).
 * ``BENCH_OUTPUT_DIR`` — also write the JSON summary to
   ``$BENCH_OUTPUT_DIR/BENCH_eval_engine.json`` for artifact upload / the
   ``benchmarks/results/`` perf trajectory.
@@ -63,7 +60,6 @@ from repro.workloads.sampler import RealTraceSampler
 DURATION = int(os.environ.get("EVAL_BENCH_DURATION", "48"))
 ROUNDS = int(os.environ.get("EVAL_BENCH_ROUNDS", "3"))
 MIN_ASSERTED_SPEEDUP = float(os.environ.get("EVAL_BENCH_MIN_SPEEDUP", "2.0"))
-RNG_FAMILY = os.environ.get("EVAL_BENCH_RNG_FAMILY", "legacy")
 HIDDEN_SIZE = 128
 
 
@@ -142,7 +138,7 @@ def test_bench_eval_engine(tmp_path):
         "backend": "compiled_fsm",
         "baseline_backend": "sequential_interpreted",
         "kernel": "numpy",
-        "rng_family": RNG_FAMILY,
+        "rng_family": "legacy",
         "traces": len(eval_traces),
         "duration": DURATION,
         "rounds": ROUNDS,
@@ -166,8 +162,7 @@ def test_bench_eval_engine(tmp_path):
     if output_dir:
         target = Path(output_dir)
         target.mkdir(parents=True, exist_ok=True)
-        suffix = "" if RNG_FAMILY == "legacy" else f"_{RNG_FAMILY}"
-        (target / f"BENCH_eval_engine{suffix}.json").write_text(
+        (target / "BENCH_eval_engine.json").write_text(
             json.dumps(summary, indent=2) + "\n"
         )
 

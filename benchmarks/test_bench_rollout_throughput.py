@@ -16,15 +16,10 @@ Knobs (environment variables):
   persistent-worker-pool collector sharding the same batch across N
   resident workers (only meaningful on multi-core hosts; the pool's
   merge is bit-identical to the single-process batched collection).
-* ``ROLLOUT_BENCH_RNG_FAMILY`` — rng stream family for the batched path
-  (``legacy`` default, ``philox`` for the counter-based vectorized
-  streams).
 * ``BENCH_OUTPUT_DIR`` — when set, the JSON summary is also written to
   ``$BENCH_OUTPUT_DIR/BENCH_rollout_throughput.json`` so CI can upload
   it as an artifact and the repo can accumulate perf evidence under
-  ``benchmarks/results/``.  Non-default rng-family runs write a
-  family-suffixed filename instead, so differently-configured artifacts
-  can never be diffed against the default baseline by accident.
+  ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ from repro.workloads.sampler import RealTraceSampler
 BATCH_SIZE = int(os.environ.get("ROLLOUT_BENCH_BATCH", "16"))
 ROUNDS = int(os.environ.get("ROLLOUT_BENCH_ROUNDS", "5"))
 POOL_WORKERS = int(os.environ.get("ROLLOUT_BENCH_POOL_WORKERS", "0"))
-RNG_FAMILY = os.environ.get("ROLLOUT_BENCH_RNG_FAMILY", "legacy")
 # Hard floor: batched collection slower than sequential is a real
 # regression even on a loaded machine.  Shared CI runners are too noisy
 # for the headline number (the JSON records the measured value); tighten
@@ -76,10 +70,9 @@ def test_bench_rollout_throughput(tmp_path):
         VectorStorageAllocationEnv(system_config, reward_config), rng=0
     )
 
-    # Warm-up: first calls pay one-time costs (interval caches, BLAS
-    # init, the Philox sampler's load and self-check).
+    # Warm-up: first calls pay one-time costs (interval caches, BLAS init).
     sequential.collect_many(policy, traces[:4], greedy=False)
-    batched.collect_many(policy, traces[:4], greedy=False, rng_family=RNG_FAMILY)
+    batched.collect_many(policy, traces[:4], greedy=False)
 
     sequential_rates = []
     batched_rates = []
@@ -91,10 +84,7 @@ def test_bench_rollout_throughput(tmp_path):
         )
         batched_rates.append(
             _steps_per_second(
-                lambda t: batched.collect_many(
-                    policy, t, greedy=False, rng_family=RNG_FAMILY
-                ),
-                traces,
+                lambda t: batched.collect_many(policy, t, greedy=False), traces
             )
         )
 
@@ -124,7 +114,7 @@ def test_bench_rollout_throughput(tmp_path):
         "hidden_size": 128,
         "rounds": ROUNDS,
         "kernel": "numpy",
-        "rng_family": RNG_FAMILY,
+        "rng_family": "legacy",
         "sequential_steps_per_s": round(best_sequential, 1),
         "batched_steps_per_s": round(best_batched, 1),
         "speedup": round(best_batched / best_sequential, 2),
@@ -142,8 +132,7 @@ def test_bench_rollout_throughput(tmp_path):
     if output_dir:
         target = Path(output_dir)
         target.mkdir(parents=True, exist_ok=True)
-        suffix = "" if RNG_FAMILY == "legacy" else f"_{RNG_FAMILY}"
-        (target / f"BENCH_rollout_throughput{suffix}.json").write_text(
+        (target / "BENCH_rollout_throughput.json").write_text(
             json.dumps(summary, indent=2) + "\n"
         )
 

@@ -36,12 +36,6 @@ def main() -> None:
         help="number of collection epochs (the pool amortises its spawn "
              "cost across epochs)",
     )
-    parser.add_argument(
-        "--rng-family", choices=("legacy", "philox"), default="legacy",
-        help="episode rng stream family (philox = counter-based, "
-             "vectorized across the batch; a different stream family, "
-             "but still bit-identical across collection modes)",
-    )
     args = parser.parse_args()
 
     system = StorageSystemConfig()
@@ -53,9 +47,7 @@ def main() -> None:
     base_seed = 1234
 
     start = time.perf_counter()
-    episode_rngs, action_rngs = derive_episode_streams(
-        base_seed, len(traces), args.rng_family
-    )
+    episode_rngs, action_rngs = derive_episode_streams(base_seed, len(traces))
     batched = BatchedRolloutCollector(VectorStorageAllocationEnv(system)).collect_batch(
         policy, traces, episode_rngs=episode_rngs, action_rngs=action_rngs
     )
@@ -64,12 +56,8 @@ def main() -> None:
     start = time.perf_counter()
     with PersistentWorkerPool(system, num_workers=args.workers) as pool:
         for _ in range(max(0, args.epochs - 1)):
-            pool.collect(
-                policy, traces, base_seed=base_seed, rng_family=args.rng_family
-            )
-        parallel = pool.collect(
-            policy, traces, base_seed=base_seed, rng_family=args.rng_family
-        )
+            pool.collect(policy, traces, base_seed=base_seed)
+        parallel = pool.collect(policy, traces, base_seed=base_seed)
     parallel_s = (time.perf_counter() - start) / max(1, args.epochs)
 
     for reference, sharded in zip(batched, parallel):
@@ -80,8 +68,7 @@ def main() -> None:
         np.testing.assert_array_equal(reference.rewards(), sharded.rewards())
 
     steps = sum(len(t) for t in batched)
-    print(f"{len(traces)} episodes, {steps} environment steps "
-          f"(rng_family={args.rng_family})")
+    print(f"{len(traces)} episodes, {steps} environment steps")
     print(f"lockstep batch (1 process):   {batched_s:.2f}s "
           f"({steps / batched_s:.0f} steps/s)")
     print(f"worker pool ({args.workers} workers): {parallel_s:.2f}s/epoch "

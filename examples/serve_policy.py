@@ -43,11 +43,6 @@ def main() -> None:
     parser.add_argument("--artifact", type=str, default=None,
                         help="also save the compiled artifact to this path")
     parser.add_argument(
-        "--rng-family", choices=("legacy", "philox"), default="legacy",
-        help="rng stream family for the rollout-through-the-backend "
-             "demo (philox = counter-based, vectorized across the batch)",
-    )
-    parser.add_argument(
         "--engine-backend", choices=("interpreted", "compiled", "gru"),
         default=None,
         help="also run a closed-loop evaluation of the policy on the "
@@ -109,21 +104,16 @@ def main() -> None:
     if fidelity["divergence_pairs"]:
         print(f"divergence pairs: {fidelity['divergence_pairs']}")
 
-    # The serving backend doubles as the rollout inference engine: the
-    # batched collector drives the exact same GRUPolicyBackend it would
-    # serve with, so rollout collection and online serving share one
-    # code path.
-    print(f"\n4/4  batched rollout through the serving backend "
-          f"(rng_family={args.rng_family})...")
+    # The batched collector runs the exact policy instance the GRU
+    # backend serves with, so rollout collection and online serving
+    # share one forward.
+    print("\n4/4  batched rollout with the served policy...")
     collector = BatchedRolloutCollector(
         VectorStorageAllocationEnv(config.system, config.reward)
     )
     start = time.perf_counter()
     trajectories = collector.collect_many(
-        gru_backend,
-        result.eval_traces,
-        base_seed=args.seed,
-        rng_family=args.rng_family,
+        gru_backend.policy, result.eval_traces, base_seed=args.seed
     )
     elapsed = time.perf_counter() - start
     steps = sum(len(t) for t in trajectories)

@@ -19,7 +19,7 @@ from repro.env.observation import OBSERVATION_DIM
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn import GRUCell, Linear, Module
 from repro.storage.migration import NUM_ACTIONS
-from repro.utils.rng import PhiloxStreams, SeedLike, new_rng
+from repro.utils.rng import SeedLike, new_rng
 
 
 @dataclass(frozen=True)
@@ -208,19 +208,7 @@ class RecurrentPolicyValueNet(Module):
         observations = np.asarray(observations, dtype=np.float64)
         hiddens = np.asarray(hiddens, dtype=np.float64)
         batch = observations.shape[0]
-        philox: Optional[PhiloxStreams] = None
-        if isinstance(rngs, PhiloxStreams):
-            # Counter-based lanes: all rows' draws materialise in one
-            # vectorized call each (sample, epsilon, replacement), with
-            # per-lane cursors keeping the consumption order identical
-            # to the scalar row-by-row path.
-            if len(rngs) != batch:
-                raise ConfigurationError(
-                    f"act_batch got {len(rngs)} philox lanes for a batch of {batch}"
-                )
-            philox = rngs
-            row_rngs = None
-        elif isinstance(rngs, (list, tuple)):
+        if isinstance(rngs, (list, tuple)):
             if len(rngs) != batch:
                 raise ConfigurationError(
                     f"act_batch got {len(rngs)} rngs for a batch of {batch}"
@@ -249,10 +237,7 @@ class RecurrentPolicyValueNet(Module):
             active_rows = np.nonzero(active)[0]
             sub_observations = observations[active_rows]
             sub_hiddens = hiddens[active_rows]
-            sub_rngs = (
-                None if row_rngs is None
-                else [row_rngs[i] for i in active_rows.tolist()]
-            )
+            sub_rngs = [row_rngs[i] for i in active_rows.tolist()]
 
         if sub_observations.shape[0] == 0:
             zeros = np.zeros((batch, self.config.num_actions))
@@ -271,60 +256,50 @@ class RecurrentPolicyValueNet(Module):
         # One batched cumulative sum serves every row's inverse-CDF draw
         # (a row of the axis-1 cumsum is identical to cumsum of the row).
         cdfs = None if greedy else np.cumsum(sub_probs, axis=-1)
-        if philox is not None:
-            sub_actions = self._pick_actions_philox(
-                philox,
-                active_rows if active_rows is not None else np.arange(batch),
-                sub_probs,
-                cdfs,
-                epsilon,
-                greedy,
-            )
+        shared_stream = not isinstance(rngs, (list, tuple))
+        if epsilon > 0.0 and not shared_stream:
+            # A list may alias one generator across rows; batched draw
+            # ordering would then diverge from the scalar row-by-row
+            # consumption, so aliased lists take the scalar loop too.
+            shared_stream = len({id(r) for r in sub_rngs}) != len(sub_rngs)
+        if epsilon > 0.0 and shared_stream:
+            # A single generator serving every row is consumed strictly
+            # row by row (sample draw, epsilon draw, optional replacement
+            # draw per row, then the next row) — the batched draw order
+            # below would interleave it differently, so this path keeps
+            # the scalar loop.
+            sub_actions = np.zeros(len(sub_rngs), dtype=int)
+            for k, rng in enumerate(sub_rngs):
+                sub_actions[k] = self._pick_action(
+                    sub_probs[k], rng, epsilon, greedy,
+                    cdf=None if cdfs is None else cdfs[k],
+                )
+        elif greedy:
+            # Row-wise argmax matches the per-row pick and no randomness
+            # is consumed, so the whole batch resolves in one call.
+            sub_actions = np.argmax(sub_probs, axis=1)
         else:
-            shared_stream = not isinstance(rngs, (list, tuple))
-            if epsilon > 0.0 and not shared_stream:
-                # A list may alias one generator across rows; batched draw
-                # ordering would then diverge from the scalar row-by-row
-                # consumption, so aliased lists take the scalar loop too.
-                shared_stream = len({id(r) for r in sub_rngs}) != len(sub_rngs)
-            if epsilon > 0.0 and shared_stream:
-                # A single generator serving every row is consumed strictly
-                # row by row (sample draw, epsilon draw, optional replacement
-                # draw per row, then the next row) — the batched draw order
-                # below would interleave it differently, so this path keeps
-                # the scalar loop.
-                sub_actions = np.zeros(len(sub_rngs), dtype=int)
-                for k, rng in enumerate(sub_rngs):
-                    sub_actions[k] = self._pick_action(
-                        sub_probs[k], rng, epsilon, greedy,
-                        cdf=None if cdfs is None else cdfs[k],
-                    )
-            elif greedy:
-                # Row-wise argmax matches the per-row pick and no randomness
-                # is consumed, so the whole batch resolves in one call.
-                sub_actions = np.argmax(sub_probs, axis=1)
-            else:
-                # One uniform draw per active row (same order, same stream as
-                # the scalar path), inverted through the batched CDFs: the
-                # count of cdf entries <= draw equals searchsorted(side="right").
-                draws = np.empty(len(sub_rngs))
-                for k, rng in enumerate(sub_rngs):
-                    draws[k] = rng.random()
-                draws *= cdfs[:, -1]
-                picked = (cdfs <= draws[:, None]).sum(axis=1)
-                sub_actions = np.minimum(picked, self.config.num_actions - 1)
-            if epsilon > 0.0 and not shared_stream:
-                # Epsilon-greedy replacement, batched: each row's generator
-                # draws its epsilon uniform after its (optional) sampling
-                # draw — the same per-stream order as the scalar
-                # ``_pick_action``, since the streams are independent — and
-                # only rows whose draw fires consume the ``integers`` variate.
-                sub_actions = np.asarray(sub_actions, dtype=int)
-                explore_draws = np.empty(len(sub_rngs))
-                for k, rng in enumerate(sub_rngs):
-                    explore_draws[k] = rng.random()
-                for k in np.nonzero(explore_draws < epsilon)[0].tolist():
-                    sub_actions[k] = int(sub_rngs[k].integers(self.config.num_actions))
+            # One uniform draw per active row (same order, same stream as
+            # the scalar path), inverted through the batched CDFs: the
+            # count of cdf entries <= draw equals searchsorted(side="right").
+            draws = np.empty(len(sub_rngs))
+            for k, rng in enumerate(sub_rngs):
+                draws[k] = rng.random()
+            draws *= cdfs[:, -1]
+            picked = (cdfs <= draws[:, None]).sum(axis=1)
+            sub_actions = np.minimum(picked, self.config.num_actions - 1)
+        if epsilon > 0.0 and not shared_stream:
+            # Epsilon-greedy replacement, batched: each row's generator
+            # draws its epsilon uniform after its (optional) sampling
+            # draw — the same per-stream order as the scalar
+            # ``_pick_action``, since the streams are independent — and
+            # only rows whose draw fires consume the ``integers`` variate.
+            sub_actions = np.asarray(sub_actions, dtype=int)
+            explore_draws = np.empty(len(sub_rngs))
+            for k, rng in enumerate(sub_rngs):
+                explore_draws[k] = rng.random()
+            for k in np.nonzero(explore_draws < epsilon)[0].tolist():
+                sub_actions[k] = int(sub_rngs[k].integers(self.config.num_actions))
 
         if all_active:
             actions = np.asarray(sub_actions, dtype=int)
@@ -349,51 +324,6 @@ class RecurrentPolicyValueNet(Module):
             values=values,
             hidden_states=next_hiddens,
         )
-
-    def _pick_actions_philox(
-        self,
-        streams: PhiloxStreams,
-        rows: np.ndarray,
-        sub_probs: np.ndarray,
-        cdfs: Optional[np.ndarray],
-        epsilon: float,
-        greedy: bool,
-    ) -> np.ndarray:
-        """Batched action selection over counter-based lanes.
-
-        Consumes each lane's draws in exactly the scalar
-        :meth:`_pick_action` order — sampling uniform (non-greedy only),
-        epsilon uniform (when epsilon > 0), replacement integer on firing
-        rows only — but materialises each kind of draw for all rows in
-        one vectorized call.  Lanes are independent by construction, so
-        the batched order is the per-stream order.
-        """
-        eps_draws = None
-        if greedy:
-            sub_actions = np.argmax(sub_probs, axis=1)
-        else:
-            if epsilon > 0.0:
-                # The sampling uniform (cursor c) and the epsilon
-                # uniform (cursor c+1) are consecutive per lane, so one
-                # block call serves both — same values, same cursors as
-                # two successive uniforms() calls.
-                block = streams.uniforms_block(rows, 2)
-                draws = block[:, 0] * cdfs[:, -1]
-                eps_draws = block[:, 1]
-            else:
-                draws = streams.uniforms(rows) * cdfs[:, -1]
-            picked = (cdfs <= draws[:, None]).sum(axis=1)
-            sub_actions = np.minimum(picked, self.config.num_actions - 1)
-        if epsilon > 0.0:
-            if eps_draws is None:
-                eps_draws = streams.uniforms(rows)
-            sub_actions = np.asarray(sub_actions, dtype=int)
-            firing = np.nonzero(eps_draws < epsilon)[0]
-            if firing.size:
-                sub_actions[firing] = streams.integers(
-                    self.config.num_actions, rows[firing]
-                )
-        return sub_actions
 
     def _pick_action(
         self,

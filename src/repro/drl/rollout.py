@@ -30,13 +30,7 @@ from repro.env.environment import StorageAllocationEnv
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import TrainingError
 from repro.storage.workload import WorkloadTrace
-from repro.utils.rng import (
-    RNG_FAMILIES,
-    PhiloxStreams,
-    SeedLike,
-    derive_philox_streams,
-    new_rng,
-)
+from repro.utils.rng import SeedLike, new_rng
 
 
 @dataclass(frozen=True)
@@ -329,35 +323,18 @@ class TrajectoryBatch:
 
 
 def derive_episode_streams(
-    base_seed: int, count: int, rng_family: str = "legacy"
-) -> Tuple[Sequence, Sequence]:
+    base_seed: int, count: int
+) -> Tuple[List[np.random.Generator], List[np.random.Generator]]:
     """Per-episode (environment, action) rng stream pairs from one seed.
 
     Both collectors use this scheme, which is what makes a batched
     collection reproducible by running the sequential collector with the
-    same streams.  Two stream families exist:
-
-    * ``"legacy"`` (default) — episode ``i`` gets
-      ``SeedSequence(base_seed).spawn(count)[i]``, split once more into
-      the simulator stream and the action-sampling stream.  Returns two
-      lists of ``np.random.Generator``.
-    * ``"philox"`` — counter-based :class:`~repro.utils.rng.PhiloxStreams`
-      keyed by ``(base_seed, episode, draw_index)``, whose per-episode
-      draws materialise in one vectorized call per decision point.
-      Returns two :class:`PhiloxStreams` (env, action); lane ``i`` is
-      the drop-in scalar stream for episode ``i``.
-
-    The two families produce *different* (both reproducible) episodes —
-    goldens are pinned per family.
+    same streams: episode ``i`` gets
+    ``SeedSequence(base_seed).spawn(count)[i]``, split once more into the
+    simulator stream and the action-sampling stream.
     """
     if count <= 0:
         raise TrainingError(f"count must be positive, got {count}")
-    if rng_family not in RNG_FAMILIES:
-        raise TrainingError(
-            f"unknown rng_family {rng_family!r}, expected one of {RNG_FAMILIES}"
-        )
-    if rng_family == "philox":
-        return derive_philox_streams(base_seed, count)
     episode_rngs: List[np.random.Generator] = []
     action_rngs: List[np.random.Generator] = []
     for child in np.random.SeedSequence(base_seed).spawn(count):
@@ -478,57 +455,33 @@ class BatchedRolloutCollector:
         greedy: bool = False,
         episode_rngs: Optional[Sequence[SeedLike]] = None,
         action_rngs: Optional[Sequence[SeedLike]] = None,
-        rng_family: str = "legacy",
     ) -> List[Trajectory]:
         """Run one lockstep episode per trace and return the trajectories.
 
         When the rng streams are not supplied they are derived from this
-        collector's generator via :func:`derive_episode_streams` (using
-        ``rng_family`` — pass ``"philox"`` for the counter-based family
-        whose per-decision draws are one vectorized call); pass the same
-        streams to :meth:`RolloutCollector.collect` to reproduce any
-        single slot bit-for-bit.
-
-        ``policy`` may be a bare :class:`RecurrentPolicyValueNet` or any
-        :class:`~repro.engine.backends.DecisionBackend` that implements
-        ``act_rollout`` (e.g.
-        :class:`~repro.engine.backends.GRUPolicyBackend`; see
-        :func:`~repro.engine.backends.resolve_rollout_backend`) —
-        training rollouts, evaluation and the decision server then share
-        one inference engine.
+        collector's generator via :func:`derive_episode_streams`; pass
+        the same streams to :meth:`RolloutCollector.collect` to reproduce
+        any single slot bit-for-bit.
         """
         traces = list(traces)
         if not traces:
             raise TrainingError("collect_batch() needs at least one trace")
         batch = len(traces)
         if episode_rngs is None or action_rngs is None:
-            # Derive whichever stream family was not supplied from this
+            # Derive whichever stream set was not supplied from this
             # collector's generator so a seeded collector stays
             # deterministic even with partially supplied streams.
             base_seed = int(self._rng.integers(np.iinfo(np.int64).max))
-            derived_episode, derived_action = derive_episode_streams(
-                base_seed, batch, rng_family
-            )
+            derived_episode, derived_action = derive_episode_streams(base_seed, batch)
             episode_rngs = derived_episode if episode_rngs is None else episode_rngs
             action_rngs = derived_action if action_rngs is None else action_rngs
-        if not isinstance(episode_rngs, PhiloxStreams):
-            episode_rngs = list(episode_rngs)
+        episode_rngs = list(episode_rngs)
         if len(episode_rngs) != batch or len(action_rngs) != batch:
             raise TrainingError(
                 f"need one episode/action rng per trace, got {len(episode_rngs)}/"
                 f"{len(action_rngs)} for {batch} traces"
             )
-        if not isinstance(action_rngs, PhiloxStreams):
-            # Counter-based streams are consumed whole by act_batch (one
-            # vectorized draw per decision point); legacy generators are
-            # wrapped per lane.
-            action_rngs = GeneratorList(new_rng(r) for r in action_rngs)
-
-        # Lazy: repro.engine.backends imports repro.drl.policy, so the
-        # resolver cannot be imported while this package initialises.
-        from repro.engine.backends import resolve_rollout_backend
-
-        backend, policy = resolve_rollout_backend(policy)
+        action_rngs = GeneratorList(new_rng(r) for r in action_rngs)
 
         venv = self.vector_env
         normalized = venv.reset(traces, rngs=episode_rngs)
@@ -571,9 +524,7 @@ class BatchedRolloutCollector:
             # path; the mask is only materialised once slots finish.
             active = None
         t = 0
-        with self._tracer.span(
-            "rollout.collect_batch", traces=batch, backend=type(backend).__name__
-        ) as rollout_span:
+        with self._tracer.span("rollout.collect_batch", traces=batch) as rollout_span:
             while active is None or active.any():
                 if t == cap:
                     cap *= 2
@@ -589,7 +540,7 @@ class BatchedRolloutCollector:
                     (observations_buf, raw_buf, hidden_buf, actions_buf,
                      rewards_buf, values_buf, counts_buf) = grown
                 counts_buf[t] = counts0 if t == 0 else venv.core_counts()
-                output = backend.act_rollout(
+                output = policy.act_batch(
                     normalized,
                     hidden,
                     rngs=action_rngs,
@@ -675,7 +626,6 @@ class BatchedRolloutCollector:
         greedy: bool = False,
         batch_size: Optional[int] = None,
         base_seed: Optional[int] = None,
-        rng_family: str = "legacy",
     ) -> List[Trajectory]:
         """Collect one trajectory per trace, ``batch_size`` episodes at a time.
 
@@ -690,9 +640,7 @@ class BatchedRolloutCollector:
         are bit-identical for every ``batch_size`` (and to a sequential
         or multi-process collection from the same seed).  Without it each
         chunk draws its own base seed from this collector's generator, so
-        results then depend on the chunking.  ``rng_family`` selects the
-        stream family (chunk slicing of counter-based streams preserves
-        each episode's lane, so the invariance holds for both families).
+        results then depend on the chunking.
         """
         traces = list(traces)
         if not traces:
@@ -701,9 +649,7 @@ class BatchedRolloutCollector:
         if chunk <= 0:
             raise TrainingError(f"batch_size must be positive, got {batch_size}")
         if base_seed is not None:
-            episode_rngs, action_rngs = derive_episode_streams(
-                base_seed, len(traces), rng_family
-            )
+            episode_rngs, action_rngs = derive_episode_streams(base_seed, len(traces))
         trajectories: List[Trajectory] = []
         for start in range(0, len(traces), chunk):
             stop = start + chunk
@@ -715,7 +661,6 @@ class BatchedRolloutCollector:
                     greedy=greedy,
                     episode_rngs=None if base_seed is None else episode_rngs[start:stop],
                     action_rngs=None if base_seed is None else action_rngs[start:stop],
-                    rng_family=rng_family,
                 )
             )
         return trajectories

@@ -50,7 +50,6 @@ from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import TrainingError
 from repro.storage.simulator import StorageSystemConfig
 from repro.storage.workload import WorkloadTrace
-from repro.utils.rng import PhiloxStreams
 
 #: Seconds between liveness checks while waiting for shard results.
 _RESULT_POLL_INTERVAL_S = 0.05
@@ -88,28 +87,20 @@ def _collect_shard(
     total: int,
     epsilon: float,
     greedy: bool,
-    rng_family: str,
 ) -> List[Trajectory]:
     """Episodes ``indices`` of a ``total``-episode collection, in lockstep.
 
     Streams are selected by global episode id, so a shard's draws are
     identical to the same lanes of the full batch.
     """
-    episode_rngs, action_rngs = derive_episode_streams(base_seed, total, rng_family)
-    indices = list(indices)
-    if isinstance(episode_rngs, PhiloxStreams):
-        episode_shard = episode_rngs.select(indices)
-        action_shard = action_rngs.select(indices)
-    else:
-        episode_shard = [episode_rngs[i] for i in indices]
-        action_shard = [action_rngs[i] for i in indices]
+    episode_rngs, action_rngs = derive_episode_streams(base_seed, total)
     return collector.collect_batch(
         policy,
         list(traces),
         epsilon=epsilon,
         greedy=greedy,
-        episode_rngs=episode_shard,
-        action_rngs=action_shard,
+        episode_rngs=[episode_rngs[i] for i in indices],
+        action_rngs=[action_rngs[i] for i in indices],
     )
 
 
@@ -351,7 +342,6 @@ class PersistentWorkerPool:
         base_seed: int,
         epsilon: float = 0.0,
         greedy: bool = False,
-        rng_family: str = "legacy",
     ) -> List[Trajectory]:
         """Collect one trajectory per trace across the resident workers.
 
@@ -384,7 +374,6 @@ class PersistentWorkerPool:
                 total,
                 float(epsilon),
                 bool(greedy),
-                str(rng_family),
             )
             for indices in shards
         ]

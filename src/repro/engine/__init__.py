@@ -1,4 +1,4 @@
-"""The inference engine: one decision contract for train, eval and serve.
+"""The inference engine: one decision contract for eval and serve.
 
 Everything that turns observations into migration decisions at batch
 granularity lives here, behind the :class:`DecisionBackend` protocol:
@@ -15,10 +15,10 @@ granularity lives here, behind the :class:`DecisionBackend` protocol:
   :class:`EvaluationEngine` that runs any backend over a trace set,
   bit-identical to the sequential reference harness.
 
-The three consumers — training rollout collection
-(:mod:`repro.drl.rollout`), policy evaluation
-(:mod:`repro.pipeline.evaluation`) and the serving layer
-(:mod:`repro.serving`) — all drive their hot loops through this package.
+Policy evaluation (:mod:`repro.pipeline.evaluation`) and the serving
+layer (:mod:`repro.serving`) drive their hot loops through this package;
+training rollout collection (:mod:`repro.drl.rollout`) calls the policy's
+``act_batch`` — the forward :class:`GRUPolicyBackend` serves — directly.
 """
 
 from repro.engine.backends import (
@@ -26,7 +26,6 @@ from repro.engine.backends import (
     CompiledFSMBackend,
     DecisionBackend,
     GRUPolicyBackend,
-    resolve_rollout_backend,
 )
 from repro.engine.compiled_fsm import CompiledDecision, CompiledFSMPolicy
 from repro.engine.evaluation import (
@@ -47,5 +46,4 @@ __all__ = [
     "GRUPolicyBackend",
     "SessionTable",
     "backend_for_agent",
-    "resolve_rollout_backend",
 ]

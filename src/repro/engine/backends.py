@@ -1,12 +1,11 @@
 """The :class:`DecisionBackend` protocol and its standard backends.
 
-This is the repo's single inference contract: training rollouts
-(:meth:`~repro.drl.rollout.BatchedRolloutCollector.collect_batch`),
-batched evaluation (:class:`~repro.engine.evaluation.EvaluationEngine`)
-and the serving layer (:class:`~repro.serving.server.PolicyServer`, the
-asyncio front door) all drive their hot loops through the same small
-protocol, so the compiled-FSM tables, the GRU policy and the scalar
-heuristics are interchangeable across all three consumers.
+This is the repo's single decision contract: batched evaluation
+(:class:`~repro.engine.evaluation.EvaluationEngine`) and the serving
+layer (:class:`~repro.serving.server.PolicyServer`, the asyncio front
+door) drive their hot loops through the same small protocol, so the
+compiled-FSM tables, the GRU policy and the scalar heuristics are
+interchangeable across both consumers.
 
 Standard backends:
 
@@ -69,12 +68,6 @@ class DecisionBackend(Protocol):
     # blue/green :meth:`~repro.serving.server.PolicyServer.swap_backend`
     # migrates live state instead of resetting it.  Return ``None`` (or
     # omit the method) to always reset on swap.
-    # ``act_rollout(observations, hiddens, rngs=..., epsilon=...,
-    # greedy=..., active=...)`` — full training-mode batched step
-    # (sampled actions, values, explicit hidden rows).  Backends that
-    # implement it can be passed to
-    # :meth:`~repro.drl.rollout.BatchedRolloutCollector.collect_batch`
-    # in place of a bare policy (see :func:`resolve_rollout_backend`).
 
 
 class CompiledFSMBackend:
@@ -157,31 +150,6 @@ class GRUPolicyBackend:
         table.hidden[slots] = output.hidden_states
         return np.asarray(output.actions, dtype=np.int64)
 
-    def act_rollout(
-        self,
-        observations: np.ndarray,
-        hiddens: np.ndarray,
-        rngs=None,
-        epsilon: float = 0.0,
-        greedy: bool = False,
-        active: Optional[np.ndarray] = None,
-    ):
-        """Training-mode batched step (the rollout collectors' hot call).
-
-        Thin delegation to ``policy.act_batch`` — the point is that the
-        same backend object (same policy instance, same forward) serves
-        both the decision consumers' :meth:`decide` and the
-        trajectory collectors.
-        """
-        return self.policy.act_batch(
-            observations,
-            hiddens,
-            rngs=rngs,
-            epsilon=epsilon,
-            greedy=greedy,
-            active=active,
-        )
-
 
 class AgentBatchBackend:
     """Lifts any scalar :class:`Agent` into the protocol — one replica per slot.
@@ -249,19 +217,3 @@ class AgentBatchBackend:
             observation = self.encoder.split_raw(raw[i])
             actions[i] = int(self._agents[int(slot)].act(observation))
         return actions
-
-
-def resolve_rollout_backend(
-    policy,
-) -> Tuple["DecisionBackend", RecurrentPolicyValueNet]:
-    """Normalise a rollout collector's ``policy`` argument.
-
-    ``policy`` may be a bare :class:`RecurrentPolicyValueNet` or any
-    :class:`DecisionBackend` implementing ``act_rollout`` (e.g.
-    :class:`GRUPolicyBackend`).  Returns ``(backend, policy)`` with the
-    underlying net unwrapped — the single place the old
-    ``hasattr(policy, "act_rollout")`` probe lives now.
-    """
-    if hasattr(policy, "act_rollout"):
-        return policy, policy.policy
-    return GRUPolicyBackend(policy), policy

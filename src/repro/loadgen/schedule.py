@@ -4,11 +4,10 @@ A :class:`FleetSchedule` is the full, serialisable description of one
 load run — fleet size and sharding, tenant mix skew, trace parameters,
 and an ordered list of :class:`LoadPhase` entries (steady state, churn
 storms, flash crowds...).  Everything the driver randomises is derived
-from ``(base_seed, schedule)`` through the Philox rng family, so the
-schedule's :meth:`~FleetSchedule.digest` is part of every
+from ``(base_seed, schedule)`` through :class:`~repro.utils.rng.PhiloxStreams`,
+so the schedule's :meth:`~FleetSchedule.digest` is part of every
 :class:`~repro.loadgen.report.LoadReport`: two reports are comparable
-only if their schedule digests match, the same refusal discipline the
-benchmark regression guards apply to kernel/rng_family stamps.
+only if their schedule digests match.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SerializationError
 from repro.utils.serialization import atomic_write_text, json_digest, load_json, save_json
 from repro.utils.tables import format_table
 
@@ -421,9 +421,10 @@ def load_resumed_record(job: SweepJob, output_dir: PathLike) -> Optional[Dict[st
         return None
     try:
         record = load_json(path)
-    except Exception:
+    except (SerializationError, ValueError):
+        # load_json wraps OSError/JSONDecodeError; bad bytes are a ValueError.
         return None
-    if record.get("status") != "ok":
+    if not isinstance(record, dict) or record.get("status") != "ok":
         return None
     identity_keys = ("name", "kind", "seed", "params")
     if any(key not in record for key in identity_keys) or "digest" not in record:

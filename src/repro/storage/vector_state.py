@@ -64,7 +64,7 @@ from repro.storage.migration import (
     action_from_index,
 )
 from repro.storage.workload import WorkloadTrace
-from repro.utils.rng import PhiloxStreams, SeedLike, _poisson_from_uniform, new_rng
+from repro.utils.rng import PhiloxStreams, SeedLike, new_rng
 
 _NUM_LEVELS = len(LEVELS)
 _DRAIN_EPSILON = 1e-9
@@ -156,9 +156,6 @@ class VectorSimulatorState:
     def trace_length(self, slot: int) -> int:
         return int(self.trace_len[slot])
 
-    def rng(self, slot: int) -> np.random.Generator:
-        return self._rngs[slot]
-
     def cache_model(self, slot: int) -> CacheModel:
         return self._cache_models[slot]
 
@@ -207,7 +204,13 @@ class VectorSimulatorState:
         traces: Sequence[WorkloadTrace],
         rngs: Optional[Sequence[SeedLike]] = None,
     ) -> None:
-        """Start one episode per trace; ``rngs[i]`` (optional) seeds slot i."""
+        """Start one episode per trace; ``rngs[i]`` (optional) seeds slot i.
+
+        The type of ``rngs`` picks the idle sampler: a sequence of seeds
+        or generators gives every slot its own ``np.random.Generator``; a
+        :class:`~repro.utils.rng.PhiloxStreams` with one lane per slot
+        (what the fleet driver passes) serves the whole batch per call.
+        """
         traces = list(traces)
         if not traces:
             raise SimulationError("reset() needs at least one trace")
@@ -225,12 +228,10 @@ class VectorSimulatorState:
             self._cache_models.append(self._cache_model_factory())
         del self._cache_models[batch:]
         if isinstance(rngs, PhiloxStreams):
-            # Counter-based family: the batch shares one stream object so
-            # idle sampling can materialise every slot's draws in a single
-            # vectorized call; ``self._rngs`` holds per-slot lane views of
-            # the same cursors so slot-level accessors keep working.
+            # The fleet's counter-based streams: the batch shares one
+            # stream object so idle sampling draws every slot's variates
+            # in a single call.
             self._philox = rngs
-            self._rngs = [rngs.lane(i) for i in range(batch)]
         else:
             self._philox = None
             while len(self._rngs) < batch:
@@ -531,14 +532,17 @@ class VectorSimulatorState:
         self.backlog[inject] += self.incoming[inject]
 
     def _sample_idle(self, rows: np.ndarray) -> None:
-        """Draw each slot's idle-core counts (Poisson, scalar draws).
+        """Draw each slot's idle-core counts (Poisson).
 
-        Each slot consumes the identical variates, in the identical
-        NORMAL/KV/RV order, as the scalar simulator's per-level calls —
-        levels with one core (or ``idle_rate == 0``) draw nothing,
-        exactly like the scalar skip.  Scalar ``poisson`` calls beat one
-        array-lambda call by ~6x, and draws are almost always zero, so
-        only nonzero results touch the idle matrix.
+        Two branches, picked by what ``reset`` was handed: one
+        ``PhiloxStreams.idle_poisson`` call for the whole batch, or a
+        loop over per-slot generators.  In the loop each slot consumes
+        the identical variates, in the identical NORMAL/KV/RV order, as
+        the scalar simulator's per-level calls — levels with one core (or
+        ``idle_rate == 0``) draw nothing, exactly like the scalar skip.
+        Scalar ``poisson`` calls beat one array-lambda call by ~6x, and
+        draws are almost always zero, so only nonzero results touch the
+        idle matrix.
         """
         self._idle_drawn = False
         if self.config.idle_rate <= 0:
@@ -546,68 +550,17 @@ class VectorSimulatorState:
             return
         streams = self._philox
         if streams is not None:
-            # Counter-based family: every multi-core (slot, level) cell
-            # samples in ONE block draw + ONE Poisson inversion.  A
-            # lane's eligible levels map to consecutive cursor values in
-            # NORMAL/KV/RV order — the exact sequence the scalar
-            # per-level calls consume — so slot i stays bit-identical to
-            # a scalar episode on lane i (the inversion is element-wise,
-            # hence shape-independent).
+            # Counter-based streams: every multi-core (slot, level) cell
+            # samples in one call.  A lane's eligible levels map to
+            # consecutive cursor values in NORMAL/KV/RV order, and both
+            # the keystream and the Poisson inversion are element-wise,
+            # so slot i draws the same values whichever slots share its
+            # batch.
             counts = self.counts[rows]
-            # Fused native sampler first: keystream + inversion in one C
-            # call (bit-identical by contract, self-checked at load).
             lam = self.config.idle_rate * counts
-            native = streams.idle_poisson(rows, counts, lam, np.exp(-lam))
-            if native is not None:
-                draws, fired = native
-                self.idle[rows] = draws
-                self._idle_drawn = fired > 0
-                return
-            self.idle[rows] = 0
-            eligible = counts > 1
-            if eligible.all():
-                # Common case: every (slot, level) cell is multi-core,
-                # so each lane consumes exactly _NUM_LEVELS consecutive
-                # draws — one block call, no rank bookkeeping.
-                sub = rows
-                gathered = streams.uniforms_block(rows, _NUM_LEVELS)
-            else:
-                per_lane = eligible.sum(axis=1)
-                active = per_lane > 0
-                if not active.any():
-                    self._idle_drawn = False
-                    return
-                sub = rows[active]
-                counts = counts[active]
-                eligible = eligible[active]
-                uniforms = streams.uniforms_block(sub, per_lane[active])
-                # Column of each eligible cell within its lane's block =
-                # rank of the level among the lane's eligible levels.
-                position = np.cumsum(eligible, axis=1) - 1
-                gathered = uniforms[
-                    np.arange(sub.shape[0])[:, None],
-                    np.minimum(position, uniforms.shape[1] - 1),
-                ]
-                lam = np.where(eligible, self.config.idle_rate * counts, 0.0)
-            # ``u < exp(-lam)`` is the inversion's k=0 outcome, so one
-            # comparison finds the (typically few) firing cells and the
-            # Poisson inversion runs on those alone.  Padding cells have
-            # lam=0, term=1, u < 1 — they can never fire.
-            term = np.exp(-lam)
-            fire = gathered >= term
-            if not fire.any():
-                self._idle_drawn = False
-                return
-            slot_idx, level_idx = np.nonzero(fire)
-            draws = _poisson_from_uniform(
-                gathered[slot_idx, level_idx],
-                lam[slot_idx, level_idx],
-                term[slot_idx, level_idx],
-            )
-            self.idle[sub[slot_idx], level_idx] = np.minimum(
-                draws, counts[slot_idx, level_idx] - 1
-            )
-            self._idle_drawn = True
+            draws, fired = streams.idle_poisson(rows, counts, lam, np.exp(-lam))
+            self.idle[rows] = draws
+            self._idle_drawn = fired > 0
             return
         self.idle[rows] = 0
         lam_rows = (self.config.idle_rate * self.counts[rows]).tolist()

@@ -7,7 +7,7 @@ hook; prints the shared-object path, exits non-zero when no compiler can
 produce it).  Its only caller is :mod:`repro.utils.rng`, which runs a
 bit-identity self-check against the numpy reference before trusting it
 and reports the outcome through ``idle_sampler_status()``.  No compiler,
-a failed compile or ``REPRO_DISABLE_NATIVE=1`` leave the numpy path in
+a failed compile or ``REPRO_DISABLE_NATIVE=1`` leave that reference in
 charge, which draws the same values — the sampler is an acceleration,
 never a correctness dependency.
 

@@ -15,42 +15,19 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-SeedLike = Union[int, np.random.Generator, "PhiloxLane", None]
-
-#: Stream families understood by the rollout stack.  ``legacy`` is the
-#: original per-episode ``np.random.Generator`` contract (bit-compatible
-#: with all pre-existing golden traces); ``philox`` is the counter-based
-#: family below whose draws batch across episode lanes in one call.
-RNG_FAMILIES = ("legacy", "philox")
+SeedLike = Union[int, np.random.Generator, None]
 
 
-def new_rng(seed: SeedLike = None) -> Union[np.random.Generator, "PhiloxLane"]:
+def new_rng(seed: SeedLike = None) -> np.random.Generator:
     """Return a random generator from a seed-like value.
 
     Accepts ``None`` (non-deterministic), an integer seed, or an existing
     generator (returned unchanged so callers can pass generators through
-    transparently).  :class:`PhiloxLane` views pass through unchanged as
-    well — they implement the subset of the ``Generator`` API the
-    simulator and policy consume (``random``/``poisson``/``integers``).
+    transparently).
     """
-    if isinstance(seed, (np.random.Generator, PhiloxLane)):
+    if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
-    """Create ``count`` independent child generators from one seed.
-
-    Children are derived with ``SeedSequence.spawn`` so that streams do
-    not overlap even for adjacent seeds.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        seq = seed.bit_generator.seed_seq  # type: ignore[attr-defined]
-    else:
-        seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
 
 
 class RngFactory:
@@ -112,17 +89,17 @@ def _flatten(entropy: Iterable) -> List[int]:
 # Counter-based streams (Philox4x32-10)
 # ----------------------------------------------------------------------
 #
-# The legacy contract hands every episode its own ``np.random.Generator``;
-# those streams cannot be advanced for B episodes in one numpy call, so
-# the rollout hot path pays a Python-level loop per decision and per idle
-# sample.  The Philox family replaces the stateful generators with a pure
-# function of ``(base_seed, domain, episode, draw_index)``: lane ``i``'s
-# k-th draw is the Philox4x32-10 block whose counter encodes
+# Rollouts, evaluation and scalar episodes give every episode its own
+# ``np.random.Generator`` (``drl.rollout.derive_episode_streams``); those
+# streams cannot be advanced for B episodes in one numpy call.  The fleet
+# driver steps thousands of closed-loop nodes per wave, so its streams are
+# a pure function of ``(base_seed, domain, episode, draw_index)`` instead:
+# lane ``i``'s k-th draw is the Philox4x32-10 block whose counter encodes
 # ``(draw_index=k, episode=i)`` under a key hashed from the seed and a
-# domain string.  All B lanes' next draws therefore materialise in one
-# vectorized call, and any subset of lanes (worker shards, active-row
-# masks, B=1 scalar replays) reproduces the full-batch streams exactly
-# because lanes never share state.
+# domain string.  All B lanes' next draws materialise in one vectorized
+# call, and any subset of lanes (recycled shards, finished-slot masks, a
+# lane run alone) reproduces the full-batch streams exactly because lanes
+# never share state.
 
 _PHILOX_M0 = 0xD2511F53
 _PHILOX_M1 = 0xCD9E8D57
@@ -133,13 +110,11 @@ _U64_MASK32 = np.uint64(0xFFFFFFFF)
 _U64_32 = np.uint64(32)
 _INV_2_53 = float(2.0 ** -53)
 #: Draws precomputed per lane per refill.  The 10-round keystream pass
-#: costs ~90 numpy dispatches regardless of element count, so running it
-#: per draw on a handful of lanes is slower than the legacy generator
-#: loop it replaces; buffering a block amortises the pass across
-#: ``_PHILOX_BLOCK`` draws per lane.  Because streams are pure functions
-#: of ``(episode, counter)``, prefetching never changes any value —
-#: ``uniforms()`` serves the exact same doubles it would compute one at
-#: a time.
+#: costs ~90 numpy dispatches regardless of element count; buffering a
+#: block amortises the pass across ``_PHILOX_BLOCK`` draws per lane.
+#: Because streams are pure functions of ``(episode, counter)``,
+#: prefetching never changes any value — ``uniforms()`` serves the exact
+#: same doubles it would compute one at a time.
 _PHILOX_BLOCK = 64
 
 
@@ -193,7 +168,7 @@ def _philox_uniforms(
 
 
 def _poisson_from_uniform(
-    uniforms: np.ndarray, lam: np.ndarray, term: Optional[np.ndarray] = None
+    uniforms: np.ndarray, lam: np.ndarray, term: np.ndarray
 ) -> np.ndarray:
     """Poisson draws by CDF inversion of one uniform per element.
 
@@ -203,16 +178,12 @@ def _poisson_from_uniform(
     ``p``/``cdf`` but can never re-enter the pending set because the CDF
     only grows), so a 1-element call matches any batched call bitwise.
 
-    ``term`` may pass ``exp(-lam)`` precomputed (callers with an
-    all-zero fast path already have it); values are unchanged.
+    ``term`` is ``exp(-lam)``, which the caller already holds.
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), uniforms.shape)
-    if term is None:
-        term = np.exp(-lam)
-    else:
-        # Writable copy: the loop updates ``term`` in place.
-        term = np.array(np.broadcast_to(term, uniforms.shape), dtype=np.float64)
+    # Writable copy: the loop updates ``term`` in place.
+    term = np.array(np.broadcast_to(term, uniforms.shape), dtype=np.float64)
     cdf = term.copy()
     counts = np.zeros(uniforms.shape, dtype=np.int64)
     max_lam = float(lam.max()) if lam.size else 0.0
@@ -270,7 +241,7 @@ def _philox_idle_self_check(kernel) -> bool:
     entry point and the numpy reference.  Any mismatch (integer draws,
     consumed-cursor counts, or fired totals) disables the native sampler
     for the process, so an exotic compiler or platform degrades to the
-    numpy path instead of breaking pinned streams.
+    reference itself instead of breaking pinned streams.
     """
     probe = PhiloxStreams(12345, np.arange(8, dtype=np.uint64) * 3, "selfcheck")
     episodes = probe._episodes
@@ -301,7 +272,7 @@ def _philox_idle_self_check(kernel) -> bool:
 
 
 def _native_idle_kernel():
-    """The self-checked native idle sampler, or ``None`` (numpy path).
+    """The self-checked native idle sampler, or ``None`` (numpy reference).
 
     Probed once per process; :func:`idle_sampler_status` says how it went.
     """
@@ -328,7 +299,8 @@ def idle_sampler_status() -> str:
 
     The reason is what loading raised (``REPRO_DISABLE_NATIVE=1``, no
     compiler, an unloadable object) or a self-check mismatch.  Either way
-    the draws are the same; only ``philox`` idle sampling runs slower.
+    the draws are the same; disabled, :meth:`PhiloxStreams.idle_poisson`
+    runs :func:`_philox_idle_reference` and the fleet steps slower.
     """
     _native_idle_kernel()
     return _idle_status
@@ -337,21 +309,13 @@ def idle_sampler_status() -> str:
 class PhiloxStreams:
     """B independent counter-based lanes for one ``(base_seed, domain)``.
 
-    Supports both consumption styles the rollout stack needs:
-
-    * vectorized — :meth:`uniforms` / :meth:`poisson` / :meth:`integers`
-      advance a subset of lanes (``rows``) in one numpy call;
-    * scalar — indexing (``streams[i]``) yields a :class:`PhiloxLane`
-      view that shares this object's cursor storage and draws through
-      the *same* vectorized helpers on 1-element arrays, so sequential
-      replays are bit-identical to batched ones by construction.
-
-    ``select`` carves out shard views for worker processes: lanes carry
-    their global episode ids with them, so a shard's streams equal the
-    matching lanes of the full batch no matter how episodes are split.
+    The fleet driver's streams: :meth:`uniforms` advances a subset of
+    lanes (``rows``) by one draw in one numpy call, and
+    :meth:`idle_poisson` samples a whole simulator shard's idle cores
+    (hand the object to ``VectorSimulatorState.reset`` as ``rngs``).
+    Lanes carry their global episode ids, so a lane's draws do not
+    depend on which other lanes share the object.
     """
-
-    family = "philox"
 
     def __init__(
         self,
@@ -361,30 +325,19 @@ class PhiloxStreams:
     ) -> None:
         if isinstance(episodes, (int, np.integer)):
             episodes = np.arange(int(episodes), dtype=np.uint64)
-        self.base_seed = int(base_seed)
-        self.domain = str(domain)
         self._episodes = np.ascontiguousarray(episodes, dtype=np.uint64)
-        self._cursors = np.zeros(self._episodes.shape[0], dtype=np.uint64)
-        key = _stable_hash(f"philox/{self.domain}/{self.base_seed}")
+        count = self._episodes.shape[0]
+        self._cursors = np.zeros(count, dtype=np.uint64)
+        key = _stable_hash(f"philox/{domain}/{int(base_seed)}")
         self._key0 = key & 0xFFFFFFFF
         self._key1 = (key >> 32) & 0xFFFFFFFF
         self._round_keys = _philox_round_keys(self._key0, self._key1)
-        self._init_buffers()
-
-    def _init_buffers(self) -> None:
-        count = self._episodes.shape[0]
         self._all_rows = np.arange(count, dtype=np.intp)
         # Per-lane prefetch window [start, end) of counter values whose
         # uniforms sit in ``_buf``; start == end == 0 marks it empty.
         self._buf = np.zeros((count, _PHILOX_BLOCK), dtype=np.float64)
         self._buf_start = np.zeros(count, dtype=np.uint64)
         self._buf_end = np.zeros(count, dtype=np.uint64)
-
-    # -- vectorized draw API ------------------------------------------
-    def _rows(self, rows: Optional[np.ndarray]) -> np.ndarray:
-        if rows is None:
-            return self._all_rows
-        return np.asarray(rows, dtype=np.intp)
 
     def _refill(self, rows: np.ndarray) -> None:
         """Prefetch the next block of draws for ``rows`` from their cursors."""
@@ -399,7 +352,7 @@ class PhiloxStreams:
 
     def uniforms(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """One uniform in [0, 1) per requested lane; advances their cursors."""
-        rows = self._rows(rows)
+        rows = self._all_rows if rows is None else np.asarray(rows, dtype=np.intp)
         cursors = self._cursors[rows]
         stale = (cursors < self._buf_start[rows]) | (cursors >= self._buf_end[rows])
         if stale.any():
@@ -409,200 +362,43 @@ class PhiloxStreams:
         self._cursors[rows] = cursors + np.uint64(1)
         return draws
 
-    def uniforms_block(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """``counts[i]`` consecutive uniforms for lane ``rows[i]`` in one call.
-
-        Returns a ``(len(rows), counts.max())`` array whose row ``i``
-        holds lane ``i``'s next ``counts[i]`` draws in cursor order
-        (entries beyond ``counts[i]`` are unspecified padding).  Lane
-        ``i``'s cursor advances by ``counts[i]``, so the draws — and the
-        final cursor positions — are exactly what ``counts[i]``
-        successive :meth:`uniforms` calls on that lane would produce.
-        ``counts`` must not exceed ``_PHILOX_BLOCK``; a scalar ``counts``
-        applies to every requested lane.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        if np.isscalar(counts) or np.ndim(counts) == 0:
-            width = int(counts)
-            counts = np.uint64(width)
-        else:
-            counts = np.asarray(counts, dtype=np.uint64)
-            width = int(counts.max()) if counts.size else 0
-        cursors = self._cursors[rows]
-        stale = (cursors < self._buf_start[rows]) | (
-            cursors + counts > self._buf_end[rows]
-        )
-        if stale.any():
-            self._refill(rows[stale])
-        base = (self._cursors[rows] - self._buf_start[rows]).astype(np.intp)
-        offsets = base[:, None] + np.arange(width, dtype=np.intp)[None, :]
-        # Clamp the padding columns of short lanes inside the window
-        # (their values are never consumed).
-        draws = self._buf[rows[:, None], np.minimum(offsets, _PHILOX_BLOCK - 1)]
-        self._cursors[rows] = cursors + counts
-        return draws
-
-    def poisson(
-        self, lam: Union[float, np.ndarray], rows: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """One Poisson draw per requested lane (one uniform consumed each)."""
-        return _poisson_from_uniform(self.uniforms(rows), lam)
-
-    def integers(self, upper: int, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """One integer in [0, upper) per requested lane (floor of a uniform)."""
-        return np.minimum(
-            (self.uniforms(rows) * upper).astype(np.int64), upper - 1
-        )
-
     def idle_poisson(
         self,
         rows: np.ndarray,
         counts: np.ndarray,
         lam: np.ndarray,
         term: np.ndarray,
-    ) -> Optional[Tuple[np.ndarray, int]]:
-        """Fused native idle sampling for the simulator's hot path.
+    ) -> Tuple[np.ndarray, int]:
+        """Idle sampling for the simulator's hot path, one call per interval.
 
-        One C call draws each multi-core ``(lane, level)`` cell's uniform
-        (consecutive cursors per lane, level order — the exact scalar
-        consumption sequence) and inverts the Poisson CDF, returning the
-        clamped draws matrix and the fired-cell count, and advancing the
-        requested lanes' cursors.  Returns ``None`` when the native
-        sampler is unavailable or failed its load-time bit-identity
-        self-check; callers then run the numpy path, which produces the
-        same values.  The draws matrix is a reused workspace — scatter or
-        copy it before the next call.
+        Draws each multi-core ``(lane, level)`` cell's uniform
+        (consecutive cursors per lane, level order) and inverts the
+        Poisson CDF, returning the clamped draws matrix and the
+        fired-cell count, and advancing the requested lanes' cursors.
+        The native sampler does this in one C call; when it is
+        unavailable or failed its load-time bit-identity self-check,
+        :func:`_philox_idle_reference` — the specification that check
+        compares against — produces the same values.  The native draws
+        matrix is a reused workspace — scatter or copy it before the
+        next call.
 
         ``term`` must be ``np.exp(-lam)`` computed by the *caller* in
         numpy: the sampler never calls the C library's ``exp``, whose
         rounding may differ from numpy's by an ulp.
         """
         kernel = _native_idle_kernel()
-        if kernel is None:
-            return None
         rows = np.asarray(rows, dtype=np.intp)
-        draws, ndraws, fired = kernel.sample(
-            self._episodes[rows],
-            self._cursors[rows],
-            counts,
-            lam,
-            term,
-            self._key0,
-            self._key1,
-        )
+        episodes, cursors = self._episodes[rows], self._cursors[rows]
+        if kernel is not None:
+            draws, ndraws, fired = kernel.sample(
+                episodes, cursors, counts, lam, term, self._key0, self._key1
+            )
+        else:
+            draws, ndraws, fired = _philox_idle_reference(
+                episodes, cursors, counts, lam, term, self._round_keys
+            )
         self._cursors[rows] += ndraws
         return draws, fired
 
-    # -- lane / shard views -------------------------------------------
-    def lane(self, index: int) -> "PhiloxLane":
-        return PhiloxLane(self, int(index))
-
-    def select(self, indices: Union[Sequence[int], np.ndarray]) -> "PhiloxStreams":
-        """A stream set for a subset of lanes (keeps global episode ids).
-
-        The view copies cursor values (lanes never share draw state
-        across objects — they don't need to, the streams are pure
-        functions of episode and cursor), so shard workers can build it
-        from a fresh derivation and still match the full batch exactly.
-        """
-        indices = np.asarray(indices, dtype=np.intp)
-        view = object.__new__(PhiloxStreams)
-        view.base_seed = self.base_seed
-        view.domain = self.domain
-        view._episodes = np.ascontiguousarray(self._episodes[indices])
-        view._cursors = np.ascontiguousarray(self._cursors[indices])
-        view._key0 = self._key0
-        view._key1 = self._key1
-        view._round_keys = self._round_keys
-        # Fresh (empty) prefetch window: the first draw refills it; the
-        # values are the same pure function of (episode, counter).
-        view._init_buffers()
-        return view
-
     def __len__(self) -> int:
         return int(self._episodes.shape[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.select(np.arange(len(self))[index])
-        return self.lane(index)
-
-    def __iter__(self):
-        return (self.lane(i) for i in range(len(self)))
-
-    def state(self) -> dict:
-        """Positions of every lane (the diff harness asserts on these)."""
-        return {
-            "family": self.family,
-            "domain": self.domain,
-            "base_seed": self.base_seed,
-            "episodes": self._episodes.tolist(),
-            "cursors": self._cursors.tolist(),
-        }
-
-
-class PhiloxLane:
-    """Single-lane view of a :class:`PhiloxStreams` (shared cursor storage).
-
-    Implements the subset of the ``np.random.Generator`` API the
-    simulator and policy consume.  Every draw routes through the parent's
-    vectorized helpers on a 1-element row set, which is what guarantees
-    scalar replays reproduce batched draws bit for bit.
-    """
-
-    family = "philox"
-
-    def __init__(self, streams: PhiloxStreams, index: int) -> None:
-        if not 0 <= index < len(streams):
-            raise IndexError(
-                f"lane index {index} out of range for {len(streams)} lanes"
-            )
-        self._streams = streams
-        self._index = index
-        self._rows = np.array([index], dtype=np.intp)
-
-    @property
-    def streams(self) -> PhiloxStreams:
-        return self._streams
-
-    @property
-    def episode(self) -> int:
-        return int(self._streams._episodes[self._index])
-
-    @property
-    def cursor(self) -> int:
-        return int(self._streams._cursors[self._index])
-
-    def random(self) -> float:
-        return float(self._streams.uniforms(self._rows)[0])
-
-    def poisson(self, lam: float) -> int:
-        return int(self._streams.poisson(lam, self._rows)[0])
-
-    def integers(self, upper: int) -> int:
-        return int(self._streams.integers(int(upper), self._rows)[0])
-
-    def state(self) -> dict:
-        """Stream position (same role as ``Generator.bit_generator.state``)."""
-        return {
-            "family": self.family,
-            "domain": self._streams.domain,
-            "base_seed": self._streams.base_seed,
-            "episode": self.episode,
-            "cursor": self.cursor,
-        }
-
-
-def derive_philox_streams(
-    base_seed: int, count: int
-) -> Tuple[PhiloxStreams, PhiloxStreams]:
-    """The Philox counterpart of ``rollout.derive_episode_streams``.
-
-    Returns ``(episode_streams, action_streams)`` over episodes
-    ``0..count-1``, keyed under distinct domains so environment and
-    exploration draws never collide.
-    """
-    return (
-        PhiloxStreams(base_seed, count, domain="env"),
-        PhiloxStreams(base_seed, count, domain="act"),
-    )

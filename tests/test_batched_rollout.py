@@ -117,6 +117,9 @@ class TestCollectorEquivalence:
             batched_collector.collect_batch(
                 tiny_policy, real_traces, episode_rngs=[0], action_rngs=[0]
             )
+        # One stream scheme per path: there is no family selector to pass.
+        with pytest.raises(TypeError):
+            derive_episode_streams(7, 4, rng_family="philox")
 
 
 class TestActBatch:

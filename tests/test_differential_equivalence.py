@@ -29,7 +29,7 @@ import pytest
 
 from repro.autograd.functional import matmul_rows_np
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
-from repro.drl.worker_pool import PersistentWorkerPool
+from repro.drl.worker_pool import PersistentWorkerPool, shard_indices
 from repro.drl.rollout import (
     BatchedRolloutCollector,
     RolloutCollector,
@@ -41,7 +41,9 @@ from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.nn.rnn import GRUCell
 from repro.storage.iorequest import NUM_IO_TYPES
+from repro.storage.migration import NUM_ACTIONS
 from repro.storage.simulator import StorageSystemConfig
+from repro.storage.vector_state import VectorSimulatorState
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
 from repro.utils.philox_native import NativePhiloxIdleKernel
 from repro.utils.rng import PhiloxStreams, _philox_idle_reference, idle_sampler_status
@@ -240,7 +242,7 @@ def _assert_case_equivalent(case: FuzzCase, reference, positions, candidate, nam
             )
 
 
-def collect_pool(case: FuzzCase, rng_family: str = "legacy"):
+def collect_pool(case: FuzzCase):
     """Worker-pool collection (2 workers).
 
     Streams are consumed inside the worker processes; rng positions are
@@ -255,7 +257,6 @@ def collect_pool(case: FuzzCase, rng_family: str = "legacy"):
             base_seed=case.base_seed,
             epsilon=case.epsilon,
             greedy=case.greedy,
-            rng_family=rng_family,
         )
     return trajectories, None
 
@@ -283,88 +284,66 @@ def test_vector_vs_parallel_vs_pool_bit_identical(index):
 
 
 # ----------------------------------------------------------------------
-# Philox (counter-based) stream family: same three collection modes
+# The fleet's counter-based streams: lane subsets of one episode set
 # ----------------------------------------------------------------------
-# The philox family draws *different* episodes than legacy (goldens are
-# pinned per family in test_golden_traces.py); what this harness pins is
-# that within the family every collection mode is bit-identical — the
-# vectorized one-call-per-decision draws match per-lane scalar draws
-# exactly, across worker layouts — and that both stream cursors end in
-# the same position.
+# ``PhiloxStreams`` serves the fleet driver only (rollouts run on the
+# per-episode generators above), and what the fleet relies on is that a
+# lane's draws depend on its global episode id and its own cursor, never
+# on which lanes share its batch: finished-slot masking, shard layout and
+# shard recycling all rest on it.  Pinned over the harness's random
+# configurations (idle rates incl. 0, one-core levels that skip their
+# draw, truncated and partial batches).  The two ids predate the removal
+# of Philox *rollouts* and are kept so the floor list tracks one name.
 PHILOX_NUM_CONFIGS = 25
 
 
-def collect_scalar_philox(case: FuzzCase):
-    """Sequential reference on per-episode philox lanes."""
-    collector = RolloutCollector(
-        StorageAllocationEnv(case.system_config, reward_config=case.reward_config)
-    )
-    episode_rngs, action_rngs = derive_episode_streams(
-        case.base_seed, len(case.traces), rng_family="philox"
-    )
-    trajectories = [
-        collector.collect(
-            case.policy,
-            trace,
-            epsilon=case.epsilon,
-            greedy=case.greedy,
-            episode_seed=episode_rngs.lane(i),
-            action_rng=action_rngs.lane(i),
-        )
-        for i, trace in enumerate(case.traces)
-    ]
-    return trajectories, (episode_rngs.state(), action_rngs.state())
+def run_philox_lanes(case: FuzzCase, lanes: List[int]) -> dict:
+    """Episodes ``lanes`` of the case as one lockstep simulator batch.
 
-
-def collect_vector_philox(case: FuzzCase):
-    """Lockstep batch consuming the whole stream sets vectorized."""
-    collector = BatchedRolloutCollector(
-        VectorStorageAllocationEnv(case.system_config, case.reward_config)
-    )
-    episode_rngs, action_rngs = derive_episode_streams(
-        case.base_seed, len(case.traces), rng_family="philox"
-    )
-    trajectories = collector.collect_batch(
-        case.policy,
-        case.traces,
-        epsilon=case.epsilon,
-        greedy=case.greedy,
-        episode_rngs=episode_rngs,
-        action_rngs=action_rngs,
-    )
-    return trajectories, (episode_rngs.state(), action_rngs.state())
-
-
-def _assert_philox_equivalent(case, reference, candidate, name: str):
-    __tracebackhide__ = True
-    trajectories, positions = candidate
-    ref_trajectories, ref_positions = reference
-    assert len(trajectories) == len(ref_trajectories), f"config {case.index} ({name})"
-    for i, (expected, actual) in enumerate(zip(ref_trajectories, trajectories)):
-        assert_trajectories_identical(
-            expected, actual, f"philox config {case.index} episode {i} ({name})"
-        )
-    if positions is not None:
-        assert positions[0] == ref_positions[0], (
-            f"philox config {case.index} ({name}): environment stream cursors diverged"
-        )
-        assert positions[1] == ref_positions[1], (
-            f"philox config {case.index} ({name}): action stream cursors diverged"
-        )
+    Returns ``{lane: (per-step (idle, backlog), makespan, final cursor)}``.
+    Actions come from per-lane generators, so they cannot depend on the
+    batch a lane is stepped in.
+    """
+    streams = PhiloxStreams(case.base_seed, lanes, "env")
+    state = VectorSimulatorState(case.system_config, record_metrics=False)
+    state.reset([case.traces[lane] for lane in lanes], rngs=streams)
+    action_rngs = [np.random.default_rng([case.index, lane]) for lane in lanes]
+    history: List[list] = [[] for _ in lanes]
+    while not state.done.all():
+        active = np.nonzero(~state.done)[0]
+        actions = np.zeros(len(lanes), dtype=np.int64)
+        for k in active:
+            actions[k] = action_rngs[k].integers(0, NUM_ACTIONS)
+        state.step(actions)
+        for k in active:
+            history[k].append((state.idle[k].tolist(), state.backlog[k].tolist()))
+    return {
+        lane: (history[k], int(state.steps_taken[k]), int(streams._cursors[k]))
+        for k, lane in enumerate(lanes)
+    }
 
 
 @pytest.mark.parametrize("index", range(PHILOX_NUM_CONFIGS))
 def test_philox_scalar_vs_vector_bit_identical(index):
+    """Each lane alone (the B = 1 scalar view) vs the full lockstep batch."""
     case = make_case(index)
-    reference = collect_scalar_philox(case)
-    _assert_philox_equivalent(case, reference, collect_vector_philox(case), "vector")
+    lanes = list(range(len(case.traces)))
+    full = run_philox_lanes(case, lanes)
+    for lane in lanes:
+        alone = run_philox_lanes(case, [lane])
+        assert alone[lane] == full[lane], f"config {index} lane {lane}"
 
 
 @pytest.mark.parametrize("index", range(PHILOX_NUM_CONFIGS))
 def test_philox_vector_vs_parallel_vs_pool_bit_identical(index):
+    """The full batch vs the same lanes split over two shards."""
     case = make_case(index)
-    reference = collect_vector_philox(case)
-    _assert_philox_equivalent(case, reference, collect_pool(case, "philox"), "pool")
+    total = len(case.traces)
+    full = run_philox_lanes(case, list(range(total)))
+    sharded: dict = {}
+    for shard in shard_indices(total, 2):
+        sharded.update(run_philox_lanes(case, shard))
+    assert sharded == full, f"config {index}"
 
 
 # ----------------------------------------------------------------------
@@ -385,13 +364,13 @@ native_only = pytest.mark.skipif(
 def test_native_philox_idle_sampler_bit_identical(config_index):
     """The fused C idle sampler vs the pure-numpy reference, bitwise.
 
-    Golden traces are pinned on the numpy streams, so native
-    availability must not change a single draw or cursor.  The
-    end-to-end guard is the scalar-vs-vector philox suite above (scalar
-    draws via numpy lanes, vector via the C path when available); this
-    pins the entry point directly across count/rate extremes the rollout
-    configs may not reach — zero/one-core skips, deep inversions, large
-    episode ids and cursors.
+    The fleet's digests are pinned on the numpy reference's streams, so
+    native availability must not change a single draw or cursor.  The
+    end-to-end guards are the lane-subset and keystream-pin tests in
+    ``test_vector_state.py`` (run on both sampler paths); this pins the
+    entry point directly across count/rate extremes a simulator episode
+    may not reach — zero/one-core skips, deep inversions, large episode
+    ids and cursors.
     """
     rng = np.random.default_rng(81_000 + config_index)
     lanes = int(rng.integers(1, 24))
@@ -407,9 +386,7 @@ def test_native_philox_idle_sampler_bit_identical(config_index):
         streams._round_keys,
     )
     cursors_before = streams._cursors.copy()
-    result = streams.idle_poisson(np.arange(lanes), counts, lam, term)
-    assert result is not None
-    draws, fired = result
+    draws, fired = streams.idle_poisson(np.arange(lanes), counts, lam, term)
     np.testing.assert_array_equal(draws, expected[0])
     assert fired == expected[2]
     np.testing.assert_array_equal(streams._cursors, cursors_before + expected[1])

@@ -211,102 +211,3 @@ class TestTrainedPolicyGoldenTrace:
             assert float(trajectory.observations().sum()) == pytest.approx(
                 TRAINED_SAMPLED_OBS_SUMS[i], rel=1e-10, abs=1e-12
             ), i
-
-
-# ----------------------------------------------------------------------
-# Philox stream-family golden trace
-# ----------------------------------------------------------------------
-# The counter-based family (``rng_family="philox"``) draws different —
-# but equally reproducible — episodes than the legacy Generator streams
-# (which stay the default and keep the pins above).  These pins freeze
-# the philox family's exact env draws, CDF action sampling, epsilon
-# replacement and stream cursor positions, so vectorized-draw refactors
-# cannot silently shift the family.  The policy is the fixed-seed
-# untrained net (no training run — the family pin is about streams, not
-# weights).
-PHILOX_GREEDY_MAKESPANS = [41, 67, 51, 33]
-PHILOX_GREEDY_ACTIONS_0 = [6] + [5] * 40
-PHILOX_GREEDY_VALUE_SUMS = [30.774886513779048, 26.883749127639664,
-                            26.383117357422, 13.905140255057589]
-PHILOX_GREEDY_HIDDEN_MEANS = [0.3215928471783039, 0.26122320316753606,
-                              0.2690825834954904, 0.2626675606052696]
-PHILOX_GREEDY_OBS_SUMS = [172.0039307364128, 277.2427546658738,
-                          204.61647349286963, 148.8577932959364]
-PHILOX_SAMPLED_MAKESPANS = [50, 42]
-PHILOX_SAMPLED_ACTIONS_0 = [
-    3, 5, 5, 6, 5, 3, 3, 5, 5, 5, 6, 4, 3, 2, 4, 5, 2, 3, 5, 5, 2, 2, 3, 2,
-    3, 5, 5, 4, 5, 4, 4, 5, 2, 3, 0, 5, 4, 0, 5, 1, 4, 4, 2, 0, 3, 6, 3, 6,
-    4, 6,
-]
-PHILOX_SAMPLED_VALUE_SUMS = [22.525916066988096, 23.43031291002561]
-PHILOX_SAMPLED_HIDDEN_MEANS = [0.27780635130759723, 0.29892319999998773]
-PHILOX_SAMPLED_OBS_SUMS = [203.959715977899, 194.6056694630931]
-# Final cursor positions pin the draw-consumption contract itself:
-# greedy consumes no action draws at all; a sampled step consumes one
-# sampling uniform + one epsilon uniform per active row plus one
-# replacement integer per firing row.
-PHILOX_GREEDY_ENV_CURSORS = [83, 136, 104, 44]
-PHILOX_GREEDY_ACT_CURSORS = [0, 0, 0, 0]
-PHILOX_SAMPLED_ENV_CURSORS = [84, 98]
-PHILOX_SAMPLED_ACT_CURSORS = [103, 89]
-
-
-@pytest.fixture(scope="module")
-def philox_policy_rollouts(system_config, real_traces):
-    reward_config = RewardConfig(mode="per_step_penalty")
-    policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=21)
-    collector = BatchedRolloutCollector(
-        VectorStorageAllocationEnv(system_config, reward_config)
-    )
-    greedy_rngs = derive_episode_streams(2024, len(real_traces), rng_family="philox")
-    greedy = collector.collect_batch(
-        policy, real_traces, greedy=True,
-        episode_rngs=greedy_rngs[0], action_rngs=greedy_rngs[1],
-    )
-    sampled_rngs = derive_episode_streams(777, 2, rng_family="philox")
-    sampled = collector.collect_batch(
-        policy, real_traces[:2], greedy=False, epsilon=0.1,
-        episode_rngs=sampled_rngs[0], action_rngs=sampled_rngs[1],
-    )
-    return greedy, greedy_rngs, sampled, sampled_rngs
-
-
-class TestPhiloxGoldenTrace:
-    def test_greedy_rollout_pinned(self, philox_policy_rollouts):
-        greedy, _, _, _ = philox_policy_rollouts
-        assert [t.makespan for t in greedy] == PHILOX_GREEDY_MAKESPANS
-        assert greedy[0].actions().tolist() == PHILOX_GREEDY_ACTIONS_0
-        for i, trajectory in enumerate(greedy):
-            assert not trajectory.truncated
-            assert float(trajectory.value_estimates().sum()) == pytest.approx(
-                PHILOX_GREEDY_VALUE_SUMS[i], rel=1e-10, abs=1e-12
-            ), i
-            assert float(trajectory.hidden_states_after().mean()) == pytest.approx(
-                PHILOX_GREEDY_HIDDEN_MEANS[i], rel=1e-10, abs=1e-12
-            ), i
-            assert float(trajectory.observations().sum()) == pytest.approx(
-                PHILOX_GREEDY_OBS_SUMS[i], rel=1e-10, abs=1e-12
-            ), i
-            assert trajectory.total_reward == -float(trajectory.makespan)
-
-    def test_sampled_rollout_pinned(self, philox_policy_rollouts):
-        _, _, sampled, _ = philox_policy_rollouts
-        assert [t.makespan for t in sampled] == PHILOX_SAMPLED_MAKESPANS
-        assert sampled[0].actions().tolist() == PHILOX_SAMPLED_ACTIONS_0
-        for i, trajectory in enumerate(sampled):
-            assert float(trajectory.value_estimates().sum()) == pytest.approx(
-                PHILOX_SAMPLED_VALUE_SUMS[i], rel=1e-10, abs=1e-12
-            ), i
-            assert float(trajectory.hidden_states_after().mean()) == pytest.approx(
-                PHILOX_SAMPLED_HIDDEN_MEANS[i], rel=1e-10, abs=1e-12
-            ), i
-            assert float(trajectory.observations().sum()) == pytest.approx(
-                PHILOX_SAMPLED_OBS_SUMS[i], rel=1e-10, abs=1e-12
-            ), i
-
-    def test_stream_cursors_pinned(self, philox_policy_rollouts):
-        _, greedy_rngs, _, sampled_rngs = philox_policy_rollouts
-        assert greedy_rngs[0].state()["cursors"] == PHILOX_GREEDY_ENV_CURSORS
-        assert greedy_rngs[1].state()["cursors"] == PHILOX_GREEDY_ACT_CURSORS
-        assert sampled_rngs[0].state()["cursors"] == PHILOX_SAMPLED_ENV_CURSORS
-        assert sampled_rngs[1].state()["cursors"] == PHILOX_SAMPLED_ACT_CURSORS

@@ -4,8 +4,8 @@ The contract under test: episode ``i`` of a collection always consumes
 rng streams ``derive_episode_streams(base_seed, N)[i]``, so the merged
 result of :class:`PersistentWorkerPool` is bit-identical to the
 sequential reference collector and to one lockstep batch — regardless of
-worker count, shard layout, rng family, or whether the shards ran in
-worker processes or (inside a daemonic process) in-process.  Pool
+worker count, shard layout, or whether the shards ran in worker
+processes or (inside a daemonic process) in-process.  Pool
 lifecycle and failure injection live in ``test_worker_pool.py``.
 """
 
@@ -62,18 +62,13 @@ def _pooled(system_config, reward_config, num_workers, policy, traces, **collect
 
 def _sequential_reference(
     system_config, reward_config, policy, traces, base_seed,
-    epsilon=0.0, greedy=False, rng_family="legacy",
+    epsilon=0.0, greedy=False,
 ):
     """One episode at a time on ``derive_episode_streams(base_seed, N)``."""
     collector = RolloutCollector(
         StorageAllocationEnv(system_config, reward_config=reward_config)
     )
-    episode_rngs, action_rngs = derive_episode_streams(
-        base_seed, len(traces), rng_family
-    )
-    if rng_family == "philox":
-        episode_rngs = [episode_rngs.lane(i) for i in range(len(traces))]
-        action_rngs = [action_rngs.lane(i) for i in range(len(traces))]
+    episode_rngs, action_rngs = derive_episode_streams(base_seed, len(traces))
     return [
         collector.collect(
             policy, trace, epsilon=epsilon, greedy=greedy,
@@ -84,16 +79,13 @@ def _sequential_reference(
 
 
 def _collect_in_daemon(result_queue, system_config, reward_config, policy, traces):
-    """Daemonic-process entry point: both rng families through a 2-worker pool."""
+    """Daemonic-process entry point: one collection through a 2-worker pool."""
     try:
         result_queue.put(
-            {
-                family: _pooled(
-                    system_config, reward_config, 2, policy, traces,
-                    base_seed=41, epsilon=0.1, rng_family=family,
-                )
-                for family in ("legacy", "philox")
-            }
+            _pooled(
+                system_config, reward_config, 2, policy, traces,
+                base_seed=41, epsilon=0.1,
+            )
         )
     except Exception as exc:  # surfaced by the parent's assertion
         result_queue.put(exc)
@@ -145,25 +137,24 @@ class TestParallelEquivalence:
     def test_worker_count_never_changes_results(
         self, system_config, reward_config, real_traces, tiny_policy, num_workers
     ):
-        """1, 2 and 3 workers against the sequential reference, both families."""
-        for rng_family in ("legacy", "philox"):
-            reference = _sequential_reference(
-                system_config, reward_config, tiny_policy, real_traces, 77,
-                epsilon=0.1, rng_family=rng_family,
-            )
-            parallel = _pooled(
-                system_config, reward_config, num_workers, tiny_policy, real_traces,
-                base_seed=77, epsilon=0.1, rng_family=rng_family,
-            )
-            assert len(parallel) == len(reference)
-            for expected, actual in zip(reference, parallel):
-                _assert_identical(expected, actual)
+        """1, 2 and 3 workers against the sequential reference."""
+        reference = _sequential_reference(
+            system_config, reward_config, tiny_policy, real_traces, 77,
+            epsilon=0.1,
+        )
+        parallel = _pooled(
+            system_config, reward_config, num_workers, tiny_policy, real_traces,
+            base_seed=77, epsilon=0.1,
+        )
+        assert len(parallel) == len(reference)
+        for expected, actual in zip(reference, parallel):
+            _assert_identical(expected, actual)
 
     def test_daemonic_process_falls_back_in_process(
         self, system_config, reward_config, real_traces, tiny_policy
     ):
         """A daemonic process may not have children: the pool runs the
-        same shards in-process there, bit-identical for both families."""
+        same shards in-process there, bit-identical."""
         context = multiprocessing.get_context()
         result_queue = context.Queue()
         process = context.Process(
@@ -175,15 +166,14 @@ class TestParallelEquivalence:
         collected = result_queue.get(timeout=60)
         process.join(timeout=10)
         assert not process.is_alive()
-        assert isinstance(collected, dict), collected
-        for rng_family, trajectories in collected.items():
-            reference = _sequential_reference(
-                system_config, reward_config, tiny_policy, real_traces, 41,
-                epsilon=0.1, rng_family=rng_family,
-            )
-            assert len(trajectories) == len(reference)
-            for expected, actual in zip(reference, trajectories):
-                _assert_identical(expected, actual)
+        assert isinstance(collected, list), collected
+        reference = _sequential_reference(
+            system_config, reward_config, tiny_policy, real_traces, 41,
+            epsilon=0.1,
+        )
+        assert len(collected) == len(reference)
+        for expected, actual in zip(reference, collected):
+            _assert_identical(expected, actual)
 
     def test_empty_traces_collects_nothing(self, system_config, tiny_policy):
         """Zero episodes is a no-op, not an error: no shards are created."""

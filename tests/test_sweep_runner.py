@@ -16,9 +16,11 @@ from repro.pipeline.sweep import (
     SweepJob,
     SweepRunner,
     SweepSpec,
+    _execute_or_resume,
     apply_overrides,
     execute_job,
     expand_jobs,
+    load_resumed_record,
 )
 from repro.utils.serialization import json_digest, load_json
 
@@ -223,6 +225,25 @@ class TestSweepExecution:
         executed = [name for name, resumed in seen if not resumed]
         assert len(executed) == 2
         assert not result.failures
+
+    def test_resume_reruns_a_record_that_is_not_a_json_object(
+        self, small_spec, tmp_path
+    ):
+        """Valid JSON that is not an object, truncated JSON, undecodable
+        bytes and a missing file are all "corrupt": the job re-executes
+        instead of an AttributeError aborting the whole resumed sweep."""
+        job = expand_jobs(small_spec)[0]
+        path = tmp_path / "jobs" / f"{job.name}.json"
+        path.parent.mkdir()
+        for payload in (b"[]", b"null", b'"x"', b"{", b"\xff\xfe", None):
+            if payload is None:
+                path.unlink()
+            else:
+                path.write_bytes(payload)
+            assert load_resumed_record(job, tmp_path) is None, payload
+            record, resumed = _execute_or_resume((job, str(tmp_path), True))
+            assert not resumed, payload
+            assert record["status"] == "ok", payload
 
     def test_resume_requires_output_dir(self, small_spec):
         with pytest.raises(ConfigurationError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils import philox_native, rng as rng_module
-from repro.utils.rng import RngFactory, idle_sampler_status, new_rng, spawn_rngs
+from repro.utils.rng import PhiloxStreams, RngFactory, idle_sampler_status, new_rng
 
 
 class TestNewRng:
@@ -22,32 +22,6 @@ class TestNewRng:
     def test_generator_passthrough(self):
         rng = np.random.default_rng(0)
         assert new_rng(rng) is rng
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_children_are_independent(self):
-        children = spawn_rngs(7, 2)
-        assert not np.allclose(children[0].random(8), children[1].random(8))
-
-    def test_deterministic_across_calls(self):
-        a = spawn_rngs(3, 2)[1].random(4)
-        b = spawn_rngs(3, 2)[1].random(4)
-        np.testing.assert_array_equal(a, b)
-
-    def test_spawn_from_generator(self):
-        rng = np.random.default_rng(5)
-        children = spawn_rngs(rng, 3)
-        assert len(children) == 3
 
 
 class TestRngFactory:
@@ -94,6 +68,14 @@ class TestIdleSamplerStatus:
         monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
         assert idle_sampler_status() == "disabled: REPRO_DISABLE_NATIVE=1"
         assert rng_module._native_idle_kernel() is None
+        # Disabled means "drawn by the numpy reference", never "no draws".
+        streams = PhiloxStreams(3, 4, "disabled")
+        counts = np.array([[4, 1, 9]] * 4, dtype=np.int64)
+        lam = 0.5 * counts
+        draws, fired = streams.idle_poisson(np.arange(4), counts, lam, np.exp(-lam))
+        assert draws.shape == counts.shape
+        assert fired == int((draws > 0).sum()) > 0
+        assert streams._cursors.tolist() == [2, 2, 2, 2]  # the one-core level skips
 
     def test_ready_after_build_when_a_compiler_exists(self, unprobed, monkeypatch):
         monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
