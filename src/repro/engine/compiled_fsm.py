@@ -10,8 +10,10 @@ decision is
 1. one batched QBN-encoder pass turning normalised observations into
    discrete codes (two small matmuls through the batch-size-stable
    kernel),
-2. one hash lookup per row mapping the code to an observation column
-   (with the shared nearest-prototype fallback for unseen codes), and
+2. one hash lookup per row mapping the code to an observation column;
+   rows with an unseen code share one nearest-prototype resolution — a
+   single gemm whose clear winners are certified against the reference
+   distance computation, which re-runs for the near-ties — and
 3. one integer gather ``next = T[state, obs]`` + ``action = A[next]``.
 
 Decisions are bit-identical to stepping the interpreted
@@ -19,8 +21,10 @@ Decisions are bit-identical to stepping the interpreted
 uses the same row-stable matmul kernel the agent's scalar path resolves
 to, unseen observations resolve through the same
 :func:`~repro.fsm.generalize.nearest_prototype_rows` helper over the
-same prototype ordering, and the gather reproduces ``FSM.step``'s
-self-loop default for unseen (state, observation) pairs.
+same prototype ordering (its answer is an index that equals the
+reference's for every row, so neither BLAS nor the batch size shows),
+and the gather reproduces ``FSM.step``'s self-loop default for unseen
+(state, observation) pairs.
 
 The compiled artifact is self-contained (tables + encoder weights +
 normalisation constants) and roundtrips through ``save``/``load`` so a
@@ -458,8 +462,10 @@ class CompiledFSMPolicy:
 
         Returns ``(columns, fallback_mask)``.  A code that quantises to a
         known *prototype* resolves directly; anything else goes through
-        the shared nearest-prototype resolution (when prototypes exist) or
-        to the ``-1`` self-loop sentinel (when none do) — mirroring
+        the shared nearest-prototype resolution (when prototypes exist:
+        all fallback rows in one ``nearest_prototype_rows`` call, the
+        certified gemm filter with the reference behind it) or to the
+        ``-1`` self-loop sentinel (when none do) — mirroring
         ``FSMPolicyAgent``'s known/unseen split bit for bit.
         """
         batch = normalized.shape[0]

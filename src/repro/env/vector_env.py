@@ -177,28 +177,31 @@ class VectorStorageAllocationEnv:
         self._state.reset(traces, rngs=rngs)
         batch = len(traces)
         self._batch = batch
-        self._batch_arange = np.arange(batch)
         self._makespans = np.zeros(batch, dtype=int)
 
-        # Workload features per slot and interval: [I (14), Q] with one
-        # trailing "empty interval" row shared by the drain phase, so the
-        # per-step observation update is a single clipped gather.
-        t_max = int(self._state.trace_len.max())
-        features = np.zeros((batch, t_max + 1, NUM_IO_TYPES + 1))
+        # Workload features per distinct trace and interval: [I (14), Q]
+        # with one trailing "empty interval" row shared by the drain
+        # phase, so the per-step observation update is a single clipped
+        # gather through the state's slot -> trace index.
+        state = self._state
+        t_max = int(state.trace_len.max())
+        features = np.zeros(
+            (len(state.distinct_traces), t_max + 1, NUM_IO_TYPES + 1)
+        )
         empty = WorkloadInterval.empty()
         features[:, :, :NUM_IO_TYPES] = empty.ratios
         features[:, :, NUM_IO_TYPES] = empty.total_requests
-        for i, trace in enumerate(traces):
+        for row, trace in enumerate(state.distinct_traces):
             for t, interval in enumerate(trace):
-                features[i, t, :NUM_IO_TYPES] = interval.ratios
-                features[i, t, NUM_IO_TYPES] = interval.total_requests
+                features[row, t, :NUM_IO_TYPES] = interval.ratios
+                features[row, t, NUM_IO_TYPES] = interval.total_requests
         self._workload_features = features
 
         raw = np.empty((batch, OBSERVATION_DIM))
-        raw[:, :_NUM_LEVELS] = self._state.counts
-        raw[:, _NUM_LEVELS : 2 * _NUM_LEVELS] = self._state.utilization
+        raw[:, :_NUM_LEVELS] = state.counts
+        raw[:, _NUM_LEVELS : 2 * _NUM_LEVELS] = state.utilization
         raw[:, 2 * _NUM_LEVELS : _IQ_START] = empty.size_vector()
-        raw[:, _IQ_START:] = features[:, 0]
+        raw[:, _IQ_START:] = features[state.trace_index, 0]
         self._raw = raw
         self._normalized = self.observation_encoder.normalize_batch(raw)
         return self._raw_copy(self._normalized)
@@ -244,10 +247,7 @@ class VectorStorageAllocationEnv:
         raw[ix, :_NUM_LEVELS] = state.counts[ix]
         raw[ix, _NUM_LEVELS : 2 * _NUM_LEVELS] = state.utilization[ix]
         t = np.minimum(state.interval_index[ix], state.trace_len[ix])
-        if all_stepped:
-            raw[:, _IQ_START:] = self._workload_features[self._batch_arange, t]
-        else:
-            raw[ix, _IQ_START:] = self._workload_features[ix, t]
+        raw[ix, _IQ_START:] = self._workload_features[state.trace_index[ix], t]
         raw_out = self._raw_copy(raw)
         # The S (size) columns never change after reset, so only the
         # dynamic columns of the stepped rows are re-normalised (bit-

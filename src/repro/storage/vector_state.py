@@ -218,7 +218,17 @@ class VectorSimulatorState:
             raise SimulationError(
                 f"got {len(rngs)} rng streams for {len(traces)} traces"
             )
-        for trace in traces:
+        # Slots may share trace *objects* (a fleet shard hands two dozen
+        # to thousands of slots): everything read off a trace is built
+        # once per distinct object, in first-occurrence order, then
+        # gathered.
+        distinct = {id(trace): trace for trace in traces}
+        row_of = {key: row for row, key in enumerate(distinct)}
+        self.distinct_traces = list(distinct.values())
+        self.trace_index = np.array(
+            [row_of[id(trace)] for trace in traces], dtype=np.intp
+        )
+        for trace in self.distinct_traces:
             if len(trace) == 0:
                 raise SimulationError(f"trace {trace.name!r} has no intervals")
         batch = len(traces)
@@ -250,14 +260,17 @@ class VectorSimulatorState:
             np.array(rates, dtype=float) if all(r is not None for r in rates) else None
         )
 
-        self.trace_len = np.array([len(t) for t in traces], dtype=np.int64)
-        t_max = int(self.trace_len.max())
-        self._read_kb = np.zeros((batch, t_max))
-        self._write_kb = np.zeros((batch, t_max))
-        for i, trace in enumerate(traces):
+        lengths = np.array([len(t) for t in self.distinct_traces], dtype=np.int64)
+        self.trace_len = lengths[self.trace_index]
+        t_max = int(lengths.max())
+        read_kb = np.zeros((lengths.shape[0], t_max))
+        write_kb = np.zeros((lengths.shape[0], t_max))
+        for row, trace in enumerate(self.distinct_traces):
             for t, interval in enumerate(trace):
-                self._read_kb[i, t] = interval.read_kb()
-                self._write_kb[i, t] = interval.write_kb()
+                read_kb[row, t] = interval.read_kb()
+                write_kb[row, t] = interval.write_kb()
+        self._read_kb = read_kb[self.trace_index]
+        self._write_kb = write_kb[self.trace_index]
 
         initial_pool = CorePool.create(
             self.config.initial_allocation, self.config.min_cores_per_level

@@ -15,6 +15,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 SeedLike = Union[int, np.random.Generator, None]
 
 
@@ -99,7 +101,8 @@ def _flatten(entropy: Iterable) -> List[int]:
 # domain string.  All B lanes' next draws materialise in one vectorized
 # call, and any subset of lanes (recycled shards, finished-slot masks, a
 # lane run alone) reproduces the full-batch streams exactly because lanes
-# never share state.
+# never share state.  A draw is computed when it is asked for and never
+# ahead of it: the only state a stream carries is one cursor per lane.
 
 _PHILOX_M0 = 0xD2511F53
 _PHILOX_M1 = 0xCD9E8D57
@@ -109,13 +112,6 @@ _PHILOX_ROUNDS = 10
 _U64_MASK32 = np.uint64(0xFFFFFFFF)
 _U64_32 = np.uint64(32)
 _INV_2_53 = float(2.0 ** -53)
-#: Draws precomputed per lane per refill.  The 10-round keystream pass
-#: costs ~90 numpy dispatches regardless of element count; buffering a
-#: block amortises the pass across ``_PHILOX_BLOCK`` draws per lane.
-#: Because streams are pure functions of ``(episode, counter)``,
-#: prefetching never changes any value — ``uniforms()`` serves the exact
-#: same doubles it would compute one at a time.
-_PHILOX_BLOCK = 64
 
 
 def _philox_round_keys(key0: int, key1: int) -> List[Tuple[np.uint64, np.uint64]]:
@@ -306,6 +302,21 @@ def idle_sampler_status() -> str:
     return _idle_status
 
 
+def _lane_indices(rows) -> np.ndarray:
+    """``rows`` as an index array; a boolean mask is refused, not cast.
+
+    ``np.asarray(mask, dtype=np.intp)`` would turn ``[False, True]`` into
+    lanes ``[0, 1]`` and advance the wrong cursors without a word.
+    """
+    rows = np.asarray(rows)
+    if rows.dtype == np.bool_:
+        raise ConfigurationError(
+            "rows must be lane indices, got a boolean mask "
+            "(pass np.nonzero(mask)[0])"
+        )
+    return rows.astype(np.intp, copy=False)
+
+
 class PhiloxStreams:
     """B independent counter-based lanes for one ``(base_seed, domain)``.
 
@@ -326,39 +337,17 @@ class PhiloxStreams:
         if isinstance(episodes, (int, np.integer)):
             episodes = np.arange(int(episodes), dtype=np.uint64)
         self._episodes = np.ascontiguousarray(episodes, dtype=np.uint64)
-        count = self._episodes.shape[0]
-        self._cursors = np.zeros(count, dtype=np.uint64)
+        self._cursors = np.zeros(self._episodes.shape[0], dtype=np.uint64)
         key = _stable_hash(f"philox/{domain}/{int(base_seed)}")
         self._key0 = key & 0xFFFFFFFF
         self._key1 = (key >> 32) & 0xFFFFFFFF
         self._round_keys = _philox_round_keys(self._key0, self._key1)
-        self._all_rows = np.arange(count, dtype=np.intp)
-        # Per-lane prefetch window [start, end) of counter values whose
-        # uniforms sit in ``_buf``; start == end == 0 marks it empty.
-        self._buf = np.zeros((count, _PHILOX_BLOCK), dtype=np.float64)
-        self._buf_start = np.zeros(count, dtype=np.uint64)
-        self._buf_end = np.zeros(count, dtype=np.uint64)
-
-    def _refill(self, rows: np.ndarray) -> None:
-        """Prefetch the next block of draws for ``rows`` from their cursors."""
-        counters = (
-            self._cursors[rows, None]
-            + np.arange(_PHILOX_BLOCK, dtype=np.uint64)[None, :]
-        )
-        episodes = np.broadcast_to(self._episodes[rows, None], counters.shape)
-        self._buf[rows] = _philox_uniforms(episodes, counters, self._round_keys)
-        self._buf_start[rows] = self._cursors[rows]
-        self._buf_end[rows] = counters[:, -1] + np.uint64(1)
 
     def uniforms(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """One uniform in [0, 1) per requested lane; advances their cursors."""
-        rows = self._all_rows if rows is None else np.asarray(rows, dtype=np.intp)
+        rows = slice(None) if rows is None else _lane_indices(rows)
         cursors = self._cursors[rows]
-        stale = (cursors < self._buf_start[rows]) | (cursors >= self._buf_end[rows])
-        if stale.any():
-            self._refill(rows[stale])
-        offsets = (cursors - self._buf_start[rows]).astype(np.intp)
-        draws = self._buf[rows, offsets]
+        draws = _philox_uniforms(self._episodes[rows], cursors, self._round_keys)
         self._cursors[rows] = cursors + np.uint64(1)
         return draws
 
@@ -387,7 +376,7 @@ class PhiloxStreams:
         rounding may differ from numpy's by an ulp.
         """
         kernel = _native_idle_kernel()
-        rows = np.asarray(rows, dtype=np.intp)
+        rows = _lane_indices(rows)
         episodes, cursors = self._episodes[rows], self._cursors[rows]
         if kernel is not None:
             draws, ndraws, fired = kernel.sample(

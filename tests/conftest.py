@@ -22,6 +22,7 @@ from repro.qbn.trainer import QBNTrainingConfig
 from repro.storage.simulator import StorageSystemConfig
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
 from repro.storage.iorequest import NUM_IO_TYPES
+from repro.utils import rng as rng_module
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
 from repro.workloads.sampler import RealTraceSampler, SamplerConfig
 
@@ -52,6 +53,16 @@ def real_traces(standard_suite):
         rng=11,
     )
     return sampler.sample_many(4, rng=13)
+
+
+@pytest.fixture(params=["as_found", "fallback"])
+def sampler_path(request, monkeypatch):
+    """Run once with the idle sampler as probed, once forced onto its fallback."""
+    rng_module.idle_sampler_status()  # probe first so the patch is what gets undone
+    if request.param == "fallback":
+        monkeypatch.setattr(rng_module, "_idle_kernel", None)
+        monkeypatch.setattr(rng_module, "_idle_status", "disabled: forced by the test")
+    return request.param
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro.agents import HandcraftedFSMPolicy
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.errors import ConfigurationError, ServingError
@@ -24,10 +25,12 @@ from repro.loadgen import (
 )
 from repro.qbn.autoencoder import build_observation_qbn
 from repro.qbn.quantize import code_key
-from repro.engine import CompiledFSMBackend, CompiledFSMPolicy
+from repro.engine import AgentBatchBackend, CompiledFSMBackend, CompiledFSMPolicy
 from repro.serving import PolicyClient, PolicyNetServer, PolicyServer
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
+from repro.utils import rng as rng_module
+from repro.utils.rng import PhiloxStreams
 from repro.workloads import ZipfianTenantMix
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
 
@@ -383,3 +386,99 @@ class TestFleetDriver:
         assert isinstance(raised.value.__cause__, RuntimeError)
         assert server.pending == 0
         assert server.stats().failed == 16 and server.stats().decisions == 16
+
+
+# ----------------------------------------------------------------------
+# Pins: what the fleet decides, and how many draws it pays for
+# ----------------------------------------------------------------------
+# Computed at the parent of the PR that made ``PhiloxStreams`` draw on
+# demand and ``reset`` build rows per distinct trace.  The backend is the
+# handcrafted heuristic lifted per session — no BLAS anywhere in the
+# loop — so the literals hold on any runner; they move only when a
+# stream, a reset, the simulator or the driver changes a decision.
+FLEET_DIGEST_PINS = {
+    42: "17e02b3957a27cd6b38b70f0262985ddca93c298b81b62505cad8348f817002c",
+    7: "39741ac550196d58f4bf3709498e699e05a9bfe57aff0089768dd4463a08eb90",
+}
+
+
+def _pinned_schedule() -> FleetSchedule:
+    return FleetSchedule(
+        sessions=256,
+        shard_size=128,
+        trace_duration=8,
+        trace_variants=2,
+        phases=[
+            LoadPhase(name="steady", steps=4),
+            LoadPhase(
+                name="churn_storm", steps=6, churn_rate=0.05, stale_probes_per_step=2
+            ),
+            LoadPhase(
+                name="flash_crowd",
+                steps=6,
+                burst_multiplier=2,
+                burst_tenant_fraction=0.25,
+            ),
+        ],
+    )
+
+
+def _heuristic_server(serving_env) -> PolicyServer:
+    encoder = serving_env.observation_encoder
+    return PolicyServer(
+        AgentBatchBackend(HandcraftedFSMPolicy, encoder),
+        encoder,
+        initial_capacity=256,
+        max_batch_size=128,
+    )
+
+
+class TestFleetPins:
+    @pytest.mark.parametrize("base_seed", sorted(FLEET_DIGEST_PINS))
+    def test_fleet_digest_is_pinned(self, sampler_path, serving_env, base_seed):
+        report = FleetDriver(
+            _pinned_schedule(),
+            InProcessTransport(_heuristic_server(serving_env)),
+            base_seed=base_seed,
+        ).run()
+        # The run exercises what the pin is for: shards recycled onto
+        # fresh streams and traces, sessions churned, a crowd surged.
+        deterministic = report.deterministic_dict()
+        assert report.recycles == 2
+        assert deterministic["decisions_total"] == 256 * 16
+        assert deterministic["probe_decisions_total"] > 0
+        assert deterministic["stale_rejections_total"] > 0
+        assert report.digest == FLEET_DIGEST_PINS[base_seed]
+
+    def test_driver_streams_compute_only_the_draws_they_serve(
+        self, monkeypatch, serving_env
+    ):
+        """Elements through the keystream, per driver stream: a count, not a time.
+
+        Every tenant draws its profile once, a churn uniform per step
+        and a burst uniform per flash-crowd phase.  (The block prefetch
+        this replaced computed 64 draws per lane per refill.)
+        """
+        schedule = _pinned_schedule()
+        produced = {
+            tuple(PhiloxStreams(3, 1, f"fleet/{name}")._round_keys): 0
+            for name in ("mix", "churn", "burst")
+        }
+        keystream = rng_module._philox_uniforms
+
+        def counting(episodes, counters, round_keys):
+            draws = keystream(episodes, counters, round_keys)
+            if tuple(round_keys) in produced:
+                produced[tuple(round_keys)] += draws.size
+            return draws
+
+        monkeypatch.setattr(rng_module, "_philox_uniforms", counting)
+        FleetDriver(
+            schedule, InProcessTransport(_heuristic_server(serving_env)), base_seed=3
+        ).run()
+        burst_phases = sum(1 for phase in schedule.phases if phase.burst_multiplier > 1)
+        assert list(produced.values()) == [
+            schedule.sessions,
+            schedule.sessions * schedule.total_steps,
+            schedule.sessions * burst_phases,
+        ]

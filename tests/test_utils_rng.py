@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.utils import philox_native, rng as rng_module
 from repro.utils.rng import PhiloxStreams, RngFactory, idle_sampler_status, new_rng
 
@@ -94,3 +95,49 @@ class TestIdleSamplerStatus:
         status = idle_sampler_status()
         assert status.startswith("disabled: no compiler produced the philox_kernel")
         assert rng_module._native_idle_kernel() is None
+
+
+class TestPhiloxUniforms:
+    """``uniforms()`` computes the draws it is asked for, and only those."""
+
+    LANES = [3, 0, 2**33, 7]
+
+    def test_draws_equal_the_keystream_called_directly(self):
+        streams = PhiloxStreams(11, self.LANES, "direct")
+        episodes = np.array(self.LANES, dtype=np.uint64)
+        for draw in range(131):
+            expected = rng_module._philox_uniforms(
+                episodes, np.full(4, draw, dtype=np.uint64), streams._round_keys
+            )
+            np.testing.assert_array_equal(streams.uniforms(), expected)
+        assert streams._cursors.tolist() == [131] * 4
+
+    def test_interleaved_subsets_advance_only_their_lanes(self):
+        full = PhiloxStreams(11, self.LANES, "subsets")
+        table = np.stack([full.uniforms() for _ in range(40)])  # (draw, lane)
+        streams = PhiloxStreams(11, self.LANES, "subsets")
+        picker = np.random.default_rng(0)
+        expected_cursors = np.zeros(4, dtype=np.int64)
+        for _ in range(60):
+            rows = np.nonzero(picker.random(4) < 0.5)[0]
+            if picker.random() < 0.3:
+                rows = rows[::-1]  # order of the request is order of the reply
+            draws = streams.uniforms(rows)
+            np.testing.assert_array_equal(draws, table[expected_cursors[rows], rows])
+            expected_cursors[rows] += 1
+            assert streams._cursors.tolist() == expected_cursors.tolist()
+        assert len(set(expected_cursors.tolist())) > 1  # lanes really diverged
+
+    def test_a_boolean_mask_is_refused_not_cast(self):
+        """``asarray(mask, intp)`` used to advance lanes 0 and 1 for this mask."""
+        streams = PhiloxStreams(1, 4, "x")
+        mask = np.array([False, False, True, True])
+        with pytest.raises(ConfigurationError, match="boolean mask"):
+            streams.uniforms(mask)
+        counts = np.array([[4, 1, 9]] * 4, dtype=np.int64)
+        lam = 0.5 * counts
+        with pytest.raises(ConfigurationError, match="boolean mask"):
+            streams.idle_poisson(mask, counts[mask], lam[mask], np.exp(-lam[mask]))
+        assert streams._cursors.tolist() == [0, 0, 0, 0]
+        streams.uniforms(np.nonzero(mask)[0])
+        assert streams._cursors.tolist() == [0, 0, 1, 1]

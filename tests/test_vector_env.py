@@ -1,5 +1,7 @@
 """Shape, masking and lockstep-semantics tests for the vectorized environment."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import EnvironmentError_
 from repro.storage.migration import NUM_ACTIONS
+from repro.storage.workload import WorkloadInterval
+from repro.utils.rng import PhiloxStreams
 
 
 @pytest.fixture
@@ -47,6 +51,76 @@ class TestVectorReset:
         assert vector_env.num_envs == len(real_traces)
         vector_env.reset(real_traces[:2])
         assert vector_env.num_envs == 2
+
+
+class TestSharedTraceReset:
+    """Slots that share a trace object share its rows; values do not change."""
+
+    SLOTS, SHARED = 512, 4
+
+    def _traces(self, generator):
+        pool = [
+            generator.generate(profile, duration=duration, rng=seed)
+            for seed, (profile, duration) in enumerate(
+                [("web_server", 12), ("oltp_database", 9), ("web_server", 12), ("backup", 7)]
+            )
+        ]
+        picks = np.random.default_rng(0).integers(self.SHARED, size=self.SLOTS)
+        return pool, [pool[i] for i in picks]
+
+    def test_rows_are_built_once_per_distinct_trace(
+        self, monkeypatch, vector_env, generator
+    ):
+        pool, traces = self._traces(generator)
+        calls = {"read_kb": 0}
+        read_kb = WorkloadInterval.read_kb
+
+        def counting(interval):
+            calls["read_kb"] += 1
+            return read_kb(interval)
+
+        monkeypatch.setattr(WorkloadInterval, "read_kb", counting)
+        vector_env.reset(traces, rngs=PhiloxStreams(5, self.SLOTS, "shared"))
+        longest = max(len(trace) for trace in pool)
+        assert 0 < calls["read_kb"] <= self.SHARED * longest
+        state = vector_env.simulator_state
+        assert len(state.distinct_traces) == self.SHARED
+        assert all(
+            state.distinct_traces[row] is trace
+            for row, trace in zip(state.trace_index, traces)
+        )
+
+    def test_shared_traces_equal_private_copies(self, system_config, generator):
+        """Same batch over ``copy.deepcopy``'d traces: every array and step equal."""
+        _pool, traces = self._traces(generator)
+        envs = []
+        for batch in (traces, [copy.deepcopy(trace) for trace in traces]):
+            venv = VectorStorageAllocationEnv(
+                system_config, RewardConfig(mode="per_step_penalty")
+            )
+            first = venv.reset(batch, rngs=PhiloxStreams(5, self.SLOTS, "shared"))
+            envs.append((venv, first))
+        (shared, shared_first), (private, private_first) = envs
+        assert len(shared.simulator_state.distinct_traces) == self.SHARED
+        assert len(private.simulator_state.distinct_traces) == self.SLOTS
+        np.testing.assert_array_equal(shared_first, private_first)
+        for name in ("_read_kb", "_write_kb", "trace_len"):
+            np.testing.assert_array_equal(
+                getattr(shared.simulator_state, name),
+                getattr(private.simulator_state, name),
+            )
+        np.testing.assert_array_equal(
+            shared._workload_features[shared.simulator_state.trace_index],
+            private._workload_features[private.simulator_state.trace_index],
+        )
+        actions = np.random.default_rng(1).integers(NUM_ACTIONS, size=(10, self.SLOTS))
+        for step_actions in actions:
+            a, b = shared.step(step_actions), private.step(step_actions)
+            for field in (
+                "observations", "raw_observations", "rewards", "dones", "makespans"
+            ):
+                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        assert a.dones.any() and not a.dones.all()  # masked steps were compared too
 
 
 class TestVectorStep:

@@ -24,7 +24,6 @@ from repro.storage.cores import CorePool
 from repro.storage.dispatcher import pairwise_sum_ragged, replicated_pairwise_sum
 from repro.storage.simulator import StorageSimulator, StorageSystemConfig
 from repro.storage.vector_state import VectorSimulatorState
-from repro.utils import rng as rng_module
 from repro.utils.rng import PhiloxStreams
 
 
@@ -362,16 +361,6 @@ class TestPairwiseFoundations:
             scalar_draws = np.array([scalar_rng.poisson(l) for l in lam])
             np.testing.assert_array_equal(vector_draws, scalar_draws)
             assert vector_rng.integers(1 << 30) == scalar_rng.integers(1 << 30)
-
-
-@pytest.fixture(params=["as_found", "fallback"])
-def sampler_path(request, monkeypatch):
-    """Run once with the idle sampler as probed, once forced onto its fallback."""
-    rng_module.idle_sampler_status()  # probe first so the patch is what gets undone
-    if request.param == "fallback":
-        monkeypatch.setattr(rng_module, "_idle_kernel", None)
-        monkeypatch.setattr(rng_module, "_idle_status", "disabled: forced by the test")
-    return request.param
 
 
 # Pinned at the commit that removed the Philox rollout goldens: nothing
