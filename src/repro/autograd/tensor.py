@@ -7,6 +7,18 @@ Design notes
   operation, a backward closure plus references to its parents.
 * ``backward()`` runs a topological sort of the graph reachable from the
   output and applies each node's backward closure exactly once.
+* A tensor owns its ``grad`` buffer.  ``_accumulate`` copies the first
+  contribution and adds every later one into that copy in place, so a
+  backward closure may hand the same array to several parents, pass on a
+  read-only broadcast view or the caller's own array, and nobody's
+  gradient changes under them; code that scales or rewrites ``grad`` in
+  place (``clip_grad_norm``) touches that one tensor only.  Do not bind
+  ``grad`` to an array something else holds.
+* Gradients are summed in the order the reversed DFS post-order visits
+  the nodes.  Float addition does not associate, so that order decides
+  the bits of every trained weight: a node that stands for a whole
+  sub-graph (``nn.Linear``, ``nn.GRUCell``) accumulates in the order its
+  op-by-op nodes would have.
 * Broadcasting is supported for elementwise arithmetic; gradients are
   reduced back to each operand's shape by :func:`_unbroadcast`.
 * A module-level switch (:func:`no_grad`) disables graph construction
@@ -150,7 +162,7 @@ class Tensor:
         if self.grad is None:
             self.grad = grad.copy()
         else:
-            self.grad = self.grad + grad
+            self.grad += grad
 
     # ------------------------------------------------------------------
     # Backward pass
@@ -175,26 +187,33 @@ class Tensor:
         order = self._topological_order()
         self._accumulate(grad)
         for node in reversed(order):
-            if node._backward is None or node.grad is None:
-                continue
-            node._backward(node.grad)
+            if node.grad is not None:
+                node._backward(node.grad)
 
     def _topological_order(self) -> List["Tensor"]:
+        """Graph nodes (tensors with a backward closure) in DFS post-order.
+
+        The visit order — last parent first, a shared ancestor placed at
+        its first visit — fixes the order gradients are summed in, and
+        with it the bits of every trained weight; leaves have nothing to
+        run and are left out.
+        """
         order: List[Tensor] = []
         visited: set[int] = set()
-        stack: List[Tuple[Tensor, bool]] = [(self, False)]
+        # A node is pushed once to be expanded and, under a None marker,
+        # once more to be emitted after everything it was computed from.
+        stack: List[Optional[Tensor]] = [self]
         while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
+            node = stack.pop()
+            if node is None:
+                order.append(stack.pop())
                 continue
-            if id(node) in visited:
+            if node._backward is None or id(node) in visited:
                 continue
             visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
+            stack.append(node)
+            stack.append(None)
+            stack.extend(node._parents)
         return order
 
     # ------------------------------------------------------------------
@@ -240,9 +259,8 @@ class Tensor:
 
         ``other`` is a constant (a scalar or array, never a Tensor —
         Python would have dispatched to its ``__sub__`` otherwise), so
-        only ``self`` receives a gradient.  This keeps hot-path
-        expressions like ``1.0 - update`` in the GRU cell allocation-free
-        instead of building a ones-like tensor per step.
+        only ``self`` receives a gradient, and no ones-like tensor is
+        built for an expression like ``1.0 - gate``.
         """
         data = _as_array(other) - self.data
 

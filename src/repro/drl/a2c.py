@@ -267,68 +267,14 @@ class A2CTrainer:
     # ------------------------------------------------------------------
     # One gradient update
     # ------------------------------------------------------------------
-    def _update_from_trajectory(self, trajectory: Trajectory) -> Dict[str, float]:
-        if len(trajectory) == 0:
-            raise TrainingError("cannot update from an empty trajectory")
-
-        observations = trajectory.observations()
-        actions = trajectory.actions()
-
-        # Re-run the recurrent forward pass with gradients enabled.
-        hidden = self.policy.initial_state()
-        logit_rows: List[Tensor] = []
-        value_rows: List[Tensor] = []
-        for t in range(len(trajectory)):
-            logits, value, hidden = self.policy.step(Tensor(observations[t]), hidden)
-            logit_rows.append(logits)
-            value_rows.append(value)
-        logits_matrix = Tensor.stack(logit_rows, axis=0)
-        values_vector = Tensor.stack(value_rows, axis=0).reshape(len(trajectory))
-        values_np = values_vector.numpy()
-
-        if self.config.n_step > 0:
-            returns = self._n_step_returns(trajectory.rewards(), values_np)
-        else:
-            returns = trajectory.discounted_returns(self.config.gamma)
-
-        advantages = returns - values_np
-        if self.config.normalize_advantages and advantages.size > 1:
-            std = advantages.std()
-            if std > 1e-8:
-                advantages = (advantages - advantages.mean()) / std
-
-        log_probs = F.log_softmax(logits_matrix, axis=-1)
-        chosen_nll = F.nll_of_actions(log_probs, actions)
-        policy_loss = (chosen_nll * Tensor(advantages)).mean()
-        value_loss = F.mse_loss(values_vector, returns)
-        probs = F.softmax(logits_matrix, axis=-1)
-        entropy = F.entropy(probs, axis=-1)
-        loss = (
-            policy_loss
-            + value_loss * self.config.value_coef
-            - entropy * self.config.entropy_coef
-        )
-
-        self.optimizer.zero_grad()
-        loss.backward()
-        grad_norm = clip_grad_norm(self.policy.parameters(), self.config.grad_clip_norm)
-        self.optimizer.step()
-
-        return {
-            "policy_loss": float(policy_loss.item()),
-            "value_loss": float(value_loss.item()),
-            "entropy": float(entropy.item()),
-            "grad_norm": float(grad_norm),
-        }
-
     def _update_from_batch(self, trajectories: Sequence[Trajectory]) -> Dict[str, float]:
         """One gradient update over a padded, masked batch of episodes.
 
         The recurrent forward pass runs once per interval with a
         ``(B, obs_dim)`` observation batch; padded positions never enter
         the losses (they are dropped by indexing with the batch's valid
-        positions).  With a single trajectory this computes exactly the
-        same update as :meth:`_update_from_trajectory`.
+        positions).  A single trajectory is the B = 1 case: the update
+        a step-by-step loop over unbatched ``(obs_dim,)`` rows computes.
         """
         batch = TrajectoryBatch.from_trajectories(trajectories)
         horizon, width = batch.max_steps, batch.batch_size

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -57,6 +58,23 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
+
+    @contextlib.contextmanager
+    def frozen(self) -> Iterator["Module"]:
+        """Scope in which no parameter of this module requires a gradient.
+
+        A backward pass through the module still reaches its inputs but
+        leaves every ``param.grad`` alone; flags are restored on exit.
+        """
+        parameters = self.parameters()
+        flags = [param.requires_grad for param in parameters]
+        for param in parameters:
+            param.requires_grad = False
+        try:
+            yield self
+        finally:
+            for param, flag in zip(parameters, flags):
+                param.requires_grad = flag
 
     # ------------------------------------------------------------------
     # Train / eval mode

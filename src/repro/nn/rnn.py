@@ -8,6 +8,27 @@ formulation:
     z_t = sigmoid(x_t W_xz + h_{t-1} W_hz + b_z)
     n_t = tanh   (x_t W_xn + r_t * (h_{t-1} W_hn) + b_n)
     h_t = (1 - z_t) * n_t + z_t * h_{t-1}
+
+One step is one autograd node.  Its forward evaluates the four lines
+above with the numpy calls, in the order, that the same expression
+written with ``Tensor`` operators makes (1-d rows through
+``matmul_rows_np``, batches through ``@``), and its backward performs
+the same float operations and sums into its operands in the order that
+op-by-op graph's backward does.  With ``G`` the gradient of ``h_t``:
+
+    candidate   b_n, x (W_xn), W_xn
+    reset       b_r, x (W_xr), W_xr, h (W_hr), W_hr
+    carried     h (W_hn), W_hn
+    blend       dz = -(G * n_t) + G * h_{t-1};  h += G * z_t
+    update      b_z, x (W_xz), W_xz, h (W_hz), W_hz
+
+Float addition does not associate, so this order is a contract: it is
+what makes every weight trained through the fused step byte-equal to
+one trained through the ~26-node graph, and
+``tests/test_nn_gru.py::TestFusedStepBitwise`` holds that graph as the
+oracle (``np.array_equal`` on outputs and on every gradient).  A
+reordering, a sequence-level node or weight gradients summed over time
+by one gemm would all be faster and would all train different weights.
 """
 
 from __future__ import annotations
@@ -20,8 +41,13 @@ from repro.autograd.functional import matmul_rows_np
 from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
 from repro.nn import init
+from repro.nn.linear import matmul_backward, matmul_np
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import SeedLike, new_rng
+
+
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-a))
 
 
 class GRUCell(Module):
@@ -81,10 +107,43 @@ class GRUCell(Module):
                 f"GRUCell expected hidden dim {self.hidden_size}, got shape {h.shape}"
             )
 
-        reset = (x @ self.w_xr + h @ self.w_hr + self.b_r).sigmoid()
-        update = (x @ self.w_xz + h @ self.w_hz + self.b_z).sigmoid()
-        candidate = (x @ self.w_xn + reset * (h @ self.w_hn) + self.b_n).tanh()
-        return (1.0 - update) * candidate + update * h
+        w_xr, w_hr, b_r = self.w_xr, self.w_hr, self.b_r
+        w_xz, w_hz, b_z = self.w_xz, self.w_hz, self.b_z
+        w_xn, w_hn, b_n = self.w_xn, self.w_hn, self.b_n
+        x_data, h_data = x.data, h.data
+
+        reset = _sigmoid(matmul_np(x_data, w_xr.data) + matmul_np(h_data, w_hr.data) + b_r.data)
+        update = _sigmoid(matmul_np(x_data, w_xz.data) + matmul_np(h_data, w_hz.data) + b_z.data)
+        carried = matmul_np(h_data, w_hn.data)
+        candidate = np.tanh(matmul_np(x_data, w_xn.data) + reset * carried + b_n.data)
+        fresh = 1.0 - update
+        data = fresh * candidate + update * h_data
+
+        def backward(grad: np.ndarray) -> None:
+            # Candidate branch, then the reset gate it reads, then the
+            # update gate: the order of the module docstring.
+            g_update = -(grad * candidate)
+            g_n = grad * fresh * (1.0 - candidate ** 2)
+            if b_n.requires_grad:
+                b_n._accumulate(g_n)
+            matmul_backward(x, w_xn, g_n)
+            g_r = g_n * carried * reset * (1.0 - reset)
+            if b_r.requires_grad:
+                b_r._accumulate(g_r)
+            matmul_backward(x, w_xr, g_r)
+            matmul_backward(h, w_hr, g_r)
+            matmul_backward(h, w_hn, g_n * reset)
+            g_update += grad * h_data
+            if h.requires_grad:
+                h._accumulate(grad * update)
+            g_z = g_update * update * (1.0 - update)
+            if b_z.requires_grad:
+                b_z._accumulate(g_z)
+            matmul_backward(x, w_xz, g_z)
+            matmul_backward(h, w_hz, g_z)
+
+        parents = (x, h, w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, w_hn, b_n)
+        return Tensor._make(data, parents, backward)
 
     def forward_np(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Inference-only batched step on plain arrays (no autograd graph).

@@ -163,27 +163,30 @@ class QBNTrainer:
         optimizer = Adam(parameters, lr=self.config.learning_rate)
         losses: List[float] = []
         indices = np.arange(len(dataset))
-        for _ in range(epochs):
-            self._rng.shuffle(indices)
-            epoch_losses: List[float] = []
-            for start in range(0, len(dataset), self.config.batch_size):
-                rows = indices[start : start + self.config.batch_size]
-                observations = dataset.observations[rows]
-                hiddens = dataset.hidden_before[rows]
-                actions = dataset.actions[rows]
+        # Only the QBNs learn here: the policy is frozen so the backward
+        # pass neither computes nor leaves behind gradients nobody reads.
+        with policy.frozen():
+            for _ in range(epochs):
+                self._rng.shuffle(indices)
+                epoch_losses: List[float] = []
+                for start in range(0, len(dataset), self.config.batch_size):
+                    rows = indices[start : start + self.config.batch_size]
+                    observations = dataset.observations[rows]
+                    hiddens = dataset.hidden_before[rows]
+                    actions = dataset.actions[rows]
 
-                reconstructed_obs = observation_qbn(Tensor(observations))
-                reconstructed_hidden = hidden_qbn(Tensor(hiddens))
-                next_hidden = policy.gru(reconstructed_obs, reconstructed_hidden)
-                logits = policy.policy_head(next_hidden)
-                loss = F.cross_entropy(logits, actions)
+                    reconstructed_obs = observation_qbn(Tensor(observations))
+                    reconstructed_hidden = hidden_qbn(Tensor(hiddens))
+                    next_hidden = policy.gru(reconstructed_obs, reconstructed_hidden)
+                    logits = policy.policy_head(next_hidden)
+                    loss = F.cross_entropy(logits, actions)
 
-                optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(parameters, self.config.grad_clip_norm)
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            losses.append(float(np.mean(epoch_losses)))
+                    optimizer.zero_grad()
+                    loss.backward()
+                    clip_grad_norm(parameters, self.config.grad_clip_norm)
+                    optimizer.step()
+                    epoch_losses.append(loss.item())
+                losses.append(float(np.mean(epoch_losses)))
         return losses
 
     # ------------------------------------------------------------------

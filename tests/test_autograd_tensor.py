@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.autograd import check_gradients
 from repro.autograd.tensor import Tensor, is_grad_enabled, no_grad
 from repro.errors import AutogradError, ShapeError
+from repro.optim import clip_grad_norm
 
 
 def _param(values):
@@ -228,6 +229,59 @@ class TestGradientAccumulation:
         (a * 3).backward(np.array([1.0]))
         (a * 3).backward(np.array([1.0]))
         assert a.grad[0] == pytest.approx(6.0)
+
+    # ``_accumulate`` adds in place, so every ``grad`` must be a buffer
+    # its tensor owns: a copy at the first contribution, never an alias
+    # of the caller's array, a sibling's gradient or a read-only view.
+    def test_tensor_used_twice_by_one_node(self):
+        x = _param([1.0, -2.0, 3.0])
+        (x + x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_parents_of_one_node_own_distinct_buffers(self):
+        a, b = _param([1.0, 2.0]), _param([3.0, 4.0])
+        out = a + b
+        out.sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, out.grad)
+        a.grad += 5.0
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(out.grad, [1.0, 1.0])
+
+    def test_second_backward_sums_into_the_same_buffer(self):
+        a = _param([1.0, 2.0])
+        (a * 3).sum().backward()
+        buffer = a.grad
+        (a * 3).sum().backward()
+        assert a.grad is buffer
+        np.testing.assert_array_equal(a.grad, [6.0, 6.0])
+
+    def test_backward_leaves_the_callers_gradient_alone(self):
+        a = _param([1.0, 2.0])
+        seed = np.array([1.0, -1.0])
+        out = a * 3
+        out.backward(grad=seed)
+        out.backward(grad=seed)
+        np.testing.assert_array_equal(seed, [1.0, -1.0])
+        assert not np.shares_memory(out.grad, seed)
+        np.testing.assert_array_equal(out.grad, [2.0, -2.0])
+
+    def test_broadcast_gradient_lands_in_a_writable_copy(self):
+        a = _param(np.ones((2, 3)))
+        a.sum().backward()  # sum's backward hands over a read-only broadcast view
+        assert a.grad.flags.writeable and a.grad.flags.owndata
+        a.sum().backward()
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
+
+    def test_clipping_one_gradient_reaches_no_other(self):
+        a, b = _param([3.0, 4.0]), _param([3.0, 4.0])
+        out = a + b
+        (out * out).sum().backward()
+        expected = b.grad.copy()
+        assert clip_grad_norm([a], max_norm=1.0) > 1.0
+        assert np.linalg.norm(a.grad) == pytest.approx(1.0)
+        np.testing.assert_array_equal(b.grad, expected)
+        np.testing.assert_array_equal(out.grad, expected)
 
 
 class TestPropertyBased:

@@ -10,6 +10,8 @@ their sequential counterparts.
 import numpy as np
 import pytest
 
+from repro.autograd import functional as F
+from repro.autograd.tensor import Tensor
 from repro.drl.a2c import A2CConfig, A2CTrainer
 from repro.drl.agent import DRLPolicyAgent
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
@@ -26,6 +28,7 @@ from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import TrainingError
+from repro.optim import clip_grad_norm
 from repro.pipeline.evaluation import evaluate_agent
 from repro.qbn.dataset import TransitionDataset
 
@@ -340,6 +343,53 @@ class TestBatchSizeDegradation:
         _assert_trajectories_identical(reference, batched[0])
 
 
+def _scalar_update(trainer: A2CTrainer, trajectory: Trajectory) -> dict:
+    """The A2C update as a step-by-step loop over unbatched rows.
+
+    The reference ``A2CTrainer._update_from_batch`` is held to: one
+    trajectory, ``(obs_dim,)`` observations, no padding and no mask.
+    """
+    policy, config = trainer.policy, trainer.config
+    observations = trajectory.observations()
+    hidden = policy.initial_state()
+    logit_rows, value_rows = [], []
+    for t in range(len(trajectory)):
+        logits, value, hidden = policy.step(Tensor(observations[t]), hidden)
+        logit_rows.append(logits)
+        value_rows.append(value)
+    logits_matrix = Tensor.stack(logit_rows, axis=0)
+    values_vector = Tensor.stack(value_rows, axis=0).reshape(len(trajectory))
+    values_np = values_vector.numpy()
+
+    if config.n_step > 0:
+        returns = trainer._n_step_returns(trajectory.rewards(), values_np)
+    else:
+        returns = trajectory.discounted_returns(config.gamma)
+    advantages = returns - values_np
+    if config.normalize_advantages and advantages.size > 1:
+        std = advantages.std()
+        if std > 1e-8:
+            advantages = (advantages - advantages.mean()) / std
+
+    log_probs = F.log_softmax(logits_matrix, axis=-1)
+    chosen_nll = F.nll_of_actions(log_probs, trajectory.actions())
+    policy_loss = (chosen_nll * Tensor(advantages)).mean()
+    value_loss = F.mse_loss(values_vector, returns)
+    entropy = F.entropy(F.softmax(logits_matrix, axis=-1), axis=-1)
+    loss = policy_loss + value_loss * config.value_coef - entropy * config.entropy_coef
+
+    trainer.optimizer.zero_grad()
+    loss.backward()
+    grad_norm = clip_grad_norm(policy.parameters(), config.grad_clip_norm)
+    trainer.optimizer.step()
+    return {
+        "policy_loss": float(policy_loss.item()),
+        "value_loss": float(value_loss.item()),
+        "entropy": float(entropy.item()),
+        "grad_norm": float(grad_norm),
+    }
+
+
 class TestBatchedTraining:
     def test_batched_update_matches_per_trajectory_update(
         self, system_config, reward_config, short_trace
@@ -353,7 +403,7 @@ class TestBatchedTraining:
         )
         reference_trainer = A2CTrainer(reference_policy, env, A2CConfig(), rng=0)
         batched_trainer = A2CTrainer(batched_policy, env, A2CConfig(), rng=0)
-        reference_losses = reference_trainer._update_from_trajectory(trajectory)
+        reference_losses = _scalar_update(reference_trainer, trajectory)
         batched_losses = batched_trainer._update_from_batch([trajectory])
         for key, value in reference_losses.items():
             assert batched_losses[key] == pytest.approx(value, rel=1e-9, abs=1e-9), key

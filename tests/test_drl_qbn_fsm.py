@@ -4,10 +4,14 @@ The heavier integration paths reuse the session-scoped ``tiny_pipeline_result``
 fixture (one tiny end-to-end pipeline run) instead of retraining per test.
 """
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.agents import GreedyUtilizationPolicy
+from repro.autograd import functional as F
 from repro.drl.a2c import A2CConfig, A2CTrainer, TrainingHistory
 from repro.drl.agent import DRLPolicyAgent
 from repro.drl.checkpoints import load_policy, save_policy
@@ -29,6 +33,7 @@ from repro.fsm.interpretation import (
 from repro.fsm.machine import FiniteStateMachine
 from repro.fsm.minimize import merge_equivalent_states, prune_rare_states
 from repro.fsm.render import fsm_summary_table, fsm_to_dot
+from repro.optim import Adam, clip_grad_norm
 from repro.pipeline.evaluation import compare_agents, comparison_table, evaluate_agent, relative_reduction
 from repro.qbn.autoencoder import QBNConfig, QuantizedBottleneckNetwork
 from repro.qbn.dataset import TransitionDataset
@@ -296,6 +301,107 @@ class TestQBNAutoencoderAndTrainer:
     def test_qbn_training_config_validation(self):
         with pytest.raises(ConfigurationError):
             QBNTrainingConfig(epochs=0)
+
+
+class _UnfrozenQBNTrainer(QBNTrainer):
+    """Fine-tuning as it ran before it froze the policy: every backward
+    also sums into the policy's parameters, which no optimizer reads."""
+
+    def _fine_tune(self, observation_qbn, hidden_qbn, policy, dataset, epochs):
+        parameters = observation_qbn.parameters() + hidden_qbn.parameters()
+        optimizer = Adam(parameters, lr=self.config.learning_rate)
+        losses = []
+        indices = np.arange(len(dataset))
+        for _ in range(epochs):
+            self._rng.shuffle(indices)
+            epoch_losses = []
+            for start in range(0, len(dataset), self.config.batch_size):
+                rows = indices[start : start + self.config.batch_size]
+                reconstructed_obs = observation_qbn(Tensor(dataset.observations[rows]))
+                reconstructed_hidden = hidden_qbn(Tensor(dataset.hidden_before[rows]))
+                next_hidden = policy.gru(reconstructed_obs, reconstructed_hidden)
+                loss = F.cross_entropy(policy.policy_head(next_hidden), dataset.actions[rows])
+                optimizer.zero_grad()
+                loss.backward()
+                clip_grad_norm(parameters, self.config.grad_clip_norm)
+                optimizer.step()
+                epoch_losses.append(loss.item())
+            losses.append(float(np.mean(epoch_losses)))
+        return losses
+
+
+class TestQBNFineTuneFreezesThePolicy:
+    CONFIG = QBNTrainingConfig(
+        epochs=2, batch_size=4, observation_latent_dim=4, hidden_latent_dim=4,
+        autoencoder_hidden_dim=8,
+    )
+
+    @pytest.fixture
+    def dataset(self, env, short_trace, tiny_policy):
+        trajectory = RolloutCollector(env, rng=0).collect(
+            tiny_policy, short_trace, greedy=True, episode_seed=0
+        )
+        return TransitionDataset.from_trajectories([trajectory])
+
+    @pytest.fixture
+    def trained_policy(self, tiny_policy, dataset):
+        """A policy carrying the gradients its last A2C update left behind."""
+        logits, value, _hidden = tiny_policy.step(
+            Tensor(dataset.observations[0]), Tensor(dataset.hidden_before[0])
+        )
+        (logits.sum() + value.sum()).backward()
+        assert all(param.grad is not None for param in tiny_policy.parameters())
+        return tiny_policy
+
+    def test_policy_gradients_are_left_alone(self, trained_policy, dataset):
+        before = [(param.grad, param.grad.tobytes()) for param in trained_policy.parameters()]
+        result = QBNTrainer(self.CONFIG, rng=7).train(
+            dataset, policy=trained_policy, fine_tune_epochs=2
+        )
+        assert len(result.fine_tune_losses) == 2
+        for param, (grad, data) in zip(trained_policy.parameters(), before):
+            assert param.grad is grad and param.grad.tobytes() == data
+            assert param.requires_grad
+
+    def test_flags_restored_when_the_loop_raises(self, trained_policy, dataset, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("clip failed")
+
+        monkeypatch.setattr("repro.qbn.trainer.clip_grad_norm", fail)
+        trained_policy.value_head.bias.requires_grad = False  # restored as found, not to True
+        trainer = QBNTrainer(replace(self.CONFIG, epochs=1), rng=7)
+        with pytest.raises(RuntimeError, match="clip failed"):
+            trainer._fine_tune(
+                QuantizedBottleneckNetwork(QBNConfig(dataset.observation_dim, 4, 8), rng=0),
+                QuantizedBottleneckNetwork(QBNConfig(dataset.hidden_dim, 4, 8), rng=1),
+                trained_policy, dataset, epochs=1,
+            )
+        flags = {name: p.requires_grad for name, p in trained_policy.named_parameters()}
+        assert flags.pop("value_head.bias") is False
+        assert all(flags.values()) and len(flags) == 12
+
+    def test_qbns_learn_the_same_bytes_as_the_unfrozen_loop(self, trained_policy, dataset):
+        frozen_policy, unfrozen_policy = trained_policy, copy.deepcopy(trained_policy)
+        frozen = QBNTrainer(self.CONFIG, rng=7).train(
+            dataset, policy=frozen_policy, fine_tune_epochs=2
+        )
+        unfrozen = _UnfrozenQBNTrainer(self.CONFIG, rng=7).train(
+            dataset, policy=unfrozen_policy, fine_tune_epochs=2
+        )
+        assert frozen.fine_tune_losses == unfrozen.fine_tune_losses
+        for ours, theirs in (
+            (frozen.observation_qbn, unfrozen.observation_qbn),
+            (frozen.hidden_qbn, unfrozen.hidden_qbn),
+        ):
+            for (name, param), (_, reference) in zip(
+                ours.named_parameters(), theirs.named_parameters()
+            ):
+                assert param.data.tobytes() == reference.data.tobytes(), name
+        # ... while the unfrozen loop did pile gradients onto the policy.
+        assert any(
+            not np.array_equal(a.grad, b.grad)
+            for a, b in zip(frozen_policy.gru.parameters(), unfrozen_policy.gru.parameters())
+        )
 
 
 # ----------------------------------------------------------------------

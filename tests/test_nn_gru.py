@@ -1,12 +1,28 @@
 """Tests for the GRU cell and sequence wrapper."""
 
+import contextlib
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.agents.greedy import GreedyUtilizationPolicy
 from repro.autograd import check_gradients
-from repro.autograd.tensor import Tensor
+from repro.autograd import functional as F
+from repro.autograd.tensor import Tensor, no_grad
+from repro.drl.a2c import A2CConfig, A2CTrainer
+from repro.drl.imitation import BehaviorCloningTrainer, ImitationConfig
+from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
+from repro.drl.rollout import BatchedRolloutCollector
+from repro.env.environment import StorageAllocationEnv
+from repro.env.reward import RewardConfig
+from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ShapeError
-from repro.nn import GRU, GRUCell
+from repro.nn import GRU, GRUCell, Linear
+from repro.qbn.autoencoder import QBNConfig, QuantizedBottleneckNetwork
+from repro.qbn.dataset import TransitionDataset
+from repro.qbn.trainer import QBNTrainer, QBNTrainingConfig
+from test_nn_modules import same_grad, oracle_linear_forward
 
 
 class TestGRUCell:
@@ -141,3 +157,268 @@ def test_forward_np_sees_rebound_bias_at_every_batch_size():
         np.testing.assert_array_equal(
             cell.forward_np(x[:batch], h[:batch]), donor.forward_np(x[:batch], h[:batch])
         )
+
+
+# ----------------------------------------------------------------------
+# The bitwise contract: one autograd node per step is the op-by-op graph
+# ----------------------------------------------------------------------
+def oracle_gru_forward(self, x, h=None):
+    """``GRUCell.forward`` op by op: the module docstring as ~26 graph nodes."""
+    if not isinstance(x, Tensor):
+        x = Tensor(x)
+    if h is None:
+        h = self.initial_state(None if x.ndim == 1 else x.shape[0])
+    reset = (x @ self.w_xr + h @ self.w_hr + self.b_r).sigmoid()
+    update = (x @ self.w_xz + h @ self.w_hz + self.b_z).sigmoid()
+    candidate = (x @ self.w_xn + reset * (h @ self.w_hn) + self.b_n).tanh()
+    return (1.0 - update) * candidate + update * h
+
+
+@contextlib.contextmanager
+def op_by_op():
+    """Every ``GRUCell`` and ``Linear`` runs as the graph the fused node replaced."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GRUCell, "forward", oracle_gru_forward)
+        patch.setattr(Linear, "forward", oracle_linear_forward)
+        yield
+
+
+def _assert_same_parameter_grads(ours, theirs, expect_grads=True):
+    ours, theirs = dict(ours.named_parameters()), dict(theirs.named_parameters())
+    assert ours.keys() == theirs.keys()
+    for name, param in ours.items():
+        assert same_grad(param, theirs[name]), name
+        assert (param.grad is not None) == expect_grads, name
+
+
+def _fill_biases(module, seed=2):
+    """Biases start at zero; give them values so a dropped bias term shows."""
+    rng = np.random.default_rng(seed)
+    for name, param in module.named_parameters():
+        if param.ndim == 1:
+            param.data[...] = rng.standard_normal(param.shape) * 0.5
+    return module
+
+
+def _policy(hidden, observation_dim=9):
+    config = PolicyConfig(observation_dim=observation_dim, hidden_size=hidden, num_actions=7)
+    return _fill_biases(RecurrentPolicyValueNet(config, rng=3))
+
+
+def _shipped_and_oracle(build, run):
+    """``run(build())`` as shipped and again op by op, on equal fresh models."""
+    shipped_model = build()
+    shipped = run(shipped_model)
+    with op_by_op():
+        oracle_model = build()
+        oracle = run(oracle_model)
+    return (shipped_model, shipped), (oracle_model, oracle)
+
+
+class TestFusedStepBitwise:
+    """``GRUCell.forward`` against the op-by-op formulas, ``np.array_equal`` only.
+
+    Outputs and every gradient are pinned by comparison with the oracle
+    on this host's BLAS, never by literal: the bits differ between
+    OpenBLAS core types (CI runs this class under a second one).  What
+    makes them equal is the backward's accumulation order, stated in the
+    ``repro.nn.rnn`` module docstring.
+    """
+
+    @pytest.mark.parametrize("hidden", [4, 12, 48])
+    @pytest.mark.parametrize("batch", [None, 1, 2, 5])
+    def test_one_step_every_requires_grad_combination(self, hidden, batch):
+        rng = np.random.default_rng(100 * hidden + (batch or 0))
+        lead = () if batch is None else (batch,)
+        x_data = rng.standard_normal(lead + (7,))
+        x_data[..., 0] = 0.0
+        h_data = rng.standard_normal(lead + (hidden,)) * 0.5
+        upstream = rng.standard_normal(lead + (hidden,))
+        for x_requires, h_requires, parameters_require in itertools.product(
+            [False, True], repeat=3
+        ):
+            runs = []
+            for forward in (GRUCell.forward, oracle_gru_forward):
+                cell = _fill_biases(GRUCell(7, hidden, rng=1))
+                for param in cell.parameters():
+                    param.requires_grad = parameters_require
+                x = Tensor(x_data, requires_grad=x_requires)
+                h = Tensor(h_data, requires_grad=h_requires)
+                # Two graphs over the same leaves: the second sums into
+                # gradients the first left behind.
+                for scale in (1.0, -0.3):
+                    out = forward(cell, x, h)
+                    assert out.requires_grad == (x_requires or h_requires or parameters_require)
+                    if out.requires_grad:
+                        (out * Tensor(upstream * scale)).sum().backward()
+                runs.append((out, x, h, cell))
+            (out, x, h, cell), (ref_out, ref_x, ref_h, ref_cell) = runs
+            label = f"x={x_requires} h={h_requires} parameters={parameters_require}"
+            assert np.array_equal(out.data, ref_out.data), label
+            assert same_grad(x, ref_x) and (x.grad is not None) == x_requires, label
+            assert same_grad(h, ref_h) and (h.grad is not None) == h_requires, label
+            _assert_same_parameter_grads(cell, ref_cell, expect_grads=parameters_require)
+
+    @pytest.mark.parametrize("hidden", [4, 12, 48])
+    @pytest.mark.parametrize("batch", [None, 1, 2, 5])
+    def test_no_grad_builds_no_node(self, hidden, batch):
+        rng = np.random.default_rng(hidden + (batch or 0))
+        lead = () if batch is None else (batch,)
+        x = rng.standard_normal(lead + (7,))
+        h = rng.standard_normal(lead + (hidden,))
+        cell = _fill_biases(GRUCell(7, hidden, rng=1))
+        with no_grad():
+            out = cell(Tensor(x), Tensor(h))
+            first = cell(Tensor(x))
+            with op_by_op():
+                expected = cell(Tensor(x), Tensor(h))
+                expected_first = cell(Tensor(x))
+        assert np.array_equal(out.data, expected.data)
+        assert np.array_equal(first.data, expected_first.data)
+        assert not out.requires_grad and out._parents == () and out._backward is None
+
+    @pytest.mark.parametrize("hidden", [4, 12, 48])
+    def test_chain_under_behaviour_cloning_loss(self, hidden):
+        """Weighted NLL over the stacked logits of 1-d steps (``imitation.fit``)."""
+        rng = np.random.default_rng(hidden)
+        steps = 9
+        observations = rng.standard_normal((steps, 9))
+        actions = rng.integers(7, size=steps)
+        weights = rng.uniform(0.2, 5.0, size=7)[actions]
+
+        def run(policy):
+            hidden_state = policy.initial_state()
+            rows = []
+            for t in range(steps):
+                logits, _value, hidden_state = policy.step(Tensor(observations[t]), hidden_state)
+                rows.append(logits)
+            log_probs = F.log_softmax(Tensor.stack(rows, axis=0), axis=-1)
+            nll = F.nll_of_actions(log_probs, actions)
+            loss = (nll * Tensor(weights)).sum() * (1.0 / max(weights.sum(), 1e-9))
+            loss.backward()
+            return loss
+
+        (policy, loss), (ref_policy, ref_loss) = _shipped_and_oracle(lambda: _policy(hidden), run)
+        assert np.array_equal(loss.data, ref_loss.data)
+        _assert_same_parameter_grads(policy.gru, ref_policy.gru)
+        _assert_same_parameter_grads(policy.policy_head, ref_policy.policy_head)
+        # The value head is stepped but never reaches this loss.
+        _assert_same_parameter_grads(policy.value_head, ref_policy.value_head, expect_grads=False)
+
+    @pytest.mark.parametrize("hidden", [4, 12, 48])
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_chain_under_a2c_loss(self, hidden, width):
+        """Policy + value + entropy over a padded, masked (T, B) batch (``_update_from_batch``)."""
+        rng = np.random.default_rng(10 * hidden + width)
+        horizon = 8
+        lengths = rng.integers(3, horizon + 1, size=width)
+        lengths[0] = horizon
+        mask = np.arange(horizon)[:, None] < lengths[None, :]
+        observations = rng.standard_normal((horizon, width, 9)) * mask[:, :, None]
+        actions = rng.integers(7, size=(horizon, width))
+        time_idx, env_idx = np.nonzero(mask)
+        returns = rng.standard_normal(time_idx.size)
+
+        def run(policy):
+            hidden_state = policy.initial_state(width)
+            logit_steps, value_steps = [], []
+            for t in range(horizon):
+                logits, value, hidden_state = policy.step(Tensor(observations[t]), hidden_state)
+                logit_steps.append(logits)
+                value_steps.append(value)
+            logits_matrix = Tensor.stack(logit_steps, axis=0)[time_idx, env_idx]
+            values_vector = Tensor.stack(value_steps, axis=0).reshape(horizon, width)[time_idx, env_idx]
+            advantages = returns - values_vector.numpy()
+            advantages = (advantages - advantages.mean()) / advantages.std()
+            log_probs = F.log_softmax(logits_matrix, axis=-1)
+            chosen_nll = F.nll_of_actions(log_probs, actions[time_idx, env_idx])
+            policy_loss = (chosen_nll * Tensor(advantages)).mean()
+            value_loss = F.mse_loss(values_vector, returns)
+            entropy = F.entropy(F.softmax(logits_matrix, axis=-1), axis=-1)
+            loss = policy_loss + value_loss * 0.5 - entropy * 0.01
+            loss.backward()
+            return loss
+
+        (policy, loss), (ref_policy, ref_loss) = _shipped_and_oracle(lambda: _policy(hidden), run)
+        assert np.array_equal(loss.data, ref_loss.data)
+        _assert_same_parameter_grads(policy, ref_policy)
+
+    @pytest.mark.parametrize("hidden", [4, 12, 48])
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_step_under_fine_tune_loss(self, hidden, freeze):
+        """Cross-entropy with QBN reconstructions as ``x`` and ``h`` (``QBNTrainer._fine_tune``)."""
+        rng = np.random.default_rng(hidden)
+        rows = 11
+        observations = rng.standard_normal((rows, 9))
+        hiddens = np.tanh(rng.standard_normal((rows, hidden)))
+        actions = rng.integers(7, size=rows)
+
+        def build():
+            seeds = np.random.default_rng(5)
+            qbns = [
+                _fill_biases(QuantizedBottleneckNetwork(
+                    QBNConfig(input_dim=dim, latent_dim=4, hidden_dim=6), rng=seeds
+                ))
+                for dim in (9, hidden)
+            ]
+            return _policy(hidden), qbns[0], qbns[1]
+
+        def run(models):
+            policy, observation_qbn, hidden_qbn = models
+            with policy.frozen() if freeze else contextlib.nullcontext():
+                next_hidden = policy.gru(
+                    observation_qbn(Tensor(observations)), hidden_qbn(Tensor(hiddens))
+                )
+                loss = F.cross_entropy(policy.policy_head(next_hidden), actions)
+                loss.backward()
+            return loss
+
+        (models, loss), (ref_models, ref_loss) = _shipped_and_oracle(build, run)
+        assert np.array_equal(loss.data, ref_loss.data)
+        for model, reference in zip(models[1:], ref_models[1:]):
+            _assert_same_parameter_grads(model, reference)
+        for name in ("gru", "policy_head"):
+            _assert_same_parameter_grads(
+                getattr(models[0], name), getattr(ref_models[0], name), expect_grads=not freeze
+            )
+
+
+class TestTrainingBitwiseDifferential:
+    def test_bc_a2c_and_qbn_fine_tune_learn_the_same_bytes(self, system_config, real_traces):
+        """Two BC epochs, one A2C epoch and a one-epoch QBN fine-tune, run as
+        shipped and again op by op, leave every parameter byte-equal."""
+        reward = RewardConfig(mode="per_step_penalty")
+        traces = list(real_traces[:2])
+
+        def train():
+            env = StorageAllocationEnv(system_config, reward_config=reward, rng=3)
+            policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=3)
+            cloner = BehaviorCloningTrainer(env, ImitationConfig(epochs=2), rng=5)
+            cloner.fit(policy, cloner.collect_demonstrations(GreedyUtilizationPolicy(), traces))
+            A2CTrainer(policy, env, A2CConfig(episodes_per_epoch=3), rng=0).train(traces, epochs=1)
+            collector = BatchedRolloutCollector(
+                VectorStorageAllocationEnv(system_config, reward), rng=1
+            )
+            dataset = TransitionDataset.from_trajectories(
+                collector.collect_batch(policy, traces, greedy=True)
+            )
+            qbn_config = QBNTrainingConfig(
+                epochs=1, batch_size=8, observation_latent_dim=4, hidden_latent_dim=4,
+                autoencoder_hidden_dim=8,
+            )
+            qbns = QBNTrainer(qbn_config, rng=2).train(dataset, policy=policy, fine_tune_epochs=1)
+            learned = {}
+            for label, module in (
+                ("policy", policy),
+                ("observation_qbn", qbns.observation_qbn),
+                ("hidden_qbn", qbns.hidden_qbn),
+            ):
+                for name, param in module.named_parameters():
+                    learned[f"{label}.{name}"] = param.data.tobytes()
+            return learned
+
+        shipped = train()
+        with op_by_op():
+            oracle = train()
+        assert shipped.keys() == oracle.keys() and len(shipped) == 13 + 8 + 8
+        assert [name for name in shipped if shipped[name] != oracle[name]] == []

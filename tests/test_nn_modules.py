@@ -1,10 +1,12 @@
 """Tests for repro.nn: Module, Linear, activations, Sequential, state dicts."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.autograd import check_gradients
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, no_grad
 from repro.errors import SerializationError, ShapeError
 from repro.nn import Linear, Module, Parameter, ReLU, Sequential, Sigmoid, Tanh, Identity
 from repro.nn import init
@@ -30,6 +32,17 @@ class TestParameterDiscovery:
         assert layer.weight.grad is not None
         layer.zero_grad()
         assert layer.weight.grad is None
+
+    def test_frozen_scope_restores_flags_as_found(self):
+        model = Sequential(Linear(3, 4, rng=0), Tanh(), Linear(4, 2, rng=1))
+        model[2].bias.requires_grad = False
+        with pytest.raises(RuntimeError):
+            with model.frozen() as scope:
+                assert scope is model
+                assert not any(p.requires_grad for p in model.parameters())
+                raise RuntimeError("mid-scope failure")
+        flags = [p.requires_grad for p in model.parameters()]
+        assert flags == [True, True, True, False]
 
     def test_train_eval_flags_propagate(self):
         model = Sequential(Linear(2, 2, rng=0), ReLU())
@@ -101,6 +114,77 @@ class TestLinear:
         layer.bias.data[...] = np.array([1.0])
         out = layer(Tensor([1.0, 1.0]))
         assert out.numpy()[0] == pytest.approx(6.0)
+
+
+def oracle_linear_forward(self, x):
+    """``Linear.forward`` op by op: the two-node graph the fused layer replaced."""
+    if not isinstance(x, Tensor):
+        x = Tensor(x)
+    out = x @ self.weight
+    if self.bias is not None:
+        out = out + self.bias
+    return out
+
+
+def same_grad(ours: Tensor, theirs: Tensor) -> bool:
+    if ours.grad is None or theirs.grad is None:
+        return ours.grad is None and theirs.grad is None
+    return np.array_equal(ours.grad, theirs.grad)
+
+
+class TestFusedLinearBitwise:
+    """One node per ``Linear`` is, bit for bit, the graph of ``x @ W + b``.
+
+    Compared with ``np.array_equal`` against the oracle on this host's
+    BLAS, never against literals: the bits differ between OpenBLAS core
+    types (CI runs this class under a second one).
+    """
+
+    # 1 and 3 outputs take matmul_rows_np's einsum route, 7 and 48 its gemm route.
+    @pytest.mark.parametrize("outputs", [1, 3, 7, 48])
+    @pytest.mark.parametrize("lead", [(), (1,), (2,), (5,), (3, 2)])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_output_and_every_grad(self, outputs, lead, bias):
+        rng = np.random.default_rng(outputs + 10 * len(lead) + sum(lead))
+        x_data = rng.standard_normal(lead + (12,))
+        x_data[..., 0] = 0.0
+        upstream = rng.standard_normal(lead + (outputs,))
+        bias_data = rng.standard_normal(outputs)
+        for x_requires, parameters_require in itertools.product([False, True], repeat=2):
+            runs = []
+            for forward in (Linear.forward, oracle_linear_forward):
+                layer = Linear(12, outputs, bias=bias, rng=4)
+                if bias:
+                    layer.bias.data[...] = bias_data
+                for param in layer.parameters():
+                    param.requires_grad = parameters_require
+                x = Tensor(x_data, requires_grad=x_requires)
+                # Two graphs over the same leaves: the second sums into
+                # gradients the first left behind.
+                for scale in (1.0, -0.3):
+                    out = forward(layer, x)
+                    assert out.requires_grad == (x_requires or parameters_require)
+                    if out.requires_grad:
+                        (out * Tensor(upstream * scale)).sum().backward()
+                runs.append((out, x, layer))
+            (out, x, layer), (ref_out, ref_x, ref_layer) = runs
+            label = f"x={x_requires} parameters={parameters_require}"
+            assert np.array_equal(out.data, ref_out.data), label
+            assert same_grad(x, ref_x), label
+            assert (x.grad is not None) == x_requires, label
+            for param, ref_param in zip(layer.parameters(), ref_layer.parameters()):
+                assert same_grad(param, ref_param), label
+                assert (param.grad is not None) == parameters_require, label
+
+    @pytest.mark.parametrize("lead", [(), (1,), (5,)])
+    def test_no_grad_builds_no_node(self, lead):
+        layer, reference = Linear(6, 7, rng=2), Linear(6, 7, rng=2)
+        x = np.random.default_rng(0).standard_normal(lead + (6,))
+        with no_grad():
+            out = layer(Tensor(x))
+            expected = oracle_linear_forward(reference, Tensor(x))
+        assert np.array_equal(out.data, expected.data)
+        assert not out.requires_grad and out._parents == () and out._backward is None
 
 
 class TestActivationsAndSequential:
