@@ -1,11 +1,11 @@
 """Micro-benchmark: sequential vs batched rollout collection.
 
-Measures steps/second of the sequential reference collector against the
-vectorized lockstep collector on the same sampled traces with the
-paper-scale GRU-128 policy, prints a JSON summary, and asserts the
-batched path keeps a clear lead.  The hard assertion defaults to a
-regression floor so a noisy CI worker does not flake the suite, and can
-be tightened via ROLLOUT_BENCH_MIN_SPEEDUP.
+Measures steps/second of the rollout collector one episode at a time
+(``batch_size=1``, the sequential view) against one lockstep batch on
+the same sampled traces with the paper-scale GRU-128 policy, prints a
+JSON summary, and asserts the batched call keeps a clear lead.  The
+hard assertion defaults to a regression floor so a noisy CI worker does
+not flake the suite, and can be tightened via ROLLOUT_BENCH_MIN_SPEEDUP.
 
 Knobs (environment variables):
 
@@ -30,8 +30,7 @@ import time
 from pathlib import Path
 
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
-from repro.drl.rollout import BatchedRolloutCollector, RolloutCollector
-from repro.env.environment import StorageAllocationEnv
+from repro.drl.rollout import BatchedRolloutCollector
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.storage.simulator import StorageSystemConfig
@@ -63,28 +62,28 @@ def test_bench_rollout_throughput(tmp_path):
     reward_config = RewardConfig(mode="per_step_penalty")
     policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=128), rng=5)
 
-    sequential = RolloutCollector(
-        StorageAllocationEnv(system_config, reward_config=reward_config), rng=0
-    )
-    batched = BatchedRolloutCollector(
+    collector = BatchedRolloutCollector(
         VectorStorageAllocationEnv(system_config, reward_config), rng=0
     )
 
     # Warm-up: first calls pay one-time costs (interval caches, BLAS init).
-    sequential.collect_many(policy, traces[:4], greedy=False)
-    batched.collect_many(policy, traces[:4], greedy=False)
+    collector.collect_many(policy, traces[:4], greedy=False, batch_size=1)
+    collector.collect_many(policy, traces[:4], greedy=False)
 
     sequential_rates = []
     batched_rates = []
     for _ in range(ROUNDS):
         sequential_rates.append(
             _steps_per_second(
-                lambda t: sequential.collect_many(policy, t, greedy=False), traces
+                lambda t: collector.collect_many(
+                    policy, t, greedy=False, batch_size=1
+                ),
+                traces,
             )
         )
         batched_rates.append(
             _steps_per_second(
-                lambda t: batched.collect_many(policy, t, greedy=False), traces
+                lambda t: collector.collect_many(policy, t, greedy=False), traces
             )
         )
 

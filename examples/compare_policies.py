@@ -33,7 +33,7 @@ def main() -> None:
         standard_epochs=args.epochs,
         real_epochs=args.epochs,
         num_real_traces=args.traces,
-        num_eval_traces=min(10, max(2, args.traces // 2)),
+        num_eval_traces=min(10, max(1, args.traces // 2)),
     )
     pipeline = LearningAidedPipeline(config)
     result = pipeline.run()

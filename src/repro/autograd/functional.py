@@ -109,9 +109,9 @@ def matmul_rows_np(
       which reduces the contraction axis in a fixed sequential order for
       every output element regardless of batch size.
 
-    The rollout equivalence tests (batched collector vs sequential
-    collector, act_batch vs act) are the guard that this kernel split
-    stays bit-stable on the host's BLAS.
+    The rollout equivalence tests (one lockstep batch vs each episode
+    alone, act_batch vs act) are the guard that this kernel split stays
+    bit-stable on the host's BLAS.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)

@@ -17,10 +17,8 @@ from repro.drl.policy import (
 from repro.drl.agent import DRLPolicyAgent
 from repro.drl.rollout import (
     BatchedRolloutCollector,
-    RolloutCollector,
     Trajectory,
     TrajectoryBatch,
-    Transition,
     derive_episode_streams,
 )
 from repro.drl.worker_pool import PersistentWorkerPool, shard_indices
@@ -35,10 +33,8 @@ __all__ = [
     "PolicyStepOutput",
     "BatchedPolicyStepOutput",
     "DRLPolicyAgent",
-    "Transition",
     "Trajectory",
     "TrajectoryBatch",
-    "RolloutCollector",
     "BatchedRolloutCollector",
     "PersistentWorkerPool",
     "shard_indices",

@@ -114,12 +114,6 @@ class TrainingHistory:
     def phases(self) -> List[str]:
         return [r.phase for r in self.records]
 
-    def by_phase(self) -> Dict[str, "TrainingHistory"]:
-        grouped: Dict[str, TrainingHistory] = {}
-        for record in self.records:
-            grouped.setdefault(record.phase, TrainingHistory()).append(record)
-        return grouped
-
     def smoothed_makespans(self, window: int = 10) -> np.ndarray:
         values = self.makespans()
         if window <= 1 or values.size == 0:

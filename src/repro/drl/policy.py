@@ -45,21 +45,13 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class PolicyStepOutput:
-    """Result of a single policy step (inference mode, numpy values).
-
-    ``valid_action_mask`` records which actions were legal migrations in
-    the environment state the decision was taken in (filled in by the
-    rollout collectors); downstream consumers such as FSM interpretation
-    and evaluation use it to distinguish deliberate no-ops from actions
-    the simulator silently rejected.
-    """
+    """Result of a single policy step (inference mode, numpy values)."""
 
     action: int
     log_probs: np.ndarray
     probabilities: np.ndarray
     value: float
     hidden_state: np.ndarray
-    valid_action_mask: Optional[np.ndarray] = None
 
 
 class GeneratorList(list):
@@ -158,7 +150,6 @@ class RecurrentPolicyValueNet(Module):
         rng: SeedLike = None,
         epsilon: float = 0.0,
         greedy: bool = True,
-        valid_action_mask: Optional[np.ndarray] = None,
     ) -> PolicyStepOutput:
         """Run one step without building the autograd graph and pick an action.
 
@@ -181,7 +172,6 @@ class RecurrentPolicyValueNet(Module):
             probabilities=probs,
             value=float(value.numpy().reshape(-1)[0]),
             hidden_state=next_hidden.numpy(),
-            valid_action_mask=valid_action_mask,
         )
 
     def act_batch(

@@ -6,15 +6,15 @@ The trainer and the QBN/FSM extraction stages both need trajectories of
 the A2C trainer later re-runs the recurrent forward pass over the stored
 observations with gradients enabled.
 
-Two collectors produce the same :class:`Trajectory` objects:
-
-* :class:`RolloutCollector` — the sequential reference implementation,
-  one environment step and one policy call at a time;
-* :class:`BatchedRolloutCollector` — runs N episodes in lockstep on a
-  :class:`~repro.env.vector_env.VectorStorageAllocationEnv` so one
-  batched GRU forward pass serves every environment per interval.  Given
-  the same per-episode rng streams (see :func:`derive_episode_streams`)
-  it is bit-identical to the sequential collector, trace by trace.
+There is one collector, :class:`BatchedRolloutCollector`: it runs N
+episodes in lockstep on a
+:class:`~repro.env.vector_env.VectorStorageAllocationEnv` so one batched
+GRU forward pass serves every environment per interval.  An episode's
+trajectory depends on its own rng streams (see
+:func:`derive_episode_streams`) and never on the batch it ran in, so the
+sequential view is the B = 1 call and any chunking of an episode list —
+one at a time, one lockstep batch, shards on a worker pool — returns the
+same bits.
 """
 
 from __future__ import annotations
@@ -26,188 +26,87 @@ import numpy as np
 
 from repro import telemetry
 from repro.drl.policy import GeneratorList, RecurrentPolicyValueNet
-from repro.env.environment import StorageAllocationEnv
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import TrainingError
 from repro.storage.workload import WorkloadTrace
 from repro.utils.rng import SeedLike, new_rng
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One step of interaction.
-
-    ``valid_action_mask`` records which actions were legal migrations at
-    decision time (None for trajectories recorded before masks were
-    wired through).
-    """
-
-    observation: np.ndarray
-    raw_observation: np.ndarray
-    hidden_before: np.ndarray
-    hidden_after: np.ndarray
-    action: int
-    reward: float
-    value_estimate: float
-    done: bool
-    valid_action_mask: Optional[np.ndarray] = None
-
-
-@dataclass
-class _TrajectoryColumns:
-    """Struct-of-arrays storage of one episode's transitions.
-
-    All arrays are time-major ``(T, ...)``.  This is what the batched
-    collector produces directly (one slice per slot out of its stacked
-    per-interval arrays) — no per-step :class:`Transition` objects are
-    built on the hot path.
-    """
-
-    observations: np.ndarray       # (T, obs_dim)
-    raw_observations: np.ndarray   # (T, obs_dim)
-    hidden_before: np.ndarray      # (T, hidden_dim)
-    hidden_after: np.ndarray       # (T, hidden_dim)
-    actions: np.ndarray            # (T,) int
-    rewards: np.ndarray            # (T,)
-    value_estimates: np.ndarray    # (T,)
-    dones: np.ndarray              # (T,) bool
-    valid_action_masks: Optional[np.ndarray]  # (T, num_actions) or None
-
-
 class Trajectory:
-    """A full episode of transitions plus episode-level outcomes.
+    """One episode: its time-major ``(T, ...)`` step columns plus outcomes.
 
-    Two interchangeable storage forms back the same interface:
-
-    * **transition list** — the sequential collector appends
-      :class:`Transition` objects one step at a time (and tests build
-      trajectories the same way);
-    * **column store** — the batched collector hands over time-major
-      arrays (:class:`_TrajectoryColumns`); ``transitions`` then
-      materialises the per-step objects lazily, only for consumers that
-      genuinely iterate steps (FSM interpretation, a few tests).
-
-    Array accessors (:meth:`observations`, :meth:`rewards`, …) always
+    ``hidden_before[t]`` / ``hidden_after[t]`` are h_t and h_{t+1};
+    ``valid_action_masks[t]`` records which actions were legal
+    migrations when ``actions[t]`` was chosen.  The columns are handed
+    over as built (the collector passes slices of its step buffers);
+    the accessors (:meth:`observations`, :meth:`rewards`, …) always
     return fresh arrays the caller may mutate freely.
     """
 
-    __slots__ = ("trace_name", "makespan", "truncated", "_transitions", "_columns")
+    __slots__ = (
+        "trace_name", "makespan", "truncated", "_observations",
+        "_raw_observations", "_hidden_before", "_hidden_after", "_actions",
+        "_rewards", "_value_estimates", "_valid_action_masks",
+    )
 
     def __init__(
         self,
         trace_name: str,
-        transitions: Optional[List[Transition]] = None,
+        observations: np.ndarray,        # (T, obs_dim), normalised
+        raw_observations: np.ndarray,    # (T, obs_dim)
+        hidden_before: np.ndarray,       # (T, hidden_dim)
+        hidden_after: np.ndarray,        # (T, hidden_dim)
+        actions: np.ndarray,             # (T,) int
+        rewards: np.ndarray,             # (T,)
+        value_estimates: np.ndarray,     # (T,)
+        valid_action_masks: np.ndarray,  # (T, num_actions) bool
         makespan: int = 0,
         truncated: bool = False,
-        columns: Optional[_TrajectoryColumns] = None,
     ) -> None:
-        if transitions is not None and columns is not None:
-            raise TrainingError(
-                "a Trajectory is backed by either transitions or columns, not both"
-            )
         self.trace_name = trace_name
         self.makespan = makespan
         self.truncated = truncated
-        self._columns = columns
-        self._transitions: Optional[List[Transition]] = (
-            list(transitions) if transitions is not None
-            else ([] if columns is None else None)
-        )
-
-    @staticmethod
-    def from_columns(
-        trace_name: str,
-        columns: _TrajectoryColumns,
-        makespan: int = 0,
-        truncated: bool = False,
-    ) -> "Trajectory":
-        return Trajectory(
-            trace_name, makespan=makespan, truncated=truncated, columns=columns
-        )
-
-    @property
-    def transitions(self) -> List[Transition]:
-        """Per-step transition objects (materialised lazily from columns).
-
-        Materialisation hands ownership to the list form: the column
-        store is dropped so callers that mutate the returned list (e.g.
-        appending transitions, as tests and the sequential collector do)
-        see every accessor reflect the mutation instead of silently
-        reading stale columns.
-        """
-        if self._transitions is None:
-            columns = self._columns
-            masks = columns.valid_action_masks
-            self._transitions = [
-                Transition(
-                    observation=columns.observations[t],
-                    raw_observation=columns.raw_observations[t],
-                    hidden_before=columns.hidden_before[t],
-                    hidden_after=columns.hidden_after[t],
-                    action=int(columns.actions[t]),
-                    reward=float(columns.rewards[t]),
-                    value_estimate=float(columns.value_estimates[t]),
-                    done=bool(columns.dones[t]),
-                    valid_action_mask=None if masks is None else masks[t],
-                )
-                for t in range(columns.actions.shape[0])
-            ]
-            self._columns = None
-        return self._transitions
+        self._observations = observations
+        self._raw_observations = raw_observations
+        self._hidden_before = hidden_before
+        self._hidden_after = hidden_after
+        self._actions = actions
+        self._rewards = rewards
+        self._value_estimates = value_estimates
+        self._valid_action_masks = valid_action_masks
 
     def __len__(self) -> int:
-        if self._transitions is not None:
-            return len(self._transitions)
-        return int(self._columns.actions.shape[0])
+        return int(self._actions.shape[0])
 
     @property
     def total_reward(self) -> float:
         return float(self.rewards().sum())
 
     def observations(self) -> np.ndarray:
-        """Normalised observations stacked as (T, obs_dim)."""
-        if self._columns is not None:
-            return np.array(self._columns.observations)
-        return np.stack([t.observation for t in self._transitions])
+        """Normalised observations, (T, obs_dim)."""
+        return np.array(self._observations)
 
     def raw_observations(self) -> np.ndarray:
-        if self._columns is not None:
-            return np.array(self._columns.raw_observations)
-        return np.stack([t.raw_observation for t in self._transitions])
+        return np.array(self._raw_observations)
 
     def hidden_states_before(self) -> np.ndarray:
-        if self._columns is not None:
-            return np.array(self._columns.hidden_before)
-        return np.stack([t.hidden_before for t in self._transitions])
+        return np.array(self._hidden_before)
 
     def hidden_states_after(self) -> np.ndarray:
-        if self._columns is not None:
-            return np.array(self._columns.hidden_after)
-        return np.stack([t.hidden_after for t in self._transitions])
+        return np.array(self._hidden_after)
 
     def actions(self) -> np.ndarray:
-        if self._columns is not None:
-            return np.array(self._columns.actions, dtype=int)
-        return np.array([t.action for t in self._transitions], dtype=int)
+        return np.array(self._actions, dtype=int)
 
     def rewards(self) -> np.ndarray:
-        if self._columns is not None:
-            return np.array(self._columns.rewards, dtype=float)
-        return np.array([t.reward for t in self._transitions], dtype=float)
+        return np.array(self._rewards, dtype=float)
 
     def value_estimates(self) -> np.ndarray:
-        if self._columns is not None:
-            return np.array(self._columns.value_estimates, dtype=float)
-        return np.array([t.value_estimate for t in self._transitions], dtype=float)
+        return np.array(self._value_estimates, dtype=float)
 
-    def valid_action_masks(self) -> Optional[np.ndarray]:
-        """(T, num_actions) legality masks, or None when not recorded."""
-        if self._columns is not None:
-            masks = self._columns.valid_action_masks
-            return None if masks is None else np.array(masks)
-        if not self._transitions or self._transitions[0].valid_action_mask is None:
-            return None
-        return np.stack([t.valid_action_mask for t in self._transitions])
+    def valid_action_masks(self) -> np.ndarray:
+        """(T, num_actions) legality masks at decision time."""
+        return np.array(self._valid_action_masks)
 
     def discounted_returns(self, gamma: float) -> np.ndarray:
         """Monte-Carlo discounted returns G_t for every step.
@@ -240,9 +139,6 @@ class TrajectoryBatch:
 
     trajectories: List[Trajectory]
     observations: np.ndarray       # (T, B, obs_dim)
-    raw_observations: np.ndarray   # (T, B, obs_dim)
-    hidden_before: np.ndarray      # (T, B, hidden_dim)
-    hidden_after: np.ndarray       # (T, B, hidden_dim)
     actions: np.ndarray            # (T, B) int
     rewards: np.ndarray            # (T, B)
     mask: np.ndarray               # (T, B) bool
@@ -256,33 +152,20 @@ class TrajectoryBatch:
             raise TrainingError("cannot build a TrajectoryBatch from an empty trajectory")
         horizon = max(len(t) for t in trajectories)
         batch = len(trajectories)
-        first_observations = trajectories[0].observations()
-        obs_dim = first_observations.shape[1]
-        hidden_dim = trajectories[0].hidden_states_before().shape[1]
+        obs_dim = trajectories[0].observations().shape[1]
         observations = np.zeros((horizon, batch, obs_dim))
-        raw_observations = np.zeros(
-            (horizon, batch, trajectories[0].raw_observations().shape[1])
-        )
-        hidden_before = np.zeros((horizon, batch, hidden_dim))
-        hidden_after = np.zeros((horizon, batch, hidden_dim))
         actions = np.zeros((horizon, batch), dtype=int)
         rewards = np.zeros((horizon, batch))
         mask = np.zeros((horizon, batch), dtype=bool)
         for b, trajectory in enumerate(trajectories):
             steps = len(trajectory)
             observations[:steps, b] = trajectory.observations()
-            raw_observations[:steps, b] = trajectory.raw_observations()
-            hidden_before[:steps, b] = trajectory.hidden_states_before()
-            hidden_after[:steps, b] = trajectory.hidden_states_after()
             actions[:steps, b] = trajectory.actions()
             rewards[:steps, b] = trajectory.rewards()
             mask[:steps, b] = True
         return TrajectoryBatch(
             trajectories=trajectories,
             observations=observations,
-            raw_observations=raw_observations,
-            hidden_before=hidden_before,
-            hidden_after=hidden_after,
             actions=actions,
             rewards=rewards,
             mask=mask,
@@ -304,16 +187,6 @@ class TrajectoryBatch:
         """(time_idx, batch_idx) arrays of the unpadded positions (time-major)."""
         return np.nonzero(self.mask)
 
-    def episode_major_positions(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(time_idx, batch_idx) of unpadded positions in episode-major order.
-
-        Rows come out grouped by episode, each episode's steps in time
-        order — the layout :meth:`Trajectory` consumers (e.g. the QBN
-        transition dataset) expect when episodes are concatenated.
-        """
-        batch_idx, time_idx = np.nonzero(self.mask.T)
-        return time_idx, batch_idx
-
     def padded_returns(self, gamma: float) -> np.ndarray:
         """(T, B) discounted returns, zero in the padded region."""
         returns = np.zeros_like(self.rewards)
@@ -327,11 +200,10 @@ def derive_episode_streams(
 ) -> Tuple[List[np.random.Generator], List[np.random.Generator]]:
     """Per-episode (environment, action) rng stream pairs from one seed.
 
-    Both collectors use this scheme, which is what makes a batched
-    collection reproducible by running the sequential collector with the
-    same streams: episode ``i`` gets
-    ``SeedSequence(base_seed).spawn(count)[i]``, split once more into the
-    simulator stream and the action-sampling stream.
+    Episode ``i`` gets ``SeedSequence(base_seed).spawn(count)[i]``, split
+    once more into the simulator stream and the action-sampling stream.
+    The streams belong to the episode, not to the batch it runs in,
+    which is what makes any chunking of a collection reproducible.
     """
     if count <= 0:
         raise TrainingError(f"count must be positive, got {count}")
@@ -342,86 +214,6 @@ def derive_episode_streams(
         episode_rngs.append(np.random.default_rng(env_seq))
         action_rngs.append(np.random.default_rng(action_seq))
     return episode_rngs, action_rngs
-
-
-class RolloutCollector:
-    """Collects trajectories by running a policy in the environment (sequentially).
-
-    This is the reference implementation the batched collector is tested
-    against; it steps one environment and makes one policy call per
-    interval.
-    """
-
-    def __init__(self, env: StorageAllocationEnv, rng: SeedLike = None) -> None:
-        self.env = env
-        self._rng = new_rng(rng)
-
-    def collect(
-        self,
-        policy: RecurrentPolicyValueNet,
-        trace: WorkloadTrace,
-        epsilon: float = 0.0,
-        greedy: bool = False,
-        episode_seed: Optional[SeedLike] = None,
-        action_rng: Optional[SeedLike] = None,
-    ) -> Trajectory:
-        """Run one episode of ``policy`` on ``trace`` and record every transition.
-
-        ``episode_seed`` seeds the environment's stochastic components and
-        ``action_rng`` the action sampling; passing the streams from
-        :func:`derive_episode_streams` reproduces one slot of a batched
-        collection exactly.
-        """
-        observation = self.env.reset(trace, rng=episode_seed)
-        sample_rng = self._rng if action_rng is None else new_rng(action_rng)
-        hidden = policy.initial_state().numpy()
-        trajectory = Trajectory(trace_name=trace.name)
-
-        while True:
-            normalized = self.env.observation_encoder.normalize(observation)
-            raw = observation.raw()
-            mask = self.env.valid_action_mask()
-            output = policy.act(
-                normalized,
-                hidden,
-                rng=sample_rng,
-                epsilon=epsilon,
-                greedy=greedy,
-                valid_action_mask=mask,
-            )
-            result = self.env.step(output.action, decision_mask=mask)
-            trajectory.transitions.append(
-                Transition(
-                    observation=normalized,
-                    raw_observation=raw,
-                    hidden_before=hidden,
-                    hidden_after=output.hidden_state,
-                    action=output.action,
-                    reward=result.reward,
-                    value_estimate=output.value,
-                    done=result.done,
-                    valid_action_mask=mask,
-                )
-            )
-            hidden = output.hidden_state
-            observation = result.observation
-            if result.done:
-                trajectory.makespan = int(result.info["makespan"])
-                trajectory.truncated = bool(result.info["truncated"])
-                break
-        return trajectory
-
-    def collect_many(
-        self,
-        policy: RecurrentPolicyValueNet,
-        traces: Sequence[WorkloadTrace],
-        epsilon: float = 0.0,
-        greedy: bool = False,
-    ) -> List[Trajectory]:
-        """Collect one trajectory per trace."""
-        return [
-            self.collect(policy, trace, epsilon=epsilon, greedy=greedy) for trace in traces
-        ]
 
 
 class BatchedRolloutCollector:
@@ -459,9 +251,9 @@ class BatchedRolloutCollector:
         """Run one lockstep episode per trace and return the trajectories.
 
         When the rng streams are not supplied they are derived from this
-        collector's generator via :func:`derive_episode_streams`; pass
-        the same streams to :meth:`RolloutCollector.collect` to reproduce
-        any single slot bit-for-bit.
+        collector's generator via :func:`derive_episode_streams`; a
+        one-trace call with slot ``i``'s streams reproduces that slot
+        bit-for-bit.
         """
         traces = list(traces)
         if not traces:
@@ -491,7 +283,7 @@ class BatchedRolloutCollector:
 
         # Struct-of-arrays accumulation into preallocated (cap, B, ...)
         # buffers: per interval the fresh (B, ...) step arrays are copied
-        # into row ``t``; no per-slot python, no Transition objects, no
+        # into row ``t``; no per-slot python, no per-step objects, no
         # end-of-episode re-stacking.  Episodes can outlive their traces
         # (the backlog drains after the last interval), so the buffers
         # grow by doubling on the rare overflow.  Slot ``b`` is active on
@@ -572,47 +364,29 @@ class BatchedRolloutCollector:
         self._m_batches.inc()
         self._m_steps.inc(t)
         self._m_episodes.inc(batch)
-        # A slot's stored-row count equals its makespan: steps_taken
-        # advances exactly once per stored interval.
-        lengths = makespans
 
         hidden_buf[t] = hidden
-        observations_stack = observations_buf[:t]
-        raw_stack = raw_buf[:t]
-        hidden_stack = hidden_buf[: t + 1]
-        actions_stack = actions_buf[:t]
-        rewards_stack = rewards_buf[:t]
-        values_stack = values_buf[:t]
-        counts_stack = counts_buf[:t]                     # (T, B, levels)
-        horizon = t
-        masks_stack = venv.action_space.valid_mask_batch_from_counts(
-            counts_stack.reshape(horizon * batch, -1),
+        masks = venv.action_space.valid_mask_batch_from_counts(
+            counts_buf[:t].reshape(t * batch, -1),
             venv.system_config.min_cores_per_level,
-        ).reshape(horizon, batch, -1)
+        ).reshape(t, batch, -1)
+        # A slot's stored-row count equals its makespan: steps_taken
+        # advances exactly once per stored interval.
         trajectories = []
         for b, trace in enumerate(traces):
-            steps = int(lengths[b])
-            # A slot's stored rows cover exactly its active steps, so its
-            # done column is False everywhere except the final step (the
-            # interval it finished or was truncated on).
-            dones = np.zeros(steps, dtype=bool)
-            if steps:
-                dones[-1] = True
+            steps = int(makespans[b])
             trajectories.append(
-                Trajectory.from_columns(
+                Trajectory(
                     trace.name,
-                    _TrajectoryColumns(
-                        observations=observations_stack[:steps, b],
-                        raw_observations=raw_stack[:steps, b],
-                        hidden_before=hidden_stack[:steps, b],
-                        hidden_after=hidden_stack[1 : steps + 1, b],
-                        actions=actions_stack[:steps, b],
-                        rewards=rewards_stack[:steps, b],
-                        value_estimates=values_stack[:steps, b],
-                        dones=dones,
-                        valid_action_masks=masks_stack[:steps, b],
-                    ),
-                    makespan=int(makespans[b]),
+                    observations=observations_buf[:steps, b],
+                    raw_observations=raw_buf[:steps, b],
+                    hidden_before=hidden_buf[:steps, b],
+                    hidden_after=hidden_buf[1 : steps + 1, b],
+                    actions=actions_buf[:steps, b],
+                    rewards=rewards_buf[:steps, b],
+                    value_estimates=values_buf[:steps, b],
+                    valid_action_masks=masks[:steps, b],
+                    makespan=steps,
                     truncated=bool(truncated[b]),
                 )
             )
@@ -629,16 +403,15 @@ class BatchedRolloutCollector:
     ) -> List[Trajectory]:
         """Collect one trajectory per trace, ``batch_size`` episodes at a time.
 
-        Drop-in replacement for :meth:`RolloutCollector.collect_many`;
-        with ``batch_size=None`` the whole trace list runs as one batch.
-        Any ``batch_size`` degrades gracefully — a batch of one and a
-        final partial chunk (episode count not a multiple of the batch)
-        run through the same lockstep path.
+        With ``batch_size=None`` the whole trace list runs as one batch;
+        ``batch_size=1`` is the sequential view, and a final partial
+        chunk (episode count not a multiple of the batch) runs through
+        the same lockstep path.
 
         With ``base_seed`` set, per-episode streams are derived once for
         the *full* episode list and sliced per chunk, so the trajectories
-        are bit-identical for every ``batch_size`` (and to a sequential
-        or multi-process collection from the same seed).  Without it each
+        are bit-identical for every ``batch_size`` (and to a
+        multi-process collection from the same seed).  Without it each
         chunk draws its own base seed from this collector's generator, so
         results then depend on the chunking.
         """

@@ -16,14 +16,15 @@ shards an episode set over worker processes that live across epochs:
 
 The determinism contract: episode ``i`` of a collection always consumes
 streams ``derive_episode_streams(base_seed, N)[i]`` regardless of which
-worker runs it, so the merged trajectory list is bit-identical to
-sequential and lockstep-batched collection for any worker count —
-sharding only changes wall-clock, never semantics.
+worker runs it, so the merged trajectory list is bit-identical to one
+lockstep batch (and to one episode at a time, B = 1) for any worker
+count — sharding only changes wall-clock, never semantics.
 
 Lifecycle: the pool is context-managed (``with PersistentWorkerPool(...)
 as pool: ...``) or closed explicitly; ``close()`` is idempotent and
-tolerates already-dead workers.  After a worker crash the pool is marked
-broken and every subsequent ``collect`` raises cleanly.  Inside a
+tolerates already-dead workers.  After a worker crash the surviving
+workers are terminated (their results would be discarded), the pool is
+marked broken and every subsequent ``collect`` raises cleanly.  Inside a
 daemonic process (a ``SweepRunner`` job), which may not have children,
 ``collect`` runs the same shards in-process instead.
 """
@@ -266,15 +267,16 @@ class PersistentWorkerPool:
         if self._closed:
             return
         self._closed = True
-        self._shutdown_workers()
-
-    def _shutdown_workers(self) -> None:
         for task_queue, process in zip(self._task_queues, self._processes):
             if process.is_alive():
                 try:
                     task_queue.put(("shutdown",))
                 except Exception:  # pragma: no cover - queue already broken
                     pass
+        self._reap_workers()
+
+    def _reap_workers(self) -> None:
+        """Join every worker (terminating stragglers) and drop the queues."""
         for process in self._processes:
             process.join(timeout=_SHUTDOWN_GRACE_S)
             if process.is_alive():  # pragma: no cover - stuck worker
@@ -301,9 +303,19 @@ class PersistentWorkerPool:
             pass
 
     def _mark_broken(self, reason: str) -> None:
-        """Record the failure and take surviving workers down."""
+        """Record the failure and take surviving workers down.
+
+        The epoch is aborted and whatever the survivors are computing is
+        discarded, so they are terminated outright: a polite shutdown
+        message would queue behind their in-flight shards and stall the
+        error for the whole shutdown grace.
+        """
         self._broken = reason
-        self._shutdown_workers()
+        for task_queue, process in zip(self._task_queues, self._processes):
+            task_queue.cancel_join_thread()
+            if process.is_alive():
+                process.terminate()
+        self._reap_workers()
 
     # ------------------------------------------------------------------
     # Weights broadcast

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.errors import EnvironmentError_
 from repro.storage.cores import CorePool
 from repro.storage.migration import NUM_ACTIONS, MigrationAction, all_actions
 from repro.utils.rng import SeedLike, new_rng
@@ -38,13 +37,6 @@ class ActionSpace:
     def contains(self, action: int) -> bool:
         return 0 <= int(action) < NUM_ACTIONS
 
-    def to_action(self, index: int) -> MigrationAction:
-        if not self.contains(index):
-            raise EnvironmentError_(
-                f"action index {index} outside [0, {NUM_ACTIONS})"
-            )
-        return MigrationAction(int(index))
-
     def sample(self, rng: SeedLike = None) -> MigrationAction:
         rng = new_rng(rng)
         return MigrationAction(int(rng.integers(NUM_ACTIONS)))
@@ -74,15 +66,6 @@ class ActionSpace:
             counts[self._source_level_columns] > min_cores_per_level
         )
         return mask
-
-    def valid_mask_batch(self, pools: Sequence[CorePool]) -> np.ndarray:
-        """(B, num_actions) legality masks for a batch of core pools.
-
-        Row ``b`` equals ``valid_mask(pools[b])``.
-        """
-        counts = np.array([pool.counts_vector() for pool in pools])
-        min_cores = pools[0].min_cores_per_level if pools else 1
-        return self.valid_mask_batch_from_counts(counts, min_cores)
 
     def valid_mask_batch_from_counts(
         self, counts: np.ndarray, min_cores_per_level: int

@@ -61,7 +61,6 @@ class StorageAllocationEnv:
         self.action_space = ActionSpace()
         self.observation_encoder = ObservationEncoder(self.system_config)
         self._trace: Optional[WorkloadTrace] = None
-        self._last_observation: Optional[Observation] = None
 
     # ------------------------------------------------------------------
     # Episode API
@@ -72,28 +71,16 @@ class StorageAllocationEnv:
             self._rng = new_rng(rng)
         self.simulator.reset(trace, rng=self._rng)
         self._trace = trace
-        self._last_observation = self._build_observation()
-        return self._last_observation
+        return self._build_observation()
 
-    def step(
-        self,
-        action: MigrationAction | int,
-        decision_mask: Optional[np.ndarray] = None,
-    ) -> StepResult:
-        """Apply ``action`` for one interval and observe the outcome.
-
-        ``decision_mask`` optionally supplies the already-computed
-        legality mask for this decision (callers that consulted
-        :meth:`valid_action_mask` before acting pass it through so it is
-        not computed twice per step).
-        """
+    def step(self, action: MigrationAction | int) -> StepResult:
+        """Apply ``action`` for one interval and observe the outcome."""
         if self._trace is None:
             raise EnvironmentError_("step() called before reset()")
         if self.simulator.is_done:
             raise EnvironmentError_("step() called on a finished episode")
 
-        if decision_mask is None:
-            decision_mask = self.valid_action_mask()
+        decision_mask = self.valid_action_mask()
         metrics: IntervalMetrics = self.simulator.step(action)
         done = self.simulator.is_done
         reward = compute_step_reward(self.reward_config, metrics)
@@ -103,7 +90,6 @@ class StorageAllocationEnv:
             )
 
         observation = self._build_observation()
-        self._last_observation = observation
         info: Dict[str, object] = {
             "interval_metrics": metrics,
             "makespan": self.simulator.makespan,
@@ -133,12 +119,6 @@ class StorageAllocationEnv:
     @property
     def num_actions(self) -> int:
         return self.action_space.size
-
-    @property
-    def current_observation(self) -> Observation:
-        if self._last_observation is None:
-            raise EnvironmentError_("environment has not been reset")
-        return self._last_observation
 
     @property
     def episode_metrics(self) -> EpisodeMetrics:

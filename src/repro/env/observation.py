@@ -199,16 +199,6 @@ class ObservationEncoder:
         out[rows, 6 + n : 6 + 2 * n] = raw_matrix[rows, 6 + n : 6 + 2 * n]
         out[rows, 6 + 2 * n] = raw_matrix[rows, 6 + 2 * n] / self._nominal_requests
 
-    def normalize_raw(self, raw: np.ndarray) -> np.ndarray:
-        """Normalise a raw 35-vector (as produced by :meth:`Observation.raw`)."""
-        raw = np.asarray(raw, dtype=float)
-        if raw.shape != (OBSERVATION_DIM,):
-            raise EnvironmentError_(
-                f"raw observation must have shape ({OBSERVATION_DIM},), got {raw.shape}"
-            )
-        observation = self.split_raw(raw)
-        return self.normalize(observation)
-
     def split_raw(self, raw: np.ndarray) -> Observation:
         """Rebuild an :class:`Observation` from its raw 35-vector."""
         raw = np.asarray(raw, dtype=float)

@@ -136,9 +136,3 @@ class FSMPolicyAgent(Agent):
         return CompiledFSMPolicy.compile(
             self.fsm, self.observation_qbn, encoder=self.encoder, metric=metric
         )
-
-    @property
-    def current_state_label(self) -> str:
-        if self._state is None:
-            self.reset()
-        return self.fsm.states[self._state].label

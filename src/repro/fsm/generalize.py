@@ -187,7 +187,6 @@ class NearestObservationMatcher:
                 f"unknown similarity metric {metric!r}; available: {sorted(SIMILARITY_METRICS)}"
             )
         self.metric_name = metric
-        self._distance = SIMILARITY_METRICS[metric]
         self._encoder = encoder
         self._keys = list(prototypes.keys())
         self._matrix = np.stack([np.asarray(prototypes[k], dtype=float) for k in self._keys])
@@ -239,11 +238,4 @@ class NearestObservationMatcher:
         vector = np.asarray(observation_vector, dtype=float)
         return int(
             nearest_prototype_rows(self._matrix, vector[None, :], self.metric_name)[0]
-        )
-
-    def distance_to_nearest(self, observation_vector: np.ndarray) -> float:
-        """Distance from ``observation_vector`` to its nearest prototype."""
-        vector = np.asarray(observation_vector, dtype=float)
-        return float(
-            min(self._distance(row, vector) for row in self._matrix)
         )

@@ -85,11 +85,6 @@ class FanInOutStats:
             return None
         return utilization_vector(self.fan_out_mean) - utilization_vector(self.fan_in_mean)
 
-    def capacity_ratio_shift(self) -> Optional[float]:
-        if self.fan_in_mean is None or self.fan_out_mean is None:
-            return None
-        return capacity_ratio(self.fan_out_mean) - capacity_ratio(self.fan_in_mean)
-
 
 @dataclass(frozen=True)
 class StateHistoryProfile:

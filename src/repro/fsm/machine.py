@@ -110,9 +110,6 @@ class FiniteStateMachine:
         except KeyError as exc:
             raise ExtractionError(f"unknown state code {code!r}") from exc
 
-    def action_for(self, code: StateKey) -> MigrationAction:
-        return self.state_for_code(code).action
-
     def successors(self, code: StateKey) -> Dict[StateKey, int]:
         """Successor states of ``code`` with transition counts."""
         result: Dict[StateKey, int] = {}
@@ -120,9 +117,6 @@ class FiniteStateMachine:
             if source == code:
                 result[destination] = result.get(destination, 0) + count
         return result
-
-    def known_observations(self) -> List[ObservationKey]:
-        return list(self.observation_prototypes.keys())
 
     # ------------------------------------------------------------------
     # Execution

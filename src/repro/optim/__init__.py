@@ -1,18 +1,12 @@
 """Gradient-based optimisers and gradient utilities."""
 
 from repro.optim.optimizer import Optimizer
-from repro.optim.sgd import SGD
 from repro.optim.adam import Adam
 from repro.optim.clip import clip_grad_norm, global_grad_norm
-from repro.optim.schedulers import ConstantLR, LinearDecayLR, StepLR
 
 __all__ = [
     "Optimizer",
-    "SGD",
     "Adam",
     "clip_grad_norm",
     "global_grad_norm",
-    "ConstantLR",
-    "LinearDecayLR",
-    "StepLR",
 ]

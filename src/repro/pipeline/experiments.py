@@ -109,10 +109,6 @@ class Figure3Result:
             "from_scratch": self.scratch_history.final_makespan(self.smoothing_window),
         }
 
-    def curriculum_converges_better(self) -> bool:
-        finals = self.final_makespans()
-        return finals["curriculum"] <= finals["from_scratch"]
-
     def render(self) -> str:
         lines = ["Figure 3 — convergence comparison (lower makespan is better)"]
         curve_c = self.curriculum_curve()
@@ -145,7 +141,7 @@ def run_figure3(
     config = config or small_pipeline_config(seed=seed)
     pipeline = LearningAidedPipeline(config)
     standard, real = pipeline.build_workloads()
-    train_real = real[: max(1, len(real) - config.num_eval_traces)]
+    train_real = real[: -config.num_eval_traces]
 
     env = pipeline.make_env()
     trainer = CurriculumTrainer(

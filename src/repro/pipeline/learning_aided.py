@@ -72,9 +72,11 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.num_real_traces <= 0:
             raise ConfigurationError("num_real_traces must be positive")
-        if not 0 < self.num_eval_traces <= self.num_real_traces:
+        if not 0 < self.num_eval_traces < self.num_real_traces:
             raise ConfigurationError(
-                "num_eval_traces must be positive and not exceed num_real_traces"
+                "num_eval_traces must be positive and smaller than num_real_traces "
+                "(the held-out traces are the last ones; at least one must be left "
+                "to train on)"
             )
         if self.rollout_traces_for_extraction <= 0:
             raise ConfigurationError("rollout_traces_for_extraction must be positive")
@@ -231,8 +233,14 @@ class LearningAidedPipeline:
         else:
             real_traces = list(real_traces)
 
-        train_real = real_traces[: max(1, len(real_traces) - self.config.num_eval_traces)]
-        eval_traces = real_traces[-self.config.num_eval_traces:]
+        num_eval = self.config.num_eval_traces
+        if len(real_traces) <= num_eval:
+            raise ConfigurationError(
+                f"{len(real_traces)} real trace(s) leave none to train on beside the "
+                f"{num_eval} held-out one(s)"
+            )
+        train_real = real_traces[:-num_eval]
+        eval_traces = real_traces[-num_eval:]
 
         env = self.make_env()
         policy = RecurrentPolicyValueNet(self.config.policy, rng=self._rngs.get("policy"))

@@ -13,7 +13,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.drl.rollout import Trajectory, TrajectoryBatch
+from repro.drl.rollout import Trajectory
 from repro.errors import ExtractionError
 from repro.utils.rng import SeedLike, new_rng
 
@@ -89,27 +89,6 @@ class TransitionDataset:
             actions=np.concatenate(actions),
             episode_ids=np.concatenate(episodes),
             step_ids=np.concatenate(steps),
-        )
-
-    @staticmethod
-    def from_batch(batch: TrajectoryBatch) -> "TransitionDataset":
-        """Build a dataset straight from a padded rollout batch.
-
-        Equivalent to ``from_trajectories(batch.trajectories)`` — same
-        rows in the same episode-major order — but assembled with a few
-        vectorized gathers instead of per-episode concatenation.
-        """
-        time_idx, episode_idx = batch.episode_major_positions()
-        if time_idx.size == 0:
-            raise ExtractionError("cannot build a transition dataset from empty rollouts")
-        return TransitionDataset(
-            observations=batch.observations[time_idx, episode_idx],
-            raw_observations=batch.raw_observations[time_idx, episode_idx],
-            hidden_before=batch.hidden_before[time_idx, episode_idx],
-            hidden_after=batch.hidden_after[time_idx, episode_idx],
-            actions=batch.actions[time_idx, episode_idx],
-            episode_ids=episode_idx.astype(int),
-            step_ids=time_idx.astype(int),
         )
 
     # ------------------------------------------------------------------

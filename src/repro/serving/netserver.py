@@ -294,7 +294,6 @@ class PolicyNetServer:
         self._listeners: List[asyncio.AbstractServer] = []
         self._flush_task: Optional[asyncio.Task] = None
         self._draining = False
-        self._drained = asyncio.Event()
         self.connections_total = 0
         self.busy_rejections = 0
         self.requests_total = 0
@@ -425,16 +424,12 @@ class PolicyNetServer:
             self._flush_task = None
         for connection in list(self._connections):
             await self._close_connection(connection)
-        self._drained.set()
         if self.registry is not None:
             self.registry.record_event(
                 "drain", active_version=self.active_version,
                 decisions=self.server.stats().decisions,
             )
         return self.summary()
-
-    async def wait_drained(self) -> None:
-        await self._drained.wait()
 
     def summary(self) -> Dict[str, object]:
         stats = self.server.stats().as_dict()

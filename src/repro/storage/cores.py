@@ -67,11 +67,6 @@ class CorePool:
         }
         self._penalized_total = sum(1 for core in self.cores if core.is_penalized)
 
-    @property
-    def penalized_total(self) -> int:
-        """Number of cores currently paying a migration penalty."""
-        return self._penalized_total
-
     @staticmethod
     def create(
         allocation: Dict[Level, int] | Dict[str, int],
@@ -116,9 +111,6 @@ class CorePool:
     def counts_vector(self) -> List[int]:
         """Counts in canonical order (NORMAL, KV, RV)."""
         return [self.count(level) for level in LEVELS]
-
-    def penalized_count(self, level: Level) -> int:
-        return sum(1 for core in self.cores_at(level) if core.is_penalized)
 
     # ------------------------------------------------------------------
     # Mutations
@@ -175,38 +167,6 @@ class CorePool:
             ],
             min_cores_per_level=self.min_cores_per_level,
         )
-
-    # ------------------------------------------------------------------
-    # Array form (struct-of-arrays simulator core)
-    # ------------------------------------------------------------------
-    def to_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Export as ``(level_indices, cooldowns)`` arrays indexed by core id.
-
-        This is the per-slot row layout of the vectorized simulator's
-        B-major core state: position ``i`` describes core ``i``, and
-        "cores at level L in core-id order" is exactly the subsequence
-        ``level_indices == L`` — the order :meth:`cores_at` produces.
-        """
-        levels = np.array([LEVELS.index(core.level) for core in self.cores], dtype=np.int64)
-        cooldowns = np.array([core.migration_cooldown for core in self.cores], dtype=np.int64)
-        return levels, cooldowns
-
-    @staticmethod
-    def from_arrays(
-        level_indices: np.ndarray,
-        cooldowns: np.ndarray,
-        min_cores_per_level: int = 1,
-    ) -> "CorePool":
-        """Materialise a pool from one slot of the array-form core state."""
-        cores = [
-            Core(
-                core_id=i,
-                level=LEVELS[int(level_indices[i])],
-                migration_cooldown=int(cooldowns[i]),
-            )
-            for i in range(len(level_indices))
-        ]
-        return CorePool(cores=cores, min_cores_per_level=min_cores_per_level)
 
     # ------------------------------------------------------------------
     # Level-major form (fixed layout of the vectorized simulator core)

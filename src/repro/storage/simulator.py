@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.storage.cache import CacheModel, ConstantCacheModel
-from repro.storage.cores import CorePool
 from repro.storage.dispatcher import get_dispatcher
 from repro.storage.levels import LEVELS, Level
 from repro.storage.metrics import EpisodeMetrics, IntervalMetrics, StepValues
@@ -178,10 +177,6 @@ class StorageSimulator:
         self._last_step_values = None
 
     @property
-    def is_running(self) -> bool:
-        return self._trace is not None and not self.is_done
-
-    @property
     def is_done(self) -> bool:
         """True once all injected work is processed (or the safety cap hit)."""
         if self._trace is None:
@@ -191,12 +186,6 @@ class StorageSimulator:
     @property
     def interval_index(self) -> int:
         return int(self._state.interval_index[0]) if self._trace is not None else 0
-
-    @property
-    def core_pool(self) -> CorePool:
-        """A read-only snapshot of the core pool (see ``core_pool_view``)."""
-        self._require_episode()
-        return self._state.core_pool_view(0)
 
     @property
     def episode_metrics(self) -> EpisodeMetrics:
@@ -216,11 +205,6 @@ class StorageSimulator:
             raise SimulationError("no interval has been simulated yet")
         return self._last_step_values
 
-    @property
-    def records_metrics(self) -> bool:
-        """Whether step() materialises IntervalMetrics records."""
-        return self._record_metrics
-
     def backlog_kb(self) -> Dict[Level, float]:
         self._require_episode()
         return dict(zip(LEVELS, self._state.backlog[0].tolist()))
@@ -228,11 +212,6 @@ class StorageSimulator:
     def utilization(self) -> Dict[Level, float]:
         self._require_episode()
         return dict(zip(LEVELS, self._state.utilization[0].tolist()))
-
-    @property
-    def last_utilization(self) -> Dict[Level, float]:
-        """Previous interval's utilisation as a fresh dict."""
-        return self.utilization()
 
     def core_counts(self) -> Dict[Level, int]:
         self._require_episode()

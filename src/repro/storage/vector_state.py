@@ -153,9 +153,6 @@ class VectorSimulatorState:
     def trace(self, slot: int) -> WorkloadTrace:
         return self._traces[slot]
 
-    def trace_length(self, slot: int) -> int:
-        return int(self.trace_len[slot])
-
     def cache_model(self, slot: int) -> CacheModel:
         return self._cache_models[slot]
 
@@ -182,9 +179,6 @@ class VectorSimulatorState:
         return CorePool.from_level_major(
             core_ids, cooldowns, counts, self.config.min_cores_per_level
         )
-
-    def counts_row(self, slot: int) -> np.ndarray:
-        return self.counts[slot]
 
     def step_values(self, slot: int) -> StepValues:
         """The scalar simulator's lightweight per-interval summary for a slot."""

@@ -2,7 +2,7 @@
 
 The registry is the repo's single instrumentation substrate.  Every
 layer — the micro-batching broker, the asyncio front door, the
-evaluation engine, the rollout collectors, the worker pool and the
+evaluation engine, the rollout collector, the worker pool and the
 fleet load harness — records into :class:`MetricsRegistry` instruments,
 and every consumer (the ``metrics`` socket op, benchmark JSONs, the
 fleet :class:`~repro.loadgen.report.LoadReport`) reads the same

@@ -1,16 +1,12 @@
 """General-purpose utilities shared across the library."""
 
 from repro.utils.rng import RngFactory, new_rng
-from repro.utils.stats import RunningStat, ExponentialMovingAverage, summarize
 from repro.utils.tables import format_table, format_series
 from repro.utils.serialization import save_json, load_json, save_npz, load_npz
 
 __all__ = [
     "RngFactory",
     "new_rng",
-    "RunningStat",
-    "ExponentialMovingAverage",
-    "summarize",
     "format_table",
     "format_series",
     "save_json",

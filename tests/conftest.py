@@ -14,8 +14,10 @@ import pytest
 from repro.drl.a2c import A2CConfig
 from repro.drl.curriculum import CurriculumConfig
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
+from repro.drl.rollout import BatchedRolloutCollector, Trajectory
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
+from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.fsm.extraction import ExtractionConfig
 from repro.pipeline.learning_aided import LearningAidedPipeline, PipelineConfig
 from repro.qbn.trainer import QBNTrainingConfig
@@ -82,6 +84,41 @@ def env(system_config) -> StorageAllocationEnv:
     return StorageAllocationEnv(
         system_config, reward_config=RewardConfig(mode="per_step_penalty"), rng=3
     )
+
+
+@pytest.fixture
+def collector(system_config) -> BatchedRolloutCollector:
+    """The rollout collector on the ``env`` fixture's configuration.
+
+    ``collector.collect_batch(policy, [trace], episode_rngs=[seed])[0]``
+    is the sequential view: one episode, B = 1.
+    """
+    return BatchedRolloutCollector(
+        VectorStorageAllocationEnv(system_config, RewardConfig(mode="per_step_penalty")),
+        rng=0,
+    )
+
+
+@pytest.fixture
+def make_trajectory():
+    """Hand-build a :class:`Trajectory` carrying ``rewards`` (other columns zero)."""
+
+    def build(rewards, trace_name: str = "t") -> Trajectory:
+        steps = len(rewards)
+        columns = np.zeros((steps, 2))
+        return Trajectory(
+            trace_name,
+            observations=columns,
+            raw_observations=columns,
+            hidden_before=columns,
+            hidden_after=columns,
+            actions=np.zeros(steps, dtype=int),
+            rewards=np.asarray(rewards, dtype=float),
+            value_estimates=np.zeros(steps),
+            valid_action_masks=np.ones((steps, 7), dtype=bool),
+        )
+
+    return build
 
 
 @pytest.fixture

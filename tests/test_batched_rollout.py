@@ -1,11 +1,13 @@
-"""Seeded equivalence of the batched execution layer with the sequential one.
+"""Seeded equivalence of lockstep batches with the one-episode-at-a-time view.
 
 The contract under test: given the per-episode rng streams from
-``derive_episode_streams``, the batched collector reproduces the
-sequential reference collector bit for bit, trace by trace — and the
-batched inference/update/evaluation paths built on top of it agree with
-their sequential counterparts.
+``derive_episode_streams``, an episode collected in a lockstep batch of
+N equals the same episode collected alone (B = 1, the sequential view)
+bit for bit — and the batched inference/update/evaluation paths built
+on top of it agree with their sequential counterparts.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -16,21 +18,16 @@ from repro.drl.a2c import A2CConfig, A2CTrainer
 from repro.drl.agent import DRLPolicyAgent
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import (
-    BatchedRolloutCollector,
-    RolloutCollector,
     Trajectory,
     TrajectoryBatch,
-    Transition,
     derive_episode_streams,
 )
 from repro.engine import EvaluationEngine, GRUPolicyBackend
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
-from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import TrainingError
 from repro.optim import clip_grad_norm
 from repro.pipeline.evaluation import evaluate_agent
-from repro.qbn.dataset import TransitionDataset
 
 
 @pytest.fixture
@@ -38,35 +35,42 @@ def reward_config():
     return RewardConfig(mode="per_step_penalty")
 
 
-@pytest.fixture
-def collectors(system_config, reward_config):
-    env = StorageAllocationEnv(system_config, reward_config=reward_config)
-    vector_env = VectorStorageAllocationEnv(system_config, reward_config)
-    return RolloutCollector(env, rng=0), BatchedRolloutCollector(vector_env, rng=0)
+def _one_at_a_time(collector, policy, traces, base_seed, **options):
+    """Each episode alone (B = 1) on its ``derive_episode_streams`` pair."""
+    episode_rngs, action_rngs = derive_episode_streams(base_seed, len(traces))
+    return [
+        collector.collect_batch(
+            policy, [trace], episode_rngs=[episode_rngs[i]],
+            action_rngs=[action_rngs[i]], **options,
+        )[0]
+        for i, trace in enumerate(traces)
+    ]
+
+
+ACCESSORS = (
+    "observations", "raw_observations", "hidden_states_before",
+    "hidden_states_after", "actions", "rewards", "value_estimates",
+    "valid_action_masks",
+)
 
 
 def _assert_trajectories_identical(seq: Trajectory, batched: Trajectory) -> None:
     assert len(seq) == len(batched)
     assert seq.makespan == batched.makespan
     assert seq.truncated == batched.truncated
-    np.testing.assert_array_equal(seq.observations(), batched.observations())
-    np.testing.assert_array_equal(seq.raw_observations(), batched.raw_observations())
-    np.testing.assert_array_equal(seq.hidden_states_before(), batched.hidden_states_before())
-    np.testing.assert_array_equal(seq.hidden_states_after(), batched.hidden_states_after())
-    np.testing.assert_array_equal(seq.actions(), batched.actions())
-    np.testing.assert_array_equal(seq.rewards(), batched.rewards())
-    np.testing.assert_array_equal(seq.value_estimates(), batched.value_estimates())
-    np.testing.assert_array_equal(seq.valid_action_masks(), batched.valid_action_masks())
+    for name in ACCESSORS:
+        np.testing.assert_array_equal(
+            getattr(seq, name)(), getattr(batched, name)(), err_msg=name
+        )
 
 
 class TestCollectorEquivalence:
     @pytest.mark.parametrize("epsilon,greedy", [(0.0, True), (0.1, False)])
     def test_batched_identical_to_sequential(
-        self, collectors, real_traces, tiny_policy, epsilon, greedy
+        self, collector, real_traces, tiny_policy, epsilon, greedy
     ):
-        sequential, batched_collector = collectors
         episode_rngs, action_rngs = derive_episode_streams(1234, len(real_traces))
-        batched = batched_collector.collect_batch(
+        batched = collector.collect_batch(
             tiny_policy,
             real_traces,
             epsilon=epsilon,
@@ -74,50 +78,37 @@ class TestCollectorEquivalence:
             episode_rngs=episode_rngs,
             action_rngs=action_rngs,
         )
-        episode_rngs, action_rngs = derive_episode_streams(1234, len(real_traces))
-        for i, trace in enumerate(real_traces):
-            reference = sequential.collect(
-                tiny_policy,
-                trace,
-                epsilon=epsilon,
-                greedy=greedy,
-                episode_seed=episode_rngs[i],
-                action_rng=action_rngs[i],
-            )
-            _assert_trajectories_identical(reference, batched[i])
+        references = _one_at_a_time(
+            collector, tiny_policy, real_traces, 1234, epsilon=epsilon, greedy=greedy
+        )
+        for reference, trajectory in zip(references, batched):
+            _assert_trajectories_identical(reference, trajectory)
 
     def test_standard_profiles_equivalence(
-        self, collectors, standard_suite, tiny_policy
+        self, collector, standard_suite, tiny_policy
     ):
         """The paper's standard workload profiles, all in one lockstep batch."""
-        sequential, batched_collector = collectors
         traces = list(standard_suite.values())
         episode_rngs, action_rngs = derive_episode_streams(7, len(traces))
-        batched = batched_collector.collect_batch(
+        batched = collector.collect_batch(
             tiny_policy, traces, greedy=True,
             episode_rngs=episode_rngs, action_rngs=action_rngs,
         )
-        episode_rngs, action_rngs = derive_episode_streams(7, len(traces))
-        for i, trace in enumerate(traces):
-            reference = sequential.collect(
-                tiny_policy, trace, greedy=True,
-                episode_seed=episode_rngs[i], action_rng=action_rngs[i],
-            )
-            _assert_trajectories_identical(reference, batched[i])
+        references = _one_at_a_time(collector, tiny_policy, traces, 7, greedy=True)
+        for reference, trajectory in zip(references, batched):
+            _assert_trajectories_identical(reference, trajectory)
 
-    def test_collect_many_chunks(self, collectors, real_traces, tiny_policy):
-        _, batched_collector = collectors
-        trajectories = batched_collector.collect_many(
+    def test_collect_many_chunks(self, collector, real_traces, tiny_policy):
+        trajectories = collector.collect_many(
             tiny_policy, real_traces, greedy=True, batch_size=2
         )
         assert [t.trace_name for t in trajectories] == [t.name for t in real_traces]
 
-    def test_collect_batch_validation(self, collectors, real_traces, tiny_policy):
-        _, batched_collector = collectors
+    def test_collect_batch_validation(self, collector, real_traces, tiny_policy):
         with pytest.raises(TrainingError):
-            batched_collector.collect_batch(tiny_policy, [])
+            collector.collect_batch(tiny_policy, [])
         with pytest.raises(TrainingError):
-            batched_collector.collect_batch(
+            collector.collect_batch(
                 tiny_policy, real_traces, episode_rngs=[0], action_rngs=[0]
             )
         # One stream scheme per path: there is no family selector to pass.
@@ -200,19 +191,11 @@ class TestActBatch:
 
 
 class TestVectorizedReturns:
-    def _trajectory(self, rewards):
-        trajectory = Trajectory(trace_name="t")
-        for reward in rewards:
-            trajectory.transitions.append(
-                Transition(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), 0, reward, 0.0, False)
-            )
-        return trajectory
-
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9, 0.99, 1.0])
-    def test_discounted_returns_match_loop(self, gamma):
+    def test_discounted_returns_match_loop(self, make_trajectory, gamma):
         rng = np.random.default_rng(0)
         rewards = rng.normal(size=313).tolist()
-        trajectory = self._trajectory(rewards)
+        trajectory = make_trajectory(rewards)
         expected = np.zeros(len(rewards))
         running = 0.0
         for t in range(len(rewards) - 1, -1, -1):
@@ -222,19 +205,37 @@ class TestVectorizedReturns:
             trajectory.discounted_returns(gamma), expected, rtol=1e-12, atol=1e-12
         )
 
-    def test_total_reward(self):
-        trajectory = self._trajectory([1.5, -2.0, 0.25])
+    def test_total_reward(self, make_trajectory):
+        trajectory = make_trajectory([1.5, -2.0, 0.25])
         assert trajectory.total_reward == pytest.approx(-0.25, abs=1e-12)
 
-    def test_invalid_gamma(self):
+    def test_invalid_gamma(self, make_trajectory):
         with pytest.raises(TrainingError):
-            self._trajectory([1.0]).discounted_returns(1.5)
+            make_trajectory([1.0]).discounted_returns(1.5)
+
+
+class TestTrajectoryRecord:
+    def test_pickle_round_trip_preserves_every_column(
+        self, collector, real_traces, tiny_policy
+    ):
+        """Pickle is the worker pool's transport: nothing may be lost on it."""
+        for trajectory in collector.collect_batch(tiny_policy, real_traces, epsilon=0.1):
+            restored = pickle.loads(pickle.dumps(trajectory))
+            assert restored.trace_name == trajectory.trace_name
+            _assert_trajectories_identical(trajectory, restored)
+
+    def test_accessors_return_fresh_copies(self, collector, short_trace, tiny_policy):
+        (trajectory,) = collector.collect_batch(tiny_policy, [short_trace], greedy=True)
+        for name in ACCESSORS:
+            first = getattr(trajectory, name)()
+            expected = first.copy()
+            first[...] = ~first if first.dtype == bool else first + 1
+            np.testing.assert_array_equal(getattr(trajectory, name)(), expected, err_msg=name)
 
 
 class TestTrajectoryBatch:
-    def test_padding_and_masks(self, collectors, real_traces, tiny_policy):
-        _, batched_collector = collectors
-        trajectories = batched_collector.collect_batch(tiny_policy, real_traces, greedy=True)
+    def test_padding_and_masks(self, collector, real_traces, tiny_policy):
+        trajectories = collector.collect_batch(tiny_policy, real_traces, greedy=True)
         batch = TrajectoryBatch.from_trajectories(trajectories)
         horizon = max(len(t) for t in trajectories)
         assert batch.max_steps == horizon
@@ -247,9 +248,8 @@ class TestTrajectoryBatch:
                 batch.observations[: len(trajectory), b], trajectory.observations()
             )
 
-    def test_padded_returns(self, collectors, real_traces, tiny_policy):
-        _, batched_collector = collectors
-        trajectories = batched_collector.collect_batch(tiny_policy, real_traces[:2], greedy=True)
+    def test_padded_returns(self, collector, real_traces, tiny_policy):
+        trajectories = collector.collect_batch(tiny_policy, real_traces[:2], greedy=True)
         batch = TrajectoryBatch.from_trajectories(trajectories)
         padded = batch.padded_returns(0.9)
         for b, trajectory in enumerate(trajectories):
@@ -258,26 +258,11 @@ class TestTrajectoryBatch:
             )
             assert (padded[len(trajectory):, b] == 0).all()
 
-    def test_from_batch_dataset_matches_from_trajectories(
-        self, collectors, real_traces, tiny_policy
-    ):
-        _, batched_collector = collectors
-        trajectories = batched_collector.collect_batch(tiny_policy, real_traces, greedy=True)
-        reference = TransitionDataset.from_trajectories(trajectories)
-        batched = TransitionDataset.from_batch(TrajectoryBatch.from_trajectories(trajectories))
-        np.testing.assert_array_equal(reference.observations, batched.observations)
-        np.testing.assert_array_equal(reference.raw_observations, batched.raw_observations)
-        np.testing.assert_array_equal(reference.hidden_before, batched.hidden_before)
-        np.testing.assert_array_equal(reference.hidden_after, batched.hidden_after)
-        np.testing.assert_array_equal(reference.actions, batched.actions)
-        np.testing.assert_array_equal(reference.episode_ids, batched.episode_ids)
-        np.testing.assert_array_equal(reference.step_ids, batched.step_ids)
-
-    def test_empty_inputs_rejected(self):
+    def test_empty_inputs_rejected(self, make_trajectory):
         with pytest.raises(TrainingError):
             TrajectoryBatch.from_trajectories([])
         with pytest.raises(TrainingError):
-            TrajectoryBatch.from_trajectories([Trajectory(trace_name="empty")])
+            TrajectoryBatch.from_trajectories([make_trajectory([], "empty")])
 
 
 class TestBatchSizeDegradation:
@@ -285,12 +270,11 @@ class TestBatchSizeDegradation:
 
     @pytest.mark.parametrize("batch_size", [1, 2, 3, 5, None])
     def test_collect_many_shapes_and_order(
-        self, collectors, real_traces, tiny_policy, batch_size
+        self, collector, real_traces, tiny_policy, batch_size
     ):
         """Any chunking of the episode count — including B=1 and a final
         partial chunk — yields one well-formed trajectory per trace."""
-        _, batched_collector = collectors
-        trajectories = batched_collector.collect_many(
+        trajectories = collector.collect_many(
             tiny_policy, real_traces, greedy=True, batch_size=batch_size
         )
         assert [t.trace_name for t in trajectories] == [t.name for t in real_traces]
@@ -303,18 +287,15 @@ class TestBatchSizeDegradation:
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_trajectory_batch_shapes_and_masks(
-        self, collectors, real_traces, tiny_policy, width
+        self, collector, real_traces, tiny_policy, width
     ):
-        _, batched_collector = collectors
-        trajectories = batched_collector.collect_batch(
+        trajectories = collector.collect_batch(
             tiny_policy, real_traces[:width], greedy=True
         )
         batch = TrajectoryBatch.from_trajectories(trajectories)
         horizon = max(len(t) for t in trajectories)
         obs_dim = tiny_policy.config.observation_dim
-        hidden_dim = tiny_policy.config.hidden_size
         assert batch.observations.shape == (horizon, width, obs_dim)
-        assert batch.hidden_before.shape == (horizon, width, hidden_dim)
         assert batch.actions.shape == (horizon, width)
         assert batch.mask.shape == (horizon, width)
         assert batch.total_steps == sum(len(t) for t in trajectories)
@@ -326,21 +307,16 @@ class TestBatchSizeDegradation:
         assert (batch.rewards[padded] == 0).all()
 
     def test_single_trace_batch_matches_sequential(
-        self, collectors, short_trace, tiny_policy
+        self, collector, real_traces, tiny_policy
     ):
-        """B=1 through the vector env is still bit-identical to sequential."""
-        sequential, batched_collector = collectors
-        episode_rngs, action_rngs = derive_episode_streams(55, 1)
-        batched = batched_collector.collect_batch(
-            tiny_policy, [short_trace], greedy=True,
-            episode_rngs=episode_rngs, action_rngs=action_rngs,
+        """``collect_many(batch_size=1, base_seed=s)`` — the sequential view —
+        hands episode ``i`` exactly ``derive_episode_streams(s, N)[i]``."""
+        sequential = collector.collect_many(
+            tiny_policy, real_traces, epsilon=0.1, batch_size=1, base_seed=55
         )
-        episode_rngs, action_rngs = derive_episode_streams(55, 1)
-        reference = sequential.collect(
-            tiny_policy, short_trace, greedy=True,
-            episode_seed=episode_rngs[0], action_rng=action_rngs[0],
-        )
-        _assert_trajectories_identical(reference, batched[0])
+        references = _one_at_a_time(collector, tiny_policy, real_traces, 55, epsilon=0.1)
+        for reference, trajectory in zip(references, sequential):
+            _assert_trajectories_identical(reference, trajectory)
 
 
 def _scalar_update(trainer: A2CTrainer, trajectory: Trajectory) -> dict:
@@ -392,14 +368,13 @@ def _scalar_update(trainer: A2CTrainer, trajectory: Trajectory) -> dict:
 
 class TestBatchedTraining:
     def test_batched_update_matches_per_trajectory_update(
-        self, system_config, reward_config, short_trace
+        self, system_config, reward_config, short_trace, collector
     ):
         env = StorageAllocationEnv(system_config, reward_config=reward_config)
         reference_policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=16), rng=9)
         batched_policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=16), rng=9)
-        collector = RolloutCollector(env, rng=0)
-        trajectory = collector.collect(
-            reference_policy, short_trace, greedy=True, episode_seed=0
+        (trajectory,) = collector.collect_batch(
+            reference_policy, [short_trace], greedy=True, episode_rngs=[0]
         )
         reference_trainer = A2CTrainer(reference_policy, env, A2CConfig(), rng=0)
         batched_trainer = A2CTrainer(batched_policy, env, A2CConfig(), rng=0)

@@ -4,11 +4,13 @@ The repo's standing regression net: ~50 seeded random simulator/workload/
 policy configurations (varying batch size, core allocations, penalties,
 idle rates, episode lengths and partial-batch endings) are each run
 through every collection mode and asserted **bit-identical** on rewards,
-observations, actions, hidden states, value estimates *and the final rng
-stream positions* of both the environment and the action streams:
+observations, actions, hidden states, value estimates, legality masks
+*and the final rng stream positions* of both the environment and the
+action streams:
 
-* scalar   — :class:`RolloutCollector`, one episode at a time;
-* vector   — :class:`BatchedRolloutCollector`, all episodes in lockstep;
+* one      — :class:`BatchedRolloutCollector`, one episode at a time
+  (B = 1, the sequential view);
+* lockstep — the same collector, all episodes in one batch;
 * pool     — :class:`PersistentWorkerPool`, episodes sharded across two
   worker processes.
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 import gc
 import weakref
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 import pytest
@@ -32,11 +34,9 @@ from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.worker_pool import PersistentWorkerPool, shard_indices
 from repro.drl.rollout import (
     BatchedRolloutCollector,
-    RolloutCollector,
     Trajectory,
     derive_episode_streams,
 )
-from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.nn.rnn import GRUCell
@@ -145,21 +145,21 @@ def _rng_position(rng: np.random.Generator) -> dict:
     return rng.bit_generator.state
 
 
-def collect_scalar(case: FuzzCase):
-    """Sequential reference: per-episode trajectories + final rng positions."""
-    collector = RolloutCollector(
-        StorageAllocationEnv(case.system_config, reward_config=case.reward_config)
+def collect_one_at_a_time(case: FuzzCase):
+    """Every episode as its own B = 1 batch + final rng positions."""
+    collector = BatchedRolloutCollector(
+        VectorStorageAllocationEnv(case.system_config, case.reward_config)
     )
     episode_rngs, action_rngs = derive_episode_streams(case.base_seed, len(case.traces))
     trajectories = [
-        collector.collect(
+        collector.collect_batch(
             case.policy,
-            trace,
+            [trace],
             epsilon=case.epsilon,
             greedy=case.greedy,
-            episode_seed=episode_rngs[i],
-            action_rng=action_rngs[i],
-        )
+            episode_rngs=[episode_rngs[i]],
+            action_rngs=[action_rngs[i]],
+        )[0]
         for i, trace in enumerate(case.traces)
     ]
     positions = [
@@ -214,12 +214,9 @@ def assert_trajectories_identical(
     np.testing.assert_array_equal(
         reference.value_estimates(), other.value_estimates(), err_msg=context
     )
-    reference_masks = reference.valid_action_masks()
-    other_masks = other.valid_action_masks()
-    if reference_masks is None or other_masks is None:
-        assert reference_masks is None and other_masks is None, context
-    else:
-        np.testing.assert_array_equal(reference_masks, other_masks, err_msg=context)
+    np.testing.assert_array_equal(
+        reference.valid_action_masks(), other.valid_action_masks(), err_msg=context
+    )
 
 
 def _assert_case_equivalent(case: FuzzCase, reference, positions, candidate, name: str):
@@ -246,7 +243,7 @@ def collect_pool(case: FuzzCase):
     """Worker-pool collection (2 workers).
 
     Streams are consumed inside the worker processes; rng positions are
-    asserted through the scalar/vector modes.
+    asserted through the one-at-a-time/lockstep modes.
     """
     with PersistentWorkerPool(
         case.system_config, case.reward_config, num_workers=2
@@ -263,10 +260,15 @@ def collect_pool(case: FuzzCase):
 
 @pytest.mark.parametrize("index", range(NUM_CONFIGS))
 def test_scalar_vs_vector_bit_identical(index):
+    """Batch-size invariance: every episode alone (B = 1) vs all in lockstep.
+
+    (The id predates the removal of the scalar collector, whose place the
+    B = 1 call takes; it is kept so the floor list tracks one name.)
+    """
     case = make_case(index)
-    reference, positions = collect_scalar(case)
+    reference, positions = collect_one_at_a_time(case)
     _assert_case_equivalent(
-        case, reference, positions, collect_vector(case), "vector"
+        case, reference, positions, collect_vector(case), "lockstep"
     )
 
 

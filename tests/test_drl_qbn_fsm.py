@@ -19,7 +19,6 @@ from repro.drl.curriculum import CurriculumConfig, CurriculumTrainer
 from repro.drl.exploration import EpsilonSchedule
 from repro.drl.imitation import BehaviorCloningTrainer, ImitationConfig
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
-from repro.drl.rollout import RolloutCollector, Trajectory, Transition
 from repro.errors import ConfigurationError, ExtractionError, TrainingError
 from repro.fsm.agent import FSMPolicyAgent
 from repro.fsm.generalize import NearestObservationMatcher
@@ -95,28 +94,25 @@ class TestPolicyNetwork:
 
 
 class TestRollout:
-    def test_collect_records_full_episode(self, env, short_trace, tiny_policy):
-        collector = RolloutCollector(env, rng=0)
-        trajectory = collector.collect(tiny_policy, short_trace, greedy=True, episode_seed=0)
+    def test_collect_records_full_episode(self, collector, short_trace, tiny_policy):
+        (trajectory,) = collector.collect_batch(
+            tiny_policy, [short_trace], greedy=True, episode_rngs=[0]
+        )
         assert len(trajectory) == trajectory.makespan
         assert trajectory.observations().shape == (len(trajectory), 35)
         assert trajectory.hidden_states_before().shape == (len(trajectory), 16)
         assert trajectory.actions().min() >= 0 and trajectory.actions().max() < 7
-        assert trajectory.transitions[-1].done
 
-    def test_hidden_states_chain(self, env, short_trace, tiny_policy):
-        collector = RolloutCollector(env, rng=0)
-        trajectory = collector.collect(tiny_policy, short_trace, greedy=True, episode_seed=0)
-        np.testing.assert_allclose(
-            trajectory.transitions[0].hidden_after, trajectory.transitions[1].hidden_before
+    def test_hidden_states_chain(self, collector, short_trace, tiny_policy):
+        (trajectory,) = collector.collect_batch(
+            tiny_policy, [short_trace], greedy=True, episode_rngs=[0]
+        )
+        np.testing.assert_array_equal(
+            trajectory.hidden_states_after()[:-1], trajectory.hidden_states_before()[1:]
         )
 
-    def test_discounted_returns(self):
-        trajectory = Trajectory(trace_name="t")
-        for reward in [1.0, 1.0, 1.0]:
-            trajectory.transitions.append(
-                Transition(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), 0, reward, 0.0, False)
-            )
+    def test_discounted_returns(self, make_trajectory):
+        trajectory = make_trajectory([1.0, 1.0, 1.0])
         np.testing.assert_allclose(
             trajectory.discounted_returns(0.5), [1.75, 1.5, 1.0]
         )
@@ -282,9 +278,10 @@ class TestQBNAutoencoderAndTrainer:
         losses = tiny_pipeline_result.qbn_result.observation_losses
         assert losses[-1] <= losses[0]
 
-    def test_dataset_from_trajectories(self, env, short_trace, tiny_policy):
-        collector = RolloutCollector(env, rng=0)
-        trajectories = [collector.collect(tiny_policy, short_trace, greedy=True, episode_seed=0)]
+    def test_dataset_from_trajectories(self, collector, short_trace, tiny_policy):
+        trajectories = collector.collect_batch(
+            tiny_policy, [short_trace], greedy=True, episode_rngs=[0]
+        )
         dataset = TransitionDataset.from_trajectories(trajectories)
         assert len(dataset) == len(trajectories[0])
         assert dataset.observation_dim == 35
@@ -337,11 +334,12 @@ class TestQBNFineTuneFreezesThePolicy:
     )
 
     @pytest.fixture
-    def dataset(self, env, short_trace, tiny_policy):
-        trajectory = RolloutCollector(env, rng=0).collect(
-            tiny_policy, short_trace, greedy=True, episode_seed=0
+    def dataset(self, collector, short_trace, tiny_policy):
+        return TransitionDataset.from_trajectories(
+            collector.collect_batch(
+                tiny_policy, [short_trace], greedy=True, episode_rngs=[0]
+            )
         )
-        return TransitionDataset.from_trajectories([trajectory])
 
     @pytest.fixture
     def trained_policy(self, tiny_policy, dataset):

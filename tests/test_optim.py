@@ -1,4 +1,4 @@
-"""Tests for optimisers, gradient clipping and LR schedulers."""
+"""Tests for the Adam optimiser and gradient clipping."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.autograd.tensor import Tensor
 from repro.errors import TrainingError
 from repro.nn import Linear
 from repro.nn.module import Parameter
-from repro.optim import SGD, Adam, ConstantLR, LinearDecayLR, StepLR, clip_grad_norm, global_grad_norm
+from repro.optim import Adam, clip_grad_norm, global_grad_norm
 
 
 def _quadratic_param(start=5.0):
@@ -23,39 +23,6 @@ def _minimize(optimizer, param, steps=200):
     return float(param.data[0])
 
 
-class TestSGD:
-    def test_minimizes_quadratic(self):
-        p = _quadratic_param()
-        assert abs(_minimize(SGD([p], lr=0.1), p)) < 1e-3
-
-    def test_momentum_minimizes(self):
-        p = _quadratic_param()
-        assert abs(_minimize(SGD([p], lr=0.05, momentum=0.9), p)) < 1e-2
-
-    def test_weight_decay_shrinks_weights(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        opt.zero_grad()
-        # Zero loss gradient, only decay applies.
-        p.grad = np.zeros(1)
-        opt.step()
-        assert p.data[0] < 1.0
-
-    def test_invalid_momentum(self):
-        with pytest.raises(TrainingError):
-            SGD([_quadratic_param()], lr=0.1, momentum=1.5)
-
-    def test_empty_parameters_raise(self):
-        with pytest.raises(TrainingError):
-            SGD([], lr=0.1)
-
-    def test_skips_params_without_grad(self):
-        p = _quadratic_param()
-        opt = SGD([p], lr=0.1)
-        opt.step()  # no grad accumulated: should not crash or change value
-        assert p.data[0] == 5.0
-
-
 class TestAdam:
     def test_minimizes_quadratic(self):
         p = _quadratic_param()
@@ -67,6 +34,16 @@ class TestAdam:
     def test_invalid_betas(self):
         with pytest.raises(TrainingError):
             Adam([_quadratic_param()], betas=(1.0, 0.999))
+
+    def test_empty_parameters_raise(self):
+        with pytest.raises(TrainingError):
+            Adam([], lr=0.1)
+
+    def test_skips_params_without_grad(self):
+        p = _quadratic_param()
+        opt = Adam([p], lr=0.1)
+        opt.step()  # no grad accumulated: should not crash or change value
+        assert p.data[0] == 5.0
 
     def test_step_count_increments(self):
         p = _quadratic_param()
@@ -117,35 +94,3 @@ class TestClipping:
 
     def test_none_grads_ignored(self):
         assert global_grad_norm([Parameter(np.zeros(3))]) == 0.0
-
-
-class TestSchedulers:
-    def _opt(self):
-        return SGD([_quadratic_param()], lr=1.0)
-
-    def test_constant(self):
-        sched = ConstantLR(self._opt())
-        assert sched.step() == 1.0
-        assert sched.step() == 1.0
-
-    def test_step_lr(self):
-        opt = self._opt()
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        assert sched.step() == 1.0
-        assert sched.step() == 0.5
-        assert opt.lr == 0.5
-
-    def test_linear_decay(self):
-        opt = self._opt()
-        sched = LinearDecayLR(opt, total_epochs=10, final_fraction=0.0)
-        sched.step()
-        assert opt.lr == pytest.approx(0.9)
-        for _ in range(20):
-            sched.step()
-        assert opt.lr == pytest.approx(0.0, abs=1e-12)
-
-    def test_invalid_configs(self):
-        with pytest.raises(TrainingError):
-            StepLR(self._opt(), step_size=0)
-        with pytest.raises(TrainingError):
-            LinearDecayLR(self._opt(), total_epochs=0)

@@ -3,7 +3,7 @@
 The contract under test: episode ``i`` of a collection always consumes
 rng streams ``derive_episode_streams(base_seed, N)[i]``, so the merged
 result of :class:`PersistentWorkerPool` is bit-identical to the
-sequential reference collector and to one lockstep batch — regardless of
+one-episode-at-a-time (B = 1) collection and to one lockstep batch — regardless of
 worker count, shard layout, or whether the shards ran in worker
 processes or (inside a daemonic process) in-process.  Pool
 lifecycle and failure injection live in ``test_worker_pool.py``.
@@ -19,7 +19,6 @@ from repro.drl.a2c import A2CConfig, A2CTrainer
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import (
     BatchedRolloutCollector,
-    RolloutCollector,
     derive_episode_streams,
 )
 from repro.drl.worker_pool import PersistentWorkerPool, shard_indices
@@ -65,17 +64,12 @@ def _sequential_reference(
     epsilon=0.0, greedy=False,
 ):
     """One episode at a time on ``derive_episode_streams(base_seed, N)``."""
-    collector = RolloutCollector(
-        StorageAllocationEnv(system_config, reward_config=reward_config)
+    return BatchedRolloutCollector(
+        VectorStorageAllocationEnv(system_config, reward_config)
+    ).collect_many(
+        policy, traces, epsilon=epsilon, greedy=greedy,
+        batch_size=1, base_seed=base_seed,
     )
-    episode_rngs, action_rngs = derive_episode_streams(base_seed, len(traces))
-    return [
-        collector.collect(
-            policy, trace, epsilon=epsilon, greedy=greedy,
-            episode_seed=episode_rngs[i], action_rng=action_rngs[i],
-        )
-        for i, trace in enumerate(traces)
-    ]
 
 
 def _collect_in_daemon(result_queue, system_config, reward_config, policy, traces):

@@ -64,6 +64,19 @@ class TestExperimentHelpers:
         with pytest.raises(ConfigurationError):
             small_pipeline_config(num_eval_traces=0).validate()
 
+    def test_held_out_set_must_leave_a_training_trace(self):
+        """Equality would put the one training trace in the held-out set."""
+        with pytest.raises(ConfigurationError, match="smaller than num_real_traces"):
+            PipelineConfig(num_real_traces=3, num_eval_traces=3).validate()
+
+    def test_run_rejects_supplied_traces_without_a_disjoint_training_trace(
+        self, tiny_pipeline_config, real_traces
+    ):
+        pipeline = LearningAidedPipeline(tiny_pipeline_config)
+        held_out = tiny_pipeline_config.num_eval_traces
+        with pytest.raises(ConfigurationError, match="none to train on"):
+            pipeline.run(real_traces=real_traces[:held_out])
+
     def test_run_baseline_comparison_small_scale(self):
         metrics = run_baseline_comparison(num_traces=2, seed=0, duration=12)
         assert set(metrics) == {

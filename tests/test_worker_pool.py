@@ -238,10 +238,10 @@ class TestFailureInjection:
             finally:
                 killer.join()
             outcome["elapsed"] = time.perf_counter() - start
-            # "No hang": detection is bounded by kill delay + poll beats,
-            # far below any plausible full-collection time wouldn't be —
-            # use a generous ceiling to stay unflaky.
-            assert outcome["elapsed"] < 30.0
+            # Detection is bounded by kill delay + one poll beat, and the
+            # abort terminates the survivor instead of waiting out its
+            # in-flight shard (which used to cost the whole shutdown grace).
+            assert outcome["elapsed"] < 2.0
         finally:
             pool.close()
 
