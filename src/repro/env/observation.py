@@ -180,25 +180,6 @@ class ObservationEncoder:
         out[:, 6 + 2 * n] = raw_matrix[:, 6 + 2 * n] / self._nominal_requests
         return out
 
-    def normalize_dynamic_columns(self, raw_matrix: np.ndarray, out, rows) -> None:
-        """Refresh only the columns a simulator step can change, in place.
-
-        The S (size) columns of a raw observation are constant for the
-        whole episode, so the vectorized environment normalises them once
-        at reset and per step only re-normalises counts, utilisation and
-        the I/Q workload features of the rows that advanced.  Each column
-        uses the exact elementwise expression of :meth:`normalize_batch`,
-        so the refreshed rows are bit-identical to a full renormalisation.
-        """
-        n = NUM_IO_TYPES
-        out[rows, 0:3] = raw_matrix[rows, 0:3] / float(self.system_config.total_cores)
-        # The utilisation columns are min(1, p/c) with p, c >= 0, so the
-        # clip normalize_batch applies is an exact identity here and the
-        # raw values pass through unchanged (bit-identical either way).
-        out[rows, 3:6] = raw_matrix[rows, 3:6]
-        out[rows, 6 + n : 6 + 2 * n] = raw_matrix[rows, 6 + n : 6 + 2 * n]
-        out[rows, 6 + 2 * n] = raw_matrix[rows, 6 + 2 * n] / self._nominal_requests
-
     def split_raw(self, raw: np.ndarray) -> Observation:
         """Rebuild an :class:`Observation` from its raw 35-vector."""
         raw = np.asarray(raw, dtype=float)

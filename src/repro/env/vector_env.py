@@ -22,11 +22,20 @@ Finished episodes are auto-masked: their slots stop consuming actions
 and randomness, report zero reward, and keep returning their final
 observation row so the batch keeps a stable shape until every episode
 is done.
+
+The environment keeps one observation matrix, the **raw** one, and
+refreshes the stepped rows' counts, utilisation and workload columns in
+it every interval.  Normalised observations are never stored: a step
+result normalises its own raw snapshot on first read and
+:meth:`VectorStorageAllocationEnv.observations` normalises the current
+matrix, both with ``ObservationEncoder.normalize_batch`` — the fleet
+loop, which hands raw rows to the broker, pays for neither.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -60,11 +69,12 @@ class VectorStepResult:
     ``stepped`` marks slots that actually advanced this call (episodes
     that were already finished are skipped and keep ``rewards`` of 0);
     ``newly_done`` marks slots that finished during this call.
-    ``observations`` / ``raw_observations`` keep the final row frozen for
-    finished slots.
+    ``raw_observations`` is this step's own snapshot and keeps the final
+    row frozen for finished slots; ``observations`` is its normalisation,
+    computed on first read — the fleet driver never reads it (the broker
+    normalises the raw rows itself), collectors and evaluators do.
     """
 
-    observations: np.ndarray       # (B, obs_dim), normalised
     raw_observations: np.ndarray   # (B, obs_dim)
     rewards: np.ndarray            # (B,)
     dones: np.ndarray              # (B,) bool
@@ -72,6 +82,12 @@ class VectorStepResult:
     newly_done: np.ndarray         # (B,) bool
     makespans: np.ndarray          # (B,) int, meaningful once done
     truncated: np.ndarray          # (B,) bool
+    encoder: ObservationEncoder = field(repr=False, compare=False)
+
+    @cached_property
+    def observations(self) -> np.ndarray:
+        """(B, obs_dim) normalised observations of this step."""
+        return self.encoder.normalize_batch(self.raw_observations)
 
 
 class VectorStorageAllocationEnv:
@@ -93,9 +109,10 @@ class VectorStorageAllocationEnv:
         record_metrics: bool = False,
         cache_model_factory: Optional[Callable[[], CacheModel]] = None,
     ) -> None:
-        """``record_metrics`` enables per-interval IntervalMetrics records
-        on every slot (needed when consumers inspect episode metrics, as
-        evaluation does); rollout collection leaves it off — rewards are
+        """``record_metrics`` keeps per-interval measurements for every
+        slot (one column snapshot per step; ``EpisodeMetrics.intervals``
+        builds the records on first read), as evaluation needs; rollout
+        collection leaves it off — rewards are
         computed from the simulator core's per-step arrays either way,
         with identical values.  ``cache_model_factory`` builds one cache
         model per slot (each slot needs its own instance — stateful
@@ -115,7 +132,6 @@ class VectorStorageAllocationEnv:
         self._batch = 0
         self._makespans = np.zeros(0, dtype=int)
         self._raw = np.zeros((0, OBSERVATION_DIM))
-        self._normalized = np.zeros((0, OBSERVATION_DIM))
         self._workload_features = np.zeros((0, 1, NUM_IO_TYPES + 1))
 
     # ------------------------------------------------------------------
@@ -149,10 +165,6 @@ class VectorStorageAllocationEnv:
     def episode_metrics(self) -> List[EpisodeMetrics]:
         """Per-slot episode metrics (complete once the slot is done)."""
         return list(self._state.episodes)
-
-    @staticmethod
-    def _raw_copy(array: np.ndarray) -> np.ndarray:
-        return np.array(array)
 
     # ------------------------------------------------------------------
     # Episode API
@@ -203,8 +215,7 @@ class VectorStorageAllocationEnv:
         raw[:, 2 * _NUM_LEVELS : _IQ_START] = empty.size_vector()
         raw[:, _IQ_START:] = features[state.trace_index, 0]
         self._raw = raw
-        self._normalized = self.observation_encoder.normalize_batch(raw)
-        return self._raw_copy(self._normalized)
+        return self.observation_encoder.normalize_batch(raw)
 
     def step(self, actions: Sequence[int]) -> VectorStepResult:
         """Advance every unfinished episode by one interval under ``actions``."""
@@ -248,26 +259,19 @@ class VectorStorageAllocationEnv:
         raw[ix, _NUM_LEVELS : 2 * _NUM_LEVELS] = state.utilization[ix]
         t = np.minimum(state.interval_index[ix], state.trace_len[ix])
         raw[ix, _IQ_START:] = self._workload_features[state.trace_index[ix], t]
-        raw_out = self._raw_copy(raw)
-        # The S (size) columns never change after reset, so only the
-        # dynamic columns of the stepped rows are re-normalised (bit-
-        # identical to a full normalize_batch, which the reset path
-        # still performs once).
-        normalized = self._raw_copy(self._normalized)
-        self.observation_encoder.normalize_dynamic_columns(raw_out, normalized, ix)
-        self._normalized = normalized
 
-        # ``normalized`` and ``raw_out`` are freshly allocated this step
-        # and never mutated afterwards, so they are handed out directly.
+        # The snapshot is freshly allocated this step and never mutated
+        # afterwards, so it is handed out directly (and the result
+        # normalises it on demand, whatever the environment does next).
         return VectorStepResult(
-            observations=normalized,
-            raw_observations=raw_out,
+            raw_observations=np.array(raw),
             rewards=rewards,
             dones=np.array(state.done),
             stepped=stepped,
             newly_done=newly_done,
-            makespans=self._raw_copy(self._makespans),
+            makespans=np.array(self._makespans),
             truncated=np.array(state.truncated),
+            encoder=self.observation_encoder,
         )
 
     # ------------------------------------------------------------------
@@ -276,12 +280,12 @@ class VectorStorageAllocationEnv:
     def observations(self) -> np.ndarray:
         """Current (B, obs_dim) normalised observation matrix."""
         self._require_reset()
-        return self._raw_copy(self._normalized)
+        return self.observation_encoder.normalize_batch(self._raw)
 
     def raw_observations(self) -> np.ndarray:
         """Current (B, obs_dim) raw observation matrix."""
         self._require_reset()
-        return self._raw_copy(self._raw)
+        return np.array(self._raw)
 
     def core_counts(self) -> np.ndarray:
         """Current (B, levels) per-level core counts (fresh copy).

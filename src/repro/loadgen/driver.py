@@ -270,6 +270,9 @@ class FleetDriver:
         )
         rngs = PhiloxStreams(self.base_seed, episodes, "fleet/env")
         shard["env"].reset(traces, rngs=rngs)
+        # The shard's current raw matrix: a reset's, then each step
+        # result's own snapshot (never mutated after it is handed out).
+        shard["raw"] = shard["env"].raw_observations()
 
     async def _setup(self) -> None:
         schedule = self.schedule
@@ -338,7 +341,7 @@ class FleetDriver:
                     for shard_index, shard in enumerate(self._shards):
                         serials: np.ndarray = shard["serials"]
                         env: VectorStorageAllocationEnv = shard["env"]
-                        raw = env.raw_observations()
+                        raw: np.ndarray = shard["raw"]
                         actions = await self.transport.decide_wave(
                             self._slots[serials], self._gens[serials], raw, hist
                         )
@@ -361,7 +364,7 @@ class FleetDriver:
                                     probe_actions.shape[0]
                                 )
                                 digest.update(probe_actions.tobytes())
-                        env.step(actions)
+                        shard["raw"] = env.step(actions).raw_observations
                         if (
                             env.all_done
                             or env.dones.mean() >= schedule.recycle_threshold
@@ -415,7 +418,7 @@ class FleetDriver:
             slot, gen = self._stale_handles[serial]
             shard = self._shards[serial // self.schedule.shard_size]
             row = int(serial - shard["serials"][0])
-            raw_row = shard["env"].raw_observations()[row]
+            raw_row = shard["raw"][row]
             status = await self.transport.stale_probe(slot, gen, raw_row)
             if status == "stale":
                 counters["stale_rejections"] += 1

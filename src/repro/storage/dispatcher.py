@@ -173,10 +173,11 @@ def replicated_pairwise_sum(
     head (< 8 copies) and the sequential tail (copies 8..14) need
     per-column passes.
 
-    The vectorized simulator's uniform dispatch fast path (no penalised
-    and no idled core anywhere) uses this to reduce a whole batch's
-    per-level processed totals without materialising the positional
-    ``(B, 3, n_max)`` capacity tensor.
+    The vectorized simulator's closed-form dispatch rows (no penalised
+    core; idled cores only in cells under 8 wide, where they are exact
+    leading zeros) use this to reduce their per-level processed totals
+    without materialising the positional ``(B, 3, n_max)`` capacity
+    tensor.
     """
     values = np.asarray(values, dtype=float)
     lengths = np.asarray(lengths)

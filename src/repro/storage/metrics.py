@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.storage.levels import LEVELS, Level
-from repro.storage.migration import MigrationAction
+from repro.storage.migration import MigrationAction, action_from_index
 
 
 class StepValues(NamedTuple):
@@ -58,21 +58,77 @@ class IntervalMetrics:
         return np.array([self.utilization[level] for level in LEVELS], dtype=float)
 
 
-@dataclass
-class EpisodeMetrics:
-    """Aggregated statistics over a full simulated episode."""
+class StepColumns(NamedTuple):
+    """One interval of a lockstep batch: a column per measured quantity.
 
-    trace_name: str = ""
-    intervals: List[IntervalMetrics] = field(default_factory=list)
-    truncated: bool = False
+    Row ``j`` of every column belongs to the ``j``-th slot that stepped;
+    values are plain Python numbers (``ndarray.tolist()``), so
+    :meth:`interval_metrics` builds the record the simulator used to
+    build eagerly for every (slot, step).
+    """
+
+    interval: List[int]
+    action: List[int]
+    migration_applied: List[bool]
+    core_counts: List[List[int]]
+    utilization: List[List[float]]
+    incoming_kb: List[List[float]]
+    processed_kb: List[List[float]]
+    backlog_kb: List[List[float]]
+    capacity_kb: List[List[float]]
+    cache_miss_rate: List[float]
+    idle_cores: List[List[int]]
+
+    def interval_metrics(self, row: int) -> IntervalMetrics:
+        return IntervalMetrics(
+            interval=self.interval[row],
+            action=action_from_index(self.action[row]),
+            migration_applied=self.migration_applied[row],
+            core_counts=dict(zip(LEVELS, self.core_counts[row])),
+            utilization=dict(zip(LEVELS, self.utilization[row])),
+            incoming_kb=dict(zip(LEVELS, self.incoming_kb[row])),
+            processed_kb=dict(zip(LEVELS, self.processed_kb[row])),
+            backlog_kb=dict(zip(LEVELS, self.backlog_kb[row])),
+            capacity_kb=dict(zip(LEVELS, self.capacity_kb[row])),
+            cache_miss_rate=self.cache_miss_rate[row],
+            idle_cores=dict(zip(LEVELS, self.idle_cores[row])),
+        )
+
+
+class EpisodeMetrics:
+    """Aggregated statistics over a full simulated episode.
+
+    The simulator records one :class:`StepColumns` reference per interval
+    (:meth:`record_columns`); the :class:`IntervalMetrics` records are
+    built on first read of :attr:`intervals`, which almost no caller of
+    an evaluation does — :attr:`makespan` never needs them.
+    """
+
+    def __init__(self, trace_name: str = "") -> None:
+        self.trace_name = trace_name
+        self.truncated = False
+        self._intervals: List[IntervalMetrics] = []
+        self._columns: List[Tuple[StepColumns, int]] = []
+
+    @property
+    def intervals(self) -> List[IntervalMetrics]:
+        if self._columns:
+            self._intervals.extend(
+                columns.interval_metrics(row) for columns, row in self._columns
+            )
+            self._columns.clear()
+        return self._intervals
 
     def record(self, metrics: IntervalMetrics) -> None:
         self.intervals.append(metrics)
 
+    def record_columns(self, columns: StepColumns, row: int) -> None:
+        self._columns.append((columns, row))
+
     @property
     def makespan(self) -> int:
         """Number of intervals needed to finish all IO (the paper's K)."""
-        return len(self.intervals)
+        return len(self._intervals) + len(self._columns)
 
     @property
     def migrations(self) -> int:

@@ -56,18 +56,24 @@ from repro.storage.cache import CacheModel
 from repro.storage.cores import CorePool
 from repro.storage.dispatcher import get_dispatcher, replicated_pairwise_sum
 from repro.storage.levels import LEVELS
-from repro.storage.metrics import EpisodeMetrics, IntervalMetrics, StepValues
+from repro.storage.metrics import EpisodeMetrics, StepColumns, StepValues
 from repro.storage.migration import (
     ACTION_DEST_INDICES,
     ACTION_SOURCE_INDICES,
     NUM_ACTIONS as _NUM_ACTIONS,
-    action_from_index,
 )
 from repro.storage.workload import WorkloadTrace
 from repro.utils.rng import PhiloxStreams, SeedLike, new_rng
 
 _NUM_LEVELS = len(LEVELS)
 _DRAIN_EPSILON = 1e-9
+# In a batch that needs the capacity tensor for some rows anyway, the
+# closed form's ~25 small-array passes pay for themselves only once they
+# spare this many rows the tensor (the routes cross at 100-130 spared
+# rows and sit within 20% of each other from 64 up; at 6-16 rows, the
+# batches training and evaluation step, sweeping everything is 1.4x
+# cheaper).
+_CLOSED_FORM_MIN_ROWS = 64
 
 
 class VectorSimulatorState:
@@ -95,10 +101,10 @@ class VectorSimulatorState:
         self._penalized_capability = self._capability * (1.0 - config.migration_penalty)
         self._capacity_cache: dict = {}
         self._arange_cache: dict = {}
-        self._sweep_buffers: dict = {}
-        # table[k] = numpy's pairwise sum of k full-speed capacities; the
-        # uniform dispatch fast path gathers level capacity totals from
-        # it instead of re-reducing per interval.
+        self._sweep_workspace = np.empty(0)
+        # table[k] = numpy's pairwise sum of k full-speed capacities;
+        # closed-form dispatch rows gather their level capacity totals
+        # from it instead of re-reducing per interval.
         self._uniform_sums = np.array(
             [
                 np.full(k, self._capability).sum()
@@ -106,7 +112,6 @@ class VectorSimulatorState:
             ]
         )
         self._uniform_sums.setflags(write=False)
-        self._idle_drawn = False
         self.last_step_all_active = False
         # Kernel selection: the grouped kernel is gather-free on the
         # padded level-major layout and beats the per-cell reference loop
@@ -397,7 +402,7 @@ class VectorSimulatorState:
             self.done[ix] = finished
 
         if self._record_metrics:
-            self._record_interval_metrics(rows, actions)
+            self._record_interval_metrics(rows, ix, actions)
         return stepped
 
     # ------------------------------------------------------------------
@@ -551,7 +556,6 @@ class VectorSimulatorState:
         draws are almost always zero, so only nonzero results touch the
         idle matrix.
         """
-        self._idle_drawn = False
         if self.config.idle_rate <= 0:
             self.idle[rows] = 0
             return
@@ -565,16 +569,13 @@ class VectorSimulatorState:
             # batch.
             counts = self.counts[rows]
             lam = self.config.idle_rate * counts
-            draws, fired = streams.idle_poisson(rows, counts, lam, np.exp(-lam))
-            self.idle[rows] = draws
-            self._idle_drawn = fired > 0
+            self.idle[rows], _ = streams.idle_poisson(rows, counts, lam, np.exp(-lam))
             return
         self.idle[rows] = 0
         lam_rows = (self.config.idle_rate * self.counts[rows]).tolist()
         counts_rows = self.counts[rows].tolist()
         rngs = self._rngs
         idle = self.idle
-        drawn = False
         for j, slot in enumerate(rows.tolist()):
             poisson = rngs[slot].poisson
             lam = lam_rows[j]
@@ -585,42 +586,47 @@ class VectorSimulatorState:
                 draw = poisson(lam[0])
                 if draw:
                     idle[slot, 0] = min(int(draw), c0 - 1)
-                    drawn = True
             if c1 > 1:
                 draw = poisson(lam[1])
                 if draw:
                     idle[slot, 1] = min(int(draw), c1 - 1)
-                    drawn = True
             if c2 > 1:
                 draw = poisson(lam[2])
                 if draw:
                     idle[slot, 2] = min(int(draw), c2 - 1)
-                    drawn = True
-        self._idle_drawn = drawn
 
     def _process_intervals_grouped(self, ix) -> None:
         """Vectorized polling dispatch + accounting over all (slot, level) cells.
 
         The level-major core layout makes "level ``l``'s capacities in
         scalar order" a row slice, so no per-interval argsort is needed.
-        Two regimes:
+        The regime is a property of the **row** (one slot's three cells):
 
-        * **Uniform fast path** — no core anywhere is penalised or idled
-          (the overwhelmingly common interval).  Every core of a cell
-          then processes the same ``min(share, capability)``, so the
-          pairwise reductions collapse to
-          :func:`~repro.storage.dispatcher.replicated_pairwise_sum`
-          (processed) and a per-count capacity-table gather — no
-          ``(A, 3, n_max)`` tensor is materialised at all.
-        * **General path** — capacities are gathered positionally from
-          the level-major cooldown rows and both reductions run as one
-          fused masked column sweep that replays numpy's pairwise
-          summation (left-to-right under 8 elements, unrolled tree +
-          tail up to 15), exactly as the scalar per-level reductions.
-          Idled cores are zeroed like the scalar path: uniform cells
-          idle their first ``idle`` cores (``np.argsort`` of a constant
-          row is the identity permutation) and the rare penalised+idle
-          cells replay the scalar argsort ranking individually.
+        * **Closed form** — no core of the row is penalised and every
+          cell has ``idle == 0`` or fewer than 8 cores.  The cell's cores
+          are then its ``idle`` idled ones — the *leading* positions,
+          because ``np.argsort`` of a constant row is the identity —
+          followed by ``count - idle`` cores that each process
+          ``min(share, capability)``.  numpy sums rows under 8 elements
+          left to right and ``0.0 + v`` is exact, so the leading zeros
+          drop out: processed is
+          :func:`~repro.storage.dispatcher.replicated_pairwise_sum` over
+          ``count - idle`` copies and capacity a table gather (``share``
+          still divides by the full ``count``; ``idle <= count - 1``
+          keeps the length >= 1).  No capacity tensor is materialised.
+        * **Tensor sweep** (:meth:`_sweep_tensor_rows`) — a row with a
+          penalised core, or with an idled cell of >= 8 cores: numpy's
+          8-wide unrolled tree associates zeros by *position*, so those
+          cells replay the reduction on the real capacity layout.
+
+        All-closed and all-tensor batches never gather (``ix`` is a slice
+        when every slot steps).  A batch holding both regimes reduces
+        every row in closed form — a few elementwise passes over
+        ``(B, 3)``, cheaper than gathering the closed rows out and
+        scattering them back — and overwrites the tensor rows with the
+        sweep, which runs restricted to those rows; when fewer than
+        ``_CLOSED_FORM_MIN_ROWS`` rows would be spared, the whole batch
+        is swept instead (the sweep is exact for closed-form rows too).
         """
         counts = self.counts[ix]
         n_max = int(counts.max())
@@ -628,72 +634,95 @@ class VectorSimulatorState:
             raise SimulationError(
                 "polling dispatch requires at least one core per level"
             )
+        idle = self.idle[ix]
         pending = self.backlog[ix]
         pos_cooldown = self.pos_cooldown[ix]
-        penalized_cores = pos_cooldown > 0
-        any_penalty = penalized_cores.any()
-        if not any_penalty and not self._idle_drawn:
-            share = pending / counts
-            per_core = np.minimum(share, self._capability)
-            processed = replicated_pairwise_sum(per_core, counts, n_max)
-            capacity = self._uniform_sums[counts]
-            self.processed[ix] = processed
-            self.capacity[ix] = capacity
-            self.utilization[ix] = np.minimum(1.0, processed / capacity)
-            self.backlog[ix] = np.maximum(0.0, pending - processed)
-            return
-
         batch = counts.shape[0]
-        width = pos_cooldown.shape[2]
-        n_max = min(n_max, width)
+        # Cooldowns are >= 0, so a row holds a penalised core iff they sum
+        # above zero; einsum's row sum costs a sixth of ``any(axis=1)``,
+        # whose reduce machinery pays ~45 ns per 30-element row.
+        tensor_rows = np.einsum("ij->i", pos_cooldown.reshape(batch, -1)) > 0
+        if n_max >= 8:
+            tensor_rows |= ((idle > 0) & (counts >= 8)).any(axis=1)
+        tensor_count = int(np.count_nonzero(tensor_rows))
+        share = pending / counts
+        if tensor_count and batch - tensor_count < _CLOSED_FORM_MIN_ROWS:
+            # The sweep is exact for every row; closed-form rows are the
+            # ones that do not need it.
+            processed, capacity = self._sweep_tensor_rows(
+                pos_cooldown, counts, idle, share, n_max
+            )
+        else:
+            live = counts - idle
+            processed = replicated_pairwise_sum(
+                np.minimum(share, self._capability), live, n_max
+            )
+            capacity = self._uniform_sums[live]
+            if tensor_count:
+                rows = np.nonzero(tensor_rows)[0]
+                processed[rows], capacity[rows] = self._sweep_tensor_rows(
+                    pos_cooldown[rows], counts[rows], idle[rows], share[rows], n_max
+                )
+        self.processed[ix] = processed
+        self.capacity[ix] = capacity
+        self.utilization[ix] = np.minimum(1.0, processed / capacity)
+        self.backlog[ix] = np.maximum(0.0, pending - processed)
+
+    def _sweep_tensor_rows(self, pos_cooldown, counts, idle, share, n_max: int):
+        """``(processed, capacity)`` of rows through the masked capacity tensor.
+
+        Capacities are gathered positionally from the level-major
+        cooldown rows and both reductions run as one fused masked sum
+        that replays numpy's pairwise summation (left-to-right under 8
+        elements, unrolled tree + tail up to 15), exactly as the scalar
+        per-level reductions.  Idled cores are zeroed like the scalar
+        path: unpenalised cells idle their first ``idle`` cores and the
+        rare penalised+idle cells replay the scalar argsort ranking
+        individually.
+        """
+        batch = counts.shape[0]
+        n_max = min(n_max, pos_cooldown.shape[2])
         # The padded positional tensor IS the per-level capacity layout —
         # no gather, no argsort: position j of level row l holds the
         # l-level core with the j-th smallest id, padding cooldowns are
         # zero.  Zero the columns past each cell's core count so the
         # column accumulations below reduce just the valid prefix
         # (adding +0.0 is an exact identity).
-        if any_penalty:
-            caps = np.where(
-                penalized_cores[..., :n_max],
-                self._penalized_capability,
-                self._capability,
-            )
-        else:
-            caps = np.full((batch, _NUM_LEVELS, n_max), self._capability)
+        caps = np.where(
+            pos_cooldown[..., :n_max] > 0,
+            self._penalized_capability,
+            self._capability,
+        )
         caps *= self._arange(n_max)[None, None, :] < counts[:, :, None]
 
-        if self._idle_drawn:
-            idle = self.idle[ix]
-            busy = idle > 0
-            if any_penalty:
-                # A cell needs the argsort ranking only when the level
-                # mixes full-speed and penalised cores; uniform cells
-                # idle their first cores (argsort of a constant row is
-                # the identity permutation).
-                penalized_cells = (caps == self._penalized_capability).any(axis=-1)
-                uniform_busy = busy & ~penalized_cells
-                mixed_busy = busy & penalized_cells
-            else:
-                uniform_busy = busy
-                mixed_busy = None
+        busy = idle > 0
+        if busy.any():
+            # A cell needs the argsort ranking only when the level mixes
+            # full-speed and penalised cores; uniform cells idle their
+            # first cores (argsort of a constant row is the identity
+            # permutation).
+            penalized_cells = (caps == self._penalized_capability).any(axis=-1)
+            uniform_busy = busy & ~penalized_cells
+            mixed_busy = busy & penalized_cells
             if uniform_busy.any():
                 zero_mask = (
                     self._arange(n_max)[None, None, :] < idle[:, :, None]
                 ) & uniform_busy[:, :, None]
                 caps[zero_mask] = 0.0
-            if mixed_busy is not None and mixed_busy.any():
+            if mixed_busy.any():
                 for a, level in zip(*np.nonzero(mixed_busy)):
                     cell_caps = caps[a, level, : counts[a, level]]
                     rank = np.argsort(-cell_caps)
                     cell_caps[rank[: idle[a, level]]] = 0.0
 
-        share = pending / counts
         # vals[0] = per-core processed, vals[1] = per-core capacity; the
-        # stacked layout lets one row reduction serve both.
-        vals = self._sweep_buffers.get((batch, n_max))
-        if vals is None:
-            vals = np.empty((2, batch, _NUM_LEVELS, n_max))
-            self._sweep_buffers[(batch, n_max)] = vals
+        # stacked layout lets one row reduction serve both.  The tensor
+        # row count changes every interval, so the buffer is one
+        # grow-only workspace carved to this call's shape.
+        size = 2 * batch * _NUM_LEVELS * n_max
+        if self._sweep_workspace.shape[0] < size:
+            self._sweep_workspace = np.empty(size)
+        vals = self._sweep_workspace[:size].reshape(2, batch, _NUM_LEVELS, n_max)
         np.minimum(share[:, :, None], caps, out=vals[0])
         vals[1] = caps
         # numpy's own last-axis pairwise summation IS the scalar
@@ -710,11 +739,7 @@ class VectorSimulatorState:
                 counts >= 8, vals.sum(axis=-1), vals[..., :7].sum(axis=-1)
             )
 
-        tp, tc = totals[0], totals[1]
-        self.processed[ix] = tp
-        self.capacity[ix] = tc
-        self.utilization[ix] = np.minimum(1.0, tp / tc)
-        self.backlog[ix] = np.maximum(0.0, pending - tp)
+        return totals[0], totals[1]
 
     def _process_intervals_reference(self, rows: np.ndarray) -> None:
         """Per-cell dispatch loop — the scalar simulator's exact inner loop.
@@ -785,19 +810,25 @@ class VectorSimulatorState:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def _record_interval_metrics(self, rows: np.ndarray, actions: np.ndarray) -> None:
-        for slot in rows.tolist():
-            metrics = IntervalMetrics(
-                interval=int(self.interval_index[slot]) - 1,
-                action=action_from_index(int(actions[slot])),
-                migration_applied=bool(self.migration_applied[slot]),
-                core_counts=dict(zip(LEVELS, (int(c) for c in self.counts[slot]))),
-                utilization=dict(zip(LEVELS, self.utilization[slot].tolist())),
-                incoming_kb=dict(zip(LEVELS, self.incoming[slot].tolist())),
-                processed_kb=dict(zip(LEVELS, self.processed[slot].tolist())),
-                backlog_kb=dict(zip(LEVELS, self.backlog[slot].tolist())),
-                capacity_kb=dict(zip(LEVELS, self.capacity[slot].tolist())),
-                cache_miss_rate=float(self.cache_miss[slot]),
-                idle_cores=dict(zip(LEVELS, (int(c) for c in self.idle[slot]))),
+    def _record_interval_metrics(self, rows: np.ndarray, ix, actions: np.ndarray) -> None:
+        """One column snapshot for the batch; episodes materialise on read."""
+        columns = StepColumns(
+            *(
+                column[ix].tolist()
+                for column in (
+                    self.interval_index - 1,
+                    actions,
+                    self.migration_applied,
+                    self.counts,
+                    self.utilization,
+                    self.incoming,
+                    self.processed,
+                    self.backlog,
+                    self.capacity,
+                    self.cache_miss,
+                    self.idle,
+                )
             )
-            self.episodes[slot].record(metrics)
+        )
+        for row, slot in enumerate(rows.tolist()):
+            self.episodes[slot].record_columns(columns, row)

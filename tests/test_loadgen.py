@@ -29,6 +29,7 @@ from repro.engine import AgentBatchBackend, CompiledFSMBackend, CompiledFSMPolic
 from repro.serving import PolicyClient, PolicyNetServer, PolicyServer
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
+from repro.storage.vector_state import VectorSimulatorState
 from repro.utils import rng as rng_module
 from repro.utils.rng import PhiloxStreams
 from repro.workloads import ZipfianTenantMix
@@ -449,6 +450,37 @@ class TestFleetPins:
         assert deterministic["probe_decisions_total"] > 0
         assert deterministic["stale_rejections_total"] > 0
         assert report.digest == FLEET_DIGEST_PINS[base_seed]
+
+    def test_pinned_fleet_mixes_both_dispatch_regimes(self, monkeypatch, serving_env):
+        """Regime counts, not times: the handcrafted policy migrates, so
+        the pinned fleet has intervals where one batch holds closed-form
+        rows AND rows swept through the capacity tensor — and its digest
+        is the pin."""
+        grouped = VectorSimulatorState._process_intervals_grouped
+        sweep = VectorSimulatorState._sweep_tensor_rows
+        intervals = []  # [rows dispatched, rows swept] per interval
+
+        def counting_grouped(self, ix):
+            intervals.append([self.counts[ix].shape[0], 0])
+            return grouped(self, ix)
+
+        def counting_sweep(self, pos_cooldown, counts, *rest):
+            intervals[-1][1] = counts.shape[0]
+            return sweep(self, pos_cooldown, counts, *rest)
+
+        monkeypatch.setattr(
+            VectorSimulatorState, "_process_intervals_grouped", counting_grouped
+        )
+        monkeypatch.setattr(VectorSimulatorState, "_sweep_tensor_rows", counting_sweep)
+        base_seed = min(FLEET_DIGEST_PINS)
+        report = FleetDriver(
+            _pinned_schedule(),
+            InProcessTransport(_heuristic_server(serving_env)),
+            base_seed=base_seed,
+        ).run()
+        assert report.digest == FLEET_DIGEST_PINS[base_seed]
+        assert any(0 < swept < rows for rows, swept in intervals)
+        assert any(swept == 0 for _rows, swept in intervals)
 
     def test_driver_streams_compute_only_the_draws_they_serve(
         self, monkeypatch, serving_env

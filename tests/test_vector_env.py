@@ -11,6 +11,7 @@ from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import EnvironmentError_
 from repro.storage.migration import NUM_ACTIONS
+from repro.storage.simulator import StorageSimulator
 from repro.storage.workload import WorkloadInterval
 from repro.utils.rng import PhiloxStreams
 
@@ -170,6 +171,43 @@ class TestVectorStep:
         for i, trace in enumerate(real_traces):
             assert makespans[i] >= len(trace)
 
+    def test_result_observations_belong_to_their_own_step(self, vector_env, real_traces):
+        """``result.observations`` is computed on first read from the
+        result's own snapshot: reading it two steps late gives the step's
+        rows, not the environment's current ones."""
+        batch = len(real_traces)
+        vector_env.reset(real_traces, rngs=list(range(batch)))
+        normalize = vector_env.observation_encoder.normalize_batch
+        result = vector_env.step(np.ones(batch, dtype=int))
+        at_the_time = vector_env.observations()
+        for _ in range(2):
+            vector_env.step(np.full(batch, 3, dtype=int))
+        assert not np.array_equal(vector_env.observations(), at_the_time)
+        np.testing.assert_array_equal(result.observations, at_the_time)
+        np.testing.assert_array_equal(
+            result.observations, normalize(result.raw_observations)
+        )
+        assert result.observations is result.observations  # normalised once
+
+    def test_observations_after_partial_batch_step(self, vector_env, real_traces):
+        """Frozen rows of finished slots and fresh rows of stepped ones:
+        the current matrix is a full normalisation of the raw one."""
+        batch = len(real_traces)
+        vector_env.reset(real_traces, rngs=list(range(batch)))
+        normalize = vector_env.observation_encoder.normalize_batch
+        partial_steps = 0
+        while not vector_env.all_done:
+            result = vector_env.step(np.zeros(batch, dtype=int))
+            if not result.stepped.all():
+                partial_steps += 1
+                np.testing.assert_array_equal(
+                    vector_env.observations(), normalize(vector_env.raw_observations())
+                )
+                np.testing.assert_array_equal(
+                    vector_env.observations(), result.observations
+                )
+        assert partial_steps > 0
+
     def test_rewards_match_sequential(self, system_config, vector_env, real_traces):
         batch = len(real_traces)
         vector_env.reset(real_traces, rngs=list(range(batch)))
@@ -243,6 +281,34 @@ class TestMetricsModes:
         for episode, makespan in zip(venv.episode_metrics(), venv._makespans):
             assert episode.makespan == makespan
             assert len(episode.intervals) == makespan
+
+    def test_interval_records_materialise_on_first_read(self, system_config, real_traces):
+        """The simulator keeps one column snapshot per step; the records
+        built from it on first read equal the ones the scalar simulator
+        hands back step by step."""
+        traces = real_traces[:3]
+        venv = VectorStorageAllocationEnv(system_config, record_metrics=True)
+        venv.reset(traces, rngs=[4, 5, 6])
+        actions = np.random.default_rng(0).integers(0, NUM_ACTIONS, size=(200, 3))
+        step = 0
+        while not venv.all_done:
+            venv.step(actions[step] * ~venv.dones)
+            step += 1
+        for slot, (trace, episode) in enumerate(zip(traces, venv.episode_metrics())):
+            assert episode.makespan == venv._makespans[slot]
+            assert episode._intervals == []  # makespan did not materialise
+            simulator = StorageSimulator(system_config, rng=4 + slot)
+            simulator.reset(trace)
+            expected = [
+                simulator.step(int(actions[t, slot])) for t in range(episode.makespan)
+            ]
+            assert simulator.is_done
+            assert episode.intervals == expected
+            assert episode.migrations == simulator.episode_metrics.migrations
+            assert episode.as_summary() == simulator.episode_metrics.as_summary()
+            episode.record(expected[0])
+            assert episode.makespan == len(expected) + 1
+            assert episode.intervals[-1] is expected[0]
 
     def test_metrics_free_mode_still_tracks_makespan(self, system_config, real_traces):
         venv = VectorStorageAllocationEnv(

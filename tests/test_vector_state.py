@@ -11,8 +11,11 @@ order — so a numpy upgrade that changes them fails loudly here instead
 of silently drifting a golden trace.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.agents.default import DefaultPolicy
 from repro.agents.greedy import GreedyUtilizationPolicy
@@ -22,8 +25,10 @@ from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import SimulationError
 from repro.storage.cores import CorePool
 from repro.storage.dispatcher import pairwise_sum_ragged, replicated_pairwise_sum
+from repro.storage import vector_state
 from repro.storage.simulator import StorageSimulator, StorageSystemConfig
 from repro.storage.vector_state import VectorSimulatorState
+from repro.storage.workload import WorkloadInterval, WorkloadTrace
 from repro.utils.rng import PhiloxStreams
 
 
@@ -115,6 +120,166 @@ class TestKernelEquivalence:
         _drive_and_compare(
             config, _batch_traces(real_traces, 3), [0, 1, 2], "reference"
         )
+
+
+_DISPATCH_FIELDS = ("processed", "capacity", "utilization", "backlog")
+_TOTAL_CORES = StorageSystemConfig().total_cores
+
+
+@st.composite
+def _dispatch_row(draw):
+    """One slot on the eve of dispatch: counts, cooldowns, idle, backlog.
+
+    Counts sum to ``total_cores`` with up to 10 on a level (drawn wide
+    half the time, so 8-core cells are common), a row is either free of
+    penalties or carries a random cooldown pattern, ``idle <= count - 1``.
+    """
+    first = draw(st.one_of(st.integers(1, 10), st.integers(8, 10)))
+    second = draw(st.integers(1, min(10, _TOTAL_CORES - 1 - first)))
+    counts = [first, second, _TOTAL_CORES - first - second]
+    draw(st.randoms(use_true_random=False)).shuffle(counts)
+    cooldown = st.integers(0, 2) if draw(st.booleans()) else st.just(0)
+    # Tenths carry full mantissas (Hypothesis prefers short floats, whose
+    # sums are exact in any order) and stay under saturation half the time.
+    backlog = st.one_of(
+        st.sampled_from([0.0, 5e-324, 2.0e-308, 40_000.0, 1e12]),
+        st.floats(0.0, 1e6),
+        st.integers(1, 6_000_000).map(lambda tenths: tenths * 0.1),
+    )
+    return (
+        counts,
+        [draw(st.lists(cooldown, min_size=c, max_size=c)) for c in counts],
+        [draw(st.integers(0, c - 1)) for c in counts],
+        [draw(backlog) for _ in counts],
+    )
+
+
+def _state_on_the_eve_of_dispatch(rows):
+    """A reset state whose slots are overwritten with explicit ``rows``."""
+    state = VectorSimulatorState(StorageSystemConfig())
+    trace = WorkloadTrace("one-interval", [WorkloadInterval.empty()])
+    state.reset([trace] * len(rows), rngs=list(range(len(rows))))
+    state.pos_ids[...] = state._id_sentinel
+    state.pos_cooldown[...] = 0
+    for slot, (counts, cooldowns, idle, backlog) in enumerate(rows):
+        state.counts[slot] = counts
+        state.idle[slot] = idle
+        state.backlog[slot] = backlog
+        first_id = 0
+        for level, count in enumerate(counts):
+            state.pos_ids[slot, level, :count] = np.arange(first_id, first_id + count)
+            state.pos_cooldown[slot, level, :count] = cooldowns[level]
+            first_id += count
+    return state
+
+
+def _needs_tensor_sweep(row) -> bool:
+    """The row rule, restated: a penalised core, or an idled >= 8-core cell."""
+    counts, cooldowns, idle, _backlog = row
+    return any(any(level) for level in cooldowns) or any(
+        i > 0 and c >= 8 for i, c in zip(idle, counts)
+    )
+
+
+@contextmanager
+def _counting_sweeps():
+    """Row count of every tensor-sweep call made inside the block."""
+    sweep = VectorSimulatorState._sweep_tensor_rows
+    calls = []
+
+    def counting(self, pos_cooldown, counts, *rest):
+        calls.append(counts.shape[0])
+        return sweep(self, pos_cooldown, counts, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(VectorSimulatorState, "_sweep_tensor_rows", counting)
+        yield calls
+
+
+class TestRowRegimes:
+    """The dispatch regime is a property of the row, not of the batch."""
+
+    @pytest.mark.parametrize("spared_rows_worth_splitting", [0, 64])
+    @given(rows=st.lists(_dispatch_row(), min_size=1, max_size=6))
+    @settings(max_examples=120, deadline=None)
+    def test_mixed_batch_matches_reference_and_rows_alone(
+        self, spared_rows_worth_splitting, rows
+    ):
+        """At 0 every mixed batch is split by row; at the shipped 64 these
+        small batches are swept whole once one row needs the tensor."""
+        batch = _state_on_the_eve_of_dispatch(rows)
+        with _counting_sweeps() as swept_rows, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                vector_state, "_CLOSED_FORM_MIN_ROWS", spared_rows_worth_splitting
+            )
+            batch._process_intervals_grouped(slice(None))
+        reference = _state_on_the_eve_of_dispatch(rows)
+        reference._process_intervals_reference(np.arange(len(rows)))
+        for name in _DISPATCH_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(batch, name), getattr(reference, name), err_msg=name
+            )
+        for slot, row in enumerate(rows):
+            alone = _state_on_the_eve_of_dispatch([row])
+            alone._process_intervals_grouped(slice(None))
+            for name in _DISPATCH_FIELDS:
+                np.testing.assert_array_equal(
+                    getattr(alone, name)[0], getattr(batch, name)[slot], err_msg=name
+                )
+        # Only the rows the rule names went through the capacity tensor:
+        # an idled >= 8-core cell is never reduced in closed form, and —
+        # when splitting — a row that can be is never swept.
+        expected = sum(_needs_tensor_sweep(row) for row in rows)
+        if expected and spared_rows_worth_splitting:
+            expected = len(rows)
+        assert swept_rows == ([expected] if expected else [])
+
+    def test_wide_idled_cell_is_why_the_rule_has_an_exception(self):
+        """The 8-wide tree associates leading zeros by position: one idled
+        core among 8 does NOT sum like 7 live cores left to right."""
+        per_core = 30_000.1
+        idled = np.full(8, per_core)
+        idled[0] = 0.0
+        assert idled.sum() != np.full(7, per_core).sum()
+        # ... while under 8 wide the leading zeros drop out exactly.
+        narrow = np.full(7, per_core)
+        narrow[:2] = 0.0
+        assert narrow.sum() == np.full(5, per_core).sum()
+        row = ([8, 2, 2], [[0] * 8, [0, 0], [0, 0]], [1, 0, 1], [8 * per_core, 7.0, 9.0])
+        batch = _state_on_the_eve_of_dispatch([row])
+        batch._process_intervals_grouped(slice(None))
+        assert batch.processed[0, 0] == idled.sum()
+
+    def test_noop_philox_shard_never_builds_the_capacity_tensor(self, real_traces):
+        """Regime counts, not times: with no migration no core is ever
+        penalised and the default allocation has no 8-core level, so 512
+        slots drawing idle cores every interval stay in closed form."""
+        batch = 512
+        state = VectorSimulatorState(StorageSystemConfig(), record_metrics=False)
+        state.reset(
+            _batch_traces(real_traces, batch), rngs=PhiloxStreams(5, batch, "regime/env")
+        )
+        idled_intervals = 0
+        with _counting_sweeps() as swept_rows:
+            while not state.done.all():
+                state.step(np.zeros(batch, dtype=np.int64))
+                idled_intervals += bool(state.idle.any())
+        assert idled_intervals > 4
+        assert swept_rows == []
+
+    def test_draining_batch_keeps_one_sweep_workspace(self, real_traces):
+        """The tensor-row count changes every interval; the sweep's buffer
+        is one grow-only workspace, not one array per shape ever seen."""
+        batch = 512
+        state = VectorSimulatorState(StorageSystemConfig(), record_metrics=False)
+        state.reset(_batch_traces(real_traces, batch), rngs=list(range(batch)))
+        rng = np.random.default_rng(9)
+        with _counting_sweeps() as swept_rows:
+            while not state.done.all():
+                state.step(rng.integers(0, 7, size=batch) * ~state.done)
+        assert len(set(swept_rows)) > 8
+        widest = 2 * max(swept_rows) * 3 * state._level_capacity
+        assert state._sweep_workspace.size <= widest
 
 
 class TestBatchLifecycle:
