@@ -3,9 +3,9 @@
 * ``test_handcrafted_vs_default`` measures the handcrafted FSM's makespan
   reduction over the no-migration default (the paper quotes ~20% from its
   UAT environment).
-* The ablation benchmarks quantify the simulator design choices called
-  out in DESIGN.md: migration penalty, cache-miss rate, and the polling
-  (no work stealing) dispatcher vs an idealised proportional dispatcher.
+* The ablation benchmarks quantify the simulator's design choices:
+  migration penalty, cache-miss rate, and the polling (no work stealing)
+  dispatcher vs an idealised proportional dispatcher.
 """
 
 from __future__ import annotations

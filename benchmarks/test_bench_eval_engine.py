@@ -8,10 +8,13 @@ policy decision every interval — when a 12-trace evaluation set runs
 * through the engine with the interpreted agent lifted per-slot
   (``AgentBatchBackend``, same lockstep batch, scalar ``act`` per slot),
 * through the engine on the batched GRU forwards, and
-* through the sequential reference harness
+* through the sequential leg
   (:func:`~repro.pipeline.evaluation.evaluate_agent` with the interpreted
-  ``FSMPolicyAgent``) — the status-quo path the engine replaces and the
-  baseline of the headline speedup.
+  ``FSMPolicyAgent``): twelve B = 1 calls of the same engine with the
+  live agent acting, one trace at a time — not a scalar-environment
+  loop — so the headline speedup reads lockstep batching plus compiled
+  tables against one-at-a-time interpretation on the same simulator
+  core.  The JSON keys keep the ``sequential`` name.
 
 The bench asserts all FSM paths are **bit-identical** (same makespans,
 same total rewards, exact float equality) before it reports any rate: a

@@ -31,6 +31,6 @@ def test_fig3_convergence(benchmark):
     # Both regimes must actually have trained for the configured budgets.
     assert len(result.curriculum_history) == config.curriculum.total_epochs
     assert len(result.scratch_history) == config.curriculum.total_epochs
-    # Sanity on the reported quantities (the qualitative claim — curriculum
-    # converges faster/better — is recorded in EXPERIMENTS.md from a larger run).
+    # Sanity on the reported quantities only; the qualitative claim —
+    # curriculum converges faster/better — is not asserted at this scale.
     assert finals["curriculum"] > 0 and finals["from_scratch"] > 0

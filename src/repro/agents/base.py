@@ -24,8 +24,8 @@ class Agent(ABC):
     # faithful only when ``act`` is deterministic and every piece of
     # per-episode state is *rebound* (not mutated in place) by
     # ``reset``; agents that draw from a shared rng or mutate shared
-    # containers must set this to False so routing falls back to the
-    # sequential reference path.
+    # containers must set this to False so routing runs their episodes
+    # one at a time on the live object (``evaluate_agent``).
     engine_safe: bool = True
 
     def reset(self) -> None:

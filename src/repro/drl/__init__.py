@@ -24,7 +24,6 @@ from repro.drl.rollout import (
 from repro.drl.worker_pool import PersistentWorkerPool, shard_indices
 from repro.drl.a2c import A2CConfig, A2CTrainer, EpochRecord, TrainingHistory
 from repro.drl.curriculum import CurriculumConfig, CurriculumTrainer
-from repro.drl.exploration import EpsilonSchedule
 from repro.drl.checkpoints import save_policy, load_policy
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "TrainingHistory",
     "CurriculumConfig",
     "CurriculumTrainer",
-    "EpsilonSchedule",
     "save_policy",
     "load_policy",
 ]

@@ -21,14 +21,14 @@ import numpy as np
 
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
-from repro.drl.exploration import EpsilonSchedule
 from repro.drl.policy import RecurrentPolicyValueNet
 from repro.drl.rollout import BatchedRolloutCollector, Trajectory, TrajectoryBatch
 from repro.drl.worker_pool import PersistentWorkerPool
-from repro.env.environment import StorageAllocationEnv
+from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ConfigurationError, TrainingError
 from repro.optim import Adam, clip_grad_norm
+from repro.storage.simulator import StorageSystemConfig
 from repro.storage.workload import WorkloadTrace
 from repro.utils.rng import SeedLike, new_rng
 
@@ -137,53 +137,25 @@ class A2CTrainer:
     def __init__(
         self,
         policy: RecurrentPolicyValueNet,
-        env: StorageAllocationEnv,
+        system_config: StorageSystemConfig,
+        reward_config: Optional[RewardConfig] = None,
         config: Optional[A2CConfig] = None,
-        epsilon_schedule: Optional[EpsilonSchedule] = None,
         rng: SeedLike = None,
-        vector_env: Optional[VectorStorageAllocationEnv] = None,
     ) -> None:
         self.policy = policy
-        self.env = env
         self.config = config or A2CConfig()
-        self.epsilon_schedule = epsilon_schedule or EpsilonSchedule(
-            start=self.config.epsilon, end=self.config.epsilon, decay_epochs=0
-        )
         self._rng = new_rng(rng)
         workers = self.config.rollout_workers
-        if workers > 1 and vector_env is not None:
-            raise ConfigurationError(
-                "rollout_workers > 1 cannot honour an explicit vector_env: "
-                "worker processes rebuild default vector environments from "
-                "the training env's system/reward configs; drop vector_env "
-                "or set rollout_workers=1"
-            )
-        # A custom cache model cannot be inferred (each slot needs its
-        # own instance), so demand an explicit vector_env rather than
-        # silently training on different cache dynamics.
-        if vector_env is None:
-            default_model = env.system_config.build_cache_model()
-            if env.simulator.cache_model.signature() != default_model.signature():
-                raise ConfigurationError(
-                    "the environment uses a custom cache model, which neither "
-                    "the default vector twin nor rollout worker processes "
-                    "replicate; pass vector_env=VectorStorageAllocationEnv(..., "
-                    "cache_model_factory=...) explicitly with rollout_workers=1"
-                )
         if workers > 1:
             # Collection always goes through the workers, so the
-            # in-process vector twin is never built.
-            self.vector_env = None
+            # in-process vector environment is never built.
             self.batched_collector: Optional[BatchedRolloutCollector] = None
             self.worker_pool: Optional[PersistentWorkerPool] = PersistentWorkerPool(
-                env.system_config, env.reward_config, num_workers=workers
+                system_config, reward_config, num_workers=workers
             )
         else:
-            self.vector_env = vector_env or VectorStorageAllocationEnv(
-                env.system_config, env.reward_config
-            )
             self.batched_collector = BatchedRolloutCollector(
-                self.vector_env, rng=self._rng
+                VectorStorageAllocationEnv(system_config, reward_config), rng=self._rng
             )
             self.worker_pool = None
         self.optimizer = Adam(self.policy.parameters(), lr=self.config.learning_rate)
@@ -222,15 +194,14 @@ class A2CTrainer:
 
         for _ in range(epochs):
             start = time.perf_counter()
-            epsilon = self.epsilon_schedule.value(self._global_epoch)
             trace = traces[int(self._rng.integers(len(traces)))]
-            epoch_metrics = self._train_one_epoch(trace, epsilon)
+            epoch_metrics = self._train_one_epoch(trace)
             elapsed = time.perf_counter() - start
             record = EpochRecord(
                 epoch=self._global_epoch,
                 phase=phase,
                 trace_name=trace.name,
-                epsilon=epsilon,
+                epsilon=self.config.epsilon,
                 wall_time_s=elapsed,
                 **epoch_metrics,
             )
@@ -238,7 +209,7 @@ class A2CTrainer:
             self._global_epoch += 1
         return history
 
-    def _train_one_epoch(self, trace: WorkloadTrace, epsilon: float) -> Dict[str, float]:
+    def _train_one_epoch(self, trace: WorkloadTrace) -> Dict[str, float]:
         traces = [trace] * self.config.episodes_per_epoch
         if self.worker_pool is not None:
             # Draw the base seed exactly like collect_batch would so the
@@ -246,11 +217,11 @@ class A2CTrainer:
             # batched path under the same trainer rng state.
             base_seed = int(self._rng.integers(np.iinfo(np.int64).max))
             trajectories = self.worker_pool.collect(
-                self.policy, traces, base_seed=base_seed, epsilon=epsilon, greedy=False
+                self.policy, traces, base_seed=base_seed, epsilon=self.config.epsilon, greedy=False
             )
         else:
             trajectories = self.batched_collector.collect_batch(
-                self.policy, traces, epsilon=epsilon, greedy=False
+                self.policy, traces, epsilon=self.config.epsilon, greedy=False
             )
         return {
             "makespan": float(np.mean([t.makespan for t in trajectories])),

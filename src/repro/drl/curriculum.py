@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.drl.a2c import A2CConfig, A2CTrainer, TrainingHistory
-from repro.drl.exploration import EpsilonSchedule
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
-from repro.env.environment import StorageAllocationEnv
-from repro.env.vector_env import VectorStorageAllocationEnv
+from repro.env.reward import RewardConfig
 from repro.errors import ConfigurationError, TrainingError
+from repro.storage.simulator import StorageSystemConfig
 from repro.storage.workload import WorkloadTrace
 from repro.utils.rng import SeedLike, new_rng
 
@@ -55,31 +54,21 @@ class CurriculumTrainer:
 
     def __init__(
         self,
-        env: StorageAllocationEnv,
+        system_config: StorageSystemConfig,
+        reward_config: Optional[RewardConfig] = None,
         policy_config: Optional[PolicyConfig] = None,
         a2c_config: Optional[A2CConfig] = None,
-        epsilon_schedule: Optional[EpsilonSchedule] = None,
         rng: SeedLike = None,
-        vector_env: Optional[VectorStorageAllocationEnv] = None,
     ) -> None:
-        """``vector_env`` is forwarded to the underlying A2C trainers —
-        required when ``env`` uses a custom cache model (build it with a
-        ``cache_model_factory``)."""
-        self.env = env
+        self.system_config = system_config
+        self.reward_config = reward_config
         self.policy_config = policy_config or PolicyConfig()
         self.a2c_config = a2c_config or A2CConfig()
-        self.epsilon_schedule = epsilon_schedule
-        self.vector_env = vector_env
         self._rng = new_rng(rng)
 
     def _new_trainer(self, policy: RecurrentPolicyValueNet) -> A2CTrainer:
         return A2CTrainer(
-            policy,
-            self.env,
-            config=self.a2c_config,
-            epsilon_schedule=self.epsilon_schedule,
-            rng=self._rng,
-            vector_env=self.vector_env,
+            policy, self.system_config, self.reward_config, self.a2c_config, rng=self._rng
         )
 
     # ------------------------------------------------------------------

@@ -21,9 +21,13 @@ from repro.agents.base import Agent
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.drl.policy import RecurrentPolicyValueNet
-from repro.env.environment import StorageAllocationEnv
+from repro.engine.backends import AgentBatchBackend
+from repro.engine.evaluation import EvaluationEngine
+from repro.engine.sessions import SessionTable
+from repro.env.reward import RewardConfig
 from repro.errors import ConfigurationError, TrainingError
 from repro.optim import Adam, clip_grad_norm
+from repro.storage.simulator import StorageSystemConfig
 from repro.storage.workload import WorkloadTrace
 from repro.utils.rng import SeedLike, new_rng
 
@@ -77,16 +81,40 @@ class ImitationResult:
     demonstrations: int = 0
 
 
+class _RecordingBackend(AgentBatchBackend):
+    """Per-slot teacher replicas that keep what each slot saw and did."""
+
+    def begin_sessions(self, table: SessionTable, slots: np.ndarray) -> None:
+        super().begin_sessions(table, slots)
+        # slot -> (normalised observation rows, actions), in trace order.
+        self.episodes = {slot: ([], []) for slot in slots.tolist()}
+
+    def decide(
+        self,
+        table: SessionTable,
+        slots: np.ndarray,
+        raw: np.ndarray,
+        normalized: np.ndarray,
+    ) -> np.ndarray:
+        actions = super().decide(table, slots, raw, normalized)
+        for slot, row, action in zip(slots.tolist(), normalized, actions.tolist()):
+            observations, taken = self.episodes[slot]
+            observations.append(row)
+            taken.append(action)
+        return actions
+
+
 class BehaviorCloningTrainer:
     """Collects expert demonstrations and fits the recurrent policy to them."""
 
     def __init__(
         self,
-        env: StorageAllocationEnv,
+        system_config: StorageSystemConfig,
+        reward_config: Optional[RewardConfig] = None,
         config: Optional[ImitationConfig] = None,
         rng: SeedLike = None,
     ) -> None:
-        self.env = env
+        self.engine = EvaluationEngine(system_config, reward_config)
         self.config = config or ImitationConfig()
         self._rng = new_rng(rng)
 
@@ -96,32 +124,23 @@ class BehaviorCloningTrainer:
     def collect_demonstrations(
         self, teacher: Agent, traces: Sequence[WorkloadTrace], episode_seed: int = 0
     ) -> List[Demonstration]:
-        """Run the teacher on every trace and record its decisions."""
+        """Run the teacher on every trace (one lockstep batch, trace ``i``
+        seeded ``episode_seed + i``) and record its decisions."""
         if not traces:
             raise TrainingError("demonstration collection needs at least one trace")
-        demonstrations: List[Demonstration] = []
-        for index, trace in enumerate(traces):
-            observation = self.env.reset(trace, rng=episode_seed + index)
-            teacher.reset()
-            observations: List[np.ndarray] = []
-            actions: List[int] = []
-            while True:
-                action = teacher.act(observation)
-                observations.append(self.env.observation_encoder.normalize(observation))
-                actions.append(int(action))
-                result = self.env.step(action)
-                observation = result.observation
-                if result.done:
-                    break
-            demonstrations.append(
-                Demonstration(
-                    trace_name=trace.name,
-                    observations=np.stack(observations),
-                    actions=np.array(actions, dtype=int),
-                    makespan=self.env.simulator.makespan,
-                )
+        recorder = _RecordingBackend.from_agent(teacher, self.engine.encoder)
+        result = self.engine.evaluate(recorder, traces, episode_seed=episode_seed)
+        return [
+            Demonstration(
+                trace_name=trace.name,
+                observations=np.stack(observations),
+                actions=np.array(actions, dtype=int),
+                makespan=makespan,
             )
-        return demonstrations
+            for trace, (observations, actions), makespan in zip(
+                traces, recorder.episodes.values(), result.makespans
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Supervised fitting

@@ -13,7 +13,7 @@ granularity lives here, behind the :class:`DecisionBackend` protocol:
   free-list slot reuse for very large concurrent session counts;
 * :mod:`repro.engine.evaluation` — the lockstep
   :class:`EvaluationEngine` that runs any backend over a trace set,
-  bit-identical to the sequential reference harness.
+  each episode bit-identical to the same episode run alone (B = 1).
 
 Policy evaluation (:mod:`repro.pipeline.evaluation`) and the serving
 layer (:mod:`repro.serving`) drive their hot loops through this package;

@@ -8,12 +8,12 @@ tables, the GRU policy and scalar heuristic agents are all
 evaluated through the identical loop, and FSM-in-the-loop evaluation
 runs at compiled-table speed.
 
-Bit-identity contract: the engine reproduces
-:func:`~repro.pipeline.evaluation.evaluate_agent` exactly — slot ``i``
-is seeded ``episode_seed + i`` (same trace, same simulator rng stream),
-and a slot's total reward is the :func:`np.sum` of exactly its
-``makespan`` active-step rewards, so makespans, episode metrics and
-total rewards are equal bit for bit, not approximately.
+Bit-identity contract: slot ``i`` of a batch reproduces the same episode
+run alone (:func:`~repro.pipeline.evaluation.evaluate_agent`, the B = 1
+call of this engine) and a scalar ``StorageAllocationEnv`` loop exactly —
+it is seeded ``episode_seed + i``, and its total reward is the
+:func:`np.sum` of exactly its ``makespan`` active-step rewards, so
+makespans, episode metrics and total rewards are equal bit for bit.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ class EvaluationEngine:
 
         # Time-major reward accumulation so each slot's total can be
         # reduced over exactly its ``makespan`` active rows — the same
-        # element count and np.sum reduction as evaluate_agent's scalar
-        # loop, hence bit-identical totals.  Episodes can outlive their
+        # element count and np.sum reduction as a scalar episode loop,
+        # hence bit-identical totals.  Episodes can outlive their
         # traces (backlog drain), so the buffer doubles on overflow.
         cap = 2 * max(len(trace) for trace in traces) + 16
         rewards_buf = np.empty((cap, batch))
@@ -217,7 +217,7 @@ class EvaluationEngine:
 def backend_for_agent(
     agent: Agent, encoder: ObservationEncoder
 ) -> Optional[DecisionBackend]:
-    """Pick the best engine backend for ``agent`` (None → sequential path).
+    """Pick the best lockstep backend for ``agent`` (None → one at a time).
 
     Upgrades, in order of preference:
 

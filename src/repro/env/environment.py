@@ -11,7 +11,6 @@ from repro.env.action import ActionSpace
 from repro.env.observation import Observation, ObservationEncoder
 from repro.env.reward import RewardConfig, compute_step_reward, compute_terminal_reward
 from repro.errors import EnvironmentError_
-from repro.storage.cache import CacheModel
 from repro.storage.metrics import EpisodeMetrics, IntervalMetrics
 from repro.storage.migration import MigrationAction
 from repro.storage.simulator import StorageSimulator, StorageSystemConfig
@@ -48,16 +47,13 @@ class StorageAllocationEnv:
         self,
         system_config: Optional[StorageSystemConfig] = None,
         reward_config: Optional[RewardConfig] = None,
-        cache_model: Optional[CacheModel] = None,
         rng: SeedLike = None,
     ) -> None:
         self.system_config = system_config or StorageSystemConfig()
         self.system_config.validate()
         self.reward_config = reward_config or RewardConfig()
         self._rng = new_rng(rng)
-        self.simulator = StorageSimulator(
-            self.system_config, cache_model=cache_model, rng=self._rng
-        )
+        self.simulator = StorageSimulator(self.system_config, rng=self._rng)
         self.action_space = ActionSpace()
         self.observation_encoder = ObservationEncoder(self.system_config)
         self._trace: Optional[WorkloadTrace] = None

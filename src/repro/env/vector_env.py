@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from repro.env.reward import (
     compute_terminal_rewards_batch,
 )
 from repro.errors import EnvironmentError_, SimulationError
-from repro.storage.cache import CacheModel
 from repro.storage.iorequest import NUM_IO_TYPES
 from repro.storage.levels import LEVELS
 from repro.storage.metrics import EpisodeMetrics
@@ -107,17 +106,13 @@ class VectorStorageAllocationEnv:
         system_config: Optional[StorageSystemConfig] = None,
         reward_config: Optional[RewardConfig] = None,
         record_metrics: bool = False,
-        cache_model_factory: Optional[Callable[[], CacheModel]] = None,
     ) -> None:
         """``record_metrics`` keeps per-interval measurements for every
         slot (one column snapshot per step; ``EpisodeMetrics.intervals``
         builds the records on first read), as evaluation needs; rollout
         collection leaves it off — rewards are
         computed from the simulator core's per-step arrays either way,
-        with identical values.  ``cache_model_factory`` builds one cache
-        model per slot (each slot needs its own instance — stateful
-        models must not be shared across lockstep episodes); by default
-        the system config's model is used."""
+        with identical values."""
         self.system_config = system_config or StorageSystemConfig()
         self.system_config.validate()
         self.reward_config = reward_config or RewardConfig()
@@ -125,9 +120,7 @@ class VectorStorageAllocationEnv:
         self.action_space = ActionSpace()
         self.observation_encoder = ObservationEncoder(self.system_config)
         self._state = VectorSimulatorState(
-            self.system_config,
-            record_metrics=self.record_metrics,
-            cache_model_factory=cache_model_factory,
+            self.system_config, record_metrics=self.record_metrics
         )
         self._batch = 0
         self._makespans = np.zeros(0, dtype=int)

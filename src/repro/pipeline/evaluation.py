@@ -1,12 +1,12 @@
 """Policy evaluation: makespan measurement and controller comparison.
 
-:func:`evaluate_agent` is the sequential reference harness (one scalar
-environment, one ``agent.act`` per interval).  Everything else routes
-through the :class:`~repro.engine.evaluation.EvaluationEngine`, which
-runs the whole evaluation set in one lockstep batch per backend —
-compiled-FSM tables, batched GRU forwards or per-slot heuristic replicas
-— and is pinned bit-identical to the reference (same ``episode_seed +
-index`` seeding, same ``np.sum`` reward reduction).
+Every episode runs on the :class:`~repro.engine.evaluation.EvaluationEngine`:
+:func:`compare_agents` as one lockstep batch per agent (compiled-FSM
+tables, batched GRU forwards or per-slot heuristic replicas),
+:func:`evaluate_agent` one trace at a time (B = 1) with the caller's
+agent object doing the acting.  The two are pinned bit-identical (same
+``episode_seed + index`` seeding, same ``np.sum`` reward reduction), and
+both to a scalar ``StorageAllocationEnv`` loop in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.agents.base import Agent
+from repro.engine.backends import AgentBatchBackend
 from repro.engine.evaluation import EvaluationEngine, EvaluationResult, backend_for_agent
-from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.errors import ConfigurationError
 from repro.storage.simulator import StorageSystemConfig
@@ -48,25 +48,18 @@ def evaluate_agent(
     """
     if not traces:
         raise ConfigurationError("evaluate_agent needs at least one trace")
-    system_config = system_config or StorageSystemConfig()
+    engine = EvaluationEngine(system_config, reward_config)
+    # ``agent`` itself is the only replica: an exploring or shared-rng
+    # agent draws from its stream in trace order, and whatever ``act``
+    # counts on the caller's object is still there afterwards.
+    backend = AgentBatchBackend(lambda: agent, engine.encoder, name=agent.name)
     result = EvaluationResult(agent_name=agent.name)
     for index, trace in enumerate(traces):
-        env = StorageAllocationEnv(system_config, reward_config=reward_config)
-        observation = env.reset(trace, rng=episode_seed + index)
-        agent.reset()
-        rewards = []
-        while True:
-            step = env.step(agent.act(observation))
-            observation = step.observation
-            rewards.append(step.reward)
-            if step.done:
-                break
-        result.trace_names.append(trace.name)
-        result.makespans.append(env.simulator.makespan)
-        result.episodes.append(env.episode_metrics)
-        # Reduce exactly like Trajectory.total_reward (np.sum) so the
-        # batched path reports bit-identical totals.
-        result.total_rewards.append(float(np.asarray(rewards).sum()))
+        episode = engine.evaluate(backend, [trace], episode_seed=episode_seed + index)
+        result.trace_names += episode.trace_names
+        result.makespans += episode.makespans
+        result.episodes += episode.episodes
+        result.total_rewards += episode.total_rewards
     return result
 
 
@@ -85,8 +78,8 @@ def compare_agents(
     heuristics as per-slot replicas (see
     :func:`~repro.engine.evaluation.backend_for_agent`).  Agents the
     lockstep lift cannot reproduce bit for bit (exploring DRL agents,
-    shared-rng agents) fall back to the sequential reference harness;
-    either way the numbers are identical.
+    shared-rng agents) run one episode at a time through
+    :func:`evaluate_agent`; either way the numbers are identical.
     """
     # One engine — and therefore one default encoder and one vector env
     # — serves every routed agent in this comparison; per-agent routing

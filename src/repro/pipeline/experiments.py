@@ -2,10 +2,9 @@
 
 Each function runs a scaled-down but structurally faithful version of
 one evaluation figure and returns a plain-data result object that the
-benchmark harness prints and EXPERIMENTS.md records.  The scale knobs
-(epochs, trace counts, durations) default to values that complete in
-minutes on a laptop; passing the paper-scale values reproduces the full
-experiment.
+benchmark harness prints.  The scale knobs (epochs, trace counts,
+durations) default to values that complete in minutes on a laptop;
+passing the paper-scale values reproduces the full experiment.
 """
 
 from __future__ import annotations
@@ -56,8 +55,7 @@ def small_pipeline_config(
     At this scaled-down budget the pipeline relies on the documented
     sample-efficiency deviations (behaviour-cloning warm start from the
     greedy-utilisation heuristic, shaped bottleneck-pressure reward and a
-    conservative A2C fine-tuning learning rate); see DESIGN.md and
-    EXPERIMENTS.md.
+    conservative A2C fine-tuning learning rate).
     """
     return PipelineConfig(
         system=StorageSystemConfig(),
@@ -143,16 +141,16 @@ def run_figure3(
     standard, real = pipeline.build_workloads()
     train_real = real[: -config.num_eval_traces]
 
-    env = pipeline.make_env()
     trainer = CurriculumTrainer(
-        env, policy_config=config.policy, a2c_config=config.a2c, rng=seed
+        config.system, config.reward, policy_config=config.policy, a2c_config=config.a2c, rng=seed
     )
     _, curriculum_history = trainer.train_with_curriculum(
         list(standard.values()), train_real, config.curriculum
     )
 
     scratch_trainer = CurriculumTrainer(
-        pipeline.make_env(), policy_config=config.policy, a2c_config=config.a2c, rng=seed + 1
+        config.system, config.reward,
+        policy_config=config.policy, a2c_config=config.a2c, rng=seed + 1,
     )
     total_epochs = scratch_epochs or config.curriculum.total_epochs
     _, scratch_history = scratch_trainer.train_from_scratch(train_real, total_epochs)

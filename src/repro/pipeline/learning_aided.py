@@ -210,7 +210,8 @@ class LearningAidedPipeline:
         }
         teacher = teachers[self.config.bc_teacher]()
         trainer = BehaviorCloningTrainer(
-            self.make_env(),
+            self.config.system,
+            self.config.reward,
             ImitationConfig(epochs=self.config.bc_pretrain_epochs),
             rng=self._rngs.get("imitation"),
         )
@@ -242,12 +243,12 @@ class LearningAidedPipeline:
         train_real = real_traces[:-num_eval]
         eval_traces = real_traces[-num_eval:]
 
-        env = self.make_env()
         policy = RecurrentPolicyValueNet(self.config.policy, rng=self._rngs.get("policy"))
         if self.config.bc_pretrain_epochs > 0:
             self._behaviour_clone(policy, list(standard_traces.values()))
         trainer = CurriculumTrainer(
-            env,
+            self.config.system,
+            self.config.reward,
             policy_config=self.config.policy,
             a2c_config=self.config.a2c,
             rng=self._rngs.get("trainer"),
@@ -308,7 +309,8 @@ class LearningAidedPipeline:
         :meth:`~repro.fsm.agent.FSMPolicyAgent.compiled_routable` (the
         interpreted agent is replayed per-slot otherwise), baselines as
         per-slot replicas.  Results are keyed by agent name and
-        bit-identical to :func:`~repro.pipeline.evaluation.evaluate_agent`.
+        bit-identical to :func:`~repro.pipeline.evaluation.evaluate_agent`
+        (the same episodes one at a time).
         """
         from repro.pipeline.evaluation import compare_agents
 

@@ -314,7 +314,6 @@ def _run_training_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     config (the policy is configured via the plain ``hidden_size``)."""
     from repro.drl.a2c import A2CConfig, A2CTrainer
     from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
-    from repro.env.environment import StorageAllocationEnv
     from repro.env.reward import RewardConfig
     from repro.storage.simulator import StorageSystemConfig
 
@@ -338,13 +337,11 @@ def _run_training_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         duration=plain.get("duration", 16),
         target_load=plain.get("target_load", 1.0),
     )
-    env = StorageAllocationEnv(
-        system_config, reward_config=RewardConfig(mode="per_step_penalty"), rng=seed
-    )
     policy = RecurrentPolicyValueNet(
         PolicyConfig(hidden_size=int(plain.get("hidden_size", 16))), rng=seed
     )
-    with A2CTrainer(policy, env, config=a2c_config, rng=seed) as trainer:
+    reward_config = RewardConfig(mode="per_step_penalty")
+    with A2CTrainer(policy, system_config, reward_config, a2c_config, rng=seed) as trainer:
         history = trainer.train(traces, epochs=int(plain.get("epochs", 3)))
     makespans = history.makespans()
     rewards = [record.total_reward for record in history.records]

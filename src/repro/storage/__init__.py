@@ -20,7 +20,6 @@ from repro.storage.levels import Level, LEVELS
 from repro.storage.iorequest import IOKind, IORequestType, standard_io_types
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
 from repro.storage.cores import Core, CorePool
-from repro.storage.cache import CacheModel, ConstantCacheModel, WorkingSetCacheModel
 from repro.storage.migration import MigrationAction, ACTION_NOOP, action_name, all_actions
 from repro.storage.simulator import StorageSimulator, StorageSystemConfig
 from repro.storage.vector_state import VectorSimulatorState
@@ -36,9 +35,6 @@ __all__ = [
     "WorkloadTrace",
     "Core",
     "CorePool",
-    "CacheModel",
-    "ConstantCacheModel",
-    "WorkingSetCacheModel",
     "MigrationAction",
     "ACTION_NOOP",
     "action_name",

@@ -40,7 +40,6 @@ class IntervalMetrics:
     processed_kb: Dict[Level, float]
     backlog_kb: Dict[Level, float]
     capacity_kb: Dict[Level, float]
-    cache_miss_rate: float
     idle_cores: Dict[Level, int]
 
     @property
@@ -76,7 +75,6 @@ class StepColumns(NamedTuple):
     processed_kb: List[List[float]]
     backlog_kb: List[List[float]]
     capacity_kb: List[List[float]]
-    cache_miss_rate: List[float]
     idle_cores: List[List[int]]
 
     def interval_metrics(self, row: int) -> IntervalMetrics:
@@ -90,7 +88,6 @@ class StepColumns(NamedTuple):
             processed_kb=dict(zip(LEVELS, self.processed_kb[row])),
             backlog_kb=dict(zip(LEVELS, self.backlog_kb[row])),
             capacity_kb=dict(zip(LEVELS, self.capacity_kb[row])),
-            cache_miss_rate=self.cache_miss_rate[row],
             idle_cores=dict(zip(LEVELS, self.idle_cores[row])),
         )
 

@@ -16,7 +16,7 @@ For an interval's workload ``w(t)`` the demand placed on each level is
 * KV / RV: write requests always require key-value and resource-volume
   work (``kv_write_factor`` / ``rv_write_factor`` kilobytes of work per
   kilobyte of write payload); read requests only require KV/RV work when
-  they miss the cache (probability from the cache model), weighted by
+  they miss the cache (probability ``cache_miss_rate``), weighted by
   ``kv_read_miss_factor`` / ``rv_read_miss_factor``.
 
 Each level keeps a backlog of unfinished work; unfinished requests are
@@ -34,12 +34,11 @@ batched execution bit-identical by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.storage.cache import CacheModel, ConstantCacheModel
 from repro.storage.dispatcher import get_dispatcher
 from repro.storage.levels import LEVELS, Level
 from repro.storage.metrics import EpisodeMetrics, IntervalMetrics, StepValues
@@ -113,26 +112,9 @@ class StorageSystemConfig:
         updated.validate()
         return updated
 
-    def build_cache_model(self) -> CacheModel:
-        return ConstantCacheModel(self.cache_miss_rate)
-
     def total_capability_kb(self) -> float:
         """Ideal maximum processing capability per interval (Definition 2)."""
         return self.total_cores * self.core_capability_kb
-
-
-def incoming_work_values(
-    config: StorageSystemConfig, workload: WorkloadInterval, miss_rate: float
-) -> Tuple[float, float, float]:
-    """Per-level incoming work in LEVELS order (NORMAL, KV, RV)."""
-    read_kb = workload.read_kb()
-    write_kb = workload.write_kb()
-    missed_read_kb = read_kb * miss_rate
-    return (
-        read_kb + write_kb,
-        write_kb * config.kv_write_factor + missed_read_kb * config.kv_read_miss_factor,
-        write_kb * config.rv_write_factor + missed_read_kb * config.rv_read_miss_factor,
-    )
 
 
 class StorageSimulator:
@@ -146,7 +128,6 @@ class StorageSimulator:
     def __init__(
         self,
         config: Optional[StorageSystemConfig] = None,
-        cache_model: Optional[CacheModel] = None,
         rng: SeedLike = None,
         record_metrics: bool = True,
     ) -> None:
@@ -154,13 +135,10 @@ class StorageSimulator:
 
         self.config = config or StorageSystemConfig()
         self.config.validate()
-        self.cache_model = cache_model or self.config.build_cache_model()
         self._record_metrics = bool(record_metrics)
         self._rng = new_rng(rng)
         self._state = VectorSimulatorState(
-            self.config,
-            record_metrics=self._record_metrics,
-            cache_model_factory=lambda: self.cache_model,
+            self.config, record_metrics=self._record_metrics
         )
         self._trace: Optional[WorkloadTrace] = None
         self._last_step_values: Optional[StepValues] = None
@@ -240,8 +218,17 @@ class StorageSimulator:
     # ------------------------------------------------------------------
     def demand_for(self, interval: WorkloadInterval) -> Dict[Level, float]:
         """Kilobytes of work each level receives from ``interval``."""
-        miss_rate = self.cache_model.miss_rate(interval)
-        return dict(zip(LEVELS, incoming_work_values(self.config, interval, miss_rate)))
+        config = self.config
+        read_kb = interval.read_kb()
+        write_kb = interval.write_kb()
+        missed_read_kb = read_kb * config.cache_miss_rate
+        return {
+            Level.NORMAL: read_kb + write_kb,
+            Level.KV: write_kb * config.kv_write_factor
+            + missed_read_kb * config.kv_read_miss_factor,
+            Level.RV: write_kb * config.rv_write_factor
+            + missed_read_kb * config.rv_read_miss_factor,
+        }
 
     # ------------------------------------------------------------------
     # Stepping

@@ -47,12 +47,11 @@ without perturbing the remaining slots.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.storage.cache import CacheModel
 from repro.storage.cores import CorePool
 from repro.storage.dispatcher import get_dispatcher, replicated_pairwise_sum
 from repro.storage.levels import LEVELS
@@ -80,27 +79,21 @@ class VectorSimulatorState:
     """B-major state and vectorized update kernels for lockstep episodes.
 
     One instance is reused across resets; the batch size is set by each
-    :meth:`reset` call.  Per-slot rng streams and cache models persist
-    across resets (continuing their streams unless a reset supplies new
-    seeds), mirroring the scalar simulator's reset semantics.
+    :meth:`reset` call.  Per-slot rng streams persist across resets
+    (continuing their streams unless a reset supplies new seeds),
+    mirroring the scalar simulator's reset semantics.
     """
 
-    def __init__(
-        self,
-        config,
-        record_metrics: bool = False,
-        cache_model_factory: Optional[Callable[[], CacheModel]] = None,
-    ) -> None:
+    def __init__(self, config, record_metrics: bool = False) -> None:
         config.validate()
         self.config = config
         self._record_metrics = bool(record_metrics)
-        self._cache_model_factory = cache_model_factory or config.build_cache_model
         self._dispatch = get_dispatcher(config.dispatcher)
         self._dispatch_is_polling = config.dispatcher == "polling"
         self._capability = float(config.core_capability_kb)
         self._penalized_capability = self._capability * (1.0 - config.migration_penalty)
         self._capacity_cache: dict = {}
-        self._arange_cache: dict = {}
+        self._arange_buffer = np.arange(0)
         self._sweep_workspace = np.empty(0)
         # table[k] = numpy's pairwise sum of k full-speed capacities;
         # closed-form dispatch rows gather their level capacity totals
@@ -138,10 +131,8 @@ class VectorSimulatorState:
         # migration-candidate argmin need no validity masks.
         self._id_sentinel = 2 * config.total_cores
         self.batch = 0
-        self._cache_models: List[CacheModel] = []
         self._rngs: List[np.random.Generator] = []
         self._philox: Optional[PhiloxStreams] = None
-        self._traces: List[WorkloadTrace] = []
         self.episodes: List[EpisodeMetrics] = []
 
     # ------------------------------------------------------------------
@@ -154,12 +145,6 @@ class VectorSimulatorState:
     @property
     def num_cores(self) -> int:
         return int(self.config.total_cores)
-
-    def trace(self, slot: int) -> WorkloadTrace:
-        return self._traces[slot]
-
-    def cache_model(self, slot: int) -> CacheModel:
-        return self._cache_models[slot]
 
     def core_pool_view(self, slot: int) -> CorePool:
         """A :class:`CorePool` materialised from one slot's arrays.
@@ -232,10 +217,6 @@ class VectorSimulatorState:
                 raise SimulationError(f"trace {trace.name!r} has no intervals")
         batch = len(traces)
         self.batch = batch
-        self._traces = traces
-        while len(self._cache_models) < batch:
-            self._cache_models.append(self._cache_model_factory())
-        del self._cache_models[batch:]
         if isinstance(rngs, PhiloxStreams):
             # The fleet's counter-based streams: the batch shares one
             # stream object so idle sampling draws every slot's variates
@@ -250,14 +231,6 @@ class VectorSimulatorState:
                 for i, seed in enumerate(rngs):
                     if seed is not None:
                         self._rngs[i] = new_rng(seed)
-        for model in self._cache_models:
-            model.reset()
-        # Constant-miss fast path: when every slot's model is a constant,
-        # the whole batch's cache resolution is one array broadcast.
-        rates = [model.constant_miss_rate() for model in self._cache_models]
-        self._const_miss: Optional[np.ndarray] = (
-            np.array(rates, dtype=float) if all(r is not None for r in rates) else None
-        )
 
         lengths = np.array([len(t) for t in self.distinct_traces], dtype=np.int64)
         self.trace_len = lengths[self.trace_index]
@@ -325,7 +298,6 @@ class VectorSimulatorState:
         self._steps_elapsed = 0
         self._min_max_intervals = int(self.max_intervals.min())
         self._any_truncated = False
-        self.cache_miss = np.zeros(batch)
         self.migration_applied = np.zeros(batch, dtype=bool)
         self.episodes = [EpisodeMetrics(trace_name=t.name) for t in traces]
 
@@ -487,7 +459,6 @@ class VectorSimulatorState:
         """Add this interval's per-level demand to the backlogs (array form
         of the scalar simulator's incoming-work computation)."""
         self.incoming[rows] = 0.0
-        self.cache_miss[rows] = 0.0
         injecting = self.interval_index[rows] < self.trace_len[rows]
         if injecting.all():
             # Mid-episode fast path: every stepped slot still has trace
@@ -501,24 +472,12 @@ class VectorSimulatorState:
             if inject.size == 0:
                 return
             t = self.interval_index[inject]
-        if self._const_miss is not None:
-            miss = self._const_miss[inject]
-        else:
-            # Stateful models advance exactly once per injected interval,
-            # per slot, in slot order — matching the scalar call pattern.
-            miss = np.array(
-                [
-                    self._cache_models[slot].miss_rate(self._traces[slot][int(ti)])
-                    for slot, ti in zip(inject.tolist(), t.tolist())
-                ]
-            )
+        config = self.config
         read_kb = self._read_kb[inject, t]
         write_kb = self._write_kb[inject, t]
-        missed_read_kb = read_kb * miss
-        config = self.config
+        missed_read_kb = read_kb * config.cache_miss_rate
         if inject is rows and rows.size == self.batch:
             # Whole-batch injection: plain views instead of gather/scatter.
-            self.cache_miss[...] = miss
             incoming = self.incoming
             incoming[:, 0] = read_kb + write_kb
             incoming[:, 1] = (
@@ -531,7 +490,6 @@ class VectorSimulatorState:
             )
             self.backlog += incoming
             return
-        self.cache_miss[inject] = miss
         self.incoming[inject, 0] = read_kb + write_kb
         self.incoming[inject, 1] = (
             write_kb * config.kv_write_factor
@@ -789,13 +747,12 @@ class VectorSimulatorState:
                 self.backlog[slot, level_index] = max(0.0, pending - total_processed)
 
     def _arange(self, n: int) -> np.ndarray:
-        """Cached read-only ``np.arange(n)`` (hot-path index helper)."""
-        cached = self._arange_cache.get(n)
-        if cached is None:
-            cached = np.arange(n)
-            cached.setflags(write=False)
-            self._arange_cache[n] = cached
-        return cached
+        """Read-only ``np.arange(n)`` (hot-path index helper): a prefix of
+        one grow-only buffer, not one array per distinct ``n`` asked for."""
+        if n > self._arange_buffer.shape[0]:
+            self._arange_buffer = np.arange(n)
+            self._arange_buffer.setflags(write=False)
+        return self._arange_buffer[:n]
 
     def _uniform_capacities(self, core_count: int) -> Tuple[np.ndarray, float]:
         """Cached (read-only array, pairwise sum) of full-speed cores."""
@@ -825,7 +782,6 @@ class VectorSimulatorState:
                     self.processed,
                     self.backlog,
                     self.capacity,
-                    self.cache_miss,
                     self.idle,
                 )
             )

@@ -87,6 +87,33 @@ def env(system_config) -> StorageAllocationEnv:
 
 
 @pytest.fixture
+def scalar_episode():
+    """The oracle that is not the engine: one episode stepped on the scalar
+    ``StorageAllocationEnv`` (reset / ``agent.act`` / ``env.step``).
+
+    ``run(agent, trace, seed, system_config, reward_config=None)`` returns
+    the finished env and the normalised observations, actions and rewards.
+    """
+
+    def run(agent, trace, seed, system_config, reward_config=None):
+        env = StorageAllocationEnv(system_config, reward_config=reward_config)
+        observation = env.reset(trace, rng=seed)
+        agent.reset()
+        observations, actions, rewards = [], [], []
+        while True:
+            action = agent.act(observation)
+            observations.append(env.observation_encoder.normalize(observation))
+            actions.append(int(action))
+            step = env.step(action)
+            rewards.append(step.reward)
+            observation = step.observation
+            if step.done:
+                return env, np.stack(observations), np.array(actions), np.array(rewards)
+
+    return run
+
+
+@pytest.fixture
 def collector(system_config) -> BatchedRolloutCollector:
     """The rollout collector on the ``env`` fixture's configuration.
 

@@ -370,14 +370,17 @@ class TestBatchedTraining:
     def test_batched_update_matches_per_trajectory_update(
         self, system_config, reward_config, short_trace, collector
     ):
-        env = StorageAllocationEnv(system_config, reward_config=reward_config)
         reference_policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=16), rng=9)
         batched_policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=16), rng=9)
         (trajectory,) = collector.collect_batch(
             reference_policy, [short_trace], greedy=True, episode_rngs=[0]
         )
-        reference_trainer = A2CTrainer(reference_policy, env, A2CConfig(), rng=0)
-        batched_trainer = A2CTrainer(batched_policy, env, A2CConfig(), rng=0)
+        reference_trainer = A2CTrainer(
+            reference_policy, system_config, reward_config, A2CConfig(), rng=0
+        )
+        batched_trainer = A2CTrainer(
+            batched_policy, system_config, reward_config, A2CConfig(), rng=0
+        )
         reference_losses = _scalar_update(reference_trainer, trajectory)
         batched_losses = batched_trainer._update_from_batch([trajectory])
         for key, value in reference_losses.items():
@@ -386,10 +389,10 @@ class TestBatchedTraining:
     def test_training_with_batched_collection_runs(
         self, system_config, reward_config, real_traces
     ):
-        env = StorageAllocationEnv(system_config, reward_config=reward_config)
         policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=3)
         trainer = A2CTrainer(
-            policy, env, A2CConfig(episodes_per_epoch=3, n_step=4), rng=0
+            policy, system_config, reward_config,
+            A2CConfig(episodes_per_epoch=3, n_step=4), rng=0,
         )
         before = {k: v.copy() for k, v in policy.state_dict().items()}
         history = trainer.train(real_traces[:2], epochs=2)

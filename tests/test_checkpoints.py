@@ -6,7 +6,6 @@ import pytest
 from repro.drl.a2c import A2CConfig, A2CTrainer
 from repro.drl.checkpoints import load_policy, save_policy
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
-from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.errors import SerializationError
 
@@ -81,18 +80,16 @@ class TestCheckpointRoundtrip:
         self, checkpoint_path, system_config, real_traces
     ):
         """Training continues from a checkpoint exactly as from the live policy."""
-        env_factory = lambda: StorageAllocationEnv(
-            system_config, reward_config=RewardConfig(mode="per_step_penalty")
-        )
+        reward_config = RewardConfig(mode="per_step_penalty")
         policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=7)
-        A2CTrainer(policy, env_factory(), A2CConfig(), rng=0).train(
+        A2CTrainer(policy, system_config, reward_config, A2CConfig(), rng=0).train(
             real_traces[:2], epochs=1
         )
         save_policy(checkpoint_path, policy)
         reloaded = load_policy(checkpoint_path)
 
-        resumed_live = A2CTrainer(policy, env_factory(), A2CConfig(), rng=1)
-        resumed_ckpt = A2CTrainer(reloaded, env_factory(), A2CConfig(), rng=1)
+        resumed_live = A2CTrainer(policy, system_config, reward_config, A2CConfig(), rng=1)
+        resumed_ckpt = A2CTrainer(reloaded, system_config, reward_config, A2CConfig(), rng=1)
         history_live = resumed_live.train(real_traces[:2], epochs=1)
         history_ckpt = resumed_ckpt.train(real_traces[:2], epochs=1)
 

@@ -16,9 +16,9 @@ from repro.drl.a2c import A2CConfig, A2CTrainer, TrainingHistory
 from repro.drl.agent import DRLPolicyAgent
 from repro.drl.checkpoints import load_policy, save_policy
 from repro.drl.curriculum import CurriculumConfig, CurriculumTrainer
-from repro.drl.exploration import EpsilonSchedule
 from repro.drl.imitation import BehaviorCloningTrainer, ImitationConfig
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
+from repro.env.reward import RewardConfig
 from repro.errors import ConfigurationError, ExtractionError, TrainingError
 from repro.fsm.agent import FSMPolicyAgent
 from repro.fsm.generalize import NearestObservationMatcher
@@ -120,26 +120,13 @@ class TestRollout:
             trajectory.discounted_returns(1.5)
 
 
-class TestEpsilonSchedule:
-    def test_constant(self):
-        schedule = EpsilonSchedule(start=0.1, end=0.1, decay_epochs=0)
-        assert schedule.value(0) == schedule.value(1000) == 0.1
-
-    def test_linear_decay(self):
-        schedule = EpsilonSchedule(start=1.0, end=0.0, decay_epochs=10)
-        assert schedule.value(0) == 1.0
-        assert schedule.value(5) == pytest.approx(0.5)
-        assert schedule.value(100) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            EpsilonSchedule(start=1.5)
+PER_STEP = RewardConfig(mode="per_step_penalty")
 
 
 class TestA2CTrainer:
-    def test_training_runs_and_updates_parameters(self, env, real_traces, tiny_policy):
+    def test_training_runs_and_updates_parameters(self, system_config, real_traces, tiny_policy):
         before = {k: v.copy() for k, v in tiny_policy.state_dict().items()}
-        trainer = A2CTrainer(tiny_policy, env, A2CConfig(n_step=5), rng=0)
+        trainer = A2CTrainer(tiny_policy, system_config, PER_STEP, A2CConfig(n_step=5), rng=0)
         history = trainer.train(real_traces[:2], epochs=2, phase="unit")
         assert len(history) == 2
         assert all(r.phase == "unit" for r in history.records)
@@ -152,8 +139,8 @@ class TestA2CTrainer:
         with pytest.raises(TrainingError):
             history.final_makespan()
 
-    def test_invalid_inputs(self, env, tiny_policy, real_traces):
-        trainer = A2CTrainer(tiny_policy, env, rng=0)
+    def test_invalid_inputs(self, system_config, tiny_policy, real_traces):
+        trainer = A2CTrainer(tiny_policy, system_config, PER_STEP, rng=0)
         with pytest.raises(TrainingError):
             trainer.train([], epochs=1)
         with pytest.raises(TrainingError):
@@ -165,24 +152,29 @@ class TestA2CTrainer:
         with pytest.raises(ConfigurationError):
             A2CConfig(n_step=-1)
 
-    def test_n_step_returns_match_monte_carlo_when_long(self, env, tiny_policy):
-        trainer = A2CTrainer(tiny_policy, env, A2CConfig(gamma=0.9, n_step=100), rng=0)
+    def test_n_step_returns_match_monte_carlo_when_long(self, system_config, tiny_policy):
+        trainer = A2CTrainer(
+            tiny_policy, system_config, PER_STEP, A2CConfig(gamma=0.9, n_step=100), rng=0
+        )
         rewards = np.array([1.0, 2.0, 3.0])
         values = np.zeros(3)
         returns = trainer._n_step_returns(rewards, values)
         expected = [1.0 + 0.9 * 2 + 0.81 * 3, 2.0 + 0.9 * 3, 3.0]
         np.testing.assert_allclose(returns, expected)
 
-    def test_n_step_bootstrap_uses_value(self, env, tiny_policy):
-        trainer = A2CTrainer(tiny_policy, env, A2CConfig(gamma=1.0, n_step=1), rng=0)
+    def test_n_step_bootstrap_uses_value(self, system_config, tiny_policy):
+        trainer = A2CTrainer(
+            tiny_policy, system_config, PER_STEP, A2CConfig(gamma=1.0, n_step=1), rng=0
+        )
         returns = trainer._n_step_returns(np.array([1.0, 1.0]), np.array([5.0, 7.0]))
         np.testing.assert_allclose(returns, [1.0 + 7.0, 1.0])
 
 
 class TestCurriculumAndImitation:
-    def test_curriculum_phases_labelled(self, env, standard_suite, real_traces):
+    def test_curriculum_phases_labelled(self, system_config, standard_suite, real_traces):
         trainer = CurriculumTrainer(
-            env, policy_config=PolicyConfig(hidden_size=12), a2c_config=A2CConfig(n_step=5), rng=0
+            system_config, PER_STEP,
+            policy_config=PolicyConfig(hidden_size=12), a2c_config=A2CConfig(n_step=5), rng=0,
         )
         policy, history = trainer.train_with_curriculum(
             list(standard_suite.values())[:2],
@@ -193,9 +185,10 @@ class TestCurriculumAndImitation:
         assert phases[0] == "pretrain_standard" and phases[-1] == "finetune_real"
         assert isinstance(policy, RecurrentPolicyValueNet)
 
-    def test_from_scratch(self, env, real_traces):
+    def test_from_scratch(self, system_config, real_traces):
         trainer = CurriculumTrainer(
-            env, policy_config=PolicyConfig(hidden_size=12), a2c_config=A2CConfig(n_step=5), rng=0
+            system_config, PER_STEP,
+            policy_config=PolicyConfig(hidden_size=12), a2c_config=A2CConfig(n_step=5), rng=0,
         )
         _, history = trainer.train_from_scratch(real_traces[:1], epochs=2)
         assert len(history) == 2
@@ -205,9 +198,11 @@ class TestCurriculumAndImitation:
         with pytest.raises(ConfigurationError):
             CurriculumConfig(standard_epochs=0, real_epochs=0)
 
-    def test_behaviour_cloning_learns_teacher_actions(self, env, standard_suite):
+    def test_behaviour_cloning_learns_teacher_actions(self, system_config, standard_suite):
         policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=24), rng=3)
-        trainer = BehaviorCloningTrainer(env, ImitationConfig(epochs=6), rng=0)
+        trainer = BehaviorCloningTrainer(
+            system_config, PER_STEP, ImitationConfig(epochs=6), rng=0
+        )
         demos = trainer.collect_demonstrations(
             GreedyUtilizationPolicy(), list(standard_suite.values())[:3]
         )
@@ -217,8 +212,10 @@ class TestCurriculumAndImitation:
         assert result.losses[-1] < result.losses[0]
         assert 0.0 <= result.accuracy <= 1.0
 
-    def test_imitation_validation(self, env):
-        trainer = BehaviorCloningTrainer(env, ImitationConfig(epochs=1), rng=0)
+    def test_imitation_validation(self, system_config):
+        trainer = BehaviorCloningTrainer(
+            system_config, PER_STEP, ImitationConfig(epochs=1), rng=0
+        )
         with pytest.raises(TrainingError):
             trainer.collect_demonstrations(GreedyUtilizationPolicy(), [])
 

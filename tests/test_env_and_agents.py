@@ -98,7 +98,6 @@ class TestActionSpaceAndReward:
             processed_kb={Level.NORMAL: 80.0, Level.KV: 50.0, Level.RV: 30.0},
             backlog_kb={Level.NORMAL: 20.0, Level.KV: 0.0, Level.RV: 0.0},
             capacity_kb={Level.NORMAL: 80.0, Level.KV: 120.0, Level.RV: 120.0},
-            cache_miss_rate=0.3,
             idle_cores={Level.NORMAL: 0, Level.KV: 0, Level.RV: 0},
         )
         assert compute_step_reward(RewardConfig(mode="inverse_makespan"), metrics) == 0.0

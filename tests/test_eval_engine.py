@@ -1,16 +1,21 @@
 """Equivalence pins for the lockstep evaluation engine.
 
 The contract under test: evaluating any backend through
-:class:`repro.engine.evaluation.EvaluationEngine` is **bit-identical**
-to the sequential reference harness
-(:func:`repro.pipeline.evaluation.evaluate_agent`) — same makespans,
-same total rewards (exact float equality), same trace order — for every
-backend kind: per-slot heuristic replicas, the interpreted FSM agent,
-the compiled FSM tables and the greedy GRU.  Plus the routing rules of
-:func:`repro.engine.evaluation.backend_for_agent`.
+:class:`repro.engine.evaluation.EvaluationEngine` in one lockstep batch
+is **bit-identical** to the same episodes one at a time
+(:func:`repro.pipeline.evaluation.evaluate_agent`, B = 1 on the same
+engine) — same makespans, same total rewards (exact float equality),
+same trace order — for every backend kind: per-slot heuristic replicas,
+the interpreted FSM agent, the compiled FSM tables and the greedy GRU.
+``TestScalarOracle`` ties both to an episode loop on the scalar
+``StorageAllocationEnv`` that the engine has no part in.  Plus the
+routing rules of :func:`repro.engine.evaluation.backend_for_agent`.
 """
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +31,10 @@ from repro.engine.backends import (
     CompiledFSMBackend,
     GRUPolicyBackend,
 )
+from repro.drl.imitation import BehaviorCloningTrainer
 from repro.engine.evaluation import EvaluationEngine, backend_for_agent
 from repro.env.observation import ObservationEncoder
+from repro.env.reward import RewardConfig
 from repro.errors import ExtractionError
 from repro.fsm.agent import FSMPolicyAgent
 from repro.pipeline.evaluation import compare_agents, evaluate_agent
@@ -104,6 +111,114 @@ class TestEngineBitIdentity:
         for agent in agents:
             sequential = evaluate_agent(agent, suite_traces, episode_seed=1)
             assert_results_identical(batched[agent.name], sequential)
+
+
+class TestScalarOracle:
+    """The engine against an oracle that is not the engine."""
+
+    REWARD = RewardConfig(mode="per_step_penalty", step_penalty=0.05)
+
+    def _assert_matches_oracle(self, scalar_episode, live, twin, traces, system_config):
+        """``evaluate_agent(live)`` equals the scalar loop driven by ``twin``."""
+        result = evaluate_agent(
+            live, traces, system_config, self.REWARD, episode_seed=6
+        )
+        for index, trace in enumerate(traces):
+            env, _observations, _actions, rewards = scalar_episode(
+                twin, trace, 6 + index, system_config, self.REWARD
+            )
+            assert result.makespans[index] == env.simulator.makespan
+            assert result.total_rewards[index] == float(rewards.sum())
+            assert result.episodes[index].intervals == env.episode_metrics.intervals
+        assert result.trace_names == [trace.name for trace in traces]
+
+    def test_heuristic_matches_scalar_env(self, scalar_episode, suite_traces, system_config):
+        self._assert_matches_oracle(
+            scalar_episode,
+            GreedyUtilizationPolicy(),
+            GreedyUtilizationPolicy(),
+            suite_traces,
+            system_config,
+        )
+
+    def test_exploring_drl_agent_matches_scalar_env(
+        self, scalar_episode, suite_traces, system_config, tiny_policy
+    ):
+        encoder = ObservationEncoder(system_config)
+        live = DRLPolicyAgent(tiny_policy, encoder, epsilon=0.3, rng=3)
+        twin = DRLPolicyAgent(tiny_policy, encoder, epsilon=0.3, rng=3)
+        assert backend_for_agent(live, encoder) is None
+        self._assert_matches_oracle(scalar_episode, live, twin, suite_traces[:4], system_config)
+        # One shared exploration stream, consumed in trace order, and the
+        # last episode's hidden row: both are on the caller's object.
+        assert live._rng.bit_generator.state == twin._rng.bit_generator.state
+        assert live._rng.bit_generator.state != np.random.default_rng(3).bit_generator.state
+        np.testing.assert_array_equal(live.hidden_state, twin.hidden_state)
+
+    def test_shared_rng_agent_matches_scalar_env(
+        self, scalar_episode, suite_traces, system_config
+    ):
+        live, twin = RandomPolicy(rng=8), RandomPolicy(rng=8)
+        self._assert_matches_oracle(scalar_episode, live, twin, suite_traces[:4], system_config)
+        assert live._rng.bit_generator.state == twin._rng.bit_generator.state
+
+    def test_side_counters_land_on_the_callers_agent(
+        self, scalar_episode, suite_traces, tiny_pipeline_result, env, system_config
+    ):
+        live = tiny_pipeline_result.fsm_agent(env)
+        twin = tiny_pipeline_result.fsm_agent(env)
+        self._assert_matches_oracle(scalar_episode, live, twin, suite_traces[:3], system_config)
+        assert twin.unseen_observation_count > 0
+        assert live.unseen_observation_count == twin.unseen_observation_count
+
+    @pytest.mark.parametrize(
+        "make_teacher",
+        [
+            lambda config: GreedyUtilizationPolicy(),
+            lambda config: HandcraftedFSMPolicy(),
+            lambda config: ProportionalAllocationPolicy(config),
+        ],
+        ids=["greedy_utilization", "handcrafted_fsm", "proportional_allocation"],
+    )
+    def test_demonstrations_match_scalar_env(
+        self, scalar_episode, suite_traces, system_config, make_teacher
+    ):
+        demonstrations = BehaviorCloningTrainer(system_config).collect_demonstrations(
+            make_teacher(system_config), suite_traces, episode_seed=4
+        )
+        assert [d.trace_name for d in demonstrations] == [t.name for t in suite_traces]
+        teacher = make_teacher(system_config)
+        for index, (trace, demo) in enumerate(zip(suite_traces, demonstrations)):
+            env, observations, actions, _rewards = scalar_episode(
+                teacher, trace, 4 + index, system_config
+            )
+            assert demo.observations.tobytes() == observations.tobytes()
+            assert demo.observations.shape == observations.shape
+            assert demo.actions.tolist() == actions.tolist()
+            assert demo.makespan == env.simulator.makespan
+
+    def test_only_make_env_reaches_the_scalar_env(self):
+        """Under ``src/repro`` the scalar env is a public view, not a stage:
+        besides the two package exports, only ``LearningAidedPipeline.make_env``
+        imports it."""
+        package = Path(__file__).resolve().parents[1] / "src" / "repro"
+        importers = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                names = {alias.name for alias in node.names}
+                module = getattr(node, "module", None)
+                if (
+                    module == "repro.env.environment"
+                    or "repro.env.environment" in names
+                    or (
+                        module == "repro.env"
+                        and names & {"StorageAllocationEnv", "StepResult", "environment"}
+                    )
+                ):
+                    importers.add(path.relative_to(package).as_posix())
+        assert importers == {"__init__.py", "env/__init__.py", "pipeline/learning_aided.py"}
 
 
 class TestBackendRouting:

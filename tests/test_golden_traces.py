@@ -23,7 +23,6 @@ from repro.agents.proportional import ProportionalAllocationPolicy
 from repro.drl.a2c import A2CConfig, A2CTrainer
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import BatchedRolloutCollector, derive_episode_streams
-from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.pipeline.evaluation import compare_agents
@@ -146,9 +145,10 @@ TRAINED_SAMPLED_OBS_SUMS = [216.22897507516288, 242.64199498671888]
 @pytest.fixture(scope="module")
 def trained_policy_rollouts(system_config, real_traces):
     reward_config = RewardConfig(mode="per_step_penalty")
-    env = StorageAllocationEnv(system_config, reward_config=reward_config, rng=3)
     policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=21)
-    trainer = A2CTrainer(policy, env, A2CConfig(episodes_per_epoch=2, n_step=4), rng=9)
+    trainer = A2CTrainer(
+        policy, system_config, reward_config, A2CConfig(episodes_per_epoch=2, n_step=4), rng=9
+    )
     history = trainer.train(real_traces[:2], epochs=3)
     collector = BatchedRolloutCollector(
         VectorStorageAllocationEnv(system_config, reward_config)

@@ -14,7 +14,6 @@ from repro.drl.a2c import A2CConfig, A2CTrainer
 from repro.drl.imitation import BehaviorCloningTrainer, ImitationConfig
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import BatchedRolloutCollector
-from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ShapeError
@@ -391,11 +390,14 @@ class TestTrainingBitwiseDifferential:
         traces = list(real_traces[:2])
 
         def train():
-            env = StorageAllocationEnv(system_config, reward_config=reward, rng=3)
             policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=3)
-            cloner = BehaviorCloningTrainer(env, ImitationConfig(epochs=2), rng=5)
+            cloner = BehaviorCloningTrainer(
+                system_config, reward, ImitationConfig(epochs=2), rng=5
+            )
             cloner.fit(policy, cloner.collect_demonstrations(GreedyUtilizationPolicy(), traces))
-            A2CTrainer(policy, env, A2CConfig(episodes_per_epoch=3), rng=0).train(traces, epochs=1)
+            A2CTrainer(
+                policy, system_config, reward, A2CConfig(episodes_per_epoch=3), rng=0
+            ).train(traces, epochs=1)
             collector = BatchedRolloutCollector(
                 VectorStorageAllocationEnv(system_config, reward), rng=1
             )

@@ -22,7 +22,6 @@ from repro.drl.rollout import (
     derive_episode_streams,
 )
 from repro.drl.worker_pool import PersistentWorkerPool, shard_indices
-from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ConfigurationError, TrainingError
@@ -247,10 +246,9 @@ class TestParallelTraining:
         histories = []
         policies = []
         for workers in (1, 2):
-            env = StorageAllocationEnv(system_config, reward_config=reward_config)
             policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=3)
             with A2CTrainer(
-                policy, env,
+                policy, system_config, reward_config,
                 A2CConfig(episodes_per_epoch=3, n_step=4, rollout_workers=workers),
                 rng=0,
             ) as trainer:
@@ -270,15 +268,3 @@ class TestParallelTraining:
         with pytest.raises(ConfigurationError):
             A2CConfig(rollout_workers=0)
 
-    def test_explicit_vector_env_rejected_with_workers(
-        self, system_config, reward_config
-    ):
-        """Workers rebuild default vector envs, so an explicit one (whose
-        reward/cache config could differ) must be refused, not ignored."""
-        env = StorageAllocationEnv(system_config, reward_config=reward_config)
-        policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=8), rng=0)
-        with pytest.raises(ConfigurationError, match="vector_env"):
-            A2CTrainer(
-                policy, env, A2CConfig(rollout_workers=2),
-                vector_env=VectorStorageAllocationEnv(system_config, reward_config),
-            )

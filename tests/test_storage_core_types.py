@@ -1,10 +1,8 @@
-"""Tests for IO types, levels, cores, cache models and migration actions."""
+"""Tests for IO types, levels, cores and migration actions."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
-from repro.storage.cache import ConstantCacheModel, WorkingSetCacheModel
 from repro.storage.cores import Core, CorePool
 from repro.storage.iorequest import NUM_IO_TYPES, IOKind, IORequestType, standard_io_types
 from repro.storage.levels import LEVELS, Level
@@ -16,7 +14,6 @@ from repro.storage.migration import (
     all_actions,
     parse_action,
 )
-from repro.storage.workload import WorkloadInterval
 
 
 class TestIORequestTypes:
@@ -107,48 +104,6 @@ class TestCoreAndPool:
         assert pool.can_migrate(Level.NORMAL, Level.KV)
         assert not pool.can_migrate(Level.KV, Level.NORMAL)
         assert not pool.can_migrate(Level.KV, Level.KV)
-
-
-class TestCacheModels:
-    def _interval(self, requests=1000.0):
-        ratios = np.full(NUM_IO_TYPES, 1.0 / NUM_IO_TYPES)
-        return WorkloadInterval(ratios, requests)
-
-    def test_constant_model(self):
-        model = ConstantCacheModel(0.25)
-        assert model.miss_rate(self._interval()) == 0.25
-
-    def test_constant_model_validation(self):
-        with pytest.raises(ConfigurationError):
-            ConstantCacheModel(1.5)
-
-    def test_working_set_increases_with_load(self):
-        model = WorkingSetCacheModel(cache_capacity_kb=10_000)
-        low = model.miss_rate(self._interval(10.0))
-        model.reset()
-        high = None
-        for _ in range(10):
-            high = model.miss_rate(self._interval(100_000.0))
-        assert high > low
-
-    def test_working_set_bounded(self):
-        model = WorkingSetCacheModel(cache_capacity_kb=1.0, max_miss_rate=0.6)
-        for _ in range(20):
-            rate = model.miss_rate(self._interval(1e9))
-        assert rate <= 0.6 + 1e-9
-
-    def test_working_set_reset(self):
-        model = WorkingSetCacheModel(cache_capacity_kb=100.0)
-        for _ in range(5):
-            model.miss_rate(self._interval(1e6))
-        model.reset()
-        assert model.miss_rate(self._interval(0.0)) == pytest.approx(model.base_miss_rate)
-
-    def test_invalid_configuration(self):
-        with pytest.raises(ConfigurationError):
-            WorkingSetCacheModel(cache_capacity_kb=-1)
-        with pytest.raises(ConfigurationError):
-            WorkingSetCacheModel(base_miss_rate=0.9, max_miss_rate=0.5)
 
 
 class TestMigrationActions:

@@ -22,7 +22,6 @@ from repro.drl.a2c import A2CConfig, A2CTrainer
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import BatchedRolloutCollector
 from repro.drl.worker_pool import PersistentWorkerPool
-from repro.env.environment import StorageAllocationEnv
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ServingError
 from repro.telemetry import (
@@ -348,10 +347,10 @@ class TestComponentIntegration:
         """The trainer's multi-process path ships worker telemetry home:
         the parent never steps an environment itself, yet its registry
         ends up with the workers' rollout counters."""
-        env = StorageAllocationEnv(system_config, reward_config=reward_config)
         policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=3)
         with A2CTrainer(
-            policy, env, A2CConfig(episodes_per_epoch=3, rollout_workers=2), rng=0
+            policy, system_config, reward_config,
+            A2CConfig(episodes_per_epoch=3, rollout_workers=2), rng=0,
         ) as trainer:
             trainer.train(real_traces[:2], epochs=2)
         snapshot = telemetry.registry().snapshot()

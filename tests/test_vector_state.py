@@ -281,6 +281,27 @@ class TestRowRegimes:
         widest = 2 * max(swept_rows) * 3 * state._level_capacity
         assert state._sweep_workspace.size <= widest
 
+    def test_index_helper_keeps_one_buffer(self, real_traces):
+        """The migrating-row count ``m`` changes every interval and the
+        migration kernel asks for ``arange(m)`` and ``arange(2 * m)``: the
+        helper hands out read-only prefixes of one grow-only buffer, not one
+        array per ``n`` ever asked for (a 4 096-slot shard would keep ~8 000)."""
+        batch = 512
+        state = VectorSimulatorState(StorageSystemConfig(), record_metrics=False)
+        state.reset(_batch_traces(real_traces, batch), rngs=list(range(batch)))
+        helper, asked = state._arange, set()
+        state._arange = lambda n: asked.add(n) or helper(n)
+        rng = np.random.default_rng(9)
+        while not state.done.all():
+            state.step(rng.integers(0, 7, size=batch) * ~state.done)
+        assert len(asked) > 32
+        buffer = state._arange_buffer
+        assert buffer.shape == (max(asked),)
+        for n in asked:
+            prefix = helper(n)
+            assert prefix.base is buffer and not prefix.flags.writeable
+            np.testing.assert_array_equal(prefix, np.arange(n))
+
 
 class TestBatchLifecycle:
     def test_all_finished_mask_is_a_noop(self, real_traces):

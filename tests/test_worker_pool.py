@@ -35,7 +35,6 @@ from repro.drl.curriculum import CurriculumConfig, CurriculumTrainer
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import BatchedRolloutCollector, derive_episode_streams
 from repro.drl.worker_pool import PersistentWorkerPool
-from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import TrainingError
@@ -273,9 +272,9 @@ class TestTrainerIntegration:
         from the pool's finalizer, which only runs when the garbage
         collector gets to it."""
         monkeypatch.delattr(PersistentWorkerPool, "__del__")
-        env = StorageAllocationEnv(system_config, reward_config=reward_config)
         trainer = CurriculumTrainer(
-            env,
+            system_config,
+            reward_config,
             PolicyConfig(hidden_size=8),
             A2CConfig(episodes_per_epoch=2, rollout_workers=2),
             rng=0,
