@@ -9,7 +9,8 @@ decision is
 
 1. one batched QBN-encoder pass turning normalised observations into
    discrete codes (two small matmuls through the batch-size-stable
-   kernel),
+   kernel) — over the batch's distinct rows only, since nodes in the
+   same state submit byte-identical rows,
 2. one hash lookup per row mapping the code to an observation column;
    rows with an unseen code share one nearest-prototype resolution — a
    single gemm whose clear winners are certified against the reference
@@ -52,6 +53,32 @@ ARTIFACT_FORMAT_VERSION = 1
 # Packed-key observation lookup is only sound while base-k positional
 # packing of a whole code fits an int64 (it is injective there).
 _PACK_LIMIT = 2 ** 62
+
+# Odd multiplier of the row hash (column j weighted by its (j+1)-th power,
+# mod 2^64); the hash only orders a batch's rows for deduplication.
+_ROW_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
+
+
+def _distinct_rows(rows: np.ndarray, weights: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """One representative per distinct row of a C-contiguous float64 batch.
+
+    Returns ``(first, inverse)`` with ``rows[first][inverse]`` equal to
+    ``rows`` byte for byte.  Rows are sorted by the multiply-sum of their
+    bit patterns with the uint64 ``weights``, and a group is a run of
+    neighbours in that order whose bytes are all equal: a hash collision
+    can split a group but never merge two different rows (``0.0`` and
+    ``-0.0``, or two NaN payloads, stay apart), and the rows of a group
+    are the same bytes.
+    """
+    bits = rows.view(np.uint64)
+    order = np.argsort(np.einsum("ij,j->i", bits, weights))
+    ordered = bits[order]
+    starts = np.empty(order.shape[0], dtype=bool)
+    starts[:1] = True
+    np.logical_or.reduce(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.add.accumulate(starts, dtype=np.intp) - 1
+    return order[starts], inverse
 
 
 def _quantize_tanh(pre_activation: np.ndarray, k: int) -> np.ndarray:
@@ -217,12 +244,13 @@ class CompiledFSMPolicy:
             }
         self.fallback_count = 0
         self.decision_count = 0
-        # Single-entry per-batch-size workspaces: steady-state serving
-        # reuses one batch size, so the hot path stays allocation-free
-        # while a fluctuating caller's memory stays bounded (the entry
-        # is replaced, not accumulated, when the batch size changes).
-        self._buffers: "tuple[int, np.ndarray, np.ndarray] | None" = None
-        self._code_workspace: "tuple[int, np.ndarray, np.ndarray] | None" = None
+        # Encoder buffers (hidden, pre-latent, codes, flags): grow-only, used
+        # through ``[:n]`` row prefixes, so a row count that changes every
+        # call reallocates only when it exceeds the largest seen so far.
+        self._workspace: "list[np.ndarray]" = []
+        self._row_hash_weights = np.cumprod(
+            np.full(self.observation_dim, _ROW_HASH_MULTIPLIER, dtype=np.uint64)
+        )
         # Pre-activation quantisation thresholds (None -> reference path).
         self._latent_thresholds = _tanh_code_thresholds(self.quantization_levels)
 
@@ -384,12 +412,11 @@ class CompiledFSMPolicy:
         comparisons (see :func:`_tanh_code_thresholds`; the reference
         sequence runs when verification rejected the thresholds).
         """
-        pre_latent = self._pre_latent(normalized)
+        pre_latent, codes, flags = self._pre_latent(self._checked_batch(normalized))
         if self._latent_thresholds is not None:
             # Verified pre-activation thresholds: the latent tanh, clip
             # and level scan collapse into k-1 comparisons (buffered —
             # the result is consumed within the same decision).
-            codes, flags = self._code_buffers(pre_latent.shape)
             np.greater_equal(pre_latent, self._latent_thresholds[0], out=flags)
             codes[...] = flags
             for threshold in self._latent_thresholds[1:]:
@@ -410,10 +437,9 @@ class CompiledFSMPolicy:
         threshold's flag matrix contracts directly against the pack
         vector without building the (B, L) code array first.
         """
-        pre_latent = self._pre_latent(normalized)
+        pre_latent, _codes, flags = self._pre_latent(normalized)
         if self._latent_thresholds is None:
             return _quantize_tanh(pre_latent, self.quantization_levels) @ self._pack_vector
-        _codes, flags = self._code_buffers(pre_latent.shape)
         np.greater_equal(pre_latent, self._latent_thresholds[0], out=flags)
         packed = flags @ self._pack_vector
         for threshold in self._latent_thresholds[1:]:
@@ -421,56 +447,62 @@ class CompiledFSMPolicy:
             packed += flags @ self._pack_vector
         return packed
 
-    def _code_buffers(self, shape: "tuple[int, int]") -> "tuple[np.ndarray, np.ndarray]":
-        workspace = self._code_workspace
-        if workspace is None or workspace[0] != shape[0]:
-            workspace = (
-                shape[0],
-                np.empty(shape, dtype=np.int64),
-                np.empty(shape, dtype=bool),
-            )
-            self._code_workspace = workspace
-        return workspace[1], workspace[2]
-
-    def _pre_latent(self, normalized: np.ndarray) -> np.ndarray:
-        """Latent pre-activations (B, L) via the batch-size-stable kernels."""
-        normalized = np.asarray(normalized, dtype=float)
+    def _checked_batch(self, normalized: np.ndarray) -> np.ndarray:
+        """``normalized`` as a C-contiguous (B, observation_dim) float64 array."""
+        normalized = np.ascontiguousarray(normalized, dtype=float)
         if normalized.ndim != 2 or normalized.shape[1] != self.observation_dim:
             raise ConfigurationError(
                 f"expected (B, {self.observation_dim}) normalised "
                 f"observations, got shape {normalized.shape}"
             )
-        batch = normalized.shape[0]
-        buffers = self._buffers
-        if buffers is None or buffers[0] != batch:
-            buffers = (
-                batch,
-                np.empty((batch, self._w1.shape[1])),
-                np.empty((batch, self._w2.shape[1])),
-            )
-            self._buffers = buffers
-        hidden, pre_latent = buffers[1], buffers[2]
+        return normalized
+
+    def _pre_latent(self, normalized: np.ndarray) -> "tuple[np.ndarray, ...]":
+        """Latent pre-activations (B, L) via the batch-size-stable kernels.
+
+        Returns ``(pre_latent, codes, flags)``: ``B``-row prefixes of the
+        grow-only workspace, the last two free for the quantisation step.
+        """
+        rows = normalized.shape[0]
+        if not self._workspace or rows > self._workspace[0].shape[0]:
+            latent = self._w2.shape[1]
+            self._workspace = [
+                np.empty((rows, self._w1.shape[1])),
+                np.empty((rows, latent)),
+                np.empty((rows, latent), dtype=np.int64),
+                np.empty((rows, latent), dtype=bool),
+            ]
+        hidden, pre_latent, codes, flags = [buffer[:rows] for buffer in self._workspace]
         matmul_rows_np(normalized, self._w1, out=hidden)
         hidden += self._b1
         np.tanh(hidden, out=hidden)
         matmul_rows_np(hidden, self._w2, out=pre_latent)
         pre_latent += self._b2
-        return pre_latent
+        return pre_latent, codes, flags
 
     def resolve_observations(self, normalized: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
         """Map normalised observations to observation columns.
 
-        Returns ``(columns, fallback_mask)``.  A code that quantises to a
-        known *prototype* resolves directly; anything else goes through
-        the shared nearest-prototype resolution (when prototypes exist:
-        all fallback rows in one ``nearest_prototype_rows`` call, the
-        certified gemm filter with the reference behind it) or to the
-        ``-1`` self-loop sentinel (when none do) — mirroring
-        ``FSMPolicyAgent``'s known/unseen split bit for bit.
+        Returns ``(columns, fallback_mask)``.  Each distinct row of the
+        batch is resolved once (:func:`_distinct_rows`) and its answer
+        gathered back to every row repeating it — exact, because the
+        encoder's matmul rows do not depend on how many rows the kernel
+        sees and every later step works row by row; ``fallback_count``
+        still grows by every fallback row of the batch.  A code that
+        quantises to a known *prototype* resolves directly; anything else
+        goes through the shared nearest-prototype resolution (when
+        prototypes exist: all fallback rows in one
+        ``nearest_prototype_rows`` call, the certified gemm filter with
+        the reference behind it) or to the ``-1`` self-loop sentinel (when
+        none do) — mirroring ``FSMPolicyAgent``'s known/unseen split bit
+        for bit.
         """
-        batch = normalized.shape[0]
+        normalized = self._checked_batch(normalized)
+        first, inverse = _distinct_rows(normalized, self._row_hash_weights)
+        distinct = normalized[first]
+        count = distinct.shape[0]
         if self._pack_vector is not None and self.num_observations:
-            packed = self._encode_packed(normalized)
+            packed = self._encode_packed(distinct)
             positions = self._sorted_keys.searchsorted(packed)
             np.minimum(positions, self._sorted_keys.shape[0] - 1, out=positions)
             found = self._sorted_keys[positions] == packed
@@ -484,28 +516,29 @@ class CompiledFSMPolicy:
                 fallback = (~found) | (columns >= self.num_prototypes)
             else:
                 columns = np.where(found, columns, -1)
-                fallback = np.zeros(batch, dtype=bool)
+                fallback = np.zeros(count, dtype=bool)
         else:
-            codes = self.encode_codes(normalized)
+            codes = self.encode_codes(distinct)
             lookup = self._code_to_column or {}
             columns = np.fromiter(
-                (lookup.get(codes[i].tobytes(), -1) for i in range(batch)),
+                (lookup.get(codes[i].tobytes(), -1) for i in range(count)),
                 dtype=np.int64,
-                count=batch,
+                count=count,
             )
             if self.num_prototypes > 0:
                 fallback = (columns < 0) | (columns >= self.num_prototypes)
             else:
                 # No prototypes to fall back to: transition-only codes
                 # resolve exactly, truly unknown codes self-loop (-1).
-                fallback = np.zeros(batch, dtype=bool)
+                fallback = np.zeros(count, dtype=bool)
         if fallback.any():
             rows = np.nonzero(fallback)[0]
             columns[rows] = nearest_prototype_rows(
-                self.prototype_matrix, normalized[rows], self.metric
+                self.prototype_matrix, distinct[rows], self.metric
             )
-            self.fallback_count += int(rows.shape[0])
-        return columns, fallback
+        fallback = fallback[inverse]
+        self.fallback_count += int(np.count_nonzero(fallback))
+        return columns[inverse], fallback
 
     def act_batch(
         self, normalized: np.ndarray, states: np.ndarray
@@ -533,14 +566,6 @@ class CompiledFSMPolicy:
         return CompiledDecision(
             actions=actions, next_states=next_states, fallback_mask=fallback
         )
-
-    def act(self, normalized: np.ndarray, state: int) -> "tuple[int, int]":
-        """Single-session convenience wrapper: returns (action, next_state)."""
-        decision = self.act_batch(
-            np.asarray(normalized, dtype=float)[None, :],
-            np.array([state], dtype=np.int64),
-        )
-        return int(decision.actions[0]), int(decision.next_states[0])
 
     # ------------------------------------------------------------------
     # Persistence

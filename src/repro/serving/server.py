@@ -428,8 +428,9 @@ class PolicyServer:
         Slots must be open, distinct and of the expected generation
         (``unique=True`` sorts the batch — it never scans the table
         capacity), and ``raw`` must hold one ``OBSERVATION_DIM`` row per
-        slot.  Every entry point validates here and differs only in what
-        it does with the wave: queue it or serve it.
+        slot, every value finite: one NaN would stay in a GRU session's
+        hidden row for good.  Every entry point validates here and
+        differs only in what it does with the wave: queue it or serve it.
         """
         slots = self.table.checked_slots(
             session_ids, unique=True, expected_generation=expected_generation
@@ -445,6 +446,8 @@ class PolicyServer:
                 f"raw matrix must have {OBSERVATION_DIM} columns "
                 f"(one observation per row), got {raw.shape[1]}"
             )
+        if not np.isfinite(raw).all():
+            raise ConfigurationError("raw matrix holds a non-finite value (NaN or inf)")
         return slots, raw
 
     def _decide(self, slots: np.ndarray, raw: np.ndarray) -> np.ndarray:

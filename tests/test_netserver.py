@@ -786,6 +786,37 @@ class TestDecideBlocks:
 
         asyncio.run(scenario())
 
+    def test_non_finite_block_is_a_bad_request(self, serving_env, observation_stream):
+        """A NaN in a block is refused as a whole, and the GRU sessions it
+        named keep deciding like sessions that never saw it."""
+
+        async def scenario():
+            policy = _gru_policy()
+            encoder = serving_env.observation_encoder
+            server = PolicyServer(GRUPolicyBackend(policy), encoder, max_batch_size=1024)
+            reference = PolicyServer(GRUPolicyBackend(policy), encoder)
+            reference_ids = reference.open_sessions(2)
+            netserver = PolicyNetServer(server, flush_interval=0.001)
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                async with await PolicyClient.connect_unix(socket_path) as client:
+                    handles = np.array(await client.open(2))
+                    poisoned = observation_stream[:2].copy()
+                    poisoned[1, 0] = np.nan
+                    with pytest.raises(ServingError, match="BAD_REQUEST.*non-finite"):
+                        await client.decide_many(handles[:, 0], handles[:, 1], poisoned)
+                    assert server.pending == 0 and server.stats().decisions == 0
+                    for step in range(3):
+                        rows = observation_stream[step : step + 2]
+                        actions = await client.decide_many(handles[:, 0], handles[:, 1], rows)
+                        assert actions.tolist() == reference.decide_now(
+                            reference_ids, rows
+                        ).tolist()
+                    assert np.isfinite(server.table.hidden[handles[:, 0]]).all()
+                await netserver.drain()
+
+        asyncio.run(scenario())
+
     def test_block_resolved_across_two_flushes_settles_once(
         self, compiled_policy, serving_env, observation_stream
     ):

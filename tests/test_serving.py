@@ -243,6 +243,15 @@ class TestCompiledArtifact:
             assert single.next_states[0] == wide.next_states[0]
             assert single.fallback_mask[0] == wide.fallback_mask[0]
 
+    def test_encoder_workspace_is_grow_only(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        """Smaller batches reuse a prefix of the buffers a larger one grew."""
+        normalized = serving_env.observation_encoder.normalize_batch(observation_stream)
+        wide = compiled_policy.encode_codes(normalized)
+        for rows in (1, 3, len(normalized) - 1):
+            assert np.shares_memory(compiled_policy.encode_codes(normalized[:rows]), wide)
+
     def test_encoder_compatibility_stamp(self, compiled_policy, serving_env):
         assert compiled_policy.matches_encoder(serving_env.observation_encoder)
         from repro.env.observation import ObservationEncoder
@@ -530,6 +539,44 @@ class TestPolicyServerLifecycleBugs:
         with pytest.raises(ConfigurationError, match="duplicate"):
             server.close_sessions([session, session])
         assert server.table.num_active == 1
+
+
+class TestNonFiniteObservations:
+    """A wave holding NaN or inf is refused before any row is queued: one
+    NaN reaching a GRU session's hidden row stays there, and every later
+    decision of that session on finite input comes back as action 0."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", ["decide_now", "submit_many", "submit"])
+    def test_refused_and_the_session_keeps_serving(
+        self, serving_env, observation_stream, entry, value
+    ):
+        encoder = serving_env.observation_encoder
+        policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=16), rng=5)
+        server = PolicyServer(GRUPolicyBackend(policy), encoder)
+        control = PolicyServer(GRUPolicyBackend(policy), encoder)
+        ids, control_ids = server.open_sessions(2), control.open_sessions(2)
+        server.decide_now(ids, observation_stream[:2])
+        control.decide_now(control_ids, observation_stream[:2])
+        hidden = server.table.hidden[ids].copy()
+        poisoned = observation_stream[2:4].copy()
+        poisoned[0, 3] = value
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            if entry == "decide_now":
+                server.decide_now(ids, poisoned)
+            elif entry == "submit_many":
+                server.submit_many(ids, poisoned)
+            else:
+                server.submit(int(ids[0]), poisoned[0])
+        assert server.pending == 0
+        assert server.stats().decisions == 2
+        assert server.table.hidden[ids].tobytes() == hidden.tobytes()
+        for step in range(2, 6):
+            clean = observation_stream[step : step + 2]
+            assert np.array_equal(
+                server.decide_now(ids, clean), control.decide_now(control_ids, clean)
+            )
+        assert np.isfinite(server.table.hidden[ids]).all()
 
 
 class TestSubmitManyAndCancel:

@@ -9,6 +9,8 @@ composition, session interleaving or slot reuse.  Exercised across
 seeded random machines (known codes, fallback codes, transition-only
 codes, missing start states) and observation streams from *all* standard
 workload profiles, plus the real artefacts of an extracted pipeline run.
+``TestDistinctRowsBitwise`` pins the batch side of that: a batch that
+repeats rows resolves exactly like its rows one at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.engine import compiled_fsm
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.fsm.agent import FSMPolicyAgent
@@ -292,3 +296,118 @@ class TestCompiledEquivalence:
                 for i in range(len(streams))
             ]
             assert decision.actions.tolist() == expected
+
+
+@pytest.fixture(scope="module")
+def row_pool(profile_streams, shared_encoder) -> np.ndarray:
+    """Real observation rows, then copies of one of them salted with near misses."""
+    real = np.concatenate(
+        [shared_encoder.normalize_batch(profile_streams[n][:6]) for n in profile_names()]
+    )
+    salted = np.tile(real[0], (8, 1))
+    salted[0, 3], salted[1, 3] = 0.0, -0.0
+    salted[2, 5] = np.nan
+    salted[3, 5:6] = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)
+    salted[4, 7], salted[5, 7] = np.inf, -np.inf
+    salted[6, 9] = np.nextafter(real[0, 9], np.inf)
+    salted[7, 9] = np.nextafter(real[0, 9], -np.inf)
+    pool = np.concatenate([real, salted])
+    # Every salted row differs from the others by its bytes alone.
+    assert len(np.unique(pool[-8:].view(np.uint64), axis=0)) == 8
+    return pool
+
+
+@pytest.fixture(scope="module", params=[True, False], ids=["prototypes", "no-prototypes"])
+def dedup_policy(request, row_pool, shared_encoder):
+    qbn = build_observation_qbn(35, latent_dim=OBS_LATENT, hidden_dim=16, rng=11)
+    fsm = make_random_machine(4000, qbn, row_pool[:-8], with_prototypes=request.param)
+    return CompiledFSMPolicy.compile(fsm, qbn, encoder=shared_encoder)
+
+
+def _representatives(policy, batch: np.ndarray) -> int:
+    """How many rows of ``batch`` the policy encodes; checks they regroup to it."""
+    first, inverse = compiled_fsm._distinct_rows(batch, policy._row_hash_weights)
+    assert batch[first][inverse].tobytes() == batch.tobytes()
+    return len(first)
+
+
+class TestDistinctRowsBitwise:
+    """A batch resolves exactly like its rows one at a time.
+
+    ``resolve_observations`` encodes each distinct row of a batch once and
+    gathers the answers back; a B = 1 call has nothing to share, so the
+    stacked B = 1 calls are the reference — columns, fallback masks,
+    ``fallback_count`` and the ``act_batch`` successors.
+    """
+
+    @staticmethod
+    def _assert_equals_rows_alone(policy, batch, states):
+        with np.errstate(all="ignore"):
+            count = policy.fallback_count
+            columns, fallback = policy.resolve_observations(batch)
+            batch_delta = policy.fallback_count - count
+            alone = [policy.resolve_observations(row[None]) for row in batch]
+            alone_delta = policy.fallback_count - count - batch_delta
+            decision = policy.act_batch(batch, states)
+            steps = [
+                policy.act_batch(row[None], state[None])
+                for row, state in zip(batch, states)
+            ]
+        assert columns.dtype == np.int64 and fallback.dtype == bool
+        np.testing.assert_array_equal(columns, np.concatenate([c for c, _ in alone]))
+        np.testing.assert_array_equal(fallback, np.concatenate([f for _, f in alone]))
+        assert batch_delta == alone_delta == int(fallback.sum())
+        np.testing.assert_array_equal(
+            decision.next_states, np.concatenate([s.next_states for s in steps])
+        )
+        np.testing.assert_array_equal(
+            decision.actions, np.concatenate([s.actions for s in steps])
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batch_equals_stacked_single_rows(self, dedup_policy, row_pool, data):
+        pool = data.draw(
+            st.lists(st.integers(0, len(row_pool) - 1), min_size=1, max_size=40, unique=True),
+            label="pool",
+        )
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300), label="batch")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="states seed")
+        batch = row_pool[picks]
+        states = np.random.default_rng(seed).integers(dedup_policy.num_states, size=len(picks))
+        distinct = len(np.unique(batch.view(np.uint64), axis=0))
+        assert _representatives(dedup_policy, batch) == distinct
+        self._assert_equals_rows_alone(dedup_policy, batch, states)
+
+    def test_one_distinct_row(self, dedup_policy, row_pool):
+        """Seven copies: one representative, through the padded M = 1 matmul."""
+        for row in row_pool[[0, -8, -7, -6, -4, -1]]:
+            batch = np.tile(row, (7, 1))
+            assert _representatives(dedup_policy, batch) == 1
+            states = np.arange(7) % dedup_policy.num_states
+            self._assert_equals_rows_alone(dedup_policy, batch, states)
+
+    def test_all_rows_distinct(self, dedup_policy, row_pool):
+        distinct = np.unique(row_pool.view(np.uint64), axis=0).view(np.float64)
+        batch = distinct[np.random.default_rng(1).permutation(len(distinct))]
+        assert _representatives(dedup_policy, batch) == len(batch)
+        states = np.arange(len(batch)) % dedup_policy.num_states
+        self._assert_equals_rows_alone(dedup_policy, batch, states)
+
+    def test_single_row(self, dedup_policy, row_pool):
+        for index in range(len(row_pool)):
+            self._assert_equals_rows_alone(
+                dedup_policy, row_pool[index : index + 1], np.array([dedup_policy.start_state])
+            )
+
+    def test_every_hash_colliding_changes_nothing(self, dedup_policy, row_pool, monkeypatch):
+        """The hash only orders rows: with every row colliding, the groups
+        are still runs of byte-equal rows and every answer stays the same."""
+        zeros = np.zeros(dedup_policy.observation_dim, dtype=np.uint64)
+        monkeypatch.setattr(dedup_policy, "_row_hash_weights", zeros)
+        rng = np.random.default_rng(3)
+        for size in (2, 17, 300):
+            batch = row_pool[rng.integers(len(row_pool), size=size)]
+            _representatives(dedup_policy, batch)
+            states = rng.integers(dedup_policy.num_states, size=size)
+            self._assert_equals_rows_alone(dedup_policy, batch, states)
