@@ -235,28 +235,19 @@ class A2CTrainer:
     def _update_from_batch(self, trajectories: Sequence[Trajectory]) -> Dict[str, float]:
         """One gradient update over a padded, masked batch of episodes.
 
-        The recurrent forward pass runs once per interval with a
-        ``(B, obs_dim)`` observation batch; padded positions never enter
-        the losses (they are dropped by indexing with the batch's valid
-        positions).  A single trajectory is the B = 1 case: the update
-        a step-by-step loop over unbatched ``(obs_dim,)`` rows computes.
+        The recurrent network runs over the ``(T, B, obs_dim)`` batch as
+        one node (:meth:`RecurrentPolicyValueNet.unroll`); padded
+        positions never enter the losses (they are dropped by indexing
+        with the batch's valid positions).  A single trajectory is the
+        B = 1 case.
         """
         batch = TrajectoryBatch.from_trajectories(trajectories)
         horizon, width = batch.max_steps, batch.batch_size
 
-        hidden = self.policy.initial_state(width)
-        logit_steps: List[Tensor] = []
-        value_steps: List[Tensor] = []
-        for t in range(horizon):
-            logits, value, hidden = self.policy.step(Tensor(batch.observations[t]), hidden)
-            logit_steps.append(logits)
-            value_steps.append(value)
-        logits_stack = Tensor.stack(logit_steps, axis=0)                  # (T, B, A)
-        values_stack = Tensor.stack(value_steps, axis=0).reshape(horizon, width)
-
+        logits_steps, value_steps = self.policy.unroll(batch.observations, values=True)
         time_idx, env_idx = batch.valid_positions()
-        logits_matrix = logits_stack[time_idx, env_idx]                   # (N, A)
-        values_vector = values_stack[time_idx, env_idx]                   # (N,)
+        logits_matrix = logits_steps[time_idx, env_idx]                   # (N, A)
+        values_vector = value_steps[time_idx, env_idx]                    # (N,)
         values_np = values_vector.numpy()
         actions = batch.actions[time_idx, env_idx]
 

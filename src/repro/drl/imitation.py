@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.agents.base import Agent
 from repro.autograd import functional as F
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, no_grad
 from repro.drl.policy import RecurrentPolicyValueNet
 from repro.engine.backends import AgentBatchBackend
 from repro.engine.evaluation import EvaluationEngine
@@ -164,13 +164,7 @@ class BehaviorCloningTrainer:
             epoch_losses: List[float] = []
             for index in order:
                 demo = demonstrations[index]
-                hidden = policy.initial_state()
-                logit_rows = []
-                for t in range(len(demo)):
-                    logits, _value, hidden = policy.step(Tensor(demo.observations[t]), hidden)
-                    logit_rows.append(logits)
-                logits_matrix = Tensor.stack(logit_rows, axis=0)
-                log_probs = F.log_softmax(logits_matrix, axis=-1)
+                log_probs = F.log_softmax(policy.unroll(demo.observations), axis=-1)
                 nll = F.nll_of_actions(log_probs, demo.actions)
                 weights = class_weights[demo.actions]
                 loss = (nll * Tensor(weights)).sum() * (1.0 / max(weights.sum(), 1e-9))
@@ -203,16 +197,11 @@ class BehaviorCloningTrainer:
         policy: RecurrentPolicyValueNet, demonstrations: Sequence[Demonstration]
     ) -> float:
         """Fraction of expert decisions reproduced by the greedy policy."""
-        from repro.autograd.tensor import no_grad
-
         correct = 0
         total = 0
         with no_grad():
             for demo in demonstrations:
-                hidden = policy.initial_state()
-                for t in range(len(demo)):
-                    logits, _value, hidden = policy.step(Tensor(demo.observations[t]), hidden)
-                    if int(np.argmax(logits.numpy())) == int(demo.actions[t]):
-                        correct += 1
-                    total += 1
+                logits = policy.unroll(demo.observations).data
+                correct += int((np.argmax(logits, axis=1) == demo.actions).sum())
+                total += len(demo)
         return correct / total if total else 0.0

@@ -18,6 +18,8 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.env.observation import OBSERVATION_DIM
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn import GRUCell, Linear, Module
+from repro.nn.linear import accumulate_steps, input_grad, matmul_steps
+from repro.nn.rnn import Unrolled
 from repro.storage.migration import NUM_ACTIONS
 from repro.utils.rng import SeedLike, new_rng
 
@@ -109,6 +111,49 @@ class RecurrentPolicyValueNet(Module):
         logits = self.policy_head(next_hidden)
         value = self.value_head(next_hidden)
         return logits, value, next_hidden
+
+    def unroll(
+        self, observations: np.ndarray, values: bool = False
+    ) -> Union[Tensor, Tuple[Tensor, Tensor]]:
+        """Run the network over whole sequences from a zero state as one node.
+
+        ``observations`` is a ``(T, D)`` demonstration or a ``(T, B, D)``
+        padded batch.  Returns the per-step logits ``(T, [B,] A)`` and,
+        with ``values``, the per-step values ``(T, [B])``: the bits of
+        ``T`` chained :meth:`step` calls, outputs and every gradient.  The
+        backward runs the heads' backward for steps ``1 .. T``, then the
+        GRU steps ``T .. 1`` (:class:`~repro.nn.rnn.Unrolled`), the order
+        that chain's graph applies them in.  Without ``values`` the value
+        head is left out of the node and its gradients untouched.
+        """
+        observations = np.asarray(observations, dtype=np.float64)
+        run = Unrolled(
+            self.gru, observations, np.zeros(observations.shape[1:-1] + (self.config.hidden_size,))
+        )
+        hidden = run.hiddens[1:]
+        heads = (self.policy_head, self.value_head) if values else (self.policy_head,)
+        data = np.concatenate(
+            [matmul_steps(hidden, head.weight.data) + head.bias.data for head in heads], axis=-1
+        )
+
+        def backward(grad: np.ndarray) -> None:
+            hidden_grad, start = None, 0
+            for head in heads:
+                head_grad = np.ascontiguousarray(grad[..., start : start + head.out_features])
+                start += head.out_features
+                accumulate_steps(head.bias, head_grad)
+                accumulate_steps(head.weight, head_grad, hidden)
+                weight = head.weight.data
+                step_grads = np.stack([input_grad(g, weight) for g in head_grad])
+                hidden_grad = step_grads if hidden_grad is None else hidden_grad + step_grads
+            run.backward(hidden_grad)
+
+        parents = tuple(param for module in (self.gru, *heads) for param in module.parameters())
+        out = Tensor._make(data, parents, backward)
+        if not values:
+            return out
+        actions = self.config.num_actions
+        return out[..., :actions], out[..., actions]
 
     # ------------------------------------------------------------------
     # Inference interface (used by rollouts, evaluation and QBN datasets)

@@ -8,6 +8,8 @@ run in — so a trained weight has the same bits as one trained op by op
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.autograd.functional import matmul_rows_np
@@ -25,6 +27,14 @@ def matmul_np(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a @ w
 
 
+def input_grad(grad: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``grad @ w.T``, the gradient of ``a`` in ``a @ w``, on :meth:`Tensor.matmul`'s
+    route: a 1-d row as a (1, n) matrix, so M = 1 stays on BLAS's gemv."""
+    if grad.ndim == 1:
+        return (grad.reshape(1, -1) @ w.T).reshape(-1)
+    return grad @ w.T
+
+
 def matmul_backward(a: Tensor, w: Tensor, grad: np.ndarray) -> None:
     """The backward of the node ``a @ w``: sum into ``a``, then into ``w``.
 
@@ -33,17 +43,49 @@ def matmul_backward(a: Tensor, w: Tensor, grad: np.ndarray) -> None:
     entry is the single product ``a[i] * grad[j]`` either way (a K = 1
     gemm has nothing to sum), differing at most in the sign of a zero.
     """
-    a_data, w_data = a.data, w.data
-    if a_data.ndim == 1:
-        if a.requires_grad:
-            a._accumulate((grad.reshape(1, -1) @ w_data.T).reshape(a_data.shape))
-        if w.requires_grad:
-            w._accumulate(a_data[:, None] * grad)
-        return
     if a.requires_grad:
-        a._accumulate(grad @ w_data.T)
+        a._accumulate(input_grad(grad, w.data))
     if w.requires_grad:
-        w._accumulate(a_data.swapaxes(-1, -2) @ grad)
+        a_data = a.data
+        w._accumulate(a_data[:, None] * grad if a_data.ndim == 1 else a_data.swapaxes(-1, -2) @ grad)
+
+
+def matmul_steps(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``rows[t] @ w`` for every step ``t``, each on the route its own node takes.
+
+    1-d steps are one :func:`matmul_rows_np` call over an even number of
+    rows: a lone step is padded to two, and gemm rows match that pair's
+    only while no row falls to a one-row edge kernel, which rounds
+    differently under some OpenBLAS kernel families (Haswell).  A
+    ``(B, n)`` step keeps its own ``@``.
+    """
+    if rows.ndim == 3:
+        return np.stack([step @ w for step in rows])
+    if len(rows) % 2:
+        return matmul_rows_np(np.concatenate((rows, rows[-1:])), w)[:-1]
+    return matmul_rows_np(rows, w)
+
+
+def accumulate_steps(param: Tensor, grads: np.ndarray, rows: Optional[np.ndarray] = None) -> None:
+    """Sum one term per step into ``param.grad``, step 0 first.
+
+    The term is ``grads[k]`` (a bias) or ``rows[k]`` transposed times
+    ``grads[k]`` (a weight), as :class:`Linear`'s backward forms it.  For
+    1-d steps every entry of a term is a single product, so all terms are
+    formed at once and added by one axis-0 sum, which adds its rows first
+    to last; a ``(B, n)`` step keeps its own K = B gemm and accumulation.
+    """
+    if not param.requires_grad:
+        return
+    if grads.ndim > 2:
+        for k, grad in enumerate(grads):
+            param._accumulate(grad if rows is None else rows[k].T @ grad)
+        return
+    terms = grads if rows is None else rows[:, :, None] * grads[:, None, :]
+    if param.grad is not None:
+        terms = np.concatenate((param.grad[None], terms))
+    # numpy sums a column of single elements pairwise; a running sum keeps the order.
+    param.grad = terms.sum(axis=0) if terms[0].size > 1 else np.add.accumulate(terms)[-1]
 
 
 class Linear(Module):

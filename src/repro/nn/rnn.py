@@ -26,14 +26,21 @@ Float addition does not associate, so this order is a contract: it is
 what makes every weight trained through the fused step byte-equal to
 one trained through the ~26-node graph, and
 ``tests/test_nn_gru.py::TestFusedStepBitwise`` holds that graph as the
-oracle (``np.array_equal`` on outputs and on every gradient).  A
-reordering, a sequence-level node or weight gradients summed over time
-by one gemm would all be faster and would all train different weights.
+oracle (``np.array_equal`` on outputs and on every gradient).
+
+A whole sequence is one node too (:class:`Unrolled`, behind
+:class:`GRU` and ``RecurrentPolicyValueNet.unroll``).  Its backward
+replays the per-step chain's order — steps ``T .. 1``, each ``h_t``
+gradient the outside contribution plus step ``t + 1``'s four terms,
+each parameter one term per step, last step first — so the node
+boundary changes no bit (``TestSequenceNodeBitwise``).  What would
+change them is reordering those sums, or summing a weight gradient over
+time inside one gemm instead of adding per-step terms in order.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +48,7 @@ from repro.autograd.functional import matmul_rows_np
 from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
 from repro.nn import init
-from repro.nn.linear import matmul_backward, matmul_np
+from repro.nn.linear import accumulate_steps, input_grad, matmul_backward, matmul_np, matmul_steps
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import SeedLike, new_rng
 
@@ -111,13 +118,9 @@ class GRUCell(Module):
         w_xz, w_hz, b_z = self.w_xz, self.w_hz, self.b_z
         w_xn, w_hn, b_n = self.w_xn, self.w_hn, self.b_n
         x_data, h_data = x.data, h.data
-
-        reset = _sigmoid(matmul_np(x_data, w_xr.data) + matmul_np(h_data, w_hr.data) + b_r.data)
-        update = _sigmoid(matmul_np(x_data, w_xz.data) + matmul_np(h_data, w_hz.data) + b_z.data)
-        carried = matmul_np(h_data, w_hn.data)
-        candidate = np.tanh(matmul_np(x_data, w_xn.data) + reset * carried + b_n.data)
+        projections = (matmul_np(x_data, w.data) for w in (w_xr, w_xz, w_xn))
+        reset, update, carried, candidate, data = self._step(*projections, h_data)
         fresh = 1.0 - update
-        data = fresh * candidate + update * h_data
 
         def backward(grad: np.ndarray) -> None:
             # Candidate branch, then the reset gate it reads, then the
@@ -144,6 +147,15 @@ class GRUCell(Module):
 
         parents = (x, h, w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, w_hn, b_n)
         return Tensor._make(data, parents, backward)
+
+    def _step(self, x_r, x_z, x_n, h) -> Tuple[np.ndarray, ...]:
+        """The module docstring's formulas given the input projections
+        ``x W_x{r,z,n}``: ``(reset, update, carried, candidate, h_t)``."""
+        reset = _sigmoid(x_r + matmul_np(h, self.w_hr.data) + self.b_r.data)
+        update = _sigmoid(x_z + matmul_np(h, self.w_hz.data) + self.b_z.data)
+        carried = matmul_np(h, self.w_hn.data)
+        candidate = np.tanh(x_n + reset * carried + self.b_n.data)
+        return reset, update, carried, candidate, (1.0 - update) * candidate + update * h
 
     def forward_np(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Inference-only batched step on plain arrays (no autograd graph).
@@ -212,8 +224,103 @@ class GRUCell(Module):
         return state
 
 
+class Unrolled:
+    """A :class:`GRUCell` run over ``T`` steps, kept for one backward pass.
+
+    ``inputs`` is ``(T, D)`` (1-d steps) or ``(T, B, D)``, ``h0`` the
+    starting hidden state; ``hiddens`` holds ``h_0 .. h_T``.  Each step
+    is ``GRUCell.forward``'s arithmetic; only the input projections of
+    1-d steps are formed for all steps at once (:func:`matmul_steps`).
+    """
+
+    def __init__(self, cell: GRUCell, inputs: np.ndarray, h0: np.ndarray) -> None:
+        if inputs.ndim not in (2, 3) or inputs.shape[0] == 0 or inputs.shape[-1] != cell.input_size:
+            raise ShapeError(
+                f"GRU expects (T, {cell.input_size}) or (T, B, {cell.input_size}) input "
+                f"with T >= 1, got shape {inputs.shape}"
+            )
+        if h0.shape != inputs.shape[1:-1] + (cell.hidden_size,):
+            raise ShapeError(f"GRU got initial state {h0.shape} for input {inputs.shape}")
+        self.cell, self.inputs = cell, inputs
+        steps = inputs.shape[0]
+        self.hiddens = np.empty((steps + 1,) + h0.shape)
+        self.hiddens[0] = h0
+        self.reset, self.update, self.carried, self.candidate = (
+            np.empty((steps,) + h0.shape) for _ in range(4)
+        )
+        x_r, x_z, x_n = (matmul_steps(inputs, w.data) for w in (cell.w_xr, cell.w_xz, cell.w_xn))
+        h = h0
+        for t in range(steps):
+            *gates, h = cell._step(x_r[t], x_z[t], x_n[t], h)
+            self.reset[t], self.update[t], self.carried[t], self.candidate[t] = gates
+            self.hiddens[t + 1] = h
+
+    def backward(
+        self, grad: np.ndarray, inputs: Optional[Tensor] = None, h0: Optional[Tensor] = None
+    ) -> None:
+        """Back-propagate ``grad[t]``, what ``h_{t+1}`` received from outside
+        the recurrence, through steps ``T .. 1``.
+
+        Each step is ``GRUCell.forward``'s backward.  ``h_t``'s gradient is
+        ``grad[t - 1]`` plus the four terms of step ``t + 1`` (module
+        docstring), and every parameter receives one term per step, last
+        step first: the sums the per-step nodes make.  ``inputs`` and
+        ``h0`` are the tensors the forward read, if they take gradients.
+        """
+        cell = self.cell
+        steps = grad.shape[0]
+        # Per-gate gradients, last step first: the parameters' term order.
+        g_ns, g_rs, g_hns, g_zs = (np.empty_like(grad) for _ in range(4))
+        x_grad = np.empty(self.inputs.shape) if inputs is not None and inputs.requires_grad else None
+        h0_requires = h0 is not None and h0.requires_grad
+        # The step-independent factors, elementwise, for every step at once.
+        fresh, d_tanh, d_reset = 1.0 - self.update, 1.0 - self.candidate ** 2, 1.0 - self.reset
+        g = grad[-1]
+        for k, t in enumerate(range(steps - 1, -1, -1)):
+            reset, update = self.reset[t], self.update[t]
+            g_n = np.multiply(g, fresh[t], out=g_ns[k])
+            g_n *= d_tanh[t]
+            g_r = np.multiply(g_n, self.carried[t], out=g_rs[k])
+            g_r *= reset
+            g_r *= d_reset[t]
+            g_hn = np.multiply(g_n, reset, out=g_hns[k])
+            g_update = -(g * self.candidate[t])
+            g_update += g * self.hiddens[t]
+            g_z = np.multiply(g_update, update, out=g_zs[k])
+            g_z *= fresh[t]
+            if x_grad is not None:
+                x_grad[t] = input_grad(g_n, cell.w_xn.data)
+                x_grad[t] += input_grad(g_r, cell.w_xr.data)
+                x_grad[t] += input_grad(g_z, cell.w_xz.data)
+            if t == 0 and not h0_requires:
+                continue
+            terms = (
+                input_grad(g_r, cell.w_hr.data),
+                input_grad(g_hn, cell.w_hn.data),
+                g * update,
+                input_grad(g_z, cell.w_hz.data),
+            )
+            if t == 0:
+                for term in terms:
+                    h0._accumulate(term)
+                continue
+            g = grad[t - 1].copy()
+            for term in terms:
+                g += term
+        if x_grad is not None:
+            inputs._accumulate(x_grad)
+        x_rows, h_rows = self.inputs[::-1], self.hiddens[-2::-1]
+        for param, gate_grads, rows in (
+            (cell.b_n, g_ns, None), (cell.w_xn, g_ns, x_rows),
+            (cell.b_r, g_rs, None), (cell.w_xr, g_rs, x_rows), (cell.w_hr, g_rs, h_rows),
+            (cell.w_hn, g_hns, h_rows),
+            (cell.b_z, g_zs, None), (cell.w_xz, g_zs, x_rows), (cell.w_hz, g_zs, h_rows),
+        ):
+            accumulate_steps(param, gate_grads, rows)
+
+
 class GRU(Module):
-    """Unrolls a :class:`GRUCell` over a sequence.
+    """Unrolls a :class:`GRUCell` over a sequence as one autograd node.
 
     Input shape is (T, input_size) for a single sequence or
     (T, B, input_size) for a batch of sequences; the output is the stack
@@ -235,16 +342,15 @@ class GRU(Module):
         """Return (all hidden states stacked over time, final hidden state)."""
         if not isinstance(sequence, Tensor):
             sequence = Tensor(sequence)
-        if sequence.ndim not in (2, 3):
-            raise ShapeError(
-                f"GRU expects (T, D) or (T, B, D) input, got shape {sequence.shape}"
-            )
-        steps = sequence.shape[0]
-        batch = sequence.shape[1] if sequence.ndim == 3 else None
-        h = h0 if h0 is not None else self.initial_state(batch)
-        outputs: List[Tensor] = []
-        for t in range(steps):
-            h = self.cell(sequence[t], h)
-            outputs.append(h)
-        stacked = Tensor.stack(outputs, axis=0)
-        return stacked, h
+        if h0 is None:
+            h0 = self.initial_state(sequence.shape[1] if sequence.ndim == 3 else None)
+        elif not isinstance(h0, Tensor):
+            h0 = Tensor(h0)
+        run = Unrolled(self.cell, sequence.data, h0.data)
+
+        def backward(grad: np.ndarray) -> None:
+            run.backward(grad, sequence, h0)
+
+        parents = (sequence, h0, *self.cell.parameters())
+        stacked = Tensor._make(run.hiddens[1:], parents, backward)
+        return stacked, stacked[-1]

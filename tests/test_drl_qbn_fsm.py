@@ -212,6 +212,21 @@ class TestCurriculumAndImitation:
         assert result.losses[-1] < result.losses[0]
         assert 0.0 <= result.accuracy <= 1.0
 
+    def test_behaviour_cloning_refuses_a_nan_observation(self, system_config, standard_suite):
+        """One NaN row used to reach every gradient and, through Adam,
+        every parameter: ``fit`` returned a policy that only says NaN."""
+        policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=3)
+        trainer = BehaviorCloningTrainer(system_config, PER_STEP, ImitationConfig(epochs=1), rng=0)
+        demos = trainer.collect_demonstrations(
+            GreedyUtilizationPolicy(), list(standard_suite.values())[:1]
+        )
+        demos[0].observations[len(demos[0]) // 2, 0] = np.nan
+        before = policy.state_dict()
+        with pytest.raises(TrainingError, match="non-finite gradient"):
+            trainer.fit(policy, demos)
+        for name, value in policy.state_dict().items():
+            assert value.tobytes() == before[name].tobytes(), name
+
     def test_imitation_validation(self, system_config):
         trainer = BehaviorCloningTrainer(
             system_config, PER_STEP, ImitationConfig(epochs=1), rng=0

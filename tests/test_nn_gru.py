@@ -173,12 +173,29 @@ def oracle_gru_forward(self, x, h=None):
     return (1.0 - update) * candidate + update * h
 
 
+def chain_unroll(self, observations, values=False):
+    """``RecurrentPolicyValueNet.unroll`` as the chain it replaced: one ``step`` per row."""
+    observations = np.asarray(observations, dtype=np.float64)
+    hidden = self.initial_state(observations.shape[1] if observations.ndim == 3 else None)
+    logit_steps, value_steps = [], []
+    for row in observations:
+        logits, value, hidden = self.step(Tensor(row), hidden)
+        logit_steps.append(logits)
+        value_steps.append(value)
+    logits = Tensor.stack(logit_steps, axis=0)
+    if not values:
+        return logits
+    return logits, Tensor.stack(value_steps, axis=0).reshape(observations.shape[:-1])
+
+
 @contextlib.contextmanager
 def op_by_op():
-    """Every ``GRUCell`` and ``Linear`` runs as the graph the fused node replaced."""
+    """Every ``GRUCell`` and ``Linear`` runs as the graph the fused node
+    replaced, and ``unroll`` as the chain of those steps."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(GRUCell, "forward", oracle_gru_forward)
         patch.setattr(Linear, "forward", oracle_linear_forward)
+        patch.setattr(RecurrentPolicyValueNet, "unroll", chain_unroll)
         yield
 
 
@@ -380,6 +397,147 @@ class TestFusedStepBitwise:
             _assert_same_parameter_grads(
                 getattr(models[0], name), getattr(ref_models[0], name), expect_grads=not freeze
             )
+
+
+def bc_loss(policy, observations, actions, weights):
+    """``BehaviorCloningTrainer.fit``'s loss on one demonstration."""
+    log_probs = F.log_softmax(policy.unroll(observations), axis=-1)
+    nll = F.nll_of_actions(log_probs, actions)
+    return (nll * Tensor(weights)).sum() * (1.0 / max(weights.sum(), 1e-9))
+
+
+def a2c_loss(policy, observations, actions, mask, returns):
+    """``A2CTrainer._update_from_batch``'s loss on a padded (T, B) batch."""
+    logits_steps, value_steps = policy.unroll(observations, values=True)
+    time_idx, env_idx = np.nonzero(mask)
+    logits_matrix = logits_steps[time_idx, env_idx]
+    values_vector = value_steps[time_idx, env_idx]
+    advantages = returns - values_vector.numpy()
+    if advantages.size > 1 and advantages.std() > 1e-8:
+        advantages = (advantages - advantages.mean()) / advantages.std()
+    log_probs = F.log_softmax(logits_matrix, axis=-1)
+    chosen_nll = F.nll_of_actions(log_probs, actions[time_idx, env_idx])
+    policy_loss = (chosen_nll * Tensor(advantages)).mean()
+    value_loss = F.mse_loss(values_vector, returns)
+    entropy = F.entropy(F.softmax(logits_matrix, axis=-1), axis=-1)
+    return policy_loss + value_loss * 0.5 - entropy * 0.01
+
+
+def _padded_batch(rng, steps, width):
+    lengths = rng.integers(1, steps + 1, size=width)
+    lengths[0] = steps
+    mask = np.arange(steps)[:, None] < lengths[None, :]
+    observations = rng.standard_normal((steps, width, 9)) * mask[:, :, None]
+    actions = rng.integers(7, size=(steps, width))
+    return observations, actions, mask, rng.standard_normal(int(mask.sum()))
+
+
+class TestSequenceNodeBitwise:
+    """``unroll`` (one node per sequence) against the chain of ``step`` nodes.
+
+    ``np.array_equal`` on the loss and every gradient, never a literal:
+    the node's backward replays the chain's order (heads for t = 1..T,
+    then the GRU steps T..1; ``repro.nn.rnn`` docstring), and only that
+    order makes the bits equal.  CI reruns the class under a second
+    OpenBLAS kernel family.
+    """
+
+    @staticmethod
+    def _both(build_loss, hidden, frozen):
+        """Two backwards (the second sums into the first's grads) through
+        ``unroll`` and through the chain, on equal fresh policies."""
+        runs = []
+        for unroll in (RecurrentPolicyValueNet.unroll, chain_unroll):
+            policy = _policy(hidden)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(RecurrentPolicyValueNet, "unroll", unroll)
+                scope = getattr(policy, frozen).frozen() if frozen else contextlib.nullcontext()
+                with scope:
+                    losses = [build_loss(policy) for _ in range(2)]
+                    for loss, scale in zip(losses, (1.0, -0.3)):
+                        (loss * scale).backward()
+            runs.append((policy, losses))
+        (policy, losses), (reference, ref_losses) = runs
+        for loss, ref_loss in zip(losses, ref_losses):
+            assert np.array_equal(loss.data, ref_loss.data)
+        return policy, reference
+
+    @pytest.mark.parametrize("hidden", [4, 12, 48])
+    @pytest.mark.parametrize("steps", [1, 2, 9])
+    @pytest.mark.parametrize("frozen", [None, "gru", "policy_head"])
+    def test_behaviour_cloning_loss(self, hidden, steps, frozen):
+        rng = np.random.default_rng(100 * hidden + steps)
+        observations = rng.standard_normal((steps, 9))
+        actions = rng.integers(7, size=steps)
+        weights = rng.uniform(0.2, 5.0, size=7)[actions]
+        policy, reference = self._both(
+            lambda p: bc_loss(p, observations, actions, weights), hidden, frozen
+        )
+        for name in ("gru", "policy_head"):
+            _assert_same_parameter_grads(
+                getattr(policy, name), getattr(reference, name), expect_grads=name != frozen
+            )
+        # The value head is not part of the BC node and never reaches the loss.
+        _assert_same_parameter_grads(policy.value_head, reference.value_head, expect_grads=False)
+
+    @pytest.mark.parametrize("hidden", [4, 12, 48])
+    @pytest.mark.parametrize("steps", [1, 2, 9])
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    @pytest.mark.parametrize("frozen", [None, "gru", "value_head"])
+    def test_a2c_loss_on_padded_batch(self, hidden, steps, width, frozen):
+        rng = np.random.default_rng(1000 * hidden + 10 * steps + width)
+        batch = _padded_batch(rng, steps, width)
+        policy, reference = self._both(lambda p: a2c_loss(p, *batch), hidden, frozen)
+        for name in ("gru", "policy_head", "value_head"):
+            _assert_same_parameter_grads(
+                getattr(policy, name), getattr(reference, name), expect_grads=name != frozen
+            )
+
+    @pytest.mark.parametrize("hidden", [4, 48])
+    @pytest.mark.parametrize("width", [None, 1, 5])
+    def test_no_grad_builds_no_node(self, hidden, width):
+        rng = np.random.default_rng(hidden)
+        lead = (6,) if width is None else (6, width)
+        observations = rng.standard_normal(lead + (9,))
+        policy = _policy(hidden)
+        with no_grad():
+            logits, values = policy.unroll(observations, values=True)
+            only_logits = policy.unroll(observations)
+            ref_logits, ref_values = chain_unroll(policy, observations, values=True)
+        assert np.array_equal(logits.data, ref_logits.data)
+        assert np.array_equal(only_logits.data, ref_logits.data)
+        assert np.array_equal(values.data, ref_values.data)
+        for out in (logits, values, only_logits):
+            assert not out.requires_grad and out._parents == () and out._backward is None
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_gru_wrapper_is_the_cell_chain(self, batch):
+        """``GRU.forward``: the stacked gradient lands on each step where
+        the stack node put it; inputs and ``h0`` get theirs too."""
+        rng = np.random.default_rng(7)
+        lead = () if batch is None else (batch,)
+        sequence = rng.standard_normal((5,) + lead + (4,))
+        h0_data = rng.standard_normal(lead + (6,)) * 0.5
+        upstream = rng.standard_normal((5,) + lead + (6,))
+        runs = []
+        for wrapped in (True, False):
+            gru = _fill_biases(GRU(4, 6, rng=1))
+            x, h0 = Tensor(sequence, requires_grad=True), Tensor(h0_data, requires_grad=True)
+            for scale in (1.0, -0.3):
+                if wrapped:
+                    stacked, final = gru(x, h0)
+                else:
+                    h, steps = h0, []
+                    for t in range(5):
+                        h = gru.cell(x[t], h)
+                        steps.append(h)
+                    stacked, final = Tensor.stack(steps, axis=0), h
+                ((stacked * Tensor(upstream * scale)).sum() + final.sum()).backward()
+            runs.append((stacked, x, h0, gru))
+        (stacked, x, h0, gru), (ref_stacked, ref_x, ref_h0, ref_gru) = runs
+        assert np.array_equal(stacked.data, ref_stacked.data)
+        assert same_grad(x, ref_x) and same_grad(h0, ref_h0) and x.grad is not None
+        _assert_same_parameter_grads(gru, ref_gru)
 
 
 class TestTrainingBitwiseDifferential:

@@ -94,3 +94,31 @@ class TestClipping:
 
     def test_none_grads_ignored(self):
         assert global_grad_norm([Parameter(np.zeros(3))]) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_raises_before_scaling(self, bad):
+        """A NaN norm used to scale nothing, an infinite one to zero every
+        gradient; the Adam step after either wrote NaN into a parameter."""
+        params = [Parameter(np.zeros(2)) for _ in range(3)]
+        params[0].grad = np.array([30.0, 40.0])
+        params[1].grad = np.array([1.0, bad])
+        params[2].grad = np.array([np.nan, 2.0])
+        before = [p.grad.copy() for p in params]
+        with pytest.raises(TrainingError, match=r"parameter 1 \(shape \(2,\)\) has a non-finite"):
+            clip_grad_norm(params, max_norm=1.0)
+        for param, grad in zip(params, before):
+            assert param.grad.tobytes() == grad.tobytes()
+
+    def test_non_finite_gradient_is_named(self):
+        layer = Linear(2, 2, rng=0)
+        layer.weight.grad = np.zeros((2, 2))
+        layer.bias.grad = np.array([0.0, np.nan])
+        with pytest.raises(TrainingError, match="bias"):
+            clip_grad_norm(layer.parameters(), max_norm=1.0)
+
+    def test_overflowing_norm_raises(self):
+        p = Parameter(np.zeros(2))
+        p.grad = np.array([1e200, 1e200])
+        with pytest.raises(TrainingError, match="overflows"), np.errstate(over="ignore"):
+            clip_grad_norm([p], max_norm=1.0)
+        assert np.array_equal(p.grad, [1e200, 1e200])
