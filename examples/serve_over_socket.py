@@ -11,12 +11,12 @@ op twice mid-load (before and after the hot-swap) and fails unless the
 key serving series are present and monotone between the scrapes —
 a closed-loop check that live telemetry actually moves under load.
 
-Stands up the asyncio :class:`PolicyNetServer` on a unix socket with a
-versioned :class:`ArtifactRegistry` (``v1`` = compiled FSM with the GRU
-in shadow, ``v2`` = the GRU itself), drives a few hundred concurrent
-sessions through real framed :class:`PolicyClient` connections, performs
-one blue/green hot-swap mid-stream, then drains gracefully and prints —
-and optionally writes — the per-request latency histogram.
+Stands up the asyncio :class:`PolicyNetServer` on a unix socket over a
+broker serving the compiled FSM with the GRU in shadow, drives a few
+hundred concurrent sessions through real framed :class:`PolicyClient`
+connections, swaps the broker to the GRU itself mid-stream
+(:meth:`PolicyServer.swap_backend`, in process), then drains gracefully
+and prints — and optionally writes — the per-request latency histogram.
 
 The artifacts are built directly (a handmade FSM over the storage
 observation space plus an untrained GRU) so the demo starts in seconds;
@@ -42,13 +42,7 @@ from repro.fsm.machine import FiniteStateMachine
 from repro.qbn.autoencoder import build_observation_qbn
 from repro.qbn.quantize import code_key
 from repro.engine import CompiledFSMBackend, CompiledFSMPolicy, GRUPolicyBackend
-from repro.serving import (
-    ArtifactRegistry,
-    PolicyClient,
-    PolicyNetServer,
-    PolicyServer,
-    ShadowEvaluator,
-)
+from repro.serving import PolicyClient, PolicyNetServer, PolicyServer, ShadowEvaluator
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
 from repro.utils.serialization import save_json
@@ -122,25 +116,20 @@ def build_artifacts(seed: int):
 async def drive(args) -> None:
     env, compiled, policy, stream = build_artifacts(args.seed)
 
-    registry = ArtifactRegistry()
     shadowed = ShadowEvaluator(CompiledFSMBackend(compiled), GRUPolicyBackend(policy))
-    registry.register_backend("v1", shadowed, kind="shadowed_compiled_fsm")
-    registry.register_backend("v2", GRUPolicyBackend(policy), kind="gru")
     server = PolicyServer(
         shadowed,
         env.observation_encoder,
         initial_capacity=args.sessions,
         max_batch_size=256,
     )
-    netserver = PolicyNetServer(
-        server, registry=registry, active_version="v1", flush_interval=0.001
-    )
+    netserver = PolicyNetServer(server, flush_interval=0.001)
 
     socket_dir = tempfile.mkdtemp(prefix="repro-net", dir="/tmp")
     socket_path = os.path.join(socket_dir, "policy.sock")
     endpoints = await netserver.start(unix_path=socket_path)
     print(f"serving on {endpoints['unix']}  "
-          f"(v1 = compiled FSM + GRU shadow, v2 = GRU)")
+          f"(compiled FSM + GRU shadow, swapping to the GRU mid-stream)")
 
     clients = [await PolicyClient.connect_unix(socket_path)
                for _ in range(args.clients)]
@@ -152,15 +141,16 @@ async def drive(args) -> None:
     swap_round = args.rounds // 2
     start = time.perf_counter()
     first_scrape = None
+    swap = None
     for round_index in range(args.rounds):
         if round_index == swap_round:
             # Mid-load scrape #1: under live traffic, before the swap.
             first_scrape = await clients[0].metrics()
-            entry = await clients[0].swap("v2", reason="example_blue_green")
+            swap = server.swap_backend(GRUPolicyBackend(policy))
             print(f"round {round_index}: hot-swapped "
-                  f"{entry['from_backend']} -> {entry['to_backend']} "
-                  f"(state {entry['state']}, "
-                  f"flushed {entry['flushed_pending']} pending)")
+                  f"{swap['from_backend']} -> {swap['to_backend']} "
+                  f"(state {swap['state']}, "
+                  f"flushed {swap['flushed_pending']} pending)")
         await asyncio.gather(*[
             client.decide(
                 handle,
@@ -174,7 +164,6 @@ async def drive(args) -> None:
     # Mid-load scrape #2: after the swapped backend served traffic.
     second_scrape = await clients[0].metrics()
     stats = await clients[0].stats()
-    audit = await clients[0].audit()
     for client in clients:
         await client.close()
     summary = await netserver.drain()
@@ -207,7 +196,6 @@ async def drive(args) -> None:
           f"({decisions / elapsed:,.0f} decisions/s)")
     print(f"request latency: p50 {latency['p50_ms']:.3f}ms  "
           f"p95 {latency['p95_ms']:.3f}ms  p99 {latency['p99_ms']:.3f}ms")
-    print(f"audit trail: {[entry['event'] for entry in audit]}")
     print(f"drained cleanly: parked {summary['parked_replies']}, "
           f"pending {summary['pending']}, failed {summary['failed']}")
     if summary["parked_replies"] or summary["pending"]:
@@ -221,7 +209,7 @@ async def drive(args) -> None:
             "clients": args.clients,
             "decisions": decisions,
             "decisions_per_second": decisions / elapsed,
-            "swap_audit": audit,
+            "swap": swap,
             "latency": latency,
             "drain": summary,
         }

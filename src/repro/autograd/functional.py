@@ -102,8 +102,11 @@ def matmul_rows_np(
     to ``(x @ w)[i]``.  Two batch-size-stable routes are used instead:
 
     * for reasonably wide outputs (N >= ``_GEMM_MIN_COLS``) the gemm
-      kernel computes every row independently once M >= 2, so single
-      rows are padded to two and sliced back — full BLAS speed;
+      kernel computes every row independently while no row falls to a
+      one-row edge kernel, which rounds differently under some OpenBLAS
+      kernel families (Haswell) — so gemm only ever sees an even row
+      count: an odd M runs its first M - 1 rows as one gemm and its last
+      row padded to two and sliced back, as a lone row is;
     * for skinny outputs (N <= 2 observed unstable: BLAS switches to a
       gemv-like path whose accumulation depends on M) ``einsum`` is used,
       which reduces the contraction axis in a fixed sequential order for
@@ -121,12 +124,14 @@ def matmul_rows_np(
         )
     if w.shape[1] < _GEMM_MIN_COLS:
         return np.einsum("ij,jk->ik", x, w, out=out)
-    if x.shape[0] >= 2:
+    rows = x.shape[0]
+    if rows % 2 == 0:
         return np.matmul(x, w, out=out)
-    padded = (np.concatenate([x, x], axis=0) @ w)[: x.shape[0]]
     if out is None:
-        return padded
-    out[...] = padded
+        out = np.empty((rows, w.shape[1]))
+    if rows > 1:
+        np.matmul(x[:-1], w, out=out[:-1])
+    out[-1] = (np.concatenate([x[-1:], x[-1:]]) @ w)[0]
     return out
 
 

@@ -71,6 +71,9 @@ class ExtractionResult:
     matcher: Optional[NearestObservationMatcher] = None
     num_raw_states: int = 0
     num_observation_codes: int = 0
+    # Records whose (source, observation code) already led to a different
+    # successor; the later record overwrote it (last write wins).
+    transition_conflicts: int = 0
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -79,6 +82,7 @@ class ExtractionResult:
             "transitions": float(self.fsm.num_transitions),
             "observation_codes": float(self.num_observation_codes),
             "records": float(len(self.records)),
+            "transition_conflicts": float(self.transition_conflicts),
         }
 
 
@@ -131,7 +135,10 @@ class FSMExtractor:
             added.visit_count = visit_counts.get(state, 0)
 
         records: List[TransitionRecord] = []
+        conflicts = 0
         for i in range(len(dataset)):
+            known = fsm.transitions.get((source_keys[i], observation_keys[i]))
+            conflicts += known is not None and known != destination_keys[i]
             fsm.add_transition(
                 source_keys[i],
                 observation_keys[i],
@@ -182,6 +189,7 @@ class FSMExtractor:
             matcher=matcher,
             num_raw_states=num_raw_states,
             num_observation_codes=len(set(observation_keys)),
+            transition_conflicts=conflicts,
         )
 
     @staticmethod

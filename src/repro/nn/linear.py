@@ -53,16 +53,12 @@ def matmul_backward(a: Tensor, w: Tensor, grad: np.ndarray) -> None:
 def matmul_steps(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``rows[t] @ w`` for every step ``t``, each on the route its own node takes.
 
-    1-d steps are one :func:`matmul_rows_np` call over an even number of
-    rows: a lone step is padded to two, and gemm rows match that pair's
-    only while no row falls to a one-row edge kernel, which rounds
-    differently under some OpenBLAS kernel families (Haswell).  A
-    ``(B, n)`` step keeps its own ``@``.
+    1-d steps are one :func:`matmul_rows_np` call, whose rows equal the
+    lone-row call a single step makes.  A ``(B, n)`` step keeps its own
+    ``@``.
     """
     if rows.ndim == 3:
         return np.stack([step @ w for step in rows])
-    if len(rows) % 2:
-        return matmul_rows_np(np.concatenate((rows, rows[-1:])), w)[:-1]
     return matmul_rows_np(rows, w)
 
 

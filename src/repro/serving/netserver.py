@@ -17,9 +17,9 @@ error that costs the sender its connection.
 codec  body                         used for
 ====== ============================ ==========================================
 ``0``  one UTF-8 JSON dict          control ops (``open``, ``close``,
-                                    ``stats``, ``metrics``, ``versions``,
-                                    ``swap``, ``audit``, ``ping``) and every
-                                    error reply; ``id`` is echoed verbatim
+                                    ``stats``, ``metrics``, ``ping``) and
+                                    every error reply; ``id`` is echoed
+                                    verbatim
 ``1``  ``<QI`` (request id, ``n``)  the one decide op, little-endian columns:
        then ``n``-row columns       request ``slots int64[n]``, ``generations
                                     int64[n]``, ``observations float64[n, 35]``
@@ -60,15 +60,13 @@ tenant's session.
 
 Lifecycle
 ---------
-Blue/green hot-swap: with an :class:`~repro.serving.artifacts.ArtifactRegistry`
-attached, the ``swap`` admin op (or a tripped
-:class:`~repro.serving.shadow.FidelityAlarm`, checked every flush tick)
-drains the in-flight micro-batch and atomically installs another
-artifact version — session handles survive, state migrates or resets
-per the backend-compatibility check, and the registry's audit trail
-records what happened.  Graceful drain (:meth:`PolicyNetServer.drain`)
-stops accepting, flushes and resolves everything still queued, then
-closes every connection — no request is ever left unresolved.
+A backend swap is an in-process call on the broker,
+:meth:`PolicyServer.swap_backend`: it flushes the in-flight micro-batch
+through the old backend, whose parked replies go out with the next
+flush or timer tick, and session handles survive it.  The wire has no swap op.  Graceful
+drain (:meth:`PolicyNetServer.drain`) stops accepting, flushes and
+resolves everything still queued, then closes every connection — no
+request is ever left unresolved.
 """
 
 from __future__ import annotations
@@ -84,10 +82,7 @@ import numpy as np
 
 from repro.env.observation import OBSERVATION_DIM
 from repro.errors import ConfigurationError, ReproError, ServingError, StaleSessionError
-from repro.serving.artifacts import ArtifactRegistry
 from repro.serving.server import DecisionWave, PolicyServer
-from repro.serving.shadow import FidelityAlarm
-from repro import telemetry
 
 CODEC_JSON = 0
 CODEC_DECIDE = 1
@@ -101,7 +96,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 # the session table's allocation size, and this is the largest open
 # whose handles reply still fits one frame.
 MAX_OPEN_PER_REQUEST = 1 << 20
-_CONTROL_OPS = ("open", "close", "stats", "metrics", "versions", "swap", "audit", "ping")
+_CONTROL_OPS = ("open", "close", "stats", "metrics", "ping")
 
 
 def _frame(codec: int, body: bytes) -> bytes:
@@ -249,46 +244,27 @@ class PolicyNetServer:
     ----------
     server:
         The in-process micro-batching broker to serve through.
-    registry / active_version:
-        Optional :class:`ArtifactRegistry` enabling the ``swap`` admin
-        op and alarm-driven rollback; ``active_version`` labels the
-        currently mounted backend in ``versions`` replies and audits.
     flush_interval:
         Time trigger of the batching loop — the longest a queued request
         waits before a flush when the size trigger never fires.
     max_inflight:
         Per-connection bound on unanswered decide rows; a block that
         would exceed it is answered ``BUSY`` immediately (back-pressure).
-    alarm / alarm_swap_to:
-        A :class:`FidelityAlarm` checked every flush tick; when it
-        trips, the server automatically hot-swaps to artifact version
-        ``alarm_swap_to`` (requires ``registry``) and records the trip
-        in the audit trail.
     """
 
     def __init__(
         self,
         server: PolicyServer,
-        registry: Optional[ArtifactRegistry] = None,
-        active_version: Optional[str] = None,
         flush_interval: float = 0.002,
         max_inflight: int = 64,
-        alarm: Optional[FidelityAlarm] = None,
-        alarm_swap_to: Optional[str] = None,
     ) -> None:
         if flush_interval <= 0:
             raise ConfigurationError("flush_interval must be positive")
         if max_inflight <= 0:
             raise ConfigurationError("max_inflight must be positive")
-        if alarm_swap_to is not None and registry is None:
-            raise ConfigurationError("alarm_swap_to needs an artifact registry")
         self.server = server
-        self.registry = registry
-        self.active_version = active_version
         self.flush_interval = float(flush_interval)
         self.max_inflight = int(max_inflight)
-        self.alarm = alarm
-        self.alarm_swap_to = alarm_swap_to
         self._parked: List[_Block] = []
         self._connections: List[_Connection] = []
         self._listeners: List[asyncio.AbstractServer] = []
@@ -424,18 +400,12 @@ class PolicyNetServer:
             self._flush_task = None
         for connection in list(self._connections):
             await self._close_connection(connection)
-        if self.registry is not None:
-            self.registry.record_event(
-                "drain", active_version=self.active_version,
-                decisions=self.server.stats().decisions,
-            )
         return self.summary()
 
     def summary(self) -> Dict[str, object]:
         stats = self.server.stats().as_dict()
-        payload: Dict[str, object] = {
+        return {
             "backend": self.server.backend.name,
-            "active_version": self.active_version,
             "active_sessions": self.server.table.num_active,
             "peak_sessions": self.server.table.peak_active,
             "pending": self.server.pending,
@@ -451,43 +421,6 @@ class PolicyNetServer:
             "draining": self._draining,
             **stats,
         }
-        if self.alarm is not None:
-            payload["alarm"] = self.alarm.summary()
-        return payload
-
-    # ------------------------------------------------------------------
-    # Hot swap
-    # ------------------------------------------------------------------
-    def swap(self, version: str, reason: str = "manual") -> Dict[str, object]:
-        """Blue/green swap to artifact ``version`` (drains the micro-batch)."""
-        if self.registry is None:
-            raise ConfigurationError("no artifact registry attached to this server")
-        entry = self.registry.swap(
-            self.server, version, from_version=self.active_version, reason=reason
-        )
-        # The drain-flush inside swap_backend resolved queued waves;
-        # settle their parked replies before new-backend traffic lands.
-        self._settle()
-        self.active_version = version
-        if self.alarm is not None:
-            # The alarm watched the *old* primary; after a swap it is
-            # stale unless the evaluator is still the mounted backend.
-            if self.alarm.evaluator is self.server.backend:
-                self.alarm.reset()
-            else:
-                self.alarm = None
-        return entry
-
-    def _check_alarm(self) -> None:
-        if self.alarm is None or self.alarm_swap_to is None:
-            return
-        if self.alarm.check():
-            trip = self.alarm.summary()
-            if self.registry is not None:
-                self.registry.record_event(
-                    "fidelity_alarm", active_version=self.active_version, **trip
-                )
-            self.swap(self.alarm_swap_to, reason="fidelity_alarm")
 
     # ------------------------------------------------------------------
     # Batching loop
@@ -502,7 +435,6 @@ class PolicyNetServer:
                     except ReproError:
                         pass  # the rows were failed; replies settle below
                 self._settle()
-                self._check_alarm()
             except asyncio.CancelledError:
                 raise
             except Exception as exc:
@@ -658,23 +590,6 @@ class PolicyNetServer:
                 self._reply(connection, request_id, closed=len(slots))
             elif op == "stats":
                 self._reply(connection, request_id, stats=self.summary())
-            elif op == "versions":
-                if self.registry is None:
-                    raise ConfigurationError("no artifact registry attached")
-                self._reply(
-                    connection,
-                    request_id,
-                    active=self.active_version,
-                    versions=self.registry.describe(),
-                )
-            elif op == "swap":
-                version = str(request["version"])
-                entry = self.swap(version, reason=str(request.get("reason", "manual")))
-                self._reply(connection, request_id, swap=entry)
-            elif op == "audit":
-                if self.registry is None:
-                    raise ConfigurationError("no artifact registry attached")
-                self._reply(connection, request_id, audit=self.registry.audit_trail)
             elif op == "ping":
                 self._reply(connection, request_id, pong=True)
             else:
@@ -969,17 +884,6 @@ class PolicyClient:
     async def metrics(self) -> Dict[str, object]:
         """Scrape the server's telemetry: Prometheus text + JSON snapshot."""
         return (await self._control({"op": "metrics"}))["metrics"]
-
-    async def versions(self) -> Dict[str, object]:
-        reply = await self._control({"op": "versions"})
-        return {"active": reply["active"], "versions": reply["versions"]}
-
-    async def swap(self, version: str, reason: str = "manual") -> Dict[str, object]:
-        request = {"op": "swap", "version": version, "reason": reason}
-        return (await self._control(request))["swap"]
-
-    async def audit(self) -> List[Dict[str, object]]:
-        return (await self._control({"op": "audit"}))["audit"]
 
     async def ping(self) -> bool:
         return bool((await self._control({"op": "ping"})).get("pong"))

@@ -485,8 +485,8 @@ class PolicyServer:
         half-installed engine), then the new backend gets a session
         table with the old table's slot allocation adopted verbatim —
         slots, generations and step counters all keep their meaning, so
-        clients never observe the swap except through the admin audit
-        record this returns.
+        clients never observe the swap; the caller gets the record this
+        returns.
 
         Per-session decision state is **migrated** when old and new
         backends report equal ``session_state_signature()`` tokens

@@ -12,7 +12,9 @@ often* the fast path diverges but *which* decisions it trades.
 It implements the same :class:`~repro.engine.backends.DecisionBackend`
 protocol as the backends it wraps, so shadowing is one constructor call
 around an existing server setup and adds one backend invocation of
-latency per batch.
+latency per batch.  The counters are a measurement only: nothing in the
+serving layer acts on them, and replacing the primary is an explicit
+:meth:`~repro.serving.server.PolicyServer.swap_backend` call.
 """
 
 from __future__ import annotations
@@ -127,66 +129,3 @@ class ShadowEvaluator:
             "divergence_pairs": self.divergence_pairs(),
         }
 
-
-class FidelityAlarm:
-    """Threshold alarm over a :class:`ShadowEvaluator`'s streaming fidelity.
-
-    Trips (once) when at least ``min_decisions`` have been observed
-    since the last :meth:`reset` and the fidelity over that window falls
-    below ``threshold``.  The window baseline makes the alarm usable
-    after a swap: ``reset()`` and the next backend starts with a clean
-    fidelity record instead of inheriting the old backend's drift.
-    """
-
-    def __init__(
-        self,
-        evaluator: ShadowEvaluator,
-        threshold: float,
-        min_decisions: int = 100,
-    ) -> None:
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError(f"fidelity threshold must be in [0, 1]: {threshold}")
-        self.evaluator = evaluator
-        self.threshold = float(threshold)
-        self.min_decisions = int(min_decisions)
-        self.tripped = False
-        self._baseline_decisions = evaluator.decisions
-        self._baseline_divergences = evaluator.divergences
-
-    @property
-    def window_decisions(self) -> int:
-        return self.evaluator.decisions - self._baseline_decisions
-
-    @property
-    def window_fidelity(self) -> float:
-        decisions = self.window_decisions
-        if decisions == 0:
-            return 1.0
-        divergences = self.evaluator.divergences - self._baseline_divergences
-        return 1.0 - divergences / decisions
-
-    def check(self) -> bool:
-        """Evaluate the alarm; returns True exactly once, when it trips."""
-        if self.tripped:
-            return False
-        if self.window_decisions < self.min_decisions:
-            return False
-        if self.window_fidelity < self.threshold:
-            self.tripped = True
-            return True
-        return False
-
-    def reset(self) -> None:
-        """Re-arm with the current counters as the new window baseline."""
-        self.tripped = False
-        self._baseline_decisions = self.evaluator.decisions
-        self._baseline_divergences = self.evaluator.divergences
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "threshold": self.threshold,
-            "min_decisions": self.min_decisions,
-            "window_decisions": self.window_decisions,
-            "window_fidelity": round(self.window_fidelity, 6),
-            "tripped": self.tripped,
-        }

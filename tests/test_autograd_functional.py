@@ -131,8 +131,9 @@ class TestEntropy:
 class TestMatmulRowsNp:
     """The one helper that knows which BLAS route is row-stable."""
 
-    # (M, N) per route: einsum (N < 7), gemm (M >= 2), pad-to-two (M = 1).
-    ROUTES = [(5, 3), (5, 16), (1, 16)]
+    # (M, N) per route: einsum (N < 7), gemm (even M), gemm + pad-to-two
+    # (odd M >= 3), pad-to-two (M = 1).
+    ROUTES = [(5, 3), (4, 16), (5, 16), (1, 16)]
 
     @pytest.mark.parametrize("rows, cols", ROUTES)
     def test_out_buffer_is_returned_and_bitwise_equal(self, rows, cols):
@@ -154,6 +155,18 @@ class TestMatmulRowsNp:
             buf = np.empty((rows, cols))
             np.testing.assert_array_equal(F.matmul_rows_np(x[:rows], w), full[:rows])
             np.testing.assert_array_equal(F.matmul_rows_np(x[:rows], w, out=buf), full[:rows])
+
+    @pytest.mark.parametrize("rows", [3, 5, 9, 31])
+    def test_odd_row_count_matches_lone_rows(self, rows):
+        """Every row of an odd-M call, the last one included, equals the
+        lone-row call (the Haswell kernels send an odd gemm's last row
+        through a one-row edge kernel)."""
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((rows, 35))
+        w = rng.standard_normal((35, 16))
+        batch = F.matmul_rows_np(x, w)
+        for i in range(rows):
+            np.testing.assert_array_equal(batch[i], F.matmul_rows_np(x[i : i + 1], w)[0])
 
     def test_converts_other_dtypes_and_rejects_1d(self):
         x = np.ones((1, 8))

@@ -21,6 +21,7 @@ from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.env.reward import RewardConfig
 from repro.errors import ConfigurationError, ExtractionError, TrainingError
 from repro.fsm.agent import FSMPolicyAgent
+from repro.fsm.extraction import ExtractionConfig, FSMExtractor
 from repro.fsm.generalize import NearestObservationMatcher
 from repro.fsm.interpretation import (
     capacity_ratio,
@@ -575,6 +576,35 @@ class TestExtractionIntegration:
         assert read_intensity_kb(raw) >= 0.0
         assert write_intensity_kb(raw) >= 0.0
         assert capacity_ratio(raw) > 0.0
+
+
+class _IdentityCodes:
+    """A QBN stand-in: the code of a vector is the vector, as integers."""
+
+    def discrete_code(self, x):
+        return np.asarray(x).astype(int)
+
+
+class TestTransitionConflicts:
+    def test_overwritten_successor_is_counted(self):
+        """Three records on one (state, observation): the second names a
+        new successor (one conflict, and it wins), the third repeats it."""
+        column = lambda *values: np.array(values, dtype=float)[:, None]
+        dataset = TransitionDataset(
+            observations=column(5, 5, 5),
+            raw_observations=column(5, 5, 5),
+            hidden_before=column(0, 0, 0),
+            hidden_after=column(1, 2, 2),
+            actions=np.array([0, 1, 1]),
+            episode_ids=np.zeros(3, dtype=int),
+            step_ids=np.arange(3),
+        )
+        result = FSMExtractor(
+            _IdentityCodes(), _IdentityCodes(), ExtractionConfig(merge_equivalent=False)
+        ).extract(dataset)
+        assert result.transition_conflicts == 1
+        assert result.summary()["transition_conflicts"] == 1.0
+        assert result.fsm.transitions[((0,), (5,))] == (2,)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the asyncio network front door + artifact hot-swap layer.
+"""Tests for the asyncio network front door and its pipelining client.
 
 Each test drives a real server over a real transport (unix socket in a
 short-named temp dir, or TCP loopback) with the real framing client;
@@ -27,8 +27,6 @@ from repro.qbn.autoencoder import build_observation_qbn
 from repro.qbn.quantize import code_key
 from repro.engine import CompiledFSMBackend, CompiledFSMPolicy, GRUPolicyBackend
 from repro.serving import (
-    ArtifactRegistry,
-    FidelityAlarm,
     PolicyClient,
     PolicyNetServer,
     PolicyServer,
@@ -501,115 +499,65 @@ class TestNetServer:
 
         asyncio.run(scenario())
 
-    def test_hot_swap_under_load_with_fidelity_alarm(
+    def test_swap_backend_under_socket_load(
         self, compiled_policy, serving_env, observation_stream
     ):
-        """Alarm-driven blue/green swap under live traffic, zero lost tickets.
+        """An in-process ``swap_backend`` with socket rows queued loses none.
 
-        v1 serves the compiled FSM with the GRU in shadow; their
-        divergence trips the fidelity alarm mid-stream, which hot-swaps
-        to v2 (the GRU itself).  Every request before, during and after
-        the swap resolves with a real decision.
+        Ten single-row decides are parked on the shadowed compiled FSM
+        when the broker swaps to the GRU: the swap flushes them through
+        the old backend, and their replies settle with the next flush.
+        Every handle opened before the swap keeps deciding, on sessions
+        the GRU started afresh (state "reset").
         """
 
         async def scenario():
             policy = _gru_policy()
-            registry = ArtifactRegistry()
             shadowed = ShadowEvaluator(
                 CompiledFSMBackend(compiled_policy), GRUPolicyBackend(policy)
             )
-            registry.register_backend("v1", shadowed, kind="shadowed_compiled_fsm")
-            registry.register_backend("v2", GRUPolicyBackend(policy))
             server = PolicyServer(
                 shadowed, serving_env.observation_encoder, max_batch_size=16
             )
-            alarm = FidelityAlarm(shadowed, threshold=0.999, min_decisions=40)
-            netserver = PolicyNetServer(
-                server,
-                registry=registry,
-                active_version="v1",
-                flush_interval=0.001,
-                alarm=alarm,
-                alarm_swap_to="v2",
+            # No timer flush: the size trigger and the swap's own flush
+            # are the only ones, so the queue is deterministic.
+            netserver = PolicyNetServer(server, flush_interval=30.0)
+            reference = PolicyServer(
+                GRUPolicyBackend(policy), serving_env.observation_encoder
             )
             with _socket_dir() as socket_path:
                 await netserver.start(unix_path=socket_path)
                 async with await PolicyClient.connect_unix(socket_path) as client:
-                    handles = await client.open(10)
-                    for step in range(12):
-                        actions = await asyncio.gather(
-                            *[
-                                client.decide(
-                                    handle,
-                                    observation_stream[
-                                        (i * 7 + step) % len(observation_stream)
-                                    ],
-                                )
-                                for i, handle in enumerate(handles)
-                            ]
+                    handles = np.array(await client.open(16))
+                    parked = [
+                        asyncio.create_task(
+                            client.decide(tuple(handle), observation_stream[i])
                         )
-                        assert all(0 <= action < NUM_ACTIONS for action in actions)
+                        for i, handle in enumerate(handles[:10])
+                    ]
+                    while server.pending < 10:
+                        await asyncio.sleep(0)
+                    swap = netserver.server.swap_backend(GRUPolicyBackend(policy))
+                    assert swap["state"] == "reset"
+                    assert swap["flushed_pending"] == 10
+                    assert swap["from_backend"] == shadowed.name
+                    assert swap["to_backend"] == "gru"
+                    # All sixteen pre-swap handles fill the batch; its
+                    # size-triggered flush settles the parked replies too.
+                    rows = observation_stream[10:26]
+                    actions = await client.decide_many(handles[:, 0], handles[:, 1], rows)
+                    assert actions.tolist() == reference.decide_now(
+                        reference.open_sessions(16), rows
+                    ).tolist()
+                    replies = await asyncio.wait_for(asyncio.gather(*parked), 5.0)
+                    assert all(0 <= action < NUM_ACTIONS for action in replies)
                     stats = await client.stats()
-                    # The alarm must have tripped (the handmade FSM and the
-                    # random GRU disagree heavily) and auto-swapped to v2.
-                    assert stats["active_version"] == "v2"
                     assert stats["backend"] == "gru"
                     assert stats["swaps"] == 1
-                    assert stats["decisions"] == 120
+                    assert stats["decisions"] == 26
                     assert stats["failed"] == 0
-                    audit = await client.audit()
-                    events = [entry["event"] for entry in audit]
-                    assert events == ["fidelity_alarm", "swap"]
-                    swap_entry = audit[-1]
-                    assert swap_entry["reason"] == "fidelity_alarm"
-                    assert swap_entry["from_version"] == "v1"
-                    assert swap_entry["to_version"] == "v2"
-                    assert swap_entry["state"] == "reset"
-                    # Old handles still serve after the swap.
-                    action = await client.decide(handles[0], observation_stream[0])
-                    assert 0 <= action < NUM_ACTIONS
                 summary = await netserver.drain()
-                assert summary["parked_replies"] == 0
-                # The alarm was disarmed by the swap (shadow no longer mounted).
-                assert netserver.alarm is None
-
-        asyncio.run(scenario())
-
-    def test_manual_swap_and_versions_listing(
-        self, compiled_policy, serving_env, observation_stream, tmp_path
-    ):
-        """Manual blue/green swap between two on-disk artifact versions."""
-
-        async def scenario():
-            artifact_path = tmp_path / "fsm_v1.npz"
-            compiled_policy.save(artifact_path)
-            registry = ArtifactRegistry()
-            registry.register_compiled_fsm("v1", artifact_path)
-            registry.register_backend("v2", GRUPolicyBackend(_gru_policy()))
-            server = PolicyServer(
-                registry.get("v1"), serving_env.observation_encoder
-            )
-            netserver = PolicyNetServer(
-                server, registry=registry, active_version="v1", flush_interval=0.001
-            )
-            with _socket_dir() as socket_path:
-                await netserver.start(unix_path=socket_path)
-                async with await PolicyClient.connect_unix(socket_path) as client:
-                    handles = await client.open(4)
-                    for i, handle in enumerate(handles):
-                        await client.decide(handle, observation_stream[i])
-                    listing = await client.versions()
-                    assert listing["active"] == "v1"
-                    assert {v["version"] for v in listing["versions"]} == {"v1", "v2"}
-                    entry = await client.swap("v2")
-                    assert entry["to_backend"] == "gru"
-                    assert (await client.versions())["active"] == "v2"
-                    # Unknown versions are rejected without disturbing service.
-                    with pytest.raises(ServingError, match="unknown artifact"):
-                        await client.swap("v9")
-                    action = await client.decide(handles[0], observation_stream[0])
-                    assert 0 <= action < NUM_ACTIONS
-                await netserver.drain()
+                assert summary["parked_replies"] == 0 and summary["pending"] == 0
 
         asyncio.run(scenario())
 
@@ -635,8 +583,10 @@ class TestNetServer:
                     )
                     assert reply["error"] == "BAD_REQUEST"
                     assert "unknown op" in reply["message"]
+                    # The wire has no swap op; swapping is in process only.
                     reply = await client.request({"op": "swap", "version": "v1"})
-                    assert reply["error"] == "BAD_REQUEST"  # no registry attached
+                    assert reply["error"] == "BAD_REQUEST"
+                    assert "unknown op" in reply["message"]
                     # The connection survived all of it.
                     assert await client.ping()
                 await netserver.drain()
@@ -961,67 +911,6 @@ class TestDecideBlocks:
                 await client.close()
 
         asyncio.run(scenario())
-
-
-# ----------------------------------------------------------------------
-# Artifact registry
-# ----------------------------------------------------------------------
-class TestArtifactRegistry:
-    def test_lazy_load_and_duplicate_rejection(self, compiled_policy, tmp_path):
-        path = tmp_path / "artifact.npz"
-        compiled_policy.save(path)
-        registry = ArtifactRegistry()
-        registry.register_compiled_fsm("2026-08-01", path)
-        record = registry.record("2026-08-01")
-        assert not record.loaded  # lazy until first get()
-        backend = registry.get("2026-08-01")
-        assert record.loaded
-        assert registry.get("2026-08-01") is backend  # cached
-        assert backend.policy.num_states == compiled_policy.num_states
-        with pytest.raises(ConfigurationError, match="already registered"):
-            registry.register_backend("2026-08-01", backend)
-        with pytest.raises(ConfigurationError, match="unknown artifact"):
-            registry.get("nope")
-
-    def test_policy_checkpoint_roundtrip(self, tmp_path, serving_env, observation_stream):
-        from repro.drl.checkpoints import save_policy
-
-        policy = _gru_policy()
-        path = tmp_path / "policy.npz"
-        save_policy(path, policy)
-        registry = ArtifactRegistry()
-        registry.register_policy_checkpoint("gru-v1", path)
-        backend = registry.get("gru-v1")
-        server = PolicyServer(backend, serving_env.observation_encoder)
-        reference = PolicyServer(
-            GRUPolicyBackend(policy), serving_env.observation_encoder
-        )
-        ids = server.open_sessions(2)
-        reference_ids = reference.open_sessions(2)
-        for step in range(4):
-            batch = np.tile(observation_stream[step], (2, 1))
-            assert np.array_equal(
-                server.decide_now(ids, batch),
-                reference.decide_now(reference_ids, batch),
-            )
-
-    def test_swap_appends_audit_with_migration_decision(
-        self, compiled_policy, serving_env, observation_stream
-    ):
-        registry = ArtifactRegistry()
-        registry.register_backend("blue", CompiledFSMBackend(compiled_policy))
-        registry.register_backend("green", CompiledFSMBackend(compiled_policy))
-        registry.register_backend("gru", GRUPolicyBackend(_gru_policy()))
-        server = PolicyServer(registry.get("blue"), serving_env.observation_encoder)
-        ids = server.open_sessions(3)
-        server.decide_now(ids, observation_stream[:3])
-        first = registry.swap(server, "green", from_version="blue")
-        assert first["state"] == "migrated"  # identical compiled tables
-        second = registry.swap(server, "gru", from_version="green")
-        assert second["state"] == "reset"
-        assert [entry["seq"] for entry in registry.audit_trail] == [0, 1]
-        assert registry.audit_trail[0]["to_version"] == "green"
-        assert registry.audit_trail[1]["from_version"] == "green"
 
 
 # ----------------------------------------------------------------------
