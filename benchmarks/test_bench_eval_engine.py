@@ -102,7 +102,6 @@ def test_bench_eval_engine(tmp_path):
 
     encoder = StorageAllocationEnv(system_config).observation_encoder
     agent = FSMPolicyAgent.from_extraction(extraction, encoder, observation_qbn)
-    assert agent.compiled_routable()
 
     engine = EvaluationEngine(system_config, reward_config)
     compiled_backend = CompiledFSMBackend(agent.compile())

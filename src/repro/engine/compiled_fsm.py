@@ -46,9 +46,10 @@ from repro.fsm.generalize import nearest_prototype_rows
 from repro.fsm.machine import FiniteStateMachine
 from repro.qbn.autoencoder import QuantizedBottleneckNetwork
 from repro.qbn.quantize import quantization_levels
+from repro.storage.migration import NUM_ACTIONS
 from repro.utils.serialization import PathLike, load_npz, save_npz
 
-ARTIFACT_FORMAT_VERSION = 1
+ARTIFACT_FORMAT_VERSION = 2
 
 # Packed-key observation lookup is only sound while base-k positional
 # packing of a whole code fits an int64 (it is injective there).
@@ -181,9 +182,9 @@ class CompiledFSMPolicy:
 
     State rows follow the machine's ``states`` insertion order and
     observation columns list the prototype codes first (in their own
-    insertion order, matching the matcher's row order) followed by any
-    transition-only codes — the orderings every tie-break in the
-    interpreted path derives from.
+    insertion order, which the interpreted agent resolves fallbacks over
+    too) followed by any transition-only codes — the orderings every
+    tie-break in the interpreted path derives from.
     """
 
     def __init__(
@@ -198,7 +199,6 @@ class CompiledFSMPolicy:
         start_state: int,
         encoder_weights: Dict[str, np.ndarray],
         quantization_levels: int,
-        metric: str = "euclidean",
         encoder_constants: Optional[np.ndarray] = None,
     ) -> None:
         self.transition_table = np.ascontiguousarray(transition_table, dtype=np.int64)
@@ -209,7 +209,6 @@ class CompiledFSMPolicy:
         self.num_prototypes = int(num_prototypes)
         self.prototype_matrix = np.ascontiguousarray(prototype_matrix, dtype=float)
         self.start_state = int(start_state)
-        self.metric = str(metric)
         self.quantization_levels = int(quantization_levels)
         self._w1 = np.ascontiguousarray(encoder_weights["w1"], dtype=float)
         self._b1 = np.ascontiguousarray(encoder_weights["b1"], dtype=float)
@@ -263,7 +262,6 @@ class CompiledFSMPolicy:
         fsm: FiniteStateMachine,
         observation_qbn: QuantizedBottleneckNetwork,
         encoder: Optional[ObservationEncoder] = None,
-        metric: str = "euclidean",
     ) -> "CompiledFSMPolicy":
         """Flatten ``fsm`` + its observation quantisation into dense tables."""
         if fsm.num_states == 0:
@@ -323,14 +321,6 @@ class CompiledFSMPolicy:
             else np.zeros((0, observation_qbn.config.input_dim))
         )
 
-        # Start state exactly as FSMPolicyAgent resolves it: the recorded
-        # initial state when valid, otherwise the first most-visited
-        # state in insertion order (max() tie-break).
-        if fsm.initial_state is not None and fsm.initial_state in fsm.states:
-            start_key = fsm.initial_state
-        else:
-            start_key = max(state_keys, key=lambda key: fsm.states[key].visit_count)
-
         encoder_weights = {
             "w1": np.array(observation_qbn.encoder_hidden.weight.data),
             "b1": np.array(observation_qbn.encoder_hidden.bias.data),
@@ -351,10 +341,9 @@ class CompiledFSMPolicy:
             obs_codes=obs_codes,
             num_prototypes=len(prototype_keys),
             prototype_matrix=prototype_matrix,
-            start_state=state_rows[start_key],
+            start_state=state_rows[fsm.start_state()],
             encoder_weights=encoder_weights,
             quantization_levels=observation_qbn.config.quantization_levels,
-            metric=metric,
             encoder_constants=constants,
         )
 
@@ -533,9 +522,7 @@ class CompiledFSMPolicy:
                 fallback = np.zeros(count, dtype=bool)
         if fallback.any():
             rows = np.nonzero(fallback)[0]
-            columns[rows] = nearest_prototype_rows(
-                self.prototype_matrix, distinct[rows], self.metric
-            )
+            columns[rows] = nearest_prototype_rows(self.prototype_matrix, distinct[rows])
         fallback = fallback[inverse]
         self.fallback_count += int(np.count_nonzero(fallback))
         return columns[inverse], fallback
@@ -592,7 +579,6 @@ class CompiledFSMPolicy:
                 ],
                 dtype=np.int64,
             ),
-            "metric": np.array(self.metric),
         }
         if self.encoder_constants is not None:
             arrays["encoder_constants"] = self.encoder_constants
@@ -600,7 +586,11 @@ class CompiledFSMPolicy:
 
     @classmethod
     def load(cls, path: PathLike) -> "CompiledFSMPolicy":
-        """Load an artifact written by :meth:`save`."""
+        """Load an artifact written by :meth:`save`.
+
+        Raises :class:`SerializationError` for another format version and
+        for tables that would index out of range while serving.
+        """
         arrays = load_npz(path)
         if "meta" not in arrays or "transition_table" not in arrays:
             raise SerializationError(f"{path} is not a compiled FSM artifact")
@@ -610,7 +600,7 @@ class CompiledFSMPolicy:
                 f"unsupported compiled-FSM format version {int(meta[0])} "
                 f"(expected {ARTIFACT_FORMAT_VERSION})"
             )
-        return cls(
+        policy = cls(
             transition_table=arrays["transition_table"],
             action_table=arrays["action_table"],
             state_codes=arrays["state_codes"],
@@ -626,6 +616,30 @@ class CompiledFSMPolicy:
                 "b2": arrays["enc_b2"],
             },
             quantization_levels=int(meta[3]),
-            metric=str(arrays["metric"].item()),
             encoder_constants=arrays.get("encoder_constants"),
         )
+        problem = policy._table_problem()
+        if problem is not None:
+            raise SerializationError(f"{path} cannot serve: {problem}")
+        return policy
+
+    def _table_problem(self) -> Optional[str]:
+        """What in these tables would fail a decision, or None."""
+        states = self.num_states
+        if self.action_table.shape != (states,):
+            return f"action table shape {self.action_table.shape} is not ({states},)"
+        if np.any((self.transition_table < 0) | (self.transition_table >= states)):
+            return f"a transition leaves the {states} states"
+        if not 0 <= self.start_state < states:
+            return f"start state {self.start_state} is not one of the {states} states"
+        if np.any((self.action_table < 0) | (self.action_table >= NUM_ACTIONS)):
+            return f"an action is not one of the {NUM_ACTIONS} actions"
+        expected = (self.num_prototypes, self.observation_dim)
+        if self.prototype_matrix.shape != expected:
+            return f"prototype matrix shape {self.prototype_matrix.shape} is not {expected}"
+        if not 0 <= self.num_prototypes <= self.num_observations:
+            return (
+                f"{self.num_prototypes} prototypes for "
+                f"{self.num_observations} observation codes"
+            )
+        return None

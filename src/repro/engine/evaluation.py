@@ -224,10 +224,10 @@ def backend_for_agent(
     * greedy :class:`~repro.drl.agent.DRLPolicyAgent` on the default
       normalisation → :class:`GRUPolicyBackend` (one batched forward per
       interval);
-    * :class:`~repro.fsm.agent.FSMPolicyAgent` whose matcher mirrors the
-      machine's prototype table → :class:`CompiledFSMBackend` (dense
-      table gathers, bit-identical per
-      :meth:`~repro.fsm.agent.FSMPolicyAgent.compiled_routable`);
+    * :class:`~repro.fsm.agent.FSMPolicyAgent` on an equivalent
+      normalisation → :class:`CompiledFSMBackend` (dense table gathers;
+      both resolve unseen codes over the machine's one prototype table,
+      so the decisions are bit-identical);
     * any other ``engine_safe`` agent → :class:`AgentBatchBackend`
       (per-slot replicas acting on raw observations with the agent's own
       encoder — faithful by construction, still one env step per
@@ -251,9 +251,8 @@ def backend_for_agent(
             return GRUPolicyBackend(agent.policy)
         return AgentBatchBackend.from_agent(agent, encoder)
     if isinstance(agent, FSMPolicyAgent):
-        if encoder.is_equivalent(agent.encoder) and agent.compiled_routable():
+        if encoder.is_equivalent(agent.encoder):
             return CompiledFSMBackend(agent.compile())
-        # Interpreted fallback: replicas replay the matcher exactly.
         return AgentBatchBackend.from_agent(agent, encoder)
     if not getattr(agent, "engine_safe", True):
         return None

@@ -7,8 +7,8 @@ The paper defines the observation at interval ``t`` as
 where ``w(t)`` contributes the 14-dim signed-size vector ``S`` and the
 14-dim mixing-ratio vector ``I``.  The raw observation therefore has
 3 + 3 + 14 + 14 + 1 = 35 entries.  A normalised variant (all features in
-roughly [-1, 1]) is what the neural networks and the FSM similarity
-matcher consume.
+roughly [-1, 1]) is what the neural networks and the FSM's
+nearest-prototype fallback consume.
 """
 
 from __future__ import annotations

@@ -2,20 +2,16 @@
 
 The end product of the paper's pipeline: a white-box finite state
 machine read off the quantised transition table of the trained DRL
-policy (Section 3.2), hardened for unseen observations via
-nearest-observation matching (Section 3.2.2), and interpreted for the
-domain experts through fan-in/fan-out statistics and observation-history
-windows (Section 3.3, Figures 5 and 6).
+policy (Section 3.2), hardened for unseen observations by resolving
+them to the nearest prototype of the machine's own table (Section
+3.2.2), and interpreted for the domain experts through fan-in/fan-out
+statistics and observation-history windows (Section 3.3, Figures 5
+and 6).
 """
 
 from repro.fsm.machine import FSMState, FiniteStateMachine
 from repro.fsm.extraction import FSMExtractor, ExtractionConfig, ExtractionResult
-from repro.fsm.generalize import (
-    NearestObservationMatcher,
-    SIMILARITY_METRICS,
-    nearest_prototype_rows,
-)
-from repro.fsm.serialize import fsm_from_payload, fsm_to_payload, load_fsm, save_fsm
+from repro.fsm.generalize import nearest_prototype_rows
 from repro.fsm.minimize import merge_equivalent_states, prune_rare_states
 from repro.fsm.interpretation import (
     FanInOutStats,
@@ -33,13 +29,7 @@ __all__ = [
     "FSMExtractor",
     "ExtractionConfig",
     "ExtractionResult",
-    "NearestObservationMatcher",
-    "SIMILARITY_METRICS",
     "nearest_prototype_rows",
-    "fsm_to_payload",
-    "fsm_from_payload",
-    "save_fsm",
-    "load_fsm",
     "merge_equivalent_states",
     "prune_rare_states",
     "FanInOutStats",

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ExtractionError
-from repro.fsm.generalize import NearestObservationMatcher
 from repro.fsm.machine import FiniteStateMachine, StateKey
 from repro.fsm.minimize import merge_equivalent_states, prune_rare_states
 from repro.qbn.autoencoder import QuantizedBottleneckNetwork
@@ -55,7 +54,6 @@ class ExtractionConfig:
 
     merge_equivalent: bool = True
     min_state_visits: int = 0
-    similarity_metric: str = "euclidean"
 
     def __post_init__(self) -> None:
         if self.min_state_visits < 0:
@@ -68,7 +66,6 @@ class ExtractionResult:
 
     fsm: FiniteStateMachine
     records: List[TransitionRecord] = field(default_factory=list)
-    matcher: Optional[NearestObservationMatcher] = None
     num_raw_states: int = 0
     num_observation_codes: int = 0
     # Records whose (source, observation code) already led to a different
@@ -178,15 +175,9 @@ class FSMExtractor:
         fsm.relabel()
         fsm.validate()
 
-        matcher = NearestObservationMatcher(
-            fsm.observation_prototypes,
-            metric=self.config.similarity_metric,
-            encoder=lambda vector: code_key(self.observation_qbn.discrete_code(vector)),
-        )
         return ExtractionResult(
             fsm=fsm,
             records=records,
-            matcher=matcher,
             num_raw_states=num_raw_states,
             num_observation_codes=len(set(observation_keys)),
             transition_conflicts=conflicts,

@@ -110,6 +110,17 @@ class FiniteStateMachine:
         except KeyError as exc:
             raise ExtractionError(f"unknown state code {code!r}") from exc
 
+    def start_state(self) -> StateKey:
+        """The state a deployed machine starts in.
+
+        The recorded initial state when it is a known state, otherwise
+        the first most-visited state in insertion order (``max`` keeps
+        the first of equal counts).
+        """
+        if self.initial_state is not None and self.initial_state in self.states:
+            return self.initial_state
+        return max(self.states, key=lambda code: self.states[code].visit_count)
+
     def successors(self, code: StateKey) -> Dict[StateKey, int]:
         """Successor states of ``code`` with transition counts."""
         result: Dict[StateKey, int] = {}

@@ -107,6 +107,10 @@ def merge_equivalent_states(fsm: FiniteStateMachine) -> Dict[StateKey, StateKey]
             if member != representative:
                 mapping[member] = representative
     if mapping:
+        if fsm.initial_state is None:
+            # Merging sums visit counts, which can move the most-visited
+            # start fallback to another block; pin the start it has now.
+            fsm.initial_state = fsm.start_state()
         _apply_merges(fsm, mapping)
     return mapping
 

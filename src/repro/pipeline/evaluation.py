@@ -74,7 +74,7 @@ def compare_agents(
 
     Every agent the engine can replay faithfully is routed through one
     lockstep batch per agent — greedy DRL agents as batched GRU
-    forwards, routable extracted FSMs on their compiled dense tables,
+    forwards, extracted FSMs on their compiled dense tables,
     heuristics as per-slot replicas (see
     :func:`~repro.engine.evaluation.backend_for_agent`).  Agents the
     lockstep lift cannot reproduce bit for bit (exploring DRL agents,

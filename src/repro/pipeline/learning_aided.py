@@ -122,43 +122,33 @@ class PipelineResult:
 
         Returns a :class:`repro.engine.compiled_fsm.CompiledFSMPolicy`
         stamped with ``env``'s normalisation constants — the train →
-        extract → serve handoff in one call.  The fallback metric is the
-        extraction matcher's own, so compiled nearest-prototype
-        resolution breaks ties exactly like the interpreted agent.
+        extract → serve handoff in one call.
         """
-        from repro.engine.compiled_fsm import CompiledFSMPolicy
-
-        matcher = self.extraction.matcher
-        return CompiledFSMPolicy.compile(
-            self.extraction.fsm,
-            self.qbn_result.observation_qbn,
-            encoder=env.observation_encoder,
-            metric=matcher.metric_name if matcher is not None else "euclidean",
-        )
+        return self.fsm_agent(env).compile()
 
 
 @dataclass
 class FidelityReport:
     """Compiled-vs-interpreted FSM verification (one engine, same seeds).
 
-    ``identical`` is None when the machine is not compiled-routable (the
-    matcher does not mirror the machine's prototype table) — the
-    interpreted agent is then the only trustworthy deployment.
+    ``identical`` says the compiled tables reproduced the interpreted
+    agent's makespans and total rewards exactly.
     """
 
-    routable: bool
-    identical: Optional[bool]
+    identical: bool
     interpreted: "EvaluationResult"
-    compiled: Optional["EvaluationResult"]
+    compiled: "EvaluationResult"
+
+    @property
+    def routable(self) -> bool:
+        """Always True: every extracted machine compiles to dense tables."""
+        return True
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "routable": self.routable,
             "identical": self.identical,
             "interpreted_mean_makespan": self.interpreted.mean_makespan(),
-            "compiled_mean_makespan": (
-                self.compiled.mean_makespan() if self.compiled is not None else None
-            ),
+            "compiled_mean_makespan": self.compiled.mean_makespan(),
         }
 
 
@@ -305,10 +295,8 @@ class LearningAidedPipeline:
         Every agent is routed through one
         :class:`~repro.engine.evaluation.EvaluationEngine` lockstep
         batch — the DRL policy as batched (greedy) GRU forwards, the
-        extracted FSM on its compiled dense tables when
-        :meth:`~repro.fsm.agent.FSMPolicyAgent.compiled_routable` (the
-        interpreted agent is replayed per-slot otherwise), baselines as
-        per-slot replicas.  Results are keyed by agent name and
+        extracted FSM on its compiled dense tables, baselines as per-slot
+        replicas.  Results are keyed by agent name and
         bit-identical to :func:`~repro.pipeline.evaluation.evaluate_agent`
         (the same episodes one at a time).
         """
@@ -335,9 +323,9 @@ class LearningAidedPipeline:
         Runs the same seeded evaluation set through the
         :class:`~repro.engine.backends.CompiledFSMBackend` and through
         per-slot replicas of the interpreted
-        :class:`~repro.fsm.agent.FSMPolicyAgent` (the verification
-        fallback), on one engine — then compares makespans and total
-        rewards for exact equality.
+        :class:`~repro.fsm.agent.FSMPolicyAgent` (the reference), on one
+        engine — then compares makespans and total rewards for exact
+        equality.
         """
         from repro.engine.backends import AgentBatchBackend, CompiledFSMBackend
         from repro.engine.evaluation import EvaluationEngine
@@ -351,10 +339,6 @@ class LearningAidedPipeline:
             episode_seed=episode_seed,
             agent_name="extracted_fsm[interpreted]",
         )
-        if not fsm_agent.compiled_routable():
-            return FidelityReport(
-                routable=False, identical=None, interpreted=interpreted, compiled=None
-            )
         compiled = engine.evaluate(
             CompiledFSMBackend(fsm_agent.compile()),
             trace_list,
@@ -366,7 +350,6 @@ class LearningAidedPipeline:
             and compiled.total_rewards == interpreted.total_rewards
         )
         return FidelityReport(
-            routable=True,
             identical=identical,
             interpreted=interpreted,
             compiled=compiled,

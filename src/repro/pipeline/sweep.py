@@ -380,8 +380,8 @@ def _run_pipeline_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     pipeline = LearningAidedPipeline(config)
     result = pipeline.run()
     # Engine-backed evaluation stage: the FSM runs on its compiled dense
-    # tables when routable, the policy as batched GRU forwards — same
-    # numbers as the sequential harness, one lockstep batch per agent.
+    # tables, the policy as batched GRU forwards — same numbers as the
+    # sequential harness, one lockstep batch per agent.
     comparison = pipeline.evaluate(
         result, baselines=[DefaultPolicy()], episode_seed=seed
     )
@@ -390,7 +390,6 @@ def _run_pipeline_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         "train_epochs": len(result.training_history),
         "fsm_states": result.extraction.fsm.num_states,
         "eval_traces": len(result.eval_traces),
-        "fsm_compiled_routable": bool(fidelity.routable),
         "fsm_compiled_identical": fidelity.identical,
     }
     for name, evaluation in comparison.items():

@@ -6,9 +6,11 @@ fixture (one tiny end-to-end pipeline run) instead of retraining per test.
 
 import copy
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.agents import GreedyUtilizationPolicy
 from repro.autograd import functional as F
@@ -22,7 +24,6 @@ from repro.env.reward import RewardConfig
 from repro.errors import ConfigurationError, ExtractionError, TrainingError
 from repro.fsm.agent import FSMPolicyAgent
 from repro.fsm.extraction import ExtractionConfig, FSMExtractor
-from repro.fsm.generalize import NearestObservationMatcher
 from repro.fsm.interpretation import (
     capacity_ratio,
     fan_in_out_statistics,
@@ -486,32 +487,82 @@ class TestFiniteStateMachine:
         assert "Noop" in table
 
 
-class TestGeneralization:
-    def test_exact_match_preferred(self):
-        prototypes = {(0, 0): np.zeros(3), (1, 1): np.ones(3)}
-        matcher = NearestObservationMatcher(
-            prototypes, metric="euclidean", encoder=lambda v: (1, 1)
+@st.composite
+def _machines_and_inputs(draw):
+    """A random machine over two actions (so states merge) and an input
+    string that mixes its observation codes with one it never saw."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fsm = FiniteStateMachine()
+    states = [(i,) for i in range(draw(st.integers(1, 8)))]
+    for code in states:
+        fsm.add_state(code, MigrationAction(int(rng.integers(2)))).visit_count = int(
+            rng.integers(5)
         )
-        assert matcher.match(np.ones(3)) == (1, 1)
+    observations = [(j,) for j in range(draw(st.integers(1, 4)))]
+    for source in states:
+        for observation in observations:
+            if rng.random() < 0.6:
+                fsm.add_transition(source, observation, states[int(rng.integers(len(states)))])
+    if draw(st.booleans()):
+        fsm.initial_state = states[int(rng.integers(len(states)))]
+    inputs = [(int(j),) for j in rng.integers(len(observations) + 1, size=draw(st.integers(0, 30)))]
+    return fsm, inputs
+
+
+def _actions(fsm, inputs):
+    state, actions = fsm.start_state(), []
+    for observation in inputs:
+        state, action = fsm.step(state, observation)
+        actions.append(action)
+    return actions
+
+
+class TestMergePreservesBehaviour:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_machines_and_inputs())
+    def test_action_sequence_unchanged_by_merging(self, case):
+        fsm, inputs = case
+        before = _actions(copy.deepcopy(fsm), inputs)
+        merge_equivalent_states(fsm)
+        fsm.validate()
+        assert _actions(fsm, inputs) == before
+
+
+def _agent(fsm, code):
+    """An agent whose QBN quantises every vector to ``code``, fed
+    observations that are already normalised vectors."""
+    qbn = mock.Mock(**{"discrete_code.return_value": np.array(code)})
+    return FSMPolicyAgent(fsm, qbn, mock.Mock(normalize=np.asarray))
+
+
+class TestGeneralization:
+    """Unseen codes resolve over the machine's own prototype table."""
+
+    def test_exact_match_preferred(self):
+        # (1, 1) is a prototype code: it steps as it is, although the
+        # vector sits on the (0, 0) prototype.
+        agent = _agent(_toy_fsm(), (1, 1))
+        assert agent.act(np.zeros(3)) is MigrationAction.NORMAL_TO_KV
+        assert agent._state == (1,) and agent.unseen_observation_count == 0
 
     def test_euclidean_nearest(self):
-        prototypes = {(0,): np.array([0.0, 0.0]), (1,): np.array([1.0, 1.0])}
-        matcher = NearestObservationMatcher(prototypes, metric="euclidean")
-        assert matcher.match(np.array([0.9, 0.8])) == (1,)
-        assert matcher.match(np.array([0.1, 0.0])) == (0,)
-
-    def test_cosine_metric(self):
-        prototypes = {(0,): np.array([1.0, 0.0]), (1,): np.array([0.0, 1.0])}
-        matcher = NearestObservationMatcher(prototypes, metric="cosine")
-        assert matcher.match(np.array([0.9, 0.1])) == (0,)
-
-    def test_invalid_metric(self):
-        with pytest.raises(ExtractionError):
-            NearestObservationMatcher({(0,): np.zeros(2)}, metric="manhattan")
+        agent = _agent(_toy_fsm(), (5, 5))
+        assert agent.act(np.array([0.9, 0.8, 0.9])) is MigrationAction.NORMAL_TO_KV
+        assert agent._state == (1,)
+        assert agent.act(np.array([0.1, 0.0, 0.2])) is MigrationAction.NOOP
+        assert agent._state == (0,) and agent.unseen_observation_count == 2
 
     def test_empty_prototypes(self):
-        with pytest.raises(ExtractionError):
-            NearestObservationMatcher({})
+        """Without prototypes an unseen code self-loops and a
+        transition-only code steps exactly; neither counts as a fallback."""
+        fsm = _toy_fsm()
+        fsm.observation_prototypes.clear()
+        unseen = _agent(fsm, (5, 5))
+        assert unseen.act(np.ones(3)) is MigrationAction.NOOP
+        assert unseen._state == (0,)
+        known = _agent(fsm, (1, 1))
+        assert known.act(np.ones(3)) is MigrationAction.NORMAL_TO_KV
+        assert unseen.unseen_observation_count == known.unseen_observation_count == 0
 
 
 class TestExtractionIntegration:

@@ -35,8 +35,6 @@ from repro.drl.imitation import BehaviorCloningTrainer
 from repro.engine.evaluation import EvaluationEngine, backend_for_agent
 from repro.env.observation import ObservationEncoder
 from repro.env.reward import RewardConfig
-from repro.errors import ExtractionError
-from repro.fsm.agent import FSMPolicyAgent
 from repro.pipeline.evaluation import compare_agents, evaluate_agent
 from repro.pipeline.learning_aided import LearningAidedPipeline
 
@@ -94,7 +92,6 @@ class TestEngineBitIdentity:
 
     def test_compiled_fsm_bit_identical(self, suite_traces, tiny_pipeline_result, env):
         agent = tiny_pipeline_result.fsm_agent(env)
-        assert agent.compiled_routable()
         engine = EvaluationEngine()
         compiled = engine.evaluate(
             CompiledFSMBackend(agent.compile()),
@@ -249,27 +246,6 @@ class TestBackendRouting:
         agent = tiny_pipeline_result.fsm_agent(env)
         backend = backend_for_agent(agent, ObservationEncoder(system_config))
         assert isinstance(backend, CompiledFSMBackend)
-
-    def test_matcherless_fsm_with_prototypes_is_not_routable(
-        self, tiny_pipeline_result, env
-    ):
-        # Without a matcher the interpreted agent self-loops on unseen
-        # codes while the compiled tables would take nearest-prototype
-        # fallback — the engine must keep the interpreted replica path.
-        routable = tiny_pipeline_result.fsm_agent(env)
-        assert routable.fsm.observation_prototypes
-        agent = FSMPolicyAgent(
-            routable.fsm,
-            routable.observation_qbn,
-            routable.encoder,
-            matcher=None,
-        )
-        assert not agent.compiled_routable()
-        with pytest.raises(ExtractionError):
-            agent.compile()
-        backend = backend_for_agent(agent, routable.encoder)
-        assert isinstance(backend, AgentBatchBackend)
-        assert not isinstance(backend, CompiledFSMBackend)
 
 
 class TestPipelineFidelityStage:

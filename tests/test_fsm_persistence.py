@@ -1,4 +1,4 @@
-"""FSM JSON persistence and the shared unseen-observation resolution."""
+"""Compiled-artifact persistence and the shared unseen-observation resolution."""
 
 from __future__ import annotations
 
@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.compiled_fsm import CompiledFSMPolicy
 from repro.errors import ExtractionError, SerializationError
 from repro.fsm import generalize
-from repro.fsm.generalize import NearestObservationMatcher, nearest_prototype_rows
+from repro.fsm.agent import FSMPolicyAgent
+from repro.fsm.generalize import nearest_prototype_rows
 from repro.fsm.machine import FiniteStateMachine
-from repro.fsm.serialize import fsm_to_payload, load_fsm, save_fsm
+from repro.qbn.autoencoder import build_observation_qbn
 from repro.storage.migration import MigrationAction
+from repro.utils.serialization import load_npz, save_npz
 
 
 def build_machine(rng: np.random.Generator, num_states: int = 6) -> FiniteStateMachine:
@@ -40,86 +43,123 @@ def build_machine(rng: np.random.Generator, num_states: int = 6) -> FiniteStateM
     return fsm
 
 
+def compile_machine(fsm: FiniteStateMachine) -> CompiledFSMPolicy:
+    return CompiledFSMPolicy.compile(fsm, build_observation_qbn(7, latent_dim=4, rng=0))
+
+
+def _tamper(arrays, changes):
+    """``arrays`` with each entry named in ``changes`` replaced by its change."""
+    arrays = dict(arrays)
+    for name, change in changes.items():
+        arrays[name] = change(arrays[name].copy())
+    return arrays
+
+
+def _set(index, value):
+    def change(array):
+        array[index] = value
+        return array
+
+    return change
+
+
+# Six states, seven observation codes, all prototyped.  Served, each of
+# these would write a bad state row or raise inside a broker flush.
+_TAMPERED = {
+    "transition -1": ({"transition_table": _set((0, 0), -1)}, "transition leaves"),
+    "transition past the states": ({"transition_table": _set((1, 2), 6)}, "transition leaves"),
+    "start state past the states": ({"meta": _set(1, 6)}, "start state 6"),
+    "negative start state": ({"meta": _set(1, -1)}, "start state -1"),
+    "short action table": ({"action_table": lambda a: a[:-1]}, "action table shape"),
+    "unknown action": ({"action_table": _set(3, 7)}, "not one of the 7 actions"),
+    "narrow prototypes": ({"prototype_matrix": lambda a: a[:, :-1]}, "prototype matrix shape"),
+    "missing prototype row": ({"prototype_matrix": lambda a: a[:-1]}, "prototype matrix shape"),
+    "more prototypes than codes": (
+        {"meta": _set(2, 8), "prototype_matrix": lambda a: np.vstack([a, a[:1]])},
+        "8 prototypes for 7 observation codes",
+    ),
+}
+
+
 class TestFSMPersistence:
+    """The compiled ``.npz`` is the one persisted form of a machine."""
+
     def test_roundtrip_preserves_everything(self, tmp_path):
-        fsm = build_machine(np.random.default_rng(0))
-        path = tmp_path / "fsm.json"
-        save_fsm(path, fsm)
-        loaded = load_fsm(path)
-
-        loaded.validate()
-        assert list(loaded.states.keys()) == list(fsm.states.keys())
-        for code, state in fsm.states.items():
-            other = loaded.states[code]
-            assert (other.state_id, other.action, other.visit_count) == (
-                state.state_id, state.action, state.visit_count,
-            )
-        assert loaded.transitions == fsm.transitions
-        assert loaded.transition_counts == fsm.transition_counts
-        assert loaded.initial_state == fsm.initial_state
-        assert list(loaded.observation_prototypes.keys()) == list(
-            fsm.observation_prototypes.keys()
-        )
-        for key, vector in fsm.observation_prototypes.items():
-            # Bit-exact: JSON float encoding is repr-based and lossless.
-            assert np.array_equal(loaded.observation_prototypes[key], vector)
-
-    def test_roundtrip_is_stable(self, tmp_path):
-        """Payload of a loaded machine equals the payload it was saved from."""
-        fsm = build_machine(np.random.default_rng(7))
-        path = tmp_path / "fsm.json"
-        save_fsm(path, fsm)
-        assert fsm_to_payload(load_fsm(path)) == fsm_to_payload(fsm)
+        compiled = compile_machine(build_machine(np.random.default_rng(0)))
+        compiled.save(tmp_path / "fsm.npz")
+        loaded = CompiledFSMPolicy.load(tmp_path / "fsm.npz")
+        loaded.save(tmp_path / "again.npz")
+        first, second = load_npz(tmp_path / "fsm.npz"), load_npz(tmp_path / "again.npz")
+        assert sorted(first) == sorted(second)
+        for name, array in first.items():
+            # Bit-exact, dtypes included.
+            assert array.dtype == second[name].dtype, name
+            assert array.tobytes() == second[name].tobytes(), name
+        assert loaded.summary() == {**compiled.summary(), "decisions": 0, "fallbacks": 0}
 
     def test_none_initial_state_roundtrips(self, tmp_path):
+        """Without an initial state the start is the first most-visited state."""
         fsm = build_machine(np.random.default_rng(3))
         fsm.initial_state = None
-        save_fsm(tmp_path / "fsm.json", fsm)
-        assert load_fsm(tmp_path / "fsm.json").initial_state is None
+        compiled = compile_machine(fsm)
+        start = list(fsm.states).index(fsm.start_state())
+        assert compiled.start_state == start
+        assert fsm.states[fsm.start_state()].visit_count == max(
+            state.visit_count for state in fsm.states.values()
+        )
+        compiled.save(tmp_path / "fsm.npz")
+        assert CompiledFSMPolicy.load(tmp_path / "fsm.npz").start_state == start
 
-    def test_step_behaviour_identical_after_roundtrip(self, tmp_path):
-        fsm = build_machine(np.random.default_rng(11))
-        save_fsm(tmp_path / "fsm.json", fsm)
-        loaded = load_fsm(tmp_path / "fsm.json")
-        current = current_loaded = fsm.initial_state
-        for (source, observation) in list(fsm.transitions)[:10]:
-            current, action = fsm.step(current, observation)
-            current_loaded, action_loaded = loaded.step(current_loaded, observation)
-            assert (current, action) == (current_loaded, action_loaded)
-
-    def test_invalid_machine_refuses_to_save(self, tmp_path):
+    def test_invalid_machine_refuses_to_save(self):
         fsm = build_machine(np.random.default_rng(5))
         fsm.initial_state = (9, 9, 9, 9, 9)
-        with pytest.raises(Exception):
-            save_fsm(tmp_path / "bad.json", fsm)
+        with pytest.raises(ExtractionError):
+            compile_machine(fsm)
 
     def test_wrong_format_version_rejected(self, tmp_path):
-        fsm = build_machine(np.random.default_rng(2))
-        path = tmp_path / "fsm.json"
-        save_fsm(path, fsm)
-        text = path.read_text().replace('"format_version": 1', '"format_version": 99')
-        path.write_text(text)
-        with pytest.raises(SerializationError):
-            load_fsm(path)
+        """A version-1 artifact (it still carried a metric entry) is refused."""
+        compile_machine(build_machine(np.random.default_rng(2))).save(tmp_path / "fsm.npz")
+        arrays = _tamper(load_npz(tmp_path / "fsm.npz"), {"meta": _set(0, 1)})
+        save_npz(tmp_path / "old.npz", {**arrays, "metric": np.array("euclidean")})
+        with pytest.raises(SerializationError, match="version 1"):
+            CompiledFSMPolicy.load(tmp_path / "old.npz")
+
+    @pytest.mark.parametrize("case", list(_TAMPERED))
+    def test_tampered_artifact_is_refused(self, tmp_path, case):
+        changes, refusal = _TAMPERED[case]
+        compiled = compile_machine(build_machine(np.random.default_rng(4)))
+        assert (compiled.num_states, compiled.num_observations, compiled.num_prototypes) == (
+            6, 7, 7,
+        )
+        compiled.save(tmp_path / "fsm.npz")
+        save_npz(tmp_path / "tampered.npz", _tamper(load_npz(tmp_path / "fsm.npz"), changes))
+        with pytest.raises(SerializationError, match=refusal):
+            CompiledFSMPolicy.load(tmp_path / "tampered.npz")
 
 
 class TestSharedFallbackResolution:
-    """The matcher and the batched helper are one resolution path."""
+    """The interpreted agent and the batched helper are one resolution path."""
 
     def test_match_routes_through_shared_helper(self):
+        """Each unseen code resolves to row ``nearest_prototype_rows`` picks
+        over the machine's prototype table, in its insertion order."""
         rng = np.random.default_rng(0)
-        prototypes = {
-            tuple(int(c) for c in rng.integers(0, 3, size=4)): rng.normal(size=9)
-            for _ in range(12)
-        }
-        matcher = NearestObservationMatcher(prototypes)
-        matrix = np.stack([np.asarray(v, float) for v in prototypes.values()])
-        keys = list(prototypes.keys())
+        fsm = FiniteStateMachine()
+        fsm.add_state((0,), MigrationAction.NOOP)
+        for _ in range(12):
+            code = tuple(int(c) for c in rng.integers(0, 3, size=4))
+            fsm.add_transition((0,), code, (0,), observation_vector=rng.normal(size=9))
+        keys = list(fsm.observation_prototypes)
+        matrix = np.stack(list(fsm.observation_prototypes.values()))
         queries = rng.normal(size=(40, 9))
-        batched = nearest_prototype_rows(matrix, queries)
-        for i, query in enumerate(queries):
-            assert matcher.match(query) == keys[int(batched[i])]
-            assert matcher.match_index(query) == int(batched[i])
+        unseen_code = mock.Mock(**{"discrete_code.return_value": np.full(4, 9)})
+        agent = FSMPolicyAgent(fsm, unseen_code, mock.Mock(normalize=np.asarray))
+        with mock.patch.object(fsm, "step", wraps=fsm.step) as step:
+            for query in queries:
+                agent.act(query)
+        resolved = [call.args[1] for call in step.call_args_list]
+        assert resolved == [keys[int(row)] for row in nearest_prototype_rows(matrix, queries)]
+        assert agent.unseen_observation_count == len(queries)
 
     def test_batched_rows_match_scalar_rows_bitwise(self):
         """Row i of a batched resolve equals resolving row i alone."""
@@ -131,18 +171,6 @@ class TestSharedFallbackResolution:
             [nearest_prototype_rows(matrix, q[None, :])[0] for q in queries]
         )
         assert np.array_equal(batched, single)
-
-    def test_cosine_metric_matches_scalar_loop(self):
-        rng = np.random.default_rng(1)
-        prototypes = {
-            (0, i): rng.normal(size=5) for i in range(6)
-        }
-        matcher = NearestObservationMatcher(prototypes, metric="cosine")
-        keys = list(prototypes.keys())
-        matrix = np.stack(list(prototypes.values()))
-        for query in rng.normal(size=(10, 5)):
-            row = nearest_prototype_rows(matrix, query[None, :], "cosine")[0]
-            assert matcher.match(query) == keys[int(row)]
 
     def test_tie_breaks_to_first_prototype(self):
         matrix = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 5.0]])
@@ -278,15 +306,14 @@ class TestCertifiedNearestPrototype:
             )
             assert nearest_prototype_rows(matrix, vectors).tolist() == [0] * 400
 
-    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-    def test_shape_errors_name_both_shapes(self, metric):
+    def test_shape_errors_name_both_shapes(self):
         """Was numpy's broadcast ValueError / "argmin of an empty sequence"."""
         with pytest.raises(ExtractionError, match=r"\(3, 5\) and \(2, 4\)"):
-            nearest_prototype_rows(np.zeros((3, 5)), np.zeros((2, 4)), metric)
+            nearest_prototype_rows(np.zeros((3, 5)), np.zeros((2, 4)))
         with pytest.raises(ExtractionError, match=r"\(0, 5\) and \(2, 5\)"):
-            nearest_prototype_rows(np.zeros((0, 5)), np.zeros((2, 5)), metric)
+            nearest_prototype_rows(np.zeros((0, 5)), np.zeros((2, 5)))
         with pytest.raises(ExtractionError, match=r"\(5,\) and \(1, 5\)"):
-            nearest_prototype_rows(np.zeros(5), np.zeros(5), metric)
+            nearest_prototype_rows(np.zeros(5), np.zeros(5))
 
     def test_one_prototype_is_row_zero_without_a_gemm(self):
         vectors = np.random.default_rng(0).normal(size=(400, 35))

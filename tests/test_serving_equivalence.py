@@ -15,7 +15,7 @@ repeats rows resolves exactly like its rows one at a time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
@@ -25,9 +25,7 @@ from repro.engine import compiled_fsm
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.fsm.agent import FSMPolicyAgent
-from repro.fsm.generalize import NearestObservationMatcher
 from repro.fsm.machine import FiniteStateMachine
-from repro.fsm.serialize import load_fsm, save_fsm
 from repro.qbn.autoencoder import QuantizedBottleneckNetwork, build_observation_qbn
 from repro.qbn.quantize import code_key
 from repro.engine import CompiledFSMBackend, CompiledFSMPolicy
@@ -105,7 +103,7 @@ def make_random_machine(
             if key not in fsm.observation_prototypes:
                 fsm.observation_prototypes[key] = rng.normal(size=known_vectors.shape[1])
                 observation_keys.append(key)
-    # Transition-only codes (never prototyped): with a matcher these are
+    # Transition-only codes (never prototyped): with prototypes these are
     # *unseen* — both paths must redirect them identically.
     for _ in range(2):
         key = tuple(int(c) for c in rng.integers(0, 3, size=OBS_LATENT))
@@ -127,13 +125,7 @@ def make_random_machine(
 def make_agent(
     fsm: FiniteStateMachine, qbn: QuantizedBottleneckNetwork, encoder
 ) -> FSMPolicyAgent:
-    matcher: Optional[NearestObservationMatcher] = None
-    if fsm.observation_prototypes:
-        matcher = NearestObservationMatcher(
-            fsm.observation_prototypes,
-            encoder=lambda vector: code_key(qbn.discrete_code(vector)),
-        )
-    agent = FSMPolicyAgent(fsm, qbn, encoder, matcher=matcher)
+    agent = FSMPolicyAgent(fsm, qbn, encoder)
     agent.reset()
     return agent
 
@@ -235,18 +227,16 @@ class TestCompiledEquivalence:
             assert served == expected, (seed, profile)
 
     def test_equivalence_survives_fsm_save_load(self, profile_streams, shared_encoder, tmp_path):
-        """compile(load(save(fsm))) serves exactly like compile(fsm)."""
+        """A compiled artifact serves after save and load exactly as before."""
         names = profile_names()
         sample = np.concatenate(
             [shared_encoder.normalize_batch(profile_streams[n][:3]) for n in names]
         )
         qbn = build_observation_qbn(35, latent_dim=OBS_LATENT, hidden_dim=16, rng=77)
         fsm = make_random_machine(3000, qbn, sample)
-        save_fsm(tmp_path / "fsm.json", fsm)
         original = CompiledFSMPolicy.compile(fsm, qbn, encoder=shared_encoder)
-        reloaded = CompiledFSMPolicy.compile(
-            load_fsm(tmp_path / "fsm.json"), qbn, encoder=shared_encoder
-        )
+        original.save(tmp_path / "fsm.npz")
+        reloaded = CompiledFSMPolicy.load(tmp_path / "fsm.npz")
         states = np.full(len(names), original.start_state, dtype=np.int64)
         states_r = states.copy()
         for step in range(10):
@@ -259,6 +249,7 @@ class TestCompiledEquivalence:
             states, states_r = a.next_states, b.next_states
             assert np.array_equal(a.actions, b.actions)
             assert np.array_equal(a.next_states, b.next_states)
+            assert np.array_equal(a.fallback_mask, b.fallback_mask)
 
     def test_extracted_pipeline_artifacts_serve_identically(
         self, tiny_pipeline_result, env
