@@ -97,7 +97,7 @@ def run_inprocess(args):
 def run_socket(args):
     async def scenario():
         server = make_server(args)
-        netserver = PolicyNetServer(server, flush_interval=0.001, max_inflight=64)
+        netserver = PolicyNetServer(server, max_inflight=64)
         socket_dir = tempfile.mkdtemp(prefix="rfleet", dir="/tmp")
         socket_path = os.path.join(socket_dir, "fleet.sock")
         try:

@@ -123,7 +123,7 @@ async def drive(args) -> None:
         initial_capacity=args.sessions,
         max_batch_size=256,
     )
-    netserver = PolicyNetServer(server, flush_interval=0.001)
+    netserver = PolicyNetServer(server)  # flushes when the event loop goes idle
 
     socket_dir = tempfile.mkdtemp(prefix="repro-net", dir="/tmp")
     socket_path = os.path.join(socket_dir, "policy.sock")

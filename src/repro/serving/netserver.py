@@ -41,10 +41,14 @@ Decide blocks do **not** answer inline.  Each block becomes one
 :class:`~repro.serving.server.DecisionWave` in the broker's queue and
 the connection handler parks the block's reply on it; the queue flushes
 either when it reaches the broker's ``max_batch_size`` (size trigger,
-synchronous) or when the server's flush loop ticks (time trigger,
-``flush_interval`` seconds).  One backend call answers every parked
-row of the batch, a block is answered once its last row resolved, and
-the block's arrival→reply latency is recorded once per row into the
+synchronous) or when the event loop goes idle (idle trigger): parking
+a block wakes the server's flush task, which yields until a full loop
+pass parks no new block and then flushes.  ``flush_interval`` only caps
+how long a never-idle loop delays that flush and paces a fallback tick
+settling replies resolved out of band (a swap's flush).  One backend
+call answers every parked row of the batch, a block is answered once
+its last row resolved, and the block's arrival→reply latency is
+recorded once per row into the
 :class:`~repro.serving.server.ServerStats` SLO histogram.
 
 Back-pressure is per connection and counted in rows: a block that would
@@ -63,10 +67,10 @@ Lifecycle
 A backend swap is an in-process call on the broker,
 :meth:`PolicyServer.swap_backend`: it flushes the in-flight micro-batch
 through the old backend, whose parked replies go out with the next
-flush or timer tick, and session handles survive it.  The wire has no swap op.  Graceful
-drain (:meth:`PolicyNetServer.drain`) stops accepting, flushes and
-resolves everything still queued, then closes every connection — no
-request is ever left unresolved.
+flush or fallback tick, and session handles survive it.  The wire has
+no swap op.  Graceful drain (:meth:`PolicyNetServer.drain`) stops
+accepting, flushes and resolves everything still queued, then closes
+every connection — no request is ever left unresolved.
 """
 
 from __future__ import annotations
@@ -245,8 +249,9 @@ class PolicyNetServer:
     server:
         The in-process micro-batching broker to serve through.
     flush_interval:
-        Time trigger of the batching loop — the longest a queued request
-        waits before a flush when the size trigger never fires.
+        A bound, not a batching delay: blocks flush once the event
+        loop goes idle, a never-idle loop still flushes this often, and
+        so does a fallback tick settling replies resolved out of band.
     max_inflight:
         Per-connection bound on unanswered decide rows; a block that
         would exceed it is answered ``BUSY`` immediately (back-pressure).
@@ -269,6 +274,7 @@ class PolicyNetServer:
         self._connections: List[_Connection] = []
         self._listeners: List[asyncio.AbstractServer] = []
         self._flush_task: Optional[asyncio.Task] = None
+        self._arrived = asyncio.Event()  # set each time a block parks
         self._draining = False
         self.connections_total = 0
         self.busy_rejections = 0
@@ -426,8 +432,19 @@ class PolicyNetServer:
     # Batching loop
     # ------------------------------------------------------------------
     async def _flush_loop(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(self.flush_interval)
+            try:
+                await asyncio.wait_for(self._arrived.wait(), self.flush_interval)
+            except asyncio.TimeoutError:
+                pass  # fallback tick: settles replies resolved out of band
+            # Yield until a full loop pass parks no new block, so every
+            # frame already read joins this batch.
+            deadline = loop.time() + self.flush_interval
+            while self._arrived.is_set() and loop.time() < deadline:
+                self._arrived.clear()
+                await asyncio.sleep(0)
+            self._arrived.clear()
             try:
                 if self.server.pending:
                     try:
@@ -653,9 +670,10 @@ class PolicyNetServer:
             return
         self._parked.append(_Block(wave, connection, request_id, arrived))
         connection.inflight += rows
+        self._arrived.set()
         # The submit may have size-triggered (or same-session-triggered)
-        # a synchronous flush; settle immediately so its replies are not
-        # deferred a full timer tick.
+        # a synchronous flush; settle immediately so its replies do not
+        # wait for the flush task.
         if self.server.stats().batches != batches:
             self._settle()
 
@@ -774,6 +792,8 @@ class PolicyClient:
                 future.set_exception(error)
 
     async def _read_loop(self) -> None:
+        # Any exit but cancellation (``close``) ends every reply still
+        # owed: a future left pending here would never resolve.
         try:
             while True:
                 codec, reply = await read_frame(self._reader, reply=True)
@@ -781,9 +801,11 @@ class PolicyClient:
                 future = self._futures.pop(request_id, None)
                 if future is not None and not future.done():
                     future.set_result(reply)
-        except (asyncio.IncompleteReadError, ConnectionResetError, ConfigurationError):
+        except (asyncio.IncompleteReadError, OSError, ConfigurationError):
             self._closed = "connection closed by server"
-            self._fail_pending(ServingError(self._closed))
+        except Exception as exc:
+            self._closed = f"reply reader failed: {type(exc).__name__}: {exc}"
+        self._fail_pending(ServingError(self._closed))
 
     # ------------------------------------------------------------------
     # Raw request / typed helpers

@@ -12,6 +12,7 @@ import json
 import os
 import struct
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -120,6 +121,20 @@ class _socket_dir:
         import shutil
 
         shutil.rmtree(self.path, ignore_errors=True)
+
+
+async def _start_without_flush_task(netserver: PolicyNetServer, **endpoints):
+    """Start ``netserver`` and stop its flush task.
+
+    Only the size trigger, a same-session flush, a swap's flush and the
+    drain flush then ever run, so requests stay parked until the test
+    says otherwise.
+    """
+    bound = await netserver.start(**endpoints)
+    netserver._flush_task.cancel()
+    with pytest.raises(asyncio.CancelledError):
+        await netserver._flush_task
+    return bound
 
 
 # ----------------------------------------------------------------------
@@ -409,11 +424,11 @@ class TestNetServer:
                 serving_env.observation_encoder,
                 max_batch_size=1024,
             )
-            # Huge flush interval: only explicit drain flushes, so
-            # requests genuinely accumulate in flight.
-            netserver = PolicyNetServer(server, flush_interval=30.0, max_inflight=3)
+            # No flush task: only the drain flushes, so requests
+            # genuinely accumulate in flight.
+            netserver = PolicyNetServer(server, max_inflight=3)
             with _socket_dir() as socket_path:
-                await netserver.start(unix_path=socket_path)
+                await _start_without_flush_task(netserver, unix_path=socket_path)
                 client = await PolicyClient.connect_unix(socket_path)
                 handles = await client.open(8)
                 tasks = [
@@ -449,9 +464,9 @@ class TestNetServer:
                 serving_env.observation_encoder,
                 max_batch_size=1024,
             )
-            netserver = PolicyNetServer(server, flush_interval=30.0)
+            netserver = PolicyNetServer(server)
             with _socket_dir() as socket_path:
-                await netserver.start(unix_path=socket_path)
+                await _start_without_flush_task(netserver, unix_path=socket_path)
                 client = await PolicyClient.connect_unix(socket_path)
                 handles = await client.open(3)
                 tasks = [
@@ -519,14 +534,14 @@ class TestNetServer:
             server = PolicyServer(
                 shadowed, serving_env.observation_encoder, max_batch_size=16
             )
-            # No timer flush: the size trigger and the swap's own flush
+            # No flush task: the size trigger and the swap's own flush
             # are the only ones, so the queue is deterministic.
-            netserver = PolicyNetServer(server, flush_interval=30.0)
+            netserver = PolicyNetServer(server)
             reference = PolicyServer(
                 GRUPolicyBackend(policy), serving_env.observation_encoder
             )
             with _socket_dir() as socket_path:
-                await netserver.start(unix_path=socket_path)
+                await _start_without_flush_task(netserver, unix_path=socket_path)
                 async with await PolicyClient.connect_unix(socket_path) as client:
                     handles = np.array(await client.open(16))
                     parked = [
@@ -778,9 +793,9 @@ class TestDecideBlocks:
             server = self._server(compiled_policy, serving_env)
             reference = self._server(compiled_policy, serving_env)
             # Only forced flushes and the drain flush ever run.
-            netserver = PolicyNetServer(server, flush_interval=30.0)
+            netserver = PolicyNetServer(server)
             with _socket_dir() as socket_path:
-                await netserver.start(unix_path=socket_path)
+                await _start_without_flush_task(netserver, unix_path=socket_path)
                 first = await PolicyClient.connect_unix(socket_path)
                 second = await PolicyClient.connect_unix(socket_path)
                 handles = np.array(await first.open(4))
@@ -830,9 +845,9 @@ class TestDecideBlocks:
     ):
         async def scenario():
             server = self._server(compiled_policy, serving_env)
-            netserver = PolicyNetServer(server, flush_interval=30.0)
+            netserver = PolicyNetServer(server)
             with _socket_dir() as socket_path:
-                await netserver.start(unix_path=socket_path)
+                await _start_without_flush_task(netserver, unix_path=socket_path)
                 client = await PolicyClient.connect_unix(socket_path)
                 handles = np.array(await client.open(3))
                 block = asyncio.create_task(
@@ -912,6 +927,230 @@ class TestDecideBlocks:
 
         asyncio.run(scenario())
 
+    def test_reader_dying_on_any_os_error_fails_the_request_in_flight(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        """A read loop ended by an ``OSError`` that is not a reset (here
+        ETIMEDOUT's ``TimeoutError``) fails the decide it owed a reply,
+        and every later call raises at once."""
+
+        async def scenario():
+            netserver = PolicyNetServer(self._server(compiled_policy, serving_env))
+            with _socket_dir() as socket_path:
+                await _start_without_flush_task(netserver, unix_path=socket_path)
+                client = await PolicyClient.connect_unix(socket_path)
+                (handle,) = await client.open(1)
+                parked = asyncio.create_task(
+                    client.decide(handle, observation_stream[0])
+                )
+                while netserver.server.pending < 1:
+                    await asyncio.sleep(0)
+                client._reader.set_exception(TimeoutError("timed out"))
+                with pytest.raises(ServingError, match="connection closed"):
+                    await asyncio.wait_for(parked, 1.0)
+                with pytest.raises(ServingError, match="connection closed"):
+                    await asyncio.wait_for(client.ping(), 1.0)
+                assert client._futures == {}
+                await client.close()
+                await netserver.drain()
+
+        asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# The idle trigger: a parked block flushes once the event loop goes idle
+# ----------------------------------------------------------------------
+class TestIdleFlush:
+    @staticmethod
+    def _server(compiled_policy, serving_env):
+        return PolicyServer(
+            CompiledFSMBackend(compiled_policy),
+            serving_env.observation_encoder,
+            max_batch_size=1024,
+        )
+
+    def test_lone_block_does_not_wait_for_the_interval(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        async def scenario():
+            netserver = PolicyNetServer(
+                self._server(compiled_policy, serving_env), flush_interval=30.0
+            )
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                async with await PolicyClient.connect_unix(socket_path) as client:
+                    (handle,) = await client.open(1)
+                    action = await asyncio.wait_for(
+                        client.decide(handle, observation_stream[0]), 1.0
+                    )
+                    assert 0 <= action < NUM_ACTIONS
+                await netserver.drain()
+
+        asyncio.run(scenario())
+
+    def test_blocks_read_in_one_pass_share_one_backend_call(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        """Eight connections write an n = 1 block each in the same loop
+        pass; the server reads them together and flushes them together."""
+
+        async def scenario():
+            server = self._server(compiled_policy, serving_env)
+            reference = self._server(compiled_policy, serving_env)
+            netserver = PolicyNetServer(server, flush_interval=30.0)
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                clients = [
+                    await PolicyClient.connect_unix(socket_path) for _ in range(8)
+                ]
+                handles = [(await client.open(1))[0] for client in clients]
+                batches = server.stats().batches
+                # gather starts every decide in one pass, and each writes
+                # its frame before it first yields.
+                actions = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(
+                            client.decide(handle, observation_stream[i])
+                            for i, (client, handle) in enumerate(zip(clients, handles))
+                        )
+                    ),
+                    1.0,
+                )
+                assert server.stats().batches == batches + 1
+                assert server.stats().max_batch == 8
+                assert actions == reference.decide_now(
+                    reference.open_sessions(8), observation_stream[:8]
+                ).tolist()
+                for client in clients:
+                    await client.close()
+                await netserver.drain()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "parks_every_pass", [False, True], ids=["spinner", "never-idle"]
+    )
+    def test_busy_loop_still_flushes_within_the_bound(
+        self, compiled_policy, serving_env, observation_stream, parks_every_pass
+    ):
+        """A task spinning on ``sleep(0)`` keeps the loop busy but parks
+        nothing, so the block flushes at once; one that also raises the
+        arrival flag every pass (a loop that never goes idle) delays the
+        flush by at most ``flush_interval``."""
+        flush_interval = 0.05
+
+        async def scenario():
+            netserver = PolicyNetServer(
+                self._server(compiled_policy, serving_env),
+                flush_interval=flush_interval,
+            )
+            spinning = True
+
+            async def spin() -> None:
+                while spinning:
+                    if parks_every_pass:
+                        netserver._arrived.set()
+                    await asyncio.sleep(0)
+
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                async with await PolicyClient.connect_unix(socket_path) as client:
+                    (handle,) = await client.open(1)
+                    spinner = asyncio.create_task(spin())
+                    try:
+                        action = await asyncio.wait_for(
+                            client.decide(handle, observation_stream[0]),
+                            5 * flush_interval,
+                        )
+                    finally:
+                        spinning = False
+                        await spinner
+                    assert 0 <= action < NUM_ACTIONS
+                await netserver.drain()
+
+        asyncio.run(scenario())
+
+    def test_open_loop_trickle_replays_the_reference(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        """Open-loop n = 1 traffic: 32 connections x 8 sessions, ~1 000
+        decides at seeded exponential arrival times (~2 000/s).
+
+        Every session's actions equal the reference broker's over that
+        session's rows in order, and nothing is refused, failed or left
+        parked.  Latency and batch size are printed, not asserted.
+        """
+        connections, sessions_each, decides, rate = 32, 8, 1000, 2000.0
+        sessions = connections * sessions_each
+        rng = np.random.default_rng(30)
+        arrivals = np.cumsum(rng.exponential(1.0 / rate, decides))
+        targets = rng.integers(sessions, size=decides)
+        rows = rng.integers(len(observation_stream), size=decides)
+        actions = np.full(decides, -1, dtype=np.int64)
+        latencies = np.zeros(decides)
+
+        async def scenario():
+            server = self._server(compiled_policy, serving_env)
+            netserver = PolicyNetServer(server)
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                clients = [
+                    await PolicyClient.connect_unix(socket_path)
+                    for _ in range(connections)
+                ]
+                # Session k rides connection k // sessions_each.
+                handles = [
+                    handle
+                    for client in clients
+                    for handle in await client.open(sessions_each)
+                ]
+
+                async def decide(i: int) -> None:
+                    session = int(targets[i])
+                    start = time.perf_counter()
+                    actions[i] = await clients[session // sessions_each].decide(
+                        handles[session], observation_stream[rows[i]]
+                    )
+                    latencies[i] = time.perf_counter() - start
+
+                loop = asyncio.get_running_loop()
+                begin = loop.time()
+                tasks = []
+                for i, at in enumerate(arrivals):
+                    delay = begin + at - loop.time()
+                    if delay > 0:
+                        await asyncio.sleep(delay)
+                    # Tasks write in creation order, so each connection
+                    # sends its sessions' rows in arrival order.
+                    tasks.append(asyncio.create_task(decide(i)))
+                await asyncio.wait_for(asyncio.gather(*tasks), 5.0)
+                stats = server.stats()
+                for client in clients:
+                    await client.close()
+                summary = await netserver.drain()
+            return stats, summary
+
+        stats, summary = asyncio.run(scenario())
+        reference = self._server(compiled_policy, serving_env)
+        reference_ids = reference.open_sessions(sessions)
+        order = [np.flatnonzero(targets == session) for session in range(sessions)]
+        expected = np.full(decides, -1, dtype=np.int64)
+        for step in range(max(len(indices) for indices in order)):
+            live = [s for s in range(sessions) if len(order[s]) > step]
+            indices = np.array([order[session][step] for session in live])
+            expected[indices] = reference.decide_now(
+                reference_ids[live], observation_stream[rows[indices]]
+            )
+        assert np.array_equal(actions, expected)
+        assert summary["busy_rejections"] == 0 and summary["failed"] == 0
+        assert summary["pending"] == 0 and summary["parked_replies"] == 0
+        p50, p99 = np.percentile(latencies * 1e3, [50, 99])
+        print(
+            f"\ntrickle: {decides} n = 1 decides at ~{rate:.0f}/s over {connections} "
+            f"connections, p50 {p50:.2f} ms, p99 {p99:.2f} ms, "
+            f"{stats.batches} batches of mean size {stats.mean_batch_size:.2f}"
+        )
+
 
 # ----------------------------------------------------------------------
 # PR 9 serving hardening: flush-loop guard, broken-peer settle, drain
@@ -965,7 +1204,7 @@ class TestServingHardening:
                 assert summary["flush_loop_errors"] == 1
                 assert "RuntimeError" in summary["last_flush_error"]
                 # The loop is still alive: the next request is served
-                # by a timer-triggered flush, not left hanging.
+                # by the flush task, not left hanging.
                 action = await asyncio.wait_for(
                     client.decide(handle, observation_stream[1]), timeout=5.0
                 )
@@ -1049,9 +1288,9 @@ class TestServingHardening:
                 serving_env.observation_encoder,
                 max_batch_size=1024,
             )
-            netserver = PolicyNetServer(server, flush_interval=30.0)
+            netserver = PolicyNetServer(server)
             with _socket_dir() as socket_path:
-                await netserver.start(unix_path=socket_path)
+                await _start_without_flush_task(netserver, unix_path=socket_path)
                 client = await PolicyClient.connect_unix(socket_path)
                 handles = await client.open(2)
                 tasks = [
@@ -1092,9 +1331,9 @@ class TestServingHardening:
                 serving_env.observation_encoder,
                 max_batch_size=1024,
             )
-            netserver = PolicyNetServer(server, flush_interval=30.0)
+            netserver = PolicyNetServer(server)
             with _socket_dir() as socket_path:
-                await netserver.start(unix_path=socket_path)
+                await _start_without_flush_task(netserver, unix_path=socket_path)
                 client = await PolicyClient.connect_unix(socket_path)
                 handles = await client.open(2)
                 tasks = [
