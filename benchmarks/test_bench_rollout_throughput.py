@@ -12,10 +12,6 @@ Knobs (environment variables):
 * ``ROLLOUT_BENCH_BATCH`` — batch size B (default 16, the number the
   perf trajectory tracks); the CI benchmark-smoke job runs a small B.
 * ``ROLLOUT_BENCH_ROUNDS`` — measurement rounds, best-of (default 5).
-* ``ROLLOUT_BENCH_POOL_WORKERS`` — when set to N > 1, also measures the
-  persistent-worker-pool collector sharding the same batch across N
-  resident workers (only meaningful on multi-core hosts; the pool's
-  merge is bit-identical to the single-process batched collection).
 * ``BENCH_OUTPUT_DIR`` — when set, the JSON summary is also written to
   ``$BENCH_OUTPUT_DIR/BENCH_rollout_throughput.json`` so CI can upload
   it as an artifact and the repo can accumulate perf evidence under
@@ -39,7 +35,6 @@ from repro.workloads.sampler import RealTraceSampler
 
 BATCH_SIZE = int(os.environ.get("ROLLOUT_BENCH_BATCH", "16"))
 ROUNDS = int(os.environ.get("ROLLOUT_BENCH_ROUNDS", "5"))
-POOL_WORKERS = int(os.environ.get("ROLLOUT_BENCH_POOL_WORKERS", "0"))
 # Hard floor: batched collection slower than sequential is a real
 # regression even on a loaded machine.  Shared CI runners are too noisy
 # for the headline number (the JSON records the measured value); tighten
@@ -87,24 +82,6 @@ def test_bench_rollout_throughput(tmp_path):
             )
         )
 
-    pool_rates = []
-    if POOL_WORKERS > 1:
-        from repro.drl.worker_pool import PersistentWorkerPool
-
-        with PersistentWorkerPool(
-            system_config, reward_config, num_workers=POOL_WORKERS
-        ) as pool:
-            pool.collect(policy, traces[:4], base_seed=0, greedy=False)
-            for round_index in range(ROUNDS):
-                pool_rates.append(
-                    _steps_per_second(
-                        lambda t: pool.collect(
-                            policy, t, base_seed=round_index, greedy=False
-                        ),
-                        traces,
-                    )
-                )
-
     best_sequential = max(sequential_rates)
     best_batched = max(batched_rates)
     summary = {
@@ -120,10 +97,6 @@ def test_bench_rollout_throughput(tmp_path):
         "sequential_rates": [round(r, 1) for r in sequential_rates],
         "batched_rates": [round(r, 1) for r in batched_rates],
     }
-    if pool_rates:
-        summary["pool_workers"] = POOL_WORKERS
-        summary["pool_steps_per_s"] = round(max(pool_rates), 1)
-        summary["pool_rates"] = [round(r, 1) for r in pool_rates]
     print()
     print(json.dumps(summary, indent=2))
     (tmp_path / "rollout_throughput.json").write_text(json.dumps(summary, indent=2))

@@ -21,7 +21,6 @@ from repro.drl.rollout import (
     TrajectoryBatch,
     derive_episode_streams,
 )
-from repro.drl.worker_pool import PersistentWorkerPool, shard_indices
 from repro.drl.a2c import A2CConfig, A2CTrainer, EpochRecord, TrainingHistory
 from repro.drl.curriculum import CurriculumConfig, CurriculumTrainer
 from repro.drl.checkpoints import save_policy, load_policy
@@ -35,8 +34,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryBatch",
     "BatchedRolloutCollector",
-    "PersistentWorkerPool",
-    "shard_indices",
     "derive_episode_streams",
     "A2CConfig",
     "A2CTrainer",

@@ -23,7 +23,6 @@ from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.drl.policy import RecurrentPolicyValueNet
 from repro.drl.rollout import BatchedRolloutCollector, Trajectory, TrajectoryBatch
-from repro.drl.worker_pool import PersistentWorkerPool
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ConfigurationError, TrainingError
@@ -46,13 +45,6 @@ class A2CConfig:
     episodes_per_epoch: int = 1
     normalize_advantages: bool = True
     n_step: int = 0
-    # Shard each epoch's episode collection across this many worker
-    # processes (PersistentWorkerPool).  1 keeps collection in-process;
-    # any value produces bit-identical trajectories because per-episode
-    # rng streams depend only on the drawn base seed and the episode
-    # index, never on the worker layout.  Close the trainer (context
-    # manager or .close()) to shut the workers down.
-    rollout_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -69,8 +61,6 @@ class A2CConfig:
             raise ConfigurationError("episodes_per_epoch must be positive")
         if self.n_step < 0:
             raise ConfigurationError("n_step must be non-negative (0 = Monte-Carlo)")
-        if self.rollout_workers <= 0:
-            raise ConfigurationError("rollout_workers must be positive")
 
 
 @dataclass(frozen=True)
@@ -145,35 +135,11 @@ class A2CTrainer:
         self.policy = policy
         self.config = config or A2CConfig()
         self._rng = new_rng(rng)
-        workers = self.config.rollout_workers
-        if workers > 1:
-            # Collection always goes through the workers, so the
-            # in-process vector environment is never built.
-            self.batched_collector: Optional[BatchedRolloutCollector] = None
-            self.worker_pool: Optional[PersistentWorkerPool] = PersistentWorkerPool(
-                system_config, reward_config, num_workers=workers
-            )
-        else:
-            self.batched_collector = BatchedRolloutCollector(
-                VectorStorageAllocationEnv(system_config, reward_config), rng=self._rng
-            )
-            self.worker_pool = None
+        self.batched_collector = BatchedRolloutCollector(
+            VectorStorageAllocationEnv(system_config, reward_config), rng=self._rng
+        )
         self.optimizer = Adam(self.policy.parameters(), lr=self.config.learning_rate)
         self._global_epoch = 0
-
-    # ------------------------------------------------------------------
-    # Lifecycle (rollout worker pool)
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release collection resources (shuts down the worker pool)."""
-        if self.worker_pool is not None:
-            self.worker_pool.close()
-
-    def __enter__(self) -> "A2CTrainer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Training loop
@@ -211,18 +177,9 @@ class A2CTrainer:
 
     def _train_one_epoch(self, trace: WorkloadTrace) -> Dict[str, float]:
         traces = [trace] * self.config.episodes_per_epoch
-        if self.worker_pool is not None:
-            # Draw the base seed exactly like collect_batch would so the
-            # sharded collection is bit-identical to the in-process
-            # batched path under the same trainer rng state.
-            base_seed = int(self._rng.integers(np.iinfo(np.int64).max))
-            trajectories = self.worker_pool.collect(
-                self.policy, traces, base_seed=base_seed, epsilon=self.config.epsilon, greedy=False
-            )
-        else:
-            trajectories = self.batched_collector.collect_batch(
-                self.policy, traces, epsilon=self.config.epsilon, greedy=False
-            )
+        trajectories = self.batched_collector.collect_batch(
+            self.policy, traces, epsilon=self.config.epsilon, greedy=False
+        )
         return {
             "makespan": float(np.mean([t.makespan for t in trajectories])),
             "total_reward": float(np.mean([t.total_reward for t in trajectories])),

@@ -90,18 +90,18 @@ class CurriculumTrainer:
 
         policy = policy or RecurrentPolicyValueNet(self.policy_config, rng=self._rng)
         history = TrainingHistory()
-        with self._new_trainer(policy) as trainer:
-            if config.standard_epochs > 0:
-                trainer.train(
-                    list(standard_traces),
-                    config.standard_epochs,
-                    phase=PHASE_STANDARD,
-                    history=history,
-                )
-            if config.real_epochs > 0:
-                trainer.train(
-                    list(real_traces), config.real_epochs, phase=PHASE_REAL, history=history
-                )
+        trainer = self._new_trainer(policy)
+        if config.standard_epochs > 0:
+            trainer.train(
+                list(standard_traces),
+                config.standard_epochs,
+                phase=PHASE_STANDARD,
+                history=history,
+            )
+        if config.real_epochs > 0:
+            trainer.train(
+                list(real_traces), config.real_epochs, phase=PHASE_REAL, history=history
+            )
         return policy, history
 
     def train_from_scratch(
@@ -114,6 +114,5 @@ class CurriculumTrainer:
         if not real_traces:
             raise TrainingError("from-scratch training needs real traces")
         policy = policy or RecurrentPolicyValueNet(self.policy_config, rng=self._rng)
-        with self._new_trainer(policy) as trainer:
-            history = trainer.train(list(real_traces), epochs, phase=PHASE_SCRATCH)
+        history = self._new_trainer(policy).train(list(real_traces), epochs, phase=PHASE_SCRATCH)
         return policy, history

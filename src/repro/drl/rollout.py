@@ -13,8 +13,8 @@ GRU forward pass serves every environment per interval.  An episode's
 trajectory depends on its own rng streams (see
 :func:`derive_episode_streams`) and never on the batch it ran in, so the
 sequential view is the B = 1 call and any chunking of an episode list —
-one at a time, one lockstep batch, shards on a worker pool — returns the
-same bits.
+one at a time, one lockstep batch, or slices collected separately —
+returns the same bits.
 """
 
 from __future__ import annotations
@@ -410,8 +410,7 @@ class BatchedRolloutCollector:
 
         With ``base_seed`` set, per-episode streams are derived once for
         the *full* episode list and sliced per chunk, so the trajectories
-        are bit-identical for every ``batch_size`` (and to a
-        multi-process collection from the same seed).  Without it each
+        are bit-identical for every ``batch_size``.  Without it each
         chunk draws its own base seed from this collector's generator, so
         results then depend on the chunking.
         """

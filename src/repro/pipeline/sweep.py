@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import numbers
 import re
 import time
 import traceback
@@ -106,6 +107,14 @@ class SweepSpec:
             )
         if not self.seeds:
             raise ConfigurationError("sweep needs at least one seed")
+        for seed in self.seeds:
+            # bool is an Integral too; nothing is truncated or coerced.
+            if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+                raise ConfigurationError(
+                    f"seeds must be integers, got {seed!r} ({type(seed).__name__})"
+                )
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
         for key, values in self.grid.items():
             if not isinstance(values, (list, tuple)):
                 raise ConfigurationError(
@@ -149,7 +158,7 @@ class SweepSpec:
             kind=str(payload.get("kind", "agents")),
             base=dict(payload.get("base", {})),
             grid={k: list(v) for k, v in raw_grid.items()},
-            seeds=[int(s) for s in raw_seeds],
+            seeds=list(raw_seeds),
         )
         spec.validate()
         return spec
@@ -341,8 +350,8 @@ def _run_training_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         PolicyConfig(hidden_size=int(plain.get("hidden_size", 16))), rng=seed
     )
     reward_config = RewardConfig(mode="per_step_penalty")
-    with A2CTrainer(policy, system_config, reward_config, a2c_config, rng=seed) as trainer:
-        history = trainer.train(traces, epochs=int(plain.get("epochs", 3)))
+    trainer = A2CTrainer(policy, system_config, reward_config, a2c_config, rng=seed)
+    history = trainer.train(traces, epochs=int(plain.get("epochs", 3)))
     makespans = history.makespans()
     rewards = [record.total_reward for record in history.records]
     return {
@@ -533,6 +542,11 @@ class SweepResult:
 class SweepRunner:
     """Expands a :class:`SweepSpec` and executes its jobs, optionally in parallel.
 
+    This is the repo's one parallel execution mode: ``num_workers > 1``
+    runs each job in a process of a pool built from the platform's
+    default start method, and a job itself (A2C rollouts included) runs
+    single-process.
+
     ``output_dir`` (optional) receives ``jobs/<job name>.json`` — the
     canonical per-job records, byte-identical across reruns — plus
     ``sweep.json`` (aggregate summary incl. per-job digests and the one
@@ -562,7 +576,6 @@ class SweepRunner:
         spec: SweepSpec,
         output_dir: Optional[PathLike] = None,
         num_workers: int = 1,
-        start_method: Optional[str] = None,
         progress: Optional[Callable[[int, int, Dict[str, Any]], None]] = None,
         resume: bool = False,
     ) -> None:
@@ -574,7 +587,6 @@ class SweepRunner:
         self.spec = spec
         self.output_dir = Path(output_dir) if output_dir is not None else None
         self.num_workers = int(num_workers)
-        self.start_method = start_method
         self.progress = progress
         self.resume = bool(resume)
 
@@ -589,8 +601,7 @@ class SweepRunner:
         if self.num_workers == 1 or len(jobs) <= 1:
             records, num_resumed = self._consume(map(_execute_or_resume, tasks), len(jobs))
         else:
-            context = multiprocessing.get_context(self.start_method)
-            with context.Pool(processes=min(self.num_workers, len(jobs))) as pool:
+            with multiprocessing.Pool(processes=min(self.num_workers, len(jobs))) as pool:
                 # imap preserves job order while letting workers overlap.
                 records, num_resumed = self._consume(
                     pool.imap(_execute_or_resume, tasks), len(jobs)

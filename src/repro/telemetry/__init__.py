@@ -2,8 +2,7 @@
 
 One substrate for every layer's observability — the micro-batching
 broker and its asyncio front door, the evaluation engine, the rollout
-hot path, the persistent worker pool and the fleet load harness all
-record into the same process-global :class:`MetricsRegistry` and
+hot path and the fleet load harness all record into the same process-global :class:`MetricsRegistry` and
 :class:`Tracer`, reachable through :func:`registry` / :func:`tracer` /
 :func:`span`.  The ``metrics`` socket op, benchmark JSONs and the fleet
 :class:`~repro.loadgen.report.LoadReport` read the same snapshots back

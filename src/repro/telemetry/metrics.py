@@ -2,10 +2,10 @@
 
 The registry is the repo's single instrumentation substrate.  Every
 layer — the micro-batching broker, the asyncio front door, the
-evaluation engine, the rollout collector, the worker pool and the
-fleet load harness — records into :class:`MetricsRegistry` instruments,
-and every consumer (the ``metrics`` socket op, benchmark JSONs, the
-fleet :class:`~repro.loadgen.report.LoadReport`) reads the same
+evaluation engine, the rollout collector and the fleet load harness —
+records into :class:`MetricsRegistry` instruments, and every consumer
+(the ``metrics`` socket op, benchmark JSONs, the fleet
+:class:`~repro.loadgen.report.LoadReport`) reads the same
 :class:`MetricsSnapshot` out of it.
 
 Design constraints, in order:
@@ -19,11 +19,10 @@ Design constraints, in order:
   shared null instruments whose methods are empty one-liners; hot paths
   hold instrument references obtained at setup time, so the disabled
   cost is one no-op attribute call per event.
-* **Mergeable across processes.**  :meth:`MetricsRegistry.snapshot`
-  returns a picklable plain-dict snapshot; worker processes ship
-  snapshots to the parent, which folds them in with
-  :meth:`MetricsRegistry.merge_snapshot` (counters and histograms add,
-  gauges combine per their declared aggregation).
+* **Mergeable snapshots.**  :meth:`MetricsRegistry.snapshot` returns a
+  picklable plain-dict snapshot; :meth:`MetricsSnapshot.merge` folds
+  two together (counters and histograms add, gauges combine per their
+  declared aggregation).
 
 Naming scheme (documented in the README): ``<subsystem>_<what>_<unit>``
 with ``_total`` for counters (``serving_decisions_total``,
@@ -96,7 +95,7 @@ class LatencyHistogram:
         return (self.num_buckets, self.base, self.factor)
 
     def reset(self) -> None:
-        """Zero the recordings, keeping the bucketing (worker handoff)."""
+        """Zero the recordings, keeping the bucketing."""
         self.counts[:] = 0
         self.total = 0
         self.sum_seconds = 0.0
@@ -217,7 +216,7 @@ class Gauge:
 
     ``aggregation`` decides what merging two snapshots of the series
     means: ``"last"`` (default — the merged-in value wins), ``"sum"``
-    (per-worker contributions add) or ``"max"`` (high-water marks).
+    (contributions add) or ``"max"`` (high-water marks).
     """
 
     __slots__ = ("value", "aggregation")
@@ -573,7 +572,7 @@ class MetricsRegistry:
         return child
 
     # ------------------------------------------------------------------
-    # Snapshot / merge
+    # Snapshot
     # ------------------------------------------------------------------
     def snapshot(self) -> MetricsSnapshot:
         data: Dict[str, Dict[str, object]] = {}
@@ -597,59 +596,6 @@ class MetricsRegistry:
                 "series": series,
             }
         return MetricsSnapshot(data)
-
-    def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a (worker's) snapshot into this registry's live series."""
-        if not self.enabled:
-            return
-        for name, family in snapshot.data.items():
-            for series in family["series"].values():
-                labels = dict(series["labels"])
-                if family["kind"] == "counter":
-                    self.counter(name, family["help"], **labels).inc(
-                        int(series["value"])
-                    )
-                elif family["kind"] == "gauge":
-                    gauge = self.gauge(
-                        name,
-                        family["help"],
-                        aggregation=family.get("aggregation", "last"),
-                        **labels,
-                    )
-                    if gauge.aggregation == "sum":
-                        gauge.inc(float(series["value"]))
-                    else:
-                        gauge.set(float(series["value"]))
-                else:
-                    num_buckets, base, factor = series["value"]["bucketing"]
-                    self.histogram(
-                        name,
-                        family["help"],
-                        num_buckets=num_buckets,
-                        base=base,
-                        factor=factor,
-                        **labels,
-                    ).merge_state(series["value"])
-
-    def drain_snapshot(self) -> MetricsSnapshot:
-        """Snapshot, then zero the live series *in place* (worker handoff).
-
-        Unlike :meth:`clear`, instruments components already resolved
-        stay attached: counters and histograms restart from zero and
-        ``sum``-aggregated gauges reset, so repeated drains ship
-        non-overlapping deltas.  ``last``/``max`` gauges keep their
-        value — re-merging a point-in-time reading is idempotent.
-        """
-        snapshot = self.snapshot()
-        for family in self._families.values():
-            for child in family.children.values():
-                if family.kind == "counter":
-                    child.value = 0
-                elif family.kind == "histogram":
-                    child.reset()
-                elif child.aggregation == "sum":
-                    child.value = 0.0
-        return snapshot
 
     # ------------------------------------------------------------------
     # Expositions (delegating to a fresh snapshot)

@@ -5,9 +5,7 @@ batch=n):`` — recorded as a plain dict (name, wall-clock start,
 duration, attributes) into a fixed-capacity ring.  The ring overwrites
 oldest-first, so tracing a long fleet run costs bounded memory; the
 ``dropped`` counter says how many spans were overwritten.  Records
-export as JSONL (one span per line) for offline tooling, and workers
-ship their records to the parent with :meth:`Tracer.drain` /
-:meth:`Tracer.ingest`.
+export as JSONL (one span per line) for offline tooling.
 
 Like the metrics registry, tracing is provably inert: spans read
 ``time.perf_counter()``/``time.time()`` and touch Python objects only —
@@ -20,7 +18,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.utils.serialization import atomic_write_text
 
@@ -111,7 +109,7 @@ class Tracer:
             self._count += 1
 
     # ------------------------------------------------------------------
-    # Reading / merging
+    # Reading
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._count
@@ -123,32 +121,6 @@ class Tracer:
         else:
             stored = self._ring[self._next :] + self._ring[: self._next]
         return [dict(record) for record in stored if record is not None]
-
-    def ingest(self, records: Iterable[Dict[str, object]], **extra) -> int:
-        """Append foreign span records (e.g. a worker's), oldest first.
-
-        ``extra`` keys are folded into each record's attributes — the
-        worker pool stamps ``worker=<id>`` so merged rings stay
-        attributable.  Returns the number of ingested records.
-        """
-        count = 0
-        if not self.enabled:
-            return count
-        for record in records:
-            record = dict(record)
-            if extra:
-                attributes = dict(record.get("attributes") or {})
-                attributes.update(extra)
-                record["attributes"] = attributes
-            self._append(record)
-            count += 1
-        return count
-
-    def drain(self) -> List[Dict[str, object]]:
-        """Return every resident span and clear the ring (worker handoff)."""
-        records = self.records()
-        self.clear()
-        return records
 
     def clear(self) -> None:
         self._ring = [None] * self.capacity

@@ -18,6 +18,7 @@ from repro.drl.a2c import A2CConfig, A2CTrainer
 from repro.drl.agent import DRLPolicyAgent
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import (
+    BatchedRolloutCollector,
     Trajectory,
     TrajectoryBatch,
     derive_episode_streams,
@@ -25,6 +26,7 @@ from repro.drl.rollout import (
 from repro.engine import EvaluationEngine, GRUPolicyBackend
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
+from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import TrainingError
 from repro.optim import clip_grad_norm
 from repro.pipeline.evaluation import evaluate_agent
@@ -103,6 +105,26 @@ class TestCollectorEquivalence:
             tiny_policy, real_traces, greedy=True, batch_size=2
         )
         assert [t.trace_name for t in trajectories] == [t.name for t in real_traces]
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, None])
+    def test_collect_many_base_seed_independent_of_chunking(
+        self, system_config, reward_config, real_traces, tiny_policy, batch_size
+    ):
+        """With a base seed, chunking (incl. B=1 and partial final chunks)
+        never changes the trajectories."""
+        collector = BatchedRolloutCollector(
+            VectorStorageAllocationEnv(system_config, reward_config)
+        )
+        reference = collector.collect_many(
+            tiny_policy, real_traces, greedy=True, base_seed=5
+        )
+        chunked = collector.collect_many(
+            tiny_policy, real_traces, greedy=True, batch_size=batch_size, base_seed=5
+        )
+        assert len(chunked) == len(real_traces)
+        for ref, got in zip(reference, chunked):
+            assert ref.trace_name == got.trace_name
+            _assert_trajectories_identical(ref, got)
 
     def test_collect_batch_validation(self, collector, real_traces, tiny_policy):
         with pytest.raises(TrainingError):

@@ -11,8 +11,9 @@ action streams:
 * one      — :class:`BatchedRolloutCollector`, one episode at a time
   (B = 1, the sequential view);
 * lockstep — the same collector, all episodes in one batch;
-* pool     — :class:`PersistentWorkerPool`, episodes sharded across two
-  worker processes.
+* halves   — the episode list split in two, each half one
+  ``collect_batch`` call on its slice of the full list's
+  :func:`derive_episode_streams` (how a job would shard a collection).
 
 Every configuration is derived from a single seed, so a failure prints
 the config index and can be replayed in isolation with
@@ -31,7 +32,6 @@ import pytest
 
 from repro.autograd.functional import matmul_rows_np
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
-from repro.drl.worker_pool import PersistentWorkerPool, shard_indices
 from repro.drl.rollout import (
     BatchedRolloutCollector,
     Trajectory,
@@ -227,35 +227,52 @@ def _assert_case_equivalent(case: FuzzCase, reference, positions, candidate, nam
         assert_trajectories_identical(
             expected, actual, f"config {case.index} episode {i} ({name})"
         )
-    if candidate_positions is not None:
-        for i, (expected, actual) in enumerate(zip(positions, candidate_positions)):
-            assert expected[0] == actual[0], (
-                f"config {case.index} episode {i} ({name}): environment rng stream "
-                "position diverged"
-            )
-            assert expected[1] == actual[1], (
-                f"config {case.index} episode {i} ({name}): action rng stream "
-                "position diverged"
-            )
-
-
-def collect_pool(case: FuzzCase):
-    """Worker-pool collection (2 workers).
-
-    Streams are consumed inside the worker processes; rng positions are
-    asserted through the one-at-a-time/lockstep modes.
-    """
-    with PersistentWorkerPool(
-        case.system_config, case.reward_config, num_workers=2
-    ) as pool:
-        trajectories = pool.collect(
-            case.policy,
-            case.traces,
-            base_seed=case.base_seed,
-            epsilon=case.epsilon,
-            greedy=case.greedy,
+    for i, (expected, actual) in enumerate(zip(positions, candidate_positions)):
+        assert expected[0] == actual[0], (
+            f"config {case.index} episode {i} ({name}): environment rng stream "
+            "position diverged"
         )
-    return trajectories, None
+        assert expected[1] == actual[1], (
+            f"config {case.index} episode {i} ({name}): action rng stream "
+            "position diverged"
+        )
+
+
+def split_halves(count: int) -> List[List[int]]:
+    """``range(count)`` as at most two contiguous, non-empty halves, the
+    first one longer when ``count`` is odd."""
+    middle = (count + 1) // 2
+    return [list(part) for part in (range(middle), range(middle, count)) if part]
+
+
+def collect_halves(case: FuzzCase):
+    """The episode list as two ``collect_batch`` calls + final rng positions.
+
+    Each half runs on its own collector and gets its slice of the full
+    list's streams, so the halves must reproduce the lockstep batch bit
+    for bit, final stream positions included.
+    """
+    episode_rngs, action_rngs = derive_episode_streams(case.base_seed, len(case.traces))
+    trajectories: List[Trajectory] = []
+    for half in split_halves(len(case.traces)):
+        collector = BatchedRolloutCollector(
+            VectorStorageAllocationEnv(case.system_config, case.reward_config)
+        )
+        trajectories.extend(
+            collector.collect_batch(
+                case.policy,
+                [case.traces[i] for i in half],
+                epsilon=case.epsilon,
+                greedy=case.greedy,
+                episode_rngs=[episode_rngs[i] for i in half],
+                action_rngs=[action_rngs[i] for i in half],
+            )
+        )
+    positions = [
+        (_rng_position(episode_rngs[i]), _rng_position(action_rngs[i]))
+        for i in range(len(case.traces))
+    ]
+    return trajectories, positions
 
 
 @pytest.mark.parametrize("index", range(NUM_CONFIGS))
@@ -274,15 +291,17 @@ def test_scalar_vs_vector_bit_identical(index):
 
 @pytest.mark.parametrize("index", range(NUM_CONFIGS))
 def test_vector_vs_parallel_vs_pool_bit_identical(index):
-    """The process-sharded mode against the lockstep reference, all configs.
+    """The episode list split in halves against the lockstep batch.
 
-    The pool shards across 2 workers; any worker-layout leak into the
-    rng streams, the merge order, or the weight broadcast shows up as a
-    bitwise mismatch on some of the 50 random configs.
+    Any leak of the batch layout into the rng streams or the episode
+    order shows up as a bitwise mismatch, or as a diverged final stream
+    position, on some of the 50 random configs.  (The id predates the
+    removal of the process-pool collector; it is kept so the floor list
+    tracks one name.)
     """
     case = make_case(index)
-    reference, _ = collect_vector(case)
-    _assert_case_equivalent(case, reference, None, collect_pool(case), "pool")
+    reference, positions = collect_vector(case)
+    _assert_case_equivalent(case, reference, positions, collect_halves(case), "halves")
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +362,7 @@ def test_philox_vector_vs_parallel_vs_pool_bit_identical(index):
     total = len(case.traces)
     full = run_philox_lanes(case, list(range(total)))
     sharded: dict = {}
-    for shard in shard_indices(total, 2):
+    for shard in split_halves(total):
         sharded.update(run_philox_lanes(case, shard))
     assert sharded == full, f"config {index}"
 

@@ -76,6 +76,13 @@ class TestSpecAndExpansion:
             {"name": "x", "seeds": "012"},
             {"name": "x", "seeds": 5},
             {"name": "x", "bogus": 1},
+            # Seeds must be distinct integers: truncating [1.5, 1, True]
+            # would make three identical seed-1 jobs.
+            {"name": "x", "seeds": [1.5, 1, True]},
+            {"name": "x", "seeds": [True]},
+            {"name": "x", "seeds": [1.0]},
+            {"name": "x", "seeds": ["3"]},
+            {"name": "x", "seeds": [0, 2, 0]},
         ],
     )
     def test_invalid_specs_rejected(self, payload):
@@ -351,24 +358,29 @@ class TestSweepExecution:
         for agent in ("default", "gru_drl", "extracted_fsm"):
             assert metrics[f"{agent}/mean_makespan"] > 0
 
-    def test_parallel_training_jobs_compose_with_multiworker_sweep(self):
-        """rollout_workers > 1 inside a 2-worker sweep degrades to
-        in-process shards (daemonic pool workers cannot fork children)
-        instead of failing — and results are unchanged by design."""
+    def test_parallel_training_jobs_compose_with_multiworker_sweep(self, tmp_path):
+        """A2C inside a daemonic sweep worker writes the same per-job JSON,
+        byte for byte, as the same jobs run in-process."""
         spec = SweepSpec(
-            name="nested",
+            name="train-workers",
             kind="training",
-            base={"epochs": 1, "num_traces": 2, "duration": 10, "hidden_size": 8,
+            base={"epochs": 2, "num_traces": 2, "duration": 10, "hidden_size": 8,
                   "a2c.episodes_per_epoch": 2},
-            grid={"a2c.rollout_workers": [1, 2]},
+            grid={"a2c.learning_rate": [1e-3, 1e-4]},
             seeds=[0],
         )
-        result = SweepRunner(spec, num_workers=2).run()
-        assert [record["status"] for record in result.records] == ["ok", "ok"]
-        metrics = [record["metrics"] for record in result.records]
-        # Worker count never changes the collected trajectories.
-        assert metrics[0]["final_makespan"] == metrics[1]["final_makespan"]
-        assert metrics[0]["final_total_reward"] == metrics[1]["final_total_reward"]
+        outputs = {}
+        for workers in (1, 2):
+            result = SweepRunner(
+                spec, output_dir=tmp_path / f"w{workers}", num_workers=workers
+            ).run()
+            assert [r["status"] for r in result.records] == ["ok", "ok"]
+            outputs[workers] = {
+                path.name: path.read_bytes()
+                for path in sorted((tmp_path / f"w{workers}" / "jobs").glob("*.json"))
+            }
+        assert len(outputs[1]) == 2
+        assert outputs[1] == outputs[2]
 
     def test_invalid_worker_count(self, small_spec):
         with pytest.raises(ConfigurationError):

@@ -18,10 +18,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.drl.a2c import A2CConfig, A2CTrainer
-from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import BatchedRolloutCollector
-from repro.drl.worker_pool import PersistentWorkerPool
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ServingError
 from repro.telemetry import (
@@ -131,13 +128,6 @@ class TestSnapshotMergeAndExposition:
         assert first.value("latency_seconds")["total"] == 2
         assert first.value("depth_peak") == 4.0
 
-    def test_merge_into_registry(self):
-        registry = self._populated()
-        registry.merge_snapshot(self._populated().snapshot())
-        snapshot = registry.snapshot()
-        assert snapshot.value("decisions_total", backend="fsm") == 14
-        assert snapshot.value("latency_seconds")["total"] == 2
-
     def test_snapshot_pickles(self):
         snapshot = self._populated().snapshot()
         clone = pickle.loads(pickle.dumps(snapshot))
@@ -162,25 +152,6 @@ class TestSnapshotMergeAndExposition:
         registry.counter("odd_total", kind='quo"te\\path').inc()
         text = registry.to_prometheus_text()
         assert 'kind="quo\\"te\\\\path"' in text
-
-    def test_drain_snapshot_keeps_instruments_attached(self):
-        registry = MetricsRegistry(enabled=True)
-        counter = registry.counter("work_total")
-        hist = registry.histogram("lat_seconds")
-        total = registry.gauge("load", aggregation="sum")
-        counter.inc(3)
-        hist.record(0.01)
-        total.inc(2.0)
-        first = registry.drain_snapshot()
-        assert first.value("work_total") == 3
-        # The SAME instrument objects keep recording post-drain...
-        counter.inc()
-        hist.record(0.02)
-        second = registry.drain_snapshot()
-        # ...and the second drain carries only the delta.
-        assert second.value("work_total") == 1
-        assert second.value("lat_seconds")["total"] == 1
-        assert second.value("load") == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -246,17 +217,6 @@ class TestTracer:
         assert tracer.dropped == 2
         assert [r["name"] for r in tracer.records()] == ["op2", "op3", "op4"]
 
-    def test_ingest_stamps_extra_attributes(self):
-        worker, parent = Tracer(capacity=8), Tracer(capacity=8)
-        with worker.span("rollout.collect_batch", traces=2):
-            pass
-        shipped = worker.drain()
-        assert len(worker) == 0
-        assert parent.ingest(shipped, worker=3) == 1
-        (record,) = parent.records()
-        assert record["attributes"]["worker"] == 3
-        assert record["attributes"]["traces"] == 2
-
     def test_jsonl_export(self, tmp_path):
         tracer = Tracer(capacity=8)
         with tracer.span("a"):
@@ -273,7 +233,6 @@ class TestTracer:
         with tracer.span("ignored", key="value") as span:
             span.set("more", 1)  # null span: no-op
         assert len(tracer) == 0
-        assert tracer.ingest([{"name": "x"}]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -322,40 +281,6 @@ class TestComponentIntegration:
             if r["name"] == "rollout.collect_batch"
         ]
         assert spans and spans[-1]["attributes"]["traces"] == 2
-
-    def test_worker_pool_merges_worker_telemetry(
-        self, fresh_defaults, system_config, reward_config, real_traces, tiny_policy
-    ):
-        with PersistentWorkerPool(
-            system_config, reward_config, num_workers=2
-        ) as pool:
-            pool.collect(tiny_policy, real_traces[:2], base_seed=5)
-        snapshot = telemetry.registry().snapshot()
-        # The parent never ran a rollout itself: these series arrived
-        # via worker snapshots merged at the epoch boundary.
-        assert snapshot.value("rollout_episodes_total") == 2
-        worker_spans = [
-            r for r in telemetry.tracer().records()
-            if r["name"] == "rollout.collect_batch"
-        ]
-        assert worker_spans
-        assert all("worker" in r["attributes"] for r in worker_spans)
-
-    def test_training_with_rollout_workers_folds_worker_counters(
-        self, fresh_defaults, system_config, reward_config, real_traces
-    ):
-        """The trainer's multi-process path ships worker telemetry home:
-        the parent never steps an environment itself, yet its registry
-        ends up with the workers' rollout counters."""
-        policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=3)
-        with A2CTrainer(
-            policy, system_config, reward_config,
-            A2CConfig(episodes_per_epoch=3, rollout_workers=2), rng=0,
-        ) as trainer:
-            trainer.train(real_traces[:2], epochs=2)
-        snapshot = telemetry.registry().snapshot()
-        assert snapshot.value("rollout_episodes_total") == 6
-        assert snapshot.value("rollout_steps_total") > 0
 
 
 @pytest.fixture
