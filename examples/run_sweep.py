@@ -4,11 +4,13 @@ Run with::
 
     PYTHONPATH=src python examples/run_sweep.py --workers 2 --output /tmp/sweep
 
-By default this runs a small demo sweep: the three no-training baseline
-controllers compared over generated workloads, gridded over the target
-load and two seeds (4 jobs).  Pass ``--spec path.json`` to run your own
-sweep; the JSON file holds a :class:`repro.pipeline.sweep.SweepSpec`
-(name/kind/base/grid/seeds — see README "Sweep runner").
+By default this runs a small demo sweep: a tiny design run (curriculum
+DRL, QBN, FSM extraction, evaluation against the default, handcrafted
+and greedy-utilisation baselines), gridded over the generator's target
+load and two seeds (4 jobs, a few seconds).  Pass ``--spec path.json``
+to run your own sweep; the JSON file holds a
+:class:`repro.pipeline.sweep.SweepSpec` (name/base/grid/seeds, every
+parameter a ``PipelineConfig`` field path — see README "Sweep runner").
 
 Per-job JSON results are deterministic: rerunning the same spec (with
 any ``--workers`` value) writes byte-identical files under
@@ -26,10 +28,20 @@ from repro.utils.serialization import load_json
 
 def demo_spec() -> SweepSpec:
     return SweepSpec(
-        name="baseline-demo",
-        kind="agents",
-        base={"num_traces": 3, "duration": 24},
-        grid={"target_load": [0.9, 1.1]},
+        name="design-demo",
+        base={
+            "curriculum.standard_epochs": 2,
+            "curriculum.real_epochs": 2,
+            "policy.hidden_size": 16,
+            "standard_trace_duration": 16,
+            "num_real_traces": 4,
+            "num_eval_traces": 2,
+            "bc_pretrain_epochs": 2,
+            "qbn_fine_tune_epochs": 2,
+            "rollout_traces_for_extraction": 2,
+            "qbn.epochs": 4,
+        },
+        grid={"generator.target_load": [0.9, 1.1]},
         seeds=[0, 1],
     )
 

@@ -1,27 +1,26 @@
 """Sharded experiment sweeps: grid expansion, multi-process execution, JSON results.
 
-A :class:`SweepSpec` describes a family of seeded experiments as a base
+A :class:`SweepSpec` describes a family of seeded design runs as a base
 parameter set plus a grid of variations; :class:`SweepRunner` expands the
 grid into :class:`SweepJob` instances, executes them (optionally across
 worker processes), captures failures without aborting the sweep, writes
 one canonical JSON result per job plus an aggregate comparison table, and
 fingerprints every job payload so reruns can be checked for determinism.
 
+Every job is one run of the paper's design process — curriculum DRL,
+QBN, FSM extraction, evaluation against the default, handcrafted and
+greedy-utilisation baselines — on
+:func:`~repro.pipeline.experiments.small_pipeline_config` at the job's
+seed.  Every parameter is a ``PipelineConfig`` field path applied with
+:func:`apply_overrides` (``curriculum.standard_epochs``,
+``generator.target_load``, ``a2c.learning_rate``, ``num_real_traces``);
+the seed comes from ``seeds`` only.
+
 Determinism contract: a job's result payload depends only on its
-``(kind, params, seed)`` triple — wall-clock timings are kept out of the
+``(name, params, seed)`` — wall-clock timings are kept out of the
 per-job payloads (they live in the aggregate summary only), so running
 the same spec twice, with any worker count, produces byte-identical
 per-job JSON files.
-
-Job kinds:
-
-* ``"agents"`` — seeded :func:`~repro.pipeline.evaluation.compare_agents`
-  over generated workloads for a set of baseline controllers;
-* ``"training"`` — a short seeded A2C training run, reporting final
-  smoothed makespan and reward;
-* ``"pipeline"`` — a full (scaled-down) :class:`LearningAidedPipeline`
-  run, reporting evaluation makespans of the trained DRL policy and the
-  extracted FSM against the default baseline.
 """
 
 from __future__ import annotations
@@ -77,23 +76,18 @@ def _replace_path(config: Any, path: List[str], value: Any, dotted: str) -> Any:
 # ----------------------------------------------------------------------
 # Spec and job model
 # ----------------------------------------------------------------------
-_KINDS = ("agents", "training", "pipeline")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A declarative description of one experiment sweep.
 
     ``base`` holds parameters shared by every job; ``grid`` maps
     parameter names to lists of values whose cartesian product (crossed
-    with ``seeds``) defines the jobs.  Parameter names may be dotted
-    config paths for the ``training``/``pipeline`` kinds (see
-    :func:`apply_overrides`) or plain job parameters (see each kind's
-    runner for the recognised keys).
+    with ``seeds``) defines the jobs.  Every parameter name is a
+    ``PipelineConfig`` field path (see :func:`apply_overrides`); the
+    config's ``seed`` is set from ``seeds`` and may not be a parameter.
     """
 
     name: str
-    kind: str = "agents"
     base: Dict[str, Any] = field(default_factory=dict)
     grid: Dict[str, Sequence[Any]] = field(default_factory=dict)
     seeds: Sequence[int] = (0,)
@@ -101,9 +95,19 @@ class SweepSpec:
     def validate(self) -> None:
         if not self.name:
             raise ConfigurationError("sweep name must be non-empty")
-        if self.kind not in _KINDS:
+        for key in ("base", "grid"):
+            value = getattr(self, key)
+            if not isinstance(value, Mapping):
+                raise ConfigurationError(
+                    f"{key} must be a mapping, got {type(value).__name__}"
+                )
+        if "seed" in self.base or "seed" in self.grid:
             raise ConfigurationError(
-                f"kind must be one of {_KINDS}, got {self.kind!r}"
+                "'seed' is not a job parameter: list the seeds in 'seeds'"
+            )
+        if not isinstance(self.seeds, (list, tuple)):
+            raise ConfigurationError(
+                f"seeds must be a list, got {type(self.seeds).__name__}"
             )
         if not self.seeds:
             raise ConfigurationError("sweep needs at least one seed")
@@ -116,6 +120,7 @@ class SweepSpec:
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
         for key, values in self.grid.items():
+            # A string typo like "0.9" must not explode into ['0', '.', '9'].
             if not isinstance(values, (list, tuple)):
                 raise ConfigurationError(
                     f"grid values for {key!r} must be a list, got {type(values).__name__}"
@@ -126,7 +131,6 @@ class SweepSpec:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
-            "kind": self.kind,
             "base": dict(self.base),
             "grid": {key: list(values) for key, values in self.grid.items()},
             "seeds": list(self.seeds),
@@ -134,31 +138,16 @@ class SweepSpec:
 
     @staticmethod
     def from_dict(payload: Mapping[str, Any]) -> "SweepSpec":
-        known = {"name", "kind", "base", "grid", "seeds"}
-        unknown = set(payload) - known
+        unknown = set(payload) - {"name", "base", "grid", "seeds"}
         if unknown:
             raise ConfigurationError(f"unknown sweep spec keys: {sorted(unknown)}")
         if "name" not in payload:
             raise ConfigurationError("sweep spec needs a 'name'")
-        raw_grid = dict(payload.get("grid", {}))
-        for key, values in raw_grid.items():
-            # Check the raw value: list() would happily explode a string
-            # typo like "0.9" into ['0', '.', '9'].
-            if not isinstance(values, (list, tuple)):
-                raise ConfigurationError(
-                    f"grid values for {key!r} must be a list, got {type(values).__name__}"
-                )
-        raw_seeds = payload.get("seeds", [0])
-        if not isinstance(raw_seeds, (list, tuple)):
-            raise ConfigurationError(
-                f"seeds must be a list, got {type(raw_seeds).__name__}"
-            )
         spec = SweepSpec(
             name=str(payload["name"]),
-            kind=str(payload.get("kind", "agents")),
-            base=dict(payload.get("base", {})),
-            grid={k: list(v) for k, v in raw_grid.items()},
-            seeds=list(raw_seeds),
+            base=payload.get("base", {}),
+            grid=payload.get("grid", {}),
+            seeds=payload.get("seeds", [0]),
         )
         spec.validate()
         return spec
@@ -170,13 +159,11 @@ class SweepJob:
 
     index: int
     name: str
-    kind: str
     seed: int
     params: Dict[str, Any]
 
     def payload_id(self) -> Dict[str, Any]:
-        return {"name": self.name, "kind": self.kind, "seed": self.seed,
-                "params": dict(self.params)}
+        return {"name": self.name, "seed": self.seed, "params": dict(self.params)}
 
 
 def _slug(text: str) -> str:
@@ -210,7 +197,6 @@ def expand_jobs(spec: SweepSpec) -> List[SweepJob]:
                 SweepJob(
                     index=len(jobs),
                     name=f"{_slug(spec.name)}-{len(jobs):03d}-{'-'.join(label_parts)}",
-                    kind=spec.kind,
                     seed=int(seed),
                     params=params,
                 )
@@ -221,182 +207,36 @@ def expand_jobs(spec: SweepSpec) -> List[SweepJob]:
 # ----------------------------------------------------------------------
 # Job execution (module-level so worker processes can pickle them)
 # ----------------------------------------------------------------------
-def _split_params(
-    params: Mapping[str, Any],
-    plain: Sequence[str],
-    allow_plain_overrides: bool = False,
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Partition job params into plain keys and config overrides.
+def _run_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+    """One design run: curriculum DRL, QBN, FSM extraction, evaluation.
 
-    Dotted keys are always overrides; with ``allow_plain_overrides``
-    undotted unknown keys are too (used by the pipeline kind, where
-    top-level ``PipelineConfig`` fields are legitimate override targets
-    and :func:`apply_overrides` still rejects unknown field names).
+    The config is :func:`~repro.pipeline.experiments.small_pipeline_config`
+    at ``seed`` with ``params`` applied as :func:`apply_overrides` paths.
+    The trained policy and the extracted FSM are evaluated beside the
+    default, handcrafted and greedy-utilisation (BC teacher) baselines.
     """
-    plain_params: Dict[str, Any] = {}
-    overrides: Dict[str, Any] = {}
-    for key, value in params.items():
-        if key in plain:
-            plain_params[key] = value
-        elif "." in key or allow_plain_overrides:
-            overrides[key] = value
-        else:
-            raise ConfigurationError(
-                f"unknown job parameter {key!r} (plain parameters: {sorted(plain)}; "
-                "dotted names are treated as config overrides)"
-            )
-    return plain_params, overrides
-
-
-def _build_agent(name: str, system_config):
     from repro.agents.default import DefaultPolicy
     from repro.agents.greedy import GreedyUtilizationPolicy
     from repro.agents.handcrafted import HandcraftedFSMPolicy
-    from repro.agents.proportional import ProportionalAllocationPolicy
-
-    builders = {
-        "default": lambda: DefaultPolicy(),
-        "handcrafted_fsm": lambda: HandcraftedFSMPolicy(),
-        "greedy_utilization": lambda: GreedyUtilizationPolicy(),
-        "proportional_allocation": lambda: ProportionalAllocationPolicy(system_config),
-    }
-    if name not in builders:
-        raise ConfigurationError(
-            f"unknown agent {name!r} (available: {sorted(builders)})"
-        )
-    return builders[name]()
-
-
-def _build_traces(system_config, seed: int, num_traces: int, duration: int,
-                  target_load: float):
-    from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
-    from repro.workloads.sampler import RealTraceSampler, SamplerConfig
-
-    generator = StandardWorkloadGenerator(
-        system_config, GeneratorConfig(target_load=float(target_load)), rng=seed
-    )
-    standard = generator.generate_suite(duration=int(duration))
-    sampler = RealTraceSampler(
-        standard,
-        SamplerConfig(snippets_per_trace=2, min_snippet_length=max(4, duration // 3),
-                      max_snippet_length=max(6, duration // 2)),
-        rng=seed + 1,
-    )
-    return sampler.sample_many(int(num_traces))
-
-
-def _run_agents_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """Seeded baseline-controller comparison over generated workloads."""
-    from repro.pipeline.evaluation import compare_agents
-    from repro.storage.simulator import StorageSystemConfig
-
-    plain, overrides = _split_params(
-        params, ("num_traces", "duration", "target_load", "agents", "episode_seed")
-    )
-    system_config = apply_overrides(StorageSystemConfig(), overrides) if overrides \
-        else StorageSystemConfig()
-    agents = [
-        _build_agent(name, system_config)
-        for name in plain.get("agents", ["default", "greedy_utilization",
-                                         "proportional_allocation"])
-    ]
-    traces = _build_traces(
-        system_config, seed,
-        num_traces=plain.get("num_traces", 4),
-        duration=plain.get("duration", 24),
-        target_load=plain.get("target_load", 1.0),
-    )
-    results = compare_agents(
-        agents, traces, system_config=system_config,
-        episode_seed=int(plain.get("episode_seed", seed)),
-    )
-    metrics: Dict[str, Any] = {"num_traces": len(traces)}
-    for name, result in results.items():
-        metrics[f"{name}/mean_makespan"] = result.mean_makespan()
-        metrics[f"{name}/total_makespan"] = result.total_makespan()
-        metrics[f"{name}/mean_total_reward"] = result.mean_total_reward()
-    return metrics
-
-
-def _run_training_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """A short seeded A2C run; dotted ``a2c.*`` params override the A2C
-    config (the policy is configured via the plain ``hidden_size``)."""
-    from repro.drl.a2c import A2CConfig, A2CTrainer
-    from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
-    from repro.env.reward import RewardConfig
-    from repro.storage.simulator import StorageSystemConfig
-
-    plain, overrides = _split_params(
-        params,
-        ("epochs", "num_traces", "duration", "target_load", "hidden_size"),
-    )
-    a2c_overrides = {k[len("a2c."):]: v for k, v in overrides.items()
-                     if k.startswith("a2c.")}
-    unknown = set(overrides) - {f"a2c.{k}" for k in a2c_overrides}
-    if unknown:
-        raise ConfigurationError(
-            f"training jobs only accept 'a2c.*' overrides, got {sorted(unknown)}"
-        )
-    a2c_config = apply_overrides(A2CConfig(), a2c_overrides)
-
-    system_config = StorageSystemConfig()
-    traces = _build_traces(
-        system_config, seed,
-        num_traces=plain.get("num_traces", 2),
-        duration=plain.get("duration", 16),
-        target_load=plain.get("target_load", 1.0),
-    )
-    policy = RecurrentPolicyValueNet(
-        PolicyConfig(hidden_size=int(plain.get("hidden_size", 16))), rng=seed
-    )
-    reward_config = RewardConfig(mode="per_step_penalty")
-    trainer = A2CTrainer(policy, system_config, reward_config, a2c_config, rng=seed)
-    history = trainer.train(traces, epochs=int(plain.get("epochs", 3)))
-    makespans = history.makespans()
-    rewards = [record.total_reward for record in history.records]
-    return {
-        "epochs": len(history),
-        "final_makespan": float(makespans[-1]),
-        "mean_makespan": float(makespans.mean()),
-        "final_total_reward": float(rewards[-1]),
-        "learning_rate": float(a2c_config.learning_rate),
-    }
-
-
-def _run_pipeline_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """A full (scaled-down) pipeline run evaluated against the default baseline."""
-    from repro.agents.default import DefaultPolicy
     from repro.pipeline.experiments import small_pipeline_config
     from repro.pipeline.learning_aided import LearningAidedPipeline
 
-    plain, overrides = _split_params(
-        params,
-        ("standard_epochs", "real_epochs", "hidden_size", "trace_duration",
-         "num_real_traces", "num_eval_traces"),
-        allow_plain_overrides=True,
+    pipeline = LearningAidedPipeline(
+        apply_overrides(small_pipeline_config(seed=seed), params)
     )
-    config = small_pipeline_config(
-        seed=seed,
-        standard_epochs=int(plain.get("standard_epochs", 3)),
-        real_epochs=int(plain.get("real_epochs", 3)),
-        hidden_size=int(plain.get("hidden_size", 16)),
-        trace_duration=int(plain.get("trace_duration", 16)),
-        num_real_traces=int(plain.get("num_real_traces", 4)),
-        num_eval_traces=int(plain.get("num_eval_traces", 2)),
-    )
-    if overrides:
-        config = apply_overrides(config, overrides)
-    pipeline = LearningAidedPipeline(config)
     result = pipeline.run()
     # Engine-backed evaluation stage: the FSM runs on its compiled dense
     # tables, the policy as batched GRU forwards — same numbers as the
     # sequential harness, one lockstep batch per agent.
     comparison = pipeline.evaluate(
-        result, baselines=[DefaultPolicy()], episode_seed=seed
+        result,
+        baselines=[DefaultPolicy(), HandcraftedFSMPolicy(), GreedyUtilizationPolicy()],
+        episode_seed=seed,
     )
     fidelity = pipeline.verify_fidelity(result, episode_seed=seed)
     metrics: Dict[str, Any] = {
         "train_epochs": len(result.training_history),
+        "train_final_makespan": float(result.training_history.makespans()[-1]),
         "fsm_states": result.extraction.fsm.num_states,
         "eval_traces": len(result.eval_traces),
         "fsm_compiled_identical": fidelity.identical,
@@ -406,18 +246,14 @@ def _run_pipeline_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     return metrics
 
 
-_JOB_RUNNERS: Dict[str, Callable[[Mapping[str, Any], int], Dict[str, Any]]] = {
-    "agents": _run_agents_job,
-    "training": _run_training_job,
-    "pipeline": _run_pipeline_job,
-}
+_RESULT_KEYS = ("metrics", "status", "error", "traceback", "digest")
 
 
 def load_resumed_record(job: SweepJob, output_dir: PathLike) -> Optional[Dict[str, Any]]:
     """A verified previous record for ``job``, or None to re-run it.
 
     A record is only reused when it parses, matches the job's identity
-    (name/kind/seed/params), finished with ``status == "ok"`` and
+    (name/seed/params), finished with ``status == "ok"`` and
     carries a digest that matches its own payload — a corrupt, stale or
     failed file falls through to re-execution.
     """
@@ -431,12 +267,10 @@ def load_resumed_record(job: SweepJob, output_dir: PathLike) -> Optional[Dict[st
         return None
     if not isinstance(record, dict) or record.get("status") != "ok":
         return None
-    identity_keys = ("name", "kind", "seed", "params")
-    if any(key not in record for key in identity_keys) or "digest" not in record:
-        return None
-    if json_digest({k: record[k] for k in identity_keys}) != json_digest(
-        job.payload_id()
-    ):
+    # The identity is every key but the result ones, so a record that
+    # carries a key this job does not (an old ``kind``) re-runs.
+    identity = {k: v for k, v in record.items() if k not in _RESULT_KEYS}
+    if "digest" not in record or json_digest(identity) != json_digest(job.payload_id()):
         return None
     expected = json_digest(
         {k: v for k, v in record.items() if k not in ("digest", "traceback")}
@@ -475,8 +309,7 @@ def execute_job(job: SweepJob) -> Dict[str, Any]:
     """
     record = job.payload_id()
     try:
-        runner = _JOB_RUNNERS[job.kind]
-        record["metrics"] = runner(job.params, job.seed)
+        record["metrics"] = _run_job(job.params, job.seed)
         record["status"] = "ok"
     except Exception as exc:
         record["status"] = "failed"
@@ -528,7 +361,7 @@ class SweepResult:
                 metrics[key] if key in metrics else "-" for key in columns
             )
             rows.append(row)
-        return format_table(headers, rows, title=f"Sweep {self.spec.name} ({self.spec.kind})")
+        return format_table(headers, rows, title=f"Sweep {self.spec.name}")
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -559,7 +392,7 @@ class SweepRunner:
     output dir with a verified sha256 digest (and ``status == "ok"``)
     are loaded instead of re-executed — deleting one job file and
     rerunning recomputes exactly that job, byte-identically, because a
-    job's payload depends only on its ``(kind, params, seed)`` triple.
+    job's payload depends only on its ``(name, params, seed)``.
     Verification is lazy, per job, *inside* the workers (see
     :func:`_execute_or_resume`): resuming a large mostly-complete sweep
     starts dispatching immediately instead of first re-verifying every

@@ -561,9 +561,7 @@ class PolicyNetServer:
             "serving_sessions_active", "Open sessions in the table"
         ).set(self.server.table.num_active)
         self.metrics.gauge(
-            "serving_sessions_peak",
-            "Peak concurrently open sessions",
-            aggregation="max",
+            "serving_sessions_peak", "Peak concurrently open sessions"
         ).set(self.server.table.peak_active)
         self.metrics.gauge(
             "serving_pending_requests", "Requests queued in the broker"

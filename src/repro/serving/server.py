@@ -221,9 +221,7 @@ class PolicyServer:
             "serving_queue_depth", "Queued requests at the last flush"
         )
         self._m_queue_peak = self.metrics.gauge(
-            "serving_queue_depth_peak",
-            "Deepest micro-batch queue observed",
-            aggregation="max",
+            "serving_queue_depth_peak", "Deepest micro-batch queue observed"
         )
         self.metrics.gauge(
             "serving_backend_info",
@@ -382,7 +380,8 @@ class PolicyServer:
             slots = np.concatenate([w.slots[b:s] for w, b, s in segments])
             raw = np.concatenate([w.raw[b:s] for w, b, s in segments])
         self._m_queue_depth.set(depth)
-        self._m_queue_peak.set(depth)
+        if depth > self._m_queue_peak.value:
+            self._m_queue_peak.set(depth)
         try:
             with self.tracer.span("broker.flush", batch=depth) as flush_span:
                 actions = self._decide(slots, raw)

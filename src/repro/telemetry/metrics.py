@@ -21,8 +21,7 @@ Design constraints, in order:
   cost is one no-op attribute call per event.
 * **Mergeable snapshots.**  :meth:`MetricsRegistry.snapshot` returns a
   picklable plain-dict snapshot; :meth:`MetricsSnapshot.merge` folds
-  two together (counters and histograms add, gauges combine per their
-  declared aggregation).
+  two together (counters and histograms add, the merged-in gauge wins).
 
 Naming scheme (documented in the README): ``<subsystem>_<what>_<unit>``
 with ``_total`` for counters (``serving_decisions_total``,
@@ -212,27 +211,15 @@ class Counter:
 
 
 class Gauge:
-    """Point-in-time value with a declared cross-snapshot aggregation.
+    """Point-in-time value; merging two snapshots keeps the merged-in one."""
 
-    ``aggregation`` decides what merging two snapshots of the series
-    means: ``"last"`` (default — the merged-in value wins), ``"sum"``
-    (contributions add) or ``"max"`` (high-water marks).
-    """
+    __slots__ = ("value",)
 
-    __slots__ = ("value", "aggregation")
-
-    def __init__(self, aggregation: str = "last") -> None:
-        if aggregation not in ("last", "sum", "max"):
-            raise ValueError(f"unknown gauge aggregation {aggregation!r}")
+    def __init__(self) -> None:
         self.value = 0.0
-        self.aggregation = aggregation
 
     def set(self, value: float) -> None:
-        if self.aggregation == "max":
-            if value > self.value:
-                self.value = float(value)
-        else:
-            self.value = float(value)
+        self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
@@ -258,7 +245,6 @@ class _NullCounter:
 class _NullGauge:
     __slots__ = ()
     value = 0.0
-    aggregation = "last"
 
     def set(self, value: float) -> None:
         pass
@@ -327,20 +313,18 @@ def _render_labels(items: Iterable[Tuple[str, str]]) -> str:
 class _Family:
     """One metric name: kind + help text + labeled children."""
 
-    __slots__ = ("name", "kind", "help", "aggregation", "bucketing", "children")
+    __slots__ = ("name", "kind", "help", "bucketing", "children")
 
     def __init__(
         self,
         name: str,
         kind: str,
         help_text: str,
-        aggregation: str = "last",
         bucketing: Optional[Tuple[int, float, float]] = None,
     ) -> None:
         self.name = name
         self.kind = kind
         self.help = help_text
-        self.aggregation = aggregation
         self.bucketing = bucketing
         self.children: Dict[LabelItems, object] = {}
 
@@ -353,18 +337,18 @@ class MetricsSnapshot:
     """
 
     def __init__(self, data: Optional[Dict[str, Dict[str, object]]] = None) -> None:
-        # name -> {"kind", "help", "aggregation", "series": {rendered-labels-key: {"labels": {...}, "value": ...}}}
+        # name -> {"kind", "help", "series": {rendered-labels-key: {"labels": {...}, "value": ...}}}
         self.data: Dict[str, Dict[str, object]] = data if data is not None else {}
 
     def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Fold ``other`` into this snapshot (counters/histograms add)."""
+        """Fold ``other`` into this snapshot (counters/histograms add,
+        gauges take ``other``'s value)."""
         for name, family in other.data.items():
             mine = self.data.get(name)
             if mine is None:
                 self.data[name] = {
                     "kind": family["kind"],
                     "help": family["help"],
-                    "aggregation": family.get("aggregation", "last"),
                     "series": {
                         key: {"labels": dict(s["labels"]), "value": _copy_value(s["value"])}
                         for key, s in family["series"].items()
@@ -385,10 +369,7 @@ class MetricsSnapshot:
                     }
                     continue
                 existing["value"] = _merge_value(
-                    mine["kind"],
-                    mine.get("aggregation", "last"),
-                    existing["value"],
-                    series["value"],
+                    mine["kind"], existing["value"], series["value"]
                 )
         return self
 
@@ -457,14 +438,10 @@ def _copy_value(value: object) -> object:
     return dict(value) if isinstance(value, dict) else value
 
 
-def _merge_value(kind: str, aggregation: str, mine: object, theirs: object) -> object:
+def _merge_value(kind: str, mine: object, theirs: object) -> object:
     if kind == "counter":
         return int(mine) + int(theirs)
     if kind == "gauge":
-        if aggregation == "sum":
-            return float(mine) + float(theirs)
-        if aggregation == "max":
-            return max(float(mine), float(theirs))
         return float(theirs)
     hist = LatencyHistogram.from_state(mine)
     hist.merge_state(theirs)
@@ -501,14 +478,13 @@ class MetricsRegistry:
         name: str,
         kind: str,
         help_text: str,
-        aggregation: str = "last",
         bucketing: Optional[Tuple[int, float, float]] = None,
     ) -> _Family:
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         family = self._families.get(name)
         if family is None:
-            family = _Family(name, kind, help_text, aggregation, bucketing)
+            family = _Family(name, kind, help_text, bucketing)
             self._families[name] = family
         elif family.kind != kind:
             raise ValueError(
@@ -531,16 +507,14 @@ class MetricsRegistry:
             family.children[key] = child
         return child
 
-    def gauge(
-        self, name: str, help: str = "", aggregation: str = "last", **labels
-    ) -> Gauge:
+    def gauge(self, name: str, help: str = "", **labels) -> Gauge:
         if not self.enabled:
             return _NULL_GAUGE
-        family = self._family(name, "gauge", help, aggregation=aggregation)
+        family = self._family(name, "gauge", help)
         key = _label_items(labels)
         child = family.children.get(key)
         if child is None:
-            child = Gauge(aggregation=family.aggregation)
+            child = Gauge()
             family.children[key] = child
         return child
 
@@ -592,7 +566,6 @@ class MetricsRegistry:
             data[name] = {
                 "kind": family.kind,
                 "help": family.help,
-                "aggregation": family.aggregation,
                 "series": series,
             }
         return MetricsSnapshot(data)

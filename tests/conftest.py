@@ -175,6 +175,28 @@ def tiny_pipeline_config() -> PipelineConfig:
     )
 
 
+@pytest.fixture
+def tiny_sweep_base() -> dict:
+    """Sweep job parameters that shrink one design run to a fraction of a second."""
+    return {
+        "curriculum.standard_epochs": 1,
+        "curriculum.real_epochs": 1,
+        "policy.hidden_size": 8,
+        "standard_trace_duration": 8,
+        "num_real_traces": 3,
+        "num_eval_traces": 1,
+        "sampler.snippets_per_trace": 2,
+        "sampler.min_snippet_length": 4,
+        "sampler.max_snippet_length": 6,
+        "bc_pretrain_epochs": 0,
+        "qbn_fine_tune_epochs": 0,
+        "rollout_traces_for_extraction": 1,
+        "qbn.epochs": 1,
+        "qbn.observation_latent_dim": 4,
+        "qbn.hidden_latent_dim": 4,
+    }
+
+
 @pytest.fixture(scope="session")
 def tiny_pipeline_result(tiny_pipeline_config):
     """A fully-run (tiny) pipeline shared by FSM/interpretation integration tests."""

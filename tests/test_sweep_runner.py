@@ -1,8 +1,10 @@
 """Sweep runner: deterministic grid expansion, execution and JSON results.
 
-The acceptance-criterion test runs a 4-job sweep twice (once with 2
-worker processes, once in-process) and asserts the per-job JSON files
-are byte-identical — worker layout and rerun may never change results.
+Every job is one tiny design run (the shared ``tiny_sweep_base``
+fixture).  The acceptance-criterion test runs a 4-job sweep twice (once
+with 2 worker processes, once in-process) and asserts the per-job JSON
+files are byte-identical — worker layout and rerun may never change
+results.
 """
 
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 from repro.drl.a2c import A2CConfig
 from repro.errors import ConfigurationError
-from repro.pipeline.learning_aided import PipelineConfig
+from repro.pipeline.learning_aided import LearningAidedPipeline, PipelineConfig
 from repro.pipeline.sweep import (
     SweepJob,
     SweepRunner,
@@ -26,13 +28,12 @@ from repro.utils.serialization import json_digest, load_json
 
 
 @pytest.fixture
-def small_spec() -> SweepSpec:
-    """4 fast jobs: 2 target loads x 2 seeds of the baseline comparison."""
+def small_spec(tiny_sweep_base) -> SweepSpec:
+    """4 fast jobs: 2 target loads x 2 seeds of the tiny design run."""
     return SweepSpec(
         name="test-sweep",
-        kind="agents",
-        base={"num_traces": 2, "duration": 12, "agents": ["default", "greedy_utilization"]},
-        grid={"target_load": [0.9, 1.1]},
+        base=tiny_sweep_base,
+        grid={"generator.target_load": [0.9, 1.1]},
         seeds=[0, 1],
     )
 
@@ -41,21 +42,18 @@ class TestSpecAndExpansion:
     def test_expand_is_deterministic(self, small_spec):
         jobs = expand_jobs(small_spec)
         assert [job.name for job in jobs] == [
-            "test-sweep-000-target_load=0.9-seed=0",
-            "test-sweep-001-target_load=0.9-seed=1",
-            "test-sweep-002-target_load=1.1-seed=0",
-            "test-sweep-003-target_load=1.1-seed=1",
+            "test-sweep-000-generator.target_load=0.9-seed=0",
+            "test-sweep-001-generator.target_load=0.9-seed=1",
+            "test-sweep-002-generator.target_load=1.1-seed=0",
+            "test-sweep-003-generator.target_load=1.1-seed=1",
         ]
         assert [job.index for job in jobs] == [0, 1, 2, 3]
-        assert jobs[0].params["target_load"] == 0.9
-        assert jobs[0].params["num_traces"] == 2
+        assert jobs[0].params["generator.target_load"] == 0.9
+        assert jobs[0].params["num_real_traces"] == 3
         assert expand_jobs(small_spec) == jobs
 
     def test_grid_axes_iterate_in_sorted_order(self):
-        spec = SweepSpec(
-            name="s", kind="agents",
-            grid={"b": [1, 2], "a": [10]}, seeds=[0],
-        )
+        spec = SweepSpec(name="s", grid={"b": [1, 2], "a": [10]}, seeds=[0])
         jobs = expand_jobs(spec)
         assert [job.params for job in jobs] == [
             {"a": 10, "b": 1}, {"a": 10, "b": 2},
@@ -68,8 +66,9 @@ class TestSpecAndExpansion:
     @pytest.mark.parametrize(
         "payload",
         [
-            {"name": "", "kind": "agents"},
-            {"name": "x", "kind": "nope"},
+            {"name": ""},
+            # There are no job kinds; "kind" is an unknown key.
+            {"name": "x", "kind": "pipeline"},
             {"name": "x", "seeds": []},
             {"name": "x", "grid": {"p": []}},
             {"name": "x", "grid": {"p": "0.9"}},
@@ -83,6 +82,14 @@ class TestSpecAndExpansion:
             {"name": "x", "seeds": [1.0]},
             {"name": "x", "seeds": ["3"]},
             {"name": "x", "seeds": [0, 2, 0]},
+            # A "seed" parameter would override every job's seed, so
+            # three "seeds" would train one policy three times.
+            {"name": "x", "base": {"seed": 5}, "seeds": [0, 1, 2]},
+            {"name": "x", "grid": {"seed": [5, 6]}},
+            # base and grid must be mappings, not lists or strings.
+            {"name": "x", "base": [1, 2]},
+            {"name": "x", "base": "abc"},
+            {"name": "x", "grid": [["a", [1]]]},
         ],
     )
     def test_invalid_specs_rejected(self, payload):
@@ -158,12 +165,11 @@ class TestSweepExecution:
         ).run()
         assert seen == [(1, 4, "ok"), (2, 4, "ok"), (3, 4, "ok"), (4, 4, "ok")]
 
-    def test_failure_captured_without_aborting_sweep(self, tmp_path):
+    def test_failure_captured_without_aborting_sweep(self, tmp_path, tiny_sweep_base):
         spec = SweepSpec(
             name="mixed",
-            kind="agents",
-            base={"num_traces": 2, "duration": 12},
-            grid={"agents": [["default"], ["not_an_agent"]]},
+            base=tiny_sweep_base,
+            grid={"a2c.learning_rate": [3e-5, -1.0]},
             seeds=[0],
         )
         result = SweepRunner(spec, output_dir=tmp_path, num_workers=2).run()
@@ -171,7 +177,7 @@ class TestSweepExecution:
         statuses = [record["status"] for record in result.records]
         assert statuses.count("ok") == 1 and statuses.count("failed") == 1
         failed = result.failures[0]
-        assert "not_an_agent" in failed["error"]
+        assert "learning_rate must be positive" in failed["error"]
         assert "traceback" in failed
         # Failed jobs still get a JSON record and show up in the table.
         assert (tmp_path / "jobs" / f"{failed['name']}.json").exists()
@@ -218,7 +224,7 @@ class TestSweepExecution:
         # tamper with another one's metrics (digest mismatch).
         files[0].write_text(files[0].read_text()[:40])
         tampered = load_json(files[1])
-        tampered["metrics"]["num_traces"] = 999
+        tampered["metrics"]["eval_traces"] = 999
         files[1].write_text(__import__("json").dumps(tampered))
 
         seen = []
@@ -252,6 +258,21 @@ class TestSweepExecution:
             assert not resumed, payload
             assert record["status"] == "ok", payload
 
+    def test_resume_reruns_a_record_with_an_old_job_kind(self, small_spec, tmp_path):
+        """A record written when jobs had a ``kind`` carries a valid digest
+        but a different identity: it re-runs instead of being reused."""
+        spec = SweepSpec(name="old", base=small_spec.base, seeds=[0, 1])
+        stale, kept = expand_jobs(spec)
+        SweepRunner(spec, output_dir=tmp_path, num_workers=1).run()
+        path = tmp_path / "jobs" / f"{stale.name}.json"
+        old = load_json(path)
+        del old["digest"]
+        old["kind"] = "pipeline"
+        old["digest"] = json_digest(old)
+        path.write_text(__import__("json").dumps(old))
+        assert load_resumed_record(stale, tmp_path) is None
+        assert load_resumed_record(kept, tmp_path) is not None
+
     def test_resume_requires_output_dir(self, small_spec):
         with pytest.raises(ConfigurationError):
             SweepRunner(small_spec, resume=True)
@@ -273,16 +294,15 @@ class TestSweepExecution:
             assert fresh.read_bytes() == resumed.read_bytes(), fresh.name
 
     def test_resume_large_mostly_complete_sweep_executes_only_pending(
-        self, tmp_path
+        self, tmp_path, tiny_sweep_base
     ):
         """Lazy per-job verification: a mostly-complete 12-job sweep dir
         resumes by re-executing exactly the 2 missing jobs — workers do
         the digest checks, the parent never serially pre-verifies."""
         spec = SweepSpec(
             name="big",
-            kind="agents",
-            base={"num_traces": 1, "duration": 6, "agents": ["default"]},
-            grid={"target_load": [0.7, 0.8, 0.9, 1.0, 1.1, 1.2]},
+            base=tiny_sweep_base,
+            grid={"generator.target_load": [0.7, 0.8, 0.9, 1.0, 1.1, 1.2]},
             seeds=[0, 1],
         )
         first = SweepRunner(spec, output_dir=tmp_path, num_workers=2).run()
@@ -317,55 +337,52 @@ class TestSweepExecution:
         digest = without_digest.pop("digest")
         assert digest == record["digest"]
 
-    def test_training_kind_runs_and_applies_grid(self):
+    def test_learning_rate_grid_reaches_each_job(self, tiny_sweep_base, monkeypatch):
+        seen = []
+        init = LearningAidedPipeline.__init__
+
+        def spy(pipeline, config):
+            seen.append(config.a2c.learning_rate)
+            init(pipeline, config)
+
+        monkeypatch.setattr(LearningAidedPipeline, "__init__", spy)
         spec = SweepSpec(
             name="train",
-            kind="training",
-            base={"epochs": 2, "num_traces": 2, "duration": 10, "hidden_size": 8},
+            base=tiny_sweep_base,
             grid={"a2c.learning_rate": [1e-3, 1e-4]},
             seeds=[0],
         )
         result = SweepRunner(spec, num_workers=1).run()
         assert [record["status"] for record in result.records] == ["ok", "ok"]
-        rates = [record["metrics"]["learning_rate"] for record in result.records]
-        assert rates == [1e-3, 1e-4]
+        assert seen == [1e-3, 1e-4]
         for record in result.records:
-            assert record["metrics"]["epochs"] == 2
-            assert record["metrics"]["final_makespan"] > 0
+            assert record["metrics"]["train_epochs"] == 2
+            assert record["metrics"]["train_final_makespan"] > 0
 
-    def test_pipeline_kind_runs_end_to_end(self):
-        """One tiny full-pipeline job: train, extract, evaluate vs default."""
-        spec = SweepSpec(
-            name="pipe",
-            kind="pipeline",
-            base={
-                "standard_epochs": 1, "real_epochs": 1, "hidden_size": 8,
-                "trace_duration": 12, "num_real_traces": 3, "num_eval_traces": 1,
-                "bc_pretrain_epochs": 0, "qbn_fine_tune_epochs": 0,
-                "rollout_traces_for_extraction": 2,
-                "qbn.epochs": 2, "qbn.observation_latent_dim": 8,
-                "qbn.hidden_latent_dim": 8, "extraction.min_state_visits": 2,
-            },
-            seeds=[0],
-        )
+    def test_pipeline_job_runs_end_to_end(self, tiny_sweep_base):
+        """One tiny design run: train, extract, evaluate vs the baselines."""
+        spec = SweepSpec(name="pipe", base=tiny_sweep_base, seeds=[0])
         result = SweepRunner(spec, num_workers=1).run()
         record = result.records[0]
         assert record["status"] == "ok", record.get("error")
         metrics = record["metrics"]
         assert metrics["train_epochs"] == 2
+        assert metrics["train_final_makespan"] > 0
         assert metrics["fsm_states"] > 0
         assert metrics["eval_traces"] == 1
-        for agent in ("default", "gru_drl", "extracted_fsm"):
+        assert metrics["fsm_compiled_identical"] is True
+        for agent in ("default", "handcrafted_fsm", "greedy_utilization",
+                      "gru_drl", "extracted_fsm"):
             assert metrics[f"{agent}/mean_makespan"] > 0
 
-    def test_parallel_training_jobs_compose_with_multiworker_sweep(self, tmp_path):
+    def test_parallel_training_jobs_compose_with_multiworker_sweep(
+        self, tmp_path, tiny_sweep_base
+    ):
         """A2C inside a daemonic sweep worker writes the same per-job JSON,
         byte for byte, as the same jobs run in-process."""
         spec = SweepSpec(
             name="train-workers",
-            kind="training",
-            base={"epochs": 2, "num_traces": 2, "duration": 10, "hidden_size": 8,
-                  "a2c.episodes_per_epoch": 2},
+            base=dict(tiny_sweep_base, **{"a2c.episodes_per_epoch": 2}),
             grid={"a2c.learning_rate": [1e-3, 1e-4]},
             seeds=[0],
         )
@@ -389,7 +406,7 @@ class TestSweepExecution:
 
 class TestJobModel:
     def test_payload_id_is_plain_data(self):
-        job = SweepJob(index=0, name="n", kind="agents", seed=3, params={"a": 1})
+        job = SweepJob(index=0, name="n", seed=3, params={"a": 1})
         payload = job.payload_id()
-        assert payload == {"name": "n", "kind": "agents", "seed": 3, "params": {"a": 1}}
+        assert payload == {"name": "n", "seed": 3, "params": {"a": 1}}
         assert json_digest(payload) == json_digest(dict(payload))

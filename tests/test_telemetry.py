@@ -65,21 +65,6 @@ class TestMetricsRegistry:
         multi = registry.counter("multi_total", b="2", a="1")
         assert registry.counter("multi_total", a="1", b="2") is multi
 
-    def test_gauge_aggregations(self):
-        registry = MetricsRegistry(enabled=True)
-        last = registry.gauge("depth")
-        last.set(3)
-        last.set(1)
-        assert registry.snapshot().value("depth") == 1.0
-        peak = registry.gauge("depth_peak", aggregation="max")
-        peak.set(5)
-        peak.set(2)  # max-gauge ignores lower values
-        assert registry.snapshot().value("depth_peak") == 5.0
-        total = registry.gauge("load", aggregation="sum")
-        total.inc(2.5)
-        total.inc(1.5)
-        assert registry.snapshot().value("load") == 4.0
-
     def test_histogram_records_and_custom_bucketing(self):
         registry = MetricsRegistry(enabled=True)
         hist = registry.histogram("batch_size", num_buckets=8, base=1.0, factor=2.0)
@@ -116,7 +101,7 @@ class TestSnapshotMergeAndExposition:
     def _populated(self) -> MetricsRegistry:
         registry = MetricsRegistry(enabled=True)
         registry.counter("decisions_total", help="Decisions", backend="fsm").inc(7)
-        registry.gauge("depth_peak", aggregation="max").set(4)
+        registry.gauge("depth_peak").set(4)
         registry.histogram("latency_seconds").record(0.001)
         return registry
 
@@ -281,6 +266,26 @@ class TestComponentIntegration:
             if r["name"] == "rollout.collect_batch"
         ]
         assert spans and spans[-1]["attributes"]["traces"] == 2
+
+    def test_queue_peak_gauge_holds_its_maximum(self, env):
+        from repro.agents.default import DefaultPolicy
+        from repro.engine import AgentBatchBackend
+        from repro.env.observation import OBSERVATION_DIM
+        from repro.serving import PolicyServer
+
+        registry = MetricsRegistry(enabled=True)
+        encoder = env.observation_encoder
+        server = PolicyServer(
+            AgentBatchBackend(DefaultPolicy, encoder), encoder, metrics=registry
+        )
+        sessions = server.open_sessions(5)
+        for depth in (2, 5, 3):
+            server.submit_many(sessions[:depth], np.zeros((depth, OBSERVATION_DIM)))
+            assert server.flush() == depth
+        snapshot = registry.snapshot()
+        # The depth gauge keeps the last flush, the peak the deepest one.
+        assert snapshot.value("serving_queue_depth") == 3.0
+        assert snapshot.value("serving_queue_depth_peak") == 5.0
 
 
 @pytest.fixture

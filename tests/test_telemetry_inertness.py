@@ -90,25 +90,21 @@ class TestEvaluationInertness:
 # ----------------------------------------------------------------------
 # Sweep digests
 # ----------------------------------------------------------------------
-def _sweep_digests(output_dir):
-    spec = SweepSpec(
-        name="inertness",
-        kind="agents",
-        base={"num_traces": 1, "duration": 8, "agents": ["default"]},
-        grid={"target_load": [1.0]},
-        seeds=[0],
-    )
+def _sweep_digests(output_dir, base):
+    spec = SweepSpec(name="inertness", base=base, seeds=[0])
     result = SweepRunner(spec, output_dir=output_dir, num_workers=1).run()
     assert not result.failures
     return {record["name"]: record["digest"] for record in result.records}
 
 
 class TestSweepInertness:
-    def test_sweep_digests_identical_with_and_without_telemetry(self, tmp_path):
+    def test_sweep_digests_identical_with_and_without_telemetry(
+        self, tmp_path, tiny_sweep_base
+    ):
         _set_mode(True)
-        enabled = _sweep_digests(tmp_path / "enabled")
+        enabled = _sweep_digests(tmp_path / "enabled", tiny_sweep_base)
         _set_mode(False)
-        disabled = _sweep_digests(tmp_path / "disabled")
+        disabled = _sweep_digests(tmp_path / "disabled", tiny_sweep_base)
 
         assert enabled == disabled
         # Beyond the digest map: the result payloads on disk only differ
