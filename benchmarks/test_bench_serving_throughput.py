@@ -104,9 +104,9 @@ def test_bench_serving_throughput(tmp_path):
 
     # Synthetic request stream: every session replays dataset observations
     # from its own offset, STEPS decisions per session per round.  The
-    # normalised form is precomputed once — in production the server
-    # normalises each micro-batch exactly once for whichever backend is
-    # mounted, so backend-level timing feeds both the same way.
+    # normalised form is precomputed once for the GRU, which the server
+    # normalises each micro-batch for; the compiled FSM reads the raw rows
+    # and normalises their distinct rows itself.
     raw_pool = np.asarray(dataset.raw_observations, dtype=float)
     request_rounds = []
     for step in range(STEPS):
@@ -121,9 +121,9 @@ def test_bench_serving_throughput(tmp_path):
         backend.begin_sessions(table, slots)
         return backend, table, slots
 
-    compiled_backend, compiled_table, compiled_slots = fresh_backend(
-        CompiledFSMBackend(compiled)
-    )
+    compiled_backend = CompiledFSMBackend(compiled)
+    compiled_backend.check_encoder(encoder)  # the encoder it normalises with
+    compiled_backend, compiled_table, compiled_slots = fresh_backend(compiled_backend)
     gru_backend, gru_table, gru_slots = fresh_backend(GRUPolicyBackend(policy))
 
     # Warm-up both paths (BLAS init, lazy buffers), then measure best-of.

@@ -84,6 +84,10 @@ class ImitationResult:
 class _RecordingBackend(AgentBatchBackend):
     """Per-slot teacher replicas that keep what each slot saw and did."""
 
+    # The demonstrations are the normalised rows the student will read,
+    # so this lift needs them even though the teacher acts on raw rows.
+    reads_raw = False
+
     def begin_sessions(self, table: SessionTable, slots: np.ndarray) -> None:
         super().begin_sessions(table, slots)
         # slot -> (normalised observation rows, actions), in trace order.

@@ -10,7 +10,8 @@ interchangeable across both consumers.
 Standard backends:
 
 * :class:`CompiledFSMBackend` — the O(1) table-gather fast path over a
-  :class:`~repro.engine.compiled_fsm.CompiledFSMPolicy`;
+  :class:`~repro.engine.compiled_fsm.CompiledFSMPolicy`, fed raw rows
+  (it normalises each distinct row once itself);
 * :class:`GRUPolicyBackend` — the full recurrent policy via
   ``act_batch`` (greedy), hidden rows resident in the session table;
 * :class:`AgentBatchBackend` — lifts any scalar
@@ -51,15 +52,21 @@ class DecisionBackend(Protocol):
         table: SessionTable,
         slots: np.ndarray,
         raw: np.ndarray,
-        normalized: np.ndarray,
+        normalized: Optional[np.ndarray],
     ) -> np.ndarray:
-        """Decide one action per row and advance the sessions' state."""
+        """Decide one action per row and advance the sessions' state.
+
+        ``normalized`` is ``None`` exactly when the backend ``reads_raw``.
+        """
 
     # Optional protocol extensions (consumers call them when present):
     #
     # ``check_encoder(encoder)`` — raise ConfigurationError if the
     # consumer's observation encoder is incompatible with the backend's
     # compiled artifacts.
+    # ``reads_raw = True`` — the backend reads only ``raw``: consumers
+    # skip ``normalize_batch`` and pass ``normalized=None``.  Absent (or
+    # False) means ``decide`` needs the normalised rows.
     # ``end_sessions(table, slots)`` — release per-session resources
     # when sessions close.
     # ``session_state_signature()`` — a hashable token describing what
@@ -71,14 +78,26 @@ class DecisionBackend(Protocol):
 
 
 class CompiledFSMBackend:
-    """Serves decisions from a :class:`CompiledFSMPolicy`'s dense tables."""
+    """Serves decisions from a :class:`CompiledFSMPolicy`'s dense tables.
+
+    It reads raw rows and normalises only each batch's distinct rows,
+    with the encoder :meth:`check_encoder` verified; it refuses to decide
+    before one was checked.
+    """
+
+    reads_raw = True
 
     def __init__(self, policy: CompiledFSMPolicy) -> None:
         self.policy = policy
         self.name = "compiled_fsm"
+        self._encoder: Optional[ObservationEncoder] = None
 
     def check_encoder(self, encoder: ObservationEncoder) -> None:
-        """Refuse to serve behind an encoder the artifact was not compiled for."""
+        """Refuse to serve behind an encoder the artifact was not compiled for.
+
+        A passing encoder becomes the one ``decide`` normalises with, so a
+        second consumer must normalise like the first.
+        """
         if not self.policy.matches_encoder(encoder):
             raise ConfigurationError(
                 "observation encoder normalises differently from the one the "
@@ -87,6 +106,12 @@ class CompiledFSMBackend:
                 f"encoder constants {encoder.constants()}) — decisions would "
                 "silently diverge from the extracted policy"
             )
+        if self._encoder is not None and not self._encoder.is_equivalent(encoder):
+            raise ConfigurationError(
+                "observation encoder normalises differently from the one this "
+                "backend already serves behind"
+            )
+        self._encoder = encoder
 
     def session_table(self, capacity: int) -> SessionTable:
         return SessionTable(capacity=capacity, hidden_size=0)
@@ -113,9 +138,14 @@ class CompiledFSMBackend:
         table: SessionTable,
         slots: np.ndarray,
         raw: np.ndarray,
-        normalized: np.ndarray,
+        normalized: Optional[np.ndarray],
     ) -> np.ndarray:
-        decision = self.policy.act_batch(normalized, table.state[slots])
+        if self._encoder is None:
+            raise ConfigurationError(
+                "compiled FSM backend has no checked observation encoder; "
+                "call check_encoder(encoder) before decide"
+            )
+        decision = self.policy.act_batch(raw, table.state[slots], self._encoder)
         table.state[slots] = decision.next_states
         return decision.actions
 
@@ -161,8 +191,10 @@ class AgentBatchBackend:
     The lift is only faithful for agents whose ``act`` is deterministic
     and whose per-episode state is fully *rebound* by ``reset()`` — see
     :attr:`Agent.engine_safe`, which routing checks before using this
-    adapter.
+    adapter.  Agents act on raw rows (``reads_raw``).
     """
+
+    reads_raw = True
 
     def __init__(
         self,
@@ -210,7 +242,7 @@ class AgentBatchBackend:
         table: SessionTable,
         slots: np.ndarray,
         raw: np.ndarray,
-        normalized: np.ndarray,
+        normalized: Optional[np.ndarray],
     ) -> np.ndarray:
         actions = np.empty(slots.shape[0], dtype=np.int64)
         for i, slot in enumerate(slots.tolist()):

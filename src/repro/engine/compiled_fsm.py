@@ -7,10 +7,11 @@ decision hashes two tuple keys and walks Python objects.
 quantisation into dense numpy tables once, after which serving a
 decision is
 
-1. one batched QBN-encoder pass turning normalised observations into
-   discrete codes (two small matmuls through the batch-size-stable
-   kernel) — over the batch's distinct rows only, since nodes in the
-   same state submit byte-identical rows,
+1. one exact deduplication of the batch's *raw* rows (nodes in the same
+   state submit byte-identical rows), then one normalisation and one
+   batched QBN-encoder pass over the distinct rows only, turning them
+   into discrete codes (two small matmuls through the batch-size-stable
+   kernel),
 2. one hash lookup per row mapping the code to an observation column;
    rows with an unseen code share one nearest-prototype resolution — a
    single gemm whose clear winners are certified against the reference
@@ -18,9 +19,11 @@ decision is
 3. one integer gather ``next = T[state, obs]`` + ``action = A[next]``.
 
 Decisions are bit-identical to stepping the interpreted
-:class:`~repro.fsm.agent.FSMPolicyAgent` per session: the encoder pass
-uses the same row-stable matmul kernel the agent's scalar path resolves
-to, unseen observations resolve through the same
+:class:`~repro.fsm.agent.FSMPolicyAgent` per session: normalisation is
+elementwise, so a distinct raw row normalises to the bytes its
+repetitions would, the encoder pass uses the same row-stable matmul
+kernel the agent's scalar path resolves to, unseen observations resolve
+through the same
 :func:`~repro.fsm.generalize.nearest_prototype_rows` helper over the
 same prototype ordering (its answer is an index that equals the
 reference's for every row, so neither BLAS nor the batch size shows),
@@ -71,12 +74,24 @@ def _distinct_rows(rows: np.ndarray, weights: np.ndarray) -> "tuple[np.ndarray, 
     ``-0.0``, or two NaN payloads, stay apart), and the rows of a group
     are the same bytes.
     """
+    count, width = rows.shape
     bits = rows.view(np.uint64)
     order = np.argsort(np.einsum("ij,j->i", bits, weights))
-    ordered = bits[order]
-    starts = np.empty(order.shape[0], dtype=bool)
+    # Gather whole rows as single void items (one copy per row, not per
+    # element), then compare them as uint64 columns again.
+    ordered = (
+        rows.view(np.dtype((np.void, 8 * width)))[:, 0][order]
+        .view(np.uint64)
+        .reshape(count, width)
+    )
+    differs = (ordered[1:] != ordered[:-1]).view(np.uint8)
+    starts = np.empty(count, dtype=bool)
     starts[:1] = True
-    np.logical_or.reduce(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    # A bool is the byte 0 or 1, so a row's byte sum counts its differing
+    # columns; a uint8 sum is exact (and twice as fast as a wider one)
+    # while ``width`` cannot reach 256.
+    accumulator = np.uint8 if width < 256 else np.uint32
+    np.greater(np.einsum("ij->i", differs, dtype=accumulator), 0, out=starts[1:])
     inverse = np.empty_like(order)
     inverse[order] = np.add.accumulate(starts, dtype=np.intp) - 1
     return order[starts], inverse
@@ -436,15 +451,15 @@ class CompiledFSMPolicy:
             packed += flags @ self._pack_vector
         return packed
 
-    def _checked_batch(self, normalized: np.ndarray) -> np.ndarray:
-        """``normalized`` as a C-contiguous (B, observation_dim) float64 array."""
-        normalized = np.ascontiguousarray(normalized, dtype=float)
-        if normalized.ndim != 2 or normalized.shape[1] != self.observation_dim:
+    def _checked_batch(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` as a C-contiguous (B, observation_dim) float64 array."""
+        rows = np.ascontiguousarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.observation_dim:
             raise ConfigurationError(
-                f"expected (B, {self.observation_dim}) normalised "
-                f"observations, got shape {normalized.shape}"
+                f"expected (B, {self.observation_dim}) observation rows, "
+                f"got shape {rows.shape}"
             )
-        return normalized
+        return rows
 
     def _pre_latent(self, normalized: np.ndarray) -> "tuple[np.ndarray, ...]":
         """Latent pre-activations (B, L) via the batch-size-stable kernels.
@@ -469,26 +484,30 @@ class CompiledFSMPolicy:
         pre_latent += self._b2
         return pre_latent, codes, flags
 
-    def resolve_observations(self, normalized: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """Map normalised observations to observation columns.
+    def resolve_observations(
+        self, raw: np.ndarray, encoder: ObservationEncoder
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Map raw observations to observation columns.
 
-        Returns ``(columns, fallback_mask)``.  Each distinct row of the
-        batch is resolved once (:func:`_distinct_rows`) and its answer
-        gathered back to every row repeating it — exact, because the
-        encoder's matmul rows do not depend on how many rows the kernel
-        sees and every later step works row by row; ``fallback_count``
-        still grows by every fallback row of the batch.  A code that
-        quantises to a known *prototype* resolves directly; anything else
-        goes through the shared nearest-prototype resolution (when
-        prototypes exist: all fallback rows in one
+        Returns ``(columns, fallback_mask)``.  Each distinct raw row of the
+        batch is normalised by ``encoder`` (which must normalise like the
+        one stamped at compile time, :meth:`matches_encoder`) and resolved
+        once (:func:`_distinct_rows`), and its answer gathered back to
+        every row repeating it — exact, because normalisation is
+        elementwise, the encoder's matmul rows do not depend on how many
+        rows the kernel sees, and every later step works row by row;
+        ``fallback_count`` still grows by every fallback row of the batch.
+        A code that quantises to a known *prototype* resolves directly;
+        anything else goes through the shared nearest-prototype resolution
+        (when prototypes exist: all fallback rows in one
         ``nearest_prototype_rows`` call, the certified gemm filter with
         the reference behind it) or to the ``-1`` self-loop sentinel (when
         none do) — mirroring ``FSMPolicyAgent``'s known/unseen split bit
         for bit.
         """
-        normalized = self._checked_batch(normalized)
-        first, inverse = _distinct_rows(normalized, self._row_hash_weights)
-        distinct = normalized[first]
+        raw = self._checked_batch(raw)
+        first, inverse = _distinct_rows(raw, self._row_hash_weights)
+        distinct = encoder.normalize_batch(raw[first])
         count = distinct.shape[0]
         if self._pack_vector is not None and self.num_observations:
             packed = self._encode_packed(distinct)
@@ -528,16 +547,18 @@ class CompiledFSMPolicy:
         return columns[inverse], fallback
 
     def act_batch(
-        self, normalized: np.ndarray, states: np.ndarray
+        self, raw: np.ndarray, states: np.ndarray, encoder: ObservationEncoder
     ) -> CompiledDecision:
-        """One decision for every row: gather successors and emit actions.
+        """One decision for every raw row: gather successors and emit actions.
 
         ``states`` are compiled state rows (e.g. ``SessionTable.state``
         entries seeded with :attr:`start_state`); the caller stores
         ``next_states`` back to keep each session's machine advancing.
+        ``encoder`` normalises the batch's distinct rows
+        (:meth:`resolve_observations`).
         """
         states = np.asarray(states, dtype=np.int64)
-        columns, fallback = self.resolve_observations(normalized)
+        columns, fallback = self.resolve_observations(raw, encoder)
         if self.num_prototypes > 0:
             # Every row resolved to a real column (fallback guarantees it).
             next_states = self.transition_table[states, columns]
@@ -634,6 +655,24 @@ class CompiledFSMPolicy:
             return f"start state {self.start_state} is not one of the {states} states"
         if np.any((self.action_table < 0) | (self.action_table >= NUM_ACTIONS)):
             return f"an action is not one of the {NUM_ACTIONS} actions"
+        # The encoder layers must chain enc_w1 (D, H), enc_b1 (H,),
+        # enc_w2 (H, L), enc_b2 (L,), and the codes must be L wide.
+        w1, b1, w2, b2 = self._w1, self._b1, self._w2, self._b2
+        if w1.ndim != 2:
+            return f"enc_w1 shape {w1.shape} is not (D, H)"
+        if b1.shape != (w1.shape[1],):
+            return f"enc_b1 shape {b1.shape} is not ({w1.shape[1]},)"
+        if w2.ndim != 2 or w2.shape[0] != w1.shape[1]:
+            return f"enc_w2 shape {w2.shape} is not ({w1.shape[1]}, L)"
+        if b2.shape != (w2.shape[1],):
+            return f"enc_b2 shape {b2.shape} is not ({w2.shape[1]},)"
+        if self.obs_codes.ndim != 2 or self.obs_codes.shape[1] != w2.shape[1]:
+            return f"obs_codes shape {self.obs_codes.shape} is not (N, {w2.shape[1]})"
+        constants = self.encoder_constants
+        if constants is not None and not (
+            constants.shape == (3,) and np.all(np.isfinite(constants) & (constants > 0))
+        ):
+            return f"encoder_constants {constants.tolist()} are not 3 finite positive numbers"
         expected = (self.num_prototypes, self.observation_dim)
         if self.prototype_matrix.shape != expected:
             return f"prototype matrix shape {self.prototype_matrix.shape} is not {expected}"

@@ -134,6 +134,11 @@ class EvaluationEngine:
             traces, rngs=[episode_seed + index for index in range(batch)]
         )
         raw = venv.raw_observations()
+        # A raw-row backend gets ``normalized=None`` and the lazy
+        # ``result.observations`` below is never read.
+        reads_raw = getattr(backend, "reads_raw", False)
+        if reads_raw:
+            normalized = None
 
         table = backend.session_table(batch)
         slots = table.open(batch)
@@ -171,7 +176,7 @@ class EvaluationEngine:
                     rows = np.nonzero(active)[0]
                     actions = np.zeros(batch, dtype=np.int64)
                     actions[rows] = backend.decide(
-                        table, slots[rows], raw[rows], normalized[rows]
+                        table, slots[rows], raw[rows], None if reads_raw else normalized[rows]
                     )
                     decisions += len(rows)
                 result = venv.step(actions)
@@ -179,7 +184,7 @@ class EvaluationEngine:
                 if result.newly_done.any():
                     finished = np.nonzero(result.newly_done)[0]
                     makespans[finished] = result.makespans[finished]
-                normalized = result.observations
+                normalized = None if reads_raw else result.observations
                 raw = result.raw_observations
                 active = None if not result.dones.any() else ~result.dones
                 t += 1

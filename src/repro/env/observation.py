@@ -89,13 +89,16 @@ class ObservationEncoder:
         self.system_config = system_config
         sizes = np.array([t.size_kb for t in standard_io_types()])
         self._max_size_kb = float(sizes.max())
-        # Scale for Q: the request count that would saturate the array if
-        # every request had the mean size.  Used only for normalisation.
-        mean_size = float(sizes.mean())
-        default_nominal = system_config.total_capability_kb() / mean_size
-        self._nominal_requests = float(nominal_requests or default_nominal)
-        if self._nominal_requests <= 0:
-            raise EnvironmentError_("nominal_requests must be positive")
+        if nominal_requests is None:
+            # Scale for Q: the request count that would saturate the array
+            # if every request had the mean size.  Used only for
+            # normalisation.
+            nominal_requests = system_config.total_capability_kb() / float(sizes.mean())
+        self._nominal_requests = float(nominal_requests)
+        if not (np.isfinite(self._nominal_requests) and self._nominal_requests > 0):
+            raise EnvironmentError_(
+                f"nominal_requests must be finite and positive, got {nominal_requests!r}"
+            )
 
     @property
     def dimension(self) -> int:

@@ -188,7 +188,8 @@ class PolicyServer:
         self._stats = ServerStats()
         # Single-entry normalisation buffer: replaced (not accumulated)
         # when the micro-batch size changes, so steady-state serving is
-        # allocation-free and fluctuating batch sizes stay bounded.
+        # allocation-free and fluctuating batch sizes stay bounded.  A
+        # backend that ``reads_raw`` never needs it.
         self._normalize_buffer: Optional[np.ndarray] = None
         # Telemetry: instruments are resolved once here, so the hot
         # paths below record through plain attribute calls (no dict
@@ -450,11 +451,14 @@ class PolicyServer:
         return slots, raw
 
     def _decide(self, slots: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        buffer = self._normalize_buffer
-        if buffer is None or buffer.shape != raw.shape:
-            buffer = np.empty_like(raw)
-            self._normalize_buffer = buffer
-        normalized = self.encoder.normalize_batch(raw, out=buffer)
+        if getattr(self.backend, "reads_raw", False):
+            normalized = None
+        else:
+            buffer = self._normalize_buffer
+            if buffer is None or buffer.shape != raw.shape:
+                buffer = np.empty_like(raw)
+                self._normalize_buffer = buffer
+            normalized = self.encoder.normalize_batch(raw, out=buffer)
         actions = self.backend.decide(self.table, slots, raw, normalized)
         # ``slots`` were validated by the caller; count directly.
         self.table.steps[slots] += 1

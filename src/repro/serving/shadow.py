@@ -19,7 +19,7 @@ serving layer acts on them, and replacing the primary is an explicit
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -53,6 +53,13 @@ class ShadowEvaluator:
         signature = getattr(self.primary, "session_state_signature", None)
         return signature() if signature is not None else None
 
+    @property
+    def reads_raw(self) -> bool:
+        """Raw rows suffice only when neither backend needs normalised ones."""
+        return all(
+            getattr(backend, "reads_raw", False) for backend in (self.primary, self.shadow)
+        )
+
     def check_encoder(self, encoder) -> None:
         for backend in (self.primary, self.shadow):
             check = getattr(backend, "check_encoder", None)
@@ -79,7 +86,7 @@ class ShadowEvaluator:
         table: SessionTable,
         slots: np.ndarray,
         raw: np.ndarray,
-        normalized: np.ndarray,
+        normalized: Optional[np.ndarray],
     ) -> np.ndarray:
         actions = self.primary.decide(table, slots, raw, normalized)
         shadow_actions = self.shadow.decide(

@@ -64,6 +64,24 @@ class TestObservationEncoder:
         with pytest.raises(EnvironmentError_):
             encoder.split_raw(np.zeros(10))
 
+    def test_nominal_requests_none_is_the_default(self, system_config):
+        default = ObservationEncoder(system_config).constants()["nominal_requests"]
+        assert ObservationEncoder(system_config, nominal_requests=None).constants() == (
+            ObservationEncoder(system_config).constants()
+        )
+        assert np.isfinite(default) and default > 0
+        assert ObservationEncoder(system_config, nominal_requests=123.0).constants()[
+            "nominal_requests"
+        ] == 123.0
+
+    @pytest.mark.parametrize(
+        "value", [0.0, -5.0, float("nan"), float("inf")], ids=["zero", "negative", "nan", "inf"]
+    )
+    def test_nominal_requests_must_be_finite_and_positive(self, system_config, value):
+        """``0.0`` used to become the default and NaN/inf were accepted."""
+        with pytest.raises(EnvironmentError_, match="nominal_requests"):
+            ObservationEncoder(system_config, nominal_requests=value)
+
 
 class TestActionSpaceAndReward:
     def test_action_space_size(self):

@@ -51,7 +51,7 @@ def _tamper(arrays, changes):
     """``arrays`` with each entry named in ``changes`` replaced by its change."""
     arrays = dict(arrays)
     for name, change in changes.items():
-        arrays[name] = change(arrays[name].copy())
+        arrays[name] = change(arrays[name].copy() if name in arrays else None)
     return arrays
 
 
@@ -77,6 +77,21 @@ _TAMPERED = {
     "more prototypes than codes": (
         {"meta": _set(2, 8), "prototype_matrix": lambda a: np.vstack([a, a[:1]])},
         "8 prototypes for 7 observation codes",
+    ),
+    # The encoder (7 inputs, 16 hidden, 4 latent) must chain and match the
+    # codes; each of these used to load and fail on first use.
+    "flat first layer": ({"enc_w1": lambda a: a[0]}, "enc_w1 shape"),
+    "narrow first bias": ({"enc_b1": lambda a: a[:-1]}, "enc_b1 shape"),
+    "short second layer": ({"enc_w2": lambda a: a[:-1]}, "enc_w2 shape"),
+    "narrow second bias": ({"enc_b2": lambda a: a[:-1]}, "enc_b2 shape"),
+    "codes narrower than the latent": ({"obs_codes": lambda a: a[:, :-1]}, "obs_codes shape"),
+    "truncated encoder constants": (
+        {"encoder_constants": lambda _: np.array([32.0, 512.0])},
+        "encoder_constants",
+    ),
+    "NaN encoder constant": (
+        {"encoder_constants": lambda _: np.array([32.0, np.nan, 100.0])},
+        "encoder_constants",
     ),
 }
 

@@ -1163,6 +1163,9 @@ class _WedgedBackend:
         self.failures = failures
         self.name = f"wedged({inner.name})"
 
+    def check_encoder(self, encoder):
+        self.inner.check_encoder(encoder)
+
     def session_table(self, capacity):
         return self.inner.session_table(capacity)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -218,10 +220,10 @@ class TestCompiledArtifact:
         assert loaded.num_observations == compiled_policy.num_observations
         assert loaded.start_state == compiled_policy.start_state
         assert np.array_equal(loaded.transition_table, compiled_policy.transition_table)
-        normalized = serving_env.observation_encoder.normalize_batch(observation_stream)
-        states = np.full(len(normalized), compiled_policy.start_state, dtype=np.int64)
-        a = compiled_policy.act_batch(normalized, states)
-        b = loaded.act_batch(normalized, states)
+        encoder = serving_env.observation_encoder
+        states = np.full(len(observation_stream), compiled_policy.start_state, dtype=np.int64)
+        a = compiled_policy.act_batch(observation_stream, states, encoder)
+        b = loaded.act_batch(observation_stream, states, encoder)
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.next_states, b.next_states)
         assert np.array_equal(a.fallback_mask, b.fallback_mask)
@@ -237,8 +239,10 @@ class TestCompiledArtifact:
             np.testing.assert_array_equal(
                 compiled_policy.encode_codes(normalized[i:i + 1]), wide_codes[:1]
             )
-            wide = compiled_policy.act_batch(normalized[i:i + 3], states)
-            single = compiled_policy.act_batch(normalized[i:i + 1], states[:1])
+            raw = observation_stream
+            encoder = serving_env.observation_encoder
+            wide = compiled_policy.act_batch(raw[i:i + 3], states, encoder)
+            single = compiled_policy.act_batch(raw[i:i + 1], states[:1], encoder)
             assert single.actions[0] == wide.actions[0]
             assert single.next_states[0] == wide.next_states[0]
             assert single.fallback_mask[0] == wide.fallback_mask[0]
@@ -264,11 +268,10 @@ class TestCompiledArtifact:
     ):
         compiled_policy.save(tmp_path / "c.npz")
         fresh = CompiledFSMPolicy.load(tmp_path / "c.npz")
-        normalized = serving_env.observation_encoder.normalize_batch(observation_stream)
-        states = np.full(len(normalized), fresh.start_state, dtype=np.int64)
-        decision = fresh.act_batch(normalized, states)
+        states = np.full(len(observation_stream), fresh.start_state, dtype=np.int64)
+        decision = fresh.act_batch(observation_stream, states, serving_env.observation_encoder)
         summary = fresh.summary()
-        assert summary["decisions"] == len(normalized)
+        assert summary["decisions"] == len(observation_stream)
         assert summary["fallbacks"] == int(decision.fallback_mask.sum())
 
 
@@ -370,6 +373,34 @@ class TestPolicyServer:
         with pytest.raises(ConfigurationError):
             PolicyServer(shadowed, other)
 
+    def test_compiled_backend_decides_only_behind_a_checked_encoder(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        """It normalises with the encoder ``check_encoder`` kept, so it needs one."""
+        backend = CompiledFSMBackend(compiled_policy)
+        table = backend.session_table(2)
+        slots = table.open(2)
+        backend.begin_sessions(table, slots)
+        with pytest.raises(ConfigurationError, match="check_encoder"):
+            backend.decide(table, slots, observation_stream[:2], None)
+        backend.check_encoder(serving_env.observation_encoder)
+        assert backend.decide(table, slots, observation_stream[:2], None).shape == (2,)
+
+    def test_unstamped_compiled_backend_keeps_its_first_encoder(
+        self, compiled_policy, serving_env
+    ):
+        """Without a stamp any encoder passes, but one backend normalises one way."""
+        from repro.env.observation import ObservationEncoder
+
+        unstamped = copy.copy(compiled_policy)
+        unstamped.encoder_constants = None
+        backend = CompiledFSMBackend(unstamped)
+        PolicyServer(backend, serving_env.observation_encoder)
+        PolicyServer(backend, ObservationEncoder(serving_env.system_config))
+        other = ObservationEncoder(serving_env.system_config, nominal_requests=123.0)
+        with pytest.raises(ConfigurationError, match="already serves"):
+            PolicyServer(backend, other)
+
     def test_heuristic_backend_releases_closed_session_agents(
         self, serving_env, observation_stream
     ):
@@ -426,6 +457,9 @@ class _FaultyBackend:
         self.inner = inner
         self.failures = failures
         self.name = f"faulty({inner.name})"
+
+    def check_encoder(self, encoder):
+        self.inner.check_encoder(encoder)
 
     def session_table(self, capacity):
         return self.inner.session_table(capacity)

@@ -11,25 +11,39 @@ codes, missing start states) and observation streams from *all* standard
 workload profiles, plus the real artefacts of an extracted pipeline run.
 ``TestDistinctRowsBitwise`` pins the batch side of that: a batch that
 repeats rows resolves exactly like its rows one at a time.
+``TestRawRowsBitwise`` pins the raw-row contract: raw rows that differ
+but normalise alike still decide like each row alone, and only backends
+that need normalised rows get them from a consumer.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.agents.greedy import GreedyUtilizationPolicy
+from repro.agents.handcrafted import HandcraftedFSMPolicy
+from repro.drl.imitation import BehaviorCloningTrainer, _RecordingBackend
+from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.engine import compiled_fsm
 from repro.env.environment import StorageAllocationEnv
+from repro.env.observation import ObservationEncoder
 from repro.env.reward import RewardConfig
 from repro.fsm.agent import FSMPolicyAgent
 from repro.fsm.machine import FiniteStateMachine
 from repro.qbn.autoencoder import QuantizedBottleneckNetwork, build_observation_qbn
 from repro.qbn.quantize import code_key
-from repro.engine import CompiledFSMBackend, CompiledFSMPolicy
-from repro.serving import PolicyServer
+from repro.engine import (
+    AgentBatchBackend,
+    CompiledFSMBackend,
+    CompiledFSMPolicy,
+    GRUPolicyBackend,
+)
+from repro.serving import PolicyServer, ShadowEvaluator
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
@@ -151,7 +165,7 @@ class TestCompiledEquivalence:
         states = np.full(len(names), compiled.start_state, dtype=np.int64)
         for step in range(length):
             raw = np.stack([profile_streams[name][step] for name in names])
-            decision = compiled.act_batch(shared_encoder.normalize_batch(raw), states)
+            decision = compiled.act_batch(raw, states, shared_encoder)
             states = decision.next_states
             expected = [
                 int(agents[name].act(shared_encoder.split_raw(profile_streams[name][step])))
@@ -243,9 +257,8 @@ class TestCompiledEquivalence:
             raw = np.stack(
                 [profile_streams[n][step % len(profile_streams[n])] for n in names]
             )
-            normalized = shared_encoder.normalize_batch(raw)
-            a = original.act_batch(normalized, states)
-            b = reloaded.act_batch(normalized, states_r)
+            a = original.act_batch(raw, states, shared_encoder)
+            b = reloaded.act_batch(raw, states_r, shared_encoder)
             states, states_r = a.next_states, b.next_states
             assert np.array_equal(a.actions, b.actions)
             assert np.array_equal(a.next_states, b.next_states)
@@ -280,7 +293,7 @@ class TestCompiledEquivalence:
         states = np.full(len(streams), compiled.start_state, dtype=np.int64)
         for step in range(length):
             raw = np.stack([stream[step] for stream in streams])
-            decision = compiled.act_batch(encoder.normalize_batch(raw), states)
+            decision = compiled.act_batch(raw, states, encoder)
             states = decision.next_states
             expected = [
                 int(agents[i].act(encoder.split_raw(streams[i][step])))
@@ -290,11 +303,9 @@ class TestCompiledEquivalence:
 
 
 @pytest.fixture(scope="module")
-def row_pool(profile_streams, shared_encoder) -> np.ndarray:
-    """Real observation rows, then copies of one of them salted with near misses."""
-    real = np.concatenate(
-        [shared_encoder.normalize_batch(profile_streams[n][:6]) for n in profile_names()]
-    )
+def row_pool(profile_streams) -> np.ndarray:
+    """Real raw observation rows, then copies of one of them salted with near misses."""
+    real = np.concatenate([profile_streams[n][:6] for n in profile_names()])
     salted = np.tile(real[0], (8, 1))
     salted[0, 3], salted[1, 3] = 0.0, -0.0
     salted[2, 5] = np.nan
@@ -311,7 +322,8 @@ def row_pool(profile_streams, shared_encoder) -> np.ndarray:
 @pytest.fixture(scope="module", params=[True, False], ids=["prototypes", "no-prototypes"])
 def dedup_policy(request, row_pool, shared_encoder):
     qbn = build_observation_qbn(35, latent_dim=OBS_LATENT, hidden_dim=16, rng=11)
-    fsm = make_random_machine(4000, qbn, row_pool[:-8], with_prototypes=request.param)
+    known = shared_encoder.normalize_batch(row_pool[:-8])
+    fsm = make_random_machine(4000, qbn, known, with_prototypes=request.param)
     return CompiledFSMPolicy.compile(fsm, qbn, encoder=shared_encoder)
 
 
@@ -322,42 +334,46 @@ def _representatives(policy, batch: np.ndarray) -> int:
     return len(first)
 
 
+def _assert_equals_rows_alone(policy, encoder, batch, states):
+    """Raw ``batch`` resolves and steps exactly like its rows one at a time."""
+    with np.errstate(all="ignore"):
+        count = policy.fallback_count
+        columns, fallback = policy.resolve_observations(batch, encoder)
+        batch_delta = policy.fallback_count - count
+        alone = [policy.resolve_observations(row[None], encoder) for row in batch]
+        alone_delta = policy.fallback_count - count - batch_delta
+        decision = policy.act_batch(batch, states, encoder)
+        steps = [
+            policy.act_batch(row[None], state[None], encoder)
+            for row, state in zip(batch, states)
+        ]
+    assert columns.dtype == np.int64 and fallback.dtype == bool
+    np.testing.assert_array_equal(columns, np.concatenate([c for c, _ in alone]))
+    np.testing.assert_array_equal(fallback, np.concatenate([f for _, f in alone]))
+    assert batch_delta == alone_delta == int(fallback.sum())
+    np.testing.assert_array_equal(
+        decision.next_states, np.concatenate([s.next_states for s in steps])
+    )
+    np.testing.assert_array_equal(
+        decision.actions, np.concatenate([s.actions for s in steps])
+    )
+
+
 class TestDistinctRowsBitwise:
     """A batch resolves exactly like its rows one at a time.
 
-    ``resolve_observations`` encodes each distinct row of a batch once and
-    gathers the answers back; a B = 1 call has nothing to share, so the
-    stacked B = 1 calls are the reference — columns, fallback masks,
-    ``fallback_count`` and the ``act_batch`` successors.
+    ``resolve_observations`` normalises and encodes each distinct raw row
+    of a batch once and gathers the answers back; a B = 1 call has
+    nothing to share, so the stacked B = 1 calls are the reference —
+    columns, fallback masks, ``fallback_count`` and the ``act_batch``
+    successors.
     """
-
-    @staticmethod
-    def _assert_equals_rows_alone(policy, batch, states):
-        with np.errstate(all="ignore"):
-            count = policy.fallback_count
-            columns, fallback = policy.resolve_observations(batch)
-            batch_delta = policy.fallback_count - count
-            alone = [policy.resolve_observations(row[None]) for row in batch]
-            alone_delta = policy.fallback_count - count - batch_delta
-            decision = policy.act_batch(batch, states)
-            steps = [
-                policy.act_batch(row[None], state[None])
-                for row, state in zip(batch, states)
-            ]
-        assert columns.dtype == np.int64 and fallback.dtype == bool
-        np.testing.assert_array_equal(columns, np.concatenate([c for c, _ in alone]))
-        np.testing.assert_array_equal(fallback, np.concatenate([f for _, f in alone]))
-        assert batch_delta == alone_delta == int(fallback.sum())
-        np.testing.assert_array_equal(
-            decision.next_states, np.concatenate([s.next_states for s in steps])
-        )
-        np.testing.assert_array_equal(
-            decision.actions, np.concatenate([s.actions for s in steps])
-        )
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_batch_equals_stacked_single_rows(self, dedup_policy, row_pool, data):
+    def test_batch_equals_stacked_single_rows(
+        self, dedup_policy, row_pool, shared_encoder, data
+    ):
         pool = data.draw(
             st.lists(st.integers(0, len(row_pool) - 1), min_size=1, max_size=40, unique=True),
             label="pool",
@@ -368,30 +384,44 @@ class TestDistinctRowsBitwise:
         states = np.random.default_rng(seed).integers(dedup_policy.num_states, size=len(picks))
         distinct = len(np.unique(batch.view(np.uint64), axis=0))
         assert _representatives(dedup_policy, batch) == distinct
-        self._assert_equals_rows_alone(dedup_policy, batch, states)
+        _assert_equals_rows_alone(dedup_policy, shared_encoder, batch, states)
 
-    def test_one_distinct_row(self, dedup_policy, row_pool):
+    def test_one_distinct_row(self, dedup_policy, row_pool, shared_encoder):
         """Seven copies: one representative, through the padded M = 1 matmul."""
         for row in row_pool[[0, -8, -7, -6, -4, -1]]:
             batch = np.tile(row, (7, 1))
             assert _representatives(dedup_policy, batch) == 1
             states = np.arange(7) % dedup_policy.num_states
-            self._assert_equals_rows_alone(dedup_policy, batch, states)
+            _assert_equals_rows_alone(dedup_policy, shared_encoder, batch, states)
 
-    def test_all_rows_distinct(self, dedup_policy, row_pool):
+    def test_all_rows_distinct(self, dedup_policy, row_pool, shared_encoder):
         distinct = np.unique(row_pool.view(np.uint64), axis=0).view(np.float64)
         batch = distinct[np.random.default_rng(1).permutation(len(distinct))]
         assert _representatives(dedup_policy, batch) == len(batch)
         states = np.arange(len(batch)) % dedup_policy.num_states
-        self._assert_equals_rows_alone(dedup_policy, batch, states)
+        _assert_equals_rows_alone(dedup_policy, shared_encoder, batch, states)
 
-    def test_single_row(self, dedup_policy, row_pool):
+    def test_single_row(self, dedup_policy, row_pool, shared_encoder):
         for index in range(len(row_pool)):
-            self._assert_equals_rows_alone(
-                dedup_policy, row_pool[index : index + 1], np.array([dedup_policy.start_state])
+            _assert_equals_rows_alone(
+                dedup_policy,
+                shared_encoder,
+                row_pool[index : index + 1],
+                np.array([dedup_policy.start_state]),
             )
 
-    def test_every_hash_colliding_changes_nothing(self, dedup_policy, row_pool, monkeypatch):
+    def test_rows_wider_than_the_byte_accumulator(self):
+        """Rows 300 wide that differ in exactly 256 columns stay apart."""
+        rows = np.zeros((3, 300))
+        rows[1, :256] = 1.0
+        weights = np.cumprod(np.full(300, compiled_fsm._ROW_HASH_MULTIPLIER, dtype=np.uint64))
+        first, inverse = compiled_fsm._distinct_rows(rows, weights)
+        assert rows[first][inverse].tobytes() == rows.tobytes()
+        assert len(first) == 2 and inverse[0] == inverse[2] != inverse[1]
+
+    def test_every_hash_colliding_changes_nothing(
+        self, dedup_policy, row_pool, shared_encoder, monkeypatch
+    ):
         """The hash only orders rows: with every row colliding, the groups
         are still runs of byte-equal rows and every answer stays the same."""
         zeros = np.zeros(dedup_policy.observation_dim, dtype=np.uint64)
@@ -401,4 +431,133 @@ class TestDistinctRowsBitwise:
             batch = row_pool[rng.integers(len(row_pool), size=size)]
             _representatives(dedup_policy, batch)
             states = rng.integers(dedup_policy.num_states, size=size)
-            self._assert_equals_rows_alone(dedup_policy, batch, states)
+            _assert_equals_rows_alone(dedup_policy, shared_encoder, batch, states)
+
+
+@pytest.fixture(scope="module")
+def twin_pool(profile_streams, shared_encoder) -> np.ndarray:
+    """Raw rows plus twins that differ in bytes but normalise alike.
+
+    Utilisation 1.2 and 3.0 clip to the same 1.0; ``0.0`` and ``-0.0`` in
+    a clipped column stay apart in bytes yet compare equal.
+    """
+    real = np.concatenate([profile_streams[n][:2] for n in profile_names()])
+    base = real[:6]
+    twins = []
+    for column, values in ((3, (1.2, 3.0)), (4, (0.0, -0.0))):
+        for value in values:
+            twin = base.copy()
+            twin[:, column] = value
+            twins.append(twin)
+    pool = np.concatenate([real] + twins)
+    over, far, zero, negative_zero = (shared_encoder.normalize_batch(t) for t in twins)
+    assert over.tobytes() == far.tobytes() and twins[0].tobytes() != twins[1].tobytes()
+    assert np.array_equal(zero, negative_zero) and twins[2].tobytes() != twins[3].tobytes()
+    return pool
+
+
+@pytest.fixture(scope="module")
+def small_gru():
+    return RecurrentPolicyValueNet(PolicyConfig(hidden_size=8), rng=3)
+
+
+@contextmanager
+def _normalize_spy():
+    """Row counts of every ``ObservationEncoder.normalize_batch`` call."""
+    calls: List[int] = []
+    original = ObservationEncoder.normalize_batch
+
+    def spy(self, raw_matrix, out=None):
+        calls.append(len(raw_matrix))
+        return original(self, raw_matrix, out=out)
+
+    ObservationEncoder.normalize_batch = spy
+    try:
+        yield calls
+    finally:
+        ObservationEncoder.normalize_batch = original
+
+
+def _duplicate_heavy(data, pool: np.ndarray) -> np.ndarray:
+    """A batch drawn from at most 8 pool rows, so most rows repeat."""
+    chosen = data.draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8, unique=True),
+        label="rows",
+    )
+    picks = data.draw(st.lists(st.sampled_from(chosen), min_size=1, max_size=200), label="batch")
+    return pool[picks]
+
+
+class TestRawRowsBitwise:
+    """Consumers hand raw rows to backends that ``reads_raw``.
+
+    The compiled FSM deduplicates raw rows and normalises the distinct
+    ones itself, so raw twins that normalise alike resolve as two groups
+    with one answer; consumers skip the broker-side normalisation for it
+    and for the agent lift, and keep it for the GRU, for a shadow pair
+    with a GRU in it, and for BC demonstrations.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_raw_batch_equals_rows_alone(self, dedup_policy, twin_pool, shared_encoder, data):
+        batch = _duplicate_heavy(data, twin_pool)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="states seed")
+        states = np.random.default_rng(seed).integers(dedup_policy.num_states, size=len(batch))
+        _assert_equals_rows_alone(dedup_policy, shared_encoder, batch, states)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_only_normalised_readers_get_normalised_rows(
+        self, dedup_policy, twin_pool, shared_encoder, small_gru, data
+    ):
+        batch = _duplicate_heavy(data, twin_pool)
+        rows, distinct = len(batch), len(np.unique(batch.view(np.uint64), axis=0))
+        cases = {
+            "fsm": (CompiledFSMBackend(dedup_policy), [distinct]),
+            "agent": (
+                AgentBatchBackend(GreedyUtilizationPolicy, shared_encoder),
+                [],
+            ),
+            "gru": (GRUPolicyBackend(small_gru), [rows]),
+            "shadow": (
+                ShadowEvaluator(CompiledFSMBackend(dedup_policy), GRUPolicyBackend(small_gru)),
+                [rows, distinct],
+            ),
+        }
+        actions = {}
+        for name, (backend, expected_calls) in cases.items():
+            server = PolicyServer(backend, shared_encoder, initial_capacity=rows)
+            sessions = server.open_sessions(rows)
+            received = []
+            decide = backend.decide
+
+            def recording(table, slots, raw, normalized, decide=decide, received=received):
+                received.append(normalized)
+                return decide(table, slots, raw, normalized)
+
+            backend.decide = recording
+            with _normalize_spy() as calls:
+                actions[name] = server.decide_now(sessions, batch)
+            assert calls == expected_calls, name
+            assert len(received) == 1
+            assert (received[0] is None) == (name in ("fsm", "agent")), name
+            if received[0] is not None:
+                assert received[0].tobytes() == shared_encoder.normalize_batch(batch).tobytes()
+        # The FSM decides alike whether or not the broker normalised for it.
+        np.testing.assert_array_equal(actions["shadow"], actions["fsm"])
+
+    def test_demonstrations_stay_normalised_rows(
+        self, system_config, standard_suite, scalar_episode
+    ):
+        assert _RecordingBackend.reads_raw is False
+        traces = list(standard_suite.values())[:3]
+        demonstrations = BehaviorCloningTrainer(system_config).collect_demonstrations(
+            HandcraftedFSMPolicy(), traces, episode_seed=2
+        )
+        for index, (trace, demo) in enumerate(zip(traces, demonstrations)):
+            _env, observations, actions, _rewards = scalar_episode(
+                HandcraftedFSMPolicy(), trace, 2 + index, system_config
+            )
+            assert demo.observations.tobytes() == observations.tobytes()
+            assert demo.actions.tolist() == actions.tolist()
