@@ -171,7 +171,7 @@ def replicated_pairwise_sum(
     *exact* product ``8 * v`` (every intermediate doubles a value, and
     doubling only increments the exponent), so only the left-to-right
     head (< 8 copies) and the sequential tail (copies 8..14) need
-    per-column passes.
+    per-copy passes.  ``lengths`` must not exceed ``n_max``.
 
     The vectorized simulator's closed-form dispatch rows (no penalised
     core; idled cores only in cells under 8 wide, where they are exact
@@ -188,15 +188,21 @@ def replicated_pairwise_sum(
             f"replicated_pairwise_sum supports up to {REPLICATED_MAX_LENGTH} "
             f"copies, got {n_max}"
         )
-    small = np.where(lengths > 0, values, 0.0)
-    for j in range(1, min(n_max, 8)):
-        small = np.where(j < lengths, small + values, small)
-    if n_max < 8:
-        return small
-    big = 8.0 * values
-    for j in range(8, n_max):
-        big = np.where(j < lengths, big + values, big)
-    return np.where(lengths < 8, small, big)
+    # sums[k] = each cell's k-copy sum, one in-place pass per k over the
+    # previous row (the exact ``8 * v`` at 8); a cell reads row
+    # ``lengths[c]``: its own IEEE adds, with no mask or array per column.
+    flat = values.ravel()
+    sums = np.empty((n_max + 1, flat.size))
+    sums[0] = 0.0
+    for k in range(1, n_max + 1):
+        if k == 1:
+            sums[1] = flat
+        elif k == 8:
+            np.multiply(flat, 8.0, out=sums[8])
+        else:
+            np.add(sums[k - 1], flat, out=sums[k])
+    picked = sums.ravel()[lengths.ravel() * flat.size + np.arange(flat.size)]
+    return picked.reshape(values.shape)
 
 
 DISPATCHERS = {

@@ -47,7 +47,7 @@ without perturbing the remaining slots.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class VectorSimulatorState:
         self._dispatch_is_polling = config.dispatcher == "polling"
         self._capability = float(config.core_capability_kb)
         self._penalized_capability = self._capability * (1.0 - config.migration_penalty)
-        self._capacity_cache: dict = {}
         self._arange_buffer = np.arange(0)
         self._sweep_workspace = np.empty(0)
         # table[k] = numpy's pairwise sum of k full-speed capacities;
@@ -243,6 +242,9 @@ class VectorSimulatorState:
                 write_kb[row, t] = interval.write_kb()
         self._read_kb = read_kb[self.trace_index]
         self._write_kb = write_kb[self.trace_index]
+        # Slot i's interval t is flat element ``i * t_max + t`` of both
+        # tables: a 1-D gather costs a third of the 2-D ``[rows, t]`` one.
+        self._interval_base = np.arange(batch, dtype=np.int64) * t_max
 
         initial_pool = CorePool.create(
             self.config.initial_allocation, self.config.min_cores_per_level
@@ -333,21 +335,28 @@ class VectorSimulatorState:
         # finishing) index with a slice: views instead of gather/scatter.
         ix = slice(None) if all_active else rows
 
-        self._apply_migrations(rows, actions)
-        self._inject_workload(rows)
-        self._sample_idle(rows)
+        self._apply_migrations(rows, ix, actions)
+        self._inject_workload(rows, ix)
+        self._sample_idle(rows, ix)
+        # Rows holding a penalised core, scanned once for the dispatch regime
+        # and the decay (only migrations wrote cooldowns since the last
+        # decay).  Cooldowns are >= 0, so einsum's row sum (a sixth of
+        # ``any(axis=1)``'s cost) is positive exactly on those rows.
+        cooldowns = self.pos_cooldown[ix]
+        cooling = np.einsum("ij->i", cooldowns.reshape(cooldowns.shape[0], -1)) > 0
         if self._grouped_supported and rows.size >= self._grouped_min_rows:
-            self._process_intervals_grouped(ix)
+            self._process_intervals_grouped(ix, cooling)
         else:
             self._process_intervals_reference(rows)
 
-        # Advance time and decay migration penalties (CorePool.tick);
-        # padding positions hold zero cooldowns and stay zero.
-        if all_active:
-            self.pos_cooldown -= self.pos_cooldown > 0
-        else:
-            cool = self.pos_cooldown[rows]
-            self.pos_cooldown[rows] = cool - (cool > 0)
+        # Advance time and decay migration penalties (CorePool.tick).  With
+        # no cooling row every cooldown, padding included, is zero: skipped.
+        if cooling.any():
+            if all_active:
+                self.pos_cooldown -= self.pos_cooldown > 0
+            else:
+                cool = self.pos_cooldown[rows]
+                self.pos_cooldown[rows] = cool - (cool > 0)
         self.interval_index[ix] += 1  # also advances steps_taken (shared array)
 
         self._steps_elapsed += 1
@@ -380,7 +389,7 @@ class VectorSimulatorState:
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
-    def _apply_migrations(self, rows: np.ndarray, actions: np.ndarray) -> None:
+    def _apply_migrations(self, rows: np.ndarray, ix, actions: np.ndarray) -> None:
         """Resolve all slots' migration actions in one vectorized pass.
 
         Candidate choice matches ``CorePool.migrate_one``: the
@@ -391,8 +400,8 @@ class VectorSimulatorState:
         source level row, insert it id-sorted into the destination row.
         """
         if self._record_metrics:
-            self.migration_applied[rows] = False
-        moving = rows[actions[rows] != 0]
+            self.migration_applied[ix] = False
+        moving = rows[actions[ix] != 0]
         if moving.size == 0:
             return
         src = ACTION_SOURCE_INDICES[actions[moving]]
@@ -455,53 +464,42 @@ class VectorSimulatorState:
         if self._record_metrics:
             self.migration_applied[moving] = True
 
-    def _inject_workload(self, rows: np.ndarray) -> None:
+    def _inject_workload(self, rows: np.ndarray, ix) -> None:
         """Add this interval's per-level demand to the backlogs (array form
-        of the scalar simulator's incoming-work computation)."""
-        self.incoming[rows] = 0.0
-        injecting = self.interval_index[rows] < self.trace_len[rows]
-        if injecting.all():
-            # Mid-episode fast path: every stepped slot still has trace
-            # intervals left, so no filtering gathers are needed (and
-            # with all slots active the accumulator updates below are
-            # whole-array writes).
-            inject = rows
-            t = self.interval_index if rows.size == self.batch else self.interval_index[rows]
-        else:
-            inject = rows[injecting]
-            if inject.size == 0:
+        of the scalar simulator's incoming-work computation).
+
+        When every slot steps and injects (``ix`` a slice, the common case
+        mid-episode) nothing is gathered and the accumulators update in place.
+        """
+        t = self.interval_index[ix]
+        injecting = t < self.trace_len[ix]
+        if not injecting.all():
+            # Some stepped slots have injected their whole trace and only
+            # drain: they get zero demand, the rest are gathered.
+            self.incoming[ix] = 0.0
+            rows, t = rows[injecting], t[injecting]
+            if rows.size == 0:
                 return
-            t = self.interval_index[inject]
+            ix = rows
         config = self.config
-        read_kb = self._read_kb[inject, t]
-        write_kb = self._write_kb[inject, t]
+        flat = self._interval_base[ix] + t
+        read_kb = self._read_kb.ravel()[flat]
+        write_kb = self._write_kb.ravel()[flat]
         missed_read_kb = read_kb * config.cache_miss_rate
-        if inject is rows and rows.size == self.batch:
-            # Whole-batch injection: plain views instead of gather/scatter.
-            incoming = self.incoming
-            incoming[:, 0] = read_kb + write_kb
-            incoming[:, 1] = (
-                write_kb * config.kv_write_factor
-                + missed_read_kb * config.kv_read_miss_factor
-            )
-            incoming[:, 2] = (
-                write_kb * config.rv_write_factor
-                + missed_read_kb * config.rv_read_miss_factor
-            )
-            self.backlog += incoming
-            return
-        self.incoming[inject, 0] = read_kb + write_kb
-        self.incoming[inject, 1] = (
+        incoming = np.empty((rows.size, _NUM_LEVELS))
+        incoming[:, 0] = read_kb + write_kb
+        incoming[:, 1] = (
             write_kb * config.kv_write_factor
             + missed_read_kb * config.kv_read_miss_factor
         )
-        self.incoming[inject, 2] = (
+        incoming[:, 2] = (
             write_kb * config.rv_write_factor
             + missed_read_kb * config.rv_read_miss_factor
         )
-        self.backlog[inject] += self.incoming[inject]
+        self.incoming[ix] = incoming
+        self.backlog[ix] += incoming
 
-    def _sample_idle(self, rows: np.ndarray) -> None:
+    def _sample_idle(self, rows: np.ndarray, ix) -> None:
         """Draw each slot's idle-core counts (Poisson).
 
         Two branches, picked by what ``reset`` was handed: one
@@ -515,7 +513,7 @@ class VectorSimulatorState:
         idle matrix.
         """
         if self.config.idle_rate <= 0:
-            self.idle[rows] = 0
+            self.idle[ix] = 0
             return
         streams = self._philox
         if streams is not None:
@@ -524,12 +522,14 @@ class VectorSimulatorState:
             # consecutive cursor values in NORMAL/KV/RV order, and both
             # the keystream and the Poisson inversion are element-wise,
             # so slot i draws the same values whichever slots share its
-            # batch.
-            counts = self.counts[rows]
+            # batch.  A whole-batch step asks for every lane in lane order
+            # (``rows=None``: no gathers).
+            counts = self.counts[ix]
             lam = self.config.idle_rate * counts
-            self.idle[rows], _ = streams.idle_poisson(rows, counts, lam, np.exp(-lam))
+            lanes = None if isinstance(ix, slice) else rows
+            self.idle[ix], _ = streams.idle_poisson(lanes, counts, lam, np.exp(-lam))
             return
-        self.idle[rows] = 0
+        self.idle[ix] = 0
         lam_rows = (self.config.idle_rate * self.counts[rows]).tolist()
         counts_rows = self.counts[rows].tolist()
         rngs = self._rngs
@@ -553,7 +553,7 @@ class VectorSimulatorState:
                 if draw:
                     idle[slot, 2] = min(int(draw), c2 - 1)
 
-    def _process_intervals_grouped(self, ix) -> None:
+    def _process_intervals_grouped(self, ix, cooling: np.ndarray) -> None:
         """Vectorized polling dispatch + accounting over all (slot, level) cells.
 
         The level-major core layout makes "level ``l``'s capacities in
@@ -577,14 +577,15 @@ class VectorSimulatorState:
           8-wide unrolled tree associates zeros by *position*, so those
           cells replay the reduction on the real capacity layout.
 
+        ``cooling`` marks the rows of ``ix`` holding a penalised core.
         All-closed and all-tensor batches never gather (``ix`` is a slice
         when every slot steps).  A batch holding both regimes reduces
         every row in closed form — a few elementwise passes over
         ``(B, 3)``, cheaper than gathering the closed rows out and
         scattering them back — and overwrites the tensor rows with the
         sweep, which runs restricted to those rows; when fewer than
-        ``_CLOSED_FORM_MIN_ROWS`` rows would be spared, the whole batch
-        is swept instead (the sweep is exact for closed-form rows too).
+        ``_CLOSED_FORM_MIN_ROWS`` rows would be spared, the whole batch is
+        swept instead (the sweep is exact for closed-form rows too).
         """
         counts = self.counts[ix]
         n_max = int(counts.max())
@@ -594,21 +595,17 @@ class VectorSimulatorState:
             )
         idle = self.idle[ix]
         pending = self.backlog[ix]
-        pos_cooldown = self.pos_cooldown[ix]
         batch = counts.shape[0]
-        # Cooldowns are >= 0, so a row holds a penalised core iff they sum
-        # above zero; einsum's row sum costs a sixth of ``any(axis=1)``,
-        # whose reduce machinery pays ~45 ns per 30-element row.
-        tensor_rows = np.einsum("ij->i", pos_cooldown.reshape(batch, -1)) > 0
+        tensor_rows = cooling
         if n_max >= 8:
-            tensor_rows |= ((idle > 0) & (counts >= 8)).any(axis=1)
+            tensor_rows = cooling | ((idle > 0) & (counts >= 8)).any(axis=1)
         tensor_count = int(np.count_nonzero(tensor_rows))
         share = pending / counts
         if tensor_count and batch - tensor_count < _CLOSED_FORM_MIN_ROWS:
             # The sweep is exact for every row; closed-form rows are the
             # ones that do not need it.
             processed, capacity = self._sweep_tensor_rows(
-                pos_cooldown, counts, idle, share, n_max
+                self.pos_cooldown[ix], counts, idle, share, n_max
             )
         else:
             live = counts - idle
@@ -618,8 +615,13 @@ class VectorSimulatorState:
             capacity = self._uniform_sums[live]
             if tensor_count:
                 rows = np.nonzero(tensor_rows)[0]
+                tensor_slots = rows if isinstance(ix, slice) else ix[rows]
                 processed[rows], capacity[rows] = self._sweep_tensor_rows(
-                    pos_cooldown[rows], counts[rows], idle[rows], share[rows], n_max
+                    self.pos_cooldown[tensor_slots],
+                    counts[rows],
+                    idle[rows],
+                    share[rows],
+                    n_max,
                 )
         self.processed[ix] = processed
         self.capacity[ix] = capacity
@@ -702,9 +704,8 @@ class VectorSimulatorState:
     def _process_intervals_reference(self, rows: np.ndarray) -> None:
         """Per-cell dispatch loop — the scalar simulator's exact inner loop.
 
-        Serves the B=1 view (where the grouped gather costs more than it
-        saves) and non-polling dispatchers; bit-identical to the grouped
-        kernel where both apply.
+        Serves non-polling dispatchers and the tests that force it;
+        bit-identical to the grouped kernel where both apply.
         """
         capability = self._capability
         for slot in rows.tolist():
@@ -713,24 +714,21 @@ class VectorSimulatorState:
             for level_index in range(_NUM_LEVELS):
                 core_count = int(self.counts[slot, level_index])
                 idle = int(self.idle[slot, level_index])
-                if idle == 0 and no_penalty:
-                    capacities, total_capacity = self._uniform_capacities(core_count)
+                if no_penalty:
+                    capacities = np.full(core_count, capability, dtype=float)
                 else:
-                    if no_penalty:
-                        capacities = np.full(core_count, capability, dtype=float)
-                    else:
-                        # Level-major rows keep a level's cores in core-id
-                        # order, so this slice matches the scalar
-                        # ``cores_at`` iteration exactly.
-                        capacities = np.where(
-                            cooldown_rows[level_index, :core_count] > 0,
-                            self._penalized_capability,
-                            capability,
-                        ).astype(float)
-                    if idle > 0:
-                        order = np.argsort(-capacities)
-                        capacities[order[:idle]] = 0.0
-                    total_capacity = float(capacities.sum())
+                    # Level-major rows keep a level's cores in core-id
+                    # order, so this slice matches the scalar ``cores_at``
+                    # iteration exactly.
+                    capacities = np.where(
+                        cooldown_rows[level_index, :core_count] > 0,
+                        self._penalized_capability,
+                        capability,
+                    ).astype(float)
+                if idle > 0:
+                    order = np.argsort(-capacities)
+                    capacities[order[:idle]] = 0.0
+                total_capacity = float(capacities.sum())
                 pending = self.backlog[slot, level_index]
                 if self._dispatch_is_polling and capacities.size:
                     processed_kb = np.minimum(pending / capacities.size, capacities)
@@ -753,16 +751,6 @@ class VectorSimulatorState:
             self._arange_buffer = np.arange(n)
             self._arange_buffer.setflags(write=False)
         return self._arange_buffer[:n]
-
-    def _uniform_capacities(self, core_count: int) -> Tuple[np.ndarray, float]:
-        """Cached (read-only array, pairwise sum) of full-speed cores."""
-        cached = self._capacity_cache.get(core_count)
-        if cached is None:
-            array = np.full(core_count, self._capability, dtype=float)
-            array.setflags(write=False)
-            cached = (array, float(array.sum()))
-            self._capacity_cache[core_count] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # Metrics

@@ -1,9 +1,10 @@
 /* Fused Philox4x32-10 idle sampler for the counter-based RNG family.
  *
- * One call draws every multi-core (slot, level) cell's uniform from the
- * lane's (episode, cursor) counter stream and inverts the Poisson CDF on
- * the cells whose uniform clears the k=0 term, writing the clamped idle
- * counts.  This replaces ~30 tiny-array numpy dispatches per simulator
+ * One call of repro_philox_idle draws every multi-core (slot, level)
+ * cell's uniform from the lane's (episode, cursor) counter stream and
+ * inverts the Poisson CDF on the cells whose uniform clears the k=0 term,
+ * writing the clamped idle counts (repro_philox_uniforms: one uniform per
+ * lane).  This replaces ~30 tiny-array numpy dispatches per simulator
  * interval with one C call, which is what makes the Philox family
  * competitive at small batch sizes.
  *
@@ -23,8 +24,8 @@
  *
  * The build therefore must NOT use -ffast-math/-funsafe-math flags, and
  * uses -ffp-contract=off so no FMA contraction changes roundings.  As a
- * final guard, rng._native_idle_kernel() probes the compiled sampler
- * against the numpy reference at load time and disables it on any
+ * final guard, rng._native_idle_kernel() probes both entry points against
+ * the numpy reference at load time and disables the library on any
  * mismatch, so a miscompiled build degrades to the numpy path instead of
  * corrupting pinned streams.
  */
@@ -59,6 +60,26 @@ static double philox_uniform(uint64_t episode, uint64_t counter,
     return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0);
 }
 
+static void philox_round_keys(uint64_t key0, uint64_t key1, uint32_t *kr0,
+                              uint32_t *kr1) {
+    for (int r = 0; r < PHILOX_ROUNDS; r++) {
+        kr0[r] = (uint32_t)(key0 + (uint64_t)r * PHILOX_W0);
+        kr1[r] = (uint32_t)(key1 + (uint64_t)r * PHILOX_W1);
+    }
+}
+
+/* out[i] = rng._philox_uniforms of lane i's (cursor, episode) counter;
+ * the caller advances the cursors. */
+void repro_philox_uniforms(const uint64_t *episodes, const uint64_t *cursors,
+                           double *out, uint64_t key0, uint64_t key1,
+                           long n) {
+    uint32_t kr0[PHILOX_ROUNDS], kr1[PHILOX_ROUNDS];
+    philox_round_keys(key0, key1, kr0, kr1);
+    for (long i = 0; i < n; i++) {
+        out[i] = philox_uniform(episodes[i], cursors[i], kr0, kr1);
+    }
+}
+
 /* Idle sampling for n lanes x `levels` levels.
  *
  * Inputs: per-lane episode ids and start cursors; per-cell core counts,
@@ -77,10 +98,7 @@ long repro_philox_idle(const uint64_t *episodes, const uint64_t *cursors,
                        double *uscratch, uint64_t key0, uint64_t key1,
                        long n, long levels) {
     uint32_t kr0[PHILOX_ROUNDS], kr1[PHILOX_ROUNDS];
-    for (int r = 0; r < PHILOX_ROUNDS; r++) {
-        kr0[r] = (uint32_t)(key0 + (uint64_t)r * PHILOX_W0);
-        kr1[r] = (uint32_t)(key1 + (uint64_t)r * PHILOX_W1);
-    }
+    philox_round_keys(key0, key1, kr0, kr1);
     long fired = 0;
     double max_lam = 0.0;
     for (long i = 0; i < n; i++) {

@@ -1,7 +1,8 @@
 """Compile-at-first-use loader for the fused Philox idle sampler.
 
-``_philox_kernel.c`` lives next to this module and is compiled into a
-per-user cache directory the first time the sampler is requested, or
+``_philox_kernel.c`` (the idle sampler and ``PhiloxStreams.uniforms``'
+per-lane draws, on one keystream) lives next to this module and is
+compiled into a per-user cache directory the first time it is needed, or
 ahead of time by ``python -m repro.utils.philox_native`` (the CI build
 hook; prints the shared-object path, exits non-zero when no compiler can
 produce it).  Its only caller is :mod:`repro.utils.rng`, which runs a
@@ -125,8 +126,9 @@ class NativePhiloxIdleKernel:
     Stateless between calls apart from one grow-only staging workspace;
     the keystream key travels with each call, so one wrapper serves every
     :class:`~repro.utils.rng.PhiloxStreams` instance in the process.
-    Returned arrays are workspace views, valid until the next call —
-    callers copy (or scatter) before returning.
+    :meth:`sample` returns workspace views, valid until the next call —
+    callers copy (or scatter) before returning; :meth:`uniforms` returns
+    a new array.
     """
 
     def __init__(self) -> None:
@@ -142,8 +144,28 @@ class NativePhiloxIdleKernel:
             _INT64_P, _DOUBLE_P,              # idle, uscratch
             ctypes.c_uint64, ctypes.c_uint64, ctypes.c_long, ctypes.c_long,
         ]
+        lib.repro_philox_uniforms.restype = None
+        lib.repro_philox_uniforms.argtypes = [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # episodes, cursors, out
+            ctypes.c_uint64, ctypes.c_uint64, ctypes.c_long,
+        ]
         self._lib = lib
         self._workspace: Optional[_PhiloxIdleWorkspace] = None
+
+    def uniforms(
+        self, episodes: np.ndarray, cursors: np.ndarray, key0: int, key1: int
+    ) -> np.ndarray:
+        """A new array of one uniform per lane; cursors are read, not advanced."""
+        episodes = np.ascontiguousarray(episodes, dtype=np.uint64)
+        cursors = np.ascontiguousarray(cursors, dtype=np.uint64)
+        if episodes.shape != cursors.shape or episodes.ndim != 1:
+            raise ValueError(f"lanes {episodes.shape} and cursors {cursors.shape} differ")
+        out = np.empty(episodes.shape[0])
+        self._lib.repro_philox_uniforms(
+            episodes.ctypes.data, cursors.ctypes.data, out.ctypes.data,
+            key0, key1, episodes.shape[0],
+        )
+        return out
 
     def sample(
         self,

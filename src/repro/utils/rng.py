@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,8 +56,9 @@ class RngFactory:
         """Return a generator for ``name`` (fresh stream on each call)."""
         index = self._counters.get(name, 0)
         self._counters[name] = index + 1
-        entropy = (self._seed, _stable_hash(name), index)
-        return np.random.default_rng(np.random.SeedSequence(entropy=_flatten(entropy)))
+        seed = 0 if self._seed is None else int(self._seed)
+        entropy = [seed, _stable_hash(name), index]
+        return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
     def reset(self) -> None:
         """Forget per-name counters so streams repeat from the start."""
@@ -75,16 +76,6 @@ def _stable_hash(text: str) -> int:
         value ^= byte
         value = (value * 1099511628211) % (1 << 63)
     return value
-
-
-def _flatten(entropy: Iterable) -> List[int]:
-    flat: List[int] = []
-    for item in entropy:
-        if item is None:
-            flat.append(0)
-        else:
-            flat.append(int(item))
-    return flat
 
 
 # ----------------------------------------------------------------------
@@ -229,13 +220,13 @@ _idle_kernel = None
 _idle_status: Optional[str] = None
 
 
-def _philox_idle_self_check(kernel) -> bool:
-    """Bit-identity probe for the native sampler.
+def _philox_self_check(kernel) -> bool:
+    """Bit-identity probe for both native entry points.
 
     Runs a spread of (episode, cursor, count, idle_rate) cells — zero/one
     core skips, shallow and ~100-iteration inversions — through the C
-    entry point and the numpy reference.  Any mismatch (integer draws,
-    consumed-cursor counts, or fired totals) disables the native sampler
+    idle sampler, and lanes on both sides of 2**32 through the C uniforms,
+    against their numpy references.  Any mismatch disables the library
     for the process, so an exotic compiler or platform degrades to the
     reference itself instead of breaking pinned streams.
     """
@@ -264,7 +255,10 @@ def _philox_idle_self_check(kernel) -> bool:
             or not np.array_equal(ndraws_c, ndraws_ref)
         ):
             return False
-    return True
+    wide = np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**63, 2**64 - 1], dtype=np.uint64)
+    lanes, counters = np.r_[episodes, wide, wide[::-1]], np.r_[cursors, wide[::-1], wide]
+    native = kernel.uniforms(lanes, counters, probe._key0, probe._key1)
+    return np.array_equal(native, _philox_uniforms(lanes, counters, probe._round_keys))
 
 
 def _native_idle_kernel():
@@ -281,7 +275,7 @@ def _native_idle_kernel():
 
         try:
             kernel = NativePhiloxIdleKernel()
-            if _philox_idle_self_check(kernel):
+            if _philox_self_check(kernel):
                 _idle_kernel, _idle_status = kernel, "ready"
             else:
                 _idle_status = "disabled: self-check mismatch against the numpy reference"
@@ -303,10 +297,11 @@ def idle_sampler_status() -> str:
 
 
 def _lane_indices(rows) -> np.ndarray:
-    """``rows`` as an index array; a boolean mask is refused, not cast.
+    """``rows`` as an index array of distinct lanes.
 
-    ``np.asarray(mask, dtype=np.intp)`` would turn ``[False, True]`` into
-    lanes ``[0, 1]`` and advance the wrong cursors without a word.
+    A boolean mask is refused, not cast: ``np.asarray(mask, np.intp)``
+    would turn ``[False, True]`` into lanes ``[0, 1]``.  A repeated lane
+    would be served one draw twice and advanced once.
     """
     rows = np.asarray(rows)
     if rows.dtype == np.bool_:
@@ -314,18 +309,51 @@ def _lane_indices(rows) -> np.ndarray:
             "rows must be lane indices, got a boolean mask "
             "(pass np.nonzero(mask)[0])"
         )
-    return rows.astype(np.intp, copy=False)
+    rows = rows.astype(np.intp, copy=False)
+    _refuse_repeats(rows, "lane")
+    return rows
+
+
+def _refuse_repeats(values: np.ndarray, what: str) -> None:
+    """Raise naming a repeated value; increasing values cost one comparison."""
+    if values.size > 1 and not (values[1:] > values[:-1]).all():
+        ordered = np.sort(values)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise ConfigurationError(f"{what} {int(repeated[0])} is repeated")
+
+
+def _episode_ids(episodes) -> np.ndarray:
+    """Episode ids as uint64, refused unless non-negative, distinct integers.
+
+    A cast would map ``-1`` to lane 2**64 - 1 and ``1.5`` to lane 1, and
+    two equal ids would give two lanes one stream.  (Ids above 2**63 come
+    as a uint64 array: numpy makes floats of a list mixing them with
+    small ones.)
+    """
+    if isinstance(episodes, (int, np.integer)):
+        return np.arange(int(episodes), dtype=np.uint64)
+    ids = np.asarray(episodes)
+    if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0):
+        raise ConfigurationError(
+            f"episode ids must be non-negative integers, got {ids.dtype} ids "
+            f"down to {ids.min()}"
+        )
+    ids = np.ascontiguousarray(ids, dtype=np.uint64)
+    _refuse_repeats(ids, "episode id")
+    return ids
 
 
 class PhiloxStreams:
     """B independent counter-based lanes for one ``(base_seed, domain)``.
 
     The fleet driver's streams: :meth:`uniforms` advances a subset of
-    lanes (``rows``) by one draw in one numpy call, and
-    :meth:`idle_poisson` samples a whole simulator shard's idle cores
-    (hand the object to ``VectorSimulatorState.reset`` as ``rngs``).
-    Lanes carry their global episode ids, so a lane's draws do not
-    depend on which other lanes share the object.
+    lanes (``rows``) by one draw in one call, and :meth:`idle_poisson`
+    samples a whole simulator shard's idle cores (hand the object to
+    ``VectorSimulatorState.reset`` as ``rngs``).  Lanes carry distinct
+    global episode ids, so a lane's draws do not depend on which other
+    lanes share the object.  Both methods run natively when
+    :func:`idle_sampler_status` reads ``"ready"``, with the same values.
     """
 
     def __init__(
@@ -334,9 +362,7 @@ class PhiloxStreams:
         episodes: Union[int, Sequence[int], np.ndarray],
         domain: str,
     ) -> None:
-        if isinstance(episodes, (int, np.integer)):
-            episodes = np.arange(int(episodes), dtype=np.uint64)
-        self._episodes = np.ascontiguousarray(episodes, dtype=np.uint64)
+        self._episodes = _episode_ids(episodes)
         self._cursors = np.zeros(self._episodes.shape[0], dtype=np.uint64)
         key = _stable_hash(f"philox/{domain}/{int(base_seed)}")
         self._key0 = key & 0xFFFFFFFF
@@ -344,16 +370,23 @@ class PhiloxStreams:
         self._round_keys = _philox_round_keys(self._key0, self._key1)
 
     def uniforms(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """One uniform in [0, 1) per requested lane; advances their cursors."""
-        rows = slice(None) if rows is None else _lane_indices(rows)
-        cursors = self._cursors[rows]
-        draws = _philox_uniforms(self._episodes[rows], cursors, self._round_keys)
-        self._cursors[rows] = cursors + np.uint64(1)
+        """One uniform in [0, 1) per requested lane; advances their cursors.
+
+        ``rows=None`` means every lane, in lane order.  Otherwise ``rows``
+        are distinct lane indices and the reply follows their order.
+        """
+        kernel = _native_idle_kernel()
+        lanes, episodes, cursors = self._lanes(rows)
+        if kernel is not None:
+            draws = kernel.uniforms(episodes, cursors, self._key0, self._key1)
+        else:
+            draws = _philox_uniforms(episodes, cursors, self._round_keys)
+        self._cursors[lanes] += np.uint64(1)
         return draws
 
     def idle_poisson(
         self,
-        rows: np.ndarray,
+        rows: Optional[np.ndarray],
         counts: np.ndarray,
         lam: np.ndarray,
         term: np.ndarray,
@@ -364,20 +397,23 @@ class PhiloxStreams:
         (consecutive cursors per lane, level order) and inverts the
         Poisson CDF, returning the clamped draws matrix and the
         fired-cell count, and advancing the requested lanes' cursors.
-        The native sampler does this in one C call; when it is
-        unavailable or failed its load-time bit-identity self-check,
-        :func:`_philox_idle_reference` — the specification that check
-        compares against — produces the same values.  The native draws
-        matrix is a reused workspace — scatter or copy it before the
-        next call.
+        ``rows`` are distinct lane indices, one per row of ``counts``, or
+        None for every lane in lane order.  The native sampler does this
+        in one C call; without it :func:`_philox_idle_reference`, the spec
+        its self-check compares against, draws the same values.  The
+        native draws matrix is a reused workspace — scatter or copy it
+        before the next call.
 
         ``term`` must be ``np.exp(-lam)`` computed by the *caller* in
         numpy: the sampler never calls the C library's ``exp``, whose
         rounding may differ from numpy's by an ulp.
         """
         kernel = _native_idle_kernel()
-        rows = _lane_indices(rows)
-        episodes, cursors = self._episodes[rows], self._cursors[rows]
+        lanes, episodes, cursors = self._lanes(rows)
+        if counts.shape[0] != episodes.shape[0]:
+            raise ConfigurationError(
+                f"sampling {episodes.shape[0]} lanes, got {counts.shape[0]} rows of counts"
+            )
         if kernel is not None:
             draws, ndraws, fired = kernel.sample(
                 episodes, cursors, counts, lam, term, self._key0, self._key1
@@ -386,8 +422,16 @@ class PhiloxStreams:
             draws, ndraws, fired = _philox_idle_reference(
                 episodes, cursors, counts, lam, term, self._round_keys
             )
-        self._cursors[rows] += ndraws
+        self._cursors[lanes] += ndraws
         return draws, fired
+
+    def _lanes(self, rows) -> Tuple[Union[slice, np.ndarray], np.ndarray, np.ndarray]:
+        """``(index, episodes, cursors)`` of the lanes; ``rows=None`` is
+        every lane, as a slice and views: no gathers, in-place updates."""
+        if rows is None:
+            return slice(None), self._episodes, self._cursors
+        rows = _lane_indices(rows)
+        return rows, self._episodes[rows], self._cursors[rows]
 
     def __len__(self) -> int:
         return int(self._episodes.shape[0])

@@ -460,9 +460,9 @@ class TestFleetPins:
         sweep = VectorSimulatorState._sweep_tensor_rows
         intervals = []  # [rows dispatched, rows swept] per interval
 
-        def counting_grouped(self, ix):
+        def counting_grouped(self, ix, cooling):
             intervals.append([self.counts[ix].shape[0], 0])
-            return grouped(self, ix)
+            return grouped(self, ix, cooling)
 
         def counting_sweep(self, pos_cooldown, counts, *rest):
             intervals[-1][1] = counts.shape[0]
@@ -482,35 +482,41 @@ class TestFleetPins:
         assert any(0 < swept < rows for rows, swept in intervals)
         assert any(swept == 0 for _rows, swept in intervals)
 
-    def test_driver_streams_compute_only_the_draws_they_serve(
-        self, monkeypatch, serving_env
-    ):
-        """Elements through the keystream, per driver stream: a count, not a time.
+    def test_driver_streams_compute_only_the_draws_they_serve(self, serving_env):
+        """Draws served, per driver stream: a count, not a time.
 
         Every tenant draws its profile once, a churn uniform per step
         and a burst uniform per flash-crowd phase.  (The block prefetch
-        this replaced computed 64 draws per lane per refill.)
+        this replaced computed 64 draws per lane per refill.)  Counted at
+        ``uniforms``, the one door to both keystream implementations,
+        with the native kernel as probed and forced off.
         """
         schedule = _pinned_schedule()
-        produced = {
-            tuple(PhiloxStreams(3, 1, f"fleet/{name}")._round_keys): 0
-            for name in ("mix", "churn", "burst")
-        }
-        keystream = rng_module._philox_uniforms
-
-        def counting(episodes, counters, round_keys):
-            draws = keystream(episodes, counters, round_keys)
-            if tuple(round_keys) in produced:
-                produced[tuple(round_keys)] += draws.size
-            return draws
-
-        monkeypatch.setattr(rng_module, "_philox_uniforms", counting)
-        FleetDriver(
-            schedule, InProcessTransport(_heuristic_server(serving_env)), base_seed=3
-        ).run()
         burst_phases = sum(1 for phase in schedule.phases if phase.burst_multiplier > 1)
-        assert list(produced.values()) == [
-            schedule.sessions,
-            schedule.sessions * schedule.total_steps,
-            schedule.sessions * burst_phases,
-        ]
+        uniforms = PhiloxStreams.uniforms
+        rng_module.idle_sampler_status()  # probe first so the patch is what gets undone
+        for forced_off in (False, True):
+            produced = {
+                tuple(PhiloxStreams(3, 1, f"fleet/{name}")._round_keys): 0
+                for name in ("mix", "churn", "burst")
+            }
+
+            def counting(self, rows=None):
+                draws = uniforms(self, rows)
+                if tuple(self._round_keys) in produced:
+                    produced[tuple(self._round_keys)] += draws.size
+                return draws
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(PhiloxStreams, "uniforms", counting)
+                if forced_off:
+                    patch.setattr(rng_module, "_idle_kernel", None)
+                    patch.setattr(rng_module, "_idle_status", "disabled: forced by the test")
+                FleetDriver(
+                    schedule, InProcessTransport(_heuristic_server(serving_env)), base_seed=3
+                ).run()
+            assert list(produced.values()) == [
+                schedule.sessions,
+                schedule.sessions * schedule.total_steps,
+                schedule.sessions * burst_phases,
+            ]

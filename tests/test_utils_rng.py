@@ -87,6 +87,22 @@ class TestIdleSamplerStatus:
         assert idle_sampler_status() == "ready"
         assert rng_module._native_idle_kernel() is not None
 
+    def test_a_wrong_uniforms_entry_point_disables_both(self, unprobed, monkeypatch):
+        """The self-check covers both entry points; one mismatch, no kernel."""
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+        try:
+            philox_native.build()
+        except RuntimeError as exc:
+            pytest.skip(f"no compiler on this box: {exc}")
+        uniforms = philox_native.NativePhiloxIdleKernel.uniforms
+
+        def off_by_one_ulp(self, episodes, cursors, key0, key1):
+            return np.nextafter(uniforms(self, episodes, cursors, key0, key1), 1.0)
+
+        monkeypatch.setattr(philox_native.NativePhiloxIdleKernel, "uniforms", off_by_one_ulp)
+        assert idle_sampler_status().startswith("disabled: self-check mismatch")
+        assert rng_module._native_idle_kernel() is None
+
     def test_failed_load_is_recorded_with_its_reason(self, unprobed, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
         monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))  # nothing cached
@@ -141,3 +157,97 @@ class TestPhiloxUniforms:
         assert streams._cursors.tolist() == [0, 0, 0, 0]
         streams.uniforms(np.nonzero(mask)[0])
         assert streams._cursors.tolist() == [0, 0, 1, 1]
+
+    def test_a_repeated_lane_is_refused(self):
+        """``[1, 1]`` used to return one draw twice and advance lane 1 once."""
+        streams = PhiloxStreams(1, 4, "d")
+        with pytest.raises(ConfigurationError, match="lane 1 is repeated"):
+            streams.uniforms([1, 1])
+        with pytest.raises(ConfigurationError, match="lane 2 is repeated"):
+            streams.uniforms([2, 0, 2])
+        assert streams._cursors.tolist() == [0, 0, 0, 0]
+        streams.uniforms([3, 0])  # distinct, in any order
+        assert streams._cursors.tolist() == [1, 0, 0, 1]
+
+
+class TestPhiloxLanes:
+    """Which lanes exist and which a call serves."""
+
+    @pytest.mark.parametrize(
+        "episodes, complaint",
+        [
+            ([-1], "non-negative integers"),
+            ([0, -1], "non-negative integers"),
+            ([1.5], "non-negative integers"),
+            ([3, 3], "episode id 3 is repeated"),
+            ([4, 9, 4], "episode id 4 is repeated"),
+            (np.array([2.0, 3.0]), "non-negative integers"),
+        ],
+    )
+    def test_bad_episode_ids_are_refused(self, episodes, complaint):
+        """A cast used to make -1 lane 2**64 - 1, 1.5 lane 1, and [3, 3]
+        two lanes with one stream."""
+        with pytest.raises(ConfigurationError, match=complaint):
+            PhiloxStreams(1, episodes, "ids")
+
+    def test_good_episode_ids_are_kept(self):
+        ids = [2**64 - 1, 0, 2**33, 7]
+        streams = PhiloxStreams(1, np.array(ids, dtype=np.uint64), "ids")
+        assert streams._episodes.tolist() == ids
+        assert PhiloxStreams(1, [5, 2], "ids")._episodes.tolist() == [5, 2]
+        assert len(PhiloxStreams(1, [], "ids")) == 0
+        assert len(PhiloxStreams(1, 3, "ids")) == 3
+
+    def test_native_uniforms_equal_the_keystream(self):
+        """Bit for bit, past 2**32 in both counter halves, any row order."""
+        kernel = rng_module._native_idle_kernel()
+        if kernel is None:
+            pytest.skip(f"native sampler {idle_sampler_status()}")
+        lanes = np.array([0, 3, 2**32 - 1, 2**32, 2**33 + 7, 2**63, 2**64 - 1], dtype=np.uint64)
+        streams = PhiloxStreams(23, lanes, "native")
+        streams._cursors[:] = np.array(
+            [0, 2**32 - 1, 2**32, 5, 2**40 + 3, 2**63, 2**64 - 2], dtype=np.uint64
+        )
+        episodes = streams._episodes
+        for rows in (None, np.arange(7), np.arange(7)[::-1], np.array([5, 1, 6]), np.array([4])):
+            picked = slice(None) if rows is None else rows
+            cursors = streams._cursors[picked].copy()
+            expected = rng_module._philox_uniforms(
+                episodes[picked], cursors, streams._round_keys
+            )
+            draws = streams.uniforms(rows)
+            assert draws.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(streams._cursors[picked], cursors + np.uint64(1))
+
+    def test_all_lanes_is_every_lane_in_order(self, sampler_path):
+        """``rows=None`` and ``rows=arange(B)``: same draws, same cursors."""
+        lanes = [9, 0, 2**33, 4, 17]
+        everything = PhiloxStreams(5, lanes, "none")
+        listed = PhiloxStreams(5, lanes, "none")
+        rows = np.arange(len(lanes))
+        counts = np.array([[4, 1, 9], [2, 2, 2], [6, 3, 3], [1, 1, 12], [3, 0, 5]])
+        lam = 0.6 * counts
+        for _ in range(7):
+            assert everything.uniforms().tobytes() == listed.uniforms(rows).tobytes()
+            idle_all, fired_all = everything.idle_poisson(None, counts, lam, np.exp(-lam))
+            idle_all = idle_all.copy()
+            idle_rows, fired_rows = listed.idle_poisson(rows, counts, lam, np.exp(-lam))
+            assert idle_all.tobytes() == idle_rows.tobytes()
+            assert fired_all == fired_rows
+            assert everything._cursors.tolist() == listed._cursors.tolist()
+        assert len(set(everything._cursors.tolist())) > 1
+
+    def test_all_lanes_needs_one_row_per_lane(self):
+        streams = PhiloxStreams(5, 3, "none")
+        counts = np.full((2, 3), 4)
+        lam = 0.5 * counts
+        with pytest.raises(ConfigurationError, match="sampling 3 lanes, got 2 rows"):
+            streams.idle_poisson(None, counts, lam, np.exp(-lam))
+
+    def test_a_repeated_lane_is_refused_by_idle_sampling(self):
+        streams = PhiloxStreams(1, 4, "d")
+        counts = np.full((3, 3), 4)
+        lam = 0.5 * counts
+        with pytest.raises(ConfigurationError, match="lane 3 is repeated"):
+            streams.idle_poisson([3, 1, 3], counts, lam, np.exp(-lam))
+        assert streams._cursors.tolist() == [0, 0, 0, 0]

@@ -173,6 +173,12 @@ def _state_on_the_eve_of_dispatch(rows):
     return state
 
 
+def _dispatch_grouped(state):
+    """The grouped kernel over the whole batch, told which rows cool."""
+    cooling = state.pos_cooldown.reshape(state.batch, -1).any(axis=1)
+    state._process_intervals_grouped(slice(None), cooling)
+
+
 def _needs_tensor_sweep(row) -> bool:
     """The row rule, restated: a penalised core, or an idled >= 8-core cell."""
     counts, cooldowns, idle, _backlog = row
@@ -212,7 +218,7 @@ class TestRowRegimes:
             patch.setattr(
                 vector_state, "_CLOSED_FORM_MIN_ROWS", spared_rows_worth_splitting
             )
-            batch._process_intervals_grouped(slice(None))
+            _dispatch_grouped(batch)
         reference = _state_on_the_eve_of_dispatch(rows)
         reference._process_intervals_reference(np.arange(len(rows)))
         for name in _DISPATCH_FIELDS:
@@ -221,7 +227,7 @@ class TestRowRegimes:
             )
         for slot, row in enumerate(rows):
             alone = _state_on_the_eve_of_dispatch([row])
-            alone._process_intervals_grouped(slice(None))
+            _dispatch_grouped(alone)
             for name in _DISPATCH_FIELDS:
                 np.testing.assert_array_equal(
                     getattr(alone, name)[0], getattr(batch, name)[slot], err_msg=name
@@ -247,7 +253,7 @@ class TestRowRegimes:
         assert narrow.sum() == np.full(5, per_core).sum()
         row = ([8, 2, 2], [[0] * 8, [0, 0], [0, 0]], [1, 0, 1], [8 * per_core, 7.0, 9.0])
         batch = _state_on_the_eve_of_dispatch([row])
-        batch._process_intervals_grouped(slice(None))
+        _dispatch_grouped(batch)
         assert batch.processed[0, 0] == idled.sum()
 
     def test_noop_philox_shard_never_builds_the_capacity_tensor(self, real_traces):
@@ -635,3 +641,57 @@ class TestPhiloxFleetStreams:
         refilled = uniform_streams.uniforms()  # draw 64: first of the second block
         assert first.tolist() == PIN_FIRST_UNIFORMS
         assert refilled.tolist() == PIN_REFILLED_UNIFORMS
+
+    @pytest.mark.parametrize("movers", [(), (1, 4, 6)])
+    def test_batch_steps_like_each_slot_alone(self, sampler_path, real_traces, movers):
+        """Byte-equal, ``pos_cooldown`` included, to per-slot scalar runs.
+
+        With no movers no row ever cools, so every interval skips the
+        cooldown decay; with movers only some rows cool at a time.  Each
+        slot is compared with a B=1 state on the reference dispatch loop
+        and its own one-lane stream, which is the scalar simulator on
+        the Philox family.
+        """
+        config = StorageSystemConfig(idle_rate=0.3)
+        episodes = [3, 0, 11, 5, 1 << 33, 7, 1, 9]
+        batch = len(episodes)
+        traces = _batch_traces(real_traces, batch)
+        full_streams = PhiloxStreams(91, episodes, "cooling")
+        full = VectorSimulatorState(config, record_metrics=False)
+        full.reset(traces, rngs=full_streams)
+        alone = []
+        for episode, trace in zip(episodes, traces):
+            streams = PhiloxStreams(91, [episode], "cooling")
+            state = VectorSimulatorState(config, record_metrics=False)
+            state._grouped_min_rows = 10**9
+            state.reset([trace], rngs=streams)
+            alone.append((state, streams))
+        action_rngs = [np.random.default_rng(700 + i) for i in range(batch)]
+
+        mixed_intervals = 0
+        while not full.done.all():
+            active = np.nonzero(~full.done)[0]
+            actions = np.zeros(batch, dtype=np.int64)
+            for i in active:
+                if i in movers:
+                    actions[i] = action_rngs[i].integers(0, 7)
+            full.step(actions)
+            cools = full.pos_cooldown[active].reshape(active.size, -1).any(axis=1)
+            mixed_intervals += bool(cools.any() and not cools.all())
+            for i in active:
+                state, _ = alone[i]
+                state.step(actions[i : i + 1])
+                for name in (
+                    "pos_cooldown", "pos_ids", "counts", "idle", "incoming",
+                    "processed", "capacity", "utilization", "backlog", "done",
+                ):
+                    batched, single = getattr(full, name)[i], getattr(state, name)[0]
+                    assert batched.tobytes() == single.tobytes(), name
+        for i, (state, streams) in enumerate(alone):
+            assert int(full.steps_taken[i]) == int(state.steps_taken[0])
+            assert int(full_streams._cursors[i]) == int(streams._cursors[0])
+        assert len(set(full.steps_taken.tolist())) > 1  # partial batches stepped
+        if movers:
+            assert mixed_intervals > 0
+        else:
+            assert not full.pos_cooldown.any()
