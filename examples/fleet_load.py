@@ -139,7 +139,7 @@ def main() -> int:
     parser.add_argument("--verify-determinism", action="store_true")
     parser.add_argument(
         "--metrics-out", type=str, default=None,
-        help="write the merged telemetry registry as Prometheus text",
+        help="write the process and report registries as Prometheus text",
     )
     parser.add_argument(
         "--trace-out", type=str, default=None,
@@ -188,13 +188,12 @@ def main() -> int:
         print(f"  report written to {args.json}")
 
     if args.metrics_out:
-        # One exposition covering both the process-global registry (the
-        # broker/netserver/engine series) and the report's own timing
-        # instruments, merged.
-        merged = telemetry.registry().snapshot()
-        merged.merge(report.metrics_snapshot())
+        # The process-global registry (the broker/netserver/engine
+        # series), then the report's own timing instruments; their
+        # family names are disjoint, so the two expositions concatenate.
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(merged.to_prometheus_text())
+            handle.write(telemetry.registry().to_prometheus_text())
+            handle.write(report.to_prometheus_text())
         print(f"  metrics written to {args.metrics_out}")
     if args.trace_out:
         spans = telemetry.tracer().export_jsonl(args.trace_out)

@@ -49,15 +49,15 @@ from repro.utils.serialization import save_json
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
 
 
-def _series_total(snapshot: dict, name: str) -> float:
-    """Sum of every labeled series of one metric in a JSON snapshot."""
-    family = snapshot.get(name)
+def _series_total(exposition: dict, name: str) -> float:
+    """Sum of every labeled series of one metric in a JSON exposition."""
+    family = exposition.get(name)
     if family is None:
         return 0.0
     values = []
     for series in family["series"]:
         value = series["value"]
-        # Histograms snapshot as a state dict; use the recording count.
+        # A histogram series is a state dict; use the recording count.
         values.append(value["total"] if isinstance(value, dict) else value)
     return float(sum(values))
 

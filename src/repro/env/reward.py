@@ -3,24 +3,18 @@
 The paper's reward is ``1/K``, the inverse of the makespan, delivered
 when the episode finishes (Section 3.1).  Pure terminal rewards make
 credit assignment slow, so the environment also offers two shaped
-variants used by the reward-shaping ablation:
+variants:
 
-* ``per_step_penalty`` — a constant ``-1`` per interval (minimising the
-  sum of penalties is exactly minimising the makespan);
-* ``backlog_penalty`` — per-step penalty proportional to the remaining
-  backlog, which gives a denser signal about *how far* from finishing
-  the system is;
-* ``backlog_delta`` — per-step penalty proportional to the backlog
-  *growth* this interval (arrivals minus processed work), a
-  potential-based shaping of ``backlog_penalty`` whose credit is
-  immediately attributable to the interval's allocation;
-* ``utilization_balance`` — per-step penalty proportional to the
-  utilisation gap between the most and least loaded level, which
-  directly rewards the core placement the makespan objective needs.
+* ``per_step_penalty`` — a constant ``-step_penalty`` per interval
+  (minimising the sum of penalties is exactly minimising the makespan);
+* ``bottleneck_pressure`` — that penalty plus ``balance_scale`` times
+  the drain time of the worst level (its backlog in multiples of its
+  per-interval capacity), which gives immediate credit for placing
+  cores where the backlog is.
 
-The scaled-down training runs in this repository default to the shaped
-modes because they learn within minutes; the paper's ``inverse_makespan``
-mode is retained and selectable everywhere.
+The scaled-down design runs in this repository train on
+``bottleneck_pressure`` because it learns within minutes; the paper's
+``inverse_makespan`` mode is retained and selectable everywhere.
 """
 
 from __future__ import annotations
@@ -35,9 +29,6 @@ from repro.storage.metrics import IntervalMetrics, StepValues
 REWARD_MODES = (
     "inverse_makespan",
     "per_step_penalty",
-    "backlog_penalty",
-    "backlog_delta",
-    "utilization_balance",
     "bottleneck_pressure",
 )
 
@@ -49,7 +40,6 @@ class RewardConfig:
     mode: str = "inverse_makespan"
     makespan_scale: float = 100.0
     step_penalty: float = 1.0
-    backlog_scale: float = 1e-6
     balance_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -61,8 +51,6 @@ class RewardConfig:
             raise ConfigurationError("makespan_scale must be positive")
         if self.step_penalty < 0:
             raise ConfigurationError("step_penalty must be non-negative")
-        if self.backlog_scale < 0:
-            raise ConfigurationError("backlog_scale must be non-negative")
         if self.balance_scale < 0:
             raise ConfigurationError("balance_scale must be non-negative")
 
@@ -90,27 +78,14 @@ def compute_step_reward(config: RewardConfig, metrics: IntervalMetrics) -> float
 def compute_step_reward_from_values(config: RewardConfig, values: StepValues) -> float:
     """Per-interval reward from a metrics-free :class:`StepValues` summary.
 
-    This is the single implementation of the per-mode arithmetic; the
-    vectorized environment feeds it the simulator's lightweight per-step
-    summary directly (skipping IntervalMetrics on the rollout hot path)
-    and :func:`compute_step_reward` adapts metrics records onto it.  The
-    accumulation order matches the historical dict-based loops, which is
-    load-bearing for sequential-vs-vectorized reward equivalence.
+    This is the scalar implementation of the per-mode arithmetic;
+    :func:`compute_step_reward` adapts metrics records onto it and
+    :func:`compute_step_rewards_batch` is its row-wise twin.
     """
     if config.mode == "inverse_makespan":
         return 0.0
     if config.mode == "per_step_penalty":
         return -config.step_penalty
-    if config.mode == "backlog_penalty":
-        return -config.step_penalty - config.backlog_scale * float(sum(values.backlog_kb))
-    if config.mode == "backlog_delta":
-        incoming = sum(values.incoming_kb)
-        processed = sum(values.processed_kb)
-        return -config.step_penalty - config.backlog_scale * (incoming - processed)
-    if config.mode == "utilization_balance":
-        utilization = list(values.utilization)
-        imbalance = max(utilization) - min(utilization)
-        return -config.step_penalty - config.balance_scale * imbalance
     if config.mode == "bottleneck_pressure":
         # Drain-time estimate of the worst level: backlog measured in
         # multiples of that level's per-interval capacity.  The makespan
@@ -125,37 +100,20 @@ def compute_step_reward_from_values(config: RewardConfig, values: StepValues) ->
 
 
 def compute_step_rewards_batch(
-    config: RewardConfig,
-    incoming_kb: np.ndarray,
-    processed_kb: np.ndarray,
-    capacity_kb: np.ndarray,
-    utilization: np.ndarray,
-    backlog_kb: np.ndarray,
+    config: RewardConfig, capacity_kb: np.ndarray, backlog_kb: np.ndarray
 ) -> np.ndarray:
     """Per-interval rewards for a whole batch of per-level ``(M, 3)`` arrays.
 
     Row ``i`` is bit-identical to :func:`compute_step_reward_from_values`
-    on the corresponding :class:`StepValues`: every reduction keeps the
-    scalar implementation's left-to-right accumulation order (a plain
-    Python ``sum`` over a 3-tuple is ``(v0 + v1) + v2``), so the
-    vectorized environment can score all slots in one pass without
-    perturbing a single reward.
+    on the corresponding :class:`StepValues` (the one shaped reduction is
+    a maximum, which no summation order can perturb), so the vectorized
+    environment scores all slots in one pass.
     """
     batch = backlog_kb.shape[0]
     if config.mode == "inverse_makespan":
         return np.zeros(batch)
     if config.mode == "per_step_penalty":
         return np.full(batch, -config.step_penalty)
-    if config.mode == "backlog_penalty":
-        total = (backlog_kb[:, 0] + backlog_kb[:, 1]) + backlog_kb[:, 2]
-        return -config.step_penalty - config.backlog_scale * total
-    if config.mode == "backlog_delta":
-        incoming = (incoming_kb[:, 0] + incoming_kb[:, 1]) + incoming_kb[:, 2]
-        processed = (processed_kb[:, 0] + processed_kb[:, 1]) + processed_kb[:, 2]
-        return -config.step_penalty - config.backlog_scale * (incoming - processed)
-    if config.mode == "utilization_balance":
-        imbalance = utilization.max(axis=1) - utilization.min(axis=1)
-        return -config.step_penalty - config.balance_scale * imbalance
     if config.mode == "bottleneck_pressure":
         ratios = backlog_kb / np.maximum(capacity_kb, 1e-9)
         pressure = np.maximum(0.0, ratios.max(axis=1))

@@ -225,12 +225,7 @@ class VectorStorageAllocationEnv:
         ix = slice(None) if all_stepped else np.nonzero(stepped)[0]
 
         step_rewards = compute_step_rewards_batch(
-            self.reward_config,
-            state.incoming[ix],
-            state.processed[ix],
-            state.capacity[ix],
-            state.utilization[ix],
-            state.backlog[ix],
+            self.reward_config, state.capacity[ix], state.backlog[ix]
         )
         if all_stepped:
             rewards = step_rewards

@@ -13,8 +13,10 @@ A :class:`LoadReport` is split in two on purpose:
   humans and the benchmark regression guard, never compared for
   equality.  The timing section is backed by the report's own
   always-enabled :class:`~repro.telemetry.MetricsRegistry` — the same
-  instruments serve ``timing_dict()`` (schema unchanged) and
-  :meth:`metrics_snapshot` / Prometheus exposition.
+  instruments serve ``timing_dict()``, the ``telemetry`` section of
+  :meth:`as_dict` and :meth:`to_prometheus_text`.  Its families are
+  all named ``fleet_*``, disjoint from the process registry's, so the
+  two Prometheus expositions concatenate into one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from repro.telemetry import LatencyHistogram, MetricsRegistry, MetricsSnapshot
+from repro.telemetry import LatencyHistogram, MetricsRegistry
 from repro.utils.serialization import save_json
 
 __all__ = ["LoadReport"]
@@ -125,25 +127,25 @@ class LoadReport:
             "per_phase": per_phase,
         }
 
-    def metrics_snapshot(self) -> MetricsSnapshot:
-        """The run's timing instruments as a mergeable telemetry snapshot."""
+    def _live_metrics(self) -> MetricsRegistry:
+        """The report's registry, its whole-run gauges brought up to date."""
         self.metrics.gauge(
             "fleet_elapsed_seconds", help="Wall-clock seconds of the whole run"
         ).set(float(self.elapsed_seconds))
         self.metrics.gauge(
             "fleet_recycles", help="Shard recycles over the run"
         ).set(float(self.recycles))
-        return self.metrics.snapshot()
+        return self.metrics
 
     def to_prometheus_text(self) -> str:
-        return self.metrics_snapshot().to_prometheus_text()
+        return self._live_metrics().to_prometheus_text()
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "config": dict(self.config),
             "deterministic": self.deterministic_dict(),
             "timing": self.timing_dict(),
-            "telemetry": self.metrics_snapshot().as_dict(),
+            "telemetry": self._live_metrics().as_dict(),
             "server": dict(self.server_summary),
         }
 

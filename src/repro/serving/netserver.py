@@ -566,10 +566,9 @@ class PolicyNetServer:
         self.metrics.gauge(
             "serving_pending_requests", "Requests queued in the broker"
         ).set(self.server.pending)
-        snapshot = self.metrics.snapshot()
         return {
-            "prometheus": snapshot.to_prometheus_text(),
-            "json": snapshot.as_dict(),
+            "prometheus": self.metrics.to_prometheus_text(),
+            "json": self.metrics.as_dict(),
             "last_flush_error": self.last_flush_error,
             "flush_loop_errors": self.flush_loop_errors,
         }
@@ -902,7 +901,7 @@ class PolicyClient:
         return (await self._control({"op": "stats"}))["stats"]
 
     async def metrics(self) -> Dict[str, object]:
-        """Scrape the server's telemetry: Prometheus text + JSON snapshot."""
+        """Scrape the server's telemetry: Prometheus text + JSON exposition."""
         return (await self._control({"op": "metrics"}))["metrics"]
 
     async def ping(self) -> bool:

@@ -35,7 +35,7 @@ from repro.env.observation import OBSERVATION_DIM, ObservationEncoder
 from repro.errors import ConfigurationError, ServingError
 from repro.storage.migration import MigrationAction
 from repro import telemetry
-from repro.telemetry import LatencyHistogram, MetricsRegistry, Tracer
+from repro.telemetry import LatencyHistogram
 
 __all__ = ["DecisionTicket", "DecisionWave", "PolicyServer", "ServerStats"]
 
@@ -168,8 +168,6 @@ class PolicyServer:
         encoder: ObservationEncoder,
         max_batch_size: int = 256,
         initial_capacity: int = 1024,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if max_batch_size <= 0:
             raise ConfigurationError("max_batch_size must be positive")
@@ -194,8 +192,8 @@ class PolicyServer:
         # Telemetry: instruments are resolved once here, so the hot
         # paths below record through plain attribute calls (no dict
         # lookups) and a disabled registry costs one no-op call.
-        self.metrics = metrics if metrics is not None else telemetry.registry()
-        self.tracer = tracer if tracer is not None else telemetry.tracer()
+        self.metrics = telemetry.registry()
+        self.tracer = telemetry.tracer()
         self._m_decisions = self.metrics.counter(
             "serving_decisions_total", "Decisions served by the broker"
         )
@@ -471,7 +469,7 @@ class PolicyServer:
         )
         self._m_decisions.inc(batch)
         self._m_batches.inc()
-        self._m_batch_size.observe(batch)
+        self._m_batch_size.record(batch)
         return actions
 
     def stats(self) -> ServerStats:

@@ -1,12 +1,13 @@
 """Unified telemetry: the metrics registry and the structured tracer.
 
 One substrate for every layer's observability — the micro-batching
-broker and its asyncio front door, the evaluation engine, the rollout
-hot path and the fleet load harness all record into the same process-global :class:`MetricsRegistry` and
-:class:`Tracer`, reachable through :func:`registry` / :func:`tracer` /
-:func:`span`.  The ``metrics`` socket op, benchmark JSONs and the fleet
-:class:`~repro.loadgen.report.LoadReport` read the same snapshots back
-out.
+broker and its asyncio front door, the evaluation engine and the
+rollout hot path all record into the same process-global
+:class:`MetricsRegistry` and :class:`Tracer`, reachable through
+:func:`registry` / :func:`tracer` / :func:`span`.  The ``metrics``
+socket op renders the registry's live instruments; the fleet
+:class:`~repro.loadgen.report.LoadReport` keeps its own registry for
+its timing section.
 
 Switches
 --------
@@ -15,9 +16,8 @@ Telemetry defaults **on** (it is cheap and provably inert — see
 environment, or :func:`configure` ``(enabled=False)`` at runtime,
 swaps the process defaults for disabled ones whose instruments are
 shared no-op singletons — zero overhead beyond one empty attribute
-call per event.  ``REPRO_TRACE_CAPACITY`` sizes the span ring buffer
-(default 4096 spans; the ring overwrites oldest-first, so long runs
-cost bounded memory).
+call per event.  The span ring holds the last 4096 spans, overwriting
+oldest-first, so long runs cost bounded memory.
 
 Components capture their instruments when they are *constructed*:
 ``configure`` affects objects built afterwards, not instruments already
@@ -30,29 +30,21 @@ import os
 from typing import Optional
 
 from repro.telemetry.metrics import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
-    Histogram,
     LatencyHistogram,
     MetricsRegistry,
-    MetricsSnapshot,
 )
-from repro.telemetry.tracing import NULL_TRACER, Span, Tracer
+from repro.telemetry.tracing import Span, Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LatencyHistogram",
     "MetricsRegistry",
-    "MetricsSnapshot",
-    "NULL_REGISTRY",
-    "NULL_TRACER",
     "Span",
     "Tracer",
     "configure",
-    "enabled",
     "registry",
     "span",
     "tracer",
@@ -63,15 +55,8 @@ def _env_enabled() -> bool:
     return os.environ.get("REPRO_TELEMETRY", "1").lower() not in ("0", "false", "off")
 
 
-def _env_capacity() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_TRACE_CAPACITY", "4096")))
-    except ValueError:
-        return 4096
-
-
 _registry = MetricsRegistry(enabled=_env_enabled())
-_tracer = Tracer(capacity=_env_capacity(), enabled=_env_enabled())
+_tracer = Tracer(enabled=_env_enabled())
 
 
 def registry() -> MetricsRegistry:
@@ -89,14 +74,7 @@ def span(name: str, /, **attributes):
     return _tracer.span(name, **attributes)
 
 
-def enabled() -> bool:
-    return _registry.enabled
-
-
-def configure(
-    enabled: Optional[bool] = None,
-    trace_capacity: Optional[int] = None,
-) -> None:
+def configure(enabled: Optional[bool] = None) -> None:
     """Replace the process defaults (fresh registry + fresh tracer).
 
     Existing components keep the instruments they already resolved;
@@ -107,7 +85,5 @@ def configure(
     global _registry, _tracer
     if enabled is None:
         enabled = _registry.enabled
-    if trace_capacity is None:
-        trace_capacity = _tracer.capacity
     _registry = MetricsRegistry(enabled=enabled)
-    _tracer = Tracer(capacity=trace_capacity, enabled=enabled)
+    _tracer = Tracer(enabled=enabled)

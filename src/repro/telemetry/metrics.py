@@ -1,12 +1,12 @@
 """Dependency-free metrics registry: counters, gauges, histograms.
 
-The registry is the repo's single instrumentation substrate.  Every
-layer — the micro-batching broker, the asyncio front door, the
-evaluation engine, the rollout collector and the fleet load harness —
-records into :class:`MetricsRegistry` instruments, and every consumer
-(the ``metrics`` socket op, benchmark JSONs, the fleet
-:class:`~repro.loadgen.report.LoadReport`) reads the same
-:class:`MetricsSnapshot` out of it.
+Every layer — the micro-batching broker, the asyncio front door, the
+evaluation engine and the rollout collector — records into the
+process's :class:`MetricsRegistry`; the fleet
+:class:`~repro.loadgen.report.LoadReport` keeps one of its own.  Both
+expositions, :meth:`MetricsRegistry.as_dict` (JSON-ready) and
+:meth:`MetricsRegistry.to_prometheus_text`, render straight from the
+live instruments, which is what the ``metrics`` socket op serves.
 
 Design constraints, in order:
 
@@ -19,9 +19,6 @@ Design constraints, in order:
   shared null instruments whose methods are empty one-liners; hot paths
   hold instrument references obtained at setup time, so the disabled
   cost is one no-op attribute call per event.
-* **Mergeable snapshots.**  :meth:`MetricsRegistry.snapshot` returns a
-  picklable plain-dict snapshot; :meth:`MetricsSnapshot.merge` folds
-  two together (counters and histograms add, the merged-in gauge wins).
 
 Naming scheme (documented in the README): ``<subsystem>_<what>_<unit>``
 with ``_total`` for counters (``serving_decisions_total``,
@@ -32,6 +29,7 @@ ids, tenant ids or error strings.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -40,11 +38,8 @@ import numpy as np
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LatencyHistogram",
     "MetricsRegistry",
-    "MetricsSnapshot",
-    "NULL_REGISTRY",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -108,10 +103,6 @@ class LatencyHistogram:
         if seconds > self.max_seconds:
             self.max_seconds = seconds
 
-    # ``observe`` is the metric-instrument spelling of ``record`` —
-    # histograms of non-latency values read better with it.
-    observe = record
-
     def record_many(self, seconds: np.ndarray) -> None:
         seconds = np.asarray(seconds, dtype=float)
         if seconds.size == 0:
@@ -149,14 +140,6 @@ class LatencyHistogram:
             return self.max_seconds
         return float(min(self.bounds[index], self.max_seconds))
 
-    def fraction_within(self, slo_seconds: float) -> float:
-        """Fraction of requests at or under ``slo_seconds`` (conservative)."""
-        if self.total == 0:
-            return 1.0
-        index = int(self.bounds.searchsorted(slo_seconds, side="right"))
-        within = int(self.counts[:index].sum())
-        return within / self.total
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "count": self.total,
@@ -167,10 +150,8 @@ class LatencyHistogram:
             "max_ms": round(self.max_seconds * 1e3, 4),
         }
 
-    # ------------------------------------------------------------------
-    # Snapshot form (picklable plain dict, added with promotion)
-    # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
+        """Plain-JSON form: the value of a histogram series in ``as_dict``."""
         return {
             "bucketing": list(self._bucketing()),
             "counts": self.counts.tolist(),
@@ -178,24 +159,6 @@ class LatencyHistogram:
             "sum": float(self.sum_seconds),
             "max": float(self.max_seconds),
         }
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        if tuple(state["bucketing"]) != self._bucketing():
-            raise ValueError(
-                f"cannot merge histogram state with bucketing "
-                f"{tuple(state['bucketing'])} into {self._bucketing()}"
-            )
-        self.counts += np.asarray(state["counts"], dtype=np.int64)
-        self.total += int(state["total"])
-        self.sum_seconds += float(state["sum"])
-        self.max_seconds = max(self.max_seconds, float(state["max"]))
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "LatencyHistogram":
-        num_buckets, base, factor = state["bucketing"]
-        hist = cls(num_buckets=num_buckets, base=base, factor=factor)
-        hist.merge_state(state)
-        return hist
 
 
 class Counter:
@@ -211,7 +174,7 @@ class Counter:
 
 
 class Gauge:
-    """Point-in-time value; merging two snapshots keeps the merged-in one."""
+    """Point-in-time value."""
 
     __slots__ = ("value",)
 
@@ -221,22 +184,9 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-
-class Histogram(LatencyHistogram):
-    """A :class:`LatencyHistogram` living as a labeled registry series."""
-
-    # No extra state: the registry attaches (name, labels) externally.
-
 
 class _NullCounter:
     __slots__ = ()
-    value = 0
 
     def inc(self, amount: int = 1) -> None:
         pass
@@ -249,44 +199,15 @@ class _NullGauge:
     def set(self, value: float) -> None:
         pass
 
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
 
 class _NullHistogram:
-    """No-op histogram honouring the full recording/reading surface."""
-
     __slots__ = ()
-    total = 0
-    sum_seconds = 0.0
-    max_seconds = 0.0
-    mean_seconds = 0.0
 
     def record(self, seconds: float) -> None:
         pass
 
-    observe = record
-
     def record_many(self, seconds) -> None:
         pass
-
-    def merge(self, other) -> None:
-        pass
-
-    def percentile(self, q: float) -> float:
-        return 0.0
-
-    def fraction_within(self, slo_seconds: float) -> float:
-        return 1.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "count": 0, "mean_ms": 0.0, "p50_ms": 0.0,
-            "p95_ms": 0.0, "p99_ms": 0.0, "max_ms": 0.0,
-        }
 
 
 _NULL_COUNTER = _NullCounter()
@@ -310,149 +231,45 @@ def _render_labels(items: Iterable[Tuple[str, str]]) -> str:
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
+def _format_number(value: object) -> str:
+    """A sample value as the Prometheus text format spells it."""
+    number = float(value)
+    if math.isnan(number):
+        return "NaN"
+    if math.isinf(number):
+        return "+Inf" if number > 0 else "-Inf"
+    if number == int(number) and abs(number) < 1e15:
+        return str(int(number))
+    return repr(number)
+
+
 class _Family:
     """One metric name: kind + help text + labeled children."""
 
-    __slots__ = ("name", "kind", "help", "bucketing", "children")
+    __slots__ = ("kind", "help", "bucketing", "children")
 
     def __init__(
         self,
-        name: str,
         kind: str,
         help_text: str,
         bucketing: Optional[Tuple[int, float, float]] = None,
     ) -> None:
-        self.name = name
         self.kind = kind
         self.help = help_text
         self.bucketing = bucketing
         self.children: Dict[LabelItems, object] = {}
 
+    def series(self) -> List[Tuple[LabelItems, object]]:
+        """``(label items, instrument)`` pairs in exposition order."""
+        return sorted(self.children.items(), key=lambda item: _render_labels(item[0]))
 
-class MetricsSnapshot:
-    """Picklable point-in-time copy of a registry's every series.
-
-    ``data`` is plain dicts/lists/numbers only — safe to pickle across
-    process boundaries, dump as JSON, or fold into another snapshot.
-    """
-
-    def __init__(self, data: Optional[Dict[str, Dict[str, object]]] = None) -> None:
-        # name -> {"kind", "help", "series": {rendered-labels-key: {"labels": {...}, "value": ...}}}
-        self.data: Dict[str, Dict[str, object]] = data if data is not None else {}
-
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Fold ``other`` into this snapshot (counters/histograms add,
-        gauges take ``other``'s value)."""
-        for name, family in other.data.items():
-            mine = self.data.get(name)
-            if mine is None:
-                self.data[name] = {
-                    "kind": family["kind"],
-                    "help": family["help"],
-                    "series": {
-                        key: {"labels": dict(s["labels"]), "value": _copy_value(s["value"])}
-                        for key, s in family["series"].items()
-                    },
-                }
-                continue
-            if mine["kind"] != family["kind"]:
-                raise ValueError(
-                    f"metric {name!r} is a {mine['kind']} here but a "
-                    f"{family['kind']} in the merged snapshot"
-                )
-            for key, series in family["series"].items():
-                existing = mine["series"].get(key)
-                if existing is None:
-                    mine["series"][key] = {
-                        "labels": dict(series["labels"]),
-                        "value": _copy_value(series["value"]),
-                    }
-                    continue
-                existing["value"] = _merge_value(
-                    mine["kind"], existing["value"], series["value"]
-                )
-        return self
-
-    # ------------------------------------------------------------------
-    # Lookups (tests, CI assertions)
-    # ------------------------------------------------------------------
-    def value(self, name: str, **labels) -> object:
-        """The value of one series, or ``None`` when absent."""
-        family = self.data.get(name)
-        if family is None:
-            return None
-        key = _render_labels(_label_items(labels))
-        series = family["series"].get(key)
-        return None if series is None else series["value"]
-
-    def names(self) -> List[str]:
-        return sorted(self.data)
-
-    # ------------------------------------------------------------------
-    # Expositions
-    # ------------------------------------------------------------------
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready exposition (name -> kind/help/series list)."""
-        out: Dict[str, object] = {}
-        for name in sorted(self.data):
-            family = self.data[name]
-            out[name] = {
-                "kind": family["kind"],
-                "help": family["help"],
-                "series": [
-                    {"labels": dict(s["labels"]), "value": _copy_value(s["value"])}
-                    for _, s in sorted(family["series"].items())
-                ],
-            }
-        return out
-
-    def to_prometheus_text(self) -> str:
-        """Prometheus text exposition format (histograms as summaries)."""
-        lines: List[str] = []
-        for name in sorted(self.data):
-            family = self.data[name]
-            kind = family["kind"]
-            prom_type = {"counter": "counter", "gauge": "gauge", "histogram": "summary"}[kind]
-            if family["help"]:
-                lines.append(f"# HELP {name} {family['help']}")
-            lines.append(f"# TYPE {name} {prom_type}")
-            for key, series in sorted(family["series"].items()):
-                items = sorted(series["labels"].items())
-                if kind in ("counter", "gauge"):
-                    lines.append(f"{name}{_render_labels(items)} {_format_number(series['value'])}")
-                    continue
-                hist = LatencyHistogram.from_state(series["value"])
-                for q in (0.5, 0.95, 0.99):
-                    quantile_labels = _render_labels(items + [("quantile", repr(q))])
-                    lines.append(
-                        f"{name}{quantile_labels} {_format_number(hist.percentile(q * 100))}"
-                    )
-                base = _render_labels(items)
-                lines.append(f"{name}_sum{base} {_format_number(hist.sum_seconds)}")
-                lines.append(f"{name}_count{base} {hist.total}")
-                lines.append(f"{name}_max{base} {_format_number(hist.max_seconds)}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _copy_value(value: object) -> object:
-    return dict(value) if isinstance(value, dict) else value
-
-
-def _merge_value(kind: str, mine: object, theirs: object) -> object:
-    if kind == "counter":
-        return int(mine) + int(theirs)
-    if kind == "gauge":
-        return float(theirs)
-    hist = LatencyHistogram.from_state(mine)
-    hist.merge_state(theirs)
-    return hist.state_dict()
-
-
-def _format_number(value: object) -> str:
-    number = float(value)
-    if number == int(number) and abs(number) < 1e15:
-        return str(int(number))
-    return repr(number)
+    def value(self, child) -> object:
+        """One series' plain value: int, float or a histogram state dict."""
+        if self.kind == "counter":
+            return int(child.value)
+        if self.kind == "gauge":
+            return float(child.value)
+        return child.state_dict()
 
 
 class MetricsRegistry:
@@ -462,8 +279,8 @@ class MetricsRegistry:
     calling twice with the same name and labels returns the *same*
     instrument, so hot paths can resolve instruments at setup time and
     record through plain attribute calls afterwards.  A disabled
-    registry returns shared null instruments instead (and snapshots
-    empty), which is the zero-overhead off switch.
+    registry returns shared null instruments instead (and exposes
+    nothing), which is the zero-overhead off switch.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -484,39 +301,28 @@ class MetricsRegistry:
             raise ValueError(f"invalid metric name {name!r}")
         family = self._families.get(name)
         if family is None:
-            family = _Family(name, kind, help_text, bucketing)
+            family = _Family(kind, help_text, bucketing)
             self._families[name] = family
         elif family.kind != kind:
             raise ValueError(
                 f"metric {name!r} already registered as a {family.kind}, "
                 f"cannot re-register as a {kind}"
             )
-        else:
-            if help_text and not family.help:
-                family.help = help_text
+        elif help_text and not family.help:
+            family.help = help_text
         return family
 
     def counter(self, name: str, help: str = "", **labels) -> Counter:
         if not self.enabled:
             return _NULL_COUNTER
-        family = self._family(name, "counter", help)
-        key = _label_items(labels)
-        child = family.children.get(key)
-        if child is None:
-            child = Counter()
-            family.children[key] = child
-        return child
+        children = self._family(name, "counter", help).children
+        return children.setdefault(_label_items(labels), Counter())
 
     def gauge(self, name: str, help: str = "", **labels) -> Gauge:
         if not self.enabled:
             return _NULL_GAUGE
-        family = self._family(name, "gauge", help)
-        key = _label_items(labels)
-        child = family.children.get(key)
-        if child is None:
-            child = Gauge()
-            family.children[key] = child
-        return child
+        children = self._family(name, "gauge", help).children
+        return children.setdefault(_label_items(labels), Gauge())
 
     def histogram(
         self,
@@ -526,10 +332,10 @@ class MetricsRegistry:
         base: Optional[float] = None,
         factor: Optional[float] = None,
         **labels,
-    ) -> Histogram:
+    ) -> LatencyHistogram:
         if not self.enabled:
             return _NULL_HISTOGRAM
-        probe = Histogram(num_buckets=num_buckets, base=base, factor=factor)
+        probe = LatencyHistogram(num_buckets=num_buckets, base=base, factor=factor)
         family = self._family(
             name, "histogram", help, bucketing=probe._bucketing()
         )
@@ -538,51 +344,56 @@ class MetricsRegistry:
                 f"metric {name!r} already registered with bucketing "
                 f"{family.bucketing}, got {probe._bucketing()}"
             )
-        key = _label_items(labels)
-        child = family.children.get(key)
-        if child is None:
-            child = probe
-            family.children[key] = child
-        return child
+        return family.children.setdefault(_label_items(labels), probe)
 
     # ------------------------------------------------------------------
-    # Snapshot
+    # Lookups (tests, CI assertions)
     # ------------------------------------------------------------------
-    def snapshot(self) -> MetricsSnapshot:
-        data: Dict[str, Dict[str, object]] = {}
-        for name, family in self._families.items():
-            series: Dict[str, Dict[str, object]] = {}
-            for items, child in family.children.items():
-                if family.kind == "counter":
-                    value: object = int(child.value)
-                elif family.kind == "gauge":
-                    value = float(child.value)
-                else:
-                    value = child.state_dict()
-                series[_render_labels(items)] = {
-                    "labels": dict(items),
-                    "value": value,
-                }
-            data[name] = {
+    def value(self, name: str, **labels) -> object:
+        """The plain value of one series, or ``None`` when absent."""
+        family = self._families.get(name)
+        child = None if family is None else family.children.get(_label_items(labels))
+        return None if child is None else family.value(child)
+
+    def names(self) -> List[str]:
+        return sorted(self._families)
+
+    # ------------------------------------------------------------------
+    # Expositions
+    # ------------------------------------------------------------------
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-ready exposition (name -> kind/help/series list)."""
+        out: Dict[str, object] = {}
+        for name in self.names():
+            family = self._families[name]
+            out[name] = {
                 "kind": family.kind,
                 "help": family.help,
-                "series": series,
+                "series": [
+                    {"labels": dict(items), "value": family.value(child)}
+                    for items, child in family.series()
+                ],
             }
-        return MetricsSnapshot(data)
+        return out
 
-    # ------------------------------------------------------------------
-    # Expositions (delegating to a fresh snapshot)
-    # ------------------------------------------------------------------
     def to_prometheus_text(self) -> str:
-        return self.snapshot().to_prometheus_text()
-
-    def as_dict(self) -> Dict[str, object]:
-        return self.snapshot().as_dict()
-
-    def clear(self) -> None:
-        self._families = {}
-
-
-#: Shared always-disabled registry (hand it to components that should
-#: never record, regardless of the process-global telemetry switch).
-NULL_REGISTRY = MetricsRegistry(enabled=False)
+        """Prometheus text exposition format (histograms as summaries)."""
+        lines: List[str] = []
+        for name in self.names():
+            family = self._families[name]
+            prom_type = "summary" if family.kind == "histogram" else family.kind
+            if family.help:
+                lines.append(f"# HELP {name} {family.help}")
+            lines.append(f"# TYPE {name} {prom_type}")
+            for items, child in family.series():
+                labels = _render_labels(items)
+                if family.kind != "histogram":
+                    lines.append(f"{name}{labels} {_format_number(child.value)}")
+                    continue
+                for q in (0.5, 0.95, 0.99):
+                    quantile = _render_labels(items + (("quantile", repr(q)),))
+                    lines.append(f"{name}{quantile} {_format_number(child.percentile(q * 100))}")
+                lines.append(f"{name}_sum{labels} {_format_number(child.sum_seconds)}")
+                lines.append(f"{name}_count{labels} {child.total}")
+                lines.append(f"{name}_max{labels} {_format_number(child.max_seconds)}")
+        return "\n".join(lines) + ("\n" if lines else "")

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.utils.serialization import atomic_write_text
 
-__all__ = ["Span", "Tracer", "NULL_TRACER"]
+__all__ = ["Span", "Tracer"]
 
 DEFAULT_CAPACITY = 4096
 
@@ -122,11 +122,6 @@ class Tracer:
             stored = self._ring[self._next :] + self._ring[: self._next]
         return [dict(record) for record in stored if record is not None]
 
-    def clear(self) -> None:
-        self._ring = [None] * self.capacity
-        self._next = 0
-        self._count = 0
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
@@ -141,8 +136,3 @@ class Tracer:
         records = self.records()
         atomic_write_text(path, self.to_jsonl())
         return len(records)
-
-
-#: Shared always-disabled tracer.
-NULL_TRACER = Tracer(capacity=1, enabled=False)
-NULL_TRACER.enabled = False

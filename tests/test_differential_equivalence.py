@@ -128,7 +128,7 @@ def make_case(index: int) -> FuzzCase:
     )
     greedy = bool(rng.integers(0, 2))
     epsilon = float(rng.choice([0.0, 0.15, 0.4]))
-    reward_mode = str(rng.choice(["utilization_balance", "per_step_penalty"]))
+    reward_mode = str(rng.choice(["bottleneck_pressure", "per_step_penalty"]))
     return FuzzCase(
         index=index,
         system_config=system_config,

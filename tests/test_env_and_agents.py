@@ -122,18 +122,6 @@ class TestActionSpaceAndReward:
         assert compute_step_reward(
             RewardConfig(mode="per_step_penalty", step_penalty=1.0), metrics
         ) == -1.0
-        backlog = compute_step_reward(
-            RewardConfig(mode="backlog_penalty", step_penalty=0.0, backlog_scale=0.1), metrics
-        )
-        assert backlog == pytest.approx(-2.0)
-        delta = compute_step_reward(
-            RewardConfig(mode="backlog_delta", step_penalty=0.0, backlog_scale=0.1), metrics
-        )
-        assert delta == pytest.approx(-2.0)
-        balance = compute_step_reward(
-            RewardConfig(mode="utilization_balance", step_penalty=0.0, balance_scale=1.0), metrics
-        )
-        assert balance == pytest.approx(-0.6)
         pressure = compute_step_reward(
             RewardConfig(mode="bottleneck_pressure", step_penalty=0.0, balance_scale=1.0), metrics
         )

@@ -1481,3 +1481,40 @@ class TestMetricsOp:
                 await netserver.drain()
 
         asyncio.run(scenario())
+
+    def test_metrics_op_renders_non_finite_values(
+        self, compiled_policy, serving_env
+    ):
+        """A gauge holding +/-inf or NaN is scraped, not a protocol error."""
+
+        async def scenario():
+            server = PolicyServer(
+                CompiledFSMBackend(compiled_policy), serving_env.observation_encoder
+            )
+            netserver = PolicyNetServer(server, flush_interval=0.002)
+            netserver.metrics.gauge("probe_value", side="up").set(float("inf"))
+            netserver.metrics.gauge("probe_value", side="down").set(float("-inf"))
+            netserver.metrics.gauge("probe_value", side="nan").set(float("nan"))
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                client = await PolicyClient.connect_unix(socket_path)
+                exposition = await asyncio.wait_for(client.metrics(), timeout=5.0)
+                prom = exposition["prometheus"]
+                assert 'probe_value{side="up"} +Inf\n' in prom
+                assert 'probe_value{side="down"} -Inf\n' in prom
+                assert 'probe_value{side="nan"} NaN\n' in prom
+                values = {
+                    series["labels"]["side"]: series["value"]
+                    for series in exposition["json"]["probe_value"]["series"]
+                }
+                assert values["up"] == float("inf")
+                assert values["down"] == float("-inf")
+                assert np.isnan(values["nan"])
+                # The connection is still served, and nothing was
+                # counted as a malformed request.
+                assert await client.ping()
+                assert netserver.protocol_errors == 0
+                await client.close()
+                await netserver.drain()
+
+        asyncio.run(scenario())

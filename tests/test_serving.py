@@ -867,13 +867,6 @@ class TestLatencyHistogram:
         assert a.counts.tolist() == b.counts.tolist()
         assert a.as_dict() == b.as_dict()
 
-    def test_fraction_within_slo(self):
-        histogram = LatencyHistogram()
-        histogram.record_many(np.array([0.001] * 8 + [1.0] * 2))
-        assert histogram.fraction_within(0.01) == pytest.approx(0.8)
-        assert histogram.fraction_within(10.0) == pytest.approx(1.0)
-        assert LatencyHistogram().fraction_within(0.1) == 1.0
-
     def test_empty_histogram(self):
         histogram = LatencyHistogram()
         assert histogram.percentile(99) == 0.0

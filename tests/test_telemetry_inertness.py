@@ -14,7 +14,7 @@ telemetry fully enabled (default) and once with it disabled via
 
 Each stack is constructed *inside* its mode, because components resolve
 their instruments at construction time.  The enabled leg additionally
-asserts that instrumentation actually fired (non-empty snapshot), so a
+asserts that instrumentation actually fired (non-empty registry), so a
 regression that silently disables telemetry cannot pass as "inert".
 """
 
@@ -39,7 +39,7 @@ def restore_telemetry_defaults():
 
 def _set_mode(enabled: bool) -> None:
     telemetry.configure(enabled=enabled)
-    assert telemetry.enabled() is enabled
+    assert telemetry.registry().enabled is enabled
 
 
 # ----------------------------------------------------------------------
@@ -68,9 +68,9 @@ class TestEvaluationInertness:
         enabled = _evaluation_fingerprint(system_config, real_traces)
         # The enabled leg must have actually exercised the instruments,
         # otherwise this differential proves nothing.
-        snapshot = telemetry.registry().snapshot()
-        assert snapshot.value("engine_eval_runs_total") >= 2
-        assert snapshot.value("engine_eval_steps_total") > 0
+        registry = telemetry.registry()
+        assert registry.value("engine_eval_runs_total") >= 2
+        assert registry.value("engine_eval_steps_total") > 0
         assert any(
             record["name"] == "engine.evaluate"
             for record in telemetry.tracer().records()
@@ -79,7 +79,7 @@ class TestEvaluationInertness:
         _set_mode(False)
         disabled = _evaluation_fingerprint(system_config, real_traces)
         # Disabled mode records nothing at all.
-        assert telemetry.registry().snapshot().names() == []
+        assert telemetry.registry().names() == []
         assert telemetry.tracer().records() == []
 
         assert enabled == disabled
@@ -203,7 +203,7 @@ class TestFleetInertness:
     def test_fleet_report_identical_with_and_without_telemetry(self):
         _set_mode(True)
         enabled = _fleet_deterministic_json()
-        assert telemetry.registry().snapshot().value(
+        assert telemetry.registry().value(
             "serving_decisions_total"
         ) > 0
         assert any(
@@ -213,6 +213,6 @@ class TestFleetInertness:
 
         _set_mode(False)
         disabled = _fleet_deterministic_json()
-        assert telemetry.registry().snapshot().names() == []
+        assert telemetry.registry().names() == []
 
         assert enabled == disabled
