@@ -13,14 +13,22 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.agents.default import DefaultPolicy
 from repro.drl.rollout import BatchedRolloutCollector
+from repro.engine import AgentBatchBackend
+from repro.env.observation import OBSERVATION_DIM, ObservationEncoder
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ServingError
+from repro.serving import PolicyClient, PolicyNetServer, PolicyServer
+from repro.storage.simulator import StorageSystemConfig
 from repro.telemetry import (
     LatencyHistogram,
     MetricsRegistry,
@@ -248,6 +256,243 @@ class TestWireFormatPin:
         }
         # Plain JSON types all the way down: the ``metrics`` op sends it.
         assert json.loads(json.dumps(exposition)) == exposition
+
+    def test_populated_broker_and_netserver_scrape(self):
+        """The ``metrics`` op of a broker and front door that saw traffic.
+
+        One sequential client opens sessions, decides one row and one
+        block, is refused ``BUSY`` and ``BAD_REQUEST``, sees one backend
+        fault, closes a session and sends every other control op; an
+        in-process wave is cancelled in between.  Nothing here is timed
+        (request latencies live in ``ServerStats``, not the registry),
+        so both expositions are pinned whole.
+        """
+        exposition = asyncio.run(_populated_scrape())
+        assert exposition["prometheus"] == _POPULATED_PROMETHEUS
+        # Compared as JSON text, so ints and floats are told apart.
+        assert json.dumps(exposition["json"]) == json.dumps(_populated_json())
+        assert exposition["flush_loop_errors"] == 1
+        assert exposition["last_flush_error"] == "RuntimeError: injected backend fault"
+
+
+class _FaultOnceBackend(AgentBatchBackend):
+    """The default heuristic; ``decide`` raises RuntimeError once when armed."""
+
+    armed = False
+
+    def decide(self, table, slots, raw, normalized):
+        if self.armed:
+            self.armed = False
+            raise RuntimeError("injected backend fault")
+        return super().decide(table, slots, raw, normalized)
+
+
+async def _populated_scrape():
+    telemetry.configure(enabled=True)
+    try:
+        encoder = ObservationEncoder(StorageSystemConfig())
+        backend = _FaultOnceBackend(DefaultPolicy, encoder)
+        server = PolicyServer(backend, encoder, max_batch_size=64)
+        netserver = PolicyNetServer(server, flush_interval=0.002, max_inflight=4)
+        rows = np.random.default_rng(0).random((6, OBSERVATION_DIM))
+        directory = tempfile.mkdtemp(prefix="rpin", dir="/tmp")
+        try:
+            await netserver.start(unix_path=os.path.join(directory, "s.sock"))
+            client = await PolicyClient.connect_unix(os.path.join(directory, "s.sock"))
+            async with client:
+                handles = np.array(await client.open(6))
+                await client.decide(handles[0], rows[0])
+                await client.decide_many(handles[:3, 0], handles[:3, 1], rows[:3])
+                with pytest.raises(ServingError, match="BUSY"):
+                    await client.decide_many(handles[:5, 0], handles[:5, 1], rows[:5])
+                reply = await client.request({"op": "bogus"})
+                assert reply["error"] == "BAD_REQUEST"
+                server.submit_many(
+                    handles[4:, 0], rows[4:], expected_generation=handles[4:, 1]
+                )
+                assert server.cancel_pending() == 2
+                backend.armed = True
+                with pytest.raises(ServingError, match="BACKEND_ERROR"):
+                    await client.decide(handles[1], rows[1])
+                await client.close_sessions(handles[5:])
+                await client.stats()
+                assert await client.ping()
+                exposition = await client.metrics()
+            await netserver.drain()
+        finally:
+            shutil.rmtree(directory, ignore_errors=True)
+        return exposition
+    finally:
+        telemetry.configure(enabled=True)
+
+
+_POPULATED_PROMETHEUS = (
+    "# HELP netserver_connections_open Currently open connections\n"
+    "# TYPE netserver_connections_open gauge\n"
+    "netserver_connections_open 1\n"
+    "# HELP netserver_connections_total Connections accepted\n"
+    "# TYPE netserver_connections_total counter\n"
+    "netserver_connections_total 1\n"
+    "# HELP netserver_decide_rows_total Rows carried by decide frames\n"
+    "# TYPE netserver_decide_rows_total counter\n"
+    "netserver_decide_rows_total 10\n"
+    "# HELP netserver_error_replies_total Error replies sent, by structured code\n"
+    "# TYPE netserver_error_replies_total counter\n"
+    'netserver_error_replies_total{code="BACKEND_ERROR"} 1\n'
+    'netserver_error_replies_total{code="BAD_REQUEST"} 1\n'
+    'netserver_error_replies_total{code="BUSY"} 1\n'
+    'netserver_error_replies_total{code="DRAINING"} 0\n'
+    'netserver_error_replies_total{code="STALE_SESSION"} 0\n'
+    "# HELP netserver_flush_loop_errors_total Flush-loop ticks that hit an unexpected fault\n"
+    "# TYPE netserver_flush_loop_errors_total counter\n"
+    "netserver_flush_loop_errors_total 1\n"
+    "# HELP netserver_parked_replies Replies parked on pending waves\n"
+    "# TYPE netserver_parked_replies gauge\n"
+    "netserver_parked_replies 0\n"
+    "# HELP netserver_replies_dropped_total Replies dropped on closed/broken peers\n"
+    "# TYPE netserver_replies_dropped_total counter\n"
+    "netserver_replies_dropped_total 0\n"
+    "# HELP netserver_requests_total Frames dispatched, by op\n"
+    "# TYPE netserver_requests_total counter\n"
+    'netserver_requests_total{op="close"} 1\n'
+    'netserver_requests_total{op="decide"} 4\n'
+    'netserver_requests_total{op="metrics"} 1\n'
+    'netserver_requests_total{op="open"} 1\n'
+    'netserver_requests_total{op="other"} 1\n'
+    'netserver_requests_total{op="ping"} 1\n'
+    'netserver_requests_total{op="stats"} 1\n'
+    "# HELP serving_backend_info 1 for the mounted decision backend\n"
+    "# TYPE serving_backend_info gauge\n"
+    'serving_backend_info{backend="default"} 1\n'
+    "# HELP serving_batch_size Micro-batch size distribution\n"
+    "# TYPE serving_batch_size summary\n"
+    'serving_batch_size{quantile="0.5"} 1\n'
+    'serving_batch_size{quantile="0.95"} 3\n'
+    'serving_batch_size{quantile="0.99"} 3\n'
+    "serving_batch_size_sum 4\n"
+    "serving_batch_size_count 2\n"
+    "serving_batch_size_max 3\n"
+    "# HELP serving_batches_total Backend micro-batch calls\n"
+    "# TYPE serving_batches_total counter\n"
+    "serving_batches_total 2\n"
+    "# HELP serving_cancelled_total Requests cancelled before a decision\n"
+    "# TYPE serving_cancelled_total counter\n"
+    "serving_cancelled_total 2\n"
+    "# HELP serving_decisions_total Decisions served by the broker\n"
+    "# TYPE serving_decisions_total counter\n"
+    "serving_decisions_total 4\n"
+    "# HELP serving_failed_total Requests failed (backend faults + cancels)\n"
+    "# TYPE serving_failed_total counter\n"
+    "serving_failed_total 3\n"
+    "# HELP serving_pending_requests Requests queued in the broker\n"
+    "# TYPE serving_pending_requests gauge\n"
+    "serving_pending_requests 0\n"
+    "# HELP serving_queue_depth Queued requests at the last flush\n"
+    "# TYPE serving_queue_depth gauge\n"
+    "serving_queue_depth 1\n"
+    "# HELP serving_queue_depth_peak Deepest micro-batch queue observed\n"
+    "# TYPE serving_queue_depth_peak gauge\n"
+    "serving_queue_depth_peak 3\n"
+    "# HELP serving_sessions_active Open sessions in the table\n"
+    "# TYPE serving_sessions_active gauge\n"
+    "serving_sessions_active 5\n"
+    "# HELP serving_sessions_peak Peak concurrently open sessions\n"
+    "# TYPE serving_sessions_peak gauge\n"
+    "serving_sessions_peak 6\n"
+    "# HELP serving_swaps_total Blue/green backend swaps\n"
+    "# TYPE serving_swaps_total counter\n"
+    "serving_swaps_total 0\n"
+)
+
+
+def _populated_json():
+    def family(kind, help_text, *series):
+        return {
+            "kind": kind,
+            "help": help_text,
+            "series": [{"labels": labels, "value": value} for labels, value in series],
+        }
+
+    return {
+        "netserver_connections_open": family(
+            "gauge", "Currently open connections", ({}, 1.0)
+        ),
+        "netserver_connections_total": family(
+            "counter", "Connections accepted", ({}, 1)
+        ),
+        "netserver_decide_rows_total": family(
+            "counter", "Rows carried by decide frames", ({}, 10)
+        ),
+        "netserver_error_replies_total": family(
+            "counter",
+            "Error replies sent, by structured code",
+            ({"code": "BACKEND_ERROR"}, 1),
+            ({"code": "BAD_REQUEST"}, 1),
+            ({"code": "BUSY"}, 1),
+            ({"code": "DRAINING"}, 0),
+            ({"code": "STALE_SESSION"}, 0),
+        ),
+        "netserver_flush_loop_errors_total": family(
+            "counter", "Flush-loop ticks that hit an unexpected fault", ({}, 1)
+        ),
+        "netserver_parked_replies": family(
+            "gauge", "Replies parked on pending waves", ({}, 0.0)
+        ),
+        "netserver_replies_dropped_total": family(
+            "counter", "Replies dropped on closed/broken peers", ({}, 0)
+        ),
+        "netserver_requests_total": family(
+            "counter",
+            "Frames dispatched, by op",
+            *(
+                ({"op": op}, count)
+                for op, count in (
+                    ("close", 1), ("decide", 4), ("metrics", 1), ("open", 1),
+                    ("other", 1), ("ping", 1), ("stats", 1),
+                )
+            ),
+        ),
+        "serving_backend_info": family(
+            "gauge", "1 for the mounted decision backend", ({"backend": "default"}, 1.0)
+        ),
+        "serving_batch_size": family(
+            "histogram",
+            "Micro-batch size distribution",
+            ({}, {
+                "bucketing": [16, 1.0, 2.0],
+                "counts": [1, 0, 1] + [0] * 13,
+                "total": 2,
+                "sum": 4.0,
+                "max": 3.0,
+            }),
+        ),
+        "serving_batches_total": family("counter", "Backend micro-batch calls", ({}, 2)),
+        "serving_cancelled_total": family(
+            "counter", "Requests cancelled before a decision", ({}, 2)
+        ),
+        "serving_decisions_total": family(
+            "counter", "Decisions served by the broker", ({}, 4)
+        ),
+        "serving_failed_total": family(
+            "counter", "Requests failed (backend faults + cancels)", ({}, 3)
+        ),
+        "serving_pending_requests": family(
+            "gauge", "Requests queued in the broker", ({}, 0.0)
+        ),
+        "serving_queue_depth": family(
+            "gauge", "Queued requests at the last flush", ({}, 1.0)
+        ),
+        "serving_queue_depth_peak": family(
+            "gauge", "Deepest micro-batch queue observed", ({}, 3.0)
+        ),
+        "serving_sessions_active": family(
+            "gauge", "Open sessions in the table", ({}, 5.0)
+        ),
+        "serving_sessions_peak": family(
+            "gauge", "Peak concurrently open sessions", ({}, 6.0)
+        ),
+        "serving_swaps_total": family("counter", "Blue/green backend swaps", ({}, 0)),
+    }
 
 
 # ----------------------------------------------------------------------
