@@ -193,7 +193,7 @@ def main() -> int:
         # family names are disjoint, so the two expositions concatenate.
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             handle.write(telemetry.registry().to_prometheus_text())
-            handle.write(report.to_prometheus_text())
+            handle.write(report.metrics.to_prometheus_text())
         print(f"  metrics written to {args.metrics_out}")
     if args.trace_out:
         spans = telemetry.tracer().export_jsonl(args.trace_out)

@@ -12,16 +12,18 @@ A :class:`LoadReport` is split in two on purpose:
   overall), which legitimately vary run to run and are reported for
   humans and the benchmark regression guard, never compared for
   equality.  The timing section is backed by the report's own
-  always-enabled :class:`~repro.telemetry.MetricsRegistry` — the same
-  instruments serve ``timing_dict()``, the ``telemetry`` section of
-  :meth:`as_dict` and :meth:`to_prometheus_text`.  Its families are
-  all named ``fleet_*``, disjoint from the process registry's, so the
-  two Prometheus expositions concatenate into one.
+  always-enabled :class:`~repro.telemetry.MetricsRegistry`
+  (``metrics``): its latency instruments serve ``timing_dict()``, and
+  its expositions (the ``telemetry`` section of :meth:`as_dict`) also
+  view the report's seconds, recycles and phase decisions.  Its
+  families are all named ``fleet_*``, disjoint from the process
+  registry's, so the two Prometheus expositions concatenate into one.
 """
 
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.telemetry import LatencyHistogram, MetricsRegistry
@@ -51,6 +53,19 @@ class LoadReport:
         self.phase_seconds: Dict[str, float] = {}
         self.elapsed_seconds = 0.0
         self.server_summary: Dict[str, object] = {}
+        for name, help_text, kind, label, read in (
+            ("elapsed_seconds", "Wall-clock seconds of the whole run",
+             "gauge", None, attrgetter("elapsed_seconds")),
+            ("recycles", "Shard recycles over the run", "gauge", None, attrgetter("recycles")),
+            ("phase_seconds", "Wall-clock seconds by schedule phase",
+             "gauge", "phase", attrgetter("phase_seconds")),
+            ("decisions_total", "Decisions driven (incl. burst probes) by schedule phase",
+             "counter", "phase", lambda report: {
+                 phase["name"]: phase["decisions"] + phase["probe_decisions"]
+                 for phase in report.phases
+             }),
+        ):
+            self.metrics.view(f"fleet_{name}", help_text, self, read, kind, label)
 
     # ------------------------------------------------------------------
     # Accumulation (driver-facing)
@@ -72,16 +87,6 @@ class LoadReport:
         name = str(counters["name"])
         self.phase_seconds[name] = float(seconds)
         self.latency.merge(self.phase_latency[name])
-        self.metrics.gauge(
-            "fleet_phase_seconds",
-            help="Wall-clock seconds by schedule phase",
-            phase=name,
-        ).set(float(seconds))
-        self.metrics.counter(
-            "fleet_decisions_total",
-            help="Decisions driven (incl. burst probes) by schedule phase",
-            phase=name,
-        ).inc(int(counters.get("decisions", 0)) + int(counters.get("probe_decisions", 0)))
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -127,25 +132,12 @@ class LoadReport:
             "per_phase": per_phase,
         }
 
-    def _live_metrics(self) -> MetricsRegistry:
-        """The report's registry, its whole-run gauges brought up to date."""
-        self.metrics.gauge(
-            "fleet_elapsed_seconds", help="Wall-clock seconds of the whole run"
-        ).set(float(self.elapsed_seconds))
-        self.metrics.gauge(
-            "fleet_recycles", help="Shard recycles over the run"
-        ).set(float(self.recycles))
-        return self.metrics
-
-    def to_prometheus_text(self) -> str:
-        return self._live_metrics().to_prometheus_text()
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "config": dict(self.config),
             "deterministic": self.deterministic_dict(),
             "timing": self.timing_dict(),
-            "telemetry": self._live_metrics().as_dict(),
+            "telemetry": self.metrics.as_dict(),
             "server": dict(self.server_summary),
         }
 

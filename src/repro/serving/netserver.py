@@ -80,6 +80,7 @@ import itertools
 import json
 import struct
 import time
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,6 +102,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 # whose handles reply still fits one frame.
 MAX_OPEN_PER_REQUEST = 1 << 20
 _CONTROL_OPS = ("open", "close", "stats", "metrics", "ping")
+_ERROR_CODES = ("BUSY", "STALE_SESSION", "BAD_REQUEST", "BACKEND_ERROR", "DRAINING")
 
 
 def _frame(codec: int, body: bytes) -> bytes:
@@ -234,13 +236,6 @@ class _Block(NamedTuple):
     arrived: float
 
 
-def _error_reply(code: str, message: str, request_id: object) -> Dict[str, object]:
-    reply: Dict[str, object] = {"ok": False, "error": code, "message": message}
-    if request_id is not None:
-        reply["id"] = request_id
-    return reply
-
-
 class PolicyNetServer:
     """Asyncio front door feeding one :class:`PolicyServer` broker.
 
@@ -277,55 +272,38 @@ class PolicyNetServer:
         self._arrived = asyncio.Event()  # set each time a block parks
         self._draining = False
         self.connections_total = 0
-        self.busy_rejections = 0
-        self.requests_total = 0
+        self.busy_rejections = 0  # rows refused; the BUSY replies count in error_replies
         self.protocol_errors = 0
         self.replies_dropped = 0
         self.flush_loop_errors = 0
         self.last_flush_error: Optional[str] = None
-        # Telemetry rides the broker's registry, so one ``metrics``
-        # scrape exposes broker + front-door series together.  Per-op
-        # and per-error-code counters are pre-resolved for every label
-        # value the server can emit (bounded cardinality by design;
-        # unknown ops count under "other").
+        # Every op and error code is seeded at zero (bounded label
+        # values; unknown ops count under "other").  The broker's
+        # registry reads these counts at scrape time (views), so one
+        # ``metrics`` scrape exposes broker + front-door series together.
+        self.requests_by_op = dict.fromkeys(("decide", *_CONTROL_OPS, "other"), 0)
+        self.decide_rows = 0
+        self.error_replies = dict.fromkeys(_ERROR_CODES, 0)
         self.metrics = server.metrics
-        self._m_requests: Dict[str, object] = {
-            op: self.metrics.counter(
-                "netserver_requests_total", "Frames dispatched, by op", op=op
-            )
-            for op in ("decide", *_CONTROL_OPS, "other")
-        }
-        self._m_decide_rows = self.metrics.counter(
-            "netserver_decide_rows_total", "Rows carried by decide frames"
-        )
-        self._m_errors: Dict[str, object] = {
-            code: self.metrics.counter(
-                "netserver_error_replies_total",
-                "Error replies sent, by structured code",
-                code=code,
-            )
-            for code in (
-                "BUSY", "STALE_SESSION", "BAD_REQUEST",
-                "BACKEND_ERROR", "DRAINING",
-            )
-        }
-        self._m_connections = self.metrics.counter(
-            "netserver_connections_total", "Connections accepted"
-        )
-        self._m_connections_open = self.metrics.gauge(
-            "netserver_connections_open", "Currently open connections"
-        )
-        self._m_replies_dropped = self.metrics.counter(
-            "netserver_replies_dropped_total",
-            "Replies dropped on closed/broken peers",
-        )
-        self._m_flush_errors = self.metrics.counter(
-            "netserver_flush_loop_errors_total",
-            "Flush-loop ticks that hit an unexpected fault",
-        )
-        self._m_parked = self.metrics.gauge(
-            "netserver_parked_replies", "Replies parked on pending waves"
-        )
+        for name, help_text, kind, label, read in (
+            ("requests_total", "Frames dispatched, by op",
+             "counter", "op", attrgetter("requests_by_op")),
+            ("decide_rows_total", "Rows carried by decide frames",
+             "counter", None, attrgetter("decide_rows")),
+            ("error_replies_total", "Error replies sent, by structured code",
+             "counter", "code", attrgetter("error_replies")),
+            ("connections_total", "Connections accepted",
+             "counter", None, attrgetter("connections_total")),
+            ("connections_open", "Currently open connections",
+             "gauge", None, lambda net: len(net._connections)),
+            ("replies_dropped_total", "Replies dropped on closed/broken peers",
+             "counter", None, attrgetter("replies_dropped")),
+            ("flush_loop_errors_total", "Flush-loop ticks that hit an unexpected fault",
+             "counter", None, attrgetter("flush_loop_errors")),
+            ("parked_replies", "Replies parked on pending waves",
+             "gauge", None, lambda net: len(net._parked)),
+        ):
+            self.metrics.view(f"netserver_{name}", help_text, self, read, kind, label)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -369,21 +347,7 @@ class PolicyNetServer:
         for listener in self._listeners:
             await listener.wait_closed()
         self._listeners = []
-        # Flush whatever is queued; a backend fault fails those rows,
-        # which _settle turns into explicit error replies.  A wedged
-        # backend raising outside the ReproError hierarchy must not
-        # abort the drain half-done (listeners closed, connections
-        # stranded) — flush already failed the detached rows, so
-        # record the fault and keep going.
-        try:
-            self.server.flush()
-        except ReproError:
-            pass
-        except Exception as exc:
-            self.flush_loop_errors += 1
-            self._m_flush_errors.inc()
-            self.last_flush_error = f"{type(exc).__name__}: {exc}"
-        self._settle()
+        self._flush_and_settle()
         # Anything still unresolved is cancelled *in the broker* —
         # failing the waves from out here would leave their rows in the
         # broker's queue, and ``pending`` would read nonzero after a
@@ -418,7 +382,7 @@ class PolicyNetServer:
             "parked_replies": len(self._parked),
             "connections_total": self.connections_total,
             "connections_open": len(self._connections),
-            "requests_total": self.requests_total,
+            "requests_total": sum(self.requests_by_op.values()),
             "busy_rejections": self.busy_rejections,
             "protocol_errors": self.protocol_errors,
             "replies_dropped": self.replies_dropped,
@@ -445,23 +409,28 @@ class PolicyNetServer:
                 self._arrived.clear()
                 await asyncio.sleep(0)
             self._arrived.clear()
-            try:
-                if self.server.pending:
-                    try:
-                        self.server.flush()
-                    except ReproError:
-                        pass  # the rows were failed; replies settle below
-                self._settle()
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                # A surprise anywhere in the tick used to kill this task
-                # silently — the server then never flushed again and
-                # every queued request hung until drain.  Count it,
-                # remember it for ``summary()``, keep flushing.
-                self.flush_loop_errors += 1
-                self._m_flush_errors.inc()
-                self.last_flush_error = f"{type(exc).__name__}: {exc}"
+            self._flush_and_settle()
+
+    def _flush_and_settle(self) -> None:
+        """Serve whatever is queued and write every reply that resolved.
+
+        A backend fault fails the flushed rows, which settle as error
+        replies (here, or in the drain's final settle).  Any other
+        surprise is counted and kept for ``summary()``, never raised:
+        it would kill the flush loop silently (every queued request
+        then hangs until drain) or abort a drain half-done (listeners
+        closed, connections stranded).
+        """
+        try:
+            if self.server.pending:
+                try:
+                    self.server.flush()
+                except ReproError:
+                    pass  # the rows were failed; replies settle below
+            self._settle()
+        except Exception as exc:
+            self.flush_loop_errors += 1
+            self.last_flush_error = f"{type(exc).__name__}: {exc}"
 
     def _settle(self) -> None:
         """Write the reply of every parked block whose wave is done.
@@ -496,9 +465,7 @@ class PolicyNetServer:
                 # Closed or broken peer: its reply is dropped (counted),
                 # everyone else's in this batch still settles.
                 self.replies_dropped += 1
-                self._m_replies_dropped.inc()
         self._parked = unresolved
-        self._m_parked.set(len(unresolved))
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -509,8 +476,6 @@ class PolicyNetServer:
         connection = _Connection(writer)
         self._connections.append(connection)
         self.connections_total += 1
-        self._m_connections.inc()
-        self._m_connections_open.set(len(self._connections))
         try:
             while not self._draining:
                 try:
@@ -520,7 +485,6 @@ class PolicyNetServer:
                 except ConfigurationError:
                     self.protocol_errors += 1
                     break
-                self.requests_total += 1
                 if codec == CODEC_DECIDE:
                     self._decide_block(connection, *request)
                 else:
@@ -538,34 +502,19 @@ class PolicyNetServer:
         request_id: object,
     ) -> bool:
         """Send one structured error reply, counted by code; ``False`` if dropped."""
-        counter = self._m_errors.get(code)
-        if counter is not None:
-            counter.inc()
-        return connection.send(encode_frame(_error_reply(code, message, request_id)))
+        self.error_replies[code] += 1
+        return self._reply(connection, request_id, ok=False, error=code, message=message)
 
     def _op_metrics(self) -> Dict[str, object]:
-        """Both expositions of the shared registry, liveness gauges fresh.
+        """Both expositions of the shared registry.
 
+        The broker and front-door counts are views, read as the
+        expositions render, so nothing is brought up to date first.
         ``last_flush_error`` rides along verbatim (error strings are
         unbounded, so they never become label values — the counter
         series ``netserver_flush_loop_errors_total`` carries the count,
         this field carries the most recent cause).
         """
-        self.metrics.gauge(
-            "netserver_parked_replies"
-        ).set(len(self._parked))
-        self.metrics.gauge(
-            "netserver_connections_open"
-        ).set(len(self._connections))
-        self.metrics.gauge(
-            "serving_sessions_active", "Open sessions in the table"
-        ).set(self.server.table.num_active)
-        self.metrics.gauge(
-            "serving_sessions_peak", "Peak concurrently open sessions"
-        ).set(self.server.table.peak_active)
-        self.metrics.gauge(
-            "serving_pending_requests", "Requests queued in the broker"
-        ).set(self.server.pending)
         return {
             "prometheus": self.metrics.to_prometheus_text(),
             "json": self.metrics.as_dict(),
@@ -578,7 +527,7 @@ class PolicyNetServer:
     ) -> None:
         request_id = request.get("id")
         op = request.get("op")
-        self._m_requests[op if op in _CONTROL_OPS else "other"].inc()
+        self.requests_by_op[op if op in _CONTROL_OPS else "other"] += 1
         try:
             if op == "metrics":
                 exposition = self._op_metrics()
@@ -630,8 +579,8 @@ class PolicyNetServer:
     ) -> None:
         """Queue one decide block and park its reply (the only decide path)."""
         rows = int(slots.shape[0])
-        self._m_requests["decide"].inc()
-        self._m_decide_rows.inc(rows)
+        self.requests_by_op["decide"] += 1
+        self.decide_rows += rows
         if self._draining:
             self._send_error(connection, "DRAINING", "server is draining", request_id)
             return
@@ -678,12 +627,12 @@ class PolicyNetServer:
     # Helpers
     # ------------------------------------------------------------------
     def _reply(
-        self, connection: _Connection, request_id: object, **fields: object
-    ) -> None:
-        payload: Dict[str, object] = {"ok": True, **fields}
+        self, connection: _Connection, request_id: object, ok: bool = True, **fields: object
+    ) -> bool:
+        payload: Dict[str, object] = {"ok": ok, **fields}
         if request_id is not None:
             payload["id"] = request_id
-        connection.send(encode_frame(payload))
+        return connection.send(encode_frame(payload))
 
     @staticmethod
     def _parse_handle(handle: object) -> Tuple[int, int]:
@@ -716,7 +665,6 @@ class PolicyNetServer:
         connection.closed = True
         if connection in self._connections:
             self._connections.remove(connection)
-        self._m_connections_open.set(len(self._connections))
         # Requests this connection is still waiting on keep their queue
         # slots (the micro-batch must stay intact for everyone else);
         # their replies are simply dropped at settle time.

@@ -25,6 +25,7 @@ second backend in shadow mode behind the primary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -189,25 +190,32 @@ class PolicyServer:
         # allocation-free and fluctuating batch sizes stay bounded.  A
         # backend that ``reads_raw`` never needs it.
         self._normalize_buffer: Optional[np.ndarray] = None
-        # Telemetry: instruments are resolved once here, so the hot
-        # paths below record through plain attribute calls (no dict
-        # lookups) and a disabled registry costs one no-op call.
+        # Telemetry: what ``stats()``, the table and the queue count is read
+        # at scrape time (views); the rest are instruments resolved once here,
+        # so hot paths record through plain attribute calls (no-ops if off).
         self.metrics = telemetry.registry()
         self.tracer = telemetry.tracer()
-        self._m_decisions = self.metrics.counter(
-            "serving_decisions_total", "Decisions served by the broker"
-        )
-        self._m_batches = self.metrics.counter(
-            "serving_batches_total", "Backend micro-batch calls"
-        )
-        self._m_failed = self.metrics.counter(
-            "serving_failed_total", "Requests failed (backend faults + cancels)"
+        for count, help_text in (
+            ("decisions", "Decisions served by the broker"),
+            ("batches", "Backend micro-batch calls"),
+            ("failed", "Requests failed (backend faults + cancels)"),
+            ("swaps", "Blue/green backend swaps"),
+        ):
+            self.metrics.view(
+                f"serving_{count}_total", help_text, self._stats, attrgetter(count), keep=True
+            )
+        for name, help_text, attribute in (
+            ("sessions_active", "Open sessions in the table", "table.num_active"),
+            ("sessions_peak", "Peak concurrently open sessions", "table.peak_active"),
+            ("pending_requests", "Requests queued in the broker", "pending"),
+        ):
+            self.metrics.view(f"serving_{name}", help_text, self, attrgetter(attribute), "gauge")
+        self.metrics.view(
+            "serving_backend_info", "1 for the mounted decision backend", self,
+            lambda broker: {broker.backend.name: 1}, "gauge", label="backend",
         )
         self._m_cancelled = self.metrics.counter(
             "serving_cancelled_total", "Requests cancelled before a decision"
-        )
-        self._m_swaps = self.metrics.counter(
-            "serving_swaps_total", "Blue/green backend swaps"
         )
         self._m_batch_size = self.metrics.histogram(
             "serving_batch_size",
@@ -222,11 +230,6 @@ class PolicyServer:
         self._m_queue_peak = self.metrics.gauge(
             "serving_queue_depth_peak", "Deepest micro-batch queue observed"
         )
-        self.metrics.gauge(
-            "serving_backend_info",
-            "1 for the mounted decision backend",
-            backend=backend.name,
-        ).set(1.0)
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -336,7 +339,6 @@ class PolicyServer:
         for wave, _begin, _stop in segments:
             wave.fail(error)
         self._stats.failed += depth
-        self._m_failed.inc(depth)
 
     def cancel_pending(self, error: Optional[BaseException] = None) -> int:
         """Fail every queued row without calling the backend.
@@ -467,8 +469,6 @@ class PolicyServer:
         self._stats.action_counts += np.bincount(
             actions, minlength=self._stats.action_counts.shape[0]
         )
-        self._m_decisions.inc(batch)
-        self._m_batches.inc()
         self._m_batch_size.record(batch)
         return actions
 
@@ -527,13 +527,6 @@ class PolicyServer:
         self.backend = backend
         self.table = new_table
         self._stats.swaps += 1
-        self._m_swaps.inc()
-        self.metrics.gauge(
-            "serving_backend_info", backend=old_backend.name
-        ).set(0.0)
-        self.metrics.gauge(
-            "serving_backend_info", backend=backend.name
-        ).set(1.0)
         return {
             "from_backend": old_backend.name,
             "to_backend": backend.name,

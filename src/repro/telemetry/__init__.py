@@ -5,7 +5,7 @@ broker and its asyncio front door, the evaluation engine and the
 rollout hot path all record into the same process-global
 :class:`MetricsRegistry` and :class:`Tracer`, reachable through
 :func:`registry` / :func:`tracer` / :func:`span`.  The ``metrics``
-socket op renders the registry's live instruments; the fleet
+socket op renders the registry's live instruments and views; the fleet
 :class:`~repro.loadgen.report.LoadReport` keeps its own registry for
 its timing section.
 
@@ -19,9 +19,11 @@ shared no-op singletons — zero overhead beyond one empty attribute
 call per event.  The span ring holds the last 4096 spans, overwriting
 oldest-first, so long runs cost bounded memory.
 
-Components capture their instruments when they are *constructed*:
-``configure`` affects objects built afterwards, not instruments already
-resolved (that is what makes the hot paths allocation- and lookup-free).
+Components capture their instruments, and bind their views, when they
+are *constructed*: ``configure`` affects objects built afterwards, not
+instruments already resolved (that is what makes the hot paths
+allocation- and lookup-free) nor views already registered on the
+registry that was current then.
 """
 
 from __future__ import annotations
@@ -77,8 +79,8 @@ def span(name: str, /, **attributes):
 def configure(enabled: Optional[bool] = None) -> None:
     """Replace the process defaults (fresh registry + fresh tracer).
 
-    Existing components keep the instruments they already resolved;
-    components constructed after this call pick up the new defaults.
+    Existing components keep the instruments and views they already
+    have; components constructed after this call pick up the new defaults.
     Passing ``enabled=False`` installs no-op defaults (the differential
     inertness tests build one stack per mode around this switch).
     """

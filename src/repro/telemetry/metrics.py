@@ -8,6 +8,10 @@ expositions, :meth:`MetricsRegistry.as_dict` (JSON-ready) and
 :meth:`MetricsRegistry.to_prometheus_text`, render straight from the
 live instruments, which is what the ``metrics`` socket op serves.
 
+A count a component already keeps as an attribute is not counted twice:
+its family is a :meth:`MetricsRegistry.view`, which reads the attribute
+at render time (the Prometheus "collector" idiom).
+
 Design constraints, in order:
 
 * **Provably inert.**  Instruments touch plain Python ints/floats and
@@ -31,7 +35,8 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, Iterable, List, Optional, Tuple
+import weakref
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -244,32 +249,44 @@ def _format_number(value: object) -> str:
 
 
 class _Family:
-    """One metric name: kind + help text + labeled children."""
+    """One metric name: kind + help text + labeled children, or a view's sources."""
 
-    __slots__ = ("kind", "help", "bucketing", "children")
+    __slots__ = ("kind", "help", "bucketing", "children", "sources")
 
     def __init__(
         self,
         kind: str,
         help_text: str,
         bucketing: Optional[Tuple[int, float, float]] = None,
+        view: bool = False,
     ) -> None:
         self.kind = kind
         self.help = help_text
         self.bucketing = bucketing
         self.children: Dict[LabelItems, object] = {}
+        # A view's ``(owner ref, read, label)`` triples; None for instruments.
+        self.sources: Optional[List[tuple]] = [] if view else None
 
-    def series(self) -> List[Tuple[LabelItems, object]]:
-        """``(label items, instrument)`` pairs in exposition order."""
-        return sorted(self.children.items(), key=lambda item: _render_labels(item[0]))
+    def samples(self) -> List[Tuple[LabelItems, object]]:
+        """``(label items, value)`` pairs in exposition order.
 
-    def value(self, child) -> object:
-        """One series' plain value: int, float or a histogram state dict."""
-        if self.kind == "counter":
-            return int(child.value)
-        if self.kind == "gauge":
-            return float(child.value)
-        return child.state_dict()
+        A value is an int (counter), a float (gauge) or the histogram
+        itself; a view's values are summed over its live owners.
+        """
+        if self.kind == "histogram":
+            return sorted(self.children.items(), key=lambda item: _render_labels(item[0]))
+        totals = {items: child.value for items, child in self.children.items()}
+        for ref, read, label in self.sources or ():
+            owner = ref()
+            if owner is None:
+                continue
+            reading = read(owner)
+            for key, amount in reading.items() if label else [((), reading)]:
+                items = ((label, str(key)),) if label else key
+                totals[items] = totals.get(items, 0) + amount
+        plain = int if self.kind == "counter" else float
+        values = [(items, plain(total)) for items, total in totals.items()]
+        return sorted(values, key=lambda item: _render_labels(item[0]))
 
 
 class MetricsRegistry:
@@ -278,8 +295,9 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` get-or-create one child series —
     calling twice with the same name and labels returns the *same*
     instrument, so hot paths can resolve instruments at setup time and
-    record through plain attribute calls afterwards.  A disabled
-    registry returns shared null instruments instead (and exposes
+    record through plain attribute calls afterwards; ``view`` families
+    read their owners' attributes instead.  A disabled registry returns
+    shared null instruments and registers no view (so it exposes
     nothing), which is the zero-overhead off switch.
     """
 
@@ -296,17 +314,19 @@ class MetricsRegistry:
         kind: str,
         help_text: str,
         bucketing: Optional[Tuple[int, float, float]] = None,
+        view: bool = False,
     ) -> _Family:
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         family = self._families.get(name)
         if family is None:
-            family = _Family(kind, help_text, bucketing)
+            family = _Family(kind, help_text, bucketing, view)
             self._families[name] = family
-        elif family.kind != kind:
+        elif (family.kind, family.sources is not None) != (kind, view):
             raise ValueError(
-                f"metric {name!r} already registered as a {family.kind}, "
-                f"cannot re-register as a {kind}"
+                f"metric {name!r} already registered as a {family.kind}"
+                f"{' view' if family.sources is not None else ''}, "
+                f"cannot re-register as a {kind}{' view' if view else ''}"
             )
         elif help_text and not family.help:
             family.help = help_text
@@ -346,14 +366,43 @@ class MetricsRegistry:
             )
         return family.children.setdefault(_label_items(labels), probe)
 
+    def view(
+        self,
+        name: str,
+        help: str,
+        owner: object,
+        read: Callable[[object], object],
+        kind: str = "counter",
+        label: Optional[str] = None,
+        keep: bool = False,
+    ) -> None:
+        """Expose ``read(owner)`` as one owner's share of family ``name``.
+
+        ``read`` runs at each render and returns the owner's count (with
+        ``label``, a ``{label value: count}`` mapping), so the owner's
+        attribute stays the only record.  The family renders the sum
+        over the owners registered on *this* registry.  ``owner`` is
+        held weakly (``read`` must not hold it): a collected owner's
+        share leaves the sum — a counter reset — and a family with no
+        live owner renders nothing.  ``keep=True`` holds a small record
+        of counts for the registry's lifetime instead, so its counters
+        outlive their component.  A disabled registry registers nothing.
+        """
+        if not self.enabled:
+            return
+        family = self._family(name, kind, help, view=True)
+        family.sources = [s for s in family.sources if s[0]() is not None]
+        ref = (lambda: owner) if keep else weakref.ref(owner)
+        family.sources.append((ref, read, label))
+
     # ------------------------------------------------------------------
     # Lookups (tests, CI assertions)
     # ------------------------------------------------------------------
     def value(self, name: str, **labels) -> object:
         """The plain value of one series, or ``None`` when absent."""
         family = self._families.get(name)
-        child = None if family is None else family.children.get(_label_items(labels))
-        return None if child is None else family.value(child)
+        value = None if family is None else dict(family.samples()).get(_label_items(labels))
+        return value.state_dict() if isinstance(value, LatencyHistogram) else value
 
     def names(self) -> List[str]:
         return sorted(self._families)
@@ -361,39 +410,47 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Expositions
     # ------------------------------------------------------------------
+    def _shown(self) -> Iterable[Tuple[str, _Family, List[Tuple[LabelItems, object]]]]:
+        """``(name, family, samples)`` of every family with a series, by name."""
+        for name in self.names():
+            samples = self._families[name].samples()
+            if samples:
+                yield name, self._families[name], samples
+
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready exposition (name -> kind/help/series list)."""
-        out: Dict[str, object] = {}
-        for name in self.names():
-            family = self._families[name]
-            out[name] = {
+        return {
+            name: {
                 "kind": family.kind,
                 "help": family.help,
                 "series": [
-                    {"labels": dict(items), "value": family.value(child)}
-                    for items, child in family.series()
+                    {
+                        "labels": dict(items),
+                        "value": value.state_dict() if family.kind == "histogram" else value,
+                    }
+                    for items, value in samples
                 ],
             }
-        return out
+            for name, family, samples in self._shown()
+        }
 
     def to_prometheus_text(self) -> str:
         """Prometheus text exposition format (histograms as summaries)."""
         lines: List[str] = []
-        for name in self.names():
-            family = self._families[name]
+        for name, family, samples in self._shown():
             prom_type = "summary" if family.kind == "histogram" else family.kind
             if family.help:
                 lines.append(f"# HELP {name} {family.help}")
             lines.append(f"# TYPE {name} {prom_type}")
-            for items, child in family.series():
+            for items, value in samples:
                 labels = _render_labels(items)
                 if family.kind != "histogram":
-                    lines.append(f"{name}{labels} {_format_number(child.value)}")
+                    lines.append(f"{name}{labels} {_format_number(value)}")
                     continue
                 for q in (0.5, 0.95, 0.99):
                     quantile = _render_labels(items + (("quantile", repr(q)),))
-                    lines.append(f"{name}{quantile} {_format_number(child.percentile(q * 100))}")
-                lines.append(f"{name}_sum{labels} {_format_number(child.sum_seconds)}")
-                lines.append(f"{name}_count{labels} {child.total}")
-                lines.append(f"{name}_max{labels} {_format_number(child.max_seconds)}")
+                    lines.append(f"{name}{quantile} {_format_number(value.percentile(q * 100))}")
+                lines.append(f"{name}_sum{labels} {_format_number(value.sum_seconds)}")
+                lines.append(f"{name}_count{labels} {value.total}")
+                lines.append(f"{name}_max{labels} {_format_number(value.max_seconds)}")
         return "\n".join(lines) + ("\n" if lines else "")

@@ -8,6 +8,7 @@ short-named temp dir, or TCP loopback) with the real framing client;
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import struct
@@ -692,7 +693,7 @@ class TestDecideBlocks:
                 await netserver.start(unix_path=socket_path)
                 async with await PolicyClient.connect_unix(socket_path) as client:
                     handles = np.array(await client.open(5))
-                    busy_replies = netserver._m_errors["BUSY"].value
+                    busy_replies = netserver.error_replies["BUSY"]
                     with pytest.raises(ServingError, match="BUSY"):
                         await client.decide_many(
                             handles[:, 0], handles[:, 1], observation_stream[:5]
@@ -701,7 +702,7 @@ class TestDecideBlocks:
                     assert netserver._connections[0].inflight == 0
                     # Back-pressure counts rows; the refusal is one reply.
                     assert netserver.busy_rejections == 5
-                    assert netserver._m_errors["BUSY"].value == busy_replies + 1
+                    assert netserver.error_replies["BUSY"] == busy_replies + 1
                     actions = await client.decide_many(
                         handles[:4, 0], handles[:4, 1], observation_stream[:4]
                     )
@@ -1518,3 +1519,178 @@ class TestMetricsOp:
                 await netserver.drain()
 
         asyncio.run(scenario())
+
+    def test_scrape_equals_summary_after_every_step(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        """One connection through every op and fault; the views never drift.
+
+        The broker and front-door families are views of the attributes
+        ``summary()`` reports, so after each step the scrape and the
+        summary read the same numbers.
+        """
+
+        async def scenario():
+            backend = _WedgedBackend(CompiledFSMBackend(compiled_policy), failures=0)
+            server = PolicyServer(
+                backend, serving_env.observation_encoder, max_batch_size=1024
+            )
+            netserver = PolicyNetServer(server, flush_interval=0.002, max_inflight=4)
+            rows = observation_stream
+
+            with _socket_dir() as socket_path:
+                await netserver.start(unix_path=socket_path)
+                client = await PolicyClient.connect_unix(socket_path)
+
+                async def check():
+                    scrape = (await client.metrics())["json"]
+                    _assert_scrape_matches(netserver, scrape)
+                    summary = netserver.summary()
+                    for count in ("decisions", "batches", "failed", "swaps"):
+                        assert _series(scrape, f"serving_{count}_total") == summary[count]
+
+                await check()
+                handles = np.array(await client.open(6))
+                await check()
+                await client.decide(handles[0], rows[0])
+                await check()
+                await client.decide_many(handles[:2, 0], handles[:2, 1], rows[:2])
+                await check()
+                with pytest.raises(ServingError, match="BUSY"):
+                    await client.decide_many(handles[:5, 0], handles[:5, 1], rows[:5])
+                await check()
+                await client.close_sessions(handles[5:])
+                await check()
+                assert (await client.open(1))[0][0] == handles[5, 0]  # slot reused
+                with pytest.raises(StaleSessionError):
+                    await client.decide(handles[5], rows[5])
+                await check()
+                assert (await client.request({"op": "close"}))["error"] == "BAD_REQUEST"
+                assert netserver.protocol_errors == 1
+                await check()
+                assert (await client.request({"op": "bogus"}))["error"] == "BAD_REQUEST"
+                await client.stats()
+                assert await client.ping()
+                await check()
+
+                # A reply dropped on a peer whose transport is gone.
+                doomed = await PolicyClient.connect_unix(socket_path)
+                (doomed_handle,) = await doomed.open(1)
+                await check()
+
+                def exploding_write(data):
+                    raise ConnectionResetError("peer vanished mid-reply")
+
+                netserver._connections[1].writer.write = exploding_write
+                lost = asyncio.create_task(doomed.decide(doomed_handle, rows[6]))
+                await asyncio.sleep(0)
+                await client.decide(handles[1], rows[1])
+                assert netserver.replies_dropped == 1
+                await check()
+                lost.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await lost
+                await doomed.close()
+
+                # A wedged backend: the flush loop counts the fault.
+                backend.failures = 1
+                with pytest.raises(ServingError, match="BACKEND_ERROR"):
+                    await client.decide(handles[2], rows[2])
+                assert netserver.flush_loop_errors == 1
+                await check()
+                await client.close()
+                await netserver.drain()
+
+        asyncio.run(scenario())
+
+    def test_scrape_sums_the_live_brokers_of_the_process(
+        self, compiled_policy, serving_env, observation_stream
+    ):
+        """Two brokers share the registry: the scrape is the sum of both.
+
+        When one broker and its front door are collected, the front
+        door's counts and the broker's live gauges leave the sum; the
+        broker's counters stay, because the registry keeps its stats
+        record (counters do not go backwards).
+        """
+
+        rows = observation_stream
+
+        async def scenario():
+            stacks = []
+            with _socket_dir() as first_path, _socket_dir() as second_path:
+                for path, count in ((first_path, 2), (second_path, 3)):
+                    server = PolicyServer(
+                        CompiledFSMBackend(compiled_policy),
+                        serving_env.observation_encoder,
+                        max_batch_size=1024,
+                    )
+                    netserver = PolicyNetServer(server, flush_interval=0.002)
+                    await netserver.start(unix_path=path)
+                    async with await PolicyClient.connect_unix(path) as client:
+                        block = np.array(await client.open(count))
+                        await client.decide_many(block[:, 0], block[:, 1], rows[:count])
+                    stacks.append((server, netserver))
+                rows_served = 5
+                async with await PolicyClient.connect_unix(first_path) as client:
+                    scrape = (await client.metrics())["json"]
+                    brokers = [broker for broker, _netserver in stacks]
+                    for attribute in ("decisions", "batches", "failed", "swaps"):
+                        assert _series(scrape, f"serving_{attribute}_total") == sum(
+                            getattr(broker.stats(), attribute) for broker in brokers
+                        )
+                    assert _series(scrape, "serving_sessions_active") == 5.0
+                    assert _series(scrape, "netserver_decide_rows_total") == rows_served
+                    assert _series(scrape, "netserver_requests_total", op="open") == 2
+                    assert _series(scrape, "serving_backend_info", backend="compiled_fsm") == 2.0
+                    server, netserver = stacks.pop()
+                    await netserver.drain()
+                    del server, netserver, brokers
+                    gc.collect()
+                    scrape = (await client.metrics())["json"]
+                    (first_server, first_netserver), = stacks
+                    # The collected front door's counts left the sum...
+                    _assert_scrape_matches(first_netserver, scrape)
+                    assert _series(scrape, "netserver_decide_rows_total") == 2
+                    assert _series(scrape, "serving_backend_info", backend="compiled_fsm") == 1.0
+                    # ...and the collected broker's counters stayed.
+                    assert _series(scrape, "serving_decisions_total") == rows_served
+                    assert first_server.stats().decisions == 2
+                await first_netserver.drain()
+
+        asyncio.run(scenario())
+
+
+def _series(scrape, name, **labels):
+    """One series' value in a JSON exposition, or ``None`` when absent."""
+    for series in scrape.get(name, {"series": []})["series"]:
+        if series["labels"] == labels:
+            return series["value"]
+    return None
+
+
+def _assert_scrape_matches(netserver, scrape):
+    """The scrape reads what ``summary()`` and the tallies hold."""
+    summary = netserver.summary()
+    for name, key in (
+        ("netserver_connections_total", "connections_total"),
+        ("netserver_connections_open", "connections_open"),
+        ("netserver_replies_dropped_total", "replies_dropped"),
+        ("netserver_flush_loop_errors_total", "flush_loop_errors"),
+        ("netserver_parked_replies", "parked_replies"),
+        ("serving_sessions_active", "active_sessions"),
+        ("serving_sessions_peak", "peak_sessions"),
+        ("serving_pending_requests", "pending"),
+    ):
+        assert _series(scrape, name) == summary[key], name
+    by_op = {
+        series["labels"]["op"]: series["value"]
+        for series in scrape["netserver_requests_total"]["series"]
+    }
+    assert by_op == netserver.requests_by_op
+    assert sum(by_op.values()) == summary["requests_total"]
+    assert {
+        series["labels"]["code"]: series["value"]
+        for series in scrape["netserver_error_replies_total"]["series"]
+    } == netserver.error_replies
+    assert _series(scrape, "netserver_decide_rows_total") == netserver.decide_rows

@@ -6,7 +6,8 @@ Hypothesis draws programs over the broker's whole public surface
 injected backend fault) and, after every operation, compares the server
 with :class:`_RowModel` — the queue-one-row-at-a-time broker it
 replaced: same backend calls (slot vector and row pairing per call),
-same per-row actions and terminal states, same ``pending``.
+same per-row actions and terminal states, same ``pending`` — and the
+registry's view of the broker's counters reads exactly ``stats()``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
 from repro.engine import SessionTable
 from repro.env.observation import OBSERVATION_DIM, ObservationEncoder
 from repro.errors import ReproError
@@ -124,6 +126,8 @@ OPS = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(max_batch=st.integers(1, 8), ops=OPS)
 def test_columnar_queue_matches_the_per_row_model(max_batch, ops):
+    # A fresh registry per example, so no other live broker is summed in.
+    telemetry.configure(enabled=True)
     server_side, model_side = _Harness(), _Harness()
     server = PolicyServer(
         _RecordingBackend(server_side), ENCODER,
@@ -240,3 +244,5 @@ def test_columnar_queue_matches_the_per_row_model(max_batch, ops):
         assert stats.batches == model_side.served_calls
         assert stats.decisions == model_side.served_rows
         assert stats.failed == model_side.faulted_rows + cancelled
+        for field in ("decisions", "batches", "failed", "swaps"):
+            assert server.metrics.value(f"serving_{field}_total") == getattr(stats, field)

@@ -11,6 +11,7 @@ including the flush-loop health fields that used to be drop-only.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import math
 import os
@@ -105,9 +106,83 @@ class TestMetricsRegistry:
         assert registry.names() == []
         assert registry.as_dict() == {}
         assert registry.to_prometheus_text() == ""
+    def test_view_and_instrument_families_do_not_mix(self):
+        registry = MetricsRegistry(enabled=True)
+        owner = _Owner(3)
+        registry.view("viewed_total", "Viewed", owner, _count)
+        with pytest.raises(ValueError, match="counter view"):
+            registry.counter("viewed_total")
+        with pytest.raises(ValueError, match="counter view"):
+            registry.gauge("viewed_total")
+        registry.counter("counted_total")
+        with pytest.raises(ValueError, match="as a counter,"):
+            registry.view("counted_total", "Counted", owner, _count)
+        registry.view("viewed_total", "Viewed", _Owner(4), _count)  # same kind: joins
+
+    def test_disabled_registry_registers_no_view(self):
+        registry = MetricsRegistry(enabled=False)
+        registry.view("viewed_total", "Viewed", _Owner(3), _count)
+        assert registry.names() == []
+        assert registry.as_dict() == {}
 
 
-class TestSnapshotMergeAndExposition:
+class _Owner:
+    def __init__(self, count, **by_label):
+        self.count = count
+        self.by_label = by_label
+
+
+def _count(owner):
+    return owner.count
+
+
+def _by_label(owner):
+    return owner.by_label
+
+
+class TestViews:
+    """Families that read their owners' attributes at render time."""
+
+    def test_view_reads_the_attribute_at_render_time(self):
+        registry = MetricsRegistry(enabled=True)
+        owner = _Owner(2)
+        registry.view("viewed_total", "Viewed", owner, _count)
+        assert registry.value("viewed_total") == 2
+        owner.count += 5
+        assert registry.value("viewed_total") == 7
+        assert registry.to_prometheus_text() == (
+            "# HELP viewed_total Viewed\n# TYPE viewed_total counter\nviewed_total 7\n"
+        )
+
+    def test_labeled_view_sums_live_owners_and_drops_collected_ones(self):
+        registry = MetricsRegistry(enabled=True)
+        first, second = _Owner(0, a=1, b=2), _Owner(0, b=10)
+        registry.view("level", "Level", first, _by_label, "gauge", label="side")
+        registry.view("level", "Level", second, _by_label, "gauge", label="side")
+        assert registry.as_dict()["level"]["series"] == [
+            {"labels": {"side": "a"}, "value": 1.0},
+            {"labels": {"side": "b"}, "value": 12.0},
+        ]
+        del second
+        gc.collect()
+        assert registry.value("level", side="b") == 2.0
+        del first
+        gc.collect()
+        # No live owner: the family renders nothing, but stays registered.
+        assert registry.as_dict() == {}
+        assert registry.to_prometheus_text() == ""
+        assert registry.names() == ["level"]
+
+    def test_kept_record_outlives_its_component(self):
+        registry = MetricsRegistry(enabled=True)
+        record = _Owner(4)
+        registry.view("kept_total", "Kept", record, _count, keep=True)
+        del record
+        gc.collect()
+        assert registry.value("kept_total") == 4
+
+
+class TestExposition:
     def _populated(self) -> MetricsRegistry:
         registry = MetricsRegistry(enabled=True)
         registry.counter("decisions_total", help="Decisions", backend="fsm").inc(7)
@@ -651,6 +726,27 @@ class TestComponentIntegration:
         # The depth gauge keeps the last flush, the peak the deepest one.
         assert registry.value("serving_queue_depth") == 3.0
         assert registry.value("serving_queue_depth_peak") == 5.0
+
+    def test_backend_info_counts_every_broker_mounting_a_backend(
+        self, fresh_defaults, env
+    ):
+        from repro.agents.greedy import GreedyUtilizationPolicy
+
+        encoder = env.observation_encoder
+        brokers = [
+            PolicyServer(AgentBatchBackend(DefaultPolicy, encoder), encoder)
+            for _ in range(2)
+        ]
+        registry = telemetry.registry()
+        assert registry.value("serving_backend_info", backend="default") == 2.0
+        brokers[0].swap_backend(AgentBatchBackend(GreedyUtilizationPolicy, encoder))
+        # The other broker still mounts the default backend.
+        assert registry.value("serving_backend_info", backend="default") == 1.0
+        assert registry.value("serving_backend_info", backend="greedy_utilization") == 1.0
+        brokers[1].swap_backend(AgentBatchBackend(GreedyUtilizationPolicy, encoder))
+        # A backend no broker mounts any more has no series at all.
+        assert registry.value("serving_backend_info", backend="default") is None
+        assert registry.value("serving_backend_info", backend="greedy_utilization") == 2.0
 
 
 @pytest.fixture
