@@ -1,7 +1,8 @@
 """Tests for the unified telemetry subsystem (metrics registry + tracer).
 
-Covers the registry semantics (get-or-create instruments, labels,
-lookups, both expositions and their pinned wire format), the bounded
+Covers the registry semantics (get-or-create instruments, views of
+owners' attributes, labels, lookups, both expositions and their pinned
+wire format, also for a populated broker and front door), the bounded
 span ring, the process-default switchboard (``configure``), the promoted
 ``LatencyHistogram``, and the serving integration: instruments moving under
 broker traffic and the ``metrics`` socket op of a live netserver —
@@ -106,6 +107,7 @@ class TestMetricsRegistry:
         assert registry.names() == []
         assert registry.as_dict() == {}
         assert registry.to_prometheus_text() == ""
+
     def test_view_and_instrument_families_do_not_mix(self):
         registry = MetricsRegistry(enabled=True)
         owner = _Owner(3)
