@@ -1,4 +1,4 @@
-"""Core :class:`Tensor` type and differentiable primitive operations.
+"""The :class:`Tensor` type and differentiable primitive operations.
 
 Design notes
 ------------

@@ -6,7 +6,6 @@ from typing import List
 
 import numpy as np
 
-from repro.storage.cores import CorePool
 from repro.storage.migration import NUM_ACTIONS, MigrationAction, all_actions
 from repro.utils.rng import SeedLike, new_rng
 
@@ -15,10 +14,10 @@ class ActionSpace:
     """The seven-action migration space with validity masking.
 
     The paper's action space A = {a_1, ..., a_7}: no-op plus the six
-    directed single-core migrations.  ``valid_mask`` marks actions that
-    would violate the minimum-cores-per-level constraint; the simulator
-    treats such actions as no-ops, but agents can use the mask to avoid
-    wasting decisions on them.
+    directed single-core migrations.  ``valid_mask_from_counts`` marks
+    actions that would violate the minimum-cores-per-level constraint;
+    the simulator treats such actions as no-ops, but agents can use the
+    mask to avoid wasting decisions on them.
     """
 
     def __init__(self) -> None:
@@ -41,24 +40,11 @@ class ActionSpace:
         rng = new_rng(rng)
         return MigrationAction(int(rng.integers(NUM_ACTIONS)))
 
-    def valid_mask(self, pool: CorePool) -> np.ndarray:
-        """Boolean mask of actions that are currently legal migrations.
-
-        A migration is legal iff its source level can spare a core (the
-        destination never constrains it), so the mask is assembled from
-        the three per-level counts instead of seven per-action queries —
-        this sits on the rollout hot path.
-        """
-        return self.valid_mask_from_counts(
-            pool.counts_vector(), pool.min_cores_per_level
-        )
-
     def valid_mask_from_counts(self, counts, min_cores_per_level: int) -> np.ndarray:
         """Legality mask from a 3-vector of per-level core counts.
 
-        Array-form entry point for the struct-of-arrays simulator core,
-        where counts are already a row of the B-major state and no
-        :class:`CorePool` object exists.
+        ``counts`` is one row of the simulator's ``counts`` array; a
+        migration is legal iff its source level can spare a core.
         """
         mask = np.ones(NUM_ACTIONS, dtype=bool)
         counts = np.asarray(counts)

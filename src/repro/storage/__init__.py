@@ -12,14 +12,18 @@ published problem description (Section 2):
   KV and RV;
 * polling (round-robin) assignment of requests to cores;
 * postponement of unfinished requests to later intervals (backlog);
-* a performance penalty in the interval following a core migration;
+* a performance penalty on a migrated core, in the interval it moves
+  and the ``migration_cooldown_intervals`` that follow;
 * Poisson-distributed core idling (paper Section 4.1).
+
+Cores are not objects: :class:`VectorSimulatorState` holds each level's
+core ids and migration cooldowns as array rows and applies the migration
+rule to them, and :class:`StorageSimulator` is its one-episode view.
 """
 
 from repro.storage.levels import Level, LEVELS
 from repro.storage.iorequest import IOKind, IORequestType, standard_io_types
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
-from repro.storage.cores import Core, CorePool
 from repro.storage.migration import MigrationAction, ACTION_NOOP, action_name, all_actions
 from repro.storage.simulator import StorageSimulator, StorageSystemConfig
 from repro.storage.vector_state import VectorSimulatorState
@@ -33,8 +37,6 @@ __all__ = [
     "standard_io_types",
     "WorkloadInterval",
     "WorkloadTrace",
-    "Core",
-    "CorePool",
     "MigrationAction",
     "ACTION_NOOP",
     "action_name",

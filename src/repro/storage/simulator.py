@@ -34,7 +34,7 @@ batched execution bit-identical by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -74,16 +74,40 @@ class StorageSystemConfig:
     max_intervals_factor: float = 12.0
     max_intervals_slack: int = 50
 
+    def initial_counts(self) -> List[int]:
+        """Per-level core counts of ``initial_allocation``, ``LEVELS`` order.
+
+        Keys are :class:`Level` members or their names in any case; a
+        level the allocation leaves out gets no cores.
+        """
+        counts = dict.fromkeys(LEVELS, 0)
+        for key, count in self.initial_allocation.items():
+            try:
+                level = key if isinstance(key, Level) else Level(str(key).upper())
+            except ValueError:
+                raise ConfigurationError(
+                    f"initial allocation names an unknown level {key!r}"
+                ) from None
+            counts[level] += int(count)
+        return [counts[level] for level in LEVELS]
+
     def validate(self) -> None:
-        allocation_total = sum(int(v) for v in self.initial_allocation.values())
-        if allocation_total != self.total_cores:
+        if self.min_cores_per_level < 1:
             raise ConfigurationError(
-                f"initial allocation sums to {allocation_total} but total_cores={self.total_cores}"
+                "min_cores_per_level must be >= 1: polling dispatch needs a core "
+                "at every level"
             )
-        if self.total_cores < 3 * self.min_cores_per_level:
+        counts = self.initial_counts()
+        if sum(counts) != self.total_cores:
             raise ConfigurationError(
-                f"{self.total_cores} cores cannot satisfy min {self.min_cores_per_level} per level"
+                f"initial allocation sums to {sum(counts)} but total_cores={self.total_cores}"
             )
+        for level, count in zip(LEVELS, counts):
+            if count < self.min_cores_per_level:
+                raise ConfigurationError(
+                    f"initial allocation gives {count} cores to {level.value}, "
+                    f"but at least {self.min_cores_per_level} are required"
+                )
         if self.core_capability_kb <= 0:
             raise ConfigurationError("core_capability_kb must be positive")
         if not 0.0 <= self.cache_miss_rate <= 1.0:
@@ -104,6 +128,8 @@ class StorageSystemConfig:
                 raise ConfigurationError(f"{name} must be non-negative")
         if self.max_intervals_factor < 1.0:
             raise ConfigurationError("max_intervals_factor must be >= 1")
+        if self.max_intervals_slack < 0:
+            raise ConfigurationError("max_intervals_slack must be >= 0")
         get_dispatcher(self.dispatcher)
 
     def with_overrides(self, **kwargs) -> "StorageSystemConfig":

@@ -27,8 +27,8 @@ trace with the same rng stream (and the scalar simulator itself is the
 * selection logic (migration candidate choice, idle-core ranking via
   ``np.argsort``) replicates the scalar tie-breaking exactly.
 
-Core layout
------------
+Layout of the cores
+-------------------
 Cores are stored in a **fixed level-major layout**: per slot, a padded
 positional tensor ``(level, position)`` whose row ``l`` holds the cores
 currently at level ``l`` in ascending core-id order (``counts[l]`` valid
@@ -37,8 +37,18 @@ capacities of level ``l``'s cores in scalar order" is therefore a plain
 row read — the per-interval ``argsort``/gather the id-major layout
 needed is gone entirely — and a migration only rewrites the two level
 rows it touches (one vectorized shift each across all migrating slots).
-:meth:`CorePool.to_level_major` defines the flat form of the same
-layout, used at the reset/snapshot boundary.
+A reset lays out ``initial_allocation``: core ids ``0..N-1`` ascending
+level by level in ``LEVELS`` order, every cooldown zero.
+
+Migration rule
+--------------
+A migration moves one core, and only when its source level holds more
+than ``min_cores_per_level`` cores (otherwise it is a no-op).  The core
+that moves is the lowest-id unpenalised core at the source level, or
+the lowest-id penalised one when every core there is penalised.  It
+pays the migration penalty in the interval it moves and for
+``migration_cooldown_intervals`` intervals after; cooldowns decay by
+one at the end of every interval.
 
 Episodes of different lengths coexist: finished slots are masked out of
 every kernel and stop consuming randomness, so a partial batch drains
@@ -52,7 +62,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.storage.cores import CorePool
 from repro.storage.dispatcher import get_dispatcher, replicated_pairwise_sum
 from repro.storage.levels import LEVELS
 from repro.storage.metrics import EpisodeMetrics, StepColumns, StepValues
@@ -145,30 +154,6 @@ class VectorSimulatorState:
     def num_cores(self) -> int:
         return int(self.config.total_cores)
 
-    def core_pool_view(self, slot: int) -> CorePool:
-        """A :class:`CorePool` materialised from one slot's arrays.
-
-        The pool is a *snapshot*: mutating it does not write back into
-        the array state.  Intended for read-only consumers (action
-        masking helpers, diagnostics, tests).
-        """
-        counts = self.counts[slot]
-        core_ids = np.concatenate(
-            [
-                self.pos_ids[slot, level, : counts[level]]
-                for level in range(_NUM_LEVELS)
-            ]
-        )
-        cooldowns = np.concatenate(
-            [
-                self.pos_cooldown[slot, level, : counts[level]]
-                for level in range(_NUM_LEVELS)
-            ]
-        )
-        return CorePool.from_level_major(
-            core_ids, cooldowns, counts, self.config.min_cores_per_level
-        )
-
     def step_values(self, slot: int) -> StepValues:
         """The scalar simulator's lightweight per-interval summary for a slot."""
         return StepValues(
@@ -246,18 +231,16 @@ class VectorSimulatorState:
         # tables: a 1-D gather costs a third of the 2-D ``[rows, t]`` one.
         self._interval_base = np.arange(batch, dtype=np.int64) * t_max
 
-        initial_pool = CorePool.create(
-            self.config.initial_allocation, self.config.min_cores_per_level
-        )
-        lm_ids, lm_cooldowns, lm_counts = initial_pool.to_level_major()
-        width = max(self._level_capacity, int(lm_counts.max()))
+        # Every slot starts from the same layout: ``initial_allocation``'s
+        # counts, core ids 0..N-1 ascending level by level, no cooldowns.
+        counts = np.array(self.config.initial_counts(), dtype=np.int64)
+        width = self._level_capacity
+        offs = np.arange(width)
+        first_ids = np.cumsum(counts) - counts
         pos_state = np.zeros((2, _NUM_LEVELS, width), dtype=np.int64)
-        pos_state[0] = self._id_sentinel
-        offset = 0
-        for level, count in enumerate(lm_counts):
-            pos_state[0, level, :count] = lm_ids[offset : offset + count]
-            pos_state[1, level, :count] = lm_cooldowns[offset : offset + count]
-            offset += count
+        pos_state[0] = np.where(
+            offs < counts[:, None], first_ids[:, None] + offs, self._id_sentinel
+        )
         # Ids and cooldowns share one (2, B, levels, width) tensor so the
         # migration kernel moves both with single gathers; ``pos_ids`` /
         # ``pos_cooldown`` are *contiguous* views of its two leading
@@ -265,10 +248,9 @@ class VectorSimulatorState:
         self._pos_state = np.tile(pos_state[:, None], (1, batch, 1, 1))
         self.pos_ids = self._pos_state[0]
         self.pos_cooldown = self._pos_state[1]
-        self.counts = np.tile(lm_counts, (batch, 1))
+        self.counts = np.tile(counts, (batch, 1))
         # Shift permutations for delete-at-p / insert-at-q row surgery,
         # precomputed per offset so a migration only gathers table rows.
-        offs = np.arange(width)
         self._del_perm_table = np.minimum(
             offs[None, :] + (offs[None, :] >= offs[:, None]), width - 1
         )
@@ -349,8 +331,8 @@ class VectorSimulatorState:
         else:
             self._process_intervals_reference(rows)
 
-        # Advance time and decay migration penalties (CorePool.tick).  With
-        # no cooling row every cooldown, padding included, is zero: skipped.
+        # Advance time and decay every positive cooldown by one.  With no
+        # cooling row every cooldown, padding included, is zero: skipped.
         if cooling.any():
             if all_active:
                 self.pos_cooldown -= self.pos_cooldown > 0
@@ -392,9 +374,12 @@ class VectorSimulatorState:
     def _apply_migrations(self, rows: np.ndarray, ix, actions: np.ndarray) -> None:
         """Resolve all slots' migration actions in one vectorized pass.
 
-        Candidate choice matches ``CorePool.migrate_one``: the
-        lowest-id core at the source level that is not already paying a
-        penalty, falling back to the lowest-id penalised core.  The
+        A slot whose source level sits at ``min_cores_per_level`` does
+        not migrate.  Otherwise the chosen core is the lowest-id core at
+        the source level that is not already paying a penalty, falling
+        back to the lowest-id penalised core; its cooldown becomes at
+        least ``migration_cooldown_intervals + 1`` (the interval it
+        moves, then the cooldown window).  The
         padded level-major layout is maintained with two vectorized row
         shifts over all migrating slots: delete the chosen core from its
         source level row, insert it id-sorted into the destination row.
@@ -425,8 +410,8 @@ class VectorSimulatorState:
         dst_ids = pair_state[0, m:]
         src_count = self.counts[moving, src]
 
-        # Chosen core: id + N * is_penalized is exactly the scalar
-        # (is_penalized, core_id) sort key, and the 2N sentinel of the
+        # Chosen core: id + N * is_penalized orders the unpenalised cores
+        # by id ahead of the penalised ones, and the 2N sentinel of the
         # padding positions compares greater than every valid key, so the
         # argmin needs no validity mask.
         key = src_ids + self.num_cores * (src_cooldown > 0)
@@ -717,9 +702,9 @@ class VectorSimulatorState:
                 if no_penalty:
                     capacities = np.full(core_count, capability, dtype=float)
                 else:
-                    # Level-major rows keep a level's cores in core-id
-                    # order, so this slice matches the scalar ``cores_at``
-                    # iteration exactly.
+                    # Level-major rows keep a level's cores in ascending
+                    # core-id order: the order the capacities are
+                    # reduced and idle cores ranked in.
                     capacities = np.where(
                         cooldown_rows[level_index, :core_count] > 0,
                         self._penalized_capability,

@@ -10,7 +10,6 @@ from repro.env.environment import StorageAllocationEnv
 from repro.env.observation import OBSERVATION_DIM, ObservationEncoder
 from repro.env.reward import RewardConfig, compute_step_reward, compute_terminal_reward
 from repro.errors import ConfigurationError, EnvironmentError_
-from repro.storage.cores import CorePool
 from repro.storage.levels import Level
 from repro.storage.migration import MigrationAction
 from repro.storage.simulator import StorageSystemConfig
@@ -92,8 +91,7 @@ class TestActionSpaceAndReward:
 
     def test_valid_mask(self):
         space = ActionSpace()
-        pool = CorePool.create({"NORMAL": 2, "KV": 1, "RV": 1}, min_cores_per_level=1)
-        mask = space.valid_mask(pool)
+        mask = space.valid_mask_from_counts([2, 1, 1], min_cores_per_level=1)
         assert mask[int(MigrationAction.NOOP)]
         assert mask[int(MigrationAction.NORMAL_TO_KV)]
         assert not mask[int(MigrationAction.KV_TO_NORMAL)]

@@ -1,9 +1,10 @@
 """Tests for IO types, levels, cores and migration actions."""
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError, WorkloadError
-from repro.storage.cores import Core, CorePool
+from repro.env.action import ActionSpace
+from repro.errors import ConfigurationError, WorkloadError
 from repro.storage.iorequest import NUM_IO_TYPES, IOKind, IORequestType, standard_io_types
 from repro.storage.levels import LEVELS, Level
 from repro.storage.migration import (
@@ -14,6 +15,9 @@ from repro.storage.migration import (
     all_actions,
     parse_action,
 )
+from repro.storage.simulator import StorageSystemConfig
+from repro.storage.vector_state import VectorSimulatorState
+from repro.storage.workload import WorkloadInterval, WorkloadTrace
 
 
 class TestIORequestTypes:
@@ -52,58 +56,125 @@ class TestLevels:
         assert Level.RV.index == 2
 
 
+def _array_cores(allocation, cooldown_intervals=1, batch=1):
+    """A ``VectorSimulatorState`` reset on a long uniform trace, no idling."""
+    config = StorageSystemConfig(
+        total_cores=sum(allocation.values()),
+        initial_allocation=allocation,
+        migration_cooldown_intervals=cooldown_intervals,
+        idle_rate=0.0,
+    )
+    interval = WorkloadInterval(np.full(NUM_IO_TYPES, 1.0 / NUM_IO_TYPES), 5000.0)
+    state = VectorSimulatorState(config)
+    state.reset([WorkloadTrace("uniform", [interval] * 20)] * batch)
+    return state
+
+
+def _level_row(state, level, plane="ids", slot=0):
+    """The ids (or cooldowns) of the cores at ``level``, in row order."""
+    rows = state.pos_ids if plane == "ids" else state.pos_cooldown
+    return rows[slot, level.index, : state.counts[slot, level.index]].tolist()
+
+
 class TestCoreAndPool:
+    """The simulator's cores as it holds them: per level, a row of core
+    ids and a row of migration cooldowns in ``VectorSimulatorState``."""
+
     def test_create_counts(self):
-        pool = CorePool.create({"NORMAL": 6, "KV": 3, "RV": 3})
-        assert pool.total_cores == 12
-        assert pool.counts_vector() == [6, 3, 3]
+        state = _array_cores({"NORMAL": 6, "KV": 3, "RV": 3})
+        assert state.num_cores == 12
+        assert state.counts.tolist() == [[6, 3, 3]]
+        # Ids 0..N-1 ascending, level by level; no cooldowns; the rest of
+        # every row is sentinel padding.
+        assert _level_row(state, Level.NORMAL) == [0, 1, 2, 3, 4, 5]
+        assert _level_row(state, Level.KV) == [6, 7, 8]
+        assert _level_row(state, Level.RV) == [9, 10, 11]
+        assert not state.pos_cooldown.any()
+        assert (state.pos_ids[0, 1:, 3:] == state._id_sentinel).all()
 
     def test_create_rejects_below_minimum(self):
-        with pytest.raises(SimulationError):
-            CorePool.create({"NORMAL": 5, "KV": 0, "RV": 1}, min_cores_per_level=1)
+        config = StorageSystemConfig(
+            total_cores=6, initial_allocation={"NORMAL": 5, "KV": 0, "RV": 1}
+        )
+        with pytest.raises(ConfigurationError, match="0 cores to KV"):
+            VectorSimulatorState(config)
 
     def test_migrate_moves_one_core(self):
-        pool = CorePool.create({"NORMAL": 4, "KV": 2, "RV": 2})
-        core = pool.migrate_one(Level.NORMAL, Level.KV)
-        assert core is not None and core.level is Level.KV
-        assert pool.counts_vector() == [3, 3, 2]
+        state = _array_cores({"NORMAL": 4, "KV": 2, "RV": 2})
+        state.step([int(MigrationAction.NORMAL_TO_KV)])
+        assert state.counts.tolist() == [[3, 3, 2]]
+        # The lowest-id core left NORMAL; the destination row stays
+        # id-sorted with it inserted at the front.
+        assert _level_row(state, Level.NORMAL) == [1, 2, 3]
+        assert _level_row(state, Level.KV) == [0, 4, 5]
+        state.step([int(MigrationAction.RV_TO_KV)])
+        assert _level_row(state, Level.KV) == [0, 4, 5, 6]
+        assert _level_row(state, Level.RV) == [7]
 
     def test_migrate_respects_minimum(self):
-        pool = CorePool.create({"NORMAL": 2, "KV": 1, "RV": 1}, min_cores_per_level=1)
-        assert pool.migrate_one(Level.KV, Level.NORMAL) is None
-        assert pool.counts_vector() == [2, 1, 1]
+        state = _array_cores({"NORMAL": 2, "KV": 1, "RV": 1})
+        before = state._pos_state.copy()
+        state.step([int(MigrationAction.KV_TO_NORMAL)])
+        assert state.counts.tolist() == [[2, 1, 1]]
+        np.testing.assert_array_equal(state._pos_state, before)
 
     def test_migration_penalty_decays(self):
-        pool = CorePool.create({"NORMAL": 3, "KV": 2, "RV": 2})
-        core = pool.migrate_one(Level.NORMAL, Level.RV, cooldown_intervals=2)
-        assert core.is_penalized
-        pool.tick()
-        assert core.migration_cooldown == 1
-        pool.tick()
-        assert not core.is_penalized
+        # A migrated core is penalised in the interval it moves and for
+        # ``migration_cooldown_intervals`` intervals after.
+        full, penalised = 40_000.0, 40_000.0 * (1 - 0.2)
+        for cooldown_intervals in (1, 2):
+            state = _array_cores(
+                {"NORMAL": 6, "KV": 3, "RV": 3}, cooldown_intervals=cooldown_intervals
+            )
+            kv_capacity = []
+            for action in [int(MigrationAction.NORMAL_TO_KV)] + [0] * 3:
+                state.step([action])
+                kv_capacity.append(state.capacity[0, Level.KV.index])
+            slow = 3 * full + penalised
+            assert kv_capacity == [slow] * (cooldown_intervals + 1) + [4 * full] * (
+                3 - cooldown_intervals
+            )
+            assert not state.pos_cooldown.any()
 
     def test_migrate_prefers_unpenalized_core(self):
-        pool = CorePool.create({"NORMAL": 3, "KV": 2, "RV": 2})
-        first = pool.migrate_one(Level.NORMAL, Level.KV, cooldown_intervals=3)
-        second = pool.migrate_one(Level.KV, Level.NORMAL, cooldown_intervals=3)
-        assert second.core_id != first.core_id
-
-    def test_core_migrate_to_same_level_raises(self):
-        core = Core(core_id=0, level=Level.KV)
-        with pytest.raises(SimulationError):
-            core.migrate(Level.KV)
+        state = _array_cores({"NORMAL": 3, "KV": 1, "RV": 1}, cooldown_intervals=3)
+        for action in (MigrationAction.NORMAL_TO_KV, MigrationAction.NORMAL_TO_KV):
+            state.step([int(action)])
+        assert _level_row(state, Level.KV) == [0, 1, 3]
+        # Only core 3 is unpenalised at KV: it moves, although 0 and 1
+        # have lower ids.
+        state.step([int(MigrationAction.KV_TO_RV)])
+        assert _level_row(state, Level.RV) == [3, 4]
+        # Every core left at KV is penalised: the lowest id moves, and its
+        # window restarts at the full length.
+        assert _level_row(state, Level.KV, "cooldowns") == [1, 2]
+        state.step([int(MigrationAction.KV_TO_NORMAL)])
+        assert _level_row(state, Level.NORMAL) == [0, 2]
+        assert _level_row(state, Level.NORMAL, "cooldowns") == [3, 0]
+        assert _level_row(state, Level.KV) == [1]
 
     def test_clone_is_independent(self):
-        pool = CorePool.create({"NORMAL": 3, "KV": 2, "RV": 2})
-        clone = pool.clone()
-        pool.migrate_one(Level.NORMAL, Level.KV)
-        assert clone.counts_vector() == [3, 2, 2]
+        # Each slot of a batch owns its rows, and a reset restores the
+        # initial layout whatever the last episode did to it.
+        state = _array_cores({"NORMAL": 3, "KV": 2, "RV": 2}, batch=2)
+        initial = state._pos_state[:, 1].copy()
+        state.step([int(MigrationAction.NORMAL_TO_KV), 0])
+        assert state.counts.tolist() == [[2, 3, 2], [3, 2, 2]]
+        np.testing.assert_array_equal(state._pos_state[:, 1], initial)
+        state.reset(state.distinct_traces * 2)
+        np.testing.assert_array_equal(state._pos_state[:, 0], initial)
 
     def test_can_migrate(self):
-        pool = CorePool.create({"NORMAL": 3, "KV": 1, "RV": 2})
-        assert pool.can_migrate(Level.NORMAL, Level.KV)
-        assert not pool.can_migrate(Level.KV, Level.NORMAL)
-        assert not pool.can_migrate(Level.KV, Level.KV)
+        # The action mask and the simulator agree on which migrations
+        # happen: exactly those whose source level can spare a core.
+        mask = ActionSpace().valid_mask_from_counts([3, 1, 2], 1)
+        assert mask.tolist() == [True, True, True, False, False, True, True]
+        for action in range(NUM_ACTIONS):
+            state = _array_cores({"NORMAL": 3, "KV": 1, "RV": 2})
+            state.step([action])
+            assert (state.counts.tolist() != [[3, 1, 2]]) == (
+                mask[action] and action != 0
+            )
 
 
 class TestMigrationActions:

@@ -79,6 +79,37 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             StorageSystemConfig(migration_penalty=1.0).validate()
 
+    def test_allocation_keys_are_levels_or_names_in_any_case(self):
+        cfg = StorageSystemConfig(initial_allocation={"kv": 3, Level.NORMAL: 6, "Rv": 3})
+        cfg.validate()
+        assert cfg.initial_counts() == [6, 3, 3]
+
+    def test_unknown_level_refused(self):
+        cfg = StorageSystemConfig(initial_allocation={"NORMAL": 6, "KV": 3, "SSD": 3})
+        with pytest.raises(ConfigurationError, match="unknown level 'SSD'"):
+            cfg.validate()
+
+    def test_allocation_below_minimum_refused(self):
+        cfg = StorageSystemConfig(
+            initial_allocation={"NORMAL": 8, "KV": 3, "RV": 1}, min_cores_per_level=2
+        )
+        with pytest.raises(ConfigurationError, match="1 cores to RV"):
+            cfg.validate()
+
+    @pytest.mark.parametrize(
+        "allocation", [{"NORMAL": 10, "KV": 1, "RV": 1}, {"NORMAL": 12, "KV": 0, "RV": 0}]
+    )
+    def test_min_cores_per_level_below_one_refused(self, allocation):
+        # Polling dispatch cannot run a level without cores.
+        cfg = StorageSystemConfig(initial_allocation=allocation, min_cores_per_level=0)
+        with pytest.raises(ConfigurationError, match="min_cores_per_level"):
+            cfg.validate()
+
+    def test_negative_max_intervals_slack_refused(self):
+        # -1000 made max_intervals negative: every episode truncated at once.
+        with pytest.raises(ConfigurationError, match="max_intervals_slack"):
+            StorageSystemConfig(max_intervals_slack=-1000).validate()
+
     def test_with_overrides(self):
         cfg = StorageSystemConfig().with_overrides(cache_miss_rate=0.5)
         assert cfg.cache_miss_rate == 0.5

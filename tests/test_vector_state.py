@@ -23,7 +23,6 @@ from repro.agents.proportional import ProportionalAllocationPolicy
 from repro.env.environment import StorageAllocationEnv
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import SimulationError
-from repro.storage.cores import CorePool
 from repro.storage.dispatcher import pairwise_sum_ragged, replicated_pairwise_sum
 from repro.storage import vector_state
 from repro.storage.simulator import StorageSimulator, StorageSystemConfig
@@ -364,27 +363,6 @@ class TestBatchLifecycle:
         with pytest.raises(SimulationError):
             simulator.step(action)
 
-    def test_level_major_roundtrip_preserves_pool(self):
-        """CorePool -> level-major arrays -> CorePool is the identity,
-        including after migrations scrambled ids across levels."""
-        pool = CorePool.create({"NORMAL": 3, "KV": 2, "RV": 2})
-        pool.migrate_one(pool.cores[0].level, pool.cores[-1].level, cooldown_intervals=2)
-        pool.migrate_one(pool.cores[-1].level, pool.cores[0].level, cooldown_intervals=1)
-        ids, cooldowns, counts = pool.to_level_major()
-        rebuilt = CorePool.from_level_major(ids, cooldowns, counts)
-        assert rebuilt.counts_vector() == pool.counts_vector()
-        for original, copy in zip(pool.cores, rebuilt.cores):
-            assert original.core_id == copy.core_id
-            assert original.level is copy.level
-            assert original.migration_cooldown == copy.migration_cooldown
-        # Within each level group, ids ascend (the layout invariant the
-        # vectorized migration kernel maintains).
-        offset = 0
-        for count in counts:
-            group = ids[offset : offset + count]
-            assert list(group) == sorted(group)
-            offset += count
-
     def test_vector_state_maintains_level_major_invariant(self, real_traces):
         """After many random migrations the padded positional arrays still
         hold each level's cores id-sorted with clean sentinel padding."""
@@ -411,17 +389,6 @@ class TestBatchLifecycle:
                     assert not state.pos_cooldown[slot, level, count:].any()
                     seen.extend(group)
                 assert sorted(seen) == list(range(state.num_cores))
-                pool = state.core_pool_view(slot)
-                assert pool.counts_vector() == list(counts)
-
-    def test_core_pool_view_is_a_snapshot(self, real_traces):
-        state = VectorSimulatorState(StorageSystemConfig())
-        state.reset(list(real_traces)[:1], rngs=[0])
-        pool = state.core_pool_view(0)
-        assert pool.counts_vector() == list(state.counts[0])
-        pool.migrate_one(pool.cores[0].level, pool.cores[-1].level)
-        # Mutating the snapshot does not write back into the arrays.
-        assert state.core_pool_view(0).counts_vector() == list(state.counts[0])
 
 
 class TestAgentEquivalence:
