@@ -47,14 +47,14 @@ class A2CConfig:
     n_step: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigurationError("learning_rate must be positive and finite")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigurationError("gamma must be in [0, 1]")
         if self.value_coef < 0 or self.entropy_coef < 0:
             raise ConfigurationError("loss coefficients must be non-negative")
-        if self.grad_clip_norm <= 0:
-            raise ConfigurationError("grad_clip_norm must be positive")
+        if not 0 < self.grad_clip_norm < np.inf:
+            raise ConfigurationError("grad_clip_norm must be positive and finite")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigurationError("epsilon must be in [0, 1]")
         if self.episodes_per_epoch <= 0:
@@ -241,7 +241,7 @@ class A2CTrainer:
 
         self.optimizer.zero_grad()
         loss.backward()
-        grad_norm = clip_grad_norm(self.policy.parameters(), self.config.grad_clip_norm)
+        grad_norm = clip_grad_norm(self.optimizer.parameters, self.config.grad_clip_norm)
         self.optimizer.step()
 
         return {

@@ -64,10 +64,10 @@ class ImitationConfig:
     def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ConfigurationError("epochs must be non-negative")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if self.grad_clip_norm <= 0:
-            raise ConfigurationError("grad_clip_norm must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigurationError("learning_rate must be positive and finite")
+        if not 0 < self.grad_clip_norm < np.inf:
+            raise ConfigurationError("grad_clip_norm must be positive and finite")
         if self.max_class_weight < 1.0:
             raise ConfigurationError("max_class_weight must be at least 1")
 
@@ -158,7 +158,8 @@ class BehaviorCloningTrainer:
         demonstrations = [d for d in demonstrations if len(d) > 0]
         if not demonstrations:
             raise TrainingError("behaviour cloning needs non-empty demonstrations")
-        optimizer = Adam(policy.parameters(), lr=self.config.learning_rate)
+        parameters = policy.parameters()
+        optimizer = Adam(parameters, lr=self.config.learning_rate)
         result = ImitationResult(demonstrations=len(demonstrations))
         class_weights = self._class_weights(demonstrations, policy.config.num_actions)
 
@@ -174,7 +175,7 @@ class BehaviorCloningTrainer:
                 loss = (nll * Tensor(weights)).sum() * (1.0 / max(weights.sum(), 1e-9))
                 optimizer.zero_grad()
                 loss.backward()
-                clip_grad_norm(policy.parameters(), self.config.grad_clip_norm)
+                clip_grad_norm(parameters, self.config.grad_clip_norm)
                 optimizer.step()
                 epoch_losses.append(loss.item())
             result.losses.append(float(np.mean(epoch_losses)))

@@ -8,10 +8,12 @@ tables, the GRU policy and scalar heuristic agents are all
 evaluated through the identical loop, and FSM-in-the-loop evaluation
 runs at compiled-table speed.
 
-Bit-identity contract: slot ``i`` of a batch reproduces the same episode
-run alone (:func:`~repro.pipeline.evaluation.evaluate_agent`, the B = 1
-call of this engine) and a scalar ``StorageAllocationEnv`` loop exactly —
-it is seeded ``episode_seed + i``, and its total reward is the
+Several backends share one batch (:meth:`EvaluationEngine.evaluate_many`),
+each stepping its own copy of the trace set.  Bit-identity contract:
+slot ``i`` of a copy reproduces the same episode run alone
+(:func:`~repro.pipeline.evaluation.evaluate_agent`, the B = 1 call of
+this engine) and a scalar ``StorageAllocationEnv`` loop exactly — it
+is seeded ``episode_seed + i``, and its total reward is the
 :func:`np.sum` of exactly its ``makespan`` active-step rewards, so
 makespans, episode metrics and total rewards are equal bit for bit.
 """
@@ -19,7 +21,7 @@ makespans, episode metrics and total rewards are equal bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import time
 
@@ -75,10 +77,12 @@ class EvaluationEngine:
     """Evaluates decision backends over trace sets in one lockstep batch.
 
     One engine owns one vector environment (with episode-metric
-    recording on) and one default observation encoder; ``evaluate`` may
-    be called repeatedly with different backends and trace sets — which
-    is exactly what :func:`~repro.pipeline.evaluation.compare_agents`
-    does, one backend per agent over the shared evaluation suite.
+    recording on) and one default observation encoder, and may be
+    called repeatedly with different backends and trace sets.
+    :meth:`evaluate_many` steps one copy of the trace set per backend in
+    one lockstep batch — which is how
+    :func:`~repro.pipeline.evaluation.compare_agents` runs every routed
+    agent of a comparison — and :meth:`evaluate` is its one-backend call.
     """
 
     def __init__(
@@ -95,7 +99,7 @@ class EvaluationEngine:
         metrics = telemetry.registry()
         self.tracer = telemetry.tracer()
         self._m_runs = metrics.counter(
-            "engine_eval_runs_total", help="EvaluationEngine.evaluate calls"
+            "engine_eval_runs_total", help="Backend evaluations run"
         )
         self._m_steps = metrics.counter(
             "engine_eval_steps_total", help="Lockstep env intervals stepped"
@@ -114,35 +118,56 @@ class EvaluationEngine:
         episode_seed: int = 0,
         agent_name: Optional[str] = None,
     ) -> EvaluationResult:
-        """Run one episode per trace through ``backend`` in lockstep.
+        """Run one episode per trace through ``backend`` in lockstep: the
+        one-entry call of :meth:`evaluate_many`, keyed ``agent_name``
+        (default ``backend.name``)."""
+        name = agent_name if agent_name is not None else backend.name
+        return self.evaluate_many({name: backend}, traces, episode_seed)[name]
 
-        Finished slots are fed ``NOOP`` (action 0) filler — the vector
-        env ignores actions on done slots — and the backend only ever
-        decides for still-active rows, so per-session state advances
-        exactly once per active step, like a sequential episode.
+    def evaluate_many(
+        self,
+        backends: Mapping[str, DecisionBackend],
+        traces: Sequence[WorkloadTrace],
+        episode_seed: int = 0,
+    ) -> Dict[str, EvaluationResult]:
+        """Run every backend over its own copy of ``traces`` in one lockstep
+        batch; results are keyed like ``backends``.
+
+        Group ``g``'s slot ``i`` is seeded ``episode_seed + i``.  Each
+        backend decides only its group's active rows, through its own
+        session table, so per-session state advances once per active
+        step; a finished group is not asked, and finished slots get
+        ``NOOP`` filler, which the vector env ignores.
         """
         traces = list(traces)
         if not traces:
             raise ConfigurationError("EvaluationEngine.evaluate needs at least one trace")
-        check_encoder = getattr(backend, "check_encoder", None)
-        if check_encoder is not None:
-            check_encoder(self.encoder)
+        if not backends:
+            raise ConfigurationError("EvaluationEngine.evaluate_many needs at least one backend")
+        for backend in backends.values():
+            check_encoder = getattr(backend, "check_encoder", None)
+            if check_encoder is not None:
+                check_encoder(self.encoder)
 
-        batch = len(traces)
+        width = len(traces)
+        batch = width * len(backends)
         venv = self.vector_env
         normalized = venv.reset(
-            traces, rngs=[episode_seed + index for index in range(batch)]
+            traces * len(backends),
+            rngs=[episode_seed + index for _ in backends for index in range(width)],
         )
         raw = venv.raw_observations()
-        # A raw-row backend gets ``normalized=None`` and the lazy
-        # ``result.observations`` below is never read.
-        reads_raw = getattr(backend, "reads_raw", False)
-        if reads_raw:
-            normalized = None
-
-        table = backend.session_table(batch)
-        slots = table.open(batch)
-        backend.begin_sessions(table, slots)
+        # (backend, table, slots, its batch rows, reads_raw) per group.  A
+        # raw-row backend gets ``normalized=None``, and the lazy
+        # ``result.observations`` is never read if every backend is one.
+        groups = []
+        for group, backend in enumerate(backends.values()):
+            table = backend.session_table(width)
+            slots = table.open(width)
+            backend.begin_sessions(table, slots)
+            rows = slice(group * width, (group + 1) * width)
+            groups.append((backend, table, slots, rows, getattr(backend, "reads_raw", False)))
+        reads_raw = all(group[-1] for group in groups)
 
         # Time-major reward accumulation so each slot's total can be
         # reduced over exactly its ``makespan`` active rows — the same
@@ -159,7 +184,7 @@ class EvaluationEngine:
         decisions = 0
         loop_started = time.perf_counter()
         with self.tracer.span(
-            "engine.evaluate", backend=backend.name, traces=batch
+            "engine.evaluate", backend=",".join(b.name for b in backends.values()), traces=width
         ) as eval_span:
             while active is None or active.any():
                 if t == cap:
@@ -167,18 +192,18 @@ class EvaluationEngine:
                     wide = np.empty((cap, batch))
                     wide[: rewards_buf.shape[0]] = rewards_buf
                     rewards_buf = wide
-                if active is None:
-                    actions = np.asarray(
-                        backend.decide(table, slots, raw, normalized), dtype=np.int64
-                    )
-                    decisions += batch
-                else:
-                    rows = np.nonzero(active)[0]
-                    actions = np.zeros(batch, dtype=np.int64)
+                actions = np.zeros(batch, dtype=np.int64)
+                for backend, table, slots, rows, group_reads_raw in groups:
+                    if active is not None:
+                        live = np.nonzero(active[rows])[0]
+                        if not live.size:
+                            continue
+                        rows = live + rows.start
+                        slots = slots[live]
                     actions[rows] = backend.decide(
-                        table, slots[rows], raw[rows], None if reads_raw else normalized[rows]
+                        table, slots, raw[rows], None if group_reads_raw else normalized[rows]
                     )
-                    decisions += len(rows)
+                    decisions += len(slots)
                 result = venv.step(actions)
                 rewards_buf[t] = result.rewards
                 if result.newly_done.any():
@@ -191,32 +216,33 @@ class EvaluationEngine:
             eval_span.set("steps", t)
             eval_span.set("decisions", decisions)
         elapsed = time.perf_counter() - loop_started
-        self._m_runs.inc()
+        self._m_runs.inc(len(backends))
         self._m_steps.inc(t)
         self._m_decisions.inc(decisions)
         if elapsed > 0.0:
             self._m_steps_per_sec.set(t / elapsed)
 
-        end_sessions = getattr(backend, "end_sessions", None)
-        if end_sessions is not None:
-            end_sessions(table, slots)
-        table.close(slots)
-
-        evaluation = EvaluationResult(
-            agent_name=agent_name if agent_name is not None else backend.name
-        )
-        for b, trace in enumerate(traces):
-            evaluation.trace_names.append(trace.name)
-            evaluation.makespans.append(int(makespans[b]))
-            # A slot's stored rows cover exactly its active steps
-            # (steps_taken advances once per stored interval), so the
-            # column slice below holds the same values, in the same
-            # order, as the scalar loop's reward list.
-            evaluation.total_rewards.append(
-                float(rewards_buf[: int(makespans[b]), b].sum())
-            )
-        evaluation.episodes.extend(venv.episode_metrics())
-        return evaluation
+        episodes = venv.episode_metrics()
+        evaluations: Dict[str, EvaluationResult] = {}
+        for name, (backend, table, slots, rows, _) in zip(backends, groups):
+            end_sessions = getattr(backend, "end_sessions", None)
+            if end_sessions is not None:
+                end_sessions(table, slots)
+            table.close(slots)
+            evaluation = EvaluationResult(agent_name=name)
+            for b, trace in zip(range(rows.start, rows.stop), traces):
+                evaluation.trace_names.append(trace.name)
+                evaluation.makespans.append(int(makespans[b]))
+                # A slot's stored rows cover exactly its active steps
+                # (steps_taken advances once per stored interval), so the
+                # column slice below holds the same values, in the same
+                # order, as the scalar loop's reward list.
+                evaluation.total_rewards.append(
+                    float(rewards_buf[: int(makespans[b]), b].sum())
+                )
+            evaluation.episodes.extend(episodes[rows])
+            evaluations[name] = evaluation
+        return evaluations
 
 
 def backend_for_agent(

@@ -46,8 +46,12 @@ def matmul_backward(a: Tensor, w: Tensor, grad: np.ndarray) -> None:
     if a.requires_grad:
         a._accumulate(input_grad(grad, w.data))
     if w.requires_grad:
-        a_data = a.data
-        w._accumulate(a_data[:, None] * grad if a_data.ndim == 1 else a_data.swapaxes(-1, -2) @ grad)
+        w._accumulate(weight_grad(a.data, grad))
+
+
+def weight_grad(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The gradient of ``w`` in ``a @ w``, as :func:`matmul_backward` forms it."""
+    return a[:, None] * grad if a.ndim == 1 else a.swapaxes(-1, -2) @ grad
 
 
 def matmul_steps(rows: np.ndarray, w: np.ndarray) -> np.ndarray:

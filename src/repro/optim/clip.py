@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.errors import TrainingError
+from repro.optim.optimizer import require_positive
 
 
 def global_grad_norm(parameters: Sequence[Tensor]) -> float:
@@ -29,13 +30,14 @@ def clip_grad_norm(parameters: Sequence[Tensor], max_norm: float) -> float:
     """Scale gradients in place so their global norm is at most ``max_norm``.
 
     Returns the norm before clipping, mirroring the PyTorch convention.
+    ``max_norm`` must be positive and finite (:class:`TrainingError`): a
+    NaN bound would compare false and silently clip nothing.
     A non-finite norm raises :class:`TrainingError` before any gradient
     is touched: a NaN norm would scale nothing and an infinite one would
     scale everything to zero, and either way the optimiser step after it
     writes NaN into a parameter, or silently skips it.
     """
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
+    require_positive("max_norm", max_norm)
     norm = global_grad_norm(parameters)
     if not math.isfinite(norm):
         for index, param in enumerate(parameters):

@@ -8,6 +8,17 @@ from repro.autograd.tensor import Tensor
 from repro.errors import TrainingError
 
 
+def require_positive(name: str, value: float) -> float:
+    """``value`` as a float, or :class:`TrainingError` unless it is finite and positive.
+
+    NaN fails every comparison, so a bare ``value <= 0`` check lets it
+    through to turn each update (or each clip) into a silent no-op.
+    """
+    if not 0 < value < float("inf"):
+        raise TrainingError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
 class Optimizer:
     """Holds a list of trainable tensors and applies updates from their grads."""
 
@@ -15,9 +26,7 @@ class Optimizer:
         self.parameters: List[Tensor] = list(parameters)
         if not self.parameters:
             raise TrainingError("optimizer received an empty parameter list")
-        if lr <= 0:
-            raise TrainingError(f"learning rate must be positive, got {lr}")
-        self.lr = float(lr)
+        self.lr = require_positive("learning rate", lr)
         self._step_count = 0
 
     @property

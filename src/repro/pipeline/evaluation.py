@@ -1,8 +1,9 @@
 """Policy evaluation: makespan measurement and controller comparison.
 
 Every episode runs on the :class:`~repro.engine.evaluation.EvaluationEngine`:
-:func:`compare_agents` as one lockstep batch per agent (compiled-FSM
-tables, batched GRU forwards or per-slot heuristic replicas),
+:func:`compare_agents` as one lockstep batch for all routed agents, each
+on its own copy of the traces (compiled-FSM tables, batched GRU
+forwards or per-slot heuristic replicas),
 :func:`evaluate_agent` one trace at a time (B = 1) with the caller's
 agent object doing the acting.  The two are pinned bit-identical (same
 ``episode_seed + index`` seeding, same ``np.sum`` reward reduction), and
@@ -72,38 +73,34 @@ def compare_agents(
 ) -> Dict[str, EvaluationResult]:
     """Evaluate several agents on the same traces with matched random seeds.
 
-    Every agent the engine can replay faithfully is routed through one
-    lockstep batch per agent — greedy DRL agents as batched GRU
-    forwards, extracted FSMs on their compiled dense tables,
-    heuristics as per-slot replicas (see
-    :func:`~repro.engine.evaluation.backend_for_agent`).  Agents the
+    Every agent the engine can replay faithfully is routed into one
+    lockstep batch for the whole comparison, each stepping its own copy
+    of the traces — greedy DRL agents as batched GRU forwards, extracted
+    FSMs on their compiled dense tables, heuristics as per-slot replicas
+    (see :func:`~repro.engine.evaluation.backend_for_agent`).  Agents the
     lockstep lift cannot reproduce bit for bit (exploring DRL agents,
     shared-rng agents) run one episode at a time through
     :func:`evaluate_agent`; either way the numbers are identical.
+    Results are keyed by agent name, so names must be distinct.
     """
-    # One engine — and therefore one default encoder and one vector env
-    # — serves every routed agent in this comparison; per-agent routing
-    # only builds the backend.
+    names = [agent.name for agent in agents]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigurationError(f"compare_agents got agents with repeated names: {repeated}")
+    # One engine — one default encoder, one vector env — routes every agent.
     engine = EvaluationEngine(system_config, reward_config)
-    results: Dict[str, EvaluationResult] = {}
+    routed = {}
     for agent in agents:
         backend = backend_for_agent(agent, engine.encoder)
         if backend is not None:
-            results[agent.name] = engine.evaluate(
-                backend,
-                traces,
-                episode_seed=episode_seed,
-                agent_name=agent.name,
+            routed[agent.name] = backend
+    results = engine.evaluate_many(routed, traces, episode_seed=episode_seed) if routed else {}
+    for agent in agents:
+        if agent.name not in routed:
+            results[agent.name] = evaluate_agent(
+                agent, traces, system_config, reward_config, episode_seed=episode_seed
             )
-            continue
-        results[agent.name] = evaluate_agent(
-            agent,
-            traces,
-            system_config=system_config,
-            reward_config=reward_config,
-            episode_seed=episode_seed,
-        )
-    return results
+    return {agent.name: results[agent.name] for agent in agents}
 
 
 def comparison_table(results: Dict[str, EvaluationResult]) -> str:

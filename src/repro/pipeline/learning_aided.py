@@ -292,11 +292,11 @@ class LearningAidedPipeline:
     ) -> Dict[str, EvaluationResult]:
         """Evaluate the run's artefacts (plus ``baselines``) on the eval set.
 
-        Every agent is routed through one
+        Every agent is routed into one
         :class:`~repro.engine.evaluation.EvaluationEngine` lockstep
-        batch — the DRL policy as batched (greedy) GRU forwards, the
-        extracted FSM on its compiled dense tables, baselines as per-slot
-        replicas.  Results are keyed by agent name and
+        batch, each on its own copy of the traces — the DRL policy as
+        batched (greedy) GRU forwards, the extracted FSM on its compiled
+        dense tables, baselines as per-slot replicas.  Results are keyed by agent name and
         bit-identical to :func:`~repro.pipeline.evaluation.evaluate_agent`
         (the same episodes one at a time).
         """
@@ -323,28 +323,24 @@ class LearningAidedPipeline:
         Runs the same seeded evaluation set through the
         :class:`~repro.engine.backends.CompiledFSMBackend` and through
         per-slot replicas of the interpreted
-        :class:`~repro.fsm.agent.FSMPolicyAgent` (the reference), on one
-        engine — then compares makespans and total rewards for exact
-        equality.
+        :class:`~repro.fsm.agent.FSMPolicyAgent` (the reference), side by
+        side in one engine batch — then compares makespans and total
+        rewards for exact equality.
         """
         from repro.engine.backends import AgentBatchBackend, CompiledFSMBackend
         from repro.engine.evaluation import EvaluationEngine
 
         engine = EvaluationEngine(self.config.system, self.config.reward)
         fsm_agent = result.fsm_agent(self.make_env())
-        trace_list = list(traces) if traces is not None else list(result.eval_traces)
-        interpreted = engine.evaluate(
-            AgentBatchBackend.from_agent(fsm_agent, engine.encoder),
-            trace_list,
+        runs = engine.evaluate_many(
+            {
+                "extracted_fsm[interpreted]": AgentBatchBackend.from_agent(fsm_agent, engine.encoder),
+                "extracted_fsm[compiled]": CompiledFSMBackend(fsm_agent.compile()),
+            },
+            list(traces) if traces is not None else list(result.eval_traces),
             episode_seed=episode_seed,
-            agent_name="extracted_fsm[interpreted]",
         )
-        compiled = engine.evaluate(
-            CompiledFSMBackend(fsm_agent.compile()),
-            trace_list,
-            episode_seed=episode_seed,
-            agent_name="extracted_fsm[compiled]",
-        )
+        interpreted, compiled = runs.values()
         identical = (
             compiled.makespans == interpreted.makespans
             and compiled.total_rewards == interpreted.total_rewards

@@ -227,7 +227,7 @@ def _run_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     result = pipeline.run()
     # Engine-backed evaluation stage: the FSM runs on its compiled dense
     # tables, the policy as batched GRU forwards — same numbers as the
-    # sequential harness, one lockstep batch per agent.
+    # sequential harness, every agent in one lockstep batch.
     comparison = pipeline.evaluate(
         result,
         baselines=[DefaultPolicy(), HandcraftedFSMPolicy(), GreedyUtilizationPolicy()],

@@ -15,24 +15,33 @@ from repro.autograd.tensor import Tensor
 from repro.errors import ConfigurationError
 
 
+_LEVELS: dict = {}
+
+
 def quantization_levels(k: int) -> np.ndarray:
-    """The ``k`` evenly spaced quantisation levels spanning [-1, 1]."""
-    if k < 2:
-        raise ConfigurationError(f"quantisation needs at least 2 levels, got {k}")
-    return np.linspace(-1.0, 1.0, k)
+    """The ``k`` evenly spaced quantisation levels spanning [-1, 1].
+
+    Built once per ``k`` and shared, so the array is read-only.
+    """
+    levels = _LEVELS.get(k)
+    if levels is None:
+        if k < 2:
+            raise ConfigurationError(f"quantisation needs at least 2 levels, got {k}")
+        levels = _LEVELS[k] = np.linspace(-1.0, 1.0, k)
+        levels.flags.writeable = False
+    return levels
 
 
-def _nearest_level_values(values: np.ndarray, k: int) -> np.ndarray:
-    levels = quantization_levels(k)
-    indices = np.abs(values[..., None] - levels[None, ...]).argmin(axis=-1)
-    return levels[indices]
+def nearest_level_indices(values: np.ndarray, k: int) -> np.ndarray:
+    """Index of the level nearest each of ``values`` (lowest index on a tie)."""
+    return np.abs(values[..., None] - quantization_levels(k)).argmin(axis=-1)
 
 
 def quantize_ste(x: Tensor, k: int = 3) -> Tensor:
     """Quantise ``x`` to ``k`` levels with straight-through gradients."""
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    data = _nearest_level_values(np.clip(x.data, -1.0, 1.0), k)
+    data = quantization_levels(k)[nearest_level_indices(np.clip(x.data, -1.0, 1.0), k)]
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -43,9 +52,7 @@ def quantize_ste(x: Tensor, k: int = 3) -> Tensor:
 
 def values_to_codes(values: np.ndarray, k: int = 3) -> np.ndarray:
     """Map quantised (or continuous) values to integer level indices 0..k-1."""
-    values = np.asarray(values, dtype=float)
-    levels = quantization_levels(k)
-    return np.abs(values[..., None] - levels[None, ...]).argmin(axis=-1).astype(np.int64)
+    return nearest_level_indices(np.asarray(values, dtype=float), k).astype(np.int64)
 
 
 def codes_to_values(codes: np.ndarray, k: int = 3) -> np.ndarray:

@@ -33,8 +33,8 @@ class QBNTrainingConfig:
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ConfigurationError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0 or self.grad_clip_norm <= 0:
-            raise ConfigurationError("learning_rate and grad_clip_norm must be positive")
+        if not (0 < self.learning_rate < np.inf and 0 < self.grad_clip_norm < np.inf):
+            raise ConfigurationError("learning_rate and grad_clip_norm must be positive and finite")
         if self.observation_latent_dim <= 0 or self.hidden_latent_dim <= 0:
             raise ConfigurationError("latent dims must be positive")
         if self.quantization_levels < 2:
@@ -79,7 +79,8 @@ class QBNTrainer:
     ) -> List[float]:
         if data.ndim != 2 or data.shape[0] == 0:
             raise TrainingError(f"QBN training data must be (N, D), got shape {data.shape}")
-        optimizer = Adam(qbn.parameters(), lr=self.config.learning_rate)
+        parameters = qbn.parameters()
+        optimizer = Adam(parameters, lr=self.config.learning_rate)
         losses: List[float] = []
         indices = np.arange(data.shape[0])
         for _ in range(self.config.epochs):
@@ -91,7 +92,7 @@ class QBNTrainer:
                 loss = F.mse_loss(reconstruction, batch)
                 optimizer.zero_grad()
                 loss.backward()
-                clip_grad_norm(qbn.parameters(), self.config.grad_clip_norm)
+                clip_grad_norm(parameters, self.config.grad_clip_norm)
                 optimizer.step()
                 epoch_losses.append(loss.item())
             losses.append(float(np.mean(epoch_losses)))

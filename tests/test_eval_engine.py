@@ -15,6 +15,7 @@ routing rules of :func:`repro.engine.evaluation.backend_for_agent`.
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,12 @@ from repro.engine.backends import (
     CompiledFSMBackend,
     GRUPolicyBackend,
 )
-from repro.drl.imitation import BehaviorCloningTrainer
+from repro.drl.imitation import BehaviorCloningTrainer, _RecordingBackend
 from repro.engine.evaluation import EvaluationEngine, backend_for_agent
 from repro.env.observation import ObservationEncoder
 from repro.env.reward import RewardConfig
+from repro.errors import ConfigurationError
+from repro.pipeline import evaluation as pipeline_evaluation
 from repro.pipeline.evaluation import compare_agents, evaluate_agent
 from repro.pipeline.learning_aided import LearningAidedPipeline
 
@@ -108,6 +111,134 @@ class TestEngineBitIdentity:
         for agent in agents:
             sequential = evaluate_agent(agent, suite_traces, episode_seed=1)
             assert_results_identical(batched[agent.name], sequential)
+
+
+@pytest.fixture(scope="module")
+def ragged_traces(suite_traces):
+    """The 12 profiles cut to 12 different lengths (24, 22, ..., 2 intervals)."""
+    return [
+        dataclasses.replace(trace, intervals=trace.intervals[: 24 - 2 * index])
+        for index, trace in enumerate(suite_traces)
+    ]
+
+
+class _CountingBackend:
+    """A backend wrapper that records how many rows each ``decide`` got."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.reads_raw = getattr(inner, "reads_raw", False)
+        self.rows = []
+
+    def check_encoder(self, encoder):
+        if hasattr(self.inner, "check_encoder"):
+            self.inner.check_encoder(encoder)
+
+    def session_table(self, capacity):
+        return self.inner.session_table(capacity)
+
+    def begin_sessions(self, table, slots):
+        self.inner.begin_sessions(table, slots)
+
+    def end_sessions(self, table, slots):
+        if hasattr(self.inner, "end_sessions"):
+            self.inner.end_sessions(table, slots)
+
+    def decide(self, table, slots, raw, normalized):
+        self.rows.append(len(slots))
+        return self.inner.decide(table, slots, raw, normalized)
+
+
+class TestEvaluateMany:
+    """``evaluate_many`` (one lockstep batch, one trace-set copy per backend)
+    against one ``evaluate`` per backend: every number bit for bit."""
+
+    @staticmethod
+    def _backends(encoder, policy, fsm_agent):
+        return {
+            "gru": GRUPolicyBackend(policy),
+            "compiled_fsm": CompiledFSMBackend(fsm_agent.compile()),
+            "interpreted_fsm": AgentBatchBackend.from_agent(fsm_agent, encoder),
+            "heuristic": AgentBatchBackend.from_agent(GreedyUtilizationPolicy(), encoder),
+            "recording": _RecordingBackend.from_agent(HandcraftedFSMPolicy(), encoder),
+        }
+
+    def test_each_group_is_its_backend_alone(
+        self, ragged_traces, tiny_policy, tiny_pipeline_result, env
+    ):
+        fsm_agent = tiny_pipeline_result.fsm_agent(env)
+        engine = EvaluationEngine()
+        batched_backends = {
+            name: _CountingBackend(backend)
+            for name, backend in self._backends(engine.encoder, tiny_policy, fsm_agent).items()
+        }
+        batched = engine.evaluate_many(batched_backends, ragged_traces, episode_seed=3)
+        assert list(batched) == list(batched_backends)
+        makespans = set()
+        for name, backend in self._backends(engine.encoder, tiny_policy, fsm_agent).items():
+            alone = engine.evaluate(backend, ragged_traces, episode_seed=3, agent_name=name)
+            together = batched[name]
+            assert together.agent_name == name
+            assert_results_identical(together, alone)
+            for ours, theirs in zip(together.episodes, alone.episodes):
+                assert ours.trace_name == theirs.trace_name
+                assert ours.truncated == theirs.truncated
+                assert ours.intervals == theirs.intervals
+            # Each backend decided exactly its own active rows, and a
+            # finished group was never asked.
+            rows = batched_backends[name].rows
+            assert min(rows) > 0 and sum(rows) == sum(together.makespans)
+            makespans.add(tuple(together.makespans))
+            if name == "recording":
+                recorded = batched_backends[name].inner.episodes.values()
+                for (observations, actions), (ref_observations, ref_actions) in zip(
+                    recorded, backend.episodes.values()
+                ):
+                    assert np.stack(observations).tobytes() == np.stack(ref_observations).tobytes()
+                    assert actions == ref_actions
+        # The groups finish at different steps, so a finished group coexists
+        # with live ones.
+        assert len(makespans) > 1
+        assert len({len(trace) for trace in ragged_traces}) == 12
+
+    def test_compare_agents_with_an_exploring_agent(self, ragged_traces, system_config, tiny_policy):
+        encoder = ObservationEncoder(system_config)
+
+        def agents():
+            explorer = DRLPolicyAgent(tiny_policy, encoder, epsilon=0.3, rng=3)
+            explorer.name = "drl_explorer"
+            return [
+                DefaultPolicy(),
+                explorer,
+                DRLPolicyAgent(tiny_policy, encoder),
+                RandomPolicy(rng=8),
+                GreedyUtilizationPolicy(),
+            ]
+
+        routed = compare_agents(agents(), ragged_traces, episode_seed=2)
+        assert [backend_for_agent(agent, encoder) is None for agent in agents()] == [
+            False, True, False, True, False
+        ]
+        assert list(routed) == [agent.name for agent in agents()]
+        for agent in agents():
+            reference = evaluate_agent(agent, ragged_traces, episode_seed=2)
+            assert_results_identical(routed[agent.name], reference)
+
+    @pytest.mark.parametrize("make_agent", [DefaultPolicy, lambda: RandomPolicy(rng=0)])
+    def test_compare_agents_refuses_repeated_names(self, monkeypatch, make_agent):
+        def no_episodes(*args, **kwargs):
+            raise AssertionError("an episode ran before the names were checked")
+
+        monkeypatch.setattr(EvaluationEngine, "evaluate_many", no_episodes)
+        monkeypatch.setattr(pipeline_evaluation, "evaluate_agent", no_episodes)
+        agents = [make_agent(), GreedyUtilizationPolicy(), make_agent()]
+        with pytest.raises(ConfigurationError, match=agents[0].name):
+            compare_agents(agents, [object()])
+
+    def test_evaluate_many_needs_a_backend(self, suite_traces):
+        with pytest.raises(ConfigurationError):
+            EvaluationEngine().evaluate_many({}, suite_traces)
 
 
 class TestScalarOracle:

@@ -18,8 +18,10 @@ from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ShapeError
 from repro.nn import GRU, GRUCell, Linear
+from repro.optim import Adam
 from repro.qbn.autoencoder import QBNConfig, QuantizedBottleneckNetwork
 from repro.qbn.dataset import TransitionDataset
+from repro.qbn.quantize import quantize_ste, values_to_codes
 from repro.qbn.trainer import QBNTrainer, QBNTrainingConfig
 from test_nn_modules import same_grad, oracle_linear_forward
 
@@ -188,14 +190,54 @@ def chain_unroll(self, observations, values=False):
     return logits, Tensor.stack(value_steps, axis=0).reshape(observations.shape[:-1])
 
 
+def oracle_qbn_encode(self, x):
+    """The QBN encoder op by op: ``Linear -> tanh -> Linear -> tanh -> quantize_ste``."""
+    if not isinstance(x, Tensor):
+        x = Tensor(x)
+    hidden = self.encoder_hidden(x).tanh()
+    latent = self.encoder_latent(hidden).tanh()
+    return quantize_ste(latent, self.config.quantization_levels)
+
+
+def oracle_qbn_forward(self, x):
+    """``QuantizedBottleneckNetwork.forward`` as the eight-node chain it replaced."""
+    hidden = self.decoder_hidden(oracle_qbn_encode(self, x)).tanh()
+    return self.decoder_output(hidden)
+
+
+def oracle_adam_apply(self):
+    """``Adam._apply`` as the per-parameter loop the flat pass replaced."""
+    if not hasattr(self, "_oracle_moments"):
+        self._oracle_moments = [
+            (np.zeros_like(p.data), np.zeros_like(p.data)) for p in self.parameters
+        ]
+    t = self._step_count
+    bias1 = 1.0 - self.beta1 ** t
+    bias2 = 1.0 - self.beta2 ** t
+    for param, (m, v) in zip(self.parameters, self._oracle_moments):
+        if param.grad is None:
+            continue
+        grad = param.grad
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        m_hat = m / bias1
+        v_hat = v / bias2
+        param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
 @contextlib.contextmanager
 def op_by_op():
-    """Every ``GRUCell`` and ``Linear`` runs as the graph the fused node
-    replaced, and ``unroll`` as the chain of those steps."""
+    """Every ``GRUCell``, ``Linear`` and QBN runs as the graph the fused node
+    replaced, ``unroll`` as the chain of those steps and Adam one
+    parameter at a time."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(GRUCell, "forward", oracle_gru_forward)
         patch.setattr(Linear, "forward", oracle_linear_forward)
         patch.setattr(RecurrentPolicyValueNet, "unroll", chain_unroll)
+        patch.setattr(QuantizedBottleneckNetwork, "forward", oracle_qbn_forward)
+        patch.setattr(Adam, "_apply", oracle_adam_apply)
         yield
 
 
@@ -399,6 +441,93 @@ class TestFusedStepBitwise:
             )
 
 
+class TestFusedQBNBitwise:
+    """``QuantizedBottleneckNetwork.forward`` (one node) against the eight-node
+    op-by-op chain, ``np.array_equal`` on outputs and every gradient.
+
+    Pinned by comparison on this host's BLAS, never by literal (CI runs
+    the class under a second OpenBLAS kernel family).  The shapes cover
+    both ``matmul_rows_np`` routes (outputs < 7 wide take einsum) and the
+    design's own QBNs (35 and 48 inputs, latent 16, hidden 64).
+    """
+
+    SHAPES = [(9, 4, 6), (35, 16, 64), (48, 16, 64)]
+    LEADS = [(), (1,), (2,), (5,), (256,)]
+
+    @staticmethod
+    def _qbn(shape, levels=3):
+        input_dim, latent_dim, hidden_dim = shape
+        config = QBNConfig(input_dim, latent_dim, hidden_dim, quantization_levels=levels)
+        return _fill_biases(QuantizedBottleneckNetwork(config, rng=4))
+
+    @staticmethod
+    def _input(shape, lead, seed=0):
+        return np.random.default_rng(seed).standard_normal(lead + (shape[0],))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("lead", LEADS)
+    @pytest.mark.parametrize("trainable", ["all", "none", "decoder"])
+    @pytest.mark.parametrize("x_requires", [False, True])
+    def test_output_and_every_grad(self, shape, lead, trainable, x_requires):
+        x_data = self._input(shape, lead)
+        upstream = np.random.default_rng(1).standard_normal(x_data.shape)
+        runs = []
+        for mode in (contextlib.nullcontext, op_by_op):
+            qbn = self._qbn(shape)
+            for name, param in qbn.named_parameters():
+                param.requires_grad = trainable == "all" or (
+                    trainable == "decoder" and name.startswith("decoder")
+                )
+            x = Tensor(x_data, requires_grad=x_requires)
+            # Two graphs over the same leaves: the second sums into the
+            # gradients the first left behind.
+            with mode():
+                for scale in (1.0, -0.3):
+                    out = qbn(x)
+                    assert out.requires_grad == (x_requires or trainable != "none")
+                    if out.requires_grad:
+                        (out * Tensor(upstream * scale)).sum().backward()
+            runs.append((out, x, qbn))
+        (out, x, qbn), (ref_out, ref_x, ref_qbn) = runs
+        assert np.array_equal(out.data, ref_out.data)
+        assert same_grad(x, ref_x) and (x.grad is not None) == x_requires
+        for (name, param), (_, reference) in zip(
+            qbn.named_parameters(), ref_qbn.named_parameters()
+        ):
+            assert same_grad(param, reference), name
+            assert (param.grad is not None) == param.requires_grad, name
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_no_grad_builds_no_node(self, shape, lead):
+        x = self._input(shape, lead, seed=2)
+        qbn = self._qbn(shape)
+        with no_grad():
+            out = qbn(Tensor(x))
+            with op_by_op():
+                expected = qbn(Tensor(x))
+        assert np.array_equal(out.data, expected.data)
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert np.array_equal(qbn.reconstruct(x), expected.data)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("lead", LEADS)
+    @pytest.mark.parametrize("levels", [2, 3, 5])
+    def test_graph_free_halves_are_the_oracle(self, shape, lead, levels):
+        x = self._input(shape, lead, seed=3)
+        qbn = self._qbn(shape, levels)
+        with op_by_op():
+            latent = oracle_qbn_encode(qbn, Tensor(x))
+            reconstruction = qbn(Tensor(x))
+        codes = qbn.discrete_code(x)
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, values_to_codes(latent.numpy(), levels))
+        assert np.array_equal(qbn.encode(x).data, latent.data)
+        assert np.array_equal(qbn.decode(latent).data, reconstruction.data)
+        assert np.array_equal(qbn.reconstruct(x), reconstruction.data)
+        assert qbn.encode(Tensor(x, requires_grad=True))._parents == ()
+
+
 def bc_loss(policy, observations, actions, weights):
     """``BehaviorCloningTrainer.fit``'s loss on one demonstration."""
     log_probs = F.log_softmax(policy.unroll(observations), axis=-1)
@@ -542,8 +671,10 @@ class TestSequenceNodeBitwise:
 
 class TestTrainingBitwiseDifferential:
     def test_bc_a2c_and_qbn_fine_tune_learn_the_same_bytes(self, system_config, real_traces):
-        """Two BC epochs, one A2C epoch and a one-epoch QBN fine-tune, run as
-        shipped and again op by op, leave every parameter byte-equal."""
+        """Two BC epochs, one A2C epoch, two epochs of QBN training and two
+        of fine-tuning (each ending on a ragged minibatch), run as shipped
+        and again op by op with a per-parameter Adam, leave every parameter
+        byte-equal."""
         reward = RewardConfig(mode="per_step_penalty")
         traces = list(real_traces[:2])
 
@@ -563,10 +694,12 @@ class TestTrainingBitwiseDifferential:
                 collector.collect_batch(policy, traces, greedy=True)
             )
             qbn_config = QBNTrainingConfig(
-                epochs=1, batch_size=8, observation_latent_dim=4, hidden_latent_dim=4,
+                epochs=2, batch_size=7, observation_latent_dim=4, hidden_latent_dim=4,
                 autoencoder_hidden_dim=8,
             )
-            qbns = QBNTrainer(qbn_config, rng=2).train(dataset, policy=policy, fine_tune_epochs=1)
+            # Every QBN loop ends on a short minibatch.
+            assert len(dataset) % 7 and 2 * len(dataset) % 7
+            qbns = QBNTrainer(qbn_config, rng=2).train(dataset, policy=policy, fine_tune_epochs=2)
             learned = {}
             for label, module in (
                 ("policy", policy),

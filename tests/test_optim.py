@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd.tensor import Tensor
-from repro.errors import TrainingError
+from repro.errors import ConfigurationError, TrainingError
 from repro.nn import Linear
 from repro.nn.module import Parameter
 from repro.optim import Adam, clip_grad_norm, global_grad_norm
@@ -89,7 +89,7 @@ class TestClipping:
         np.testing.assert_allclose(p.grad, [0.3, 0.4])
 
     def test_invalid_max_norm(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TrainingError):
             clip_grad_norm([Parameter(np.zeros(1))], max_norm=0.0)
 
     def test_none_grads_ignored(self):
@@ -122,3 +122,116 @@ class TestClipping:
         with pytest.raises(TrainingError, match="overflows"), np.errstate(over="ignore"):
             clip_grad_norm([p], max_norm=1.0)
         assert np.array_equal(p.grad, [1e200, 1e200])
+
+
+class TestFlatAdam:
+    def test_flat_pass_is_the_per_parameter_loop(self):
+        """Runs of parameters with and without gradients, changing from step
+        to step, update to the bytes of one parameter at a time."""
+        from test_nn_gru import oracle_adam_apply
+
+        rng = np.random.default_rng(0)
+        shapes = [(3, 4), (4,), (1,), (2, 2), (5,), (7, 3)]
+        starts = [rng.standard_normal(shape) for shape in shapes]
+        grads = [[rng.standard_normal(shape) for shape in shapes] for _ in range(6)]
+        # Which parameters hold a gradient at each step: a run in the middle,
+        # runs at both ends, everything, nothing, one alone.
+        holding = [
+            [0, 1, 2, 3, 4, 5], [1, 2, 4], [0, 5], [], [3], [0, 1, 3, 4, 5],
+        ]
+        finals = []
+        for apply in (Adam._apply, oracle_adam_apply):
+            params = [Parameter(start.copy()) for start in starts]
+            optimizer = Adam(params, lr=0.01)
+            optimizer._apply = apply.__get__(optimizer)
+            for step_grads, held in zip(grads, holding):
+                optimizer.zero_grad()
+                for index in held:
+                    params[index].grad = step_grads[index].copy()
+                optimizer.step()
+            finals.append([param.data.tobytes() for param in params])
+        assert finals[0] == finals[1]
+
+    def test_updates_in_place(self):
+        p = _quadratic_param()
+        data = p.data
+        opt = Adam([p], lr=0.1)
+        (p * p).sum().backward()
+        opt.step()
+        assert p.data is data and p.data[0] != 5.0
+
+    def test_weight_decay_is_gone(self):
+        with pytest.raises(TypeError):
+            Adam([_quadratic_param()], weight_decay=0.1)
+
+
+class TestNonFiniteSettings:
+    """A NaN compares false with everything, so a sign check alone let it
+    through; each of these used to be accepted."""
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_adam_learning_rate(self, lr):
+        with pytest.raises(TrainingError, match="learning rate"):
+            Adam([_quadratic_param()], lr=lr)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_adam_eps(self, eps):
+        with pytest.raises(TrainingError, match="eps"):
+            Adam([_quadratic_param()], eps=eps)
+
+    @pytest.mark.parametrize("max_norm", [np.nan, np.inf])
+    def test_clip_max_norm(self, max_norm):
+        layer = Linear(3, 2, rng=0)
+        layer.weight.grad = np.full((3, 2), 400.0)
+        layer.bias.grad = np.full(2, 400.0)
+        before = [p.grad.copy() for p in layer.parameters()]
+        with pytest.raises(TrainingError, match="max_norm"):
+            clip_grad_norm(layer.parameters(), max_norm)
+        assert all(np.array_equal(p.grad, g) for p, g in zip(layer.parameters(), before))
+
+    @pytest.mark.parametrize("field", ["learning_rate", "grad_clip_norm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a2c_config(self, field, value):
+        from repro.drl.a2c import A2CConfig
+
+        with pytest.raises(ConfigurationError, match=field):
+            A2CConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "grad_clip_norm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_imitation_config(self, field, value):
+        from repro.drl.imitation import ImitationConfig
+
+        with pytest.raises(ConfigurationError, match=field):
+            ImitationConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "grad_clip_norm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_qbn_training_config(self, field, value):
+        from repro.qbn.trainer import QBNTrainingConfig
+
+        with pytest.raises(ConfigurationError, match=field):
+            QBNTrainingConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"qbn.grad_clip_norm": np.nan}, {"a2c.learning_rate": np.inf}],
+        ids=["qbn.grad_clip_norm=nan", "a2c.learning_rate=inf"],
+    )
+    def test_apply_overrides(self, overrides):
+        from repro.pipeline.experiments import small_pipeline_config
+        from repro.pipeline.sweep import apply_overrides
+
+        with pytest.raises(ConfigurationError):
+            apply_overrides(small_pipeline_config(0), overrides)
+
+    def test_sweep_spec_nan_from_json(self):
+        """``json.load`` parses ``NaN``; the job's config refuses it."""
+        import json
+
+        from repro.pipeline.experiments import small_pipeline_config
+        from repro.pipeline.sweep import apply_overrides
+
+        params = json.loads('{"qbn.learning_rate": NaN}')
+        with pytest.raises(ConfigurationError, match="learning_rate"):
+            apply_overrides(small_pipeline_config(0), params)
