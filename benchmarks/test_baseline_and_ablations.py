@@ -173,11 +173,11 @@ def test_microbench_gru_step(benchmark):
     from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 
     policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=128), rng=0)
-    observation = np.random.default_rng(0).random(policy.config.observation_dim)
-    hidden = policy.initial_state().numpy()
+    observation = np.random.default_rng(0).random((1, policy.config.observation_dim))
+    hidden = policy.initial_hidden_np(1)
 
     def step():
-        return policy.act(observation, hidden, rng=0).action
+        return int(policy.act_batch(observation, hidden).actions[0])
 
     action = benchmark(step)
     assert 0 <= action < 7

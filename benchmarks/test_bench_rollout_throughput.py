@@ -1,11 +1,12 @@
 """Micro-benchmark: sequential vs batched rollout collection.
 
 Measures steps/second of the rollout collector one episode at a time
-(``batch_size=1``, the sequential view) against one lockstep batch on
-the same sampled traces with the paper-scale GRU-128 policy, prints a
-JSON summary, and asserts the batched call keeps a clear lead.  The
-hard assertion defaults to a regression floor so a noisy CI worker does
-not flake the suite, and can be tightened via ROLLOUT_BENCH_MIN_SPEEDUP.
+(one-trace ``collect_batch`` calls, the sequential view) against one
+lockstep batch on the same sampled traces with the paper-scale GRU-128
+policy, prints a JSON summary, and asserts the batched call keeps a
+clear lead.  The hard assertion defaults to a regression floor so a
+noisy CI worker does not flake the suite, and can be tightened via
+ROLLOUT_BENCH_MIN_SPEEDUP.
 
 Knobs (environment variables):
 
@@ -61,26 +62,25 @@ def test_bench_rollout_throughput(tmp_path):
         VectorStorageAllocationEnv(system_config, reward_config), rng=0
     )
 
+    def one_at_a_time(traces):
+        return [
+            trajectory
+            for trace in traces
+            for trajectory in collector.collect_batch(policy, [trace], greedy=False)
+        ]
+
+    def lockstep(traces):
+        return collector.collect_batch(policy, traces, greedy=False)
+
     # Warm-up: first calls pay one-time costs (interval caches, BLAS init).
-    collector.collect_many(policy, traces[:4], greedy=False, batch_size=1)
-    collector.collect_many(policy, traces[:4], greedy=False)
+    one_at_a_time(traces[:4])
+    lockstep(traces[:4])
 
     sequential_rates = []
     batched_rates = []
     for _ in range(ROUNDS):
-        sequential_rates.append(
-            _steps_per_second(
-                lambda t: collector.collect_many(
-                    policy, t, greedy=False, batch_size=1
-                ),
-                traces,
-            )
-        )
-        batched_rates.append(
-            _steps_per_second(
-                lambda t: collector.collect_many(policy, t, greedy=False), traces
-            )
-        )
+        sequential_rates.append(_steps_per_second(one_at_a_time, traces))
+        batched_rates.append(_steps_per_second(lockstep, traces))
 
     best_sequential = max(sequential_rates)
     best_batched = max(batched_rates)

@@ -109,12 +109,10 @@ def main() -> None:
     # share one forward.
     print("\n4/4  batched rollout with the served policy...")
     collector = BatchedRolloutCollector(
-        VectorStorageAllocationEnv(config.system, config.reward)
+        VectorStorageAllocationEnv(config.system, config.reward), rng=args.seed
     )
     start = time.perf_counter()
-    trajectories = collector.collect_many(
-        gru_backend.policy, result.eval_traces, base_seed=args.seed
-    )
+    trajectories = collector.collect_batch(gru_backend.policy, result.eval_traces)
     elapsed = time.perf_counter() - start
     steps = sum(len(t) for t in trajectories)
     print(f"collected {len(trajectories)} episodes, {steps} steps in "

@@ -113,8 +113,8 @@ def matmul_rows_np(
       every output element regardless of batch size.
 
     The rollout equivalence tests (one lockstep batch vs each episode
-    alone, act_batch vs act) are the guard that this kernel split stays
-    bit-stable on the host's BLAS.
+    alone, an act_batch row vs that row alone) are the guard that this
+    kernel split stays bit-stable on the host's BLAS.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)

@@ -11,7 +11,6 @@ standard traces, fine-tune on scarce real traces).
 from repro.drl.policy import (
     BatchedPolicyStepOutput,
     PolicyConfig,
-    PolicyStepOutput,
     RecurrentPolicyValueNet,
 )
 from repro.drl.agent import DRLPolicyAgent
@@ -28,7 +27,6 @@ from repro.drl.checkpoints import save_policy, load_policy
 __all__ = [
     "PolicyConfig",
     "RecurrentPolicyValueNet",
-    "PolicyStepOutput",
     "BatchedPolicyStepOutput",
     "DRLPolicyAgent",
     "Trajectory",

@@ -9,6 +9,7 @@ import numpy as np
 from repro.agents.base import Agent
 from repro.drl.policy import RecurrentPolicyValueNet
 from repro.env.observation import Observation, ObservationEncoder
+from repro.errors import ConfigurationError
 from repro.storage.migration import MigrationAction
 from repro.utils.rng import SeedLike, new_rng
 
@@ -31,6 +32,8 @@ class DRLPolicyAgent(Agent):
     ) -> None:
         self.policy = policy
         self.encoder = encoder
+        if not 0.0 <= epsilon <= 1.0:
+            raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
         self.epsilon = float(epsilon)
         self._rng = new_rng(rng)
         self._hidden: Optional[np.ndarray] = None
@@ -42,11 +45,11 @@ class DRLPolicyAgent(Agent):
         if self._hidden is None:
             self.reset()
         normalized = self.encoder.normalize(observation)
-        output = self.policy.act(
-            normalized, self._hidden, rng=self._rng, epsilon=self.epsilon, greedy=True
+        output = self.policy.act_batch(
+            normalized[None], self._hidden[None], rngs=[self._rng], epsilon=self.epsilon
         )
-        self._hidden = output.hidden_state
-        return MigrationAction(output.action)
+        self._hidden = output.hidden_states[0]
+        return MigrationAction(int(output.actions[0]))
 
     @property
     def hidden_state(self) -> np.ndarray:

@@ -9,12 +9,15 @@ observations with gradients enabled.
 There is one collector, :class:`BatchedRolloutCollector`: it runs N
 episodes in lockstep on a
 :class:`~repro.env.vector_env.VectorStorageAllocationEnv` so one batched
-GRU forward pass serves every environment per interval.  An episode's
+GRU forward pass serves every environment per interval.  The loop is the
+evaluation engine's (:func:`~repro.engine.evaluation.run_lockstep`); the
+collector only decides through a backend that records what the policy
+saw and did, and cuts the trajectories from those records.  An episode's
 trajectory depends on its own rng streams (see
 :func:`derive_episode_streams`) and never on the batch it ran in, so the
 sequential view is the B = 1 call and any chunking of an episode list —
-one at a time, one lockstep batch, or slices collected separately —
-returns the same bits.
+one at a time, one lockstep batch, or slices of the streams collected
+separately — returns the same bits.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.drl.policy import GeneratorList, RecurrentPolicyValueNet
+from repro.drl.policy import RecurrentPolicyValueNet
+from repro.engine.backends import GRUPolicyBackend
+from repro.engine.evaluation import run_lockstep
+from repro.engine.sessions import SessionTable
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import TrainingError
 from repro.storage.workload import WorkloadTrace
@@ -35,10 +41,9 @@ from repro.utils.rng import SeedLike, new_rng
 class Trajectory:
     """One episode: its time-major ``(T, ...)`` step columns plus outcomes.
 
-    ``hidden_before[t]`` / ``hidden_after[t]`` are h_t and h_{t+1};
-    ``valid_action_masks[t]`` records which actions were legal
-    migrations when ``actions[t]`` was chosen.  The columns are handed
-    over as built (the collector passes slices of its step buffers);
+    ``hidden_before[t]`` / ``hidden_after[t]`` are h_t and h_{t+1}.
+    The columns are handed over as built (the collector passes slices
+    of its step buffers);
     the accessors (:meth:`observations`, :meth:`rewards`, …) always
     return fresh arrays the caller may mutate freely.
     """
@@ -46,7 +51,7 @@ class Trajectory:
     __slots__ = (
         "trace_name", "makespan", "truncated", "_observations",
         "_raw_observations", "_hidden_before", "_hidden_after", "_actions",
-        "_rewards", "_value_estimates", "_valid_action_masks",
+        "_rewards", "_value_estimates",
     )
 
     def __init__(
@@ -59,7 +64,6 @@ class Trajectory:
         actions: np.ndarray,             # (T,) int
         rewards: np.ndarray,             # (T,)
         value_estimates: np.ndarray,     # (T,)
-        valid_action_masks: np.ndarray,  # (T, num_actions) bool
         makespan: int = 0,
         truncated: bool = False,
     ) -> None:
@@ -73,7 +77,6 @@ class Trajectory:
         self._actions = actions
         self._rewards = rewards
         self._value_estimates = value_estimates
-        self._valid_action_masks = valid_action_masks
 
     def __len__(self) -> int:
         return int(self._actions.shape[0])
@@ -103,10 +106,6 @@ class Trajectory:
 
     def value_estimates(self) -> np.ndarray:
         return np.array(self._value_estimates, dtype=float)
-
-    def valid_action_masks(self) -> np.ndarray:
-        """(T, num_actions) legality masks at decision time."""
-        return np.array(self._valid_action_masks)
 
     def discounted_returns(self, gamma: float) -> np.ndarray:
         """Monte-Carlo discounted returns G_t for every step.
@@ -216,12 +215,57 @@ def derive_episode_streams(
     return episode_rngs, action_rngs
 
 
+class _RecordingBackend(GRUPolicyBackend):
+    """The collector's policy: ``act_batch`` on each episode's own action
+    stream, keeping the rows, hidden-before and output of every call."""
+
+    def __init__(
+        self,
+        policy: RecurrentPolicyValueNet,
+        rngs: List[np.random.Generator],
+        epsilon: float,
+        greedy: bool,
+    ) -> None:
+        super().__init__(policy)
+        self.rngs = rngs
+        self.epsilon = epsilon
+        self.greedy = greedy
+        # One (episode rows, normalised, raw, hidden before, output) per call.
+        self.calls: List[tuple] = []
+
+    def begin_sessions(self, table: SessionTable, slots: np.ndarray) -> None:
+        super().begin_sessions(table, slots)
+        self.episode_of = np.empty(table.capacity, dtype=np.int64)
+        self.episode_of[slots] = np.arange(slots.shape[0])
+
+    def decide(
+        self,
+        table: SessionTable,
+        slots: np.ndarray,
+        raw: np.ndarray,
+        normalized: np.ndarray,
+    ) -> np.ndarray:
+        rows = self.episode_of[slots]
+        hidden = table.hidden[slots]
+        rngs = self.rngs  # every episode live: rows is 0 .. N - 1
+        if rows.shape[0] != len(rngs):
+            rngs = [rngs[row] for row in rows.tolist()]
+        output = self.policy.act_batch(
+            normalized, hidden, rngs=rngs, epsilon=self.epsilon, greedy=self.greedy
+        )
+        table.hidden[slots] = output.hidden_states
+        self.calls.append((rows, normalized, raw, hidden, output))
+        return np.asarray(output.actions, dtype=np.int64)
+
+
 class BatchedRolloutCollector:
     """Collects N trajectories in lockstep with batched policy inference.
 
-    Each :meth:`collect_batch` call runs one episode per trace on the
-    vectorized environment.  Finished episodes are auto-masked: they stop
-    consuming actions and randomness while the rest of the batch drains.
+    Each :meth:`collect_batch` call runs one episode per trace through
+    :func:`~repro.engine.evaluation.run_lockstep`, the evaluation
+    engine's loop, on this collector's vector env.  Finished episodes
+    are auto-masked: they stop consuming actions and randomness while
+    the rest of the batch drains.
     """
 
     def __init__(self, vector_env: VectorStorageAllocationEnv, rng: SeedLike = None) -> None:
@@ -253,7 +297,8 @@ class BatchedRolloutCollector:
         When the rng streams are not supplied they are derived from this
         collector's generator via :func:`derive_episode_streams`; a
         one-trace call with slot ``i``'s streams reproduces that slot
-        bit-for-bit.
+        bit-for-bit, and a slice of the streams reproduces that slice of
+        the episodes.
         """
         traces = list(traces)
         if not traces:
@@ -273,166 +318,49 @@ class BatchedRolloutCollector:
                 f"need one episode/action rng per trace, got {len(episode_rngs)}/"
                 f"{len(action_rngs)} for {batch} traces"
             )
-        action_rngs = GeneratorList(new_rng(r) for r in action_rngs)
-
-        venv = self.vector_env
-        normalized = venv.reset(traces, rngs=episode_rngs)
-        raw = venv.raw_observations()
-        hidden = policy.initial_state(batch).numpy()
-        active = ~venv.dones
-
-        # Struct-of-arrays accumulation into preallocated (cap, B, ...)
-        # buffers: per interval the fresh (B, ...) step arrays are copied
-        # into row ``t``; no per-slot python, no per-step objects, no
-        # end-of-episode re-stacking.  Episodes can outlive their traces
-        # (the backlog drains after the last interval), so the buffers
-        # grow by doubling on the rare overflow.  Slot ``b`` is active on
-        # a contiguous step prefix, so its episode is the column slice
-        # ``[:length[b], b]``.
-        cap = 2 * max(len(trace) for trace in traces) + 16
-        counts0 = venv.core_counts()
-        observations_buf = np.empty((cap,) + normalized.shape)
-        raw_buf = np.empty((cap,) + raw.shape)
-        # Hidden states are stored once per boundary, not twice per step:
-        # a slot's hidden_after at step t is its hidden_before at t+1
-        # (act_batch freezes finished slots' rows, and only the active
-        # prefix of each slot is sliced out below).
-        hidden_buf = np.empty((cap + 1,) + hidden.shape)
-        actions_buf = np.empty((cap, batch), dtype=np.int64)
-        rewards_buf = np.empty((cap, batch))
-        values_buf = np.empty((cap, batch))
-        # Valid-action masks are a pure function of the pre-step core
-        # counts for every *stored* row (a slot's rows only cover steps
-        # where it was still active, so the finished-slot override of
-        # ``valid_action_masks`` never reaches a trajectory), so the hot
-        # loop stores one cheap counts snapshot per interval and the
-        # masks are materialised in a single vectorized call afterwards.
-        counts_buf = np.empty((cap,) + counts0.shape, dtype=counts0.dtype)
-        makespans = np.zeros(batch, dtype=np.int64)
-        truncated = np.zeros(batch, dtype=bool)
-
-        if active.all():
-            # ``active=None`` takes act_batch's mask-free whole-batch
-            # path; the mask is only materialised once slots finish.
-            active = None
-        t = 0
+        recorder = _RecordingBackend(
+            policy, [new_rng(r) for r in action_rngs], epsilon, greedy
+        )
         with self._tracer.span("rollout.collect_batch", traces=batch) as rollout_span:
-            while active is None or active.any():
-                if t == cap:
-                    cap *= 2
-                    grown = []
-                    for buf in (
-                        observations_buf, raw_buf, hidden_buf, actions_buf,
-                        rewards_buf, values_buf, counts_buf,
-                    ):
-                        rows = cap + 1 if buf is hidden_buf else cap
-                        wide = np.empty((rows,) + buf.shape[1:], dtype=buf.dtype)
-                        wide[: buf.shape[0]] = buf
-                        grown.append(wide)
-                    (observations_buf, raw_buf, hidden_buf, actions_buf,
-                     rewards_buf, values_buf, counts_buf) = grown
-                counts_buf[t] = counts0 if t == 0 else venv.core_counts()
-                output = policy.act_batch(
-                    normalized,
-                    hidden,
-                    rngs=action_rngs,
-                    epsilon=epsilon,
-                    greedy=greedy,
-                    active=active,
-                )
-                result = venv.step(output.actions)
-                observations_buf[t] = normalized
-                raw_buf[t] = raw
-                hidden_buf[t] = hidden
-                actions_buf[t] = output.actions
-                rewards_buf[t] = result.rewards
-                values_buf[t] = output.values
-                if result.newly_done.any():
-                    finished = np.nonzero(result.newly_done)[0]
-                    makespans[finished] = result.makespans[finished]
-                    truncated[finished] = result.truncated[finished]
-                # act_batch already freezes finished slots' hidden rows (they
-                # keep the input hidden state), so the output advances active
-                # slots and preserves the rest.
-                hidden = output.hidden_states
-                normalized = result.observations
-                raw = result.raw_observations
-                dones = result.dones
-                active = None if not dones.any() else ~dones
-                t += 1
-            rollout_span.set("steps", t)
+            rewards, makespans, truncated = run_lockstep(
+                self.vector_env, [recorder], traces, episode_rngs
+            )
+            steps = rewards.shape[0]
+            rollout_span.set("steps", steps)
         self._m_batches.inc()
-        self._m_steps.inc(t)
+        self._m_steps.inc(steps)
         self._m_episodes.inc(batch)
 
-        hidden_buf[t] = hidden
-        masks = venv.action_space.valid_mask_batch_from_counts(
-            counts_buf[:t].reshape(t * batch, -1),
-            venv.system_config.min_cores_per_level,
-        ).reshape(t, batch, -1)
-        # A slot's stored-row count equals its makespan: steps_taken
-        # advances exactly once per stored interval.
-        trajectories = []
-        for b, trace in enumerate(traces):
-            steps = int(makespans[b])
-            trajectories.append(
-                Trajectory(
-                    trace.name,
-                    observations=observations_buf[:steps, b],
-                    raw_observations=raw_buf[:steps, b],
-                    hidden_before=hidden_buf[:steps, b],
-                    hidden_after=hidden_buf[1 : steps + 1, b],
-                    actions=actions_buf[:steps, b],
-                    rewards=rewards_buf[:steps, b],
-                    value_estimates=values_buf[:steps, b],
-                    valid_action_masks=masks[:steps, b],
-                    makespan=steps,
-                    truncated=bool(truncated[b]),
-                )
+        # Episode ``b`` is decided on a contiguous step prefix, call ``t``
+        # being step ``t``, so its trajectory is the column slice
+        # ``[:makespan[b], b]`` of time-major buffers.  Hidden states are
+        # stored once per boundary: an episode's hidden-after at step t is
+        # its hidden-before at t + 1.
+        obs_dim = policy.config.observation_dim
+        observations = np.empty((steps, batch, obs_dim))
+        raw_observations = np.empty((steps, batch, obs_dim))
+        hidden = np.empty((steps + 1, batch, policy.hidden_dim()))
+        actions = np.empty((steps, batch), dtype=np.int64)
+        values = np.empty((steps, batch))
+        for t, (rows, normalized, raw, hidden_before, output) in enumerate(recorder.calls):
+            observations[t, rows] = normalized
+            raw_observations[t, rows] = raw
+            hidden[t, rows] = hidden_before
+            hidden[t + 1, rows] = output.hidden_states
+            actions[t, rows] = output.actions
+            values[t, rows] = output.values
+        return [
+            Trajectory(
+                trace.name,
+                observations=observations[:steps_b, b],
+                raw_observations=raw_observations[:steps_b, b],
+                hidden_before=hidden[:steps_b, b],
+                hidden_after=hidden[1 : steps_b + 1, b],
+                actions=actions[:steps_b, b],
+                rewards=rewards[:steps_b, b],
+                value_estimates=values[:steps_b, b],
+                makespan=steps_b,
+                truncated=bool(truncated[b]),
             )
-        return trajectories
-
-    def collect_many(
-        self,
-        policy: RecurrentPolicyValueNet,
-        traces: Sequence[WorkloadTrace],
-        epsilon: float = 0.0,
-        greedy: bool = False,
-        batch_size: Optional[int] = None,
-        base_seed: Optional[int] = None,
-    ) -> List[Trajectory]:
-        """Collect one trajectory per trace, ``batch_size`` episodes at a time.
-
-        With ``batch_size=None`` the whole trace list runs as one batch;
-        ``batch_size=1`` is the sequential view, and a final partial
-        chunk (episode count not a multiple of the batch) runs through
-        the same lockstep path.
-
-        With ``base_seed`` set, per-episode streams are derived once for
-        the *full* episode list and sliced per chunk, so the trajectories
-        are bit-identical for every ``batch_size``.  Without it each
-        chunk draws its own base seed from this collector's generator, so
-        results then depend on the chunking.
-        """
-        traces = list(traces)
-        if not traces:
-            return []
-        chunk = len(traces) if batch_size is None else int(batch_size)
-        if chunk <= 0:
-            raise TrainingError(f"batch_size must be positive, got {batch_size}")
-        if base_seed is not None:
-            episode_rngs, action_rngs = derive_episode_streams(base_seed, len(traces))
-        trajectories: List[Trajectory] = []
-        for start in range(0, len(traces), chunk):
-            stop = start + chunk
-            trajectories.extend(
-                self.collect_batch(
-                    policy,
-                    traces[start:stop],
-                    epsilon=epsilon,
-                    greedy=greedy,
-                    episode_rngs=None if base_seed is None else episode_rngs[start:stop],
-                    action_rngs=None if base_seed is None else action_rngs[start:stop],
-                )
-            )
-        return trajectories
+            for b, (trace, steps_b) in enumerate(zip(traces, makespans.tolist()))
+        ]

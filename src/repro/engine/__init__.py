@@ -11,14 +11,15 @@ granularity lives here, behind the :class:`DecisionBackend` protocol:
   the interpreted :class:`~repro.fsm.agent.FSMPolicyAgent`;
 * :mod:`repro.engine.sessions` — array-backed per-session state with
   free-list slot reuse for very large concurrent session counts;
-* :mod:`repro.engine.evaluation` — the lockstep
-  :class:`EvaluationEngine` that runs any backend over a trace set,
-  each episode bit-identical to the same episode run alone (B = 1).
+* :mod:`repro.engine.evaluation` — the one lockstep loop
+  (``run_lockstep``) and the :class:`EvaluationEngine` that runs any
+  backend over a trace set with it, each episode bit-identical to the
+  same episode run alone (B = 1).
 
-Policy evaluation (:mod:`repro.pipeline.evaluation`) and the serving
-layer (:mod:`repro.serving`) drive their hot loops through this package;
-training rollout collection (:mod:`repro.drl.rollout`) calls the policy's
-``act_batch`` — the forward :class:`GRUPolicyBackend` serves — directly.
+Policy evaluation (:mod:`repro.pipeline.evaluation`), training rollout
+collection (:mod:`repro.drl.rollout`, a recording
+:class:`GRUPolicyBackend` on the same loop) and the serving layer
+(:mod:`repro.serving`) drive their hot loops through this package.
 """
 
 from repro.engine.backends import (

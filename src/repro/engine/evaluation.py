@@ -9,7 +9,11 @@ evaluated through the identical loop, and FSM-in-the-loop evaluation
 runs at compiled-table speed.
 
 Several backends share one batch (:meth:`EvaluationEngine.evaluate_many`),
-each stepping its own copy of the trace set.  Bit-identity contract:
+each stepping its own copy of the trace set.  The loop itself is
+:func:`run_lockstep`, which runs on any vector env with any per-row
+reset streams: rollout collection
+(:class:`~repro.drl.rollout.BatchedRolloutCollector`) runs it too, with
+a backend that records what the policy saw and did.  Bit-identity contract:
 slot ``i`` of a copy reproduces the same episode run alone
 (:func:`~repro.pipeline.evaluation.evaluate_agent`, the B = 1 call of
 this engine) and a scalar ``StorageAllocationEnv`` loop exactly — it
@@ -21,7 +25,7 @@ makespans, episode metrics and total rewards are equal bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import time
 
@@ -42,6 +46,7 @@ from repro.storage.metrics import EpisodeMetrics
 from repro.storage.simulator import StorageSystemConfig
 from repro.env.reward import RewardConfig
 from repro.storage.workload import WorkloadTrace
+from repro.utils.rng import SeedLike
 
 
 @dataclass
@@ -131,13 +136,10 @@ class EvaluationEngine:
         episode_seed: int = 0,
     ) -> Dict[str, EvaluationResult]:
         """Run every backend over its own copy of ``traces`` in one lockstep
-        batch; results are keyed like ``backends``.
+        batch (:func:`run_lockstep`); results are keyed like ``backends``.
 
-        Group ``g``'s slot ``i`` is seeded ``episode_seed + i``.  Each
-        backend decides only its group's active rows, through its own
-        session table, so per-session state advances once per active
-        step; a finished group is not asked, and finished slots get
-        ``NOOP`` filler, which the vector env ignores.
+        Group ``g``'s slot ``i`` is seeded ``episode_seed + i``.  One
+        backend object under two names is refused.
         """
         traces = list(traces)
         if not traces:
@@ -150,99 +152,134 @@ class EvaluationEngine:
                 check_encoder(self.encoder)
 
         width = len(traces)
-        batch = width * len(backends)
-        venv = self.vector_env
-        normalized = venv.reset(
-            traces * len(backends),
-            rngs=[episode_seed + index for _ in backends for index in range(width)],
-        )
-        raw = venv.raw_observations()
-        # (backend, table, slots, its batch rows, reads_raw) per group.  A
-        # raw-row backend gets ``normalized=None``, and the lazy
-        # ``result.observations`` is never read if every backend is one.
-        groups = []
-        for group, backend in enumerate(backends.values()):
-            table = backend.session_table(width)
-            slots = table.open(width)
-            backend.begin_sessions(table, slots)
-            rows = slice(group * width, (group + 1) * width)
-            groups.append((backend, table, slots, rows, getattr(backend, "reads_raw", False)))
-        reads_raw = all(group[-1] for group in groups)
-
-        # Time-major reward accumulation so each slot's total can be
-        # reduced over exactly its ``makespan`` active rows — the same
-        # element count and np.sum reduction as a scalar episode loop,
-        # hence bit-identical totals.  Episodes can outlive their
-        # traces (backlog drain), so the buffer doubles on overflow.
-        cap = 2 * max(len(trace) for trace in traces) + 16
-        rewards_buf = np.empty((cap, batch))
-        makespans = np.zeros(batch, dtype=np.int64)
-        active: Optional[np.ndarray] = None  # None == every slot active
-        if venv.dones.any():
-            active = ~venv.dones
-        t = 0
-        decisions = 0
-        loop_started = time.perf_counter()
+        started = time.perf_counter()
         with self.tracer.span(
             "engine.evaluate", backend=",".join(b.name for b in backends.values()), traces=width
         ) as eval_span:
-            while active is None or active.any():
-                if t == cap:
-                    cap *= 2
-                    wide = np.empty((cap, batch))
-                    wide[: rewards_buf.shape[0]] = rewards_buf
-                    rewards_buf = wide
-                actions = np.zeros(batch, dtype=np.int64)
-                for backend, table, slots, rows, group_reads_raw in groups:
-                    if active is not None:
-                        live = np.nonzero(active[rows])[0]
-                        if not live.size:
-                            continue
-                        rows = live + rows.start
-                        slots = slots[live]
-                    actions[rows] = backend.decide(
-                        table, slots, raw[rows], None if group_reads_raw else normalized[rows]
-                    )
-                    decisions += len(slots)
-                result = venv.step(actions)
-                rewards_buf[t] = result.rewards
-                if result.newly_done.any():
-                    finished = np.nonzero(result.newly_done)[0]
-                    makespans[finished] = result.makespans[finished]
-                normalized = None if reads_raw else result.observations
-                raw = result.raw_observations
-                active = None if not result.dones.any() else ~result.dones
-                t += 1
-            eval_span.set("steps", t)
+            rewards, makespans, _ = run_lockstep(
+                self.vector_env,
+                list(backends.values()),
+                traces,
+                [episode_seed + index for _ in backends for index in range(width)],
+            )
+            steps = rewards.shape[0]
+            # A row is decided once per step it is active, i.e. makespan times.
+            decisions = int(makespans.sum())
+            eval_span.set("steps", steps)
             eval_span.set("decisions", decisions)
-        elapsed = time.perf_counter() - loop_started
+        elapsed = time.perf_counter() - started
         self._m_runs.inc(len(backends))
-        self._m_steps.inc(t)
+        self._m_steps.inc(steps)
         self._m_decisions.inc(decisions)
         if elapsed > 0.0:
-            self._m_steps_per_sec.set(t / elapsed)
+            self._m_steps_per_sec.set(steps / elapsed)
 
-        episodes = venv.episode_metrics()
+        episodes = self.vector_env.episode_metrics()
         evaluations: Dict[str, EvaluationResult] = {}
-        for name, (backend, table, slots, rows, _) in zip(backends, groups):
-            end_sessions = getattr(backend, "end_sessions", None)
-            if end_sessions is not None:
-                end_sessions(table, slots)
-            table.close(slots)
+        for group, name in enumerate(backends):
             evaluation = EvaluationResult(agent_name=name)
-            for b, trace in zip(range(rows.start, rows.stop), traces):
+            for b, trace in enumerate(traces, start=group * width):
                 evaluation.trace_names.append(trace.name)
                 evaluation.makespans.append(int(makespans[b]))
-                # A slot's stored rows cover exactly its active steps
-                # (steps_taken advances once per stored interval), so the
-                # column slice below holds the same values, in the same
-                # order, as the scalar loop's reward list.
-                evaluation.total_rewards.append(
-                    float(rewards_buf[: int(makespans[b]), b].sum())
-                )
-            evaluation.episodes.extend(episodes[rows])
+                # A row's rewards cover exactly its ``makespan`` active
+                # steps, so this column slice holds the same values, in
+                # the same order, as the scalar loop's reward list.
+                evaluation.total_rewards.append(float(rewards[: int(makespans[b]), b].sum()))
+            evaluation.episodes.extend(episodes[group * width : (group + 1) * width])
             evaluations[name] = evaluation
         return evaluations
+
+
+def run_lockstep(
+    venv: VectorStorageAllocationEnv,
+    backends: Sequence[DecisionBackend],
+    traces: Sequence[WorkloadTrace],
+    rngs: Sequence[SeedLike],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run every backend over its own copy of ``traces`` on ``venv`` in lockstep.
+
+    Backend ``g`` owns rows ``g * W .. (g + 1) * W - 1`` (``W =
+    len(traces)``), and row ``r`` is reset with ``rngs[r]``.  Each
+    backend decides only its group's active rows, through its own
+    session table, so per-session state advances once per active step;
+    a finished group is not asked, and finished rows get ``NOOP``
+    filler, which the vector env ignores.  One backend object may not
+    own two groups: its per-session state is keyed by slot, and two
+    tables hand out the same slots.
+
+    Returns the time-major ``(T, G * W)`` rewards, and each row's
+    makespan and truncation flag.  A row's rewards are its first
+    ``makespan`` entries, because ``steps_taken`` advances once per
+    step the row is active.
+    """
+    if len({id(backend) for backend in backends}) != len(backends):
+        raise ConfigurationError(
+            "one backend object appears twice in a lockstep batch; its "
+            "per-session state would be shared between the groups"
+        )
+    width = len(traces)
+    normalized = venv.reset(list(traces) * len(backends), rngs=rngs)
+    raw = venv.raw_observations()
+    # (backend, table, slots, its batch rows, reads_raw) per group.  A
+    # raw-row backend gets ``normalized=None``, and the lazy
+    # ``result.observations`` is never read if every backend is one.
+    groups = []
+    for group, backend in enumerate(backends):
+        table = backend.session_table(width)
+        slots = table.open(width)
+        backend.begin_sessions(table, slots)
+        rows = slice(group * width, (group + 1) * width)
+        groups.append((backend, table, slots, rows, getattr(backend, "reads_raw", False)))
+    reads_raw = all(group[-1] for group in groups)
+
+    # Time-major reward accumulation so each row's total can be reduced
+    # over exactly its ``makespan`` active rows — the same element count
+    # and np.sum reduction as a scalar episode loop, hence bit-identical
+    # totals.  Episodes can outlive their traces (backlog drain), so the
+    # buffer doubles on overflow.
+    batch = venv.num_envs
+    cap = 2 * max(len(trace) for trace in traces) + 16
+    rewards = np.empty((cap, batch))
+    makespans = np.zeros(batch, dtype=np.int64)
+    truncated = np.zeros(batch, dtype=bool)
+    active: Optional[np.ndarray] = None  # None == every row active
+    if venv.dones.any():
+        active = ~venv.dones
+    t = 0
+    while active is None or active.any():
+        if t == cap:
+            cap *= 2
+            wide = np.empty((cap, batch))
+            wide[: rewards.shape[0]] = rewards
+            rewards = wide
+        actions = np.zeros(batch, dtype=np.int64)
+        for backend, table, slots, rows, group_reads_raw in groups:
+            if active is not None:
+                live = np.nonzero(active[rows])[0]
+                if not live.size:
+                    continue
+                rows = live + rows.start
+                slots = slots[live]
+            actions[rows] = backend.decide(
+                table, slots, raw[rows], None if group_reads_raw else normalized[rows]
+            )
+        result = venv.step(actions)
+        rewards[t] = result.rewards
+        if result.newly_done.any():
+            finished = np.nonzero(result.newly_done)[0]
+            makespans[finished] = result.makespans[finished]
+            truncated[finished] = result.truncated[finished]
+        normalized = None if reads_raw else result.observations
+        raw = result.raw_observations
+        active = None if not result.dones.any() else ~result.dones
+        t += 1
+
+    for backend, table, slots, _, _ in groups:
+        end_sessions = getattr(backend, "end_sessions", None)
+        if end_sessions is not None:
+            end_sessions(table, slots)
+        table.close(slots)
+    return rewards[:t], makespans, truncated
 
 
 def backend_for_agent(

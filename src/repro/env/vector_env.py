@@ -9,8 +9,9 @@ interval per :meth:`step` call with array kernels, exposing batched
 ``(B, obs_dim)`` observation matrices so that one batched policy forward
 pass can serve every environment.
 
-Design contract (relied on by the batched rollout collector and its
-equivalence tests): slot ``i`` of a vector episode is **bit-identical**
+Design contract (relied on by the lockstep loop that evaluation and
+rollout collection share, and by their equivalence tests): slot ``i``
+of a vector episode is **bit-identical**
 to a sequential :class:`~repro.env.environment.StorageAllocationEnv`
 episode on the same trace with the same rng stream.  The scalar
 environment's simulator is the B=1 view of the same simulator core, and
@@ -274,16 +275,6 @@ class VectorStorageAllocationEnv:
         """Current (B, obs_dim) raw observation matrix."""
         self._require_reset()
         return np.array(self._raw)
-
-    def core_counts(self) -> np.ndarray:
-        """Current (B, levels) per-level core counts (fresh copy).
-
-        The batched collector snapshots this before each decision and
-        derives all valid-action masks in one vectorized pass at the end
-        of the episode batch (see ``BatchedRolloutCollector``).
-        """
-        self._require_reset()
-        return np.array(self._state.counts)
 
     def valid_action_masks(self) -> np.ndarray:
         """(B, num_actions) legality masks for the next decision.

@@ -104,12 +104,6 @@ class FiniteStateMachine:
     def states_by_id(self) -> List[FSMState]:
         return sorted(self.states.values(), key=lambda s: s.state_id)
 
-    def state_for_code(self, code: StateKey) -> FSMState:
-        try:
-            return self.states[code]
-        except KeyError as exc:
-            raise ExtractionError(f"unknown state code {code!r}") from exc
-
     def start_state(self) -> StateKey:
         """The state a deployed machine starts in.
 

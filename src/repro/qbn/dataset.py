@@ -9,13 +9,15 @@ reconstruction error."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.drl.rollout import Trajectory
 from repro.errors import ExtractionError
 from repro.utils.rng import SeedLike, new_rng
+
+if TYPE_CHECKING:
+    from repro.drl.rollout import Trajectory
 
 
 @dataclass

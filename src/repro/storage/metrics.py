@@ -50,9 +50,6 @@ class IntervalMetrics:
     def total_processed_kb(self) -> float:
         return float(sum(self.processed_kb.values()))
 
-    def counts_vector(self) -> np.ndarray:
-        return np.array([self.core_counts[level] for level in LEVELS], dtype=float)
-
     def utilization_vector(self) -> np.ndarray:
         return np.array([self.utilization[level] for level in LEVELS], dtype=float)
 

@@ -142,7 +142,6 @@ def make_trajectory():
             actions=np.zeros(steps, dtype=int),
             rewards=np.asarray(rewards, dtype=float),
             value_estimates=np.zeros(steps),
-            valid_action_masks=np.ones((steps, 7), dtype=bool),
         )
 
     return build

@@ -27,7 +27,7 @@ from repro.engine import EvaluationEngine, GRUPolicyBackend
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
-from repro.errors import TrainingError
+from repro.errors import ConfigurationError, TrainingError
 from repro.optim import clip_grad_norm
 from repro.pipeline.evaluation import evaluate_agent
 
@@ -49,10 +49,26 @@ def _one_at_a_time(collector, policy, traces, base_seed, **options):
     ]
 
 
+def _in_chunks(collector, policy, traces, base_seed, batch_size, **options):
+    """Many episodes, ``batch_size`` at a time (``None``: one batch), each
+    chunk a ``collect_batch`` call on its slice of the list's streams."""
+    episode_rngs, action_rngs = derive_episode_streams(base_seed, len(traces))
+    chunk = batch_size or len(traces)
+    trajectories = []
+    for start in range(0, len(traces), chunk):
+        stop = start + chunk
+        trajectories.extend(
+            collector.collect_batch(
+                policy, traces[start:stop], episode_rngs=episode_rngs[start:stop],
+                action_rngs=action_rngs[start:stop], **options,
+            )
+        )
+    return trajectories
+
+
 ACCESSORS = (
     "observations", "raw_observations", "hidden_states_before",
     "hidden_states_after", "actions", "rewards", "value_estimates",
-    "valid_action_masks",
 )
 
 
@@ -101,30 +117,51 @@ class TestCollectorEquivalence:
             _assert_trajectories_identical(reference, trajectory)
 
     def test_collect_many_chunks(self, collector, real_traces, tiny_policy):
-        trajectories = collector.collect_many(
-            tiny_policy, real_traces, greedy=True, batch_size=2
-        )
+        """Many episodes collected in chunks keep the trace order."""
+        trajectories = _in_chunks(collector, tiny_policy, real_traces, 3, 2, greedy=True)
         assert [t.trace_name for t in trajectories] == [t.name for t in real_traces]
 
     @pytest.mark.parametrize("batch_size", [1, 2, 3, None])
     def test_collect_many_base_seed_independent_of_chunking(
         self, system_config, reward_config, real_traces, tiny_policy, batch_size
     ):
-        """With a base seed, chunking (incl. B=1 and partial final chunks)
-        never changes the trajectories."""
+        """Many episodes on one base seed's streams: chunking (incl. B=1
+        and partial final chunks) never changes the trajectories."""
         collector = BatchedRolloutCollector(
             VectorStorageAllocationEnv(system_config, reward_config)
         )
-        reference = collector.collect_many(
-            tiny_policy, real_traces, greedy=True, base_seed=5
-        )
-        chunked = collector.collect_many(
-            tiny_policy, real_traces, greedy=True, batch_size=batch_size, base_seed=5
-        )
+        reference = _in_chunks(collector, tiny_policy, real_traces, 5, None, greedy=True)
+        chunked = _in_chunks(collector, tiny_policy, real_traces, 5, batch_size, greedy=True)
         assert len(chunked) == len(real_traces)
         for ref, got in zip(reference, chunked):
             assert ref.trace_name == got.trace_name
             _assert_trajectories_identical(ref, got)
+
+    @pytest.mark.parametrize("epsilon,greedy", [(0.0, False), (0.3, True), (0.3, False)])
+    def test_action_streams_end_alike_at_any_batch_size(
+        self, collector, real_traces, tiny_policy, epsilon, greedy
+    ):
+        """A finished episode draws nothing more while the batch drains:
+        every action generator ends where it ends with its episode alone."""
+        def end_states(batch_size):
+            rngs = [np.random.default_rng(100 + i) for i in range(len(real_traces))]
+            trajectories = []
+            for start in range(0, len(real_traces), batch_size):
+                stop = start + batch_size
+                trajectories.extend(
+                    collector.collect_batch(
+                        tiny_policy, real_traces[start:stop], epsilon=epsilon,
+                        greedy=greedy, episode_rngs=list(range(start, stop)),
+                        action_rngs=rngs[start:stop],
+                    )
+                )
+            return [len(t) for t in trajectories], [r.bit_generator.state for r in rngs]
+
+        lengths, alone = end_states(1)
+        assert len(set(lengths)) > 1
+        assert end_states(len(real_traces)) == (lengths, alone)
+        fresh = [np.random.default_rng(100 + i).bit_generator.state for i in range(len(lengths))]
+        assert alone != fresh
 
     def test_collect_batch_validation(self, collector, real_traces, tiny_policy):
         with pytest.raises(TrainingError):
@@ -139,77 +176,83 @@ class TestCollectorEquivalence:
 
 
 class TestActBatch:
-    def test_act_batch_single_row_matches_act(self, tiny_policy):
-        obs = np.random.default_rng(0).random((1, tiny_policy.config.observation_dim))
-        hidden = np.zeros((1, tiny_policy.config.hidden_size))
-        batched = tiny_policy.act_batch(
-            obs, hidden, rngs=[np.random.default_rng(3)], greedy=False, epsilon=0.2
-        )
-        single = tiny_policy.act(
-            obs[0], hidden[0], rng=np.random.default_rng(3), greedy=False, epsilon=0.2
-        )
-        assert single.action == int(batched.actions[0])
-        np.testing.assert_array_equal(single.log_probs, batched.log_probs[0])
-        np.testing.assert_array_equal(single.probabilities, batched.probabilities[0])
-        np.testing.assert_array_equal(single.hidden_state, batched.hidden_states[0])
-        assert single.value == float(batched.values[0])
+    def test_act_batch_single_row_matches_act(self, tiny_policy, env, short_trace):
+        """``DRLPolicyAgent.act`` is the one-row ``act_batch`` on the
+        agent's generator, its hidden row carried from step to step."""
+        encoder = env.observation_encoder
+        agent = DRLPolicyAgent(tiny_policy, encoder, epsilon=0.2, rng=3)
+        observation = env.reset(short_trace, rng=0)
+        agent.reset()
+        rng = np.random.default_rng(3)
+        hidden = tiny_policy.initial_hidden_np(1)
+        for _ in range(len(short_trace)):
+            expected = tiny_policy.act_batch(
+                encoder.normalize(observation)[None], hidden, rngs=[rng], epsilon=0.2
+            )
+            assert int(agent.act(observation)) == int(expected.actions[0])
+            hidden = expected.hidden_states
+            np.testing.assert_array_equal(agent.hidden_state, hidden[0])
+            observation = env.step(int(expected.actions[0])).observation
+        assert agent._rng.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("hidden_size", [16, 48])
-    def test_act_batch_rows_match_act(self, hidden_size):
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"greedy": True},
+            {"greedy": False},
+            {"greedy": True, "epsilon": 0.1},
+            {"greedy": False, "epsilon": 0.1},
+            {"greedy": False, "epsilon": 1.0},
+        ],
+        ids=["greedy", "sampled", "greedy-eps0.1", "sampled-eps0.1", "eps1"],
+    )
+    def test_rows_match_each_row_alone(self, hidden_size, options):
+        """Row ``i`` of a B-row step equals row ``i`` stepped alone (B = 1)
+        on an equally seeded generator, which ends in the same state."""
         policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=hidden_size), rng=0)
         rng = np.random.default_rng(1)
         batch = 9
         obs = rng.random((batch, policy.config.observation_dim))
         hidden = rng.random((batch, policy.config.hidden_size)) * 0.1
-        batched = policy.act_batch(
-            obs, hidden, rngs=[np.random.default_rng(i) for i in range(batch)], greedy=False
-        )
+        rngs = [np.random.default_rng(i) for i in range(batch)]
+        batched = policy.act_batch(obs, hidden, rngs=rngs, **options)
+        alone_rngs = [np.random.default_rng(i) for i in range(batch)]
         for i in range(batch):
-            single = policy.act(obs[i], hidden[i], rng=np.random.default_rng(i), greedy=False)
-            assert single.action == int(batched.actions[i])
-            np.testing.assert_array_equal(single.log_probs, batched.log_probs[i])
-            np.testing.assert_array_equal(single.hidden_state, batched.hidden_states[i])
-            assert single.value == float(batched.values[i])
-
-    def test_inactive_rows_consume_no_randomness(self, tiny_policy):
-        obs = np.random.default_rng(0).random((3, tiny_policy.config.observation_dim))
-        hidden = np.zeros((3, tiny_policy.config.hidden_size))
-        rngs = [np.random.default_rng(i) for i in range(3)]
-        active = np.array([True, False, True])
-        out = tiny_policy.act_batch(obs, hidden, rngs=rngs, greedy=False, active=active)
-        assert out.actions[1] == 0
-        # The inactive row's generator is untouched.
-        assert rngs[1].random() == np.random.default_rng(1).random()
-
-    def test_inactive_rows_keep_hidden_and_active_rows_match_full_batch(
-        self, tiny_policy
-    ):
-        """The forward pass skips inactive rows: they keep their input
-        hidden state, and — because every inference kernel is row-wise
-        batch-size stable — the active rows are bit-identical to a
-        full-batch call."""
-        rng = np.random.default_rng(4)
-        obs = rng.random((4, tiny_policy.config.observation_dim))
-        hidden = rng.random((4, tiny_policy.config.hidden_size)) * 0.1
-        active = np.array([True, False, True, False])
-        masked = tiny_policy.act_batch(
-            obs, hidden, rngs=[np.random.default_rng(i) for i in range(4)],
-            greedy=False, active=active,
-        )
-        full = tiny_policy.act_batch(
-            obs, hidden, rngs=[np.random.default_rng(i) for i in range(4)],
-            greedy=False,
-        )
-        for i in (1, 3):
-            np.testing.assert_array_equal(masked.hidden_states[i], hidden[i])
-            assert masked.actions[i] == 0
-        for i in (0, 2):
-            assert masked.actions[i] == full.actions[i]
-            np.testing.assert_array_equal(
-                masked.hidden_states[i], full.hidden_states[i]
+            single = policy.act_batch(
+                obs[i : i + 1], hidden[i : i + 1], rngs=[alone_rngs[i]], **options
             )
-            np.testing.assert_array_equal(masked.log_probs[i], full.log_probs[i])
-            assert masked.values[i] == full.values[i]
+            assert int(single.actions[0]) == int(batched.actions[i])
+            np.testing.assert_array_equal(single.log_probs[0], batched.log_probs[i])
+            np.testing.assert_array_equal(single.probabilities[0], batched.probabilities[i])
+            np.testing.assert_array_equal(single.hidden_states[0], batched.hidden_states[i])
+            assert float(single.values[0]) == float(batched.values[i])
+            assert rngs[i].bit_generator.state == alone_rngs[i].bit_generator.state
+        drew = options.get("epsilon", 0.0) > 0.0 or not options["greedy"]
+        untouched = np.random.default_rng(0).bit_generator.state
+        assert (rngs[0].bit_generator.state != untouched) == drew
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), -1.0, 7.0])
+    def test_refuses_epsilon_outside_unit_interval(self, tiny_policy, epsilon):
+        obs = np.zeros((2, tiny_policy.config.observation_dim))
+        hidden = tiny_policy.initial_hidden_np(2)
+        rngs = [np.random.default_rng(i) for i in range(2)]
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            tiny_policy.act_batch(obs, hidden, rngs=rngs, epsilon=epsilon, greedy=False)
+
+    def test_draws_need_one_generator_per_row(self, tiny_policy):
+        obs = np.zeros((2, tiny_policy.config.observation_dim))
+        hidden = tiny_policy.initial_hidden_np(2)
+        with pytest.raises(ConfigurationError):
+            tiny_policy.act_batch(obs, hidden, greedy=False)
+        with pytest.raises(ConfigurationError):
+            tiny_policy.act_batch(obs, hidden, epsilon=0.1)
+        with pytest.raises(ConfigurationError):
+            tiny_policy.act_batch(obs, hidden, rngs=[np.random.default_rng(0)], greedy=False)
+        np.testing.assert_array_equal(
+            tiny_policy.act_batch(obs, hidden).actions,
+            tiny_policy.act_batch(obs, hidden, rngs=[np.random.default_rng(0)] * 2).actions,
+        )
 
 
 class TestVectorizedReturns:
@@ -294,18 +337,21 @@ class TestBatchSizeDegradation:
     def test_collect_many_shapes_and_order(
         self, collector, real_traces, tiny_policy, batch_size
     ):
-        """Any chunking of the episode count — including B=1 and a final
+        """Any chunking of many episodes — including B=1 and a final
         partial chunk — yields one well-formed trajectory per trace."""
-        trajectories = collector.collect_many(
-            tiny_policy, real_traces, greedy=True, batch_size=batch_size
+        trajectories = _in_chunks(
+            collector, tiny_policy, real_traces, 9, batch_size, greedy=True
         )
         assert [t.trace_name for t in trajectories] == [t.name for t in real_traces]
         for trajectory in trajectories:
             assert len(trajectory) > 0
             assert trajectory.makespan == len(trajectory)
-            masks = trajectory.valid_action_masks()
-            assert masks.shape == (len(trajectory), tiny_policy.config.num_actions)
-            assert masks[:, 0].all()
+            assert trajectory.hidden_states_before().shape == (
+                len(trajectory), tiny_policy.config.hidden_size
+            )
+            np.testing.assert_array_equal(
+                trajectory.hidden_states_before()[1:], trajectory.hidden_states_after()[:-1]
+            )
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_trajectory_batch_shapes_and_masks(
@@ -329,15 +375,21 @@ class TestBatchSizeDegradation:
         assert (batch.rewards[padded] == 0).all()
 
     def test_single_trace_batch_matches_sequential(
-        self, collector, real_traces, tiny_policy
+        self, system_config, reward_config, real_traces, tiny_policy
     ):
-        """``collect_many(batch_size=1, base_seed=s)`` — the sequential view —
-        hands episode ``i`` exactly ``derive_episode_streams(s, N)[i]``."""
-        sequential = collector.collect_many(
-            tiny_policy, real_traces, epsilon=0.1, batch_size=1, base_seed=55
+        """A collector seeded ``r`` with no streams supplied draws one base
+        seed ``s`` and hands episode ``i`` exactly
+        ``derive_episode_streams(s, N)[i]`` — what the sequential view
+        gets on ``s``."""
+        collector = BatchedRolloutCollector(
+            VectorStorageAllocationEnv(system_config, reward_config), rng=55
         )
-        references = _one_at_a_time(collector, tiny_policy, real_traces, 55, epsilon=0.1)
-        for reference, trajectory in zip(references, sequential):
+        lockstep = collector.collect_batch(tiny_policy, real_traces, epsilon=0.1)
+        base_seed = int(np.random.default_rng(55).integers(np.iinfo(np.int64).max))
+        references = _one_at_a_time(
+            collector, tiny_policy, real_traces, base_seed, epsilon=0.1
+        )
+        for reference, trajectory in zip(references, lockstep):
             _assert_trajectories_identical(reference, trajectory)
 
 

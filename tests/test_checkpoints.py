@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.drl.a2c import A2CConfig, A2CTrainer
+from repro.drl.agent import DRLPolicyAgent
 from repro.drl.checkpoints import load_policy, save_policy
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.env.reward import RewardConfig
@@ -36,23 +37,22 @@ class TestCheckpointRoundtrip:
         for name, value in original_state.items():
             np.testing.assert_array_equal(value, reloaded_state[name], err_msg=name)
 
-    def test_act_bit_identical_after_reload(self, checkpoint_path, trained_ish_policy):
+    def test_act_bit_identical_after_reload(
+        self, checkpoint_path, trained_ish_policy, env, short_trace
+    ):
+        """An exploring agent on the reloaded policy acts, and carries its
+        hidden state, exactly like one on the original."""
         save_policy(checkpoint_path, trained_ish_policy)
         reloaded = load_policy(checkpoint_path)
-        rng = np.random.default_rng(3)
-        observation = rng.random(trained_ish_policy.config.observation_dim)
-        hidden = trained_ish_policy.initial_state().numpy()
-        original = trained_ish_policy.act(
-            observation, hidden, rng=np.random.default_rng(9), greedy=False, epsilon=0.1
-        )
-        restored = reloaded.act(
-            observation, hidden, rng=np.random.default_rng(9), greedy=False, epsilon=0.1
-        )
-        assert original.action == restored.action
-        assert original.value == restored.value
-        np.testing.assert_array_equal(original.log_probs, restored.log_probs)
-        np.testing.assert_array_equal(original.probabilities, restored.probabilities)
-        np.testing.assert_array_equal(original.hidden_state, restored.hidden_state)
+        encoder = env.observation_encoder
+        original = DRLPolicyAgent(trained_ish_policy, encoder, epsilon=0.1, rng=9)
+        restored = DRLPolicyAgent(reloaded, encoder, epsilon=0.1, rng=9)
+        observation = env.reset(short_trace, rng=3)
+        for _ in range(len(short_trace)):
+            action = original.act(observation)
+            assert restored.act(observation) is action
+            np.testing.assert_array_equal(original.hidden_state, restored.hidden_state)
+            observation = env.step(action).observation
 
     def test_act_batch_bit_identical_after_reload(
         self, checkpoint_path, trained_ish_policy

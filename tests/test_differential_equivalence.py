@@ -4,9 +4,8 @@ The repo's standing regression net: ~50 seeded random simulator/workload/
 policy configurations (varying batch size, core allocations, penalties,
 idle rates, episode lengths and partial-batch endings) are each run
 through every collection mode and asserted **bit-identical** on rewards,
-observations, actions, hidden states, value estimates, legality masks
-*and the final rng stream positions* of both the environment and the
-action streams:
+observations, actions, hidden states, value estimates *and the final
+rng stream positions* of both the environment and the action streams:
 
 * one      — :class:`BatchedRolloutCollector`, one episode at a time
   (B = 1, the sequential view);
@@ -213,9 +212,6 @@ def assert_trajectories_identical(
     np.testing.assert_array_equal(reference.rewards(), other.rewards(), err_msg=context)
     np.testing.assert_array_equal(
         reference.value_estimates(), other.value_estimates(), err_msg=context
-    )
-    np.testing.assert_array_equal(
-        reference.valid_action_masks(), other.valid_action_masks(), err_msg=context
     )
 
 

@@ -57,24 +57,27 @@ class TestPolicyNetwork:
         assert hidden.shape == (16,)
 
     def test_act_output(self, tiny_policy):
-        out = tiny_policy.act(
-            np.zeros(tiny_policy.config.observation_dim),
-            tiny_policy.initial_state().numpy(),
-            rng=0,
+        out = tiny_policy.act_batch(
+            np.zeros((1, tiny_policy.config.observation_dim)),
+            tiny_policy.initial_hidden_np(1),
+            rngs=[np.random.default_rng(0)],
+            greedy=False,
         )
-        assert 0 <= out.action < 7
-        assert out.probabilities.shape == (7,)
+        assert 0 <= out.actions[0] < 7
+        assert out.probabilities.shape == (1, 7)
         assert np.isclose(out.probabilities.sum(), 1.0)
-        assert out.hidden_state.shape == (16,)
+        assert out.hidden_states.shape == (1, 16)
 
     def test_epsilon_one_gives_random_actions(self, tiny_policy):
         actions = {
-            tiny_policy.act(
-                np.zeros(tiny_policy.config.observation_dim),
-                tiny_policy.initial_state().numpy(),
-                rng=i,
-                epsilon=1.0,
-            ).action
+            int(
+                tiny_policy.act_batch(
+                    np.zeros((1, tiny_policy.config.observation_dim)),
+                    tiny_policy.initial_hidden_np(1),
+                    rngs=[np.random.default_rng(i)],
+                    epsilon=1.0,
+                ).actions[0]
+            )
             for i in range(40)
         }
         assert len(actions) > 3
@@ -88,10 +91,10 @@ class TestPolicyNetwork:
         save_policy(path, tiny_policy)
         loaded = load_policy(path)
         assert loaded.config == tiny_policy.config
-        obs = np.random.default_rng(0).random(tiny_policy.config.observation_dim)
-        h = tiny_policy.initial_state().numpy()
+        obs = np.random.default_rng(0).random((1, tiny_policy.config.observation_dim))
+        h = tiny_policy.initial_hidden_np(1)
         np.testing.assert_allclose(
-            tiny_policy.act(obs, h, rng=0).log_probs, loaded.act(obs, h, rng=0).log_probs
+            tiny_policy.act_batch(obs, h).log_probs, loaded.act_batch(obs, h).log_probs
         )
 
 

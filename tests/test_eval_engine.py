@@ -33,9 +33,11 @@ from repro.engine.backends import (
     GRUPolicyBackend,
 )
 from repro.drl.imitation import BehaviorCloningTrainer, _RecordingBackend
+from repro.drl.rollout import BatchedRolloutCollector
 from repro.engine.evaluation import EvaluationEngine, backend_for_agent
 from repro.env.observation import ObservationEncoder
 from repro.env.reward import RewardConfig
+from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ConfigurationError
 from repro.pipeline import evaluation as pipeline_evaluation
 from repro.pipeline.evaluation import compare_agents, evaluate_agent
@@ -240,6 +242,39 @@ class TestEvaluateMany:
         with pytest.raises(ConfigurationError):
             EvaluationEngine().evaluate_many({}, suite_traces)
 
+    def test_one_backend_under_two_names_is_refused(self, suite_traces, monkeypatch):
+        """Its per-session state is keyed by slot and both groups' tables
+        hand out the same slots, so the groups would share replicas."""
+        engine = EvaluationEngine()
+        backend = AgentBatchBackend(HandcraftedFSMPolicy, engine.encoder)
+
+        def no_reset(*args, **kwargs):
+            raise AssertionError("an episode was reset before the backends were checked")
+
+        monkeypatch.setattr(engine.vector_env, "reset", no_reset)
+        with pytest.raises(ConfigurationError, match="backend object"):
+            engine.evaluate_many({"x": backend, "y": backend}, suite_traces[:4])
+
+
+class TestCollectorMatchesEngine:
+    """Rollout collection and evaluation are one lockstep loop."""
+
+    def test_greedy_collection_is_the_engine_evaluation(
+        self, ragged_traces, system_config, tiny_policy
+    ):
+        collector = BatchedRolloutCollector(VectorStorageAllocationEnv(system_config))
+        trajectories = collector.collect_batch(
+            tiny_policy, ragged_traces, greedy=True,
+            episode_rngs=[4 + i for i in range(len(ragged_traces))],
+        )
+        evaluation = EvaluationEngine(system_config).evaluate(
+            GRUPolicyBackend(tiny_policy), ragged_traces, episode_seed=4
+        )
+        assert [t.trace_name for t in trajectories] == evaluation.trace_names
+        assert [t.makespan for t in trajectories] == evaluation.makespans
+        assert [t.total_reward for t in trajectories] == evaluation.total_rewards
+        assert len(set(evaluation.makespans)) > 1
+
 
 class TestScalarOracle:
     """The engine against an oracle that is not the engine."""
@@ -361,6 +396,15 @@ class TestBackendRouting:
         encoder = ObservationEncoder(system_config)
         agent = DRLPolicyAgent(tiny_policy, encoder, epsilon=0.1, rng=3)
         assert backend_for_agent(agent, encoder) is None
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), -0.5, 1.5])
+    def test_drl_agent_refuses_epsilon_outside_unit_interval(
+        self, system_config, tiny_policy, epsilon
+    ):
+        """NaN and negative rates never explore, yet routing would send
+        such an agent off the lockstep path as an exploring one."""
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            DRLPolicyAgent(tiny_policy, ObservationEncoder(system_config), epsilon=epsilon)
 
     def test_random_agent_is_not_engine_safe(self, system_config):
         encoder = ObservationEncoder(system_config)
