@@ -28,7 +28,7 @@ class GreedyUtilizationPolicy(Agent):
     def act(self, observation: Observation) -> MigrationAction:
         utilization = np.asarray(observation.utilization, dtype=float)
         counts = np.asarray(observation.core_counts, dtype=float)
-        order = np.argsort(utilization)
+        order = np.argsort(utilization, kind="stable")
         highest = int(order[-1])
         for candidate in order:
             candidate = int(candidate)

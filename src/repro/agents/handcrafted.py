@@ -70,7 +70,7 @@ class HandcraftedFSMPolicy(Agent):
 
         utilization = np.asarray(observation.utilization, dtype=float)
         counts = np.asarray(observation.core_counts, dtype=float)
-        order = np.argsort(utilization)
+        order = np.argsort(utilization, kind="stable")
         lowest, highest = int(order[0]), int(order[-1])
         gap = float(utilization[highest] - utilization[lowest])
         if lowest == highest or gap < self.gap_threshold:

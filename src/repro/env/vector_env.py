@@ -276,23 +276,6 @@ class VectorStorageAllocationEnv:
         self._require_reset()
         return np.array(self._raw)
 
-    def valid_action_masks(self) -> np.ndarray:
-        """(B, num_actions) legality masks for the next decision.
-
-        Finished slots report a no-op-only mask: they accept no further
-        migrations, and the no-op keeps batched action vectors well
-        formed without consuming anything.
-        """
-        self._require_reset()
-        masks = self.action_space.valid_mask_batch_from_counts(
-            self._state.counts, self.system_config.min_cores_per_level
-        )
-        done = self._state.done
-        if done.any():
-            masks[done] = False
-            masks[done, 0] = True
-        return masks
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -24,8 +24,12 @@ trace with the same rng stream (and the scalar simulator itself is the
 * per-slot rng streams are consumed identically: one masked
   ``Generator.poisson`` call per slot draws the same variates, in the
   same level order, as the scalar per-level calls;
-* selection logic (migration candidate choice, idle-core ranking via
-  ``np.argsort``) replicates the scalar tie-breaking exactly.
+* selection logic is fixed by rule, not by a sort's tie order: the
+  migration candidate is chosen by the rule below, and a level idles its
+  cores highest capacity first, lowest core id among equals (a
+  ``kind="stable"`` argsort; the default kind's tie order depends on
+  the host's SIMD sort, and in a level of 8 or more cores the position
+  of an idled core moves the pairwise total).
 
 Layout of the cores
 -------------------
@@ -53,10 +57,27 @@ one at the end of every interval.
 Episodes of different lengths coexist: finished slots are masked out of
 every kernel and stop consuming randomness, so a partial batch drains
 without perturbing the remaining slots.
+
+Kernels
+-------
+:meth:`VectorSimulatorState.step` picks one of three kernels at each
+reset, all byte-equal in every state array:
+
+1. the native kernel (``_sim_kernel.c``), when
+   :func:`simulator_kernel_status` reads ``"ready"`` and the grouped
+   kernel's conditions hold — one C pass for migrations and injection,
+   one for dispatch through the done flags, on either side of the idle
+   draws, which stay in Python;
+2. otherwise the numpy grouped kernel (polling dispatch, levels of at
+   most 15 cores), the specification the native kernel is checked
+   against when it loads;
+3. failing that, the per-cell reference loop.
 """
 
 from __future__ import annotations
 
+import ctypes
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -82,6 +103,13 @@ _DRAIN_EPSILON = 1e-9
 # batches training and evaluation step, sweeping everything is 1.4x
 # cheaper).
 _CLOSED_FORM_MIN_ROWS = 64
+_EMPTY_LEVEL = "polling dispatch requires at least one core per level"
+
+
+def _bad_actions(actions: np.ndarray) -> SimulationError:
+    return SimulationError(
+        f"action indices must be in [0, {_NUM_ACTIONS}), got {actions}"
+    )
 
 
 class VectorSimulatorState:
@@ -118,7 +146,8 @@ class VectorSimulatorState:
         # padded level-major layout and beats the per-cell reference loop
         # at every batch size, so it is the default whenever the
         # dispatcher supports it; both kernels are bit-identical, and
-        # tests raise this switch to force the reference kernel.
+        # tests raise this switch to force the reference kernel (which
+        # keeps the native kernel out too).
         self._grouped_min_rows = 1
         # The grouped kernel's column sweep replays numpy's pairwise
         # summation for rows below 16 elements (left-to-right under 8,
@@ -139,6 +168,8 @@ class VectorSimulatorState:
         # migration-candidate argmin need no validity masks.
         self._id_sentinel = 2 * config.total_cores
         self.batch = 0
+        self._kernel: Optional[NativeSimulatorKernel] = None
+        self._kernel_args = None
         self._rngs: List[np.random.Generator] = []
         self._philox: Optional[PhiloxStreams] = None
         self.episodes: List[EpisodeMetrics] = []
@@ -284,6 +315,14 @@ class VectorSimulatorState:
         self._any_truncated = False
         self.migration_applied = np.zeros(batch, dtype=bool)
         self.episodes = [EpisodeMetrics(trace_name=t.name) for t in traces]
+        # The native kernel steps these arrays through their addresses,
+        # packed here: nothing may rebind a state array until the next
+        # reset.
+        self._kernel = None
+        if self._grouped_supported and self._grouped_min_rows <= 1:
+            self._kernel = _native_simulator_kernel()
+            if self._kernel is not None:
+                self._kernel.pack(self)
 
     # ------------------------------------------------------------------
     # Stepping
@@ -303,12 +342,20 @@ class VectorSimulatorState:
             raise SimulationError(
                 f"expected ({self.batch},) actions, got shape {actions.shape}"
             )
-        if int(actions.min()) < 0 or int(actions.max()) >= _NUM_ACTIONS:
-            raise SimulationError(
-                f"action indices must be in [0, {_NUM_ACTIONS}), got {actions}"
-            )
-        stepped = ~self.done
-        active_count = int(stepped.sum())
+        kernel = self._kernel
+        if kernel is None:
+            if int(actions.min()) < 0 or int(actions.max()) >= _NUM_ACTIONS:
+                raise _bad_actions(actions)
+            stepped = ~self.done
+            active_count = int(stepped.sum())
+        else:
+            if not actions.flags.c_contiguous:
+                actions = np.ascontiguousarray(actions)
+            # Migrations and workload injection, before the idle draws.
+            active_count = kernel.pre(self, actions)
+            if active_count < 0:
+                raise _bad_actions(actions)
+            stepped = ~self.done
         self.last_step_all_active = all_active = active_count == self.batch
         if active_count == 0:
             return stepped
@@ -317,9 +364,30 @@ class VectorSimulatorState:
         # finishing) index with a slice: views instead of gather/scatter.
         ix = slice(None) if all_active else rows
 
-        self._apply_migrations(rows, ix, actions)
-        self._inject_workload(rows, ix)
+        if kernel is None:
+            self._apply_migrations(rows, ix, actions)
+            self._inject_workload(rows, ix)
         self._sample_idle(rows, ix)
+        self._steps_elapsed += 1
+        if kernel is None:
+            truncated = self._finish_interval(rows, ix)
+        else:
+            # Dispatch, accounting, cooldown decay, time and the flags.
+            truncated = kernel.post(self)
+            if truncated < 0:
+                raise SimulationError(_EMPTY_LEVEL)
+        if truncated:
+            self._any_truncated = True
+            for slot in np.nonzero(stepped & self.truncated)[0].tolist():
+                self.episodes[slot].truncated = True
+
+        if self._record_metrics:
+            self._record_interval_metrics(rows, ix, actions)
+        return stepped
+
+    def _finish_interval(self, rows: np.ndarray, ix) -> int:
+        """Dispatch, decay cooldowns, advance time and set the done and
+        truncated flags of the stepped rows; returns how many truncated."""
         # Rows holding a penalised core, scanned once for the dispatch regime
         # and the decay (only migrations wrote cooldowns since the last
         # decay).  Cooldowns are >= 0, so einsum's row sum (a sixth of
@@ -334,14 +402,13 @@ class VectorSimulatorState:
         # Advance time and decay every positive cooldown by one.  With no
         # cooling row every cooldown, padding included, is zero: skipped.
         if cooling.any():
-            if all_active:
+            if isinstance(ix, slice):
                 self.pos_cooldown -= self.pos_cooldown > 0
             else:
                 cool = self.pos_cooldown[rows]
                 self.pos_cooldown[rows] = cool - (cool > 0)
         self.interval_index[ix] += 1  # also advances steps_taken (shared array)
 
-        self._steps_elapsed += 1
         injected_all = self.interval_index[ix] >= self.trace_len[ix]
         if injected_all.any():
             drained = (self.backlog[ix] <= _DRAIN_EPSILON).all(axis=1)
@@ -350,23 +417,19 @@ class VectorSimulatorState:
             # No slot has injected its full trace yet, so none can finish
             # this interval (mid-episode fast path).
             finished = injected_all
+        truncated = 0
         if self._steps_elapsed >= self._min_max_intervals:
             truncated_now = (
                 self.steps_taken[ix] >= self.max_intervals[ix]
             ) & ~finished
-            if truncated_now.any():
+            truncated = int(np.count_nonzero(truncated_now))
+            if truncated:
                 self.truncated[ix] |= truncated_now
-                self._any_truncated = True
-                for slot in rows[truncated_now].tolist():
-                    self.episodes[slot].truncated = True
-        if self._any_truncated:
+        if self._any_truncated or truncated:
             self.done[ix] = finished | self.truncated[ix]
         else:
             self.done[ix] = finished
-
-        if self._record_metrics:
-            self._record_interval_metrics(rows, ix, actions)
-        return stepped
+        return truncated
 
     # ------------------------------------------------------------------
     # Kernels
@@ -575,9 +638,7 @@ class VectorSimulatorState:
         counts = self.counts[ix]
         n_max = int(counts.max())
         if int(counts.min()) == 0:
-            raise SimulationError(
-                "polling dispatch requires at least one core per level"
-            )
+            raise SimulationError(_EMPTY_LEVEL)
         idle = self.idle[ix]
         pending = self.backlog[ix]
         batch = counts.shape[0]
@@ -622,8 +683,7 @@ class VectorSimulatorState:
         elements, unrolled tree + tail up to 15), exactly as the scalar
         per-level reductions.  Idled cores are zeroed like the scalar
         path: unpenalised cells idle their first ``idle`` cores and the
-        rare penalised+idle cells replay the scalar argsort ranking
-        individually.
+        rare penalised+idle cells apply the stable ranking individually.
         """
         batch = counts.shape[0]
         n_max = min(n_max, pos_cooldown.shape[2])
@@ -657,7 +717,7 @@ class VectorSimulatorState:
             if mixed_busy.any():
                 for a, level in zip(*np.nonzero(mixed_busy)):
                     cell_caps = caps[a, level, : counts[a, level]]
-                    rank = np.argsort(-cell_caps)
+                    rank = np.argsort(-cell_caps, kind="stable")
                     cell_caps[rank[: idle[a, level]]] = 0.0
 
         # vals[0] = per-core processed, vals[1] = per-core capacity; the
@@ -711,7 +771,7 @@ class VectorSimulatorState:
                         capability,
                     ).astype(float)
                 if idle > 0:
-                    order = np.argsort(-capacities)
+                    order = np.argsort(-capacities, kind="stable")
                     capacities[order[:idle]] = 0.0
                 total_capacity = float(capacities.sum())
                 pending = self.backlog[slot, level_index]
@@ -761,3 +821,207 @@ class VectorSimulatorState:
         )
         for row, slot in enumerate(rows.tolist()):
             self.episodes[slot].record_columns(columns, row)
+
+
+# ----------------------------------------------------------------------
+# Native kernel
+# ----------------------------------------------------------------------
+_KERNEL_SOURCE = Path(__file__).with_name("_sim_kernel.c")
+_KERNEL_MAX_WIDTH = 15  # MAX_WIDTH in the C file
+# The state arrays ``sim_args`` points at, in its field order, with the
+# dtype the C side reads them as (all C-contiguous, batch-major).
+_KERNEL_ARRAYS = (
+    ("pos_ids", np.int64), ("pos_cooldown", np.int64), ("counts", np.int64),
+    ("idle", np.int64), ("backlog", np.float64), ("incoming", np.float64),
+    ("processed", np.float64), ("capacity", np.float64),
+    ("utilization", np.float64), ("interval_index", np.int64),
+    ("trace_len", np.int64), ("max_intervals", np.int64), ("done", np.bool_),
+    ("truncated", np.bool_), ("migration_applied", np.bool_),
+    ("_read_kb", np.float64), ("_write_kb", np.float64),
+)
+
+
+class _KernelArgs(ctypes.Structure):
+    """``sim_args`` of ``_sim_kernel.c``, field for field."""
+
+    _fields_ = (
+        [(name.lstrip("_"), ctypes.c_void_p) for name, _dtype in _KERNEL_ARRAYS]
+        + [("action_src", ctypes.c_void_p), ("action_dst", ctypes.c_void_p)]
+        + [
+            (name, ctypes.c_int64)
+            for name in (
+                "batch", "width", "t_max", "num_actions", "min_cores",
+                "cooldown_window", "id_sentinel", "num_cores", "record",
+            )
+        ]
+        + [
+            (name, ctypes.c_double)
+            for name in (
+                "capability", "penalized_capability", "cache_miss_rate",
+                "drain_epsilon", "kv_write_factor", "kv_read_miss_factor",
+                "rv_write_factor", "rv_read_miss_factor",
+            )
+        ]
+    )
+
+
+class NativeSimulatorKernel:
+    """ctypes wrapper for ``_sim_kernel.c``, one simulator interval in C.
+
+    Construction compiles (or finds cached) and loads the library; it
+    raises ``RuntimeError`` when ``REPRO_DISABLE_NATIVE=1`` or no
+    compiler produced it, ``OSError`` when the object cannot be loaded.
+    :meth:`pack` stores a state's argument block on the state; :meth:`pre`
+    and :meth:`post` step it in place on either side of the idle draws.
+    """
+
+    def __init__(self) -> None:
+        # Imported here for the reason rng gives: ``python -m
+        # repro.utils.philox_native`` must not find itself already loaded.
+        from repro.utils.philox_native import load
+
+        lib = load(_KERNEL_SOURCE)
+        lib.repro_sim_pre.restype = ctypes.c_long
+        lib.repro_sim_pre.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+        lib.repro_sim_post.restype = ctypes.c_long
+        lib.repro_sim_post.argtypes = [ctypes.c_void_p]
+        self._pre = lib.repro_sim_pre
+        self._post = lib.repro_sim_post
+
+    def pack(self, state: VectorSimulatorState) -> None:
+        """Store the argument block of ``state``'s arrays on the state."""
+        if state._level_capacity > _KERNEL_MAX_WIDTH:
+            raise SimulationError(f"levels wider than {_KERNEL_MAX_WIDTH} cores")
+        arrays = [getattr(state, name) for name, _dtype in _KERNEL_ARRAYS]
+        for (name, dtype), array in zip(_KERNEL_ARRAYS, arrays):
+            if (
+                array.dtype != dtype
+                or not array.flags.c_contiguous
+                or array.shape[0] != state.batch
+            ):
+                raise SimulationError(f"state array {name} does not fit the native kernel")
+        config = state.config
+        args = _KernelArgs(
+            *(array.ctypes.data for array in arrays),
+            ACTION_SOURCE_INDICES.ctypes.data,
+            ACTION_DEST_INDICES.ctypes.data,
+            state.batch,
+            state._level_capacity,
+            state._read_kb.shape[1],
+            _NUM_ACTIONS,
+            config.min_cores_per_level,
+            config.migration_cooldown_intervals,
+            state._id_sentinel,
+            config.total_cores,
+            state._record_metrics,
+            state._capability,
+            state._penalized_capability,
+            config.cache_miss_rate,
+            _DRAIN_EPSILON,
+            config.kv_write_factor,
+            config.kv_read_miss_factor,
+            config.rv_write_factor,
+            config.rv_read_miss_factor,
+        )
+        state._kernel_args = (args, ctypes.addressof(args))
+
+    def pre(self, state: VectorSimulatorState, actions: np.ndarray) -> int:
+        """Migrations and injection; the active row count, -1 for a bad action."""
+        return self._pre(state._kernel_args[1], actions.ctypes.data)
+
+    def post(self, state: VectorSimulatorState) -> int:
+        """Dispatch to the flags; rows truncated now, -1 for an empty level."""
+        return self._post(state._kernel_args[1])
+
+
+_simulator_kernel: Optional[NativeSimulatorKernel] = None
+#: ``None`` until the first probe, then ``"ready"`` or ``"disabled: <reason>"``.
+_simulator_status: Optional[str] = None
+
+
+def _self_check_runs(kernel: Optional[NativeSimulatorKernel]):
+    """Every state array after every step of two seeded batches.
+
+    The batches cover a partial batch (traces of 3 to 9 intervals, some
+    draining, some truncated), levels of 8 to 11 cores holding penalised
+    and idled cores together, ``record_metrics`` on and off, and both rng
+    families.
+    """
+    from repro.storage.simulator import StorageSystemConfig
+    from repro.storage.workload import WorkloadInterval
+
+    config = StorageSystemConfig(
+        total_cores=13,
+        initial_allocation={"normal": 9, "kv": 2, "rv": 2},
+        migration_penalty=0.3,
+        migration_cooldown_intervals=2,
+        idle_rate=0.1,
+        max_intervals_factor=1.0,
+        max_intervals_slack=2,
+    )
+    rng = np.random.default_rng(20240)
+    traces = [
+        WorkloadTrace(
+            f"selfcheck-{length}",
+            [
+                WorkloadInterval(rng.dirichlet(np.ones(14)), rng.uniform(0.6, 1.0) * demand)
+                for _ in range(length)
+            ],
+        )
+        for length, demand in ((3, 300.0), (9, 5500.0), (5, 4500.0), (7, 4000.0))
+    ] * 2
+    names = [name for name, _dtype in _KERNEL_ARRAYS[:15]]
+    snapshots = []
+    for record, streams in ((True, list(range(8))), (False, PhiloxStreams(5, 8, "check"))):
+        state = VectorSimulatorState(config, record_metrics=record)
+        state.reset(traces, rngs=streams)
+        state._kernel = kernel
+        if kernel is not None:
+            kernel.pack(state)
+        # Penalised cores at every position from the start, so the 8-wide
+        # trees sum mixed capacities and shares.
+        state.pos_cooldown[...] = np.random.default_rng(11).integers(
+            0, 3, state.pos_cooldown.shape
+        ) * (state.pos_ids < state._id_sentinel)
+        actions = np.random.default_rng(7)
+        for _ in range(16):
+            stepped = state.step(actions.integers(0, _NUM_ACTIONS, size=len(traces)))
+            snapshots.append(
+                b"".join(getattr(state, name).tobytes() for name in names)
+                + stepped.tobytes()
+                + bytes(episode.truncated for episode in state.episodes)
+            )
+    return snapshots
+
+
+def _native_simulator_kernel() -> Optional[NativeSimulatorKernel]:
+    """The self-checked native kernel, or ``None`` (numpy kernels).
+
+    Probed once per process, at the first reset that can use it;
+    :func:`simulator_kernel_status` says how it went.
+    """
+    global _simulator_kernel, _simulator_status
+    if _simulator_status is None:
+        # The self-check resets states of its own: they see no kernel.
+        _simulator_status = "disabled: self-check in progress"
+        try:
+            kernel = NativeSimulatorKernel()
+            if _self_check_runs(kernel) == _self_check_runs(None):
+                _simulator_kernel, _simulator_status = kernel, "ready"
+            else:
+                _simulator_status = "disabled: self-check mismatch against the numpy kernels"
+        except (OSError, RuntimeError, ctypes.ArgumentError, SimulationError) as exc:
+            _simulator_status = f"disabled: {exc}"
+    return _simulator_kernel
+
+
+def simulator_kernel_status() -> str:
+    """``"ready"`` or ``"disabled: <reason>"`` for the native simulator step.
+
+    The reason is what loading raised (``REPRO_DISABLE_NATIVE=1``, no
+    compiler, an unloadable object) or a self-check mismatch.  Either way
+    every state array holds the same bytes; disabled, the numpy kernels
+    step the simulator, more slowly.
+    """
+    _native_simulator_kernel()
+    return _simulator_status

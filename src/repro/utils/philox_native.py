@@ -1,18 +1,26 @@
-"""Compile-at-first-use loader for the fused Philox idle sampler.
+"""Compile-at-first-use loader for the repository's strict-float C kernels.
 
-``_philox_kernel.c`` (the idle sampler and ``PhiloxStreams.uniforms``'
-per-lane draws, on one keystream) lives next to this module and is
-compiled into a per-user cache directory the first time it is needed, or
-ahead of time by ``python -m repro.utils.philox_native`` (the CI build
-hook; prints the shared-object path, exits non-zero when no compiler can
-produce it).  Its only caller is :mod:`repro.utils.rng`, which runs a
-bit-identity self-check against the numpy reference before trusting it
-and reports the outcome through ``idle_sampler_status()``.  No compiler,
-a failed compile or ``REPRO_DISABLE_NATIVE=1`` leave that reference in
-charge, which draws the same values — the sampler is an acceleration,
-never a correctness dependency.
+Two C files are built by :func:`build` into a per-user cache directory
+the first time they are needed:
 
-Deployment settings: ``REPRO_DISABLE_NATIVE=1`` turns the sampler off,
+* ``_philox_kernel.c`` next to this module (the fused Philox idle
+  sampler and ``PhiloxStreams.uniforms``' per-lane draws, on one
+  keystream), wrapped here by :class:`NativePhiloxIdleKernel`; its caller
+  :mod:`repro.utils.rng` reports through ``idle_sampler_status()``;
+* ``repro/storage/_sim_kernel.c`` (one simulator interval for every row
+  of a ``VectorSimulatorState``), loaded by
+  :mod:`repro.storage.vector_state`, which reports through
+  ``simulator_kernel_status()``.
+
+``python -m repro.utils.philox_native`` builds the Philox sampler ahead
+of time (prints the shared-object path, exits non-zero when no compiler
+can produce it).  Each caller runs a bit-identity self-check against its
+numpy specification before trusting a library.  No compiler, a failed
+compile or ``REPRO_DISABLE_NATIVE=1`` leave that specification in
+charge, which computes the same values — the kernels are accelerations,
+never correctness dependencies.
+
+Deployment settings: ``REPRO_DISABLE_NATIVE=1`` turns both kernels off,
 ``REPRO_KERNEL_CACHE`` relocates the shared-object cache, ``CC`` names
 the compiler tried first.
 """
@@ -34,12 +42,12 @@ _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _UINT64_P = ctypes.POINTER(ctypes.c_uint64)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
 
-# Flag sets tried in order; the first compile that succeeds wins.  The
-# sampler's contract is BIT-IDENTITY with the numpy streams (golden
-# traces are pinned on them), so its translation unit must not see any
+# Flag sets tried in order; the first compile that succeeds wins.  Each
+# kernel's contract is BIT-IDENTITY with its numpy specification (golden
+# traces are pinned on them), so no translation unit may see any
 # unsafe-math flag and disables FP contraction — an FMA changes
 # roundings.  The contract-free fallback set exists for compilers without
-# -ffp-contract; rng's load-time self-check rejects any build that
+# -ffp-contract; the load-time self-checks reject any build that
 # deviates, so a reordering compiler degrades to numpy, never to wrong
 # streams.  ("-shared" is listed because the cache tag hashes the set; the
 # object-file step drops it.)
@@ -59,8 +67,8 @@ def _cache_dir() -> Path:
     return Path(base) / "repro-kernels"
 
 
-def build() -> Path:
-    """Compile the sampler unless cached; returns the shared-object path.
+def build(source: Path = _SOURCE) -> Path:
+    """Compile ``source`` unless cached; returns the shared-object path.
 
     Raises ``RuntimeError`` naming every attempt when no compiler
     produced it.
@@ -72,7 +80,8 @@ def build() -> Path:
     # every numpy op afterwards.  Optimization flags only ever apply to
     # the object-file step; the link step is flag-free.
     cache = _cache_dir()
-    text = _SOURCE.read_bytes()
+    text = source.read_bytes()
+    name = source.stem.lstrip("_")
     compilers = [c for c in (os.environ.get("CC"), "cc", "gcc", "clang") if c]
     errors = []
     for compiler in compilers:
@@ -81,7 +90,7 @@ def build() -> Path:
             tag = hashlib.sha256(
                 text + repr((compiler, flags, "split-link")).encode()
             ).hexdigest()[:16]
-            target = cache / f"philox_kernel_{tag}.so"
+            target = cache / f"{name}_{tag}.so"
             if target.exists():
                 return target
             cache.mkdir(parents=True, exist_ok=True)
@@ -90,7 +99,7 @@ def build() -> Path:
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
             steps = (
-                [compiler, *compile_flags, "-c", "-o", tmp_obj, str(_SOURCE)],
+                [compiler, *compile_flags, "-c", "-o", tmp_obj, str(source)],
                 [compiler, "-shared", "-o", tmp, tmp_obj, "-lm"],
             )
             failed = None
@@ -113,8 +122,19 @@ def build() -> Path:
             os.replace(tmp, target)  # atomic: concurrent builders agree
             return target
     raise RuntimeError(
-        "no compiler produced the philox_kernel; tried:\n" + "\n".join(errors)
+        f"no compiler produced the {name}; tried:\n" + "\n".join(errors)
     )
+
+
+def load(source: Path = _SOURCE) -> ctypes.CDLL:
+    """The built ``source`` loaded into the process.
+
+    Raises ``RuntimeError`` when ``REPRO_DISABLE_NATIVE=1`` or no
+    compiler produced it, ``OSError`` when the object cannot be loaded.
+    """
+    if os.environ.get("REPRO_DISABLE_NATIVE") == "1":
+        raise RuntimeError("REPRO_DISABLE_NATIVE=1")
+    return ctypes.CDLL(str(build(source)))
 
 
 class NativePhiloxIdleKernel:
@@ -132,9 +152,7 @@ class NativePhiloxIdleKernel:
     """
 
     def __init__(self) -> None:
-        if os.environ.get("REPRO_DISABLE_NATIVE") == "1":
-            raise RuntimeError("REPRO_DISABLE_NATIVE=1")
-        lib = ctypes.CDLL(str(build()))
+        lib = load()
         # ctypes defaults integer args to c_int — explicit signatures are
         # load-bearing (c_long mismatches segfault, they don't error).
         lib.repro_philox_idle.restype = ctypes.c_long

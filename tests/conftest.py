@@ -21,6 +21,7 @@ from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.fsm.extraction import ExtractionConfig
 from repro.pipeline.learning_aided import LearningAidedPipeline, PipelineConfig
 from repro.qbn.trainer import QBNTrainingConfig
+from repro.storage import vector_state
 from repro.storage.simulator import StorageSystemConfig
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
 from repro.storage.iorequest import NUM_IO_TYPES
@@ -65,6 +66,14 @@ def sampler_path(request, monkeypatch):
         monkeypatch.setattr(rng_module, "_idle_kernel", None)
         monkeypatch.setattr(rng_module, "_idle_status", "disabled: forced by the test")
     return request.param
+
+
+@pytest.fixture
+def numpy_simulator(monkeypatch):
+    """Step every simulator with the numpy kernels, the native one forced off."""
+    vector_state.simulator_kernel_status()  # probe first so the patch is what gets undone
+    monkeypatch.setattr(vector_state, "_simulator_kernel", None)
+    monkeypatch.setattr(vector_state, "_simulator_status", "disabled: forced by the test")
 
 
 @pytest.fixture

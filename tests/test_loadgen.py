@@ -451,7 +451,9 @@ class TestFleetPins:
         assert deterministic["stale_rejections_total"] > 0
         assert report.digest == FLEET_DIGEST_PINS[base_seed]
 
-    def test_pinned_fleet_mixes_both_dispatch_regimes(self, monkeypatch, serving_env):
+    def test_pinned_fleet_mixes_both_dispatch_regimes(
+        self, monkeypatch, serving_env, numpy_simulator
+    ):
         """Regime counts, not times: the handcrafted policy migrates, so
         the pinned fleet has intervals where one batch holds closed-form
         rows AND rows swept through the capacity tensor — and its digest

@@ -222,29 +222,45 @@ class TestVectorStep:
             np.testing.assert_array_equal(result.raw_observations[i], step.observation.raw())
 
 
+def _batch_masks(venv):
+    """Next-decision masks of every slot, from the simulator's core counts."""
+    return venv.action_space.valid_mask_batch_from_counts(
+        venv.simulator_state.counts, venv.system_config.min_cores_per_level
+    )
+
+
 class TestVectorMasks:
     def test_mask_shape_and_initial_legality(self, vector_env, real_traces):
         vector_env.reset(real_traces)
-        masks = vector_env.valid_action_masks()
+        masks = _batch_masks(vector_env)
         assert masks.shape == (len(real_traces), NUM_ACTIONS)
         assert masks[:, 0].all()  # noop always legal
 
     def test_masks_match_sequential_env(self, system_config, vector_env, real_traces):
-        vector_env.reset(real_traces, rngs=list(range(len(real_traces))))
-        env = StorageAllocationEnv(system_config, reward_config=RewardConfig(mode="per_step_penalty"))
-        masks = vector_env.valid_action_masks()
-        for i, trace in enumerate(real_traces):
-            env.reset(trace, rng=i)
-            np.testing.assert_array_equal(masks[i], env.valid_action_mask())
-
-    def test_finished_slots_are_noop_only(self, vector_env, real_traces):
+        """Slot ``i``'s row is the scalar env's mask, decision after decision."""
         batch = len(real_traces)
         vector_env.reset(real_traces, rngs=list(range(batch)))
-        while not vector_env.all_done:
-            result = vector_env.step(np.zeros(batch, dtype=int))
-        masks = vector_env.valid_action_masks()
-        assert masks[:, 0].all()
-        assert not masks[:, 1:].any()
+        envs = []
+        for i, trace in enumerate(real_traces):
+            env = StorageAllocationEnv(
+                system_config, reward_config=RewardConfig(mode="per_step_penalty")
+            )
+            env.reset(trace, rng=i)
+            envs.append(env)
+        # Drain KV, then RV, into NORMAL until their migrations close;
+        # then hand cores back, which reopens them.
+        schedule = [3] * 4 + [5] * 4 + [1, 2] * 2
+        for action in schedule:
+            masks = _batch_masks(vector_env)
+            for i, env in enumerate(envs):
+                if not env.simulator.is_done:
+                    np.testing.assert_array_equal(masks[i], env.valid_action_mask())
+            if vector_env.all_done:
+                break
+            vector_env.step(np.full(batch, action))
+            for env in envs:
+                if not env.simulator.is_done:
+                    env.step(action)
 
     def test_sequential_step_info_contains_decision_mask(self, env, short_trace):
         env.reset(short_trace, rng=0)

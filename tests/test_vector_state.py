@@ -28,6 +28,7 @@ from repro.storage import vector_state
 from repro.storage.simulator import StorageSimulator, StorageSystemConfig
 from repro.storage.vector_state import VectorSimulatorState
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
+from repro.utils import philox_native
 from repro.utils.rng import PhiloxStreams
 
 
@@ -42,13 +43,14 @@ def _drive_and_compare(config, traces, seeds, kernel, action_seed=101):
 
     Actions are drawn per-slot from independent seeded generators (only
     for unfinished slots, exactly like a collector would), and every
-    per-interval quantity is compared bitwise.
+    per-interval quantity is compared bitwise.  ``kernel`` steps the
+    vector state: ``"native"`` when the C kernel is ready (the scalar
+    simulators then run it too), ``"grouped"`` or ``"reference"`` under
+    the ``numpy_simulator`` fixture.
     """
     batch = len(traces)
     state = VectorSimulatorState(config, record_metrics=False)
-    if kernel == "grouped":
-        state._grouped_min_rows = 1
-    elif kernel == "reference":
+    if kernel == "reference":
         state._grouped_min_rows = 10**9
     state.reset(traces, rngs=list(seeds))
     scalars = []
@@ -87,8 +89,21 @@ def _drive_and_compare(config, traces, seeds, kernel, action_seed=101):
     return state
 
 
+_KERNELS = pytest.mark.parametrize(
+    "kernel", ["native", "grouped", "reference"], indirect=True
+)
+
+
+@pytest.fixture
+def kernel(request):
+    """The kernel a test steps with; the numpy ones with native forced off."""
+    if request.param != "native":
+        request.getfixturevalue("numpy_simulator")
+    return request.param
+
+
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("kernel", ["grouped", "reference"])
+    @_KERNELS
     @pytest.mark.parametrize("batch", [1, 3, 8])
     @pytest.mark.parametrize("seed", [0, 11])
     def test_matches_scalar_simulator(self, real_traces, kernel, batch, seed):
@@ -98,12 +113,12 @@ class TestKernelEquivalence:
             config, traces, [seed + i for i in range(batch)], kernel
         )
 
-    @pytest.mark.parametrize("kernel", ["grouped", "reference"])
+    @_KERNELS
     def test_zero_idle_rate(self, real_traces, kernel):
         config = StorageSystemConfig(idle_rate=0.0)
         _drive_and_compare(config, _batch_traces(real_traces, 4), [5, 6, 7, 8], kernel)
 
-    @pytest.mark.parametrize("kernel", ["grouped", "reference"])
+    @_KERNELS
     def test_heavy_penalty_config(self, real_traces, kernel):
         config = StorageSystemConfig(
             migration_penalty=0.5, migration_cooldown_intervals=3, idle_rate=0.1
@@ -153,9 +168,9 @@ def _dispatch_row(draw):
     )
 
 
-def _state_on_the_eve_of_dispatch(rows):
+def _state_on_the_eve_of_dispatch(rows, config=None):
     """A reset state whose slots are overwritten with explicit ``rows``."""
-    state = VectorSimulatorState(StorageSystemConfig())
+    state = VectorSimulatorState(config or StorageSystemConfig())
     trace = WorkloadTrace("one-interval", [WorkloadInterval.empty()])
     state.reset([trace] * len(rows), rngs=list(range(len(rows))))
     state.pos_ids[...] = state._id_sentinel
@@ -255,7 +270,9 @@ class TestRowRegimes:
         _dispatch_grouped(batch)
         assert batch.processed[0, 0] == idled.sum()
 
-    def test_noop_philox_shard_never_builds_the_capacity_tensor(self, real_traces):
+    def test_noop_philox_shard_never_builds_the_capacity_tensor(
+        self, real_traces, numpy_simulator
+    ):
         """Regime counts, not times: with no migration no core is ever
         penalised and the default allocation has no 8-core level, so 512
         slots drawing idle cores every interval stay in closed form."""
@@ -272,7 +289,7 @@ class TestRowRegimes:
         assert idled_intervals > 4
         assert swept_rows == []
 
-    def test_draining_batch_keeps_one_sweep_workspace(self, real_traces):
+    def test_draining_batch_keeps_one_sweep_workspace(self, real_traces, numpy_simulator):
         """The tensor-row count changes every interval; the sweep's buffer
         is one grow-only workspace, not one array per shape ever seen."""
         batch = 512
@@ -286,7 +303,7 @@ class TestRowRegimes:
         widest = 2 * max(swept_rows) * 3 * state._level_capacity
         assert state._sweep_workspace.size <= widest
 
-    def test_index_helper_keeps_one_buffer(self, real_traces):
+    def test_index_helper_keeps_one_buffer(self, real_traces, numpy_simulator):
         """The migrating-row count ``m`` changes every interval and the
         migration kernel asks for ``arange(m)`` and ``arange(2 * m)``: the
         helper hands out read-only prefixes of one grow-only buffer, not one
@@ -306,6 +323,192 @@ class TestRowRegimes:
             prefix = helper(n)
             assert prefix.base is buffer and not prefix.flags.writeable
             np.testing.assert_array_equal(prefix, np.arange(n))
+
+
+_STATE_ARRAYS = (
+    "pos_ids", "pos_cooldown", "counts", "idle", "incoming", "processed",
+    "capacity", "utilization", "backlog", "interval_index", "done",
+    "truncated", "migration_applied",
+)
+
+
+def _native_or_skip():
+    status = vector_state.simulator_kernel_status()
+    if status != "ready":
+        pytest.skip(f"native simulator kernel {status}")
+
+
+@st.composite
+def _differential_case(draw):
+    """A config with levels up to 15 wide, a batch and how to step it."""
+    min_cores = draw(st.integers(1, 2))
+    total = draw(st.integers(3 * min_cores, 15 + 2 * min_cores))
+    normal = draw(st.integers(min_cores, total - 2 * min_cores))
+    kv = draw(st.integers(min_cores, total - normal - min_cores))
+    config = StorageSystemConfig(
+        total_cores=total,
+        initial_allocation={"normal": normal, "kv": kv, "rv": total - normal - kv},
+        min_cores_per_level=min_cores,
+        migration_penalty=draw(st.sampled_from([0.0, 0.2, 0.45])),
+        migration_cooldown_intervals=draw(st.integers(0, 3)),
+        idle_rate=draw(st.sampled_from([0.0, 0.04, 0.3])),
+        max_intervals_factor=draw(st.sampled_from([1.0, 1.5, 12.0])),
+        max_intervals_slack=draw(st.integers(0, 3)),
+    )
+    return (
+        config,
+        draw(st.sampled_from([1, 2, 7, 64])),
+        draw(st.booleans()),            # record_metrics
+        draw(st.booleans()),            # Philox streams, else per-slot generators
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestNativeKernel:
+    """``_sim_kernel.c`` steps every state array to the numpy kernels' bytes."""
+
+    @given(case=_differential_case())
+    @settings(max_examples=60, deadline=None)
+    def test_every_array_after_every_step_matches_numpy(self, case):
+        """Native, the numpy grouped kernel and the reference loop, in lockstep."""
+        _native_or_skip()
+        config, batch, record, philox, seed = case
+        rng = np.random.default_rng(seed)
+        traces = [
+            WorkloadTrace(
+                f"t{i}",
+                [
+                    WorkloadInterval(
+                        rng.dirichlet(np.ones(14)),
+                        rng.uniform(0.0, 900.0 * config.total_cores),
+                    )
+                    for _ in range(int(rng.integers(1, 9)))
+                ],
+            )
+            for i in range(min(batch, 5))
+        ]
+        traces = [traces[i % len(traces)] for i in range(batch)]
+        states = []
+        for kernel in ("native", "grouped", "reference"):
+            state = VectorSimulatorState(config, record_metrics=record)
+            if kernel == "reference":
+                state._grouped_min_rows = 10**9
+            streams = PhiloxStreams(seed, batch, "differential") if philox else [
+                seed + i for i in range(batch)
+            ]
+            state.reset(traces, rngs=streams)
+            assert (state._kernel is None) == (kernel == "reference")
+            if kernel == "grouped":
+                state._kernel = None
+            states.append(state)
+        while not states[0].done.all():
+            actions = rng.integers(0, 7, size=batch)
+            stepped = [state.step(actions) for state in states]
+            for state, mask in zip(states[1:], stepped[1:]):
+                assert mask.tobytes() == stepped[0].tobytes()
+                for name in _STATE_ARRAYS:
+                    mine, native = getattr(state, name), getattr(states[0], name)
+                    assert mine.tobytes() == native.tobytes(), name
+                assert [e.truncated for e in state.episodes] == [
+                    e.truncated for e in states[0].episodes
+                ]
+        if record:
+            for state in states[1:]:
+                for mine, theirs in zip(state.episodes, states[0].episodes):
+                    assert mine.intervals == theirs.intervals
+
+    @given(rows=st.lists(_dispatch_row(), min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_post_matches_numpy_on_dispatch_rows(self, rows):
+        """Dispatch through the flags, on rows whose sums round by order."""
+        _native_or_skip()
+        native = _state_on_the_eve_of_dispatch(rows)
+        spec = _state_on_the_eve_of_dispatch(rows)
+        truncated = native._kernel.post(native)
+        assert truncated == spec._finish_interval(np.arange(len(rows)), slice(None))
+        for name in _STATE_ARRAYS:
+            assert getattr(native, name).tobytes() == getattr(spec, name).tobytes(), name
+
+    def test_status_is_ready_and_names_the_variable_when_forced_off(self, monkeypatch):
+        try:
+            philox_native.build(vector_state._KERNEL_SOURCE)
+        except RuntimeError as exc:
+            pytest.skip(f"no compiler on this box: {exc}")
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+        monkeypatch.setattr(vector_state, "_simulator_kernel", None)
+        monkeypatch.setattr(vector_state, "_simulator_status", None)
+        assert vector_state.simulator_kernel_status() == "ready"
+        monkeypatch.setattr(vector_state, "_simulator_kernel", None)
+        monkeypatch.setattr(vector_state, "_simulator_status", None)
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+        assert vector_state.simulator_kernel_status() == "disabled: REPRO_DISABLE_NATIVE=1"
+        state = VectorSimulatorState(StorageSystemConfig())
+        state.reset([WorkloadTrace("one", [WorkloadInterval.empty()])], rngs=[0])
+        assert state._kernel is None
+
+    def test_a_kernel_that_differs_leaves_numpy_in_charge(self, monkeypatch):
+        """One ulp of one backlog cell fails the load-time self-check."""
+        _native_or_skip()
+        post = vector_state.NativeSimulatorKernel.post
+
+        def one_ulp_off(self, state):
+            truncated = post(self, state)
+            state.backlog[0, 0] = np.nextafter(state.backlog[0, 0], np.inf)
+            return truncated
+
+        monkeypatch.setattr(vector_state.NativeSimulatorKernel, "post", one_ulp_off)
+        monkeypatch.setattr(vector_state, "_simulator_kernel", None)
+        monkeypatch.setattr(vector_state, "_simulator_status", None)
+        status = vector_state.simulator_kernel_status()
+        assert status == "disabled: self-check mismatch against the numpy kernels"
+        assert vector_state._native_simulator_kernel() is None
+
+    def test_failed_load_is_recorded_with_its_reason(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))  # nothing cached
+        monkeypatch.delenv("CC", raising=False)
+        monkeypatch.setenv("PATH", "")                           # no compiler found
+        monkeypatch.setattr(vector_state, "_simulator_kernel", None)
+        monkeypatch.setattr(vector_state, "_simulator_status", None)
+        status = vector_state.simulator_kernel_status()
+        assert status.startswith("disabled: no compiler produced the sim_kernel")
+
+    def test_idle_ranking_is_stable_in_every_kernel(self):
+        """Highest capacity first, lowest core id among equals.
+
+        An 11-core cell with positions 0-7 and 9 penalised idles one core:
+        position 8, not 10.  In the 8-wide tree plus tail the zero's
+        position moves the total by an ulp, so an unstable sort (numpy's
+        default kind, whose tie order depends on the host's SIMD sort)
+        fails here on some CPUs.
+        """
+        config = StorageSystemConfig(
+            total_cores=13,
+            core_capability_kb=160_000.0,
+            migration_penalty=0.3,
+            initial_allocation={"normal": 11, "kv": 1, "rv": 1},
+        )
+        share = 123456.789
+        cooldowns = [[1] * 8 + [0, 1, 0], [0], [0]]
+        row = ([11, 1, 1], cooldowns, [1, 0, 0], [11 * share, 1.0, 1.0])
+        caps = np.where(np.array(cooldowns[0]) > 0, 112_000.0, 160_000.0)
+        caps[8] = 0.0
+        expected = np.minimum(share, caps).sum()
+        assert expected == 1131456.789
+
+        state = _state_on_the_eve_of_dispatch([row], config)
+        processed, _capacity = state._sweep_tensor_rows(
+            state.pos_cooldown, state.counts, state.idle,
+            state.backlog / state.counts, state._level_capacity,
+        )
+        assert processed[0, 0] == expected
+        reference = _state_on_the_eve_of_dispatch([row], config)
+        reference._process_intervals_reference(np.arange(1))
+        assert reference.processed[0, 0] == expected
+        native = _state_on_the_eve_of_dispatch([row], config)
+        if native._kernel is not None:
+            native._kernel.post(native)
+            assert native.processed[0, 0] == expected
 
 
 class TestBatchLifecycle:
