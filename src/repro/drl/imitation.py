@@ -45,21 +45,18 @@ class Demonstration:
         return int(self.actions.shape[0])
 
 
+#: Cap on an action's loss weight, so a rare action seen a handful of
+#: times cannot dominate the fit.
+_MAX_CLASS_WEIGHT = 5.0
+
+
 @dataclass(frozen=True)
 class ImitationConfig:
-    """Hyper-parameters of behaviour cloning.
-
-    ``class_balanced`` weights each action inversely to its frequency in
-    the demonstrations; expert controllers emit "no migration" for most
-    intervals, and without re-weighting the cloned policy collapses to
-    the majority class instead of learning *when* to migrate.
-    """
+    """Hyper-parameters of behaviour cloning."""
 
     epochs: int = 20
     learning_rate: float = 1e-3
     grad_clip_norm: float = 2.0
-    class_balanced: bool = True
-    max_class_weight: float = 5.0
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -68,8 +65,6 @@ class ImitationConfig:
             raise ConfigurationError("learning_rate must be positive and finite")
         if not 0 < self.grad_clip_norm < np.inf:
             raise ConfigurationError("grad_clip_norm must be positive and finite")
-        if self.max_class_weight < 1.0:
-            raise ConfigurationError("max_class_weight must be at least 1")
 
 
 @dataclass
@@ -186,16 +181,17 @@ class BehaviorCloningTrainer:
     def _class_weights(
         self, demonstrations: Sequence[Demonstration], num_actions: int
     ) -> np.ndarray:
-        """Per-action loss weights (uniform when class balancing is disabled)."""
-        if not self.config.class_balanced:
-            return np.ones(num_actions)
-        counts = np.zeros(num_actions)
-        for demo in demonstrations:
-            for action in demo.actions:
-                counts[int(action)] += 1
+        """Per-action loss weights, inverse to each action's frequency.
+
+        Expert controllers emit "no migration" for most intervals; without
+        re-weighting the cloned policy collapses to the majority class
+        instead of learning *when* to migrate.
+        """
+        actions = np.concatenate([demo.actions for demo in demonstrations])
+        counts = np.bincount(actions, minlength=num_actions).astype(float)
         total = counts.sum()
         weights = np.where(counts > 0, total / (num_actions * np.maximum(counts, 1.0)), 0.0)
-        return np.clip(weights, 0.0, self.config.max_class_weight)
+        return np.clip(weights, 0.0, _MAX_CLASS_WEIGHT)
 
     @staticmethod
     def evaluate_accuracy(

@@ -79,7 +79,6 @@ def small_pipeline_config(
         rollout_traces_for_extraction=5,
         qbn_fine_tune_epochs=20,
         bc_pretrain_epochs=30,
-        bc_teacher="greedy_utilization",
         seed=seed,
     )
 

@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.agents.greedy import GreedyUtilizationPolicy
 from repro.drl.a2c import A2CConfig, TrainingHistory
 from repro.drl.agent import DRLPolicyAgent
 from repro.drl.curriculum import CurriculumConfig, CurriculumTrainer
+from repro.drl.imitation import BehaviorCloningTrainer, ImitationConfig
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import BatchedRolloutCollector
 from repro.engine.evaluation import EvaluationResult
@@ -66,7 +68,6 @@ class PipelineConfig:
     qbn_fine_tune_epochs: int = 0
     interpretation_window: int = 10
     bc_pretrain_epochs: int = 0
-    bc_teacher: str = "greedy_utilization"
     seed: int = 0
 
     def validate(self) -> None:
@@ -82,11 +83,6 @@ class PipelineConfig:
             raise ConfigurationError("rollout_traces_for_extraction must be positive")
         if self.bc_pretrain_epochs < 0:
             raise ConfigurationError("bc_pretrain_epochs must be non-negative")
-        if self.bc_teacher not in ("greedy_utilization", "handcrafted_fsm", "proportional_allocation"):
-            raise ConfigurationError(
-                "bc_teacher must be one of 'greedy_utilization', 'handcrafted_fsm', "
-                f"'proportional_allocation', got {self.bc_teacher!r}"
-            )
         if self.standard_trace_duration <= 0:
             raise ConfigurationError("standard_trace_duration must be positive")
         if self.interpretation_window <= 0:
@@ -187,25 +183,14 @@ class LearningAidedPipeline:
     def _behaviour_clone(
         self, policy: RecurrentPolicyValueNet, traces: Sequence[WorkloadTrace]
     ) -> None:
-        """Warm-start ``policy`` by imitating the configured expert heuristic."""
-        from repro.agents.greedy import GreedyUtilizationPolicy
-        from repro.agents.handcrafted import HandcraftedFSMPolicy
-        from repro.agents.proportional import ProportionalAllocationPolicy
-        from repro.drl.imitation import BehaviorCloningTrainer, ImitationConfig
-
-        teachers = {
-            "greedy_utilization": GreedyUtilizationPolicy,
-            "handcrafted_fsm": HandcraftedFSMPolicy,
-            "proportional_allocation": lambda: ProportionalAllocationPolicy(self.config.system),
-        }
-        teacher = teachers[self.config.bc_teacher]()
+        """Warm-start ``policy`` by imitating the greedy utilisation heuristic."""
         trainer = BehaviorCloningTrainer(
             self.config.system,
             self.config.reward,
             ImitationConfig(epochs=self.config.bc_pretrain_epochs),
             rng=self._rngs.get("imitation"),
         )
-        demos = trainer.collect_demonstrations(teacher, list(traces))
+        demos = trainer.collect_demonstrations(GreedyUtilizationPolicy(), list(traces))
         trainer.fit(policy, demos)
 
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ own effective capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -114,10 +114,10 @@ def pairwise_sum_ragged(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     garbage; they never reach an accumulation.
 
     This is the **executable specification** of the summation-order
-    model that the vectorized simulator's dispatch sweep
-    (:meth:`~repro.storage.vector_state.VectorSimulatorState._process_intervals_grouped`)
-    inlines for its hot path: ``tests/test_vector_state.py`` pins this
-    function against per-row ``sum()`` across lengths, so a numpy
+    model that the native simulator step (``pairwise_sum`` in
+    ``_sim_kernel.c``) inlines for its hot path:
+    ``tests/test_vector_state.py`` pins this function against per-row
+    ``sum()`` across lengths, so a numpy
     upgrade that changes the pairwise internals fails here loudly
     instead of silently drifting a golden trace.
     """
@@ -149,60 +149,6 @@ def pairwise_sum_ragged(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     for j in range(8, n_max):
         big = big + np.where((full_blocks <= j) & (j < lengths), values[..., j], 0.0)
     return np.where(lengths < 8, small, big)
-
-
-#: Largest replication count :func:`replicated_pairwise_sum` reproduces —
-#: the unrolled-8 tree plus sequential tail, the same envelope the
-#: vectorized dispatch sweep supports (levels never exceed 15 cores with
-#: the <= 17-core configurations the grouped kernel accepts).
-REPLICATED_MAX_LENGTH = 15
-
-
-def replicated_pairwise_sum(
-    values: np.ndarray, lengths: np.ndarray, n_max: Optional[int] = None
-) -> np.ndarray:
-    """Per-cell sum of ``lengths[c]`` copies of ``values[c]``, pairwise order.
-
-    Cell ``c`` of the result is bit-identical to
-    ``np.full(lengths[c], values[c]).sum()`` for ``lengths <= 15``.  This
-    is the uniform-cell special case of :func:`pairwise_sum_ragged` — all
-    row entries equal — which admits a much cheaper replay: the first
-    eight copies combine as a balanced tree of equal values, which is the
-    *exact* product ``8 * v`` (every intermediate doubles a value, and
-    doubling only increments the exponent), so only the left-to-right
-    head (< 8 copies) and the sequential tail (copies 8..14) need
-    per-copy passes.  ``lengths`` must not exceed ``n_max``.
-
-    The vectorized simulator's closed-form dispatch rows (no penalised
-    core; idled cores only in cells under 8 wide, where they are exact
-    leading zeros) use this to reduce their per-level processed totals
-    without materialising the positional ``(B, 3, n_max)`` capacity
-    tensor.
-    """
-    values = np.asarray(values, dtype=float)
-    lengths = np.asarray(lengths)
-    if n_max is None:
-        n_max = int(lengths.max()) if lengths.size else 0
-    if n_max > REPLICATED_MAX_LENGTH:
-        raise SimulationError(
-            f"replicated_pairwise_sum supports up to {REPLICATED_MAX_LENGTH} "
-            f"copies, got {n_max}"
-        )
-    # sums[k] = each cell's k-copy sum, one in-place pass per k over the
-    # previous row (the exact ``8 * v`` at 8); a cell reads row
-    # ``lengths[c]``: its own IEEE adds, with no mask or array per column.
-    flat = values.ravel()
-    sums = np.empty((n_max + 1, flat.size))
-    sums[0] = 0.0
-    for k in range(1, n_max + 1):
-        if k == 1:
-            sums[1] = flat
-        elif k == 8:
-            np.multiply(flat, 8.0, out=sums[8])
-        else:
-            np.add(sums[k - 1], flat, out=sums[k])
-    picked = sums.ravel()[lengths.ravel() * flat.size + np.arange(flat.size)]
-    return picked.reshape(values.shape)
 
 
 DISPATCHERS = {

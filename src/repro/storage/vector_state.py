@@ -60,18 +60,18 @@ without perturbing the remaining slots.
 
 Kernels
 -------
-:meth:`VectorSimulatorState.step` picks one of three kernels at each
-reset, all byte-equal in every state array:
+:meth:`VectorSimulatorState.step` picks one of two kernels at each
+reset, byte-equal in every state array:
 
 1. the native kernel (``_sim_kernel.c``), when
-   :func:`simulator_kernel_status` reads ``"ready"`` and the grouped
-   kernel's conditions hold — one C pass for migrations and injection,
-   one for dispatch through the done flags, on either side of the idle
-   draws, which stay in Python;
-2. otherwise the numpy grouped kernel (polling dispatch, levels of at
-   most 15 cores), the specification the native kernel is checked
-   against when it loads;
-3. failing that, the per-cell reference loop.
+   :func:`simulator_kernel_status` reads ``"ready"``, dispatch is
+   polling and no level can hold more than 15 cores — one C pass for
+   migrations and injection, one for dispatch through the done flags,
+   on either side of the idle draws, which stay in Python;
+2. otherwise the numpy migration and injection passes and the per-cell
+   reference dispatch loop: the specification the native kernel is
+   checked against when it loads.  It is there for correctness, not
+   for serving.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.storage.dispatcher import get_dispatcher, replicated_pairwise_sum
+from repro.storage.dispatcher import get_dispatcher
 from repro.storage.levels import LEVELS
 from repro.storage.metrics import EpisodeMetrics, StepColumns, StepValues
 from repro.storage.migration import (
@@ -96,13 +96,6 @@ from repro.utils.rng import PhiloxStreams, SeedLike, new_rng
 
 _NUM_LEVELS = len(LEVELS)
 _DRAIN_EPSILON = 1e-9
-# In a batch that needs the capacity tensor for some rows anyway, the
-# closed form's ~25 small-array passes pay for themselves only once they
-# spare this many rows the tensor (the routes cross at 100-130 spared
-# rows and sit within 20% of each other from 64 up; at 6-16 rows, the
-# batches training and evaluation step, sweeping everything is 1.4x
-# cheaper).
-_CLOSED_FORM_MIN_ROWS = 64
 _EMPTY_LEVEL = "polling dispatch requires at least one core per level"
 
 
@@ -130,37 +123,18 @@ class VectorSimulatorState:
         self._capability = float(config.core_capability_kb)
         self._penalized_capability = self._capability * (1.0 - config.migration_penalty)
         self._arange_buffer = np.arange(0)
-        self._sweep_workspace = np.empty(0)
-        # table[k] = numpy's pairwise sum of k full-speed capacities;
-        # closed-form dispatch rows gather their level capacity totals
-        # from it instead of re-reducing per interval.
-        self._uniform_sums = np.array(
-            [
-                np.full(k, self._capability).sum()
-                for k in range(config.total_cores + 1)
-            ]
-        )
-        self._uniform_sums.setflags(write=False)
         self.last_step_all_active = False
-        # Kernel selection: the grouped kernel is gather-free on the
-        # padded level-major layout and beats the per-cell reference loop
-        # at every batch size, so it is the default whenever the
-        # dispatcher supports it; both kernels are bit-identical, and
-        # tests raise this switch to force the reference kernel (which
-        # keeps the native kernel out too).
-        self._grouped_min_rows = 1
-        # The grouped kernel's column sweep replays numpy's pairwise
-        # summation for rows below 16 elements (left-to-right under 8,
-        # unrolled tree + tail up to 15); wider levels — impossible with
-        # <= 17 cores — and non-polling dispatchers use the reference
-        # kernel.
         # A level can hold at most total - (levels-1) * min cores; this
         # bound is also the width of the padded positional core arrays.
         self._level_capacity = config.total_cores - (
             (_NUM_LEVELS - 1) * config.min_cores_per_level
         )
-        self._grouped_supported = (
-            self._dispatch_is_polling and self._level_capacity <= 15
+        # The native kernel replays numpy's pairwise summation for rows
+        # below 16 elements (left-to-right under 8, unrolled tree + tail
+        # up to 15) and dispatches by polling only; wider levels and
+        # other dispatchers step on the reference loop.
+        self._native_supported = (
+            self._dispatch_is_polling and self._level_capacity <= _KERNEL_MAX_WIDTH
         )
         # Sentinel core id marking padding positions; it compares greater
         # than every real id — and also greater than any penalised core's
@@ -319,7 +293,7 @@ class VectorSimulatorState:
         # packed here: nothing may rebind a state array until the next
         # reset.
         self._kernel = None
-        if self._grouped_supported and self._grouped_min_rows <= 1:
+        if self._native_supported:
             self._kernel = _native_simulator_kernel()
             if self._kernel is not None:
                 self._kernel.pack(self)
@@ -388,25 +362,17 @@ class VectorSimulatorState:
     def _finish_interval(self, rows: np.ndarray, ix) -> int:
         """Dispatch, decay cooldowns, advance time and set the done and
         truncated flags of the stepped rows; returns how many truncated."""
-        # Rows holding a penalised core, scanned once for the dispatch regime
-        # and the decay (only migrations wrote cooldowns since the last
-        # decay).  Cooldowns are >= 0, so einsum's row sum (a sixth of
-        # ``any(axis=1)``'s cost) is positive exactly on those rows.
-        cooldowns = self.pos_cooldown[ix]
-        cooling = np.einsum("ij->i", cooldowns.reshape(cooldowns.shape[0], -1)) > 0
-        if self._grouped_supported and rows.size >= self._grouped_min_rows:
-            self._process_intervals_grouped(ix, cooling)
-        else:
-            self._process_intervals_reference(rows)
+        self._process_intervals_reference(rows)
 
         # Advance time and decay every positive cooldown by one.  With no
-        # cooling row every cooldown, padding included, is zero: skipped.
-        if cooling.any():
+        # penalised core every cooldown, padding included, is zero:
+        # skipped.
+        cooldowns = self.pos_cooldown[ix]
+        if cooldowns.any():
             if isinstance(ix, slice):
                 self.pos_cooldown -= self.pos_cooldown > 0
             else:
-                cool = self.pos_cooldown[rows]
-                self.pos_cooldown[rows] = cool - (cool > 0)
+                self.pos_cooldown[rows] = cooldowns - (cooldowns > 0)
         self.interval_index[ix] += 1  # also advances steps_taken (shared array)
 
         injected_all = self.interval_index[ix] >= self.trace_len[ix]
@@ -601,156 +567,11 @@ class VectorSimulatorState:
                 if draw:
                     idle[slot, 2] = min(int(draw), c2 - 1)
 
-    def _process_intervals_grouped(self, ix, cooling: np.ndarray) -> None:
-        """Vectorized polling dispatch + accounting over all (slot, level) cells.
-
-        The level-major core layout makes "level ``l``'s capacities in
-        scalar order" a row slice, so no per-interval argsort is needed.
-        The regime is a property of the **row** (one slot's three cells):
-
-        * **Closed form** — no core of the row is penalised and every
-          cell has ``idle == 0`` or fewer than 8 cores.  The cell's cores
-          are then its ``idle`` idled ones — the *leading* positions,
-          because ``np.argsort`` of a constant row is the identity —
-          followed by ``count - idle`` cores that each process
-          ``min(share, capability)``.  numpy sums rows under 8 elements
-          left to right and ``0.0 + v`` is exact, so the leading zeros
-          drop out: processed is
-          :func:`~repro.storage.dispatcher.replicated_pairwise_sum` over
-          ``count - idle`` copies and capacity a table gather (``share``
-          still divides by the full ``count``; ``idle <= count - 1``
-          keeps the length >= 1).  No capacity tensor is materialised.
-        * **Tensor sweep** (:meth:`_sweep_tensor_rows`) — a row with a
-          penalised core, or with an idled cell of >= 8 cores: numpy's
-          8-wide unrolled tree associates zeros by *position*, so those
-          cells replay the reduction on the real capacity layout.
-
-        ``cooling`` marks the rows of ``ix`` holding a penalised core.
-        All-closed and all-tensor batches never gather (``ix`` is a slice
-        when every slot steps).  A batch holding both regimes reduces
-        every row in closed form — a few elementwise passes over
-        ``(B, 3)``, cheaper than gathering the closed rows out and
-        scattering them back — and overwrites the tensor rows with the
-        sweep, which runs restricted to those rows; when fewer than
-        ``_CLOSED_FORM_MIN_ROWS`` rows would be spared, the whole batch is
-        swept instead (the sweep is exact for closed-form rows too).
-        """
-        counts = self.counts[ix]
-        n_max = int(counts.max())
-        if int(counts.min()) == 0:
-            raise SimulationError(_EMPTY_LEVEL)
-        idle = self.idle[ix]
-        pending = self.backlog[ix]
-        batch = counts.shape[0]
-        tensor_rows = cooling
-        if n_max >= 8:
-            tensor_rows = cooling | ((idle > 0) & (counts >= 8)).any(axis=1)
-        tensor_count = int(np.count_nonzero(tensor_rows))
-        share = pending / counts
-        if tensor_count and batch - tensor_count < _CLOSED_FORM_MIN_ROWS:
-            # The sweep is exact for every row; closed-form rows are the
-            # ones that do not need it.
-            processed, capacity = self._sweep_tensor_rows(
-                self.pos_cooldown[ix], counts, idle, share, n_max
-            )
-        else:
-            live = counts - idle
-            processed = replicated_pairwise_sum(
-                np.minimum(share, self._capability), live, n_max
-            )
-            capacity = self._uniform_sums[live]
-            if tensor_count:
-                rows = np.nonzero(tensor_rows)[0]
-                tensor_slots = rows if isinstance(ix, slice) else ix[rows]
-                processed[rows], capacity[rows] = self._sweep_tensor_rows(
-                    self.pos_cooldown[tensor_slots],
-                    counts[rows],
-                    idle[rows],
-                    share[rows],
-                    n_max,
-                )
-        self.processed[ix] = processed
-        self.capacity[ix] = capacity
-        self.utilization[ix] = np.minimum(1.0, processed / capacity)
-        self.backlog[ix] = np.maximum(0.0, pending - processed)
-
-    def _sweep_tensor_rows(self, pos_cooldown, counts, idle, share, n_max: int):
-        """``(processed, capacity)`` of rows through the masked capacity tensor.
-
-        Capacities are gathered positionally from the level-major
-        cooldown rows and both reductions run as one fused masked sum
-        that replays numpy's pairwise summation (left-to-right under 8
-        elements, unrolled tree + tail up to 15), exactly as the scalar
-        per-level reductions.  Idled cores are zeroed like the scalar
-        path: unpenalised cells idle their first ``idle`` cores and the
-        rare penalised+idle cells apply the stable ranking individually.
-        """
-        batch = counts.shape[0]
-        n_max = min(n_max, pos_cooldown.shape[2])
-        # The padded positional tensor IS the per-level capacity layout —
-        # no gather, no argsort: position j of level row l holds the
-        # l-level core with the j-th smallest id, padding cooldowns are
-        # zero.  Zero the columns past each cell's core count so the
-        # column accumulations below reduce just the valid prefix
-        # (adding +0.0 is an exact identity).
-        caps = np.where(
-            pos_cooldown[..., :n_max] > 0,
-            self._penalized_capability,
-            self._capability,
-        )
-        caps *= self._arange(n_max)[None, None, :] < counts[:, :, None]
-
-        busy = idle > 0
-        if busy.any():
-            # A cell needs the argsort ranking only when the level mixes
-            # full-speed and penalised cores; uniform cells idle their
-            # first cores (argsort of a constant row is the identity
-            # permutation).
-            penalized_cells = (caps == self._penalized_capability).any(axis=-1)
-            uniform_busy = busy & ~penalized_cells
-            mixed_busy = busy & penalized_cells
-            if uniform_busy.any():
-                zero_mask = (
-                    self._arange(n_max)[None, None, :] < idle[:, :, None]
-                ) & uniform_busy[:, :, None]
-                caps[zero_mask] = 0.0
-            if mixed_busy.any():
-                for a, level in zip(*np.nonzero(mixed_busy)):
-                    cell_caps = caps[a, level, : counts[a, level]]
-                    rank = np.argsort(-cell_caps, kind="stable")
-                    cell_caps[rank[: idle[a, level]]] = 0.0
-
-        # vals[0] = per-core processed, vals[1] = per-core capacity; the
-        # stacked layout lets one row reduction serve both.  The tensor
-        # row count changes every interval, so the buffer is one
-        # grow-only workspace carved to this call's shape.
-        size = 2 * batch * _NUM_LEVELS * n_max
-        if self._sweep_workspace.shape[0] < size:
-            self._sweep_workspace = np.empty(size)
-        vals = self._sweep_workspace[:size].reshape(2, batch, _NUM_LEVELS, n_max)
-        np.minimum(share[:, :, None], caps, out=vals[0])
-        vals[1] = caps
-        # numpy's own last-axis pairwise summation IS the scalar
-        # reduction order — left-to-right for rows under 8 elements, the
-        # unrolled-8 tree plus sequential tail for 8..15 — and zero
-        # columns are exact identities *within* each regime, so one
-        # ``sum`` per width class replaces the hand-rolled column sweep.
-        # Cells below 8 cores must reduce over at most 7 columns, though:
-        # the 8-wide tree associates their zero-padded values differently.
-        if n_max < 8:
-            totals = vals.sum(axis=-1)
-        else:
-            totals = np.where(
-                counts >= 8, vals.sum(axis=-1), vals[..., :7].sum(axis=-1)
-            )
-
-        return totals[0], totals[1]
-
     def _process_intervals_reference(self, rows: np.ndarray) -> None:
         """Per-cell dispatch loop — the scalar simulator's exact inner loop.
 
-        Serves non-polling dispatchers and the tests that force it;
-        bit-identical to the grouped kernel where both apply.
+        The specification of the native kernel's dispatch, and the
+        dispatch of every state the native kernel does not step.
         """
         capability = self._capability
         for slot in rows.tolist():
@@ -995,21 +816,22 @@ def _self_check_runs(kernel: Optional[NativeSimulatorKernel]):
 
 
 def _native_simulator_kernel() -> Optional[NativeSimulatorKernel]:
-    """The self-checked native kernel, or ``None`` (numpy kernels).
+    """The self-checked native kernel, or ``None`` (the reference loop).
 
     Probed once per process, at the first reset that can use it;
     :func:`simulator_kernel_status` says how it went.
     """
     global _simulator_kernel, _simulator_status
     if _simulator_status is None:
-        # The self-check resets states of its own: they see no kernel.
+        # The self-check resets states of its own: they see no kernel, so
+        # its second run steps on the reference loop.
         _simulator_status = "disabled: self-check in progress"
         try:
             kernel = NativeSimulatorKernel()
             if _self_check_runs(kernel) == _self_check_runs(None):
                 _simulator_kernel, _simulator_status = kernel, "ready"
             else:
-                _simulator_status = "disabled: self-check mismatch against the numpy kernels"
+                _simulator_status = "disabled: self-check mismatch against the reference loop"
         except (OSError, RuntimeError, ctypes.ArgumentError, SimulationError) as exc:
             _simulator_status = f"disabled: {exc}"
     return _simulator_kernel
@@ -1019,9 +841,10 @@ def simulator_kernel_status() -> str:
     """``"ready"`` or ``"disabled: <reason>"`` for the native simulator step.
 
     The reason is what loading raised (``REPRO_DISABLE_NATIVE=1``, no
-    compiler, an unloadable object) or a self-check mismatch.  Either way
-    every state array holds the same bytes; disabled, the numpy kernels
-    step the simulator, more slowly.
+    compiler, an unloadable object) or a self-check mismatch against the
+    reference loop.  Either way every state array holds the same bytes;
+    disabled, the numpy passes and the reference dispatch loop step the
+    simulator, much more slowly.
     """
     _native_simulator_kernel()
     return _simulator_status

@@ -70,7 +70,7 @@ def sampler_path(request, monkeypatch):
 
 @pytest.fixture
 def numpy_simulator(monkeypatch):
-    """Step every simulator with the numpy kernels, the native one forced off."""
+    """Step every simulator on the reference loop, the native kernel forced off."""
     vector_state.simulator_kernel_status()  # probe first so the patch is what gets undone
     monkeypatch.setattr(vector_state, "_simulator_kernel", None)
     monkeypatch.setattr(vector_state, "_simulator_status", "disabled: forced by the test")

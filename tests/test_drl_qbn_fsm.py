@@ -706,6 +706,3 @@ class TestPipeline:
         bad = replace(tiny_pipeline_config, num_eval_traces=0)
         with pytest.raises(ConfigurationError):
             bad.validate()
-        bad2 = replace(tiny_pipeline_config, bc_teacher="unknown_teacher")
-        with pytest.raises(ConfigurationError):
-            bad2.validate()

@@ -118,6 +118,9 @@ class TestOverrides:
             apply_overrides(A2CConfig(), {"learning_rte": 1e-3})
         with pytest.raises(ConfigurationError, match="unknown field"):
             apply_overrides(PipelineConfig(), {"a2c.bogus": 1})
+        # The BC teacher is the greedy heuristic, not a setting.
+        with pytest.raises(ConfigurationError, match="unknown field"):
+            apply_overrides(PipelineConfig(), {"bc_teacher": "handcrafted_fsm"})
 
     def test_override_validation_still_applies(self):
         with pytest.raises(ConfigurationError):

@@ -11,8 +11,6 @@ order — so a numpy upgrade that changes them fails loudly here instead
 of silently drifting a golden trace.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +21,7 @@ from repro.agents.proportional import ProportionalAllocationPolicy
 from repro.env.environment import StorageAllocationEnv
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import SimulationError
-from repro.storage.dispatcher import pairwise_sum_ragged, replicated_pairwise_sum
+from repro.storage.dispatcher import pairwise_sum_ragged
 from repro.storage import vector_state
 from repro.storage.simulator import StorageSimulator, StorageSystemConfig
 from repro.storage.vector_state import VectorSimulatorState
@@ -38,20 +36,17 @@ def _batch_traces(real_traces, batch):
     return [traces[i % len(traces)] for i in range(batch)]
 
 
-def _drive_and_compare(config, traces, seeds, kernel, action_seed=101):
+def _drive_and_compare(config, traces, seeds, action_seed=101):
     """Step a vector state and per-slot scalar simulators in lockstep.
 
     Actions are drawn per-slot from independent seeded generators (only
     for unfinished slots, exactly like a collector would), and every
-    per-interval quantity is compared bitwise.  ``kernel`` steps the
-    vector state: ``"native"`` when the C kernel is ready (the scalar
-    simulators then run it too), ``"grouped"`` or ``"reference"`` under
-    the ``numpy_simulator`` fixture.
+    per-interval quantity is compared bitwise.  The caller's ``kernel``
+    fixture picks what steps both: the C kernel when it is ready, or the
+    reference loop under the ``numpy_simulator`` fixture.
     """
     batch = len(traces)
     state = VectorSimulatorState(config, record_metrics=False)
-    if kernel == "reference":
-        state._grouped_min_rows = 10**9
     state.reset(traces, rngs=list(seeds))
     scalars = []
     for trace, seed in zip(traces, seeds):
@@ -89,15 +84,13 @@ def _drive_and_compare(config, traces, seeds, kernel, action_seed=101):
     return state
 
 
-_KERNELS = pytest.mark.parametrize(
-    "kernel", ["native", "grouped", "reference"], indirect=True
-)
+_KERNELS = pytest.mark.parametrize("kernel", ["native", "reference"], indirect=True)
 
 
 @pytest.fixture
 def kernel(request):
-    """The kernel a test steps with; the numpy ones with native forced off."""
-    if request.param != "native":
+    """The kernel a test steps with; the reference loop with native forced off."""
+    if request.param == "reference":
         request.getfixturevalue("numpy_simulator")
     return request.param
 
@@ -109,34 +102,30 @@ class TestKernelEquivalence:
     def test_matches_scalar_simulator(self, real_traces, kernel, batch, seed):
         config = StorageSystemConfig()
         traces = _batch_traces(real_traces, batch)
-        _drive_and_compare(
-            config, traces, [seed + i for i in range(batch)], kernel
-        )
+        _drive_and_compare(config, traces, [seed + i for i in range(batch)])
 
     @_KERNELS
     def test_zero_idle_rate(self, real_traces, kernel):
         config = StorageSystemConfig(idle_rate=0.0)
-        _drive_and_compare(config, _batch_traces(real_traces, 4), [5, 6, 7, 8], kernel)
+        _drive_and_compare(config, _batch_traces(real_traces, 4), [5, 6, 7, 8])
 
     @_KERNELS
     def test_heavy_penalty_config(self, real_traces, kernel):
         config = StorageSystemConfig(
             migration_penalty=0.5, migration_cooldown_intervals=3, idle_rate=0.1
         )
-        _drive_and_compare(config, _batch_traces(real_traces, 4), [1, 2, 3, 4], kernel)
+        _drive_and_compare(config, _batch_traces(real_traces, 4), [1, 2, 3, 4])
 
-    def test_grouped_supported_flag_respects_dispatcher(self):
+    def test_native_supported_flag_respects_dispatcher(self):
+        assert VectorSimulatorState(StorageSystemConfig())._native_supported
         state = VectorSimulatorState(StorageSystemConfig(dispatcher="proportional"))
-        assert not state._grouped_supported
+        assert not state._native_supported
 
     def test_proportional_dispatcher_matches_scalar(self, real_traces):
         config = StorageSystemConfig(dispatcher="proportional")
-        _drive_and_compare(
-            config, _batch_traces(real_traces, 3), [0, 1, 2], "reference"
-        )
+        _drive_and_compare(config, _batch_traces(real_traces, 3), [0, 1, 2])
 
 
-_DISPATCH_FIELDS = ("processed", "capacity", "utilization", "backlog")
 _TOTAL_CORES = StorageSystemConfig().total_cores
 
 
@@ -187,144 +176,6 @@ def _state_on_the_eve_of_dispatch(rows, config=None):
     return state
 
 
-def _dispatch_grouped(state):
-    """The grouped kernel over the whole batch, told which rows cool."""
-    cooling = state.pos_cooldown.reshape(state.batch, -1).any(axis=1)
-    state._process_intervals_grouped(slice(None), cooling)
-
-
-def _needs_tensor_sweep(row) -> bool:
-    """The row rule, restated: a penalised core, or an idled >= 8-core cell."""
-    counts, cooldowns, idle, _backlog = row
-    return any(any(level) for level in cooldowns) or any(
-        i > 0 and c >= 8 for i, c in zip(idle, counts)
-    )
-
-
-@contextmanager
-def _counting_sweeps():
-    """Row count of every tensor-sweep call made inside the block."""
-    sweep = VectorSimulatorState._sweep_tensor_rows
-    calls = []
-
-    def counting(self, pos_cooldown, counts, *rest):
-        calls.append(counts.shape[0])
-        return sweep(self, pos_cooldown, counts, *rest)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(VectorSimulatorState, "_sweep_tensor_rows", counting)
-        yield calls
-
-
-class TestRowRegimes:
-    """The dispatch regime is a property of the row, not of the batch."""
-
-    @pytest.mark.parametrize("spared_rows_worth_splitting", [0, 64])
-    @given(rows=st.lists(_dispatch_row(), min_size=1, max_size=6))
-    @settings(max_examples=120, deadline=None)
-    def test_mixed_batch_matches_reference_and_rows_alone(
-        self, spared_rows_worth_splitting, rows
-    ):
-        """At 0 every mixed batch is split by row; at the shipped 64 these
-        small batches are swept whole once one row needs the tensor."""
-        batch = _state_on_the_eve_of_dispatch(rows)
-        with _counting_sweeps() as swept_rows, pytest.MonkeyPatch.context() as patch:
-            patch.setattr(
-                vector_state, "_CLOSED_FORM_MIN_ROWS", spared_rows_worth_splitting
-            )
-            _dispatch_grouped(batch)
-        reference = _state_on_the_eve_of_dispatch(rows)
-        reference._process_intervals_reference(np.arange(len(rows)))
-        for name in _DISPATCH_FIELDS:
-            np.testing.assert_array_equal(
-                getattr(batch, name), getattr(reference, name), err_msg=name
-            )
-        for slot, row in enumerate(rows):
-            alone = _state_on_the_eve_of_dispatch([row])
-            _dispatch_grouped(alone)
-            for name in _DISPATCH_FIELDS:
-                np.testing.assert_array_equal(
-                    getattr(alone, name)[0], getattr(batch, name)[slot], err_msg=name
-                )
-        # Only the rows the rule names went through the capacity tensor:
-        # an idled >= 8-core cell is never reduced in closed form, and —
-        # when splitting — a row that can be is never swept.
-        expected = sum(_needs_tensor_sweep(row) for row in rows)
-        if expected and spared_rows_worth_splitting:
-            expected = len(rows)
-        assert swept_rows == ([expected] if expected else [])
-
-    def test_wide_idled_cell_is_why_the_rule_has_an_exception(self):
-        """The 8-wide tree associates leading zeros by position: one idled
-        core among 8 does NOT sum like 7 live cores left to right."""
-        per_core = 30_000.1
-        idled = np.full(8, per_core)
-        idled[0] = 0.0
-        assert idled.sum() != np.full(7, per_core).sum()
-        # ... while under 8 wide the leading zeros drop out exactly.
-        narrow = np.full(7, per_core)
-        narrow[:2] = 0.0
-        assert narrow.sum() == np.full(5, per_core).sum()
-        row = ([8, 2, 2], [[0] * 8, [0, 0], [0, 0]], [1, 0, 1], [8 * per_core, 7.0, 9.0])
-        batch = _state_on_the_eve_of_dispatch([row])
-        _dispatch_grouped(batch)
-        assert batch.processed[0, 0] == idled.sum()
-
-    def test_noop_philox_shard_never_builds_the_capacity_tensor(
-        self, real_traces, numpy_simulator
-    ):
-        """Regime counts, not times: with no migration no core is ever
-        penalised and the default allocation has no 8-core level, so 512
-        slots drawing idle cores every interval stay in closed form."""
-        batch = 512
-        state = VectorSimulatorState(StorageSystemConfig(), record_metrics=False)
-        state.reset(
-            _batch_traces(real_traces, batch), rngs=PhiloxStreams(5, batch, "regime/env")
-        )
-        idled_intervals = 0
-        with _counting_sweeps() as swept_rows:
-            while not state.done.all():
-                state.step(np.zeros(batch, dtype=np.int64))
-                idled_intervals += bool(state.idle.any())
-        assert idled_intervals > 4
-        assert swept_rows == []
-
-    def test_draining_batch_keeps_one_sweep_workspace(self, real_traces, numpy_simulator):
-        """The tensor-row count changes every interval; the sweep's buffer
-        is one grow-only workspace, not one array per shape ever seen."""
-        batch = 512
-        state = VectorSimulatorState(StorageSystemConfig(), record_metrics=False)
-        state.reset(_batch_traces(real_traces, batch), rngs=list(range(batch)))
-        rng = np.random.default_rng(9)
-        with _counting_sweeps() as swept_rows:
-            while not state.done.all():
-                state.step(rng.integers(0, 7, size=batch) * ~state.done)
-        assert len(set(swept_rows)) > 8
-        widest = 2 * max(swept_rows) * 3 * state._level_capacity
-        assert state._sweep_workspace.size <= widest
-
-    def test_index_helper_keeps_one_buffer(self, real_traces, numpy_simulator):
-        """The migrating-row count ``m`` changes every interval and the
-        migration kernel asks for ``arange(m)`` and ``arange(2 * m)``: the
-        helper hands out read-only prefixes of one grow-only buffer, not one
-        array per ``n`` ever asked for (a 4 096-slot shard would keep ~8 000)."""
-        batch = 512
-        state = VectorSimulatorState(StorageSystemConfig(), record_metrics=False)
-        state.reset(_batch_traces(real_traces, batch), rngs=list(range(batch)))
-        helper, asked = state._arange, set()
-        state._arange = lambda n: asked.add(n) or helper(n)
-        rng = np.random.default_rng(9)
-        while not state.done.all():
-            state.step(rng.integers(0, 7, size=batch) * ~state.done)
-        assert len(asked) > 32
-        buffer = state._arange_buffer
-        assert buffer.shape == (max(asked),)
-        for n in asked:
-            prefix = helper(n)
-            assert prefix.base is buffer and not prefix.flags.writeable
-            np.testing.assert_array_equal(prefix, np.arange(n))
-
-
 _STATE_ARRAYS = (
     "pos_ids", "pos_cooldown", "counts", "idle", "incoming", "processed",
     "capacity", "utilization", "backlog", "interval_index", "done",
@@ -365,12 +216,12 @@ def _differential_case(draw):
 
 
 class TestNativeKernel:
-    """``_sim_kernel.c`` steps every state array to the numpy kernels' bytes."""
+    """``_sim_kernel.c`` steps every state array to the reference loop's bytes."""
 
     @given(case=_differential_case())
     @settings(max_examples=60, deadline=None)
     def test_every_array_after_every_step_matches_numpy(self, case):
-        """Native, the numpy grouped kernel and the reference loop, in lockstep."""
+        """Native and the reference loop, in lockstep."""
         _native_or_skip()
         config, batch, record, philox, seed = case
         rng = np.random.default_rng(seed)
@@ -389,16 +240,14 @@ class TestNativeKernel:
         ]
         traces = [traces[i % len(traces)] for i in range(batch)]
         states = []
-        for kernel in ("native", "grouped", "reference"):
+        for kernel in ("native", "reference"):
             state = VectorSimulatorState(config, record_metrics=record)
-            if kernel == "reference":
-                state._grouped_min_rows = 10**9
             streams = PhiloxStreams(seed, batch, "differential") if philox else [
                 seed + i for i in range(batch)
             ]
             state.reset(traces, rngs=streams)
-            assert (state._kernel is None) == (kernel == "reference")
-            if kernel == "grouped":
+            assert state._kernel is not None
+            if kernel == "reference":
                 state._kernel = None
             states.append(state)
         while not states[0].done.all():
@@ -460,7 +309,7 @@ class TestNativeKernel:
         monkeypatch.setattr(vector_state, "_simulator_kernel", None)
         monkeypatch.setattr(vector_state, "_simulator_status", None)
         status = vector_state.simulator_kernel_status()
-        assert status == "disabled: self-check mismatch against the numpy kernels"
+        assert status == "disabled: self-check mismatch against the reference loop"
         assert vector_state._native_simulator_kernel() is None
 
     def test_failed_load_is_recorded_with_its_reason(self, monkeypatch, tmp_path):
@@ -496,12 +345,6 @@ class TestNativeKernel:
         expected = np.minimum(share, caps).sum()
         assert expected == 1131456.789
 
-        state = _state_on_the_eve_of_dispatch([row], config)
-        processed, _capacity = state._sweep_tensor_rows(
-            state.pos_cooldown, state.counts, state.idle,
-            state.backlog / state.counts, state._level_capacity,
-        )
-        assert processed[0, 0] == expected
         reference = _state_on_the_eve_of_dispatch([row], config)
         reference._process_intervals_reference(np.arange(1))
         assert reference.processed[0, 0] == expected
@@ -593,6 +436,27 @@ class TestBatchLifecycle:
                     seen.extend(group)
                 assert sorted(seen) == list(range(state.num_cores))
 
+    def test_index_helper_keeps_one_buffer(self, real_traces, numpy_simulator):
+        """The migrating-row count ``m`` changes every interval and the
+        migration kernel asks for ``arange(m)`` and ``arange(2 * m)``: the
+        helper hands out read-only prefixes of one grow-only buffer, not one
+        array per ``n`` ever asked for (a 4 096-slot shard would keep ~8 000)."""
+        batch = 512
+        state = VectorSimulatorState(StorageSystemConfig(), record_metrics=False)
+        state.reset(_batch_traces(real_traces, batch), rngs=list(range(batch)))
+        helper, asked = state._arange, set()
+        state._arange = lambda n: asked.add(n) or helper(n)
+        rng = np.random.default_rng(9)
+        while not state.done.all():
+            state.step(rng.integers(0, 7, size=batch) * ~state.done)
+        assert len(asked) > 32
+        buffer = state._arange_buffer
+        assert buffer.shape == (max(asked),)
+        for n in asked:
+            prefix = helper(n)
+            assert prefix.base is buffer and not prefix.flags.writeable
+            np.testing.assert_array_equal(prefix, np.arange(n))
+
 
 class TestAgentEquivalence:
     """Baseline agents drive the vector env and the sequential env to
@@ -672,33 +536,18 @@ class TestPairwiseFoundations:
         )
         np.testing.assert_array_equal(result, expected)
 
-    @pytest.mark.parametrize("n_max", [0, 1, 4, 7, 8, 12, 15])
-    def test_replicated_pairwise_sum_matches_numpy(self, n_max):
-        """The uniform-cell fast path's reduction: k copies of one value
-        sum exactly like ``np.full(k, v).sum()`` for every k <= 15."""
-        rng = np.random.default_rng(n_max)
-        values = rng.uniform(0.0, 1e6, size=(256,))
-        lengths = rng.integers(0, n_max + 1, size=256)
-        result = replicated_pairwise_sum(values, lengths, n_max)
-        expected = np.array(
-            [np.full(k, v).sum() for v, k in zip(values, lengths)]
-        )
-        np.testing.assert_array_equal(result, expected)
-
-    def test_replicated_pairwise_sum_matches_ragged_spec(self):
-        """Consistency with the general executable spec on constant rows."""
-        rng = np.random.default_rng(3)
-        values = rng.uniform(0.0, 1e6, size=(64,))
-        lengths = rng.integers(0, 16, size=64)
-        tiled = np.tile(values[:, None], (1, 15))
-        np.testing.assert_array_equal(
-            replicated_pairwise_sum(values, lengths, 15),
-            pairwise_sum_ragged(tiled, lengths),
-        )
-
-    def test_replicated_pairwise_sum_rejects_wide_rows(self):
-        with pytest.raises(SimulationError):
-            replicated_pairwise_sum(np.ones(4), np.full(4, 16), 16)
+    def test_idled_positions_move_the_wide_pairwise_sum(self):
+        """The 8-wide tree associates zeros by position: one idled core
+        among 8 does NOT sum like 7 live cores left to right (so a level
+        cannot drop its idled cores from the reduction) ..."""
+        per_core = 30_000.1
+        idled = np.full(8, per_core)
+        idled[0] = 0.0
+        assert idled.sum() != np.full(7, per_core).sum()
+        # ... while under 8 wide the leading zeros drop out exactly.
+        narrow = np.full(7, per_core)
+        narrow[:2] = 0.0
+        assert narrow.sum() == np.full(5, per_core).sum()
 
     def test_argsort_of_constant_rows_is_identity(self):
         for n in range(1, 13):
@@ -833,8 +682,8 @@ class TestPhiloxFleetStreams:
         for episode, trace in zip(episodes, traces):
             streams = PhiloxStreams(91, [episode], "cooling")
             state = VectorSimulatorState(config, record_metrics=False)
-            state._grouped_min_rows = 10**9
             state.reset([trace], rngs=streams)
+            state._kernel = None
             alone.append((state, streams))
         action_rngs = [np.random.default_rng(700 + i) for i in range(batch)]
 
