@@ -118,8 +118,8 @@ class RecurrentPolicyValueNet(Module):
             for head in heads:
                 head_grad = np.ascontiguousarray(grad[..., start : start + head.out_features])
                 start += head.out_features
-                accumulate_steps(head.bias, head_grad)
-                accumulate_steps(head.weight, head_grad, hidden)
+                accumulate_steps(head.bias, head_grad, kernel=run.kernel)
+                accumulate_steps(head.weight, head_grad, hidden, run.kernel)
                 weight = head.weight.data
                 step_grads = np.stack([input_grad(g, weight) for g in head_grad])
                 hidden_grad = step_grads if hidden_grad is None else hidden_grad + step_grads

@@ -66,20 +66,27 @@ def matmul_steps(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return matmul_rows_np(rows, w)
 
 
-def accumulate_steps(param: Tensor, grads: np.ndarray, rows: Optional[np.ndarray] = None) -> None:
+def accumulate_steps(
+    param: Tensor, grads: np.ndarray, rows: Optional[np.ndarray] = None, kernel=None
+) -> None:
     """Sum one term per step into ``param.grad``, step 0 first.
 
     The term is ``grads[k]`` (a bias) or ``rows[k]`` transposed times
     ``grads[k]`` (a weight), as :class:`Linear`'s backward forms it.  For
     1-d steps every entry of a term is a single product, so all terms are
     formed at once and added by one axis-0 sum, which adds its rows first
-    to last; a ``(B, n)`` step keeps its own K = B gemm and accumulation.
+    to last; ``kernel`` (a :class:`~repro.nn.rnn.NativeGRUKernel`) makes
+    the same products and sums in C without the ``(T, m, n)`` terms.  A
+    ``(B, n)`` step keeps its own K = B gemm and accumulation.
     """
     if not param.requires_grad:
         return
     if grads.ndim > 2:
         for k, grad in enumerate(grads):
             param._accumulate(grad if rows is None else rows[k].T @ grad)
+        return
+    if kernel is not None:
+        kernel.accumulate(param, grads, rows)
         return
     terms = grads if rows is None else rows[:, :, None] * grads[:, None, :]
     if param.grad is not None:

@@ -36,15 +36,30 @@ each parameter one term per step, last step first — so the node
 boundary changes no bit (``TestSequenceNodeBitwise``).  What would
 change them is reordering those sums, or summing a weight gradient over
 time inside one gemm instead of adding per-step terms in order.
+
+The per-step elementwise work of that node runs in C
+(``_gru_kernel.c``, :class:`NativeGRUKernel`) when
+:func:`gru_kernel_status` reads ``"ready"``: the gate arithmetic around
+numpy's hidden projections, ``exp`` and ``tanh`` forward, the sum into
+``h``'s gradient and the gate gradients backward, and the 1-d steps'
+weight sums of :func:`~repro.nn.linear.accumulate_steps`.  Its
+specification is the numpy loop (``Unrolled._forward_numpy``,
+``Unrolled._backward_numpy`` and ``accumulate_steps``), which runs when
+the kernel cannot: every BLAS call, ``exp`` and ``tanh`` is numpy's
+either way, on the same operand shapes, and the kernel is checked
+against the loop on every route when it first loads
+(``TestNativeGRUKernelBitwise``).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import ctypes
+from pathlib import Path
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.functional import matmul_rows_np
+from repro.autograd.functional import _GEMM_MIN_COLS, matmul_rows_np
 from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
 from repro.nn import init
@@ -231,6 +246,8 @@ class Unrolled:
     starting hidden state; ``hiddens`` holds ``h_0 .. h_T``.  Each step
     is ``GRUCell.forward``'s arithmetic; only the input projections of
     1-d steps are formed for all steps at once (:func:`matmul_steps`).
+    ``kernel`` is the native GRU kernel when it is ready (module
+    docstring), else ``None`` and the numpy loop runs.
     """
 
     def __init__(self, cell: GRUCell, inputs: np.ndarray, h0: np.ndarray) -> None:
@@ -248,10 +265,20 @@ class Unrolled:
         self.reset, self.update, self.carried, self.candidate = (
             np.empty((steps,) + h0.shape) for _ in range(4)
         )
-        x_r, x_z, x_n = (matmul_steps(inputs, w.data) for w in (cell.w_xr, cell.w_xz, cell.w_xn))
-        h = h0
-        for t in range(steps):
-            *gates, h = cell._step(x_r[t], x_z[t], x_n[t], h)
+        projections = [matmul_steps(inputs, w.data) for w in (cell.w_xr, cell.w_xz, cell.w_xn)]
+        self.kernel = _native_gru_kernel()
+        # The kernel multiplies a contiguous copy of h0, which BLAS and
+        # einsum may round differently from a strided h0.
+        if self.kernel is not None and h0.flags.c_contiguous:
+            self.kernel.forward(self, *projections)
+        else:
+            self._forward_numpy(*projections, h0)
+
+    def _forward_numpy(self, x_r, x_z, x_n, h: np.ndarray) -> None:
+        """The forward steps in numpy from ``h = h0``: the native kernel's
+        specification."""
+        for t in range(self.inputs.shape[0]):
+            *gates, h = self.cell._step(x_r[t], x_z[t], x_n[t], h)
             self.reset[t], self.update[t], self.carried[t], self.candidate[t] = gates
             self.hiddens[t + 1] = h
 
@@ -266,17 +293,55 @@ class Unrolled:
         docstring), and every parameter receives one term per step, last
         step first: the sums the per-step nodes make.  ``inputs`` and
         ``h0`` are the tensors the forward read, if they take gradients.
+        A ``grad`` not shaped like ``hiddens[1:]`` is refused before any
+        gradient is touched.
         """
+        grad = np.ascontiguousarray(grad, dtype=np.float64)
+        if grad.shape != self.candidate.shape:
+            raise ShapeError(
+                f"GRU backward expects a gradient of shape {self.candidate.shape}, "
+                f"got {grad.shape}"
+            )
         cell = self.cell
-        steps = grad.shape[0]
         # Per-gate gradients, last step first: the parameters' term order.
-        g_ns, g_rs, g_hns, g_zs = (np.empty_like(grad) for _ in range(4))
-        x_grad = np.empty(self.inputs.shape) if inputs is not None and inputs.requires_grad else None
-        h0_requires = h0 is not None and h0.requires_grad
+        g_ns, g_rs, g_hns, g_zs = gates = [np.empty_like(grad) for _ in range(4)]
+        if self.kernel is None:
+            g = self._backward_numpy(grad, *gates)
+        else:
+            g = self.kernel.backward(self, grad, *gates)
+        if h0 is not None and h0.requires_grad:
+            # Step 0's four terms, as every later step adds them into h.
+            for term in (
+                input_grad(g_rs[-1], cell.w_hr.data),
+                input_grad(g_hns[-1], cell.w_hn.data),
+                g * self.update[0],
+                input_grad(g_zs[-1], cell.w_hz.data),
+            ):
+                h0._accumulate(term)
+        if inputs is not None and inputs.requires_grad:
+            x_grad = np.empty(self.inputs.shape)
+            for k, t in enumerate(range(grad.shape[0] - 1, -1, -1)):
+                x_grad[t] = input_grad(g_ns[k], cell.w_xn.data)
+                x_grad[t] += input_grad(g_rs[k], cell.w_xr.data)
+                x_grad[t] += input_grad(g_zs[k], cell.w_xz.data)
+            inputs._accumulate(x_grad)
+        x_rows, h_rows = self.inputs[::-1], self.hiddens[-2::-1]
+        for param, gate_grads, rows in (
+            (cell.b_n, g_ns, None), (cell.w_xn, g_ns, x_rows),
+            (cell.b_r, g_rs, None), (cell.w_xr, g_rs, x_rows), (cell.w_hr, g_rs, h_rows),
+            (cell.w_hn, g_hns, h_rows),
+            (cell.b_z, g_zs, None), (cell.w_xz, g_zs, x_rows), (cell.w_hz, g_zs, h_rows),
+        ):
+            accumulate_steps(param, gate_grads, rows, self.kernel)
+
+    def _backward_numpy(self, grad, g_ns, g_rs, g_hns, g_zs) -> np.ndarray:
+        """Fill the gate gradients in numpy, the native kernel's
+        specification; returns the gradient of ``h_1``."""
+        cell = self.cell
         # The step-independent factors, elementwise, for every step at once.
         fresh, d_tanh, d_reset = 1.0 - self.update, 1.0 - self.candidate ** 2, 1.0 - self.reset
         g = grad[-1]
-        for k, t in enumerate(range(steps - 1, -1, -1)):
+        for k, t in enumerate(range(grad.shape[0] - 1, -1, -1)):
             reset, update = self.reset[t], self.update[t]
             g_n = np.multiply(g, fresh[t], out=g_ns[k])
             g_n *= d_tanh[t]
@@ -288,35 +353,17 @@ class Unrolled:
             g_update += g * self.hiddens[t]
             g_z = np.multiply(g_update, update, out=g_zs[k])
             g_z *= fresh[t]
-            if x_grad is not None:
-                x_grad[t] = input_grad(g_n, cell.w_xn.data)
-                x_grad[t] += input_grad(g_r, cell.w_xr.data)
-                x_grad[t] += input_grad(g_z, cell.w_xz.data)
-            if t == 0 and not h0_requires:
-                continue
+            if t == 0:
+                return g
             terms = (
                 input_grad(g_r, cell.w_hr.data),
                 input_grad(g_hn, cell.w_hn.data),
                 g * update,
                 input_grad(g_z, cell.w_hz.data),
             )
-            if t == 0:
-                for term in terms:
-                    h0._accumulate(term)
-                continue
             g = grad[t - 1].copy()
             for term in terms:
                 g += term
-        if x_grad is not None:
-            inputs._accumulate(x_grad)
-        x_rows, h_rows = self.inputs[::-1], self.hiddens[-2::-1]
-        for param, gate_grads, rows in (
-            (cell.b_n, g_ns, None), (cell.w_xn, g_ns, x_rows),
-            (cell.b_r, g_rs, None), (cell.w_xr, g_rs, x_rows), (cell.w_hr, g_rs, h_rows),
-            (cell.w_hn, g_hns, h_rows),
-            (cell.b_z, g_zs, None), (cell.w_xz, g_zs, x_rows), (cell.w_hz, g_zs, h_rows),
-        ):
-            accumulate_steps(param, gate_grads, rows)
 
 
 class GRU(Module):
@@ -354,3 +401,222 @@ class GRU(Module):
         parents = (sequence, h0, *self.cell.parameters())
         stacked = Tensor._make(run.hiddens[1:], parents, backward)
         return stacked, stacked[-1]
+
+
+# ----------------------------------------------------------------------
+# The native sequence kernel (_gru_kernel.c)
+# ----------------------------------------------------------------------
+_KERNEL_SOURCE = Path(__file__).with_name("_gru_kernel.c")
+
+
+class _GRUArgs(ctypes.Structure):
+    _fields_ = [
+        (name, ctypes.c_void_p)
+        for name in (
+            "x_r", "x_z", "x_n", "p_r", "p_z", "p_n", "b_r", "b_z", "b_n",
+            "reset", "update", "carried", "candidate", "hiddens", "pad",
+            "grad", "t_r", "t_hn", "t_z", "g", "g_n", "g_r", "g_hn", "g_z",
+        )
+    ] + [(name, ctypes.c_int64) for name in ("steps", "n", "hidden", "pad_rows")]
+
+
+def _einsum_rows(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,jk->ik", a, w, out=out)
+
+
+def _step_rows(array: np.ndarray) -> np.ndarray:
+    """``array`` as float64 steps of contiguous rows, copied only if it is not."""
+    array = np.asarray(array, dtype=np.float64)
+    return array if array.strides[-1] == 8 else np.ascontiguousarray(array)
+
+
+class NativeGRUKernel:
+    """ctypes wrapper for ``_gru_kernel.c``, an :class:`Unrolled`'s glue in C.
+
+    Construction compiles (or finds cached) and loads the library; it
+    raises ``RuntimeError`` when ``REPRO_DISABLE_NATIVE=1`` or no
+    compiler produced it, ``OSError`` when the object cannot be loaded.
+    :meth:`forward` and :meth:`backward` run ``Unrolled``'s steps with
+    every BLAS product, ``exp`` and ``tanh`` still numpy's, on the
+    operand shapes the numpy loop uses; :meth:`accumulate` is
+    ``accumulate_steps`` for 1-d steps.
+    """
+
+    def __init__(self) -> None:
+        # Imported here for the reason rng gives: ``python -m
+        # repro.utils.philox_native`` must not find itself already loaded.
+        from repro.utils.philox_native import load
+
+        lib = load(_KERNEL_SOURCE)
+        for name in ("gates", "candidate", "blend", "backward"):
+            entry = getattr(lib, f"repro_gru_{name}")
+            entry.restype = None
+            entry.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+        lib.repro_gru_accumulate.restype = None
+        lib.repro_gru_accumulate.argtypes = (
+            [ctypes.c_void_p] * 3 + [ctypes.c_int64, ctypes.c_void_p] + [ctypes.c_int64] * 5
+        )
+        self._lib = lib
+
+    @staticmethod
+    def _args(run: Unrolled, pad_rows: int = 0, **arrays: np.ndarray) -> _GRUArgs:
+        return _GRUArgs(
+            **{name: array.ctypes.data for name, array in arrays.items()},
+            steps=run.inputs.shape[0],
+            n=run.candidate[0].size,
+            hidden=run.cell.hidden_size,
+            pad_rows=pad_rows,
+        )
+
+    def forward(self, run: Unrolled, x_r: np.ndarray, x_z: np.ndarray, x_n: np.ndarray) -> None:
+        """Fill ``run``'s arrays from the input projections, step by step."""
+        cell, h0 = run.cell, run.hiddens[0]
+        # The hidden projections take matmul_np's route: a batch's own gemm,
+        # a 1-d row padded to two rows for gemm, or one einsum row.
+        if h0.ndim == 2:
+            pad, product = h0.copy(), np.matmul
+        elif cell.hidden_size >= _GEMM_MIN_COLS:
+            pad, product = np.stack((h0, h0)), np.matmul
+        else:
+            pad, product = h0.reshape(1, -1).copy(), _einsum_rows
+        p_r, p_z, p_n = projections = [np.empty(pad.shape) for _ in range(3)]
+        x_r, x_z, x_n = (np.ascontiguousarray(x, dtype=np.float64) for x in (x_r, x_z, x_n))
+        b_r, b_z, b_n = (
+            np.ascontiguousarray(b.data, dtype=np.float64) for b in (cell.b_r, cell.b_z, cell.b_n)
+        )
+        args = self._args(
+            run, pad.shape[0], x_r=x_r, x_z=x_z, x_n=x_n, p_r=p_r, p_z=p_z, p_n=p_n,
+            b_r=b_r, b_z=b_z, b_n=b_n, reset=run.reset, update=run.update,
+            carried=run.carried, candidate=run.candidate, hiddens=run.hiddens, pad=pad,
+        )
+        address = ctypes.addressof(args)
+        lib = self._lib
+        products = list(zip((cell.w_hr.data, cell.w_hz.data, cell.w_hn.data), projections))
+        for t in range(run.inputs.shape[0]):
+            for weight, out in products:
+                product(pad, weight, out=out)
+            lib.repro_gru_gates(address, t)
+            reset, update, candidate = run.reset[t], run.update[t], run.candidate[t]
+            np.exp(reset, out=reset)
+            np.exp(update, out=update)
+            lib.repro_gru_candidate(address, t)
+            np.tanh(candidate, out=candidate)
+            lib.repro_gru_blend(address, t)
+
+    def backward(self, run: Unrolled, grad: np.ndarray, g_ns, g_rs, g_hns, g_zs) -> np.ndarray:
+        """``Unrolled._backward_numpy`` with the per-step glue in C."""
+        steps, hidden = grad.shape[0], run.cell.hidden_size
+        # input_grad's operands: a 1-d row as a (1, H) matrix, a batch as is.
+        operands = [gates.reshape(steps, -1, hidden) for gates in (g_rs, g_hns, g_zs)]
+        t_r, t_hn, t_z = terms = [np.empty(operands[0].shape[1:]) for _ in range(3)]
+        g = np.empty(grad.shape[1:])
+        args = self._args(
+            run, reset=run.reset, update=run.update, carried=run.carried,
+            candidate=run.candidate, hiddens=run.hiddens, grad=grad, t_r=t_r, t_hn=t_hn,
+            t_z=t_z, g=g, g_n=g_ns, g_r=g_rs, g_hn=g_hns, g_z=g_zs,
+        )
+        address, step = ctypes.addressof(args), self._lib.repro_gru_backward
+        cell = run.cell
+        weights = (cell.w_hr.data.T, cell.w_hn.data.T, cell.w_hz.data.T)
+        products = list(zip(operands, weights, terms))
+        step(address, steps - 1)
+        # Step t + 1's hidden terms (row k, last step first), then step t.
+        for k, t in enumerate(range(steps - 2, -1, -1)):
+            for operand, weight, out in products:
+                np.matmul(operand[k], weight, out=out)
+            step(address, t)
+        return g
+
+    def accumulate(self, param: Tensor, grads: np.ndarray, rows: Optional[np.ndarray]) -> None:
+        """``accumulate_steps`` for 1-d steps, into a new ``param.grad``."""
+        grads = _step_rows(grads)
+        out = np.empty(param.data.shape)
+        old = param.grad
+        if old is not None:
+            old = np.ascontiguousarray(old, dtype=np.float64)
+            if old.shape != out.shape:
+                raise ShapeError(f"gradient {old.shape} does not fit parameter {out.shape}")
+        if rows is not None:
+            rows = _step_rows(rows)
+        self._lib.repro_gru_accumulate(
+            out.ctypes.data,
+            None if old is None else old.ctypes.data,
+            grads.ctypes.data,
+            grads.strides[0] // 8,
+            None if rows is None else rows.ctypes.data,
+            0 if rows is None else rows.strides[0] // 8,
+            grads.shape[0],
+            1 if rows is None else rows.shape[1],
+            grads.shape[1],
+            out.size > 1,
+        )
+        param.grad = out
+
+
+_gru_kernel: Optional[NativeGRUKernel] = None
+#: ``None`` until the first probe, then ``"ready"`` or ``"disabled: <reason>"``.
+_gru_status: Optional[str] = None
+
+
+def _self_check_runs() -> List[Optional[bytes]]:
+    """Every :class:`Unrolled` array and every gradient, over two
+    backwards each, of sequences on every route: 1-d steps on the einsum
+    (H = 1, 4) and gemm (H = 9) routes, batches of 1 and 3, odd and even
+    T, gradients unset and set, inputs and h0 taking gradients or not, and
+    a frozen weight."""
+    rng = np.random.default_rng(4242)
+    snapshots: List[Optional[bytes]] = []
+    for hidden, lead, steps in (
+        (1, (), 3), (4, (), 4), (9, (), 5), (9, (), 2), (4, (3,), 3), (9, (1,), 4), (9, (3,), 2),
+    ):
+        cell = GRUCell(2, hidden, rng=hidden)
+        for bias in (cell.b_r, cell.b_z, cell.b_n):
+            bias.data[...] = rng.standard_normal(hidden)
+        cell.w_hz.requires_grad = hidden != 4
+        inputs = Tensor(rng.standard_normal((steps,) + lead + (2,)), requires_grad=steps % 2 == 1)
+        h0 = Tensor(rng.standard_normal(lead + (hidden,)) * 0.5, requires_grad=steps % 2 == 0)
+        for _ in range(2):
+            run = Unrolled(cell, inputs.data, h0.data)
+            run.backward(rng.standard_normal(run.candidate.shape), inputs, h0)
+            arrays = (run.hiddens, run.reset, run.update, run.carried, run.candidate)
+            snapshots.append(b"".join(array.tobytes() for array in arrays))
+            for tensor in (inputs, h0, *cell.parameters()):
+                snapshots.append(None if tensor.grad is None else tensor.grad.tobytes())
+    return snapshots
+
+
+def _native_gru_kernel() -> Optional[NativeGRUKernel]:
+    """The self-checked native kernel, or ``None`` (the numpy loop).
+
+    Probed once per process, at the first :class:`Unrolled`;
+    :func:`gru_kernel_status` says how it went.
+    """
+    global _gru_kernel, _gru_status
+    if _gru_status is None:
+        # The self-check builds sequences of its own: while it runs they
+        # see ``_gru_kernel``, None for the numpy half.
+        _gru_kernel, _gru_status = None, "disabled: self-check in progress"
+        try:
+            kernel = NativeGRUKernel()
+            spec = _self_check_runs()
+            _gru_kernel = kernel
+            if _self_check_runs() == spec:
+                _gru_status = "ready"
+            else:
+                _gru_kernel = None
+                _gru_status = "disabled: self-check mismatch against the numpy loop"
+        except (OSError, RuntimeError, ValueError, ctypes.ArgumentError) as exc:
+            _gru_kernel, _gru_status = None, f"disabled: {exc}"
+    return _gru_kernel
+
+
+def gru_kernel_status() -> str:
+    """``"ready"`` or ``"disabled: <reason>"`` for the native GRU kernel.
+
+    The reason is what loading raised (``REPRO_DISABLE_NATIVE=1``, no
+    compiler, an unloadable object) or a self-check mismatch against the
+    numpy loop.  Either way every array and gradient holds the same
+    bytes; disabled, the numpy loop runs every step.
+    """
+    _native_gru_kernel()
+    return _gru_status

@@ -8,9 +8,11 @@
  * state's own arrays, whose addresses the caller packs into sim_args at
  * every reset.
  *
- * BIT-EXACTNESS CONTRACT: every array must come out byte-equal to the
- * numpy kernels in vector_state.py, which stay the specification.  All
- * arithmetic is exactly-rounded IEEE double in the numpy order:
+ * BIT-EXACTNESS CONTRACT: every array must come out byte-equal to
+ * vector_state.py's numpy migration and injection passes and its per-cell
+ * reference dispatch loop (_process_intervals_reference), which stay the
+ * specification.  All arithmetic is exactly-rounded IEEE double in the
+ * numpy order:
  *
  *   - injection computes the same products and sums, operand for operand;
  *   - min/max follow numpy's scalar form (in1 <= in2 ? in1 : in2);

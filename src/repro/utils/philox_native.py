@@ -1,6 +1,6 @@
 """Compile-at-first-use loader for the repository's strict-float C kernels.
 
-Two C files are built by :func:`build` into a per-user cache directory
+Three C files are built by :func:`build` into a per-user cache directory
 the first time they are needed:
 
 * ``_philox_kernel.c`` next to this module (the fused Philox idle
@@ -10,7 +10,10 @@ the first time they are needed:
 * ``repro/storage/_sim_kernel.c`` (one simulator interval for every row
   of a ``VectorSimulatorState``), loaded by
   :mod:`repro.storage.vector_state`, which reports through
-  ``simulator_kernel_status()``.
+  ``simulator_kernel_status()``;
+* ``repro/nn/_gru_kernel.c`` (the elementwise glue of a GRU sequence
+  node's steps and its per-step weight-gradient sums), loaded by
+  :mod:`repro.nn.rnn`, which reports through ``gru_kernel_status()``.
 
 ``python -m repro.utils.philox_native`` builds the Philox sampler ahead
 of time (prints the shared-object path, exits non-zero when no compiler
@@ -20,7 +23,7 @@ compile or ``REPRO_DISABLE_NATIVE=1`` leave that specification in
 charge, which computes the same values — the kernels are accelerations,
 never correctness dependencies.
 
-Deployment settings: ``REPRO_DISABLE_NATIVE=1`` turns both kernels off,
+Deployment settings: ``REPRO_DISABLE_NATIVE=1`` turns every kernel off,
 ``REPRO_KERNEL_CACHE`` relocates the shared-object cache, ``CC`` names
 the compiler tried first.
 """

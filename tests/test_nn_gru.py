@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.agents.greedy import GreedyUtilizationPolicy
 from repro.autograd import check_gradients
@@ -17,7 +18,7 @@ from repro.drl.rollout import BatchedRolloutCollector
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ShapeError
-from repro.nn import GRU, GRUCell, Linear
+from repro.nn import GRU, GRUCell, Linear, rnn
 from repro.optim import Adam
 from repro.qbn.autoencoder import QBNConfig, QuantizedBottleneckNetwork
 from repro.qbn.dataset import TransitionDataset
@@ -715,3 +716,136 @@ class TestTrainingBitwiseDifferential:
             oracle = train()
         assert shipped.keys() == oracle.keys() and len(shipped) == 13 + 8 + 8
         assert [name for name in shipped if shipped[name] != oracle[name]] == []
+
+
+# ----------------------------------------------------------------------
+# The native sequence kernel against the numpy loop it is checked against
+# ----------------------------------------------------------------------
+def _native_gru_or_skip():
+    status = rnn.gru_kernel_status()
+    if status != "ready":
+        pytest.skip(f"native GRU kernel {status}")
+
+
+@st.composite
+def _sequence_case(draw):
+    """A policy (H < 7 runs its 1-d steps on einsum, H >= 7 on gemm), a
+    sequence of 1-d steps or a batch, and which gradients to take."""
+    return dict(
+        hidden=draw(st.sampled_from([1, 4, 6, 7, 9, 16])),
+        width=draw(st.sampled_from([None, 1, 2, 5])),
+        steps=draw(st.integers(1, 8)),
+        preset=draw(st.booleans()),
+        frozen=draw(st.sets(st.sampled_from(["gru", "policy_head", "value_head"]), max_size=2)),
+        inputs_grad=draw(st.booleans()),
+        h0_grad=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _sequence_bytes(case):
+    """Every ``Unrolled`` array and every gradient of one policy ``unroll``
+    backward and one bare ``Unrolled`` backward with inputs and h0."""
+    rng = np.random.default_rng(case["seed"])
+    policy = _policy(case["hidden"], observation_dim=3)
+    lead = (case["steps"],) if case["width"] is None else (case["steps"], case["width"])
+    if case["preset"]:
+        for param in policy.parameters():
+            param.grad = rng.standard_normal(param.shape)
+    observations = rng.standard_normal(lead + (3,))
+    with contextlib.ExitStack() as scopes:
+        for name in sorted(case["frozen"]):
+            scopes.enter_context(getattr(policy, name).frozen())
+        logits, values = policy.unroll(observations, values=True)
+        loss = (logits * Tensor(rng.standard_normal(logits.shape))).sum()
+        (loss + (values * Tensor(rng.standard_normal(values.shape))).sum()).backward()
+        x = Tensor(observations, requires_grad=case["inputs_grad"])
+        h0_data = rng.standard_normal(lead[1:] + (case["hidden"],))
+        h0 = Tensor(h0_data, requires_grad=case["h0_grad"])
+        run = rnn.Unrolled(policy.gru, x.data, h0.data)
+        run.backward(rng.standard_normal(run.candidate.shape), x, h0)
+    arrays = [logits.data, values.data, run.hiddens]
+    arrays += [run.reset, run.update, run.carried, run.candidate]
+    grads = [t.grad for t in (x, h0, *policy.parameters())]
+    return [a.tobytes() for a in arrays] + [None if g is None else g.tobytes() for g in grads]
+
+
+class TestNativeGRUKernelBitwise:
+    """``_gru_kernel.c`` fills every ``Unrolled`` array and gradient with the
+    numpy loop's bytes.  CI reruns the class under a second OpenBLAS kernel
+    family."""
+
+    @given(case=_sequence_case())
+    @settings(max_examples=60, deadline=None)
+    def test_every_array_and_gradient_matches_numpy(self, case):
+        _native_gru_or_skip()
+        native = _sequence_bytes(case)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rnn, "_gru_kernel", None)
+            spec = _sequence_bytes(case)
+        assert native == spec
+
+    def test_status_is_ready_and_names_the_variable_when_forced_off(self, monkeypatch):
+        _native_gru_or_skip()
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+        monkeypatch.setattr(rnn, "_gru_kernel", None)
+        monkeypatch.setattr(rnn, "_gru_status", None)
+        assert rnn.gru_kernel_status() == "ready"
+        assert rnn.Unrolled(GRUCell(2, 3, rng=0), np.zeros((2, 2)), np.zeros(3)).kernel is not None
+        monkeypatch.setattr(rnn, "_gru_status", None)
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+        assert rnn.gru_kernel_status() == "disabled: REPRO_DISABLE_NATIVE=1"
+        assert rnn.Unrolled(GRUCell(2, 3, rng=0), np.zeros((2, 2)), np.zeros(3)).kernel is None
+
+    @pytest.mark.parametrize("method", ["forward", "backward", "accumulate"])
+    def test_a_kernel_that_differs_leaves_numpy_in_charge(self, monkeypatch, method):
+        """One ulp of one output of one kernel entry fails the load-time self-check."""
+        _native_gru_or_skip()
+        shipped = getattr(rnn.NativeGRUKernel, method)
+
+        def one_ulp_off(self, *args):
+            result = shipped(self, *args)
+            # forward: the last hidden state; backward: h_1's gradient;
+            # accumulate: the parameter gradient it wrote.
+            target = {"forward": lambda: args[0].hiddens, "backward": lambda: result,
+                      "accumulate": lambda: args[0].grad}[method]()
+            target.flat[-1] = np.nextafter(target.flat[-1], np.inf)
+            return result
+
+        monkeypatch.setattr(rnn.NativeGRUKernel, method, one_ulp_off)
+        monkeypatch.setattr(rnn, "_gru_kernel", None)
+        monkeypatch.setattr(rnn, "_gru_status", None)
+        assert rnn.gru_kernel_status() == "disabled: self-check mismatch against the numpy loop"
+        assert rnn._native_gru_kernel() is None
+
+    @pytest.mark.parametrize("native", [True, False])
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_backward_refuses_a_misshapen_grad_before_touching_gradients(
+        self, monkeypatch, native, width
+    ):
+        if native:
+            _native_gru_or_skip()
+        else:
+            monkeypatch.setattr(rnn, "_gru_kernel", None)
+        rng = np.random.default_rng(5)
+        lead = (4,) if width is None else (4, width)
+        cell = _fill_biases(GRUCell(3, 8, rng=0))
+        x = Tensor(rng.standard_normal(lead + (3,)), requires_grad=True)
+        h0 = Tensor(rng.standard_normal(lead[1:] + (8,)), requires_grad=True)
+        for tensor in (x, h0, *cell.parameters()):
+            tensor.grad = rng.standard_normal(tensor.shape)
+        before = [tensor.grad.copy() for tensor in (x, h0, *cell.parameters())]
+        run = rnn.Unrolled(cell, x.data, h0.data)
+        grad = rng.standard_normal(run.candidate.shape)
+        with pytest.raises(ShapeError):
+            run.backward(grad[1:], x, h0)
+        for tensor, old in zip((x, h0, *cell.parameters()), before):
+            assert np.array_equal(tensor.grad, old)
+        # A strided grad is taken as its contiguous copy.
+        run.backward(np.asfortranarray(grad), x, h0)
+        strided = [tensor.grad.copy() for tensor in (x, h0, *cell.parameters())]
+        for tensor, old in zip((x, h0, *cell.parameters()), before):
+            tensor.grad = old.copy()
+        run.backward(grad.copy(), x, h0)
+        for tensor, got in zip((x, h0, *cell.parameters()), strided):
+            assert np.array_equal(tensor.grad, got)
