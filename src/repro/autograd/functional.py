@@ -63,11 +63,32 @@ def nll_of_actions(log_probs: Tensor, actions: ArrayLike) -> Tensor:
 
 
 def mse_loss(prediction: Tensor, target: ArrayLike) -> Tensor:
-    """Mean squared error between ``prediction`` and ``target``."""
+    """Mean squared error between ``prediction`` and ``target`` (one node).
+
+    The value and gradient are those of ``((prediction - target) ** 2)
+    .mean()`` built op by op: ``(d * d).sum() * (1.0 / N)``, and
+    ``c * d + c * d`` with ``c = grad * (1.0 / N)``, the two terms the
+    square's node sums.  The gradient is one C pass when
+    :func:`~repro.nn.dense_native.native_dense_kernel` is ready.
+    """
     prediction = _ensure_tensor(prediction)
-    target_t = _ensure_tensor(target).detach()
-    diff = prediction - target_t
-    return (diff * diff).mean()
+    diff = prediction.data - _ensure_tensor(target).data
+    inverse_size = 1.0 / diff.size
+    data = (diff * diff).sum() * inverse_size
+
+    def backward(grad: np.ndarray) -> None:
+        # Imported here: repro.nn builds on this module.
+        from repro.nn.dense_native import native_dense_kernel
+
+        scale = grad * inverse_size
+        kernel = native_dense_kernel()
+        if kernel is None:
+            term = scale * diff
+            prediction._adopt(term + term)
+        else:
+            prediction._adopt(kernel.mse_grad(diff, float(scale)))
+
+    return Tensor._make(data, (prediction,), backward)
 
 
 def entropy(probabilities: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:

@@ -13,7 +13,8 @@ Design notes
   read-only broadcast view or the caller's own array, and nobody's
   gradient changes under them; code that scales or rewrites ``grad`` in
   place (``clip_grad_norm``) touches that one tensor only.  Do not bind
-  ``grad`` to an array something else holds.
+  ``grad`` to an array something else holds; ``_adopt`` takes a new
+  array a node made for this tensor alone without the copy.
 * Gradients are summed in the order the reversed DFS post-order visits
   the nodes.  Float addition does not associate, so that order decides
   the bits of every trained weight: a node that stands for a whole
@@ -163,6 +164,14 @@ class Tensor:
             self.grad = grad.copy()
         else:
             self.grad += grad
+
+    def _adopt(self, grad: np.ndarray) -> None:
+        """``_accumulate`` for a new float64 array that nothing else holds:
+        with no gradient yet, ``grad`` becomes it instead of being copied."""
+        if self.grad is None and grad.shape == self.data.shape:
+            self.grad = grad
+        else:
+            self._accumulate(grad)
 
     # ------------------------------------------------------------------
     # Backward pass

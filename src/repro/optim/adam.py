@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.errors import TrainingError
+from repro.nn.dense_native import native_dense_kernel
 from repro.optim.optimizer import Optimizer, require_positive
 
 
@@ -23,6 +24,12 @@ class Adam(Optimizer):
     elementwise expressions, so the same bits — and writes it into each
     ``param.data`` in place.  A parameter without a gradient (a head the
     loss never read) keeps its weights and moments.
+
+    When :func:`~repro.nn.dense_native.native_dense_kernel` is ready the
+    step is one C pass over every parameter (``repro/nn/_dense_kernel.c``)
+    that reads each ``param.grad`` where it lies and applies the same
+    expressions in the same order; the numpy pass below is its
+    specification and the no-compiler path.
     """
 
     def __init__(
@@ -56,6 +63,12 @@ class Adam(Optimizer):
         t = self._step_count
         bias1 = 1.0 - self.beta1 ** t
         bias2 = 1.0 - self.beta2 ** t
+        kernel = native_dense_kernel()
+        if kernel is not None and kernel.adam(
+            self.parameters, self._m, self._v, (self.beta1, self.beta2), (bias1, bias2),
+            self.lr, self.eps,
+        ):
+            return
         offsets = self._offsets
         for first, stop in self._runs():
             run = self.parameters[first:stop]

@@ -26,6 +26,9 @@ class Optimizer:
         self.parameters: List[Tensor] = list(parameters)
         if not self.parameters:
             raise TrainingError("optimizer received an empty parameter list")
+        # A parameter listed twice would be stepped twice per step.
+        if len({id(param) for param in self.parameters}) != len(self.parameters):
+            raise TrainingError("optimizer received a parameter more than once")
         self.lr = require_positive("learning rate", lr)
         self._step_count = 0
 

@@ -83,6 +83,8 @@ class PipelineConfig:
             raise ConfigurationError("rollout_traces_for_extraction must be positive")
         if self.bc_pretrain_epochs < 0:
             raise ConfigurationError("bc_pretrain_epochs must be non-negative")
+        if self.qbn_fine_tune_epochs < 0:
+            raise ConfigurationError("qbn_fine_tune_epochs must be non-negative")
         if self.standard_trace_duration <= 0:
             raise ConfigurationError("standard_trace_duration must be positive")
         if self.interpretation_window <= 0:

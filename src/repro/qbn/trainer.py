@@ -37,6 +37,8 @@ class QBNTrainingConfig:
             raise ConfigurationError("learning_rate and grad_clip_norm must be positive and finite")
         if self.observation_latent_dim <= 0 or self.hidden_latent_dim <= 0:
             raise ConfigurationError("latent dims must be positive")
+        if self.autoencoder_hidden_dim <= 0:
+            raise ConfigurationError("autoencoder_hidden_dim must be positive")
         if self.quantization_levels < 2:
             raise ConfigurationError("quantization_levels must be at least 2")
 
@@ -111,6 +113,8 @@ class QBNTrainer:
         when fed the *reconstructed* observation and hidden state,
         reproduces the actions it originally took.
         """
+        if fine_tune_epochs < 0:
+            raise TrainingError(f"fine_tune_epochs must be non-negative, got {fine_tune_epochs}")
         observation_qbn = QuantizedBottleneckNetwork(
             QBNConfig(
                 input_dim=dataset.observation_dim,

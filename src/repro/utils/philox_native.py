@@ -1,6 +1,6 @@
 """Compile-at-first-use loader for the repository's strict-float C kernels.
 
-Three C files are built by :func:`build` into a per-user cache directory
+Four C files are built by :func:`build` into a per-user cache directory
 the first time they are needed:
 
 * ``_philox_kernel.c`` next to this module (the fused Philox idle
@@ -13,7 +13,11 @@ the first time they are needed:
   ``simulator_kernel_status()``;
 * ``repro/nn/_gru_kernel.c`` (the elementwise glue of a GRU sequence
   node's steps and its per-step weight-gradient sums), loaded by
-  :mod:`repro.nn.rnn`, which reports through ``gru_kernel_status()``.
+  :mod:`repro.nn.rnn`, which reports through ``gru_kernel_status()``;
+* ``repro/nn/_dense_kernel.c`` (the elementwise glue of a QBN training
+  step, ``mse_loss``'s backward and Adam's update), loaded by
+  :mod:`repro.nn.dense_native`, which reports through
+  ``dense_kernel_status()``.
 
 ``python -m repro.utils.philox_native`` builds the Philox sampler ahead
 of time (prints the shared-object path, exits non-zero when no compiler

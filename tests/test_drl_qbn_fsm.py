@@ -316,6 +316,30 @@ class TestQBNAutoencoderAndTrainer:
         with pytest.raises(ConfigurationError):
             QBNTrainingConfig(epochs=0)
 
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_autoencoder_hidden_dim_is_refused_at_construction(self, width):
+        """It used to pass and fail only when the first QBN was built."""
+        with pytest.raises(ConfigurationError, match="autoencoder_hidden_dim"):
+            QBNTrainingConfig(autoencoder_hidden_dim=width)
+
+    def test_negative_fine_tune_epochs_are_refused(self, tiny_policy):
+        """They used to skip the fine-tune without a word."""
+        rng = np.random.default_rng(0)
+        observations = rng.standard_normal((6, tiny_policy.config.observation_dim))
+        hidden = rng.standard_normal((7, tiny_policy.config.hidden_size))
+        dataset = TransitionDataset(
+            observations=observations,
+            hidden_before=hidden[:-1],
+            hidden_after=hidden[1:],
+            actions=np.zeros(6, dtype=np.int64),
+            raw_observations=observations,
+            episode_ids=np.zeros(6, dtype=np.int64),
+            step_ids=np.arange(6),
+        )
+        trainer = QBNTrainer(QBNTrainingConfig(epochs=1, autoencoder_hidden_dim=4), rng=0)
+        with pytest.raises(TrainingError, match="fine_tune_epochs"):
+            trainer.train(dataset, policy=tiny_policy, fine_tune_epochs=-1)
+
 
 class _UnfrozenQBNTrainer(QBNTrainer):
     """Fine-tuning as it ran before it froze the policy: every backward

@@ -18,11 +18,14 @@ from repro.drl.rollout import BatchedRolloutCollector
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ShapeError
-from repro.nn import GRU, GRUCell, Linear, rnn
+from repro.nn import GRU, GRUCell, Linear, dense_native, rnn
+from repro.nn.module import Parameter
 from repro.optim import Adam
 from repro.qbn.autoencoder import QBNConfig, QuantizedBottleneckNetwork
 from repro.qbn.dataset import TransitionDataset
-from repro.qbn.quantize import quantize_ste, values_to_codes
+from repro.qbn.quantize import (
+    nearest_level_indices, quantization_levels, quantize_ste, values_to_codes,
+)
 from repro.qbn.trainer import QBNTrainer, QBNTrainingConfig
 from test_nn_modules import same_grad, oracle_linear_forward
 
@@ -228,16 +231,25 @@ def oracle_adam_apply(self):
         param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def oracle_mse_loss(prediction, target):
+    """``F.mse_loss`` as the four-node graph the one node replaced."""
+    if not isinstance(prediction, Tensor):
+        prediction = Tensor(prediction)
+    diff = prediction - Tensor(target).detach()
+    return (diff * diff).mean()
+
+
 @contextlib.contextmanager
 def op_by_op():
-    """Every ``GRUCell``, ``Linear`` and QBN runs as the graph the fused node
-    replaced, ``unroll`` as the chain of those steps and Adam one
-    parameter at a time."""
+    """Every ``GRUCell``, ``Linear``, QBN and MSE loss runs as the graph the
+    fused node replaced, ``unroll`` as the chain of those steps and Adam
+    one parameter at a time."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(GRUCell, "forward", oracle_gru_forward)
         patch.setattr(Linear, "forward", oracle_linear_forward)
         patch.setattr(RecurrentPolicyValueNet, "unroll", chain_unroll)
         patch.setattr(QuantizedBottleneckNetwork, "forward", oracle_qbn_forward)
+        patch.setattr(F, "mse_loss", oracle_mse_loss)
         patch.setattr(Adam, "_apply", oracle_adam_apply)
         yield
 
@@ -527,6 +539,39 @@ class TestFusedQBNBitwise:
         assert np.array_equal(qbn.decode(latent).data, reconstruction.data)
         assert np.array_equal(qbn.reconstruct(x), reconstruction.data)
         assert qbn.encode(Tensor(x, requires_grad=True))._parents == ()
+
+
+class TestMSENodeBitwise:
+    """``F.mse_loss`` (one node) against the four-node graph it replaced:
+    value and gradient bytes, under an upstream scale (A2C's value loss;
+    a negative one turns the zero difference's gradient into -0.0), into
+    an existing gradient, and with a target that broadcasts either way."""
+
+    @pytest.mark.parametrize(
+        "shape, target_shape",
+        [((7,), (7,)), ((1, 3), (1, 3)), ((5, 4), (5, 4)), ((5, 4), (4,)), ((4,), (5, 4))],
+    )
+    @pytest.mark.parametrize("scale", [1.0, 0.5, -0.5])
+    @pytest.mark.parametrize("preset", [False, True])
+    def test_value_and_gradient(self, shape, target_shape, scale, preset):
+        rng = np.random.default_rng(7)
+        data, target = rng.standard_normal(shape), rng.standard_normal(target_shape)
+        target.flat[0] = data.flat[0]  # a zero difference
+        old = rng.standard_normal(shape)
+        runs = []
+        for loss_fn in (F.mse_loss, oracle_mse_loss):
+            prediction = Tensor(data, requires_grad=True)
+            if preset:
+                prediction.grad = old.copy()
+            loss = loss_fn(prediction, target)
+            (loss * scale).backward()
+            runs.append((loss.data.tobytes(), prediction.grad.tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_no_grad_builds_no_node(self):
+        with no_grad():
+            loss = F.mse_loss(Tensor(np.ones(3), requires_grad=True), np.zeros(3))
+        assert loss.item() == 1.0 and loss._backward is None
 
 
 def bc_loss(policy, observations, actions, weights):
@@ -849,3 +894,216 @@ class TestNativeGRUKernelBitwise:
         run.backward(grad.copy(), x, h0)
         for tensor, got in zip((x, h0, *cell.parameters()), strided):
             assert np.array_equal(tensor.grad, got)
+
+
+# ----------------------------------------------------------------------
+# The native dense kernel against the numpy code it is checked against
+# ----------------------------------------------------------------------
+def _native_dense_or_skip():
+    status = dense_native.dense_kernel_status()
+    if status != "ready":
+        pytest.skip(f"native dense kernel {status}")
+
+
+# Latents the quantiser treats specially: NaN, signed zeros, points
+# halfway between levels and values the clip moves.
+_SPECIAL_LATENTS = np.array(
+    [np.nan, -0.0, 0.0, 0.5, -0.5, 1 / 3, -1 / 3, 2 / 3, -2 / 3, 1.0, -1.0, 1.5, -np.inf, np.inf]
+)
+
+
+@st.composite
+def _dense_case(draw):
+    """A QBN (outputs < 7 wide take einsum for 1-d rows; a width-1 layer
+    leaves its bias sum to numpy), 1-d rows or a batch, which parameters
+    train, and which parameters lose their gradient before each of three
+    Adam steps."""
+    return dict(
+        input_dim=draw(st.sampled_from([1, 3, 9, 35])),
+        latent_dim=draw(st.sampled_from([1, 4, 7, 16])),
+        hidden_dim=draw(st.sampled_from([1, 6, 9, 64])),
+        levels=draw(st.sampled_from([2, 3, 4])),
+        lead=draw(st.sampled_from([(), (1,), (2,), (5,), (256,)])),
+        trainable=draw(st.sampled_from(["all", "none", "decoder"])),
+        x_requires=draw(st.booleans()),
+        preset=draw(st.booleans()),
+        dropped=draw(st.lists(st.sets(st.integers(0, 7), max_size=4), min_size=3, max_size=3)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _dense_bytes(case):
+    """Every forward array and code of one QBN pass, the quantiser on
+    special latents, and the outputs, losses, gradients, weights and Adam
+    moments of three training steps (the first summing into preset
+    gradients when asked, the second into the first's)."""
+    rng = np.random.default_rng(case["seed"])
+    levels = case["levels"]
+    config = QBNConfig(
+        case["input_dim"], case["latent_dim"], case["hidden_dim"], quantization_levels=levels
+    )
+    qbn = _fill_biases(QuantizedBottleneckNetwork(config, rng=5))
+    params = qbn.parameters()
+    for name, param in qbn.named_parameters():
+        param.requires_grad = case["trainable"] == "all" or (
+            case["trainable"] == "decoder" and name.startswith("decoder")
+        )
+    x = Tensor(rng.standard_normal(case["lead"] + (case["input_dim"],)), requires_grad=case["x_requires"])
+    target = rng.standard_normal(x.shape)
+    kernel, alphabet = dense_native._dense_kernel, quantization_levels(levels)
+
+    def quantize(values):
+        if kernel is None:
+            index = nearest_level_indices(np.clip(values, -1.0, 1.0), levels)
+            return index.astype(np.int64), alphabet[index]
+        return kernel.quantize(values, alphabet)
+
+    hidden, latent = qbn._encode_np(x.data, kernel)
+    index, code = quantize(latent)
+    decoder_hidden, out = qbn._decode_np(code, kernel)
+    midpoints = (alphabet[:-1] + alphabet[1:]) / 2
+    special = np.concatenate([_SPECIAL_LATENTS, midpoints, rng.uniform(-1.5, 1.5, 16)])
+    arrays = [hidden, latent, index, code, decoder_hidden, out, *quantize(rng.permutation(special))]
+    snapshots = [a.tobytes() for a in arrays]
+
+    if case["preset"]:
+        for tensor in (x, *params):
+            tensor.grad = rng.standard_normal(tensor.shape)
+    optimizer = Adam(params, lr=0.01)
+    for step, dropped in enumerate(case["dropped"]):
+        if step == 2:
+            optimizer.zero_grad()
+        reconstruction = qbn(x)
+        if step == 0:
+            # An output column without error: under the negative scale its
+            # gradient is -0.0, and the bias sums it from +0.0.
+            target[..., 0] = reconstruction.data[..., 0]
+        loss = F.mse_loss(reconstruction, target)
+        if loss.requires_grad:
+            (loss * -0.5).backward()
+        for index in dropped:
+            params[index].grad = None
+        optimizer.step()
+        # Gradients, weights and moments change in place: bytes now.
+        arrays = [reconstruction.data, loss.data, optimizer._m, optimizer._v]
+        arrays += [t.grad for t in (x, *params) if t.grad is not None]
+        snapshots += [a.tobytes() for a in arrays + [p.data for p in params]]
+    return snapshots
+
+
+class TestNativeDenseKernelBitwise:
+    """``_dense_kernel.c`` writes the bytes of the numpy code it replaces:
+    the QBN node's forward arrays, codes and gradients, ``mse_loss``'s
+    value and gradient, and Adam's moments and weights.  CI reruns the
+    class under a second OpenBLAS kernel family."""
+
+    @given(case=_dense_case())
+    @settings(max_examples=60, deadline=None)
+    def test_every_array_and_gradient_matches_numpy(self, case):
+        _native_dense_or_skip()
+        native = _dense_bytes(case)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dense_native, "_dense_kernel", None)
+            spec = _dense_bytes(case)
+        assert native == spec
+
+    @pytest.mark.parametrize("shape", TestFusedQBNBitwise.SHAPES)
+    @pytest.mark.parametrize("trainable", ["all", "none", "decoder"])
+    def test_frozen_combinations_match_numpy(self, shape, trainable):
+        """``TestFusedQBNBitwise``'s trainable, frozen and decoder-only QBNs,
+        each with and without an input that takes a gradient."""
+        _native_dense_or_skip()
+        for x_requires in (False, True):
+            case = dict(
+                input_dim=shape[0], latent_dim=shape[1], hidden_dim=shape[2], levels=3,
+                lead=(256,), trainable=trainable, x_requires=x_requires, preset=False,
+                dropped=[set(), {1, 6}, set()], seed=11,
+            )
+            native = _dense_bytes(case)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dense_native, "_dense_kernel", None)
+                assert _dense_bytes(case) == native
+
+    def test_adam_takes_strided_gradients_and_leaves_strided_weights_to_numpy(self):
+        """A Fortran-ordered or integer gradient is read as its float64
+        copy; a parameter whose weights are a strided view runs the numpy
+        pass, which writes through the view; a misfit gradient is refused."""
+        _native_dense_or_skip()
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((6, 6))
+        grads = [np.asfortranarray(rng.standard_normal((3, 5))), np.arange(4), rng.standard_normal(6)]
+        runs = []
+        for kernel in (dense_native._dense_kernel, None):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dense_native, "_dense_kernel", kernel)
+                for strided in (False, True):
+                    weights = base.copy()
+                    params = [Parameter(np.ones((3, 5))), Parameter(np.ones(4))]
+                    params.append(Parameter(weights[:, 1] if strided else weights[1]))
+                    optimizer = Adam(params, lr=0.1)
+                    for _ in range(2):
+                        for param, grad in zip(params, grads):
+                            param.grad = grad.copy(order="K")
+                        optimizer.step()
+                    runs.append([p.data.tobytes() for p in params] + [weights.tobytes()])
+        assert runs[:2] == runs[2:]
+        param = Parameter(np.ones(3))
+        param.grad = np.ones(4)
+        with pytest.raises(ShapeError):
+            Adam([param]).step()
+
+    def test_status_is_ready_and_names_the_variable_when_forced_off(self, monkeypatch):
+        _native_dense_or_skip()
+        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+        monkeypatch.setattr(dense_native, "_dense_kernel", None)
+        monkeypatch.setattr(dense_native, "_dense_status", None)
+        assert dense_native.dense_kernel_status() == "ready"
+        assert dense_native.native_dense_kernel() is not None
+        monkeypatch.setattr(dense_native, "_dense_status", None)
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+        assert dense_native.dense_kernel_status() == "disabled: REPRO_DISABLE_NATIVE=1"
+        assert dense_native.native_dense_kernel() is None
+
+    def test_graph_free_calls_never_load_the_kernel(self, monkeypatch):
+        """``encode``, ``discrete_code``, ``reconstruct`` and a ``no_grad``
+        forward stay numpy, so serving an extracted FSM loads no kernel."""
+
+        def refuse():
+            raise AssertionError("the dense kernel was loaded")
+
+        monkeypatch.setattr(dense_native, "_dense_kernel", None)
+        monkeypatch.setattr(dense_native, "_dense_status", None)
+        monkeypatch.setattr(dense_native, "NativeDenseKernel", refuse)
+        qbn = QuantizedBottleneckNetwork(QBNConfig(9, 4, 6), rng=0)
+        x = np.random.default_rng(0).standard_normal((5, 9))
+        qbn.encode(x), qbn.discrete_code(x), qbn.reconstruct(x)
+        with no_grad():
+            qbn(Tensor(x, requires_grad=True))
+        assert dense_native._dense_status is None
+
+    @pytest.mark.parametrize("method", ["add_bias", "quantize", "tanh_backward", "mse_grad", "adam"])
+    def test_a_kernel_that_differs_leaves_numpy_in_charge(self, monkeypatch, method):
+        """One ulp of one output of one kernel entry fails the load-time self-check."""
+        _native_dense_or_skip()
+        shipped = getattr(dense_native.NativeDenseKernel, method)
+
+        def one_ulp_off(self, *args):
+            result = shipped(self, *args)
+            # add_bias: the product; quantize: the code; adam: the last
+            # parameter's weights; the others: the array they return.
+            target = {
+                "add_bias": lambda: args[0],
+                "quantize": lambda: result[1],
+                "adam": lambda: args[0][-1].data,
+            }.get(method, lambda: result)()
+            target.flat[-1] = np.nextafter(target.flat[-1], np.inf)
+            return result
+
+        monkeypatch.setattr(dense_native.NativeDenseKernel, method, one_ulp_off)
+        monkeypatch.setattr(dense_native, "_dense_kernel", None)
+        monkeypatch.setattr(dense_native, "_dense_status", None)
+        assert (
+            dense_native.dense_kernel_status()
+            == "disabled: self-check mismatch against the numpy code"
+        )
+        assert dense_native.native_dense_kernel() is None

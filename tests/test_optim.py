@@ -160,6 +160,15 @@ class TestFlatAdam:
         opt.step()
         assert p.data is data and p.data[0] != 5.0
 
+    def test_a_parameter_listed_twice_is_refused(self):
+        """``Adam([p, p])`` used to step ``p`` twice per step (0.8, not 0.9)."""
+        p = Parameter(np.array([1.0]))
+        with pytest.raises(TrainingError, match="more than once"):
+            Adam([p, p], lr=0.1)
+        layer = Linear(2, 2, rng=0)
+        with pytest.raises(TrainingError, match="more than once"):
+            Adam(layer.parameters() + [layer.bias], lr=0.1)
+
     def test_weight_decay_is_gone(self):
         with pytest.raises(TypeError):
             Adam([_quadratic_param()], weight_decay=0.1)

@@ -69,6 +69,11 @@ class TestExperimentHelpers:
         with pytest.raises(ConfigurationError, match="smaller than num_real_traces"):
             PipelineConfig(num_real_traces=3, num_eval_traces=3).validate()
 
+    def test_negative_fine_tune_epochs_are_refused(self):
+        """They used to pass and silently skip the fine-tune."""
+        with pytest.raises(ConfigurationError, match="qbn_fine_tune_epochs"):
+            PipelineConfig(qbn_fine_tune_epochs=-5).validate()
+
     def test_run_rejects_supplied_traces_without_a_disjoint_training_trace(
         self, tiny_pipeline_config, real_traces
     ):
