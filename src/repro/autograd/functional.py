@@ -115,7 +115,10 @@ def matmul_rows_np(
     compiled FSM's encoder) calls it instead of inlining the decision.
     ``out`` is an optional (M, N) float64 buffer the product is written
     into and returned (hot paths reuse theirs across calls); float64
-    operands pass through without a copy.
+    operands pass through without a copy.  A ``(S, K, N)`` stack of
+    weights gives the ``(S, M, N)`` stack of products, each element the
+    bytes of its own 2-d call: numpy's matmul makes the same BLAS call
+    for every stack element, and the einsum route runs per element.
 
     BLAS picks different kernels (gemv, small-matrix paths, blocked gemm)
     depending on the operand shapes, and those kernels accumulate in
@@ -139,20 +142,27 @@ def matmul_rows_np(
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    if x.ndim != 2 or w.ndim != 2:
+    if x.ndim != 2 or w.ndim not in (2, 3):
         raise ShapeError(
-            f"matmul_rows_np expects 2-d operands, got shapes {x.shape} / {w.shape}"
+            f"matmul_rows_np expects a 2-d x and a 2-d w or stack of them, "
+            f"got shapes {x.shape} / {w.shape}"
         )
-    if w.shape[1] < _GEMM_MIN_COLS:
-        return np.einsum("ij,jk->ik", x, w, out=out)
+    if w.shape[-1] < _GEMM_MIN_COLS:
+        if w.ndim == 2:
+            return np.einsum("ij,jk->ik", x, w, out=out)
+        if out is None:
+            out = np.empty((w.shape[0], x.shape[0], w.shape[2]))
+        for weight, product in zip(w, out):
+            np.einsum("ij,jk->ik", x, weight, out=product)
+        return out
     rows = x.shape[0]
     if rows % 2 == 0:
         return np.matmul(x, w, out=out)
     if out is None:
-        out = np.empty((rows, w.shape[1]))
+        out = np.empty(w.shape[:-2] + (rows, w.shape[-1]))
     if rows > 1:
-        np.matmul(x[:-1], w, out=out[:-1])
-    out[-1] = (np.concatenate([x[-1:], x[-1:]]) @ w)[0]
+        np.matmul(x[:-1], w, out=out[..., :-1, :])
+    out[..., -1, :] = (np.concatenate([x[-1:], x[-1:]]) @ w)[..., 0, :]
     return out
 
 

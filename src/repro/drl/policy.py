@@ -17,7 +17,7 @@ from repro.autograd.tensor import Tensor
 from repro.env.observation import OBSERVATION_DIM
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn import GRUCell, Linear, Module
-from repro.nn.linear import accumulate_steps, input_grad, matmul_steps
+from repro.nn.linear import accumulate_steps, input_grad_steps, matmul_steps
 from repro.nn.rnn import Unrolled
 from repro.storage.migration import NUM_ACTIONS
 from repro.utils.rng import SeedLike, new_rng
@@ -120,8 +120,7 @@ class RecurrentPolicyValueNet(Module):
                 start += head.out_features
                 accumulate_steps(head.bias, head_grad, kernel=run.kernel)
                 accumulate_steps(head.weight, head_grad, hidden, run.kernel)
-                weight = head.weight.data
-                step_grads = np.stack([input_grad(g, weight) for g in head_grad])
+                step_grads = input_grad_steps(head_grad, head.weight.data)
                 hidden_grad = step_grads if hidden_grad is None else hidden_grad + step_grads
             run.backward(hidden_grad)
 

@@ -4,6 +4,12 @@ A :class:`Linear` is one autograd node: its backward sums into ``bias``,
 then the input, then ``weight`` — the order the nodes of ``x @ W + b``
 run in — so a trained weight has the same bits as one trained op by op
 (``tests/test_nn_modules.py::TestFusedLinearBitwise`` holds the oracle).
+
+The step helpers below form the products of independent steps (or of a
+stack of weights) as one stacked ``np.matmul``.  numpy makes the same
+2-d BLAS call for every stack element that the lone product makes —
+gemm, gemv at one row or column, dot at both — so each element holds the
+bytes of its own call (``tests/test_nn_gru.py::TestStackedGatesBitwise``).
 """
 
 from __future__ import annotations
@@ -58,12 +64,19 @@ def matmul_steps(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``rows[t] @ w`` for every step ``t``, each on the route its own node takes.
 
     1-d steps are one :func:`matmul_rows_np` call, whose rows equal the
-    lone-row call a single step makes.  A ``(B, n)`` step keeps its own
-    ``@``.
+    lone-row call a single step makes.  ``(B, n)`` steps are one stacked
+    ``@``, each step the product its own ``@`` makes.  A ``(S, n, k)``
+    stack of weights gives the ``(S, T, ..., k)`` stack of products.
     """
     if rows.ndim == 3:
-        return np.stack([step @ w for step in rows])
+        return np.matmul(rows, w if w.ndim == 2 else w[:, None])
     return matmul_rows_np(rows, w)
+
+
+def input_grad_steps(grads: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`input_grad` of every step ``grads[t]`` as one stacked product."""
+    steps = grads.reshape(grads.shape[0], -1, grads.shape[-1])
+    return (steps @ w.T).reshape(grads.shape[:-1] + (w.shape[0],))
 
 
 def accumulate_steps(
@@ -75,18 +88,19 @@ def accumulate_steps(
     ``grads[k]`` (a weight), as :class:`Linear`'s backward forms it.  For
     1-d steps every entry of a term is a single product, so all terms are
     formed at once and added by one axis-0 sum, which adds its rows first
-    to last; ``kernel`` (a :class:`~repro.nn.rnn.NativeGRUKernel`) makes
-    the same products and sums in C without the ``(T, m, n)`` terms.  A
-    ``(B, n)`` step keeps its own K = B gemm and accumulation.
+    to last.  A ``(B, n)`` step's term is its own K = B gemm (a bias: its
+    row sum), added by ``Tensor._accumulate``.  ``kernel`` (a
+    :class:`~repro.nn.rnn.NativeGRUKernel`) makes the same sums in one C
+    call; the code below is its specification.
     """
     if not param.requires_grad:
+        return
+    if kernel is not None:
+        kernel.accumulate(param, grads, rows)
         return
     if grads.ndim > 2:
         for k, grad in enumerate(grads):
             param._accumulate(grad if rows is None else rows[k].T @ grad)
-        return
-    if kernel is not None:
-        kernel.accumulate(param, grads, rows)
         return
     terms = grads if rows is None else rows[:, :, None] * grads[:, None, :]
     if param.grad is not None:

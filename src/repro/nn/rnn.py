@@ -37,12 +37,24 @@ boundary changes no bit (``TestSequenceNodeBitwise``).  What would
 change them is reordering those sums, or summing a weight gradient over
 time inside one gemm instead of adding per-step terms in order.
 
+A cell keeps its three input weights and its three hidden weights as
+views into two ``(3, ., H)`` stacks, gate order r, n, z, and every
+product it would make once per gate is one stacked ``np.matmul`` over a
+stack: :meth:`GRUCell.forward_np`'s six products as two, an
+:class:`Unrolled`'s input projections, and the native kernel's hidden
+products and ``g @ W.T`` terms per step.  numpy makes the same 2-d BLAS
+call for every stack element that the lone product makes, so each gate
+keeps its bytes (``TestStackedGatesBitwise``); the einsum route below
+seven columns runs once per element.  Adam and ``load_state_dict``
+write the views in place; unpickling, or a rebound ``.data``, links
+them again.
+
 The per-step elementwise work of that node runs in C
 (``_gru_kernel.c``, :class:`NativeGRUKernel`) when
 :func:`gru_kernel_status` reads ``"ready"``: the gate arithmetic around
 numpy's hidden projections, ``exp`` and ``tanh`` forward, the sum into
-``h``'s gradient and the gate gradients backward, and the 1-d steps'
-weight sums of :func:`~repro.nn.linear.accumulate_steps`.  Its
+``h``'s gradient and the gate gradients backward, and the steps'
+parameter sums of :func:`~repro.nn.linear.accumulate_steps`.  Its
 specification is the numpy loop (``Unrolled._forward_numpy``,
 ``Unrolled._backward_numpy`` and ``accumulate_steps``), which runs when
 the kernel cannot: every BLAS call, ``exp`` and ``tanh`` is numpy's
@@ -63,6 +75,7 @@ from repro.autograd.functional import _GEMM_MIN_COLS, matmul_rows_np
 from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
 from repro.nn import init
+from repro.nn.dense_native import _address
 from repro.nn.linear import accumulate_steps, input_grad, matmul_backward, matmul_np, matmul_steps
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import SeedLike, new_rng
@@ -78,7 +91,8 @@ class GRUCell(Module):
     :meth:`forward_np`, the inference step, is one numpy gate stack for
     every batch size and width: its only shape dispatch is
     :func:`matmul_rows_np`, it caches no weights, and its only state is
-    the reused gate buffers.
+    the reused gate buffers.  The six weights are views into two stacks
+    (module docstring, :meth:`_link`).
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: SeedLike = None) -> None:
@@ -106,6 +120,33 @@ class GRUCell(Module):
         self.w_xn = input_weight()
         self.w_hn = hidden_weight()
         self.b_n = Parameter(np.zeros(hidden_size))
+        self._link()
+
+    def _gate_weights(self) -> Tuple[Tuple[Parameter, ...], Tuple[Parameter, ...]]:
+        return (self.w_xr, self.w_xn, self.w_xz), (self.w_hr, self.w_hn, self.w_hz)
+
+    def _link(self) -> None:
+        """Copy the input and the hidden weights into one ``(3, ., H)`` stack
+        each, gate order r, n, z, and make every weight's ``.data`` its
+        view of its stack."""
+        stacks = []
+        for weights in self._gate_weights():
+            stack = np.stack([weight.data for weight in weights])
+            for weight, view in zip(weights, stack):
+                weight.data = view
+            stacks.append(stack)
+        self._weight_stacks = tuple(stacks)
+
+    def _stacks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The input and hidden weight stacks, linked again first if a
+        weight's ``.data`` was rebound rather than written in place."""
+        stacks = self._weight_stacks
+        for stack, weights in zip(stacks, self._gate_weights()):
+            for weight in weights:
+                if weight.data.base is not stack:
+                    self._link()
+                    return self._weight_stacks
+        return stacks
 
     def initial_state(self, batch_size: Optional[int] = None) -> Tensor:
         """Return an all-zero hidden state (shape (H,) or (B, H))."""
@@ -193,50 +234,54 @@ class GRUCell(Module):
         # stepped weight is seen by the next call.
         batch = x.shape[0]
         buffers = getattr(self, "_np_gate_buffers", None)
-        if buffers is None or buffers[0].shape[0] != batch:
-            buffers = tuple(
-                np.empty((batch, self.hidden_size)) for _ in range(4)
-            )
+        if buffers is None or buffers.shape[2] < batch:
+            # Grow-only: a smaller batch works in the first rows.
+            buffers = np.empty((2, 3, batch, self.hidden_size))
             self._np_gate_buffers = buffers
-        gate, carry, blend, scratch = buffers
+        inputs, hiddens = buffers[:, :, :batch]
+        input_weights, hidden_weights = self._stacks()
+        matmul_rows_np(x, input_weights, out=inputs)
+        matmul_rows_np(h, hidden_weights, out=hiddens)
+        reset, candidate, update = inputs
+        scratch, carried, hidden_update = hiddens
 
-        # reset gate -> `gate`
-        matmul_rows_np(x, self.w_xr.data, out=gate)
-        matmul_rows_np(h, self.w_hr.data, out=scratch)
-        gate += scratch
-        gate += self.b_r.data
-        np.negative(gate, out=gate)
-        np.exp(gate, out=gate)
-        gate += 1.0
-        np.divide(1.0, gate, out=gate)
-        # candidate pre-activation -> `scratch` (needs the reset gate)
-        matmul_rows_np(h, self.w_hn.data, out=carry)
-        carry *= gate
-        matmul_rows_np(x, self.w_xn.data, out=scratch)
-        scratch += carry
-        scratch += self.b_n.data
-        np.tanh(scratch, out=scratch)
-        # update gate -> `gate` (reset no longer needed)
-        matmul_rows_np(x, self.w_xz.data, out=gate)
-        matmul_rows_np(h, self.w_hz.data, out=carry)
-        gate += carry
-        gate += self.b_z.data
-        np.negative(gate, out=gate)
-        np.exp(gate, out=gate)
-        gate += 1.0
-        np.divide(1.0, gate, out=gate)
+        # reset gate: (x W_xr + h W_hr) + b_r
+        reset += scratch
+        reset += self.b_r.data
+        np.negative(reset, out=reset)
+        np.exp(reset, out=reset)
+        reset += 1.0
+        np.divide(1.0, reset, out=reset)
+        # candidate: (x W_xn + r * (h W_hn)) + b_n
+        carried *= reset
+        candidate += carried
+        candidate += self.b_n.data
+        np.tanh(candidate, out=candidate)
+        # update gate: (x W_xz + h W_hz) + b_z
+        update += hidden_update
+        update += self.b_z.data
+        np.negative(update, out=update)
+        np.exp(update, out=update)
+        update += 1.0
+        np.divide(1.0, update, out=update)
         # blend: (1 - z) * n + z * h, freshly allocated result
-        np.subtract(1.0, gate, out=blend)
-        blend *= scratch
-        gate *= h
-        return blend + gate
+        np.subtract(1.0, update, out=scratch)
+        scratch *= candidate
+        update *= h
+        return scratch + update
 
     def __getstate__(self):
-        # The shape-keyed gate buffers are scratch: they rebuild on first
-        # use after unpickling instead of crossing process boundaries.
+        # The gate buffers are scratch: they rebuild on first use after
+        # unpickling instead of crossing process boundaries.  The weight
+        # stacks travel as the weights and are linked again on arrival.
         state = self.__dict__.copy()
         state.pop("_np_gate_buffers", None)
+        state.pop("_weight_stacks", None)
         return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._link()
 
 
 class Unrolled:
@@ -244,8 +289,9 @@ class Unrolled:
 
     ``inputs`` is ``(T, D)`` (1-d steps) or ``(T, B, D)``, ``h0`` the
     starting hidden state; ``hiddens`` holds ``h_0 .. h_T``.  Each step
-    is ``GRUCell.forward``'s arithmetic; only the input projections of
-    1-d steps are formed for all steps at once (:func:`matmul_steps`).
+    is ``GRUCell.forward``'s arithmetic; the input projections of every
+    step and gate are formed at once (:func:`matmul_steps` over the
+    cell's input weight stack).
     ``kernel`` is the native GRU kernel when it is ready (module
     docstring), else ``None`` and the numpy loop runs.
     """
@@ -265,14 +311,14 @@ class Unrolled:
         self.reset, self.update, self.carried, self.candidate = (
             np.empty((steps,) + h0.shape) for _ in range(4)
         )
-        projections = [matmul_steps(inputs, w.data) for w in (cell.w_xr, cell.w_xz, cell.w_xn)]
+        x_r, x_n, x_z = matmul_steps(inputs, cell._stacks()[0])
         self.kernel = _native_gru_kernel()
         # The kernel multiplies a contiguous copy of h0, which BLAS and
         # einsum may round differently from a strided h0.
         if self.kernel is not None and h0.flags.c_contiguous:
-            self.kernel.forward(self, *projections)
+            self.kernel.forward(self, x_r, x_z, x_n)
         else:
-            self._forward_numpy(*projections, h0)
+            self._forward_numpy(x_r, x_z, x_n, h0)
 
     def _forward_numpy(self, x_r, x_z, x_n, h: np.ndarray) -> None:
         """The forward steps in numpy from ``h = h0``: the native kernel's
@@ -304,11 +350,12 @@ class Unrolled:
             )
         cell = self.cell
         # Per-gate gradients, last step first: the parameters' term order.
-        g_ns, g_rs, g_hns, g_zs = gates = [np.empty_like(grad) for _ in range(4)]
+        gates = np.empty((4,) + grad.shape)
+        g_ns, g_rs, g_hns, g_zs = gates
         if self.kernel is None:
             g = self._backward_numpy(grad, *gates)
         else:
-            g = self.kernel.backward(self, grad, *gates)
+            g = self.kernel.backward(self, grad, gates)
         if h0 is not None and h0.requires_grad:
             # Step 0's four terms, as every later step adds them into h.
             for term in (
@@ -420,8 +467,9 @@ class _GRUArgs(ctypes.Structure):
     ] + [(name, ctypes.c_int64) for name in ("steps", "n", "hidden", "pad_rows")]
 
 
-def _einsum_rows(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,jk->ik", a, w, out=out)
+#: Doubles of ``(T, B, .)`` step terms formed per stacked product in
+#: :meth:`NativeGRUKernel.accumulate`, which bounds its scratch.
+_SUM_CHUNK = 1 << 16
 
 
 def _step_rows(array: np.ndarray) -> np.ndarray:
@@ -438,8 +486,8 @@ class NativeGRUKernel:
     compiler produced it, ``OSError`` when the object cannot be loaded.
     :meth:`forward` and :meth:`backward` run ``Unrolled``'s steps with
     every BLAS product, ``exp`` and ``tanh`` still numpy's, on the
-    operand shapes the numpy loop uses; :meth:`accumulate` is
-    ``accumulate_steps`` for 1-d steps.
+    operand shapes the numpy loop uses, a gate's product an element of
+    one stacked product; :meth:`accumulate` is ``accumulate_steps``.
     """
 
     def __init__(self) -> None:
@@ -454,14 +502,15 @@ class NativeGRUKernel:
             entry.argtypes = [ctypes.c_void_p, ctypes.c_int64]
         lib.repro_gru_accumulate.restype = None
         lib.repro_gru_accumulate.argtypes = (
-            [ctypes.c_void_p] * 3 + [ctypes.c_int64, ctypes.c_void_p] + [ctypes.c_int64] * 5
+            [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+            + [ctypes.c_int64] * 4 + [ctypes.c_double, ctypes.c_int64]
         )
         self._lib = lib
 
     @staticmethod
     def _args(run: Unrolled, pad_rows: int = 0, **arrays: np.ndarray) -> _GRUArgs:
         return _GRUArgs(
-            **{name: array.ctypes.data for name, array in arrays.items()},
+            **{name: _address(array) for name, array in arrays.items()},
             steps=run.inputs.shape[0],
             n=run.candidate[0].size,
             hidden=run.cell.hidden_size,
@@ -471,15 +520,17 @@ class NativeGRUKernel:
     def forward(self, run: Unrolled, x_r: np.ndarray, x_z: np.ndarray, x_n: np.ndarray) -> None:
         """Fill ``run``'s arrays from the input projections, step by step."""
         cell, h0 = run.cell, run.hiddens[0]
-        # The hidden projections take matmul_np's route: a batch's own gemm,
+        hidden_weights = cell._stacks()[1]
+        # The hidden products take matmul_np's route: a batch's own gemm,
         # a 1-d row padded to two rows for gemm, or one einsum row.
         if h0.ndim == 2:
             pad, product = h0.copy(), np.matmul
         elif cell.hidden_size >= _GEMM_MIN_COLS:
             pad, product = np.stack((h0, h0)), np.matmul
         else:
-            pad, product = h0.reshape(1, -1).copy(), _einsum_rows
-        p_r, p_z, p_n = projections = [np.empty(pad.shape) for _ in range(3)]
+            pad, product = h0.reshape(1, -1).copy(), matmul_rows_np
+        projections = np.empty((3,) + pad.shape)
+        p_r, p_n, p_z = projections
         x_r, x_z, x_n = (np.ascontiguousarray(x, dtype=np.float64) for x in (x_r, x_z, x_n))
         b_r, b_z, b_n = (
             np.ascontiguousarray(b.data, dtype=np.float64) for b in (cell.b_r, cell.b_z, cell.b_n)
@@ -491,10 +542,8 @@ class NativeGRUKernel:
         )
         address = ctypes.addressof(args)
         lib = self._lib
-        products = list(zip((cell.w_hr.data, cell.w_hz.data, cell.w_hn.data), projections))
         for t in range(run.inputs.shape[0]):
-            for weight, out in products:
-                product(pad, weight, out=out)
+            product(pad, hidden_weights, out=projections)
             lib.repro_gru_gates(address, t)
             reset, update, candidate = run.reset[t], run.update[t], run.candidate[t]
             np.exp(reset, out=reset)
@@ -503,12 +552,16 @@ class NativeGRUKernel:
             np.tanh(candidate, out=candidate)
             lib.repro_gru_blend(address, t)
 
-    def backward(self, run: Unrolled, grad: np.ndarray, g_ns, g_rs, g_hns, g_zs) -> np.ndarray:
-        """``Unrolled._backward_numpy`` with the per-step glue in C."""
+    def backward(self, run: Unrolled, grad: np.ndarray, gates: np.ndarray) -> np.ndarray:
+        """``Unrolled._backward_numpy`` with the per-step glue in C; ``gates``
+        stacks ``g_n, g_r, g_hn, g_z``."""
         steps, hidden = grad.shape[0], run.cell.hidden_size
-        # input_grad's operands: a 1-d row as a (1, H) matrix, a batch as is.
-        operands = [gates.reshape(steps, -1, hidden) for gates in (g_rs, g_hns, g_zs)]
-        t_r, t_hn, t_z = terms = [np.empty(operands[0].shape[1:]) for _ in range(3)]
+        g_ns, g_rs, g_hns, g_zs = gates
+        # input_grad's operands, r, hn, z as the hidden weight stack: a 1-d
+        # row as a (1, H) matrix, a batch as is.
+        operands = gates[1:].reshape(3, steps, -1, hidden)
+        terms = np.empty((3,) + operands.shape[2:])
+        t_r, t_hn, t_z = terms
         g = np.empty(grad.shape[1:])
         args = self._args(
             run, reset=run.reset, update=run.update, carried=run.carried,
@@ -516,41 +569,65 @@ class NativeGRUKernel:
             t_z=t_z, g=g, g_n=g_ns, g_r=g_rs, g_hn=g_hns, g_z=g_zs,
         )
         address, step = ctypes.addressof(args), self._lib.repro_gru_backward
-        cell = run.cell
-        weights = (cell.w_hr.data.T, cell.w_hn.data.T, cell.w_hz.data.T)
-        products = list(zip(operands, weights, terms))
+        weights = run.cell._stacks()[1].transpose(0, 2, 1)
         step(address, steps - 1)
         # Step t + 1's hidden terms (row k, last step first), then step t.
         for k, t in enumerate(range(steps - 2, -1, -1)):
-            for operand, weight, out in products:
-                np.matmul(operand[k], weight, out=out)
+            np.matmul(operands[:, k], weights, out=terms)
             step(address, t)
         return g
 
     def accumulate(self, param: Tensor, grads: np.ndarray, rows: Optional[np.ndarray]) -> None:
-        """``accumulate_steps`` for 1-d steps, into a new ``param.grad``."""
+        """``accumulate_steps`` into a new ``param.grad``.
+
+        1-d steps make numpy's axis-0 sum of every term.  ``(T, B, .)``
+        steps make ``Tensor._accumulate``'s running sum from the preset
+        gradient or the first term; their terms are ``a*b + 0.0`` (a bias:
+        ``g + 0.0``) at B = 1, what a K = 1 gemm or a one-row sum writes,
+        and numpy's stacked products (row sums) a chunk of steps at a time
+        above.
+        """
+        shape, first = param.data.shape, param.grad is None
+        out = np.empty(shape) if first else np.array(param.grad, dtype=np.float64, order="C")
+        if out.shape != shape:
+            raise ShapeError(f"gradient {out.shape} does not fit parameter {shape}")
+        if grads.ndim == 2:
+            if out.size > 1:
+                # numpy's sum starts from +0.0; one-element terms' from the first.
+                out[...] = 0.0 if first else out + 0.0
+                first = False
+            self._sum(out, grads, rows, -0.0, first)
+        elif grads.shape[1] == 1:
+            self._sum(out, grads[:, 0], None if rows is None else rows[:, 0], 0.0, first)
+        else:
+            chunk = max(1, _SUM_CHUNK // out.size)
+            for start in range(0, grads.shape[0], chunk):
+                part = grads[start : start + chunk]
+                if rows is None:
+                    terms = part.sum(axis=1)
+                else:
+                    terms = np.matmul(rows[start : start + chunk].transpose(0, 2, 1), part)
+                self._sum(out, terms.reshape(len(terms), -1), None, -0.0, first and start == 0)
+        param.grad = out
+
+    def _sum(self, out: np.ndarray, grads: np.ndarray, rows: Optional[np.ndarray],
+             zero: float, first: bool) -> None:
+        """Add one term per step into ``out`` (``repro_gru_accumulate``)."""
         grads = _step_rows(grads)
-        out = np.empty(param.data.shape)
-        old = param.grad
-        if old is not None:
-            old = np.ascontiguousarray(old, dtype=np.float64)
-            if old.shape != out.shape:
-                raise ShapeError(f"gradient {old.shape} does not fit parameter {out.shape}")
         if rows is not None:
             rows = _step_rows(rows)
         self._lib.repro_gru_accumulate(
-            out.ctypes.data,
-            None if old is None else old.ctypes.data,
-            grads.ctypes.data,
+            _address(out),
+            _address(grads),
             grads.strides[0] // 8,
-            None if rows is None else rows.ctypes.data,
+            None if rows is None else _address(rows),
             0 if rows is None else rows.strides[0] // 8,
             grads.shape[0],
             1 if rows is None else rows.shape[1],
             grads.shape[1],
-            out.size > 1,
+            zero,
+            first,
         )
-        param.grad = out
 
 
 _gru_kernel: Optional[NativeGRUKernel] = None

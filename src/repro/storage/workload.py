@@ -8,6 +8,7 @@ giving the total number of IO requests in the interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -52,21 +53,30 @@ class WorkloadInterval:
             raise WorkloadError(
                 f"ratios must have shape ({NUM_IO_TYPES},), got {ratios.shape}"
             )
-        if np.any(ratios < -_RATIO_TOLERANCE):
-            raise WorkloadError("ratios must be non-negative")
         total = float(ratios.sum())
+        if not math.isfinite(total):
+            raise WorkloadError(f"ratios must be finite, got {ratios.tolist()}")
+        low = ratios.min()
+        if low < -_RATIO_TOLERANCE:
+            raise WorkloadError("ratios must be non-negative")
         if abs(total - 1.0) > 1e-3:
             raise WorkloadError(f"ratios must sum to 1, got {total:.6f}")
-        if self.total_requests < 0:
+        requests = float(self.total_requests)
+        if not 0.0 <= requests < math.inf:
             raise WorkloadError(
-                f"total_requests must be non-negative, got {self.total_requests}"
+                f"total_requests must be finite and non-negative, got {self.total_requests}"
             )
-        # Normalise exactly and freeze the array.
-        normalised = np.clip(ratios, 0.0, None)
-        normalised = normalised / normalised.sum() if normalised.sum() > 0 else normalised
+        # Normalise exactly: clip at +0.0, then divide by the clipped sum.
+        # On non-negative entries the clip only turns -0.0 into +0.0.
+        if low >= 0.0:
+            normalised = ratios + 0.0
+        else:
+            normalised = np.clip(ratios, 0.0, None)
+            total = float(normalised.sum())
+        normalised /= total
+        normalised.setflags(write=False)
         object.__setattr__(self, "ratios", normalised)
-        object.__setattr__(self, "total_requests", float(self.total_requests))
-        self.ratios.setflags(write=False)
+        object.__setattr__(self, "total_requests", requests)
 
     # ------------------------------------------------------------------
     # Derived quantities

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -32,12 +33,14 @@ class GeneratorConfig:
     min_requests: float = 1.0
 
     def validate(self) -> None:
-        if self.target_load <= 0:
-            raise WorkloadError(f"target_load must be positive, got {self.target_load}")
+        if not 0.0 < self.target_load < math.inf:
+            raise WorkloadError(f"target_load must be positive and finite, got {self.target_load}")
         if not 0.0 <= self.assumed_cache_miss_rate <= 1.0:
             raise WorkloadError("assumed_cache_miss_rate must be in [0, 1]")
-        if self.min_requests < 0:
-            raise WorkloadError("min_requests must be non-negative")
+        if not 0.0 <= self.min_requests < math.inf:
+            raise WorkloadError(
+                f"min_requests must be non-negative and finite, got {self.min_requests}"
+            )
 
 
 class StandardWorkloadGenerator:

@@ -897,6 +897,219 @@ class TestNativeGRUKernelBitwise:
 
 
 # ----------------------------------------------------------------------
+# Stacked products against the per-gate and per-step products they replaced
+# ----------------------------------------------------------------------
+def per_gate_forward_np(cell, x, h):
+    """``GRUCell.forward_np`` as six per-gate ``matmul_rows_np`` products."""
+    def sigmoid(a):
+        return 1.0 / (1.0 + np.exp(-a))
+
+    mm = F.matmul_rows_np
+    reset = sigmoid(mm(x, cell.w_xr.data) + mm(h, cell.w_hr.data) + cell.b_r.data)
+    candidate = np.tanh(mm(x, cell.w_xn.data) + mm(h, cell.w_hn.data) * reset + cell.b_n.data)
+    update = sigmoid(mm(x, cell.w_xz.data) + mm(h, cell.w_hz.data) + cell.b_z.data)
+    return (1.0 - update) * candidate + update * h
+
+
+def per_step_matmul_steps(rows, w):
+    """``linear.matmul_steps`` one gate and, for batches, one step at a time."""
+    if w.ndim == 3:
+        return np.stack([per_step_matmul_steps(rows, weight) for weight in w])
+    if rows.ndim == 3:
+        return np.stack([step @ w for step in rows])
+    return F.matmul_rows_np(rows, w)
+
+
+def per_step_input_grads(grads, w):
+    """``linear.input_grad_steps`` as one ``input_grad`` per step."""
+    return np.stack([rnn.input_grad(g, w) for g in grads])
+
+
+@contextlib.contextmanager
+def per_gate_products():
+    """Input projections, head products and head input gradients one gate
+    and one step at a time, and every sequence on the numpy loop (per-gate
+    hidden products, per-step ``_accumulate`` sums)."""
+    import repro.drl.policy as policy_module
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rnn, "matmul_steps", per_step_matmul_steps)
+        patch.setattr(policy_module, "matmul_steps", per_step_matmul_steps)
+        patch.setattr(policy_module, "input_grad_steps", per_step_input_grads)
+        patch.setattr(rnn, "_gru_kernel", None)
+        yield
+
+
+def _bytes(arrays):
+    return [None if a is None else np.asarray(a).tobytes() for a in arrays]
+
+
+@st.composite
+def _stacked_case(draw):
+    return dict(
+        hidden=draw(st.sampled_from([1, 4, 6, 7, 9, 48])),
+        width=draw(st.sampled_from([None, 1, 2, 3, 5, 8])),
+        steps=draw(st.integers(1, 7)),
+        preset=draw(st.booleans()),
+        frozen=draw(st.sets(st.sampled_from(["gru", "policy_head", "value_head"]), max_size=2)),
+        zero_inputs=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _unroll_bytes(case):
+    """Outputs, ``Unrolled`` arrays and every gradient of two backwards
+    (under opposite signs, so zero inputs give -0.0 terms) through a policy
+    ``unroll`` and one bare ``Unrolled`` with inputs and h0."""
+    rng = np.random.default_rng(case["seed"])
+    policy = _policy(case["hidden"], observation_dim=3)
+    lead = (case["steps"],) if case["width"] is None else (case["steps"], case["width"])
+    if case["preset"]:
+        for param in policy.parameters():
+            param.grad = rng.standard_normal(param.shape)
+            param.grad[..., 0] = -0.0
+    observations = rng.standard_normal(lead + (3,))
+    if case["zero_inputs"]:
+        observations[..., 1:] = 0.0
+    snapshots = []
+    with contextlib.ExitStack() as scopes:
+        for name in sorted(case["frozen"]):
+            scopes.enter_context(getattr(policy, name).frozen())
+        for scale in (1.0, -1.0):
+            logits, values = policy.unroll(observations, values=True)
+            loss = (logits * Tensor(scale * rng.standard_normal(logits.shape))).sum()
+            (loss + (values * Tensor(rng.standard_normal(values.shape))).sum()).backward()
+            snapshots += _bytes([logits.data, values.data])
+        x = Tensor(observations, requires_grad=True)
+        h0 = Tensor(rng.standard_normal(lead[1:] + (case["hidden"],)), requires_grad=True)
+        run = rnn.Unrolled(policy.gru, x.data, h0.data)
+        run.backward(-np.abs(rng.standard_normal(run.candidate.shape)), x, h0)
+    snapshots += _bytes([run.hiddens, run.reset, run.update, run.carried, run.candidate])
+    return snapshots + _bytes([t.grad for t in (x, h0, *policy.parameters())])
+
+
+class TestStackedGatesBitwise:
+    """One stacked ``np.matmul`` per stack of gates or of independent
+    steps, and one C sum per parameter for a ``(T, B, .)`` batch, give the
+    bytes of the per-gate and per-step products and of the
+    ``Tensor._accumulate`` loop they replaced.  CI reruns the class under
+    a second OpenBLAS kernel family."""
+
+    @given(
+        hidden=st.sampled_from([1, 4, 6, 7, 9, 48]),
+        batch=st.sampled_from([1, 2, 3, 5, 8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_forward_np_matches_six_products(self, hidden, batch, seed):
+        rng = np.random.default_rng(seed)
+        cell = _fill_biases(GRUCell(5, hidden, rng=seed % 97))
+        x = rng.standard_normal((batch, 5))
+        h = rng.standard_normal((batch, hidden))
+        x[0] = 0.0
+        expected = per_gate_forward_np(cell, x, h)
+        # A wider call first leaves its rows in the reused buffers.
+        cell.forward_np(rng.standard_normal((9, 5)), rng.standard_normal((9, hidden)))
+        assert cell.forward_np(x, h).tobytes() == expected.tobytes()
+
+    @given(case=_stacked_case())
+    @settings(max_examples=60, deadline=None)
+    def test_unrolled_matches_per_gate_and_per_step_products(self, case):
+        shipped = _unroll_bytes(case)
+        with per_gate_products():
+            reference = _unroll_bytes(case)
+        assert shipped == reference
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rnn, "_gru_kernel", None)
+            assert _unroll_bytes(case) == reference
+
+    @given(
+        shape=st.sampled_from([(1,), (7,), (1, 1), (3, 1), (1, 9), (6, 7), (48, 48)]),
+        steps=st.integers(1, 9),
+        width=st.sampled_from([1, 2, 3, 8, 13]),
+        preset=st.sampled_from([None, "random", "zeros"]),
+        chunk=st.sampled_from([1, 50, 1 << 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_sum_matches_the_accumulate_loop(self, shape, steps, width, preset, chunk, seed):
+        _native_gru_or_skip()
+        rng = np.random.default_rng(seed)
+        grads = rng.standard_normal((steps, width, shape[-1]))
+        grads[rng.random(grads.shape) < 0.2] = -0.0
+        rows = None
+        if len(shape) == 2:
+            rows = rng.standard_normal((steps, width, shape[0]))
+            rows[rng.random(rows.shape) < 0.3] = 0.0
+            rows = rows[::-1]  # the reversed views ``Unrolled`` passes
+            grads = np.ascontiguousarray(grads[::-1])
+        results = []
+        for kernel in (rnn._gru_kernel, None):
+            param = Parameter(np.zeros(shape))
+            if preset == "random":
+                param.grad = rng.standard_normal(shape) if kernel else results[0][1]
+            elif preset == "zeros":
+                param.grad = np.full(shape, -0.0)
+            start = None if param.grad is None else param.grad.copy()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(rnn, "_SUM_CHUNK", chunk)
+                rnn.accumulate_steps(param, grads, rows, kernel)
+            results.append((param.grad.tobytes(), start))
+            frozen = Parameter(np.zeros(shape))
+            frozen.requires_grad = False
+            rnn.accumulate_steps(frozen, grads, rows, kernel)
+            assert frozen.grad is None
+        assert results[0][0] == results[1][0]
+
+    @pytest.mark.parametrize("hidden", [4, 9])
+    def test_stepped_loaded_rebound_and_unpickled_cells_are_seen(self, hidden):
+        import pickle
+
+        rng = np.random.default_rng(hidden)
+        x = rng.standard_normal((3, 5))
+        h = rng.standard_normal((3, hidden))
+        sequence = rng.standard_normal((4, 5))
+
+        def outputs(cell):
+            run = rnn.Unrolled(cell, sequence, np.zeros(hidden))
+            return cell.forward_np(x, h).tobytes(), run.hiddens.tobytes()
+
+        def expected(cell):
+            with per_gate_products():
+                run = rnn.Unrolled(cell, sequence, np.zeros(hidden))
+            return per_gate_forward_np(cell, x, h).tobytes(), run.hiddens.tobytes()
+
+        cell = _fill_biases(GRUCell(5, hidden, rng=1))
+        before = outputs(cell)
+        assert before == expected(cell)
+        optimizer = Adam(cell.parameters(), lr=0.1)
+        for param in cell.parameters():
+            param.grad = rng.standard_normal(param.shape)
+        optimizer.step()
+        stepped = outputs(cell)
+        assert stepped != before and stepped == expected(cell)
+
+        donor = _fill_biases(GRUCell(5, hidden, rng=2), seed=3)
+        cell.load_state_dict(donor.state_dict())
+        assert outputs(cell) == outputs(donor) == expected(donor)
+
+        cell.w_hn.data = rng.standard_normal((hidden, hidden))
+        assert outputs(cell) == expected(cell) != outputs(donor)
+
+        copy = pickle.loads(pickle.dumps(cell))
+        assert outputs(copy) == outputs(cell)
+        for param in copy.parameters():
+            param.data[...] += 0.25
+            param.grad = None
+        assert outputs(copy) == expected(copy) != outputs(cell)
+        stacks = copy._stacks()
+        assert all(
+            weight.data.base is stack
+            for stack, weights in zip(stacks, copy._gate_weights()) for weight in weights
+        )
+
+
+# ----------------------------------------------------------------------
 # The native dense kernel against the numpy code it is checked against
 # ----------------------------------------------------------------------
 def _native_dense_or_skip():

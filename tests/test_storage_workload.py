@@ -50,6 +50,40 @@ class TestWorkloadInterval:
         with pytest.raises(WorkloadError):
             _uniform_interval(-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ratio_rejected(self, bad):
+        ratios = np.full(NUM_IO_TYPES, 1.0 / NUM_IO_TYPES)
+        ratios[3] = bad
+        with pytest.raises(WorkloadError):
+            WorkloadInterval(ratios, 10.0)
+
+    @pytest.mark.parametrize("requests", [np.nan, np.inf, -np.inf, float("nan")])
+    def test_non_finite_requests_rejected(self, requests):
+        with pytest.raises(WorkloadError):
+            _uniform_interval(requests)
+
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, -1e-7, 1e-300, 0.25, 1.0, 3.0]) | st.floats(0.0, 10.0),
+            min_size=NUM_IO_TYPES,
+            max_size=NUM_IO_TYPES,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_normalised_bytes_match_clip_and_divide(self, weights):
+        """The stored ratios are ``clip(ratios, 0) / clip(ratios, 0).sum()``
+        byte for byte: -0.0 and tolerated tiny negatives become +0.0."""
+        raw = np.array(weights)
+        total = raw.sum()
+        if total <= 0.0:
+            return
+        ratios = np.where(raw < 0.0, raw, raw / total)
+        clipped = np.clip(ratios, 0.0, None)
+        expected = clipped / clipped.sum()
+        interval = WorkloadInterval(ratios, 5.0)
+        assert interval.ratios.tobytes() == expected.tobytes()
+        assert interval.ratios is not ratios and not interval.ratios.flags.writeable
+
     def test_read_write_split(self):
         read = _read_only_interval()
         write = _write_only_interval()

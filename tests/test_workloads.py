@@ -144,6 +144,16 @@ class TestGenerator:
         with pytest.raises(WorkloadError):
             GeneratorConfig(target_load=0.0).validate()
 
+    @pytest.mark.parametrize("field", ["target_load", "min_requests"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_settings_rejected(self, field, value):
+        """A NaN ``min_requests`` made NaN request counts and an infinite
+        ``target_load`` infinite ones; both are refused up front."""
+        with pytest.raises(WorkloadError):
+            GeneratorConfig(**{field: value}).validate()
+        with pytest.raises(WorkloadError):
+            StandardWorkloadGenerator(StorageSystemConfig(), GeneratorConfig(**{field: value}))
+
 
 class TestSampler:
     def test_sample_trace_length_within_bounds(self, standard_suite):
