@@ -1,32 +1,76 @@
-"""Figure 4 — makespan of Default / Handcrafted FSM / GRU DRL / Extracted FSM.
+"""Figure 4 — makespan of default, handcrafted, greedy teacher, GRU and extracted FSM.
 
-Prints the per-trace makespan table over the evaluation ("real") traces
-and the relative reductions the paper reports: every controller vs the
-default (no migration), the DRL vs the handcrafted FSM, and the
-extracted-FSM-vs-DRL gap.
+The claims are rows of the committed scorecard (``benchmarks/scorecard.json``,
+rendered into ``EXPERIMENTS.md``).  These tests read the committed job
+records, run nothing, and assert each row's verdict at both scales.  A
+claim that does not hold here is ``xfail(strict=True)``: a change that
+makes it hold fails the test until its entry leaves ``NOT_HOLDING``.
 """
 
 from __future__ import annotations
 
-from repro.pipeline.experiments import run_figure4
+import pytest
+
+import scorecard
+
+SPEC = scorecard.load_spec()
+FIGURE = "Fig. 4"
+CONTROLLERS = ("default", "handcrafted_fsm", "greedy_utilization", "gru_drl", "extracted_fsm")
+
+# (claim, scale) rows whose committed verdict is not "holds".
+NOT_HOLDING = {
+    ("GRU < default", "design_small"),
+    ("GRU < default", "paper"),
+    ("GRU < handcrafted", "design_small"),
+    ("GRU < handcrafted", "paper"),
+    ("FSM < default", "design_small"),
+    ("FSM < default", "paper"),
+    ("FSM < handcrafted", "design_small"),
+    ("FSM < handcrafted", "paper"),
+    ("FSM within 5% of GRU", "design_small"),
+    ("FSM within 5% of GRU", "paper"),
+}
 
 
-def test_fig4_performance_comparison(benchmark, bench_pipeline_config, bench_pipeline_result):
-    result = benchmark.pedantic(
-        lambda: run_figure4(
-            bench_pipeline_config, pipeline_result=bench_pipeline_result, seed=0
-        ),
-        iterations=1,
-        rounds=1,
+@pytest.fixture(scope="module")
+def records():
+    return scorecard.committed(SPEC)
+
+
+@pytest.fixture(scope="module")
+def rows(records):
+    return {(row["claim"], row["scale"]): row for row in scorecard.claim_rows(SPEC, records)}
+
+
+def _cases():
+    for claim in SPEC["claims"]:
+        if claim["figure"] != FIGURE:
+            continue
+        for scale in SPEC["scales"]:
+            key = (claim["claim"], scale)
+            marks = [pytest.mark.xfail(strict=True, reason="does not hold here (EXPERIMENTS.md)")]
+            yield pytest.param(key, id=f"{claim['claim']}-{scale}".replace(" ", "_"),
+                               marks=marks if key in NOT_HOLDING else [])
+
+
+def test_fig4_performance_comparison(records, rows):
+    """Every controller ran every held-out trace at every seed, and
+    handcrafted beats the no-migration default at both scales."""
+    for scale, roles in SPEC["scales"].items():
+        sweep = next(s for s in scorecard.sweep_specs(SPEC) if s.name == roles["curriculum"])
+        assert len(sweep.seeds) >= 8
+        for record in records[sweep.name]:
+            metrics = record["metrics"]
+            assert metrics["eval_traces"] == sweep.base["num_eval_traces"] == 18
+            assert metrics["fsm_compiled_identical"] is True
+            for controller in CONTROLLERS:
+                assert metrics[f"{controller}/mean_makespan"] > 0
+        assert rows[("handcrafted < default", scale)]["verdict"] == scorecard.HOLDS
+
+
+@pytest.mark.parametrize("key", list(_cases()))
+def test_fig4_claim_holds(rows, key):
+    row = rows[key]
+    assert row["verdict"] == scorecard.HOLDS, (
+        f"{key}: holds at {len(row['holding'])}/{len(row['ratios'])} seeds"
     )
-
-    print()
-    print(result.render())
-
-    means = result.mean_makespans()
-    assert set(means) == {"default", "handcrafted_fsm", "gru_drl", "extracted_fsm"}
-    # Shape check from the paper: migrating policies beat the static default.
-    assert means["handcrafted_fsm"] < means["default"]
-    # All controllers complete every evaluation trace.
-    for evaluation in result.results.values():
-        assert len(evaluation.makespans) == len(bench_pipeline_result.eval_traces)

@@ -104,16 +104,6 @@ class TrainingHistory:
     def phases(self) -> List[str]:
         return [r.phase for r in self.records]
 
-    def smoothed_makespans(self, window: int = 10) -> np.ndarray:
-        values = self.makespans()
-        if window <= 1 or values.size == 0:
-            return values
-        smoothed = np.empty_like(values)
-        for i in range(values.size):
-            lo = max(0, i - window + 1)
-            smoothed[i] = values[lo : i + 1].mean()
-        return smoothed
-
     def final_makespan(self, window: int = 10) -> float:
         values = self.makespans()
         if values.size == 0:

@@ -4,7 +4,7 @@ Real customer traces are scarce, so the paper first trains the policy on
 plentiful *standard* (Vdbench-synthesised) traces — the "easy tasks" —
 and then continues training on the few *real* traces — the "hard tasks".
 Figure 3 compares this curriculum against training from scratch on real
-traces only.
+traces only: the same trainer with ``standard_epochs=0``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.utils.rng import SeedLike, new_rng
 
 PHASE_STANDARD = "pretrain_standard"
 PHASE_REAL = "finetune_real"
-PHASE_SCRATCH = "from_scratch_real"
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,7 @@ class CurriculumConfig:
     """Epoch budget of the two curriculum phases.
 
     The paper uses 1000 epochs on standard traces followed by 1000 on
-    real traces (and 2000 from-scratch epochs for the comparison run);
+    real traces (and 0 + 2000 epochs for the from-scratch comparison);
     the defaults here are scaled down so the full pipeline runs on a
     laptop, and the benchmarks set them explicitly.
     """
@@ -50,7 +49,7 @@ class CurriculumConfig:
 
 
 class CurriculumTrainer:
-    """Runs curriculum training (standard -> real) or from-scratch training."""
+    """Runs curriculum training: standard traces, then real traces."""
 
     def __init__(
         self,
@@ -102,17 +101,4 @@ class CurriculumTrainer:
             trainer.train(
                 list(real_traces), config.real_epochs, phase=PHASE_REAL, history=history
             )
-        return policy, history
-
-    def train_from_scratch(
-        self,
-        real_traces: Sequence[WorkloadTrace],
-        epochs: int,
-        policy: Optional[RecurrentPolicyValueNet] = None,
-    ) -> tuple[RecurrentPolicyValueNet, TrainingHistory]:
-        """Train only on real traces (the paper's comparison baseline)."""
-        if not real_traces:
-            raise TrainingError("from-scratch training needs real traces")
-        policy = policy or RecurrentPolicyValueNet(self.policy_config, rng=self._rng)
-        history = self._new_trainer(policy).train(list(real_traces), epochs, phase=PHASE_SCRATCH)
         return policy, history

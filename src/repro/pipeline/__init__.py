@@ -5,11 +5,16 @@
 * :mod:`repro.pipeline.learning_aided` — the paper's integrated
   pipeline: curriculum-train the DRL policy, train the QBNs, extract the
   FSM and interpret it.
-* :mod:`repro.pipeline.experiments` — parameterised runners that
-  regenerate each of the paper's figures (used by the benchmark suite).
+* :mod:`repro.pipeline.experiments` — ``small_pipeline_config``, the
+  scaled-down configuration every design run starts from.
 * :mod:`repro.pipeline.sweep` — sharded experiment sweeps: grid
   expansion into seeded jobs, multi-process execution with failure
   capture, deterministic per-job JSON results.
+
+The paper's figures are sweep jobs: ``benchmarks/scorecard.json``
+declares them (its ``paper-curriculum`` sweep is the paper's own recipe
+at the paper's scale) and ``benchmarks/scorecard.py`` renders their
+verdicts into ``EXPERIMENTS.md``.
 """
 
 from repro.pipeline.evaluation import EvaluationResult, evaluate_agent, compare_agents

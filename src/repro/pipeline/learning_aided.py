@@ -130,12 +130,15 @@ class FidelityReport:
     """Compiled-vs-interpreted FSM verification (one engine, same seeds).
 
     ``identical`` says the compiled tables reproduced the interpreted
-    agent's makespans and total rewards exactly.
+    agent's makespans and total rewards exactly; ``summary`` is the
+    compiled tables' :meth:`~repro.engine.compiled_fsm.CompiledFSMPolicy.summary`
+    after the run (states, observation codes, decisions, fallbacks).
     """
 
     identical: bool
     interpreted: "EvaluationResult"
     compiled: "EvaluationResult"
+    summary: Dict[str, int]
 
     @property
     def routable(self) -> bool:
@@ -319,10 +322,11 @@ class LearningAidedPipeline:
 
         engine = EvaluationEngine(self.config.system, self.config.reward)
         fsm_agent = result.fsm_agent(self.make_env())
+        compiled_policy = fsm_agent.compile()
         runs = engine.evaluate_many(
             {
                 "extracted_fsm[interpreted]": AgentBatchBackend.from_agent(fsm_agent, engine.encoder),
-                "extracted_fsm[compiled]": CompiledFSMBackend(fsm_agent.compile()),
+                "extracted_fsm[compiled]": CompiledFSMBackend(compiled_policy),
             },
             list(traces) if traces is not None else list(result.eval_traces),
             episode_seed=episode_seed,
@@ -336,4 +340,5 @@ class LearningAidedPipeline:
             identical=identical,
             interpreted=interpreted,
             compiled=compiled,
+            summary=compiled_policy.summary(),
         )

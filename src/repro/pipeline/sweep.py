@@ -214,16 +214,20 @@ def _run_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     at ``seed`` with ``params`` applied as :func:`apply_overrides` paths.
     The trained policy and the extracted FSM are evaluated beside the
     default, handcrafted and greedy-utilisation (BC teacher) baselines.
+    ``teacher_agreement`` is the share of the teacher's decisions on the
+    training real traces that the greedy policy reproduces;
+    ``fsm_observations`` and ``fsm_fallback_share`` are read from the
+    compiled tables after the held-out fidelity run.
     """
     from repro.agents.default import DefaultPolicy
     from repro.agents.greedy import GreedyUtilizationPolicy
     from repro.agents.handcrafted import HandcraftedFSMPolicy
+    from repro.drl.imitation import BehaviorCloningTrainer
     from repro.pipeline.experiments import small_pipeline_config
     from repro.pipeline.learning_aided import LearningAidedPipeline
 
-    pipeline = LearningAidedPipeline(
-        apply_overrides(small_pipeline_config(seed=seed), params)
-    )
+    config = apply_overrides(small_pipeline_config(seed=seed), params)
+    pipeline = LearningAidedPipeline(config)
     result = pipeline.run()
     # Engine-backed evaluation stage: the FSM runs on its compiled dense
     # tables, the policy as batched GRU forwards — same numbers as the
@@ -234,10 +238,18 @@ def _run_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         episode_seed=seed,
     )
     fidelity = pipeline.verify_fidelity(result, episode_seed=seed)
+    demos = BehaviorCloningTrainer(config.system, config.reward).collect_demonstrations(
+        GreedyUtilizationPolicy(),
+        result.real_traces[: -config.num_eval_traces],
+        episode_seed=seed,
+    )
     metrics: Dict[str, Any] = {
         "train_epochs": len(result.training_history),
         "train_final_makespan": float(result.training_history.makespans()[-1]),
         "fsm_states": result.extraction.fsm.num_states,
+        "fsm_observations": fidelity.summary["observations"],
+        "fsm_fallback_share": fidelity.summary["fallbacks"] / fidelity.summary["decisions"],
+        "teacher_agreement": BehaviorCloningTrainer.evaluate_accuracy(result.policy, demos),
         "eval_traces": len(result.eval_traces),
         "fsm_compiled_identical": fidelity.identical,
     }

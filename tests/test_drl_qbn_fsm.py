@@ -195,9 +195,12 @@ class TestCurriculumAndImitation:
             system_config, PER_STEP,
             policy_config=PolicyConfig(hidden_size=12), a2c_config=A2CConfig(n_step=5), rng=0,
         )
-        _, history = trainer.train_from_scratch(real_traces[:1], epochs=2)
+        # From scratch is the curriculum without its standard-trace phase.
+        _, history = trainer.train_with_curriculum(
+            [], real_traces[:1], CurriculumConfig(standard_epochs=0, real_epochs=2)
+        )
         assert len(history) == 2
-        assert set(history.phases()) == {"from_scratch_real"}
+        assert set(history.phases()) == {"finetune_real"}
 
     def test_curriculum_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -603,6 +606,9 @@ class TestExtractionIntegration:
         # Every record endpoint is a surviving state.
         for record in extraction.records[:50]:
             assert record.destination_state in fsm.states
+        # Every state's action is one of the seven legal migration actions.
+        legal = {"Noop", "N=>K", "N=>R", "K=>N", "K=>R", "R=>N", "R=>K"}
+        assert {state.action_name for state in fsm.states_by_id()} <= legal
 
     def test_fsm_agent_runs_episode(self, tiny_pipeline_result, tiny_pipeline_config):
         from repro.env.environment import StorageAllocationEnv
@@ -631,7 +637,11 @@ class TestExtractionIntegration:
         assert len(interpretation) == tiny_pipeline_result.extraction.fsm.num_states
         for label, info in interpretation.items():
             assert "fan_in_out" in info and "history" in info
-            assert info["history"].window == tiny_pipeline_result.extraction.fsm.num_states * 0 + 10
+            profile = info["history"]
+            assert profile.window == 10
+            assert profile.read_intensity.shape == (10,)
+            assert profile.write_intensity.shape == (10,)
+            assert profile.capacity_ratio_series.shape == (10,)
 
     def test_fan_in_out_statistics(self, tiny_pipeline_result):
         stats = fan_in_out_statistics(

@@ -3,16 +3,15 @@
 Reuses the session-scoped ``tiny_pipeline_result`` (one full
 ``LearningAidedPipeline.run`` at tiny settings) and checks every
 artefact is usable: the trained DRL agent and the extracted-FSM agent
-both act in a live environment, and the ``pipeline.experiments`` helpers
-construct/validate/run at small scale.
+both act in a live environment, and ``small_pipeline_config`` builds and
+validates at small scale.
 """
 
-import numpy as np
 import pytest
 
 from repro.env.environment import StorageAllocationEnv
 from repro.errors import ConfigurationError
-from repro.pipeline.experiments import run_baseline_comparison, small_pipeline_config
+from repro.pipeline.experiments import small_pipeline_config
 from repro.pipeline.learning_aided import LearningAidedPipeline, PipelineConfig
 
 
@@ -82,11 +81,3 @@ class TestExperimentHelpers:
         with pytest.raises(ConfigurationError, match="none to train on"):
             pipeline.run(real_traces=real_traces[:held_out])
 
-    def test_run_baseline_comparison_small_scale(self):
-        metrics = run_baseline_comparison(num_traces=2, seed=0, duration=12)
-        assert set(metrics) == {
-            "default_mean", "handcrafted_mean", "handcrafted_reduction",
-        }
-        assert metrics["default_mean"] > 0
-        assert metrics["handcrafted_mean"] > 0
-        assert np.isfinite(metrics["handcrafted_reduction"])

@@ -372,6 +372,9 @@ class TestSweepExecution:
         assert metrics["train_epochs"] == 2
         assert metrics["train_final_makespan"] > 0
         assert metrics["fsm_states"] > 0
+        assert metrics["fsm_observations"] >= 1
+        assert 0.0 <= metrics["fsm_fallback_share"] <= 1.0
+        assert 0.0 <= metrics["teacher_agreement"] <= 1.0
         assert metrics["eval_traces"] == 1
         assert metrics["fsm_compiled_identical"] is True
         for agent in ("default", "handcrafted_fsm", "greedy_utilization",
