@@ -97,11 +97,12 @@ class RecurrentPolicyValueNet(Module):
         ``observations`` is a ``(T, D)`` demonstration or a ``(T, B, D)``
         padded batch.  Returns the per-step logits ``(T, [B,] A)`` and,
         with ``values``, the per-step values ``(T, [B])``: the bits of
-        ``T`` chained :meth:`step` calls, outputs and every gradient.  The
-        backward runs the heads' backward for steps ``1 .. T``, then the
-        GRU steps ``T .. 1`` (:class:`~repro.nn.rnn.Unrolled`), the order
-        that chain's graph applies them in.  Without ``values`` the value
-        head is left out of the node and its gradients untouched.
+        ``T`` chained :meth:`step` calls.  The backward forms each head's
+        gradients as one sum over every step
+        (:func:`~repro.nn.linear.accumulate_steps`), then runs the GRU
+        steps ``T .. 1`` (:class:`~repro.nn.rnn.Unrolled`); parameter
+        gradients are within rounding of that chain's.  Without ``values``
+        the value head is left out of the node and its gradients untouched.
         """
         observations = np.asarray(observations, dtype=np.float64)
         run = Unrolled(
@@ -118,8 +119,8 @@ class RecurrentPolicyValueNet(Module):
             for head in heads:
                 head_grad = np.ascontiguousarray(grad[..., start : start + head.out_features])
                 start += head.out_features
-                accumulate_steps(head.bias, head_grad, kernel=run.kernel)
-                accumulate_steps(head.weight, head_grad, hidden, run.kernel)
+                accumulate_steps(head.bias, head_grad)
+                accumulate_steps(head.weight, head_grad, hidden)
                 step_grads = input_grad_steps(head_grad, head.weight.data)
                 hidden_grad = step_grads if hidden_grad is None else hidden_grad + step_grads
             run.backward(hidden_grad)

@@ -8,20 +8,14 @@
  * repro_gru_blend writes h_{t+1} and refills the projection pad.  Per
  * backward step the caller forms step t+1's three hidden terms with
  * numpy, and repro_gru_backward adds them into h_t's gradient and forms
- * step t's gate gradients.  repro_gru_accumulate sums one term per step
- * into a parameter gradient (linear.accumulate_steps).
+ * step t's gate gradients.  The parameter gradients are numpy's, one
+ * gemm or sum over every step (linear.accumulate_steps), in every build.
  *
  * BIT-EXACTNESS CONTRACT: every array comes out byte-equal to the numpy
- * loop in rnn.py (Unrolled._forward_numpy, Unrolled._backward_numpy,
- * linear.accumulate_steps), which stays the specification.  Only IEEE
- * add, subtract, multiply, divide and negate happen here, each on the
- * operands and in the order numpy applies them; every BLAS call, exp and
- * tanh stays numpy's.  How a parameter sum starts, and whether a term
- * gains + 0.0, is the caller's: numpy's axis-0 reduce of 1-d steps'
- * terms starts from +0.0 unless a term is one element, which it sums as
- * a running accumulate from its first term; Tensor._accumulate, which
- * sums (T, B, .) steps' terms, starts from the first term or the preset
- * gradient, and a K = 1 gemm or a one-row sum writes a term + 0.0.
+ * loop in rnn.py (Unrolled._forward_numpy, Unrolled._backward_numpy),
+ * which stays the specification.  Only IEEE add, subtract, multiply,
+ * divide and negate happen here, each on the operands and in the order
+ * numpy applies them; every BLAS call, exp and tanh stays numpy's.
  *
  * The build disables FP contraction and uses no unsafe-math flag, and
  * the loader runs every route through both paths before trusting the
@@ -103,43 +97,5 @@ void repro_gru_backward(const gru_args *a, int64_t t)
         a->g_r[k + i] = ((g_n * carried[i]) * r[i]) * (1.0 - r[i]);
         a->g_hn[k + i] = g_n * r[i];
         a->g_z[k + i] = ((-(g[i] * c[i]) + g[i] * h[i]) * u[i]) * fresh;
-    }
-}
-
-/* out[i, j] gains one term per step, step 0 first: rows[s, i] * grads[s, j]
- * + zero, or grads[s, i * n + j] + zero when rows is NULL (m == 1).
- * zero = -0.0 adds nothing; +0.0 turns a -0.0 term into +0.0.  out holds
- * the sum's start, or, when first, takes step 0's term.  Strides count
- * doubles between steps; within a step rows and grads are contiguous. */
-void repro_gru_accumulate(double *restrict out, const double *grads, int64_t grad_stride,
-                          const double *rows, int64_t row_stride, int64_t steps,
-                          int64_t m, int64_t n, double zero, int64_t first)
-{
-    if (first)
-        for (int64_t i = 0; i < m; i++)
-            for (int64_t j = 0; j < n; j++)
-                out[i * n + j] = (rows ? rows[i] * grads[j] : grads[j]) + zero;
-    for (int64_t s = first ? 1 : 0; s < steps; s++) {
-        const double *gs = grads + s * grad_stride;
-        for (int64_t i = 0; i < m; i++) {
-            double *restrict o = out + i * n;
-            if (rows) {
-                const double ri = rows[s * row_stride + i];
-                int64_t j = 0;
-                /* Four independent lanes a pass, which -O2 packs into
-                 * vector multiplies and adds of the same roundings. */
-                for (; j + 4 <= n; j += 4) {
-                    o[j] += ri * gs[j] + zero;
-                    o[j + 1] += ri * gs[j + 1] + zero;
-                    o[j + 2] += ri * gs[j + 2] + zero;
-                    o[j + 3] += ri * gs[j + 3] + zero;
-                }
-                for (; j < n; j++)
-                    o[j] += ri * gs[j] + zero;
-            } else {
-                for (int64_t j = 0; j < n; j++)
-                    o[j] += gs[j] + zero;
-            }
-        }
     }
 }

@@ -10,6 +10,10 @@ stack of weights) as one stacked ``np.matmul``.  numpy makes the same
 2-d BLAS call for every stack element that the lone product makes —
 gemm, gemv at one row or column, dot at both — so each element holds the
 bytes of its own call (``tests/test_nn_gru.py::TestStackedGatesBitwise``).
+:func:`accumulate_steps` is the exception: it sums a parameter's terms
+over every step as one gemm (a bias: one sum), so a sequence node's
+parameter gradients are within rounding of a per-step chain's, not its
+bytes; every build makes that same numpy call.
 """
 
 from __future__ import annotations
@@ -79,34 +83,20 @@ def input_grad_steps(grads: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (steps @ w.T).reshape(grads.shape[:-1] + (w.shape[0],))
 
 
-def accumulate_steps(
-    param: Tensor, grads: np.ndarray, rows: Optional[np.ndarray] = None, kernel=None
-) -> None:
-    """Sum one term per step into ``param.grad``, step 0 first.
+def accumulate_steps(param: Tensor, grads: np.ndarray, rows: Optional[np.ndarray] = None) -> None:
+    """Add every step's and row's term into ``param.grad`` at once.
 
-    The term is ``grads[k]`` (a bias) or ``rows[k]`` transposed times
-    ``grads[k]`` (a weight), as :class:`Linear`'s backward forms it.  For
-    1-d steps every entry of a term is a single product, so all terms are
-    formed at once and added by one axis-0 sum, which adds its rows first
-    to last.  A ``(B, n)`` step's term is its own K = B gemm (a bias: its
-    row sum), added by ``Tensor._accumulate``.  ``kernel`` (a
-    :class:`~repro.nn.rnn.NativeGRUKernel`) makes the same sums in one C
-    call; the code below is its specification.
+    A bias gains ``grads`` summed over all leading axes; a weight gains
+    ``rows.reshape(-1, K).T @ grads.reshape(-1, N)``, one gemm over all
+    ``T·B`` rows.  The rounding is that gemm's, not a per-step chain's.
     """
     if not param.requires_grad:
         return
-    if kernel is not None:
-        kernel.accumulate(param, grads, rows)
-        return
-    if grads.ndim > 2:
-        for k, grad in enumerate(grads):
-            param._accumulate(grad if rows is None else rows[k].T @ grad)
-        return
-    terms = grads if rows is None else rows[:, :, None] * grads[:, None, :]
-    if param.grad is not None:
-        terms = np.concatenate((param.grad[None], terms))
-    # numpy sums a column of single elements pairwise; a running sum keeps the order.
-    param.grad = terms.sum(axis=0) if terms[0].size > 1 else np.add.accumulate(terms)[-1]
+    grads = grads.reshape(-1, grads.shape[-1])
+    if rows is None:
+        param._adopt(grads.sum(axis=0))
+    else:
+        param._adopt(rows.reshape(-1, rows.shape[-1]).T @ grads)
 
 
 class Linear(Module):

@@ -29,13 +29,15 @@ one trained through the ~26-node graph, and
 oracle (``np.array_equal`` on outputs and on every gradient).
 
 A whole sequence is one node too (:class:`Unrolled`, behind
-:class:`GRU` and ``RecurrentPolicyValueNet.unroll``).  Its backward
-replays the per-step chain's order — steps ``T .. 1``, each ``h_t``
-gradient the outside contribution plus step ``t + 1``'s four terms,
-each parameter one term per step, last step first — so the node
-boundary changes no bit (``TestSequenceNodeBitwise``).  What would
-change them is reordering those sums, or summing a weight gradient over
-time inside one gemm instead of adding per-step terms in order.
+:class:`GRU` and ``RecurrentPolicyValueNet.unroll``).  Its backward runs
+steps ``T .. 1``, each ``h_t`` gradient the outside contribution plus
+step ``t + 1``'s four terms, so the gate gradients and the gradients of
+the inputs and ``h0`` hold the per-step chain's bytes.  Each parameter's
+gradient is one sum over every step and row instead
+(:func:`~repro.nn.linear.accumulate_steps`: one gemm per weight, one
+``sum`` per bias), not the chain's one term per step: it is within
+rounding of the chain's, and every build makes that same numpy call
+(``TestSequenceNodeBitwise``).
 
 A cell keeps its three input weights and its three hidden weights as
 views into two ``(3, ., H)`` stacks, gate order r, n, z, and every
@@ -52,15 +54,13 @@ them again.
 The per-step elementwise work of that node runs in C
 (``_gru_kernel.c``, :class:`NativeGRUKernel`) when
 :func:`gru_kernel_status` reads ``"ready"``: the gate arithmetic around
-numpy's hidden projections, ``exp`` and ``tanh`` forward, the sum into
-``h``'s gradient and the gate gradients backward, and the steps'
-parameter sums of :func:`~repro.nn.linear.accumulate_steps`.  Its
-specification is the numpy loop (``Unrolled._forward_numpy``,
-``Unrolled._backward_numpy`` and ``accumulate_steps``), which runs when
-the kernel cannot: every BLAS call, ``exp`` and ``tanh`` is numpy's
-either way, on the same operand shapes, and the kernel is checked
-against the loop on every route when it first loads
-(``TestNativeGRUKernelBitwise``).
+numpy's hidden projections, ``exp`` and ``tanh`` forward, and the sum
+into ``h``'s gradient and the gate gradients backward.  Its
+specification is the numpy loop (``Unrolled._forward_numpy`` and
+``Unrolled._backward_numpy``), which runs when the kernel cannot: every
+BLAS call, ``exp`` and ``tanh`` is numpy's either way, on the same
+operand shapes, and the kernel is checked against the loop on every
+route when it first loads (``TestNativeGRUKernelBitwise``).
 """
 
 from __future__ import annotations
@@ -76,7 +76,9 @@ from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
 from repro.nn import init
 from repro.nn.dense_native import _address
-from repro.nn.linear import accumulate_steps, input_grad, matmul_backward, matmul_np, matmul_steps
+from repro.nn.linear import (
+    accumulate_steps, input_grad, input_grad_steps, matmul_backward, matmul_np, matmul_steps,
+)
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import SeedLike, new_rng
 
@@ -336,9 +338,11 @@ class Unrolled:
 
         Each step is ``GRUCell.forward``'s backward.  ``h_t``'s gradient is
         ``grad[t - 1]`` plus the four terms of step ``t + 1`` (module
-        docstring), and every parameter receives one term per step, last
-        step first: the sums the per-step nodes make.  ``inputs`` and
-        ``h0`` are the tensors the forward read, if they take gradients.
+        docstring); every parameter then receives one sum over all steps
+        (:func:`~repro.nn.linear.accumulate_steps`) and the inputs one
+        stacked product per gate, added n, r, z as each step adds them.
+        ``inputs`` and ``h0`` are the tensors the forward read, if they
+        take gradients.
         A ``grad`` not shaped like ``hiddens[1:]`` is refused before any
         gradient is touched.
         """
@@ -349,7 +353,7 @@ class Unrolled:
                 f"got {grad.shape}"
             )
         cell = self.cell
-        # Per-gate gradients, last step first: the parameters' term order.
+        # Per-gate gradients, last step first.
         gates = np.empty((4,) + grad.shape)
         g_ns, g_rs, g_hns, g_zs = gates
         if self.kernel is None:
@@ -366,12 +370,10 @@ class Unrolled:
             ):
                 h0._accumulate(term)
         if inputs is not None and inputs.requires_grad:
-            x_grad = np.empty(self.inputs.shape)
-            for k, t in enumerate(range(grad.shape[0] - 1, -1, -1)):
-                x_grad[t] = input_grad(g_ns[k], cell.w_xn.data)
-                x_grad[t] += input_grad(g_rs[k], cell.w_xr.data)
-                x_grad[t] += input_grad(g_zs[k], cell.w_xz.data)
-            inputs._accumulate(x_grad)
+            x_grad = input_grad_steps(g_ns, cell.w_xn.data)
+            x_grad += input_grad_steps(g_rs, cell.w_xr.data)
+            x_grad += input_grad_steps(g_zs, cell.w_xz.data)
+            inputs._accumulate(x_grad[::-1])
         x_rows, h_rows = self.inputs[::-1], self.hiddens[-2::-1]
         for param, gate_grads, rows in (
             (cell.b_n, g_ns, None), (cell.w_xn, g_ns, x_rows),
@@ -379,7 +381,7 @@ class Unrolled:
             (cell.w_hn, g_hns, h_rows),
             (cell.b_z, g_zs, None), (cell.w_xz, g_zs, x_rows), (cell.w_hz, g_zs, h_rows),
         ):
-            accumulate_steps(param, gate_grads, rows, self.kernel)
+            accumulate_steps(param, gate_grads, rows)
 
     def _backward_numpy(self, grad, g_ns, g_rs, g_hns, g_zs) -> np.ndarray:
         """Fill the gate gradients in numpy, the native kernel's
@@ -467,17 +469,6 @@ class _GRUArgs(ctypes.Structure):
     ] + [(name, ctypes.c_int64) for name in ("steps", "n", "hidden", "pad_rows")]
 
 
-#: Doubles of ``(T, B, .)`` step terms formed per stacked product in
-#: :meth:`NativeGRUKernel.accumulate`, which bounds its scratch.
-_SUM_CHUNK = 1 << 16
-
-
-def _step_rows(array: np.ndarray) -> np.ndarray:
-    """``array`` as float64 steps of contiguous rows, copied only if it is not."""
-    array = np.asarray(array, dtype=np.float64)
-    return array if array.strides[-1] == 8 else np.ascontiguousarray(array)
-
-
 class NativeGRUKernel:
     """ctypes wrapper for ``_gru_kernel.c``, an :class:`Unrolled`'s glue in C.
 
@@ -487,7 +478,7 @@ class NativeGRUKernel:
     :meth:`forward` and :meth:`backward` run ``Unrolled``'s steps with
     every BLAS product, ``exp`` and ``tanh`` still numpy's, on the
     operand shapes the numpy loop uses, a gate's product an element of
-    one stacked product; :meth:`accumulate` is ``accumulate_steps``.
+    one stacked product.
     """
 
     def __init__(self) -> None:
@@ -500,11 +491,6 @@ class NativeGRUKernel:
             entry = getattr(lib, f"repro_gru_{name}")
             entry.restype = None
             entry.argtypes = [ctypes.c_void_p, ctypes.c_int64]
-        lib.repro_gru_accumulate.restype = None
-        lib.repro_gru_accumulate.argtypes = (
-            [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-            + [ctypes.c_int64] * 4 + [ctypes.c_double, ctypes.c_int64]
-        )
         self._lib = lib
 
     @staticmethod
@@ -576,58 +562,6 @@ class NativeGRUKernel:
             np.matmul(operands[:, k], weights, out=terms)
             step(address, t)
         return g
-
-    def accumulate(self, param: Tensor, grads: np.ndarray, rows: Optional[np.ndarray]) -> None:
-        """``accumulate_steps`` into a new ``param.grad``.
-
-        1-d steps make numpy's axis-0 sum of every term.  ``(T, B, .)``
-        steps make ``Tensor._accumulate``'s running sum from the preset
-        gradient or the first term; their terms are ``a*b + 0.0`` (a bias:
-        ``g + 0.0``) at B = 1, what a K = 1 gemm or a one-row sum writes,
-        and numpy's stacked products (row sums) a chunk of steps at a time
-        above.
-        """
-        shape, first = param.data.shape, param.grad is None
-        out = np.empty(shape) if first else np.array(param.grad, dtype=np.float64, order="C")
-        if out.shape != shape:
-            raise ShapeError(f"gradient {out.shape} does not fit parameter {shape}")
-        if grads.ndim == 2:
-            if out.size > 1:
-                # numpy's sum starts from +0.0; one-element terms' from the first.
-                out[...] = 0.0 if first else out + 0.0
-                first = False
-            self._sum(out, grads, rows, -0.0, first)
-        elif grads.shape[1] == 1:
-            self._sum(out, grads[:, 0], None if rows is None else rows[:, 0], 0.0, first)
-        else:
-            chunk = max(1, _SUM_CHUNK // out.size)
-            for start in range(0, grads.shape[0], chunk):
-                part = grads[start : start + chunk]
-                if rows is None:
-                    terms = part.sum(axis=1)
-                else:
-                    terms = np.matmul(rows[start : start + chunk].transpose(0, 2, 1), part)
-                self._sum(out, terms.reshape(len(terms), -1), None, -0.0, first and start == 0)
-        param.grad = out
-
-    def _sum(self, out: np.ndarray, grads: np.ndarray, rows: Optional[np.ndarray],
-             zero: float, first: bool) -> None:
-        """Add one term per step into ``out`` (``repro_gru_accumulate``)."""
-        grads = _step_rows(grads)
-        if rows is not None:
-            rows = _step_rows(rows)
-        self._lib.repro_gru_accumulate(
-            _address(out),
-            _address(grads),
-            grads.strides[0] // 8,
-            None if rows is None else _address(rows),
-            0 if rows is None else rows.strides[0] // 8,
-            grads.shape[0],
-            1 if rows is None else rows.shape[1],
-            grads.shape[1],
-            zero,
-            first,
-        )
 
 
 _gru_kernel: Optional[NativeGRUKernel] = None

@@ -393,12 +393,13 @@ class SweepRunner:
     single-process.
 
     ``output_dir`` (optional) receives ``jobs/<job name>.json`` — the
-    canonical per-job records, byte-identical across reruns — plus
-    ``sweep.json`` (aggregate summary incl. per-job digests and the one
-    place wall-clock timing is recorded) and ``summary.txt`` (the
-    rendered comparison table).  All output files are written atomically
-    (temp file + rename), so a killed run never leaves truncated JSON
-    that a later rerun would misread.
+    canonical per-job records, byte-identical across reruns, each saved
+    as its job finishes — and, once every job is done, ``sweep.json``
+    (aggregate summary incl. per-job digests and the one place
+    wall-clock timing is recorded) and ``summary.txt`` (the rendered
+    comparison table).  All output files are written atomically (temp
+    file + rename), so a killed run keeps every finished job and never
+    leaves truncated JSON that a later rerun would misread.
 
     With ``resume=True``, jobs whose per-job JSON already exists in the
     output dir with a verified sha256 digest (and ``status == "ok"``)
@@ -463,22 +464,21 @@ class SweepRunner:
     def _consume(
         self, outcomes, total: int
     ) -> Tuple[List[Dict[str, Any]], int]:
-        """Drain ``(record, resumed)`` outcomes, reporting progress."""
+        """Drain ``(record, resumed)`` outcomes, saving each executed record
+        as it arrives, then reporting progress."""
         records: List[Dict[str, Any]] = []
         num_resumed = 0
         for done, (record, resumed) in enumerate(outcomes, start=1):
             records.append(record)
             num_resumed += resumed
+            if self.output_dir is not None and not resumed:
+                save_json(self.output_dir / "jobs" / f"{record['name']}.json", record)
             if self.progress is not None:
                 shown = dict(record, resumed=True) if resumed else record
                 self.progress(done, total, shown)
         return records, num_resumed
 
     def _write_outputs(self, result: SweepResult) -> None:
-        jobs_dir = self.output_dir / "jobs"
-        jobs_dir.mkdir(parents=True, exist_ok=True)
-        for record in result.records:
-            save_json(jobs_dir / f"{record['name']}.json", record)
         summary = result.summary()
         summary["wall_time_s"] = result.wall_time_s
         summary["num_resumed"] = result.num_resumed

@@ -581,15 +581,18 @@ def bc_loss(policy, observations, actions, weights):
     return (nll * Tensor(weights)).sum() * (1.0 / max(weights.sum(), 1e-9))
 
 
-def a2c_loss(policy, observations, actions, mask, returns):
-    """``A2CTrainer._update_from_batch``'s loss on a padded (T, B) batch."""
+def a2c_loss(policy, observations, actions, mask, returns, advantages=None):
+    """``A2CTrainer._update_from_batch``'s loss on a padded (T, B) batch;
+    given ``advantages``, they replace the ones it derives from the
+    detached values (a loss finite differences can check)."""
     logits_steps, value_steps = policy.unroll(observations, values=True)
     time_idx, env_idx = np.nonzero(mask)
     logits_matrix = logits_steps[time_idx, env_idx]
     values_vector = value_steps[time_idx, env_idx]
-    advantages = returns - values_vector.numpy()
-    if advantages.size > 1 and advantages.std() > 1e-8:
-        advantages = (advantages - advantages.mean()) / advantages.std()
+    if advantages is None:
+        advantages = returns - values_vector.numpy()
+        if advantages.size > 1 and advantages.std() > 1e-8:
+            advantages = (advantages - advantages.mean()) / advantages.std()
     log_probs = F.log_softmax(logits_matrix, axis=-1)
     chosen_nll = F.nll_of_actions(log_probs, actions[time_idx, env_idx])
     policy_loss = (chosen_nll * Tensor(advantages)).mean()
@@ -607,24 +610,76 @@ def _padded_batch(rng, steps, width):
     return observations, actions, mask, rng.standard_normal(int(mask.sum()))
 
 
-class TestSequenceNodeBitwise:
-    """``unroll`` (one node per sequence) against the chain of ``step`` nodes.
+@contextlib.contextmanager
+def numpy_kernels():
+    """Every native kernel forced off, as ``REPRO_DISABLE_NATIVE=1`` runs:
+    the Philox sampler, the simulator step, the GRU glue and the dense glue."""
+    from repro.storage import vector_state
+    from repro.utils import rng as rng_module
 
-    ``np.array_equal`` on the loss and every gradient, never a literal:
-    the node's backward replays the chain's order (heads for t = 1..T,
-    then the GRU steps T..1; ``repro.nn.rnn`` docstring), and only that
-    order makes the bits equal.  CI reruns the class under a second
-    OpenBLAS kernel family.
+    kernels = (
+        (rng_module, "_idle_kernel", "_idle_status", rng_module.idle_sampler_status),
+        (vector_state, "_simulator_kernel", "_simulator_status",
+         vector_state.simulator_kernel_status),
+        (rnn, "_gru_kernel", "_gru_status", rnn.gru_kernel_status),
+        (dense_native, "_dense_kernel", "_dense_status", dense_native.dense_kernel_status),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        for module, kernel, status, probe in kernels:
+            probe()  # probe first so the patch is what gets undone
+            patch.setattr(module, kernel, None)
+            patch.setattr(module, status, "disabled: forced by the test")
+        yield
+
+
+def _grad_bytes(module):
+    return {
+        name: None if param.grad is None else param.grad.tobytes()
+        for name, param in module.named_parameters()
+    }
+
+
+def _assert_close_parameter_grads(ours, theirs, expect_grads=True):
+    """Every gradient within ``rtol=1e-12`` of the oracle's, plus an ``atol``
+    of 1e-12 of its largest entry for entries that cancel to near zero."""
+    ours, theirs = dict(ours.named_parameters()), dict(theirs.named_parameters())
+    assert ours.keys() == theirs.keys()
+    for name, param in ours.items():
+        oracle = theirs[name].grad
+        assert (param.grad is not None) == (oracle is not None) == expect_grads, name
+        if oracle is not None:
+            np.testing.assert_allclose(
+                param.grad, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max(), err_msg=name
+            )
+
+
+class TestSequenceNodeBitwise:
+    """``unroll`` (one node per sequence) and ``nn.GRU`` against the chain
+    of ``step`` nodes, under BC and A2C losses.
+
+    The node sums each parameter's gradient over every step and row as
+    one gemm (a bias: one sum), not in the chain's per-step order, so its
+    gradients are held three ways: within ``rtol=1e-12`` of the chain's,
+    byte-equal between the native and the numpy build (both make the
+    same numpy sum), and against central finite differences.  Losses,
+    outputs and the gradients of inputs and ``h0``, which no step sum
+    forms, stay byte-equal to the chain.  CI reruns the class under a
+    second OpenBLAS kernel family.
     """
 
     @staticmethod
-    def _both(build_loss, hidden, frozen):
+    def _all(build_loss, hidden, frozen):
         """Two backwards (the second sums into the first's grads) through
-        ``unroll`` and through the chain, on equal fresh policies."""
+        ``unroll`` as built, ``unroll`` on the numpy kernels and the chain,
+        on equal fresh policies."""
         runs = []
-        for unroll in (RecurrentPolicyValueNet.unroll, chain_unroll):
+        for unroll, kernels in (
+            (RecurrentPolicyValueNet.unroll, contextlib.nullcontext),
+            (RecurrentPolicyValueNet.unroll, numpy_kernels),
+            (chain_unroll, contextlib.nullcontext),
+        ):
             policy = _policy(hidden)
-            with pytest.MonkeyPatch.context() as patch:
+            with pytest.MonkeyPatch.context() as patch, kernels():
                 patch.setattr(RecurrentPolicyValueNet, "unroll", unroll)
                 scope = getattr(policy, frozen).frozen() if frozen else contextlib.nullcontext()
                 with scope:
@@ -632,9 +687,10 @@ class TestSequenceNodeBitwise:
                     for loss, scale in zip(losses, (1.0, -0.3)):
                         (loss * scale).backward()
             runs.append((policy, losses))
-        (policy, losses), (reference, ref_losses) = runs
-        for loss, ref_loss in zip(losses, ref_losses):
-            assert np.array_equal(loss.data, ref_loss.data)
+        (policy, losses), (numpy_policy, numpy_losses), (reference, ref_losses) = runs
+        for loss, numpy_loss, ref_loss in zip(losses, numpy_losses, ref_losses):
+            assert loss.data.tobytes() == numpy_loss.data.tobytes() == ref_loss.data.tobytes()
+        assert _grad_bytes(policy) == _grad_bytes(numpy_policy)
         return policy, reference
 
     @pytest.mark.parametrize("hidden", [4, 12, 48])
@@ -645,15 +701,15 @@ class TestSequenceNodeBitwise:
         observations = rng.standard_normal((steps, 9))
         actions = rng.integers(7, size=steps)
         weights = rng.uniform(0.2, 5.0, size=7)[actions]
-        policy, reference = self._both(
+        policy, reference = self._all(
             lambda p: bc_loss(p, observations, actions, weights), hidden, frozen
         )
         for name in ("gru", "policy_head"):
-            _assert_same_parameter_grads(
+            _assert_close_parameter_grads(
                 getattr(policy, name), getattr(reference, name), expect_grads=name != frozen
             )
         # The value head is not part of the BC node and never reaches the loss.
-        _assert_same_parameter_grads(policy.value_head, reference.value_head, expect_grads=False)
+        _assert_close_parameter_grads(policy.value_head, reference.value_head, expect_grads=False)
 
     @pytest.mark.parametrize("hidden", [4, 12, 48])
     @pytest.mark.parametrize("steps", [1, 2, 9])
@@ -662,9 +718,9 @@ class TestSequenceNodeBitwise:
     def test_a2c_loss_on_padded_batch(self, hidden, steps, width, frozen):
         rng = np.random.default_rng(1000 * hidden + 10 * steps + width)
         batch = _padded_batch(rng, steps, width)
-        policy, reference = self._both(lambda p: a2c_loss(p, *batch), hidden, frozen)
+        policy, reference = self._all(lambda p: a2c_loss(p, *batch), hidden, frozen)
         for name in ("gru", "policy_head", "value_head"):
-            _assert_same_parameter_grads(
+            _assert_close_parameter_grads(
                 getattr(policy, name), getattr(reference, name), expect_grads=name != frozen
             )
 
@@ -695,72 +751,156 @@ class TestSequenceNodeBitwise:
         h0_data = rng.standard_normal(lead + (6,)) * 0.5
         upstream = rng.standard_normal((5,) + lead + (6,))
         runs = []
-        for wrapped in (True, False):
+        for wrapped, kernels in (
+            (True, contextlib.nullcontext), (True, numpy_kernels), (False, contextlib.nullcontext)
+        ):
             gru = _fill_biases(GRU(4, 6, rng=1))
             x, h0 = Tensor(sequence, requires_grad=True), Tensor(h0_data, requires_grad=True)
-            for scale in (1.0, -0.3):
-                if wrapped:
-                    stacked, final = gru(x, h0)
-                else:
-                    h, steps = h0, []
-                    for t in range(5):
-                        h = gru.cell(x[t], h)
-                        steps.append(h)
-                    stacked, final = Tensor.stack(steps, axis=0), h
-                ((stacked * Tensor(upstream * scale)).sum() + final.sum()).backward()
+            with kernels():
+                for scale in (1.0, -0.3):
+                    if wrapped:
+                        stacked, final = gru(x, h0)
+                    else:
+                        h, steps = h0, []
+                        for t in range(5):
+                            h = gru.cell(x[t], h)
+                            steps.append(h)
+                        stacked, final = Tensor.stack(steps, axis=0), h
+                    ((stacked * Tensor(upstream * scale)).sum() + final.sum()).backward()
             runs.append((stacked, x, h0, gru))
-        (stacked, x, h0, gru), (ref_stacked, ref_x, ref_h0, ref_gru) = runs
+        (stacked, x, h0, gru), numpy_run, (ref_stacked, ref_x, ref_h0, ref_gru) = runs
+        assert _bytes([stacked.data, x.grad, h0.grad]) == _bytes(
+            [numpy_run[0].data, numpy_run[1].grad, numpy_run[2].grad]
+        )
+        assert _grad_bytes(gru) == _grad_bytes(numpy_run[3])
         assert np.array_equal(stacked.data, ref_stacked.data)
         assert same_grad(x, ref_x) and same_grad(h0, ref_h0) and x.grad is not None
-        _assert_same_parameter_grads(gru, ref_gru)
+        _assert_close_parameter_grads(gru, ref_gru)
+
+    @pytest.mark.parametrize("loss", ["behaviour_cloning", "a2c", "gru"])
+    def test_gradients_match_finite_differences(self, loss):
+        rng = np.random.default_rng(11)
+        if loss == "gru":
+            module = _fill_biases(GRU(3, 4, rng=1))
+            x = Tensor(rng.standard_normal((4, 2, 3)), requires_grad=True)
+            h0 = Tensor(rng.standard_normal((2, 4)) * 0.5, requires_grad=True)
+            weights = Tensor(rng.standard_normal((4, 2, 4)))
+
+            def build():
+                stacked, final = module(x, h0)
+                return (stacked * weights).sum() + final.sum()
+
+            parameters = dict(module.named_parameters(), inputs=x, h0=h0)
+        else:
+            module = _policy(4)
+            if loss == "a2c":
+                batch = _padded_batch(rng, 4, 3)
+                advantages = rng.standard_normal(batch[-1].shape)
+                build = lambda: a2c_loss(module, *batch, advantages=advantages)  # noqa: E731
+            else:
+                observations = rng.standard_normal((5, 9))
+                actions = rng.integers(7, size=5)
+                weights = rng.uniform(0.2, 5.0, size=7)[actions]
+                build = lambda: bc_loss(module, observations, actions, weights)  # noqa: E731
+            parameters = {
+                name: param for name, param in module.named_parameters()
+                if loss == "a2c" or not name.startswith("value_head")
+            }
+        check_gradients(build, parameters, atol=1e-6, rtol=1e-5)
 
 
 class TestTrainingBitwiseDifferential:
-    def test_bc_a2c_and_qbn_fine_tune_learn_the_same_bytes(self, system_config, real_traces):
-        """Two BC epochs, one A2C epoch, two epochs of QBN training and two
-        of fine-tuning (each ending on a ragged minibatch), run as shipped
-        and again op by op with a per-parameter Adam, leave every parameter
-        byte-equal."""
+    """Two BC epochs and one A2C epoch train a policy; two epochs of QBN
+    training and two of fine-tuning (each ending on a ragged minibatch)
+    train its QBNs.  ``op_by_op()`` is the oracle: the chain of ``step``
+    nodes for ``unroll``, the eight-node QBN chain and a per-parameter
+    Adam."""
+
+    @staticmethod
+    def _train_policy(system_config, traces):
         reward = RewardConfig(mode="per_step_penalty")
+        policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=3)
+        cloner = BehaviorCloningTrainer(system_config, reward, ImitationConfig(epochs=2), rng=5)
+        cloner.fit(policy, cloner.collect_demonstrations(GreedyUtilizationPolicy(), traces))
+        A2CTrainer(
+            policy, system_config, reward, A2CConfig(episodes_per_epoch=3), rng=0
+        ).train(traces, epochs=1)
+        return policy
+
+    @staticmethod
+    def _train_qbns(system_config, traces, policy):
+        collector = BatchedRolloutCollector(
+            VectorStorageAllocationEnv(system_config, RewardConfig(mode="per_step_penalty")), rng=1
+        )
+        dataset = TransitionDataset.from_trajectories(
+            collector.collect_batch(policy, traces, greedy=True)
+        )
+        qbn_config = QBNTrainingConfig(
+            epochs=2, batch_size=7, observation_latent_dim=4, hidden_latent_dim=4,
+            autoencoder_hidden_dim=8,
+        )
+        # Every QBN loop ends on a short minibatch.
+        assert len(dataset) % 7 and 2 * len(dataset) % 7
+        return QBNTrainer(qbn_config, rng=2).train(dataset, policy=policy, fine_tune_epochs=2)
+
+    @staticmethod
+    def _learned(**modules):
+        return {
+            f"{label}.{name}": param.data.tobytes()
+            for label, module in modules.items()
+            for name, param in module.named_parameters()
+        }
+
+    def test_bc_a2c_and_qbn_fine_tune_learn_the_same_bytes(self, system_config, real_traces):
+        """Every parameter BC, A2C and QBN training learn is byte-equal
+        between the native kernels and the numpy code they are checked
+        against."""
         traces = list(real_traces[:2])
+        learned = []
+        for kernels in (contextlib.nullcontext, numpy_kernels):
+            with kernels():
+                policy = self._train_policy(system_config, traces)
+                qbns = self._train_qbns(system_config, traces, policy)
+            learned.append(self._learned(
+                policy=policy, observation_qbn=qbns.observation_qbn, hidden_qbn=qbns.hidden_qbn
+            ))
+        native, numpy_code = learned
+        assert native.keys() == numpy_code.keys() and len(native) == 13 + 8 + 8
+        assert [name for name in native if native[name] != numpy_code[name]] == []
 
-        def train():
-            policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=12), rng=3)
-            cloner = BehaviorCloningTrainer(
-                system_config, reward, ImitationConfig(epochs=2), rng=5
-            )
-            cloner.fit(policy, cloner.collect_demonstrations(GreedyUtilizationPolicy(), traces))
-            A2CTrainer(
-                policy, system_config, reward, A2CConfig(episodes_per_epoch=3), rng=0
-            ).train(traces, epochs=1)
-            collector = BatchedRolloutCollector(
-                VectorStorageAllocationEnv(system_config, reward), rng=1
-            )
-            dataset = TransitionDataset.from_trajectories(
-                collector.collect_batch(policy, traces, greedy=True)
-            )
-            qbn_config = QBNTrainingConfig(
-                epochs=2, batch_size=7, observation_latent_dim=4, hidden_latent_dim=4,
-                autoencoder_hidden_dim=8,
-            )
-            # Every QBN loop ends on a short minibatch.
-            assert len(dataset) % 7 and 2 * len(dataset) % 7
-            qbns = QBNTrainer(qbn_config, rng=2).train(dataset, policy=policy, fine_tune_epochs=2)
-            learned = {}
-            for label, module in (
-                ("policy", policy),
-                ("observation_qbn", qbns.observation_qbn),
-                ("hidden_qbn", qbns.hidden_qbn),
-            ):
-                for name, param in module.named_parameters():
-                    learned[f"{label}.{name}"] = param.data.tobytes()
-            return learned
-
-        shipped = train()
+    def test_bc_and_a2c_learn_the_chain_within_rounding(self, system_config, real_traces):
+        """The sequence node's sums are one gemm per weight, the chain's one
+        term per step, so the trained policies agree to rounding, not bytes."""
+        traces = list(real_traces[:2])
+        shipped = self._train_policy(system_config, traces)
         with op_by_op():
-            oracle = train()
-        assert shipped.keys() == oracle.keys() and len(shipped) == 13 + 8 + 8
+            oracle = self._train_policy(system_config, traces)
+        for (name, param), (_, oracle_param) in zip(
+            shipped.named_parameters(), oracle.named_parameters()
+        ):
+            np.testing.assert_allclose(
+                param.data, oracle_param.data, rtol=1e-12,
+                atol=1e-12 * np.abs(oracle_param.data).max(), err_msg=name,
+            )
+
+    def test_qbn_fine_tune_and_adam_learn_the_oracle_bytes(self, system_config, real_traces):
+        """From one trained policy, QBN training and fine-tuning as shipped
+        and op by op leave every QBN parameter byte-equal."""
+        import copy
+
+        traces = list(real_traces[:2])
+        policy = self._train_policy(system_config, traces)
+        oracle_policy = copy.deepcopy(policy)
+        qbns = self._train_qbns(system_config, traces, policy)
+        with op_by_op():
+            oracle_qbns = self._train_qbns(system_config, traces, oracle_policy)
+        shipped = self._learned(observation_qbn=qbns.observation_qbn, hidden_qbn=qbns.hidden_qbn)
+        oracle = self._learned(
+            observation_qbn=oracle_qbns.observation_qbn, hidden_qbn=oracle_qbns.hidden_qbn
+        )
+        assert shipped.keys() == oracle.keys() and len(shipped) == 8 + 8
         assert [name for name in shipped if shipped[name] != oracle[name]] == []
+        assert self._learned(policy=policy) == self._learned(policy=oracle_policy)
 
 
 # ----------------------------------------------------------------------
@@ -842,7 +982,7 @@ class TestNativeGRUKernelBitwise:
         assert rnn.gru_kernel_status() == "disabled: REPRO_DISABLE_NATIVE=1"
         assert rnn.Unrolled(GRUCell(2, 3, rng=0), np.zeros((2, 2)), np.zeros(3)).kernel is None
 
-    @pytest.mark.parametrize("method", ["forward", "backward", "accumulate"])
+    @pytest.mark.parametrize("method", ["forward", "backward"])
     def test_a_kernel_that_differs_leaves_numpy_in_charge(self, monkeypatch, method):
         """One ulp of one output of one kernel entry fails the load-time self-check."""
         _native_gru_or_skip()
@@ -850,10 +990,8 @@ class TestNativeGRUKernelBitwise:
 
         def one_ulp_off(self, *args):
             result = shipped(self, *args)
-            # forward: the last hidden state; backward: h_1's gradient;
-            # accumulate: the parameter gradient it wrote.
-            target = {"forward": lambda: args[0].hiddens, "backward": lambda: result,
-                      "accumulate": lambda: args[0].grad}[method]()
+            # forward: the last hidden state; backward: h_1's gradient.
+            target = args[0].hiddens if method == "forward" else result
             target.flat[-1] = np.nextafter(target.flat[-1], np.inf)
             return result
 
@@ -927,15 +1065,16 @@ def per_step_input_grads(grads, w):
 
 @contextlib.contextmanager
 def per_gate_products():
-    """Input projections, head products and head input gradients one gate
+    """Input projections, head products and every input gradient one gate
     and one step at a time, and every sequence on the numpy loop (per-gate
-    hidden products, per-step ``_accumulate`` sums)."""
+    hidden products)."""
     import repro.drl.policy as policy_module
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rnn, "matmul_steps", per_step_matmul_steps)
         patch.setattr(policy_module, "matmul_steps", per_step_matmul_steps)
         patch.setattr(policy_module, "input_grad_steps", per_step_input_grads)
+        patch.setattr(rnn, "input_grad_steps", per_step_input_grads)
         patch.setattr(rnn, "_gru_kernel", None)
         yield
 
@@ -990,10 +1129,8 @@ def _unroll_bytes(case):
 
 class TestStackedGatesBitwise:
     """One stacked ``np.matmul`` per stack of gates or of independent
-    steps, and one C sum per parameter for a ``(T, B, .)`` batch, give the
-    bytes of the per-gate and per-step products and of the
-    ``Tensor._accumulate`` loop they replaced.  CI reruns the class under
-    a second OpenBLAS kernel family."""
+    steps gives the bytes of the per-gate and per-step products it
+    replaced.  CI reruns the class under a second OpenBLAS kernel family."""
 
     @given(
         hidden=st.sampled_from([1, 4, 6, 7, 9, 48]),
@@ -1022,44 +1159,6 @@ class TestStackedGatesBitwise:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rnn, "_gru_kernel", None)
             assert _unroll_bytes(case) == reference
-
-    @given(
-        shape=st.sampled_from([(1,), (7,), (1, 1), (3, 1), (1, 9), (6, 7), (48, 48)]),
-        steps=st.integers(1, 9),
-        width=st.sampled_from([1, 2, 3, 8, 13]),
-        preset=st.sampled_from([None, "random", "zeros"]),
-        chunk=st.sampled_from([1, 50, 1 << 16]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_batch_sum_matches_the_accumulate_loop(self, shape, steps, width, preset, chunk, seed):
-        _native_gru_or_skip()
-        rng = np.random.default_rng(seed)
-        grads = rng.standard_normal((steps, width, shape[-1]))
-        grads[rng.random(grads.shape) < 0.2] = -0.0
-        rows = None
-        if len(shape) == 2:
-            rows = rng.standard_normal((steps, width, shape[0]))
-            rows[rng.random(rows.shape) < 0.3] = 0.0
-            rows = rows[::-1]  # the reversed views ``Unrolled`` passes
-            grads = np.ascontiguousarray(grads[::-1])
-        results = []
-        for kernel in (rnn._gru_kernel, None):
-            param = Parameter(np.zeros(shape))
-            if preset == "random":
-                param.grad = rng.standard_normal(shape) if kernel else results[0][1]
-            elif preset == "zeros":
-                param.grad = np.full(shape, -0.0)
-            start = None if param.grad is None else param.grad.copy()
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(rnn, "_SUM_CHUNK", chunk)
-                rnn.accumulate_steps(param, grads, rows, kernel)
-            results.append((param.grad.tobytes(), start))
-            frozen = Parameter(np.zeros(shape))
-            frozen.requires_grad = False
-            rnn.accumulate_steps(frozen, grads, rows, kernel)
-            assert frozen.grad is None
-        assert results[0][0] == results[1][0]
 
     @pytest.mark.parametrize("hidden", [4, 9])
     def test_stepped_loaded_rebound_and_unpickled_cells_are_seen(self, hidden):

@@ -219,6 +219,34 @@ class TestSweepExecution:
         for path in sorted(jobs_dir.glob("*.json")):
             assert path.read_bytes() == original_bytes[path.name], path.name
 
+    @pytest.mark.parametrize("finished", [1, 3])
+    def test_an_interrupted_sweep_keeps_its_finished_jobs(self, small_spec, tmp_path, finished):
+        """A run that dies after ``finished`` jobs leaves their verified
+        records (and no summary); a resumed rerun executes only the rest."""
+        class Interrupted(Exception):
+            pass
+
+        def stop_after(done, total, record):
+            if done == finished:
+                raise Interrupted
+
+        with pytest.raises(Interrupted):
+            SweepRunner(small_spec, output_dir=tmp_path, progress=stop_after).run()
+        jobs = expand_jobs(small_spec)
+        kept = [job for job in jobs if load_resumed_record(job, tmp_path) is not None]
+        assert kept == jobs[:finished]
+        assert len(list((tmp_path / "jobs").glob("*.json"))) == finished
+        assert not (tmp_path / "sweep.json").exists()
+
+        seen = []
+        result = SweepRunner(
+            small_spec, output_dir=tmp_path, resume=True,
+            progress=lambda done, total, record: seen.append(record.get("resumed", False)),
+        ).run()
+        assert seen == [True] * finished + [False] * (len(jobs) - finished)
+        assert result.num_resumed == finished and not result.failures
+        assert (tmp_path / "sweep.json").exists()
+
     def test_resume_reruns_corrupt_and_failed_records(self, small_spec, tmp_path):
         SweepRunner(small_spec, output_dir=tmp_path, num_workers=1).run()
         jobs_dir = tmp_path / "jobs"
