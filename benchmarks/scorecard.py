@@ -51,6 +51,17 @@ HOLDS = "holds"
 FAILS = "does not hold"
 UNRESOLVED = "unresolved at this scale"
 
+# Rendered under the claims when the spec has this scale.  Its training is
+# chaotic: the verdicts there are k-of-n counts that rounding alone moves.
+PAPER_SCALE = "paper"
+PAPER_CAVEAT = (
+    "At the `paper` scale training is chaotic.  Rounding alone moved its",
+    "k-of-n counts: re-running the same jobs after each sequence weight",
+    "gradient became one gemm over every step (a change within rounding)",
+    "took \"GRU < default\" from 1/8 to 4/8.  A verdict flip at this scale is",
+    "therefore not evidence that a change mattered.",
+)
+
 # Per-seed table columns: (header, metric); makespans are shown relative
 # to the default's, every other metric as recorded.
 AGENTS = (
@@ -240,6 +251,8 @@ def render(
         ["figure", "claim", "scale", "bound", "ratio median", "range", "holds at", "verdict"],
         table,
     )
+    if PAPER_SCALE in spec["scales"]:
+        lines += ["", *PAPER_CAVEAT]
     lines += [
         "",
         "## Descriptive rows",

@@ -7,7 +7,7 @@ setup(
     description="Learning-aided heuristics design for storage systems (SIGMOD'21 reproduction)",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    package_data={"repro.utils": ["*.c"]},
+    package_data={"": ["*.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
 )

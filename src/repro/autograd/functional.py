@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
+from repro.native import kernel as native_kernel
 
 ArrayLike = Union[Sequence, np.ndarray, Tensor]
 
@@ -68,8 +69,8 @@ def mse_loss(prediction: Tensor, target: ArrayLike) -> Tensor:
     The value and gradient are those of ``((prediction - target) ** 2)
     .mean()`` built op by op: ``(d * d).sum() * (1.0 / N)``, and
     ``c * d + c * d`` with ``c = grad * (1.0 / N)``, the two terms the
-    square's node sums.  The gradient is one C pass when
-    :func:`~repro.nn.dense_native.native_dense_kernel` is ready.
+    square's node sums.  The gradient is one C pass when the native
+    ``"dense"`` kernel (:mod:`repro.native`) is ready.
     """
     prediction = _ensure_tensor(prediction)
     diff = prediction.data - _ensure_tensor(target).data
@@ -77,11 +78,8 @@ def mse_loss(prediction: Tensor, target: ArrayLike) -> Tensor:
     data = (diff * diff).sum() * inverse_size
 
     def backward(grad: np.ndarray) -> None:
-        # Imported here: repro.nn builds on this module.
-        from repro.nn.dense_native import native_dense_kernel
-
         scale = grad * inverse_size
-        kernel = native_dense_kernel()
+        kernel = native_kernel("dense")
         if kernel is None:
             term = scale * diff
             prediction._adopt(term + term)

@@ -1,10 +1,10 @@
 """The strict-float C glue of a QBN training step and of Adam (``_dense_kernel.c``).
 
-:class:`NativeDenseKernel` wraps the library; :func:`native_dense_kernel`
-loads it at first use (the first QBN forward that builds a graph, the
-first ``mse_loss`` backward or the first Adam step) and checks it against
-the numpy code it replaces, which stays the specification and the
-no-compiler path:
+:class:`NativeDenseKernel` wraps the library, registered with
+:mod:`repro.native` as ``"dense"``, which loads it at first use (the
+first QBN forward that builds a graph, the first ``mse_loss`` backward or
+the first Adam step) and checks it against the numpy code it replaces,
+which stays the specification and the no-compiler path:
 
 * ``QuantizedBottleneckNetwork.forward``'s bias adds and quantiser
   (numpy: ``matmul_np(a, w) + b`` and ``nearest_level_indices`` of the
@@ -14,8 +14,7 @@ no-compiler path:
 * ``Adam._apply`` (numpy: the flat pass over runs of parameters).
 
 Every BLAS call and every ``tanh`` stays numpy's, on the same operand
-shapes.  :func:`dense_kernel_status` reads ``"ready"`` or
-``"disabled: <reason>"``; either way every array holds the same bytes
+shapes.  Ready or not, every array holds the same bytes
 (``tests/test_nn_gru.py::TestNativeDenseKernelBitwise``).
 """
 
@@ -28,9 +27,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.errors import ReproError, ShapeError
+from repro.errors import ShapeError
+from repro.native import _address, kernel as native_kernel, register
 
-_KERNEL_SOURCE = Path(__file__).with_name("_dense_kernel.c")
 _VOID_P = ctypes.c_void_p
 _INT64 = ctypes.c_int64
 _FLOAT64 = np.dtype(np.float64)
@@ -40,32 +39,13 @@ def _writable_rows(array: np.ndarray) -> bool:
     return array.flags.c_contiguous and array.flags.writeable and array.dtype is _FLOAT64
 
 
-def _address(array: np.ndarray) -> int:
-    """The data address of an array.  ``array.ctypes.data`` builds a
-    helper object per call; ctypes' view of a writable C-contiguous
-    buffer costs less than half as much, and these addresses are taken
-    ~30 times a QBN step and ~16 times a GRU sequence pass."""
-    flags = array.flags
-    if flags.c_contiguous and flags.writeable and array.size:
-        return ctypes.addressof(ctypes.c_char.from_buffer(array))
-    return array.ctypes.data
-
-
 class NativeDenseKernel:
     """ctypes wrapper for ``_dense_kernel.c``.
 
-    Construction compiles (or finds cached) and loads the library; it
-    raises ``RuntimeError`` when ``REPRO_DISABLE_NATIVE=1`` or no
-    compiler produced it, ``OSError`` when the object cannot be loaded.
     Each method names the numpy expression whose bytes it writes.
     """
 
-    def __init__(self) -> None:
-        # Imported here for the reason rng gives: ``python -m
-        # repro.utils.philox_native`` must not find itself already loaded.
-        from repro.utils.philox_native import load
-
-        lib = load(_KERNEL_SOURCE)
+    def __init__(self, lib: ctypes.CDLL) -> None:
         signatures = {
             "bias": [_VOID_P, _VOID_P, _INT64, _INT64],
             "quantize": [_VOID_P, _VOID_P, _INT64, _INT64, _VOID_P, _VOID_P],
@@ -216,10 +196,6 @@ class _AdamPointers:
         )
 
 
-_dense_kernel: Optional[NativeDenseKernel] = None
-#: ``None`` until the first probe, then ``"ready"`` or ``"disabled: <reason>"``.
-_dense_status: Optional[str] = None
-
 # Values the quantiser treats specially: NaN, signed zeros, midpoints
 # between levels and values the clip moves.
 _QUANTIZER_PROBE = np.array(
@@ -269,49 +245,16 @@ def _self_check_runs() -> List[Optional[bytes]]:
             for tensor in (x, *qbn.parameters()):
                 snapshots.append(None if tensor.grad is None else tensor.grad.tobytes())
                 snapshots.append(tensor.data.tobytes())
+    kernel = native_kernel("dense")
     for k in (2, 3, 4):
         levels = quantization_levels(k)
-        if _dense_kernel is None:
+        if kernel is None:
             index = nearest_level_indices(np.clip(_QUANTIZER_PROBE, -1.0, 1.0), k)
             code = levels[index]
         else:
-            index, code = _dense_kernel.quantize(_QUANTIZER_PROBE, levels)
+            index, code = kernel.quantize(_QUANTIZER_PROBE, levels)
         snapshots += [index.astype(np.int64).tobytes(), code.tobytes()]
     return snapshots
 
 
-def native_dense_kernel() -> Optional[NativeDenseKernel]:
-    """The self-checked native kernel, or ``None`` (the numpy code).
-
-    Probed once per process, at first use; :func:`dense_kernel_status`
-    says how it went.
-    """
-    global _dense_kernel, _dense_status
-    if _dense_status is None:
-        # The self-check trains QBNs of its own: while it runs they see
-        # ``_dense_kernel``, None for the numpy half.
-        _dense_kernel, _dense_status = None, "disabled: self-check in progress"
-        try:
-            kernel = NativeDenseKernel()
-            spec = _self_check_runs()
-            _dense_kernel = kernel
-            if _self_check_runs() == spec:
-                _dense_status = "ready"
-            else:
-                _dense_kernel = None
-                _dense_status = "disabled: self-check mismatch against the numpy code"
-        except (OSError, RuntimeError, ValueError, ctypes.ArgumentError, ReproError) as exc:
-            _dense_kernel, _dense_status = None, f"disabled: {exc}"
-    return _dense_kernel
-
-
-def dense_kernel_status() -> str:
-    """``"ready"`` or ``"disabled: <reason>"`` for the native dense kernel.
-
-    The reason is what loading raised (``REPRO_DISABLE_NATIVE=1``, no
-    compiler, an unloadable object) or a self-check mismatch against the
-    numpy code.  Either way every array and gradient holds the same
-    bytes; disabled, the numpy code runs.
-    """
-    native_dense_kernel()
-    return _dense_status
+register("dense", Path(__file__).with_name("_dense_kernel.c"), NativeDenseKernel, _self_check_runs)

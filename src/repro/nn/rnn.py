@@ -52,8 +52,8 @@ write the views in place; unpickling, or a rebound ``.data``, links
 them again.
 
 The per-step elementwise work of that node runs in C
-(``_gru_kernel.c``, :class:`NativeGRUKernel`) when
-:func:`gru_kernel_status` reads ``"ready"``: the gate arithmetic around
+(``_gru_kernel.c``, :class:`NativeGRUKernel`, registered with
+:mod:`repro.native` as ``"gru"``) when it is ready: the gate arithmetic around
 numpy's hidden projections, ``exp`` and ``tanh`` forward, and the sum
 into ``h``'s gradient and the gate gradients backward.  Its
 specification is the numpy loop (``Unrolled._forward_numpy`` and
@@ -74,8 +74,8 @@ import numpy as np
 from repro.autograd.functional import _GEMM_MIN_COLS, matmul_rows_np
 from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
+from repro.native import _address, kernel as native_kernel, register
 from repro.nn import init
-from repro.nn.dense_native import _address
 from repro.nn.linear import (
     accumulate_steps, input_grad, input_grad_steps, matmul_backward, matmul_np, matmul_steps,
 )
@@ -314,7 +314,7 @@ class Unrolled:
             np.empty((steps,) + h0.shape) for _ in range(4)
         )
         x_r, x_n, x_z = matmul_steps(inputs, cell._stacks()[0])
-        self.kernel = _native_gru_kernel()
+        self.kernel = native_kernel("gru")
         # The kernel multiplies a contiguous copy of h0, which BLAS and
         # einsum may round differently from a strided h0.
         if self.kernel is not None and h0.flags.c_contiguous:
@@ -455,8 +455,6 @@ class GRU(Module):
 # ----------------------------------------------------------------------
 # The native sequence kernel (_gru_kernel.c)
 # ----------------------------------------------------------------------
-_KERNEL_SOURCE = Path(__file__).with_name("_gru_kernel.c")
-
 
 class _GRUArgs(ctypes.Structure):
     _fields_ = [
@@ -472,21 +470,13 @@ class _GRUArgs(ctypes.Structure):
 class NativeGRUKernel:
     """ctypes wrapper for ``_gru_kernel.c``, an :class:`Unrolled`'s glue in C.
 
-    Construction compiles (or finds cached) and loads the library; it
-    raises ``RuntimeError`` when ``REPRO_DISABLE_NATIVE=1`` or no
-    compiler produced it, ``OSError`` when the object cannot be loaded.
     :meth:`forward` and :meth:`backward` run ``Unrolled``'s steps with
     every BLAS product, ``exp`` and ``tanh`` still numpy's, on the
     operand shapes the numpy loop uses, a gate's product an element of
     one stacked product.
     """
 
-    def __init__(self) -> None:
-        # Imported here for the reason rng gives: ``python -m
-        # repro.utils.philox_native`` must not find itself already loaded.
-        from repro.utils.philox_native import load
-
-        lib = load(_KERNEL_SOURCE)
+    def __init__(self, lib: ctypes.CDLL) -> None:
         for name in ("gates", "candidate", "blend", "backward"):
             entry = getattr(lib, f"repro_gru_{name}")
             entry.restype = None
@@ -564,11 +554,6 @@ class NativeGRUKernel:
         return g
 
 
-_gru_kernel: Optional[NativeGRUKernel] = None
-#: ``None`` until the first probe, then ``"ready"`` or ``"disabled: <reason>"``.
-_gru_status: Optional[str] = None
-
-
 def _self_check_runs() -> List[Optional[bytes]]:
     """Every :class:`Unrolled` array and every gradient, over two
     backwards each, of sequences on every route: 1-d steps on the einsum
@@ -596,38 +581,4 @@ def _self_check_runs() -> List[Optional[bytes]]:
     return snapshots
 
 
-def _native_gru_kernel() -> Optional[NativeGRUKernel]:
-    """The self-checked native kernel, or ``None`` (the numpy loop).
-
-    Probed once per process, at the first :class:`Unrolled`;
-    :func:`gru_kernel_status` says how it went.
-    """
-    global _gru_kernel, _gru_status
-    if _gru_status is None:
-        # The self-check builds sequences of its own: while it runs they
-        # see ``_gru_kernel``, None for the numpy half.
-        _gru_kernel, _gru_status = None, "disabled: self-check in progress"
-        try:
-            kernel = NativeGRUKernel()
-            spec = _self_check_runs()
-            _gru_kernel = kernel
-            if _self_check_runs() == spec:
-                _gru_status = "ready"
-            else:
-                _gru_kernel = None
-                _gru_status = "disabled: self-check mismatch against the numpy loop"
-        except (OSError, RuntimeError, ValueError, ctypes.ArgumentError) as exc:
-            _gru_kernel, _gru_status = None, f"disabled: {exc}"
-    return _gru_kernel
-
-
-def gru_kernel_status() -> str:
-    """``"ready"`` or ``"disabled: <reason>"`` for the native GRU kernel.
-
-    The reason is what loading raised (``REPRO_DISABLE_NATIVE=1``, no
-    compiler, an unloadable object) or a self-check mismatch against the
-    numpy loop.  Either way every array and gradient holds the same
-    bytes; disabled, the numpy loop runs every step.
-    """
-    _native_gru_kernel()
-    return _gru_status
+register("gru", Path(__file__).with_name("_gru_kernel.c"), NativeGRUKernel, _self_check_runs)

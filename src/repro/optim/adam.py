@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.errors import TrainingError
-from repro.nn.dense_native import native_dense_kernel
+from repro.native import kernel as native_kernel
 from repro.optim.optimizer import Optimizer, require_positive
 
 
@@ -25,7 +25,7 @@ class Adam(Optimizer):
     ``param.data`` in place.  A parameter without a gradient (a head the
     loss never read) keeps its weights and moments.
 
-    When :func:`~repro.nn.dense_native.native_dense_kernel` is ready the
+    When the native ``"dense"`` kernel (:mod:`repro.native`) is ready the
     step is one C pass over every parameter (``repro/nn/_dense_kernel.c``)
     that reads each ``param.grad`` where it lies and applies the same
     expressions in the same order; the numpy pass below is its
@@ -63,7 +63,7 @@ class Adam(Optimizer):
         t = self._step_count
         bias1 = 1.0 - self.beta1 ** t
         bias2 = 1.0 - self.beta2 ** t
-        kernel = native_dense_kernel()
+        kernel = native_kernel("dense")
         if kernel is not None and kernel.adam(
             self.parameters, self._m, self._v, (self.beta1, self.beta2), (bias1, bias2),
             self.lr, self.eps,

@@ -13,8 +13,8 @@ would have had through the eight-node chain, which
 ``tests/test_nn_gru.py::TestFusedQBNBitwise`` holds as the oracle.
 
 A forward that builds a graph, and its backward, run their elementwise
-work in C (``repro/nn/_dense_kernel.c`` through
-:func:`~repro.nn.dense_native.native_dense_kernel`) when it is ready:
+work in C (``repro/nn/_dense_kernel.c``, the :mod:`repro.native`
+kernel ``"dense"``) when it is ready:
 the bias adds into numpy's fresh products, the quantiser, each
 ``below * (1.0 - t ** 2)`` and each bias's sum over rows.  Every gemm
 and ``tanh`` stays numpy's, on the same operands.  The numpy code here
@@ -33,7 +33,8 @@ import numpy as np
 from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn import Linear, Module
-from repro.nn.dense_native import NativeDenseKernel, native_dense_kernel
+from repro.native import kernel as native_kernel
+from repro.nn.dense_native import NativeDenseKernel
 from repro.nn.linear import input_grad, matmul_np, weight_grad
 from repro.qbn.quantize import nearest_level_indices, quantization_levels
 from repro.utils.rng import SeedLike, new_rng
@@ -145,7 +146,7 @@ class QuantizedBottleneckNetwork(Module):
         parents = (x,) + tuple(p for layer in layers for p in (layer.weight, layer.bias))
         kernel = None
         if x.ndim <= 2 and is_grad_enabled() and any(p.requires_grad for p in parents):
-            kernel = native_dense_kernel()
+            kernel = native_kernel("dense")
         encoder_hidden, latent = self._encode_np(x, kernel)
         levels = quantization_levels(self.config.quantization_levels)
         if kernel is None:

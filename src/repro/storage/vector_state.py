@@ -63,8 +63,8 @@ Kernels
 :meth:`VectorSimulatorState.step` picks one of two kernels at each
 reset, byte-equal in every state array:
 
-1. the native kernel (``_sim_kernel.c``), when
-   :func:`simulator_kernel_status` reads ``"ready"``, dispatch is
+1. the native kernel (``_sim_kernel.c``, registered with
+   :mod:`repro.native` as ``"simulator"``), when it is ready, dispatch is
    polling and no level can hold more than 15 cores — one C pass for
    migrations and injection, one for dispatch through the done flags,
    on either side of the idle draws, which stay in Python;
@@ -83,6 +83,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.native import _address, kernel as native_kernel, register
 from repro.storage.dispatcher import get_dispatcher
 from repro.storage.levels import LEVELS
 from repro.storage.metrics import EpisodeMetrics, StepColumns, StepValues
@@ -294,7 +295,7 @@ class VectorSimulatorState:
         # reset.
         self._kernel = None
         if self._native_supported:
-            self._kernel = _native_simulator_kernel()
+            self._kernel = native_kernel("simulator")
             if self._kernel is not None:
                 self._kernel.pack(self)
 
@@ -647,7 +648,6 @@ class VectorSimulatorState:
 # ----------------------------------------------------------------------
 # Native kernel
 # ----------------------------------------------------------------------
-_KERNEL_SOURCE = Path(__file__).with_name("_sim_kernel.c")
 _KERNEL_MAX_WIDTH = 15  # MAX_WIDTH in the C file
 # The state arrays ``sim_args`` points at, in its field order, with the
 # dtype the C side reads them as (all C-contiguous, batch-major).
@@ -689,19 +689,11 @@ class _KernelArgs(ctypes.Structure):
 class NativeSimulatorKernel:
     """ctypes wrapper for ``_sim_kernel.c``, one simulator interval in C.
 
-    Construction compiles (or finds cached) and loads the library; it
-    raises ``RuntimeError`` when ``REPRO_DISABLE_NATIVE=1`` or no
-    compiler produced it, ``OSError`` when the object cannot be loaded.
     :meth:`pack` stores a state's argument block on the state; :meth:`pre`
     and :meth:`post` step it in place on either side of the idle draws.
     """
 
-    def __init__(self) -> None:
-        # Imported here for the reason rng gives: ``python -m
-        # repro.utils.philox_native`` must not find itself already loaded.
-        from repro.utils.philox_native import load
-
-        lib = load(_KERNEL_SOURCE)
+    def __init__(self, lib: ctypes.CDLL) -> None:
         lib.repro_sim_pre.restype = ctypes.c_long
         lib.repro_sim_pre.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
         lib.repro_sim_post.restype = ctypes.c_long
@@ -723,9 +715,9 @@ class NativeSimulatorKernel:
                 raise SimulationError(f"state array {name} does not fit the native kernel")
         config = state.config
         args = _KernelArgs(
-            *(array.ctypes.data for array in arrays),
-            ACTION_SOURCE_INDICES.ctypes.data,
-            ACTION_DEST_INDICES.ctypes.data,
+            *(_address(array) for array in arrays),
+            _address(ACTION_SOURCE_INDICES),
+            _address(ACTION_DEST_INDICES),
             state.batch,
             state._level_capacity,
             state._read_kb.shape[1],
@@ -748,19 +740,14 @@ class NativeSimulatorKernel:
 
     def pre(self, state: VectorSimulatorState, actions: np.ndarray) -> int:
         """Migrations and injection; the active row count, -1 for a bad action."""
-        return self._pre(state._kernel_args[1], actions.ctypes.data)
+        return self._pre(state._kernel_args[1], _address(actions))
 
     def post(self, state: VectorSimulatorState) -> int:
         """Dispatch to the flags; rows truncated now, -1 for an empty level."""
         return self._post(state._kernel_args[1])
 
 
-_simulator_kernel: Optional[NativeSimulatorKernel] = None
-#: ``None`` until the first probe, then ``"ready"`` or ``"disabled: <reason>"``.
-_simulator_status: Optional[str] = None
-
-
-def _self_check_runs(kernel: Optional[NativeSimulatorKernel]):
+def _self_check_runs() -> List[bytes]:
     """Every state array after every step of two seeded batches.
 
     The batches cover a partial batch (traces of 3 to 9 intervals, some
@@ -796,9 +783,6 @@ def _self_check_runs(kernel: Optional[NativeSimulatorKernel]):
     for record, streams in ((True, list(range(8))), (False, PhiloxStreams(5, 8, "check"))):
         state = VectorSimulatorState(config, record_metrics=record)
         state.reset(traces, rngs=streams)
-        state._kernel = kernel
-        if kernel is not None:
-            kernel.pack(state)
         # Penalised cores at every position from the start, so the 8-wide
         # trees sum mixed capacities and shares.
         state.pos_cooldown[...] = np.random.default_rng(11).integers(
@@ -815,36 +799,6 @@ def _self_check_runs(kernel: Optional[NativeSimulatorKernel]):
     return snapshots
 
 
-def _native_simulator_kernel() -> Optional[NativeSimulatorKernel]:
-    """The self-checked native kernel, or ``None`` (the reference loop).
-
-    Probed once per process, at the first reset that can use it;
-    :func:`simulator_kernel_status` says how it went.
-    """
-    global _simulator_kernel, _simulator_status
-    if _simulator_status is None:
-        # The self-check resets states of its own: they see no kernel, so
-        # its second run steps on the reference loop.
-        _simulator_status = "disabled: self-check in progress"
-        try:
-            kernel = NativeSimulatorKernel()
-            if _self_check_runs(kernel) == _self_check_runs(None):
-                _simulator_kernel, _simulator_status = kernel, "ready"
-            else:
-                _simulator_status = "disabled: self-check mismatch against the reference loop"
-        except (OSError, RuntimeError, ctypes.ArgumentError, SimulationError) as exc:
-            _simulator_status = f"disabled: {exc}"
-    return _simulator_kernel
-
-
-def simulator_kernel_status() -> str:
-    """``"ready"`` or ``"disabled: <reason>"`` for the native simulator step.
-
-    The reason is what loading raised (``REPRO_DISABLE_NATIVE=1``, no
-    compiler, an unloadable object) or a self-check mismatch against the
-    reference loop.  Either way every state array holds the same bytes;
-    disabled, the numpy passes and the reference dispatch loop step the
-    simulator, much more slowly.
-    """
-    _native_simulator_kernel()
-    return _simulator_status
+register(
+    "simulator", Path(__file__).with_name("_sim_kernel.c"), NativeSimulatorKernel, _self_check_runs
+)

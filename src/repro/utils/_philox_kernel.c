@@ -24,8 +24,8 @@
  *
  * The build therefore must NOT use -ffast-math/-funsafe-math flags, and
  * uses -ffp-contract=off so no FMA contraction changes roundings.  As a
- * final guard, rng._native_idle_kernel() probes both entry points against
- * the numpy reference at load time and disables the library on any
+ * final guard, repro.native self-checks both entry points against the
+ * numpy reference at load time and disables the library on any
  * mismatch, so a miscompiled build degrades to the numpy path instead of
  * corrupting pinned streams.
  */

@@ -5,17 +5,25 @@ workload synthesis, exploration, weight initialisation) receive a
 ``numpy.random.Generator`` rather than touching global state.  This
 module centralises how those generators are created so that experiments
 are reproducible from a single integer seed.
+
+It also holds the fleet's counter-based :class:`PhiloxStreams`, whose
+draws run in C (``_philox_kernel.c``, :class:`NativePhiloxIdleKernel`,
+registered with :mod:`repro.native` as ``"philox"``) when that kernel is
+ready; its numpy specification, :func:`_philox_idle_reference` and
+:func:`_philox_uniforms`, draws the same values otherwise.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.native import _address, kernel as native_kernel, register
 
 SeedLike = Union[int, np.random.Generator, None]
 
@@ -215,24 +223,119 @@ def _philox_idle_reference(
     return idle, eligible.sum(axis=1).astype(np.uint64), int(fire.sum())
 
 
-_idle_kernel = None
-#: ``None`` until the first probe, then ``"ready"`` or ``"disabled: <reason>"``.
-_idle_status: Optional[str] = None
+class NativePhiloxIdleKernel:
+    """ctypes wrapper for ``_philox_kernel.c``: the fused idle sampler and
+    the per-lane uniforms, on one keystream.
 
-
-def _philox_self_check(kernel) -> bool:
-    """Bit-identity probe for both native entry points.
-
-    Runs a spread of (episode, cursor, count, idle_rate) cells — zero/one
-    core skips, shallow and ~100-iteration inversions — through the C
-    idle sampler, and lanes on both sides of 2**32 through the C uniforms,
-    against their numpy references.  Any mismatch disables the library
-    for the process, so an exotic compiler or platform degrades to the
-    reference itself instead of breaking pinned streams.
+    Stateless between calls apart from one grow-only staging workspace;
+    the keystream key travels with each call, so one wrapper serves every
+    :class:`PhiloxStreams` instance in the process.  :meth:`sample`
+    returns workspace views, valid until the next call — callers copy (or
+    scatter) before returning; :meth:`uniforms` returns a new array.
     """
-    probe = PhiloxStreams(12345, np.arange(8, dtype=np.uint64) * 3, "selfcheck")
-    episodes = probe._episodes
-    cursors = np.array([0, 3, 17, 2, 95, 1000, 6, 31], dtype=np.uint64)
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        # ctypes defaults integer args to c_int — explicit signatures are
+        # load-bearing (c_long mismatches segfault, they don't error).
+        lib.repro_philox_idle.restype = ctypes.c_long
+        lib.repro_philox_idle.argtypes = [
+            # episodes, cursors, ndraws, counts, lam, term, idle, uscratch
+            *[ctypes.c_void_p] * 8,
+            ctypes.c_uint64, ctypes.c_uint64, ctypes.c_long, ctypes.c_long,
+        ]
+        lib.repro_philox_uniforms.restype = None
+        lib.repro_philox_uniforms.argtypes = [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # episodes, cursors, out
+            ctypes.c_uint64, ctypes.c_uint64, ctypes.c_long,
+        ]
+        self._lib = lib
+        self._workspace: Optional[_PhiloxIdleWorkspace] = None
+
+    def uniforms(
+        self, episodes: np.ndarray, cursors: np.ndarray, key0: int, key1: int
+    ) -> np.ndarray:
+        """A new array of one uniform per lane; cursors are read, not advanced."""
+        episodes = np.ascontiguousarray(episodes, dtype=np.uint64)
+        cursors = np.ascontiguousarray(cursors, dtype=np.uint64)
+        if episodes.shape != cursors.shape or episodes.ndim != 1:
+            raise ValueError(f"lanes {episodes.shape} and cursors {cursors.shape} differ")
+        out = np.empty(episodes.shape[0])
+        self._lib.repro_philox_uniforms(
+            _address(episodes), _address(cursors), _address(out),
+            key0, key1, episodes.shape[0],
+        )
+        return out
+
+    def sample(
+        self,
+        episodes: np.ndarray,
+        cursors: np.ndarray,
+        counts: np.ndarray,
+        lam: np.ndarray,
+        term: np.ndarray,
+        key0: int,
+        key1: int,
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Returns ``(idle_draws, ndraws, fired)`` for the given lanes.
+
+        ``episodes``/``cursors`` are per-lane uint64 vectors; ``counts``
+        (int64), ``lam`` and ``term = exp(-lam)`` are ``(n, levels)``
+        cell matrices.  ``idle_draws`` holds the clamped Poisson draws
+        (zero where the cell didn't fire), ``ndraws`` the uniforms each
+        lane consumed.
+        """
+        n, levels = counts.shape
+        workspace = self._workspace
+        # Grow-only: a fleet shard's lane count changes with every wave,
+        # and a workspace per distinct count would live as long as the
+        # process.  The row-major ``[:n]`` prefixes are exactly the
+        # contiguous (n, levels) blocks the entry point indexes.
+        if workspace is None or workspace.levels != levels or workspace.capacity < n:
+            workspace = self._workspace = _PhiloxIdleWorkspace(n, levels)
+        np.copyto(workspace.episodes[:n], episodes)
+        np.copyto(workspace.cursors[:n], cursors)
+        np.copyto(workspace.counts[:n], counts)
+        np.copyto(workspace.lam[:n], lam)
+        np.copyto(workspace.term[:n], term)
+        fired = self._lib.repro_philox_idle(*workspace.args, key0, key1, n, levels)
+        return workspace.idle[:n], workspace.ndraws[:n], int(fired)
+
+
+class _PhiloxIdleWorkspace:
+    """Staging/output buffers + cached addresses for up to ``capacity`` lanes.
+
+    Address extraction (~1-2us per array per call) rivals the sampler
+    itself at rollout batch sizes, so inputs are staged into fixed
+    buffers whose addresses are taken once; only the two key words and
+    the lane count travel per call.
+    """
+
+    def __init__(self, capacity: int, levels: int) -> None:
+        self.capacity = capacity
+        self.levels = levels
+        self.episodes = np.empty(capacity, dtype=np.uint64)
+        self.cursors = np.empty(capacity, dtype=np.uint64)
+        self.counts = np.empty((capacity, levels), dtype=np.int64)
+        self.lam = np.empty((capacity, levels))
+        self.term = np.empty((capacity, levels))
+        self.idle = np.empty((capacity, levels), dtype=np.int64)
+        self.ndraws = np.empty(capacity, dtype=np.uint64)
+        self.uscratch = np.empty((capacity, levels))
+        self.args = tuple(
+            _address(array)
+            for array in (
+                self.episodes, self.cursors, self.ndraws, self.counts,
+                self.lam, self.term, self.idle, self.uscratch,
+            )
+        )
+
+
+def _self_check_runs() -> List[Union[bytes, int]]:
+    """Every draw, fired count and cursor of :class:`PhiloxStreams` calls
+    that span the sampler: zero- and one-core skips, shallow and
+    ~100-iteration inversions, a lane subset in reverse order, and lanes
+    and cursors on both sides of 2**32 through ``uniforms``."""
+    streams = PhiloxStreams(12345, np.arange(8, dtype=np.uint64) * 3, "selfcheck")
     counts = np.array(
         [
             [0, 1, 2], [2, 2, 2], [1, 5, 9], [40, 2, 1],
@@ -240,60 +343,21 @@ def _philox_self_check(kernel) -> bool:
         ],
         dtype=np.int64,
     )
-    for idle_rate in (0.02, 0.37, 0.817):
-        lam = idle_rate * counts
-        term = np.exp(-lam)
-        idle_c, ndraws_c, fired_c = kernel.sample(
-            episodes, cursors, counts, lam, term, probe._key0, probe._key1
-        )
-        idle_ref, ndraws_ref, fired_ref = _philox_idle_reference(
-            episodes, cursors, counts, lam, term, probe._round_keys
-        )
-        if (
-            fired_c != fired_ref
-            or not np.array_equal(idle_c, idle_ref)
-            or not np.array_equal(ndraws_c, ndraws_ref)
-        ):
-            return False
+    snapshots: List[Union[bytes, int]] = []
+    for idle_rate, rows in ((0.02, None), (0.37, None), (0.817, np.arange(8)[::-1])):
+        streams._cursors[:] = [0, 3, 17, 2, 95, 1000, 6, 31]
+        picked = counts if rows is None else counts[rows]
+        lam = idle_rate * picked
+        draws, fired = streams.idle_poisson(rows, picked, lam, np.exp(-lam))
+        snapshots += [draws.tobytes(), fired, streams._cursors.tobytes()]
+        snapshots.append(streams.uniforms().tobytes())
     wide = np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**63, 2**64 - 1], dtype=np.uint64)
-    lanes, counters = np.r_[episodes, wide, wide[::-1]], np.r_[cursors, wide[::-1], wide]
-    native = kernel.uniforms(lanes, counters, probe._key0, probe._key1)
-    return np.array_equal(native, _philox_uniforms(lanes, counters, probe._round_keys))
-
-
-def _native_idle_kernel():
-    """The self-checked native idle sampler, or ``None`` (numpy reference).
-
-    Probed once per process; :func:`idle_sampler_status` says how it went.
-    """
-    global _idle_kernel, _idle_status
-    if _idle_status is None:
-        # Imported here, not at module top: ``python -m
-        # repro.utils.philox_native`` (the build hook) imports this
-        # package first, and runpy warns when its target is already loaded.
-        from repro.utils.philox_native import NativePhiloxIdleKernel
-
-        try:
-            kernel = NativePhiloxIdleKernel()
-            if _philox_self_check(kernel):
-                _idle_kernel, _idle_status = kernel, "ready"
-            else:
-                _idle_status = "disabled: self-check mismatch against the numpy reference"
-        except (OSError, RuntimeError, ctypes.ArgumentError) as exc:
-            _idle_status = f"disabled: {exc}"
-    return _idle_kernel
-
-
-def idle_sampler_status() -> str:
-    """``"ready"`` or ``"disabled: <reason>"`` for the native idle sampler.
-
-    The reason is what loading raised (``REPRO_DISABLE_NATIVE=1``, no
-    compiler, an unloadable object) or a self-check mismatch.  Either way
-    the draws are the same; disabled, :meth:`PhiloxStreams.idle_poisson`
-    runs :func:`_philox_idle_reference` and the fleet steps slower.
-    """
-    _native_idle_kernel()
-    return _idle_status
+    lanes = PhiloxStreams(12345, wide, "selfcheck")
+    for cursors in (wide[::-1], wide):
+        lanes._cursors[:] = cursors
+        snapshots.append(lanes.uniforms().tobytes())
+        snapshots.append(lanes.uniforms(np.array([5, 0, 2])).tobytes())
+    return snapshots
 
 
 def _lane_indices(rows) -> np.ndarray:
@@ -353,7 +417,8 @@ class PhiloxStreams:
     ``VectorSimulatorState.reset`` as ``rngs``).  Lanes carry distinct
     global episode ids, so a lane's draws do not depend on which other
     lanes share the object.  Both methods run natively when
-    :func:`idle_sampler_status` reads ``"ready"``, with the same values.
+    ``repro.native.status()["philox"]`` reads ``"ready"``, with the same
+    values.
     """
 
     def __init__(
@@ -375,7 +440,7 @@ class PhiloxStreams:
         ``rows=None`` means every lane, in lane order.  Otherwise ``rows``
         are distinct lane indices and the reply follows their order.
         """
-        kernel = _native_idle_kernel()
+        kernel = native_kernel("philox")
         lanes, episodes, cursors = self._lanes(rows)
         if kernel is not None:
             draws = kernel.uniforms(episodes, cursors, self._key0, self._key1)
@@ -408,7 +473,7 @@ class PhiloxStreams:
         numpy: the sampler never calls the C library's ``exp``, whose
         rounding may differ from numpy's by an ulp.
         """
-        kernel = _native_idle_kernel()
+        kernel = native_kernel("philox")
         lanes, episodes, cursors = self._lanes(rows)
         if counts.shape[0] != episodes.shape[0]:
             raise ConfigurationError(
@@ -435,3 +500,8 @@ class PhiloxStreams:
 
     def __len__(self) -> int:
         return int(self._episodes.shape[0])
+
+
+register(
+    "philox", Path(__file__).with_name("_philox_kernel.c"), NativePhiloxIdleKernel, _self_check_runs
+)

@@ -8,8 +8,13 @@ integration tests).
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 import pytest
+
+from repro import native
 
 from repro.drl.a2c import A2CConfig
 from repro.drl.curriculum import CurriculumConfig
@@ -21,11 +26,9 @@ from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.fsm.extraction import ExtractionConfig
 from repro.pipeline.learning_aided import LearningAidedPipeline, PipelineConfig
 from repro.qbn.trainer import QBNTrainingConfig
-from repro.storage import vector_state
 from repro.storage.simulator import StorageSystemConfig
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
 from repro.storage.iorequest import NUM_IO_TYPES
-from repro.utils import rng as rng_module
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
 from repro.workloads.sampler import RealTraceSampler, SamplerConfig
 
@@ -58,22 +61,48 @@ def real_traces(standard_suite):
     return sampler.sample_many(4, rng=13)
 
 
+@contextlib.contextmanager
+def kernels_off(*names):
+    """The named native kernels (every kernel when none is named) forced
+    off inside the block: their numpy specifications run, as under
+    ``REPRO_DISABLE_NATIVE=1``.  The way tests force a kernel off."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in names or native.status():
+            native.kernel(name)  # probe first so the patch is what gets undone
+            patch.setitem(native._kernels, name, None)
+            patch.setitem(native._status, name, "disabled: forced off")
+        yield
+
+
+def unprobed(monkeypatch, name):
+    """Forget kernel ``name``'s probe until the test ends: its next lookup
+    loads and self-checks it again.  Every other kernel is probed first,
+    so a test that then breaks the environment reports only ``name``."""
+    native.status()
+    monkeypatch.delitem(native._kernels, name, raising=False)
+    monkeypatch.delitem(native._status, name, raising=False)
+
+
+def native_or_skip(name):
+    """Kernel ``name``'s wrapper.  Skips only where no kernel can load
+    (``REPRO_DISABLE_NATIVE=1``, no compiler); a kernel that fails its
+    self-check fails the test instead of skipping it."""
+    if os.environ.get("REPRO_DISABLE_NATIVE") == "1":
+        pytest.skip("REPRO_DISABLE_NATIVE=1")
+    try:
+        native.build(native._registry[name].source)
+    except RuntimeError as exc:
+        pytest.skip(f"no compiler: {exc}")
+    verdict = native.status()[name]
+    assert verdict == "ready", f"native kernel {name}: {verdict}"
+    return native.kernel(name)
+
+
 @pytest.fixture(params=["as_found", "fallback"])
-def sampler_path(request, monkeypatch):
+def sampler_path(request):
     """Run once with the idle sampler as probed, once forced onto its fallback."""
-    rng_module.idle_sampler_status()  # probe first so the patch is what gets undone
-    if request.param == "fallback":
-        monkeypatch.setattr(rng_module, "_idle_kernel", None)
-        monkeypatch.setattr(rng_module, "_idle_status", "disabled: forced by the test")
-    return request.param
-
-
-@pytest.fixture
-def numpy_simulator(monkeypatch):
-    """Step every simulator on the reference loop, the native kernel forced off."""
-    vector_state.simulator_kernel_status()  # probe first so the patch is what gets undone
-    monkeypatch.setattr(vector_state, "_simulator_kernel", None)
-    monkeypatch.setattr(vector_state, "_simulator_status", "disabled: forced by the test")
+    with kernels_off("philox") if request.param == "fallback" else contextlib.nullcontext():
+        yield request.param
 
 
 @pytest.fixture

@@ -29,6 +29,7 @@ from typing import List
 import numpy as np
 import pytest
 
+from repro import native
 from repro.autograd.functional import matmul_rows_np
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import (
@@ -44,8 +45,8 @@ from repro.storage.migration import NUM_ACTIONS
 from repro.storage.simulator import StorageSystemConfig
 from repro.storage.vector_state import VectorSimulatorState
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
-from repro.utils.philox_native import NativePhiloxIdleKernel
-from repro.utils.rng import PhiloxStreams, _philox_idle_reference, idle_sampler_status
+from repro.utils.rng import NativePhiloxIdleKernel, PhiloxStreams, _philox_idle_reference
+from conftest import native_or_skip
 
 NUM_CONFIGS = 50
 
@@ -370,13 +371,6 @@ def test_philox_vector_vs_parallel_vs_pool_bit_identical(index):
 # reference it accelerates, the in-place numpy forward against its
 # written-out definition — pinned here over randomized shapes incl. B=1.
 
-native_only = pytest.mark.skipif(
-    idle_sampler_status() != "ready",
-    reason=f"native philox sampler {idle_sampler_status()}",
-)
-
-
-@native_only
 @pytest.mark.parametrize("config_index", range(8))
 def test_native_philox_idle_sampler_bit_identical(config_index):
     """The fused C idle sampler vs the pure-numpy reference, bitwise.
@@ -389,6 +383,7 @@ def test_native_philox_idle_sampler_bit_identical(config_index):
     may not reach — zero/one-core skips, deep inversions, large episode
     ids and cursors.
     """
+    native_or_skip("philox")
     rng = np.random.default_rng(81_000 + config_index)
     lanes = int(rng.integers(1, 24))
     levels = int(rng.integers(1, 5))
@@ -409,7 +404,6 @@ def test_native_philox_idle_sampler_bit_identical(config_index):
     np.testing.assert_array_equal(streams._cursors, cursors_before + expected[1])
 
 
-@native_only
 def test_native_philox_sampler_holds_one_grow_only_workspace():
     """Staging buffers are bounded by the largest lane count, not by how
     many distinct counts were seen.
@@ -419,7 +413,9 @@ def test_native_philox_sampler_holds_one_grow_only_workspace():
     calls run in the ``[:n]`` prefix of the one workspace and still
     match the numpy reference bit for bit.
     """
-    kernel = NativePhiloxIdleKernel()  # fresh: the process-wide one has history
+    native_or_skip("philox")
+    # Fresh: the process-wide wrapper has history.
+    kernel = NativePhiloxIdleKernel(native.load(native._registry["philox"].source))
     streams = PhiloxStreams(7, 9, "idle-workspace")
     rng = np.random.default_rng(82_000)
     workspaces = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import shutil
@@ -29,10 +30,10 @@ from repro.engine import AgentBatchBackend, CompiledFSMBackend, CompiledFSMPolic
 from repro.serving import PolicyClient, PolicyNetServer, PolicyServer
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
-from repro.utils import rng as rng_module
 from repro.utils.rng import PhiloxStreams
 from repro.workloads import ZipfianTenantMix
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
+from conftest import kernels_off
 
 
 # ----------------------------------------------------------------------
@@ -450,16 +451,17 @@ class TestFleetPins:
         assert deterministic["stale_rejections_total"] > 0
         assert report.digest == FLEET_DIGEST_PINS[base_seed]
 
-    def test_fleet_digest_is_pinned_on_the_reference_loop(self, serving_env, numpy_simulator):
+    def test_fleet_digest_is_pinned_on_the_reference_loop(self, serving_env):
         """With the native simulator step forced off the reference dispatch
         loop steps every interval; the handcrafted policy migrates, so it
         dispatches penalised cores, and the digest is still the pin."""
         base_seed = min(FLEET_DIGEST_PINS)
-        report = FleetDriver(
-            _pinned_schedule(),
-            InProcessTransport(_heuristic_server(serving_env)),
-            base_seed=base_seed,
-        ).run()
+        with kernels_off("simulator"):
+            report = FleetDriver(
+                _pinned_schedule(),
+                InProcessTransport(_heuristic_server(serving_env)),
+                base_seed=base_seed,
+            ).run()
         assert report.digest == FLEET_DIGEST_PINS[base_seed]
 
     def test_driver_streams_compute_only_the_draws_they_serve(self, serving_env):
@@ -474,7 +476,6 @@ class TestFleetPins:
         schedule = _pinned_schedule()
         burst_phases = sum(1 for phase in schedule.phases if phase.burst_multiplier > 1)
         uniforms = PhiloxStreams.uniforms
-        rng_module.idle_sampler_status()  # probe first so the patch is what gets undone
         for forced_off in (False, True):
             produced = {
                 tuple(PhiloxStreams(3, 1, f"fleet/{name}")._round_keys): 0
@@ -487,11 +488,10 @@ class TestFleetPins:
                     produced[tuple(self._round_keys)] += draws.size
                 return draws
 
-            with pytest.MonkeyPatch.context() as patch:
+            with pytest.MonkeyPatch.context() as patch, (
+                kernels_off("philox") if forced_off else contextlib.nullcontext()
+            ):
                 patch.setattr(PhiloxStreams, "uniforms", counting)
-                if forced_off:
-                    patch.setattr(rng_module, "_idle_kernel", None)
-                    patch.setattr(rng_module, "_idle_status", "disabled: forced by the test")
                 FleetDriver(
                     schedule, InProcessTransport(_heuristic_server(serving_env)), base_seed=3
                 ).run()

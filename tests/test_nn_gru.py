@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import native
 from repro.agents.greedy import GreedyUtilizationPolicy
 from repro.autograd import check_gradients
 from repro.autograd import functional as F
@@ -28,6 +29,7 @@ from repro.qbn.quantize import (
 )
 from repro.qbn.trainer import QBNTrainer, QBNTrainingConfig
 from test_nn_modules import same_grad, oracle_linear_forward
+from conftest import kernels_off, native_or_skip, unprobed
 
 
 class TestGRUCell:
@@ -610,28 +612,6 @@ def _padded_batch(rng, steps, width):
     return observations, actions, mask, rng.standard_normal(int(mask.sum()))
 
 
-@contextlib.contextmanager
-def numpy_kernels():
-    """Every native kernel forced off, as ``REPRO_DISABLE_NATIVE=1`` runs:
-    the Philox sampler, the simulator step, the GRU glue and the dense glue."""
-    from repro.storage import vector_state
-    from repro.utils import rng as rng_module
-
-    kernels = (
-        (rng_module, "_idle_kernel", "_idle_status", rng_module.idle_sampler_status),
-        (vector_state, "_simulator_kernel", "_simulator_status",
-         vector_state.simulator_kernel_status),
-        (rnn, "_gru_kernel", "_gru_status", rnn.gru_kernel_status),
-        (dense_native, "_dense_kernel", "_dense_status", dense_native.dense_kernel_status),
-    )
-    with pytest.MonkeyPatch.context() as patch:
-        for module, kernel, status, probe in kernels:
-            probe()  # probe first so the patch is what gets undone
-            patch.setattr(module, kernel, None)
-            patch.setattr(module, status, "disabled: forced by the test")
-        yield
-
-
 def _grad_bytes(module):
     return {
         name: None if param.grad is None else param.grad.tobytes()
@@ -675,7 +655,7 @@ class TestSequenceNodeBitwise:
         runs = []
         for unroll, kernels in (
             (RecurrentPolicyValueNet.unroll, contextlib.nullcontext),
-            (RecurrentPolicyValueNet.unroll, numpy_kernels),
+            (RecurrentPolicyValueNet.unroll, kernels_off),
             (chain_unroll, contextlib.nullcontext),
         ):
             policy = _policy(hidden)
@@ -752,7 +732,7 @@ class TestSequenceNodeBitwise:
         upstream = rng.standard_normal((5,) + lead + (6,))
         runs = []
         for wrapped, kernels in (
-            (True, contextlib.nullcontext), (True, numpy_kernels), (False, contextlib.nullcontext)
+            (True, contextlib.nullcontext), (True, kernels_off), (False, contextlib.nullcontext)
         ):
             gru = _fill_biases(GRU(4, 6, rng=1))
             x, h0 = Tensor(sequence, requires_grad=True), Tensor(h0_data, requires_grad=True)
@@ -857,7 +837,7 @@ class TestTrainingBitwiseDifferential:
         against."""
         traces = list(real_traces[:2])
         learned = []
-        for kernels in (contextlib.nullcontext, numpy_kernels):
+        for kernels in (contextlib.nullcontext, kernels_off):
             with kernels():
                 policy = self._train_policy(system_config, traces)
                 qbns = self._train_qbns(system_config, traces, policy)
@@ -906,12 +886,6 @@ class TestTrainingBitwiseDifferential:
 # ----------------------------------------------------------------------
 # The native sequence kernel against the numpy loop it is checked against
 # ----------------------------------------------------------------------
-def _native_gru_or_skip():
-    status = rnn.gru_kernel_status()
-    if status != "ready":
-        pytest.skip(f"native GRU kernel {status}")
-
-
 @st.composite
 def _sequence_case(draw):
     """A policy (H < 7 runs its 1-d steps on einsum, H >= 7 on gemm), a
@@ -963,29 +937,17 @@ class TestNativeGRUKernelBitwise:
     @given(case=_sequence_case())
     @settings(max_examples=60, deadline=None)
     def test_every_array_and_gradient_matches_numpy(self, case):
-        _native_gru_or_skip()
-        native = _sequence_bytes(case)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rnn, "_gru_kernel", None)
+        native_or_skip("gru")
+        shipped = _sequence_bytes(case)
+        with kernels_off("gru"):
             spec = _sequence_bytes(case)
-        assert native == spec
-
-    def test_status_is_ready_and_names_the_variable_when_forced_off(self, monkeypatch):
-        _native_gru_or_skip()
-        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
-        monkeypatch.setattr(rnn, "_gru_kernel", None)
-        monkeypatch.setattr(rnn, "_gru_status", None)
-        assert rnn.gru_kernel_status() == "ready"
-        assert rnn.Unrolled(GRUCell(2, 3, rng=0), np.zeros((2, 2)), np.zeros(3)).kernel is not None
-        monkeypatch.setattr(rnn, "_gru_status", None)
-        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-        assert rnn.gru_kernel_status() == "disabled: REPRO_DISABLE_NATIVE=1"
-        assert rnn.Unrolled(GRUCell(2, 3, rng=0), np.zeros((2, 2)), np.zeros(3)).kernel is None
+        assert shipped == spec
 
     @pytest.mark.parametrize("method", ["forward", "backward"])
     def test_a_kernel_that_differs_leaves_numpy_in_charge(self, monkeypatch, method):
         """One ulp of one output of one kernel entry fails the load-time self-check."""
-        _native_gru_or_skip()
+        native_or_skip("gru")
+        unprobed(monkeypatch, "gru")
         shipped = getattr(rnn.NativeGRUKernel, method)
 
         def one_ulp_off(self, *args):
@@ -996,20 +958,14 @@ class TestNativeGRUKernelBitwise:
             return result
 
         monkeypatch.setattr(rnn.NativeGRUKernel, method, one_ulp_off)
-        monkeypatch.setattr(rnn, "_gru_kernel", None)
-        monkeypatch.setattr(rnn, "_gru_status", None)
-        assert rnn.gru_kernel_status() == "disabled: self-check mismatch against the numpy loop"
-        assert rnn._native_gru_kernel() is None
+        assert native.kernel("gru") is None
+        assert native.status()["gru"] == "disabled: self-check mismatch"
 
-    @pytest.mark.parametrize("native", [True, False])
+    @pytest.mark.parametrize("on_native", [True, False])
     @pytest.mark.parametrize("width", [None, 2])
-    def test_backward_refuses_a_misshapen_grad_before_touching_gradients(
-        self, monkeypatch, native, width
-    ):
-        if native:
-            _native_gru_or_skip()
-        else:
-            monkeypatch.setattr(rnn, "_gru_kernel", None)
+    def test_backward_refuses_a_misshapen_grad_before_touching_gradients(self, on_native, width):
+        if on_native:
+            native_or_skip("gru")
         rng = np.random.default_rng(5)
         lead = (4,) if width is None else (4, width)
         cell = _fill_biases(GRUCell(3, 8, rng=0))
@@ -1018,7 +974,8 @@ class TestNativeGRUKernelBitwise:
         for tensor in (x, h0, *cell.parameters()):
             tensor.grad = rng.standard_normal(tensor.shape)
         before = [tensor.grad.copy() for tensor in (x, h0, *cell.parameters())]
-        run = rnn.Unrolled(cell, x.data, h0.data)
+        with contextlib.nullcontext() if on_native else kernels_off("gru"):
+            run = rnn.Unrolled(cell, x.data, h0.data)
         grad = rng.standard_normal(run.candidate.shape)
         with pytest.raises(ShapeError):
             run.backward(grad[1:], x, h0)
@@ -1070,12 +1027,11 @@ def per_gate_products():
     hidden products)."""
     import repro.drl.policy as policy_module
 
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, kernels_off("gru"):
         patch.setattr(rnn, "matmul_steps", per_step_matmul_steps)
         patch.setattr(policy_module, "matmul_steps", per_step_matmul_steps)
         patch.setattr(policy_module, "input_grad_steps", per_step_input_grads)
         patch.setattr(rnn, "input_grad_steps", per_step_input_grads)
-        patch.setattr(rnn, "_gru_kernel", None)
         yield
 
 
@@ -1156,8 +1112,7 @@ class TestStackedGatesBitwise:
         with per_gate_products():
             reference = _unroll_bytes(case)
         assert shipped == reference
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rnn, "_gru_kernel", None)
+        with kernels_off("gru"):
             assert _unroll_bytes(case) == reference
 
     @pytest.mark.parametrize("hidden", [4, 9])
@@ -1211,12 +1166,6 @@ class TestStackedGatesBitwise:
 # ----------------------------------------------------------------------
 # The native dense kernel against the numpy code it is checked against
 # ----------------------------------------------------------------------
-def _native_dense_or_skip():
-    status = dense_native.dense_kernel_status()
-    if status != "ready":
-        pytest.skip(f"native dense kernel {status}")
-
-
 # Latents the quantiser treats specially: NaN, signed zeros, points
 # halfway between levels and values the clip moves.
 _SPECIAL_LATENTS = np.array(
@@ -1262,7 +1211,7 @@ def _dense_bytes(case):
         )
     x = Tensor(rng.standard_normal(case["lead"] + (case["input_dim"],)), requires_grad=case["x_requires"])
     target = rng.standard_normal(x.shape)
-    kernel, alphabet = dense_native._dense_kernel, quantization_levels(levels)
+    kernel, alphabet = native.kernel("dense"), quantization_levels(levels)
 
     def quantize(values):
         if kernel is None:
@@ -1312,42 +1261,39 @@ class TestNativeDenseKernelBitwise:
     @given(case=_dense_case())
     @settings(max_examples=60, deadline=None)
     def test_every_array_and_gradient_matches_numpy(self, case):
-        _native_dense_or_skip()
-        native = _dense_bytes(case)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dense_native, "_dense_kernel", None)
+        native_or_skip("dense")
+        shipped = _dense_bytes(case)
+        with kernels_off("dense"):
             spec = _dense_bytes(case)
-        assert native == spec
+        assert shipped == spec
 
     @pytest.mark.parametrize("shape", TestFusedQBNBitwise.SHAPES)
     @pytest.mark.parametrize("trainable", ["all", "none", "decoder"])
     def test_frozen_combinations_match_numpy(self, shape, trainable):
         """``TestFusedQBNBitwise``'s trainable, frozen and decoder-only QBNs,
         each with and without an input that takes a gradient."""
-        _native_dense_or_skip()
+        native_or_skip("dense")
         for x_requires in (False, True):
             case = dict(
                 input_dim=shape[0], latent_dim=shape[1], hidden_dim=shape[2], levels=3,
                 lead=(256,), trainable=trainable, x_requires=x_requires, preset=False,
                 dropped=[set(), {1, 6}, set()], seed=11,
             )
-            native = _dense_bytes(case)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(dense_native, "_dense_kernel", None)
-                assert _dense_bytes(case) == native
+            shipped = _dense_bytes(case)
+            with kernels_off("dense"):
+                assert _dense_bytes(case) == shipped
 
     def test_adam_takes_strided_gradients_and_leaves_strided_weights_to_numpy(self):
         """A Fortran-ordered or integer gradient is read as its float64
         copy; a parameter whose weights are a strided view runs the numpy
         pass, which writes through the view; a misfit gradient is refused."""
-        _native_dense_or_skip()
+        native_or_skip("dense")
         rng = np.random.default_rng(3)
         base = rng.standard_normal((6, 6))
         grads = [np.asfortranarray(rng.standard_normal((3, 5))), np.arange(4), rng.standard_normal(6)]
         runs = []
-        for kernel in (dense_native._dense_kernel, None):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(dense_native, "_dense_kernel", kernel)
+        for kernels in (contextlib.nullcontext, lambda: kernels_off("dense")):
+            with kernels():
                 for strided in (False, True):
                     weights = base.copy()
                     params = [Parameter(np.ones((3, 5))), Parameter(np.ones(4))]
@@ -1364,39 +1310,23 @@ class TestNativeDenseKernelBitwise:
         with pytest.raises(ShapeError):
             Adam([param]).step()
 
-    def test_status_is_ready_and_names_the_variable_when_forced_off(self, monkeypatch):
-        _native_dense_or_skip()
-        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
-        monkeypatch.setattr(dense_native, "_dense_kernel", None)
-        monkeypatch.setattr(dense_native, "_dense_status", None)
-        assert dense_native.dense_kernel_status() == "ready"
-        assert dense_native.native_dense_kernel() is not None
-        monkeypatch.setattr(dense_native, "_dense_status", None)
-        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-        assert dense_native.dense_kernel_status() == "disabled: REPRO_DISABLE_NATIVE=1"
-        assert dense_native.native_dense_kernel() is None
-
     def test_graph_free_calls_never_load_the_kernel(self, monkeypatch):
         """``encode``, ``discrete_code``, ``reconstruct`` and a ``no_grad``
         forward stay numpy, so serving an extracted FSM loads no kernel."""
 
-        def refuse():
-            raise AssertionError("the dense kernel was loaded")
-
-        monkeypatch.setattr(dense_native, "_dense_kernel", None)
-        monkeypatch.setattr(dense_native, "_dense_status", None)
-        monkeypatch.setattr(dense_native, "NativeDenseKernel", refuse)
+        unprobed(monkeypatch, "dense")
         qbn = QuantizedBottleneckNetwork(QBNConfig(9, 4, 6), rng=0)
         x = np.random.default_rng(0).standard_normal((5, 9))
         qbn.encode(x), qbn.discrete_code(x), qbn.reconstruct(x)
         with no_grad():
             qbn(Tensor(x, requires_grad=True))
-        assert dense_native._dense_status is None
+        assert "dense" not in native._kernels
 
     @pytest.mark.parametrize("method", ["add_bias", "quantize", "tanh_backward", "mse_grad", "adam"])
     def test_a_kernel_that_differs_leaves_numpy_in_charge(self, monkeypatch, method):
         """One ulp of one output of one kernel entry fails the load-time self-check."""
-        _native_dense_or_skip()
+        native_or_skip("dense")
+        unprobed(monkeypatch, "dense")
         shipped = getattr(dense_native.NativeDenseKernel, method)
 
         def one_ulp_off(self, *args):
@@ -1412,10 +1342,5 @@ class TestNativeDenseKernelBitwise:
             return result
 
         monkeypatch.setattr(dense_native.NativeDenseKernel, method, one_ulp_off)
-        monkeypatch.setattr(dense_native, "_dense_kernel", None)
-        monkeypatch.setattr(dense_native, "_dense_status", None)
-        assert (
-            dense_native.dense_kernel_status()
-            == "disabled: self-check mismatch against the numpy code"
-        )
-        assert dense_native.native_dense_kernel() is None
+        assert native.kernel("dense") is None
+        assert native.status()["dense"] == "disabled: self-check mismatch"

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import native
 from repro.errors import ConfigurationError
-from repro.utils import philox_native, rng as rng_module
-from repro.utils.rng import PhiloxStreams, RngFactory, idle_sampler_status, new_rng
+from repro.utils import rng as rng_module
+from repro.utils.rng import PhiloxStreams, RngFactory, new_rng
+from conftest import native_or_skip, unprobed
 
 
 class TestNewRng:
@@ -60,15 +62,14 @@ class TestRngFactory:
 
 class TestIdleSamplerStatus:
     @pytest.fixture
-    def unprobed(self, monkeypatch):
+    def philox_unprobed(self, monkeypatch):
         """The sampler is probed once per process; give the test its own probe."""
-        monkeypatch.setattr(rng_module, "_idle_kernel", None)
-        monkeypatch.setattr(rng_module, "_idle_status", None)
+        unprobed(monkeypatch, "philox")
 
-    def test_disabled_by_the_environment_names_the_variable(self, unprobed, monkeypatch):
+    def test_disabled_by_the_environment_names_the_variable(self, philox_unprobed, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-        assert idle_sampler_status() == "disabled: REPRO_DISABLE_NATIVE=1"
-        assert rng_module._native_idle_kernel() is None
+        assert native.kernel("philox") is None
+        assert native.status()["philox"] == "disabled: REPRO_DISABLE_NATIVE=1"
         # Disabled means "drawn by the numpy reference", never "no draws".
         streams = PhiloxStreams(3, 4, "disabled")
         counts = np.array([[4, 1, 9]] * 4, dtype=np.int64)
@@ -78,39 +79,27 @@ class TestIdleSamplerStatus:
         assert fired == int((draws > 0).sum()) > 0
         assert streams._cursors.tolist() == [2, 2, 2, 2]  # the one-core level skips
 
-    def test_ready_after_build_when_a_compiler_exists(self, unprobed, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
-        try:
-            philox_native.build()
-        except RuntimeError as exc:
-            pytest.skip(f"no compiler on this box: {exc}")
-        assert idle_sampler_status() == "ready"
-        assert rng_module._native_idle_kernel() is not None
-
-    def test_a_wrong_uniforms_entry_point_disables_both(self, unprobed, monkeypatch):
+    def test_a_wrong_uniforms_entry_point_disables_both(self, monkeypatch):
         """The self-check covers both entry points; one mismatch, no kernel."""
-        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
-        try:
-            philox_native.build()
-        except RuntimeError as exc:
-            pytest.skip(f"no compiler on this box: {exc}")
-        uniforms = philox_native.NativePhiloxIdleKernel.uniforms
+        native_or_skip("philox")
+        unprobed(monkeypatch, "philox")
+        uniforms = rng_module.NativePhiloxIdleKernel.uniforms
 
         def off_by_one_ulp(self, episodes, cursors, key0, key1):
             return np.nextafter(uniforms(self, episodes, cursors, key0, key1), 1.0)
 
-        monkeypatch.setattr(philox_native.NativePhiloxIdleKernel, "uniforms", off_by_one_ulp)
-        assert idle_sampler_status().startswith("disabled: self-check mismatch")
-        assert rng_module._native_idle_kernel() is None
+        monkeypatch.setattr(rng_module.NativePhiloxIdleKernel, "uniforms", off_by_one_ulp)
+        assert native.kernel("philox") is None
+        assert native.status()["philox"] == "disabled: self-check mismatch"
 
-    def test_failed_load_is_recorded_with_its_reason(self, unprobed, monkeypatch, tmp_path):
+    def test_failed_load_is_recorded_with_its_reason(self, philox_unprobed, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
         monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))  # nothing cached
         monkeypatch.delenv("CC", raising=False)
         monkeypatch.setenv("PATH", "")                           # no compiler found
-        status = idle_sampler_status()
+        assert native.kernel("philox") is None
+        status = native.status()["philox"]
         assert status.startswith("disabled: no compiler produced the philox_kernel")
-        assert rng_module._native_idle_kernel() is None
 
 
 class TestPhiloxUniforms:
@@ -200,9 +189,7 @@ class TestPhiloxLanes:
 
     def test_native_uniforms_equal_the_keystream(self):
         """Bit for bit, past 2**32 in both counter halves, any row order."""
-        kernel = rng_module._native_idle_kernel()
-        if kernel is None:
-            pytest.skip(f"native sampler {idle_sampler_status()}")
+        native_or_skip("philox")
         lanes = np.array([0, 3, 2**32 - 1, 2**32, 2**33 + 7, 2**63, 2**64 - 1], dtype=np.uint64)
         streams = PhiloxStreams(23, lanes, "native")
         streams._cursors[:] = np.array(

@@ -11,6 +11,8 @@ order — so a numpy upgrade that changes them fails loudly here instead
 of silently drifting a golden trace.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,8 +28,9 @@ from repro.storage import vector_state
 from repro.storage.simulator import StorageSimulator, StorageSystemConfig
 from repro.storage.vector_state import VectorSimulatorState
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
-from repro.utils import philox_native
+from repro import native
 from repro.utils.rng import PhiloxStreams
+from conftest import kernels_off, native_or_skip, unprobed
 
 
 def _batch_traces(real_traces, batch):
@@ -43,7 +46,7 @@ def _drive_and_compare(config, traces, seeds, action_seed=101):
     for unfinished slots, exactly like a collector would), and every
     per-interval quantity is compared bitwise.  The caller's ``kernel``
     fixture picks what steps both: the C kernel when it is ready, or the
-    reference loop under the ``numpy_simulator`` fixture.
+    reference loop with the kernel forced off.
     """
     batch = len(traces)
     state = VectorSimulatorState(config, record_metrics=False)
@@ -90,9 +93,8 @@ _KERNELS = pytest.mark.parametrize("kernel", ["native", "reference"], indirect=T
 @pytest.fixture
 def kernel(request):
     """The kernel a test steps with; the reference loop with native forced off."""
-    if request.param == "reference":
-        request.getfixturevalue("numpy_simulator")
-    return request.param
+    with kernels_off("simulator") if request.param == "reference" else contextlib.nullcontext():
+        yield request.param
 
 
 class TestKernelEquivalence:
@@ -183,12 +185,6 @@ _STATE_ARRAYS = (
 )
 
 
-def _native_or_skip():
-    status = vector_state.simulator_kernel_status()
-    if status != "ready":
-        pytest.skip(f"native simulator kernel {status}")
-
-
 @st.composite
 def _differential_case(draw):
     """A config with levels up to 15 wide, a batch and how to step it."""
@@ -222,7 +218,7 @@ class TestNativeKernel:
     @settings(max_examples=60, deadline=None)
     def test_every_array_after_every_step_matches_numpy(self, case):
         """Native and the reference loop, in lockstep."""
-        _native_or_skip()
+        native_or_skip("simulator")
         config, batch, record, philox, seed = case
         rng = np.random.default_rng(seed)
         traces = [
@@ -270,7 +266,7 @@ class TestNativeKernel:
     @settings(max_examples=150, deadline=None)
     def test_post_matches_numpy_on_dispatch_rows(self, rows):
         """Dispatch through the flags, on rows whose sums round by order."""
-        _native_or_skip()
+        native_or_skip("simulator")
         native = _state_on_the_eve_of_dispatch(rows)
         spec = _state_on_the_eve_of_dispatch(rows)
         truncated = native._kernel.post(native)
@@ -278,26 +274,9 @@ class TestNativeKernel:
         for name in _STATE_ARRAYS:
             assert getattr(native, name).tobytes() == getattr(spec, name).tobytes(), name
 
-    def test_status_is_ready_and_names_the_variable_when_forced_off(self, monkeypatch):
-        try:
-            philox_native.build(vector_state._KERNEL_SOURCE)
-        except RuntimeError as exc:
-            pytest.skip(f"no compiler on this box: {exc}")
-        monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
-        monkeypatch.setattr(vector_state, "_simulator_kernel", None)
-        monkeypatch.setattr(vector_state, "_simulator_status", None)
-        assert vector_state.simulator_kernel_status() == "ready"
-        monkeypatch.setattr(vector_state, "_simulator_kernel", None)
-        monkeypatch.setattr(vector_state, "_simulator_status", None)
-        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-        assert vector_state.simulator_kernel_status() == "disabled: REPRO_DISABLE_NATIVE=1"
-        state = VectorSimulatorState(StorageSystemConfig())
-        state.reset([WorkloadTrace("one", [WorkloadInterval.empty()])], rngs=[0])
-        assert state._kernel is None
-
     def test_a_kernel_that_differs_leaves_numpy_in_charge(self, monkeypatch):
         """One ulp of one backlog cell fails the load-time self-check."""
-        _native_or_skip()
+        native_or_skip("simulator")
         post = vector_state.NativeSimulatorKernel.post
 
         def one_ulp_off(self, state):
@@ -306,20 +285,17 @@ class TestNativeKernel:
             return truncated
 
         monkeypatch.setattr(vector_state.NativeSimulatorKernel, "post", one_ulp_off)
-        monkeypatch.setattr(vector_state, "_simulator_kernel", None)
-        monkeypatch.setattr(vector_state, "_simulator_status", None)
-        status = vector_state.simulator_kernel_status()
-        assert status == "disabled: self-check mismatch against the reference loop"
-        assert vector_state._native_simulator_kernel() is None
+        unprobed(monkeypatch, "simulator")
+        assert native.kernel("simulator") is None
+        assert native.status()["simulator"] == "disabled: self-check mismatch"
 
     def test_failed_load_is_recorded_with_its_reason(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
         monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))  # nothing cached
         monkeypatch.delenv("CC", raising=False)
         monkeypatch.setenv("PATH", "")                           # no compiler found
-        monkeypatch.setattr(vector_state, "_simulator_kernel", None)
-        monkeypatch.setattr(vector_state, "_simulator_status", None)
-        status = vector_state.simulator_kernel_status()
+        unprobed(monkeypatch, "simulator")
+        status = native.status()["simulator"]
         assert status.startswith("disabled: no compiler produced the sim_kernel")
 
     def test_idle_ranking_is_stable_in_every_kernel(self):
@@ -436,14 +412,15 @@ class TestBatchLifecycle:
                     seen.extend(group)
                 assert sorted(seen) == list(range(state.num_cores))
 
-    def test_index_helper_keeps_one_buffer(self, real_traces, numpy_simulator):
+    def test_index_helper_keeps_one_buffer(self, real_traces):
         """The migrating-row count ``m`` changes every interval and the
         migration kernel asks for ``arange(m)`` and ``arange(2 * m)``: the
         helper hands out read-only prefixes of one grow-only buffer, not one
         array per ``n`` ever asked for (a 4 096-slot shard would keep ~8 000)."""
         batch = 512
         state = VectorSimulatorState(StorageSystemConfig(), record_metrics=False)
-        state.reset(_batch_traces(real_traces, batch), rngs=list(range(batch)))
+        with kernels_off("simulator"):
+            state.reset(_batch_traces(real_traces, batch), rngs=list(range(batch)))
         helper, asked = state._arange, set()
         state._arange = lambda n: asked.add(n) or helper(n)
         rng = np.random.default_rng(9)
