@@ -37,7 +37,6 @@ def demo_spec() -> SweepSpec:
             "num_real_traces": 4,
             "num_eval_traces": 2,
             "bc_pretrain_epochs": 2,
-            "qbn_fine_tune_epochs": 2,
             "rollout_traces_for_extraction": 2,
             "qbn.epochs": 4,
         },

@@ -28,6 +28,13 @@ one trained through the ~26-node graph, and
 ``tests/test_nn_gru.py::TestFusedStepBitwise`` holds that graph as the
 oracle (``np.array_equal`` on outputs and on every gradient).
 
+No training path in the library builds a graph through that step: BC
+and A2C train through the sequence node below, and the QBN trainer's
+action term reads only ``policy_head``.  Two callers keep it:
+``RecurrentPolicyValueNet.step``, the chain that ``TestSequenceNodeBitwise``
+and the tests' ``op_by_op()`` hold every sequence node to, and
+``QBNTrainer.action_agreement``'s no-grad forward through ``policy.gru``.
+
 A whole sequence is one node too (:class:`Unrolled`, behind
 :class:`GRU` and ``RecurrentPolicyValueNet.unroll``).  Its backward runs
 steps ``T .. 1``, each ``h_t`` gradient the outside contribution plus

@@ -60,7 +60,6 @@ def small_pipeline_config(
         num_real_traces=num_real_traces,
         num_eval_traces=num_eval_traces,
         rollout_traces_for_extraction=5,
-        qbn_fine_tune_epochs=20,
         bc_pretrain_epochs=30,
         seed=seed,
     )

@@ -5,8 +5,8 @@ This is the paper's primary contribution packaged as a single object:
 1. synthesise standard workload traces and sample "real" traces;
 2. curriculum-train the recurrent A2C policy (standard -> real);
 3. roll out the trained policy to collect the transition dataset;
-4. train the observation/hidden QBNs (optionally fine-tuning them with
-   the policy in the loop);
+4. train the observation/hidden QBNs, each on reconstruction plus the
+   policy's action read from the reconstruction;
 5. extract, minimise and generalise the finite state machine;
 6. interpret the states (fan-in/fan-out and history profiles).
 
@@ -65,7 +65,6 @@ class PipelineConfig:
     num_real_traces: int = 50
     num_eval_traces: int = 10
     rollout_traces_for_extraction: int = 5
-    qbn_fine_tune_epochs: int = 0
     interpretation_window: int = 10
     bc_pretrain_epochs: int = 0
     seed: int = 0
@@ -83,8 +82,6 @@ class PipelineConfig:
             raise ConfigurationError("rollout_traces_for_extraction must be positive")
         if self.bc_pretrain_epochs < 0:
             raise ConfigurationError("bc_pretrain_epochs must be non-negative")
-        if self.qbn_fine_tune_epochs < 0:
-            raise ConfigurationError("qbn_fine_tune_epochs must be non-negative")
         if self.standard_trace_duration <= 0:
             raise ConfigurationError("standard_trace_duration must be positive")
         if self.interpretation_window <= 0:
@@ -246,9 +243,7 @@ class LearningAidedPipeline:
         dataset = TransitionDataset.from_trajectories(trajectories)
 
         qbn_trainer = QBNTrainer(self.config.qbn, rng=self._rngs.get("qbn"))
-        qbn_result = qbn_trainer.train(
-            dataset, policy=policy, fine_tune_epochs=self.config.qbn_fine_tune_epochs
-        )
+        qbn_result = qbn_trainer.train(dataset, policy)
 
         extractor = FSMExtractor(
             qbn_result.observation_qbn, qbn_result.hidden_qbn, self.config.extraction

@@ -218,6 +218,10 @@ def _run_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     training real traces that the greedy policy reproduces;
     ``fsm_observations`` and ``fsm_fallback_share`` are read from the
     compiled tables after the held-out fidelity run.
+    ``qbn_action_agreement`` is the share of the QBN dataset's steps
+    whose action survives both reconstructions, and
+    ``observation_code_agreement`` the share whose action is the majority
+    action of its observation code.
     """
     from repro.agents.default import DefaultPolicy
     from repro.agents.greedy import GreedyUtilizationPolicy
@@ -225,6 +229,7 @@ def _run_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     from repro.drl.imitation import BehaviorCloningTrainer
     from repro.pipeline.experiments import small_pipeline_config
     from repro.pipeline.learning_aided import LearningAidedPipeline
+    from repro.qbn.trainer import QBNTrainer
 
     config = apply_overrides(small_pipeline_config(seed=seed), params)
     pipeline = LearningAidedPipeline(config)
@@ -243,6 +248,7 @@ def _run_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         result.real_traces[: -config.num_eval_traces],
         episode_seed=seed,
     )
+    dataset = result.transition_dataset
     metrics: Dict[str, Any] = {
         "train_epochs": len(result.training_history),
         "train_final_makespan": float(result.training_history.makespans()[-1]),
@@ -252,6 +258,11 @@ def _run_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         "teacher_agreement": BehaviorCloningTrainer.evaluate_accuracy(result.policy, demos),
         "eval_traces": len(result.eval_traces),
         "fsm_compiled_identical": fidelity.identical,
+        "qbn_action_agreement": result.qbn_result.action_agreement,
+        "observation_code_agreement": QBNTrainer.code_agreement(
+            result.qbn_result.observation_qbn.discrete_code(dataset.observations),
+            dataset.actions,
+        ),
     }
     for name, evaluation in comparison.items():
         metrics[f"{name}/mean_makespan"] = evaluation.mean_makespan()

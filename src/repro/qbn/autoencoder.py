@@ -198,12 +198,6 @@ class QuantizedBottleneckNetwork(Module):
         """Numpy reconstruction (no gradient tracking)."""
         return self._decode_np(self.encode(x).data)[1]
 
-    def reconstruction_error(self, x: np.ndarray) -> float:
-        """Mean squared reconstruction error over a batch."""
-        x = np.asarray(x, dtype=float)
-        recon = self.reconstruct(x)
-        return float(np.mean((recon - x) ** 2))
-
 
 def build_observation_qbn(
     observation_dim: int,

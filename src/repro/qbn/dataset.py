@@ -9,12 +9,11 @@ reconstruction error."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.errors import ExtractionError
-from repro.utils.rng import SeedLike, new_rng
 
 if TYPE_CHECKING:
     from repro.drl.rollout import Trajectory
@@ -92,50 +91,3 @@ class TransitionDataset:
             episode_ids=np.concatenate(episodes),
             step_ids=np.concatenate(steps),
         )
-
-    # ------------------------------------------------------------------
-    # Mini-batching
-    # ------------------------------------------------------------------
-    def batches(
-        self, field: str, batch_size: int, rng: SeedLike = None, shuffle: bool = True
-    ) -> Iterator[np.ndarray]:
-        """Yield mini-batches of one array field (e.g. ``"observations"``)."""
-        if batch_size <= 0:
-            raise ExtractionError(f"batch_size must be positive, got {batch_size}")
-        data = getattr(self, field)
-        indices = np.arange(len(self))
-        if shuffle:
-            new_rng(rng).shuffle(indices)
-        for start in range(0, len(self), batch_size):
-            yield data[indices[start : start + batch_size]]
-
-    def split(self, fraction: float, rng: SeedLike = None) -> Tuple["TransitionDataset", "TransitionDataset"]:
-        """Random split into (train, held-out) datasets by row."""
-        if not 0.0 < fraction < 1.0:
-            raise ExtractionError(f"fraction must be in (0, 1), got {fraction}")
-        indices = np.arange(len(self))
-        new_rng(rng).shuffle(indices)
-        cut = int(round(fraction * len(self)))
-        cut = min(max(cut, 1), len(self) - 1)
-        first, second = indices[:cut], indices[cut:]
-        return self._subset(first), self._subset(second)
-
-    def _subset(self, indices: np.ndarray) -> "TransitionDataset":
-        return TransitionDataset(
-            observations=self.observations[indices],
-            raw_observations=self.raw_observations[indices],
-            hidden_before=self.hidden_before[indices],
-            hidden_after=self.hidden_after[indices],
-            actions=self.actions[indices],
-            episode_ids=self.episode_ids[indices],
-            step_ids=self.step_ids[indices],
-        )
-
-    def episodes(self) -> List[np.ndarray]:
-        """Row indices of each episode, in step order."""
-        result = []
-        for episode_id in np.unique(self.episode_ids):
-            rows = np.where(self.episode_ids == episode_id)[0]
-            rows = rows[np.argsort(self.step_ids[rows])]
-            result.append(rows)
-        return result

@@ -226,7 +226,6 @@ def tiny_sweep_base() -> dict:
         "sampler.min_snippet_length": 4,
         "sampler.max_snippet_length": 6,
         "bc_pretrain_epochs": 0,
-        "qbn_fine_tune_epochs": 0,
         "rollout_traces_for_extraction": 1,
         "qbn.epochs": 1,
         "qbn.observation_latent_dim": 4,

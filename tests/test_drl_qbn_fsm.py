@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.agents import GreedyUtilizationPolicy
-from repro.autograd import functional as F
 from repro.drl.a2c import A2CConfig, A2CTrainer, TrainingHistory
 from repro.drl.agent import DRLPolicyAgent
 from repro.drl.checkpoints import load_policy, save_policy
@@ -34,7 +33,7 @@ from repro.fsm.interpretation import (
 from repro.fsm.machine import FiniteStateMachine
 from repro.fsm.minimize import merge_equivalent_states, prune_rare_states
 from repro.fsm.render import fsm_summary_table, fsm_to_dot
-from repro.optim import Adam, clip_grad_norm
+from repro.optim import clip_grad_norm
 from repro.pipeline.evaluation import compare_agents, comparison_table, evaluate_agent, relative_reduction
 from repro.qbn.autoencoder import QBNConfig, QuantizedBottleneckNetwork
 from repro.qbn.dataset import TransitionDataset
@@ -286,7 +285,6 @@ class TestQBNAutoencoderAndTrainer:
         qbn = QuantizedBottleneckNetwork(QBNConfig(input_dim=6, latent_dim=4, hidden_dim=8), rng=0)
         data = np.random.default_rng(0).random((10, 6))
         assert qbn.reconstruct(data).shape == (10, 6)
-        assert qbn.reconstruction_error(data) >= 0.0
 
     def test_discrete_code_shape(self):
         qbn = QuantizedBottleneckNetwork(QBNConfig(input_dim=6, latent_dim=4, hidden_dim=8), rng=0)
@@ -306,10 +304,6 @@ class TestQBNAutoencoderAndTrainer:
         assert len(dataset) == len(trajectories[0])
         assert dataset.observation_dim == 35
         assert dataset.hidden_dim == 16
-        train, held = dataset.split(0.8, rng=0)
-        assert len(train) + len(held) == len(dataset)
-        episodes = dataset.episodes()
-        assert len(episodes) == 1
 
     def test_dataset_validation(self):
         with pytest.raises(ExtractionError):
@@ -325,53 +319,68 @@ class TestQBNAutoencoderAndTrainer:
         with pytest.raises(ConfigurationError, match="autoencoder_hidden_dim"):
             QBNTrainingConfig(autoencoder_hidden_dim=width)
 
-    def test_negative_fine_tune_epochs_are_refused(self, tiny_policy):
-        """They used to skip the fine-tune without a word."""
+    def test_the_action_term_keeps_a_low_variance_decision_column(self, tiny_policy):
+        """The action is the sign of one quiet column among 34 loud ones:
+        a reconstruction-only book spends its two latents on the noise,
+        one trained on the action too keeps the decision."""
         rng = np.random.default_rng(0)
-        observations = rng.standard_normal((6, tiny_policy.config.observation_dim))
-        hidden = rng.standard_normal((7, tiny_policy.config.hidden_size))
+        rows = 512
+        observations = rng.standard_normal((rows, tiny_policy.config.observation_dim))
+        observations[:, 0] *= 0.1
+        actions = (observations[:, 0] > 0).astype(np.int64)
+        hidden = np.tanh(rng.standard_normal((rows + 1, tiny_policy.config.hidden_size)))
         dataset = TransitionDataset(
             observations=observations,
+            raw_observations=observations,
             hidden_before=hidden[:-1],
             hidden_after=hidden[1:],
-            actions=np.zeros(6, dtype=np.int64),
-            raw_observations=observations,
-            episode_ids=np.zeros(6, dtype=np.int64),
-            step_ids=np.arange(6),
+            actions=actions,
+            episode_ids=np.zeros(rows, dtype=np.int64),
+            step_ids=np.arange(rows),
         )
-        trainer = QBNTrainer(QBNTrainingConfig(epochs=1, autoencoder_hidden_dim=4), rng=0)
-        with pytest.raises(TrainingError, match="fine_tune_epochs"):
-            trainer.train(dataset, policy=tiny_policy, fine_tune_epochs=-1)
+        config = QBNTrainingConfig(
+            epochs=20, batch_size=64, learning_rate=1e-2, observation_latent_dim=2,
+            hidden_latent_dim=2, autoencoder_hidden_dim=16,
+        )
+
+        def code_agreement():
+            result = QBNTrainer(config, rng=0).train(dataset, tiny_policy)
+            codes = result.observation_qbn.discrete_code(observations)
+            return QBNTrainer.code_agreement(codes, actions)
+
+        assert code_agreement() >= 0.9
+        with mock.patch("repro.qbn.trainer.ACTION_WEIGHT", 0.0):
+            assert code_agreement() < 0.7
+
+    def test_code_agreement_is_the_majority_share(self):
+        codes = np.array([[0, 1], [0, 1], [0, 1], [2, 2], [2, 2], [1, 0]])
+        actions = np.array([3, 3, 5, 0, 1, 6])
+        assert QBNTrainer.code_agreement(codes, actions) == 4 / 6
 
 
 class _UnfrozenQBNTrainer(QBNTrainer):
-    """Fine-tuning as it ran before it froze the policy: every backward
-    also sums into the policy's parameters, which no optimizer reads."""
+    """The hidden book's loop with the policy left trainable: the head's
+    parameters stay out of the optimizer, but every backward also sums
+    into them."""
 
-    def _fine_tune(self, observation_qbn, hidden_qbn, policy, dataset, epochs):
-        parameters = observation_qbn.parameters() + hidden_qbn.parameters()
-        optimizer = Adam(parameters, lr=self.config.learning_rate)
-        losses = []
-        indices = np.arange(len(dataset))
-        for _ in range(epochs):
-            self._rng.shuffle(indices)
-            epoch_losses = []
-            for start in range(0, len(dataset), self.config.batch_size):
-                rows = indices[start : start + self.config.batch_size]
-                reconstructed_obs = observation_qbn(Tensor(dataset.observations[rows]))
-                reconstructed_hidden = hidden_qbn(Tensor(dataset.hidden_before[rows]))
-                next_hidden = policy.gru(reconstructed_obs, reconstructed_hidden)
-                loss = F.cross_entropy(policy.policy_head(next_hidden), dataset.actions[rows])
-                optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(parameters, self.config.grad_clip_norm)
-                optimizer.step()
-                epoch_losses.append(loss.item())
-            losses.append(float(np.mean(epoch_losses)))
-        return losses
+    def _train_autoencoder(self, qbn, data, head, labels):
+        frozen = [param for param in head.parameters() if not param.requires_grad]
+        if not frozen:
+            return super()._train_autoencoder(qbn, data, head, labels)
+        for param in frozen:
+            param.requires_grad = True
+        try:
+            with mock.patch.object(head, "parameters", return_value=[]):
+                return super()._train_autoencoder(qbn, data, head, labels)
+        finally:
+            for param in frozen:
+                param.requires_grad = False
 
 
 class TestQBNFineTuneFreezesThePolicy:
+    """The action term is the QBNs' fine-tune with the policy in the loop:
+    the hidden book trains through ``policy.policy_head``, frozen."""
+
     CONFIG = QBNTrainingConfig(
         epochs=2, batch_size=4, observation_latent_dim=4, hidden_latent_dim=4,
         autoencoder_hidden_dim=8,
@@ -397,40 +406,32 @@ class TestQBNFineTuneFreezesThePolicy:
 
     def test_policy_gradients_are_left_alone(self, trained_policy, dataset):
         before = [(param.grad, param.grad.tobytes()) for param in trained_policy.parameters()]
-        result = QBNTrainer(self.CONFIG, rng=7).train(
-            dataset, policy=trained_policy, fine_tune_epochs=2
-        )
-        assert len(result.fine_tune_losses) == 2
+        result = QBNTrainer(self.CONFIG, rng=7).train(dataset, trained_policy)
+        assert len(result.hidden_losses) == 2
         for param, (grad, data) in zip(trained_policy.parameters(), before):
             assert param.grad is grad and param.grad.tobytes() == data
             assert param.requires_grad
 
     def test_flags_restored_when_the_loop_raises(self, trained_policy, dataset, monkeypatch):
-        def fail(*args, **kwargs):
-            raise RuntimeError("clip failed")
+        def fail_in_the_hidden_book(parameters, max_norm):
+            if not trained_policy.policy_head.weight.requires_grad:
+                raise RuntimeError("clip failed")
+            return clip_grad_norm(parameters, max_norm)
 
-        monkeypatch.setattr("repro.qbn.trainer.clip_grad_norm", fail)
+        monkeypatch.setattr("repro.qbn.trainer.clip_grad_norm", fail_in_the_hidden_book)
         trained_policy.value_head.bias.requires_grad = False  # restored as found, not to True
         trainer = QBNTrainer(replace(self.CONFIG, epochs=1), rng=7)
         with pytest.raises(RuntimeError, match="clip failed"):
-            trainer._fine_tune(
-                QuantizedBottleneckNetwork(QBNConfig(dataset.observation_dim, 4, 8), rng=0),
-                QuantizedBottleneckNetwork(QBNConfig(dataset.hidden_dim, 4, 8), rng=1),
-                trained_policy, dataset, epochs=1,
-            )
+            trainer.train(dataset, trained_policy)
         flags = {name: p.requires_grad for name, p in trained_policy.named_parameters()}
         assert flags.pop("value_head.bias") is False
         assert all(flags.values()) and len(flags) == 12
 
     def test_qbns_learn_the_same_bytes_as_the_unfrozen_loop(self, trained_policy, dataset):
         frozen_policy, unfrozen_policy = trained_policy, copy.deepcopy(trained_policy)
-        frozen = QBNTrainer(self.CONFIG, rng=7).train(
-            dataset, policy=frozen_policy, fine_tune_epochs=2
-        )
-        unfrozen = _UnfrozenQBNTrainer(self.CONFIG, rng=7).train(
-            dataset, policy=unfrozen_policy, fine_tune_epochs=2
-        )
-        assert frozen.fine_tune_losses == unfrozen.fine_tune_losses
+        frozen = QBNTrainer(self.CONFIG, rng=7).train(dataset, frozen_policy)
+        unfrozen = _UnfrozenQBNTrainer(self.CONFIG, rng=7).train(dataset, unfrozen_policy)
+        assert frozen.hidden_losses == unfrozen.hidden_losses
         for ours, theirs in (
             (frozen.observation_qbn, unfrozen.observation_qbn),
             (frozen.hidden_qbn, unfrozen.hidden_qbn),
@@ -439,11 +440,18 @@ class TestQBNFineTuneFreezesThePolicy:
                 ours.named_parameters(), theirs.named_parameters()
             ):
                 assert param.data.tobytes() == reference.data.tobytes(), name
-        # ... while the unfrozen loop did pile gradients onto the policy.
-        assert any(
+        assert self._bytes(frozen_policy) == self._bytes(unfrozen_policy)
+        # ... while the unfrozen loop did pile gradients onto the head.
+        assert all(
             not np.array_equal(a.grad, b.grad)
-            for a, b in zip(frozen_policy.gru.parameters(), unfrozen_policy.gru.parameters())
+            for a, b in zip(
+                frozen_policy.policy_head.parameters(), unfrozen_policy.policy_head.parameters()
+            )
         )
+
+    @staticmethod
+    def _bytes(module):
+        return [param.data.tobytes() for param in module.parameters()]
 
 
 # ----------------------------------------------------------------------

@@ -419,7 +419,8 @@ class TestFusedStepBitwise:
     @pytest.mark.parametrize("hidden", [4, 12, 48])
     @pytest.mark.parametrize("freeze", [False, True])
     def test_step_under_fine_tune_loss(self, hidden, freeze):
-        """Cross-entropy with QBN reconstructions as ``x`` and ``h`` (``QBNTrainer._fine_tune``)."""
+        """Cross-entropy through a step fed QBN reconstructions as ``x`` and
+        ``h``, the QBN-inserted step whose forward ``QBNTrainer.action_agreement`` runs."""
         rng = np.random.default_rng(hidden)
         rows = 11
         observations = rng.standard_normal((rows, 9))
@@ -790,11 +791,11 @@ class TestSequenceNodeBitwise:
 
 
 class TestTrainingBitwiseDifferential:
-    """Two BC epochs and one A2C epoch train a policy; two epochs of QBN
-    training and two of fine-tuning (each ending on a ragged minibatch)
-    train its QBNs.  ``op_by_op()`` is the oracle: the chain of ``step``
-    nodes for ``unroll``, the eight-node QBN chain and a per-parameter
-    Adam."""
+    """Two BC epochs and one A2C epoch train a policy; two epochs of each
+    QBN's loop, reconstruction plus the action term (each ending on a
+    ragged minibatch), train its QBNs.  ``op_by_op()`` is the oracle: the
+    chain of ``step`` nodes for ``unroll``, the eight-node QBN chain, the
+    heads' op-by-op ``Linear`` and a per-parameter Adam."""
 
     @staticmethod
     def _train_policy(system_config, traces):
@@ -821,7 +822,7 @@ class TestTrainingBitwiseDifferential:
         )
         # Every QBN loop ends on a short minibatch.
         assert len(dataset) % 7 and 2 * len(dataset) % 7
-        return QBNTrainer(qbn_config, rng=2).train(dataset, policy=policy, fine_tune_epochs=2)
+        return QBNTrainer(qbn_config, rng=2).train(dataset, policy)
 
     @staticmethod
     def _learned(**modules):
@@ -864,8 +865,8 @@ class TestTrainingBitwiseDifferential:
             )
 
     def test_qbn_fine_tune_and_adam_learn_the_oracle_bytes(self, system_config, real_traces):
-        """From one trained policy, QBN training and fine-tuning as shipped
-        and op by op leave every QBN parameter byte-equal."""
+        """From one trained policy, QBN training with its action term as
+        shipped and op by op leaves every QBN parameter byte-equal."""
         import copy
 
         traces = list(real_traces[:2])

@@ -13,6 +13,7 @@ from repro.env.environment import StorageAllocationEnv
 from repro.errors import ConfigurationError
 from repro.pipeline.experiments import small_pipeline_config
 from repro.pipeline.learning_aided import LearningAidedPipeline, PipelineConfig
+from repro.pipeline.sweep import apply_overrides
 
 
 class TestPipelineRunArtifacts:
@@ -68,10 +69,11 @@ class TestExperimentHelpers:
         with pytest.raises(ConfigurationError, match="smaller than num_real_traces"):
             PipelineConfig(num_real_traces=3, num_eval_traces=3).validate()
 
-    def test_negative_fine_tune_epochs_are_refused(self):
-        """They used to pass and silently skip the fine-tune."""
+    def test_the_removed_fine_tune_field_is_refused(self):
+        """The QBNs' action term replaced the separate fine-tune stage and
+        its knob; a spec written for it fails loudly instead of doing nothing."""
         with pytest.raises(ConfigurationError, match="qbn_fine_tune_epochs"):
-            PipelineConfig(qbn_fine_tune_epochs=-5).validate()
+            apply_overrides(small_pipeline_config(), {"qbn_fine_tune_epochs": 0})
 
     def test_run_rejects_supplied_traces_without_a_disjoint_training_trace(
         self, tiny_pipeline_config, real_traces

@@ -403,6 +403,8 @@ class TestSweepExecution:
         assert metrics["fsm_observations"] >= 1
         assert 0.0 <= metrics["fsm_fallback_share"] <= 1.0
         assert 0.0 <= metrics["teacher_agreement"] <= 1.0
+        assert 0.0 <= metrics["qbn_action_agreement"] <= 1.0
+        assert 0.0 < metrics["observation_code_agreement"] <= 1.0
         assert metrics["eval_traces"] == 1
         assert metrics["fsm_compiled_identical"] is True
         for agent in ("default", "handcrafted_fsm", "greedy_utilization",
