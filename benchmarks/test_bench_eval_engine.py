@@ -140,7 +140,7 @@ def test_bench_eval_engine(tmp_path):
         "backend": "compiled_fsm",
         "baseline_backend": "sequential_interpreted",
         "kernel": "numpy",
-        "rng_family": "legacy",
+        "rng_family": "philox",
         "traces": len(eval_traces),
         "duration": DURATION,
         "rounds": ROUNDS,

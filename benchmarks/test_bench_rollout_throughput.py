@@ -90,7 +90,7 @@ def test_bench_rollout_throughput(tmp_path):
         "hidden_size": 128,
         "rounds": ROUNDS,
         "kernel": "numpy",
-        "rng_family": "legacy",
+        "rng_family": "philox",
         "sequential_steps_per_s": round(best_sequential, 1),
         "batched_steps_per_s": round(best_batched, 1),
         "speedup": round(best_batched / best_sequential, 2),

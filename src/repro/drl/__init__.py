@@ -18,7 +18,6 @@ from repro.drl.rollout import (
     BatchedRolloutCollector,
     Trajectory,
     TrajectoryBatch,
-    derive_episode_streams,
 )
 from repro.drl.a2c import A2CConfig, A2CTrainer, EpochRecord, TrainingHistory
 from repro.drl.curriculum import CurriculumConfig, CurriculumTrainer
@@ -32,7 +31,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryBatch",
     "BatchedRolloutCollector",
-    "derive_episode_streams",
     "A2CConfig",
     "A2CTrainer",
     "EpochRecord",

@@ -11,14 +11,16 @@ from repro.drl.policy import RecurrentPolicyValueNet
 from repro.env.observation import Observation, ObservationEncoder
 from repro.errors import ConfigurationError
 from repro.storage.migration import MigrationAction
-from repro.utils.rng import SeedLike, new_rng
+from repro.utils.rng import ACTION_DOMAIN, SeedLike, episode_lanes, episode_seed
 
 
 class DRLPolicyAgent(Agent):
     """Greedy (deterministic) controller backed by the trained GRU policy.
 
     The agent keeps the GRU hidden state across an episode and resets it
-    at episode boundaries, matching how the policy was trained.
+    at episode boundaries, matching how the policy was trained.  With
+    ``epsilon > 0`` it explores on the action lane of the episode seed
+    ``rng`` names, one lane across all its episodes.
     """
 
     name = "gru_drl"
@@ -35,7 +37,7 @@ class DRLPolicyAgent(Agent):
         if not 0.0 <= epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
         self.epsilon = float(epsilon)
-        self._rng = new_rng(rng)
+        self._streams = episode_lanes([episode_seed(rng)], ACTION_DOMAIN)
         self._hidden: Optional[np.ndarray] = None
 
     def reset(self) -> None:
@@ -46,7 +48,7 @@ class DRLPolicyAgent(Agent):
             self.reset()
         normalized = self.encoder.normalize(observation)
         output = self.policy.act_batch(
-            normalized[None], self._hidden[None], rngs=[self._rng], epsilon=self.epsilon
+            normalized[None], self._hidden[None], self._streams.uniforms, epsilon=self.epsilon
         )
         self._hidden = output.hidden_states[0]
         return MigrationAction(int(output.actions[0]))

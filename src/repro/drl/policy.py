@@ -8,7 +8,7 @@ scalar state-value estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence, Tuple, Union
+from typing import Callable, ClassVar, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class BatchedPolicyStepOutput:
     """Result of one lockstep policy step over a batch of B environments.
 
     Row ``i`` is bit-identical to the same row stepped alone (B = 1)
-    with the same generator.
+    on the same Philox lane.
     """
 
     actions: np.ndarray         # (B,) int
@@ -169,47 +169,54 @@ class RecurrentPolicyValueNet(Module):
         self,
         observations: np.ndarray,
         hiddens: np.ndarray,
-        rngs: Optional[Sequence[np.random.Generator]] = None,
+        uniforms: Optional[Callable[[], np.ndarray]] = None,
         epsilon: float = 0.0,
         greedy: bool = True,
     ) -> BatchedPolicyStepOutput:
         """One lockstep inference step for B environments (one GRU matmul batch).
 
-        ``rngs`` holds one generator per row.  Each is consumed as its row
-        alone would consume it — a sampling draw unless ``greedy``, then,
-        with ``epsilon > 0``, an exploration draw and, when that fires, a
-        uniformly random replacement action (the paper's epsilon-greedy
-        exploration) — so row ``i`` of a B-row call equals that row at
-        B = 1 with the same generator.  Greedy steps with ``epsilon == 0``
-        draw nothing and may omit ``rngs``.
+        ``uniforms()`` returns one uniform in [0, 1) per row, a
+        ``PhiloxStreams.uniforms`` over one lane per row.  A step calls it
+        once to sample unless ``greedy``, then, with ``epsilon > 0``,
+        twice more: an exploration draw and a uniformly random replacement
+        action (the paper's epsilon-greedy exploration).  Every draw is an
+        inverse-CDF draw and a lane's values depend on its own cursor
+        only, so row ``i`` of a B-row call equals that row at B = 1 on the
+        same lane.  Greedy steps with ``epsilon == 0`` draw nothing and
+        may omit ``uniforms``.
         """
         if not 0.0 <= epsilon <= 1.0:
             raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
+        if uniforms is None and (not greedy or epsilon > 0.0):
+            raise ConfigurationError("act_batch needs one uniform per row to sample or explore")
         logits, values, next_hiddens = self.forward_np(observations, hiddens)
         batch = logits.shape[0]
-        if rngs is None:
-            if not greedy or epsilon > 0.0:
+
+        def draw() -> np.ndarray:
+            rows = uniforms()
+            if rows.shape != (batch,):
                 raise ConfigurationError(
-                    "act_batch needs one generator per row to sample or explore"
+                    f"act_batch got {rows.shape[0]} uniforms for a batch of {batch}"
                 )
-        elif len(rngs) != batch:
-            raise ConfigurationError(f"act_batch got {len(rngs)} rngs for a batch of {batch}")
+            return rows
+
         log_probs = log_softmax_np(logits, axis=-1)
         probs = np.exp(log_probs)
         probs /= probs.sum(axis=-1, keepdims=True)
+        num_actions = self.config.num_actions
         if greedy:
             actions = np.argmax(probs, axis=1)
         else:
-            # One uniform draw per row inverted through the row's CDF (a
-            # row of the axis-1 cumsum is the cumsum of the row): the
-            # count of cdf entries <= draw is searchsorted(side="right").
+            # Each row's uniform inverted through the row's CDF (a row of
+            # the axis-1 cumsum is the cumsum of the row): the count of
+            # cdf entries <= draw is searchsorted(side="right").
             cdfs = np.cumsum(probs, axis=-1)
-            draws = np.array([rng.random() for rng in rngs]) * cdfs[:, -1]
-            actions = np.minimum((cdfs <= draws[:, None]).sum(axis=1), self.config.num_actions - 1)
+            draws = draw() * cdfs[:, -1]
+            actions = np.minimum((cdfs <= draws[:, None]).sum(axis=1), num_actions - 1)
         if epsilon > 0.0:
-            explore = np.array([rng.random() for rng in rngs])
-            for k in np.nonzero(explore < epsilon)[0].tolist():
-                actions[k] = int(rngs[k].integers(self.config.num_actions))
+            explore = draw() < epsilon
+            replacement = np.minimum((draw() * num_actions).astype(np.int64), num_actions - 1)
+            actions = np.where(explore, replacement, actions)
         return BatchedPolicyStepOutput(
             actions=actions,
             log_probs=log_probs,

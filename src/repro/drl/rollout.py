@@ -12,18 +12,17 @@ episodes in lockstep on a
 GRU forward pass serves every environment per interval.  The loop is the
 evaluation engine's (:func:`~repro.engine.evaluation.run_lockstep`); the
 collector only decides through a backend that records what the policy
-saw and did, and cuts the trajectories from those records.  An episode's
-trajectory depends on its own rng streams (see
-:func:`derive_episode_streams`) and never on the batch it ran in, so the
-sequential view is the B = 1 call and any chunking of an episode list —
-one at a time, one lockstep batch, or slices of the streams collected
-separately — returns the same bits.
+saw and did, and cuts the trajectories from those records.  A
+collector runs its episodes on consecutive episode seeds from the one
+its ``rng`` names, and a trajectory depends on its seed's Philox lanes
+(:func:`~repro.utils.rng.episode_lanes`), never on its batch: one
+episode per call, one lockstep batch or any slices return the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from repro.engine.sessions import SessionTable
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import TrainingError
 from repro.storage.workload import WorkloadTrace
-from repro.utils.rng import SeedLike, new_rng
+from repro.utils.rng import ACTION_DOMAIN, PhiloxStreams, SeedLike, episode_lanes, episode_seed
 
 
 class Trajectory:
@@ -194,40 +193,19 @@ class TrajectoryBatch:
         return returns
 
 
-def derive_episode_streams(
-    base_seed: int, count: int
-) -> Tuple[List[np.random.Generator], List[np.random.Generator]]:
-    """Per-episode (environment, action) rng stream pairs from one seed.
-
-    Episode ``i`` gets ``SeedSequence(base_seed).spawn(count)[i]``, split
-    once more into the simulator stream and the action-sampling stream.
-    The streams belong to the episode, not to the batch it runs in,
-    which is what makes any chunking of a collection reproducible.
-    """
-    if count <= 0:
-        raise TrainingError(f"count must be positive, got {count}")
-    episode_rngs: List[np.random.Generator] = []
-    action_rngs: List[np.random.Generator] = []
-    for child in np.random.SeedSequence(base_seed).spawn(count):
-        env_seq, action_seq = child.spawn(2)
-        episode_rngs.append(np.random.default_rng(env_seq))
-        action_rngs.append(np.random.default_rng(action_seq))
-    return episode_rngs, action_rngs
-
-
 class _RecordingBackend(GRUPolicyBackend):
     """The collector's policy: ``act_batch`` on each episode's own action
-    stream, keeping the rows, hidden-before and output of every call."""
+    lane, keeping the rows, hidden-before and output of every call."""
 
     def __init__(
         self,
         policy: RecurrentPolicyValueNet,
-        rngs: List[np.random.Generator],
+        streams: PhiloxStreams,
         epsilon: float,
         greedy: bool,
     ) -> None:
         super().__init__(policy)
-        self.rngs = rngs
+        self.streams = streams
         self.epsilon = epsilon
         self.greedy = greedy
         # One (episode rows, normalised, raw, hidden before, output) per call.
@@ -247,11 +225,12 @@ class _RecordingBackend(GRUPolicyBackend):
     ) -> np.ndarray:
         rows = self.episode_of[slots]
         hidden = table.hidden[slots]
-        rngs = self.rngs  # every episode live: rows is 0 .. N - 1
-        if rows.shape[0] != len(rngs):
-            rngs = [rngs[row] for row in rows.tolist()]
         output = self.policy.act_batch(
-            normalized, hidden, rngs=rngs, epsilon=self.epsilon, greedy=self.greedy
+            normalized,
+            hidden,
+            lambda: self.streams.uniforms(rows),
+            epsilon=self.epsilon,
+            greedy=self.greedy,
         )
         table.hidden[slots] = output.hidden_states
         self.calls.append((rows, normalized, raw, hidden, output))
@@ -270,7 +249,7 @@ class BatchedRolloutCollector:
 
     def __init__(self, vector_env: VectorStorageAllocationEnv, rng: SeedLike = None) -> None:
         self.vector_env = vector_env
-        self._rng = new_rng(rng)
+        self._next_seed = episode_seed(rng)
         self._tracer = telemetry.tracer()
         metrics = telemetry.registry()
         self._m_batches = metrics.counter(
@@ -289,41 +268,25 @@ class BatchedRolloutCollector:
         traces: Sequence[WorkloadTrace],
         epsilon: float = 0.0,
         greedy: bool = False,
-        episode_rngs: Optional[Sequence[SeedLike]] = None,
-        action_rngs: Optional[Sequence[SeedLike]] = None,
     ) -> List[Trajectory]:
         """Run one lockstep episode per trace and return the trajectories.
 
-        When the rng streams are not supplied they are derived from this
-        collector's generator via :func:`derive_episode_streams`; a
-        one-trace call with slot ``i``'s streams reproduces that slot
-        bit-for-bit, and a slice of the streams reproduces that slice of
-        the episodes.
+        The episodes take this collector's next ``len(traces)`` episode
+        seeds, so ``k`` one-trace calls reproduce one ``k``-trace call
+        bit for bit, and so do its slices collected in order.
         """
         traces = list(traces)
         if not traces:
             raise TrainingError("collect_batch() needs at least one trace")
         batch = len(traces)
-        if episode_rngs is None or action_rngs is None:
-            # Derive whichever stream set was not supplied from this
-            # collector's generator so a seeded collector stays
-            # deterministic even with partially supplied streams.
-            base_seed = int(self._rng.integers(np.iinfo(np.int64).max))
-            derived_episode, derived_action = derive_episode_streams(base_seed, batch)
-            episode_rngs = derived_episode if episode_rngs is None else episode_rngs
-            action_rngs = derived_action if action_rngs is None else action_rngs
-        episode_rngs = list(episode_rngs)
-        if len(episode_rngs) != batch or len(action_rngs) != batch:
-            raise TrainingError(
-                f"need one episode/action rng per trace, got {len(episode_rngs)}/"
-                f"{len(action_rngs)} for {batch} traces"
-            )
+        seeds = range(self._next_seed, self._next_seed + batch)
+        self._next_seed += batch
         recorder = _RecordingBackend(
-            policy, [new_rng(r) for r in action_rngs], epsilon, greedy
+            policy, episode_lanes(seeds, ACTION_DOMAIN), epsilon, greedy
         )
         with self._tracer.span("rollout.collect_batch", traces=batch) as rollout_span:
             rewards, makespans, truncated = run_lockstep(
-                self.vector_env, [recorder], traces, episode_rngs
+                self.vector_env, [recorder], traces, seeds
             )
             steps = rewards.shape[0]
             rollout_span.set("steps", steps)

@@ -10,14 +10,15 @@ runs at compiled-table speed.
 
 Several backends share one batch (:meth:`EvaluationEngine.evaluate_many`),
 each stepping its own copy of the trace set.  The loop itself is
-:func:`run_lockstep`, which runs on any vector env with any per-row
-reset streams: rollout collection
+:func:`run_lockstep`, which runs on any vector env with one episode seed
+per trace: rollout collection
 (:class:`~repro.drl.rollout.BatchedRolloutCollector`) runs it too, with
 a backend that records what the policy saw and did.  Bit-identity contract:
 slot ``i`` of a copy reproduces the same episode run alone
 (:func:`~repro.pipeline.evaluation.evaluate_agent`, the B = 1 call of
 this engine) and a scalar ``StorageAllocationEnv`` loop exactly — it
-is seeded ``episode_seed + i``, and its total reward is the
+is seeded ``episode_seed + i`` (its Philox lane,
+:func:`~repro.utils.rng.episode_lanes`), and its total reward is the
 :func:`np.sum` of exactly its ``makespan`` active-step rewards, so
 makespans, episode metrics and total rewards are equal bit for bit.
 """
@@ -46,7 +47,7 @@ from repro.storage.metrics import EpisodeMetrics
 from repro.storage.simulator import StorageSystemConfig
 from repro.env.reward import RewardConfig
 from repro.storage.workload import WorkloadTrace
-from repro.utils.rng import SeedLike
+from repro.utils.rng import IDLE_DOMAIN, episode_lanes
 
 
 @dataclass
@@ -160,7 +161,7 @@ class EvaluationEngine:
                 self.vector_env,
                 list(backends.values()),
                 traces,
-                [episode_seed + index for _ in backends for index in range(width)],
+                range(episode_seed, episode_seed + width),
             )
             steps = rewards.shape[0]
             # A row is decided once per step it is active, i.e. makespan times.
@@ -194,12 +195,14 @@ def run_lockstep(
     venv: VectorStorageAllocationEnv,
     backends: Sequence[DecisionBackend],
     traces: Sequence[WorkloadTrace],
-    rngs: Sequence[SeedLike],
+    seeds: Sequence[int],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run every backend over its own copy of ``traces`` on ``venv`` in lockstep.
 
     Backend ``g`` owns rows ``g * W .. (g + 1) * W - 1`` (``W =
-    len(traces)``), and row ``r`` is reset with ``rngs[r]``.  Each
+    len(traces)``), and row ``g * W + i`` draws its idle cores from the
+    lane of episode seed ``seeds[i]``: every group steps on the same
+    random numbers, so each group's slot ``i`` is that slot alone.  Each
     backend decides only its group's active rows, through its own
     session table, so per-session state advances once per active step;
     a finished group is not asked, and finished rows get ``NOOP``
@@ -218,7 +221,8 @@ def run_lockstep(
             "per-session state would be shared between the groups"
         )
     width = len(traces)
-    normalized = venv.reset(list(traces) * len(backends), rngs=rngs)
+    lanes = episode_lanes(seeds, IDLE_DOMAIN).tile(len(backends))
+    normalized = venv.reset(list(traces) * len(backends), rngs=lanes)
     raw = venv.raw_observations()
     # (backend, table, slots, its batch rows, reads_raw) per group.  A
     # raw-row backend gets ``normalized=None``, and the lazy

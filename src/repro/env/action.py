@@ -7,7 +7,7 @@ from typing import List
 import numpy as np
 
 from repro.storage.migration import NUM_ACTIONS, MigrationAction, all_actions
-from repro.utils.rng import SeedLike, new_rng
+from repro.utils.rng import ACTION_DOMAIN, SeedLike, episode_lanes, episode_seed
 
 
 class ActionSpace:
@@ -37,8 +37,10 @@ class ActionSpace:
         return 0 <= int(action) < NUM_ACTIONS
 
     def sample(self, rng: SeedLike = None) -> MigrationAction:
-        rng = new_rng(rng)
-        return MigrationAction(int(rng.integers(NUM_ACTIONS)))
+        """A uniformly random action: the inverse-CDF draw of the first
+        uniform on the action lane of the episode seed ``rng`` names."""
+        draw = episode_lanes([episode_seed(rng)], ACTION_DOMAIN).uniforms()[0]
+        return MigrationAction(min(int(draw * NUM_ACTIONS), NUM_ACTIONS - 1))
 
     def valid_mask_from_counts(self, counts, min_cores_per_level: int) -> np.ndarray:
         """Legality mask from a 3-vector of per-level core counts.

@@ -15,7 +15,7 @@ from repro.storage.metrics import EpisodeMetrics, IntervalMetrics
 from repro.storage.migration import MigrationAction
 from repro.storage.simulator import StorageSimulator, StorageSystemConfig
 from repro.storage.workload import WorkloadTrace
-from repro.utils.rng import SeedLike, new_rng
+from repro.utils.rng import SeedLike
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ class StorageAllocationEnv:
         self.system_config = system_config or StorageSystemConfig()
         self.system_config.validate()
         self.reward_config = reward_config or RewardConfig()
-        self._rng = new_rng(rng)
-        self.simulator = StorageSimulator(self.system_config, rng=self._rng)
+        self.simulator = StorageSimulator(self.system_config, rng=rng)
         self.action_space = ActionSpace()
         self.observation_encoder = ObservationEncoder(self.system_config)
         self._trace: Optional[WorkloadTrace] = None
@@ -62,10 +61,9 @@ class StorageAllocationEnv:
     # Episode API
     # ------------------------------------------------------------------
     def reset(self, trace: WorkloadTrace, rng: SeedLike = None) -> Observation:
-        """Start a new episode on ``trace`` and return the initial observation."""
-        if rng is not None:
-            self._rng = new_rng(rng)
-        self.simulator.reset(trace, rng=self._rng)
+        """Start a new episode on ``trace`` and return the initial observation
+        (``rng`` names the episode seed, as in :class:`StorageSimulator`)."""
+        self.simulator.reset(trace, rng=rng)
         self._trace = trace
         return self._build_observation()
 

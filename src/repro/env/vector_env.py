@@ -13,7 +13,7 @@ Design contract (relied on by the lockstep loop that evaluation and
 rollout collection share, and by their equivalence tests): slot ``i``
 of a vector episode is **bit-identical**
 to a sequential :class:`~repro.env.environment.StorageAllocationEnv`
-episode on the same trace with the same rng stream.  The scalar
+episode on the same trace with the same Philox lane.  The scalar
 environment's simulator is the B=1 view of the same simulator core, and
 every batched assembly step (observation rows, normalisation, rewards)
 is restricted to elementwise operations whose rows cannot depend on the
@@ -55,7 +55,7 @@ from repro.storage.metrics import EpisodeMetrics
 from repro.storage.simulator import StorageSystemConfig
 from repro.storage.vector_state import VectorSimulatorState
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
-from repro.utils.rng import SeedLike
+from repro.utils.rng import PhiloxStreams
 
 _NUM_LEVELS = len(LEVELS)
 # Raw-row layout: [counts (3), utilisation (3), S (14), I (14), Q (1)].
@@ -96,7 +96,7 @@ class VectorStorageAllocationEnv:
     Typical usage::
 
         venv = VectorStorageAllocationEnv(config)
-        observations = venv.reset(traces, rngs=seeds)
+        observations = venv.reset(traces, rngs=episode_lanes(seeds, IDLE_DOMAIN))
         while not venv.all_done:
             result = venv.step(actions)          # (B,) ints
             observations = result.observations   # (B, obs_dim)
@@ -166,13 +166,13 @@ class VectorStorageAllocationEnv:
     def reset(
         self,
         traces: Sequence[WorkloadTrace],
-        rngs: Optional[Sequence[SeedLike]] = None,
+        rngs: Optional[PhiloxStreams] = None,
     ) -> np.ndarray:
         """Start one episode per trace; returns (B, obs_dim) normalised obs.
 
-        ``rngs`` optionally supplies one seed/generator per slot; slot
-        ``i`` then reproduces a sequential ``env.reset(trace, rng=rngs[i])``
-        episode exactly.
+        ``rngs`` optionally supplies one Philox lane per slot; with
+        ``episode_lanes(seeds, IDLE_DOMAIN)`` slot ``i`` reproduces a
+        sequential ``env.reset(trace, rng=seeds[i])`` episode exactly.
         """
         if not traces:
             raise EnvironmentError_("reset() needs at least one trace")

@@ -44,7 +44,7 @@ from repro.storage.levels import LEVELS, Level
 from repro.storage.metrics import EpisodeMetrics, IntervalMetrics, StepValues
 from repro.storage.migration import MigrationAction
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
-from repro.utils.rng import SeedLike, new_rng
+from repro.utils.rng import IDLE_DOMAIN, SeedLike, episode_lanes, episode_seed
 
 
 @dataclass
@@ -148,7 +148,10 @@ class StorageSimulator:
 
     This is the B=1 view over :class:`VectorSimulatorState`: all episode
     state lives in the shared array core, and ``step()`` advances it
-    through the same kernels the vectorized environment uses.
+    through the same kernels the vectorized environment uses.  Idle cores
+    come from the Philox lane of the episode seed ``rng`` names
+    (:func:`~repro.utils.rng.episode_seed`), the lane a lockstep slot
+    with that seed draws from; a reset without ``rng`` continues it.
     """
 
     def __init__(
@@ -162,7 +165,7 @@ class StorageSimulator:
         self.config = config or StorageSystemConfig()
         self.config.validate()
         self._record_metrics = bool(record_metrics)
-        self._rng = new_rng(rng)
+        self._streams = episode_lanes([episode_seed(rng)], IDLE_DOMAIN)
         self._state = VectorSimulatorState(
             self.config, record_metrics=self._record_metrics
         )
@@ -175,8 +178,8 @@ class StorageSimulator:
     def reset(self, trace: WorkloadTrace, rng: SeedLike = None) -> None:
         """Start a new episode over ``trace``."""
         if rng is not None:
-            self._rng = new_rng(rng)
-        self._state.reset([trace], rngs=[self._rng])
+            self._streams = episode_lanes([episode_seed(rng)], IDLE_DOMAIN)
+        self._state.reset([trace], rngs=self._streams)
         self._trace = trace
         self._last_step_values = None
 

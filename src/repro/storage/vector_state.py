@@ -14,16 +14,17 @@ Determinism contract
 --------------------
 Slot ``i`` of a vector episode is **bit-identical** to a scalar
 :class:`~repro.storage.simulator.StorageSimulator` episode on the same
-trace with the same rng stream (and the scalar simulator itself is the
+trace with the same Philox lane (and the scalar simulator itself is the
 ``B=1`` view of this state).  Three properties carry that guarantee:
 
 * every per-cell floating-point reduction is performed on the same
   values in the same order as the scalar code (numpy's pairwise
   summation over a contiguous row matches the standalone vector sum,
   which ``tests/test_vector_state.py`` pins);
-* per-slot rng streams are consumed identically: one masked
-  ``Generator.poisson`` call per slot draws the same variates, in the
-  same level order, as the scalar per-level calls;
+* each slot draws its idle cores from its own
+  :class:`~repro.utils.rng.PhiloxStreams` lane, whose values depend on
+  the lane's episode id and cursor only, never on the other slots of
+  the batch;
 * selection logic is fixed by rule, not by a sort's tie order: the
   migration candidate is chosen by the rule below, and a level idles its
   cores highest capacity first, lowest core id among equals (a
@@ -93,7 +94,7 @@ from repro.storage.migration import (
     NUM_ACTIONS as _NUM_ACTIONS,
 )
 from repro.storage.workload import WorkloadTrace
-from repro.utils.rng import PhiloxStreams, SeedLike, new_rng
+from repro.utils.rng import IDLE_DOMAIN, PhiloxStreams, episode_lanes, episode_seed
 
 _NUM_LEVELS = len(LEVELS)
 _DRAIN_EPSILON = 1e-9
@@ -110,9 +111,7 @@ class VectorSimulatorState:
     """B-major state and vectorized update kernels for lockstep episodes.
 
     One instance is reused across resets; the batch size is set by each
-    :meth:`reset` call.  Per-slot rng streams persist across resets
-    (continuing their streams unless a reset supplies new seeds),
-    mirroring the scalar simulator's reset semantics.
+    :meth:`reset` call, and so are the Philox lanes the slots draw from.
     """
 
     def __init__(self, config, record_metrics: bool = False) -> None:
@@ -145,8 +144,7 @@ class VectorSimulatorState:
         self.batch = 0
         self._kernel: Optional[NativeSimulatorKernel] = None
         self._kernel_args = None
-        self._rngs: List[np.random.Generator] = []
-        self._philox: Optional[PhiloxStreams] = None
+        self._streams: Optional[PhiloxStreams] = None
         self.episodes: List[EpisodeMetrics] = []
 
     # ------------------------------------------------------------------
@@ -176,18 +174,23 @@ class VectorSimulatorState:
     def reset(
         self,
         traces: Sequence[WorkloadTrace],
-        rngs: Optional[Sequence[SeedLike]] = None,
+        rngs: Optional[PhiloxStreams] = None,
     ) -> None:
-        """Start one episode per trace; ``rngs[i]`` (optional) seeds slot i.
+        """Start one episode per trace; slot ``i`` draws from lane ``i`` of ``rngs``.
 
-        The type of ``rngs`` picks the idle sampler: a sequence of seeds
-        or generators gives every slot its own ``np.random.Generator``; a
-        :class:`~repro.utils.rng.PhiloxStreams` with one lane per slot
-        (what the fleet driver passes) serves the whole batch per call.
+        ``rngs`` is a :class:`~repro.utils.rng.PhiloxStreams` with one
+        lane per slot (the fleet's, or the design path's
+        :func:`~repro.utils.rng.episode_lanes`); every interval samples
+        the whole batch's idle cores in one call on it, advancing its
+        cursors.  ``None`` gives the slots fresh lanes.
         """
         traces = list(traces)
         if not traces:
             raise SimulationError("reset() needs at least one trace")
+        if rngs is not None and not isinstance(rngs, PhiloxStreams):
+            raise SimulationError(
+                f"rngs must be PhiloxStreams with one lane per trace, got {type(rngs).__name__}"
+            )
         if rngs is not None and len(rngs) != len(traces):
             raise SimulationError(
                 f"got {len(rngs)} rng streams for {len(traces)} traces"
@@ -207,20 +210,10 @@ class VectorSimulatorState:
                 raise SimulationError(f"trace {trace.name!r} has no intervals")
         batch = len(traces)
         self.batch = batch
-        if isinstance(rngs, PhiloxStreams):
-            # The fleet's counter-based streams: the batch shares one
-            # stream object so idle sampling draws every slot's variates
-            # in a single call.
-            self._philox = rngs
-        else:
-            self._philox = None
-            while len(self._rngs) < batch:
-                self._rngs.append(new_rng(None))
-            del self._rngs[batch:]
-            if rngs is not None:
-                for i, seed in enumerate(rngs):
-                    if seed is not None:
-                        self._rngs[i] = new_rng(seed)
+        if rngs is None:
+            first = episode_seed(None)
+            rngs = episode_lanes(range(first, first + batch), IDLE_DOMAIN)
+        self._streams = rngs
 
         lengths = np.array([len(t) for t in self.distinct_traces], dtype=np.int64)
         self.trace_len = lengths[self.trace_index]
@@ -515,58 +508,24 @@ class VectorSimulatorState:
         self.backlog[ix] += incoming
 
     def _sample_idle(self, rows: np.ndarray, ix) -> None:
-        """Draw each slot's idle-core counts (Poisson).
+        """Draw each stepped slot's idle-core counts (Poisson), in one
+        ``PhiloxStreams.idle_poisson`` call for the whole batch.
 
-        Two branches, picked by what ``reset`` was handed: one
-        ``PhiloxStreams.idle_poisson`` call for the whole batch, or a
-        loop over per-slot generators.  In the loop each slot consumes
-        the identical variates, in the identical NORMAL/KV/RV order, as
-        the scalar simulator's per-level calls — levels with one core (or
-        ``idle_rate == 0``) draw nothing, exactly like the scalar skip.
-        Scalar ``poisson`` calls beat one array-lambda call by ~6x, and
-        draws are almost always zero, so only nonzero results touch the
-        idle matrix.
+        Every multi-core (slot, level) cell samples; levels with one core
+        (or ``idle_rate == 0``) draw nothing.  A lane's eligible levels
+        map to consecutive cursor values in NORMAL/KV/RV order, and both
+        the keystream and the Poisson inversion are element-wise, so slot
+        i draws the same values whichever slots share its batch.  A
+        whole-batch step asks for every lane in lane order (``rows=None``:
+        no gathers).
         """
         if self.config.idle_rate <= 0:
             self.idle[ix] = 0
             return
-        streams = self._philox
-        if streams is not None:
-            # Counter-based streams: every multi-core (slot, level) cell
-            # samples in one call.  A lane's eligible levels map to
-            # consecutive cursor values in NORMAL/KV/RV order, and both
-            # the keystream and the Poisson inversion are element-wise,
-            # so slot i draws the same values whichever slots share its
-            # batch.  A whole-batch step asks for every lane in lane order
-            # (``rows=None``: no gathers).
-            counts = self.counts[ix]
-            lam = self.config.idle_rate * counts
-            lanes = None if isinstance(ix, slice) else rows
-            self.idle[ix], _ = streams.idle_poisson(lanes, counts, lam, np.exp(-lam))
-            return
-        self.idle[ix] = 0
-        lam_rows = (self.config.idle_rate * self.counts[rows]).tolist()
-        counts_rows = self.counts[rows].tolist()
-        rngs = self._rngs
-        idle = self.idle
-        for j, slot in enumerate(rows.tolist()):
-            poisson = rngs[slot].poisson
-            lam = lam_rows[j]
-            c0, c1, c2 = counts_rows[j]
-            # Unrolled over the three levels: same draws, same order as
-            # the scalar per-level calls, minus the inner-loop overhead.
-            if c0 > 1:
-                draw = poisson(lam[0])
-                if draw:
-                    idle[slot, 0] = min(int(draw), c0 - 1)
-            if c1 > 1:
-                draw = poisson(lam[1])
-                if draw:
-                    idle[slot, 1] = min(int(draw), c1 - 1)
-            if c2 > 1:
-                draw = poisson(lam[2])
-                if draw:
-                    idle[slot, 2] = min(int(draw), c2 - 1)
+        counts = self.counts[ix]
+        lam = self.config.idle_rate * counts
+        lanes = None if isinstance(ix, slice) else rows
+        self.idle[ix], _ = self._streams.idle_poisson(lanes, counts, lam, np.exp(-lam))
 
     def _process_intervals_reference(self, rows: np.ndarray) -> None:
         """Per-cell dispatch loop — the scalar simulator's exact inner loop.
@@ -752,8 +711,7 @@ def _self_check_runs() -> List[bytes]:
 
     The batches cover a partial batch (traces of 3 to 9 intervals, some
     draining, some truncated), levels of 8 to 11 cores holding penalised
-    and idled cores together, ``record_metrics`` on and off, and both rng
-    families.
+    and idled cores together, and ``record_metrics`` on and off.
     """
     from repro.storage.simulator import StorageSystemConfig
     from repro.storage.workload import WorkloadInterval
@@ -780,9 +738,9 @@ def _self_check_runs() -> List[bytes]:
     ] * 2
     names = [name for name, _dtype in _KERNEL_ARRAYS[:15]]
     snapshots = []
-    for record, streams in ((True, list(range(8))), (False, PhiloxStreams(5, 8, "check"))):
+    for record, seed in ((True, 4), (False, 5)):
         state = VectorSimulatorState(config, record_metrics=record)
-        state.reset(traces, rngs=streams)
+        state.reset(traces, rngs=PhiloxStreams(seed, 8, "check"))
         # Penalised cores at every position from the start, so the 8-wide
         # trees sum mixed capacities and shares.
         state.pos_cooldown[...] = np.random.default_rng(11).integers(

@@ -1,20 +1,20 @@
 """Deterministic random-number management.
 
-All stochastic components of the library (simulator idle sampling,
-workload synthesis, exploration, weight initialisation) receive a
-``numpy.random.Generator`` rather than touching global state.  This
-module centralises how those generators are created so that experiments
-are reproducible from a single integer seed.
-
-It also holds the fleet's counter-based :class:`PhiloxStreams`, whose
-draws run in C (``_philox_kernel.c``, :class:`NativePhiloxIdleKernel`,
-registered with :mod:`repro.native` as ``"philox"``) when that kernel is
-ready; its numpy specification, :func:`_philox_idle_reference` and
-:func:`_philox_uniforms`, draws the same values otherwise.
+What is not per episode (weight initialisation, workload synthesis,
+trace sampling, minibatch order) draws from a ``numpy.random.Generator``
+made here (:func:`new_rng`, :class:`RngFactory`), reproducible from one
+seed.  Every episode (the simulator's idle cores, the policy's sampling
+and exploration) draws from counter-based :class:`PhiloxStreams` lanes,
+whose draws run in C (``_philox_kernel.c``,
+:class:`NativePhiloxIdleKernel`, registered with :mod:`repro.native` as
+``"philox"``) when that kernel is ready; its numpy specification,
+:func:`_philox_idle_reference` and :func:`_philox_uniforms`, draws the
+same values otherwise.
 """
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import math
 from pathlib import Path
@@ -90,18 +90,17 @@ def _stable_hash(text: str) -> int:
 # Counter-based streams (Philox4x32-10)
 # ----------------------------------------------------------------------
 #
-# Rollouts, evaluation and scalar episodes give every episode its own
-# ``np.random.Generator`` (``drl.rollout.derive_episode_streams``); those
-# streams cannot be advanced for B episodes in one numpy call.  The fleet
-# driver steps thousands of closed-loop nodes per wave, so its streams are
-# a pure function of ``(base_seed, domain, episode, draw_index)`` instead:
-# lane ``i``'s k-th draw is the Philox4x32-10 block whose counter encodes
-# ``(draw_index=k, episode=i)`` under a key hashed from the seed and a
-# domain string.  All B lanes' next draws materialise in one vectorized
-# call, and any subset of lanes (recycled shards, finished-slot masks, a
-# lane run alone) reproduces the full-batch streams exactly because lanes
+# Every episode's randomness is a pure function of ``(base_seed, domain,
+# episode, draw_index)``: lane ``i``'s k-th draw is the Philox4x32-10
+# block whose counter encodes ``(draw_index=k, episode=i)`` under a key
+# hashed from the seed and a domain string.  All B lanes' next draws
+# materialise in one vectorized call, and any subset of lanes (recycled
+# fleet shards, finished-slot masks, a lane run alone, a slice of an
+# episode list) reproduces the full-batch streams exactly because lanes
 # never share state.  A draw is computed when it is asked for and never
 # ahead of it: the only state a stream carries is one cursor per lane.
+# The fleet keys its lanes by its base seed and global episode ids, the
+# design path by episode seeds (:func:`episode_lanes`).
 
 _PHILOX_M0 = 0xD2511F53
 _PHILOX_M1 = 0xCD9E8D57
@@ -390,12 +389,17 @@ def _refuse_repeats(values: np.ndarray, what: str) -> None:
 def _episode_ids(episodes) -> np.ndarray:
     """Episode ids as uint64, refused unless non-negative, distinct integers.
 
+    An integer ``episodes`` is a lane count: ids ``0 .. episodes - 1``.
     A cast would map ``-1`` to lane 2**64 - 1 and ``1.5`` to lane 1, and
     two equal ids would give two lanes one stream.  (Ids above 2**63 come
     as a uint64 array: numpy makes floats of a list mixing them with
     small ones.)
     """
+    if isinstance(episodes, (bool, np.bool_)):
+        raise ConfigurationError(f"an episode count must be an integer, got {episodes!r}")
     if isinstance(episodes, (int, np.integer)):
+        if episodes < 0:
+            raise ConfigurationError(f"an episode count must be non-negative, got {episodes}")
         return np.arange(int(episodes), dtype=np.uint64)
     ids = np.asarray(episodes)
     if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0):
@@ -411,12 +415,12 @@ def _episode_ids(episodes) -> np.ndarray:
 class PhiloxStreams:
     """B independent counter-based lanes for one ``(base_seed, domain)``.
 
-    The fleet driver's streams: :meth:`uniforms` advances a subset of
-    lanes (``rows``) by one draw in one call, and :meth:`idle_poisson`
-    samples a whole simulator shard's idle cores (hand the object to
-    ``VectorSimulatorState.reset`` as ``rngs``).  Lanes carry distinct
-    global episode ids, so a lane's draws do not depend on which other
-    lanes share the object.  Both methods run natively when
+    Every episode's streams: :meth:`uniforms` advances a subset of lanes
+    (``rows``) by one draw in one call (the policy's action draws), and
+    :meth:`idle_poisson` samples a whole simulator batch's idle cores
+    (hand the object to ``VectorSimulatorState.reset`` as ``rngs``).
+    Lanes carry distinct episode ids, so a lane's draws do not depend on
+    which other lanes share the object.  Both methods run natively when
     ``repro.native.status()["philox"]`` reads ``"ready"``, with the same
     values.
     """
@@ -427,12 +431,30 @@ class PhiloxStreams:
         episodes: Union[int, Sequence[int], np.ndarray],
         domain: str,
     ) -> None:
+        if isinstance(base_seed, (bool, np.bool_)) or not isinstance(
+            base_seed, (int, np.integer)
+        ):
+            # ``int(1.5)`` and ``int(True)`` would both draw seed 1's keystream.
+            raise ConfigurationError(f"a base seed must be an integer, got {base_seed!r}")
         self._episodes = _episode_ids(episodes)
         self._cursors = np.zeros(self._episodes.shape[0], dtype=np.uint64)
         key = _stable_hash(f"philox/{domain}/{int(base_seed)}")
         self._key0 = key & 0xFFFFFFFF
         self._key1 = (key >> 32) & 0xFFFFFFFF
         self._round_keys = _philox_round_keys(self._key0, self._key1)
+
+    def tile(self, copies: int) -> "PhiloxStreams":
+        """``copies`` fresh copies of these lanes, one after another.
+
+        Lane ``g * len(self) + i`` of the result draws exactly what lane
+        ``i`` of a fresh copy of this object draws: common random numbers
+        for ``copies`` groups stepping the same episodes.  This is the
+        one way to hold an episode id twice; the constructor refuses it.
+        """
+        tiled = copy.copy(self)
+        tiled._episodes = np.tile(self._episodes, copies)
+        tiled._cursors = np.zeros(tiled._episodes.shape[0], dtype=np.uint64)
+        return tiled
 
     def uniforms(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """One uniform in [0, 1) per requested lane; advances their cursors.
@@ -500,6 +522,27 @@ class PhiloxStreams:
 
     def __len__(self) -> int:
         return int(self._episodes.shape[0])
+
+
+def episode_seed(rng: SeedLike) -> int:
+    """The seed naming an episode's lanes: an integer is itself, a
+    generator gives one draw, and ``None`` a fresh one.  A drawn seed is
+    below 2**62, so the seeds counted up from it stay below 2**64."""
+    if rng is None or isinstance(rng, np.random.Generator):
+        return int(new_rng(rng).integers(1 << 62))
+    return rng
+
+
+# The design path's two domains: the simulator's idle cores and the
+# policy's sampling and exploration draws.
+IDLE_DOMAIN = "episode/idle"
+ACTION_DOMAIN = "episode/action"
+
+
+def episode_lanes(seeds: Sequence[int], domain: str) -> PhiloxStreams:
+    """The design path's lanes: episode seed ``s`` is episode id ``s`` of
+    ``domain`` under base seed 0, whatever batch it runs in."""
+    return PhiloxStreams(0, seeds, domain)
 
 
 register(

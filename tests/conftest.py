@@ -19,6 +19,7 @@ from repro import native
 from repro.drl.a2c import A2CConfig
 from repro.drl.curriculum import CurriculumConfig
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
+from repro.drl import rollout
 from repro.drl.rollout import BatchedRolloutCollector, Trajectory
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
@@ -29,6 +30,7 @@ from repro.qbn.trainer import QBNTrainingConfig
 from repro.storage.simulator import StorageSystemConfig
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
 from repro.storage.iorequest import NUM_IO_TYPES
+from repro.utils.rng import episode_lanes
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
 from repro.workloads.sampler import RealTraceSampler, SamplerConfig
 
@@ -155,13 +157,37 @@ def scalar_episode():
 def collector(system_config) -> BatchedRolloutCollector:
     """The rollout collector on the ``env`` fixture's configuration.
 
-    ``collector.collect_batch(policy, [trace], episode_rngs=[seed])[0]``
-    is the sequential view: one episode, B = 1.
+    Its episodes take episode seeds 0, 1, ... in the order it runs them;
+    one-trace ``collect_batch`` calls are the sequential view (B = 1).
     """
     return BatchedRolloutCollector(
         VectorStorageAllocationEnv(system_config, RewardConfig(mode="per_step_penalty")),
         rng=0,
     )
+
+
+def collect_with_cursors(collector, policy, traces, chunk=None, **options):
+    """``traces`` collected on ``collector``, ``chunk`` at a time (``None``:
+    one ``collect_batch`` call), with where every episode's lanes ended.
+
+    Returns the trajectories and one ``(idle cursor, action cursor)`` per
+    episode: the final cursors of its simulator and action lanes.
+    """
+    made = []
+
+    def recording(seeds, domain):
+        made.append(episode_lanes(seeds, domain))
+        return made[-1]
+
+    chunk = chunk or len(traces)
+    trajectories, idle, action = [], [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rollout, "episode_lanes", recording)
+        for start in range(0, len(traces), chunk):
+            trajectories += collector.collect_batch(policy, traces[start:start + chunk], **options)
+            idle += collector.vector_env.simulator_state._streams._cursors.tolist()
+            action += made[-1]._cursors.tolist()
+    return trajectories, list(zip(idle, action))
 
 
 @pytest.fixture

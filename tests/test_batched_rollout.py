@@ -1,10 +1,10 @@
 """Seeded equivalence of lockstep batches with the one-episode-at-a-time view.
 
-The contract under test: given the per-episode rng streams from
-``derive_episode_streams``, an episode collected in a lockstep batch of
-N equals the same episode collected alone (B = 1, the sequential view)
-bit for bit — and the batched inference/update/evaluation paths built
-on top of it agree with their sequential counterparts.
+The contract under test: an episode's randomness is its episode seed's
+Philox lanes, so an episode collected in a lockstep batch of N equals
+the same episode collected alone (B = 1, the sequential view) bit for
+bit — and the batched inference/update/evaluation paths built on top of
+it agree with their sequential counterparts.
 """
 
 import pickle
@@ -17,12 +17,7 @@ from repro.autograd.tensor import Tensor
 from repro.drl.a2c import A2CConfig, A2CTrainer
 from repro.drl.agent import DRLPolicyAgent
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
-from repro.drl.rollout import (
-    BatchedRolloutCollector,
-    Trajectory,
-    TrajectoryBatch,
-    derive_episode_streams,
-)
+from repro.drl.rollout import BatchedRolloutCollector, Trajectory, TrajectoryBatch
 from repro.engine import EvaluationEngine, GRUPolicyBackend
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
@@ -30,6 +25,8 @@ from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ConfigurationError, TrainingError
 from repro.optim import clip_grad_norm
 from repro.pipeline.evaluation import evaluate_agent
+from repro.utils.rng import ACTION_DOMAIN, episode_lanes
+from conftest import collect_with_cursors
 
 
 @pytest.fixture
@@ -37,31 +34,26 @@ def reward_config():
     return RewardConfig(mode="per_step_penalty")
 
 
-def _one_at_a_time(collector, policy, traces, base_seed, **options):
-    """Each episode alone (B = 1) on its ``derive_episode_streams`` pair."""
-    episode_rngs, action_rngs = derive_episode_streams(base_seed, len(traces))
-    return [
-        collector.collect_batch(
-            policy, [trace], episode_rngs=[episode_rngs[i]],
-            action_rngs=[action_rngs[i]], **options,
-        )[0]
-        for i, trace in enumerate(traces)
-    ]
+@pytest.fixture
+def make_collector(system_config, reward_config):
+    """A fresh collector whose episodes start at episode seed ``seed``."""
+
+    def build(seed):
+        return BatchedRolloutCollector(
+            VectorStorageAllocationEnv(system_config, reward_config), rng=seed
+        )
+
+    return build
 
 
-def _in_chunks(collector, policy, traces, base_seed, batch_size, **options):
+def _in_chunks(collector, policy, traces, batch_size, **options):
     """Many episodes, ``batch_size`` at a time (``None``: one batch), each
-    chunk a ``collect_batch`` call on its slice of the list's streams."""
-    episode_rngs, action_rngs = derive_episode_streams(base_seed, len(traces))
+    chunk one ``collect_batch`` call on the collector's next seeds."""
     chunk = batch_size or len(traces)
     trajectories = []
     for start in range(0, len(traces), chunk):
-        stop = start + chunk
         trajectories.extend(
-            collector.collect_batch(
-                policy, traces[start:stop], episode_rngs=episode_rngs[start:stop],
-                action_rngs=action_rngs[start:stop], **options,
-            )
+            collector.collect_batch(policy, traces[start:start + chunk], **options)
         )
     return trajectories
 
@@ -85,53 +77,40 @@ def _assert_trajectories_identical(seq: Trajectory, batched: Trajectory) -> None
 class TestCollectorEquivalence:
     @pytest.mark.parametrize("epsilon,greedy", [(0.0, True), (0.1, False)])
     def test_batched_identical_to_sequential(
-        self, collector, real_traces, tiny_policy, epsilon, greedy
+        self, make_collector, real_traces, tiny_policy, epsilon, greedy
     ):
-        episode_rngs, action_rngs = derive_episode_streams(1234, len(real_traces))
-        batched = collector.collect_batch(
-            tiny_policy,
-            real_traces,
-            epsilon=epsilon,
-            greedy=greedy,
-            episode_rngs=episode_rngs,
-            action_rngs=action_rngs,
+        batched = make_collector(1234).collect_batch(
+            tiny_policy, real_traces, epsilon=epsilon, greedy=greedy
         )
-        references = _one_at_a_time(
-            collector, tiny_policy, real_traces, 1234, epsilon=epsilon, greedy=greedy
+        references = _in_chunks(
+            make_collector(1234), tiny_policy, real_traces, 1, epsilon=epsilon, greedy=greedy
         )
         for reference, trajectory in zip(references, batched):
             _assert_trajectories_identical(reference, trajectory)
 
     def test_standard_profiles_equivalence(
-        self, collector, standard_suite, tiny_policy
+        self, make_collector, standard_suite, tiny_policy
     ):
         """The paper's standard workload profiles, all in one lockstep batch."""
         traces = list(standard_suite.values())
-        episode_rngs, action_rngs = derive_episode_streams(7, len(traces))
-        batched = collector.collect_batch(
-            tiny_policy, traces, greedy=True,
-            episode_rngs=episode_rngs, action_rngs=action_rngs,
-        )
-        references = _one_at_a_time(collector, tiny_policy, traces, 7, greedy=True)
+        batched = make_collector(7).collect_batch(tiny_policy, traces, greedy=True)
+        references = _in_chunks(make_collector(7), tiny_policy, traces, 1, greedy=True)
         for reference, trajectory in zip(references, batched):
             _assert_trajectories_identical(reference, trajectory)
 
     def test_collect_many_chunks(self, collector, real_traces, tiny_policy):
         """Many episodes collected in chunks keep the trace order."""
-        trajectories = _in_chunks(collector, tiny_policy, real_traces, 3, 2, greedy=True)
+        trajectories = _in_chunks(collector, tiny_policy, real_traces, 2, greedy=True)
         assert [t.trace_name for t in trajectories] == [t.name for t in real_traces]
 
     @pytest.mark.parametrize("batch_size", [1, 2, 3, None])
     def test_collect_many_base_seed_independent_of_chunking(
-        self, system_config, reward_config, real_traces, tiny_policy, batch_size
+        self, make_collector, real_traces, tiny_policy, batch_size
     ):
-        """Many episodes on one base seed's streams: chunking (incl. B=1
-        and partial final chunks) never changes the trajectories."""
-        collector = BatchedRolloutCollector(
-            VectorStorageAllocationEnv(system_config, reward_config)
-        )
-        reference = _in_chunks(collector, tiny_policy, real_traces, 5, None, greedy=True)
-        chunked = _in_chunks(collector, tiny_policy, real_traces, 5, batch_size, greedy=True)
+        """Many episodes from one collector seed: chunking (incl. B=1 and
+        partial final chunks) never changes the trajectories."""
+        reference = _in_chunks(make_collector(5), tiny_policy, real_traces, None, greedy=True)
+        chunked = _in_chunks(make_collector(5), tiny_policy, real_traces, batch_size, greedy=True)
         assert len(chunked) == len(real_traces)
         for ref, got in zip(reference, chunked):
             assert ref.trace_name == got.trace_name
@@ -139,61 +118,52 @@ class TestCollectorEquivalence:
 
     @pytest.mark.parametrize("epsilon,greedy", [(0.0, False), (0.3, True), (0.3, False)])
     def test_action_streams_end_alike_at_any_batch_size(
-        self, collector, real_traces, tiny_policy, epsilon, greedy
+        self, make_collector, real_traces, tiny_policy, epsilon, greedy
     ):
         """A finished episode draws nothing more while the batch drains:
-        every action generator ends where it ends with its episode alone."""
+        every lane ends where it ends with its episode alone."""
         def end_states(batch_size):
-            rngs = [np.random.default_rng(100 + i) for i in range(len(real_traces))]
-            trajectories = []
-            for start in range(0, len(real_traces), batch_size):
-                stop = start + batch_size
-                trajectories.extend(
-                    collector.collect_batch(
-                        tiny_policy, real_traces[start:stop], epsilon=epsilon,
-                        greedy=greedy, episode_rngs=list(range(start, stop)),
-                        action_rngs=rngs[start:stop],
-                    )
-                )
-            return [len(t) for t in trajectories], [r.bit_generator.state for r in rngs]
+            trajectories, cursors = collect_with_cursors(
+                make_collector(100), tiny_policy, real_traces, batch_size,
+                epsilon=epsilon, greedy=greedy,
+            )
+            return [len(t) for t in trajectories], cursors
 
         lengths, alone = end_states(1)
         assert len(set(lengths)) > 1
         assert end_states(len(real_traces)) == (lengths, alone)
-        fresh = [np.random.default_rng(100 + i).bit_generator.state for i in range(len(lengths))]
-        assert alone != fresh
+        # A lane draws a uniform per step to sample and two to explore.
+        per_step = (not greedy) + 2 * (epsilon > 0)
+        assert [action for _, action in alone] == [per_step * n for n in lengths]
 
     def test_collect_batch_validation(self, collector, real_traces, tiny_policy):
         with pytest.raises(TrainingError):
             collector.collect_batch(tiny_policy, [])
-        with pytest.raises(TrainingError):
-            collector.collect_batch(
-                tiny_policy, real_traces, episode_rngs=[0], action_rngs=[0]
-            )
-        # One stream scheme per path: there is no family selector to pass.
+        # An episode's lanes come from the collector's seeds: there are no
+        # streams to pass.
         with pytest.raises(TypeError):
-            derive_episode_streams(7, 4, rng_family="philox")
+            collector.collect_batch(tiny_policy, real_traces, episode_rngs=[0])
 
 
 class TestActBatch:
     def test_act_batch_single_row_matches_act(self, tiny_policy, env, short_trace):
         """``DRLPolicyAgent.act`` is the one-row ``act_batch`` on the
-        agent's generator, its hidden row carried from step to step."""
+        agent's action lane, its hidden row carried from step to step."""
         encoder = env.observation_encoder
         agent = DRLPolicyAgent(tiny_policy, encoder, epsilon=0.2, rng=3)
         observation = env.reset(short_trace, rng=0)
         agent.reset()
-        rng = np.random.default_rng(3)
+        lane = episode_lanes([3], ACTION_DOMAIN)
         hidden = tiny_policy.initial_hidden_np(1)
         for _ in range(len(short_trace)):
             expected = tiny_policy.act_batch(
-                encoder.normalize(observation)[None], hidden, rngs=[rng], epsilon=0.2
+                encoder.normalize(observation)[None], hidden, lane.uniforms, epsilon=0.2
             )
             assert int(agent.act(observation)) == int(expected.actions[0])
             hidden = expected.hidden_states
             np.testing.assert_array_equal(agent.hidden_state, hidden[0])
             observation = env.step(int(expected.actions[0])).observation
-        assert agent._rng.bit_generator.state == rng.bit_generator.state
+        assert agent._streams._cursors.tolist() == lane._cursors.tolist() == [2 * len(short_trace)]
 
     @pytest.mark.parametrize("hidden_size", [16, 48])
     @pytest.mark.parametrize(
@@ -209,50 +179,55 @@ class TestActBatch:
     )
     def test_rows_match_each_row_alone(self, hidden_size, options):
         """Row ``i`` of a B-row step equals row ``i`` stepped alone (B = 1)
-        on an equally seeded generator, which ends in the same state."""
+        on its own lane, which ends at the same cursor."""
         policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=hidden_size), rng=0)
         rng = np.random.default_rng(1)
         batch = 9
         obs = rng.random((batch, policy.config.observation_dim))
         hidden = rng.random((batch, policy.config.hidden_size)) * 0.1
-        rngs = [np.random.default_rng(i) for i in range(batch)]
-        batched = policy.act_batch(obs, hidden, rngs=rngs, **options)
-        alone_rngs = [np.random.default_rng(i) for i in range(batch)]
+        lanes = episode_lanes(range(batch), ACTION_DOMAIN)
+        batched = policy.act_batch(obs, hidden, lanes.uniforms, **options)
         for i in range(batch):
-            single = policy.act_batch(
-                obs[i : i + 1], hidden[i : i + 1], rngs=[alone_rngs[i]], **options
-            )
+            alone = episode_lanes([i], ACTION_DOMAIN)
+            single = policy.act_batch(obs[i : i + 1], hidden[i : i + 1], alone.uniforms, **options)
             assert int(single.actions[0]) == int(batched.actions[i])
             np.testing.assert_array_equal(single.log_probs[0], batched.log_probs[i])
             np.testing.assert_array_equal(single.probabilities[0], batched.probabilities[i])
             np.testing.assert_array_equal(single.hidden_states[0], batched.hidden_states[i])
             assert float(single.values[0]) == float(batched.values[i])
-            assert rngs[i].bit_generator.state == alone_rngs[i].bit_generator.state
+            assert alone._cursors[0] == lanes._cursors[i]
         drew = options.get("epsilon", 0.0) > 0.0 or not options["greedy"]
-        untouched = np.random.default_rng(0).bit_generator.state
-        assert (rngs[0].bit_generator.state != untouched) == drew
+        assert (lanes._cursors[0] != 0) == drew
+        if options.get("epsilon") == 1.0:
+            # Every row explores: a uniform replacement, not the sample.
+            assert len(set(batched.actions.tolist())) > 1
 
     @pytest.mark.parametrize("epsilon", [float("nan"), -1.0, 7.0])
     def test_refuses_epsilon_outside_unit_interval(self, tiny_policy, epsilon):
         obs = np.zeros((2, tiny_policy.config.observation_dim))
         hidden = tiny_policy.initial_hidden_np(2)
-        rngs = [np.random.default_rng(i) for i in range(2)]
+        lanes = episode_lanes(range(2), ACTION_DOMAIN)
         with pytest.raises(ConfigurationError, match="epsilon"):
-            tiny_policy.act_batch(obs, hidden, rngs=rngs, epsilon=epsilon, greedy=False)
+            tiny_policy.act_batch(obs, hidden, lanes.uniforms, epsilon=epsilon, greedy=False)
+        assert lanes._cursors.tolist() == [0, 0]
 
     def test_draws_need_one_generator_per_row(self, tiny_policy):
+        """(The id predates the lanes: draws need one lane per row.)"""
         obs = np.zeros((2, tiny_policy.config.observation_dim))
         hidden = tiny_policy.initial_hidden_np(2)
         with pytest.raises(ConfigurationError):
             tiny_policy.act_batch(obs, hidden, greedy=False)
         with pytest.raises(ConfigurationError):
             tiny_policy.act_batch(obs, hidden, epsilon=0.1)
-        with pytest.raises(ConfigurationError):
-            tiny_policy.act_batch(obs, hidden, rngs=[np.random.default_rng(0)], greedy=False)
+        one_lane = episode_lanes([0], ACTION_DOMAIN)
+        with pytest.raises(ConfigurationError, match="1 uniforms for a batch of 2"):
+            tiny_policy.act_batch(obs, hidden, one_lane.uniforms, greedy=False)
+        lanes = episode_lanes(range(2), ACTION_DOMAIN)
         np.testing.assert_array_equal(
             tiny_policy.act_batch(obs, hidden).actions,
-            tiny_policy.act_batch(obs, hidden, rngs=[np.random.default_rng(0)] * 2).actions,
+            tiny_policy.act_batch(obs, hidden, lanes.uniforms).actions,
         )
+        assert lanes._cursors.tolist() == [0, 0]  # greedy, no exploration: no draw
 
 
 class TestVectorizedReturns:
@@ -339,9 +314,7 @@ class TestBatchSizeDegradation:
     ):
         """Any chunking of many episodes — including B=1 and a final
         partial chunk — yields one well-formed trajectory per trace."""
-        trajectories = _in_chunks(
-            collector, tiny_policy, real_traces, 9, batch_size, greedy=True
-        )
+        trajectories = _in_chunks(collector, tiny_policy, real_traces, batch_size, greedy=True)
         assert [t.trace_name for t in trajectories] == [t.name for t in real_traces]
         for trajectory in trajectories:
             assert len(trajectory) > 0
@@ -375,21 +348,14 @@ class TestBatchSizeDegradation:
         assert (batch.rewards[padded] == 0).all()
 
     def test_single_trace_batch_matches_sequential(
-        self, system_config, reward_config, real_traces, tiny_policy
+        self, make_collector, real_traces, tiny_policy
     ):
-        """A collector seeded ``r`` with no streams supplied draws one base
-        seed ``s`` and hands episode ``i`` exactly
-        ``derive_episode_streams(s, N)[i]`` — what the sequential view
-        gets on ``s``."""
-        collector = BatchedRolloutCollector(
-            VectorStorageAllocationEnv(system_config, reward_config), rng=55
-        )
-        lockstep = collector.collect_batch(tiny_policy, real_traces, epsilon=0.1)
-        base_seed = int(np.random.default_rng(55).integers(np.iinfo(np.int64).max))
-        references = _one_at_a_time(
-            collector, tiny_policy, real_traces, base_seed, epsilon=0.1
-        )
-        for reference, trajectory in zip(references, lockstep):
+        """A collector seeded ``r`` runs its episodes on seeds ``r, r + 1,
+        ...``: a one-trace call on a collector seeded ``r + i`` is the
+        lockstep batch's episode ``i``."""
+        lockstep = make_collector(55).collect_batch(tiny_policy, real_traces, epsilon=0.1)
+        for i, (trace, trajectory) in enumerate(zip(real_traces, lockstep)):
+            (reference,) = make_collector(55 + i).collect_batch(tiny_policy, [trace], epsilon=0.1)
             _assert_trajectories_identical(reference, trajectory)
 
 
@@ -446,9 +412,7 @@ class TestBatchedTraining:
     ):
         reference_policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=16), rng=9)
         batched_policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=16), rng=9)
-        (trajectory,) = collector.collect_batch(
-            reference_policy, [short_trace], greedy=True, episode_rngs=[0]
-        )
+        (trajectory,) = collector.collect_batch(reference_policy, [short_trace], greedy=True)
         reference_trainer = A2CTrainer(
             reference_policy, system_config, reward_config, A2CConfig(), rng=0
         )

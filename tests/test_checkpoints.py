@@ -9,6 +9,7 @@ from repro.drl.checkpoints import load_policy, save_policy
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.env.reward import RewardConfig
 from repro.errors import SerializationError
+from repro.utils.rng import ACTION_DOMAIN, episode_lanes
 
 
 @pytest.fixture
@@ -64,12 +65,12 @@ class TestCheckpointRoundtrip:
         observations = rng.random((batch, trained_ish_policy.config.observation_dim))
         hiddens = rng.random((batch, trained_ish_policy.config.hidden_size)) * 0.1
         original = trained_ish_policy.act_batch(
-            observations, hiddens,
-            rngs=[np.random.default_rng(i) for i in range(batch)], greedy=False,
+            observations, hiddens, episode_lanes(range(batch), ACTION_DOMAIN).uniforms,
+            greedy=False,
         )
         restored = reloaded.act_batch(
-            observations, hiddens,
-            rngs=[np.random.default_rng(i) for i in range(batch)], greedy=False,
+            observations, hiddens, episode_lanes(range(batch), ACTION_DOMAIN).uniforms,
+            greedy=False,
         )
         np.testing.assert_array_equal(original.actions, restored.actions)
         np.testing.assert_array_equal(original.log_probs, restored.log_probs)

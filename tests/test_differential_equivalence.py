@@ -5,14 +5,14 @@ policy configurations (varying batch size, core allocations, penalties,
 idle rates, episode lengths and partial-batch endings) are each run
 through every collection mode and asserted **bit-identical** on rewards,
 observations, actions, hidden states, value estimates *and the final
-rng stream positions* of both the environment and the action streams:
+cursors* of every episode's Philox lanes, idle and action:
 
 * one      — :class:`BatchedRolloutCollector`, one episode at a time
   (B = 1, the sequential view);
-* lockstep — the same collector, all episodes in one batch;
+* lockstep — a collector on the same seed, all episodes in one batch;
 * halves   — the episode list split in two, each half one
-  ``collect_batch`` call on its slice of the full list's
-  :func:`derive_episode_streams` (how a job would shard a collection).
+  ``collect_batch`` call on its own collector, seeded at the half's
+  first episode seed (how a job would shard a collection).
 
 Every configuration is derived from a single seed, so a failure prints
 the config index and can be replayed in isolation with
@@ -32,11 +32,7 @@ import pytest
 from repro import native
 from repro.autograd.functional import matmul_rows_np
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
-from repro.drl.rollout import (
-    BatchedRolloutCollector,
-    Trajectory,
-    derive_episode_streams,
-)
+from repro.drl.rollout import BatchedRolloutCollector, Trajectory
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.nn.rnn import GRUCell
@@ -46,7 +42,7 @@ from repro.storage.simulator import StorageSystemConfig
 from repro.storage.vector_state import VectorSimulatorState
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
 from repro.utils.rng import NativePhiloxIdleKernel, PhiloxStreams, _philox_idle_reference
-from conftest import native_or_skip
+from conftest import collect_with_cursors, native_or_skip
 
 NUM_CONFIGS = 50
 
@@ -141,52 +137,25 @@ def make_case(index: int) -> FuzzCase:
     )
 
 
-def _rng_position(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
+def _collector(case: FuzzCase, first_seed: int) -> BatchedRolloutCollector:
+    return BatchedRolloutCollector(
+        VectorStorageAllocationEnv(case.system_config, case.reward_config), rng=first_seed
+    )
 
 
 def collect_one_at_a_time(case: FuzzCase):
-    """Every episode as its own B = 1 batch + final rng positions."""
-    collector = BatchedRolloutCollector(
-        VectorStorageAllocationEnv(case.system_config, case.reward_config)
+    """Every episode as its own B = 1 batch + final lane cursors."""
+    return collect_with_cursors(
+        _collector(case, case.base_seed), case.policy, case.traces, 1,
+        epsilon=case.epsilon, greedy=case.greedy,
     )
-    episode_rngs, action_rngs = derive_episode_streams(case.base_seed, len(case.traces))
-    trajectories = [
-        collector.collect_batch(
-            case.policy,
-            [trace],
-            epsilon=case.epsilon,
-            greedy=case.greedy,
-            episode_rngs=[episode_rngs[i]],
-            action_rngs=[action_rngs[i]],
-        )[0]
-        for i, trace in enumerate(case.traces)
-    ]
-    positions = [
-        (_rng_position(episode_rngs[i]), _rng_position(action_rngs[i]))
-        for i in range(len(case.traces))
-    ]
-    return trajectories, positions
 
 
 def collect_vector(case: FuzzCase):
-    collector = BatchedRolloutCollector(
-        VectorStorageAllocationEnv(case.system_config, case.reward_config)
+    return collect_with_cursors(
+        _collector(case, case.base_seed), case.policy, case.traces,
+        epsilon=case.epsilon, greedy=case.greedy,
     )
-    episode_rngs, action_rngs = derive_episode_streams(case.base_seed, len(case.traces))
-    trajectories = collector.collect_batch(
-        case.policy,
-        case.traces,
-        epsilon=case.epsilon,
-        greedy=case.greedy,
-        episode_rngs=episode_rngs,
-        action_rngs=action_rngs,
-    )
-    positions = [
-        (_rng_position(episode_rngs[i]), _rng_position(action_rngs[i]))
-        for i in range(len(case.traces))
-    ]
-    return trajectories, positions
 
 
 def assert_trajectories_identical(
@@ -226,12 +195,10 @@ def _assert_case_equivalent(case: FuzzCase, reference, positions, candidate, nam
         )
     for i, (expected, actual) in enumerate(zip(positions, candidate_positions)):
         assert expected[0] == actual[0], (
-            f"config {case.index} episode {i} ({name}): environment rng stream "
-            "position diverged"
+            f"config {case.index} episode {i} ({name}): idle lane cursor diverged"
         )
         assert expected[1] == actual[1], (
-            f"config {case.index} episode {i} ({name}): action rng stream "
-            "position diverged"
+            f"config {case.index} episode {i} ({name}): action lane cursor diverged"
         )
 
 
@@ -243,32 +210,21 @@ def split_halves(count: int) -> List[List[int]]:
 
 
 def collect_halves(case: FuzzCase):
-    """The episode list as two ``collect_batch`` calls + final rng positions.
+    """The episode list as two ``collect_batch`` calls + final lane cursors.
 
-    Each half runs on its own collector and gets its slice of the full
-    list's streams, so the halves must reproduce the lockstep batch bit
-    for bit, final stream positions included.
+    Each half runs on its own collector, seeded at the half's first
+    episode seed, so the halves must reproduce the lockstep batch bit
+    for bit, final cursors included.
     """
-    episode_rngs, action_rngs = derive_episode_streams(case.base_seed, len(case.traces))
     trajectories: List[Trajectory] = []
+    positions: list = []
     for half in split_halves(len(case.traces)):
-        collector = BatchedRolloutCollector(
-            VectorStorageAllocationEnv(case.system_config, case.reward_config)
+        collected, cursors = collect_with_cursors(
+            _collector(case, case.base_seed + half[0]), case.policy,
+            [case.traces[i] for i in half], epsilon=case.epsilon, greedy=case.greedy,
         )
-        trajectories.extend(
-            collector.collect_batch(
-                case.policy,
-                [case.traces[i] for i in half],
-                epsilon=case.epsilon,
-                greedy=case.greedy,
-                episode_rngs=[episode_rngs[i] for i in half],
-                action_rngs=[action_rngs[i] for i in half],
-            )
-        )
-    positions = [
-        (_rng_position(episode_rngs[i]), _rng_position(action_rngs[i]))
-        for i in range(len(case.traces))
-    ]
+        trajectories += collected
+        positions += cursors
     return trajectories, positions
 
 
@@ -304,14 +260,14 @@ def test_vector_vs_parallel_vs_pool_bit_identical(index):
 # ----------------------------------------------------------------------
 # The fleet's counter-based streams: lane subsets of one episode set
 # ----------------------------------------------------------------------
-# ``PhiloxStreams`` serves the fleet driver only (rollouts run on the
-# per-episode generators above), and what the fleet relies on is that a
-# lane's draws depend on its global episode id and its own cursor, never
-# on which lanes share its batch: finished-slot masking, shard layout and
-# shard recycling all rest on it.  Pinned over the harness's random
-# configurations (idle rates incl. 0, one-core levels that skip their
-# draw, truncated and partial batches).  The two ids predate the removal
-# of Philox *rollouts* and are kept so the floor list tracks one name.
+# What every lockstep batch relies on, at the simulator alone: a lane's
+# draws depend on its episode id and its own cursor, never on which lanes
+# share its batch — finished-slot masking, fleet shard layout and
+# recycling, and the collection modes above all rest on it.  Pinned over
+# the harness's random configurations (idle rates incl. 0, one-core
+# levels that skip their draw, truncated and partial batches) with the
+# per-step idle matrices and backlogs, on the fleet's kind of lanes: a
+# base seed and episode ids, past 2**32 on odd configs.
 PHILOX_NUM_CONFIGS = 25
 
 
@@ -319,10 +275,12 @@ def run_philox_lanes(case: FuzzCase, lanes: List[int]) -> dict:
     """Episodes ``lanes`` of the case as one lockstep simulator batch.
 
     Returns ``{lane: (per-step (idle, backlog), makespan, final cursor)}``.
-    Actions come from per-lane generators, so they cannot depend on the
-    batch a lane is stepped in.
+    Lane ``k`` is episode id ``k``, or ``2**33 + k`` on odd configs (past
+    the low counter word).  Actions come from per-lane generators, so
+    they cannot depend on the batch a lane is stepped in.
     """
-    streams = PhiloxStreams(case.base_seed, lanes, "env")
+    offset = (case.index % 2) << 33
+    streams = PhiloxStreams(case.base_seed, [offset + lane for lane in lanes], "env")
     state = VectorSimulatorState(case.system_config, record_metrics=False)
     state.reset([case.traces[lane] for lane in lanes], rngs=streams)
     action_rngs = [np.random.default_rng([case.index, lane]) for lane in lanes]

@@ -41,6 +41,7 @@ from repro.qbn.quantize import code_key, codes_to_values, quantization_levels, q
 from repro.qbn.trainer import QBNTrainer, QBNTrainingConfig
 from repro.storage.migration import MigrationAction
 from repro.autograd.tensor import Tensor
+from repro.utils.rng import ACTION_DOMAIN, episode_lanes
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +60,7 @@ class TestPolicyNetwork:
         out = tiny_policy.act_batch(
             np.zeros((1, tiny_policy.config.observation_dim)),
             tiny_policy.initial_hidden_np(1),
-            rngs=[np.random.default_rng(0)],
+            episode_lanes([0], ACTION_DOMAIN).uniforms,
             greedy=False,
         )
         assert 0 <= out.actions[0] < 7
@@ -73,7 +74,7 @@ class TestPolicyNetwork:
                 tiny_policy.act_batch(
                     np.zeros((1, tiny_policy.config.observation_dim)),
                     tiny_policy.initial_hidden_np(1),
-                    rngs=[np.random.default_rng(i)],
+                    episode_lanes([i], ACTION_DOMAIN).uniforms,
                     epsilon=1.0,
                 ).actions[0]
             )
@@ -100,7 +101,7 @@ class TestPolicyNetwork:
 class TestRollout:
     def test_collect_records_full_episode(self, collector, short_trace, tiny_policy):
         (trajectory,) = collector.collect_batch(
-            tiny_policy, [short_trace], greedy=True, episode_rngs=[0]
+            tiny_policy, [short_trace], greedy=True
         )
         assert len(trajectory) == trajectory.makespan
         assert trajectory.observations().shape == (len(trajectory), 35)
@@ -109,7 +110,7 @@ class TestRollout:
 
     def test_hidden_states_chain(self, collector, short_trace, tiny_policy):
         (trajectory,) = collector.collect_batch(
-            tiny_policy, [short_trace], greedy=True, episode_rngs=[0]
+            tiny_policy, [short_trace], greedy=True
         )
         np.testing.assert_array_equal(
             trajectory.hidden_states_after()[:-1], trajectory.hidden_states_before()[1:]
@@ -298,7 +299,7 @@ class TestQBNAutoencoderAndTrainer:
 
     def test_dataset_from_trajectories(self, collector, short_trace, tiny_policy):
         trajectories = collector.collect_batch(
-            tiny_policy, [short_trace], greedy=True, episode_rngs=[0]
+            tiny_policy, [short_trace], greedy=True
         )
         dataset = TransitionDataset.from_trajectories(trajectories)
         assert len(dataset) == len(trajectories[0])
@@ -390,7 +391,7 @@ class TestQBNFineTuneFreezesThePolicy:
     def dataset(self, collector, short_trace, tiny_policy):
         return TransitionDataset.from_trajectories(
             collector.collect_batch(
-                tiny_policy, [short_trace], greedy=True, episode_rngs=[0]
+                tiny_policy, [short_trace], greedy=True
             )
         )
 

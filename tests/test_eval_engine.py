@@ -262,11 +262,8 @@ class TestCollectorMatchesEngine:
     def test_greedy_collection_is_the_engine_evaluation(
         self, ragged_traces, system_config, tiny_policy
     ):
-        collector = BatchedRolloutCollector(VectorStorageAllocationEnv(system_config))
-        trajectories = collector.collect_batch(
-            tiny_policy, ragged_traces, greedy=True,
-            episode_rngs=[4 + i for i in range(len(ragged_traces))],
-        )
+        collector = BatchedRolloutCollector(VectorStorageAllocationEnv(system_config), rng=4)
+        trajectories = collector.collect_batch(tiny_policy, ragged_traces, greedy=True)
         evaluation = EvaluationEngine(system_config).evaluate(
             GRUPolicyBackend(tiny_policy), ragged_traces, episode_seed=4
         )
@@ -312,10 +309,10 @@ class TestScalarOracle:
         twin = DRLPolicyAgent(tiny_policy, encoder, epsilon=0.3, rng=3)
         assert backend_for_agent(live, encoder) is None
         self._assert_matches_oracle(scalar_episode, live, twin, suite_traces[:4], system_config)
-        # One shared exploration stream, consumed in trace order, and the
+        # One shared exploration lane, consumed in trace order, and the
         # last episode's hidden row: both are on the caller's object.
-        assert live._rng.bit_generator.state == twin._rng.bit_generator.state
-        assert live._rng.bit_generator.state != np.random.default_rng(3).bit_generator.state
+        assert live._streams._cursors.tolist() == twin._streams._cursors.tolist()
+        assert live._streams._cursors.tolist() != [0]
         np.testing.assert_array_equal(live.hidden_state, twin.hidden_state)
 
     def test_shared_rng_agent_matches_scalar_env(

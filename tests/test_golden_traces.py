@@ -12,6 +12,14 @@ The fixture workload is fully seeded (generator rng=123, suite rng=7,
 duration 24, sampler rng=11, sample rng=13 — see ``conftest.py``) and
 every episode runs with ``episode_seed=0``, so all values are exact
 across runs, platforms and worker layouts.
+
+Re-pinned once when every episode's randomness moved onto Philox lanes
+(idle cores and the policy's sampling and exploration draw from
+``episode_lanes``, not per-episode ``np.random.Generator`` streams).
+The draws changed, not the model: over 32 episode seeds on 8 fixture
+traces, each baseline's mean makespan and migration count under the
+lanes lies inside the range the generator streams gave across those
+seeds (CHANGES.md has the table).
 """
 
 import numpy as np
@@ -22,7 +30,7 @@ from repro.agents.greedy import GreedyUtilizationPolicy
 from repro.agents.proportional import ProportionalAllocationPolicy
 from repro.drl.a2c import A2CConfig, A2CTrainer
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
-from repro.drl.rollout import BatchedRolloutCollector, derive_episode_streams
+from repro.drl.rollout import BatchedRolloutCollector
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.pipeline.evaluation import compare_agents
@@ -30,30 +38,30 @@ from repro.storage.levels import Level
 
 # Exact integer pins.
 GOLDEN_MAKESPANS = {
-    "default": [36, 32, 27, 27],
-    "greedy_utilization": [27, 33, 27, 26],
-    "proportional_allocation": [31, 33, 26, 26],
+    "default": [35, 32, 27, 27],
+    "greedy_utilization": [26, 32, 28, 24],
+    "proportional_allocation": [29, 33, 27, 24],
 }
 GOLDEN_MIGRATIONS = {
     "default": [0, 0, 0, 0],
-    "greedy_utilization": [6, 17, 17, 22],
-    "proportional_allocation": [1, 1, 3, 4],
+    "greedy_utilization": [5, 17, 21, 20],
+    "proportional_allocation": [1, 1, 2, 4],
 }
 # Float pins, asserted to 1e-12 relative tolerance.
 GOLDEN_TOTAL_REWARDS = {
-    "default": [2.7777777777777777, 3.125, 3.7037037037037037, 3.7037037037037037],
-    "greedy_utilization": [3.7037037037037037, 3.0303030303030303,
-                           3.7037037037037037, 3.8461538461538463],
-    "proportional_allocation": [3.225806451612903, 3.0303030303030303,
-                                3.8461538461538463, 3.8461538461538463],
+    "default": [2.857142857142857, 3.125, 3.7037037037037037, 3.7037037037037037],
+    "greedy_utilization": [3.8461538461538463, 3.125,
+                           3.5714285714285716, 4.166666666666667],
+    "proportional_allocation": [3.4482758620689653, 3.0303030303030303,
+                                3.7037037037037037, 4.166666666666667],
 }
 GOLDEN_FIRST_EPISODE_MEAN_UTILIZATION = {
-    "default": {Level.NORMAL: 0.9573858234920478, Level.KV: 0.5198134160816055,
-                Level.RV: 0.4105258674055475},
-    "greedy_utilization": {Level.NORMAL: 0.9330449967130808, Level.KV: 0.9032902108503514,
-                           Level.RV: 0.94050417340286},
-    "proportional_allocation": {Level.NORMAL: 0.9554759915325451, Level.KV: 0.6036542896431548,
-                                Level.RV: 0.6921267529323167},
+    "default": {Level.NORMAL: 0.9561682755918207, Level.KV: 0.5420154965702949,
+                Level.RV: 0.4071809470177732},
+    "greedy_utilization": {Level.NORMAL: 0.9576730956357788, Level.KV: 0.962846992963169,
+                           Level.RV: 0.9631397805113485},
+    "proportional_allocation": {Level.NORMAL: 0.9940689846908474, Level.KV: 0.6541566337917352,
+                                Level.RV: 0.7324644801598986},
 }
 
 
@@ -113,33 +121,32 @@ class TestGoldenTraces:
 # CDF sampling, epsilon exploration, value head — which the baseline-
 # agent goldens above never touch, so refactors of the inference kernels
 # (buffered GRU, batched draws) cannot silently change behaviour.
-TRAINED_HISTORY_MAKESPANS = [35.5, 61.5, 56.0]
-TRAINED_POLICY_LOSSES = [0.11600420420845989, 0.07990632470201373,
-                         -0.03679128108503107]
-TRAINED_VALUE_LOSSES = [14.859691079452048, 15.127238496554613,
-                        15.101128196643531]
+TRAINED_HISTORY_MAKESPANS = [69.0, 38.0, 49.0]
+TRAINED_POLICY_LOSSES = [0.06474296150572471, 0.0972084432615059,
+                         0.0767767682140574]
+TRAINED_VALUE_LOSSES = [15.184444728534658, 14.940882694843298,
+                        15.073443129233357]
 TRAINED_GREEDY_MAKESPANS = [41, 67, 51, 33]
 TRAINED_GREEDY_ACTIONS_0 = [6] + [5] * 40
 TRAINED_GREEDY_ACTIONS_3 = [6, 3, 3, 3, 3, 3, 3, 3] + [5] * 20 + [3] * 5
 TRAINED_GREEDY_VALUE_ENDPOINTS = {
-    0: (-0.08024745720139852, 0.5227890452199159),
-    1: (-0.025602535082521454, 0.46882226571077457),
-    2: (-0.12342895345617998, 0.474428983849165),
-    3: (0.04931406490979116, 0.21805272853996802),
+    0: (-0.08071659006978125, 0.5205494928771295),
+    1: (-0.02607869509208257, 0.46846157308275466),
+    2: (-0.12387574541664044, 0.47470679796414034),
+    3: (0.049124021878081625, 0.21815830820689955),
 }
-TRAINED_GREEDY_HIDDEN_MEANS = [0.3127292731069296, 0.25236881864643307,
-                               0.25994973490609724, 0.25426312649831284]
-TRAINED_GREEDY_OBS_SUMS = [171.57247926074325, 276.7373860843072,
-                           204.02452282909883, 149.5404898961558]
-TRAINED_SAMPLED_MAKESPANS = [52, 54]
+TRAINED_GREEDY_HIDDEN_MEANS = [0.31186387873436805, 0.25133212725827686,
+                               0.261293900708115, 0.25330406930740446]
+TRAINED_GREEDY_OBS_SUMS = [171.4917711312114, 277.3314545843069,
+                           204.82109668085565, 148.38216411491328]
+TRAINED_SAMPLED_MAKESPANS = [39, 63]
 TRAINED_SAMPLED_ACTIONS_0 = [
-    4, 3, 5, 5, 5, 4, 6, 2, 6, 4, 2, 0, 5, 5, 5, 4, 6, 4, 3, 3, 5, 0, 4, 0,
-    5, 1, 5, 5, 3, 6, 5, 6, 6, 3, 5, 3, 5, 2, 5, 0, 4, 3, 0, 4, 2, 1, 4, 0,
-    2, 5, 5, 5,
+    2, 4, 2, 5, 1, 5, 6, 4, 0, 3, 4, 1, 4, 2, 4, 5, 4, 6, 3, 4, 6, 5, 4, 4,
+    4, 6, 3, 3, 3, 5, 5, 0, 5, 5, 4, 2, 3, 3, 4,
 ]
-TRAINED_SAMPLED_VALUE_SUMS = [19.836697835814213, 17.085671931136222]
-TRAINED_SAMPLED_HIDDEN_MEANS = [0.2676449506426933, 0.259245691016871]
-TRAINED_SAMPLED_OBS_SUMS = [216.22897507516288, 242.64199498671888]
+TRAINED_SAMPLED_VALUE_SUMS = [25.352135204153623, 18.922822815320895]
+TRAINED_SAMPLED_HIDDEN_MEANS = [0.3160097140870638, 0.25394353168935335]
+TRAINED_SAMPLED_OBS_SUMS = [165.24203417997217, 271.30018692891997]
 
 
 @pytest.fixture(scope="module")
@@ -150,18 +157,12 @@ def trained_policy_rollouts(system_config, real_traces):
         policy, system_config, reward_config, A2CConfig(episodes_per_epoch=2, n_step=4), rng=9
     )
     history = trainer.train(real_traces[:2], epochs=3)
-    collector = BatchedRolloutCollector(
-        VectorStorageAllocationEnv(system_config, reward_config)
+    venv = VectorStorageAllocationEnv(system_config, reward_config)
+    greedy = BatchedRolloutCollector(venv, rng=2024).collect_batch(
+        policy, real_traces, greedy=True
     )
-    greedy_rngs = derive_episode_streams(2024, len(real_traces))
-    greedy = collector.collect_batch(
-        policy, real_traces, greedy=True,
-        episode_rngs=greedy_rngs[0], action_rngs=greedy_rngs[1],
-    )
-    sampled_rngs = derive_episode_streams(777, 2)
-    sampled = collector.collect_batch(
-        policy, real_traces[:2], greedy=False, epsilon=0.1,
-        episode_rngs=sampled_rngs[0], action_rngs=sampled_rngs[1],
+    sampled = BatchedRolloutCollector(venv, rng=777).collect_batch(
+        policy, real_traces[:2], greedy=False, epsilon=0.1
     )
     return history, greedy, sampled
 

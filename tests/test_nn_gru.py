@@ -811,7 +811,7 @@ class TestTrainingBitwiseDifferential:
     @staticmethod
     def _train_qbns(system_config, traces, policy):
         collector = BatchedRolloutCollector(
-            VectorStorageAllocationEnv(system_config, RewardConfig(mode="per_step_penalty")), rng=1
+            VectorStorageAllocationEnv(system_config, RewardConfig(mode="per_step_penalty")), rng=2
         )
         dataset = TransitionDataset.from_trajectories(
             collector.collect_batch(policy, traces, greedy=True)

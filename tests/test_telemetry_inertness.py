@@ -84,7 +84,7 @@ class TestEvaluationInertness:
 
         assert enabled == disabled
         # Anchor to the repo-wide golden pins: inert under BOTH modes.
-        assert enabled["default"]["makespans"] == [36, 32, 27, 27]
+        assert enabled["default"]["makespans"] == [35, 32, 27, 27]
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,15 @@ import pytest
 from repro import native
 from repro.errors import ConfigurationError
 from repro.utils import rng as rng_module
-from repro.utils.rng import PhiloxStreams, RngFactory, new_rng
+from repro.utils.rng import (
+    ACTION_DOMAIN,
+    IDLE_DOMAIN,
+    PhiloxStreams,
+    RngFactory,
+    episode_lanes,
+    episode_seed,
+    new_rng,
+)
 from conftest import native_or_skip, unprobed
 
 
@@ -171,13 +179,63 @@ class TestPhiloxLanes:
             ([3, 3], "episode id 3 is repeated"),
             ([4, 9, 4], "episode id 4 is repeated"),
             (np.array([2.0, 3.0]), "non-negative integers"),
+            ([True], "non-negative integers"),
+            (-3, "count must be non-negative"),
+            (np.int64(-1), "count must be non-negative"),
+            (True, "count must be an integer"),
+            (np.True_, "count must be an integer"),
         ],
     )
     def test_bad_episode_ids_are_refused(self, episodes, complaint):
         """A cast used to make -1 lane 2**64 - 1, 1.5 lane 1, and [3, 3]
-        two lanes with one stream."""
+        two lanes with one stream; a count of -3 made no lanes and
+        ``True`` one."""
         with pytest.raises(ConfigurationError, match=complaint):
             PhiloxStreams(1, episodes, "ids")
+
+    @pytest.mark.parametrize("base_seed", [1.5, True, np.True_, "1", None, np.float64(1.0)])
+    def test_bad_base_seeds_are_refused(self, base_seed):
+        """``int(base_seed)`` used to give 1.5 and True seed 1's keystream."""
+        with pytest.raises(ConfigurationError, match="base seed must be an integer"):
+            PhiloxStreams(base_seed, 2, "seeds")
+
+    def test_good_base_seeds_are_kept(self):
+        for seed in (0, -7, 2**70, np.int64(5), np.uint64(2**63)):
+            streams = PhiloxStreams(seed, 2, "seeds")
+            twin = PhiloxStreams(int(seed), 2, "seeds")
+            assert streams.uniforms().tolist() == twin.uniforms().tolist()
+
+    def test_tiled_lanes_repeat_every_copy(self):
+        """``tile`` is the one way to hold an episode id twice: each copy's
+        lane draws what the original lane draws, on its own cursor."""
+        ids = [4, 2**33, 0]
+        base = PhiloxStreams(9, ids, "tile")
+        tiled = base.tile(3)
+        assert tiled._episodes.tolist() == ids * 3
+        assert tiled._cursors.tolist() == [0] * 9
+        original = PhiloxStreams(9, ids, "tile")
+        reference = np.stack([original.uniforms() for _ in range(4)])
+        for draw in range(4):
+            np.testing.assert_array_equal(tiled.uniforms(), np.tile(reference[draw], 3))
+        tiled.uniforms([1, 7])
+        assert tiled._cursors.tolist() == [4, 5, 4, 4, 4, 4, 4, 5, 4]
+        assert base._cursors.tolist() == [0, 0, 0]
+
+    def test_episode_lanes_name_an_episode_by_its_seed(self):
+        """Seed ``s`` is one lane wherever it sits: alone, in a batch, or
+        named by a generator's draw."""
+        batch = episode_lanes([5, 3, 2**40], IDLE_DOMAIN)
+        alone = episode_lanes([3], IDLE_DOMAIN)
+        for _ in range(3):
+            assert batch.uniforms()[1] == alone.uniforms()[0]
+        assert episode_seed(17) == 17
+        drawn = episode_seed(np.random.default_rng(4))
+        assert drawn == int(np.random.default_rng(4).integers(1 << 62))
+        assert episode_lanes([drawn], ACTION_DOMAIN).uniforms()[0] != (
+            episode_lanes([drawn], IDLE_DOMAIN).uniforms()[0]
+        )
+        with pytest.raises(ConfigurationError, match="episode id 3 is repeated"):
+            episode_lanes([3, 3], IDLE_DOMAIN)
 
     def test_good_episode_ids_are_kept(self):
         ids = [2**64 - 1, 0, 2**33, 7]

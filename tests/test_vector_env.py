@@ -13,7 +13,7 @@ from repro.errors import EnvironmentError_
 from repro.storage.migration import NUM_ACTIONS
 from repro.storage.simulator import StorageSimulator
 from repro.storage.workload import WorkloadInterval
-from repro.utils.rng import PhiloxStreams
+from repro.utils.rng import IDLE_DOMAIN, PhiloxStreams, episode_lanes
 
 
 @pytest.fixture
@@ -25,17 +25,21 @@ def vector_env(system_config):
 
 class TestVectorReset:
     def test_reset_returns_batched_observations(self, vector_env, real_traces):
-        observations = vector_env.reset(real_traces, rngs=list(range(len(real_traces))))
+        observations = vector_env.reset(
+            real_traces, rngs=episode_lanes(range(len(real_traces)), IDLE_DOMAIN)
+        )
         assert observations.shape == (len(real_traces), OBSERVATION_DIM)
         assert vector_env.num_envs == len(real_traces)
         assert not vector_env.all_done
         assert vector_env.raw_observations().shape == observations.shape
 
     def test_reset_matches_sequential_reset(self, system_config, vector_env, real_traces):
-        observations = vector_env.reset(real_traces, rngs=[7] * len(real_traces))
+        observations = vector_env.reset(
+            real_traces, rngs=episode_lanes(range(7, 7 + len(real_traces)), IDLE_DOMAIN)
+        )
         env = StorageAllocationEnv(system_config, reward_config=RewardConfig(mode="per_step_penalty"))
         for i, trace in enumerate(real_traces):
-            first = env.reset(trace, rng=7)
+            first = env.reset(trace, rng=7 + i)
             np.testing.assert_array_equal(
                 observations[i], env.observation_encoder.normalize(first)
             )
@@ -45,7 +49,7 @@ class TestVectorReset:
         with pytest.raises(EnvironmentError_):
             vector_env.reset([])
         with pytest.raises(EnvironmentError_):
-            vector_env.reset(real_traces, rngs=[0])
+            vector_env.reset(real_traces, rngs=episode_lanes([0], IDLE_DOMAIN))
 
     def test_resize_between_resets(self, vector_env, real_traces):
         vector_env.reset(real_traces)
@@ -126,7 +130,7 @@ class TestSharedTraceReset:
 
 class TestVectorStep:
     def test_step_shapes(self, vector_env, real_traces):
-        vector_env.reset(real_traces, rngs=list(range(len(real_traces))))
+        vector_env.reset(real_traces, rngs=episode_lanes(range(len(real_traces)), IDLE_DOMAIN))
         batch = len(real_traces)
         result = vector_env.step(np.zeros(batch, dtype=int))
         assert result.observations.shape == (batch, OBSERVATION_DIM)
@@ -147,7 +151,7 @@ class TestVectorStep:
     def test_heterogeneous_lengths_auto_mask(self, vector_env, real_traces):
         """Shorter episodes finish first and are frozen while others drain."""
         batch = len(real_traces)
-        vector_env.reset(real_traces, rngs=list(range(batch)))
+        vector_env.reset(real_traces, rngs=episode_lanes(range(batch), IDLE_DOMAIN))
         makespans = np.zeros(batch, dtype=int)
         frozen_rows = {}
         steps = 0
@@ -176,7 +180,7 @@ class TestVectorStep:
         result's own snapshot: reading it two steps late gives the step's
         rows, not the environment's current ones."""
         batch = len(real_traces)
-        vector_env.reset(real_traces, rngs=list(range(batch)))
+        vector_env.reset(real_traces, rngs=episode_lanes(range(batch), IDLE_DOMAIN))
         normalize = vector_env.observation_encoder.normalize_batch
         result = vector_env.step(np.ones(batch, dtype=int))
         at_the_time = vector_env.observations()
@@ -193,7 +197,7 @@ class TestVectorStep:
         """Frozen rows of finished slots and fresh rows of stepped ones:
         the current matrix is a full normalisation of the raw one."""
         batch = len(real_traces)
-        vector_env.reset(real_traces, rngs=list(range(batch)))
+        vector_env.reset(real_traces, rngs=episode_lanes(range(batch), IDLE_DOMAIN))
         normalize = vector_env.observation_encoder.normalize_batch
         partial_steps = 0
         while not vector_env.all_done:
@@ -210,7 +214,7 @@ class TestVectorStep:
 
     def test_rewards_match_sequential(self, system_config, vector_env, real_traces):
         batch = len(real_traces)
-        vector_env.reset(real_traces, rngs=list(range(batch)))
+        vector_env.reset(real_traces, rngs=episode_lanes(range(batch), IDLE_DOMAIN))
         env = StorageAllocationEnv(system_config, reward_config=RewardConfig(mode="per_step_penalty"))
         for i, trace in enumerate(real_traces):
             env.reset(trace, rng=i)
@@ -239,7 +243,7 @@ class TestVectorMasks:
     def test_masks_match_sequential_env(self, system_config, vector_env, real_traces):
         """Slot ``i``'s row is the scalar env's mask, decision after decision."""
         batch = len(real_traces)
-        vector_env.reset(real_traces, rngs=list(range(batch)))
+        vector_env.reset(real_traces, rngs=episode_lanes(range(batch), IDLE_DOMAIN))
         envs = []
         for i, trace in enumerate(real_traces):
             env = StorageAllocationEnv(
@@ -291,7 +295,7 @@ class TestMetricsModes:
         venv = VectorStorageAllocationEnv(
             system_config, RewardConfig(mode="per_step_penalty"), record_metrics=True
         )
-        venv.reset(real_traces[:2], rngs=[0, 1])
+        venv.reset(real_traces[:2], rngs=episode_lanes([0, 1], IDLE_DOMAIN))
         while not venv.all_done:
             venv.step(np.zeros(2, dtype=int))
         for episode, makespan in zip(venv.episode_metrics(), venv._makespans):
@@ -304,7 +308,7 @@ class TestMetricsModes:
         hands back step by step."""
         traces = real_traces[:3]
         venv = VectorStorageAllocationEnv(system_config, record_metrics=True)
-        venv.reset(traces, rngs=[4, 5, 6])
+        venv.reset(traces, rngs=episode_lanes([4, 5, 6], IDLE_DOMAIN))
         actions = np.random.default_rng(0).integers(0, NUM_ACTIONS, size=(200, 3))
         step = 0
         while not venv.all_done:
@@ -330,7 +334,7 @@ class TestMetricsModes:
         venv = VectorStorageAllocationEnv(
             system_config, RewardConfig(mode="per_step_penalty"), record_metrics=False
         )
-        venv.reset(real_traces[:2], rngs=[0, 1])
+        venv.reset(real_traces[:2], rngs=episode_lanes([0, 1], IDLE_DOMAIN))
         while not venv.all_done:
             result = venv.step(np.zeros(2, dtype=int))
         assert (result.makespans >= np.array([len(t) for t in real_traces[:2]])).all()

@@ -2,7 +2,7 @@
 
 The contract: slot ``i`` of a :class:`VectorSimulatorState` episode is
 bit-identical to a scalar :class:`StorageSimulator` episode on the same
-trace with the same rng stream, for every batch size, kernel choice and
+trace with the same Philox lane, for every batch size, kernel choice and
 batch composition (partial batches of different-length traces, fully
 finished batches).  These tests also pin the numerical foundations the
 vectorized kernels stand on — numpy's row-wise reductions matching
@@ -29,7 +29,8 @@ from repro.storage.simulator import StorageSimulator, StorageSystemConfig
 from repro.storage.vector_state import VectorSimulatorState
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
 from repro import native
-from repro.utils.rng import PhiloxStreams
+from repro.utils import rng as rng_module
+from repro.utils.rng import IDLE_DOMAIN, PhiloxStreams, episode_lanes
 from conftest import kernels_off, native_or_skip, unprobed
 
 
@@ -50,7 +51,7 @@ def _drive_and_compare(config, traces, seeds, action_seed=101):
     """
     batch = len(traces)
     state = VectorSimulatorState(config, record_metrics=False)
-    state.reset(traces, rngs=list(seeds))
+    state.reset(traces, rngs=episode_lanes(seeds, IDLE_DOMAIN))
     scalars = []
     for trace, seed in zip(traces, seeds):
         simulator = StorageSimulator(config, rng=seed, record_metrics=False)
@@ -163,7 +164,7 @@ def _state_on_the_eve_of_dispatch(rows, config=None):
     """A reset state whose slots are overwritten with explicit ``rows``."""
     state = VectorSimulatorState(config or StorageSystemConfig())
     trace = WorkloadTrace("one-interval", [WorkloadInterval.empty()])
-    state.reset([trace] * len(rows), rngs=list(range(len(rows))))
+    state.reset([trace] * len(rows), rngs=episode_lanes(range(len(rows)), IDLE_DOMAIN))
     state.pos_ids[...] = state._id_sentinel
     state.pos_cooldown[...] = 0
     for slot, (counts, cooldowns, idle, backlog) in enumerate(rows):
@@ -206,7 +207,7 @@ def _differential_case(draw):
         config,
         draw(st.sampled_from([1, 2, 7, 64])),
         draw(st.booleans()),            # record_metrics
-        draw(st.booleans()),            # Philox streams, else per-slot generators
+        draw(st.booleans()),            # fleet lanes (a base seed), else episode seeds
         draw(st.integers(0, 2**32 - 1)),
     )
 
@@ -238,9 +239,10 @@ class TestNativeKernel:
         states = []
         for kernel in ("native", "reference"):
             state = VectorSimulatorState(config, record_metrics=record)
-            streams = PhiloxStreams(seed, batch, "differential") if philox else [
-                seed + i for i in range(batch)
-            ]
+            streams = (
+                PhiloxStreams(seed, batch, "differential") if philox
+                else episode_lanes(range(seed, seed + batch), IDLE_DOMAIN)
+            )
             state.reset(traces, rngs=streams)
             assert state._kernel is not None
             if kernel == "reference":
@@ -334,7 +336,7 @@ class TestBatchLifecycle:
     def test_all_finished_mask_is_a_noop(self, real_traces):
         state = VectorSimulatorState(StorageSystemConfig())
         traces = _batch_traces(real_traces, 3)
-        state.reset(traces, rngs=[0, 1, 2])
+        state.reset(traces, rngs=episode_lanes([0, 1, 2], IDLE_DOMAIN))
         while not state.done.all():
             state.step(np.zeros(3, dtype=np.int64))
         makespans = state.steps_taken.copy()
@@ -345,17 +347,18 @@ class TestBatchLifecycle:
         np.testing.assert_array_equal(state.backlog, backlog)
 
     def test_partial_batch_slots_freeze(self, real_traces):
-        """Shorter episodes stop consuming randomness once finished."""
+        """Shorter episodes stop consuming randomness once finished, and a
+        lane draws the same alone as beside another."""
         traces = sorted(list(real_traces), key=len)[:2]
         config = StorageSystemConfig()
         # Lone run of the longer trace with its own stream.
         lone = VectorSimulatorState(config)
-        lone.reset([traces[1]], rngs=[42])
+        lone.reset([traces[1]], rngs=episode_lanes([42], IDLE_DOMAIN))
         while not lone.done.all():
             lone.step(np.zeros(1, dtype=np.int64))
         # Same trace sharing a batch with a shorter one that finishes first.
         pair = VectorSimulatorState(config)
-        pair.reset(traces, rngs=[7, 42])
+        pair.reset(traces, rngs=episode_lanes([7, 42], IDLE_DOMAIN))
         while not pair.done.all():
             pair.step(np.zeros(2, dtype=np.int64))
         assert int(pair.steps_taken[1]) == int(lone.steps_taken[0])
@@ -365,7 +368,9 @@ class TestBatchLifecycle:
         with pytest.raises(SimulationError):
             state.reset([])
         with pytest.raises(SimulationError):
-            state.reset(list(real_traces)[:2], rngs=[0])
+            state.reset(list(real_traces)[:2], rngs=episode_lanes([0], IDLE_DOMAIN))
+        with pytest.raises(SimulationError, match="PhiloxStreams"):
+            state.reset(list(real_traces)[:2], rngs=[0, 1])
         with pytest.raises(SimulationError):
             state.step(np.zeros(1, dtype=np.int64))
 
@@ -374,7 +379,7 @@ class TestBatchLifecycle:
         """Negative indices must not wrap through fancy indexing into a
         silent (wrong) migration; out-of-range raises cleanly instead."""
         state = VectorSimulatorState(StorageSystemConfig())
-        state.reset(list(real_traces)[:2], rngs=[0, 1])
+        state.reset(list(real_traces)[:2], rngs=episode_lanes([0, 1], IDLE_DOMAIN))
         counts_before = state.counts.copy()
         with pytest.raises(SimulationError):
             state.step(np.array([action, 0], dtype=np.int64))
@@ -389,7 +394,7 @@ class TestBatchLifecycle:
         """After many random migrations the padded positional arrays still
         hold each level's cores id-sorted with clean sentinel padding."""
         state = VectorSimulatorState(StorageSystemConfig())
-        state.reset(list(real_traces)[:2], rngs=[0, 1])
+        state.reset(list(real_traces)[:2], rngs=episode_lanes([0, 1], IDLE_DOMAIN))
         rng = np.random.default_rng(5)
         sentinel = state._id_sentinel
         assert sentinel >= 2 * state.num_cores
@@ -420,7 +425,9 @@ class TestBatchLifecycle:
         batch = 512
         state = VectorSimulatorState(StorageSystemConfig(), record_metrics=False)
         with kernels_off("simulator"):
-            state.reset(_batch_traces(real_traces, batch), rngs=list(range(batch)))
+            state.reset(
+                _batch_traces(real_traces, batch), rngs=episode_lanes(range(batch), IDLE_DOMAIN)
+            )
         helper, asked = state._arange, set()
         state._arange = lambda n: asked.add(n) or helper(n)
         rng = np.random.default_rng(9)
@@ -454,7 +461,7 @@ class TestAgentEquivalence:
     ):
         traces = _batch_traces(real_traces, batch)
         venv = VectorStorageAllocationEnv(system_config, record_metrics=True)
-        observations = venv.reset(traces, rngs=list(range(batch)))
+        observations = venv.reset(traces, rngs=episode_lanes(range(batch), IDLE_DOMAIN))
         agents = [agent_factory(system_config) for _ in range(batch)]
         for agent in agents:
             agent.reset()
@@ -541,14 +548,19 @@ class TestPairwiseFoundations:
         )
 
     def test_masked_poisson_matches_scalar_draws(self):
-        lam = np.array([0.24, 0.12, 0.48])
-        for seed in range(10):
-            vector_rng = np.random.default_rng(seed)
-            scalar_rng = np.random.default_rng(seed)
-            vector_draws = vector_rng.poisson(lam)
-            scalar_draws = np.array([scalar_rng.poisson(l) for l in lam])
-            np.testing.assert_array_equal(vector_draws, scalar_draws)
-            assert vector_rng.integers(1 << 30) == scalar_rng.integers(1 << 30)
+        """The idle sampler's CDF inversion over a batch of fired cells
+        equals each cell inverted alone, down to deep tails."""
+        rng = np.random.default_rng(0)
+        lam = np.concatenate([rng.uniform(0.01, 2.0, 40), [0.24, 30.0, 120.0]])
+        uniforms = np.concatenate([rng.random(40), [0.999999, 0.5, 0.9999]])
+        term = np.exp(-lam)
+        batched = rng_module._poisson_from_uniform(uniforms, lam, term)
+        alone = [
+            rng_module._poisson_from_uniform(uniforms[i:i + 1], lam[i:i + 1], term[i:i + 1])[0]
+            for i in range(lam.size)
+        ]
+        np.testing.assert_array_equal(batched, alone)
+        assert batched.max() > 100
 
 
 # Pinned at the commit that removed the Philox rollout goldens: nothing
@@ -645,8 +657,7 @@ class TestPhiloxFleetStreams:
         With no movers no row ever cools, so every interval skips the
         cooldown decay; with movers only some rows cool at a time.  Each
         slot is compared with a B=1 state on the reference dispatch loop
-        and its own one-lane stream, which is the scalar simulator on
-        the Philox family.
+        and its own one-lane stream, which is the scalar simulator.
         """
         config = StorageSystemConfig(idle_rate=0.3)
         episodes = [3, 0, 11, 5, 1 << 33, 7, 1, 9]
