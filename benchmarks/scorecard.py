@@ -73,6 +73,7 @@ AGENTS = (
 DEFAULT = "default/mean_makespan"
 PROFILE = (
     ("states", "fsm_states"),
+    ("coverage", "fsm_coverage"),
     ("codes", "fsm_observations"),
     ("fallback", "fsm_fallback_share"),
     ("agreement", "teacher_agreement"),
@@ -278,8 +279,10 @@ def render(
         "",
         "Mean makespan of the default, and the other controllers' relative to it.",
         "`states`, `codes` and `fallback` are the compiled FSM's after the",
-        "held-out run; `agreement` is the GRU's agreement with the greedy",
-        "teacher on the training real traces.",
+        "held-out run; `coverage` is the share of its (state, code) cells",
+        "that the extraction records visit (the machine fills the rest);",
+        "`agreement` is the GRU's agreement with the greedy teacher on the",
+        "training real traces.",
     ]
     for sweep in sweeps:
         table = []

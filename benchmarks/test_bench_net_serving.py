@@ -44,7 +44,7 @@ from repro.drl.rollout import BatchedRolloutCollector
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
-from repro.fsm.extraction import ExtractionConfig, FSMExtractor
+from repro.fsm.extraction import FSMExtractor
 from repro.qbn.autoencoder import build_hidden_qbn, build_observation_qbn
 from repro.qbn.dataset import TransitionDataset
 from repro.engine import CompiledFSMBackend, CompiledFSMPolicy
@@ -78,7 +78,7 @@ def _build_compiled():
     observation_qbn = build_observation_qbn(35, latent_dim=12, rng=7)
     hidden_qbn = build_hidden_qbn(HIDDEN_SIZE, latent_dim=16, rng=8)
     extraction = FSMExtractor(
-        observation_qbn, hidden_qbn, ExtractionConfig(min_state_visits=0)
+        observation_qbn, hidden_qbn
     ).extract(dataset)
     encoder = StorageAllocationEnv(system_config).observation_encoder
     compiled = CompiledFSMPolicy.compile(

@@ -54,6 +54,7 @@ def _record(sweep, seed, gru, status="ok"):
         "gru_drl/mean_makespan": gru,
         "extracted_fsm/mean_makespan": gru,
         "fsm_states": 3,
+        "fsm_coverage": 0.4,
         "fsm_observations": 5,
         "fsm_fallback_share": 0.25,
         "teacher_agreement": 0.5,

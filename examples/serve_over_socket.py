@@ -99,13 +99,10 @@ def build_artifacts(seed: int):
         key = code_key(qbn.discrete_code(vector))
         if key not in fsm.observation_prototypes:
             fsm.observation_prototypes[key] = np.asarray(vector, float)
-    observation_keys = list(fsm.observation_prototypes)
-    for _ in range(20):
-        fsm.add_transition(
-            codes[int(rng.integers(len(codes)))],
-            observation_keys[int(rng.integers(len(observation_keys)))],
-            codes[int(rng.integers(len(codes)))],
-        )
+    # Every (state, prototype code) cell gets a random successor.
+    for code in codes:
+        for key in fsm.observation_prototypes:
+            fsm.add_transition(code, key, codes[int(rng.integers(len(codes)))])
     fsm.initial_state = codes[1]
     fsm.validate()
     compiled = CompiledFSMPolicy.compile(fsm, qbn, encoder=env.observation_encoder)

@@ -63,7 +63,7 @@ def main() -> None:
     print("2/4  compiling the FSM into the serving fast path...")
     compiled = result.compiled_fsm_policy(env)
     print(f"     {compiled.num_states} states x {compiled.num_observations} "
-          f"observation codes ({compiled.num_prototypes} prototypes)")
+          f"observation codes, every cell filled")
     if args.artifact:
         compiled.save(args.artifact)
         print(f"     artifact saved to {args.artifact}")

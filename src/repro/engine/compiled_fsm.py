@@ -27,8 +27,8 @@ through the same
 :func:`~repro.fsm.generalize.nearest_prototype_rows` helper over the
 same prototype ordering (its answer is an index that equals the
 reference's for every row, so neither BLAS nor the batch size shows),
-and the gather reproduces ``FSM.step``'s self-loop default for unseen
-(state, observation) pairs.
+and the gather reads a table filled cell by cell from the machine's
+transitions, which extraction made total over the prototype codes.
 
 The compiled artifact is self-contained (tables + encoder weights +
 normalisation constants) and roundtrips through ``save``/``load`` so a
@@ -196,10 +196,9 @@ class CompiledFSMPolicy:
     """Dense-table executable form of an extracted FSM + observation QBN.
 
     State rows follow the machine's ``states`` insertion order and
-    observation columns list the prototype codes first (in their own
-    insertion order, which the interpreted agent resolves fallbacks over
-    too) followed by any transition-only codes — the orderings every
-    tie-break in the interpreted path derives from.
+    observation columns its prototype codes in their insertion order,
+    which the interpreted agent resolves fallbacks over too — the
+    orderings every tie-break in the interpreted path derives from.
     """
 
     def __init__(
@@ -209,7 +208,6 @@ class CompiledFSMPolicy:
         state_codes: np.ndarray,
         state_visits: np.ndarray,
         obs_codes: np.ndarray,
-        num_prototypes: int,
         prototype_matrix: np.ndarray,
         start_state: int,
         encoder_weights: Dict[str, np.ndarray],
@@ -221,7 +219,6 @@ class CompiledFSMPolicy:
         self.state_codes = np.ascontiguousarray(state_codes, dtype=np.int64)
         self.state_visits = np.ascontiguousarray(state_visits, dtype=np.int64)
         self.obs_codes = np.ascontiguousarray(obs_codes, dtype=np.int64)
-        self.num_prototypes = int(num_prototypes)
         self.prototype_matrix = np.ascontiguousarray(prototype_matrix, dtype=float)
         self.start_state = int(start_state)
         self.quantization_levels = int(quantization_levels)
@@ -281,6 +278,8 @@ class CompiledFSMPolicy:
         """Flatten ``fsm`` + its observation quantisation into dense tables."""
         if fsm.num_states == 0:
             raise ExtractionError("cannot compile an FSM with no states")
+        if not fsm.observation_prototypes:
+            raise ExtractionError("cannot compile an FSM with no observation prototypes")
         fsm.validate()
 
         state_keys = list(fsm.states.keys())
@@ -292,13 +291,7 @@ class CompiledFSMPolicy:
             )
 
         latent_dim = observation_qbn.config.latent_dim
-        prototype_keys = list(fsm.observation_prototypes.keys())
-        obs_keys = list(prototype_keys)
-        seen = set(obs_keys)
-        for (_source, observation) in fsm.transitions.keys():
-            if observation not in seen:
-                seen.add(observation)
-                obs_keys.append(observation)
+        obs_keys = list(fsm.observation_prototypes)
         for key in obs_keys:
             if len(key) != latent_dim:
                 raise ExtractionError(
@@ -306,34 +299,21 @@ class CompiledFSMPolicy:
                     f"QBN latent dim {latent_dim}"
                 )
 
-        num_states = len(state_keys)
-        obs_columns = {key: column for column, key in enumerate(obs_keys)}
-        # Default transition: stay in the current state (FSM.step's
-        # behaviour for (state, observation) pairs never seen together).
-        transition_table = np.tile(
-            np.arange(num_states, dtype=np.int64)[:, None], (1, len(obs_keys))
+        # ``validate`` proved the machine total: every cell has a transition.
+        transition_table = np.array(
+            [[state_rows[fsm.transitions[(key, obs)]] for obs in obs_keys] for key in state_keys],
+            dtype=np.int64,
         )
-        for (source, observation), destination in fsm.transitions.items():
-            transition_table[state_rows[source], obs_columns[observation]] = state_rows[
-                destination
-            ]
-
         action_table = np.array(
             [int(fsm.states[key].action) for key in state_keys], dtype=np.int64
         )
         state_visits = np.array(
             [fsm.states[key].visit_count for key in state_keys], dtype=np.int64
         )
-        state_codes = np.array(state_keys, dtype=np.int64).reshape(num_states, -1)
-        obs_codes = (
-            np.array(obs_keys, dtype=np.int64).reshape(len(obs_keys), -1)
-            if obs_keys
-            else np.zeros((0, latent_dim), dtype=np.int64)
-        )
-        prototype_matrix = (
-            np.stack([np.asarray(fsm.observation_prototypes[k], dtype=float) for k in prototype_keys])
-            if prototype_keys
-            else np.zeros((0, observation_qbn.config.input_dim))
+        state_codes = np.array(state_keys, dtype=np.int64).reshape(len(state_keys), -1)
+        obs_codes = np.array(obs_keys, dtype=np.int64).reshape(len(obs_keys), -1)
+        prototype_matrix = np.stack(
+            [np.asarray(fsm.observation_prototypes[key], dtype=float) for key in obs_keys]
         )
 
         encoder_weights = {
@@ -354,7 +334,6 @@ class CompiledFSMPolicy:
             state_codes=state_codes,
             state_visits=state_visits,
             obs_codes=obs_codes,
-            num_prototypes=len(prototype_keys),
             prototype_matrix=prototype_matrix,
             start_state=state_rows[fsm.start_state()],
             encoder_weights=encoder_weights,
@@ -397,7 +376,6 @@ class CompiledFSMPolicy:
         return {
             "states": self.num_states,
             "observations": self.num_observations,
-            "prototypes": self.num_prototypes,
             "decisions": self.decision_count,
             "fallbacks": self.fallback_count,
         }
@@ -497,48 +475,33 @@ class CompiledFSMPolicy:
         elementwise, the encoder's matmul rows do not depend on how many
         rows the kernel sees, and every later step works row by row;
         ``fallback_count`` still grows by every fallback row of the batch.
-        A code that quantises to a known *prototype* resolves directly;
-        anything else goes through the shared nearest-prototype resolution
-        (when prototypes exist: all fallback rows in one
-        ``nearest_prototype_rows`` call, the certified gemm filter with
-        the reference behind it) or to the ``-1`` self-loop sentinel (when
-        none do) — mirroring ``FSMPolicyAgent``'s known/unseen split bit
-        for bit.
+        A code that quantises to a prototype code resolves to its column;
+        every other row goes through the shared nearest-prototype
+        resolution (all of them in one ``nearest_prototype_rows`` call,
+        the certified gemm filter with the reference behind it) —
+        mirroring ``FSMPolicyAgent``'s known/unseen split bit for bit.
         """
         raw = self._checked_batch(raw)
         first, inverse = _distinct_rows(raw, self._row_hash_weights)
         distinct = encoder.normalize_batch(raw[first])
         count = distinct.shape[0]
-        if self._pack_vector is not None and self.num_observations:
+        if self._pack_vector is not None:
             packed = self._encode_packed(distinct)
             positions = self._sorted_keys.searchsorted(packed)
             np.minimum(positions, self._sorted_keys.shape[0] - 1, out=positions)
-            found = self._sorted_keys[positions] == packed
+            # Unseen rows of ``columns`` hold stale values until the
+            # fallback below overwrites them.
+            fallback = self._sorted_keys[positions] != packed
             columns = self._sorted_columns[positions]
-            if self.num_prototypes > 0:
-                # Known ⇔ the code is a *prototype* code: transition-only
-                # and unknown codes both take the nearest-prototype
-                # fallback, exactly like the interpreted agent's
-                # known/unseen split.  (Fallback rows of ``columns`` hold
-                # stale values here; they are overwritten below.)
-                fallback = (~found) | (columns >= self.num_prototypes)
-            else:
-                columns = np.where(found, columns, -1)
-                fallback = np.zeros(count, dtype=bool)
         else:
             codes = self.encode_codes(distinct)
-            lookup = self._code_to_column or {}
-            columns = np.fromiter(
-                (lookup.get(codes[i].tobytes(), -1) for i in range(count)),
-                dtype=np.int64,
-                count=count,
+            keys = [codes[i].tobytes() for i in range(count)]
+            fallback = np.fromiter(
+                (key not in self._code_to_column for key in keys), dtype=bool, count=count
             )
-            if self.num_prototypes > 0:
-                fallback = (columns < 0) | (columns >= self.num_prototypes)
-            else:
-                # No prototypes to fall back to: transition-only codes
-                # resolve exactly, truly unknown codes self-loop (-1).
-                fallback = np.zeros(count, dtype=bool)
+            columns = np.fromiter(
+                (self._code_to_column.get(key, 0) for key in keys), dtype=np.int64, count=count
+            )
         if fallback.any():
             rows = np.nonzero(fallback)[0]
             columns[rows] = nearest_prototype_rows(self.prototype_matrix, distinct[rows])
@@ -559,16 +522,7 @@ class CompiledFSMPolicy:
         """
         states = np.asarray(states, dtype=np.int64)
         columns, fallback = self.resolve_observations(raw, encoder)
-        if self.num_prototypes > 0:
-            # Every row resolved to a real column (fallback guarantees it).
-            next_states = self.transition_table[states, columns]
-        elif self.num_observations:
-            next_states = self.transition_table[states, np.maximum(columns, 0)]
-            unknown = columns < 0
-            if unknown.any():
-                next_states[unknown] = states[unknown]
-        else:
-            next_states = states.copy()
+        next_states = self.transition_table[states, columns]
         actions = self.action_table[next_states]
         self.decision_count += int(states.shape[0])
         return CompiledDecision(
@@ -595,7 +549,8 @@ class CompiledFSMPolicy:
                 [
                     ARTIFACT_FORMAT_VERSION,
                     self.start_state,
-                    self.num_prototypes,
+                    # The prototype count, which is the code count.
+                    self.num_observations,
                     self.quantization_levels,
                 ],
                 dtype=np.int64,
@@ -627,7 +582,6 @@ class CompiledFSMPolicy:
             state_codes=arrays["state_codes"],
             state_visits=arrays["state_visits"],
             obs_codes=arrays["obs_codes"],
-            num_prototypes=int(meta[2]),
             prototype_matrix=arrays["prototype_matrix"],
             start_state=int(meta[1]),
             encoder_weights={
@@ -639,7 +593,11 @@ class CompiledFSMPolicy:
             quantization_levels=int(meta[3]),
             encoder_constants=arrays.get("encoder_constants"),
         )
-        problem = policy._table_problem()
+        problem = (
+            f"{int(meta[2])} prototypes for {policy.num_observations} observation codes"
+            if int(meta[2]) != policy.num_observations
+            else policy._table_problem()
+        )
         if problem is not None:
             raise SerializationError(f"{path} cannot serve: {problem}")
         return policy
@@ -673,12 +631,9 @@ class CompiledFSMPolicy:
             constants.shape == (3,) and np.all(np.isfinite(constants) & (constants > 0))
         ):
             return f"encoder_constants {constants.tolist()} are not 3 finite positive numbers"
-        expected = (self.num_prototypes, self.observation_dim)
+        if self.num_observations == 0:
+            return "no observation codes"
+        expected = (self.num_observations, self.observation_dim)
         if self.prototype_matrix.shape != expected:
             return f"prototype matrix shape {self.prototype_matrix.shape} is not {expected}"
-        if not 0 <= self.num_prototypes <= self.num_observations:
-            return (
-                f"{self.num_prototypes} prototypes for "
-                f"{self.num_observations} observation codes"
-            )
         return None

@@ -12,7 +12,7 @@ and 6).
 from repro.fsm.machine import FSMState, FiniteStateMachine
 from repro.fsm.extraction import FSMExtractor, ExtractionConfig, ExtractionResult
 from repro.fsm.generalize import nearest_prototype_rows
-from repro.fsm.minimize import merge_equivalent_states, prune_rare_states
+from repro.fsm.minimize import fold_compatible_states
 from repro.fsm.interpretation import (
     FanInOutStats,
     StateHistoryProfile,
@@ -30,8 +30,7 @@ __all__ = [
     "ExtractionConfig",
     "ExtractionResult",
     "nearest_prototype_rows",
-    "merge_equivalent_states",
-    "prune_rare_states",
+    "fold_compatible_states",
     "FanInOutStats",
     "StateHistoryProfile",
     "fan_in_out_statistics",

@@ -26,9 +26,8 @@ class FSMPolicyAgent(Agent):
     Each decision quantises the current observation with the observation
     QBN; if the resulting code has no prototype in the machine's table,
     the nearest prototype's code is substituted (paper Section 3.2.2).
-    The machine then advances one transition and emits the action of the
-    new state.  A machine without prototypes steps the code as it is,
-    which self-loops when the code is unknown.
+    The machine, total over its prototype codes, then advances one
+    transition and emits the action of the new state.
     """
 
     name = "extracted_fsm"
@@ -41,18 +40,16 @@ class FSMPolicyAgent(Agent):
     ) -> None:
         if fsm.num_states == 0:
             raise ExtractionError("cannot deploy an FSM with no states")
+        if not fsm.observation_prototypes:
+            raise ExtractionError("cannot deploy an FSM with no observation prototypes")
         self.fsm = fsm
         self.observation_qbn = observation_qbn
         self.encoder = encoder
         # The prototype table in insertion order, the row order of the
         # compiled tables, so both break distance ties alike.
         self._prototype_keys = list(fsm.observation_prototypes)
-        self._prototype_matrix = (
-            np.stack(
-                [np.asarray(vector, dtype=float) for vector in fsm.observation_prototypes.values()]
-            )
-            if self._prototype_keys
-            else None
+        self._prototype_matrix = np.stack(
+            [np.asarray(vector, dtype=float) for vector in fsm.observation_prototypes.values()]
         )
         self._state: Optional[StateKey] = None
         self.unseen_observation_count = 0
@@ -74,8 +71,7 @@ class FSMPolicyAgent(Agent):
             self.reset()
         normalized = self.encoder.normalize(observation)
         observation_code = code_key(self.observation_qbn.discrete_code(normalized))
-        known = observation_code in self.fsm.observation_prototypes
-        if not known and self._prototype_matrix is not None:
+        if observation_code not in self.fsm.observation_prototypes:
             row = nearest_prototype_rows(self._prototype_matrix, normalized[None, :])[0]
             observation_code = self._prototype_keys[int(row)]
             self.unseen_observation_count += 1

@@ -2,10 +2,10 @@
 
 States correspond to distinct quantised hidden-state codes of the GRU;
 each state is labelled with the action the policy emits from it, and the
-transition table maps (state, quantised-observation) pairs to successor
-states.  The machine is a standalone controller: it needs only the
-observation QBN codes (or, for unseen observations, the nearest known
-observation) to run — no neural network at decision time.
+transition table maps every (state, prototype observation code) pair to
+a successor state.  The machine is a standalone controller: it needs
+only the observation QBN codes (or, for unseen observations, the
+nearest prototype's code) to run — no neural network at decision time.
 """
 
 from __future__ import annotations
@@ -131,25 +131,38 @@ class FiniteStateMachine:
     ) -> Tuple[StateKey, MigrationAction]:
         """Advance one step: returns (next state, action emitted by next state).
 
-        If the (state, observation) pair was never seen, the machine
-        stays in the current state (the generalisation layer in
-        :mod:`repro.fsm.generalize` is responsible for mapping unseen
-        observations to known ones before calling this).
+        An extracted machine is total over its prototype codes (every
+        (state, code) cell has a successor, :meth:`validate`); an
+        observation outside them is mapped to its nearest prototype's
+        code before this is called (:mod:`repro.fsm.generalize`).  A
+        pair with no transition raises :class:`ExtractionError`.
         """
         if current not in self.states:
             raise ExtractionError(f"unknown current state {current!r}")
-        next_state = self.transitions.get((current, observation), current)
-        if next_state not in self.states:
-            next_state = current
+        next_state = self.transitions.get((current, observation))
+        if next_state is None:
+            raise ExtractionError(
+                f"no transition from state {current!r} on observation code {observation!r}"
+            )
         return next_state, self.states[next_state].action
 
     def validate(self) -> None:
-        """Internal-consistency checks (every transition endpoint exists, etc.)."""
+        """Every transition joins two states on a prototype code, and every
+        (state, prototype code) cell has one: the machine is total."""
         if self.initial_state is not None and self.initial_state not in self.states:
             raise ExtractionError("initial state is not a known state")
-        for (source, _observation), destination in self.transitions.items():
+        for (source, observation), destination in self.transitions.items():
             if source not in self.states or destination not in self.states:
                 raise ExtractionError("transition references an unknown state")
+            if observation not in self.observation_prototypes:
+                raise ExtractionError(
+                    f"transition on observation code {observation!r}, which has no prototype"
+                )
+        cells = len(self.states) * len(self.observation_prototypes)
+        if len(self.transitions) != cells:
+            raise ExtractionError(
+                f"the machine is not total: {len(self.transitions)} of {cells} cells"
+            )
         ids = [state.state_id for state in self.states.values()]
         if len(set(ids)) != len(ids):
             raise ExtractionError("duplicate state ids")

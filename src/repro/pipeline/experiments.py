@@ -13,7 +13,6 @@ from repro.drl.a2c import A2CConfig
 from repro.drl.curriculum import CurriculumConfig
 from repro.drl.policy import PolicyConfig
 from repro.env.reward import RewardConfig
-from repro.fsm.extraction import ExtractionConfig
 from repro.pipeline.learning_aided import PipelineConfig
 from repro.qbn.trainer import QBNTrainingConfig
 from repro.storage.simulator import StorageSystemConfig
@@ -55,7 +54,6 @@ def small_pipeline_config(
         qbn=QBNTrainingConfig(
             epochs=35, observation_latent_dim=12, hidden_latent_dim=16
         ),
-        extraction=ExtractionConfig(min_state_visits=8),
         standard_trace_duration=trace_duration,
         num_real_traces=num_real_traces,
         num_eval_traces=num_eval_traces,

@@ -60,7 +60,7 @@ class PipelineConfig:
     a2c: A2CConfig = field(default_factory=A2CConfig)
     curriculum: CurriculumConfig = field(default_factory=CurriculumConfig)
     qbn: QBNTrainingConfig = field(default_factory=QBNTrainingConfig)
-    extraction: ExtractionConfig = field(default_factory=lambda: ExtractionConfig(min_state_visits=3))
+    extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
     standard_trace_duration: int = 64
     num_real_traces: int = 50
     num_eval_traces: int = 10

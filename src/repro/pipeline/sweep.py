@@ -216,6 +216,8 @@ def _run_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     default, handcrafted and greedy-utilisation (BC teacher) baselines.
     ``teacher_agreement`` is the share of the teacher's decisions on the
     training real traces that the greedy policy reproduces;
+    ``fsm_coverage`` the share of the machine's (state, observation code)
+    cells that the extraction records visit;
     ``fsm_observations`` and ``fsm_fallback_share`` are read from the
     compiled tables after the held-out fidelity run.
     ``qbn_action_agreement`` is the share of the QBN dataset's steps
@@ -253,6 +255,7 @@ def _run_job(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         "train_epochs": len(result.training_history),
         "train_final_makespan": float(result.training_history.makespans()[-1]),
         "fsm_states": result.extraction.fsm.num_states,
+        "fsm_coverage": result.extraction.coverage,
         "fsm_observations": fidelity.summary["observations"],
         "fsm_fallback_share": fidelity.summary["fallbacks"] / fidelity.summary["decisions"],
         "teacher_agreement": BehaviorCloningTrainer.evaluate_accuracy(result.policy, demos),

@@ -21,15 +21,19 @@ from repro.drl.curriculum import CurriculumConfig
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl import rollout
 from repro.drl.rollout import BatchedRolloutCollector, Trajectory
+from repro.engine import CompiledFSMPolicy
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
-from repro.fsm.extraction import ExtractionConfig
+from repro.fsm.machine import FiniteStateMachine
 from repro.pipeline.learning_aided import LearningAidedPipeline, PipelineConfig
+from repro.qbn.autoencoder import build_observation_qbn
+from repro.qbn.quantize import code_key
 from repro.qbn.trainer import QBNTrainingConfig
 from repro.storage.simulator import StorageSystemConfig
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
 from repro.storage.iorequest import NUM_IO_TYPES
+from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.utils.rng import episode_lanes
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
 from repro.workloads.sampler import RealTraceSampler, SamplerConfig
@@ -190,6 +194,42 @@ def collect_with_cursors(collector, policy, traces, chunk=None, **options):
     return trajectories, list(zip(idle, action))
 
 
+def fill_every_cell(fsm, rng: np.random.Generator) -> None:
+    """Give each (state, prototype code) cell without a transition a random successor."""
+    states = list(fsm.states)
+    for state in states:
+        for observation in fsm.observation_prototypes:
+            if (state, observation) not in fsm.transitions:
+                fsm.add_transition(state, observation, states[int(rng.integers(len(states)))])
+
+
+def random_compiled_fsm(encoder, stream: np.ndarray):
+    """A compiled random 4-state machine over the codes of ``stream``'s first rows.
+
+    ``stream`` holds raw observation rows; the first five, normalised by
+    ``encoder``, are the prototypes of a random observation QBN's codes,
+    and every (state, prototype code) cell gets a random successor.
+    """
+    rng = np.random.default_rng(3)
+    qbn = build_observation_qbn(stream.shape[1], latent_dim=6, hidden_dim=16, rng=4)
+    fsm = FiniteStateMachine()
+    codes = []
+    while len(codes) < 4:
+        code = tuple(int(c) for c in rng.integers(0, 3, size=5))
+        if code not in fsm.states:
+            state = fsm.add_state(code, MigrationAction(int(rng.integers(NUM_ACTIONS))))
+            state.visit_count = int(rng.integers(20))
+            codes.append(code)
+    for vector in encoder.normalize_batch(stream)[:5]:
+        key = code_key(qbn.discrete_code(vector))
+        if key not in fsm.observation_prototypes:
+            fsm.observation_prototypes[key] = np.asarray(vector, float)
+    fill_every_cell(fsm, rng)
+    fsm.initial_state = codes[1]
+    fsm.validate()
+    return CompiledFSMPolicy.compile(fsm, qbn, encoder=encoder)
+
+
 @pytest.fixture
 def make_trajectory():
     """Hand-build a :class:`Trajectory` carrying ``rewards`` (other columns zero)."""
@@ -229,7 +269,6 @@ def tiny_pipeline_config() -> PipelineConfig:
         curriculum=CurriculumConfig(standard_epochs=3, real_epochs=3),
         qbn=QBNTrainingConfig(epochs=3, observation_latent_dim=8, hidden_latent_dim=8,
                               batch_size=128),
-        extraction=ExtractionConfig(min_state_visits=2),
         standard_trace_duration=16,
         num_real_traces=4,
         num_eval_traces=2,
@@ -244,7 +283,9 @@ def tiny_sweep_base() -> dict:
     return {
         "curriculum.standard_epochs": 1,
         "curriculum.real_epochs": 1,
-        "policy.hidden_size": 8,
+        # At 8 hidden units the one-epoch hidden QBN collapses every seed's
+        # codes into one state, and extraction refuses the machine.
+        "policy.hidden_size": 16,
         "standard_trace_duration": 8,
         "num_real_traces": 3,
         "num_eval_traces": 1,

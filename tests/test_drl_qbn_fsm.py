@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.agents import GreedyUtilizationPolicy
 from repro.drl.a2c import A2CConfig, A2CTrainer, TrainingHistory
@@ -19,6 +19,7 @@ from repro.drl.checkpoints import load_policy, save_policy
 from repro.drl.curriculum import CurriculumConfig, CurriculumTrainer
 from repro.drl.imitation import BehaviorCloningTrainer, ImitationConfig
 from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
+from repro.engine.compiled_fsm import CompiledFSMPolicy
 from repro.env.reward import RewardConfig
 from repro.errors import ConfigurationError, ExtractionError, TrainingError
 from repro.fsm.agent import FSMPolicyAgent
@@ -31,11 +32,11 @@ from repro.fsm.interpretation import (
     write_intensity_kb,
 )
 from repro.fsm.machine import FiniteStateMachine
-from repro.fsm.minimize import merge_equivalent_states, prune_rare_states
+from repro.fsm.minimize import fold_compatible_states
 from repro.fsm.render import fsm_summary_table, fsm_to_dot
 from repro.optim import clip_grad_norm
 from repro.pipeline.evaluation import compare_agents, comparison_table, evaluate_agent, relative_reduction
-from repro.qbn.autoencoder import QBNConfig, QuantizedBottleneckNetwork
+from repro.qbn.autoencoder import QBNConfig, QuantizedBottleneckNetwork, build_observation_qbn
 from repro.qbn.dataset import TransitionDataset
 from repro.qbn.quantize import code_key, codes_to_values, quantization_levels, quantize_ste, values_to_codes
 from repro.qbn.trainer import QBNTrainer, QBNTrainingConfig
@@ -468,8 +469,21 @@ def _toy_fsm():
     fsm.add_transition(s0, obs_a, s0, np.zeros(3))
     fsm.add_transition(s0, obs_b, s1, np.ones(3))
     fsm.add_transition(s1, obs_a, s0, np.zeros(3))
+    fsm.add_transition(s1, obs_b, s1, np.ones(3))
     fsm.add_transition(s2, obs_a, s0, np.zeros(3))
+    fsm.add_transition(s2, obs_b, s1, np.ones(3))
     fsm.initial_state = s0
+    return fsm
+
+
+def _partial_fsm(actions, visits, edges, start=(0,)):
+    """A machine with states ``(i,)`` and the seen cells ``{(i, code): j}``."""
+    fsm = FiniteStateMachine()
+    for i, (action, count) in enumerate(zip(actions, visits)):
+        fsm.add_state((i,), MigrationAction(action)).visit_count = count
+    for (source, code), destination in edges.items():
+        fsm.add_transition((source,), (code,), (destination,))
+    fsm.initial_state = start
     return fsm
 
 
@@ -477,7 +491,7 @@ class TestFiniteStateMachine:
     def test_counts(self):
         fsm = _toy_fsm()
         assert fsm.num_states == 3
-        assert fsm.num_transitions == 4
+        assert fsm.num_transitions == 6
         fsm.validate()
 
     def test_step_known_and_unknown_observation(self):
@@ -485,13 +499,28 @@ class TestFiniteStateMachine:
         next_state, action = fsm.step((0,), (1, 1))
         assert next_state == (1,)
         assert action is MigrationAction.NORMAL_TO_KV
-        # Unknown observation keeps the current state.
-        same_state, action = fsm.step((0,), (9, 9))
-        assert same_state == (0,)
+        # A code the machine has no column for is refused: callers map it
+        # to its nearest prototype's code first.
+        with pytest.raises(ExtractionError, match="no transition"):
+            fsm.step((0,), (9, 9))
 
     def test_step_unknown_state_raises(self):
         with pytest.raises(ExtractionError):
             _toy_fsm().step((9,), (0, 0))
+
+    def test_validate_refuses_a_partial_machine(self):
+        fsm = _toy_fsm()
+        del fsm.transitions[((2,), (1, 1))]
+        with pytest.raises(ExtractionError, match="not total"):
+            fsm.validate()
+        with pytest.raises(ExtractionError, match="not total"):
+            CompiledFSMPolicy.compile(fsm, build_observation_qbn(3, latent_dim=2, rng=0))
+
+    def test_validate_refuses_a_code_without_a_prototype(self):
+        fsm = _toy_fsm()
+        fsm.transitions[((0,), (7, 7))] = (0,)
+        with pytest.raises(ExtractionError, match="has no prototype"):
+            fsm.validate()
 
     def test_successors(self):
         successors = _toy_fsm().successors((0,))
@@ -505,18 +534,34 @@ class TestFiniteStateMachine:
 
     def test_merge_equivalent_states(self):
         fsm = _toy_fsm()
-        mapping = merge_equivalent_states(fsm)
-        # s1 and s2 emit the same action and go to the same partition -> merged.
-        assert fsm.num_states == 2
-        assert (2,) in mapping
+        mapping = fold_compatible_states(fsm)
+        # s1 and s2 emit the same action and go to the same states -> merged
+        # into the more visited s1, which now carries both visit counts.
+        assert mapping == {(2,): (1,)}
+        assert fsm.num_states == 2 and fsm.states[(1,)].visit_count == 6
         fsm.validate()
 
-    def test_prune_rare_states(self):
-        fsm = _toy_fsm()
-        mapping = prune_rare_states(fsm, min_visits=2)
-        assert (2,) in mapping
-        assert fsm.num_states == 2
-        fsm.validate()
+    def test_unseen_cells_do_not_block_a_fold(self):
+        # 1 and 2 saw different codes, so nothing tells them apart.
+        fsm = _partial_fsm([0, 1, 1], [9, 4, 1], {(0, 0): 1, (1, 0): 0, (2, 1): 0})
+        assert fold_compatible_states(fsm) == {(2,): (1,)}
+        assert fsm.transitions == {((0,), (0,)): (1,), ((1,), (0,)): (0,), ((1,), (1,)): (0,)}
+
+    def test_a_fold_that_joins_two_actions_is_abandoned(self):
+        # Folding 3 into 1, the only state sharing its action, would force
+        # their successors 0 and 2 together, which emit different actions.
+        fsm = _partial_fsm(
+            [0, 1, 2, 1], [9, 5, 3, 1], {(1, 0): 0, (3, 0): 2, (0, 0): 0, (2, 0): 2}
+        )
+        mapping = fold_compatible_states(fsm)
+        assert mapping == {}
+        assert fsm.num_states == 4
+
+    def test_the_start_state_is_never_folded_away(self):
+        # The start is the least visited state; it absorbs its twin.
+        fsm = _partial_fsm([1, 1], [0, 7], {(0, 0): 1, (1, 0): 1}, start=(0,))
+        assert fold_compatible_states(fsm) == {(1,): (0,)}
+        assert fsm.initial_state == (0,) and fsm.states[(0,)].visit_count == 7
 
     def test_render_outputs(self):
         fsm = _toy_fsm()
@@ -527,9 +572,10 @@ class TestFiniteStateMachine:
 
 
 @st.composite
-def _machines_and_inputs(draw):
-    """A random machine over two actions (so states merge) and an input
-    string that mixes its observation codes with one it never saw."""
+def _machines_and_walks(draw):
+    """A random partial machine over two actions (so states fold) and a
+    walk along its seen cells: each step picks one of the codes the
+    current state has a transition on."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fsm = FiniteStateMachine()
     states = [(i,) for i in range(draw(st.integers(1, 8)))]
@@ -544,27 +590,99 @@ def _machines_and_inputs(draw):
                 fsm.add_transition(source, observation, states[int(rng.integers(len(states)))])
     if draw(st.booleans()):
         fsm.initial_state = states[int(rng.integers(len(states)))]
-    inputs = [(int(j),) for j in rng.integers(len(observations) + 1, size=draw(st.integers(0, 30)))]
-    return fsm, inputs
+    choices = rng.integers(1 << 30, size=draw(st.integers(0, 30))).tolist()
+    return fsm, choices
 
 
-def _actions(fsm, inputs):
-    state, actions = fsm.start_state(), []
-    for observation in inputs:
-        state, action = fsm.step(state, observation)
-        actions.append(action)
-    return actions
+@st.composite
+def _datasets(draw):
+    """A random transition dataset over small integer codes (read with
+    :class:`_IdentityCodes`); actions mostly follow the successor."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 60))
+    hidden = rng.integers(draw(st.integers(1, 6)), size=(rows, 2)).astype(float)
+    observations = rng.integers(3, size=(rows, 2)).astype(float)
+    actions = np.where(
+        rng.random(rows) < 0.8, hidden[:, 1].astype(int) % 3, rng.integers(3, size=rows)
+    )
+    return TransitionDataset(
+        observations=observations,
+        raw_observations=observations,
+        hidden_before=hidden[:, :1],
+        hidden_after=hidden[:, 1:],
+        actions=actions,
+        episode_ids=np.zeros(rows, dtype=int),
+        step_ids=np.arange(rows),
+    )
+
+
+def _extract(dataset):
+    return FSMExtractor(_IdentityCodes(), _IdentityCodes()).extract(dataset).fsm
+
+
+def _machine_or_refusal(dataset):
+    """The extracted states, actions and tables, or the refusal's message."""
+    try:
+        fsm = _extract(dataset)
+    except ExtractionError as error:
+        return str(error)
+    states = {
+        key: (state.state_id, int(state.action), state.visit_count)
+        for key, state in fsm.states.items()
+    }
+    return states, fsm.initial_state, fsm.transitions, fsm.transition_counts
 
 
 class TestMergePreservesBehaviour:
     @settings(max_examples=300, deadline=None)
-    @given(case=_machines_and_inputs())
+    @given(case=_machines_and_walks())
     def test_action_sequence_unchanged_by_merging(self, case):
-        fsm, inputs = case
-        before = _actions(copy.deepcopy(fsm), inputs)
-        merge_equivalent_states(fsm)
-        fsm.validate()
-        assert _actions(fsm, inputs) == before
+        """On any input that stays on the raw machine's seen cells, the
+        folded machine emits the same actions."""
+        fsm, choices = case
+        raw = copy.deepcopy(fsm)
+        fold_compatible_states(fsm)
+        raw_state, state = raw.start_state(), fsm.start_state()
+        for choice in choices:
+            seen = sorted(code for (source, code) in raw.transitions if source == raw_state)
+            if not seen:
+                break
+            observation = seen[choice % len(seen)]
+            raw_state, expected = raw.step(raw_state, observation)
+            state, action = fsm.step(state, observation)
+            assert action == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(dataset=_datasets(), seed=st.integers(0, 2**32 - 1))
+    def test_row_order_does_not_change_the_machine(self, dataset, seed):
+        """States, actions, visit counts and both tables ignore the order
+        of the dataset's rows (prototypes do not: they are running means)."""
+        order = np.random.default_rng(seed).permutation(len(dataset))
+        shuffled = TransitionDataset(
+            observations=dataset.observations[order],
+            raw_observations=dataset.raw_observations[order],
+            hidden_before=dataset.hidden_before[order],
+            hidden_after=dataset.hidden_after[order],
+            actions=dataset.actions[order],
+            episode_ids=dataset.episode_ids[order],
+            step_ids=dataset.step_ids[order],
+        )
+        assert _machine_or_refusal(shuffled) == _machine_or_refusal(dataset)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dataset=_datasets())
+    def test_compiled_table_equals_step_on_every_cell(self, dataset):
+        try:
+            fsm = _extract(dataset)
+        except ExtractionError:
+            assume(False)
+        compiled = CompiledFSMPolicy.compile(fsm, build_observation_qbn(2, latent_dim=2, rng=0))
+        states, codes = list(fsm.states), list(fsm.observation_prototypes)
+        for row, state in enumerate(states):
+            for column, code in enumerate(codes):
+                successor, action = fsm.step(state, code)
+                assert states[compiled.transition_table[row, column]] == successor
+                assert compiled.action_table[compiled.transition_table[row, column]] == action
 
 
 def _agent(fsm, code):
@@ -592,16 +710,14 @@ class TestGeneralization:
         assert agent._state == (0,) and agent.unseen_observation_count == 2
 
     def test_empty_prototypes(self):
-        """Without prototypes an unseen code self-loops and a
-        transition-only code steps exactly; neither counts as a fallback."""
+        """A machine without prototypes has no column to step or fall
+        back to: neither the agent nor the compiler accepts it."""
         fsm = _toy_fsm()
         fsm.observation_prototypes.clear()
-        unseen = _agent(fsm, (5, 5))
-        assert unseen.act(np.ones(3)) is MigrationAction.NOOP
-        assert unseen._state == (0,)
-        known = _agent(fsm, (1, 1))
-        assert known.act(np.ones(3)) is MigrationAction.NORMAL_TO_KV
-        assert unseen.unseen_observation_count == known.unseen_observation_count == 0
+        with pytest.raises(ExtractionError, match="no observation prototypes"):
+            _agent(fsm, (5, 5))
+        with pytest.raises(ExtractionError, match="no observation prototypes"):
+            CompiledFSMPolicy.compile(fsm, build_observation_qbn(3, latent_dim=2, rng=0))
 
 
 class TestExtractionIntegration:
@@ -682,10 +798,26 @@ class _IdentityCodes:
         return np.asarray(x).astype(int)
 
 
+def _collapsed_dataset(actions):
+    """One hidden code and one observation code for every row."""
+    rows = len(actions)
+    column = np.zeros((rows, 1))
+    return TransitionDataset(
+        observations=column + 5,
+        raw_observations=column + 5,
+        hidden_before=column,
+        hidden_after=column,
+        actions=np.asarray(actions),
+        episode_ids=np.zeros(rows, dtype=int),
+        step_ids=np.arange(rows),
+    )
+
+
 class TestTransitionConflicts:
     def test_overwritten_successor_is_counted(self):
-        """Three records on one (state, observation): the second names a
-        new successor (one conflict, and it wins), the third repeats it."""
+        """Three records on one (state, observation): the first names one
+        successor, the other two another (one conflicting cell), and the
+        majority decides the cell."""
         column = lambda *values: np.array(values, dtype=float)[:, None]
         dataset = TransitionDataset(
             observations=column(5, 5, 5),
@@ -696,12 +828,74 @@ class TestTransitionConflicts:
             episode_ids=np.zeros(3, dtype=int),
             step_ids=np.arange(3),
         )
-        result = FSMExtractor(
-            _IdentityCodes(), _IdentityCodes(), ExtractionConfig(merge_equivalent=False)
-        ).extract(dataset)
+        result = FSMExtractor(_IdentityCodes(), _IdentityCodes()).extract(dataset)
         assert result.transition_conflicts == 1
         assert result.summary()["transition_conflicts"] == 1.0
         assert result.fsm.transitions[((0,), (5,))] == (2,)
+
+    def test_majority_successor_ties_go_to_the_lowest_raw_state(self):
+        column = lambda *values: np.array(values, dtype=float)[:, None]
+        dataset = TransitionDataset(
+            observations=column(5, 5, 6, 6),
+            raw_observations=column(5, 5, 6, 6),
+            hidden_before=column(0, 0, 0, 0),
+            hidden_after=column(2, 1, 1, 2),
+            actions=np.array([1, 2, 2, 1]),
+            episode_ids=np.zeros(4, dtype=int),
+            step_ids=np.arange(4),
+        )
+        fsm = FSMExtractor(_IdentityCodes(), _IdentityCodes()).extract(dataset).fsm
+        assert fsm.transitions[((0,), (5,))] == fsm.transitions[((0,), (6,))] == (1,)
+
+
+class TestTotalMachine:
+    def test_unseen_cells_take_the_codes_majority_successor(self):
+        """State 1 never saw code 6; the records name 2 after code 6 twice
+        and 1 once, so its cell goes to 2.  State 2 never saw code 5,
+        after which 0 and 1 tie; 1 is visited more, so its final id is
+        lower and it wins.  Filled cells add no counts."""
+        column = lambda *values: np.array(values, dtype=float)[:, None]
+        dataset = TransitionDataset(
+            observations=column(5, 6, 6, 6, 5),
+            raw_observations=column(5, 6, 6, 6, 5),
+            hidden_before=column(0, 0, 2, 0, 1),
+            hidden_after=column(1, 2, 2, 1, 0),
+            actions=np.array([1, 2, 2, 1, 0]),
+            episode_ids=np.zeros(5, dtype=int),
+            step_ids=np.arange(5),
+        )
+        result = FSMExtractor(_IdentityCodes(), _IdentityCodes()).extract(dataset)
+        fsm = result.fsm
+        assert fsm.num_states == 3 and fsm.num_transitions == 6
+        assert fsm.transitions[((1,), (6,))] == (2,)
+        assert fsm.transitions[((1,), (5,))] == (0,)
+        assert fsm.transitions[((2,), (5,))] == (1,) and fsm.states[(1,)].state_id == 0
+        assert sum(fsm.transition_counts.values()) == len(dataset)
+        assert result.coverage == pytest.approx(4 / 6)
+        assert result.summary()["coverage"] == pytest.approx(4 / 6)
+
+    def test_a_machine_that_erases_a_frequent_action_is_refused(self):
+        with pytest.raises(ExtractionError, match="emits only"):
+            FSMExtractor(_IdentityCodes(), _IdentityCodes()).extract(
+                _collapsed_dataset([0] * 18 + [3] * 2)
+            )
+
+    def test_one_state_over_one_frequent_action_is_accepted(self):
+        # Action 3 holds 1 of 21 records, under 5%.
+        result = FSMExtractor(_IdentityCodes(), _IdentityCodes()).extract(
+            _collapsed_dataset([0] * 20 + [3])
+        )
+        assert result.fsm.num_states == 1 and result.coverage == 1.0
+
+
+class TestExtractionConfig:
+    def test_zero_is_accepted(self):
+        assert ExtractionConfig(min_state_visits=0) == ExtractionConfig()
+
+    @pytest.mark.parametrize("value", [True, 1, -1])
+    def test_anything_but_the_integer_zero_is_refused(self, value):
+        with pytest.raises(ConfigurationError, match="min_state_visits"):
+            ExtractionConfig(min_state_visits=value)
 
 
 # ----------------------------------------------------------------------

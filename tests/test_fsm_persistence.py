@@ -18,9 +18,11 @@ from repro.qbn.autoencoder import build_observation_qbn
 from repro.storage.migration import MigrationAction
 from repro.utils.serialization import load_npz, save_npz
 
+from conftest import fill_every_cell
+
 
 def build_machine(rng: np.random.Generator, num_states: int = 6) -> FiniteStateMachine:
-    """A small machine with states, transitions, prototypes and a start state."""
+    """A small total machine with states, transitions, prototypes and a start state."""
     fsm = FiniteStateMachine()
     codes = []
     while len(codes) < num_states:
@@ -38,6 +40,7 @@ def build_machine(rng: np.random.Generator, num_states: int = 6) -> FiniteStateM
             source, observation, destination,
             observation_vector=rng.normal(size=7),
         )
+    fill_every_cell(fsm, rng)
     fsm.initial_state = codes[0]
     fsm.validate()
     return fsm
@@ -143,9 +146,7 @@ class TestFSMPersistence:
     def test_tampered_artifact_is_refused(self, tmp_path, case):
         changes, refusal = _TAMPERED[case]
         compiled = compile_machine(build_machine(np.random.default_rng(4)))
-        assert (compiled.num_states, compiled.num_observations, compiled.num_prototypes) == (
-            6, 7, 7,
-        )
+        assert (compiled.num_states, compiled.num_observations) == (6, 7)
         compiled.save(tmp_path / "fsm.npz")
         save_npz(tmp_path / "tampered.npz", _tamper(load_npz(tmp_path / "fsm.npz"), changes))
         with pytest.raises(SerializationError, match=refusal):

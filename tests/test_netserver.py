@@ -24,10 +24,7 @@ from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.env.environment import StorageAllocationEnv
 from repro.env.reward import RewardConfig
 from repro.errors import ConfigurationError, ServingError, StaleSessionError
-from repro.fsm.machine import FiniteStateMachine
-from repro.qbn.autoencoder import build_observation_qbn
-from repro.qbn.quantize import code_key
-from repro.engine import CompiledFSMBackend, CompiledFSMPolicy, GRUPolicyBackend
+from repro.engine import CompiledFSMBackend, GRUPolicyBackend
 from repro.serving import (
     PolicyClient,
     PolicyNetServer,
@@ -48,6 +45,8 @@ from repro.serving.netserver import (
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
+
+from conftest import random_compiled_fsm
 
 
 # ----------------------------------------------------------------------
@@ -80,31 +79,7 @@ def observation_stream(serving_env):
 
 @pytest.fixture(scope="module")
 def compiled_policy(serving_env, observation_stream):
-    rng = np.random.default_rng(3)
-    qbn = build_observation_qbn(35, latent_dim=6, hidden_dim=16, rng=4)
-    fsm = FiniteStateMachine()
-    codes = []
-    while len(codes) < 4:
-        code = tuple(int(c) for c in rng.integers(0, 3, size=5))
-        if code not in fsm.states:
-            state = fsm.add_state(code, MigrationAction(int(rng.integers(NUM_ACTIONS))))
-            state.visit_count = int(rng.integers(20))
-            codes.append(code)
-    normalized = serving_env.observation_encoder.normalize_batch(observation_stream)
-    for vector in normalized[:5]:
-        key = code_key(qbn.discrete_code(vector))
-        if key not in fsm.observation_prototypes:
-            fsm.observation_prototypes[key] = np.asarray(vector, float)
-    observation_keys = list(fsm.observation_prototypes)
-    for _ in range(20):
-        fsm.add_transition(
-            codes[int(rng.integers(len(codes)))],
-            observation_keys[int(rng.integers(len(observation_keys)))],
-            codes[int(rng.integers(len(codes)))],
-        )
-    fsm.initial_state = codes[1]
-    fsm.validate()
-    return CompiledFSMPolicy.compile(fsm, qbn, encoder=serving_env.observation_encoder)
+    return random_compiled_fsm(serving_env.observation_encoder, observation_stream)
 
 
 def _gru_policy() -> RecurrentPolicyValueNet:

@@ -6,8 +6,9 @@ concurrent sessions is **bit-identical** to stepping one
 :class:`FSMPolicyAgent` per session — same actions, same state
 trajectories, same unseen-observation fallbacks — regardless of batch
 composition, session interleaving or slot reuse.  Exercised across
-seeded random machines (known codes, fallback codes, transition-only
-codes, missing start states) and observation streams from *all* standard
+seeded random total machines (known codes, fallback-only prototypes,
+one-prototype machines, unseen codes, missing start states) and
+observation streams from *all* standard
 workload profiles, plus the real artefacts of an extracted pipeline run.
 ``TestDistinctRowsBitwise`` pins the batch side of that: a batch that
 repeats rows resolves exactly like its rows one at a time.
@@ -49,6 +50,8 @@ from repro.storage.simulator import StorageSystemConfig
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
 from repro.workloads.profiles import profile_names
 
+from conftest import fill_every_cell
+
 OBS_LATENT = 6
 STATE_CODE_LEN = 5
 
@@ -85,9 +88,15 @@ def make_random_machine(
     seed: int,
     qbn: QuantizedBottleneckNetwork,
     known_vectors: np.ndarray,
-    with_prototypes: bool = True,
+    one_prototype: bool = False,
 ) -> FiniteStateMachine:
-    """A seeded random FSM mixing known, fallback-only and transition-only codes."""
+    """A seeded random total FSM over known and fallback-only prototype codes.
+
+    With ``one_prototype`` the machine keeps only its first known code, so
+    every other row falls back to that one prototype.  Codes the machine
+    has no prototype for are unseen: both paths resolve them to their
+    nearest prototype.
+    """
     rng = np.random.default_rng(seed)
     fsm = FiniteStateMachine()
     codes: List[Tuple[int, ...]] = []
@@ -100,36 +109,18 @@ def make_random_machine(
             state.visit_count = int(rng.integers(3))
             codes.append(code)
 
-    observation_keys: List[Tuple[int, ...]] = []
-    if with_prototypes:
-        # Known codes: quantisations of real stream vectors, prototyped by
-        # the vector itself (so serve-time codes actually hit them).
-        for index in rng.choice(len(known_vectors), size=4, replace=False):
-            vector = known_vectors[int(index)]
-            key = code_key(qbn.discrete_code(vector))
-            if key not in fsm.observation_prototypes:
-                fsm.observation_prototypes[key] = np.asarray(vector, float)
-                observation_keys.append(key)
+    # Known codes: quantisations of real stream vectors, prototyped by
+    # the vector itself (so serve-time codes actually hit them).
+    for index in rng.choice(len(known_vectors), size=1 if one_prototype else 4, replace=False):
+        vector = known_vectors[int(index)]
+        fsm.observation_prototypes.setdefault(code_key(qbn.discrete_code(vector)), vector)
+    if not one_prototype:
         # Fallback-only prototypes: random codes that serve-time
         # observations will (almost) never quantise to.
         for _ in range(3):
             key = tuple(int(c) for c in rng.integers(0, 3, size=OBS_LATENT))
-            if key not in fsm.observation_prototypes:
-                fsm.observation_prototypes[key] = rng.normal(size=known_vectors.shape[1])
-                observation_keys.append(key)
-    # Transition-only codes (never prototyped): with prototypes these are
-    # *unseen* — both paths must redirect them identically.
-    for _ in range(2):
-        key = tuple(int(c) for c in rng.integers(0, 3, size=OBS_LATENT))
-        if key not in observation_keys:
-            observation_keys.append(key)
-
-    for _ in range(30):
-        fsm.add_transition(
-            codes[int(rng.integers(len(codes)))],
-            observation_keys[int(rng.integers(len(observation_keys)))],
-            codes[int(rng.integers(len(codes)))],
-        )
+            fsm.observation_prototypes.setdefault(key, rng.normal(size=known_vectors.shape[1]))
+    fill_every_cell(fsm, rng)
     if rng.random() < 0.5:
         fsm.initial_state = codes[int(rng.integers(len(codes)))]
     fsm.validate()
@@ -156,7 +147,7 @@ class TestCompiledEquivalence:
         )
         qbn = build_observation_qbn(35, latent_dim=OBS_LATENT, hidden_dim=16, rng=seed)
         fsm = make_random_machine(
-            1000 + seed, qbn, sample, with_prototypes=(seed % 3 != 2)
+            1000 + seed, qbn, sample, one_prototype=(seed % 3 == 2)
         )
         compiled = CompiledFSMPolicy.compile(fsm, qbn, encoder=shared_encoder)
         agents = {name: make_agent(fsm, qbn, shared_encoder) for name in names}
@@ -319,11 +310,11 @@ def row_pool(profile_streams) -> np.ndarray:
     return pool
 
 
-@pytest.fixture(scope="module", params=[True, False], ids=["prototypes", "no-prototypes"])
+@pytest.fixture(scope="module", params=[False, True], ids=["prototypes", "one-prototype"])
 def dedup_policy(request, row_pool, shared_encoder):
     qbn = build_observation_qbn(35, latent_dim=OBS_LATENT, hidden_dim=16, rng=11)
     known = shared_encoder.normalize_batch(row_pool[:-8])
-    fsm = make_random_machine(4000, qbn, known, with_prototypes=request.param)
+    fsm = make_random_machine(4000, qbn, known, one_prototype=request.param)
     return CompiledFSMPolicy.compile(fsm, qbn, encoder=shared_encoder)
 
 

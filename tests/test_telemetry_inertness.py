@@ -127,15 +127,14 @@ def _fleet_deterministic_json():
 
     from repro.env.environment import StorageAllocationEnv
     from repro.env.reward import RewardConfig
-    from repro.fsm.machine import FiniteStateMachine
     from repro.loadgen import FleetDriver, FleetSchedule, InProcessTransport, LoadPhase
-    from repro.qbn.autoencoder import build_observation_qbn
-    from repro.qbn.quantize import code_key
-    from repro.engine import CompiledFSMBackend, CompiledFSMPolicy
+    from repro.engine import CompiledFSMBackend
     from repro.serving import PolicyServer
     from repro.storage.migration import NUM_ACTIONS, MigrationAction
     from repro.storage.simulator import StorageSystemConfig
     from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
+
+    from conftest import random_compiled_fsm
 
     env = StorageAllocationEnv(
         StorageSystemConfig(), reward_config=RewardConfig(mode="per_step_penalty"), rng=0
@@ -151,33 +150,7 @@ def _fleet_deterministic_json():
         observation = result.observation
         if result.done:
             break
-    stream = np.array(rows)
-
-    rng = np.random.default_rng(3)
-    qbn = build_observation_qbn(stream.shape[1], latent_dim=6, hidden_dim=16, rng=4)
-    fsm = FiniteStateMachine()
-    codes = []
-    while len(codes) < 4:
-        code = tuple(int(c) for c in rng.integers(0, 3, size=5))
-        if code not in fsm.states:
-            state = fsm.add_state(code, MigrationAction(int(rng.integers(NUM_ACTIONS))))
-            state.visit_count = int(rng.integers(20))
-            codes.append(code)
-    normalized = env.observation_encoder.normalize_batch(stream)
-    for vector in normalized[:5]:
-        key = code_key(qbn.discrete_code(vector))
-        if key not in fsm.observation_prototypes:
-            fsm.observation_prototypes[key] = np.asarray(vector, float)
-    observation_keys = list(fsm.observation_prototypes)
-    for _ in range(20):
-        fsm.add_transition(
-            codes[int(rng.integers(len(codes)))],
-            observation_keys[int(rng.integers(len(observation_keys)))],
-            codes[int(rng.integers(len(codes)))],
-        )
-    fsm.initial_state = codes[1]
-    fsm.validate()
-    compiled = CompiledFSMPolicy.compile(fsm, qbn, encoder=env.observation_encoder)
+    compiled = random_compiled_fsm(env.observation_encoder, np.array(rows))
 
     server = PolicyServer(
         CompiledFSMBackend(compiled),
