@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import ExtractionError
 from repro.fsm.extraction import TransitionRecord
-from repro.fsm.machine import FiniteStateMachine, StateKey
+from repro.fsm.machine import FiniteStateMachine, FSMState, StateKey
 from repro.storage.iorequest import NUM_IO_TYPES
 from repro.storage.migration import action_name
 
@@ -151,6 +151,59 @@ def fan_in_out_statistics(
     return stats
 
 
+def _entry_windows(
+    records: Sequence[TransitionRecord], window: int, targets
+) -> Dict[StateKey, List[np.ndarray]]:
+    """The ``window`` raw observations before each entry into a state of ``targets``.
+
+    One pass indexes the records by episode and step, so a window never
+    crosses episodes; an entry too close to its episode's start has none.
+    """
+    if window <= 0:
+        raise ExtractionError(f"window must be positive, got {window}")
+    if not records:
+        raise ExtractionError("history profiles need transition records")
+    by_episode: Dict[int, Dict[int, TransitionRecord]] = defaultdict(dict)
+    for record in records:
+        by_episode[record.episode][record.step] = record
+    windows: Dict[StateKey, List[np.ndarray]] = defaultdict(list)
+    for record in records:
+        target = record.destination_state
+        if target not in targets or record.source_state == target:
+            continue
+        episode_records = by_episode[record.episode]
+        steps = range(record.step - window, record.step)
+        if any(step not in episode_records for step in steps):
+            continue
+        rows = [episode_records[step].raw_observation for step in steps]
+        windows[target].append(np.stack(rows))
+    return windows
+
+
+def _history_profile(
+    state: FSMState, windows: List[np.ndarray], window: int, width: int
+) -> StateHistoryProfile:
+    if windows:
+        mean_history = np.mean(np.stack(windows), axis=0)
+        series = [
+            np.array([measure(row) for row in mean_history])
+            for measure in (read_intensity_kb, write_intensity_kb, capacity_ratio)
+        ]
+    else:  # no entry has a full window before it
+        mean_history = np.zeros((window, width))
+        series = [np.zeros(window) for _ in range(3)]
+    return StateHistoryProfile(
+        state_label=state.label,
+        action=state.action_name,
+        window=window,
+        num_entries=len(windows),
+        mean_history=mean_history,
+        read_intensity=series[0],
+        write_intensity=series[1],
+        capacity_ratio_series=series[2],
+    )
+
+
 def history_profile(
     fsm: FiniteStateMachine,
     records: Sequence[TransitionRecord],
@@ -158,61 +211,15 @@ def history_profile(
     window: int = 10,
 ) -> StateHistoryProfile:
     """Compute the Figure-6 style history window for one state."""
-    if window <= 0:
-        raise ExtractionError(f"window must be positive, got {window}")
     label_to_code = {state.label: code for code, state in fsm.states.items()}
     if state_label not in label_to_code:
         raise ExtractionError(
             f"unknown state {state_label!r}; known states: {sorted(label_to_code)}"
         )
     target = label_to_code[state_label]
-
-    # Index records per episode by step so windows never cross episodes.
-    by_episode: Dict[int, Dict[int, TransitionRecord]] = defaultdict(dict)
-    for record in records:
-        by_episode[record.episode][record.step] = record
-
-    windows: List[np.ndarray] = []
-    for record in records:
-        is_entry = (
-            record.destination_state == target
-            and record.source_state != record.destination_state
-        )
-        if not is_entry:
-            continue
-        episode_records = by_episode[record.episode]
-        steps = [record.step - offset for offset in range(window, 0, -1)]
-        if any(step not in episode_records for step in steps):
-            continue
-        windows.append(
-            np.stack([episode_records[step].raw_observation for step in steps])
-        )
-
-    state = fsm.states[target]
-    if not windows:
-        empty = np.zeros((window, records[0].raw_observation.shape[0]))
-        return StateHistoryProfile(
-            state_label=state_label,
-            action=state.action_name,
-            window=window,
-            num_entries=0,
-            mean_history=empty,
-            read_intensity=np.zeros(window),
-            write_intensity=np.zeros(window),
-            capacity_ratio_series=np.zeros(window),
-        )
-
-    mean_history = np.mean(np.stack(windows), axis=0)
-    return StateHistoryProfile(
-        state_label=state_label,
-        action=state.action_name,
-        window=window,
-        num_entries=len(windows),
-        mean_history=mean_history,
-        read_intensity=np.array([read_intensity_kb(row) for row in mean_history]),
-        write_intensity=np.array([write_intensity_kb(row) for row in mean_history]),
-        capacity_ratio_series=np.array([capacity_ratio(row) for row in mean_history]),
-    )
+    windows = _entry_windows(records, window, {target})
+    width = records[0].raw_observation.shape[0]
+    return _history_profile(fsm.states[target], windows[target], window, width)
 
 
 def interpret_fsm(
@@ -222,14 +229,14 @@ def interpret_fsm(
 ) -> Dict[str, Dict[str, object]]:
     """Full interpretation bundle: fan-in/out stats and history profile per state."""
     fan_stats = fan_in_out_statistics(fsm, records)
+    windows = _entry_windows(records, window, fsm.states)
+    width = records[0].raw_observation.shape[0]
     result: Dict[str, Dict[str, object]] = {}
     for state in fsm.states_by_id():
-        label = state.label
-        profile = history_profile(fsm, records, label, window=window)
-        result[label] = {
+        result[state.label] = {
             "action": action_name(state.action),
             "visits": state.visit_count,
-            "fan_in_out": fan_stats[label],
-            "history": profile,
+            "fan_in_out": fan_stats[state.label],
+            "history": _history_profile(state, windows[state.code], window, width),
         }
     return result

@@ -155,25 +155,24 @@ class SocketTransport:
         n = int(slots.shape[0])
         k = len(self.clients)
         actions = np.zeros(n, dtype=np.int64)
-
-        async def block(client: PolicyClient, rows: slice) -> None:
-            start = time.perf_counter()
-            decided = await client.decide_many(slots[rows], gens[rows], raw[rows])
-            # Every row of the block shares the block's round trip.
-            hist.record_many(np.full(decided.shape[0], time.perf_counter() - start))
-            actions[rows] = decided
-
         chunk = self.window * k
         for begin in range(0, n, chunk):
             stop = min(begin + chunk, n)
             # Row i rides connection i % k; a connection whose first row
             # falls beyond the window's end sends nothing this window.
-            await asyncio.gather(
-                *(
-                    block(self.clients[i % k], slice(i, stop, k))
-                    for i in range(begin, min(begin + k, stop))
-                )
-            )
+            # Every block is written before any reply is awaited, so the
+            # server reads the window in one pass and batches it whole.
+            sent = []
+            for i in range(begin, min(begin + k, stop)):
+                client, rows = self.clients[i % k], slice(i, stop, k)
+                start = time.perf_counter()
+                reply = client.send_block(slots[rows], gens[rows], raw[rows])
+                sent.append((client, rows, start, reply))
+            for client, rows, start, reply in sent:
+                decided = client.block_actions(await reply)
+                # Every row of the block shares the block's round trip.
+                hist.record_many(np.full(decided.shape[0], time.perf_counter() - start))
+                actions[rows] = decided
         return actions
 
     async def stale_probe(self, slot: int, gen: int, raw_row: np.ndarray) -> str:

@@ -37,17 +37,18 @@ queue, exactly as :meth:`PolicyServer.submit_many` validates a wave);
 
 Batching
 --------
-Decide blocks do **not** answer inline.  Each block becomes one
-:class:`~repro.serving.server.DecisionWave` in the broker's queue and
-the connection handler parks the block's reply on it; the queue flushes
-either when it reaches the broker's ``max_batch_size`` (size trigger,
-synchronous) or when the event loop goes idle (idle trigger): parking
-a block wakes the server's flush task, which yields until a full loop
-pass parks no new block and then flushes.  ``flush_interval`` only caps
-how long a never-idle loop delays that flush and paces a fallback tick
-settling replies resolved out of band (a swap's flush).  One backend
-call answers every parked row of the batch, a block is answered once
-its last row resolved, and the block's arrival→reply latency is
+Both ends are :class:`asyncio.Protocol` objects whose
+``data_received`` cuts every whole frame out of one receive buffer
+(:class:`FrameSplitter`) and handles it at once.  A decide block becomes
+one :class:`~repro.serving.server.DecisionWave` in the broker's queue
+and its reply is parked on it; the queue flushes when it reaches the
+broker's ``max_batch_size`` (size trigger, synchronous) or when the
+event loop goes idle: the first parked block arms a ``loop.call_soon``
+callback, which re-arms while blocks keep parking and flushes after a
+loop pass that parked none.  ``flush_interval`` caps how long a
+never-idle loop delays that flush and paces a ``call_later`` fallback
+tick, armed only while a faulted flush left replies parked.  A block is
+answered once its last row resolved, and its arrival→reply latency is
 recorded once per row into the
 :class:`~repro.serving.server.ServerStats` SLO histogram.
 
@@ -55,6 +56,8 @@ Back-pressure is per connection and counted in rows: a block that would
 put more than ``max_inflight`` unanswered rows on one connection gets
 an immediate ``BUSY`` error reply instead of queue slots, so one
 flooding client cannot grow the queue unboundedly for everyone else.
+Past 1 MiB of unsent replies the server stops reading that peer
+(``pause_writing``); a paused client's next request waits likewise.
 
 Session handles are ``(slot, generation)`` pairs.  Every request that
 names a session carries both, and the server validates the generation
@@ -66,11 +69,12 @@ Lifecycle
 ---------
 A backend swap is an in-process call on the broker,
 :meth:`PolicyServer.swap_backend`: it flushes the in-flight micro-batch
-through the old backend, whose parked replies go out with the next
-flush or fallback tick, and session handles survive it.  The wire has
+through the old backend, whose parked replies go out with the idle
+flush their blocks armed, and session handles survive it.  The wire has
 no swap op.  Graceful drain (:meth:`PolicyNetServer.drain`) stops
 accepting, flushes and resolves everything still queued, then closes
-every connection — no request is ever left unresolved.
+every connection and waits for its transport — no request is ever left
+unresolved.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ import json
 import struct
 import time
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,7 +168,7 @@ def decode_body(codec: int, body: bytes, reply: bool = False):
     if codec != CODEC_JSON:
         raise ConfigurationError(f"unknown frame codec {codec}")
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = json.loads(str(body, "utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigurationError(f"malformed frame body: {exc}") from exc
     if not isinstance(payload, dict):
@@ -172,55 +176,118 @@ def decode_body(codec: int, body: bytes, reply: bool = False):
     return payload
 
 
-async def read_frame(reader: asyncio.StreamReader, reply: bool = False) -> tuple:
-    """Read one frame as ``(codec, payload)``.
+class FrameSplitter:
+    """Cuts frames out of a byte stream chunk by chunk, as requests or as
+    replies (``reply``, as for :func:`decode_body`)."""
 
-    EOF between frames raises ``IncompleteReadError`` (the peer hung
-    up); EOF inside a frame is a ``ConfigurationError`` like every other
-    malformed frame.
-    """
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if exc.partial:
-            raise ConfigurationError("truncated frame header") from exc
-        raise
-    codec, length = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ConfigurationError(f"frame too large: {length} bytes")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ConfigurationError(
-            f"truncated frame body: {len(exc.partial)} of {length} bytes"
-        ) from exc
-    return codec, decode_body(codec, body, reply)
+    __slots__ = ("reply", "_buffer", "_need")
+
+    def __init__(self, reply: bool = False) -> None:
+        self.reply = reply
+        self._buffer = bytearray()
+        self._need = _HEADER.size  # bytes the buffered frame needs to be cut
+
+    def feed(self, data: bytes) -> Iterator[tuple]:
+        """Yield ``(codec, payload)`` for every frame ``data`` completes, in order,
+        decoded from views of it; a malformed frame raises ``ConfigurationError``."""
+        if self._buffer:
+            self._buffer += data
+            if len(self._buffer) < self._need:
+                return
+            data = bytes(self._buffer)
+            self._buffer.clear()
+        offset, size, need = 0, len(data), _HEADER.size
+        while size - offset >= _HEADER.size:
+            codec, length = _HEADER.unpack_from(data, offset)
+            if length > MAX_FRAME_BYTES:
+                raise ConfigurationError(f"frame too large: {length} bytes")
+            start = offset + _HEADER.size
+            if size - start < length:
+                need = _HEADER.size + length
+                break
+            offset = start + length
+            yield codec, decode_body(codec, memoryview(data)[start:offset], self.reply)
+        if offset < size:
+            self._buffer += memoryview(data)[offset:]
+            self._need = need
+
+    def end(self) -> None:
+        """The peer hung up: a frame cut short is a ``ConfigurationError``."""
+        body, length = len(self._buffer) - _HEADER.size, self._need - _HEADER.size
+        if body >= 0:
+            raise ConfigurationError(f"truncated frame body: {body} of {length} bytes")
+        if self._buffer:
+            raise ConfigurationError("truncated frame header")
 
 
-class _Connection:
-    """Per-connection bookkeeping (write side + in-flight accounting)."""
+class _Connection(asyncio.Protocol):
+    """One server-side connection: frames in, replies out, rows in flight."""
 
-    __slots__ = ("writer", "inflight", "closed", "broken")
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
+    def __init__(self, net: "PolicyNetServer") -> None:
+        self.net = net
+        self.frames = FrameSplitter()
+        self.transport: Optional[asyncio.Transport] = None
         self.inflight = 0  # unanswered decide rows
         self.closed = False
         self.broken = False
+        self.lost = asyncio.get_running_loop().create_future()  # the transport is gone
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        # Past 1 MiB of unsent replies the peer is not read (pause_writing).
+        transport.set_write_buffer_limits(high=1 << 20)
+        self.net._connections.append(self)
+        self.net.connections_total += 1
+        if self.net._draining:
+            self.close()
+
+    def data_received(self, data: bytes) -> None:
+        net = self.net
+        try:
+            for codec, request in self.frames.feed(data):
+                if codec == CODEC_DECIDE:
+                    net._decide_block(self, *request)
+                else:
+                    net._dispatch(self, request)
+        except ConfigurationError:
+            net.protocol_errors += 1
+            self.close()
+
+    def eof_received(self) -> None:
+        try:
+            self.frames.end()
+        except ConfigurationError:
+            self.net.protocol_errors += 1
+        self.close()
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.close()
+        if not self.lost.done():
+            self.lost.set_result(None)
+
+    def close(self) -> None:
+        """Hang up; queued rows stay in the batch, their replies dropped."""
+        if not self.closed:
+            self.closed = True
+            self.net._connections.remove(self)
+        self.transport.close()
 
     def send(self, frame: bytes) -> bool:
         """Write one reply frame; ``False`` if the connection can't take it.
 
-        A transport that raises (peer reset the connection, writer
-        already torn down) marks the connection ``broken`` so later
-        replies skip it immediately instead of raising again — the
-        caller settling a whole micro-batch must never lose the other
-        connections' replies to one dead peer.
+        A transport that raises marks the connection ``broken``, so one
+        dead peer never costs a settling micro-batch the other replies.
         """
-        if self.closed or self.broken or self.writer.is_closing():
+        if self.closed or self.broken or self.transport.is_closing():
             return False
         try:
-            self.writer.write(frame)
+            self.transport.write(frame)
         except (OSError, RuntimeError):
             self.broken = True
             return False
@@ -253,10 +320,7 @@ class PolicyNetServer:
     """
 
     def __init__(
-        self,
-        server: PolicyServer,
-        flush_interval: float = 0.002,
-        max_inflight: int = 64,
+        self, server: PolicyServer, flush_interval: float = 0.002, max_inflight: int = 64
     ) -> None:
         if flush_interval <= 0:
             raise ConfigurationError("flush_interval must be positive")
@@ -268,8 +332,9 @@ class PolicyNetServer:
         self._parked: List[_Block] = []
         self._connections: List[_Connection] = []
         self._listeners: List[asyncio.AbstractServer] = []
-        self._flush_task: Optional[asyncio.Task] = None
-        self._arrived = asyncio.Event()  # set each time a block parks
+        self._parks = 0  # blocks parked so far; the idle flush watches it move
+        self._idle_flush: Optional[asyncio.Handle] = None
+        self._tick: Optional[asyncio.TimerHandle] = None
         self._draining = False
         self.connections_total = 0
         self.busy_rejections = 0  # rows refused; the BUSY replies count in error_replies
@@ -309,29 +374,23 @@ class PolicyNetServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(
-        self,
-        unix_path: Optional[str] = None,
-        host: Optional[str] = None,
-        port: int = 0,
+        self, unix_path: Optional[str] = None, host: Optional[str] = None, port: int = 0
     ) -> Dict[str, object]:
-        """Open the listeners and start the batching flush loop.
-
-        Returns the bound endpoints (``{"unix": path, "tcp": (host, port)}``
-        for whichever transports were requested).
-        """
+        """Open the listeners; returns the bound endpoints, ``{"unix": path,
+        "tcp": (host, port)}`` for whichever transports were requested."""
         if unix_path is None and host is None:
             raise ConfigurationError("need a unix_path and/or a TCP host to listen on")
+        loop = asyncio.get_running_loop()
         endpoints: Dict[str, object] = {}
         if unix_path is not None:
-            listener = await asyncio.start_unix_server(self._handle, path=unix_path)
+            listener = await loop.create_unix_server(lambda: _Connection(self), unix_path)
             self._listeners.append(listener)
             endpoints["unix"] = unix_path
         if host is not None:
-            listener = await asyncio.start_server(self._handle, host=host, port=port)
+            listener = await loop.create_server(lambda: _Connection(self), host, port)
             self._listeners.append(listener)
             bound = listener.sockets[0].getsockname()
             endpoints["tcp"] = (bound[0], bound[1])
-        self._flush_task = asyncio.get_running_loop().create_task(self._flush_loop())
         return endpoints
 
     async def drain(self) -> Dict[str, object]:
@@ -344,9 +403,6 @@ class PolicyNetServer:
         self._draining = True
         for listener in self._listeners:
             listener.close()
-        for listener in self._listeners:
-            await listener.wait_closed()
-        self._listeners = []
         self._flush_and_settle()
         # Anything still unresolved is cancelled *in the broker* —
         # failing the waves from out here would leave their rows in the
@@ -361,15 +417,19 @@ class PolicyNetServer:
                 # fail every queued row); a no-op on a done one.
                 block.wave.fail(drained)
             self._settle()
-        if self._flush_task is not None:
-            self._flush_task.cancel()
-            try:
-                await self._flush_task
-            except asyncio.CancelledError:
-                pass
-            self._flush_task = None
-        for connection in list(self._connections):
-            await self._close_connection(connection)
+        for handle in (self._idle_flush, self._tick):
+            if handle is not None:
+                handle.cancel()
+        self._idle_flush = self._tick = None
+        connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+        for connection in connections:
+            await connection.lost
+        # Last: from Python 3.12 a listener waits for its connections too.
+        for listener in self._listeners:
+            await listener.wait_closed()
+        self._listeners = []
         return self.summary()
 
     def summary(self) -> Dict[str, object]:
@@ -393,33 +453,37 @@ class PolicyNetServer:
         }
 
     # ------------------------------------------------------------------
-    # Batching loop
+    # Batching
     # ------------------------------------------------------------------
-    async def _flush_loop(self) -> None:
+    def _arm_flush(self) -> None:
+        """A block parked: flush once a loop pass parks no more (idle trigger)."""
+        self._parks += 1
+        if self._idle_flush is None:
+            loop = asyncio.get_running_loop()
+            self._idle_flush = loop.call_soon(
+                self._flush_when_idle, loop.time() + self.flush_interval, self._parks
+            )
+
+    def _flush_when_idle(self, deadline: float, parks: int) -> None:
         loop = asyncio.get_running_loop()
-        while True:
-            try:
-                await asyncio.wait_for(self._arrived.wait(), self.flush_interval)
-            except asyncio.TimeoutError:
-                pass  # fallback tick: settles replies resolved out of band
-            # Yield until a full loop pass parks no new block, so every
-            # frame already read joins this batch.
-            deadline = loop.time() + self.flush_interval
-            while self._arrived.is_set() and loop.time() < deadline:
-                self._arrived.clear()
-                await asyncio.sleep(0)
-            self._arrived.clear()
-            self._flush_and_settle()
+        if self._parks != parks and loop.time() < deadline:
+            # More blocks parked since: wait a pass for any still arriving.
+            self._idle_flush = loop.call_soon(self._flush_when_idle, deadline, self._parks)
+            return
+        self._idle_flush = None
+        self._flush_and_settle()
+
+    def _fallback_tick(self) -> None:
+        self._tick = None
+        self._flush_and_settle()
 
     def _flush_and_settle(self) -> None:
         """Serve whatever is queued and write every reply that resolved.
 
         A backend fault fails the flushed rows, which settle as error
-        replies (here, or in the drain's final settle).  Any other
-        surprise is counted and kept for ``summary()``, never raised:
-        it would kill the flush loop silently (every queued request
-        then hangs until drain) or abort a drain half-done (listeners
-        closed, connections stranded).
+        replies.  Any other surprise is counted and kept for
+        ``summary()``, never raised (it would abort a drain half-done);
+        replies it left parked settle on the fallback tick.
         """
         try:
             if self.server.pending:
@@ -431,6 +495,9 @@ class PolicyNetServer:
         except Exception as exc:
             self.flush_loop_errors += 1
             self.last_flush_error = f"{type(exc).__name__}: {exc}"
+        if self._parked and self._tick is None:
+            loop = asyncio.get_running_loop()
+            self._tick = loop.call_later(self.flush_interval, self._fallback_tick)
 
     def _settle(self) -> None:
         """Write the reply of every parked block whose wave is done.
@@ -458,9 +525,7 @@ class PolicyNetServer:
                     block.request_id,
                 )
             else:
-                sent = block.connection.send(
-                    encode_block(block.request_id, wave.actions)
-                )
+                sent = block.connection.send(encode_block(block.request_id, wave.actions))
             if not sent:
                 # Closed or broken peer: its reply is dropped (counted),
                 # everyone else's in this batch still settles.
@@ -470,50 +535,19 @@ class PolicyNetServer:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(writer)
-        self._connections.append(connection)
-        self.connections_total += 1
-        try:
-            while not self._draining:
-                try:
-                    codec, request = await read_frame(reader)
-                except (asyncio.IncompleteReadError, ConnectionResetError):
-                    break
-                except ConfigurationError:
-                    self.protocol_errors += 1
-                    break
-                if codec == CODEC_DECIDE:
-                    self._decide_block(connection, *request)
-                else:
-                    self._dispatch(connection, request)
-                if writer.transport.get_write_buffer_size() > 1 << 20:
-                    await writer.drain()
-        finally:
-            await self._close_connection(connection)
-
     def _send_error(
-        self,
-        connection: _Connection,
-        code: str,
-        message: str,
-        request_id: object,
+        self, connection: _Connection, code: str, message: str, request_id: object
     ) -> bool:
         """Send one structured error reply, counted by code; ``False`` if dropped."""
         self.error_replies[code] += 1
         return self._reply(connection, request_id, ok=False, error=code, message=message)
 
     def _op_metrics(self) -> Dict[str, object]:
-        """Both expositions of the shared registry.
+        """Both expositions of the shared registry (views, read as they render).
 
-        The broker and front-door counts are views, read as the
-        expositions render, so nothing is brought up to date first.
-        ``last_flush_error`` rides along verbatim (error strings are
-        unbounded, so they never become label values — the counter
-        series ``netserver_flush_loop_errors_total`` carries the count,
-        this field carries the most recent cause).
+        ``last_flush_error`` rides along verbatim: error strings are
+        unbounded, so the series ``netserver_flush_loop_errors_total``
+        carries only the count.
         """
         return {
             "prometheus": self.metrics.to_prometheus_text(),
@@ -522,9 +556,7 @@ class PolicyNetServer:
             "flush_loop_errors": self.flush_loop_errors,
         }
 
-    def _dispatch(
-        self, connection: _Connection, request: Dict[str, object]
-    ) -> None:
+    def _dispatch(self, connection: _Connection, request: Dict[str, object]) -> None:
         request_id = request.get("id")
         op = request.get("op")
         self.requests_by_op[op if op in _CONTROL_OPS else "other"] += 1
@@ -541,10 +573,7 @@ class PolicyNetServer:
                     )
                 slots = self.server.open_sessions(count)
                 generations = self.server.table.generation[slots]
-                handles = [
-                    [int(slot), int(generation)]
-                    for slot, generation in zip(slots, generations)
-                ]
+                handles = [[int(slot), int(gen)] for slot, gen in zip(slots, generations)]
                 self._reply(connection, request_id, handles=handles)
             elif op == "close":
                 slots, generations = self._parse_handles(request)
@@ -570,12 +599,8 @@ class PolicyNetServer:
             )
 
     def _decide_block(
-        self,
-        connection: _Connection,
-        request_id: int,
-        slots: np.ndarray,
-        generations: np.ndarray,
-        observations: np.ndarray,
+        self, connection: _Connection, request_id: int, slots: np.ndarray,
+        generations: np.ndarray, observations: np.ndarray,
     ) -> None:
         """Queue one decide block and park its reply (the only decide path)."""
         rows = int(slots.shape[0])
@@ -616,10 +641,9 @@ class PolicyNetServer:
             return
         self._parked.append(_Block(wave, connection, request_id, arrived))
         connection.inflight += rows
-        self._arrived.set()
-        # The submit may have size-triggered (or same-session-triggered)
-        # a synchronous flush; settle immediately so its replies do not
-        # wait for the flush task.
+        self._arm_flush()
+        # The submit may have size- or same-session-triggered a flush;
+        # settle at once so its replies do not wait for the idle flush.
         if self.server.stats().batches != batches:
             self._settle()
 
@@ -635,94 +659,58 @@ class PolicyNetServer:
         return connection.send(encode_frame(payload))
 
     @staticmethod
-    def _parse_handle(handle: object) -> Tuple[int, int]:
-        if (
-            not isinstance(handle, (list, tuple))
-            or len(handle) != 2
-        ):
-            raise ConfigurationError(
-                f"session handle must be a [slot, generation] pair, got {handle!r}"
-            )
-        return int(handle[0]), int(handle[1])
-
-    def _parse_handles(
-        self, request: Dict[str, object]
-    ) -> Tuple[List[int], List[int]]:
+    def _parse_handles(request: Dict[str, object]) -> Tuple[List[int], List[int]]:
         raw_handles = request.get("handles")
         if raw_handles is None:
             raw_handles = [request["handle"]]
         slots: List[int] = []
         generations: List[int] = []
         for handle in raw_handles:
-            slot, generation = self._parse_handle(handle)
-            slots.append(slot)
-            generations.append(generation)
+            if not isinstance(handle, (list, tuple)) or len(handle) != 2:
+                raise ConfigurationError(
+                    f"session handle must be a [slot, generation] pair, got {handle!r}"
+                )
+            slots.append(int(handle[0]))
+            generations.append(int(handle[1]))
         return slots, generations
 
-    async def _close_connection(self, connection: _Connection) -> None:
-        if connection.closed:
-            return
-        connection.closed = True
-        if connection in self._connections:
-            self._connections.remove(connection)
-        # Requests this connection is still waiting on keep their queue
-        # slots (the micro-batch must stay intact for everyone else);
-        # their replies are simply dropped at settle time.
-        connection.writer.close()
-        try:
-            await connection.writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
 
-
-class PolicyClient:
+class PolicyClient(asyncio.Protocol):
     """Asyncio client for :class:`PolicyNetServer` (pipelining, id-matched).
 
-    Every request carries an auto-assigned ``id``; a background reader
-    task matches replies to futures, so any number of requests can be in
-    flight concurrently on one connection (decide rows subject to the
-    server's ``BUSY`` back-pressure).  Once the server has closed the
-    connection every call raises :class:`ServingError` at once.
+    Connect with :meth:`connect_unix` or :meth:`connect_tcp`.  Replies
+    are matched to their requests' ``id`` as they are read, so any number
+    of requests can be in flight on one connection (decide rows subject
+    to ``BUSY``); once the connection is gone every call raises at once.
     """
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
+    def __init__(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._frames = FrameSplitter(reply=True)
+        self._transport: Optional[asyncio.Transport] = None
         self._ids = itertools.count(1)
         self._futures: Dict[object, asyncio.Future] = {}
         self._closed: Optional[str] = None  # why no reply can arrive any more
-        self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
+        self._lost = self._loop.create_future()  # the transport is gone
+        self._writable: Optional[asyncio.Future] = None  # pending while writes pause
 
     # ------------------------------------------------------------------
     # Connection management
     # ------------------------------------------------------------------
     @classmethod
     async def connect_unix(cls, path: str) -> "PolicyClient":
-        reader, writer = await asyncio.open_unix_connection(path)
-        return cls(reader, writer)
+        _, client = await asyncio.get_running_loop().create_unix_connection(cls, path)
+        return client
 
     @classmethod
     async def connect_tcp(cls, host: str, port: int) -> "PolicyClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
+        _, client = await asyncio.get_running_loop().create_connection(cls, host, port)
+        return client
 
     async def close(self) -> None:
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
         self._closed = "client closed"
-        self._fail_pending(ServingError(self._closed))
+        self._transport.close()
+        await self._lost
 
     async def __aenter__(self) -> "PolicyClient":
         return self
@@ -730,56 +718,63 @@ class PolicyClient:
     async def __aexit__(self, *_exc) -> None:
         await self.close()
 
-    def _fail_pending(self, error: BaseException) -> None:
-        futures, self._futures = self._futures, {}
-        for future in futures.values():
-            if not future.done():
-                future.set_exception(error)
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
 
-    async def _read_loop(self) -> None:
-        # Any exit but cancellation (``close``) ends every reply still
-        # owed: a future left pending here would never resolve.
+    def data_received(self, data: bytes) -> None:
         try:
-            while True:
-                codec, reply = await read_frame(self._reader, reply=True)
+            for codec, reply in self._frames.feed(data):
                 request_id = reply[0] if codec == CODEC_DECIDE else reply.get("id")
                 future = self._futures.pop(request_id, None)
                 if future is not None and not future.done():
                     future.set_result(reply)
-        except (asyncio.IncompleteReadError, OSError, ConfigurationError):
-            self._closed = "connection closed by server"
-        except Exception as exc:
-            self._closed = f"reply reader failed: {type(exc).__name__}: {exc}"
-        self._fail_pending(ServingError(self._closed))
+        except ConfigurationError:
+            self.eof_received()  # a garbled reply: nothing after it can be matched
+            self._transport.close()
+
+    def eof_received(self) -> None:
+        self._closed = self._closed or "connection closed by server"
+
+    def pause_writing(self) -> None:
+        self._writable = self._loop.create_future()
+
+    def resume_writing(self) -> None:
+        self._writable.set_result(None)
+        self._writable = None
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.eof_received()  # every reply still owed fails here
+        futures, self._futures = self._futures, {}
+        for future in futures.values():
+            if not future.done():
+                future.set_exception(ServingError(self._closed))
+        for waiter in (self._lost, self._writable):
+            if waiter is not None and not waiter.done():
+                waiter.set_result(None)
 
     # ------------------------------------------------------------------
     # Raw request / typed helpers
     # ------------------------------------------------------------------
-    async def _roundtrip(self, request_id: int, frame: bytes):
-        """Write one frame and await the reply carrying ``request_id``."""
+    def _send(self, request_id: int, frame: bytes) -> asyncio.Future:
+        """Write one frame now; the future resolves to the reply carrying ``request_id``."""
         if self._closed is not None:
             raise ServingError(self._closed)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        future = self._loop.create_future()
         self._futures[request_id] = future
-        try:
-            self._writer.write(frame)
-            await self._writer.drain()
-        except OSError as exc:
-            # Unless the read loop got there first and failed the future
-            # (awaited below), nobody will ever resolve it.
-            if self._futures.pop(request_id, None) is not None:
-                raise ServingError("connection closed by server") from exc
+        self._transport.write(frame)
+        return future
+
+    async def _reply(self, future: asyncio.Future):
+        if self._writable is not None:  # the send buffer is full: let it drain
+            await asyncio.shield(self._writable)
         return await future
 
     async def request(self, payload: Dict[str, object]) -> Dict[str, object]:
-        """Send one control request and await its id-matched reply.
-
-        Error replies are returned, not raised; only a dead connection
-        raises (:class:`ServingError`).
-        """
+        """Send one control request and await its id-matched reply; error
+        replies are returned, only a dead connection raises."""
         request_id = next(self._ids)
-        return await self._roundtrip(
-            request_id, encode_frame({**payload, "id": request_id})
+        return await self._reply(
+            self._send(request_id, encode_frame({**payload, "id": request_id}))
         )
 
     @staticmethod
@@ -795,23 +790,20 @@ class PolicyClient:
             raise self._error(reply)
         return reply
 
-    async def decide_many(
+    def send_block(
         self, slots: np.ndarray, generations: np.ndarray, observations: np.ndarray
-    ) -> np.ndarray:
-        """One decide block: row ``i`` answers session ``(slots[i], generations[i])``.
+    ) -> asyncio.Future:
+        """Write one decide block now; the future resolves to its reply.
 
-        The block is served or refused as a whole; a refusal raises
-        :class:`StaleSessionError` or :class:`ServingError`.  The
-        returned int64 action vector is a read-only view of the reply.
+        Row ``i`` asks for session ``(slots[i], generations[i])``; read the
+        reply with :meth:`block_actions`.  Blocks all written before any
+        is awaited reach the server in one loop pass and batch together.
         """
         slots = np.asarray(slots, dtype="<i8")
         generations = np.asarray(generations, dtype="<i8")
         observations = np.asarray(observations, dtype="<f8")
-        if (
-            slots.ndim != 1
-            or slots.size == 0
-            or generations.shape != slots.shape
-            or observations.shape != (slots.size, OBSERVATION_DIM)
+        if slots.ndim != 1 or slots.size == 0 or generations.shape != slots.shape or (
+            observations.shape != (slots.size, OBSERVATION_DIM)
         ):
             raise ConfigurationError(
                 f"a decide block is n >= 1 slots, n generations and an "
@@ -819,20 +811,28 @@ class PolicyClient:
                 f"{generations.shape}, {observations.shape}"
             )
         request_id = next(self._ids)
-        reply = await self._roundtrip(
-            request_id, encode_block(request_id, slots, generations, observations)
-        )
+        frame = encode_block(request_id, slots, generations, observations)
+        return self._send(request_id, frame)
+
+    def block_actions(self, reply) -> np.ndarray:
+        """A decide reply's int64 actions (a read-only view); a refusal raises
+        :class:`StaleSessionError` or :class:`ServingError`."""
         if isinstance(reply, dict):  # errors travel as JSON frames
             raise self._error(reply)
         return reply[1]
+
+    async def decide_many(
+        self, slots: np.ndarray, generations: np.ndarray, observations: np.ndarray
+    ) -> np.ndarray:
+        """One decide block, served or refused as a whole (:meth:`send_block`)."""
+        reply = await self._reply(self.send_block(slots, generations, observations))
+        return self.block_actions(reply)
 
     async def open(self, count: int = 1) -> List[Tuple[int, int]]:
         reply = await self._control({"op": "open", "count": count})
         return [(int(s), int(g)) for s, g in reply["handles"]]
 
-    async def decide(
-        self, handle: Sequence[int], observation: Sequence[float]
-    ) -> int:
+    async def decide(self, handle: Sequence[int], observation: Sequence[float]) -> int:
         """The ``n = 1`` call of :meth:`decide_many`."""
         actions = await self.decide_many(
             [handle[0]], [handle[1]], np.asarray(observation, dtype="<f8")[None]

@@ -5,6 +5,7 @@ fixture (one tiny end-to-end pipeline run) instead of retraining per test.
 """
 
 import copy
+import dataclasses
 from dataclasses import replace
 from unittest import mock
 
@@ -28,6 +29,7 @@ from repro.fsm.interpretation import (
     capacity_ratio,
     fan_in_out_statistics,
     history_profile,
+    interpret_fsm,
     read_intensity_kb,
     write_intensity_kb,
 )
@@ -783,6 +785,41 @@ class TestExtractionIntegration:
                 tiny_pipeline_result.extraction.records,
                 "S999",
             )
+
+    def test_one_pass_profiles_equal_the_per_state_function(self, tiny_pipeline_result):
+        """``interpret_fsm`` collects every state's entry windows in one pass
+        over the records; each profile equals ``history_profile``'s for that
+        state alone, and both count and average the windows the per-state
+        scan over every record finds."""
+        fsm = tiny_pipeline_result.extraction.fsm
+        records = tiny_pipeline_result.extraction.records
+        by_step = {(record.episode, record.step): record for record in records}
+        bundle = interpret_fsm(fsm, records)
+        assert sum(info["history"].num_entries for info in bundle.values()) > 0
+        for code, state in fsm.states.items():
+            windows = [
+                np.stack([by_step[record.episode, step].raw_observation for step in steps])
+                for record in records
+                if record.destination_state == code != record.source_state
+                for steps in [range(record.step - 10, record.step)]
+                if all((record.episode, step) in by_step for step in steps)
+            ]
+            one_pass = bundle[state.label]["history"]
+            alone = history_profile(fsm, records, state.label)
+            for field in dataclasses.fields(one_pass):
+                got, want = getattr(one_pass, field.name), getattr(alone, field.name)
+                if isinstance(got, np.ndarray):
+                    assert got.tobytes() == want.tobytes(), field.name
+                else:
+                    assert got == want, field.name
+            assert one_pass.num_entries == len(windows)
+            if windows:
+                assert np.array_equal(one_pass.mean_history, np.mean(windows, axis=0))
+
+    def test_history_profile_needs_records(self, tiny_pipeline_result):
+        fsm = tiny_pipeline_result.extraction.fsm
+        with pytest.raises(ExtractionError, match="records"):
+            history_profile(fsm, [], fsm.states_by_id()[0].label)
 
     def test_raw_observation_helpers(self, tiny_pipeline_result):
         raw = tiny_pipeline_result.extraction.records[0].raw_observation

@@ -308,6 +308,27 @@ class TestFleetDriver:
             decisions["decisions_total"] + decisions["probe_decisions_total"]
         )
 
+    def test_socket_waves_batch_like_the_inprocess_twin(
+        self, compiled_policy, serving_env
+    ):
+        """Every wave's blocks share one backend call, as the wave does in process.
+
+        The ledger's socket shape at smoke size: two connections, one
+        block each per wave, a window as wide as the block.  The idle
+        flush waits for both blocks, so the socket run makes exactly
+        the in-process run's batches.
+        """
+        schedule = _small_schedule(sessions=128, shard_size=32)
+        server = _make_server(compiled_policy, serving_env)
+        inproc = FleetDriver(schedule, InProcessTransport(server), base_seed=42).run()
+        socket_report, summary = _socket_run(
+            schedule, compiled_policy, serving_env, clients=2, window=16, base_seed=42
+        )
+        assert socket_report.digest == inproc.digest
+        assert summary["decisions"] == server.stats().decisions
+        assert summary["batches"] == server.stats().batches
+        assert summary["pending"] == 0 and summary["parked_replies"] == 0
+
     def test_recycle_restarts_finished_shards(self, compiled_policy, serving_env):
         server = _make_server(compiled_policy, serving_env)
         # Traces last 4 intervals but the phase runs 10 steps: every

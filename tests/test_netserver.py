@@ -37,10 +37,10 @@ from repro.serving.netserver import (
     DECIDE_ROW_BYTES,
     MAX_FRAME_BYTES,
     MAX_OPEN_PER_REQUEST,
+    FrameSplitter,
     decode_body,
     encode_block,
     encode_frame,
-    read_frame,
 )
 from repro.storage.migration import NUM_ACTIONS, MigrationAction
 from repro.storage.simulator import StorageSystemConfig
@@ -99,18 +99,15 @@ class _socket_dir:
         shutil.rmtree(self.path, ignore_errors=True)
 
 
-async def _start_without_flush_task(netserver: PolicyNetServer, **endpoints):
-    """Start ``netserver`` and stop its flush task.
+async def _start_without_idle_flush(netserver: PolicyNetServer, **endpoints):
+    """Start ``netserver`` with a parked block never arming the idle flush.
 
     Only the size trigger, a same-session flush, a swap's flush and the
     drain flush then ever run, so requests stay parked until the test
     says otherwise.
     """
-    bound = await netserver.start(**endpoints)
-    netserver._flush_task.cancel()
-    with pytest.raises(asyncio.CancelledError):
-        await netserver._flush_task
-    return bound
+    netserver._arm_flush = lambda: None
+    return await netserver.start(**endpoints)
 
 
 # ----------------------------------------------------------------------
@@ -168,15 +165,13 @@ class TestFraming:
 # Frame fuzzer (both frame kinds, both directions)
 # ----------------------------------------------------------------------
 def _read(data: bytes, reply: bool = False):
-    """``read_frame`` over a stream holding exactly ``data`` then EOF."""
-
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return await read_frame(reader, reply)
-
-    return asyncio.run(go())
+    """The first frame a splitter cuts from ``data`` then EOF; ``None`` if
+    the stream ended between frames."""
+    splitter = FrameSplitter(reply)
+    for frame in splitter.feed(data):
+        return frame
+    splitter.end()
+    return None
 
 
 def _header(codec: int, length: int) -> bytes:
@@ -252,12 +247,13 @@ class TestFrameFuzz:
     def test_random_bytes_decode_or_raise_configuration_error(self, data, reply):
         """Nothing but ``ConfigurationError`` escapes, bar EOF between frames."""
         try:
-            codec, payload = _read(data, reply)
+            frame = _read(data, reply)
         except ConfigurationError:
             return
-        except asyncio.IncompleteReadError:
+        if frame is None:
             assert data == b""
             return
+        codec, payload = frame
         assert isinstance(payload, dict if codec == CODEC_JSON else tuple)
 
     @settings(max_examples=50, deadline=None)
@@ -269,6 +265,48 @@ class TestFrameFuzz:
             assert encode_block(*payload) == frame
         else:
             assert encode_frame(payload) == frame
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        frames=st.lists(_valid_frames(), min_size=1, max_size=5),
+        cuts=st.one_of(
+            st.just("bytewise"), st.lists(st.integers(0, 4000), max_size=8)
+        ),
+        reply=st.booleans(),
+    )
+    def test_frames_split_anywhere_decode_like_whole_frames(self, frames, cuts, reply):
+        """Coalesced into one chunk, cut at arbitrary byte boundaries or fed
+        one byte at a time, frames decode exactly as ``decode_body``
+        decodes each whole frame."""
+        if reply:  # the same frames as replies: a block carries one column
+            frames = [
+                encode_block(*decode_body(CODEC_DECIDE, frame[5:])[:2])
+                if frame[0] == CODEC_DECIDE else frame
+                for frame in frames
+            ]
+        stream = b"".join(frames)
+        if cuts == "bytewise":
+            bounds = list(range(len(stream) + 1))
+        else:
+            bounds = sorted({0, len(stream), *(cut % (len(stream) + 1) for cut in cuts)})
+        splitter = FrameSplitter(reply)
+        got = [
+            frame
+            for begin, end in zip(bounds, bounds[1:])
+            for frame in splitter.feed(stream[begin:end])
+        ]
+        splitter.end()  # nothing left over
+        expected = [(frame[0], decode_body(frame[0], frame[5:], reply)) for frame in frames]
+        assert len(got) == len(expected)
+        for (codec, payload), (want_codec, want) in zip(got, expected):
+            assert codec == want_codec
+            if codec == CODEC_JSON:
+                assert payload == want
+            else:
+                assert payload[0] == want[0]
+                for column, want_column in zip(payload[1:], want[1:]):
+                    assert column.dtype == want_column.dtype
+                    assert column.tobytes() == want_column.tobytes()
 
     @settings(max_examples=8, deadline=None)
     @given(frames=st.lists(_malformed_frames(), min_size=1, max_size=6))
@@ -400,11 +438,11 @@ class TestNetServer:
                 serving_env.observation_encoder,
                 max_batch_size=1024,
             )
-            # No flush task: only the drain flushes, so requests
+            # No idle flush: only the drain flushes, so requests
             # genuinely accumulate in flight.
             netserver = PolicyNetServer(server, max_inflight=3)
             with _socket_dir() as socket_path:
-                await _start_without_flush_task(netserver, unix_path=socket_path)
+                await _start_without_idle_flush(netserver, unix_path=socket_path)
                 client = await PolicyClient.connect_unix(socket_path)
                 handles = await client.open(8)
                 tasks = [
@@ -442,7 +480,7 @@ class TestNetServer:
             )
             netserver = PolicyNetServer(server)
             with _socket_dir() as socket_path:
-                await _start_without_flush_task(netserver, unix_path=socket_path)
+                await _start_without_idle_flush(netserver, unix_path=socket_path)
                 client = await PolicyClient.connect_unix(socket_path)
                 handles = await client.open(3)
                 tasks = [
@@ -510,14 +548,14 @@ class TestNetServer:
             server = PolicyServer(
                 shadowed, serving_env.observation_encoder, max_batch_size=16
             )
-            # No flush task: the size trigger and the swap's own flush
+            # No idle flush: the size trigger and the swap's own flush
             # are the only ones, so the queue is deterministic.
             netserver = PolicyNetServer(server)
             reference = PolicyServer(
                 GRUPolicyBackend(policy), serving_env.observation_encoder
             )
             with _socket_dir() as socket_path:
-                await _start_without_flush_task(netserver, unix_path=socket_path)
+                await _start_without_idle_flush(netserver, unix_path=socket_path)
                 async with await PolicyClient.connect_unix(socket_path) as client:
                     handles = np.array(await client.open(16))
                     parked = [
@@ -771,7 +809,7 @@ class TestDecideBlocks:
             # Only forced flushes and the drain flush ever run.
             netserver = PolicyNetServer(server)
             with _socket_dir() as socket_path:
-                await _start_without_flush_task(netserver, unix_path=socket_path)
+                await _start_without_idle_flush(netserver, unix_path=socket_path)
                 first = await PolicyClient.connect_unix(socket_path)
                 second = await PolicyClient.connect_unix(socket_path)
                 handles = np.array(await first.open(4))
@@ -823,7 +861,7 @@ class TestDecideBlocks:
             server = self._server(compiled_policy, serving_env)
             netserver = PolicyNetServer(server)
             with _socket_dir() as socket_path:
-                await _start_without_flush_task(netserver, unix_path=socket_path)
+                await _start_without_idle_flush(netserver, unix_path=socket_path)
                 client = await PolicyClient.connect_unix(socket_path)
                 handles = np.array(await client.open(3))
                 block = asyncio.create_task(
@@ -906,14 +944,14 @@ class TestDecideBlocks:
     def test_reader_dying_on_any_os_error_fails_the_request_in_flight(
         self, compiled_policy, serving_env, observation_stream
     ):
-        """A read loop ended by an ``OSError`` that is not a reset (here
+        """A connection lost to an ``OSError`` that is not a reset (here
         ETIMEDOUT's ``TimeoutError``) fails the decide it owed a reply,
         and every later call raises at once."""
 
         async def scenario():
             netserver = PolicyNetServer(self._server(compiled_policy, serving_env))
             with _socket_dir() as socket_path:
-                await _start_without_flush_task(netserver, unix_path=socket_path)
+                await _start_without_idle_flush(netserver, unix_path=socket_path)
                 client = await PolicyClient.connect_unix(socket_path)
                 (handle,) = await client.open(1)
                 parked = asyncio.create_task(
@@ -921,7 +959,7 @@ class TestDecideBlocks:
                 )
                 while netserver.server.pending < 1:
                     await asyncio.sleep(0)
-                client._reader.set_exception(TimeoutError("timed out"))
+                client.connection_lost(TimeoutError("timed out"))
                 with pytest.raises(ServingError, match="connection closed"):
                     await asyncio.wait_for(parked, 1.0)
                 with pytest.raises(ServingError, match="connection closed"):
@@ -1010,9 +1048,9 @@ class TestIdleFlush:
         self, compiled_policy, serving_env, observation_stream, parks_every_pass
     ):
         """A task spinning on ``sleep(0)`` keeps the loop busy but parks
-        nothing, so the block flushes at once; one that also raises the
-        arrival flag every pass (a loop that never goes idle) delays the
-        flush by at most ``flush_interval``."""
+        nothing, so the block flushes at once; one that also arms the
+        flush every pass, as a parked block does (a loop that never goes
+        idle), delays the flush by at most ``flush_interval``."""
         flush_interval = 0.05
 
         async def scenario():
@@ -1025,7 +1063,7 @@ class TestIdleFlush:
             async def spin() -> None:
                 while spinning:
                     if parks_every_pass:
-                        netserver._arrived.set()
+                        netserver._arm_flush()
                     await asyncio.sleep(0)
 
             with _socket_dir() as socket_path:
@@ -1162,7 +1200,7 @@ class TestServingHardening:
         """One RuntimeError from a flush tick must not kill the loop.
 
         Before the guard, anything outside the ReproError hierarchy
-        raised in ``_flush_loop`` killed the task silently — the server
+        raised in a flush killed the flush loop silently — the server
         never flushed again and every later request hung until drain.
         """
 
@@ -1182,13 +1220,13 @@ class TestServingHardening:
                 summary = await client.stats()
                 assert summary["flush_loop_errors"] == 1
                 assert "RuntimeError" in summary["last_flush_error"]
-                # The loop is still alive: the next request is served
-                # by the flush task, not left hanging.
+                # The flush is still armed by the next park: the next
+                # request is served by the idle flush, not left hanging.
                 action = await asyncio.wait_for(
                     client.decide(handle, observation_stream[1]), timeout=5.0
                 )
                 assert 0 <= action < NUM_ACTIONS
-                assert not netserver._flush_task.done()
+                assert netserver._idle_flush is None  # ran and disarmed
                 await client.close()
                 await netserver.drain()
 
@@ -1225,13 +1263,13 @@ class TestServingHardening:
                 def exploding_write(data):
                     raise ConnectionResetError("peer vanished mid-reply")
 
-                doomed_connection.writer.write = exploding_write
+                doomed_connection.transport.write = exploding_write
                 lost = asyncio.create_task(
                     doomed.decide(d_handle, observation_stream[0])
                 )
                 await asyncio.sleep(0)  # let the doomed request park first
                 # wait_for: with the settle bug, the raise kills the
-                # flush loop and this would hang forever, not fail.
+                # flush and this would hang forever, not fail.
                 action = await asyncio.wait_for(
                     healthy.decide(h_handle, observation_stream[1]), timeout=5.0
                 )
@@ -1269,7 +1307,7 @@ class TestServingHardening:
             )
             netserver = PolicyNetServer(server)
             with _socket_dir() as socket_path:
-                await _start_without_flush_task(netserver, unix_path=socket_path)
+                await _start_without_idle_flush(netserver, unix_path=socket_path)
                 client = await PolicyClient.connect_unix(socket_path)
                 handles = await client.open(2)
                 tasks = [
@@ -1312,7 +1350,7 @@ class TestServingHardening:
             )
             netserver = PolicyNetServer(server)
             with _socket_dir() as socket_path:
-                await _start_without_flush_task(netserver, unix_path=socket_path)
+                await _start_without_idle_flush(netserver, unix_path=socket_path)
                 client = await PolicyClient.connect_unix(socket_path)
                 handles = await client.open(2)
                 tasks = [
@@ -1556,7 +1594,7 @@ class TestMetricsOp:
                 def exploding_write(data):
                     raise ConnectionResetError("peer vanished mid-reply")
 
-                netserver._connections[1].writer.write = exploding_write
+                netserver._connections[1].transport.write = exploding_write
                 lost = asyncio.create_task(doomed.decide(doomed_handle, rows[6]))
                 await asyncio.sleep(0)
                 await client.decide(handles[1], rows[1])
@@ -1567,7 +1605,7 @@ class TestMetricsOp:
                     await lost
                 await doomed.close()
 
-                # A wedged backend: the flush loop counts the fault.
+                # A wedged backend: the flush counts the fault.
                 backend.failures = 1
                 with pytest.raises(ServingError, match="BACKEND_ERROR"):
                     await client.decide(handles[2], rows[2])
