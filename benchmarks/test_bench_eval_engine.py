@@ -24,7 +24,8 @@ Knobs (environment variables):
 
 * ``EVAL_BENCH_DURATION`` — workload-suite duration in hours per trace
   (default 48; CI smoke runs shorter).
-* ``EVAL_BENCH_ROUNDS`` — measurement rounds, best-of (default 3).
+* ``EVAL_BENCH_ROUNDS`` — measurement rounds, best-of (default 3); the
+  compiled and sequential legs alternate within each round.
 * ``EVAL_BENCH_MIN_SPEEDUP`` — hard assertion floor for compiled-engine
   vs sequential-interpreted throughput (default 2.0; the headline number
   lives in the JSON, shared CI workers are too noisy for it).
@@ -66,16 +67,24 @@ MIN_ASSERTED_SPEEDUP = float(os.environ.get("EVAL_BENCH_MIN_SPEEDUP", "2.0"))
 HIDDEN_SIZE = 128
 
 
-def _best_of(measure, rounds: int) -> tuple:
-    """Best decisions/s over ``rounds`` runs (after one warm-up run)."""
-    measure()  # warm-up: BLAS init, lazy buffers, allocator steady state
-    best_rate, result = 0.0, None
+def _best_of(measures, rounds: int) -> list:
+    """Best decisions/s of each measure, and its last result, over ``rounds``.
+
+    Each measure runs once as a warm-up (BLAS init, lazy buffers,
+    allocator steady state), then every round runs each measure once in
+    turn: a slow spell of the machine lands on both sides of a ratio
+    instead of on whichever side was being timed when it came.
+    """
+    for measure in measures:
+        measure()
+    best = [(0.0, None)] * len(measures)
     for _ in range(rounds):
-        start = time.perf_counter()
-        result = measure()
-        elapsed = time.perf_counter() - start
-        best_rate = max(best_rate, sum(result.makespans) / elapsed)
-    return best_rate, result
+        for i, measure in enumerate(measures):
+            start = time.perf_counter()
+            result = measure()
+            elapsed = time.perf_counter() - start
+            best[i] = (max(best[i][0], sum(result.makespans) / elapsed), result)
+    return best
 
 
 def test_bench_eval_engine(tmp_path):
@@ -108,22 +117,22 @@ def test_bench_eval_engine(tmp_path):
     interpreted_backend = AgentBatchBackend.from_agent(agent, engine.encoder)
     gru_backend = GRUPolicyBackend(policy)
 
-    compiled_rate, compiled_result = _best_of(
-        lambda: engine.evaluate(compiled_backend, eval_traces, episode_seed=0),
+    # The asserted ratio's two sides run interleaved.
+    (compiled_rate, compiled_result), (sequential_rate, sequential_result) = _best_of(
+        [
+            lambda: engine.evaluate(compiled_backend, eval_traces, episode_seed=0),
+            lambda: evaluate_agent(
+                agent, eval_traces, reward_config=reward_config, episode_seed=0
+            ),
+        ],
         ROUNDS,
     )
-    interpreted_rate, interpreted_result = _best_of(
-        lambda: engine.evaluate(interpreted_backend, eval_traces, episode_seed=0),
+    [(interpreted_rate, interpreted_result)] = _best_of(
+        [lambda: engine.evaluate(interpreted_backend, eval_traces, episode_seed=0)],
         ROUNDS,
     )
-    gru_rate, _ = _best_of(
-        lambda: engine.evaluate(gru_backend, eval_traces, episode_seed=0),
-        ROUNDS,
-    )
-    sequential_rate, sequential_result = _best_of(
-        lambda: evaluate_agent(
-            agent, eval_traces, reward_config=reward_config, episode_seed=0
-        ),
+    [(gru_rate, _)] = _best_of(
+        [lambda: engine.evaluate(gru_backend, eval_traces, episode_seed=0)],
         ROUNDS,
     )
 

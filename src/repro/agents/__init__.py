@@ -9,21 +9,19 @@ The paper compares four controllers (Figure 4):
 * the **GRU-based DRL** policy (in :mod:`repro.drl`);
 * the **extracted FSM** (in :mod:`repro.fsm`).
 
-This package provides the first two plus auxiliary baselines (random and
-a greedy utilisation-gap controller) behind a common :class:`Agent`
-protocol so the evaluation harness can treat them uniformly.
+This package provides the first two plus an auxiliary baseline (a greedy
+utilisation-gap controller) behind a common :class:`Agent` protocol so
+the evaluation harness can treat them uniformly.
 """
 
 from repro.agents.base import Agent
 from repro.agents.default import DefaultPolicy
-from repro.agents.random_agent import RandomPolicy
 from repro.agents.handcrafted import HandcraftedFSMPolicy
 from repro.agents.greedy import GreedyUtilizationPolicy
 
 __all__ = [
     "Agent",
     "DefaultPolicy",
-    "RandomPolicy",
     "HandcraftedFSMPolicy",
     "GreedyUtilizationPolicy",
 ]

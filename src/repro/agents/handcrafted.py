@@ -58,11 +58,6 @@ class HandcraftedFSMPolicy(Agent):
     def reset(self) -> None:
         self._remaining_cooldown = 0
 
-    @property
-    def state(self) -> str:
-        """Current FSM state name (``"stable"`` or ``"rebalance"``)."""
-        return "stable" if self._remaining_cooldown > 0 else "rebalance-ready"
-
     def act(self, observation: Observation) -> MigrationAction:
         if self._remaining_cooldown > 0:
             self._remaining_cooldown -= 1

@@ -170,15 +170,3 @@ def log_softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - logits.max(axis=axis, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     return shifted - log_norm
-
-
-def huber_loss(prediction: Tensor, target: ArrayLike, delta: float = 1.0) -> Tensor:
-    """Mean Huber (smooth-L1) loss, robust alternative to MSE for value heads."""
-    prediction = _ensure_tensor(prediction)
-    target_t = _ensure_tensor(target).detach()
-    diff = prediction - target_t
-    abs_diff = diff.abs()
-    quadratic = abs_diff.clip(0.0, delta)
-    linear = abs_diff - quadratic
-    per_elem = quadratic * quadratic * 0.5 + linear * delta
-    return per_elem.mean()

@@ -109,10 +109,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def numpy(self) -> np.ndarray:
         """Return a copy of the underlying data as a numpy array."""
         return np.array(self.data)
@@ -129,11 +125,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        label = f", name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{grad_flag}{label})"
 
     def __len__(self) -> int:
         if self.ndim == 0:
@@ -305,18 +296,6 @@ class Tensor:
 
         return Tensor._make(data, (self, other_t), backward)
 
-    def __pow__(self, exponent: float) -> "Tensor":
-        if isinstance(exponent, Tensor):
-            raise AutogradError("tensor exponents are not supported; use exp/log")
-        exponent = float(exponent)
-        data = self.data ** exponent
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1.0))
-
-        return Tensor._make(data, (self,), backward)
-
     # ------------------------------------------------------------------
     # Matrix operations
     # ------------------------------------------------------------------
@@ -455,16 +434,6 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad * data * (1.0 - data))
-
-        return Tensor._make(data, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        mask = (self.data > 0).astype(np.float64)
-        data = self.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
 
         return Tensor._make(data, (self,), backward)
 

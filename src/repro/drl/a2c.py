@@ -89,17 +89,11 @@ class TrainingHistory:
     def append(self, record: EpochRecord) -> None:
         self.records.append(record)
 
-    def extend(self, other: "TrainingHistory") -> None:
-        self.records.extend(other.records)
-
     def __len__(self) -> int:
         return len(self.records)
 
     def makespans(self) -> np.ndarray:
         return np.array([r.makespan for r in self.records])
-
-    def epochs(self) -> np.ndarray:
-        return np.array([r.epoch for r in self.records])
 
     def phases(self) -> List[str]:
         return [r.phase for r in self.records]

@@ -58,10 +58,6 @@ class BatchedPolicyStepOutput:
     values: np.ndarray          # (B,)
     hidden_states: np.ndarray   # (B, hidden_size)
 
-    @property
-    def batch_size(self) -> int:
-        return int(self.actions.shape[0])
-
 
 class RecurrentPolicyValueNet(Module):
     """GRU backbone with a policy head and a value head."""

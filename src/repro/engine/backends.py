@@ -189,9 +189,8 @@ class AgentBatchBackend:
     evaluation engine (and decision server) as the learned policies.
 
     The lift is only faithful for agents whose ``act`` is deterministic
-    and whose per-episode state is fully *rebound* by ``reset()`` — see
-    :attr:`Agent.engine_safe`, which routing checks before using this
-    adapter.  Agents act on raw rows (``reads_raw``).
+    and whose per-episode state is fully *rebound* by ``reset()`` (the
+    :class:`Agent` contract).  Agents act on raw rows (``reads_raw``).
     """
 
     reads_raw = True
@@ -218,9 +217,9 @@ class AgentBatchBackend:
         """Adapt one prototype agent: every session gets a shallow copy.
 
         ``begin_sessions`` calls ``reset()`` on each replica, which (per
-        the :attr:`Agent.engine_safe` contract) rebinds all per-episode
-        state, so replicas never share mutable episode state with the
-        prototype or each other.
+        the :class:`Agent` contract) rebinds all per-episode state, so
+        replicas never share mutable episode state with the prototype or
+        each other.
         """
         return cls(lambda: copy.copy(agent), encoder, name=agent.name)
 

@@ -187,10 +187,6 @@ class CompiledDecision:
     next_states: np.ndarray   # (B,) int64 compiled state rows
     fallback_mask: np.ndarray  # (B,) bool — rows resolved via nearest prototype
 
-    @property
-    def batch_size(self) -> int:
-        return int(self.actions.shape[0])
-
 
 class CompiledFSMPolicy:
     """Dense-table executable form of an extracted FSM + observation QBN.

@@ -300,14 +300,13 @@ def backend_for_agent(
       normalisation → :class:`CompiledFSMBackend` (dense table gathers;
       both resolve unseen codes over the machine's one prototype table,
       so the decisions are bit-identical);
-    * any other ``engine_safe`` agent → :class:`AgentBatchBackend`
-      (per-slot replicas acting on raw observations with the agent's own
-      encoder — faithful by construction, still one env step per
-      interval for the whole set).
+    * any other agent → :class:`AgentBatchBackend` (per-slot replicas
+      acting on raw observations with the agent's own encoder — faithful
+      under the :class:`Agent` contract, still one env step per interval
+      for the whole set).
 
     Returns ``None`` for agents the lockstep lift cannot reproduce
-    bit for bit: exploring DRL agents (``epsilon > 0``) and agents that
-    declare ``engine_safe = False`` (shared rng streams).  Note the
+    bit for bit: exploring DRL agents (``epsilon > 0``).  Note the
     replica path leaves prototype-agent side counters (e.g.
     ``FSMPolicyAgent.unseen_observation_count``) untouched.
     """
@@ -326,6 +325,4 @@ def backend_for_agent(
         if encoder.is_equivalent(agent.encoder):
             return CompiledFSMBackend(agent.compile())
         return AgentBatchBackend.from_agent(agent, encoder)
-    if not getattr(agent, "engine_safe", True):
-        return None
     return AgentBatchBackend.from_agent(agent, encoder)

@@ -224,9 +224,3 @@ class SessionTable:
 
     def __len__(self) -> int:
         return self._num_active
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SessionTable(active={self._num_active}, capacity={self._capacity}, "
-            f"hidden_size={self.hidden_size})"
-        )

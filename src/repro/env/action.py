@@ -7,7 +7,6 @@ from typing import List
 import numpy as np
 
 from repro.storage.migration import NUM_ACTIONS, MigrationAction, all_actions
-from repro.utils.rng import ACTION_DOMAIN, SeedLike, episode_lanes, episode_seed
 
 
 class ActionSpace:
@@ -29,19 +28,6 @@ class ActionSpace:
         self._migration_sources = [a.source for a in self._migration_actions]
         self._source_level_columns = np.array([s.index for s in self._migration_sources])
 
-    @property
-    def size(self) -> int:
-        return NUM_ACTIONS
-
-    def contains(self, action: int) -> bool:
-        return 0 <= int(action) < NUM_ACTIONS
-
-    def sample(self, rng: SeedLike = None) -> MigrationAction:
-        """A uniformly random action: the inverse-CDF draw of the first
-        uniform on the action lane of the episode seed ``rng`` names."""
-        draw = episode_lanes([episode_seed(rng)], ACTION_DOMAIN).uniforms()[0]
-        return MigrationAction(min(int(draw * NUM_ACTIONS), NUM_ACTIONS - 1))
-
     def valid_mask_from_counts(self, counts, min_cores_per_level: int) -> np.ndarray:
         """Legality mask from a 3-vector of per-level core counts.
 
@@ -54,21 +40,3 @@ class ActionSpace:
             counts[self._source_level_columns] > min_cores_per_level
         )
         return mask
-
-    def valid_mask_batch_from_counts(
-        self, counts: np.ndarray, min_cores_per_level: int
-    ) -> np.ndarray:
-        """(B, num_actions) legality masks from a (B, 3) counts matrix.
-
-        The per-level spare flags are computed once and scattered into
-        all six migration columns with a single vectorized assignment.
-        """
-        counts = np.asarray(counts)
-        masks = np.ones((counts.shape[0], NUM_ACTIONS), dtype=bool)
-        masks[:, self._migration_indices] = (
-            counts[:, self._source_level_columns] > min_cores_per_level
-        )
-        return masks
-
-    def names(self) -> List[str]:
-        return [action.short_name for action in self.actions]

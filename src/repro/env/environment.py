@@ -111,10 +111,6 @@ class StorageAllocationEnv:
         return self.observation_encoder.dimension
 
     @property
-    def num_actions(self) -> int:
-        return self.action_space.size
-
-    @property
     def episode_metrics(self) -> EpisodeMetrics:
         return self.simulator.episode_metrics
 

@@ -49,25 +49,6 @@ class Observation:
             ]
         ).astype(float)
 
-    @property
-    def normal_cores(self) -> float:
-        return float(self.core_counts[0])
-
-    @property
-    def kv_cores(self) -> float:
-        return float(self.core_counts[1])
-
-    @property
-    def rv_cores(self) -> float:
-        return float(self.core_counts[2])
-
-    def capacity_ratio(self) -> float:
-        """Ratio of NORMAL capacity to KV+RV capacity (used in Fig. 6 analysis)."""
-        other = self.kv_cores + self.rv_cores
-        if other <= 0:
-            return float("inf")
-        return self.normal_cores / other
-
     def read_intensity_kb(self) -> float:
         """Kilobytes of read IO described by this observation's workload."""
         sizes = np.abs(self.size_vector)

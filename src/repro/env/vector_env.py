@@ -136,14 +136,6 @@ class VectorStorageAllocationEnv:
         return self._batch
 
     @property
-    def observation_dim(self) -> int:
-        return self.observation_encoder.dimension
-
-    @property
-    def num_actions(self) -> int:
-        return self.action_space.size
-
-    @property
     def all_done(self) -> bool:
         return bool(self._state.done.all()) if self._batch else False
 

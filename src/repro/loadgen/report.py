@@ -149,10 +149,3 @@ class LoadReport:
 
     def save(self, path) -> None:
         save_json(path, self.as_dict())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        det = self.deterministic_dict()
-        return (
-            f"LoadReport(decisions={det['decisions_total']}, "
-            f"phases={len(self.phases)}, digest={str(self.digest)[:12]})"
-        )

@@ -81,36 +81,6 @@ class LoadPhase:
             "stale_probes_per_step": int(self.stale_probes_per_step),
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "LoadPhase":
-        return cls(
-            name=str(payload["name"]),
-            steps=int(payload["steps"]),
-            churn_rate=float(payload.get("churn_rate", 0.0)),
-            burst_multiplier=int(payload.get("burst_multiplier", 1)),
-            burst_tenant_fraction=float(payload.get("burst_tenant_fraction", 0.0)),
-            stale_probes_per_step=int(payload.get("stale_probes_per_step", 0)),
-        )
-
-
-def _default_phases() -> List[LoadPhase]:
-    return [
-        LoadPhase(name="warmup", steps=2),
-        LoadPhase(
-            name="churn",
-            steps=3,
-            churn_rate=0.05,
-            stale_probes_per_step=2,
-        ),
-        LoadPhase(
-            name="flash_crowd",
-            steps=3,
-            churn_rate=0.01,
-            burst_multiplier=3,
-            burst_tenant_fraction=0.25,
-        ),
-    ]
-
 
 @dataclass
 class FleetSchedule:
@@ -141,7 +111,7 @@ class FleetSchedule:
     zipf_skew: float = 1.1
     recycle_threshold: float = 1.0
     profiles: Optional[Sequence[str]] = None
-    phases: List[LoadPhase] = field(default_factory=_default_phases)
+    phases: List[LoadPhase] = field(default_factory=list)
 
     def validate(self) -> None:
         if self.sessions <= 0:
@@ -190,20 +160,6 @@ class FleetSchedule:
             "profiles": self.profile_list(),
             "phases": [phase.as_dict() for phase in self.phases],
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "FleetSchedule":
-        return cls(
-            sessions=int(payload["sessions"]),
-            shard_size=int(payload["shard_size"]),
-            trace_duration=int(payload.get("trace_duration", 12)),
-            trace_variants=int(payload.get("trace_variants", 2)),
-            target_load=float(payload.get("target_load", 0.7)),
-            zipf_skew=float(payload.get("zipf_skew", 1.1)),
-            recycle_threshold=float(payload.get("recycle_threshold", 1.0)),
-            profiles=list(payload["profiles"]) if "profiles" in payload else None,
-            phases=[LoadPhase.from_dict(p) for p in payload["phases"]],
-        )
 
     def digest(self) -> str:
         """Content hash of the schedule (reports refuse mismatched digests)."""

@@ -1,20 +1,14 @@
 """Minimal neural-network layer library built on the autograd engine."""
 
-from repro.nn.module import Module, Parameter, Sequential
+from repro.nn.module import Module, Parameter
 from repro.nn.linear import Linear
-from repro.nn.activations import Tanh, Sigmoid, ReLU, Identity
 from repro.nn.rnn import GRUCell, GRU
 from repro.nn import init
 
 __all__ = [
     "Module",
     "Parameter",
-    "Sequential",
     "Linear",
-    "Tanh",
-    "Sigmoid",
-    "ReLU",
-    "Identity",
     "GRUCell",
     "GRU",
     "init",

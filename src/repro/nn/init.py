@@ -17,14 +17,6 @@ def xavier_uniform(shape: Tuple[int, int], rng: SeedLike = None) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def he_uniform(shape: Tuple[int, int], rng: SeedLike = None) -> np.ndarray:
-    """He (Kaiming) uniform initialisation, suited to ReLU layers."""
-    rng = new_rng(rng)
-    fan_in = shape[0]
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def orthogonal(shape: Tuple[int, int], gain: float = 1.0, rng: SeedLike = None) -> np.ndarray:
     """Orthogonal initialisation, commonly used for recurrent weight matrices."""
     rng = new_rng(rng)

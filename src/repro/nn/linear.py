@@ -139,6 +139,3 @@ class Linear(Module):
 
         parents = (x, weight) if bias is None else (x, weight, bias)
         return Tensor._make(data, parents, backward)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"

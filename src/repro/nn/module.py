@@ -21,14 +21,11 @@ class Parameter(Tensor):
 
 
 class Module:
-    """Base class providing parameter discovery, state dicts and train/eval flags.
+    """Base class providing parameter discovery and state dicts.
 
     Subclasses assign :class:`Parameter` and sub-``Module`` instances as
     attributes; ``parameters()`` walks the attribute tree recursively.
     """
-
-    def __init__(self) -> None:
-        self.training = True
 
     # ------------------------------------------------------------------
     # Parameter discovery
@@ -52,9 +49,6 @@ class Module:
     def parameters(self) -> List[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def num_parameters(self) -> int:
-        return int(sum(p.size for p in self.parameters()))
-
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
@@ -75,27 +69,6 @@ class Module:
         finally:
             for param, flag in zip(parameters, flags):
                 param.requires_grad = flag
-
-    # ------------------------------------------------------------------
-    # Train / eval mode
-    # ------------------------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        self.training = mode
-        for _, module in self.named_children():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
-
-    def named_children(self) -> Iterator[Tuple[str, "Module"]]:
-        for attr_name, value in vars(self).items():
-            if isinstance(value, Module):
-                yield attr_name, value
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield f"{attr_name}.{i}", item
 
     # ------------------------------------------------------------------
     # State (de)serialisation
@@ -119,10 +92,6 @@ class Module:
                 )
             param.data[...] = value
 
-    def copy_from(self, other: "Module") -> None:
-        """Copy parameter values from a module with identical structure."""
-        self.load_state_dict(other.state_dict())
-
     # ------------------------------------------------------------------
     # Calling convention
     # ------------------------------------------------------------------
@@ -131,22 +100,3 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-
-class Sequential(Module):
-    """Apply a list of modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self.layers = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, index: int) -> Module:
-        return self.layers[index]

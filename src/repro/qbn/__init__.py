@@ -9,7 +9,7 @@ policy through the QBNs yields a discrete dataset
 off as a transition table.
 """
 
-from repro.qbn.quantize import quantize_ste, quantization_levels, values_to_codes, codes_to_values
+from repro.qbn.quantize import quantize_ste, quantization_levels, values_to_codes
 from repro.qbn.autoencoder import QBNConfig, QuantizedBottleneckNetwork
 from repro.qbn.dataset import TransitionDataset
 from repro.qbn.trainer import QBNTrainer, QBNTrainingConfig, QBNTrainingResult
@@ -18,7 +18,6 @@ __all__ = [
     "quantize_ste",
     "quantization_levels",
     "values_to_codes",
-    "codes_to_values",
     "QBNConfig",
     "QuantizedBottleneckNetwork",
     "TransitionDataset",

@@ -20,7 +20,7 @@ the bias adds into numpy's fresh products, the quantiser, each
 and ``tanh`` stays numpy's, on the same operands.  The numpy code here
 (``_affine`` and ``nearest_level_indices`` forward, ``_through_tanh``
 backward) is the kernel's specification and the no-compiler path, and
-what ``encode``, ``discrete_code`` and ``reconstruct`` always run.
+what ``discrete_code`` always runs.
 """
 
 from __future__ import annotations
@@ -97,10 +97,9 @@ class QBNConfig:
 class QuantizedBottleneckNetwork(Module):
     """Auto-encoder with a k-level quantised latent code.
 
-    ``forward`` is the differentiable reconstruction; ``encode`` (the
-    quantised latent), ``decode``, ``reconstruct`` and ``discrete_code``
+    ``forward`` is the differentiable reconstruction; ``discrete_code``
     (the integer level indices used as the discrete identity of an
-    observation or hidden state) build no graph.
+    observation or hidden state) builds no graph.
     """
 
     def __init__(self, config: QBNConfig, rng: SeedLike = None) -> None:
@@ -179,24 +178,11 @@ class QuantizedBottleneckNetwork(Module):
         return Tensor._make(data, parents, backward)
 
     # ------------------------------------------------------------------
-    # Inference helpers (the same numpy pass, no graph)
+    # Inference helper (the same numpy pass, no graph)
     # ------------------------------------------------------------------
-    def encode(self, x) -> Tensor:
-        """Quantised latent code of ``x`` (values in the k-level alphabet)."""
-        levels = quantization_levels(self.config.quantization_levels)
-        return Tensor(levels[self._level_indices(self._encode_np(x)[1])])
-
-    def decode(self, latent) -> Tensor:
-        """Reconstruction from a quantised latent."""
-        return Tensor(self._decode_np(Tensor(latent).data)[1])
-
     def discrete_code(self, x: np.ndarray) -> np.ndarray:
         """Integer code (level indices, shape (..., latent_dim)) of ``x``."""
         return self._level_indices(self._encode_np(x)[1]).astype(np.int64, copy=False)
-
-    def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        """Numpy reconstruction (no gradient tracking)."""
-        return self._decode_np(self.encode(x).data)[1]
 
 
 def build_observation_qbn(

@@ -55,16 +55,6 @@ def values_to_codes(values: np.ndarray, k: int = 3) -> np.ndarray:
     return nearest_level_indices(np.asarray(values, dtype=float), k).astype(np.int64)
 
 
-def codes_to_values(codes: np.ndarray, k: int = 3) -> np.ndarray:
-    """Inverse of :func:`values_to_codes`."""
-    codes = np.asarray(codes, dtype=int)
-    levels = quantization_levels(k)
-    if np.any(codes < 0) or np.any(codes >= k):
-        raise ConfigurationError(f"codes must be in [0, {k}), got range "
-                                 f"[{codes.min()}, {codes.max()}]")
-    return levels[codes]
-
-
 def code_key(codes: np.ndarray) -> tuple:
     """Hashable key for a single code vector (used as FSM state identity)."""
     codes = np.asarray(codes, dtype=int)

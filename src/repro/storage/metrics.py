@@ -42,17 +42,6 @@ class IntervalMetrics:
     capacity_kb: Dict[Level, float]
     idle_cores: Dict[Level, int]
 
-    @property
-    def total_backlog_kb(self) -> float:
-        return float(sum(self.backlog_kb.values()))
-
-    @property
-    def total_processed_kb(self) -> float:
-        return float(sum(self.processed_kb.values()))
-
-    def utilization_vector(self) -> np.ndarray:
-        return np.array([self.utilization[level] for level in LEVELS], dtype=float)
-
 
 class StepColumns(NamedTuple):
     """One interval of a lockstep batch: a column per measured quantity.
@@ -113,9 +102,6 @@ class EpisodeMetrics:
             self._columns.clear()
         return self._intervals
 
-    def record(self, metrics: IntervalMetrics) -> None:
-        self.intervals.append(metrics)
-
     def record_columns(self, columns: StepColumns, row: int) -> None:
         self._columns.append((columns, row))
 
@@ -128,10 +114,6 @@ class EpisodeMetrics:
     def migrations(self) -> int:
         return sum(1 for m in self.intervals if m.migration_applied)
 
-    @property
-    def total_processed_kb(self) -> float:
-        return float(sum(m.total_processed_kb for m in self.intervals))
-
     def mean_utilization(self) -> Dict[Level, float]:
         if not self.intervals:
             return {level: 0.0 for level in LEVELS}
@@ -140,27 +122,9 @@ class EpisodeMetrics:
             for level in LEVELS
         }
 
-    def utilization_series(self, level: Level) -> np.ndarray:
-        return np.array([m.utilization[level] for m in self.intervals])
-
-    def backlog_series(self) -> np.ndarray:
-        return np.array([m.total_backlog_kb for m in self.intervals])
-
     def action_histogram(self) -> Dict[str, int]:
         histogram: Dict[str, int] = {}
         for m in self.intervals:
             key = m.action.short_name
             histogram[key] = histogram.get(key, 0) + 1
         return histogram
-
-    def as_summary(self) -> Dict[str, float]:
-        means = self.mean_utilization()
-        return {
-            "makespan": float(self.makespan),
-            "migrations": float(self.migrations),
-            "truncated": float(self.truncated),
-            "total_processed_kb": self.total_processed_kb,
-            "mean_util_normal": means[Level.NORMAL],
-            "mean_util_kv": means[Level.KV],
-            "mean_util_rv": means[Level.RV],
-        }

@@ -109,16 +109,3 @@ def action_from_levels(source: Optional[Level], destination: Optional[Level]) ->
         if src is source and dst is destination:
             return action
     raise ConfigurationError(f"no action migrates {source} -> {destination}")
-
-
-def parse_action(value: int | str | MigrationAction) -> MigrationAction:
-    """Parse an action given as an index, enum or short name like ``"N=>K"``."""
-    if isinstance(value, MigrationAction):
-        return value
-    if isinstance(value, int):
-        return MigrationAction(value)
-    text = str(value).strip()
-    for action in MigrationAction:
-        if text.lower() in (action.short_name.lower(), action.name.lower()):
-            return action
-    raise ConfigurationError(f"unrecognised action {value!r}")

@@ -33,7 +33,7 @@ batched execution bit-identical by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -132,12 +132,6 @@ class StorageSystemConfig:
             raise ConfigurationError("max_intervals_slack must be >= 0")
         get_dispatcher(self.dispatcher)
 
-    def with_overrides(self, **kwargs) -> "StorageSystemConfig":
-        """Return a copy with selected fields replaced."""
-        updated = replace(self, **kwargs)
-        updated.validate()
-        return updated
-
     def total_capability_kb(self) -> float:
         """Ideal maximum processing capability per interval (Definition 2)."""
         return self.total_cores * self.core_capability_kb
@@ -191,10 +185,6 @@ class StorageSimulator:
         return bool(self._state.done[0])
 
     @property
-    def interval_index(self) -> int:
-        return int(self._state.interval_index[0]) if self._trace is not None else 0
-
-    @property
     def episode_metrics(self) -> EpisodeMetrics:
         self._require_episode()
         return self._state.episodes[0]
@@ -241,23 +231,6 @@ class StorageSimulator:
     def _require_episode(self) -> None:
         if self._trace is None:
             raise SimulationError("simulator has not been reset with a trace")
-
-    # ------------------------------------------------------------------
-    # Demand computation
-    # ------------------------------------------------------------------
-    def demand_for(self, interval: WorkloadInterval) -> Dict[Level, float]:
-        """Kilobytes of work each level receives from ``interval``."""
-        config = self.config
-        read_kb = interval.read_kb()
-        write_kb = interval.write_kb()
-        missed_read_kb = read_kb * config.cache_miss_rate
-        return {
-            Level.NORMAL: read_kb + write_kb,
-            Level.KV: write_kb * config.kv_write_factor
-            + missed_read_kb * config.kv_read_miss_factor,
-            Level.RV: write_kb * config.rv_write_factor
-            + missed_read_kb * config.rv_read_miss_factor,
-        }
 
     # ------------------------------------------------------------------
     # Stepping

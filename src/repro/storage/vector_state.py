@@ -151,10 +151,6 @@ class VectorSimulatorState:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def record_metrics(self) -> bool:
-        return self._record_metrics
-
-    @property
     def num_cores(self) -> int:
         return int(self.config.total_cores)
 

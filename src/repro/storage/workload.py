@@ -232,36 +232,3 @@ class WorkloadTrace:
             intervals.extend(trace.intervals)
             sources.append(trace.name)
         return WorkloadTrace(name=name, intervals=intervals, metadata={"sources": sources})
-
-    def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Export as arrays: ``ratios`` (T, 14) and ``total_requests`` (T,)."""
-        if not self.intervals:
-            return {"ratios": np.zeros((0, NUM_IO_TYPES)), "total_requests": np.zeros(0)}
-        return {
-            "ratios": np.stack([interval.ratios for interval in self.intervals]),
-            "total_requests": np.array(
-                [interval.total_requests for interval in self.intervals]
-            ),
-        }
-
-    @staticmethod
-    def from_arrays(
-        name: str,
-        ratios: np.ndarray,
-        total_requests: np.ndarray,
-        metadata: Optional[Dict[str, object]] = None,
-    ) -> "WorkloadTrace":
-        """Rebuild a trace from arrays produced by :meth:`to_arrays`."""
-        ratios = np.asarray(ratios, dtype=float)
-        total_requests = np.asarray(total_requests, dtype=float)
-        if ratios.ndim != 2 or ratios.shape[1] != NUM_IO_TYPES:
-            raise WorkloadError(f"ratios must be (T, {NUM_IO_TYPES}), got {ratios.shape}")
-        if total_requests.shape != (ratios.shape[0],):
-            raise WorkloadError(
-                f"total_requests must be (T,) matching ratios, got {total_requests.shape}"
-            )
-        intervals = [
-            WorkloadInterval(ratios[t], float(total_requests[t]))
-            for t in range(ratios.shape[0])
-        ]
-        return WorkloadTrace(name=name, intervals=intervals, metadata=dict(metadata or {}))

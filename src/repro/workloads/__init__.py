@@ -15,7 +15,6 @@ from repro.workloads.profiles import STANDARD_PROFILES, get_profile, profile_nam
 from repro.workloads.generator import StandardWorkloadGenerator, GeneratorConfig
 from repro.workloads.sampler import RealTraceSampler, SamplerConfig
 from repro.workloads.tenant_mix import ZipfianTenantMix
-from repro.workloads.trace_io import save_trace, load_trace, save_trace_bundle, load_trace_bundle
 
 __all__ = [
     "WorkloadProfile",
@@ -28,8 +27,4 @@ __all__ = [
     "RealTraceSampler",
     "SamplerConfig",
     "ZipfianTenantMix",
-    "save_trace",
-    "load_trace",
-    "save_trace_bundle",
-    "load_trace_bundle",
 ]

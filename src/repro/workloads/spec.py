@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -141,22 +141,3 @@ class WorkloadProfile:
         total = float((ratios * sizes).sum())
         write = float((ratios * sizes * kinds).sum())
         return write / total if total > 0 else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "read_fraction": self.read_fraction,
-            "read_size_weights": list(map(float, self.read_size_weights)),
-            "write_size_weights": list(map(float, self.write_size_weights)),
-            "intensity": {
-                "base": self.intensity.base,
-                "amplitude": self.intensity.amplitude,
-                "period": self.intensity.period,
-                "phase": self.intensity.phase,
-                "trend": self.intensity.trend,
-            },
-            "burstiness": self.burstiness,
-            "mix_jitter": self.mix_jitter,
-            "default_duration": self.default_duration,
-        }

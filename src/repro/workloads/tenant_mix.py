@@ -39,15 +39,8 @@ class ZipfianTenantMix:
         self.skew = float(skew)
         ranks = np.arange(1, len(self.profiles) + 1, dtype=float)
         weights = ranks ** (-self.skew)
-        self._weights = weights / weights.sum()
-        self._cdf = np.cumsum(self._weights)
+        self._cdf = np.cumsum(weights / weights.sum())
         self._cdf[-1] = 1.0  # guard the top edge against fp round-off
-
-    def weights(self) -> Dict[str, float]:
-        """Normalised profile → probability mapping (rank order preserved)."""
-        return {
-            name: float(w) for name, w in zip(self.profiles, self._weights)
-        }
 
     def assign_indices(self, uniforms: np.ndarray) -> np.ndarray:
         """Profile *indices* for draws in [0, 1) (inverse-CDF lookup)."""
@@ -56,14 +49,5 @@ class ZipfianTenantMix:
             raise ConfigurationError("tenant-mix draws must lie in [0, 1)")
         return np.searchsorted(self._cdf, draws, side="right").astype(np.int64)
 
-    def assign(self, uniforms: np.ndarray) -> List[str]:
-        """Profile names for draws in [0, 1)."""
-        return [self.profiles[i] for i in self.assign_indices(uniforms)]
-
     def as_dict(self) -> Dict[str, object]:
         return {"profiles": list(self.profiles), "skew": self.skew}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ZipfianTenantMix(profiles={len(self.profiles)}, skew={self.skew})"
-        )

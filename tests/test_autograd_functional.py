@@ -98,20 +98,6 @@ class TestMseHuber:
         pred = _param([1.0, -2.0, 0.5])
         check_gradients(lambda: F.mse_loss(pred, [0.0, 1.0, 0.5]), {"pred": pred})
 
-    def test_huber_quadratic_region_matches_half_mse(self):
-        pred = Tensor([0.5])
-        target = [0.0]
-        assert F.huber_loss(pred, target, delta=1.0).item() == pytest.approx(0.125)
-
-    def test_huber_linear_region(self):
-        pred = Tensor([3.0])
-        # |diff| = 3 > delta=1: loss = 0.5*1 + (3-1)*1 = 2.5
-        assert F.huber_loss(pred, [0.0], delta=1.0).item() == pytest.approx(2.5)
-
-    def test_huber_gradient(self):
-        pred = _param([0.3, 2.5, -4.0])
-        check_gradients(lambda: F.huber_loss(pred, [0.0, 0.0, 0.0]), {"pred": pred})
-
 
 class TestEntropy:
     def test_uniform_maximizes(self):

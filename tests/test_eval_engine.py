@@ -25,7 +25,6 @@ from repro.agents.default import DefaultPolicy
 from repro.agents.greedy import GreedyUtilizationPolicy
 from repro.agents.handcrafted import HandcraftedFSMPolicy
 from repro.agents.proportional import ProportionalAllocationPolicy
-from repro.agents.random_agent import RandomPolicy
 from repro.drl.agent import DRLPolicyAgent
 from repro.engine.backends import (
     AgentBatchBackend,
@@ -33,6 +32,7 @@ from repro.engine.backends import (
     GRUPolicyBackend,
 )
 from repro.drl.imitation import BehaviorCloningTrainer, _RecordingBackend
+from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
 from repro.drl.rollout import BatchedRolloutCollector
 from repro.engine.evaluation import EvaluationEngine, backend_for_agent
 from repro.env.observation import ObservationEncoder
@@ -42,6 +42,7 @@ from repro.errors import ConfigurationError
 from repro.pipeline import evaluation as pipeline_evaluation
 from repro.pipeline.evaluation import compare_agents, evaluate_agent
 from repro.pipeline.learning_aided import LearningAidedPipeline
+from repro.storage.simulator import StorageSystemConfig
 
 
 def assert_results_identical(engine_result, reference):
@@ -214,20 +215,30 @@ class TestEvaluateMany:
                 DefaultPolicy(),
                 explorer,
                 DRLPolicyAgent(tiny_policy, encoder),
-                RandomPolicy(rng=8),
                 GreedyUtilizationPolicy(),
             ]
 
         routed = compare_agents(agents(), ragged_traces, episode_seed=2)
         assert [backend_for_agent(agent, encoder) is None for agent in agents()] == [
-            False, True, False, True, False
+            False, True, False, False
         ]
         assert list(routed) == [agent.name for agent in agents()]
         for agent in agents():
             reference = evaluate_agent(agent, ragged_traces, episode_seed=2)
             assert_results_identical(routed[agent.name], reference)
 
-    @pytest.mark.parametrize("make_agent", [DefaultPolicy, lambda: RandomPolicy(rng=0)])
+    @pytest.mark.parametrize(
+        "make_agent",
+        [
+            DefaultPolicy,
+            lambda: DRLPolicyAgent(
+                RecurrentPolicyValueNet(PolicyConfig(hidden_size=4), rng=0),
+                ObservationEncoder(StorageSystemConfig()),
+                epsilon=0.5,
+                rng=0,
+            ),
+        ],
+    )
     def test_compare_agents_refuses_repeated_names(self, monkeypatch, make_agent):
         def no_episodes(*args, **kwargs):
             raise AssertionError("an episode ran before the names were checked")
@@ -315,13 +326,6 @@ class TestScalarOracle:
         assert live._streams._cursors.tolist() != [0]
         np.testing.assert_array_equal(live.hidden_state, twin.hidden_state)
 
-    def test_shared_rng_agent_matches_scalar_env(
-        self, scalar_episode, suite_traces, system_config
-    ):
-        live, twin = RandomPolicy(rng=8), RandomPolicy(rng=8)
-        self._assert_matches_oracle(scalar_episode, live, twin, suite_traces[:4], system_config)
-        assert live._rng.bit_generator.state == twin._rng.bit_generator.state
-
     def test_side_counters_land_on_the_callers_agent(
         self, scalar_episode, suite_traces, tiny_pipeline_result, env, system_config
     ):
@@ -402,11 +406,6 @@ class TestBackendRouting:
         such an agent off the lockstep path as an exploring one."""
         with pytest.raises(ConfigurationError, match="epsilon"):
             DRLPolicyAgent(tiny_policy, ObservationEncoder(system_config), epsilon=epsilon)
-
-    def test_random_agent_is_not_engine_safe(self, system_config):
-        encoder = ObservationEncoder(system_config)
-        assert RandomPolicy(rng=0).engine_safe is False
-        assert backend_for_agent(RandomPolicy(rng=0), encoder) is None
 
     def test_heuristic_routes_to_replica_backend(self, system_config):
         encoder = ObservationEncoder(system_config)

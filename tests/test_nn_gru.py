@@ -74,7 +74,7 @@ class TestGRUCell:
     def test_parameter_count(self):
         cell = GRUCell(3, 4, rng=0)
         # 3 gates x (3*4 input + 4*4 hidden + 4 bias)
-        assert cell.num_parameters() == 3 * (12 + 16 + 4)
+        assert sum(p.data.size for p in cell.parameters()) == 3 * (12 + 16 + 4)
 
     def test_gradients_through_two_steps(self):
         cell = GRUCell(2, 3, rng=0)
@@ -524,7 +524,6 @@ class TestFusedQBNBitwise:
                 expected = qbn(Tensor(x))
         assert np.array_equal(out.data, expected.data)
         assert not out.requires_grad and out._parents == () and out._backward is None
-        assert np.array_equal(qbn.reconstruct(x), expected.data)
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("lead", LEADS)
@@ -534,14 +533,9 @@ class TestFusedQBNBitwise:
         qbn = self._qbn(shape, levels)
         with op_by_op():
             latent = oracle_qbn_encode(qbn, Tensor(x))
-            reconstruction = qbn(Tensor(x))
         codes = qbn.discrete_code(x)
         assert codes.dtype == np.int64
         assert np.array_equal(codes, values_to_codes(latent.numpy(), levels))
-        assert np.array_equal(qbn.encode(x).data, latent.data)
-        assert np.array_equal(qbn.decode(latent).data, reconstruction.data)
-        assert np.array_equal(qbn.reconstruct(x), reconstruction.data)
-        assert qbn.encode(Tensor(x, requires_grad=True))._parents == ()
 
 
 class TestMSENodeBitwise:
@@ -1312,13 +1306,13 @@ class TestNativeDenseKernelBitwise:
             Adam([param]).step()
 
     def test_graph_free_calls_never_load_the_kernel(self, monkeypatch):
-        """``encode``, ``discrete_code``, ``reconstruct`` and a ``no_grad``
-        forward stay numpy, so serving an extracted FSM loads no kernel."""
+        """``discrete_code`` and a ``no_grad`` forward stay numpy, so
+        serving an extracted FSM loads no kernel."""
 
         unprobed(monkeypatch, "dense")
         qbn = QuantizedBottleneckNetwork(QBNConfig(9, 4, 6), rng=0)
         x = np.random.default_rng(0).standard_normal((5, 9))
-        qbn.encode(x), qbn.discrete_code(x), qbn.reconstruct(x)
+        qbn.discrete_code(x)
         with no_grad():
             qbn(Tensor(x, requires_grad=True))
         assert "dense" not in native._kernels

@@ -1,4 +1,4 @@
-"""Tests for repro.nn: Module, Linear, activations, Sequential, state dicts."""
+"""Tests for repro.nn: Module, Linear, initialisers, state dicts."""
 
 import itertools
 
@@ -8,8 +8,15 @@ import pytest
 from repro.autograd import check_gradients
 from repro.autograd.tensor import Tensor, no_grad
 from repro.errors import SerializationError, ShapeError
-from repro.nn import Linear, Module, Parameter, ReLU, Sequential, Sigmoid, Tanh, Identity
+from repro.nn import Linear, Module, Parameter
 from repro.nn import init
+
+
+class _Stack(Module):
+    """Modules held in a list attribute, the way parameter discovery walks them."""
+
+    def __init__(self, *layers):
+        self.layers = list(layers)
 
 
 class TestParameterDiscovery:
@@ -17,12 +24,12 @@ class TestParameterDiscovery:
         layer = Linear(3, 2, rng=0)
         names = dict(layer.named_parameters())
         assert set(names) == {"weight", "bias"}
-        assert layer.num_parameters() == 3 * 2 + 2
+        assert sum(p.data.size for p in layer.parameters()) == 3 * 2 + 2
 
     def test_nested_modules(self):
-        model = Sequential(Linear(4, 3, rng=0), Tanh(), Linear(3, 2, rng=1))
+        model = _Stack(Linear(4, 3, rng=0), Linear(3, 2, rng=1))
         names = [n for n, _ in model.named_parameters()]
-        assert "layers.0.weight" in names and "layers.2.bias" in names
+        assert "layers.0.weight" in names and "layers.1.bias" in names
         assert len(model.parameters()) == 4
 
     def test_zero_grad_clears(self):
@@ -34,8 +41,8 @@ class TestParameterDiscovery:
         assert layer.weight.grad is None
 
     def test_frozen_scope_restores_flags_as_found(self):
-        model = Sequential(Linear(3, 4, rng=0), Tanh(), Linear(4, 2, rng=1))
-        model[2].bias.requires_grad = False
+        model = _Stack(Linear(3, 4, rng=0), Linear(4, 2, rng=1))
+        model.layers[1].bias.requires_grad = False
         with pytest.raises(RuntimeError):
             with model.frozen() as scope:
                 assert scope is model
@@ -43,14 +50,6 @@ class TestParameterDiscovery:
                 raise RuntimeError("mid-scope failure")
         flags = [p.requires_grad for p in model.parameters()]
         assert flags == [True, True, True, False]
-
-    def test_train_eval_flags_propagate(self):
-        model = Sequential(Linear(2, 2, rng=0), ReLU())
-        model.eval()
-        assert not model.training
-        assert not model.layers[0].training
-        model.train()
-        assert model.layers[0].training
 
 
 class TestStateDict:
@@ -75,11 +74,6 @@ class TestStateDict:
         with pytest.raises(SerializationError):
             Linear(3, 2).load_state_dict(state)
 
-    def test_copy_from(self):
-        a, b = Linear(2, 2, rng=0), Linear(2, 2, rng=3)
-        b.copy_from(a)
-        np.testing.assert_allclose(a.bias.data, b.bias.data)
-
 
 class TestLinear:
     def test_output_shape(self):
@@ -103,10 +97,12 @@ class TestLinear:
     def test_gradients(self):
         layer = Linear(3, 2, rng=0)
         x = np.random.default_rng(0).random((4, 3))
-        check_gradients(
-            lambda: (layer(Tensor(x)) ** 2).sum(),
-            dict(layer.named_parameters()),
-        )
+
+        def loss():
+            out = layer(Tensor(x))
+            return (out * out).sum()
+
+        check_gradients(loss, dict(layer.named_parameters()))
 
     def test_known_affine_result(self):
         layer = Linear(2, 1, rng=0)
@@ -187,39 +183,12 @@ class TestFusedLinearBitwise:
         assert not out.requires_grad and out._parents == () and out._backward is None
 
 
-class TestActivationsAndSequential:
-    def test_activation_values(self):
-        x = Tensor([-1.0, 0.0, 2.0])
-        np.testing.assert_allclose(Tanh()(x).numpy(), np.tanh(x.data))
-        np.testing.assert_allclose(Sigmoid()(x).numpy(), 1 / (1 + np.exp(-x.data)))
-        np.testing.assert_allclose(ReLU()(x).numpy(), [0.0, 0.0, 2.0])
-        np.testing.assert_allclose(Identity()(x).numpy(), x.data)
-
-    def test_sequential_composition(self):
-        model = Sequential(Linear(3, 4, rng=0), Tanh(), Linear(4, 2, rng=1))
-        out = model(Tensor(np.ones(3)))
-        assert out.shape == (2,)
-        assert len(model) == 3
-        assert isinstance(model[1], Tanh)
-
-    def test_sequential_gradients(self):
-        model = Sequential(Linear(3, 4, rng=0), ReLU(), Linear(4, 1, rng=1))
-        x = np.random.default_rng(1).random((5, 3)) + 0.1
-        check_gradients(
-            lambda: model(Tensor(x)).sum(), dict(model.named_parameters())
-        )
-
-
 class TestInit:
     def test_xavier_bounds(self):
         w = init.xavier_uniform((100, 50), rng=0)
         limit = np.sqrt(6.0 / 150)
         assert np.all(np.abs(w) <= limit)
         assert w.shape == (100, 50)
-
-    def test_he_bounds(self):
-        w = init.he_uniform((64, 32), rng=0)
-        assert np.all(np.abs(w) <= np.sqrt(6.0 / 64))
 
     def test_orthogonal_is_orthonormal(self):
         w = init.orthogonal((16, 16), rng=0)

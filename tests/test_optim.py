@@ -63,7 +63,8 @@ class TestAdam:
         for _ in range(300):
             opt.zero_grad()
             pred = layer(Tensor(x))
-            loss = ((pred - Tensor(y)) ** 2).mean()
+            error = pred - Tensor(y)
+            loss = (error * error).mean()
             loss.backward()
             opt.step()
         np.testing.assert_allclose(layer.weight.data, true_w, atol=0.05)

@@ -13,7 +13,6 @@ from repro.storage.migration import (
     action_from_levels,
     action_name,
     all_actions,
-    parse_action,
 )
 from repro.storage.simulator import StorageSystemConfig
 from repro.storage.vector_state import VectorSimulatorState
@@ -202,10 +201,3 @@ class TestMigrationActions:
     def test_action_from_levels_invalid(self):
         with pytest.raises(ConfigurationError):
             action_from_levels(Level.KV, Level.KV)
-
-    def test_parse_action(self):
-        assert parse_action("N=>K") is MigrationAction.NORMAL_TO_KV
-        assert parse_action(3) is MigrationAction.KV_TO_NORMAL
-        assert parse_action("noop") is MigrationAction.NOOP
-        with pytest.raises(ConfigurationError):
-            parse_action("X=>Y")

@@ -166,21 +166,6 @@ class TestWorkloadTrace:
         with pytest.raises(WorkloadError):
             WorkloadTrace.concatenate([], name="empty")
 
-    def test_array_roundtrip(self):
-        trace = self._trace(4)
-        arrays = trace.to_arrays()
-        rebuilt = WorkloadTrace.from_arrays("copy", arrays["ratios"], arrays["total_requests"])
-        assert len(rebuilt) == 4
-        np.testing.assert_allclose(
-            rebuilt.intervals[0].ratios, trace.intervals[0].ratios
-        )
-
-    def test_from_arrays_validation(self):
-        with pytest.raises(WorkloadError):
-            WorkloadTrace.from_arrays("bad", np.zeros((3, 5)), np.zeros(3))
-        with pytest.raises(WorkloadError):
-            WorkloadTrace.from_arrays("bad", np.full((3, NUM_IO_TYPES), 1 / NUM_IO_TYPES), np.zeros(2))
-
     def test_mean_write_fraction_bounds(self):
         trace = self._trace(3)
         assert 0.0 <= trace.mean_write_fraction() <= 1.0

@@ -228,8 +228,12 @@ class TestVectorStep:
 
 def _batch_masks(venv):
     """Next-decision masks of every slot, from the simulator's core counts."""
-    return venv.action_space.valid_mask_batch_from_counts(
-        venv.simulator_state.counts, venv.system_config.min_cores_per_level
+    minimum = venv.system_config.min_cores_per_level
+    return np.stack(
+        [
+            venv.action_space.valid_mask_from_counts(counts, minimum)
+            for counts in venv.simulator_state.counts
+        ]
     )
 
 
@@ -325,10 +329,6 @@ class TestMetricsModes:
             assert simulator.is_done
             assert episode.intervals == expected
             assert episode.migrations == simulator.episode_metrics.migrations
-            assert episode.as_summary() == simulator.episode_metrics.as_summary()
-            episode.record(expected[0])
-            assert episode.makespan == len(expected) + 1
-            assert episode.intervals[-1] is expected[0]
 
     def test_metrics_free_mode_still_tracks_makespan(self, system_config, real_traces):
         venv = VectorStorageAllocationEnv(

@@ -1,4 +1,4 @@
-"""Tests for workload profiles, the generator, the real-trace sampler and trace IO."""
+"""Tests for workload profiles, the generator and the real-trace sampler."""
 
 import numpy as np
 import pytest
@@ -14,11 +14,7 @@ from repro.workloads import (
     StandardWorkloadGenerator,
     STANDARD_PROFILES,
     get_profile,
-    load_trace,
-    load_trace_bundle,
     profile_names,
-    save_trace,
-    save_trace_bundle,
 )
 from repro.workloads.spec import IntensityModel, WorkloadProfile
 
@@ -69,11 +65,6 @@ class TestProfiles:
                 read_size_weights=[1] * 6,
                 write_size_weights=[1] * 7,
             )
-
-    def test_as_dict_roundtrippable_fields(self):
-        payload = get_profile("vdi").as_dict()
-        assert payload["name"] == "vdi"
-        assert len(payload["read_size_weights"]) == 7
 
 
 class TestIntensityModel:
@@ -128,7 +119,8 @@ class TestGenerator:
         a = StandardWorkloadGenerator(system_config, rng=3).generate("vdi", duration=10, rng=9)
         b = StandardWorkloadGenerator(system_config, rng=3).generate("vdi", duration=10, rng=9)
         np.testing.assert_allclose(
-            a.to_arrays()["total_requests"], b.to_arrays()["total_requests"]
+            [interval.total_requests for interval in a],
+            [interval.total_requests for interval in b],
         )
 
     def test_invalid_duration(self, generator):
@@ -137,8 +129,7 @@ class TestGenerator:
 
     def test_mix_jitter_varies_ratios(self, generator):
         trace = generator.generate("virtualization", duration=10, rng=5)
-        ratios = trace.to_arrays()["ratios"]
-        assert not np.allclose(ratios[0], ratios[1])
+        assert not np.allclose(trace[0].ratios, trace[1].ratios)
 
     def test_target_load_validation(self):
         with pytest.raises(WorkloadError):
@@ -197,27 +188,3 @@ class TestSampler:
         for interval in trace:
             assert interval.ratios.sum() == pytest.approx(1.0)
             assert interval.total_requests >= 0
-
-
-class TestTraceIO:
-    def test_single_roundtrip(self, tmp_path, real_traces):
-        path = tmp_path / "trace.json"
-        save_trace(path, real_traces[0])
-        loaded = load_trace(path)
-        assert loaded.name == real_traces[0].name
-        assert len(loaded) == len(real_traces[0])
-        np.testing.assert_allclose(
-            loaded.to_arrays()["ratios"], real_traces[0].to_arrays()["ratios"]
-        )
-
-    def test_bundle_roundtrip(self, tmp_path, real_traces):
-        path = tmp_path / "bundle.json"
-        save_trace_bundle(path, real_traces)
-        loaded = load_trace_bundle(path)
-        assert [t.name for t in loaded] == [t.name for t in real_traces]
-
-    def test_corrupt_file_raises(self, tmp_path):
-        path = tmp_path / "corrupt.json"
-        path.write_text("{}")
-        with pytest.raises(WorkloadError):
-            load_trace(path)
