@@ -1,6 +1,6 @@
 """Design-choice ablations of the simulator.
 
-The ablation benchmarks quantify the simulator's design choices:
+The ablations quantify the simulator's design choices:
 migration penalty, cache-miss rate, and the polling (no work stealing)
 dispatcher vs an idealised proportional dispatcher.  The handcrafted
 FSM's makespan against the no-migration default (the paper's §4.3.2
@@ -9,8 +9,6 @@ scorecard (``benchmarks/scorecard.json``, ``EXPERIMENTS.md``).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.agents import DefaultPolicy, GreedyUtilizationPolicy, HandcraftedFSMPolicy
 from repro.agents.proportional import ProportionalAllocationPolicy
@@ -26,7 +24,7 @@ def _real_traces(config, count=8, seed=0):
     return RealTraceSampler(suite, rng=seed + 2).sample_many(count, rng=seed + 3)
 
 
-def test_ablation_expert_baselines(benchmark):
+def test_ablation_expert_baselines():
     config = StorageSystemConfig()
     traces = _real_traces(config, count=8, seed=1)
     agents = [
@@ -35,11 +33,7 @@ def test_ablation_expert_baselines(benchmark):
         GreedyUtilizationPolicy(),
         ProportionalAllocationPolicy(config),
     ]
-    results = benchmark.pedantic(
-        lambda: compare_agents(agents, traces, system_config=config, episode_seed=1),
-        iterations=1,
-        rounds=1,
-    )
+    results = compare_agents(agents, traces, system_config=config, episode_seed=1)
     print()
     print(comparison_table(results))
     default = results["default"]
@@ -49,120 +43,64 @@ def test_ablation_expert_baselines(benchmark):
     assert results["greedy_utilization"].mean_makespan() <= default.mean_makespan()
 
 
-def test_ablation_migration_penalty(benchmark):
+def test_ablation_migration_penalty():
     """Higher migration penalties erode the benefit of reactive rebalancing."""
-    traces = None
     rows = []
-
-    def run():
-        nonlocal traces, rows
-        rows = []
-        for penalty in (0.0, 0.2, 0.5):
-            config = StorageSystemConfig(migration_penalty=penalty)
-            traces = _real_traces(config, count=5, seed=2)
-            results = compare_agents(
-                [DefaultPolicy(), GreedyUtilizationPolicy()],
-                traces,
-                system_config=config,
-                episode_seed=2,
-            )
-            reduction = relative_reduction(results["default"], results["greedy_utilization"])
-            rows.append([penalty, results["default"].mean_makespan(),
-                         results["greedy_utilization"].mean_makespan(), 100 * reduction])
-        return rows
-
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
+    for penalty in (0.0, 0.2, 0.5):
+        config = StorageSystemConfig(migration_penalty=penalty)
+        traces = _real_traces(config, count=5, seed=2)
+        results = compare_agents(
+            [DefaultPolicy(), GreedyUtilizationPolicy()],
+            traces,
+            system_config=config,
+            episode_seed=2,
+        )
+        reduction = relative_reduction(results["default"], results["greedy_utilization"])
+        rows.append([penalty, results["default"].mean_makespan(),
+                     results["greedy_utilization"].mean_makespan(), 100 * reduction])
     print()
     print(format_table(["penalty", "default", "greedy", "reduction_%"], rows,
                        title="Migration-penalty ablation"))
     assert rows[0][3] >= rows[-1][3] - 5.0  # benefit should not grow with penalty
 
 
-def test_ablation_cache_miss_rate(benchmark):
+def test_ablation_cache_miss_rate():
     """Higher cache-miss rates push more work to KV/RV and change the optimum split."""
     rows = []
-
-    def run():
-        nonlocal rows
-        rows = []
-        for miss in (0.1, 0.3, 0.6):
-            config = StorageSystemConfig(cache_miss_rate=miss)
-            traces = _real_traces(config, count=5, seed=3)
-            results = compare_agents(
-                [DefaultPolicy(), GreedyUtilizationPolicy()],
-                traces,
-                system_config=config,
-                episode_seed=3,
-            )
-            rows.append(
-                [miss, results["default"].mean_makespan(), results["greedy_utilization"].mean_makespan()]
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
+    for miss in (0.1, 0.3, 0.6):
+        config = StorageSystemConfig(cache_miss_rate=miss)
+        traces = _real_traces(config, count=5, seed=3)
+        results = compare_agents(
+            [DefaultPolicy(), GreedyUtilizationPolicy()],
+            traces,
+            system_config=config,
+            episode_seed=3,
+        )
+        rows.append(
+            [miss, results["default"].mean_makespan(), results["greedy_utilization"].mean_makespan()]
+        )
     print()
     print(format_table(["miss_rate", "default", "greedy"], rows, title="Cache-miss ablation"))
     assert len(rows) == 3
 
 
-def test_ablation_dispatcher(benchmark):
+def test_ablation_dispatcher():
     """Polling (no work stealing) vs an idealised proportional dispatcher."""
     rows = []
-
-    def run():
-        nonlocal rows
-        rows = []
-        for dispatcher in ("polling", "proportional"):
-            config = StorageSystemConfig(dispatcher=dispatcher)
-            traces = _real_traces(config, count=5, seed=4)
-            results = compare_agents(
-                [DefaultPolicy(), GreedyUtilizationPolicy()],
-                traces,
-                system_config=config,
-                episode_seed=4,
-            )
-            rows.append(
-                [dispatcher, results["default"].mean_makespan(),
-                 results["greedy_utilization"].mean_makespan()]
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
+    for dispatcher in ("polling", "proportional"):
+        config = StorageSystemConfig(dispatcher=dispatcher)
+        traces = _real_traces(config, count=5, seed=4)
+        results = compare_agents(
+            [DefaultPolicy(), GreedyUtilizationPolicy()],
+            traces,
+            system_config=config,
+            episode_seed=4,
+        )
+        rows.append(
+            [dispatcher, results["default"].mean_makespan(),
+             results["greedy_utilization"].mean_makespan()]
+        )
     print()
     print(format_table(["dispatcher", "default", "greedy"], rows, title="Dispatcher ablation"))
     # The idealised dispatcher can only help (lower or equal makespan).
     assert rows[1][1] <= rows[0][1] + 1e-9
-
-
-def test_microbench_simulator_throughput(benchmark):
-    """Raw simulator stepping rate (intervals simulated per benchmark run)."""
-    config = StorageSystemConfig()
-    traces = _real_traces(config, count=2, seed=5)
-
-    from repro.storage.simulator import StorageSimulator
-
-    def run():
-        sim = StorageSimulator(config, rng=0)
-        total = 0
-        for trace in traces:
-            metrics = sim.run(trace, lambda s: 0, rng=0)
-            total += metrics.makespan
-        return total
-
-    total = benchmark(run)
-    assert total >= sum(len(t) for t in traces)
-
-
-def test_microbench_gru_step(benchmark):
-    """Single GRU policy step latency (inference path used by the controller)."""
-    from repro.drl.policy import PolicyConfig, RecurrentPolicyValueNet
-
-    policy = RecurrentPolicyValueNet(PolicyConfig(hidden_size=128), rng=0)
-    observation = np.random.default_rng(0).random((1, policy.config.observation_dim))
-    hidden = policy.initial_hidden_np(1)
-
-    def step():
-        return int(policy.act_batch(observation, hidden).actions[0])
-
-    action = benchmark(step)
-    assert 0 <= action < 7

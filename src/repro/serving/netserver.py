@@ -592,7 +592,7 @@ class PolicyNetServer:
             self._send_error(connection, "STALE_SESSION", str(exc), request_id)
         except ReproError as exc:
             self._send_error(connection, "BAD_REQUEST", str(exc), request_id)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             self.protocol_errors += 1
             self._send_error(
                 connection, "BAD_REQUEST", f"malformed request: {exc}", request_id

@@ -242,6 +242,8 @@ class TestFleetDriver:
         assert by_name["churn"]["churn_cycles"] > 0
         assert by_name["churn"]["stale_rejections"] > 0
         assert by_name["flash_crowd"]["probe_decisions"] > 0
+        # Stale probes are rejections, never request errors.
+        assert all(phase["errors"] == 0 for phase in det["phases"])
         # No tenant ever lost its session: occupancy is flat at the
         # fleet size and the server saw no deeper peak.
         assert det["occupancy_timeline"] == [48] * schedule.total_steps
@@ -266,6 +268,8 @@ class TestFleetDriver:
         assert payload["config"]["schedule_digest"] == _small_schedule().digest()
         assert payload["deterministic"]["digest"] == report.digest
         assert payload["timing"]["latency"]["count"] > 0
+        assert payload["timing"]["latency"]["p99_ms"] > 0
+        assert payload["timing"]["decisions_per_sec"] > 0
         assert payload["server"]["transport"] == "inprocess"
 
     def test_socket_transport_matches_inprocess_byte_for_byte(

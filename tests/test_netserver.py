@@ -616,6 +616,16 @@ class TestNetServer:
                     reply = await client.request({"op": "swap", "version": "v1"})
                     assert reply["error"] == "BAD_REQUEST"
                     assert "unknown op" in reply["message"]
+                    # Out-of-range numbers overflow int() and the int64
+                    # handle columns; each is a malformed request too.
+                    for payload in (
+                        {"op": "open", "count": 1e400},
+                        {"op": "close", "handles": [[2**70, 0]]},
+                    ):
+                        reply = await client.request(payload)
+                        assert reply["error"] == "BAD_REQUEST"
+                        assert "malformed request" in reply["message"]
+                    assert netserver.protocol_errors == 2
                     # The connection survived all of it.
                     assert await client.ping()
                 await netserver.drain()
@@ -846,6 +856,7 @@ class TestDecideBlocks:
                     ).tolist()
                 )
                 assert summary["batches"] == 2 and summary["decisions"] == 5
+                assert summary["failed"] == 0
                 assert summary["latency"]["count"] == 5
                 assert summary["parked_replies"] == 0 and summary["pending"] == 0
                 assert summary["replies_dropped"] == 0
