@@ -10,7 +10,7 @@ and greedy-utilisation baselines), gridded over the generator's target
 load and two seeds (4 jobs, a few seconds).  Pass ``--spec path.json``
 to run your own sweep; the JSON file holds a
 :class:`repro.pipeline.sweep.SweepSpec` (name/base/grid/seeds, every
-parameter a ``PipelineConfig`` field path — see README "Sweep runner").
+parameter a ``PipelineConfig`` field path — see README "Sweeps").
 
 Per-job JSON results are deterministic: rerunning the same spec (with
 any ``--workers`` value) writes byte-identical files under

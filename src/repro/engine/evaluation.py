@@ -320,9 +320,6 @@ def backend_for_agent(
             return None
         if encoder.is_equivalent(agent.encoder):
             return GRUPolicyBackend(agent.policy)
-        return AgentBatchBackend.from_agent(agent, encoder)
-    if isinstance(agent, FSMPolicyAgent):
-        if encoder.is_equivalent(agent.encoder):
-            return CompiledFSMBackend(agent.compile())
-        return AgentBatchBackend.from_agent(agent, encoder)
+    elif isinstance(agent, FSMPolicyAgent) and encoder.is_equivalent(agent.encoder):
+        return CompiledFSMBackend(agent.compile())
     return AgentBatchBackend.from_agent(agent, encoder)

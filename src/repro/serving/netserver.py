@@ -10,8 +10,11 @@ Wire format
 -----------
 Length-prefixed frames: a 5-byte header ``!BI`` (1 codec byte, 4-byte
 big-endian body length, at most ``MAX_FRAME_BYTES``) followed by the
-body.  There are two codecs and any other codec byte is a protocol
-error that costs the sender its connection.
+body.  There are two codecs; any other codec byte, or any frame that
+does not decode, costs the sender its connection.  A control request
+that decodes but is malformed (a missing field; a count or handle that
+is not a JSON integer, or out of range) gets ``BAD_REQUEST`` and keeps
+the connection.  Both count in ``protocol_errors``.
 
 ====== ============================ ==========================================
 codec  body                         used for
@@ -565,7 +568,9 @@ class PolicyNetServer:
                 exposition = self._op_metrics()
                 self._reply(connection, request_id, metrics=exposition)
             elif op == "open":
-                count = int(request.get("count", 1))
+                count = request.get("count", 1)
+                if type(count) is not int:  # 2.7, true and "2" are not counts
+                    raise TypeError(f"open count must be an integer, got {count!r}")
                 if count > MAX_OPEN_PER_REQUEST:
                     raise ServingError(
                         f"open count {count} exceeds the per-request limit "
@@ -663,16 +668,14 @@ class PolicyNetServer:
         raw_handles = request.get("handles")
         if raw_handles is None:
             raw_handles = [request["handle"]]
-        slots: List[int] = []
-        generations: List[int] = []
         for handle in raw_handles:
             if not isinstance(handle, (list, tuple)) or len(handle) != 2:
                 raise ConfigurationError(
                     f"session handle must be a [slot, generation] pair, got {handle!r}"
                 )
-            slots.append(int(handle[0]))
-            generations.append(int(handle[1]))
-        return slots, generations
+            if type(handle[0]) is not int or type(handle[1]) is not int:
+                raise TypeError(f"session handle must hold two integers, got {handle!r}")
+        return [handle[0] for handle in raw_handles], [handle[1] for handle in raw_handles]
 
 
 class PolicyClient(asyncio.Protocol):

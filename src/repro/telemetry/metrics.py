@@ -24,11 +24,10 @@ Design constraints, in order:
   hold instrument references obtained at setup time, so the disabled
   cost is one no-op attribute call per event.
 
-Naming scheme (documented in the README): ``<subsystem>_<what>_<unit>``
-with ``_total`` for counters (``serving_decisions_total``,
-``fleet_wave_latency_seconds``).  Labels are for *bounded* dimensions
-only — backend kind, phase name, error code, op name — never session
-ids, tenant ids or error strings.
+Naming scheme: ``<subsystem>_<what>_<unit>`` with ``_total`` for
+counters (``serving_decisions_total``, ``fleet_wave_latency_seconds``).
+Labels are for *bounded* dimensions only — backend kind, phase name,
+error code, op name — never session ids, tenant ids or error strings.
 """
 
 from __future__ import annotations

@@ -626,6 +626,23 @@ class TestNetServer:
                         assert reply["error"] == "BAD_REQUEST"
                         assert "malformed request" in reply["message"]
                     assert netserver.protocol_errors == 2
+                    # A count or handle must be a JSON integer: a float, a
+                    # boolean or a numeric string is refused, never truncated.
+                    handles = await client.open(2)
+                    assert handles[0] == (0, 0)  # the slot 0.9 and true name
+                    for payload in (
+                        {"op": "open", "count": 2.7},
+                        {"op": "open", "count": True},
+                        {"op": "open", "count": "2"},
+                        {"op": "close", "handles": [[0.9, 0]]},
+                        {"op": "close", "handles": [[True, 0]]},
+                    ):
+                        reply = await client.request(payload)
+                        assert reply["error"] == "BAD_REQUEST", payload
+                        assert "malformed request" in reply["message"]
+                    assert netserver.protocol_errors == 7
+                    assert (await client.stats())["active_sessions"] == 2
+                    assert await client.close_sessions(handles) == 2
                     # The connection survived all of it.
                     assert await client.ping()
                 await netserver.drain()
