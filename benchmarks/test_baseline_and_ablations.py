@@ -1,8 +1,7 @@
 """Design-choice ablations of the simulator.
 
 The ablations quantify the simulator's design choices:
-migration penalty, cache-miss rate, and the polling (no work stealing)
-dispatcher vs an idealised proportional dispatcher.  The handcrafted
+migration penalty and cache-miss rate.  The handcrafted
 FSM's makespan against the no-migration default (the paper's §4.3.2
 text claim, ~20% in its UAT environment) is a claim row of the
 scorecard (``benchmarks/scorecard.json``, ``EXPERIMENTS.md``).
@@ -82,25 +81,3 @@ def test_ablation_cache_miss_rate():
     print()
     print(format_table(["miss_rate", "default", "greedy"], rows, title="Cache-miss ablation"))
     assert len(rows) == 3
-
-
-def test_ablation_dispatcher():
-    """Polling (no work stealing) vs an idealised proportional dispatcher."""
-    rows = []
-    for dispatcher in ("polling", "proportional"):
-        config = StorageSystemConfig(dispatcher=dispatcher)
-        traces = _real_traces(config, count=5, seed=4)
-        results = compare_agents(
-            [DefaultPolicy(), GreedyUtilizationPolicy()],
-            traces,
-            system_config=config,
-            episode_seed=4,
-        )
-        rows.append(
-            [dispatcher, results["default"].mean_makespan(),
-             results["greedy_utilization"].mean_makespan()]
-        )
-    print()
-    print(format_table(["dispatcher", "default", "greedy"], rows, title="Dispatcher ablation"))
-    # The idealised dispatcher can only help (lower or equal makespan).
-    assert rows[1][1] <= rows[0][1] + 1e-9

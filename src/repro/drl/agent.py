@@ -9,35 +9,24 @@ import numpy as np
 from repro.agents.base import Agent
 from repro.drl.policy import RecurrentPolicyValueNet
 from repro.env.observation import Observation, ObservationEncoder
-from repro.errors import ConfigurationError
 from repro.storage.migration import MigrationAction
-from repro.utils.rng import ACTION_DOMAIN, SeedLike, episode_lanes, episode_seed
 
 
 class DRLPolicyAgent(Agent):
     """Greedy (deterministic) controller backed by the trained GRU policy.
 
     The agent keeps the GRU hidden state across an episode and resets it
-    at episode boundaries, matching how the policy was trained.  With
-    ``epsilon > 0`` it explores on the action lane of the episode seed
-    ``rng`` names, one lane across all its episodes.
+    at episode boundaries, matching how the policy was trained.  It is
+    the one-row reference for :class:`~repro.engine.backends.GRUPolicyBackend`'s
+    batched decisions; exploration lives on ``act_batch`` lanes
+    (``A2CConfig.epsilon``).
     """
 
     name = "gru_drl"
 
-    def __init__(
-        self,
-        policy: RecurrentPolicyValueNet,
-        encoder: ObservationEncoder,
-        epsilon: float = 0.0,
-        rng: SeedLike = None,
-    ) -> None:
+    def __init__(self, policy: RecurrentPolicyValueNet, encoder: ObservationEncoder) -> None:
         self.policy = policy
         self.encoder = encoder
-        if not 0.0 <= epsilon <= 1.0:
-            raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
-        self.epsilon = float(epsilon)
-        self._streams = episode_lanes([episode_seed(rng)], ACTION_DOMAIN)
         self._hidden: Optional[np.ndarray] = None
 
     def reset(self) -> None:
@@ -47,9 +36,7 @@ class DRLPolicyAgent(Agent):
         if self._hidden is None:
             self.reset()
         normalized = self.encoder.normalize(observation)
-        output = self.policy.act_batch(
-            normalized[None], self._hidden[None], self._streams.uniforms, epsilon=self.epsilon
-        )
+        output = self.policy.act_batch(normalized[None], self._hidden[None])
         self._hidden = output.hidden_states[0]
         return MigrationAction(int(output.actions[0]))
 

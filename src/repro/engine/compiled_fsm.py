@@ -48,7 +48,7 @@ from repro.errors import ConfigurationError, ExtractionError, SerializationError
 from repro.fsm.generalize import nearest_prototype_rows
 from repro.fsm.machine import FiniteStateMachine
 from repro.qbn.autoencoder import QuantizedBottleneckNetwork
-from repro.qbn.quantize import quantization_levels
+from repro.qbn.quantize import nearest_level_indices
 from repro.storage.migration import NUM_ACTIONS
 from repro.utils.serialization import PathLike, load_npz, save_npz
 
@@ -104,7 +104,7 @@ def _quantize_tanh(pre_activation: np.ndarray, k: int) -> np.ndarray:
     performs on the latent pre-activation (tanh is already in (-1, 1), so
     the clip only pins rounding at the open boundaries).
     """
-    return _level_codes(np.clip(np.tanh(pre_activation), -1.0, 1.0), k)
+    return nearest_level_indices(np.clip(np.tanh(pre_activation), -1.0, 1.0), k)
 
 
 def _tanh_code_thresholds(k: int) -> Optional[np.ndarray]:
@@ -156,27 +156,6 @@ def _tanh_code_thresholds(k: int) -> Optional[np.ndarray]:
     if not np.array_equal(fast, _quantize_tanh(sample, k)):
         return None
     return result
-
-
-def _level_codes(values: np.ndarray, k: int) -> np.ndarray:
-    """Integer level indices of ``values`` — fast form of ``values_to_codes``.
-
-    ``values_to_codes`` materialises the full ``(..., k)`` distance tensor
-    and argmins it; this scan keeps one running minimum per element
-    instead (k passes over the input, ~5x less work on the serving hot
-    path for k=3).  It is bit-identical by construction: each pass
-    computes the *same rounded* ``|v - level|`` distances, and the strict
-    ``<`` update reproduces argmin's lowest-index tie-break.
-    """
-    levels = quantization_levels(k)
-    best = np.abs(values - levels[0])
-    codes = np.zeros(values.shape, dtype=np.int64)
-    for j in range(1, k):
-        distance = np.abs(values - levels[j])
-        closer = distance < best
-        codes[closer] = j
-        np.minimum(best, distance, out=best)
-    return codes
 
 
 @dataclass(frozen=True)
@@ -401,10 +380,6 @@ class CompiledFSMPolicy:
                 np.greater_equal(pre_latent, threshold, out=flags)
                 codes += flags
             return codes
-        # ``discrete_code`` snaps to the nearest level and then argmins
-        # the snapped value against the levels again; the snap is a
-        # fixed point of that argmin, so one level scan over the clipped
-        # latent yields the same codes with half the passes.
         return _quantize_tanh(pre_latent, self.quantization_levels)
 
     def _encode_packed(self, normalized: np.ndarray) -> np.ndarray:

@@ -87,8 +87,8 @@ class EvaluationEngine:
     called repeatedly with different backends and trace sets.
     :meth:`evaluate_many` steps one copy of the trace set per backend in
     one lockstep batch — which is how
-    :func:`~repro.pipeline.evaluation.compare_agents` runs every routed
-    agent of a comparison — and :meth:`evaluate` is its one-backend call.
+    :func:`~repro.pipeline.evaluation.compare_agents` runs every agent
+    of a comparison — and :meth:`evaluate` is its one-backend call.
     """
 
     def __init__(
@@ -286,14 +286,12 @@ def run_lockstep(
     return rewards[:t], makespans, truncated
 
 
-def backend_for_agent(
-    agent: Agent, encoder: ObservationEncoder
-) -> Optional[DecisionBackend]:
-    """Pick the best lockstep backend for ``agent`` (None → one at a time).
+def backend_for_agent(agent: Agent, encoder: ObservationEncoder) -> DecisionBackend:
+    """Pick the best lockstep backend for ``agent``.
 
     Upgrades, in order of preference:
 
-    * greedy :class:`~repro.drl.agent.DRLPolicyAgent` on the default
+    * :class:`~repro.drl.agent.DRLPolicyAgent` on the default
       normalisation → :class:`GRUPolicyBackend` (one batched forward per
       interval);
     * :class:`~repro.fsm.agent.FSMPolicyAgent` on an equivalent
@@ -305,21 +303,14 @@ def backend_for_agent(
       under the :class:`Agent` contract, still one env step per interval
       for the whole set).
 
-    Returns ``None`` for agents the lockstep lift cannot reproduce
-    bit for bit: exploring DRL agents (``epsilon > 0``).  Note the
-    replica path leaves prototype-agent side counters (e.g.
+    The replica path leaves prototype-agent side counters (e.g.
     ``FSMPolicyAgent.unseen_observation_count``) untouched.
     """
     from repro.drl.agent import DRLPolicyAgent
     from repro.fsm.agent import FSMPolicyAgent
 
-    if isinstance(agent, DRLPolicyAgent):
-        if agent.epsilon != 0.0:
-            # Exploration consumes one shared rng stream in evaluation
-            # order — not reproducible slot by slot.
-            return None
-        if encoder.is_equivalent(agent.encoder):
-            return GRUPolicyBackend(agent.policy)
-    elif isinstance(agent, FSMPolicyAgent) and encoder.is_equivalent(agent.encoder):
+    if isinstance(agent, DRLPolicyAgent) and encoder.is_equivalent(agent.encoder):
+        return GRUPolicyBackend(agent.policy)
+    if isinstance(agent, FSMPolicyAgent) and encoder.is_equivalent(agent.encoder):
         return CompiledFSMBackend(agent.compile())
     return AgentBatchBackend.from_agent(agent, encoder)

@@ -12,8 +12,8 @@ name          source                        numpy specification
 ``simulator`` ``storage/_sim_kernel.c``     ``VectorSimulatorState``'s numpy passes and
                                             per-cell reference dispatch loop
 ``gru``       ``nn/_gru_kernel.c``          ``Unrolled._forward_numpy`` / ``_backward_numpy``
-``dense``     ``nn/_dense_kernel.c``        the QBN node's, ``mse_loss``'s and ``Adam``'s
-                                            numpy code
+``dense``     ``nn/_dense_kernel.c``        the QBN node's quantiser, tanh-gradient
+                                            products and bias sums; ``Adam``'s flat pass
 ============  ============================  ===============================================
 
 Each kernel module calls :func:`register` with its source, a ``wrap``

@@ -1,21 +1,19 @@
 /* The elementwise glue of a QBN training step and of an Adam step.
  *
  * A QuantizedBottleneckNetwork forward that builds a graph forms each
- * layer's product with numpy (the BLAS route matmul_np takes), then
- * repro_dense_bias adds the bias into that fresh product and numpy takes
- * its tanh in place; repro_dense_quantize snaps the latent to its levels.
- * Its backward forms every input and weight gradient with numpy, and
+ * layer with numpy (the BLAS route matmul_np takes, the bias add and the
+ * tanh); repro_dense_quantize snaps the latent to its levels.  Its
+ * backward forms every input and weight gradient with numpy, and
  * repro_dense_backward multiplies a fresh input gradient through the
  * tanh below it and sums the next bias's gradient over rows.
- * repro_dense_mse_grad is mse_loss's backward and repro_dense_adam one
- * Adam step over every parameter that holds a gradient.
+ * repro_dense_adam is one Adam step over every parameter that holds a
+ * gradient.
  *
- * BIT-EXACTNESS CONTRACT: every array comes out byte-equal to the numpy
- * code that stays the specification (QuantizedBottleneckNetwork's numpy
- * forward and backward, nearest_level_indices, mse_loss's numpy backward,
- * Adam._apply's flat numpy pass).  Only IEEE add, subtract, multiply,
- * divide, sqrt, fabs and compares happen here, each on the operands and
- * in the order numpy applies them; every BLAS call and tanh stays
+ * BIT-EXACTNESS CONTRACT: every array comes out byte-equal to the numpy code
+ * that stays the specification (QuantizedBottleneckNetwork's numpy backward,
+ * nearest_level_indices, Adam._apply's flat numpy pass).  Only IEEE add,
+ * subtract, multiply, divide, sqrt, fabs and compares happen here, each on the
+ * operands and in the order numpy applies them; every BLAS call and tanh stays
  * numpy's.  A bias sum starts from +0.0 and adds rows first to last, as
  * numpy's axis-0 reduce does for rows wider than one element.
  *
@@ -29,25 +27,6 @@
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
-
-/* out[r, j] += bias[j] for every row of an (rows, n) product. */
-void repro_dense_bias(double *restrict out, const double *restrict bias, int64_t rows, int64_t n)
-{
-    for (int64_t r = 0; r < rows; r++) {
-        double *restrict row = out + r * n;
-        int64_t j = 0;
-        /* Four independent lanes a pass, which -O2 packs into vector
-         * adds of the same roundings. */
-        for (; j + 4 <= n; j += 4) {
-            row[j] += bias[j];
-            row[j + 1] += bias[j + 1];
-            row[j + 2] += bias[j + 2];
-            row[j + 3] += bias[j + 3];
-        }
-        for (; j < n; j++)
-            row[j] += bias[j];
-    }
-}
 
 /* Clip each value to [-1, 1] (NaN stays NaN) and write the index of the
  * first level with the strictly smallest |v - level|, and that level.  A
@@ -106,23 +85,6 @@ void repro_dense_backward(double *restrict g, const double *restrict t, double *
             for (; j < n; j++)
                 sums[j] += row[j];
         }
-    }
-}
-
-/* out = (c * d) + (c * d), the two product terms the square's node adds. */
-void repro_dense_mse_grad(double *restrict out, const double *restrict diff, double c, int64_t size)
-{
-    int64_t e = 0;
-    for (; e + 4 <= size; e += 4) {
-        double t0 = c * diff[e], t1 = c * diff[e + 1], t2 = c * diff[e + 2], t3 = c * diff[e + 3];
-        out[e] = t0 + t0;
-        out[e + 1] = t1 + t1;
-        out[e + 2] = t2 + t2;
-        out[e + 3] = t3 + t3;
-    }
-    for (; e < size; e++) {
-        double term = c * diff[e];
-        out[e] = term + term;
     }
 }
 

@@ -2,15 +2,14 @@
 
 :class:`NativeDenseKernel` wraps the library, registered with
 :mod:`repro.native` as ``"dense"``, which loads it at first use (the
-first QBN forward that builds a graph, the first ``mse_loss`` backward or
-the first Adam step) and checks it against the numpy code it replaces,
-which stays the specification and the no-compiler path:
+first QBN forward that builds a graph or the first Adam step) and checks
+it against the numpy code it replaces, which stays the specification and
+the no-compiler path:
 
-* ``QuantizedBottleneckNetwork.forward``'s bias adds and quantiser
-  (numpy: ``matmul_np(a, w) + b`` and ``nearest_level_indices`` of the
-  clipped latent), and its backward's ``below * (1.0 - t ** 2)`` products
-  and bias sums (numpy: ``Tensor._accumulate``'s axis-0 sum);
-* ``mse_loss``'s backward (numpy: ``c * d`` added to itself);
+* ``QuantizedBottleneckNetwork.forward``'s quantiser (numpy:
+  ``nearest_level_indices`` of the clipped latent), and its backward's
+  ``below * (1.0 - t ** 2)`` products and bias sums (numpy:
+  ``Tensor._accumulate``'s axis-0 sum);
 * ``Adam._apply`` (numpy: the flat pass over runs of parameters).
 
 Every BLAS call and every ``tanh`` stays numpy's, on the same operand
@@ -47,10 +46,8 @@ class NativeDenseKernel:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         signatures = {
-            "bias": [_VOID_P, _VOID_P, _INT64, _INT64],
             "quantize": [_VOID_P, _VOID_P, _INT64, _INT64, _VOID_P, _VOID_P],
             "backward": [_VOID_P, _VOID_P, _VOID_P, _INT64, _INT64],
-            "mse_grad": [_VOID_P, _VOID_P, ctypes.c_double, _INT64],
             "adam": [_INT64, _VOID_P, _VOID_P, _VOID_P, _VOID_P, _VOID_P]
             + [ctypes.c_double] * 8,
         }
@@ -61,19 +58,6 @@ class NativeDenseKernel:
         self._lib = lib
         # The last optimiser's pointers (see _AdamPointers).
         self._adam: Optional[_AdamPointers] = None
-
-    def add_bias(self, product: np.ndarray, bias: np.ndarray) -> bool:
-        """``product + bias``, written into ``product``, the new array
-        ``matmul_np`` returned; ``False`` (nothing written) when the two do
-        not fit the kernel."""
-        bias = np.ascontiguousarray(bias, dtype=np.float64)
-        if not _writable_rows(product) or bias.shape != product.shape[-1:]:
-            return False
-        width = bias.shape[0]
-        self._lib.repro_dense_bias(
-            _address(product), _address(bias), product.size // width, width
-        )
-        return True
 
     def quantize(self, values: np.ndarray, levels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(index, levels[index])`` with ``index =
@@ -120,13 +104,6 @@ class NativeDenseKernel:
         elif bias.requires_grad:
             bias._accumulate(below)
         return below
-
-    def mse_grad(self, diff: np.ndarray, scale: float) -> np.ndarray:
-        """``(scale * diff) + (scale * diff)`` as a new array."""
-        diff = np.ascontiguousarray(diff, dtype=np.float64)
-        out = np.empty(diff.shape)
-        self._lib.repro_dense_mse_grad(_address(out), _address(diff), scale, diff.size)
-        return out
 
     def adam(
         self,

@@ -1,9 +1,9 @@
 """Policy evaluation: makespan measurement and controller comparison.
 
 Every episode runs on the :class:`~repro.engine.evaluation.EvaluationEngine`:
-:func:`compare_agents` as one lockstep batch for all routed agents, each
-on its own copy of the traces (compiled-FSM tables, batched GRU
-forwards or per-slot heuristic replicas),
+:func:`compare_agents` as one lockstep batch for all agents, each on its
+own copy of the traces (compiled-FSM tables, batched GRU forwards or
+per-slot heuristic replicas),
 :func:`evaluate_agent` one trace at a time (B = 1) with the caller's
 agent object doing the acting.  The two are pinned bit-identical (same
 ``episode_seed + index`` seeding, same ``np.sum`` reward reduction), and
@@ -50,9 +50,8 @@ def evaluate_agent(
     if not traces:
         raise ConfigurationError("evaluate_agent needs at least one trace")
     engine = EvaluationEngine(system_config, reward_config)
-    # ``agent`` itself is the only replica: an exploring or shared-rng
-    # agent draws from its stream in trace order, and whatever ``act``
-    # counts on the caller's object is still there afterwards.
+    # ``agent`` itself is the only replica: whatever ``act`` counts or
+    # carries on the caller's object is still there afterwards.
     backend = AgentBatchBackend(lambda: agent, engine.encoder, name=agent.name)
     result = EvaluationResult(agent_name=agent.name)
     for index, trace in enumerate(traces):
@@ -73,15 +72,13 @@ def compare_agents(
 ) -> Dict[str, EvaluationResult]:
     """Evaluate several agents on the same traces with matched random seeds.
 
-    Every agent the engine can replay faithfully is routed into one
-    lockstep batch for the whole comparison, each stepping its own copy
-    of the traces — greedy DRL agents as batched GRU forwards, extracted
-    FSMs on their compiled dense tables, heuristics as per-slot replicas
-    (see :func:`~repro.engine.evaluation.backend_for_agent`).  Agents the
-    lockstep lift cannot reproduce bit for bit (exploring DRL agents,
-    shared-rng agents) run one episode at a time through
-    :func:`evaluate_agent`; either way the numbers are identical.
-    Results are keyed by agent name, so names must be distinct.
+    Every agent is routed into one lockstep batch for the whole
+    comparison, each stepping its own copy of the traces — DRL agents as
+    batched GRU forwards, extracted FSMs on their compiled dense tables,
+    heuristics as per-slot replicas (see
+    :func:`~repro.engine.evaluation.backend_for_agent`) — with the
+    numbers :func:`evaluate_agent` gives each agent alone.  Results are
+    keyed by agent name, so names must be distinct.
     """
     names = [agent.name for agent in agents]
     repeated = sorted({name for name in names if names.count(name) > 1})
@@ -89,18 +86,8 @@ def compare_agents(
         raise ConfigurationError(f"compare_agents got agents with repeated names: {repeated}")
     # One engine — one default encoder, one vector env — routes every agent.
     engine = EvaluationEngine(system_config, reward_config)
-    routed = {}
-    for agent in agents:
-        backend = backend_for_agent(agent, engine.encoder)
-        if backend is not None:
-            routed[agent.name] = backend
-    results = engine.evaluate_many(routed, traces, episode_seed=episode_seed) if routed else {}
-    for agent in agents:
-        if agent.name not in routed:
-            results[agent.name] = evaluate_agent(
-                agent, traces, system_config, reward_config, episode_seed=episode_seed
-            )
-    return {agent.name: results[agent.name] for agent in agents}
+    backends = {agent.name: backend_for_agent(agent, engine.encoder) for agent in agents}
+    return engine.evaluate_many(backends, traces, episode_seed=episode_seed)
 
 
 def comparison_table(results: Dict[str, EvaluationResult]) -> str:

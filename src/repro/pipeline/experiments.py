@@ -38,6 +38,8 @@ def small_pipeline_config(
     (GRU-128, 1000 + 1000 epochs of pure A2C on the inverse-makespan
     reward) is the ``paper-curriculum`` sweep of
     ``benchmarks/scorecard.json``: these defaults with its overrides.
+    Those sweeps keep these QBN latents (12 observation, 16 hidden), not
+    the paper's L = 64.
     """
     return PipelineConfig(
         system=StorageSystemConfig(),

@@ -47,9 +47,10 @@ from repro.workloads.sampler import RealTraceSampler, SamplerConfig
 class PipelineConfig:
     """All knobs of the end-to-end pipeline.
 
-    The defaults are laptop-scale; the paper-scale settings (GRU-128,
-    2000 epochs, QBN latent 64) are documented per field and can be set
-    explicitly for a full run.
+    The defaults are laptop-scale.  The paper-scale settings (GRU-128,
+    2000 epochs, QBN latent 64) are set through the nested configs
+    (``policy.hidden_size``, ``curriculum``, ``qbn``); the scorecard's
+    ``paper-*`` sweeps set all but the QBN latents.
     """
 
     system: StorageSystemConfig = field(default_factory=StorageSystemConfig)

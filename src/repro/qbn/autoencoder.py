@@ -12,15 +12,14 @@ tanh; ``encoder_hidden``.  A trained weight therefore has the bits it
 would have had through the eight-node chain, which
 ``tests/test_nn_gru.py::TestFusedQBNBitwise`` holds as the oracle.
 
-A forward that builds a graph, and its backward, run their elementwise
-work in C (``repro/nn/_dense_kernel.c``, the :mod:`repro.native`
-kernel ``"dense"``) when it is ready:
-the bias adds into numpy's fresh products, the quantiser, each
-``below * (1.0 - t ** 2)`` and each bias's sum over rows.  Every gemm
-and ``tanh`` stays numpy's, on the same operands.  The numpy code here
-(``_affine`` and ``nearest_level_indices`` forward, ``_through_tanh``
-backward) is the kernel's specification and the no-compiler path, and
-what ``discrete_code`` always runs.
+A forward that builds a graph, and its backward, run part of their
+elementwise work in C (``repro/nn/_dense_kernel.c``, the
+:mod:`repro.native` kernel ``"dense"``) when it is ready: the
+quantiser, each ``below * (1.0 - t ** 2)`` and each bias's sum over
+rows.  Every gemm, bias add and ``tanh`` stays numpy's, on the same
+operands.  The numpy code here (``nearest_level_indices`` forward,
+``_through_tanh`` backward) is the kernel's specification and the
+no-compiler path, and what ``discrete_code`` always runs.
 """
 
 from __future__ import annotations
@@ -40,17 +39,14 @@ from repro.qbn.quantize import nearest_level_indices, quantization_levels
 from repro.utils.rng import SeedLike, new_rng
 
 
-def _affine(a: np.ndarray, layer: Linear, kernel: Optional[NativeDenseKernel] = None) -> np.ndarray:
+def _affine(a: np.ndarray, layer: Linear) -> np.ndarray:
     """``layer``'s forward on a plain array (``a W``, then ``+ b``)."""
-    product = matmul_np(a, layer.weight.data)
-    if kernel is not None and kernel.add_bias(product, layer.bias.data):
-        return product
-    return product + layer.bias.data
+    return matmul_np(a, layer.weight.data) + layer.bias.data
 
 
-def _tanh_affine(a: np.ndarray, layer: Linear, kernel: Optional[NativeDenseKernel] = None) -> np.ndarray:
+def _tanh_affine(a: np.ndarray, layer: Linear) -> np.ndarray:
     """``tanh`` of ``layer``'s forward, in place in the new array."""
-    out = _affine(a, layer, kernel)
+    out = _affine(a, layer)
     return np.tanh(out, out=out)
 
 
@@ -114,28 +110,24 @@ class QuantizedBottleneckNetwork(Module):
     # ------------------------------------------------------------------
     # Differentiable path
     # ------------------------------------------------------------------
-    def _encode_np(
-        self, x, kernel: Optional[NativeDenseKernel] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _encode_np(self, x) -> Tuple[np.ndarray, np.ndarray]:
         """``(tanh hidden, tanh latent)`` of ``x``."""
         x = Tensor(x).data
         if x.shape[-1] != self.config.input_dim:
             raise ShapeError(
                 f"QBN expected last dim {self.config.input_dim}, got input shape {x.shape}"
             )
-        hidden = _tanh_affine(x, self.encoder_hidden, kernel)
-        return hidden, _tanh_affine(hidden, self.encoder_latent, kernel)
+        hidden = _tanh_affine(x, self.encoder_hidden)
+        return hidden, _tanh_affine(hidden, self.encoder_latent)
 
     def _level_indices(self, latent: np.ndarray) -> np.ndarray:
         """Index of the level nearest each clipped latent entry."""
         return nearest_level_indices(np.clip(latent, -1.0, 1.0), self.config.quantization_levels)
 
-    def _decode_np(
-        self, code: np.ndarray, kernel: Optional[NativeDenseKernel] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _decode_np(self, code: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(tanh hidden, reconstruction)`` of a quantised latent."""
-        hidden = _tanh_affine(code, self.decoder_hidden, kernel)
-        return hidden, _affine(hidden, self.decoder_output, kernel)
+        hidden = _tanh_affine(code, self.decoder_hidden)
+        return hidden, _affine(hidden, self.decoder_output)
 
     def forward(self, x: Tensor) -> Tensor:
         """Reconstruction of ``x`` through the quantised bottleneck (one node)."""
@@ -146,13 +138,13 @@ class QuantizedBottleneckNetwork(Module):
         kernel = None
         if x.ndim <= 2 and is_grad_enabled() and any(p.requires_grad for p in parents):
             kernel = native_kernel("dense")
-        encoder_hidden, latent = self._encode_np(x, kernel)
+        encoder_hidden, latent = self._encode_np(x)
         levels = quantization_levels(self.config.quantization_levels)
         if kernel is None:
             code = levels[self._level_indices(latent)]
         else:
             code = kernel.quantize(latent, levels)[1]
-        decoder_hidden, data = self._decode_np(code, kernel)
+        decoder_hidden, data = self._decode_np(code)
 
         def backward(grad: np.ndarray) -> None:
             inputs = (x.data, encoder_hidden, code, decoder_hidden)

@@ -19,7 +19,7 @@
  *   - a level's totals are summed in numpy's pairwise order for rows
  *     under 16 elements: left to right from 0.0 below 8 elements, else
  *     eight accumulators, the balanced tree, then a sequential tail
- *     (dispatcher.pairwise_sum_ragged is the executable specification).
+ *     (vector_state.pairwise_sum_ragged is the executable specification).
  *
  * The build disables FP contraction and uses no unsafe-math flag (an FMA
  * or a reassociation changes roundings), and the loader steps a seeded

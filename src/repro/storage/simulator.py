@@ -21,8 +21,9 @@ For an interval's workload ``w(t)`` the demand placed on each level is
 
 Each level keeps a backlog of unfinished work; unfinished requests are
 postponed to later intervals (paper Section 2, property 2).  Work inside
-a level is assigned to cores by the polling dispatcher, which does not
-redistribute work away from slow (penalised or idle) cores.
+a level is assigned to cores by polling, which does not redistribute
+work away from slow (penalised or idle) cores (the "Dispatch rule" of
+:mod:`repro.storage.vector_state`).
 
 Implementation note: the scalar simulator is the ``B=1`` view of the
 struct-of-arrays :class:`~repro.storage.vector_state.VectorSimulatorState`
@@ -39,7 +40,6 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.storage.dispatcher import get_dispatcher
 from repro.storage.levels import LEVELS, Level
 from repro.storage.metrics import EpisodeMetrics, IntervalMetrics, StepValues
 from repro.storage.migration import MigrationAction
@@ -70,7 +70,6 @@ class StorageSystemConfig:
     rv_write_factor: float = 0.7
     kv_read_miss_factor: float = 0.5
     rv_read_miss_factor: float = 0.35
-    dispatcher: str = "polling"
     max_intervals_factor: float = 12.0
     max_intervals_slack: int = 50
 
@@ -130,7 +129,6 @@ class StorageSystemConfig:
             raise ConfigurationError("max_intervals_factor must be >= 1")
         if self.max_intervals_slack < 0:
             raise ConfigurationError("max_intervals_slack must be >= 0")
-        get_dispatcher(self.dispatcher)
 
     def total_capability_kb(self) -> float:
         """Ideal maximum processing capability per interval (Definition 2)."""

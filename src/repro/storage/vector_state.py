@@ -65,14 +65,23 @@ Kernels
 reset, byte-equal in every state array:
 
 1. the native kernel (``_sim_kernel.c``, registered with
-   :mod:`repro.native` as ``"simulator"``), when it is ready, dispatch is
-   polling and no level can hold more than 15 cores — one C pass for
+   :mod:`repro.native` as ``"simulator"``), when it is ready and no
+   level can hold more than 15 cores — one C pass for
    migrations and injection, one for dispatch through the done flags,
    on either side of the idle draws, which stay in Python;
 2. otherwise the numpy migration and injection passes and the per-cell
    reference dispatch loop: the specification the native kernel is
    checked against when it loads.  It is there for correctness, not
    for serving.
+
+Dispatch rule
+-------------
+The paper assigns IO requests to cores "in a polling manner" (Section
+2, property 1), with no work stealing: a request queued on a slow core
+(one paying a migration penalty, say) stays there.  Both kernels split
+a level's pending work evenly over its cores and let each core process
+at most its own effective capacity, so work assigned to a penalised or
+idle core is not redistributed.
 """
 
 from __future__ import annotations
@@ -85,7 +94,6 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.native import _address, kernel as native_kernel, register
-from repro.storage.dispatcher import get_dispatcher
 from repro.storage.levels import LEVELS
 from repro.storage.metrics import EpisodeMetrics, StepColumns, StepValues
 from repro.storage.migration import (
@@ -118,8 +126,6 @@ class VectorSimulatorState:
         config.validate()
         self.config = config
         self._record_metrics = bool(record_metrics)
-        self._dispatch = get_dispatcher(config.dispatcher)
-        self._dispatch_is_polling = config.dispatcher == "polling"
         self._capability = float(config.core_capability_kb)
         self._penalized_capability = self._capability * (1.0 - config.migration_penalty)
         self._arange_buffer = np.arange(0)
@@ -131,11 +137,8 @@ class VectorSimulatorState:
         )
         # The native kernel replays numpy's pairwise summation for rows
         # below 16 elements (left-to-right under 8, unrolled tree + tail
-        # up to 15) and dispatches by polling only; wider levels and
-        # other dispatchers step on the reference loop.
-        self._native_supported = (
-            self._dispatch_is_polling and self._level_capacity <= _KERNEL_MAX_WIDTH
-        )
+        # up to 15); wider levels step on the reference loop.
+        self._native_supported = self._level_capacity <= _KERNEL_MAX_WIDTH
         # Sentinel core id marking padding positions; it compares greater
         # than every real id — and also greater than any penalised core's
         # selection key ``id + N`` — so insertion-point searches and the
@@ -524,7 +527,8 @@ class VectorSimulatorState:
         self.idle[ix], _ = self._streams.idle_poisson(lanes, counts, lam, np.exp(-lam))
 
     def _process_intervals_reference(self, rows: np.ndarray) -> None:
-        """Per-cell dispatch loop — the scalar simulator's exact inner loop.
+        """Per-cell polling dispatch loop — the scalar simulator's exact
+        inner loop (the module docstring's "Dispatch rule").
 
         The specification of the native kernel's dispatch, and the
         dispatch of every state the native kernel does not step.
@@ -535,6 +539,8 @@ class VectorSimulatorState:
             no_penalty = not (cooldown_rows > 0).any()
             for level_index in range(_NUM_LEVELS):
                 core_count = int(self.counts[slot, level_index])
+                if not core_count:
+                    raise SimulationError(_EMPTY_LEVEL)
                 idle = int(self.idle[slot, level_index])
                 if no_penalty:
                     capacities = np.full(core_count, capability, dtype=float)
@@ -552,10 +558,7 @@ class VectorSimulatorState:
                     capacities[order[:idle]] = 0.0
                 total_capacity = float(capacities.sum())
                 pending = self.backlog[slot, level_index]
-                if self._dispatch_is_polling and capacities.size:
-                    processed_kb = np.minimum(pending / capacities.size, capacities)
-                else:
-                    processed_kb = self._dispatch(pending, capacities).processed_kb
+                processed_kb = np.minimum(pending / capacities.size, capacities)
                 total_processed = float(processed_kb.sum())
                 self.processed[slot, level_index] = total_processed
                 self.capacity[slot, level_index] = total_capacity
@@ -603,6 +606,63 @@ class VectorSimulatorState:
 # ----------------------------------------------------------------------
 # Native kernel
 # ----------------------------------------------------------------------
+#: Largest row length :func:`pairwise_sum_ragged` reproduces; numpy's
+#: pairwise summation switches to recursive splitting above this block
+#: size (``PW_BLOCKSIZE``), which the column-accumulate model does not
+#: cover.  Callers with longer rows must fall back to per-row ``sum()``.
+PAIRWISE_MAX_LENGTH = 128
+
+
+def pairwise_sum_ragged(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per-cell ``values[..., :lengths[...]].sum()`` for ragged rows.
+
+    ``values`` is ``(..., n_max)`` with ``0 <= lengths <= n_max``; cell
+    ``c`` of the result is bit-identical to ``values[c, :lengths[c]].sum()``
+    — the function replays numpy's pairwise summation order for every
+    row length at once (a plain left-to-right accumulation below 8
+    elements, the 8-accumulator unrolled tree with a sequential tail up
+    to :data:`PAIRWISE_MAX_LENGTH`) using one masked column pass.
+    Columns at and beyond a cell's length may hold arbitrary finite
+    garbage; they never reach an accumulation.
+
+    This is the **executable specification** of the summation-order
+    model that the native simulator step (``pairwise_sum`` in
+    ``_sim_kernel.c``) inlines for its hot path:
+    ``tests/test_vector_state.py`` pins this function against per-row
+    ``sum()`` across lengths, so a numpy
+    upgrade that changes the pairwise internals fails here loudly
+    instead of silently drifting a golden trace.
+    """
+    n_max = values.shape[-1]
+    if n_max > PAIRWISE_MAX_LENGTH:
+        raise SimulationError(
+            f"pairwise_sum_ragged supports rows up to {PAIRWISE_MAX_LENGTH}, got {n_max}"
+        )
+    # Left-to-right accumulation: exact for lengths < 8.
+    small = np.zeros(values.shape[:-1])
+    for j in range(min(n_max, 7)):
+        small = small + np.where(j < lengths, values[..., j], 0.0)
+    if n_max < 8:
+        return small
+    # 8-accumulator unrolled path for lengths >= 8: full blocks of 8
+    # accumulate r[j] += a[8k + j], the eight accumulators combine as a
+    # balanced tree, and the non-multiple-of-8 tail adds sequentially.
+    full_blocks = lengths - lengths % 8
+    accumulators = [np.array(values[..., j]) for j in range(8)]
+    for base in range(8, n_max - 7, 8):
+        include = base + 8 <= full_blocks
+        for j in range(8):
+            accumulators[j] = accumulators[j] + np.where(
+                include, values[..., base + j], 0.0
+            )
+    big = (
+        (accumulators[0] + accumulators[1]) + (accumulators[2] + accumulators[3])
+    ) + ((accumulators[4] + accumulators[5]) + (accumulators[6] + accumulators[7]))
+    for j in range(8, n_max):
+        big = big + np.where((full_blocks <= j) & (j < lengths), values[..., j], 0.0)
+    return np.where(lengths < 8, small, big)
+
+
 _KERNEL_MAX_WIDTH = 15  # MAX_WIDTH in the C file
 # The state arrays ``sim_args`` points at, in its field order, with the
 # dtype the C side reads them as (all C-contiguous, batch-major).

@@ -147,23 +147,19 @@ class TestCollectorEquivalence:
 
 class TestActBatch:
     def test_act_batch_single_row_matches_act(self, tiny_policy, env, short_trace):
-        """``DRLPolicyAgent.act`` is the one-row ``act_batch`` on the
-        agent's action lane, its hidden row carried from step to step."""
+        """``DRLPolicyAgent.act`` is the one-row greedy ``act_batch``, its
+        hidden row carried from step to step."""
         encoder = env.observation_encoder
-        agent = DRLPolicyAgent(tiny_policy, encoder, epsilon=0.2, rng=3)
+        agent = DRLPolicyAgent(tiny_policy, encoder)
         observation = env.reset(short_trace, rng=0)
         agent.reset()
-        lane = episode_lanes([3], ACTION_DOMAIN)
         hidden = tiny_policy.initial_hidden_np(1)
         for _ in range(len(short_trace)):
-            expected = tiny_policy.act_batch(
-                encoder.normalize(observation)[None], hidden, lane.uniforms, epsilon=0.2
-            )
+            expected = tiny_policy.act_batch(encoder.normalize(observation)[None], hidden)
             assert int(agent.act(observation)) == int(expected.actions[0])
             hidden = expected.hidden_states
             np.testing.assert_array_equal(agent.hidden_state, hidden[0])
             observation = env.step(int(expected.actions[0])).observation
-        assert agent._streams._cursors.tolist() == lane._cursors.tolist() == [2 * len(short_trace)]
 
     @pytest.mark.parametrize("hidden_size", [16, 48])
     @pytest.mark.parametrize(

@@ -41,13 +41,13 @@ class TestCheckpointRoundtrip:
     def test_act_bit_identical_after_reload(
         self, checkpoint_path, trained_ish_policy, env, short_trace
     ):
-        """An exploring agent on the reloaded policy acts, and carries its
-        hidden state, exactly like one on the original."""
+        """An agent on the reloaded policy acts, and carries its hidden
+        state, exactly like one on the original."""
         save_policy(checkpoint_path, trained_ish_policy)
         reloaded = load_policy(checkpoint_path)
         encoder = env.observation_encoder
-        original = DRLPolicyAgent(trained_ish_policy, encoder, epsilon=0.1, rng=9)
-        restored = DRLPolicyAgent(reloaded, encoder, epsilon=0.1, rng=9)
+        original = DRLPolicyAgent(trained_ish_policy, encoder)
+        restored = DRLPolicyAgent(reloaded, encoder)
         observation = env.reset(short_trace, rng=3)
         for _ in range(len(short_trace)):
             action = original.act(observation)

@@ -205,28 +205,6 @@ class TestEvaluateMany:
         assert len(makespans) > 1
         assert len({len(trace) for trace in ragged_traces}) == 12
 
-    def test_compare_agents_with_an_exploring_agent(self, ragged_traces, system_config, tiny_policy):
-        encoder = ObservationEncoder(system_config)
-
-        def agents():
-            explorer = DRLPolicyAgent(tiny_policy, encoder, epsilon=0.3, rng=3)
-            explorer.name = "drl_explorer"
-            return [
-                DefaultPolicy(),
-                explorer,
-                DRLPolicyAgent(tiny_policy, encoder),
-                GreedyUtilizationPolicy(),
-            ]
-
-        routed = compare_agents(agents(), ragged_traces, episode_seed=2)
-        assert [backend_for_agent(agent, encoder) is None for agent in agents()] == [
-            False, True, False, False
-        ]
-        assert list(routed) == [agent.name for agent in agents()]
-        for agent in agents():
-            reference = evaluate_agent(agent, ragged_traces, episode_seed=2)
-            assert_results_identical(routed[agent.name], reference)
-
     @pytest.mark.parametrize(
         "make_agent",
         [
@@ -234,8 +212,6 @@ class TestEvaluateMany:
             lambda: DRLPolicyAgent(
                 RecurrentPolicyValueNet(PolicyConfig(hidden_size=4), rng=0),
                 ObservationEncoder(StorageSystemConfig()),
-                epsilon=0.5,
-                rng=0,
             ),
         ],
     )
@@ -312,18 +288,14 @@ class TestScalarOracle:
             system_config,
         )
 
-    def test_exploring_drl_agent_matches_scalar_env(
+    def test_drl_agent_matches_scalar_env(
         self, scalar_episode, suite_traces, system_config, tiny_policy
     ):
         encoder = ObservationEncoder(system_config)
-        live = DRLPolicyAgent(tiny_policy, encoder, epsilon=0.3, rng=3)
-        twin = DRLPolicyAgent(tiny_policy, encoder, epsilon=0.3, rng=3)
-        assert backend_for_agent(live, encoder) is None
+        live = DRLPolicyAgent(tiny_policy, encoder)
+        twin = DRLPolicyAgent(tiny_policy, encoder)
         self._assert_matches_oracle(scalar_episode, live, twin, suite_traces[:4], system_config)
-        # One shared exploration lane, consumed in trace order, and the
-        # last episode's hidden row: both are on the caller's object.
-        assert live._streams._cursors.tolist() == twin._streams._cursors.tolist()
-        assert live._streams._cursors.tolist() != [0]
+        # The last episode's hidden row is on the caller's object.
         np.testing.assert_array_equal(live.hidden_state, twin.hidden_state)
 
     def test_side_counters_land_on_the_callers_agent(
@@ -392,20 +364,6 @@ class TestBackendRouting:
         backend = backend_for_agent(agent, encoder)
         assert isinstance(backend, GRUPolicyBackend)
         assert backend.policy is tiny_policy
-
-    def test_exploring_drl_falls_back_to_sequential(self, system_config, tiny_policy):
-        encoder = ObservationEncoder(system_config)
-        agent = DRLPolicyAgent(tiny_policy, encoder, epsilon=0.1, rng=3)
-        assert backend_for_agent(agent, encoder) is None
-
-    @pytest.mark.parametrize("epsilon", [float("nan"), -0.5, 1.5])
-    def test_drl_agent_refuses_epsilon_outside_unit_interval(
-        self, system_config, tiny_policy, epsilon
-    ):
-        """NaN and negative rates never explore, yet routing would send
-        such an agent off the lockstep path as an exploring one."""
-        with pytest.raises(ConfigurationError, match="epsilon"):
-            DRLPolicyAgent(tiny_policy, ObservationEncoder(system_config), epsilon=epsilon)
 
     def test_heuristic_routes_to_replica_backend(self, system_config):
         encoder = ObservationEncoder(system_config)

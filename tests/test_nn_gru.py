@@ -1214,9 +1214,9 @@ def _dense_bytes(case):
             return index.astype(np.int64), alphabet[index]
         return kernel.quantize(values, alphabet)
 
-    hidden, latent = qbn._encode_np(x.data, kernel)
+    hidden, latent = qbn._encode_np(x.data)
     index, code = quantize(latent)
-    decoder_hidden, out = qbn._decode_np(code, kernel)
+    decoder_hidden, out = qbn._decode_np(code)
     midpoints = (alphabet[:-1] + alphabet[1:]) / 2
     special = np.concatenate([_SPECIAL_LATENTS, midpoints, rng.uniform(-1.5, 1.5, 16)])
     arrays = [hidden, latent, index, code, decoder_hidden, out, *quantize(rng.permutation(special))]
@@ -1249,9 +1249,8 @@ def _dense_bytes(case):
 
 class TestNativeDenseKernelBitwise:
     """``_dense_kernel.c`` writes the bytes of the numpy code it replaces:
-    the QBN node's forward arrays, codes and gradients, ``mse_loss``'s
-    value and gradient, and Adam's moments and weights.  CI reruns the
-    class under a second OpenBLAS kernel family."""
+    the QBN node's codes and gradients, and Adam's moments and weights.
+    CI reruns the class under a second OpenBLAS kernel family."""
 
     @given(case=_dense_case())
     @settings(max_examples=60, deadline=None)
@@ -1317,7 +1316,7 @@ class TestNativeDenseKernelBitwise:
             qbn(Tensor(x, requires_grad=True))
         assert "dense" not in native._kernels
 
-    @pytest.mark.parametrize("method", ["add_bias", "quantize", "tanh_backward", "mse_grad", "adam"])
+    @pytest.mark.parametrize("method", ["quantize", "tanh_backward", "adam"])
     def test_a_kernel_that_differs_leaves_numpy_in_charge(self, monkeypatch, method):
         """One ulp of one output of one kernel entry fails the load-time self-check."""
         native_or_skip("dense")
@@ -1326,10 +1325,9 @@ class TestNativeDenseKernelBitwise:
 
         def one_ulp_off(self, *args):
             result = shipped(self, *args)
-            # add_bias: the product; quantize: the code; adam: the last
-            # parameter's weights; the others: the array they return.
+            # quantize: the code; adam: the last parameter's weights;
+            # tanh_backward: the array it returns.
             target = {
-                "add_bias": lambda: args[0],
                 "quantize": lambda: result[1],
                 "adam": lambda: args[0][-1].data,
             }.get(method, lambda: result)()

@@ -118,7 +118,7 @@ def make_random_machine(
         # Fallback-only prototypes: random codes that serve-time
         # observations will (almost) never quantise to.
         for _ in range(3):
-            key = tuple(int(c) for c in rng.integers(0, 3, size=OBS_LATENT))
+            key = tuple(int(c) for c in rng.integers(0, 3, size=qbn.config.latent_dim))
             fsm.observation_prototypes.setdefault(key, rng.normal(size=known_vectors.shape[1]))
     fill_every_cell(fsm, rng)
     if rng.random() < 0.5:
@@ -291,6 +291,105 @@ class TestCompiledEquivalence:
                 for i in range(len(streams))
             ]
             assert decision.actions.tolist() == expected
+
+
+def _serve_profiles(policy, streams, encoder):
+    """Every profile's stream as one session of one batch: (actions, next
+    states, fallbacks) per step."""
+    names = profile_names()
+    states = np.full(len(names), policy.start_state, dtype=np.int64)
+    steps = []
+    for step in range(min(len(streams[name]) for name in names)):
+        raw = np.stack([streams[name][step] for name in names])
+        decision = policy.act_batch(raw, states, encoder)
+        states = decision.next_states
+        steps.append((decision.actions.tolist(), states.tolist(), decision.fallback_mask.tolist()))
+    return steps
+
+
+class TestQuantiserPaths:
+    """A host whose ``tanh`` fails the threshold check serves through the
+    reference quantiser (``_latent_thresholds is None``): it must code
+    like ``discrete_code`` and resolve like the threshold path."""
+
+    def _twins(self, qbn, profile_streams, shared_encoder):
+        sample = np.concatenate(
+            [shared_encoder.normalize_batch(profile_streams[n][:4]) for n in profile_names()]
+        )
+        fsm = make_random_machine(5000, qbn, sample)
+        threshold = CompiledFSMPolicy.compile(fsm, qbn, encoder=shared_encoder)
+        reference = CompiledFSMPolicy.compile(fsm, qbn, encoder=shared_encoder)
+        assert threshold._latent_thresholds is not None
+        reference._latent_thresholds = None
+        return threshold, reference
+
+    def _assert_paths_agree(self, qbn, threshold, reference, raw, encoder):
+        normalized = encoder.normalize_batch(raw)
+        codes = qbn.discrete_code(normalized)
+        assert np.array_equal(reference.encode_codes(normalized), codes)
+        assert np.array_equal(threshold.encode_codes(normalized), codes)
+        columns, fallback = threshold.resolve_observations(raw, encoder)
+        ref_columns, ref_fallback = reference.resolve_observations(raw, encoder)
+        assert np.array_equal(ref_columns, columns)
+        assert np.array_equal(ref_fallback, fallback)
+        return codes
+
+    def test_random_rows(self, profile_streams, shared_encoder):
+        qbn = build_observation_qbn(35, latent_dim=OBS_LATENT, hidden_dim=16, rng=21)
+        threshold, reference = self._twins(qbn, profile_streams, shared_encoder)
+        raw = np.concatenate([profile_streams[n] for n in profile_names()])
+        noisy = raw * np.random.default_rng(5).uniform(0.5, 1.5, raw.shape)
+        self._assert_paths_agree(qbn, threshold, reference, np.concatenate([raw, noisy]), shared_encoder)
+
+    def test_pre_activations_one_ulp_around_each_threshold(self, profile_streams, shared_encoder):
+        """A zero latent weight makes each latent pre-activation its bias:
+        every threshold, and the floats on either side of it, once a row."""
+        qbn = build_observation_qbn(35, latent_dim=OBS_LATENT, hidden_dim=16, rng=22)
+        thresholds = compiled_fsm._tanh_code_thresholds(qbn.config.quantization_levels)
+        qbn.encoder_latent.weight.data[...] = 0.0
+        qbn.encoder_latent.bias.data[...] = [
+            value
+            for threshold in thresholds
+            for value in (np.nextafter(threshold, -np.inf), threshold, np.nextafter(threshold, np.inf))
+        ]
+        threshold, reference = self._twins(qbn, profile_streams, shared_encoder)
+        raw = np.concatenate([profile_streams[n][:3] for n in profile_names()])
+        codes = self._assert_paths_agree(qbn, threshold, reference, raw, shared_encoder)
+        assert (codes == [0, 1, 1, 1, 2, 2]).all()
+
+
+class TestWideCodes:
+    """k**L >= 2**62 (L >= 40 at k = 3, the paper's L = 64 included)
+    cannot pack a code into an int64: the bytes-keyed lookup serves."""
+
+    @pytest.mark.parametrize("latent", [40, 64])
+    def test_bytes_keyed_lookup_matches_agents_and_survives_save_load(
+        self, latent, profile_streams, shared_encoder, tmp_path
+    ):
+        names = profile_names()
+        sample = np.concatenate(
+            [shared_encoder.normalize_batch(profile_streams[n][:4]) for n in names]
+        )
+        qbn = build_observation_qbn(35, latent_dim=latent, hidden_dim=16, rng=latent)
+        fsm = make_random_machine(6000 + latent, qbn, sample)
+        compiled = CompiledFSMPolicy.compile(fsm, qbn, encoder=shared_encoder)
+        assert compiled._pack_vector is None and compiled._code_to_column is not None
+
+        served = _serve_profiles(compiled, profile_streams, shared_encoder)
+        agents = [make_agent(fsm, qbn, shared_encoder) for _ in names]
+        for step, (actions, _states, _fallback) in enumerate(served):
+            expected = [
+                int(agent.act(shared_encoder.split_raw(profile_streams[name][step])))
+                for agent, name in zip(agents, names)
+            ]
+            assert actions == expected, step
+        unseen = sum(agent.unseen_observation_count for agent in agents)
+        assert compiled.fallback_count == unseen > 0
+        assert any(any(not row for row in fallback) for _, _, fallback in served)
+
+        compiled.save(tmp_path / "wide.npz")
+        reloaded = CompiledFSMPolicy.load(tmp_path / "wide.npz")
+        assert _serve_profiles(reloaded, profile_streams, shared_encoder) == served
 
 
 @pytest.fixture(scope="module")

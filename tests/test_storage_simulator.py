@@ -1,16 +1,17 @@
-"""Tests for the storage simulator: dispatch, stepping, invariants, makespan."""
+"""Tests for the storage simulator: polling dispatch, stepping, invariants, makespan."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.storage.dispatcher import polling_dispatch, proportional_dispatch, get_dispatcher
 from repro.storage.levels import LEVELS, Level
 from repro.storage.migration import MigrationAction
 from repro.storage.simulator import StorageSimulator, StorageSystemConfig
+from repro.storage.vector_state import VectorSimulatorState
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
 from repro.storage.iorequest import NUM_IO_TYPES
+from repro.utils.rng import IDLE_DOMAIN, episode_lanes
 
 
 def _trace(intervals=5, requests=5000.0, write_heavy=False, name="test-trace"):
@@ -22,43 +23,57 @@ def _trace(intervals=5, requests=5000.0, write_heavy=False, name="test-trace"):
     return WorkloadTrace(name, [WorkloadInterval(ratios, requests) for _ in range(intervals)])
 
 
+def _dispatch_normal(pending_kb, cooldowns=(0, 0), idle=0, cores=2):
+    """One interval of polling dispatch on a NORMAL level of ``cores``
+    cores (40 000 kB each, 32 000 while penalised), through the reference
+    dispatch loop: ``(processed, backlog, capacity, utilization)``."""
+    config = StorageSystemConfig(
+        total_cores=4, initial_allocation={"NORMAL": 2, "KV": 1, "RV": 1}
+    )
+    state = VectorSimulatorState(config)
+    state.reset([_trace(intervals=1)], rngs=episode_lanes([0], IDLE_DOMAIN))
+    state.counts[0, 0] = cores
+    state.backlog[0, 0] = pending_kb
+    state.pos_cooldown[0, 0, :cores] = cooldowns
+    state.idle[0, 0] = idle
+    state._process_intervals_reference(np.arange(1))
+    return tuple(
+        float(column[0, 0])
+        for column in (state.processed, state.backlog, state.capacity, state.utilization)
+    )
+
+
 class TestDispatchers:
+    """The paper's polling rule: an even split, no work stealing."""
+
     def test_polling_even_split(self):
-        result = polling_dispatch(100.0, [50.0, 50.0])
-        np.testing.assert_allclose(result.assigned_kb, [50.0, 50.0])
-        assert result.total_processed == 100.0
-        assert result.leftover_kb == 0.0
+        processed, backlog, _capacity, _ = _dispatch_normal(80_000.0)
+        assert processed == 80_000.0
+        assert backlog == 0.0
 
     def test_polling_no_work_stealing(self):
-        # Slow core keeps its share even though the fast core has spare capacity.
-        result = polling_dispatch(100.0, [10.0, 100.0])
-        assert result.total_processed == pytest.approx(60.0)
-        assert result.leftover_kb == pytest.approx(40.0)
-
-    def test_proportional_uses_capacity(self):
-        result = proportional_dispatch(100.0, [10.0, 100.0])
-        assert result.total_processed == pytest.approx(100.0)
+        # The penalised core keeps its 35 000 kB share though the fast
+        # core has 5 000 kB spare and the level could process it all.
+        processed, backlog, capacity, _ = _dispatch_normal(70_000.0, cooldowns=(1, 0))
+        assert capacity == 72_000.0
+        assert processed == pytest.approx(67_000.0)
+        assert backlog == pytest.approx(3_000.0)
 
     def test_utilization_bounds(self):
-        result = polling_dispatch(1e9, [10.0, 10.0])
-        assert result.utilization == 1.0
-        assert np.all(result.per_core_utilization <= 1.0)
+        processed, _backlog, capacity, utilization = _dispatch_normal(1e9)
+        assert processed == capacity
+        assert utilization == 1.0
 
     def test_zero_capacity_core(self):
-        result = polling_dispatch(10.0, [0.0, 10.0])
-        assert result.per_core_utilization[0] == 0.0
+        # An idle core's share waits for the next interval.
+        processed, backlog, capacity, utilization = _dispatch_normal(10.0, idle=1)
+        assert capacity == 40_000.0
+        assert processed == backlog == 5.0
+        assert 0.0 < utilization < 1.0
 
     def test_validation(self):
-        with pytest.raises(SimulationError):
-            polling_dispatch(-1.0, [10.0])
-        with pytest.raises(SimulationError):
-            polling_dispatch(1.0, [])
-        with pytest.raises(SimulationError):
-            get_dispatcher("nonexistent")
-
-    def test_get_dispatcher(self):
-        assert get_dispatcher("polling") is polling_dispatch
-        assert get_dispatcher("proportional") is proportional_dispatch
+        with pytest.raises(SimulationError, match="at least one core"):
+            _dispatch_normal(1.0, cooldowns=(), cores=0)
 
 
 class TestConfigValidation:

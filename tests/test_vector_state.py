@@ -23,10 +23,9 @@ from repro.agents.proportional import ProportionalAllocationPolicy
 from repro.env.environment import StorageAllocationEnv
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import SimulationError
-from repro.storage.dispatcher import pairwise_sum_ragged
 from repro.storage import vector_state
 from repro.storage.simulator import StorageSimulator, StorageSystemConfig
-from repro.storage.vector_state import VectorSimulatorState
+from repro.storage.vector_state import VectorSimulatorState, pairwise_sum_ragged
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
 from repro import native
 from repro.utils import rng as rng_module
@@ -119,14 +118,15 @@ class TestKernelEquivalence:
         )
         _drive_and_compare(config, _batch_traces(real_traces, 4), [1, 2, 3, 4])
 
-    def test_native_supported_flag_respects_dispatcher(self):
+    def test_native_supported_flag_follows_level_width(self):
+        """The C step sums levels up to 15 cores wide; a wider one steps
+        on the reference loop."""
         assert VectorSimulatorState(StorageSystemConfig())._native_supported
-        state = VectorSimulatorState(StorageSystemConfig(dispatcher="proportional"))
-        assert not state._native_supported
-
-    def test_proportional_dispatcher_matches_scalar(self, real_traces):
-        config = StorageSystemConfig(dispatcher="proportional")
-        _drive_and_compare(config, _batch_traces(real_traces, 3), [0, 1, 2])
+        for total, supported in ((17, True), (18, False)):
+            config = StorageSystemConfig(
+                total_cores=total, initial_allocation={"NORMAL": total - 2, "KV": 1, "RV": 1}
+            )
+            assert VectorSimulatorState(config)._native_supported is supported
 
 
 _TOTAL_CORES = StorageSystemConfig().total_cores
