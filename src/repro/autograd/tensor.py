@@ -18,8 +18,8 @@ Design notes
 * Gradients are summed in the order the reversed DFS post-order visits
   the nodes.  Float addition does not associate, so that order decides
   the bits of every trained weight: a node that stands for a whole
-  sub-graph (``nn.Linear``, ``nn.GRUCell``) accumulates in the order its
-  op-by-op nodes would have.
+  sub-graph (``nn.Linear``, the QBN node, ``mse_loss``) accumulates in
+  the order its op-by-op nodes would have.
 * Broadcasting is supported for elementwise arithmetic; gradients are
   reduced back to each operand's shape by :func:`_unbroadcast`.
 * A module-level switch (:func:`no_grad`) disables graph construction

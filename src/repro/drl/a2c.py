@@ -6,9 +6,10 @@ Loss design follows A2C (Mnih et al., 2016) as cited by the paper:
         -  c_e * E[ H(pi(.|h_t)) ]
 
 with ``A_t = G_t - V(h_t)`` computed from Monte-Carlo discounted
-returns, Adam (lr 3e-4), global gradient-norm clipping at 2.0, and
-epsilon-greedy exploration at 0.1 — the hyper-parameters of paper
-Section 4.2.
+returns (normalised to zero mean and unit spread over the batch whenever
+it holds more than one and they are not all equal), Adam (lr 3e-4),
+global gradient-norm clipping at 2.0, and epsilon-greedy exploration at
+0.1 — the hyper-parameters of paper Section 4.2.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class A2CConfig:
     grad_clip_norm: float = 2.0
     epsilon: float = 0.1
     episodes_per_epoch: int = 1
-    normalize_advantages: bool = True
     n_step: int = 0
 
     def __post_init__(self) -> None:
@@ -206,7 +206,7 @@ class A2CTrainer:
             returns = batch.padded_returns(self.config.gamma)[time_idx, env_idx]
 
         advantages = returns - values_np
-        if self.config.normalize_advantages and advantages.size > 1:
+        if advantages.size > 1:
             std = advantages.std()
             if std > 1e-8:
                 advantages = (advantages - advantages.mean()) / std

@@ -77,7 +77,12 @@ class RecurrentPolicyValueNet(Module):
         return self.gru.initial_state(batch_size)
 
     def step(self, observation: Tensor, hidden: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
-        """One recurrent step: returns (logits, value, next_hidden) as tensors."""
+        """One recurrent step: returns (logits, value, next_hidden) as tensors.
+
+        The GRU step is its formulas in ``Tensor`` ops
+        (:meth:`~repro.nn.rnn.GRUCell.forward`) and each head one fused
+        ``Linear`` node; :meth:`unroll` is held to a chain of these steps.
+        """
         if not isinstance(observation, Tensor):
             observation = Tensor(observation)
         next_hidden = self.gru(observation, hidden)

@@ -13,11 +13,10 @@ each stepping its own copy of the trace set.  The loop itself is
 :func:`run_lockstep`, which runs on any vector env with one episode seed
 per trace: rollout collection
 (:class:`~repro.drl.rollout.BatchedRolloutCollector`) runs it too, with
-a backend that records what the policy saw and did.  Bit-identity contract:
-slot ``i`` of a copy reproduces the same episode run alone
-(:func:`~repro.pipeline.evaluation.evaluate_agent`, the B = 1 call of
-this engine) and a scalar ``StorageAllocationEnv`` loop exactly — it
-is seeded ``episode_seed + i`` (its Philox lane,
+a backend that records what the policy saw and did.  Bit-identity
+contract: slot ``i`` of a copy reproduces the same episode stepped alone
+on a scalar ``StorageAllocationEnv`` (``tests/conftest.py::scalar_episode``)
+exactly — it is seeded ``episode_seed + i`` (its Philox lane,
 :func:`~repro.utils.rng.episode_lanes`), and its total reward is the
 :func:`np.sum` of exactly its ``makespan`` active-step rewards, so
 makespans, episode metrics and total rewards are equal bit for bit.

@@ -2,7 +2,7 @@
 
 from repro.nn.module import Module, Parameter
 from repro.nn.linear import Linear
-from repro.nn.rnn import GRUCell, GRU
+from repro.nn.rnn import GRUCell
 from repro.nn import init
 
 __all__ = [
@@ -10,6 +10,5 @@ __all__ = [
     "Parameter",
     "Linear",
     "GRUCell",
-    "GRU",
     "init",
 ]

@@ -1,4 +1,4 @@
-"""Recurrent layers: a gated recurrent unit cell and a sequence wrapper.
+"""Recurrent layers: a gated recurrent unit cell and its sequence node.
 
 The paper uses a GRU with 128 hidden nodes as the recurrent backbone of
 the actor–critic network (Section 4.2).  The cell follows the standard
@@ -9,38 +9,20 @@ formulation:
     n_t = tanh   (x_t W_xn + r_t * (h_{t-1} W_hn) + b_n)
     h_t = (1 - z_t) * n_t + z_t * h_{t-1}
 
-One step is one autograd node.  Its forward evaluates the four lines
-above with the numpy calls, in the order, that the same expression
-written with ``Tensor`` operators makes (1-d rows through
-``matmul_rows_np``, batches through ``@``), and its backward performs
-the same float operations and sums into its operands in the order that
-op-by-op graph's backward does.  With ``G`` the gradient of ``h_t``:
-
-    candidate   b_n, x (W_xn), W_xn
-    reset       b_r, x (W_xr), W_xr, h (W_hr), W_hr
-    carried     h (W_hn), W_hn
-    blend       dz = -(G * n_t) + G * h_{t-1};  h += G * z_t
-    update      b_z, x (W_xz), W_xz, h (W_hz), W_hz
-
-Float addition does not associate, so this order is a contract: it is
-what makes every weight trained through the fused step byte-equal to
-one trained through the ~26-node graph, and
-``tests/test_nn_gru.py::TestFusedStepBitwise`` holds that graph as the
-oracle (``np.array_equal`` on outputs and on every gradient).
-
-No training path in the library builds a graph through that step: BC
-and A2C train through the sequence node below, and the QBN trainer's
-action term reads only ``policy_head``.  Two callers keep it:
+:meth:`GRUCell.forward` is those four lines in ``Tensor`` operators, one
+graph node per operation.  No training path builds a graph through it:
+BC and A2C train through the sequence node below, and the QBN trainer's
+action term reads only ``policy_head``.  It is the step of
 ``RecurrentPolicyValueNet.step``, the chain that ``TestSequenceNodeBitwise``
 and the tests' ``op_by_op()`` hold every sequence node to, and
-``QBNTrainer.action_agreement``'s no-grad forward through ``policy.gru``.
+``QBNTrainer.action_agreement`` runs it under ``no_grad``.
 
-A whole sequence is one node too (:class:`Unrolled`, behind
-:class:`GRU` and ``RecurrentPolicyValueNet.unroll``).  Its backward runs
-steps ``T .. 1``, each ``h_t`` gradient the outside contribution plus
-step ``t + 1``'s four terms, so the gate gradients and the gradients of
-the inputs and ``h0`` hold the per-step chain's bytes.  Each parameter's
-gradient is one sum over every step and row instead
+A whole sequence is one node (:class:`Unrolled`, behind
+``RecurrentPolicyValueNet.unroll``).  Its backward runs steps
+``T .. 1``; each ``h_t`` gradient is the outside contribution plus step
+``t + 1``'s four terms, added in the order the chain's backward adds
+them (through ``W_hr``, through ``W_hn``, the blend's ``z_t``, through
+``W_hz``).  Each parameter's gradient is one sum over every step and row
 (:func:`~repro.nn.linear.accumulate_steps`: one gemm per weight, one
 ``sum`` per bias), not the chain's one term per step: it is within
 rounding of the chain's, and every build makes that same numpy call
@@ -83,9 +65,7 @@ from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
 from repro.native import _address, kernel as native_kernel, register
 from repro.nn import init
-from repro.nn.linear import (
-    accumulate_steps, input_grad, input_grad_steps, matmul_backward, matmul_np, matmul_steps,
-)
+from repro.nn.linear import accumulate_steps, input_grad, matmul_np, matmul_steps
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import SeedLike, new_rng
 
@@ -164,6 +144,7 @@ class GRUCell(Module):
         return Tensor(np.zeros((batch_size, self.hidden_size)))
 
     def forward(self, x: Tensor, h: Optional[Tensor] = None) -> Tensor:
+        """One step from ``h`` (zeros if ``None``): the module docstring's formulas."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
         if x.shape[-1] != self.input_size:
@@ -179,39 +160,10 @@ class GRUCell(Module):
                 f"GRUCell expected hidden dim {self.hidden_size}, got shape {h.shape}"
             )
 
-        w_xr, w_hr, b_r = self.w_xr, self.w_hr, self.b_r
-        w_xz, w_hz, b_z = self.w_xz, self.w_hz, self.b_z
-        w_xn, w_hn, b_n = self.w_xn, self.w_hn, self.b_n
-        x_data, h_data = x.data, h.data
-        projections = (matmul_np(x_data, w.data) for w in (w_xr, w_xz, w_xn))
-        reset, update, carried, candidate, data = self._step(*projections, h_data)
-        fresh = 1.0 - update
-
-        def backward(grad: np.ndarray) -> None:
-            # Candidate branch, then the reset gate it reads, then the
-            # update gate: the order of the module docstring.
-            g_update = -(grad * candidate)
-            g_n = grad * fresh * (1.0 - candidate ** 2)
-            if b_n.requires_grad:
-                b_n._accumulate(g_n)
-            matmul_backward(x, w_xn, g_n)
-            g_r = g_n * carried * reset * (1.0 - reset)
-            if b_r.requires_grad:
-                b_r._accumulate(g_r)
-            matmul_backward(x, w_xr, g_r)
-            matmul_backward(h, w_hr, g_r)
-            matmul_backward(h, w_hn, g_n * reset)
-            g_update += grad * h_data
-            if h.requires_grad:
-                h._accumulate(grad * update)
-            g_z = g_update * update * (1.0 - update)
-            if b_z.requires_grad:
-                b_z._accumulate(g_z)
-            matmul_backward(x, w_xz, g_z)
-            matmul_backward(h, w_hz, g_z)
-
-        parents = (x, h, w_xr, w_hr, b_r, w_xz, w_hz, b_z, w_xn, w_hn, b_n)
-        return Tensor._make(data, parents, backward)
+        reset = (x @ self.w_xr + h @ self.w_hr + self.b_r).sigmoid()
+        update = (x @ self.w_xz + h @ self.w_hz + self.b_z).sigmoid()
+        candidate = (x @ self.w_xn + reset * (h @ self.w_hn) + self.b_n).tanh()
+        return (1.0 - update) * candidate + update * h
 
     def _step(self, x_r, x_z, x_n, h) -> Tuple[np.ndarray, ...]:
         """The module docstring's formulas given the input projections
@@ -337,21 +289,15 @@ class Unrolled:
             self.reset[t], self.update[t], self.carried[t], self.candidate[t] = gates
             self.hiddens[t + 1] = h
 
-    def backward(
-        self, grad: np.ndarray, inputs: Optional[Tensor] = None, h0: Optional[Tensor] = None
-    ) -> None:
+    def backward(self, grad: np.ndarray) -> None:
         """Back-propagate ``grad[t]``, what ``h_{t+1}`` received from outside
-        the recurrence, through steps ``T .. 1``.
+        the recurrence, through steps ``T .. 1`` into the cell's parameters.
 
         Each step is ``GRUCell.forward``'s backward.  ``h_t``'s gradient is
         ``grad[t - 1]`` plus the four terms of step ``t + 1`` (module
         docstring); every parameter then receives one sum over all steps
-        (:func:`~repro.nn.linear.accumulate_steps`) and the inputs one
-        stacked product per gate, added n, r, z as each step adds them.
-        ``inputs`` and ``h0`` are the tensors the forward read, if they
-        take gradients.
-        A ``grad`` not shaped like ``hiddens[1:]`` is refused before any
-        gradient is touched.
+        (:func:`~repro.nn.linear.accumulate_steps`).  A ``grad`` not shaped
+        like ``hiddens[1:]`` is refused before any gradient is touched.
         """
         grad = np.ascontiguousarray(grad, dtype=np.float64)
         if grad.shape != self.candidate.shape:
@@ -364,23 +310,9 @@ class Unrolled:
         gates = np.empty((4,) + grad.shape)
         g_ns, g_rs, g_hns, g_zs = gates
         if self.kernel is None:
-            g = self._backward_numpy(grad, *gates)
+            self._backward_numpy(grad, *gates)
         else:
-            g = self.kernel.backward(self, grad, gates)
-        if h0 is not None and h0.requires_grad:
-            # Step 0's four terms, as every later step adds them into h.
-            for term in (
-                input_grad(g_rs[-1], cell.w_hr.data),
-                input_grad(g_hns[-1], cell.w_hn.data),
-                g * self.update[0],
-                input_grad(g_zs[-1], cell.w_hz.data),
-            ):
-                h0._accumulate(term)
-        if inputs is not None and inputs.requires_grad:
-            x_grad = input_grad_steps(g_ns, cell.w_xn.data)
-            x_grad += input_grad_steps(g_rs, cell.w_xr.data)
-            x_grad += input_grad_steps(g_zs, cell.w_xz.data)
-            inputs._accumulate(x_grad[::-1])
+            self.kernel.backward(self, grad, gates)
         x_rows, h_rows = self.inputs[::-1], self.hiddens[-2::-1]
         for param, gate_grads, rows in (
             (cell.b_n, g_ns, None), (cell.w_xn, g_ns, x_rows),
@@ -390,9 +322,9 @@ class Unrolled:
         ):
             accumulate_steps(param, gate_grads, rows)
 
-    def _backward_numpy(self, grad, g_ns, g_rs, g_hns, g_zs) -> np.ndarray:
+    def _backward_numpy(self, grad, g_ns, g_rs, g_hns, g_zs) -> None:
         """Fill the gate gradients in numpy, the native kernel's
-        specification; returns the gradient of ``h_1``."""
+        specification."""
         cell = self.cell
         # The step-independent factors, elementwise, for every step at once.
         fresh, d_tanh, d_reset = 1.0 - self.update, 1.0 - self.candidate ** 2, 1.0 - self.reset
@@ -410,7 +342,7 @@ class Unrolled:
             g_z = np.multiply(g_update, update, out=g_zs[k])
             g_z *= fresh[t]
             if t == 0:
-                return g
+                return
             terms = (
                 input_grad(g_r, cell.w_hr.data),
                 input_grad(g_hn, cell.w_hn.data),
@@ -420,43 +352,6 @@ class Unrolled:
             g = grad[t - 1].copy()
             for term in terms:
                 g += term
-
-
-class GRU(Module):
-    """Unrolls a :class:`GRUCell` over a sequence as one autograd node.
-
-    Input shape is (T, input_size) for a single sequence or
-    (T, B, input_size) for a batch of sequences; the output is the stack
-    of hidden states with matching leading dimensions.
-    """
-
-    def __init__(self, input_size: int, hidden_size: int, rng: SeedLike = None) -> None:
-        super().__init__()
-        self.cell = GRUCell(input_size, hidden_size, rng=rng)
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-
-    def initial_state(self, batch_size: Optional[int] = None) -> Tensor:
-        return self.cell.initial_state(batch_size)
-
-    def forward(
-        self, sequence: Tensor, h0: Optional[Tensor] = None
-    ) -> Tuple[Tensor, Tensor]:
-        """Return (all hidden states stacked over time, final hidden state)."""
-        if not isinstance(sequence, Tensor):
-            sequence = Tensor(sequence)
-        if h0 is None:
-            h0 = self.initial_state(sequence.shape[1] if sequence.ndim == 3 else None)
-        elif not isinstance(h0, Tensor):
-            h0 = Tensor(h0)
-        run = Unrolled(self.cell, sequence.data, h0.data)
-
-        def backward(grad: np.ndarray) -> None:
-            run.backward(grad, sequence, h0)
-
-        parents = (sequence, h0, *self.cell.parameters())
-        stacked = Tensor._make(run.hiddens[1:], parents, backward)
-        return stacked, stacked[-1]
 
 
 # ----------------------------------------------------------------------
@@ -535,7 +430,7 @@ class NativeGRUKernel:
             np.tanh(candidate, out=candidate)
             lib.repro_gru_blend(address, t)
 
-    def backward(self, run: Unrolled, grad: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    def backward(self, run: Unrolled, grad: np.ndarray, gates: np.ndarray) -> None:
         """``Unrolled._backward_numpy`` with the per-step glue in C; ``gates``
         stacks ``g_n, g_r, g_hn, g_z``."""
         steps, hidden = grad.shape[0], run.cell.hidden_size
@@ -558,15 +453,13 @@ class NativeGRUKernel:
         for k, t in enumerate(range(steps - 2, -1, -1)):
             np.matmul(operands[:, k], weights, out=terms)
             step(address, t)
-        return g
 
 
 def _self_check_runs() -> List[Optional[bytes]]:
-    """Every :class:`Unrolled` array and every gradient, over two
+    """Every :class:`Unrolled` array and every parameter gradient, over two
     backwards each, of sequences on every route: 1-d steps on the einsum
     (H = 1, 4) and gemm (H = 9) routes, batches of 1 and 3, odd and even
-    T, gradients unset and set, inputs and h0 taking gradients or not, and
-    a frozen weight."""
+    T, gradients unset and set, and a frozen weight."""
     rng = np.random.default_rng(4242)
     snapshots: List[Optional[bytes]] = []
     for hidden, lead, steps in (
@@ -576,15 +469,15 @@ def _self_check_runs() -> List[Optional[bytes]]:
         for bias in (cell.b_r, cell.b_z, cell.b_n):
             bias.data[...] = rng.standard_normal(hidden)
         cell.w_hz.requires_grad = hidden != 4
-        inputs = Tensor(rng.standard_normal((steps,) + lead + (2,)), requires_grad=steps % 2 == 1)
-        h0 = Tensor(rng.standard_normal(lead + (hidden,)) * 0.5, requires_grad=steps % 2 == 0)
+        inputs = rng.standard_normal((steps,) + lead + (2,))
+        h0 = rng.standard_normal(lead + (hidden,)) * 0.5
         for _ in range(2):
-            run = Unrolled(cell, inputs.data, h0.data)
-            run.backward(rng.standard_normal(run.candidate.shape), inputs, h0)
+            run = Unrolled(cell, inputs, h0)
+            run.backward(rng.standard_normal(run.candidate.shape))
             arrays = (run.hiddens, run.reset, run.update, run.carried, run.candidate)
             snapshots.append(b"".join(array.tobytes() for array in arrays))
-            for tensor in (inputs, h0, *cell.parameters()):
-                snapshots.append(None if tensor.grad is None else tensor.grad.tobytes())
+            for param in cell.parameters():
+                snapshots.append(None if param.grad is None else param.grad.tobytes())
     return snapshots
 
 

@@ -17,7 +17,7 @@ at the paper's scale) and ``benchmarks/scorecard.py`` renders their
 verdicts into ``EXPERIMENTS.md``.
 """
 
-from repro.pipeline.evaluation import EvaluationResult, evaluate_agent, compare_agents
+from repro.pipeline.evaluation import EvaluationResult, compare_agents
 from repro.pipeline.learning_aided import (
     FidelityReport,
     LearningAidedPipeline,
@@ -35,7 +35,6 @@ from repro.pipeline import experiments
 
 __all__ = [
     "EvaluationResult",
-    "evaluate_agent",
     "compare_agents",
     "FidelityReport",
     "LearningAidedPipeline",

@@ -1,13 +1,12 @@
 """Policy evaluation: makespan measurement and controller comparison.
 
-Every episode runs on the :class:`~repro.engine.evaluation.EvaluationEngine`:
-:func:`compare_agents` as one lockstep batch for all agents, each on its
-own copy of the traces (compiled-FSM tables, batched GRU forwards or
-per-slot heuristic replicas),
-:func:`evaluate_agent` one trace at a time (B = 1) with the caller's
-agent object doing the acting.  The two are pinned bit-identical (same
-``episode_seed + index`` seeding, same ``np.sum`` reward reduction), and
-both to a scalar ``StorageAllocationEnv`` loop in ``tests/conftest.py``.
+:func:`compare_agents` runs every episode on the
+:class:`~repro.engine.evaluation.EvaluationEngine` as one lockstep batch
+for all agents, each on its own copy of the traces (compiled-FSM tables,
+batched GRU forwards or per-slot heuristic replicas).  Trace ``i`` is
+seeded ``episode_seed + i`` and its total reward is the ``np.sum`` of
+its rewards, so every number is pinned bit-identical to a scalar
+``StorageAllocationEnv`` loop (``tests/conftest.py::scalar_episode``).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.agents.base import Agent
-from repro.engine.backends import AgentBatchBackend
 from repro.engine.evaluation import EvaluationEngine, EvaluationResult, backend_for_agent
 from repro.env.reward import RewardConfig
 from repro.errors import ConfigurationError
@@ -29,38 +27,8 @@ __all__ = [
     "EvaluationResult",
     "compare_agents",
     "comparison_table",
-    "evaluate_agent",
     "relative_reduction",
 ]
-
-
-def evaluate_agent(
-    agent: Agent,
-    traces: Sequence[WorkloadTrace],
-    system_config: Optional[StorageSystemConfig] = None,
-    reward_config: Optional[RewardConfig] = None,
-    episode_seed: int = 0,
-) -> EvaluationResult:
-    """Run ``agent`` over every trace and record the makespans.
-
-    Every (agent, trace) episode is run with the same ``episode_seed`` so
-    that the stochastic parts of the simulator (core idling) are identical
-    across agents and the comparison isolates the allocation policy.
-    """
-    if not traces:
-        raise ConfigurationError("evaluate_agent needs at least one trace")
-    engine = EvaluationEngine(system_config, reward_config)
-    # ``agent`` itself is the only replica: whatever ``act`` counts or
-    # carries on the caller's object is still there afterwards.
-    backend = AgentBatchBackend(lambda: agent, engine.encoder, name=agent.name)
-    result = EvaluationResult(agent_name=agent.name)
-    for index, trace in enumerate(traces):
-        episode = engine.evaluate(backend, [trace], episode_seed=episode_seed + index)
-        result.trace_names += episode.trace_names
-        result.makespans += episode.makespans
-        result.episodes += episode.episodes
-        result.total_rewards += episode.total_rewards
-    return result
 
 
 def compare_agents(
@@ -77,8 +45,8 @@ def compare_agents(
     batched GRU forwards, extracted FSMs on their compiled dense tables,
     heuristics as per-slot replicas (see
     :func:`~repro.engine.evaluation.backend_for_agent`) — with the
-    numbers :func:`evaluate_agent` gives each agent alone.  Results are
-    keyed by agent name, so names must be distinct.
+    numbers each agent gets alone.  Results are keyed by agent name, so
+    names must be distinct.
     """
     names = [agent.name for agent in agents]
     repeated = sorted({name for name in names if names.count(name) > 1})

@@ -282,9 +282,8 @@ class LearningAidedPipeline:
         :class:`~repro.engine.evaluation.EvaluationEngine` lockstep
         batch, each on its own copy of the traces — the DRL policy as
         batched (greedy) GRU forwards, the extracted FSM on its compiled
-        dense tables, baselines as per-slot replicas.  Results are keyed by agent name and
-        bit-identical to :func:`~repro.pipeline.evaluation.evaluate_agent`
-        (the same episodes one at a time).
+        dense tables, baselines as per-slot replicas.  Results are keyed by
+        agent name and bit-identical to the same episodes one at a time.
         """
         from repro.pipeline.evaluation import compare_agents
 

@@ -49,8 +49,10 @@ def apply_overrides(config: Any, overrides: Mapping[str, Any]) -> Any:
     """Return a copy of a (possibly nested) dataclass with dotted overrides.
 
     ``{"a2c.learning_rate": 1e-3}`` rebuilds ``config.a2c`` with the new
-    learning rate and returns a new top-level config; unknown fields
-    raise :class:`ConfigurationError` instead of silently doing nothing.
+    learning rate and returns a new top-level config; unknown fields, and
+    values of another type than the field's (:func:`_check_leaf`), raise
+    :class:`ConfigurationError` instead of failing later or silently
+    doing nothing.
     """
     for dotted in sorted(overrides):
         config = _replace_path(config, dotted.split("."), overrides[dotted], dotted)
@@ -68,9 +70,35 @@ def _replace_path(config: Any, path: List[str], value: Any, dotted: str) -> Any:
             f"unknown field {name!r} in override {dotted!r} "
             f"(available: {sorted(f.name for f in fields(config))})"
         )
+    current = getattr(config, name)
     if len(path) > 1:
-        value = _replace_path(getattr(config, name), path[1:], value, dotted)
+        value = _replace_path(current, path[1:], value, dotted)
+    else:
+        _check_leaf(current, value, dotted)
     return replace(config, **{name: value})
+
+
+def _check_leaf(current: Any, value: Any, dotted: str) -> None:
+    """Refuse a leaf override whose type is not the replaced value's: an
+    int (never a bool) for an int, an int or a float (never a bool) for a
+    float, a str for a str, a mapping for a mapping.  A nested config is
+    overridden field by field, by dotted path, never whole."""
+    if is_dataclass(current):
+        raise ConfigurationError(
+            f"override {dotted!r} replaces a whole {type(current).__name__}: "
+            "set its fields by dotted path"
+        )
+    if isinstance(current, Mapping):
+        allowed: Tuple[type, ...] = (Mapping,)
+    elif isinstance(current, float):
+        allowed = (int, float)
+    else:
+        allowed = (type(current),)
+    if isinstance(value, bool) != isinstance(current, bool) or not isinstance(value, allowed):
+        raise ConfigurationError(
+            f"override {dotted!r} must be {' or '.join(t.__name__ for t in allowed)}, "
+            f"got {type(value).__name__} {value!r}"
+        )
 
 
 # ----------------------------------------------------------------------

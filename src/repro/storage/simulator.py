@@ -35,13 +35,13 @@ batched execution bit-identical by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.storage.levels import LEVELS, Level
-from repro.storage.metrics import EpisodeMetrics, IntervalMetrics, StepValues
+from repro.storage.metrics import EpisodeMetrics, IntervalMetrics
 from repro.storage.migration import MigrationAction
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
 from repro.utils.rng import IDLE_DOMAIN, SeedLike, episode_lanes, episode_seed
@@ -140,29 +140,22 @@ class StorageSimulator:
 
     This is the B=1 view over :class:`VectorSimulatorState`: all episode
     state lives in the shared array core, and ``step()`` advances it
-    through the same kernels the vectorized environment uses.  Idle cores
-    come from the Philox lane of the episode seed ``rng`` names
-    (:func:`~repro.utils.rng.episode_seed`), the lane a lockstep slot
-    with that seed draws from; a reset without ``rng`` continues it.
+    through the same kernels the vectorized environment uses.  ``reset``
+    and ``step`` are the whole driving interface; its one driver is
+    ``StorageAllocationEnv``.  Idle cores come from the Philox lane of
+    the episode seed ``rng`` names (:func:`~repro.utils.rng.episode_seed`),
+    the lane a lockstep slot with that seed draws from; a reset without
+    ``rng`` continues it.
     """
 
-    def __init__(
-        self,
-        config: Optional[StorageSystemConfig] = None,
-        rng: SeedLike = None,
-        record_metrics: bool = True,
-    ) -> None:
+    def __init__(self, config: Optional[StorageSystemConfig] = None, rng: SeedLike = None) -> None:
         from repro.storage.vector_state import VectorSimulatorState
 
         self.config = config or StorageSystemConfig()
         self.config.validate()
-        self._record_metrics = bool(record_metrics)
         self._streams = episode_lanes([episode_seed(rng)], IDLE_DOMAIN)
-        self._state = VectorSimulatorState(
-            self.config, record_metrics=self._record_metrics
-        )
+        self._state = VectorSimulatorState(self.config, record_metrics=True)
         self._trace: Optional[WorkloadTrace] = None
-        self._last_step_values: Optional[StepValues] = None
 
     # ------------------------------------------------------------------
     # Episode control
@@ -173,7 +166,6 @@ class StorageSimulator:
             self._streams = episode_lanes([episode_seed(rng)], IDLE_DOMAIN)
         self._state.reset([trace], rngs=self._streams)
         self._trace = trace
-        self._last_step_values = None
 
     @property
     def is_done(self) -> bool:
@@ -192,13 +184,6 @@ class StorageSimulator:
         """Makespan so far (final value once :attr:`is_done`)."""
         self._require_episode()
         return int(self._state.steps_taken[0])
-
-    @property
-    def last_step_values(self) -> StepValues:
-        """Per-level summary of the most recent interval (LEVELS order)."""
-        if self._last_step_values is None:
-            raise SimulationError("no interval has been simulated yet")
-        return self._last_step_values
 
     def backlog_kb(self) -> Dict[Level, float]:
         self._require_episode()
@@ -233,35 +218,11 @@ class StorageSimulator:
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
-    def step(self, action: MigrationAction | int) -> Optional[IntervalMetrics]:
-        """Advance the simulation by one time interval under ``action``.
-
-        Returns the interval's metrics record, or None when the simulator
-        was created with ``record_metrics=False`` (metrics-free execution
-        for high-throughput rollout collection — the per-level summary is
-        still available via :attr:`last_step_values`).
-        """
+    def step(self, action: MigrationAction | int) -> IntervalMetrics:
+        """Advance the simulation by one time interval under ``action`` and
+        return the interval's metrics record."""
         self._require_episode()
         if self.is_done:
             raise SimulationError("step() called on a finished episode")
         self._state.step(np.array([int(action)], dtype=np.int64))
-        self._last_step_values = self._state.step_values(0)
-        if self._record_metrics:
-            return self._state.episodes[0].intervals[-1]
-        return None
-
-    # ------------------------------------------------------------------
-    # Whole-episode convenience
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        trace: WorkloadTrace,
-        policy: Callable[["StorageSimulator"], MigrationAction | int],
-        rng: SeedLike = None,
-    ) -> EpisodeMetrics:
-        """Run a full episode, asking ``policy(simulator)`` for each action."""
-        self.reset(trace, rng=rng)
-        while not self.is_done:
-            action = policy(self)
-            self.step(action)
-        return self.episode_metrics
+        return self._state.episodes[0].intervals[-1]

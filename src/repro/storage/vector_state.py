@@ -95,7 +95,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.native import _address, kernel as native_kernel, register
 from repro.storage.levels import LEVELS
-from repro.storage.metrics import EpisodeMetrics, StepColumns, StepValues
+from repro.storage.metrics import EpisodeMetrics, StepColumns
 from repro.storage.migration import (
     ACTION_DEST_INDICES,
     ACTION_SOURCE_INDICES,
@@ -156,16 +156,6 @@ class VectorSimulatorState:
     @property
     def num_cores(self) -> int:
         return int(self.config.total_cores)
-
-    def step_values(self, slot: int) -> StepValues:
-        """The scalar simulator's lightweight per-interval summary for a slot."""
-        return StepValues(
-            incoming_kb=tuple(self.incoming[slot]),
-            processed_kb=tuple(self.processed[slot]),
-            capacity_kb=tuple(self.capacity[slot]),
-            utilization=tuple(self.utilization[slot]),
-            backlog_kb=tuple(self.backlog[slot]),
-        )
 
     # ------------------------------------------------------------------
     # Episode control

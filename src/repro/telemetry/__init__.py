@@ -12,11 +12,10 @@ its timing section.
 Switches
 --------
 Telemetry defaults **on** (it is cheap and provably inert — see
-``tests/test_telemetry_inertness.py``).  ``REPRO_TELEMETRY=0`` in the
-environment, or :func:`configure` ``(enabled=False)`` at runtime,
-swaps the process defaults for disabled ones whose instruments are
-shared no-op singletons — zero overhead beyond one empty attribute
-call per event.  The span ring holds the last 4096 spans, overwriting
+``tests/test_telemetry_inertness.py``).  The one switch is
+:func:`configure`: ``configure(enabled=False)`` swaps the process
+defaults for disabled ones whose instruments are shared no-op
+singletons — zero overhead beyond one empty attribute call per event.  The span ring holds the last 4096 spans, overwriting
 oldest-first, so long runs cost bounded memory.
 
 Components capture their instruments, and bind their views, when they
@@ -28,7 +27,6 @@ registry that was current then.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.telemetry.metrics import (
@@ -53,12 +51,8 @@ __all__ = [
 ]
 
 
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_TELEMETRY", "1").lower() not in ("0", "false", "off")
-
-
-_registry = MetricsRegistry(enabled=_env_enabled())
-_tracer = Tracer(enabled=_env_enabled())
+_registry = MetricsRegistry()
+_tracer = Tracer()
 
 
 def registry() -> MetricsRegistry:

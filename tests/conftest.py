@@ -130,31 +130,40 @@ def env(system_config) -> StorageAllocationEnv:
     )
 
 
-@pytest.fixture
-def scalar_episode():
+def scalar_episode(agent, trace, seed, system_config, reward_config=None):
     """The oracle that is not the engine: one episode stepped on the scalar
     ``StorageAllocationEnv`` (reset / ``agent.act`` / ``env.step``).
 
-    ``run(agent, trace, seed, system_config, reward_config=None)`` returns
-    the finished env and the normalised observations, actions and rewards.
+    Returns the finished env and the normalised observations, actions and
+    rewards.
     """
+    env = StorageAllocationEnv(system_config, reward_config=reward_config)
+    observation = env.reset(trace, rng=seed)
+    agent.reset()
+    observations, actions, rewards = [], [], []
+    while True:
+        action = agent.act(observation)
+        observations.append(env.observation_encoder.normalize(observation))
+        actions.append(int(action))
+        step = env.step(action)
+        rewards.append(step.reward)
+        observation = step.observation
+        if step.done:
+            return env, np.stack(observations), np.array(actions), np.array(rewards)
 
-    def run(agent, trace, seed, system_config, reward_config=None):
-        env = StorageAllocationEnv(system_config, reward_config=reward_config)
-        observation = env.reset(trace, rng=seed)
-        agent.reset()
-        observations, actions, rewards = [], [], []
-        while True:
-            action = agent.act(observation)
-            observations.append(env.observation_encoder.normalize(observation))
-            actions.append(int(action))
-            step = env.step(action)
-            rewards.append(step.reward)
-            observation = step.observation
-            if step.done:
-                return env, np.stack(observations), np.array(actions), np.array(rewards)
 
-    return run
+def assert_matches_scalar(result, agent, traces, episode_seed, system_config, reward_config=None):
+    """Every per-trace number of an evaluation ``result`` is exactly that of
+    ``agent``'s :func:`scalar_episode` on the trace, seeded
+    ``episode_seed + index``."""
+    assert result.trace_names == [trace.name for trace in traces]
+    for index, trace in enumerate(traces):
+        env, _observations, _actions, rewards = scalar_episode(
+            agent, trace, episode_seed + index, system_config, reward_config
+        )
+        assert result.makespans[index] == env.simulator.makespan
+        assert result.total_rewards[index] == float(rewards.sum())
+        assert result.episodes[index].intervals == env.episode_metrics.intervals
 
 
 @pytest.fixture

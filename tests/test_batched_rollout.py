@@ -24,9 +24,8 @@ from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ConfigurationError, TrainingError
 from repro.optim import clip_grad_norm
-from repro.pipeline.evaluation import evaluate_agent
 from repro.utils.rng import ACTION_DOMAIN, episode_lanes
-from conftest import collect_with_cursors
+from conftest import assert_matches_scalar, collect_with_cursors
 
 
 @pytest.fixture
@@ -378,7 +377,7 @@ def _scalar_update(trainer: A2CTrainer, trajectory: Trajectory) -> dict:
     else:
         returns = trajectory.discounted_returns(config.gamma)
     advantages = returns - values_np
-    if config.normalize_advantages and advantages.size > 1:
+    if advantages.size > 1:
         std = advantages.std()
         if std > 1e-8:
             advantages = (advantages - advantages.mean()) / std
@@ -441,18 +440,9 @@ class TestBatchedEvaluation:
     ):
         env = StorageAllocationEnv(system_config, reward_config=reward_config)
         agent = DRLPolicyAgent(tiny_policy, env.observation_encoder)
-        reference = evaluate_agent(
-            agent, real_traces, system_config=system_config,
-            reward_config=reward_config, episode_seed=3,
-        )
         batched = EvaluationEngine(system_config, reward_config).evaluate(
             GRUPolicyBackend(tiny_policy), real_traces, episode_seed=3,
             agent_name=agent.name,
         )
         assert batched.agent_name == agent.name
-        assert batched.trace_names == reference.trace_names
-        assert batched.makespans == reference.makespans
-        assert len(batched.episodes) == len(reference.episodes)
-        for batched_episode, reference_episode in zip(batched.episodes, reference.episodes):
-            assert batched_episode.makespan == reference_episode.makespan
-            assert batched_episode.action_histogram() == reference_episode.action_histogram()
+        assert_matches_scalar(batched, agent, real_traces, 3, system_config, reward_config)

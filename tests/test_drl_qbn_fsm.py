@@ -37,7 +37,7 @@ from repro.fsm.machine import FiniteStateMachine
 from repro.fsm.minimize import fold_compatible_states
 from repro.fsm.render import fsm_summary_table, fsm_to_dot
 from repro.optim import clip_grad_norm
-from repro.pipeline.evaluation import compare_agents, comparison_table, evaluate_agent, relative_reduction
+from repro.pipeline.evaluation import compare_agents, comparison_table, relative_reduction
 from repro.qbn.autoencoder import QBNConfig, QuantizedBottleneckNetwork, build_observation_qbn
 from repro.qbn.dataset import TransitionDataset
 from repro.qbn.quantize import code_key, quantization_levels, quantize_ste, values_to_codes
@@ -745,8 +745,8 @@ class TestExtractionIntegration:
             env.observation_encoder,
             tiny_pipeline_result.qbn_result.observation_qbn,
         )
-        result = evaluate_agent(agent, tiny_pipeline_result.eval_traces[:1],
-                                system_config=tiny_pipeline_config.system)
+        result = compare_agents([agent], tiny_pipeline_result.eval_traces[:1],
+                                system_config=tiny_pipeline_config.system)[agent.name]
         assert result.makespans[0] >= len(tiny_pipeline_result.eval_traces[0])
 
     def test_drl_agent_runs_episode(self, tiny_pipeline_result, tiny_pipeline_config):
@@ -754,8 +754,8 @@ class TestExtractionIntegration:
 
         env = StorageAllocationEnv(tiny_pipeline_config.system)
         agent = DRLPolicyAgent(tiny_pipeline_result.policy, env.observation_encoder)
-        result = evaluate_agent(agent, tiny_pipeline_result.eval_traces[:1],
-                                system_config=tiny_pipeline_config.system)
+        result = compare_agents([agent], tiny_pipeline_result.eval_traces[:1],
+                                system_config=tiny_pipeline_config.system)[agent.name]
         assert result.makespans[0] > 0
 
     def test_interpretation_bundle(self, tiny_pipeline_result):
@@ -953,14 +953,14 @@ class TestEvaluationHarness:
     def test_relative_reduction(self, system_config, real_traces):
         from repro.agents import DefaultPolicy
 
-        a = evaluate_agent(DefaultPolicy(), real_traces[:1], system_config=system_config)
-        assert relative_reduction(a, a) == pytest.approx(0.0)
+        a = compare_agents([DefaultPolicy()], real_traces[:1], system_config=system_config)
+        assert relative_reduction(a["default"], a["default"]) == pytest.approx(0.0)
 
     def test_evaluate_agent_validation(self, system_config):
         from repro.agents import DefaultPolicy
 
         with pytest.raises(ConfigurationError):
-            evaluate_agent(DefaultPolicy(), [], system_config=system_config)
+            compare_agents([DefaultPolicy()], [], system_config=system_config)
 
 
 class TestPipeline:

@@ -2,14 +2,13 @@
 
 The contract under test: evaluating any backend through
 :class:`repro.engine.evaluation.EvaluationEngine` in one lockstep batch
-is **bit-identical** to the same episodes one at a time
-(:func:`repro.pipeline.evaluation.evaluate_agent`, B = 1 on the same
-engine) — same makespans, same total rewards (exact float equality),
-same trace order — for every backend kind: per-slot heuristic replicas,
-the interpreted FSM agent, the compiled FSM tables and the greedy GRU.
-``TestScalarOracle`` ties both to an episode loop on the scalar
-``StorageAllocationEnv`` that the engine has no part in.  Plus the
-routing rules of :func:`repro.engine.evaluation.backend_for_agent`.
+is **bit-identical** to the same episodes one at a time on the scalar
+``StorageAllocationEnv``, a loop the engine has no part in
+(``conftest.scalar_episode``) — same makespans, same total rewards
+(exact float equality), same interval records, same trace order — for
+every backend kind: per-slot heuristic replicas, the interpreted FSM
+agent, the compiled FSM tables and the greedy GRU.  Plus the routing
+rules of :func:`repro.engine.evaluation.backend_for_agent`.
 """
 
 from __future__ import annotations
@@ -39,10 +38,10 @@ from repro.env.observation import ObservationEncoder
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ConfigurationError
-from repro.pipeline import evaluation as pipeline_evaluation
-from repro.pipeline.evaluation import compare_agents, evaluate_agent
+from repro.pipeline.evaluation import compare_agents
 from repro.pipeline.learning_aided import LearningAidedPipeline
 from repro.storage.simulator import StorageSystemConfig
+from conftest import assert_matches_scalar, scalar_episode
 
 
 def assert_results_identical(engine_result, reference):
@@ -71,19 +70,17 @@ class TestEngineBitIdentity:
         ]
         routed = compare_agents(agents, suite_traces, episode_seed=5)
         for agent in agents:
-            reference = evaluate_agent(agent, suite_traces, episode_seed=5)
-            assert_results_identical(routed[agent.name], reference)
+            assert_matches_scalar(routed[agent.name], agent, suite_traces, 5, system_config)
 
     def test_greedy_gru_bit_identical_across_profiles(
         self, suite_traces, system_config, tiny_policy
     ):
         agent = DRLPolicyAgent(tiny_policy, ObservationEncoder(system_config))
         routed = compare_agents([agent], suite_traces, episode_seed=9)
-        reference = evaluate_agent(agent, suite_traces, episode_seed=9)
-        assert_results_identical(routed[agent.name], reference)
+        assert_matches_scalar(routed[agent.name], agent, suite_traces, 9, system_config)
 
     def test_interpreted_fsm_replicas_bit_identical(
-        self, suite_traces, tiny_pipeline_result, env
+        self, suite_traces, tiny_pipeline_result, env, system_config
     ):
         agent = tiny_pipeline_result.fsm_agent(env)
         engine = EvaluationEngine()
@@ -93,10 +90,11 @@ class TestEngineBitIdentity:
             episode_seed=2,
             agent_name=agent.name,
         )
-        reference = evaluate_agent(agent, suite_traces, episode_seed=2)
-        assert_results_identical(lifted, reference)
+        assert_matches_scalar(lifted, agent, suite_traces, 2, system_config)
 
-    def test_compiled_fsm_bit_identical(self, suite_traces, tiny_pipeline_result, env):
+    def test_compiled_fsm_bit_identical(
+        self, suite_traces, tiny_pipeline_result, env, system_config
+    ):
         agent = tiny_pipeline_result.fsm_agent(env)
         engine = EvaluationEngine()
         compiled = engine.evaluate(
@@ -105,15 +103,19 @@ class TestEngineBitIdentity:
             episode_seed=2,
             agent_name=agent.name,
         )
-        reference = evaluate_agent(agent, suite_traces, episode_seed=2)
-        assert_results_identical(compiled, reference)
+        assert_matches_scalar(compiled, agent, suite_traces, 2, system_config)
 
     def test_unbatched_compare_agents_matches_batched(self, suite_traces):
+        """B = 12 lockstep equals twelve B = 1 calls, trace ``i`` at seed ``1 + i``."""
         agents = [DefaultPolicy(), GreedyUtilizationPolicy()]
         batched = compare_agents(agents, suite_traces, episode_seed=1)
-        for agent in agents:
-            sequential = evaluate_agent(agent, suite_traces, episode_seed=1)
-            assert_results_identical(batched[agent.name], sequential)
+        for index, trace in enumerate(suite_traces):
+            alone = compare_agents(agents, [trace], episode_seed=1 + index)
+            for agent in agents:
+                row = batched[agent.name]
+                assert alone[agent.name].trace_names == [row.trace_names[index]]
+                assert alone[agent.name].makespans == [row.makespans[index]]
+                assert alone[agent.name].total_rewards == [row.total_rewards[index]]
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +222,6 @@ class TestEvaluateMany:
             raise AssertionError("an episode ran before the names were checked")
 
         monkeypatch.setattr(EvaluationEngine, "evaluate_many", no_episodes)
-        monkeypatch.setattr(pipeline_evaluation, "evaluate_agent", no_episodes)
         agents = [make_agent(), GreedyUtilizationPolicy(), make_agent()]
         with pytest.raises(ConfigurationError, match=agents[0].name):
             compare_agents(agents, [object()])
@@ -265,47 +266,20 @@ class TestScalarOracle:
 
     REWARD = RewardConfig(mode="per_step_penalty", step_penalty=0.05)
 
-    def _assert_matches_oracle(self, scalar_episode, live, twin, traces, system_config):
-        """``evaluate_agent(live)`` equals the scalar loop driven by ``twin``."""
-        result = evaluate_agent(
-            live, traces, system_config, self.REWARD, episode_seed=6
+    def _assert_matches_oracle(self, agent, traces, system_config):
+        """The engine over ``agent``'s replicas equals its scalar loop."""
+        engine = EvaluationEngine(system_config, self.REWARD)
+        result = engine.evaluate(
+            AgentBatchBackend.from_agent(agent, engine.encoder), traces, episode_seed=6
         )
-        for index, trace in enumerate(traces):
-            env, _observations, _actions, rewards = scalar_episode(
-                twin, trace, 6 + index, system_config, self.REWARD
-            )
-            assert result.makespans[index] == env.simulator.makespan
-            assert result.total_rewards[index] == float(rewards.sum())
-            assert result.episodes[index].intervals == env.episode_metrics.intervals
-        assert result.trace_names == [trace.name for trace in traces]
+        assert_matches_scalar(result, agent, traces, 6, system_config, self.REWARD)
 
-    def test_heuristic_matches_scalar_env(self, scalar_episode, suite_traces, system_config):
-        self._assert_matches_oracle(
-            scalar_episode,
-            GreedyUtilizationPolicy(),
-            GreedyUtilizationPolicy(),
-            suite_traces,
-            system_config,
-        )
+    def test_heuristic_matches_scalar_env(self, suite_traces, system_config):
+        self._assert_matches_oracle(GreedyUtilizationPolicy(), suite_traces, system_config)
 
-    def test_drl_agent_matches_scalar_env(
-        self, scalar_episode, suite_traces, system_config, tiny_policy
-    ):
-        encoder = ObservationEncoder(system_config)
-        live = DRLPolicyAgent(tiny_policy, encoder)
-        twin = DRLPolicyAgent(tiny_policy, encoder)
-        self._assert_matches_oracle(scalar_episode, live, twin, suite_traces[:4], system_config)
-        # The last episode's hidden row is on the caller's object.
-        np.testing.assert_array_equal(live.hidden_state, twin.hidden_state)
-
-    def test_side_counters_land_on_the_callers_agent(
-        self, scalar_episode, suite_traces, tiny_pipeline_result, env, system_config
-    ):
-        live = tiny_pipeline_result.fsm_agent(env)
-        twin = tiny_pipeline_result.fsm_agent(env)
-        self._assert_matches_oracle(scalar_episode, live, twin, suite_traces[:3], system_config)
-        assert twin.unseen_observation_count > 0
-        assert live.unseen_observation_count == twin.unseen_observation_count
+    def test_drl_agent_matches_scalar_env(self, suite_traces, system_config, tiny_policy):
+        agent = DRLPolicyAgent(tiny_policy, ObservationEncoder(system_config))
+        self._assert_matches_oracle(agent, suite_traces[:4], system_config)
 
     @pytest.mark.parametrize(
         "make_teacher",
@@ -316,9 +290,7 @@ class TestScalarOracle:
         ],
         ids=["greedy_utilization", "handcrafted_fsm", "proportional_allocation"],
     )
-    def test_demonstrations_match_scalar_env(
-        self, scalar_episode, suite_traces, system_config, make_teacher
-    ):
+    def test_demonstrations_match_scalar_env(self, suite_traces, system_config, make_teacher):
         demonstrations = BehaviorCloningTrainer(system_config).collect_demonstrations(
             make_teacher(system_config), suite_traces, episode_seed=4
         )
@@ -401,11 +373,11 @@ class TestPipelineFidelityStage:
             tiny_pipeline_result.drl_agent(env),
             tiny_pipeline_result.fsm_agent(env),
         ):
-            reference = evaluate_agent(
+            assert_matches_scalar(
+                comparison[agent.name],
                 agent,
                 tiny_pipeline_result.eval_traces,
-                system_config=tiny_pipeline_config.system,
-                reward_config=tiny_pipeline_config.reward,
-                episode_seed=7,
+                7,
+                tiny_pipeline_config.system,
+                tiny_pipeline_config.reward,
             )
-            assert_results_identical(comparison[agent.name], reference)

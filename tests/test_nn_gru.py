@@ -1,4 +1,4 @@
-"""Tests for the GRU cell and sequence wrapper."""
+"""Tests for the GRU cell and its sequence node."""
 
 import contextlib
 import itertools
@@ -19,7 +19,7 @@ from repro.drl.rollout import BatchedRolloutCollector
 from repro.env.reward import RewardConfig
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import ShapeError
-from repro.nn import GRU, GRUCell, Linear, dense_native, rnn
+from repro.nn import GRUCell, Linear, dense_native, rnn
 from repro.nn.module import Parameter
 from repro.optim import Adam
 from repro.qbn.autoencoder import QBNConfig, QuantizedBottleneckNetwork
@@ -96,41 +96,40 @@ class TestGRUCell:
 
 
 class TestGRUSequence:
+    """``Unrolled``, the sequence node behind ``RecurrentPolicyValueNet.unroll``."""
+
     def test_unroll_shapes(self):
-        gru = GRU(4, 6, rng=0)
-        seq = Tensor(np.random.default_rng(0).random((10, 4)))
-        outputs, final = gru(seq)
-        assert outputs.shape == (10, 6)
-        assert final.shape == (6,)
-        np.testing.assert_allclose(outputs.numpy()[-1], final.numpy())
+        sequence = np.random.default_rng(0).random((10, 4))
+        run = rnn.Unrolled(GRUCell(4, 6, rng=0), sequence, np.zeros(6))
+        assert run.hiddens.shape == (11, 6)
+        assert run.reset.shape == run.update.shape == run.candidate.shape == (10, 6)
 
     def test_batched_unroll(self):
-        gru = GRU(4, 6, rng=0)
-        seq = Tensor(np.random.default_rng(0).random((5, 3, 4)))
-        outputs, final = gru(seq)
-        assert outputs.shape == (5, 3, 6)
-        assert final.shape == (3, 6)
+        policy = _policy(6, observation_dim=4)
+        logits, values = policy.unroll(np.random.default_rng(0).random((5, 3, 4)), values=True)
+        assert logits.shape == (5, 3, 7)
+        assert values.shape == (5, 3)
 
     def test_matches_manual_cell_unroll(self):
-        gru = GRU(3, 5, rng=1)
+        cell = GRUCell(3, 5, rng=1)
         seq = np.random.default_rng(1).random((4, 3))
-        outputs, _ = gru(Tensor(seq))
-        h = gru.cell.initial_state()
+        run = rnn.Unrolled(cell, seq, np.zeros(5))
+        h = cell.initial_state()
         for t in range(4):
-            h = gru.cell(Tensor(seq[t]), h)
-        np.testing.assert_allclose(outputs.numpy()[-1], h.numpy())
+            h = cell(Tensor(seq[t]), h)
+            np.testing.assert_allclose(run.hiddens[t + 1], h.numpy())
 
     def test_invalid_rank_raises(self):
         with pytest.raises(ShapeError):
-            GRU(3, 4, rng=0)(Tensor(np.zeros(3)))
+            rnn.Unrolled(GRUCell(3, 4, rng=0), np.zeros(3), np.zeros(4))
+        with pytest.raises(ShapeError):
+            _policy(4, observation_dim=3).unroll(np.zeros(3))
 
     def test_custom_initial_state_used(self):
-        gru = GRU(2, 3, rng=0)
-        seq = Tensor(np.zeros((1, 2)))
-        h0 = Tensor(np.full(3, 0.9))
-        _, from_custom = gru(seq, h0)
-        _, from_zero = gru(seq)
-        assert not np.allclose(from_custom.numpy(), from_zero.numpy())
+        cell = GRUCell(2, 3, rng=0)
+        from_custom = rnn.Unrolled(cell, np.zeros((1, 2)), np.full(3, 0.9))
+        from_zero = rnn.Unrolled(cell, np.zeros((1, 2)), np.zeros(3))
+        assert not np.allclose(from_custom.hiddens[1], from_zero.hiddens[1])
 
 
 def test_forward_np_sees_rebound_bias_at_every_batch_size():
@@ -167,20 +166,8 @@ def test_forward_np_sees_rebound_bias_at_every_batch_size():
 
 
 # ----------------------------------------------------------------------
-# The bitwise contract: one autograd node per step is the op-by-op graph
+# The bitwise contract: fused nodes are the op-by-op graphs they replaced
 # ----------------------------------------------------------------------
-def oracle_gru_forward(self, x, h=None):
-    """``GRUCell.forward`` op by op: the module docstring as ~26 graph nodes."""
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    if h is None:
-        h = self.initial_state(None if x.ndim == 1 else x.shape[0])
-    reset = (x @ self.w_xr + h @ self.w_hr + self.b_r).sigmoid()
-    update = (x @ self.w_xz + h @ self.w_hz + self.b_z).sigmoid()
-    candidate = (x @ self.w_xn + reset * (h @ self.w_hn) + self.b_n).tanh()
-    return (1.0 - update) * candidate + update * h
-
-
 def chain_unroll(self, observations, values=False):
     """``RecurrentPolicyValueNet.unroll`` as the chain it replaced: one ``step`` per row."""
     observations = np.asarray(observations, dtype=np.float64)
@@ -243,11 +230,10 @@ def oracle_mse_loss(prediction, target):
 
 @contextlib.contextmanager
 def op_by_op():
-    """Every ``GRUCell``, ``Linear``, QBN and MSE loss runs as the graph the
-    fused node replaced, ``unroll`` as the chain of those steps and Adam
-    one parameter at a time."""
+    """Every ``Linear``, QBN and MSE loss runs as the graph the fused node
+    replaced, ``unroll`` as the chain of ``step`` nodes and Adam one
+    parameter at a time."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(GRUCell, "forward", oracle_gru_forward)
         patch.setattr(Linear, "forward", oracle_linear_forward)
         patch.setattr(RecurrentPolicyValueNet, "unroll", chain_unroll)
         patch.setattr(QuantizedBottleneckNetwork, "forward", oracle_qbn_forward)
@@ -289,13 +275,19 @@ def _shipped_and_oracle(build, run):
 
 
 class TestFusedStepBitwise:
-    """``GRUCell.forward`` against the op-by-op formulas, ``np.array_equal`` only.
+    """``RecurrentPolicyValueNet.step``, whose heads are fused ``Linear``
+    nodes (and, under the fine-tune loss, fed by fused QBN nodes), against
+    the same step under ``op_by_op()``, ``np.array_equal`` only.
 
-    Outputs and every gradient are pinned by comparison with the oracle
-    on this host's BLAS, never by literal: the bits differ between
-    OpenBLAS core types (CI runs this class under a second one).  What
-    makes them equal is the backward's accumulation order, stated in the
-    ``repro.nn.rnn`` module docstring.
+    The GRU formulas are ``Tensor`` ops on both sides, so what is held is
+    that the fused nodes sum into the shared hidden state's gradient, and
+    through it into the step's, as the op-by-op graphs do.
+    ``chain_unroll``, the chain ``TestSequenceNodeBitwise`` holds every
+    sequence node to, is this step with fused heads: these tests make it
+    the op-by-op chain bit for bit.  Outputs and every gradient are
+    pinned by comparison on this host's BLAS, never by literal: the bits
+    differ between OpenBLAS core types (CI runs this class under a
+    second one).
     """
 
     @pytest.mark.parametrize("hidden", [4, 12, 48])
@@ -306,31 +298,35 @@ class TestFusedStepBitwise:
         x_data = rng.standard_normal(lead + (7,))
         x_data[..., 0] = 0.0
         h_data = rng.standard_normal(lead + (hidden,)) * 0.5
-        upstream = rng.standard_normal(lead + (hidden,))
+        upstream = rng.standard_normal(lead + (7,))
         for x_requires, h_requires, parameters_require in itertools.product(
             [False, True], repeat=3
         ):
             runs = []
-            for forward in (GRUCell.forward, oracle_gru_forward):
-                cell = _fill_biases(GRUCell(7, hidden, rng=1))
-                for param in cell.parameters():
+            for scope in (contextlib.nullcontext, op_by_op):
+                policy = _policy(hidden, observation_dim=7)
+                for param in policy.parameters():
                     param.requires_grad = parameters_require
                 x = Tensor(x_data, requires_grad=x_requires)
                 h = Tensor(h_data, requires_grad=h_requires)
                 # Two graphs over the same leaves: the second sums into
                 # gradients the first left behind.
-                for scale in (1.0, -0.3):
-                    out = forward(cell, x, h)
-                    assert out.requires_grad == (x_requires or h_requires or parameters_require)
-                    if out.requires_grad:
-                        (out * Tensor(upstream * scale)).sum().backward()
-                runs.append((out, x, h, cell))
-            (out, x, h, cell), (ref_out, ref_x, ref_h, ref_cell) = runs
+                with scope():
+                    for scale in (1.0, -0.3):
+                        logits, value, out = policy.step(x, h)
+                        assert out.requires_grad == (
+                            x_requires or h_requires or parameters_require
+                        )
+                        if out.requires_grad:
+                            loss = (logits * Tensor(upstream * scale)).sum() + value.sum() * scale
+                            loss.backward()
+                runs.append((logits, value, out, x, h, policy))
+            (*outputs, x, h, policy), (*ref_outputs, ref_x, ref_h, ref_policy) = runs
             label = f"x={x_requires} h={h_requires} parameters={parameters_require}"
-            assert np.array_equal(out.data, ref_out.data), label
+            assert _bytes([o.data for o in outputs]) == _bytes([o.data for o in ref_outputs]), label
             assert same_grad(x, ref_x) and (x.grad is not None) == x_requires, label
             assert same_grad(h, ref_h) and (h.grad is not None) == h_requires, label
-            _assert_same_parameter_grads(cell, ref_cell, expect_grads=parameters_require)
+            _assert_same_parameter_grads(policy, ref_policy, expect_grads=parameters_require)
 
     @pytest.mark.parametrize("hidden", [4, 12, 48])
     @pytest.mark.parametrize("batch", [None, 1, 2, 5])
@@ -339,16 +335,14 @@ class TestFusedStepBitwise:
         lead = () if batch is None else (batch,)
         x = rng.standard_normal(lead + (7,))
         h = rng.standard_normal(lead + (hidden,))
-        cell = _fill_biases(GRUCell(7, hidden, rng=1))
+        policy = _policy(hidden, observation_dim=7)
         with no_grad():
-            out = cell(Tensor(x), Tensor(h))
-            first = cell(Tensor(x))
+            outputs = policy.step(Tensor(x), Tensor(h))
             with op_by_op():
-                expected = cell(Tensor(x), Tensor(h))
-                expected_first = cell(Tensor(x))
-        assert np.array_equal(out.data, expected.data)
-        assert np.array_equal(first.data, expected_first.data)
-        assert not out.requires_grad and out._parents == () and out._backward is None
+                expected = policy.step(Tensor(x), Tensor(h))
+        assert _bytes([o.data for o in outputs]) == _bytes([o.data for o in expected])
+        for out in outputs:
+            assert not out.requires_grad and out._parents == () and out._backward is None
 
     @pytest.mark.parametrize("hidden", [4, 12, 48])
     def test_chain_under_behaviour_cloning_loss(self, hidden):
@@ -629,16 +623,15 @@ def _assert_close_parameter_grads(ours, theirs, expect_grads=True):
 
 
 class TestSequenceNodeBitwise:
-    """``unroll`` (one node per sequence) and ``nn.GRU`` against the chain
-    of ``step`` nodes, under BC and A2C losses.
+    """``unroll`` (one node per sequence) against the chain of ``step``
+    nodes, under BC and A2C losses.
 
     The node sums each parameter's gradient over every step and row as
     one gemm (a bias: one sum), not in the chain's per-step order, so its
     gradients are held three ways: within ``rtol=1e-12`` of the chain's,
     byte-equal between the native and the numpy build (both make the
-    same numpy sum), and against central finite differences.  Losses,
-    outputs and the gradients of inputs and ``h0``, which no step sum
-    forms, stay byte-equal to the chain.  CI reruns the class under a
+    same numpy sum), and against central finite differences.  Losses and
+    outputs stay byte-equal to the chain.  CI reruns the class under a
     second OpenBLAS kernel family.
     """
 
@@ -716,71 +709,23 @@ class TestSequenceNodeBitwise:
         for out in (logits, values, only_logits):
             assert not out.requires_grad and out._parents == () and out._backward is None
 
-    @pytest.mark.parametrize("batch", [None, 3])
-    def test_gru_wrapper_is_the_cell_chain(self, batch):
-        """``GRU.forward``: the stacked gradient lands on each step where
-        the stack node put it; inputs and ``h0`` get theirs too."""
-        rng = np.random.default_rng(7)
-        lead = () if batch is None else (batch,)
-        sequence = rng.standard_normal((5,) + lead + (4,))
-        h0_data = rng.standard_normal(lead + (6,)) * 0.5
-        upstream = rng.standard_normal((5,) + lead + (6,))
-        runs = []
-        for wrapped, kernels in (
-            (True, contextlib.nullcontext), (True, kernels_off), (False, contextlib.nullcontext)
-        ):
-            gru = _fill_biases(GRU(4, 6, rng=1))
-            x, h0 = Tensor(sequence, requires_grad=True), Tensor(h0_data, requires_grad=True)
-            with kernels():
-                for scale in (1.0, -0.3):
-                    if wrapped:
-                        stacked, final = gru(x, h0)
-                    else:
-                        h, steps = h0, []
-                        for t in range(5):
-                            h = gru.cell(x[t], h)
-                            steps.append(h)
-                        stacked, final = Tensor.stack(steps, axis=0), h
-                    ((stacked * Tensor(upstream * scale)).sum() + final.sum()).backward()
-            runs.append((stacked, x, h0, gru))
-        (stacked, x, h0, gru), numpy_run, (ref_stacked, ref_x, ref_h0, ref_gru) = runs
-        assert _bytes([stacked.data, x.grad, h0.grad]) == _bytes(
-            [numpy_run[0].data, numpy_run[1].grad, numpy_run[2].grad]
-        )
-        assert _grad_bytes(gru) == _grad_bytes(numpy_run[3])
-        assert np.array_equal(stacked.data, ref_stacked.data)
-        assert same_grad(x, ref_x) and same_grad(h0, ref_h0) and x.grad is not None
-        _assert_close_parameter_grads(gru, ref_gru)
-
-    @pytest.mark.parametrize("loss", ["behaviour_cloning", "a2c", "gru"])
+    @pytest.mark.parametrize("loss", ["behaviour_cloning", "a2c"])
     def test_gradients_match_finite_differences(self, loss):
         rng = np.random.default_rng(11)
-        if loss == "gru":
-            module = _fill_biases(GRU(3, 4, rng=1))
-            x = Tensor(rng.standard_normal((4, 2, 3)), requires_grad=True)
-            h0 = Tensor(rng.standard_normal((2, 4)) * 0.5, requires_grad=True)
-            weights = Tensor(rng.standard_normal((4, 2, 4)))
-
-            def build():
-                stacked, final = module(x, h0)
-                return (stacked * weights).sum() + final.sum()
-
-            parameters = dict(module.named_parameters(), inputs=x, h0=h0)
+        module = _policy(4)
+        if loss == "a2c":
+            batch = _padded_batch(rng, 4, 3)
+            advantages = rng.standard_normal(batch[-1].shape)
+            build = lambda: a2c_loss(module, *batch, advantages=advantages)  # noqa: E731
         else:
-            module = _policy(4)
-            if loss == "a2c":
-                batch = _padded_batch(rng, 4, 3)
-                advantages = rng.standard_normal(batch[-1].shape)
-                build = lambda: a2c_loss(module, *batch, advantages=advantages)  # noqa: E731
-            else:
-                observations = rng.standard_normal((5, 9))
-                actions = rng.integers(7, size=5)
-                weights = rng.uniform(0.2, 5.0, size=7)[actions]
-                build = lambda: bc_loss(module, observations, actions, weights)  # noqa: E731
-            parameters = {
-                name: param for name, param in module.named_parameters()
-                if loss == "a2c" or not name.startswith("value_head")
-            }
+            observations = rng.standard_normal((5, 9))
+            actions = rng.integers(7, size=5)
+            weights = rng.uniform(0.2, 5.0, size=7)[actions]
+            build = lambda: bc_loss(module, observations, actions, weights)  # noqa: E731
+        parameters = {
+            name: param for name, param in module.named_parameters()
+            if loss == "a2c" or not name.startswith("value_head")
+        }
         check_gradients(build, parameters, atol=1e-6, rtol=1e-5)
 
 
@@ -884,22 +829,21 @@ class TestTrainingBitwiseDifferential:
 @st.composite
 def _sequence_case(draw):
     """A policy (H < 7 runs its 1-d steps on einsum, H >= 7 on gemm), a
-    sequence of 1-d steps or a batch, and which gradients to take."""
+    sequence of 1-d steps or a batch, preset gradients or none, and which
+    modules are frozen."""
     return dict(
         hidden=draw(st.sampled_from([1, 4, 6, 7, 9, 16])),
         width=draw(st.sampled_from([None, 1, 2, 5])),
         steps=draw(st.integers(1, 8)),
         preset=draw(st.booleans()),
         frozen=draw(st.sets(st.sampled_from(["gru", "policy_head", "value_head"]), max_size=2)),
-        inputs_grad=draw(st.booleans()),
-        h0_grad=draw(st.booleans()),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
 
 def _sequence_bytes(case):
     """Every ``Unrolled`` array and every gradient of one policy ``unroll``
-    backward and one bare ``Unrolled`` backward with inputs and h0."""
+    backward and one bare ``Unrolled`` backward from a non-zero h0."""
     rng = np.random.default_rng(case["seed"])
     policy = _policy(case["hidden"], observation_dim=3)
     lead = (case["steps"],) if case["width"] is None else (case["steps"], case["width"])
@@ -913,14 +857,12 @@ def _sequence_bytes(case):
         logits, values = policy.unroll(observations, values=True)
         loss = (logits * Tensor(rng.standard_normal(logits.shape))).sum()
         (loss + (values * Tensor(rng.standard_normal(values.shape))).sum()).backward()
-        x = Tensor(observations, requires_grad=case["inputs_grad"])
-        h0_data = rng.standard_normal(lead[1:] + (case["hidden"],))
-        h0 = Tensor(h0_data, requires_grad=case["h0_grad"])
-        run = rnn.Unrolled(policy.gru, x.data, h0.data)
-        run.backward(rng.standard_normal(run.candidate.shape), x, h0)
+        h0 = rng.standard_normal(lead[1:] + (case["hidden"],))
+        run = rnn.Unrolled(policy.gru, observations, h0)
+        run.backward(rng.standard_normal(run.candidate.shape))
     arrays = [logits.data, values.data, run.hiddens]
     arrays += [run.reset, run.update, run.carried, run.candidate]
-    grads = [t.grad for t in (x, h0, *policy.parameters())]
+    grads = [param.grad for param in policy.parameters()]
     return [a.tobytes() for a in arrays] + [None if g is None else g.tobytes() for g in grads]
 
 
@@ -947,8 +889,8 @@ class TestNativeGRUKernelBitwise:
 
         def one_ulp_off(self, *args):
             result = shipped(self, *args)
-            # forward: the last hidden state; backward: h_1's gradient.
-            target = args[0].hiddens if method == "forward" else result
+            # forward: the last hidden state; backward: step 1's last gate gradient.
+            target = args[0].hiddens if method == "forward" else args[2]
             target.flat[-1] = np.nextafter(target.flat[-1], np.inf)
             return result
 
@@ -964,26 +906,26 @@ class TestNativeGRUKernelBitwise:
         rng = np.random.default_rng(5)
         lead = (4,) if width is None else (4, width)
         cell = _fill_biases(GRUCell(3, 8, rng=0))
-        x = Tensor(rng.standard_normal(lead + (3,)), requires_grad=True)
-        h0 = Tensor(rng.standard_normal(lead[1:] + (8,)), requires_grad=True)
-        for tensor in (x, h0, *cell.parameters()):
-            tensor.grad = rng.standard_normal(tensor.shape)
-        before = [tensor.grad.copy() for tensor in (x, h0, *cell.parameters())]
+        for param in cell.parameters():
+            param.grad = rng.standard_normal(param.shape)
+        before = [param.grad.copy() for param in cell.parameters()]
         with contextlib.nullcontext() if on_native else kernels_off("gru"):
-            run = rnn.Unrolled(cell, x.data, h0.data)
+            run = rnn.Unrolled(
+                cell, rng.standard_normal(lead + (3,)), rng.standard_normal(lead[1:] + (8,))
+            )
         grad = rng.standard_normal(run.candidate.shape)
         with pytest.raises(ShapeError):
-            run.backward(grad[1:], x, h0)
-        for tensor, old in zip((x, h0, *cell.parameters()), before):
-            assert np.array_equal(tensor.grad, old)
+            run.backward(grad[1:])
+        for param, old in zip(cell.parameters(), before):
+            assert np.array_equal(param.grad, old)
         # A strided grad is taken as its contiguous copy.
-        run.backward(np.asfortranarray(grad), x, h0)
-        strided = [tensor.grad.copy() for tensor in (x, h0, *cell.parameters())]
-        for tensor, old in zip((x, h0, *cell.parameters()), before):
-            tensor.grad = old.copy()
-        run.backward(grad.copy(), x, h0)
-        for tensor, got in zip((x, h0, *cell.parameters()), strided):
-            assert np.array_equal(tensor.grad, got)
+        run.backward(np.asfortranarray(grad))
+        strided = [param.grad.copy() for param in cell.parameters()]
+        for param, old in zip(cell.parameters(), before):
+            param.grad = old.copy()
+        run.backward(grad.copy())
+        for param, got in zip(cell.parameters(), strided):
+            assert np.array_equal(param.grad, got)
 
 
 # ----------------------------------------------------------------------
@@ -1026,7 +968,6 @@ def per_gate_products():
         patch.setattr(rnn, "matmul_steps", per_step_matmul_steps)
         patch.setattr(policy_module, "matmul_steps", per_step_matmul_steps)
         patch.setattr(policy_module, "input_grad_steps", per_step_input_grads)
-        patch.setattr(rnn, "input_grad_steps", per_step_input_grads)
         yield
 
 
@@ -1050,7 +991,7 @@ def _stacked_case(draw):
 def _unroll_bytes(case):
     """Outputs, ``Unrolled`` arrays and every gradient of two backwards
     (under opposite signs, so zero inputs give -0.0 terms) through a policy
-    ``unroll`` and one bare ``Unrolled`` with inputs and h0."""
+    ``unroll`` and one bare ``Unrolled`` from a non-zero h0."""
     rng = np.random.default_rng(case["seed"])
     policy = _policy(case["hidden"], observation_dim=3)
     lead = (case["steps"],) if case["width"] is None else (case["steps"], case["width"])
@@ -1070,12 +1011,11 @@ def _unroll_bytes(case):
             loss = (logits * Tensor(scale * rng.standard_normal(logits.shape))).sum()
             (loss + (values * Tensor(rng.standard_normal(values.shape))).sum()).backward()
             snapshots += _bytes([logits.data, values.data])
-        x = Tensor(observations, requires_grad=True)
-        h0 = Tensor(rng.standard_normal(lead[1:] + (case["hidden"],)), requires_grad=True)
-        run = rnn.Unrolled(policy.gru, x.data, h0.data)
-        run.backward(-np.abs(rng.standard_normal(run.candidate.shape)), x, h0)
+        h0 = rng.standard_normal(lead[1:] + (case["hidden"],))
+        run = rnn.Unrolled(policy.gru, observations, h0)
+        run.backward(-np.abs(rng.standard_normal(run.candidate.shape)))
     snapshots += _bytes([run.hiddens, run.reset, run.update, run.carried, run.candidate])
-    return snapshots + _bytes([t.grad for t in (x, h0, *policy.parameters())])
+    return snapshots + _bytes([param.grad for param in policy.parameters()])
 
 
 class TestStackedGatesBitwise:

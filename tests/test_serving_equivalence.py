@@ -50,7 +50,7 @@ from repro.storage.simulator import StorageSystemConfig
 from repro.workloads.generator import GeneratorConfig, StandardWorkloadGenerator
 from repro.workloads.profiles import profile_names
 
-from conftest import fill_every_cell
+from conftest import fill_every_cell, scalar_episode
 
 OBS_LATENT = 6
 STATE_CODE_LEN = 5
@@ -637,9 +637,7 @@ class TestRawRowsBitwise:
         # The FSM decides alike whether or not the broker normalised for it.
         np.testing.assert_array_equal(actions["shadow"], actions["fsm"])
 
-    def test_demonstrations_stay_normalised_rows(
-        self, system_config, standard_suite, scalar_episode
-    ):
+    def test_demonstrations_stay_normalised_rows(self, system_config, standard_suite):
         assert _RecordingBackend.reads_raw is False
         traces = list(standard_suite.values())[:3]
         demonstrations = BehaviorCloningTrainer(system_config).collect_demonstrations(

@@ -23,6 +23,14 @@ def _trace(intervals=5, requests=5000.0, write_heavy=False, name="test-trace"):
     return WorkloadTrace(name, [WorkloadInterval(ratios, requests) for _ in range(intervals)])
 
 
+def _run(sim, trace, policy, rng):
+    """One episode from ``reset``, stepping ``policy(sim)``: its metrics."""
+    sim.reset(trace, rng=rng)
+    while not sim.is_done:
+        sim.step(policy(sim))
+    return sim.episode_metrics
+
+
 def _dispatch_normal(pending_kb, cooldowns=(0, 0), idle=0, cores=2):
     """One interval of polling dispatch on a NORMAL level of ``cores``
     cores (40 000 kB each, 32 000 while penalised), through the reference
@@ -154,20 +162,20 @@ class TestSimulatorLifecycle:
     def test_reset_restores_state(self):
         sim = StorageSimulator(rng=0)
         trace = _trace(3)
-        sim.run(trace, lambda s: MigrationAction.NOOP, rng=1)
+        _run(sim, trace, lambda s: MigrationAction.NOOP, rng=1)
         first = sim.makespan
         sim.reset(trace, rng=1)
         assert sim.makespan == 0
         assert all(v == 0.0 for v in sim.backlog_kb().values())
         sim2 = StorageSimulator(rng=0)
-        sim2.run(trace, lambda s: MigrationAction.NOOP, rng=1)
+        _run(sim2, trace, lambda s: MigrationAction.NOOP, rng=1)
         assert sim2.makespan == first
 
 
 class TestSimulatorInvariants:
     def test_makespan_at_least_trace_length(self):
         sim = StorageSimulator(rng=0)
-        metrics = sim.run(_trace(6), lambda s: MigrationAction.NOOP, rng=0)
+        metrics = _run(sim, _trace(6), lambda s: MigrationAction.NOOP, rng=0)
         assert metrics.makespan >= 6
 
     def test_core_count_conserved(self):
@@ -187,7 +195,7 @@ class TestSimulatorInvariants:
     def test_all_work_processed_when_done(self):
         sim = StorageSimulator(rng=0)
         trace = _trace(5)
-        metrics = sim.run(trace, lambda s: MigrationAction.NOOP, rng=0)
+        metrics = _run(sim, trace, lambda s: MigrationAction.NOOP, rng=0)
         assert not metrics.truncated
         assert sim.is_done
         assert all(v <= 1e-9 for v in sim.backlog_kb().values())
@@ -197,7 +205,7 @@ class TestSimulatorInvariants:
 
     def test_utilization_bounds(self):
         sim = StorageSimulator(rng=0)
-        metrics = sim.run(_trace(5), lambda s: MigrationAction.NOOP, rng=0)
+        metrics = _run(sim, _trace(5), lambda s: MigrationAction.NOOP, rng=0)
         for interval in metrics.intervals:
             for level in LEVELS:
                 assert 0.0 <= interval.utilization[level] <= 1.0
@@ -247,7 +255,7 @@ class TestSimulatorInvariants:
     def test_overload_truncates(self):
         cfg = StorageSystemConfig(max_intervals_factor=2.0, max_intervals_slack=0)
         sim = StorageSimulator(cfg, rng=0)
-        metrics = sim.run(_trace(3, requests=1e7), lambda s: MigrationAction.NOOP, rng=0)
+        metrics = _run(sim, _trace(3, requests=1e7), lambda s: MigrationAction.NOOP, rng=0)
         assert metrics.truncated
         assert sim.is_done
 
@@ -256,14 +264,14 @@ class TestSimulatorInvariants:
         results = []
         for _ in range(2):
             sim = StorageSimulator(rng=5)
-            metrics = sim.run(trace, lambda s: MigrationAction.NOOP, rng=5)
+            metrics = _run(sim, trace, lambda s: MigrationAction.NOOP, rng=5)
             results.append([sum(m.processed_kb.values()) for m in metrics.intervals])
         np.testing.assert_allclose(results[0], results[1])
 
     def test_zero_idle_rate_removes_idling(self):
         cfg = StorageSystemConfig(idle_rate=0.0)
         sim = StorageSimulator(cfg, rng=0)
-        metrics = sim.run(_trace(4), lambda s: MigrationAction.NOOP, rng=0)
+        metrics = _run(sim, _trace(4), lambda s: MigrationAction.NOOP, rng=0)
         for interval in metrics.intervals:
             assert all(v == 0 for v in interval.idle_cores.values())
 
@@ -271,7 +279,7 @@ class TestSimulatorInvariants:
     @settings(max_examples=15, deadline=None)
     def test_property_makespan_bounds(self, intervals, requests):
         sim = StorageSimulator(StorageSystemConfig(idle_rate=0.0), rng=0)
-        metrics = sim.run(_trace(intervals, requests=requests), lambda s: 0, rng=0)
+        metrics = _run(sim, _trace(intervals, requests=requests), lambda s: 0, rng=0)
         assert metrics.makespan >= intervals
         assert not metrics.truncated
 
@@ -291,8 +299,8 @@ class TestSimulatorInvariants:
 class TestEpisodeMetrics:
     def test_summary_and_histogram(self):
         sim = StorageSimulator(rng=0)
-        metrics = sim.run(
-            _trace(4), lambda s: MigrationAction.NORMAL_TO_KV if s.makespan == 0 else 0, rng=0
+        metrics = _run(
+            sim, _trace(4), lambda s: MigrationAction.NORMAL_TO_KV if s.makespan == 0 else 0, rng=0
         )
         histogram = metrics.action_histogram()
         assert histogram.get("N=>K", 0) == 1

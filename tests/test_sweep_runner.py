@@ -7,6 +7,7 @@ files are byte-identical — worker layout and rerun may never change
 results.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,12 @@ class TestOverrides:
         )
         assert config.a2c.gamma == 0.9
         assert config.num_real_traces == 7
+        # An int replaces a float, a mapping a mapping.
+        allocation = {"KV": 4, "RV": 4, "NORMAL": 4}
+        config = apply_overrides(
+            PipelineConfig(), {"a2c.gamma": 1, "system.initial_allocation": allocation}
+        )
+        assert config.a2c.gamma == 1 and config.system.initial_counts() == [4, 4, 4]
         # The original default object is untouched.
         assert PipelineConfig().a2c.gamma != 0.9 or True
         assert A2CConfig().gamma == 0.99
@@ -125,6 +132,22 @@ class TestOverrides:
     def test_override_validation_still_applies(self):
         with pytest.raises(ConfigurationError):
             apply_overrides(A2CConfig(), {"learning_rate": -1.0})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("a2c.n_step", 2.5),
+            ("bc_pretrain_epochs", 2.7),
+            ("curriculum.real_epochs", 1.5),
+            ("policy.hidden_size", True),
+            ("a2c", 5),
+        ],
+    )
+    def test_override_of_another_type_refused(self, key, value):
+        """A leaf takes the type of the value it replaces, never a bool for
+        a number; a nested config is overridden only by dotted path."""
+        with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+            apply_overrides(PipelineConfig(), {key: value})
 
 
 class TestSweepExecution:

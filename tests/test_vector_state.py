@@ -24,6 +24,7 @@ from repro.env.environment import StorageAllocationEnv
 from repro.env.vector_env import VectorStorageAllocationEnv
 from repro.errors import SimulationError
 from repro.storage import vector_state
+from repro.storage.levels import LEVELS
 from repro.storage.simulator import StorageSimulator, StorageSystemConfig
 from repro.storage.vector_state import VectorSimulatorState, pairwise_sum_ragged
 from repro.storage.workload import WorkloadInterval, WorkloadTrace
@@ -53,7 +54,7 @@ def _drive_and_compare(config, traces, seeds, action_seed=101):
     state.reset(traces, rngs=episode_lanes(seeds, IDLE_DOMAIN))
     scalars = []
     for trace, seed in zip(traces, seeds):
-        simulator = StorageSimulator(config, rng=seed, record_metrics=False)
+        simulator = StorageSimulator(config, rng=seed)
         simulator.reset(trace)
         scalars.append(simulator)
     action_rngs = [np.random.default_rng(action_seed + i) for i in range(batch)]
@@ -70,14 +71,16 @@ def _drive_and_compare(config, traces, seeds, action_seed=101):
             if was_done[i]:
                 continue
             scalar = scalars[i]
-            scalar.step(int(actions[i]))
-            values = scalar.last_step_values
-            assert tuple(state.incoming[i]) == values.incoming_kb
-            assert tuple(state.processed[i]) == values.processed_kb
-            assert tuple(state.capacity[i]) == values.capacity_kb
-            assert tuple(state.utilization[i]) == values.utilization
-            assert tuple(state.backlog[i]) == values.backlog_kb
-            assert list(state.counts[i]) == list(scalar.core_counts().values())
+            record = scalar.step(int(actions[i]))
+            for column, measured in (
+                (state.incoming, record.incoming_kb),
+                (state.processed, record.processed_kb),
+                (state.capacity, record.capacity_kb),
+                (state.utilization, record.utilization),
+                (state.backlog, record.backlog_kb),
+                (state.counts, record.core_counts),
+            ):
+                assert column[i].tolist() == [measured[level] for level in LEVELS]
             assert bool(state.done[i]) == scalar.is_done
         steps += 1
         assert steps < 10_000, "episodes did not converge"
